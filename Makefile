@@ -20,11 +20,12 @@ race:
 	$(GO) test -race ./...
 
 # lint builds tanklint (cmd/tanklint) and runs its six protocol-
-# invariant passes — clockhygiene, locksafety, ackdurable,
-# traceexhaustive, hotpathalloc, bufown — over the whole module through
-# `go vet -vettool`, so results ride the build cache. Exemptions need a
-# visible //lint:allow pass(reason) directive; `tanklint help <pass>`
-# lists the tree's current exemptions. Add -json for machine output.
+# invariant passes — clockhygiene, locksafety, ackdurable (disk acks and
+# the server's commit-before-send), traceexhaustive, hotpathalloc,
+# bufown — over the whole module through `go vet -vettool`, so results
+# ride the build cache. Exemptions need a visible
+# //lint:allow pass(reason) directive; `tanklint help <pass>` lists the
+# tree's current exemptions. Add -json for machine output.
 lint:
 	$(GO) build -o $(TANKLINT) ./cmd/tanklint
 	$(GO) vet -vettool=$(TANKLINT) ./...
@@ -36,7 +37,12 @@ lint:
 # 2 authorities must clear 1.3x one) and the replica chaos harness —
 # SIGKILL the active lease authority mid-traffic, assert the bounded
 # takeover and Theorem 3.1 across the boundary from the JSONL traces —
-# explicitly and race-clean. The suite then runs once more under
+# explicitly and race-clean; its active dies with half a record at the
+# tail of the metadata journal, and the journal's own crash suite
+# (replay = live over 1000 seeded histories, torn tail at every byte and
+# bit, both checkpoint crash windows, a deposed writer) and the restart
+# of an unreplicated journalled server run beside it. The suite then
+# runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
 # cross-validation of what the static bufown pass proves per-path.
@@ -45,6 +51,8 @@ verify: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestCrashRestart' ./internal/rpcnet/
+	$(GO) test -race -count=1 -run 'TestJournal|TestCheckpointCrashWindows|TestDeposedWriter' ./internal/meta/
+	$(GO) test -race -count=1 -run 'TestUnreplicatedServerRecoversMetadata' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -tags tankdebug ./...

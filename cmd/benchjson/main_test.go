@@ -190,6 +190,41 @@ func TestCompareEnforcesTakeoverCeiling(t *testing.T) {
 	}
 }
 
+func metaCommit(size string, ns, bytes float64) Result {
+	r := bench("BenchmarkMetaCommit/"+size+"-8", 7, bytes)
+	r.NsPerOp = ns
+	return r
+}
+
+func TestCompareEnforcesMetaCommitRatioCeiling(t *testing.T) {
+	base := writeBaseline(t, []Result{metaCommit("1k", 1800, 290), metaCommit("100k", 2200, 440)})
+	// 1.2x, and the 100k B/op up 18% because one more checkpoint fell
+	// into the run: clean.
+	regs, err := compareBaseline(base, []Result{metaCommit("1k", 1800, 290), metaCommit("100k", 2200, 520)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("regressions = %v, want none", regs)
+	}
+	// Snapshot-per-reply again: the cost follows the namespace.
+	regs, err = compareBaseline(base, []Result{metaCommit("1k", 1800, 290), metaCommit("100k", 180000, 440)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 {
+		t.Fatalf("regressions = %v, want the metacommit ratio ceiling", regs)
+	}
+	// The 1k size's B/op is gated like any other.
+	regs, err = compareBaseline(base, []Result{metaCommit("1k", 1800, 400), metaCommit("100k", 2200, 440)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 {
+		t.Fatalf("regressions = %v, want the 1k B/op regression", regs)
+	}
+}
+
 func TestCompareBaselineMissingFile(t *testing.T) {
 	if _, err := compareBaseline(filepath.Join(t.TempDir(), "nope.json"), nil); err == nil {
 		t.Fatal("missing baseline accepted")

@@ -32,6 +32,14 @@
 //	tankd -shard-id 1 -ctrl :7001 -san-base 7101 -disk-base 1000 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002"
 //	tankd -shard-id 2 -ctrl :7002 -san-base 7201 -disk-base 1100 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002"
 //
+// With -meta-persist FILE a server's metadata survives its process:
+// every mutation is journalled to FILE.log before its reply leaves,
+// FILE is the snapshot checkpoints fold the journal into, and a tankd
+// restarted over the same files recovers the namespace and gives its
+// former clients a grace window to reassert their locks:
+//
+//	tankd -data-dir /srv/tank -meta-persist /srv/tank/meta.json
+//
 // A replicated installation instead runs one tankd per replica of the
 // SAME authority, each with the full -replicas book (DESIGN.md §15).
 // The members run the diskless PaxosLease negotiation to elect the
@@ -39,10 +47,11 @@
 // SAN must be hosted by its own process (-no-server) so the disks
 // survive any authority kill; every member needs the full SAN view
 // (-san-disks) to allocate and fence once it activates, and all members
-// share one -meta-persist snapshot file (the paper's highly-available
-// server storage) so the takeover winner inherits the namespace. The
-// SIGUSR1 dump and the server.<id>.role / server.<id>.ballot gauges
-// report each member's view of the election:
+// share one -meta-persist file (the paper's highly-available server
+// storage: a snapshot plus the redo journal FILE.log beside it) so the
+// takeover winner inherits the namespace. The SIGUSR1 dump and the
+// server.<id>.role / server.<id>.ballot gauges report each member's
+// view of the election:
 //
 //	tankd -no-server -san-base 7101 -disks 2
 //	tankd -shard-id 1   -ctrl :7001 -disks 0 -san-disks "1000=127.0.0.1:7101,1001=127.0.0.1:7102" -meta-persist /srv/tank/meta.json -replicas "1=127.0.0.1:7001,101=127.0.0.1:7002,201=127.0.0.1:7003"
@@ -84,7 +93,7 @@ func main() {
 		shardsFlag = flag.String("shards", "", "sharded control address book: id=addr,id=addr,... including this authority; enables hash placement and cross-shard renames")
 		replFlag   = flag.String("replicas", "", "replica group address book: id=addr,id=addr,... including this node; members run PaxosLease to elect the active lease authority")
 		replTerm   = flag.Duration("replica-lease-term", 0, "PaxosLease authority-lease term (0 = protocol default)")
-		metaFile   = flag.String("meta-persist", "", "replicated authorities: metadata snapshot FILE on shared highly-available storage — the active snapshots before every reply, the takeover winner loads it (paper §1.1; every member must name the same file)")
+		metaFile   = flag.String("meta-persist", "", "make the metadata durable: snapshot FILE plus the redo journal FILE.log beside it — every mutation is journalled before its reply leaves, and a restarted server (or, with -replicas, the takeover winner; every member must name the same FILE on shared storage) recovers the namespace from the pair (paper §1.1). Survives kill -9; a power loss may roll back to the last checkpoint")
 		sanDisks   = flag.String("san-disks", "", "SAN disks hosted by OTHER processes: id=addr,id=addr,... — every replica member needs the full SAN view to allocate and fence once it activates (capacity assumed -disk-blocks each)")
 		noServer   = flag.Bool("no-server", false, "host only the SAN disks, no lease authority — a network-attached storage box that outlives any server kill")
 		sanHost    = flag.String("san-host", "127.0.0.1", "host disks listen on")
@@ -264,9 +273,6 @@ func main() {
 	} else {
 		scfg := server.Config{Core: cfg, Policy: pol, Disks: diskCaps,
 			MetaPersist: *metaFile}
-		if *metaFile != "" && topo.GroupOf(topo.Server) == nil {
-			log.Fatal("-meta-persist needs -replicas")
-		}
 		if *replTerm != 0 {
 			if topo.GroupOf(topo.Server) == nil {
 				log.Fatal("-replica-lease-term needs -replicas")
@@ -302,7 +308,7 @@ func main() {
 			fmt.Printf("replica %s of group %v (PaxosLease term %v)\n",
 				msg.RoleName(uint8(role)), topo.GroupOf(topo.Server), term)
 			if *metaFile == "" {
-				fmt.Println("warning: no -meta-persist — the namespace dies with the active; point every member at one snapshot file on shared storage")
+				fmt.Println("warning: no -meta-persist — the namespace dies with the active; point every member at one file on shared storage")
 			}
 			fmt.Printf("clients: tankcli -replicas %q -disks %q\n", *replFlag, diskFlag(topo.Disks, *diskBase))
 		case *shardsFlag != "":

@@ -9,7 +9,9 @@
 //	                 inversion while a protocol mutex is held
 //	ackdurable       a DiskWrite/FenceSet acknowledgment implies the
 //	                 media call succeeded and was fsynced through the
-//	                 sanctioned helper (flush-before-expiry, DESIGN §4/§9)
+//	                 sanctioned helper (flush-before-expiry, DESIGN §4/§9);
+//	                 the server commits the metadata journal before
+//	                 every control message it sends (DESIGN §15)
 //	traceexhaustive  trace/drop/errno enums stay exhaustively mapped and
 //	                 protocol-error paths emit their trace events
 //	hotpathalloc     //tank:hotpath-marked codec primitives contain no

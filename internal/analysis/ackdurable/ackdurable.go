@@ -1,5 +1,6 @@
 // Package ackdurable machine-checks the ack-implies-durable contract in
-// the disk and blockstore packages.
+// the disk and blockstore packages, and its metadata analogue, persist-
+// before-send, in the server and meta packages.
 //
 // Paper property (§4, flush-before-expiry): a client counts a dirty
 // page as safe the moment the disk's DiskWriteRes arrives, and the
@@ -26,7 +27,19 @@
 //	    is flagged at the send site
 //	A3  in package blockstore, (*os.File).Sync may only be called
 //	    inside the sanctioned helper (*File).sync — anywhere else
-//	    bypasses the fsync instrumentation and the NoSync gate
+//	    bypasses the fsync instrumentation and the NoSync gate. Package
+//	    meta has the same rule with its helper, fsync
+//
+// The metadata server makes the matching promise for its own storage
+// (§1.1, DESIGN §15): a mutation a message acknowledges — a Reply to a
+// client, a ShardMigrateRes to a peer authority — is in the redo journal
+// before the message leaves. Every control message leaves through one
+// function, the one that calls the Server's ctrl sender, so:
+//
+//	A4  a function in package server that calls the ctrl sender field
+//	    must first call the metadata store's Commit and consume its
+//	    error; a send with no commit before it, or one whose commit
+//	    error goes to _, is flagged at the send site
 package ackdurable
 
 import (
@@ -41,7 +54,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ackdurable",
 	Doc: "enforce ack-implies-durable in disk/blockstore: no discarded media/fsync errors, " +
 		"no write/fence acknowledgment without a checked durable media call, " +
-		"no fsync outside the sanctioned (*File).sync helper",
+		"no fsync outside the sanctioned (*File).sync helper; " +
+		"and persist-before-send in server/meta: no control message without a checked " +
+		"metadata journal commit before it, no fsync outside meta's fsync helper",
 	Run: run,
 }
 
@@ -60,21 +75,30 @@ var durableMethods = map[string]bool{
 	"SetFence": true,
 }
 
+// syncHelpers names, per package, the one function or method that may
+// call (*os.File).Sync.
+var syncHelpers = map[string]string{
+	"blockstore": "sync",
+	"meta":       "fsync",
+}
+
 func run(pass *analysis.Pass) error {
 	base := analysis.PkgBase(pass.Pkg.Path())
-	if base != "disk" && base != "blockstore" {
-		return nil
-	}
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file) {
 			continue
 		}
-		checkDiscardedErrors(pass, file)
-		if base == "disk" {
+		switch base {
+		case "disk":
+			checkDiscardedErrors(pass, file)
 			checkAckFunctions(pass, file)
-		}
-		if base == "blockstore" {
-			checkSanctionedSync(pass, file)
+		case "blockstore":
+			checkDiscardedErrors(pass, file)
+			checkSanctionedSync(pass, file, syncHelpers[base])
+		case "meta":
+			checkSanctionedSync(pass, file, syncHelpers[base])
+		case "server":
+			checkCommitBeforeSend(pass, file)
 		}
 	}
 	return nil
@@ -121,56 +145,19 @@ func checkAckFunctions(pass *analysis.Pass, file *ast.File) {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		var ackSends []*ast.CallExpr       // send(...) calls carrying an ack reply
-		var durableChecked bool            // a media durability call with consumed error
-		var durableDiscarded *ast.CallExpr // a media durability call assigned to _
+		var ackSends []*ast.CallExpr // send(...) calls carrying an ack reply
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if sendsAckReply(pass, n) {
-					ackSends = append(ackSends, n)
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isDurableMediaCall(pass, call) {
-						continue
-					}
-					// With a single call on the RHS the error lands in the
-					// positionally-matching LHS (or the whole tuple in one
-					// value); blank means discarded.
-					if allBlank(n.Lhs) {
-						durableDiscarded = call
-					} else {
-						durableChecked = true
-					}
-					_ = i
-				}
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok && isDurableMediaCall(pass, call) {
-					// Statement position: error dropped. A1 already flags the
-					// discard; remember it so A2 points at the ack too.
-					durableDiscarded = call
-				}
-			case *ast.RangeStmt:
-				// `for i, err := range media.WriteV(batch)` consumes the
-				// error vector.
-				if call, ok := n.X.(*ast.CallExpr); ok && isDurableMediaCall(pass, call) {
-					if n.Value != nil && !isBlank(n.Value) {
-						durableChecked = true
-					} else {
-						durableDiscarded = call
-					}
-				}
-			case *ast.IfStmt:
-				// `if err := media.Write(...); err != nil` — the init
-				// assignment is covered by the AssignStmt case above.
+			if call, ok := n.(*ast.CallExpr); ok && sendsAckReply(pass, call) {
+				ackSends = append(ackSends, call)
 			}
 			return true
 		})
+		durableChecked, durableDiscarded := errorUse(fd.Body, func(call *ast.CallExpr) bool {
+			return isDurableMediaCall(pass, call)
+		})
 		for _, send := range ackSends {
 			switch {
-			case durableChecked:
+			case durableChecked != nil:
 			case durableDiscarded != nil:
 				pass.Reportf(send.Pos(),
 					"write/fence reply sent but the media call at %s discards its error: the acknowledgment must depend on Media success (ack-implies-durable)",
@@ -181,6 +168,120 @@ func checkAckFunctions(pass *analysis.Pass, file *ast.File) {
 			}
 		}
 	}
+}
+
+// errorUse finds the calls in body that match and says what became of
+// their error result: checked is the first one whose error is consumed,
+// discarded the last one whose error is dropped — used as a statement,
+// or assigned to _.
+func errorUse(body *ast.BlockStmt, match func(*ast.CallExpr) bool) (checked, discarded *ast.CallExpr) {
+	consumed := func(call *ast.CallExpr, ok bool) {
+		switch {
+		case !ok:
+			discarded = call
+		case checked == nil:
+			checked = call
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			// `if err := media.Write(...); err != nil` is this case too:
+			// the init statement is an assignment. With a single call on
+			// the RHS the error lands in the positionally-matching LHS
+			// (or the whole tuple in one value); blank means discarded.
+			for _, rhs := range n.Rhs {
+				if call, ok := rhs.(*ast.CallExpr); ok && match(call) {
+					consumed(call, !allBlank(n.Lhs))
+				}
+			}
+		case *ast.ExprStmt:
+			// Statement position: error dropped. (In disk and blockstore
+			// A1 already flags the discard; remember it so the send site
+			// is pointed at too.)
+			if call, ok := n.X.(*ast.CallExpr); ok && match(call) {
+				consumed(call, false)
+			}
+		case *ast.RangeStmt:
+			// `for i, err := range media.WriteV(batch)` consumes the
+			// error vector.
+			if call, ok := n.X.(*ast.CallExpr); ok && match(call) {
+				consumed(call, n.Value != nil && !isBlank(n.Value))
+			}
+		case *ast.ReturnStmt:
+			// `return store.Commit()` hands the error to the caller.
+			for _, res := range n.Results {
+				if call, ok := res.(*ast.CallExpr); ok && match(call) {
+					consumed(call, true)
+				}
+			}
+		}
+		return true
+	})
+	return checked, discarded
+}
+
+// checkCommitBeforeSend implements A4 over each top-level function in
+// the server package.
+func checkCommitBeforeSend(pass *analysis.Pass, file *ast.File) {
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		var sends []*ast.CallExpr
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && callsCtrlSender(pass, call) {
+				sends = append(sends, call)
+			}
+			return true
+		})
+		if len(sends) == 0 {
+			continue
+		}
+		checked, discarded := errorUse(fd.Body, func(call *ast.CallExpr) bool {
+			return isStoreCommit(pass, call)
+		})
+		for _, send := range sends {
+			switch {
+			case checked != nil && checked.Pos() < send.Pos():
+			case checked != nil:
+				pass.Reportf(send.Pos(),
+					"control message handed to the ctrl sender before the metadata journal commit at %s: the commit must come first (persist-before-send)",
+					pass.Fset.Position(checked.Pos()))
+			case discarded != nil:
+				pass.Reportf(send.Pos(),
+					"control message handed to the ctrl sender but the metadata journal commit at %s discards its error: the send must depend on Commit succeeding (persist-before-send)",
+					pass.Fset.Position(discarded.Pos()))
+			default:
+				pass.Reportf(send.Pos(),
+					"control message handed to the ctrl sender without a metadata journal commit (meta.Store.Commit) in this function: a reply must not leave before the mutation it acknowledges is journalled (persist-before-send)")
+			}
+		}
+	}
+}
+
+// callsCtrlSender reports whether call invokes a struct field named
+// ctrl — s.ctrl(to, m), the Server's one way onto the control network.
+func callsCtrlSender(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "ctrl" {
+		return false
+	}
+	v, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+	return ok && v.IsField()
+}
+
+// isStoreCommit reports whether call invokes Commit on a type of the
+// meta package.
+func isStoreCommit(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Name() != "Commit" {
+		return false
+	}
+	recv := analysis.RecvNamed(fn)
+	return recv != nil && recv.Obj().Pkg() != nil &&
+		analysis.PkgBase(recv.Obj().Pkg().Path()) == "meta"
 }
 
 // sendsAckReply reports whether a call passes a *msg.DiskWriteRes,
@@ -218,14 +319,14 @@ func isDurableMediaCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // checkSanctionedSync implements A3: (*os.File).Sync only inside the
-// helper method named "sync".
-func checkSanctionedSync(pass *analysis.Pass, file *ast.File) {
+// function or method named helper.
+func checkSanctionedSync(pass *analysis.Pass, file *ast.File, helper string) {
 	for _, decl := range file.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		if fd.Recv != nil && fd.Name.Name == "sync" {
+		if fd.Name.Name == helper {
 			continue // the sanctioned helper itself
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -243,7 +344,8 @@ func checkSanctionedSync(pass *analysis.Pass, file *ast.File) {
 			}
 			if recv.Obj().Pkg().Path() == "os" && recv.Obj().Name() == "File" {
 				pass.Reportf(call.Pos(),
-					"direct (*os.File).Sync bypasses the sanctioned (*File).sync helper: fsyncs must be instrumented and respect the NoSync gate in one place")
+					"direct (*os.File).Sync bypasses the sanctioned %s helper: every fsync of the package goes through one place, where it is instrumented, gated, and its error wrapped",
+					helper)
 			}
 			return true
 		})

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAckDurable(t *testing.T) {
-	analysistest.Run(t, ackdurable.Analyzer, "msg", "blockstore", "disk")
+	analysistest.Run(t, ackdurable.Analyzer, "msg", "blockstore", "disk", "meta", "server")
 }

@@ -18,7 +18,9 @@ import (
 // cached clean verdicts will mask new findings.
 //
 // 1.1.0: added the bufown flow-sensitive ownership pass.
-const Version = "tanklint-1.1.0"
+// 1.2.0: ackdurable rule A4 (commit before the server's ctrl send) and
+// A3 extended to package meta.
+const Version = "tanklint-1.2.0"
 
 // vetConfig mirrors the JSON cmd/go writes to <objdir>/vet.cfg for each
 // package when invoked as `go vet -vettool=tanklint`.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
@@ -91,6 +92,9 @@ type File struct {
 	fenced   map[msg.NodeID]bool
 	walSize  int64
 	recovery RecoveryReport
+	// trailer is stage's scratch record: a local array would be moved to
+	// the heap on every call, because WriteAt's argument escapes.
+	trailer [trailerSize]byte
 
 	fsyncs      *stats.Counter
 	journalRec  *stats.Counter
@@ -392,13 +396,19 @@ func (f *File) stage(block uint64, data []byte, ver uint64) (crc uint32, err err
 	if len(data) > BlockSize {
 		return 0, fmt.Errorf("blockstore: write of %d bytes exceeds block size", len(data))
 	}
-	buf := make([]byte, BlockSize)
-	copy(buf, data)
+	// A full block is checksummed and written from the caller's slice,
+	// which is only read; a short one is zero-padded in a pooled buffer.
+	buf := data
+	if len(data) < BlockSize {
+		buf = bufpool.Get(BlockSize)
+		defer bufpool.Put(buf)
+		clear(buf[copy(buf, data):])
+	}
 	crc = crc32.Checksum(buf, castagnoli)
 	if _, err := f.data.WriteAt(buf, DataOffset(block)); err != nil {
 		return 0, fmt.Errorf("blockstore: write block %d: %w", block, err)
 	}
-	rec := make([]byte, trailerSize)
+	rec := f.trailer[:]
 	binary.LittleEndian.PutUint64(rec[0:], ver)
 	binary.LittleEndian.PutUint32(rec[8:], crc)
 	binary.LittleEndian.PutUint32(rec[12:], flagWritten)

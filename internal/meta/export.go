@@ -39,6 +39,9 @@ type importKey struct {
 // migrating. The caller transmits the object to dest and later settles
 // the record with CompleteExport or AbortExport.
 func (s *Store) BeginExport(ino msg.ObjectID, dest msg.NodeID, oldPath, newPath string) *Export {
+	if s.j != nil {
+		s.logOp(opBeginExport).u64(uint64(ino)).u32(uint32(dest)).str(oldPath).str(newPath).end()
+	}
 	s.exportSeq++
 	e := &Export{HID: s.exportSeq, Dest: dest, Ino: ino, OldPath: oldPath, NewPath: newPath}
 	s.exports[e.HID] = e
@@ -69,6 +72,9 @@ func (s *Store) ExportFor(ino msg.ObjectID) *Export {
 // the destination now owns them at their original disk addresses, so
 // they stay accounted in-use here forever, never reissued.
 func (s *Store) CompleteExport(hid uint64) {
+	if s.j != nil {
+		s.logOp(opCompleteExport).u64(hid).end()
+	}
 	e, ok := s.exports[hid]
 	if !ok {
 		return
@@ -87,6 +93,9 @@ func (s *Store) CompleteExport(hid uint64) {
 // AbortExport settles a handoff the destination refused: the object
 // stays here, unchanged, and stops being marked migrating.
 func (s *Store) AbortExport(hid uint64) {
+	if s.j != nil {
+		s.logOp(opAbortExport).u64(hid).end()
+	}
 	e, ok := s.exports[hid]
 	if !ok {
 		return
@@ -113,6 +122,14 @@ func (s *Store) PendingExports() []*Export {
 // namespace placed on it, so an imported path's ancestors may not exist
 // here yet.
 func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Inode, msg.Errno) {
+	if s.j != nil {
+		j := s.logOp(opInstall).str(path).flag(attr.IsDir).u64(attr.Size).u64(attr.Version)
+		j.u32(uint32(len(blocks)))
+		for _, ref := range blocks {
+			j.u32(uint32(ref.Disk)).u64(ref.Num)
+		}
+		j.end()
+	}
 	s.ensureParents(path)
 	parent, name, errno := s.lookupParent(path)
 	if errno != msg.OK {
@@ -142,6 +159,9 @@ func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Ino
 // retransmitted ShardMigrate — or one replayed after this shard
 // restarts — is answered from the ledger instead of installed twice.
 func (s *Store) RecordImport(src msg.NodeID, hid uint64, errno msg.Errno) {
+	if s.j != nil {
+		s.logOp(opRecordImport).u32(uint32(src)).u64(hid).u8(byte(errno)).end()
+	}
 	s.imports[importKey{Src: src, HID: hid}] = errno
 }
 

@@ -58,6 +58,12 @@ type Store struct {
 	exportSeq uint64
 	migrating map[msg.ObjectID]uint64
 	imports   map[importKey]msg.Errno
+	// j, when non-nil, is the redo journal every mutator logs its call
+	// to (OpenJournaled attaches it); seq numbers the last call logged
+	// or replayed, and travels in the snapshot so replay knows where the
+	// snapshot ends.
+	j   *journal
+	seq uint64
 }
 
 // NewStore creates a store containing only the root directory, allocating
@@ -156,7 +162,12 @@ func (s *Store) lookupParent(path string) (*Inode, string, msg.Errno) {
 
 // SetAutoParents toggles lazy materialization of ancestor directories
 // on Create (see the autoParents field).
-func (s *Store) SetAutoParents(on bool) { s.autoParents = on }
+func (s *Store) SetAutoParents(on bool) {
+	if s.j != nil {
+		s.logOp(opSetAutoParents).flag(on).end()
+	}
+	s.autoParents = on
+}
 
 // ensureParents creates any missing ancestor directories of path.
 func (s *Store) ensureParents(path string) {
@@ -186,7 +197,15 @@ func (s *Store) ensureParents(path string) {
 
 // Create makes a new file or directory at path. The parent must exist,
 // unless auto-parents is on (then missing ancestors are materialized).
+//
+// Like every mutator it logs the call before doing anything, whatever
+// the outcome will be: a Create that fails with ErrExist has already
+// materialized the ancestors, and a failed allocation has reordered the
+// free lists, so replaying only the calls that succeeded would diverge.
 func (s *Store) Create(path string, isDir bool) (*Inode, msg.Errno) {
+	if s.j != nil {
+		s.logOp(opCreate).str(path).flag(isDir).end()
+	}
 	if s.autoParents {
 		s.ensureParents(path)
 	}
@@ -212,6 +231,9 @@ func (s *Store) Create(path string, isDir bool) (*Inode, msg.Errno) {
 
 // Unlink removes the object at path. Directories must be empty.
 func (s *Store) Unlink(path string) msg.Errno {
+	if s.j != nil {
+		s.logOp(opUnlink).str(path).end()
+	}
 	parent, name, errno := s.lookupParent(path)
 	if errno != msg.OK {
 		return errno
@@ -260,6 +282,9 @@ func (s *Store) Readdir(ino msg.ObjectID) ([]msg.DirEntry, msg.Errno) {
 // SetSize updates a file's size and bumps its version. Shrinking does not
 // free blocks (Truncate does).
 func (s *Store) SetSize(ino msg.ObjectID, size uint64) (*Inode, msg.Errno) {
+	if s.j != nil {
+		s.logOp(opSetSize).u64(uint64(ino)).u64(size).end()
+	}
 	in, errno := s.Get(ino)
 	if errno != msg.OK {
 		return nil, errno
@@ -277,6 +302,9 @@ func (s *Store) SetSize(ino msg.ObjectID, size uint64) (*Inode, msg.Errno) {
 // Touch bumps an object's version (any data modification observable
 // through attribute polling, e.g. a server-mediated write).
 func (s *Store) Touch(ino msg.ObjectID) msg.Errno {
+	if s.j != nil {
+		s.logOp(opTouch).u64(uint64(ino)).end()
+	}
 	in, errno := s.Get(ino)
 	if errno != msg.OK {
 		return errno
@@ -287,6 +315,9 @@ func (s *Store) Touch(ino msg.ObjectID) msg.Errno {
 
 // AllocBlocks extends a file by count blocks and returns the inode.
 func (s *Store) AllocBlocks(ino msg.ObjectID, count uint32) (*Inode, msg.Errno) {
+	if s.j != nil {
+		s.logOp(opAllocBlocks).u64(uint64(ino)).u32(count).end()
+	}
 	in, errno := s.Get(ino)
 	if errno != msg.OK {
 		return nil, errno
@@ -305,6 +336,9 @@ func (s *Store) AllocBlocks(ino msg.ObjectID, count uint32) (*Inode, msg.Errno) 
 
 // Truncate shrinks a file to nBlocks blocks, freeing the tail.
 func (s *Store) Truncate(ino msg.ObjectID, nBlocks int) (*Inode, msg.Errno) {
+	if s.j != nil {
+		s.logOp(opTruncate).u64(uint64(ino)).u64(uint64(int64(nBlocks))).end()
+	}
 	in, errno := s.Get(ino)
 	if errno != msg.OK {
 		return nil, errno
@@ -323,6 +357,9 @@ func (s *Store) Truncate(ino msg.ObjectID, nBlocks int) (*Inode, msg.Errno) {
 // Rename moves the object at oldPath to newPath (which must not exist;
 // its parent must). Directories move with their subtrees.
 func (s *Store) Rename(oldPath, newPath string) msg.Errno {
+	if s.j != nil {
+		s.logOp(opRename).str(oldPath).str(newPath).end()
+	}
 	oldParent, oldName, errno := s.lookupParent(oldPath)
 	if errno != msg.OK {
 		return errno
@@ -388,6 +425,9 @@ func (s *Store) Count() int { return len(s.inodes) }
 // NextEpoch mints the next client-registration epoch, durably monotonic
 // across server restarts.
 func (s *Store) NextEpoch() msg.Epoch {
+	if s.j != nil {
+		s.logOp(opNextEpoch).end()
+	}
 	s.epochSeq++
 	return s.epochSeq
 }

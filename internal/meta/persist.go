@@ -9,18 +9,55 @@ import (
 	"repro/internal/msg"
 )
 
-// Snapshot persistence for live replicated authorities (DESIGN.md §15).
+// Persistence for live lease authorities (DESIGN.md §15).
 //
 // The paper keeps metadata on server-private highly-available storage
-// (§1.1); in the simulator HA is modeled by replicas sharing one *Store.
-// Live replicas are separate processes, so the active's Store is made
-// durable instead: it is serialized to a snapshot file before every reply
-// leaves the server, written via temp-file + atomic rename so a SIGKILL
-// can never leave a torn snapshot, and the replica that wins the next
-// authority lease loads it at activation. The snapshot is the WHOLE
-// store — inodes, allocation maps, the epoch counter, and the handoff
-// ledgers — because all of it is state the paper assumes survives a
-// server crash.
+// (§1.1) and assumes it survives a server crash; in the simulator that
+// is modeled by restarts and replicas sharing one *Store. A live server
+// is a process, so its Store is made durable instead, as two files:
+//
+//	<path>      a snapshot: the WHOLE store as JSON — inodes, allocation
+//	            maps, the epoch counter, the handoff ledgers — and seq,
+//	            the number of the last mutation it contains
+//	<path>.log  a redo journal: one record per mutator CALL made since
+//
+// Record: len u32 | crc32c u32 | seq u64 | op u8 | args, little-endian.
+// len counts the bytes after the 8-byte header and the CRC (Castagnoli)
+// covers exactly those. op names a mutator (journal.go) and args are its
+// arguments: strings as u32 length + bytes, a block as disk u32 | num
+// u64. The store is deterministic — round-robin allocator with per-disk
+// cursors and LIFO free lists, monotone inode, handoff and epoch
+// counters — so the call is all a record needs, and the call is logged
+// whatever its outcome: a Create under auto-parents materializes
+// ancestors even when it then returns ErrExist, and a failed allocation
+// rolls back through Free, which reorders the free lists.
+//
+// Replay rule (OpenJournaled): load the snapshot (none = empty store),
+// then re-invoke the mutator of every record, in order, whose seq is
+// above the snapshot's, which must be consecutive. Stop at the first
+// record whose length or CRC fails: a torn tail is by construction a
+// mutation whose reply never left. A record that passes its CRC but
+// skips a seq or does not parse is corruption and fails the recovery.
+//
+// Checkpoint rule: once the log outgrows max(1 MiB, 4 × the last
+// snapshot), Commit writes a new snapshot — temp file, fsync, rename,
+// fsync of the directory — and then replaces the log with an empty one
+// the same way. A crash between the two leaves a log whose records the
+// snapshot's seq makes replay skip. A checkpoint is O(namespace) and is
+// paid once per O(namespace) bytes of log, so a mutation's amortized
+// cost does not grow with the namespace. Recovery always ends with one,
+// which bounds the next replay and leaves a deposed writer's descriptor
+// on an unlinked file; a writer that finds the log at its path is no
+// longer the file it holds open refuses to checkpoint (ErrSuperseded).
+//
+// What is promised. Commit returns after write(2): the server commits
+// before every message it sends, so every mutation a reply acknowledges
+// survives the death of the process (kill -9). It does NOT fsync, so
+// after a power loss the store is only guaranteed to come back at least
+// as new as the last checkpoint, plus whatever prefix of the log the
+// kernel had written back — a consistent state, but possibly older than
+// the last acknowledged operation. Per-reply group-commit fsync is
+// ROADMAP item 3's remainder.
 
 type inodeSnap struct {
 	Ino      msg.ObjectID
@@ -61,6 +98,9 @@ type storeSnap struct {
 	Exports     []*Export    `json:",omitempty"`
 	ExportSeq   uint64       `json:",omitempty"`
 	Imports     []importSnap `json:",omitempty"`
+	// Seq is the journal sequence number of the last mutation the
+	// snapshot contains; 0 for a store that was never journalled.
+	Seq uint64 `json:",omitempty"`
 }
 
 func sortedRefs(set map[msg.BlockRef]bool) []msg.BlockRef {
@@ -84,6 +124,7 @@ func (s *Store) Snapshot() []byte {
 		EpochSeq:    s.epochSeq,
 		AutoParents: s.autoParents,
 		ExportSeq:   s.exportSeq,
+		Seq:         s.seq,
 	}
 	for _, ino := range sortedInos(s.inodes) {
 		in := s.inodes[ino]
@@ -172,6 +213,7 @@ func Restore(data []byte) (*Store, error) {
 		exportSeq:   snap.ExportSeq,
 		migrating:   make(map[msg.ObjectID]uint64),
 		imports:     make(map[importKey]msg.Errno, len(snap.Imports)),
+		seq:         snap.Seq,
 	}
 	for i := range snap.Inodes {
 		in := &snap.Inodes[i]
@@ -194,15 +236,25 @@ func Restore(data []byte) (*Store, error) {
 	return s, nil
 }
 
-// SaveSnapshot writes the store to path via temp-file + atomic rename: a
-// crash at any instant leaves either the previous snapshot or the new
+// SaveSnapshot writes the store to path durably: a crash at any instant,
+// power loss included, leaves either the previous snapshot or the new
 // one, never a torn file.
 func (s *Store) SaveSnapshot(path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, s.Snapshot(), 0o644); err != nil {
-		return err
+	_, err := s.saveSnapshot(path)
+	return err
+}
+
+// saveSnapshot is SaveSnapshot, also returning the snapshot's size.
+func (s *Store) saveSnapshot(path string) (int, error) {
+	data := s.Snapshot()
+	f, err := installFile(path, data)
+	if err != nil {
+		return 0, err
 	}
-	return os.Rename(tmp, path)
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("meta: snapshot close: %w", err)
+	}
+	return len(data), nil
 }
 
 // LoadSnapshot rebuilds a store from a snapshot file. A missing file is

@@ -355,6 +355,7 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 	n.Srv = server.New(spec.ID, cfg, clock, n.Ctrl.Send, n.SAN.Send, n.Reg, o.tracer)
 	addr, err := n.Ctrl.Listen(spec.Topo.ServerAddr)
 	if err != nil {
+		n.Srv.Stop() // releases the metadata journal New may have opened
 		return nil, err
 	}
 	n.Addr = addr
@@ -362,10 +363,13 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 	return n, nil
 }
 
-// Close shuts the node down.
+// Close shuts the node down. The server is retired on its own executor,
+// behind whatever is still queued there, which releases its metadata
+// journal.
 func (n *ServerNode) Close() {
 	n.Ctrl.Close()
 	n.SAN.Close()
+	n.Exec.Submit(n.Srv.Stop)
 	n.Exec.Close()
 }
 
@@ -478,10 +482,16 @@ func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 			var once sync.Once
 			start(func() { once.Do(func() { close(ch) }) })
 		})
+		// One timer per call, stopped when the op completes first: an
+		// abandoned 30 s timer per op is memory proportional to the
+		// op rate.
+		expired := make(chan struct{})
+		tm := n.tmo.AfterFunc(timeout, func() { close(expired) })
+		defer tm.Stop()
 		select {
 		case <-ch:
 			return true
-		case <-sim.After(n.tmo, timeout):
+		case <-expired:
 			return false
 		}
 	})

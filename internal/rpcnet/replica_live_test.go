@@ -164,9 +164,9 @@ func TestReplicaServerHelper(t *testing.T) {
 	sn, err := StartServerNode(NodeSpec{ID: self, Topo: topo}, server.Config{
 		Core:  liveReplicaCore(),
 		Disks: caps,
-		// Diskless negotiation, durable namespace: every replica loads the
-		// shared snapshot on activation and the active persists it before
-		// each reply.
+		// Diskless negotiation, durable namespace: every replica recovers
+		// the shared snapshot + journal on activation and the active
+		// commits the journal before each reply.
 		Replica:     &replica.Config{LeaseTerm: repLeaseTerm},
 		MetaPersist: filepath.Join(dir, "meta.json"),
 	}, WithTracer(trace.New(trace.NewJSONL(tf))))
@@ -197,9 +197,16 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
+// replicaProc is one replica child process; exited closes once it is
+// gone.
+type replicaProc struct {
+	cmd    *exec.Cmd
+	exited chan struct{}
+}
+
 // startReplicaHelper launches replica id as a child process and waits
 // for its listener.
-func startReplicaHelper(t *testing.T, dir string, id msg.NodeID, topo Topology) *exec.Cmd {
+func startReplicaHelper(t *testing.T, dir string, id msg.NodeID, topo Topology) replicaProc {
 	t.Helper()
 	tj, err := json.Marshal(topo)
 	if err != nil {
@@ -243,11 +250,11 @@ func startReplicaHelper(t *testing.T, dir string, id msg.NodeID, topo Topology) 
 				for sc.Scan() {
 				}
 			}()
-			return cmd
+			return replicaProc{cmd, exited}
 		}
 	}
 	t.Fatalf("replica %v helper exited without printing ADDR", id)
-	return nil
+	return replicaProc{}
 }
 
 // loadBase reads a process's wall-clock anchor (ns since the Unix
@@ -344,7 +351,7 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 		topo.Servers[id] = freeAddr(t)
 	}
 	topo.ServerAddr = topo.Servers[1]
-	helpers := map[msg.NodeID]*exec.Cmd{}
+	helpers := map[msg.NodeID]replicaProc{}
 	for _, id := range group {
 		helpers[id] = startReplicaHelper(t, dir, id, topo)
 	}
@@ -376,11 +383,37 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 	payload := []byte("acked-before-kill")
 	lc.write(t, 0, h0, 0, payload)
 	lc.sync(t, 0) // acknowledged and on the SAN
+	// Acknowledged creates: each is one journal record the successor has
+	// to replay, since the active checkpointed only when it activated.
+	acked := []string{"/rep.txt"}
+	for i := 0; i < 5; i++ {
+		path := fmt.Sprintf("/acked-%d", i)
+		lc.open(t, 1, path, false, true)
+		acked = append(acked, path)
+	}
 
 	// SIGKILL the active mid-traffic.
 	active := findActiveReplica(t, dir, group)
 	killedAt := time.Now()
-	helpers[active].Process.Kill()
+	helpers[active].cmd.Process.Kill()
+
+	// Make the kill land mid-append: once the victim is gone, leave half
+	// a record at the journal's tail — a header promising 64 bytes and 20
+	// of them — as a write(2) cut short by the kill would. The successor
+	// must drop it and keep every record before it.
+	<-helpers[active].exited
+	tail := append([]byte{64, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}, make([]byte, 20)...)
+	jf, err := os.OpenFile(filepath.Join(dir, "meta.json.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatalf("the killed active left no journal: %v", err)
+	}
+	if st, err := jf.Stat(); err != nil || st.Size() == 0 {
+		t.Fatalf("the killed active's journal is empty (%v): the creates were not journalled", err)
+	}
+	if _, err := jf.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	jf.Close()
 
 	// A successor must SERVE within the bounded window: the acceptors
 	// forget the dead holder's lease after term·(1+ε), negotiation takes
@@ -418,6 +451,12 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 			}
 		}
 		t.Fatalf("no successor served within the takeover bound %v", bound)
+	}
+
+	// No acknowledged create lost: the successor replayed the journal up
+	// to the torn tail.
+	for _, path := range acked {
+		lc.openRetry(t, 1, path, false, false)
 	}
 
 	// No acknowledged write lost: the pre-kill payload reads back through

@@ -54,8 +54,8 @@ func (s *Server) syncRoleGauges() {
 }
 
 // activate is the negotiator's OnActive callback: this replica won the
-// authority lease. It recovers the metadata store (live replicas load the
-// durable snapshot; sim replicas share the Store pointer) and decides
+// authority lease. It recovers the metadata store (live replicas replay
+// the durable journal; sim replicas share the Store pointer) and decides
 // whether the takeover needs a grace period: a nonzero durable epoch
 // counter means clients registered under a prior regime, so their locks
 // may be live and must get the reassertion window; a zero counter is a
@@ -63,13 +63,7 @@ func (s *Server) syncRoleGauges() {
 func (s *Server) activate(ballot uint64) {
 	s.activeFlg = true
 	if s.cfg.MetaPersist != "" {
-		st, err := meta.LoadSnapshot(s.cfg.MetaPersist)
-		if err != nil {
-			panic(fmt.Sprintf("server %v: recovering metadata snapshot: %v", s.id, err))
-		}
-		if st != nil {
-			s.store = st
-		}
+		s.recoverMeta()
 	}
 	if s.cfg.PlaceOwner != nil {
 		s.store.SetAutoParents(true)
@@ -103,6 +97,7 @@ func (s *Server) activate(ballot uint64) {
 // and keeping stale lock tables around could only corrupt that.
 func (s *Server) deactivate() {
 	s.activeFlg = false
+	s.closeJournal()
 	s.resetVolatile()
 	s.syncRoleGauges()
 }
@@ -149,14 +144,24 @@ func (s *Server) handleReplicaInfo(client msg.NodeID, id msg.ReqID) {
 		Body: msg.ReplicaInfoRes{Role: s.Role(), Ballot: s.NegBallot(), Active: active}})
 }
 
-// persistMeta snapshots the durable store to the configured path. Called
-// before every reply leaves an active replicated server: an acknowledged
-// metadata operation must survive a SIGKILL of this process.
-func (s *Server) persistMeta() {
-	if s.cfg.MetaPersist == "" || !s.activeFlg {
-		return
+// recoverMeta replaces the store with the one persisted at
+// cfg.MetaPersist — snapshot plus journal replay, an empty store on a
+// first boot — journalled from here on, and checkpointed: whoever served
+// from these files before holds a descriptor on an unlinked log now.
+func (s *Server) recoverMeta() {
+	st, err := meta.OpenJournaled(s.cfg.MetaPersist, s.cfg.Disks)
+	if err != nil {
+		panic(fmt.Sprintf("server %v: recovering metadata store: %v", s.id, err))
 	}
-	if err := s.store.SaveSnapshot(s.cfg.MetaPersist); err != nil {
-		panic(fmt.Sprintf("server %v: persisting metadata snapshot: %v", s.id, err))
-	}
+	s.store = st
+}
+
+// closeJournal stops journalling: this server no longer speaks for the
+// store (stepped down, or retired), so nothing it does to its copy from
+// here on may reach the files the next authority recovers from.
+func (s *Server) closeJournal() {
+	// Records not yet committed never had a message depend on them, and
+	// everything committed is already the kernel's: the close error
+	// loses nothing.
+	_ = s.store.CloseJournal()
 }

@@ -81,12 +81,14 @@ type Config struct {
 	// only while it holds the PaxosLease-negotiated authority lease.
 	// Nil = sole authority, behavior unchanged.
 	Replica *replica.Config
-	// MetaPersist, when set, is the snapshot file an ACTIVE replicated
-	// server persists its metadata store to before every reply (live
-	// replicas are separate processes, so the paper's highly-available
-	// server-private storage is modeled as a durable file), and a newly
-	// activated replica recovers from. Empty = in-memory only (the sim
-	// models HA by sharing the Store between replicas).
+	// MetaPersist, when set, makes the metadata store durable (a live
+	// server is a process, so the paper's highly-available server-private
+	// storage is modeled as files): it names the snapshot file, and
+	// MetaPersist+".log" is the redo journal behind it (internal/meta,
+	// persist.go). The server recovers from the pair — at boot, or at
+	// activation when replicated, every member naming the same path —
+	// and commits the journal before every message it sends. Empty =
+	// in-memory only (the sim models HA by sharing the Store).
 	MetaPersist string
 }
 
@@ -260,10 +262,19 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		core.Env{Reg: reg, Prefix: prefix, Tracer: tr, Node: id})
 	if cfg.Store != nil {
 		s.store = cfg.Store
-		if cfg.Replica == nil {
-			// Restart: recover the durable store, open the grace window.
-			// (A replicated server defers this decision to activation —
-			// see activate in replica.go.)
+	}
+	if cfg.Replica == nil {
+		// A restart recovers the durable store — handed over by the sim
+		// harness, or read back from MetaPersist, where a nonzero epoch
+		// counter says clients registered before this boot — and opens
+		// the grace window. (A replicated server defers this to
+		// activation — see activate in replica.go.)
+		restart := cfg.Store != nil
+		if cfg.MetaPersist != "" {
+			s.recoverMeta()
+			restart = s.store.CurrentEpoch() > 0
+		}
+		if restart {
 			s.inRecovery = true
 			s.graceUntil = clock.Now().Add(cfg.GracePeriod)
 			clock.AfterFunc(cfg.GracePeriod, func() {
@@ -311,6 +322,7 @@ func (s *Server) Stop() {
 	if s.neg != nil {
 		s.neg.Stop()
 	}
+	s.closeJournal()
 }
 
 // Stopped reports whether this incarnation has been retired by Stop.
@@ -426,24 +438,30 @@ func (s *Server) DeliverSAN(env msg.Envelope) {
 	}
 }
 
-// send wraps the control-network sender with accounting.
+// send wraps the control-network sender with accounting. It commits the
+// metadata journal first: no mutation a message acknowledges — a reply
+// to a client, a ShardMigrateRes to a peer authority — may die with this
+// process (persist-before-send; tanklint's ackdurable pass checks it).
+// The commit is a no-op when nothing mutated or no journal is attached.
+// A server that cannot persist must not answer, and has no one to report
+// to: it fails stop, and its clients fail over or retry after a restart.
 func (s *Server) send(to msg.NodeID, m msg.Message) {
 	if s.stopped {
 		return
+	}
+	if err := s.store.Commit(); err != nil {
+		panic(fmt.Sprintf("server %v: committing metadata journal: %v", s.id, err))
 	}
 	s.msgsOut.Inc()
 	s.bytesOut.Add(uint64(m.Size()))
 	s.ctrl(to, m)
 }
 
-// reply completes a request through the at-most-once cache. A replicated
-// active persists the metadata store first: no acknowledged operation may
-// die with this process (persist-before-reply).
+// reply completes a request through the at-most-once cache.
 func (s *Server) reply(client msg.NodeID, req msg.ReqID, r *msg.Reply) {
 	r.Client = client
 	r.Req = req
 	s.rcache.Complete(client, req, r)
-	s.persistMeta()
 	s.send(client, r)
 }
 
