@@ -55,7 +55,13 @@ type Object struct {
 	Mode msg.LockMode
 	// Blocks is the cached block map (valid while a data lock is held —
 	// the map can only change through this client's own AllocBlocks).
-	Blocks    []msg.BlockRef
+	Blocks []msg.BlockRef
+	// Fetched counts the leading entries of Blocks that came with the map
+	// as the server returned it; the rest were granted to this client
+	// since. A fetched block may hold data whatever Attr.Size says (its
+	// writer's size update can have been lost), so only granted ones are
+	// ever given back unwritten.
+	Fetched   int
 	HaveAttr  bool
 	HaveMap   bool
 	pages     map[uint64]*Page // index in file → page

@@ -1,0 +1,235 @@
+package client
+
+import (
+	"sort"
+
+	"repro/internal/msg"
+)
+
+// The append path (DESIGN.md §17). Extending a file costs the server a
+// constant amount of work whatever the file's length: an allocation is
+// answered with the blocks it added, usually a run ahead of the writer,
+// the size travels in at most one SetAttr at a time and at most two
+// between settle points, and what was granted and never written goes
+// back when the exclusive lock does.
+
+// ensureAlloc extends the file's allocation to cover block idx. The reply
+// carries the blocks added and the index they start at; they are spliced
+// onto the cached map only if that is where the map ends. Otherwise the
+// server's map is not this one plus the reply — the request ran twice
+// across a server restart that lost the reply cache, or replies crossed —
+// and the map is fetched whole.
+func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
+	o := c.cache.Ensure(ino)
+	if idx < uint64(len(o.Blocks)) {
+		cb(msg.OK)
+		return
+	}
+	need := uint32(idx + 1 - uint64(len(o.Blocks)))
+	c.call(&msg.AllocBlocks{Ino: ino, Count: need}, func(r *msg.Reply) {
+		errno := errnoOf(r)
+		if errno != msg.OK {
+			cb(errno)
+			return
+		}
+		res := r.Body.(msg.AllocRes)
+		o := c.cache.Ensure(ino)
+		if !o.HaveMap || int(res.First) != len(o.Blocks) {
+			o.HaveMap = false
+			c.ensureMap(ino, func(errno msg.Errno) {
+				if errno != msg.OK {
+					cb(errno)
+					return
+				}
+				c.ensureAlloc(ino, idx, cb)
+			})
+			return
+		}
+		o.Blocks = append(o.Blocks, res.Blocks...)
+		o.Attr = c.seenAttr(res.Attr)
+		cb(msg.OK)
+	})
+}
+
+// sizePush is what an object owes the server about its size. It exists
+// from the first write that extends the file until the next settle
+// point — Sync, the trim, Truncate, the periodic flush — has seen the
+// final size acknowledged.
+type sizePush struct {
+	// inflight: a SetAttr is unacknowledged. There is never a second.
+	inflight bool
+	// owed: the size has grown since the last SetAttr was sent.
+	owed bool
+	// waiters are the settle points waiting; while there are any, an
+	// acknowledgment sends what is owed, and they run when nothing is.
+	waiters []func()
+}
+
+// maybeExtend moves the size forward after a write past the end of file.
+// The first such write since the last settle point tells the server at
+// once, so the size leaves the client as early as it ever did; the ones
+// after it only mark the size owed, and the settle point sends it. A run
+// of extending writes thus costs the server two SetAttr, not one each —
+// and how many is decided by the calls made, never by when an
+// acknowledgment happened to arrive.
+func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
+	o := c.cache.Object(ino)
+	end := idx*BlockSize + uint64(n)
+	if o == nil || !o.HaveAttr || end <= o.Attr.Size {
+		return
+	}
+	o.Attr.Size = end
+	if p := c.sizePush[ino]; p != nil {
+		p.owed = true
+		return
+	}
+	p := &sizePush{}
+	c.sizePush[ino] = p
+	c.sendSize(ino, p, end)
+}
+
+func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
+	p.owed, p.inflight = false, true
+	c.call(&msg.SetAttr{Ino: ino, NewSize: size}, func(r *msg.Reply) {
+		p.inflight = false
+		if errnoOf(r) != msg.OK {
+			// Refused, or cancelled with the lease: nothing more to send.
+			p.owed = false
+		}
+		c.stepSize(ino, p)
+	})
+}
+
+// stepSize moves a settling object forward: send what is owed, or, with
+// nothing owed and nothing in flight, retire the entry and release the
+// settle points waiting on it.
+func (c *Client) stepSize(ino msg.ObjectID, p *sizePush) {
+	if p.inflight || len(p.waiters) == 0 {
+		return
+	}
+	if o := c.cache.Object(ino); p.owed && o != nil && o.HaveAttr {
+		c.sendSize(ino, p, o.Attr.Size)
+		return
+	}
+	if c.sizePush[ino] == p {
+		delete(c.sizePush, ino)
+	}
+	for _, w := range p.waiters {
+		w()
+	}
+}
+
+// settleSize runs fn once the server has ino's size.
+func (c *Client) settleSize(ino msg.ObjectID, fn func()) {
+	p := c.sizePush[ino]
+	if p == nil {
+		fn()
+		return
+	}
+	p.waiters = append(p.waiters, fn)
+	c.stepSize(ino, p)
+}
+
+// settleSizes runs fn once the server has the size of every object.
+func (c *Client) settleSizes(fn func()) {
+	if len(c.sizePush) == 0 {
+		fn()
+		return
+	}
+	inos := make([]msg.ObjectID, 0, len(c.sizePush))
+	for ino := range c.sizePush {
+		inos = append(inos, ino)
+	}
+	// In a fixed order: the simulator's runs must repeat.
+	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	remaining := len(inos) + 1
+	done := func() {
+		if remaining--; remaining == 0 {
+			fn()
+		}
+	}
+	for _, ino := range inos {
+		c.settleSize(ino, done)
+	}
+	done()
+}
+
+// whenSettled runs fn once the server has ino's size and no data
+// operation is in flight on it.
+func (c *Client) whenSettled(ino msg.ObjectID, fn func()) {
+	switch {
+	case c.sizePush[ino] != nil:
+		c.settleSize(ino, func() { c.whenSettled(ino, fn) })
+	case c.ioCount[ino] > 0:
+		c.whenIdle(ino, func() { c.whenSettled(ino, fn) })
+	default:
+		fn()
+	}
+}
+
+// seenAttr is a server-reported attr as this client should see it: while
+// the object owes the server its size, the client's own is the newer
+// one, and a reply does not move it backwards.
+func (c *Client) seenAttr(attr msg.Attr) msg.Attr {
+	if c.sizePush[attr.Ino] == nil {
+		return attr
+	}
+	if o := c.cache.Object(attr.Ino); o != nil && o.HaveAttr && o.Attr.Size > attr.Size {
+		attr.Size = o.Attr.Size
+	}
+	return attr
+}
+
+// trim is the last step before the exclusive lock on ino is given up, or
+// its last write handle closed: wait until the server has the size, then
+// give back the blocks granted ahead of the writer and never written, and
+// call done. It truncates to the blocks the size covers, but never below
+// the map as it was fetched: only blocks granted to this holder are known
+// to be empty. The server frees nothing on its own account — a block it
+// granted may be where a partitioned writer's last flush went — so this
+// is the only place grant-ahead is undone. The downgrade latch keeps new
+// writes out of the tail while the truncate is on its way.
+func (c *Client) trim(ino msg.ObjectID, done func()) {
+	if c.sizePush[ino] != nil || c.ioCount[ino] > 0 {
+		c.whenSettled(ino, func() { c.trim(ino, done) })
+		return
+	}
+	o := c.cache.Object(ino)
+	if o == nil || !o.HaveMap || !o.HaveAttr || c.lockedInos[ino] != msg.LockExclusive {
+		done()
+		return
+	}
+	keep := int((o.Attr.Size + BlockSize - 1) / BlockSize)
+	if keep < o.Fetched {
+		keep = o.Fetched
+	}
+	if len(o.Blocks) <= keep {
+		done()
+		return
+	}
+	c.downgradeBegin(ino)
+	c.call(&msg.Truncate{Ino: ino, Blocks: uint32(keep)}, func(r *msg.Reply) {
+		if errnoOf(r) == msg.OK {
+			c.truncated(ino, keep, r.Body.(msg.AttrRes).Attr)
+		}
+		c.downgradeEnd(ino)
+		done()
+	})
+}
+
+// truncated applies an acknowledged Truncate to the cache: pages past
+// the new end go, dirty or clean — their blocks are returning to the
+// allocator and must never be served again — and so does the tail of the
+// map.
+func (c *Client) truncated(ino msg.ObjectID, nBlocks int, attr msg.Attr) {
+	o := c.cache.Ensure(ino)
+	c.cache.DropPagesFrom(ino, uint64(nBlocks))
+	if len(o.Blocks) > nBlocks {
+		o.Blocks = o.Blocks[:nBlocks]
+	}
+	if o.Fetched > nBlocks {
+		o.Fetched = nBlocks
+	}
+	o.Attr = attr
+	o.HaveAttr = true
+}

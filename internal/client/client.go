@@ -180,6 +180,9 @@ type Client struct {
 	// overtake the downgrade and be answered from pre-downgrade state.
 	downgrading     map[msg.ObjectID]int
 	acquireDeferred map[msg.ObjectID][]func()
+	// sizePush holds what each object owes the server about its size
+	// (append.go).
+	sizePush map[msg.ObjectID]*sizePush
 	// seqNext/seqRun detect sequential scans per object (seqNext is the
 	// block index that would extend the run, seqRun its current length);
 	// prefetchInflight tracks block indexes a read-ahead batch is
@@ -274,6 +277,7 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		demandNext:       make(map[msg.ObjectID]*msg.Demand),
 		downgrading:      make(map[msg.ObjectID]int),
 		acquireDeferred:  make(map[msg.ObjectID][]func()),
+		sizePush:         make(map[msg.ObjectID]*sizePush),
 		seqNext:          make(map[msg.ObjectID]uint64),
 		seqRun:           make(map[msg.ObjectID]int),
 		prefetchInflight: make(map[msg.ObjectID]map[uint64]bool),

@@ -93,22 +93,26 @@ func (c *Client) complyDemand(m *msg.Demand) {
 	c.emit(trace.Event{Type: trace.EvFlushStart, Ino: m.Ino, Note: "demand"})
 	c.flushObject(m.Ino, func() {
 		c.emit(trace.Event{Type: trace.EvFlushDone, Ino: m.Ino, Note: "demand"})
-		if m.Mode == msg.LockNone {
-			delete(c.lockedInos, m.Ino)
-			c.oracle.LockInactive(c.id, m.Ino)
-			c.cache.Drop(m.Ino)
-			delete(c.objExpiry, m.Ino)
-		} else {
-			c.lockedInos[m.Ino] = m.Mode
-			if o := c.cache.Object(m.Ino); o != nil {
-				o.Mode = m.Mode
+		// The next holder reads size and map from the server: both are
+		// final there before the lock moves.
+		c.trim(m.Ino, func() {
+			if m.Mode == msg.LockNone {
+				delete(c.lockedInos, m.Ino)
+				c.oracle.LockInactive(c.id, m.Ino)
+				c.cache.Drop(m.Ino)
+				delete(c.objExpiry, m.Ino)
+			} else {
+				c.lockedInos[m.Ino] = m.Mode
+				if o := c.cache.Object(m.Ino); o != nil {
+					o.Mode = m.Mode
+				}
+				c.oracle.LockActive(c.id, m.Ino, m.Mode)
 			}
-			c.oracle.LockActive(c.id, m.Ino, m.Mode)
-		}
-		c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
-			c.downgradeEnd(m.Ino)
+			c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
+				c.downgradeEnd(m.Ino)
+			})
+			c.finishDemand(m.Ino)
 		})
-		c.finishDemand(m.Ino)
 	})
 }
 

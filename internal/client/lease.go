@@ -49,6 +49,7 @@ func (a leaseActions) Expired() {
 	c.reassertTried = false
 	c.chn.CancelAll()
 	c.cancelSAN()
+	c.sizePush = make(map[msg.ObjectID]*sizePush) // owed to a server that no longer honours this cache
 	c.lease.Reset()
 	c.rejoin()
 }
@@ -149,6 +150,7 @@ func (c *Client) recoverLeaseless() {
 	c.attrFetched = make(map[msg.ObjectID]sim.Time)
 	c.chn.CancelAll()
 	c.cancelSAN()
+	c.sizePush = make(map[msg.ObjectID]*sizePush)
 	c.stopBaselineTimers()
 	c.rejoin()
 }
@@ -166,6 +168,7 @@ func (c *Client) startFlushTimer() {
 		}
 		if c.registered && !c.quiesced {
 			c.flushAll(nil)
+			c.settleSizes(func() {})
 		}
 		c.flushTimer = c.clock.AfterFunc(c.cfg.FlushInterval, fire)
 	}

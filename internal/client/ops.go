@@ -95,7 +95,7 @@ func (c *Client) Lookup(path string, cb AttrCallback) {
 			cb(msg.Attr{}, errno)
 			return
 		}
-		cb(r.Body.(msg.LookupRes).Attr, msg.OK)
+		cb(c.seenAttr(r.Body.(msg.LookupRes).Attr), msg.OK)
 	})
 }
 
@@ -142,7 +142,8 @@ func (c *Client) Rename(oldPath, newPath string, cb ErrnoCallback) {
 
 // Truncate shrinks the file to nBlocks blocks. It requires the exclusive
 // lock (acquired here if not cached), drops the truncated tail from the
-// cache, and updates the cached block map from the server's reply.
+// cache, and updates the cached block map and size from the server's
+// reply.
 func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
@@ -170,23 +171,16 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 			c.finish(errno)
 			cb(errno)
 		}
-		c.call(&msg.Truncate{Ino: info.ino, Blocks: nBlocks}, func(r *msg.Reply) {
-			errno := errnoOf(r)
-			if errno != msg.OK {
+		// The size must not overtake the truncate: a push acknowledged
+		// after it would put the old length back.
+		c.settleSize(info.ino, func() {
+			c.call(&msg.Truncate{Ino: info.ino, Blocks: nBlocks}, func(r *msg.Reply) {
+				errno := errnoOf(r)
+				if errno == msg.OK {
+					c.truncated(info.ino, int(nBlocks), r.Body.(msg.AttrRes).Attr)
+				}
 				done(errno)
-				return
-			}
-			res := r.Body.(msg.AttrRes)
-			o := c.cache.Ensure(info.ino)
-			// Drop truncated pages (dirty or clean — their blocks are
-			// returning to the allocator and must never be served again).
-			c.cache.DropPagesFrom(info.ino, uint64(nBlocks))
-			if uint64(len(o.Blocks)) > uint64(nBlocks) {
-				o.Blocks = o.Blocks[:nBlocks]
-			}
-			o.Attr = res.Attr
-			o.HaveAttr = true
-			done(msg.OK)
+			})
 		})
 	})
 }
@@ -219,7 +213,7 @@ func (c *Client) Stat(ino msg.ObjectID, cb AttrCallback) {
 			cb(msg.Attr{}, errno)
 			return
 		}
-		cb(r.Body.(msg.AttrRes).Attr, msg.OK)
+		cb(c.seenAttr(r.Body.(msg.AttrRes).Attr), msg.OK)
 	})
 }
 
@@ -276,14 +270,15 @@ func (c *Client) openIno(ino msg.ObjectID, write bool, cb OpenCallback) {
 		res := r.Body.(msg.OpenRes)
 		c.handles[res.Handle] = handleInfo{ino: ino, write: write}
 		o := c.cache.Ensure(ino)
-		o.Attr = res.Attr
+		o.Attr = c.seenAttr(res.Attr)
 		o.HaveAttr = true
-		cb(res.Handle, res.Attr, msg.OK)
+		cb(res.Handle, o.Attr, msg.OK)
 	})
 }
 
 // Close releases an open instance. Cached data and locks are kept — data
-// locks outlive opens; that is the point of lock caching.
+// locks outlive opens; that is the point of lock caching — but when the
+// object's last write handle goes, so do the blocks granted ahead of it.
 func (c *Client) Close(h msg.Handle, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
@@ -295,12 +290,25 @@ func (c *Client) Close(h msg.Handle, cb ErrnoCallback) {
 		return
 	}
 	delete(c.handles, h)
-	_ = info
-	c.call(&msg.Close{Ino: info.ino, Handle: h}, func(r *msg.Reply) {
-		errno := errnoOf(r)
-		c.finish(errno)
-		cb(errno)
-	})
+	closeIt := func() {
+		c.call(&msg.Close{Ino: info.ino, Handle: h}, func(r *msg.Reply) {
+			errno := errnoOf(r)
+			c.finish(errno)
+			cb(errno)
+		})
+	}
+	lastWriter := info.write
+	for _, other := range c.handles {
+		if other == info {
+			lastWriter = false
+			break
+		}
+	}
+	if lastWriter {
+		c.trim(info.ino, closeIt)
+		return
+	}
+	closeIt()
 }
 
 // Read returns the file block at index idx. The fast path — lock cached,
@@ -449,27 +457,21 @@ func (c *Client) Write(h msg.Handle, idx uint64, data []byte, cb ErrnoCallback) 
 	})
 }
 
-// maybeExtend pushes the server's size metadata forward after a write
-// past the current end of file.
-func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
-	o := c.cache.Object(ino)
-	end := idx*BlockSize + uint64(n)
-	if o == nil || !o.HaveAttr || end <= o.Attr.Size {
-		return
-	}
-	o.Attr.Size = end
-	c.call(&msg.SetAttr{Ino: ino, NewSize: end}, nil)
-}
-
-// Sync flushes all dirty data and completes when everything is on disk.
+// Sync flushes all dirty data and completes when everything is on disk
+// and the server has the size of every file written.
 func (c *Client) Sync(cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	c.flushAll(func() {
-		c.finish(msg.OK)
-		cb(msg.OK)
-	})
+	pending := 2 // the data and the sizes go out side by side
+	done := func() {
+		if pending--; pending == 0 {
+			c.finish(msg.OK)
+			cb(msg.OK)
+		}
+	}
+	c.flushAll(done)
+	c.settleSizes(done)
 }
 
 // ensureLock acquires (or upgrades to) mode on ino, using the cached lock
@@ -546,31 +548,8 @@ func (c *Client) ensureMap(ino msg.ObjectID, cb ErrnoCallback) {
 		res := r.Body.(msg.BlocksRes)
 		o := c.cache.Ensure(ino)
 		o.Blocks = res.Blocks
-		o.Attr = res.Attr
-		o.HaveMap = true
-		o.HaveAttr = true
-		cb(msg.OK)
-	})
-}
-
-// ensureAlloc extends the file's allocation to cover block idx.
-func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
-	o := c.cache.Ensure(ino)
-	if idx < uint64(len(o.Blocks)) {
-		cb(msg.OK)
-		return
-	}
-	need := uint32(idx + 1 - uint64(len(o.Blocks)))
-	c.call(&msg.AllocBlocks{Ino: ino, Count: need}, func(r *msg.Reply) {
-		errno := errnoOf(r)
-		if errno != msg.OK {
-			cb(errno)
-			return
-		}
-		res := r.Body.(msg.AllocRes)
-		o := c.cache.Ensure(ino)
-		o.Blocks = res.Blocks
-		o.Attr = res.Attr
+		o.Fetched = len(res.Blocks)
+		o.Attr = c.seenAttr(res.Attr)
 		o.HaveMap = true
 		o.HaveAttr = true
 		cb(msg.OK)
@@ -584,16 +563,18 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 		return
 	}
 	c.flushObject(ino, func() {
-		delete(c.lockedInos, ino)
-		c.oracle.LockInactive(c.id, ino)
-		c.cache.Drop(ino)
-		delete(c.objExpiry, ino)
-		c.downgradeBegin(ino)
-		c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {
-			c.downgradeEnd(ino)
-			errno := errnoOf(r)
-			c.finish(errno)
-			cb(errno)
+		c.trim(ino, func() {
+			delete(c.lockedInos, ino)
+			c.oracle.LockInactive(c.id, ino)
+			c.cache.Drop(ino)
+			delete(c.objExpiry, ino)
+			c.downgradeBegin(ino)
+			c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {
+				c.downgradeEnd(ino)
+				errno := errnoOf(r)
+				c.finish(errno)
+				cb(errno)
+			})
 		})
 	})
 }

@@ -147,7 +147,8 @@ func (s *SyncClient) WriteAt(h msg.Handle, idx uint64, data []byte) error {
 
 // SyncAll flushes every dirty page to the SAN and returns once the last
 // write is acknowledged — with vectored write-back, typically a handful
-// of batched messages rather than one per page.
+// of batched messages rather than one per page — and the server has the
+// size of every file the writes extended.
 func (s *SyncClient) SyncAll() error {
 	return s.errnoOp(func(cb ErrnoCallback) { s.c.Sync(cb) })
 }

@@ -184,11 +184,7 @@ func TestNewAcquiresDeferredDuringGrace(t *testing.T) {
 
 func inoOf(t *testing.T, cl *Cluster, path string) msg.ObjectID {
 	t.Helper()
-	in, errno := cl.Server.Store().Lookup(path)
-	if errno != msg.OK {
-		t.Fatalf("lookup %s: %v", path, errno)
-	}
-	return in.Ino
+	return inode(t, cl, path).Ino
 }
 
 func mustWrite(t *testing.T, cl *Cluster, i int, h msg.Handle, idx uint64, data []byte) {

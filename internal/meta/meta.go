@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/blockstore"
 	"repro/internal/msg"
 )
 
@@ -313,7 +314,10 @@ func (s *Store) Touch(ino msg.ObjectID) msg.Errno {
 	return msg.OK
 }
 
-// AllocBlocks extends a file by count blocks and returns the inode.
+// AllocBlocks extends a file by exactly count blocks and returns the
+// inode. This is the call the journal records: the count it logs is the
+// count granted, so replay allocates the same run without knowing how a
+// grant is sized.
 func (s *Store) AllocBlocks(ino msg.ObjectID, count uint32) (*Inode, msg.Errno) {
 	if s.j != nil {
 		s.logOp(opAllocBlocks).u64(uint64(ino)).u32(count).end()
@@ -334,7 +338,34 @@ func (s *Store) AllocBlocks(ino msg.ObjectID, count uint32) (*Inode, msg.Errno) 
 	return in, msg.OK
 }
 
-// Truncate shrinks a file to nBlocks blocks, freeing the tail.
+// MaxGrantAhead caps the run GrantBlocks allocates ahead of a writer:
+// 256 KiB of 4 KiB blocks.
+const MaxGrantAhead = 64
+
+// GrantBlocks answers a writer that needs n more blocks with a run of
+// max(n, min(blocks the file has, MaxGrantAhead)): the run doubles with
+// the file up to the cap, so a file appended to one block at a time asks
+// O(log) times and then once per cap. When the disks cannot hold the
+// longer run the request is served with exactly n. first is the index of
+// the first block added. The blocks granted ahead are the inode's like
+// any others — that is what keeps data written into them reachable,
+// whatever becomes of the writer — until a Truncate or Unlink frees them;
+// the store never takes them back on its own.
+func (s *Store) GrantBlocks(ino msg.ObjectID, n uint32) (in *Inode, first int, errno msg.Errno) {
+	if cur, ok := s.inodes[ino]; ok {
+		first = len(cur.Blocks)
+		if ahead := uint32(min(first, MaxGrantAhead)); ahead > n {
+			if in, errno = s.AllocBlocks(ino, ahead); errno != msg.ErrNoSpace {
+				return in, first, errno
+			}
+		}
+	}
+	in, errno = s.AllocBlocks(ino, n)
+	return in, first, errno
+}
+
+// Truncate shrinks a file to nBlocks blocks, freeing the tail, and with
+// it the size: nothing of the file lies past its last block.
 func (s *Store) Truncate(ino msg.ObjectID, nBlocks int) (*Inode, msg.Errno) {
 	if s.j != nil {
 		s.logOp(opTruncate).u64(uint64(ino)).u64(uint64(int64(nBlocks))).end()
@@ -349,6 +380,9 @@ func (s *Store) Truncate(ino msg.ObjectID, nBlocks int) (*Inode, msg.Errno) {
 	if nBlocks < len(in.Blocks) {
 		s.alloc.Free(in.Blocks[nBlocks:])
 		in.Blocks = in.Blocks[:nBlocks]
+		if end := uint64(nBlocks) * blockstore.BlockSize; in.Size > end {
+			in.Size = end
+		}
 		in.Version++
 	}
 	return in, msg.OK
@@ -418,6 +452,9 @@ func (s *Store) parentOf(ino msg.ObjectID) *Inode {
 	}
 	return nil
 }
+
+// Allocator exposes the block allocator to tests and the cluster harness.
+func (s *Store) Allocator() *Allocator { return s.alloc }
 
 // Count returns the number of live inodes (including the root).
 func (s *Store) Count() int { return len(s.inodes) }

@@ -203,6 +203,81 @@ func TestAllocBlocksAndTruncate(t *testing.T) {
 	}
 }
 
+// TestTruncateClampsSize: nothing of a file lies past its last block. A
+// Truncate that left Size where it was made Stat report the old length
+// for ever, and made a client that compares a write's end with the size
+// it holds believe that no later write extends the file.
+func TestTruncateClampsSize(t *testing.T) {
+	s := newStore()
+	f, _ := s.Create("/f", false)
+	s.AllocBlocks(f.Ino, 5)
+	s.SetSize(f.Ino, 5*4096-100)
+	if in, _ := s.Truncate(f.Ino, 5); in.Size != 5*4096-100 {
+		t.Fatalf("a truncate that frees nothing moved the size to %d", in.Size)
+	}
+	if in, _ := s.Truncate(f.Ino, 2); in.Size != 2*4096 {
+		t.Fatalf("size after truncating to 2 blocks = %d, want %d", in.Size, 2*4096)
+	}
+	if in, _ := s.Truncate(f.Ino, 0); in.Size != 0 {
+		t.Fatalf("size after truncating to nothing = %d", in.Size)
+	}
+}
+
+// TestGrantBlocksRunsAhead pins the grant policy: max(n, min(blocks the
+// file has, MaxGrantAhead)), so a file appended to one block at a time
+// doubles up to the cap and then grows by the cap.
+func TestGrantBlocksRunsAhead(t *testing.T) {
+	s := NewStore(NewAllocator(map[msg.NodeID]uint64{1: 1 << 12}))
+	f, _ := s.Create("/f", false)
+	want := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
+	for i, total := range want {
+		before := len(f.Blocks)
+		in, first, errno := s.GrantBlocks(f.Ino, 1)
+		if errno != msg.OK || first != before || len(in.Blocks) != total {
+			t.Fatalf("grant %d: errno %v, first %d (file had %d), file now %d blocks, want %d",
+				i, errno, first, before, len(in.Blocks), total)
+		}
+	}
+	// A request larger than the run ahead is served as asked.
+	if in, first, _ := s.GrantBlocks(f.Ino, 100); first != 256 || len(in.Blocks) != 356 {
+		t.Fatalf("grant of 100 at 256 blocks: first %d, file now %d blocks", first, len(in.Blocks))
+	}
+	if _, _, errno := s.GrantBlocks(999, 1); errno != msg.ErrNoEnt {
+		t.Fatalf("grant on a missing inode: %v", errno)
+	}
+	if _, _, errno := s.GrantBlocks(RootIno, 1); errno != msg.ErrIsDir {
+		t.Fatalf("grant on a directory: %v", errno)
+	}
+}
+
+// TestGrantBlocksFallsBackToExact: running ahead never fails a request
+// the exact count would have satisfied, and an attempt that fails takes
+// nothing.
+func TestGrantBlocksFallsBackToExact(t *testing.T) {
+	alloc := NewAllocator(map[msg.NodeID]uint64{1: 6, 2: 6})
+	s := NewStore(alloc)
+	f, _ := s.Create("/f", false)
+	if _, errno := s.AllocBlocks(f.Ino, 8); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	// 4 blocks free: the run of 8 does not fit, the 2 asked for do.
+	in, first, errno := s.GrantBlocks(f.Ino, 2)
+	if errno != msg.OK || first != 8 || len(in.Blocks) != 10 || alloc.InUse() != 10 {
+		t.Fatalf("nearly full: errno %v, first %d, %d blocks, %d in use; want OK, 8, 10, 10",
+			errno, first, len(in.Blocks), alloc.InUse())
+	}
+	// 2 free: neither the run nor the 3 asked for fit.
+	if _, _, errno := s.GrantBlocks(f.Ino, 3); errno != msg.ErrNoSpace {
+		t.Fatalf("over-ask: %v, want ErrNoSpace", errno)
+	}
+	if alloc.InUse() != 10 || len(f.Blocks) != 10 {
+		t.Fatalf("a failed grant kept blocks: %d in use, file has %d", alloc.InUse(), len(f.Blocks))
+	}
+	if _, _, errno := s.GrantBlocks(f.Ino, 2); errno != msg.OK || alloc.InUse() != 12 {
+		t.Fatalf("the last two blocks: %v, %d in use", errno, alloc.InUse())
+	}
+}
+
 func TestAllocatorStripes(t *testing.T) {
 	a := NewAllocator(map[msg.NodeID]uint64{3: 10, 5: 10})
 	refs, errno := a.Alloc(4)

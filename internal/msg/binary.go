@@ -247,7 +247,7 @@ func binaryResultSize(res Result) (meta int, tail []byte, err error) {
 	case BlocksRes:
 		return 1 + binAttrLen + 4 + 12*len(r.Blocks), nil, nil
 	case AllocRes:
-		return 1 + binAttrLen + 4 + 12*len(r.Blocks), nil, nil
+		return 1 + binAttrLen + 4 + 4 + 12*len(r.Blocks), nil, nil
 	case LockRes:
 		return 2, nil, nil
 	case RejoinRes, ReassertRes:
@@ -637,6 +637,7 @@ func encodeResult(w *wr, res Result) error {
 	case AllocRes:
 		w.u8(brAllocRes)
 		w.attr(&r.Attr)
+		w.u32(r.First)
 		w.u32(uint32(len(r.Blocks)))
 		for i := range r.Blocks {
 			w.i32(int32(r.Blocks[i].Disk))
@@ -1017,7 +1018,7 @@ func decodeResult(r *rd) (Result, error) {
 		}
 		return res, nil
 	case brAllocRes:
-		res := AllocRes{Attr: r.attr()}
+		res := AllocRes{Attr: r.attr(), First: r.u32()}
 		if n := r.count(12); n > 0 {
 			res.Blocks = make([]BlockRef, n)
 			for i := range res.Blocks {

@@ -199,7 +199,8 @@ type GetBlocks struct {
 func (*GetBlocks) Kind() Kind { return KindControlReq }
 func (*GetBlocks) Size() int  { return 32 }
 
-// AllocBlocks extends an object by Count new blocks.
+// AllocBlocks extends an object by at least Count new blocks: the server
+// may grant a longer run, ahead of the writer (meta.Store.GrantBlocks).
 type AllocBlocks struct {
 	ReqHeader
 	Ino   ObjectID
@@ -379,14 +380,18 @@ type BlocksRes struct {
 func (BlocksRes) resultMarker()     {}
 func (r BlocksRes) resultSize() int { return 29 + 12*len(r.Blocks) }
 
-// AllocRes returns the full block map after extension.
+// AllocRes returns what an extension added: Blocks are the new blocks
+// only, and First is the index in the file of Blocks[0] — the length of
+// the map the server extended. A client splices Blocks at First; its
+// size does not depend on the file's length.
 type AllocRes struct {
 	Attr   Attr
+	First  uint32
 	Blocks []BlockRef
 }
 
 func (AllocRes) resultMarker()     {}
-func (r AllocRes) resultSize() int { return 29 + 12*len(r.Blocks) }
+func (r AllocRes) resultSize() int { return 33 + 12*len(r.Blocks) }
 
 // LockRes confirms the mode now held.
 type LockRes struct{ Mode LockMode }

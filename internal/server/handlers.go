@@ -216,12 +216,13 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			ack(msg.ErrConflict, nil)
 			return
 		}
-		in, errno := s.store.AllocBlocks(m.Ino, m.Count)
+		in, first, errno := s.store.GrantBlocks(m.Ino, m.Count)
 		if errno != msg.OK {
 			ack(errno, nil)
 			return
 		}
-		ack(msg.OK, msg.AllocRes{Attr: in.Attr(), Blocks: append([]msg.BlockRef(nil), in.Blocks...)})
+		ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
+			Blocks: append([]msg.BlockRef(nil), in.Blocks[first:]...)})
 
 	case *msg.LockAcquire:
 		if s.store.Migrating(m.Ino) {
