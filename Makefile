@@ -45,7 +45,9 @@ lint:
 # runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
-# cross-validation of what the static bufown pass proves per-path.
+# cross-validation of what the static bufown pass proves per-path. Last,
+# ten seconds of fuzzing the wire decoder from every type's golden frame:
+# the one piece of the tree that parses bytes a peer chose.
 verify: lint
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -56,6 +58,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -tags tankdebug ./...
+	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
 
 # bench runs every benchmark with allocation stats and renders the
 # results as BENCH_tier1.json (op/s and ns/op per benchmark; see

@@ -8,8 +8,8 @@
 //	tankcli ... -id 11 read /hello.txt 0
 //
 // Commands: mkdir PATH | create PATH | ls PATH | stat PATH | rm PATH |
-// mv OLD NEW | write PATH BLOCK TEXT | read PATH BLOCK | bench OPS |
-// idle DURATION | role
+// mv OLD NEW | write PATH BLOCK TEXT | read PATH BLOCK | idle DURATION |
+// role
 //
 // Against a sharded installation, pass the full authority address book
 // instead of -server:
@@ -63,11 +63,10 @@ func main() {
 		tau        = flag.Duration("tau", 30*time.Second, "lease period τ (must match tankd)")
 		eps        = flag.Float64("eps", 0.05, "rate bound ε (must match tankd)")
 		tracing    = flag.Bool("trace", false, "log lease-lifecycle events to stderr")
-		codecName  = flag.String("codec", "binary", "wire codec to dial with: binary (zero-copy) or gob (fallback)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		log.Fatal("usage: tankcli [flags] COMMAND ARGS...\ncommands: mkdir create ls stat rm mv write read bench idle role")
+		log.Fatal("usage: tankcli [flags] COMMAND ARGS...\ncommands: mkdir create ls stat rm mv write read idle role")
 	}
 
 	diskAddrs, err := parseDisks(*disksFlag)
@@ -82,11 +81,6 @@ func main() {
 	if *tracing {
 		opts = append(opts, rpcnet.WithTracer(trace.New(trace.NewLogf(log.Printf))))
 	}
-	codecOpt, err := rpcnet.WithWireCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts = append(opts, codecOpt)
 
 	cli := &cli{id: *id}
 	if *shardsFlag != "" {
@@ -355,35 +349,6 @@ func (c *cli) run(args []string) error {
 			return errno
 		}
 		fmt.Printf("%s\n", strings.TrimRight(string(data), "\x00"))
-		return nil
-
-	case "bench":
-		if err := need(1); err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(rest[0])
-		if err != nil {
-			return err
-		}
-		path := fmt.Sprintf("/bench-n%d", c.id)
-		h, _, errno := c.open(path, true, true)
-		if errno != msg.OK {
-			return errno
-		}
-		start := time.Now()
-		buf := make([]byte, 4096)
-		for i := 0; i < n; i++ {
-			var e msg.Errno
-			c.do(func(done func()) {
-				c.pick(path).Write(h, uint64(i%8), buf, func(ee msg.Errno) { e = ee; done() })
-			})
-			if e != msg.OK {
-				return e
-			}
-		}
-		c.do(func(done func()) { c.pick(path).Sync(func(msg.Errno) { done() }) })
-		el := time.Since(start)
-		fmt.Printf("%d writes in %v (%.0f ops/s)\n", n, el, float64(n)/el.Seconds())
 		return nil
 
 	case "idle":

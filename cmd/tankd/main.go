@@ -106,7 +106,6 @@ func main() {
 		tau        = flag.Duration("tau", 30*time.Second, "lease period τ")
 		eps        = flag.Float64("eps", 0.05, "clock rate-synchronization bound ε")
 		policyName = flag.String("policy", "storage-tank", "recovery policy (see internal/baselines)")
-		codecName  = flag.String("codec", "binary", "wire codec this process dials with: binary (zero-copy) or gob (fallback); acceptors adopt each dialer's choice")
 		tracePath  = flag.String("trace", "", "append lease-lifecycle events to FILE as JSON lines")
 		traceRing  = flag.Int("trace-ring", 256, "recent events kept for the SIGUSR1 dump")
 		verbose    = flag.Bool("v", false, "log transport events")
@@ -177,12 +176,8 @@ func main() {
 	// so the SIGUSR1/exit dumps cover the whole installation (including
 	// the media layer's fsync and journal instruments).
 	reg := stats.NewRegistry()
-	codecOpt, err := rpcnet.WithWireCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	nodeOpts := []rpcnet.Option{rpcnet.WithTracer(tracer), rpcnet.WithFaults(ctrlFaults, nil),
-		rpcnet.WithRegistry(reg), codecOpt}
+		rpcnet.WithRegistry(reg)}
 
 	// Disks first, so the server's address book is complete. With
 	// -data-dir each disk opens (or recovers) a file-backed store, so a

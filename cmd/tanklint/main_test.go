@@ -92,6 +92,11 @@ func TestDirectiveBudget(t *testing.T) {
 	// the pass checks, not an exemption from checking.
 	want := map[string]int{
 		"clockhygiene": 1, // (*File).sync fsync latency stamp, internal/blockstore/file.go
+		// internal/msg/binary.go: what a DECODE hands its caller — the
+		// envelope, a message's strings, its vectors, the copied-out
+		// FuncWrite/FuncReadRes data. The primitives that make them are
+		// also the encode path, which is why they carry the marker at all.
+		"hotpathalloc": 4,
 	}
 	dirs, err := driver.TreeAllows(root, "")
 	if err != nil {

@@ -9,7 +9,7 @@
 // deliberately lock-free for protocol state; the mutexes that remain
 // (transport connection tables, the stats registry, executor queues)
 // are leaf locks that must only guard memory. Holding one across a
-// channel operation, a dial, a gob encode, or a media fsync turns a
+// channel operation, a dial, a frame write, or a media fsync turns a
 // slow peer into a stalled node — exactly the failure mode the lease
 // machinery exists to bound.
 //
@@ -66,7 +66,7 @@ var blockingFuncs = map[[2]string]bool{
 }
 
 // blockingMethods are methods (by receiver type) that can block: network
-// round-trips, gob encode/decode on a socket, media I/O and fsync.
+// round-trips, frame send/receive on a socket, media I/O and fsync.
 var blockingMethods = map[[3]string]bool{
 	{"wire", "Codec", "Send"}:           true,
 	{"wire", "Codec", "Recv"}:           true,

@@ -5,6 +5,8 @@ package rpcnet
 import (
 	"sync"
 	"time"
+
+	"repro/internal/analysis/locksafety/testdata/src/wire"
 )
 
 type Transport struct {
@@ -92,4 +94,23 @@ func (t *Transport) waitUnderLock(wg *sync.WaitGroup) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	wg.Wait() // want `call to \(sync.WaitGroup\).Wait while t.mu is held`
+}
+
+// wire.Codec is a concrete type: the blocking-call table must match its
+// pointer-receiver methods as it matched the interface's.
+func (t *Transport) sendOnCodecUnderLock(c *wire.Codec, env *int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c.Send(env) // want `call to \(wire.Codec\).Send while t.mu is held`
+	c.Recv()    // want `call to \(wire.Codec\).Recv while t.mu is held`
+	c.Close()
+}
+
+func (t *Transport) sendOnCodecAfterUnlock(c *wire.Codec, env *int) {
+	t.mu.Lock()
+	n := len(t.conns)
+	t.mu.Unlock()
+	if n > 0 {
+		c.Send(env)
+	}
 }

@@ -1,17 +1,11 @@
 package msg
 
-import (
-	"bytes"
-	"encoding/gob"
-	"io"
-	"testing"
-)
+import "testing"
 
 // The codec micro-benchmarks: per-message encode/decode cost of the
-// binary wire format against gob, on the hottest frame on the SAN — a
-// DiskWrite carrying one 4 KiB block. The gob benchmarks reuse a single
-// encoder/decoder pair, matching the wire layer's per-connection
-// streams (type descriptors are amortized exactly as they are live).
+// wire format on the hottest frame on the SAN — a DiskWrite carrying one
+// 4 KiB block. bench-gate holds the encode at 0 allocs/op and the decode
+// at 2 (the message and its envelope).
 
 func benchDiskWrite() *Envelope {
 	data := make([]byte, 4096)
@@ -55,45 +49,6 @@ func BenchmarkBinaryDecodeDiskWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeBinary(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobEncodeDiskWrite(b *testing.B) {
-	RegisterGob()
-	env := benchDiskWrite()
-	enc := gob.NewEncoder(io.Discard)
-	if err := enc.Encode(env); err != nil {
-		b.Fatal(err) // prime the type descriptors outside the loop
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobDecodeDiskWrite(b *testing.B) {
-	RegisterGob()
-	env := benchDiskWrite()
-	// Pre-encode b.N messages on one stream so the decode loop sees the
-	// same amortized type descriptors a live connection would.
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dec := gob.NewDecoder(&buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out Envelope
-		if err := dec.Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,19 +1,18 @@
 package msg
 
-// The hand-rolled binary wire layout (DESIGN.md §12). Every frame body is
+// The binary wire layout (DESIGN.md §12). Every frame body is
 //
 //	from int32 | to int32 | type uint8 | payload
 //
 // with all integers big-endian and every payload a fixed-layout field
-// sequence: fixed-width scalars in declaration order, strings and byte
-// slices length-prefixed with uint32, struct vectors count-prefixed with
-// uint32. The one irregularity is deliberate: the bulk Data field of the
-// four page-carrying types (DiskWrite, DiskWriteV, DiskReadRes,
-// DiskReadVRes) and of the two function-ship types (FuncWrite,
-// FuncReadRes) is encoded LAST, so the sender can transmit it as a
-// scatter-gather tail directly from the caller's page buffer — its length
-// prefix sits in the metadata section, the bytes themselves never get
-// copied into the frame.
+// sequence: fixed-width scalars, strings and byte slices length-prefixed
+// with uint32, struct vectors count-prefixed with uint32. The one
+// irregularity is deliberate: the bulk Data field of the four
+// page-carrying types (DiskWrite, DiskWriteV, DiskReadRes, DiskReadVRes)
+// and of the two function-ship types (FuncWrite, FuncReadRes) is encoded
+// LAST, so the sender can transmit it as a scatter-gather tail directly
+// from the caller's page buffer — its length prefix sits in the metadata
+// section, the bytes themselves never get copied into the frame.
 //
 // On decode the four SAN page types alias the receive buffer (zero-copy;
 // the transport's borrow/release protocol governs the buffer's lifetime),
@@ -21,89 +20,25 @@ package msg
 // consumers hand the data to retry loops and user callbacks that outlive
 // the handler, so an alias would dangle.
 //
-// BinarySize, EncodeBinary, and DecodeBinary must agree exactly; the msg
-// test suite round-trips every type in AllMessages/AllResults through
-// them and cross-checks against gob, so a type added to the registry
-// without a layout here fails tests, not connections.
+// A type describes its payload once, in its layout method: a walk over
+// its fields in wire order, one coder primitive per field. The coder's
+// mode decides what a primitive does — count the field's bytes, write
+// them, or bounds-check and read them — so BinarySize, EncodeBinary and
+// DecodeBinary are three runs of the same walk and cannot disagree. The
+// registry (registry.go) maps wire identifiers to types; nothing in this
+// file names a message.
 
 import (
 	"encoding/binary"
 	"errors"
-	"time"
-)
-
-// Binary wire type identifiers. The list is append-only: reusing or
-// renumbering an identifier breaks mixed-version interoperability.
-const (
-	btInvalid uint8 = iota
-	btRejoin
-	btKeepAlive
-	btLookup
-	btCreate
-	btUnlink
-	btRename
-	btTruncate
-	btOpen
-	btClose
-	btGetAttr
-	btSetAttr
-	btReaddir
-	btGetBlocks
-	btAllocBlocks
-	btLockAcquire
-	btLockRelease
-	btLockDowngraded
-	btReassert
-	btHeartbeat
-	btRenewObjects
-	btFuncRead
-	btFuncWrite
-	btReply
-	btDemand
-	btDemandAck
-	btDiskRead
-	btDiskReadRes
-	btDiskWrite
-	btDiskWriteRes
-	btDiskWriteV
-	btDiskWriteVRes
-	btDiskReadV
-	btDiskReadVRes
-	btFenceSet
-	btFenceRes
-	btDLockAcquire
-	btDLockRelease
-	btDLockRes
-	btShardMigrate
-	btShardMigrateRes
-	btReplicaPrepare
-	btReplicaPromise
-	btReplicaPropose
-	btReplicaAccept
-	btReplicaInfo
-)
-
-// Nested result identifiers for Reply bodies. brNil means Body == nil.
-const (
-	brNil uint8 = iota
-	brLookupRes
-	brCreateRes
-	brOpenRes
-	brAttrRes
-	brReaddirRes
-	brBlocksRes
-	brAllocRes
-	brLockRes
-	brRejoinRes
-	brReassertRes
-	brFuncReadRes
-	brReplicaInfoRes
+	"reflect"
+	"sync"
 )
 
 var (
-	// ErrNoBinaryLayout reports a payload (or Reply body) type the binary
-	// codec has no layout for. Seeing it means a type was added to the
-	// registry without extending this file.
+	// ErrNoBinaryLayout reports a payload (or Reply body) type the wire
+	// format has no layout for: a Message implemented outside the
+	// registry, or a destination buffer BinarySize did not size.
 	ErrNoBinaryLayout = errors.New("msg: no binary layout for payload type")
 	// ErrCorruptFrame reports a frame body that does not parse: truncated
 	// fields, counts larger than the remaining bytes, trailing garbage, or
@@ -111,11 +46,333 @@ var (
 	ErrCorruptFrame = errors.New("msg: corrupt frame")
 )
 
+type coderMode uint8
+
 const (
-	binHeaderLen = 9  // from i32 | to i32 | type u8
-	binReqHdrLen = 16 // client i32 | req u64 | epoch u32
-	binAttrLen   = 29 // ino u64 | isdir u8 | size u64 | version u64 | nlink u32
+	sizing coderMode = iota
+	encoding
+	decoding
 )
+
+// coder is one run of a layout walk. Layouts are reached through an
+// interface, and a pointer passed through an interface call escapes, so
+// a coder declared in BinarySize would be a heap allocation per message
+// on a path whose budget is none: coders come from a pool instead (see
+// walk). Passing one by value through layout and back also allocates
+// nothing, but its frames are deep enough to grow the stack of the
+// transport's per-message send goroutine — a microsecond per message.
+type coder struct {
+	mode coderMode
+	bad  bool    // the walk failed; later decode primitives do nothing
+	b    []byte  // decoding: the frame; encoding: the destination BinarySize sized
+	off  int     // bytes counted, written or consumed so far
+	data []byte  // sizing: the bulk Data field found by tail
+	out  *Result // decoding a Reply body: where keep stores the result
+}
+
+// short reports (and records) that a decode cannot consume n more bytes.
+// Every read goes through it, so a corrupt frame fails and never panics.
+//
+//tank:hotpath
+func (c *coder) short(n int) bool {
+	if c.bad || n < 0 || len(c.b)-c.off < n {
+		c.bad = true
+		return true
+	}
+	return false
+}
+
+// The scalar primitives. An undersized encode destination panics on the
+// slice index, which the round-trip tests would catch as a sizing and
+// an encoding walk that disagree.
+
+//tank:hotpath
+func (c *coder) u8(v *uint8) {
+	switch c.mode {
+	case encoding:
+		c.b[c.off] = *v
+	case decoding:
+		if c.short(1) {
+			return
+		}
+		*v = c.b[c.off]
+	}
+	c.off++
+}
+
+//tank:hotpath
+func (c *coder) u32(v *uint32) {
+	switch c.mode {
+	case encoding:
+		binary.BigEndian.PutUint32(c.b[c.off:], *v)
+	case decoding:
+		if c.short(4) {
+			return
+		}
+		*v = binary.BigEndian.Uint32(c.b[c.off:])
+	}
+	c.off += 4
+}
+
+//tank:hotpath
+func (c *coder) u64(v *uint64) {
+	switch c.mode {
+	case encoding:
+		binary.BigEndian.PutUint64(c.b[c.off:], *v)
+	case decoding:
+		if c.short(8) {
+			return
+		}
+		*v = binary.BigEndian.Uint64(c.b[c.off:])
+	}
+	c.off += 8
+}
+
+// b1, i32 and i64 go through a temporary and store only when decoding:
+// an encode must never write to a message, because a retry can be
+// encoding the same one on another goroutine.
+
+//tank:hotpath
+func (c *coder) b1(v *bool) {
+	var x uint8
+	if *v {
+		x = 1
+	}
+	c.u8(&x)
+	if c.mode == decoding {
+		*v = x != 0
+	}
+}
+
+//tank:hotpath
+func (c *coder) i32(v *int32) {
+	x := uint32(*v)
+	c.u32(&x)
+	if c.mode == decoding {
+		*v = int32(x)
+	}
+}
+
+//tank:hotpath
+func (c *coder) i64(v *int64) {
+	x := uint64(*v)
+	c.u64(&x)
+	if c.mode == decoding {
+		*v = int64(x)
+	}
+}
+
+//tank:hotpath
+func (c *coder) node(v *NodeID) { c.i32((*int32)(v)) }
+
+//tank:hotpath
+func (c *coder) req(v *ReqID) { c.u64((*uint64)(v)) }
+
+//tank:hotpath
+func (c *coder) ino(v *ObjectID) { c.u64((*uint64)(v)) }
+
+//tank:hotpath
+func (c *coder) errno(v *Errno) { c.u8((*uint8)(v)) }
+
+//tank:hotpath
+func (c *coder) lock(v *LockMode) { c.u8((*uint8)(v)) }
+
+//tank:hotpath
+func (c *coder) str(v *string) {
+	n := uint32(len(*v))
+	c.u32(&n)
+	switch c.mode {
+	case encoding:
+		copy(c.b[c.off:], *v)
+	case decoding:
+		if c.short(int(n)) {
+			return
+		}
+		if n > 0 {
+			//lint:allow hotpathalloc(a decoded message owns its strings)
+			*v = string(c.b[c.off : c.off+int(n)])
+		}
+	}
+	c.off += int(n)
+}
+
+// tail walks a bulk Data field, which every type that has one lays out
+// LAST: its length closes the metadata section and the bytes follow it.
+// Sizing reports them as the frame's tail and encoding never touches
+// them — the sender transmits them from the caller's buffer. Decoding
+// ALIASES the frame: the field is valid only while the envelope's borrow
+// is held. An empty field decodes as nil.
+//
+//tank:hotpath
+func (c *coder) tail(v *[]byte) {
+	n := uint32(len(*v))
+	c.u32(&n)
+	switch c.mode {
+	case sizing:
+		c.data = *v
+	case decoding:
+		if n == 0 || c.short(int(n)) {
+			return
+		}
+		*v = c.b[c.off : c.off+int(n) : c.off+int(n)]
+		c.off += int(n)
+	}
+}
+
+// tailCopy is tail for fields whose consumers outlive the receive
+// handler: decoding copies the bytes out of the frame.
+//
+//tank:hotpath
+func (c *coder) tailCopy(v *[]byte) {
+	c.tail(v)
+	if c.mode == decoding && *v != nil {
+		//lint:allow hotpathalloc(the copy is the point: the field outlives the frame)
+		*v = append([]byte(nil), *v...)
+	}
+}
+
+// vec walks a vector's count prefix and returns the elements for the
+// layout to range over. Decoding validates the count against the bytes
+// actually remaining (elem is an element's minimum encoded size), so a
+// corrupt count can never drive an oversized allocation, and allocates
+// the vector; a zero count decodes as nil.
+//
+//tank:hotpath
+func vec[T any](c *coder, s *[]T, elem int) []T {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if c.mode == decoding {
+		if c.bad || uint64(n)*uint64(elem) > uint64(len(c.b)-c.off) {
+			c.bad = true
+			return nil
+		}
+		if n > 0 {
+			//lint:allow hotpathalloc(a decoded message owns its vectors)
+			*s = make([]T, n)
+		}
+	}
+	return *s
+}
+
+//tank:hotpath
+func (c *coder) hdr(h *ReqHeader) {
+	c.node(&h.Client)
+	c.req(&h.Req)
+	c.u32((*uint32)(&h.Epoch))
+}
+
+//tank:hotpath
+func (c *coder) attr(a *Attr) {
+	c.ino(&a.Ino)
+	c.b1(&a.IsDir)
+	c.u64(&a.Size)
+	c.u64(&a.Version)
+	c.u32(&a.Nlink)
+}
+
+//tank:hotpath
+func (c *coder) blockRefs(s *[]BlockRef) {
+	refs := vec(c, s, 12)
+	for i := range refs {
+		c.node(&refs[i].Disk)
+		c.u64(&refs[i].Num)
+	}
+}
+
+//tank:hotpath
+func (c *coder) errnos(s *[]Errno) {
+	errs := vec(c, s, 1)
+	for i := range errs {
+		c.errno(&errs[i])
+	}
+}
+
+// result walks a Reply body: a result-type byte (brNil for no body),
+// then the result's own layout.
+//
+//tank:hotpath
+func (c *coder) result(body *Result) {
+	var id uint8
+	r, _ := (*body).(wireResult)
+	if *body != nil {
+		if id = wireID[reflect.TypeOf(*body)]; r == nil || id == brNil {
+			c.bad = true // encoding a Result the registry does not know
+			return
+		}
+	}
+	c.u8(&id)
+	if c.mode != decoding {
+		if r != nil {
+			r.layout(c)
+		}
+		return
+	}
+	if id == brNil {
+		return
+	}
+	if c.bad || int(id) >= len(resultTypes) || resultTypes[id] == nil {
+		c.bad = true
+		return
+	}
+	c.out = body
+	resultTypes[id].layout(c)
+}
+
+// keep ends every result's layout. Results travel as values inside
+// Reply.Body, so a layout walks its receiver's own copy; when decoding,
+// that copy IS the result, and keep stores it in the Reply — boxing it,
+// the one allocation a decoded result costs.
+//
+//tank:hotpath
+func keep[R Result](c *coder, r R) {
+	if c.mode == decoding {
+		*c.out = r
+	}
+}
+
+// envelope walks a whole frame body: the header, whose type byte names
+// the payload, then the payload's layout. Decoding constructs the
+// payload the type byte asks for.
+//
+//tank:hotpath
+func (c *coder) envelope(env *Envelope) {
+	var id uint8
+	m, _ := env.Payload.(wireMessage)
+	if c.mode != decoding {
+		if id = wireID[reflect.TypeOf(env.Payload)]; m == nil || id == btInvalid {
+			c.bad = true // encoding a Message the registry does not know
+			return
+		}
+	}
+	c.node(&env.From)
+	c.node(&env.To)
+	c.u8(&id)
+	if c.mode == decoding {
+		if c.bad || int(id) >= len(messageTypes) || messageTypes[id] == nil {
+			c.bad = true
+			return
+		}
+		m = messageTypes[id]()
+		env.Payload = m
+	}
+	m.layout(c)
+}
+
+var coders = sync.Pool{New: func() any { return new(coder) }}
+
+// walk runs one envelope walk on a pooled coder: n is the bytes counted,
+// written or consumed, and tail the bulk Data field a sizing walk found.
+//
+//tank:hotpath
+func walk(mode coderMode, b []byte, env *Envelope) (n int, tail []byte, ok bool) {
+	c := coders.Get().(*coder)
+	*c = coder{mode: mode, b: b}
+	c.envelope(env)
+	n, tail, ok = c.off, c.data, !c.bad
+	*c = coder{} // a pooled coder must not pin a frame or a message
+	coders.Put(c)
+	return n, tail, ok
+}
 
 // BinarySize returns the metadata length of env's frame body and the
 // zero-copy data tail. The full body is the metadata section followed
@@ -124,202 +381,11 @@ const (
 //
 //tank:hotpath
 func BinarySize(env *Envelope) (meta int, tail []byte, err error) {
-	switch m := env.Payload.(type) {
-	case *Rejoin, *KeepAlive, *Heartbeat:
-		meta = binReqHdrLen
-	case *Lookup:
-		meta = binReqHdrLen + 4 + len(m.Path)
-	case *Create:
-		meta = binReqHdrLen + 4 + len(m.Path) + 1
-	case *Unlink:
-		meta = binReqHdrLen + 4 + len(m.Path)
-	case *Rename:
-		meta = binReqHdrLen + 8 + len(m.OldPath) + len(m.NewPath)
-	case *Truncate:
-		meta = binReqHdrLen + 12
-	case *Open:
-		meta = binReqHdrLen + 9
-	case *Close:
-		meta = binReqHdrLen + 16
-	case *GetAttr:
-		meta = binReqHdrLen + 8
-	case *SetAttr:
-		meta = binReqHdrLen + 16
-	case *Readdir:
-		meta = binReqHdrLen + 8
-	case *GetBlocks:
-		meta = binReqHdrLen + 8
-	case *AllocBlocks:
-		meta = binReqHdrLen + 12
-	case *LockAcquire:
-		meta = binReqHdrLen + 9
-	case *LockRelease:
-		meta = binReqHdrLen + 9
-	case *LockDowngraded:
-		meta = binReqHdrLen + 17
-	case *Reassert:
-		meta = binReqHdrLen + 4 + 9*len(m.Locks)
-	case *RenewObjects:
-		meta = binReqHdrLen + 4 + 8*len(m.Inos)
-	case *FuncRead:
-		meta = binReqHdrLen + 20
-	case *FuncWrite:
-		meta = binReqHdrLen + 20
-		tail = m.Data
-	case *Reply:
-		rm, rt, rerr := binaryResultSize(m.Body)
-		if rerr != nil {
-			return 0, nil, rerr
-		}
-		meta = 14 + rm
-		tail = rt
-	case *Demand:
-		meta = 21
-	case *DemandAck:
-		meta = 12
-	case *DiskRead:
-		meta = 20
-	case *DiskReadRes:
-		meta = 21
-		tail = m.Data
-	case *DiskWrite:
-		meta = 32
-		tail = m.Data
-	case *DiskWriteRes:
-		meta = 9
-	case *DiskWriteV:
-		meta = 20 + 16*len(m.Blocks)
-		tail = m.Data
-	case *DiskWriteVRes:
-		meta = 13 + len(m.Errs)
-	case *DiskReadV:
-		meta = 16 + 8*len(m.Blocks)
-	case *DiskReadVRes:
-		meta = 21 + len(m.Errs) + 8*len(m.Vers)
-		tail = m.Data
-	case *FenceSet:
-		meta = 17
-	case *FenceRes:
-		meta = 9
-	case *DLockAcquire:
-		meta = 32
-	case *DLockRelease:
-		meta = 24
-	case *DLockRes:
-		meta = 9
-	case *ShardMigrate:
-		meta = 49 + len(m.Path) + 12*len(m.Blocks)
-	case *ShardMigrateRes:
-		meta = 9
-	case *ReplicaPrepare:
-		meta = 12
-	case *ReplicaPromise:
-		meta = 26
-	case *ReplicaPropose:
-		meta = 16
-	case *ReplicaAccept:
-		meta = 13
-	case *ReplicaInfo:
-		meta = binReqHdrLen
-	default:
+	meta, tail, ok := walk(sizing, nil, env)
+	if !ok {
 		return 0, nil, ErrNoBinaryLayout
 	}
-	return binHeaderLen + meta, tail, nil
-}
-
-// binaryResultSize sizes a Reply body: result-type byte + fields.
-//
-//tank:hotpath
-func binaryResultSize(res Result) (meta int, tail []byte, err error) {
-	switch r := res.(type) {
-	case nil:
-		return 1, nil, nil
-	case LookupRes, CreateRes, AttrRes:
-		return 1 + binAttrLen, nil, nil
-	case OpenRes:
-		return 1 + 8 + binAttrLen, nil, nil
-	case ReaddirRes:
-		n := 1 + 4
-		for i := range r.Entries {
-			n += 4 + len(r.Entries[i].Name) + 9
-		}
-		return n, nil, nil
-	case BlocksRes:
-		return 1 + binAttrLen + 4 + 12*len(r.Blocks), nil, nil
-	case AllocRes:
-		return 1 + binAttrLen + 4 + 4 + 12*len(r.Blocks), nil, nil
-	case LockRes:
-		return 2, nil, nil
-	case RejoinRes, ReassertRes:
-		return 5, nil, nil
-	case FuncReadRes:
-		return 1 + 4, r.Data, nil
-	case ReplicaInfoRes:
-		return 1 + 13, nil, nil
-	default:
-		return 0, nil, ErrNoBinaryLayout
-	}
-}
-
-// wr is the offset-tracking frame writer. Its methods assume the caller
-// sized the destination with BinarySize; an undersized buffer panics,
-// which the round-trip tests would catch as a layout/size disagreement.
-type wr struct {
-	b   []byte
-	off int
-}
-
-//tank:hotpath
-func (w *wr) u8(v uint8) { w.b[w.off] = v; w.off++ }
-
-//tank:hotpath
-func (w *wr) b1(v bool) {
-	var x uint8
-	if v {
-		x = 1
-	}
-	w.u8(x)
-}
-
-//tank:hotpath
-func (w *wr) u32(v uint32) {
-	binary.BigEndian.PutUint32(w.b[w.off:], v)
-	w.off += 4
-}
-
-//tank:hotpath
-func (w *wr) u64(v uint64) {
-	binary.BigEndian.PutUint64(w.b[w.off:], v)
-	w.off += 8
-}
-
-//tank:hotpath
-func (w *wr) i32(v int32) { w.u32(uint32(v)) }
-
-//tank:hotpath
-func (w *wr) i64(v int64) { w.u64(uint64(v)) }
-
-//tank:hotpath
-func (w *wr) str(s string) {
-	w.u32(uint32(len(s)))
-	copy(w.b[w.off:], s)
-	w.off += len(s)
-}
-
-//tank:hotpath
-func (w *wr) hdr(h *ReqHeader) {
-	w.i32(int32(h.Client))
-	w.u64(uint64(h.Req))
-	w.u32(uint32(h.Epoch))
-}
-
-//tank:hotpath
-func (w *wr) attr(a *Attr) {
-	w.u64(uint64(a.Ino))
-	w.b1(a.IsDir)
-	w.u64(a.Size)
-	w.u64(a.Version)
-	w.u32(a.Nlink)
+	return meta, tail, nil
 }
 
 // EncodeBinary writes env's metadata section — everything except the
@@ -329,468 +395,10 @@ func (w *wr) attr(a *Attr) {
 //
 //tank:hotpath
 func EncodeBinary(dst []byte, env *Envelope) error {
-	w := wr{b: dst}
-	w.i32(int32(env.From))
-	w.i32(int32(env.To))
-	switch m := env.Payload.(type) {
-	case *Rejoin:
-		w.u8(btRejoin)
-		w.hdr(&m.ReqHeader)
-	case *KeepAlive:
-		w.u8(btKeepAlive)
-		w.hdr(&m.ReqHeader)
-	case *Heartbeat:
-		w.u8(btHeartbeat)
-		w.hdr(&m.ReqHeader)
-	case *Lookup:
-		w.u8(btLookup)
-		w.hdr(&m.ReqHeader)
-		w.str(m.Path)
-	case *Create:
-		w.u8(btCreate)
-		w.hdr(&m.ReqHeader)
-		w.str(m.Path)
-		w.b1(m.IsDir)
-	case *Unlink:
-		w.u8(btUnlink)
-		w.hdr(&m.ReqHeader)
-		w.str(m.Path)
-	case *Rename:
-		w.u8(btRename)
-		w.hdr(&m.ReqHeader)
-		w.str(m.OldPath)
-		w.str(m.NewPath)
-	case *Truncate:
-		w.u8(btTruncate)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u32(m.Blocks)
-	case *Open:
-		w.u8(btOpen)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.b1(m.Write)
-	case *Close:
-		w.u8(btClose)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u64(uint64(m.Handle))
-	case *GetAttr:
-		w.u8(btGetAttr)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-	case *SetAttr:
-		w.u8(btSetAttr)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u64(m.NewSize)
-	case *Readdir:
-		w.u8(btReaddir)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-	case *GetBlocks:
-		w.u8(btGetBlocks)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-	case *AllocBlocks:
-		w.u8(btAllocBlocks)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u32(m.Count)
-	case *LockAcquire:
-		w.u8(btLockAcquire)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u8(uint8(m.Mode))
-	case *LockRelease:
-		w.u8(btLockRelease)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u8(uint8(m.To))
-	case *LockDowngraded:
-		w.u8(btLockDowngraded)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u8(uint8(m.To))
-		w.u64(uint64(m.Demand))
-	case *Reassert:
-		w.u8(btReassert)
-		w.hdr(&m.ReqHeader)
-		w.u32(uint32(len(m.Locks)))
-		for i := range m.Locks {
-			w.u64(uint64(m.Locks[i].Ino))
-			w.u8(uint8(m.Locks[i].Mode))
-		}
-	case *RenewObjects:
-		w.u8(btRenewObjects)
-		w.hdr(&m.ReqHeader)
-		w.u32(uint32(len(m.Inos)))
-		for _, ino := range m.Inos {
-			w.u64(uint64(ino))
-		}
-	case *FuncRead:
-		w.u8(btFuncRead)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u64(m.Offset)
-		w.u32(m.Length)
-	case *FuncWrite:
-		w.u8(btFuncWrite)
-		w.hdr(&m.ReqHeader)
-		w.u64(uint64(m.Ino))
-		w.u64(m.Offset)
-		w.u32(uint32(len(m.Data))) // tail
-	case *Reply:
-		w.u8(btReply)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Status))
-		w.u8(uint8(m.Err))
-		if err := encodeResult(&w, m.Body); err != nil {
-			return err
-		}
-	case *Demand:
-		w.u8(btDemand)
-		w.u64(uint64(m.ID))
-		w.u64(uint64(m.Ino))
-		w.u8(uint8(m.Mode))
-		w.i32(int32(m.Server))
-	case *DemandAck:
-		w.u8(btDemandAck)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.ID))
-	case *DiskRead:
-		w.u8(btDiskRead)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u64(m.Block)
-	case *DiskReadRes:
-		w.u8(btDiskReadRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-		w.u64(m.Ver)
-		w.u32(uint32(len(m.Data))) // tail
-	case *DiskWrite:
-		w.u8(btDiskWrite)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u64(m.Block)
-		w.u64(m.Ver)
-		w.u32(uint32(len(m.Data))) // tail
-	case *DiskWriteRes:
-		w.u8(btDiskWriteRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-	case *DiskWriteV:
-		w.u8(btDiskWriteV)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u32(uint32(len(m.Blocks)))
-		for i := range m.Blocks {
-			w.u64(m.Blocks[i].Block)
-			w.u64(m.Blocks[i].Ver)
-		}
-		w.u32(uint32(len(m.Data))) // tail
-	case *DiskWriteVRes:
-		w.u8(btDiskWriteVRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-		w.u32(uint32(len(m.Errs)))
-		for _, e := range m.Errs {
-			w.u8(uint8(e))
-		}
-	case *DiskReadV:
-		w.u8(btDiskReadV)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u32(uint32(len(m.Blocks)))
-		for _, b := range m.Blocks {
-			w.u64(b)
-		}
-	case *DiskReadVRes:
-		w.u8(btDiskReadVRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-		w.u32(uint32(len(m.Errs)))
-		for _, e := range m.Errs {
-			w.u8(uint8(e))
-		}
-		w.u32(uint32(len(m.Vers)))
-		for _, v := range m.Vers {
-			w.u64(v)
-		}
-		w.u32(uint32(len(m.Data))) // tail
-	case *FenceSet:
-		w.u8(btFenceSet)
-		w.i32(int32(m.Admin))
-		w.u64(uint64(m.Req))
-		w.i32(int32(m.Target))
-		w.b1(m.On)
-	case *FenceRes:
-		w.u8(btFenceRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-	case *DLockAcquire:
-		w.u8(btDLockAcquire)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u64(m.Start)
-		w.u32(m.Count)
-		w.i64(int64(m.TTL))
-	case *DLockRelease:
-		w.u8(btDLockRelease)
-		w.i32(int32(m.Client))
-		w.u64(uint64(m.Req))
-		w.u64(m.Start)
-		w.u32(m.Count)
-	case *DLockRes:
-		w.u8(btDLockRes)
-		w.u64(uint64(m.Req))
-		w.u8(uint8(m.Err))
-	case *ShardMigrate:
-		w.u8(btShardMigrate)
-		w.i32(int32(m.Src))
-		w.u64(m.HID)
-		w.str(m.Path)
-		w.attr(&m.Attr)
-		w.u32(uint32(len(m.Blocks)))
-		for i := range m.Blocks {
-			w.i32(int32(m.Blocks[i].Disk))
-			w.u64(m.Blocks[i].Num)
-		}
-	case *ShardMigrateRes:
-		w.u8(btShardMigrateRes)
-		w.u64(m.HID)
-		w.u8(uint8(m.Err))
-	case *ReplicaPrepare:
-		w.u8(btReplicaPrepare)
-		w.i32(int32(m.From))
-		w.u64(m.Ballot)
-	case *ReplicaPromise:
-		w.u8(btReplicaPromise)
-		w.i32(int32(m.From))
-		w.u64(m.Ballot)
-		w.b1(m.OK)
-		w.b1(m.Accepted)
-		w.u64(m.AcceptedBallot)
-		w.i32(int32(m.AcceptedHolder))
-	case *ReplicaPropose:
-		w.u8(btReplicaPropose)
-		w.i32(int32(m.From))
-		w.u64(m.Ballot)
-		w.i32(int32(m.Holder))
-	case *ReplicaAccept:
-		w.u8(btReplicaAccept)
-		w.i32(int32(m.From))
-		w.u64(m.Ballot)
-		w.b1(m.OK)
-	case *ReplicaInfo:
-		w.u8(btReplicaInfo)
-		w.hdr(&m.ReqHeader)
-	default:
-		return ErrNoBinaryLayout
-	}
-	if w.off != len(dst) {
+	if n, _, ok := walk(encoding, dst, env); !ok || n != len(dst) {
 		return ErrNoBinaryLayout
 	}
 	return nil
-}
-
-// encodeResult writes a Reply body: result-type byte + fields. The
-// FuncReadRes data rides as the frame tail, like the SAN page payloads.
-//
-//tank:hotpath
-func encodeResult(w *wr, res Result) error {
-	switch r := res.(type) {
-	case nil:
-		w.u8(brNil)
-	case LookupRes:
-		w.u8(brLookupRes)
-		w.attr(&r.Attr)
-	case CreateRes:
-		w.u8(brCreateRes)
-		w.attr(&r.Attr)
-	case OpenRes:
-		w.u8(brOpenRes)
-		w.u64(uint64(r.Handle))
-		w.attr(&r.Attr)
-	case AttrRes:
-		w.u8(brAttrRes)
-		w.attr(&r.Attr)
-	case ReaddirRes:
-		w.u8(brReaddirRes)
-		w.u32(uint32(len(r.Entries)))
-		for i := range r.Entries {
-			e := &r.Entries[i]
-			w.str(e.Name)
-			w.u64(uint64(e.Ino))
-			w.b1(e.IsDir)
-		}
-	case BlocksRes:
-		w.u8(brBlocksRes)
-		w.attr(&r.Attr)
-		w.u32(uint32(len(r.Blocks)))
-		for i := range r.Blocks {
-			w.i32(int32(r.Blocks[i].Disk))
-			w.u64(r.Blocks[i].Num)
-		}
-	case AllocRes:
-		w.u8(brAllocRes)
-		w.attr(&r.Attr)
-		w.u32(r.First)
-		w.u32(uint32(len(r.Blocks)))
-		for i := range r.Blocks {
-			w.i32(int32(r.Blocks[i].Disk))
-			w.u64(r.Blocks[i].Num)
-		}
-	case LockRes:
-		w.u8(brLockRes)
-		w.u8(uint8(r.Mode))
-	case RejoinRes:
-		w.u8(brRejoinRes)
-		w.u32(uint32(r.Epoch))
-	case ReassertRes:
-		w.u8(brReassertRes)
-		w.u32(uint32(r.Epoch))
-	case FuncReadRes:
-		w.u8(brFuncReadRes)
-		w.u32(uint32(len(r.Data))) // tail
-	case ReplicaInfoRes:
-		w.u8(brReplicaInfoRes)
-		w.u8(r.Role)
-		w.u64(r.Ballot)
-		w.i32(int32(r.Active))
-	default:
-		return ErrNoBinaryLayout
-	}
-	return nil
-}
-
-// rd is the bounds-checked frame reader. Any out-of-range read sets bad
-// and yields zero values; the decoder checks bad once at the end, so a
-// corrupt frame can never panic, only fail.
-type rd struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-//tank:hotpath
-func (r *rd) remaining() int { return len(r.b) - r.off }
-
-//tank:hotpath
-func (r *rd) u8() uint8 {
-	if r.remaining() < 1 {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-//tank:hotpath
-func (r *rd) b1() bool { return r.u8() != 0 }
-
-//tank:hotpath
-func (r *rd) u32() uint32 {
-	if r.remaining() < 4 {
-		r.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-//tank:hotpath
-func (r *rd) u64() uint64 {
-	if r.remaining() < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-//tank:hotpath
-func (r *rd) i32() int32 { return int32(r.u32()) }
-
-//tank:hotpath
-func (r *rd) i64() int64 { return int64(r.u64()) }
-
-// count reads a u32 element count and validates it against the bytes
-// actually remaining (elem = minimum encoded size per element), so a
-// corrupt count can never drive an oversized allocation.
-//
-//tank:hotpath
-func (r *rd) count(elem int) int {
-	n := int(r.u32())
-	if n < 0 || n*elem > r.remaining() {
-		r.bad = true
-		return 0
-	}
-	return n
-}
-
-// take aliases the next n bytes of the frame without copying.
-//
-//tank:hotpath
-func (r *rd) take(n int) []byte {
-	if n < 0 || r.remaining() < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v
-}
-
-// bytesZC reads a length-prefixed byte field, ALIASING the frame buffer:
-// the result is only valid while the envelope's borrow is held. Empty
-// fields decode as nil, matching gob.
-func (r *rd) bytesZC() []byte {
-	n := int(r.u32())
-	if n == 0 {
-		if r.bad {
-			return nil
-		}
-		return nil
-	}
-	return r.take(n)
-}
-
-// bytesCopy reads a length-prefixed byte field into fresh memory, for
-// fields whose consumers outlive the receive handler.
-func (r *rd) bytesCopy() []byte {
-	b := r.bytesZC()
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (r *rd) str() string {
-	n := int(r.u32())
-	if n == 0 {
-		return ""
-	}
-	return string(r.take(n))
-}
-
-func (r *rd) hdr() ReqHeader {
-	return ReqHeader{Client: NodeID(r.i32()), Req: ReqID(r.u64()), Epoch: Epoch(r.u32())}
-}
-
-func (r *rd) attr() Attr {
-	return Attr{
-		Ino:     ObjectID(r.u64()),
-		IsDir:   r.b1(),
-		Size:    r.u64(),
-		Version: r.u64(),
-		Nlink:   r.u32(),
-	}
 }
 
 // DecodeBinary parses one frame body produced by BinarySize+EncodeBinary
@@ -799,245 +407,13 @@ func (r *rd) attr() Attr {
 // caller owns body's lifetime and signals it via Envelope.Borrowed —
 // while FuncWrite.Data and FuncReadRes.Data are copied out. A frame that
 // does not parse returns ErrCorruptFrame; corrupt input never panics.
+//
+//tank:hotpath
 func DecodeBinary(body []byte) (*Envelope, error) {
-	r := rd{b: body}
-	from := NodeID(r.i32())
-	to := NodeID(r.i32())
-	t := r.u8()
-	if r.bad {
+	//lint:allow hotpathalloc(the envelope is what a decode returns)
+	env := &Envelope{}
+	if n, _, ok := walk(decoding, body, env); !ok || n != len(body) {
 		return nil, ErrCorruptFrame
 	}
-	var p Message
-	switch t {
-	case btRejoin:
-		p = &Rejoin{ReqHeader: r.hdr()}
-	case btKeepAlive:
-		p = &KeepAlive{ReqHeader: r.hdr()}
-	case btHeartbeat:
-		p = &Heartbeat{ReqHeader: r.hdr()}
-	case btLookup:
-		p = &Lookup{ReqHeader: r.hdr(), Path: r.str()}
-	case btCreate:
-		p = &Create{ReqHeader: r.hdr(), Path: r.str(), IsDir: r.b1()}
-	case btUnlink:
-		p = &Unlink{ReqHeader: r.hdr(), Path: r.str()}
-	case btRename:
-		p = &Rename{ReqHeader: r.hdr(), OldPath: r.str(), NewPath: r.str()}
-	case btTruncate:
-		p = &Truncate{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), Blocks: r.u32()}
-	case btOpen:
-		p = &Open{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), Write: r.b1()}
-	case btClose:
-		p = &Close{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), Handle: Handle(r.u64())}
-	case btGetAttr:
-		p = &GetAttr{ReqHeader: r.hdr(), Ino: ObjectID(r.u64())}
-	case btSetAttr:
-		p = &SetAttr{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), NewSize: r.u64()}
-	case btReaddir:
-		p = &Readdir{ReqHeader: r.hdr(), Ino: ObjectID(r.u64())}
-	case btGetBlocks:
-		p = &GetBlocks{ReqHeader: r.hdr(), Ino: ObjectID(r.u64())}
-	case btAllocBlocks:
-		p = &AllocBlocks{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), Count: r.u32()}
-	case btLockAcquire:
-		p = &LockAcquire{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), Mode: LockMode(r.u8())}
-	case btLockRelease:
-		p = &LockRelease{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()), To: LockMode(r.u8())}
-	case btLockDowngraded:
-		p = &LockDowngraded{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()),
-			To: LockMode(r.u8()), Demand: DemandID(r.u64())}
-	case btReassert:
-		m := &Reassert{ReqHeader: r.hdr()}
-		if n := r.count(9); n > 0 {
-			m.Locks = make([]LockClaim, n)
-			for i := range m.Locks {
-				m.Locks[i] = LockClaim{Ino: ObjectID(r.u64()), Mode: LockMode(r.u8())}
-			}
-		}
-		p = m
-	case btRenewObjects:
-		m := &RenewObjects{ReqHeader: r.hdr()}
-		if n := r.count(8); n > 0 {
-			m.Inos = make([]ObjectID, n)
-			for i := range m.Inos {
-				m.Inos[i] = ObjectID(r.u64())
-			}
-		}
-		p = m
-	case btFuncRead:
-		p = &FuncRead{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()),
-			Offset: r.u64(), Length: r.u32()}
-	case btFuncWrite:
-		p = &FuncWrite{ReqHeader: r.hdr(), Ino: ObjectID(r.u64()),
-			Offset: r.u64(), Data: r.bytesCopy()}
-	case btReply:
-		m := &Reply{Client: NodeID(r.i32()), Req: ReqID(r.u64()),
-			Status: Status(r.u8()), Err: Errno(r.u8())}
-		body, err := decodeResult(&r)
-		if err != nil {
-			return nil, err
-		}
-		m.Body = body
-		p = m
-	case btDemand:
-		p = &Demand{ID: DemandID(r.u64()), Ino: ObjectID(r.u64()),
-			Mode: LockMode(r.u8()), Server: NodeID(r.i32())}
-	case btDemandAck:
-		p = &DemandAck{Client: NodeID(r.i32()), ID: DemandID(r.u64())}
-	case btDiskRead:
-		p = &DiskRead{Client: NodeID(r.i32()), Req: ReqID(r.u64()), Block: r.u64()}
-	case btDiskReadRes:
-		p = &DiskReadRes{Req: ReqID(r.u64()), Err: Errno(r.u8()),
-			Ver: r.u64(), Data: r.bytesZC()}
-	case btDiskWrite:
-		p = &DiskWrite{Client: NodeID(r.i32()), Req: ReqID(r.u64()),
-			Block: r.u64(), Ver: r.u64(), Data: r.bytesZC()}
-	case btDiskWriteRes:
-		p = &DiskWriteRes{Req: ReqID(r.u64()), Err: Errno(r.u8())}
-	case btDiskWriteV:
-		m := &DiskWriteV{Client: NodeID(r.i32()), Req: ReqID(r.u64())}
-		if n := r.count(16); n > 0 {
-			m.Blocks = make([]BlockVec, n)
-			for i := range m.Blocks {
-				m.Blocks[i] = BlockVec{Block: r.u64(), Ver: r.u64()}
-			}
-		}
-		m.Data = r.bytesZC()
-		p = m
-	case btDiskWriteVRes:
-		m := &DiskWriteVRes{Req: ReqID(r.u64()), Err: Errno(r.u8())}
-		if n := r.count(1); n > 0 {
-			m.Errs = make([]Errno, n)
-			for i := range m.Errs {
-				m.Errs[i] = Errno(r.u8())
-			}
-		}
-		p = m
-	case btDiskReadV:
-		m := &DiskReadV{Client: NodeID(r.i32()), Req: ReqID(r.u64())}
-		if n := r.count(8); n > 0 {
-			m.Blocks = make([]uint64, n)
-			for i := range m.Blocks {
-				m.Blocks[i] = r.u64()
-			}
-		}
-		p = m
-	case btDiskReadVRes:
-		m := &DiskReadVRes{Req: ReqID(r.u64()), Err: Errno(r.u8())}
-		if n := r.count(1); n > 0 {
-			m.Errs = make([]Errno, n)
-			for i := range m.Errs {
-				m.Errs[i] = Errno(r.u8())
-			}
-		}
-		if n := r.count(8); n > 0 {
-			m.Vers = make([]uint64, n)
-			for i := range m.Vers {
-				m.Vers[i] = r.u64()
-			}
-		}
-		m.Data = r.bytesZC()
-		p = m
-	case btFenceSet:
-		p = &FenceSet{Admin: NodeID(r.i32()), Req: ReqID(r.u64()),
-			Target: NodeID(r.i32()), On: r.b1()}
-	case btFenceRes:
-		p = &FenceRes{Req: ReqID(r.u64()), Err: Errno(r.u8())}
-	case btDLockAcquire:
-		p = &DLockAcquire{Client: NodeID(r.i32()), Req: ReqID(r.u64()),
-			Start: r.u64(), Count: r.u32(), TTL: time.Duration(r.i64())}
-	case btDLockRelease:
-		p = &DLockRelease{Client: NodeID(r.i32()), Req: ReqID(r.u64()),
-			Start: r.u64(), Count: r.u32()}
-	case btDLockRes:
-		p = &DLockRes{Req: ReqID(r.u64()), Err: Errno(r.u8())}
-	case btShardMigrate:
-		m := &ShardMigrate{Src: NodeID(r.i32()), HID: r.u64(),
-			Path: r.str(), Attr: r.attr()}
-		if n := r.count(12); n > 0 {
-			m.Blocks = make([]BlockRef, n)
-			for i := range m.Blocks {
-				m.Blocks[i] = BlockRef{Disk: NodeID(r.i32()), Num: r.u64()}
-			}
-		}
-		p = m
-	case btShardMigrateRes:
-		p = &ShardMigrateRes{HID: r.u64(), Err: Errno(r.u8())}
-	case btReplicaPrepare:
-		p = &ReplicaPrepare{From: NodeID(r.i32()), Ballot: r.u64()}
-	case btReplicaPromise:
-		p = &ReplicaPromise{From: NodeID(r.i32()), Ballot: r.u64(),
-			OK: r.b1(), Accepted: r.b1(),
-			AcceptedBallot: r.u64(), AcceptedHolder: NodeID(r.i32())}
-	case btReplicaPropose:
-		p = &ReplicaPropose{From: NodeID(r.i32()), Ballot: r.u64(),
-			Holder: NodeID(r.i32())}
-	case btReplicaAccept:
-		p = &ReplicaAccept{From: NodeID(r.i32()), Ballot: r.u64(), OK: r.b1()}
-	case btReplicaInfo:
-		p = &ReplicaInfo{ReqHeader: r.hdr()}
-	default:
-		return nil, ErrCorruptFrame
-	}
-	if r.bad || r.off != len(r.b) {
-		return nil, ErrCorruptFrame
-	}
-	return &Envelope{From: from, To: to, Payload: p}, nil
-}
-
-// decodeResult parses a Reply body. FuncReadRes data is copied (its
-// consumer hands it to user callbacks that outlive the handler).
-func decodeResult(r *rd) (Result, error) {
-	switch t := r.u8(); t {
-	case brNil:
-		return nil, nil
-	case brLookupRes:
-		return LookupRes{Attr: r.attr()}, nil
-	case brCreateRes:
-		return CreateRes{Attr: r.attr()}, nil
-	case brOpenRes:
-		return OpenRes{Handle: Handle(r.u64()), Attr: r.attr()}, nil
-	case brAttrRes:
-		return AttrRes{Attr: r.attr()}, nil
-	case brReaddirRes:
-		var res ReaddirRes
-		if n := r.count(9); n > 0 {
-			res.Entries = make([]DirEntry, n)
-			for i := range res.Entries {
-				res.Entries[i] = DirEntry{Name: r.str(), Ino: ObjectID(r.u64()), IsDir: r.b1()}
-			}
-		}
-		return res, nil
-	case brBlocksRes:
-		res := BlocksRes{Attr: r.attr()}
-		if n := r.count(12); n > 0 {
-			res.Blocks = make([]BlockRef, n)
-			for i := range res.Blocks {
-				res.Blocks[i] = BlockRef{Disk: NodeID(r.i32()), Num: r.u64()}
-			}
-		}
-		return res, nil
-	case brAllocRes:
-		res := AllocRes{Attr: r.attr(), First: r.u32()}
-		if n := r.count(12); n > 0 {
-			res.Blocks = make([]BlockRef, n)
-			for i := range res.Blocks {
-				res.Blocks[i] = BlockRef{Disk: NodeID(r.i32()), Num: r.u64()}
-			}
-		}
-		return res, nil
-	case brLockRes:
-		return LockRes{Mode: LockMode(r.u8())}, nil
-	case brRejoinRes:
-		return RejoinRes{Epoch: Epoch(r.u32())}, nil
-	case brReassertRes:
-		return ReassertRes{Epoch: Epoch(r.u32())}, nil
-	case brFuncReadRes:
-		return FuncReadRes{Data: r.bytesCopy()}, nil
-	case brReplicaInfoRes:
-		return ReplicaInfoRes{Role: r.u8(), Ballot: r.u64(),
-			Active: NodeID(r.i32())}, nil
-	default:
-		return nil, ErrCorruptFrame
-	}
+	return env, nil
 }

@@ -3,7 +3,6 @@ package msg
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -181,38 +180,6 @@ func TestBinaryGobEquivalence(t *testing.T) {
 	}
 }
 
-// TestBinaryAllocResGolden pins the frame of a delta allocation reply
-// byte for byte: header, reply fields, result tag, attr, the index the
-// added blocks start at, then only those blocks. Two builds that disagree
-// about First would each round-trip their own frames and still splice
-// each other's at the wrong place.
-func TestBinaryAllocResGolden(t *testing.T) {
-	env := &Envelope{From: 1, To: 10, Payload: &Reply{Client: 10, Req: 7, Status: ACK, Err: OK, Body: AllocRes{
-		Attr:  Attr{Ino: 2, Size: 8192, Version: 5, Nlink: 1},
-		First: 3, Blocks: []BlockRef{{Disk: 1000, Num: 9}, {Disk: 1001, Num: 9}}}}}
-	want, _ := hex.DecodeString("" +
-		"00000001" + "0000000a" + "17" + // from, to, Reply
-		"0000000a" + "0000000000000007" + "01" + "00" + // client, req, ACK, OK
-		"07" + // AllocRes
-		"0000000000000002" + "00" + "0000000000002000" + "0000000000000005" + "00000001" + // attr
-		"00000003" + "00000002" + // First, len(Blocks)
-		"000003e8" + "0000000000000009" + "000003e9" + "0000000000000009")
-	got := encodeFrame(t, env)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AllocRes frame\n got %x\nwant %x", got, want)
-	}
-	if r := env.Payload.(*Reply); r.Size() != 16+33+2*12 {
-		t.Errorf("modelled size %d, want %d", r.Size(), 16+33+2*12)
-	}
-	dec, err := DecodeBinary(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalized(dec), normalized(env)) {
-		t.Errorf("golden frame decodes to %+v", dec.Payload)
-	}
-}
-
 // TestBinaryZeroValues: zero-valued messages (empty paths, nil data,
 // zero-length vectors) survive the round trip.
 func TestBinaryZeroValues(t *testing.T) {
@@ -307,10 +274,10 @@ func TestBinaryDecodeCorruption(t *testing.T) {
 func TestBinaryDecodeHostileCounts(t *testing.T) {
 	hostile := [][]byte{
 		{},
-		{0, 0, 0, 1, 0, 0, 0, 2},                         // shorter than header
-		{0, 0, 0, 1, 0, 0, 0, 2, 0},                      // unknown type 0
-		{0, 0, 0, 1, 0, 0, 0, 2, 99},                     // unknown type 99
-		{0, 0, 0, 1, 0, 0, 0, 2, btDiskWriteV, 0xff},     // truncated mid-header
+		{0, 0, 0, 1, 0, 0, 0, 2},     // shorter than header
+		{0, 0, 0, 1, 0, 0, 0, 2, 0},  // unknown type 0
+		{0, 0, 0, 1, 0, 0, 0, 2, 99}, // unknown type 99
+		{0, 0, 0, 1, 0, 0, 0, 2, btDiskWriteV, 0xff}, // truncated mid-header
 		append([]byte{0, 0, 0, 1, 0, 0, 0, 2, btDiskWriteV, 0, 0, 0, 3, 0, 0, 0, 1}, // Client..Req then count lies
 			0xff, 0xff, 0xff, 0xff),
 	}
@@ -409,6 +376,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		if EncodeBinary(body, env) == nil {
 			f.Add(append(body, tail...))
 		}
+	}
+	for _, frame := range readGolden(f) {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := DecodeBinary(data)

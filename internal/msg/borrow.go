@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // borrowCell is the reference count behind a borrowed envelope. It lives
 // in an unexported pointer field of Envelope so that envelope values can
-// be copied freely (every copy shares the cell) and so that gob — which
-// ignores unexported fields — never tries to encode it.
+// be copied freely (every copy shares the cell); the wire layout walks
+// the exported fields only, so the cell never travels.
 type borrowCell struct {
 	refs atomic.Int32
 	free func()
@@ -27,7 +27,7 @@ func (e *Envelope) Borrowed(free func()) {
 
 // Retain takes an additional reference on the envelope's borrowed
 // buffer, keeping it alive past the handler's return. No-op for
-// envelopes that borrow nothing (the simulated fabric, gob receive).
+// envelopes that borrow nothing (the simulated fabric).
 func (e *Envelope) Retain() {
 	if e.borrow != nil {
 		e.borrow.refs.Add(1)

@@ -84,6 +84,8 @@ type Rejoin struct{ ReqHeader }
 func (*Rejoin) Kind() Kind { return KindControlReq }
 func (*Rejoin) Size() int  { return 24 }
 
+func (m *Rejoin) layout(c *coder) { c.hdr(&m.ReqHeader) }
+
 // KeepAlive is the paper's special-purpose NULL message (§3.1): it encodes
 // no file-system or lock operation and exists solely to elicit an ACK that
 // renews the lease. Sent only in phase 2, or by idle clients that still
@@ -93,6 +95,8 @@ type KeepAlive struct{ ReqHeader }
 func (*KeepAlive) Kind() Kind { return KindKeepAlive }
 func (*KeepAlive) Size() int  { return 24 }
 
+func (m *KeepAlive) layout(c *coder) { c.hdr(&m.ReqHeader) }
+
 // Lookup resolves a path to an object.
 type Lookup struct {
 	ReqHeader
@@ -101,6 +105,8 @@ type Lookup struct {
 
 func (*Lookup) Kind() Kind  { return KindControlReq }
 func (m *Lookup) Size() int { return 24 + len(m.Path) }
+
+func (m *Lookup) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path) }
 
 // Create makes a new file or directory at Path.
 type Create struct {
@@ -112,6 +118,8 @@ type Create struct {
 func (*Create) Kind() Kind  { return KindControlReq }
 func (m *Create) Size() int { return 25 + len(m.Path) }
 
+func (m *Create) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path); c.b1(&m.IsDir) }
+
 // Unlink removes the object at Path (directories must be empty).
 type Unlink struct {
 	ReqHeader
@@ -121,6 +129,8 @@ type Unlink struct {
 func (*Unlink) Kind() Kind  { return KindControlReq }
 func (m *Unlink) Size() int { return 24 + len(m.Path) }
 
+func (m *Unlink) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path) }
+
 // Rename moves an object; the destination must not exist.
 type Rename struct {
 	ReqHeader
@@ -129,6 +139,8 @@ type Rename struct {
 
 func (*Rename) Kind() Kind  { return KindControlReq }
 func (m *Rename) Size() int { return 24 + len(m.OldPath) + len(m.NewPath) }
+
+func (m *Rename) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.OldPath); c.str(&m.NewPath) }
 
 // Truncate shrinks a file to Blocks data blocks, freeing the tail at the
 // server's allocator.
@@ -141,6 +153,8 @@ type Truncate struct {
 func (*Truncate) Kind() Kind { return KindControlReq }
 func (*Truncate) Size() int  { return 36 }
 
+func (m *Truncate) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u32(&m.Blocks) }
+
 // Open creates an open instance for an object; Write requests write access.
 type Open struct {
 	ReqHeader
@@ -150,6 +164,8 @@ type Open struct {
 
 func (*Open) Kind() Kind { return KindControlReq }
 func (*Open) Size() int  { return 33 }
+
+func (m *Open) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.b1(&m.Write) }
 
 // Close releases an open instance.
 type Close struct {
@@ -161,6 +177,8 @@ type Close struct {
 func (*Close) Kind() Kind { return KindControlReq }
 func (*Close) Size() int  { return 40 }
 
+func (m *Close) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u64((*uint64)(&m.Handle)) }
+
 // GetAttr fetches current metadata for an object.
 type GetAttr struct {
 	ReqHeader
@@ -169,6 +187,8 @@ type GetAttr struct {
 
 func (*GetAttr) Kind() Kind { return KindControlReq }
 func (*GetAttr) Size() int  { return 32 }
+
+func (m *GetAttr) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
 
 // SetAttr updates file size (truncate/extend bookkeeping after writes).
 type SetAttr struct {
@@ -180,6 +200,8 @@ type SetAttr struct {
 func (*SetAttr) Kind() Kind { return KindControlReq }
 func (*SetAttr) Size() int  { return 40 }
 
+func (m *SetAttr) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u64(&m.NewSize) }
+
 // Readdir lists a directory.
 type Readdir struct {
 	ReqHeader
@@ -188,6 +210,8 @@ type Readdir struct {
 
 func (*Readdir) Kind() Kind { return KindControlReq }
 func (*Readdir) Size() int  { return 32 }
+
+func (m *Readdir) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
 
 // GetBlocks fetches an object's block map so the client can perform direct
 // SAN I/O.
@@ -199,6 +223,8 @@ type GetBlocks struct {
 func (*GetBlocks) Kind() Kind { return KindControlReq }
 func (*GetBlocks) Size() int  { return 32 }
 
+func (m *GetBlocks) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
+
 // AllocBlocks extends an object by at least Count new blocks: the server
 // may grant a longer run, ahead of the writer (meta.Store.GrantBlocks).
 type AllocBlocks struct {
@@ -209,6 +235,8 @@ type AllocBlocks struct {
 
 func (*AllocBlocks) Kind() Kind { return KindControlReq }
 func (*AllocBlocks) Size() int  { return 36 }
+
+func (m *AllocBlocks) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u32(&m.Count) }
 
 // LockAcquire asks for a data lock of the given mode. The server replies
 // when the lock is granted (demanding it from conflicting holders first if
@@ -222,6 +250,8 @@ type LockAcquire struct {
 func (*LockAcquire) Kind() Kind { return KindControlReq }
 func (*LockAcquire) Size() int  { return 33 }
 
+func (m *LockAcquire) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.lock(&m.Mode) }
+
 // LockRelease gives a data lock back (or downgrades it to Mode).
 type LockRelease struct {
 	ReqHeader
@@ -232,6 +262,8 @@ type LockRelease struct {
 
 func (*LockRelease) Kind() Kind { return KindControlReq }
 func (*LockRelease) Size() int  { return 33 }
+
+func (m *LockRelease) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.lock(&m.To) }
 
 // LockDowngraded tells the server a demanded downgrade is complete: dirty
 // data covered by the lock has been flushed and the cache adjusted.
@@ -244,6 +276,13 @@ type LockDowngraded struct {
 
 func (*LockDowngraded) Kind() Kind { return KindControlReq }
 func (*LockDowngraded) Size() int  { return 41 }
+
+func (m *LockDowngraded) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	c.ino(&m.Ino)
+	c.lock(&m.To)
+	c.u64((*uint64)(&m.Demand))
+}
 
 // LockClaim is one lock a client re-asserts after a server restart.
 type LockClaim struct {
@@ -266,12 +305,22 @@ type Reassert struct {
 func (*Reassert) Kind() Kind  { return KindControlReq }
 func (m *Reassert) Size() int { return 24 + 9*len(m.Locks) }
 
+func (m *Reassert) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	for i := range vec(c, &m.Locks, 9) {
+		c.ino(&m.Locks[i].Ino)
+		c.lock(&m.Locks[i].Mode)
+	}
+}
+
 // Heartbeat is baseline traffic for the Frangipani-style lease policy: a
 // periodic I-am-alive that the server must record per client.
 type Heartbeat struct{ ReqHeader }
 
 func (*Heartbeat) Kind() Kind { return KindLeaseAdmin }
 func (*Heartbeat) Size() int  { return 24 }
+
+func (m *Heartbeat) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
 // RenewObjects is baseline traffic for the V-style per-object lease
 // policy: the client enumerates every cached object whose lease it renews.
@@ -282,6 +331,13 @@ type RenewObjects struct {
 
 func (*RenewObjects) Kind() Kind  { return KindLeaseAdmin }
 func (m *RenewObjects) Size() int { return 24 + 8*len(m.Inos) }
+
+func (m *RenewObjects) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	for i := range vec(c, &m.Inos, 8) {
+		c.ino(&m.Inos[i])
+	}
+}
 
 // FuncRead is baseline traffic for the function-shipping data path
 // (traditional client/server file system): the server performs the disk
@@ -296,6 +352,13 @@ type FuncRead struct {
 func (*FuncRead) Kind() Kind { return KindControlReq }
 func (*FuncRead) Size() int  { return 44 }
 
+func (m *FuncRead) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	c.ino(&m.Ino)
+	c.u64(&m.Offset)
+	c.u32(&m.Length)
+}
+
 // FuncWrite ships data to the server, which performs the disk write.
 type FuncWrite struct {
 	ReqHeader
@@ -306,6 +369,13 @@ type FuncWrite struct {
 
 func (*FuncWrite) Kind() Kind  { return KindControlReq }
 func (m *FuncWrite) Size() int { return 40 + len(m.Data) }
+
+func (m *FuncWrite) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	c.ino(&m.Ino)
+	c.u64(&m.Offset)
+	c.tailCopy(&m.Data)
+}
 
 // --- Replies ---------------------------------------------------------------
 
@@ -332,17 +402,29 @@ func (r *Reply) Size() int {
 	return n
 }
 
+func (m *Reply) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	c.u8((*uint8)(&m.Status))
+	c.errno(&m.Err)
+	c.result(&m.Body)
+}
+
 // LookupRes and friends carry request results.
 type LookupRes struct{ Attr Attr }
 
 func (LookupRes) resultMarker()   {}
 func (LookupRes) resultSize() int { return 29 }
 
+func (r LookupRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
+
 // CreateRes returns the new object's metadata.
 type CreateRes struct{ Attr Attr }
 
 func (CreateRes) resultMarker()   {}
 func (CreateRes) resultSize() int { return 29 }
+
+func (r CreateRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
 
 // OpenRes returns the open handle and current metadata.
 type OpenRes struct {
@@ -353,11 +435,15 @@ type OpenRes struct {
 func (OpenRes) resultMarker()   {}
 func (OpenRes) resultSize() int { return 37 }
 
+func (r OpenRes) layout(c *coder) { c.u64((*uint64)(&r.Handle)); c.attr(&r.Attr); keep(c, r) }
+
 // AttrRes returns metadata.
 type AttrRes struct{ Attr Attr }
 
 func (AttrRes) resultMarker()   {}
 func (AttrRes) resultSize() int { return 29 }
+
+func (r AttrRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
 
 // ReaddirRes returns directory entries.
 type ReaddirRes struct{ Entries []DirEntry }
@@ -371,6 +457,15 @@ func (r ReaddirRes) resultSize() int {
 	return n
 }
 
+func (r ReaddirRes) layout(c *coder) {
+	for i := range vec(c, &r.Entries, 9) {
+		c.str(&r.Entries[i].Name)
+		c.ino(&r.Entries[i].Ino)
+		c.b1(&r.Entries[i].IsDir)
+	}
+	keep(c, r)
+}
+
 // BlocksRes returns an object's block map and current metadata.
 type BlocksRes struct {
 	Attr   Attr
@@ -379,6 +474,8 @@ type BlocksRes struct {
 
 func (BlocksRes) resultMarker()     {}
 func (r BlocksRes) resultSize() int { return 29 + 12*len(r.Blocks) }
+
+func (r BlocksRes) layout(c *coder) { c.attr(&r.Attr); c.blockRefs(&r.Blocks); keep(c, r) }
 
 // AllocRes returns what an extension added: Blocks are the new blocks
 // only, and First is the index in the file of Blocks[0] — the length of
@@ -393,11 +490,20 @@ type AllocRes struct {
 func (AllocRes) resultMarker()     {}
 func (r AllocRes) resultSize() int { return 33 + 12*len(r.Blocks) }
 
+func (r AllocRes) layout(c *coder) {
+	c.attr(&r.Attr)
+	c.u32(&r.First)
+	c.blockRefs(&r.Blocks)
+	keep(c, r)
+}
+
 // LockRes confirms the mode now held.
 type LockRes struct{ Mode LockMode }
 
 func (LockRes) resultMarker()   {}
 func (LockRes) resultSize() int { return 1 }
+
+func (r LockRes) layout(c *coder) { c.lock(&r.Mode); keep(c, r) }
 
 // RejoinRes returns the client's fresh epoch.
 type RejoinRes struct{ Epoch Epoch }
@@ -405,17 +511,23 @@ type RejoinRes struct{ Epoch Epoch }
 func (RejoinRes) resultMarker()   {}
 func (RejoinRes) resultSize() int { return 4 }
 
+func (r RejoinRes) layout(c *coder) { c.u32((*uint32)(&r.Epoch)); keep(c, r) }
+
 // ReassertRes returns the fresh epoch after a successful reassertion.
 type ReassertRes struct{ Epoch Epoch }
 
 func (ReassertRes) resultMarker()   {}
 func (ReassertRes) resultSize() int { return 4 }
 
+func (r ReassertRes) layout(c *coder) { c.u32((*uint32)(&r.Epoch)); keep(c, r) }
+
 // FuncReadRes returns function-shipped data.
 type FuncReadRes struct{ Data []byte }
 
 func (FuncReadRes) resultMarker()     {}
 func (r FuncReadRes) resultSize() int { return 4 + len(r.Data) }
+
+func (r FuncReadRes) layout(c *coder) { c.tailCopy(&r.Data); keep(c, r) }
 
 // --- Server-initiated ------------------------------------------------------
 
@@ -434,6 +546,13 @@ type Demand struct {
 func (*Demand) Kind() Kind { return KindDemand }
 func (*Demand) Size() int  { return 25 }
 
+func (m *Demand) layout(c *coder) {
+	c.u64((*uint64)(&m.ID))
+	c.ino(&m.Ino)
+	c.lock(&m.Mode)
+	c.node(&m.Server)
+}
+
 // DemandAck is the client's immediate acknowledgment of a Demand. It does
 // not mean the downgrade is complete — LockDowngraded reports that — only
 // that the client is alive and has accepted the demand.
@@ -444,6 +563,8 @@ type DemandAck struct {
 
 func (*DemandAck) Kind() Kind { return KindDemandAck }
 func (*DemandAck) Size() int  { return 12 }
+
+func (m *DemandAck) layout(c *coder) { c.node(&m.Client); c.u64((*uint64)(&m.ID)) }
 
 // --- Server-to-server (shard handoff) ---------------------------------------
 
@@ -467,6 +588,14 @@ func (m *ShardMigrate) Size() int {
 	return 49 + len(m.Path) + 12*len(m.Blocks)
 }
 
+func (m *ShardMigrate) layout(c *coder) {
+	c.node(&m.Src)
+	c.u64(&m.HID)
+	c.str(&m.Path)
+	c.attr(&m.Attr)
+	c.blockRefs(&m.Blocks)
+}
+
 // ShardMigrateRes answers a ShardMigrate: OK means the object now exists
 // at the destination shard (installed by this message or an earlier
 // duplicate) and the source may unlink its copy; any other Errno aborts
@@ -478,3 +607,5 @@ type ShardMigrateRes struct {
 
 func (*ShardMigrateRes) Kind() Kind { return KindShard }
 func (*ShardMigrateRes) Size() int  { return 9 }
+
+func (m *ShardMigrateRes) layout(c *coder) { c.u64(&m.HID); c.errno(&m.Err) }

@@ -1,7 +1,8 @@
 // Package msg defines the identifiers and wire messages exchanged by
 // Storage Tank participants: client↔server control-network traffic and
 // client/server↔disk SAN traffic. The same types are passed by pointer on
-// the simulated networks and gob-encoded by the live TCP transport.
+// the simulated networks and framed by their wire layouts (binary.go) on
+// the live TCP transport.
 //
 // Delivery semantics follow the paper (§3): the underlying networks are
 // connection-less datagram fabrics; requests carry per-client request IDs
@@ -180,8 +181,8 @@ type Message interface {
 
 // Envelope is a message in flight. The unexported borrow field tracks
 // ownership of pooled buffers the payload may alias (see Borrowed); it
-// rides along when the envelope is copied by value and is invisible to
-// gob.
+// rides along when the envelope is copied by value and never reaches the
+// wire.
 type Envelope struct {
 	From, To NodeID
 	Payload  Message

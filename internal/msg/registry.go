@@ -1,43 +1,198 @@
 package msg
 
-// AllMessages returns one zero-valued instance of every concrete message
-// type that can travel in an Envelope. It is the canonical registry both
-// codecs build on: gob registration iterates it, and the binary codec's
-// exhaustiveness tests round-trip every entry — adding a message type
-// without teaching the binary codec about it fails the msg test suite,
-// not a live connection.
-func AllMessages() []Message {
-	return []Message{
-		// Requests.
-		&Rejoin{}, &KeepAlive{}, &Lookup{}, &Create{}, &Unlink{}, &Rename{},
-		&Truncate{}, &Open{}, &Close{}, &GetAttr{}, &SetAttr{}, &Readdir{},
-		&GetBlocks{}, &AllocBlocks{}, &LockAcquire{}, &LockRelease{},
-		&LockDowngraded{}, &Reassert{}, &Heartbeat{}, &RenewObjects{},
-		&FuncRead{}, &FuncWrite{}, &ReplicaInfo{},
-		// Replies.
-		&Reply{},
-		// Server-initiated.
-		&Demand{}, &DemandAck{},
-		// Server-to-server shard handoff.
-		&ShardMigrate{}, &ShardMigrateRes{},
-		// Replica-to-replica authority-lease negotiation.
-		&ReplicaPrepare{}, &ReplicaPromise{}, &ReplicaPropose{},
-		&ReplicaAccept{},
-		// SAN.
-		&DiskRead{}, &DiskReadRes{}, &DiskWrite{}, &DiskWriteRes{},
-		&DiskWriteV{}, &DiskWriteVRes{}, &DiskReadV{}, &DiskReadVRes{},
-		&FenceSet{}, &FenceRes{}, &DLockAcquire{}, &DLockRelease{},
-		&DLockRes{},
+import "reflect"
+
+// The registry: which types travel, and under which wire identifier.
+// A type's row here and its layout method are its whole description to
+// the wire format — decode's constructor, encode's type byte and
+// AllMessages/AllResults all derive from these two tables.
+
+// Wire type identifiers. The list is append-only: reusing or renumbering
+// an identifier breaks mixed-version interoperability.
+const (
+	btInvalid uint8 = iota
+	btRejoin
+	btKeepAlive
+	btLookup
+	btCreate
+	btUnlink
+	btRename
+	btTruncate
+	btOpen
+	btClose
+	btGetAttr
+	btSetAttr
+	btReaddir
+	btGetBlocks
+	btAllocBlocks
+	btLockAcquire
+	btLockRelease
+	btLockDowngraded
+	btReassert
+	btHeartbeat
+	btRenewObjects
+	btFuncRead
+	btFuncWrite
+	btReply
+	btDemand
+	btDemandAck
+	btDiskRead
+	btDiskReadRes
+	btDiskWrite
+	btDiskWriteRes
+	btDiskWriteV
+	btDiskWriteVRes
+	btDiskReadV
+	btDiskReadVRes
+	btFenceSet
+	btFenceRes
+	btDLockAcquire
+	btDLockRelease
+	btDLockRes
+	btShardMigrate
+	btShardMigrateRes
+	btReplicaPrepare
+	btReplicaPromise
+	btReplicaPropose
+	btReplicaAccept
+	btReplicaInfo
+)
+
+// Nested result identifiers for Reply bodies. brNil means Body == nil.
+const (
+	brNil uint8 = iota
+	brLookupRes
+	brCreateRes
+	brOpenRes
+	brAttrRes
+	brReaddirRes
+	brBlocksRes
+	brAllocRes
+	brLockRes
+	brRejoinRes
+	brReassertRes
+	brFuncReadRes
+	brReplicaInfoRes
+)
+
+// wireMessage is a Message with a wire layout: a walk over its fields in
+// wire order (see coder).
+type wireMessage interface {
+	Message
+	layout(*coder)
+}
+
+// wireResult is a Result with a wire layout. Results are values, so the
+// layout has a value receiver and ends in keep.
+type wireResult interface {
+	Result
+	layout(*coder)
+}
+
+// messageTypes constructs the message behind each identifier.
+var messageTypes = [...]func() wireMessage{
+	btRejoin:          func() wireMessage { return new(Rejoin) },
+	btKeepAlive:       func() wireMessage { return new(KeepAlive) },
+	btLookup:          func() wireMessage { return new(Lookup) },
+	btCreate:          func() wireMessage { return new(Create) },
+	btUnlink:          func() wireMessage { return new(Unlink) },
+	btRename:          func() wireMessage { return new(Rename) },
+	btTruncate:        func() wireMessage { return new(Truncate) },
+	btOpen:            func() wireMessage { return new(Open) },
+	btClose:           func() wireMessage { return new(Close) },
+	btGetAttr:         func() wireMessage { return new(GetAttr) },
+	btSetAttr:         func() wireMessage { return new(SetAttr) },
+	btReaddir:         func() wireMessage { return new(Readdir) },
+	btGetBlocks:       func() wireMessage { return new(GetBlocks) },
+	btAllocBlocks:     func() wireMessage { return new(AllocBlocks) },
+	btLockAcquire:     func() wireMessage { return new(LockAcquire) },
+	btLockRelease:     func() wireMessage { return new(LockRelease) },
+	btLockDowngraded:  func() wireMessage { return new(LockDowngraded) },
+	btReassert:        func() wireMessage { return new(Reassert) },
+	btHeartbeat:       func() wireMessage { return new(Heartbeat) },
+	btRenewObjects:    func() wireMessage { return new(RenewObjects) },
+	btFuncRead:        func() wireMessage { return new(FuncRead) },
+	btFuncWrite:       func() wireMessage { return new(FuncWrite) },
+	btReply:           func() wireMessage { return new(Reply) },
+	btDemand:          func() wireMessage { return new(Demand) },
+	btDemandAck:       func() wireMessage { return new(DemandAck) },
+	btDiskRead:        func() wireMessage { return new(DiskRead) },
+	btDiskReadRes:     func() wireMessage { return new(DiskReadRes) },
+	btDiskWrite:       func() wireMessage { return new(DiskWrite) },
+	btDiskWriteRes:    func() wireMessage { return new(DiskWriteRes) },
+	btDiskWriteV:      func() wireMessage { return new(DiskWriteV) },
+	btDiskWriteVRes:   func() wireMessage { return new(DiskWriteVRes) },
+	btDiskReadV:       func() wireMessage { return new(DiskReadV) },
+	btDiskReadVRes:    func() wireMessage { return new(DiskReadVRes) },
+	btFenceSet:        func() wireMessage { return new(FenceSet) },
+	btFenceRes:        func() wireMessage { return new(FenceRes) },
+	btDLockAcquire:    func() wireMessage { return new(DLockAcquire) },
+	btDLockRelease:    func() wireMessage { return new(DLockRelease) },
+	btDLockRes:        func() wireMessage { return new(DLockRes) },
+	btShardMigrate:    func() wireMessage { return new(ShardMigrate) },
+	btShardMigrateRes: func() wireMessage { return new(ShardMigrateRes) },
+	btReplicaPrepare:  func() wireMessage { return new(ReplicaPrepare) },
+	btReplicaPromise:  func() wireMessage { return new(ReplicaPromise) },
+	btReplicaPropose:  func() wireMessage { return new(ReplicaPropose) },
+	btReplicaAccept:   func() wireMessage { return new(ReplicaAccept) },
+	btReplicaInfo:     func() wireMessage { return new(ReplicaInfo) },
+}
+
+// resultTypes holds the zero result behind each identifier; decoding
+// runs its layout, whose value receiver is a fresh copy.
+var resultTypes = [...]wireResult{
+	brLookupRes:      LookupRes{},
+	brCreateRes:      CreateRes{},
+	brOpenRes:        OpenRes{},
+	brAttrRes:        AttrRes{},
+	brReaddirRes:     ReaddirRes{},
+	brBlocksRes:      BlocksRes{},
+	brAllocRes:       AllocRes{},
+	brLockRes:        LockRes{},
+	brRejoinRes:      RejoinRes{},
+	brReassertRes:    ReassertRes{},
+	brFuncReadRes:    FuncReadRes{},
+	brReplicaInfoRes: ReplicaInfoRes{},
+}
+
+// wireID is the tables read the other way, for encoding: a message's or
+// result's dynamic type to its identifier.
+var wireID = func() map[reflect.Type]uint8 {
+	ids := make(map[reflect.Type]uint8, len(messageTypes)+len(resultTypes))
+	for id, mk := range messageTypes {
+		if mk != nil {
+			ids[reflect.TypeOf(mk())] = uint8(id)
+		}
 	}
+	for id, r := range resultTypes {
+		if r != nil {
+			ids[reflect.TypeOf(r)] = uint8(id)
+		}
+	}
+	return ids
+}()
+
+// AllMessages returns one zero-valued instance of every concrete message
+// type that can travel in an Envelope, in identifier order. The msg test
+// suite round-trips every entry and pins its frame (frames.golden).
+func AllMessages() []Message {
+	var all []Message
+	for _, mk := range messageTypes {
+		if mk != nil {
+			all = append(all, mk())
+		}
+	}
+	return all
 }
 
 // AllResults returns one zero-valued instance of every concrete Result
-// type a Reply body can carry (the registry for the nested result layer
-// of both codecs).
+// type a Reply body can carry.
 func AllResults() []Result {
-	return []Result{
-		LookupRes{}, CreateRes{}, OpenRes{}, AttrRes{}, ReaddirRes{},
-		BlocksRes{}, AllocRes{}, LockRes{}, RejoinRes{}, ReassertRes{},
-		FuncReadRes{}, ReplicaInfoRes{},
+	var all []Result
+	for _, r := range resultTypes {
+		if r != nil {
+			all = append(all, r)
+		}
 	}
+	return all
 }

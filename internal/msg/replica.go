@@ -19,6 +19,8 @@ type ReplicaPrepare struct {
 func (*ReplicaPrepare) Kind() Kind { return KindReplica }
 func (*ReplicaPrepare) Size() int  { return 13 }
 
+func (m *ReplicaPrepare) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot) }
+
 // ReplicaPromise answers a ReplicaPrepare. OK=false rejects the ballot (a
 // higher one was promised). An OK promise carries the acceptor's accepted
 // state, if any has not yet expired on its local clock: the ballot and
@@ -38,6 +40,15 @@ type ReplicaPromise struct {
 func (*ReplicaPromise) Kind() Kind { return KindReplica }
 func (*ReplicaPromise) Size() int  { return 27 }
 
+func (m *ReplicaPromise) layout(c *coder) {
+	c.node(&m.From)
+	c.u64(&m.Ballot)
+	c.b1(&m.OK)
+	c.b1(&m.Accepted)
+	c.u64(&m.AcceptedBallot)
+	c.node(&m.AcceptedHolder)
+}
+
 // ReplicaPropose asks the acceptors to accept Holder as the authority
 // lease holder under Ballot for the group's fixed lease term.
 type ReplicaPropose struct {
@@ -48,6 +59,8 @@ type ReplicaPropose struct {
 
 func (*ReplicaPropose) Kind() Kind { return KindReplica }
 func (*ReplicaPropose) Size() int  { return 17 }
+
+func (m *ReplicaPropose) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot); c.node(&m.Holder) }
 
 // ReplicaAccept answers a ReplicaPropose. OK=false rejects (a higher
 // ballot was promised after the prepare round).
@@ -60,6 +73,8 @@ type ReplicaAccept struct {
 func (*ReplicaAccept) Kind() Kind { return KindReplica }
 func (*ReplicaAccept) Size() int  { return 14 }
 
+func (m *ReplicaAccept) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot); c.b1(&m.OK) }
+
 // ReplicaInfo asks a server for its replica role and current ballot — an
 // operator query (tankcli's `role` command, the SIGUSR1 dump). It is
 // answered before registration/epoch checks, like Rejoin, because an
@@ -68,6 +83,8 @@ type ReplicaInfo struct{ ReqHeader }
 
 func (*ReplicaInfo) Kind() Kind { return KindReplica }
 func (*ReplicaInfo) Size() int  { return 24 }
+
+func (m *ReplicaInfo) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
 // Replica roles as reported by ReplicaInfoRes and the server.<id>.role
 // gauge.
@@ -101,3 +118,10 @@ type ReplicaInfoRes struct {
 
 func (ReplicaInfoRes) resultMarker()   {}
 func (ReplicaInfoRes) resultSize() int { return 13 }
+
+func (r ReplicaInfoRes) layout(c *coder) {
+	c.u8(&r.Role)
+	c.u64(&r.Ballot)
+	c.node(&r.Active)
+	keep(c, r)
+}

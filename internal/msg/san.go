@@ -17,6 +17,8 @@ type DiskRead struct {
 func (*DiskRead) Kind() Kind { return KindSANIO }
 func (*DiskRead) Size() int  { return 20 }
 
+func (m *DiskRead) layout(c *coder) { c.node(&m.Client); c.req(&m.Req); c.u64(&m.Block) }
+
 // DiskReadRes returns block contents. Ver is the oracle's version stamp
 // for the data (consistency checking only; not protocol-visible).
 type DiskReadRes struct {
@@ -28,6 +30,13 @@ type DiskReadRes struct {
 
 func (*DiskReadRes) Kind() Kind  { return KindSANReply }
 func (m *DiskReadRes) Size() int { return 17 + len(m.Data) }
+
+func (m *DiskReadRes) layout(c *coder) {
+	c.req(&m.Req)
+	c.errno(&m.Err)
+	c.u64(&m.Ver) // not struct order: the bulk field goes last
+	c.tail(&m.Data)
+}
 
 // DiskWrite writes one block. Ver is the oracle version stamp assigned
 // when the data was produced in the writer's cache.
@@ -42,6 +51,14 @@ type DiskWrite struct {
 func (*DiskWrite) Kind() Kind  { return KindSANIO }
 func (m *DiskWrite) Size() int { return 28 + len(m.Data) }
 
+func (m *DiskWrite) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	c.u64(&m.Block)
+	c.u64(&m.Ver) // not struct order: the bulk field goes last
+	c.tail(&m.Data)
+}
+
 // DiskWriteRes acknowledges a write (or reports ErrFenced/ErrRange).
 type DiskWriteRes struct {
 	Req ReqID
@@ -50,6 +67,8 @@ type DiskWriteRes struct {
 
 func (*DiskWriteRes) Kind() Kind { return KindSANReply }
 func (*DiskWriteRes) Size() int  { return 9 }
+
+func (m *DiskWriteRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 
 // BlockVec names one block inside a vectored SAN write: where it goes and
 // the oracle version stamp of the data occupying its slot of the shared
@@ -78,6 +97,16 @@ type DiskWriteV struct {
 func (*DiskWriteV) Kind() Kind  { return KindSANIO }
 func (m *DiskWriteV) Size() int { return 20 + 16*len(m.Blocks) + len(m.Data) }
 
+func (m *DiskWriteV) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	for i := range vec(c, &m.Blocks, 16) {
+		c.u64(&m.Blocks[i].Block)
+		c.u64(&m.Blocks[i].Ver)
+	}
+	c.tail(&m.Data)
+}
+
 // DiskWriteVRes acknowledges a vectored write. Err is OK only when every
 // block committed; otherwise it carries the first failure and Errs holds
 // the per-block outcomes (Errs[i] answers Blocks[i]). An OK response
@@ -91,6 +120,8 @@ type DiskWriteVRes struct {
 func (*DiskWriteVRes) Kind() Kind  { return KindSANReply }
 func (m *DiskWriteVRes) Size() int { return 9 + len(m.Errs) }
 
+func (m *DiskWriteVRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err); c.errnos(&m.Errs) }
+
 // DiskReadV reads a batch of blocks in one SAN message.
 type DiskReadV struct {
 	Client NodeID
@@ -100,6 +131,14 @@ type DiskReadV struct {
 
 func (*DiskReadV) Kind() Kind  { return KindSANIO }
 func (m *DiskReadV) Size() int { return 20 + 8*len(m.Blocks) }
+
+func (m *DiskReadV) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	for i := range vec(c, &m.Blocks, 8) {
+		c.u64(&m.Blocks[i])
+	}
+}
 
 // DiskReadVRes returns the batch contents: Blocks[i] of the request is
 // served at Data[i*BlockSize:(i+1)*BlockSize] with version Vers[i].
@@ -117,6 +156,16 @@ type DiskReadVRes struct {
 func (*DiskReadVRes) Kind() Kind  { return KindSANReply }
 func (m *DiskReadVRes) Size() int { return 9 + len(m.Errs) + 8*len(m.Vers) + len(m.Data) }
 
+func (m *DiskReadVRes) layout(c *coder) {
+	c.req(&m.Req)
+	c.errno(&m.Err)
+	c.errnos(&m.Errs)
+	for i := range vec(c, &m.Vers, 8) {
+		c.u64(&m.Vers[i])
+	}
+	c.tail(&m.Data)
+}
+
 // FenceSet instructs a disk to start (On) or stop (off) rejecting all I/O
 // from Target. Only servers send it. Fences persist until explicitly
 // cleared — the device enforces the denial indefinitely (§1.2).
@@ -130,6 +179,13 @@ type FenceSet struct {
 func (*FenceSet) Kind() Kind { return KindFence }
 func (*FenceSet) Size() int  { return 17 }
 
+func (m *FenceSet) layout(c *coder) {
+	c.node(&m.Admin)
+	c.req(&m.Req)
+	c.node(&m.Target)
+	c.b1(&m.On)
+}
+
 // FenceRes acknowledges a FenceSet.
 type FenceRes struct {
 	Req ReqID
@@ -138,6 +194,8 @@ type FenceRes struct {
 
 func (*FenceRes) Kind() Kind { return KindFence }
 func (*FenceRes) Size() int  { return 9 }
+
+func (m *FenceRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 
 // DLockAcquire asks the disk for a GFS-style expiring lock over the block
 // range [Start, Start+Count). Used only by the dlock baseline (§5): the
@@ -154,6 +212,14 @@ type DLockAcquire struct {
 func (*DLockAcquire) Kind() Kind { return KindSANIO }
 func (*DLockAcquire) Size() int  { return 36 }
 
+func (m *DLockAcquire) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	c.u64(&m.Start)
+	c.u32(&m.Count)
+	c.i64((*int64)(&m.TTL))
+}
+
 // DLockRelease releases a dlock before its TTL expires.
 type DLockRelease struct {
 	Client NodeID
@@ -165,6 +231,13 @@ type DLockRelease struct {
 func (*DLockRelease) Kind() Kind { return KindSANIO }
 func (*DLockRelease) Size() int  { return 28 }
 
+func (m *DLockRelease) layout(c *coder) {
+	c.node(&m.Client)
+	c.req(&m.Req)
+	c.u64(&m.Start)
+	c.u32(&m.Count)
+}
+
 // DLockRes answers either dlock operation; Err is ErrDLockHeld when the
 // range is locked by another initiator.
 type DLockRes struct {
@@ -174,3 +247,27 @@ type DLockRes struct {
 
 func (*DLockRes) Kind() Kind { return KindSANReply }
 func (*DLockRes) Size() int  { return 9 }
+
+func (m *DLockRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
+
+// SANReplyReq returns the request ID a disk's reply answers, for nodes
+// that route SAN replies to one of several protocol instances by the
+// request ID's high bits; ok is false for anything that is not a disk
+// reply.
+func SANReplyReq(m Message) (req ReqID, ok bool) {
+	switch m := m.(type) {
+	case *DiskReadRes:
+		return m.Req, true
+	case *DiskWriteRes:
+		return m.Req, true
+	case *DiskReadVRes:
+		return m.Req, true
+	case *DiskWriteVRes:
+		return m.Req, true
+	case *FenceRes:
+		return m.Req, true
+	case *DLockRes:
+		return m.Req, true
+	}
+	return 0, false
+}

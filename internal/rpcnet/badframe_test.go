@@ -2,8 +2,10 @@ package rpcnet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,6 +145,127 @@ func TestCorruptFrameDropsOnlyThatConnection(t *testing.T) {
 		case <-deadline:
 			t.Fatal("keep-alive never delivered after corrupt-frame drop")
 		case <-time.After(50 * time.Millisecond):
+		}
+	}
+}
+
+// TestForeignPreambleDropsOnlyThatConnection: a dialer that opens with
+// anything but this revision's preamble — the retired gob codec 0, a
+// future version — is refused at that byte, the refusal is in the trace,
+// and a peer on another connection never notices.
+func TestForeignPreambleDropsOnlyThatConnection(t *testing.T) {
+	ring := trace.NewRing(1 << 10)
+	got := make(chan msg.Envelope, 16)
+	tr := New(99, nil, func(env msg.Envelope) { got <- env })
+	tr.SetTracer(trace.New(ring))
+	addr, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go tr.Run()
+	t.Cleanup(tr.Close)
+
+	healthyConn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { healthyConn.Close() })
+	healthy, err := wire.Dial(healthyConn, wire.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.SendHello(60); err != nil {
+		t.Fatal(err)
+	}
+	waitForNote(t, ring, 60, "accepted")
+
+	for _, pre := range []byte{0x10, 0x21} { // version 1 codec 0 (gob); version 2
+		foreign, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { foreign.Close() })
+		// A gob dialer's hello would follow; the acceptor must not wait for it.
+		if _, err := foreign.Write([]byte{pre}); err != nil {
+			t.Fatal(err)
+		}
+		waitForNote(t, ring, 0, fmt.Sprintf("bad frame: preamble %#02x", pre))
+		foreign.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, err := foreign.Read(make([]byte, 1)); n != 0 || err == nil {
+			t.Fatalf("preamble %#02x: connection still open (read %d, %v)", pre, n, err)
+		}
+	}
+
+	// The healthy connection was registered before and still delivers.
+	if err := healthy.Send(&msg.Envelope{From: 60, To: 99,
+		Payload: &msg.KeepAlive{ReqHeader: msg.ReqHeader{Client: 60, Req: 77}}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-got:
+		if ka, ok := env.Payload.(*msg.KeepAlive); !ok || ka.Req != 77 {
+			t.Fatalf("delivered %+v", env.Payload)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("healthy peer's keep-alive never delivered")
+	}
+	for _, ev := range ring.Events() {
+		if ev.Peer == 60 && !strings.Contains(ev.Note, "accepted") {
+			t.Fatalf("healthy peer disturbed: %q", ev.Note)
+		}
+	}
+}
+
+// TestOversizedSendKeepsConnection: a message whose frame would exceed
+// wire.MaxFrame is dropped at the sender with a trace note, and the
+// connection it would have gone out on keeps carrying traffic — no
+// redial. Written at the receiver's end instead, the same frame is an
+// impossible length prefix: the connection dies, every message in flight
+// on it with it, and the sender's retry does it again.
+func TestOversizedSendKeepsConnection(t *testing.T) {
+	got := make(chan msg.Envelope, 16)
+	recv := New(2, nil, func(env msg.Envelope) { got <- env })
+	go recv.Run()
+	defer recv.Close()
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ring := trace.NewRing(1 << 10)
+	tr := New(1, map[msg.NodeID]string{2: addr.String()}, func(msg.Envelope) {})
+	tr.SetTracer(trace.New(ring))
+	go tr.Run()
+	defer tr.Close()
+	var dials atomic.Int32
+	tr.dialFn = func(a string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", a)
+	}
+	arrives := func(req msg.ReqID) {
+		t.Helper()
+		tr.Send(2, &msg.KeepAlive{ReqHeader: msg.ReqHeader{Client: 1, Req: req}})
+		select {
+		case env := <-got:
+			if ka, ok := env.Payload.(*msg.KeepAlive); !ok || ka.Req != req {
+				t.Fatalf("delivered %+v, want keep-alive %d", env.Payload, req)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("keep-alive %d never arrived", req)
+		}
+	}
+
+	arrives(1)
+	tr.Send(2, &msg.FuncWrite{ReqHeader: msg.ReqHeader{Client: 1, Req: 2}, Ino: 3,
+		Data: make([]byte, wire.MaxFrame)})
+	waitForNote(t, ring, 2, "frame exceeds MaxFrame")
+	arrives(3)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dialed %d times, want 1: the oversized send cost the connection", n)
+	}
+	for _, ev := range ring.Events() {
+		if ev.Peer == 2 && strings.Contains(ev.Note, "connection closed") {
+			t.Fatalf("connection dropped: %q", ev.Note)
 		}
 	}
 }

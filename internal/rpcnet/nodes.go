@@ -17,7 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // Executor is a node's serial event loop: every protocol callback —
@@ -174,8 +173,6 @@ type nodeOptions struct {
 	ctrlFaults *faultnet.Faults
 	sanFaults  *faultnet.Faults
 	media      blockstore.Media
-	codec      wire.ID
-	codecSet   bool
 }
 
 // Option customizes a node started by StartServerNode, StartClientNode,
@@ -233,28 +230,6 @@ func WithMedia(m blockstore.Media) Option {
 	return func(o *nodeOptions) { o.media = m }
 }
 
-// WithCodec selects the wire encoding the node's transports announce
-// when dialing (default wire.Binary; wire.Gob is the fallback). The
-// acceptor side of every connection adopts the dialer's choice, so nodes
-// configured differently still interoperate.
-func WithCodec(c wire.ID) Option {
-	return func(o *nodeOptions) {
-		o.codec = c
-		o.codecSet = true
-	}
-}
-
-// WithWireCodec is WithCodec taking the codec by name ("binary",
-// "gob") — the form the tankd/tankcli -codec flags pass straight
-// through. Unknown names error before any node starts.
-func WithWireCodec(name string) (Option, error) {
-	id, err := wire.ParseID(name)
-	if err != nil {
-		return nil, err
-	}
-	return WithCodec(id), nil
-}
-
 func buildOptions(opts []Option) nodeOptions {
 	var o nodeOptions
 	for _, opt := range opts {
@@ -276,9 +251,6 @@ func (o nodeOptions) applyTransport(t *Transport) {
 	}
 	if o.clock != nil {
 		t.SetClock(o.clock)
-	}
-	if o.codecSet {
-		t.SetCodec(o.codec)
 	}
 }
 
@@ -580,21 +552,8 @@ func (n *ShardClientNode) deliverCtrl(env msg.Envelope) {
 }
 
 func (n *ShardClientNode) deliverSAN(env msg.Envelope) {
-	var req msg.ReqID
-	switch m := env.Payload.(type) {
-	case *msg.DiskReadRes:
-		req = m.Req
-	case *msg.DiskWriteRes:
-		req = m.Req
-	case *msg.DiskReadVRes:
-		req = m.Req
-	case *msg.DiskWriteVRes:
-		req = m.Req
-	case *msg.FenceRes:
-		req = m.Req
-	case *msg.DLockRes:
-		req = m.Req
-	default:
+	req, ok := msg.SANReplyReq(env.Payload)
+	if !ok {
 		return
 	}
 	if si := int(req>>48) - 1; si >= 0 && si < len(n.byIdx) {

@@ -37,15 +37,10 @@ type Transport struct {
 	addrs map[msg.NodeID]string
 
 	mu       sync.Mutex
-	conns    map[msg.NodeID]wire.Codec
+	conns    map[msg.NodeID]*wire.Codec
 	dials    map[msg.NodeID]*dialCall
 	listener net.Listener
 	closed   bool
-
-	// codec is the wire encoding this node announces when IT dials; the
-	// acceptor side of every connection adopts the dialer's choice, so
-	// mixed-codec installations interoperate per connection.
-	codec wire.ID
 
 	// exec serializes every handler and timer callback; submitFn, when
 	// set by UseExecutor, reroutes to a shared executor instead.
@@ -77,24 +72,17 @@ func New(self msg.NodeID, addrs map[msg.NodeID]string, handler func(env msg.Enve
 	t := &Transport{
 		self:    self,
 		addrs:   addrs,
-		conns:   make(map[msg.NodeID]wire.Codec),
+		conns:   make(map[msg.NodeID]*wire.Codec),
 		dials:   make(map[msg.NodeID]*dialCall),
 		exec:    NewExecutor(),
 		handler: handler,
 		dialFn:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 		logf:    func(string, ...any) {},
-		codec:   wire.Binary,
 	}
 	t.clock = sim.NewRealClock(t.Submit)
 	t.delayClock = sim.NewRealClock(nil)
 	return t
 }
-
-// SetCodec selects the wire encoding this transport uses for outbound
-// dials (default wire.Binary). Inbound connections always adopt the
-// dialer's announced codec regardless of this setting. Call before
-// traffic flows.
-func (t *Transport) SetCodec(c wire.ID) { t.codec = c }
 
 // SetClock overrides the clock that times fault-injected send latency
 // (default: a wall clock firing on the timer goroutine). Call before
@@ -224,7 +212,7 @@ func (t *Transport) handleInbound(conn net.Conn) {
 
 // register installs the connection for outbound traffic to the peer,
 // replacing (and closing) any previous one.
-func (t *Transport) register(peer msg.NodeID, codec wire.Codec) {
+func (t *Transport) register(peer msg.NodeID, codec *wire.Codec) {
 	t.mu.Lock()
 	old := t.conns[peer]
 	t.conns[peer] = codec
@@ -234,7 +222,7 @@ func (t *Transport) register(peer msg.NodeID, codec wire.Codec) {
 	}
 }
 
-func (t *Transport) dropConn(peer msg.NodeID, codec wire.Codec) {
+func (t *Transport) dropConn(peer msg.NodeID, codec *wire.Codec) {
 	t.mu.Lock()
 	if t.conns[peer] == codec {
 		delete(t.conns, peer)
@@ -243,7 +231,7 @@ func (t *Transport) dropConn(peer msg.NodeID, codec wire.Codec) {
 	codec.Close()
 }
 
-func (t *Transport) readLoop(peer msg.NodeID, codec wire.Codec) {
+func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 	for {
 		env, err := codec.Recv()
 		if err != nil {
@@ -304,7 +292,13 @@ func (t *Transport) Send(to msg.NodeID, m msg.Message) {
 			t.debugf(to, "send to %v: %v", to, err)
 			return
 		}
-		if err := codec.Send(&env); err != nil {
+		err = codec.Send(&env)
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			// Refused before a byte was written: the connection and
+			// everything else in flight on it are fine, and dropping it
+			// would only have the sender redial to be refused again.
+			t.debugf(to, "send to %v: dropping %T: %v", to, env.Payload, err)
+		} else if err != nil {
 			t.debugf(to, "send to %v: %v", to, err)
 			t.dropConn(to, codec)
 		}
@@ -315,7 +309,7 @@ func (t *Transport) Send(to msg.NodeID, m msg.Message) {
 // done instead of dialing again.
 type dialCall struct {
 	done  chan struct{}
-	codec wire.Codec
+	codec *wire.Codec
 	err   error
 }
 
@@ -324,7 +318,7 @@ type dialCall struct {
 // an unconnected peer would both dial, the loser's connection would be
 // closed by register, and its in-flight message silently lost even
 // though the network was healthy.
-func (t *Transport) connTo(peer msg.NodeID) (wire.Codec, error) {
+func (t *Transport) connTo(peer msg.NodeID) (*wire.Codec, error) {
 	t.mu.Lock()
 	if c, ok := t.conns[peer]; ok {
 		t.mu.Unlock()
@@ -356,14 +350,14 @@ func (t *Transport) connTo(peer msg.NodeID) (wire.Codec, error) {
 	return dc.codec, dc.err
 }
 
-// dial establishes, negotiates, hellos, and registers one outbound
-// connection (preamble announcing this node's codec, then the hello).
-func (t *Transport) dial(peer msg.NodeID, addr string) (wire.Codec, error) {
+// dial establishes and registers one outbound connection: the version
+// preamble, then the hello.
+func (t *Transport) dial(peer msg.NodeID, addr string) (*wire.Codec, error) {
 	conn, err := t.dialFn(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: dial %v (%s): %w", peer, addr, err)
 	}
-	codec, err := wire.Dial(conn, t.codec)
+	codec, err := wire.Dial(conn, wire.Binary)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -387,7 +381,7 @@ func (t *Transport) Close() {
 	t.closed = true
 	l := t.listener
 	conns := t.conns
-	t.conns = make(map[msg.NodeID]wire.Codec)
+	t.conns = make(map[msg.NodeID]*wire.Codec)
 	t.mu.Unlock()
 	if l != nil {
 		l.Close()

@@ -362,21 +362,8 @@ func (n *Node) deliverControl(env msg.Envelope) {
 // blocks live on the source shard's disks while the destination's
 // sub-client reads them.
 func (n *Node) deliverSAN(env msg.Envelope) {
-	var req msg.ReqID
-	switch m := env.Payload.(type) {
-	case *msg.DiskReadRes:
-		req = m.Req
-	case *msg.DiskWriteRes:
-		req = m.Req
-	case *msg.DiskReadVRes:
-		req = m.Req
-	case *msg.DiskWriteVRes:
-		req = m.Req
-	case *msg.FenceRes:
-		req = m.Req
-	case *msg.DLockRes:
-		req = m.Req
-	default:
+	req, ok := msg.SANReplyReq(env.Payload)
+	if !ok {
 		return
 	}
 	if si := int(req>>48) - 1; si >= 0 && si < len(n.byIdx) {

@@ -14,12 +14,15 @@ import (
 
 // MaxFrame bounds a frame body. The largest legitimate frame is a
 // full-batch DiskWriteV/DiskReadVRes (flush batch × 4 KiB pages plus
-// metadata), far below this; anything bigger is treated as a corrupt
-// length prefix rather than a reason to allocate gigabytes.
+// metadata), far below this; a received length prefix beyond it is
+// treated as corrupt rather than a reason to allocate gigabytes, and
+// Send refuses to produce one.
 const MaxFrame = 1 << 24
 
-// binaryCodec is the zero-copy implementation: length-prefixed frames in
+// Codec frames envelopes over one connection: length-prefixed frames in
 // the fixed layout of msg.EncodeBinary/DecodeBinary (DESIGN.md §12).
+// Send is safe for concurrent use; Recv is not (one reader goroutine per
+// connection).
 //
 // Send stages the length prefix and metadata in a pooled buffer and
 // transmits bulk page data as a scatter-gather tail straight from the
@@ -27,7 +30,7 @@ const MaxFrame = 1 << 24
 // page bytes and allocate nothing. Recv reads each frame into a pooled
 // buffer that the decoded envelope's page payloads alias; the envelope
 // carries a borrow whose release returns the buffer to the pool.
-type binaryCodec struct {
+type Codec struct {
 	conn net.Conn
 	br   *bufio.Reader
 
@@ -38,17 +41,24 @@ type binaryCodec struct {
 	iov [2][]byte
 }
 
-func newBinaryCodec(conn net.Conn) *binaryCodec {
-	return &binaryCodec{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+func newCodec(conn net.Conn) *Codec {
+	return &Codec{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
 }
 
-// Send frames one envelope. Safe for concurrent use.
+// Send frames one envelope. Safe for concurrent use. An envelope whose
+// frame the receiver would refuse is refused here, with ErrFrameTooLarge
+// and before a byte is written: refused at the far end it reads as a
+// corrupt length prefix, and the connection dies with everything else
+// in flight on it while the sender retries the same frame.
 //
 //tank:hotpath
-func (c *binaryCodec) Send(env *msg.Envelope) error {
+func (c *Codec) Send(env *msg.Envelope) error {
 	meta, tail, err := msg.BinarySize(env)
 	if err != nil {
 		return err
+	}
+	if meta+len(tail) > MaxFrame {
+		return ErrFrameTooLarge
 	}
 	buf := bufpool.Get(4 + meta)
 	binary.BigEndian.PutUint32(buf, uint32(meta+len(tail)))
@@ -74,7 +84,7 @@ func (c *binaryCodec) Send(env *msg.Envelope) error {
 // Recv reads the next frame. Not safe for concurrent use (one reader
 // goroutine per connection). The returned envelope may alias a pooled
 // buffer; it carries a borrow that the consumer must Release.
-func (c *binaryCodec) Recv() (*msg.Envelope, error) {
+func (c *Codec) Recv() (*msg.Envelope, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(c.br, lenb[:]); err != nil {
 		return nil, err
@@ -100,14 +110,15 @@ func (c *binaryCodec) Recv() (*msg.Envelope, error) {
 	return env, nil
 }
 
-func (c *binaryCodec) Close() error { return c.conn.Close() }
+func (c *Codec) Close() error { return c.conn.Close() }
 
-func (c *binaryCodec) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
+func (c *Codec) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
-// SendHello writes the identification frame: the dialer's node ID as a
-// raw big-endian int32 (the binary codec needs no self-describing frame
-// for a fixed 4-byte field).
-func (c *binaryCodec) SendHello(from msg.NodeID) error {
+// SendHello writes the identification frame that follows the preamble
+// on every dialed connection: the dialer's node ID as a raw big-endian
+// int32, so the acceptor can route return traffic over the same
+// connection.
+func (c *Codec) SendHello(from msg.NodeID) error {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], uint32(int32(from)))
 	c.wmu.Lock()
@@ -119,7 +130,8 @@ func (c *binaryCodec) SendHello(from msg.NodeID) error {
 	return nil
 }
 
-func (c *binaryCodec) RecvHello() (msg.NodeID, error) {
+// RecvHello reads the dialer's identification frame.
+func (c *Codec) RecvHello() (msg.NodeID, error) {
 	var b [4]byte
 	if _, err := io.ReadFull(c.br, b[:]); err != nil {
 		return 0, fmt.Errorf("wire: hello: %w", err)

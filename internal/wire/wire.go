@@ -1,11 +1,9 @@
 // Package wire is the live deployment's message encoding. A Codec frames
-// msg.Envelope traffic over one TCP connection; two implementations
-// exist — the hand-rolled fixed-layout binary codec (the default, see
-// DESIGN.md §12) and the original gob stream (the fallback) — selected
-// per connection by a one-byte version/codec preamble the dialer writes
-// before anything else. The acceptor adopts the dialer's choice, so
-// nodes configured with different codecs interoperate: each connection
-// speaks whatever its dialer asked for, replies included.
+// msg.Envelope traffic over one TCP connection in the fixed binary
+// layout of internal/msg (DESIGN.md §12). The dialer opens every
+// connection with a one-byte version preamble and the acceptor refuses
+// any other byte, so a peer from a different wire revision fails at the
+// first byte and not at the first frame it cannot parse.
 //
 // The transport above this (internal/rpcnet) preserves the protocol's
 // datagram assumptions: sends are best-effort, a broken connection just
@@ -15,172 +13,61 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
-
-	"repro/internal/msg"
 )
 
-func init() { msg.RegisterGob() }
+var (
+	// ErrBadFrame reports traffic that violates the framing layer: an
+	// unparseable frame, an impossible length prefix, or an unknown
+	// preamble. It is distinct from io.EOF — a peer that went away — so
+	// the transport can report protocol damage as what it is instead of a
+	// peer restart. Both end with the connection dropped.
+	ErrBadFrame = errors.New("wire: bad frame")
+	// ErrFrameTooLarge is Send refusing an envelope whose frame would
+	// exceed MaxFrame. Nothing has been written when it is returned: the
+	// connection is intact and only this message is lost.
+	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
+)
 
-// ErrBadFrame reports traffic that violates the framing or codec layer:
-// an unparseable frame, an impossible length prefix, or an unknown
-// negotiation preamble. It is distinct from io.EOF — a peer that went
-// away — so the transport can report protocol damage as what it is
-// instead of a peer restart. Both end with the connection dropped.
-var ErrBadFrame = errors.New("wire: bad frame")
-
-// Codec frames envelopes over one connection. Send is safe for
-// concurrent use; Recv is not (one reader goroutine per connection).
-// A Recv'd envelope whose payload aliases a pooled receive buffer
-// carries a borrow (msg.Envelope.Borrowed); the consumer releases it.
-type Codec interface {
-	Send(env *msg.Envelope) error
-	Recv() (*msg.Envelope, error)
-	// SendHello/RecvHello exchange the identification frame that opens
-	// every dialed connection: the dialer's node ID, so the acceptor can
-	// route return traffic over the same connection.
-	SendHello(from msg.NodeID) error
-	RecvHello() (msg.NodeID, error)
-	Close() error
-	RemoteAddr() net.Addr
-}
-
-// ID selects a codec implementation. The values appear on the wire (low
-// nibble of the negotiation preamble) and must never be renumbered.
+// ID once selected between two codecs. One is left; Dial takes the
+// parameter, and accepts only Binary, because callers outside this
+// package's reach still pass it.
 type ID uint8
 
-const (
-	// Gob is the original encoding/gob stream codec.
-	Gob ID = 0
-	// Binary is the fixed-layout zero-copy codec (the default).
-	Binary ID = 1
-)
+// Binary is the fixed-layout zero-copy codec, the only one.
+const Binary ID = 1
 
-func (c ID) String() string {
-	switch c {
-	case Gob:
-		return "gob"
-	case Binary:
-		return "binary"
-	}
-	return fmt.Sprintf("codec(%d)", uint8(c))
-}
-
-// ParseID resolves a codec name ("gob", "binary") as used by the tankd
-// -codec flag and the WithWireCodec facade option.
-func ParseID(name string) (ID, error) {
-	switch name {
-	case "gob":
-		return Gob, nil
-	case "binary":
-		return Binary, nil
-	}
-	return 0, fmt.Errorf("wire: unknown codec %q (want gob or binary)", name)
-}
-
-// wireVersion is the protocol revision carried in the preamble's high
-// nibble. Revision 1 introduced the preamble itself.
-const wireVersion = 1
+// preamble is the first byte of every connection: wire revision 1 in the
+// high nibble, and in the low nibble the 1 that used to select this codec
+// over a gob stream (codec 0, retired). A revision that changes a frame
+// layout incompatibly changes this byte.
+const preamble = 1<<4 | byte(Binary)
 
 // Dial wraps the dialer side of an established connection: it writes the
-// one-byte negotiation preamble (version in the high nibble, codec in
-// the low) and returns the chosen codec. Nothing else may be written to
-// conn first.
-func Dial(conn net.Conn, codec ID) (Codec, error) {
-	pre := [1]byte{wireVersion<<4 | uint8(codec)&0x0f}
-	if _, err := conn.Write(pre[:]); err != nil {
+// preamble, before which nothing else may be written to conn.
+func Dial(conn net.Conn, codec ID) (*Codec, error) {
+	if codec != Binary {
+		return nil, fmt.Errorf("wire: unknown codec %d", uint8(codec))
+	}
+	if _, err := conn.Write([]byte{preamble}); err != nil {
 		return nil, fmt.Errorf("wire: preamble: %w", err)
 	}
-	return newCodec(conn, codec)
+	return newCodec(conn), nil
 }
 
 // Accept wraps the acceptor side: it reads the dialer's preamble and
-// adopts the announced codec, so mixed-codec installations interoperate
-// connection by connection.
-func Accept(conn net.Conn) (Codec, error) {
+// refuses the connection with ErrBadFrame unless it is this revision's.
+func Accept(conn net.Conn) (*Codec, error) {
 	var pre [1]byte
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
 		return nil, fmt.Errorf("wire: preamble: %w", err)
 	}
-	if v := pre[0] >> 4; v != wireVersion {
-		return nil, fmt.Errorf("%w: preamble version %d (want %d)", ErrBadFrame, v, wireVersion)
+	if pre[0] != preamble {
+		return nil, fmt.Errorf("%w: preamble %#02x announces version %d codec %d (want %#02x)",
+			ErrBadFrame, pre[0], pre[0]>>4, pre[0]&0x0f, preamble)
 	}
-	return newCodec(conn, ID(pre[0]&0x0f))
-}
-
-func newCodec(conn net.Conn, codec ID) (Codec, error) {
-	switch codec {
-	case Gob:
-		return newGobCodec(conn), nil
-	case Binary:
-		return newBinaryCodec(conn), nil
-	}
-	return nil, fmt.Errorf("%w: preamble announces unknown codec %d", ErrBadFrame, uint8(codec))
-}
-
-// gobCodec is the fallback implementation: gob streams of msg.Envelope.
-// Gob transmits type information once per stream, so long-lived
-// node-to-node connections stay cheap; every payload is freshly
-// allocated on receive, so gob envelopes never carry a borrow.
-type gobCodec struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex
-}
-
-func newGobCodec(conn net.Conn) *gobCodec {
-	return &gobCodec{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-func (c *gobCodec) Send(env *msg.Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(env); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) Recv() (*msg.Envelope, error) {
-	var env msg.Envelope
-	if err := c.dec.Decode(&env); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: gob: %v", ErrBadFrame, err)
-	}
-	return &env, nil
-}
-
-func (c *gobCodec) Close() error { return c.conn.Close() }
-
-func (c *gobCodec) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
-
-// Hello is the identification frame the gob codec sends after the
-// preamble (the binary codec uses a raw 4-byte node ID instead).
-type Hello struct {
-	From msg.NodeID
-}
-
-func (c *gobCodec) SendHello(from msg.NodeID) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(&Hello{From: from})
-}
-
-func (c *gobCodec) RecvHello() (msg.NodeID, error) {
-	var h Hello
-	if err := c.dec.Decode(&h); err != nil {
-		return 0, fmt.Errorf("wire: hello: %w", err)
-	}
-	if h.From == msg.None {
-		return 0, fmt.Errorf("%w: hello with zero node id", ErrBadFrame)
-	}
-	return h.From, nil
+	return newCodec(conn), nil
 }

@@ -274,14 +274,6 @@ func WithLogf(f func(format string, args ...any)) Option {
 	return func(b *Build) { b.Node = append(b.Node, rpcnet.WithLogf(f)) }
 }
 
-// WithWireCodec selects the encoding a live node dials with —
-// WireBinary (the zero-copy default) or WireGob (the fallback stream).
-// Acceptors adopt each dialer's choice, so nodes configured differently
-// still interoperate. [live]
-func WithWireCodec(c WireCodec) Option {
-	return func(b *Build) { b.Node = append(b.Node, rpcnet.WithCodec(c)) }
-}
-
 // NewClusterWith builds a simulated single-server installation from the
 // unified vocabulary; equivalent to NewCluster over a hand-built
 // Options. Nothing runs until its scheduler does (cl.Start registers

@@ -112,9 +112,6 @@ func optionProbes() map[string]optionProbe {
 		"WithLogf": {WithLogf(func(string, ...any) {}), func(b Build) bool {
 			return len(b.Node) == 1
 		}},
-		"WithWireCodec": {WithWireCodec(WireGob), func(b Build) bool {
-			return len(b.Node) == 1
-		}},
 	}
 }
 

@@ -118,9 +118,6 @@ func TestUnifiedOptionsLiveNodes(t *testing.T) {
 		WithDiskBlocks(1 << 10),
 		WithTracer(tr),
 		WithRegistry(reg),
-		// Dial with the fallback codec: the facade option must reach the
-		// live transport, and a gob installation must still work end-to-end.
-		WithWireCodec(WireGob),
 	}
 
 	topo := Topology{Server: 1, ServerAddr: Loopback(), Disks: map[NodeID]string{1000: Loopback()}}

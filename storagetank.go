@@ -38,7 +38,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/simnet"
 	"repro/internal/trace"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -106,20 +105,6 @@ type MediaBlockWrite = blockstore.BlockWrite
 // MediaRecovery reports what a file-backed store's open-time recovery
 // pass found (journal records replayed, blocks verified, torn blocks).
 type MediaRecovery = blockstore.RecoveryReport
-
-// WireCodec selects the encoding live nodes dial with (DESIGN.md §12).
-// The acceptor adopts each dialer's choice, so mixed-codec
-// installations interoperate.
-type WireCodec = wire.ID
-
-const (
-	// WireBinary is the zero-copy fixed-layout codec (the default):
-	// length-prefixed frames, bulk page data sent as a scatter-gather
-	// tail and received into pooled buffers.
-	WireBinary = wire.Binary
-	// WireGob is the original encoding/gob stream, kept as a fallback.
-	WireGob = wire.Gob
-)
 
 // ErrTornBlock marks a read refused because the block's checksum does
 // not match its trailer: a write torn by a crash, detected rather than
