@@ -329,9 +329,9 @@ func BenchmarkGroupCommit64PerBlock(b *testing.B) { benchGroupCommit(b, false) }
 // arrive in vectored batches; without it every block is a scalar
 // round trip. The simulator makes the number exact, so the bench gate
 // holds it to ±5%.
-func benchSeqScan(b *testing.B, prefetch int) {
+func benchSeqScan(b *testing.B, opts ...Option) {
 	const blocks = 32
-	cl := NewClusterWith(WithoutChecker(), WithPrefetch(prefetch))
+	cl := NewClusterWith(append([]Option{WithoutChecker()}, opts...)...)
 	cl.Start()
 	sc := cl.SyncClient(0)
 	h, _, err := sc.Open("/seq", true, true)
@@ -376,13 +376,13 @@ func benchSeqScan(b *testing.B, prefetch int) {
 	b.ReportMetric(msgs/float64(b.N), "san_reads/scan")
 }
 
-// BenchmarkSeqScanPrefetch — the default read-ahead window (3): the scan
-// rides vectored batches.
-func BenchmarkSeqScanPrefetch(b *testing.B) { benchSeqScan(b, 3) }
+// BenchmarkSeqScanPrefetch — the default read-ahead (no option set: a
+// window that doubles from 2 to 32): the scan rides vectored batches.
+func BenchmarkSeqScanPrefetch(b *testing.B) { benchSeqScan(b) }
 
 // BenchmarkSeqScanNoPrefetch — read-ahead disabled: one scalar SAN read
 // per block, the pre-prefetch baseline.
-func BenchmarkSeqScanNoPrefetch(b *testing.B) { benchSeqScan(b, 0) }
+func BenchmarkSeqScanNoPrefetch(b *testing.B) { benchSeqScan(b, WithPrefetch(0)) }
 
 // BenchmarkSharedHotFile runs the shared-hot-file workload (readers
 // scanning, one writer churning a small content alphabet) and reports

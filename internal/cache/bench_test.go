@@ -79,3 +79,42 @@ func BenchmarkLookupHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFillEvict4K is a fill into a cache held at its byte quota:
+// hash a 4 KiB page nobody else holds, copy it in, evict the oldest.
+// What a cold sequential scan pays per block once the cache is full.
+func BenchmarkFillEvict4K(b *testing.B) {
+	const quota = 1024 * 4096
+	c := NewWithLimits(nil, "b.", 0, quota)
+	data := make([]byte, 4096)
+	next := uint64(0)
+	fillOne := func() {
+		binary.BigEndian.PutUint64(data, next)
+		c.Fill(1, next, data, 1)
+		next++
+	}
+	for c.ResidentBytes() < quota {
+		fillOne()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillOne()
+	}
+}
+
+// BenchmarkWriteCow4K is a write over a clean 4 KiB page followed by
+// its write-back: the page leaves the content store onto a private
+// buffer, and MarkClean hashes it back in.
+func BenchmarkWriteCow4K(b *testing.B) {
+	c := New(nil, "b.")
+	data := make([]byte, 4096)
+	c.Fill(1, 0, data, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint64(data, uint64(i))
+		c.Write(1, 0, data, uint64(i))
+		c.MarkClean(1, 0)
+	}
+}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"hash/maphash"
 
 	"repro/internal/bufpool"
 )
@@ -32,66 +33,76 @@ type block struct {
 	// the exact content length.
 	data []byte
 	refs int
+	// next links the blocks whose content hashes alike.
+	next *block
 }
 
-// fnv64a is FNV-1a, inlined so hashing a page allocates nothing.
-// Content addresses never leave the process and need no collision
-// resistance against adversaries: equal hashes are confirmed by a byte
-// compare before any sharing happens, so a collision costs a missed
-// dedup never a wrong read.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+// hash addresses a page by content: the runtime's memhash, a word at a
+// time, under a seed drawn once per Cache. Content addresses never leave
+// the process and need no collision resistance against adversaries:
+// equal hashes are confirmed by a byte compare before any sharing
+// happens, so a collision costs a missed dedup never a wrong read. The
+// hash only buckets — nothing iterates the store in hash order where
+// the order could be observed — so a seed that differs from process to
+// process leaves simulated runs repeatable.
+//
+//tank:hotpath
+func (c *Cache) hash(b []byte) uint64 { return maphash.Bytes(c.seed, b) }
+
+// share takes a reference on the resident block holding exactly data;
+// nil when there is none.
+//
+//tank:hotpath
+func (c *Cache) share(h uint64, data []byte) *block {
+	for b := c.blocks[h]; b != nil; b = b.next {
+		if bytes.Equal(b.data, data) {
+			b.refs++
+			c.dedupHits.Inc()
+			return b
+		}
 	}
-	return h
+	return nil
+}
+
+// adopt makes buf a resident block with one reference.
+//
+//tank:owns buf
+func (c *Cache) adopt(h uint64, buf []byte) *block {
+	b := &block{hash: h, data: buf, refs: 1, next: c.blocks[h]} //tank:adopt(block owns data; released by deref)
+	c.blocks[h] = b
+	c.addBytes(int64(len(buf)))
+	return b
 }
 
 // intern returns a block holding a copy of data, sharing an existing
 // block when one with identical content is resident. The caller's data
 // may alias a transport receive buffer; it is copied before the turn
 // ends.
+//
+//tank:hotpath
 func (c *Cache) intern(data []byte) *block {
-	h := fnv64a(data)
-	for _, b := range c.blocks[h] {
-		if len(b.data) == len(data) && bytes.Equal(b.data, data) {
-			b.refs++
-			c.dedupHits.Inc()
-			return b
-		}
+	h := c.hash(data)
+	if b := c.share(h, data); b != nil {
+		return b
 	}
 	buf := bufpool.Get(len(data))
 	copy(buf, data)
-	b := &block{hash: h, data: buf, refs: 1} //tank:adopt(block owns data; released by deref)
-	c.blocks[h] = append(c.blocks[h], b)
-	c.addBytes(int64(len(buf)))
-	return b
+	return c.adopt(h, buf)
 }
 
 // internOwned is intern for a buffer the caller already owns (a dirty
 // page being promoted by MarkClean): on a dedup hit the buffer is
 // recycled, otherwise the store adopts it without copying.
 //
+//tank:hotpath
 //tank:owns buf
 func (c *Cache) internOwned(buf []byte) *block {
-	h := fnv64a(buf)
-	for _, b := range c.blocks[h] {
-		if len(b.data) == len(buf) && bytes.Equal(b.data, buf) {
-			b.refs++
-			c.dedupHits.Inc()
-			bufpool.Put(buf)
-			return b
-		}
+	h := c.hash(buf)
+	if b := c.share(h, buf); b != nil {
+		bufpool.Put(buf)
+		return b
 	}
-	b := &block{hash: h, data: buf, refs: 1} //tank:adopt(block owns data; released by deref)
-	c.blocks[h] = append(c.blocks[h], b)
-	c.addBytes(int64(len(buf)))
-	return b
+	return c.adopt(h, buf)
 }
 
 // deref releases one page's reference; the last reference removes the
@@ -101,18 +112,16 @@ func (c *Cache) deref(b *block) {
 	if b.refs > 0 {
 		return
 	}
-	chain := c.blocks[b.hash]
-	for i, cand := range chain {
-		if cand == b {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			break
+	if head := c.blocks[b.hash]; head == b {
+		if b.next == nil {
+			delete(c.blocks, b.hash)
+		} else {
+			c.blocks[b.hash] = b.next
 		}
-	}
-	if len(chain) == 0 {
-		delete(c.blocks, b.hash)
 	} else {
-		c.blocks[b.hash] = chain
+		for ; head.next != b; head = head.next {
+		}
+		head.next = b.next
 	}
 	c.addBytes(-int64(len(b.data)))
 	bufpool.Put(b.data)
@@ -123,8 +132,10 @@ func (c *Cache) deref(b *block) {
 // without their own buffer).
 func (c *Cache) SharedBlocks() int {
 	n := 0
-	for _, chain := range c.blocks {
-		n += len(chain)
+	for _, b := range c.blocks {
+		for ; b != nil; b = b.next {
+			n++
+		}
 	}
 	return n
 }

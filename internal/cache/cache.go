@@ -17,6 +17,7 @@ package cache
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sort"
 
 	"repro/internal/bufpool"
@@ -96,10 +97,11 @@ type Cache struct {
 	maxBytes int64
 	lru      *list.List // clean pages only; front = most recent; values are pageKey
 	elems    map[pageKey]*list.Element
-	// blocks is the content store: hash → blocks with that hash (a
-	// chain longer than one means an FNV collision, disambiguated by
+	// blocks is the content store: hash under seed → the chain of blocks
+	// with that hash (longer than one means a collision, disambiguated by
 	// byte compare).
-	blocks map[uint64][]*block
+	blocks map[uint64]*block
+	seed   maphash.Seed
 	// resident counts pages (clean + dirty); residentBytes counts
 	// content bytes, each shared block once plus each private dirty
 	// buffer.
@@ -141,7 +143,8 @@ func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes in
 		maxBytes:       maxBytes,
 		lru:            list.New(),
 		elems:          make(map[pageKey]*list.Element),
-		blocks:         make(map[uint64][]*block),
+		blocks:         make(map[uint64]*block),
+		seed:           maphash.MakeSeed(),
 		hits:           reg.Counter(prefix + "cache.hits"),
 		misses:         reg.Counter(prefix + "cache.misses"),
 		dirtyPages:     reg.Gauge(prefix + "cache.dirty_pages"),
@@ -473,15 +476,15 @@ func (c *Cache) InvalidateAll() (discardedDirty int) {
 			}
 		}
 	}
-	for _, chain := range c.blocks {
-		for _, b := range chain {
+	for _, b := range c.blocks {
+		for ; b != nil; b = b.next {
 			bufpool.Put(b.data)
 		}
 	}
 	c.dirtyPages.Add(-int64(discardedDirty))
 	c.invals.Add(uint64(len(c.objects)))
 	c.objects = make(map[msg.ObjectID]*Object)
-	c.blocks = make(map[uint64][]*block)
+	c.blocks = make(map[uint64]*block)
 	c.lru.Init()
 	c.elems = make(map[pageKey]*list.Element)
 	c.resident = 0

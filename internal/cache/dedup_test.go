@@ -401,3 +401,44 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry,
 		fail("over budget with evictable clean pages on the LRU")
 	}
 }
+
+// A hash collision costs a missed dedup, never a wrong read: with two
+// different contents planted on one chain of the store, intern confirms
+// by content and shares neither with the other.
+func TestInternConfirmsContentOnACollidingChain(t *testing.T) {
+	reg := stats.NewRegistry()
+	c := New(reg, "x.")
+	a := bytes.Repeat([]byte("a"), 4096)
+	b := bytes.Repeat([]byte("b"), 4096)
+	// b's block sits where a's content hashes to, as if the two collided.
+	h := c.hash(a)
+	planted := c.adopt(h, append([]byte(nil), b...))
+
+	pa := c.Fill(1, 0, a, 1)
+	if !bytes.Equal(pa.Data, a) || pa.blk == planted {
+		t.Fatal("a fill of a was served b's colliding block")
+	}
+	if pa.blk.hash != h || pa.blk.next != planted {
+		t.Fatal("test is vacuous: a's block is not on the planted chain")
+	}
+	// Both now on one chain: each content finds its own block, and only
+	// its own.
+	if pb := c.Fill(2, 0, a, 2); pb.blk != pa.blk {
+		t.Fatal("identical content on a colliding chain was not shared")
+	}
+	if got := c.share(h, b); got != planted {
+		t.Fatal("b not found by content on the shared chain")
+	}
+	if planted.refs != 2 || pa.blk.refs != 2 {
+		t.Fatalf("refs: planted %d (want 2), a %d (want 2)", planted.refs, pa.blk.refs)
+	}
+	if got := reg.CounterValue("x.cache.dedup_hits"); got != 2 {
+		t.Fatalf("dedup_hits = %d, want 2 (a's second fill, and the share of b)", got)
+	}
+	// Unlinking from the middle and the head of the chain leaves the rest.
+	c.Drop(1)
+	c.Drop(2)
+	if c.blocks[h] != planted || planted.next != nil {
+		t.Fatal("dropping a's pages disturbed b's block on the same chain")
+	}
+}

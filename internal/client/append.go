@@ -224,6 +224,7 @@ func (c *Client) trim(ino msg.ObjectID, done func()) {
 func (c *Client) truncated(ino msg.ObjectID, nBlocks int, attr msg.Attr) {
 	o := c.cache.Ensure(ino)
 	c.cache.DropPagesFrom(ino, uint64(nBlocks))
+	c.forgetReadAhead(ino)
 	if len(o.Blocks) > nBlocks {
 		o.Blocks = o.Blocks[:nBlocks]
 	}

@@ -238,7 +238,7 @@ func (c *Client) armVSweep() {
 			c.whenIdle(ino, func() {
 				c.flushObject(ino, func() {
 					c.oracle.LockInactive(c.id, ino)
-					c.cache.Drop(ino)
+					c.dropObject(ino)
 				})
 			})
 		}

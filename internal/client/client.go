@@ -63,10 +63,12 @@ type Config struct {
 	// carry (per target disk). 0 selects DefaultFlushBatch; 1 disables
 	// coalescing and restores the per-page DiskWrite flush path.
 	FlushBatch int
-	// Prefetch is the read-ahead window: after two consecutive block
-	// reads the client issues one vectored SAN read for the next N
-	// uncached blocks. 0 selects DefaultPrefetch; negative disables
-	// read-ahead.
+	// Prefetch is the largest read-ahead window, in blocks: 0 selects
+	// DefaultPrefetch, negative disables read-ahead, n caps the window at
+	// n. A run of consecutive reads starts with a small window and doubles
+	// it up to this (prefetch.go); whatever is set here, the window never
+	// exceeds a quarter of the cache's page budget (CacheMaxPages,
+	// CacheQuota).
 	Prefetch int
 	// SANReqBase offsets the client's SAN request-ID sequence. Sharded
 	// nodes run one Client per lease authority sharing a single SAN
@@ -85,9 +87,9 @@ type Config struct {
 // Config.FlushBatch is zero.
 const DefaultFlushBatch = 32
 
-// DefaultPrefetch is the read-ahead window used when Config.Prefetch is
-// zero.
-const DefaultPrefetch = 3
+// DefaultPrefetch is the largest read-ahead window when Config.Prefetch
+// is zero.
+const DefaultPrefetch = 32
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatTTL == 0 {
@@ -183,16 +185,14 @@ type Client struct {
 	// sizePush holds what each object owes the server about its size
 	// (append.go).
 	sizePush map[msg.ObjectID]*sizePush
-	// seqNext/seqRun detect sequential scans per object (seqNext is the
-	// block index that would extend the run, seqRun its current length);
-	// prefetchInflight tracks block indexes a read-ahead batch is
-	// already fetching, so overlapping windows are not re-requested.
-	seqNext          map[msg.ObjectID]uint64
-	seqRun           map[msg.ObjectID]int
-	prefetchInflight map[msg.ObjectID]map[uint64]bool
-	// pfEnd is the exclusive end of issued read-ahead coverage per
-	// object: a new window is issued only when the scan reaches it.
-	pfEnd map[msg.ObjectID]uint64
+	// readAhead holds each object's sequential detector and read-ahead
+	// window (prefetch.go); maxWindow is Config.Prefetch resolved.
+	readAhead map[msg.ObjectID]*readAhead
+	maxWindow int
+	// prefetchInflight tracks the block indexes a read-ahead batch is
+	// already fetching, and the block each was issued for, so overlapping
+	// windows are not re-requested.
+	prefetchInflight map[msg.ObjectID]map[uint64]msg.BlockRef
 	// pfWaiters parks demand reads for blocks an in-flight read-ahead
 	// batch already covers: the read completes off the batch instead of
 	// duplicating the SAN round trip.
@@ -236,7 +236,7 @@ type Client struct {
 	fencedIO  *stats.Counter
 	nfsPolls  *stats.Counter
 	// prefetchBatches counts read-ahead batches issued to the SAN (each
-	// one vectored read covering up to Prefetch blocks).
+	// one vectored read: a window's blocks on one disk).
 	prefetchBatches *stats.Counter
 }
 
@@ -278,10 +278,9 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		downgrading:      make(map[msg.ObjectID]int),
 		acquireDeferred:  make(map[msg.ObjectID][]func()),
 		sizePush:         make(map[msg.ObjectID]*sizePush),
-		seqNext:          make(map[msg.ObjectID]uint64),
-		seqRun:           make(map[msg.ObjectID]int),
-		prefetchInflight: make(map[msg.ObjectID]map[uint64]bool),
-		pfEnd:            make(map[msg.ObjectID]uint64),
+		readAhead:        make(map[msg.ObjectID]*readAhead),
+		maxWindow:        cfg.maxWindow(),
+		prefetchInflight: make(map[msg.ObjectID]map[uint64]msg.BlockRef),
 		pfWaiters:        make(map[msg.ObjectID]map[uint64][]DataCallback),
 		objExpiry:        make(map[msg.ObjectID]sim.Time),
 		attrFetched:      make(map[msg.ObjectID]sim.Time),
@@ -386,7 +385,7 @@ func (c *Client) Crash() {
 	for ino := range c.allCachedObjects() {
 		c.oracle.LockInactive(c.id, ino)
 	}
-	c.cache.InvalidateAll()
+	c.invalidateAll()
 	c.oracle.ClientCrashed(c.id)
 }
 

@@ -99,9 +99,10 @@ func (c *Client) complyDemand(m *msg.Demand) {
 			if m.Mode == msg.LockNone {
 				delete(c.lockedInos, m.Ino)
 				c.oracle.LockInactive(c.id, m.Ino)
-				c.cache.Drop(m.Ino)
+				c.dropObject(m.Ino)
 				delete(c.objExpiry, m.Ino)
 			} else {
+				c.forgetReadAhead(m.Ino)
 				c.lockedInos[m.Ino] = m.Mode
 				if o := c.cache.Object(m.Ino); o != nil {
 					o.Mode = m.Mode

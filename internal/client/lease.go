@@ -40,7 +40,7 @@ func (a leaseActions) Expired() {
 		c.oracle.LockInactive(c.id, ino)
 	}
 	c.lockedInos = make(map[msg.ObjectID]msg.LockMode)
-	if lost := c.cache.InvalidateAll(); lost > 0 {
+	if lost := c.invalidateAll(); lost > 0 {
 		c.lostDirty.Add(uint64(lost))
 	}
 	c.handles = make(map[msg.Handle]handleInfo)
@@ -141,7 +141,7 @@ func (c *Client) recoverLeaseless() {
 		c.oracle.LockInactive(c.id, ino)
 	}
 	c.lockedInos = make(map[msg.ObjectID]msg.LockMode)
-	if lost := c.cache.InvalidateAll(); lost > 0 {
+	if lost := c.invalidateAll(); lost > 0 {
 		c.lostDirty.Add(uint64(lost))
 	}
 	c.handles = make(map[msg.Handle]handleInfo)

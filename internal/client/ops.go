@@ -297,12 +297,17 @@ func (c *Client) Close(h msg.Handle, cb ErrnoCallback) {
 			cb(errno)
 		})
 	}
-	lastWriter := info.write
+	lastWriter, last := info.write, true
 	for _, other := range c.handles {
 		if other == info {
 			lastWriter = false
-			break
 		}
+		if other.ino == info.ino {
+			last = false
+		}
+	}
+	if last {
+		c.forgetReadAhead(info.ino)
 	}
 	if lastWriter {
 		c.trim(info.ino, closeIt)
@@ -356,20 +361,20 @@ func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
 	})
 }
 
-// readBlock serves one block from cache or the SAN.
+// readBlock is one demand read of block idx.
 func (c *Client) readBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 	// Feed the sequential detector before serving: read-ahead targets
 	// blocks AFTER idx, so it never races the block being read here.
 	c.notePrefetchRead(ino, idx)
+	c.serveBlock(ino, idx, done)
+}
+
+// serveBlock serves one block from the cache, off a read-ahead batch
+// already fetching it, or from the SAN.
+func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 	if p := c.cache.Lookup(ino, idx); p != nil {
 		c.oracle.Read(c.id, ino, idx, p.Ver)
 		done(append([]byte(nil), p.Data...), msg.OK)
-		return
-	}
-	if c.prefetchInflight[ino][idx] {
-		// A read-ahead batch already has this block on the wire: ride it
-		// instead of duplicating the SAN round trip.
-		c.waitForPrefetch(ino, idx, done)
 		return
 	}
 	o := c.cache.Object(ino)
@@ -380,11 +385,23 @@ func (c *Client) readBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 		return
 	}
 	ref := o.Blocks[idx]
+	if onWire, ok := c.prefetchInflight[ino][idx]; ok && onWire == ref {
+		// A read-ahead batch already has this block on the wire: ride it
+		// instead of duplicating the SAN round trip.
+		c.waitForPrefetch(ino, idx, done)
+		return
+	}
 	c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
 		return &msg.DiskRead{Client: c.id, Req: req, Block: ref.Num}
 	}, func(reply msg.Message, errno msg.Errno) {
 		if errno != msg.OK || reply == nil {
 			done(nil, errno)
+			return
+		}
+		if !c.stillMapped(ino, idx, ref) {
+			// A Truncate freed the block while it was being read: what came
+			// back is no longer block idx of this file.
+			c.serveBlock(ino, idx, done)
 			return
 		}
 		res := reply.(*msg.DiskReadRes)
@@ -566,7 +583,7 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 		c.trim(ino, func() {
 			delete(c.lockedInos, ino)
 			c.oracle.LockInactive(c.id, ino)
-			c.cache.Drop(ino)
+			c.dropObject(ino)
 			delete(c.objExpiry, ino)
 			c.downgradeBegin(ino)
 			c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {

@@ -7,11 +7,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Read-ahead: after two consecutive block reads on one object, the
-// client speculatively fetches the next Prefetch uncached blocks in one
-// vectored SAN read per target disk (the same DiskReadV machinery the
-// flush path batches writes with). Prefetch is pure optimization layered
-// on the data path, and it must not weaken any protocol invariant:
+// Read-ahead (DESIGN.md §13.3): once two consecutive block reads
+// establish a run on an object, the client fetches ahead of the reader in
+// windows — one vectored SAN read per target disk per window (the same
+// DiskReadV machinery the flush path batches writes with). The first
+// window is firstWindow blocks; each time the reader enters the newest
+// window the next one is issued at double the size, up to maxWindow,
+// starting where coverage ends, so one window is on the wire while the
+// one before it is consumed and never more than two are outstanding.
+// Anything that breaks the run or takes the object's pages — a read out
+// of sequence, giving the lock up or down, a lease expiry, a Truncate,
+// the last Close — discards the object's record, and the next run starts
+// from firstWindow again.
+//
+// Read-ahead is pure optimization layered on the data path, and it must
+// not weaken any protocol invariant:
 //
 //   - It only ever runs from a read that was admitted under a valid
 //     lease and a covering shared lock, and each batch holds ioBegin
@@ -22,6 +32,9 @@ import (
 //     installing pages (the lease may have expired, or a demand may
 //     have been complied with, while the batch was in flight; cancelSAN
 //     also fails the batch with ErrStale on expiry and crash).
+//   - Completion installs a block only where the file still maps the
+//     index to the block that was read (stillMapped): a Truncate does
+//     not wait for reads in flight, and what it freed must not come back.
 //   - Installed pages go through Cache.FillPrefetched, which defers to
 //     any page a demand read or a write installed first — in
 //     particular it never overwrites dirty content.
@@ -30,45 +43,103 @@ import (
 // every prefetched page; client.<id>.prefetch_batches counts issued
 // batches; trace EvPrefetch records each batch for the event stream.
 
-// prefetchWindow resolves Config.Prefetch (0 = DefaultPrefetch,
-// negative = disabled).
-func (c *Client) prefetchWindow() int {
+// firstWindow is the size of a run's first read-ahead window: small, so
+// that two reads that happen to be consecutive in a random workload cost
+// little.
+const firstWindow = 2
+
+// maxWindow resolves Config.Prefetch to the largest read-ahead window in
+// blocks (0 = no read-ahead). The window is also held to a quarter of
+// the cache's page budget — two windows can be outstanding, and a cache
+// smaller than its own read-ahead would evict it unread.
+func (c Config) maxWindow() int {
+	w := c.Prefetch
 	switch {
-	case c.cfg.Prefetch < 0:
+	case w < 0:
 		return 0
-	case c.cfg.Prefetch == 0:
-		return DefaultPrefetch
-	default:
-		return c.cfg.Prefetch
+	case w == 0:
+		w = DefaultPrefetch
 	}
+	pages := c.CacheMaxPages
+	if q := int(c.CacheQuota / BlockSize); c.CacheQuota > 0 && (pages == 0 || q < pages) {
+		pages = q
+	}
+	if pages > 0 {
+		w = min(w, pages/4)
+	}
+	return w
 }
 
-// notePrefetchRead advances the per-object sequential detector with a
-// demand read of block idx and, once a run is established, issues
-// read-ahead for the window after idx.
+// readAhead is one object's sequential detector and read-ahead window.
+// It lives as long as the object's pages may: forgetReadAhead runs
+// wherever they are dropped.
+type readAhead struct {
+	// next is the block index that would extend the run, run its length.
+	next uint64
+	run  int
+	// size is the newest issued window's, in blocks (0: none issued yet),
+	// and mark its first block: the read that reaches mark issues the next
+	// window, which starts where this one ends.
+	size int
+	mark uint64
+}
+
+// forgetReadAhead discards ino's detector and window: the next run on it
+// starts over. In-flight batches complete (or are cancelled) on their
+// own; what they may install is decided at completion.
+func (c *Client) forgetReadAhead(ino msg.ObjectID) { delete(c.readAhead, ino) }
+
+// dropObject discards everything cached for ino, the read-ahead state
+// with the pages.
+func (c *Client) dropObject(ino msg.ObjectID) {
+	c.cache.Drop(ino)
+	c.forgetReadAhead(ino)
+}
+
+// invalidateAll empties the cache and every object's read-ahead state,
+// returning the number of dirty pages discarded.
+func (c *Client) invalidateAll() int {
+	c.readAhead = make(map[msg.ObjectID]*readAhead)
+	return c.cache.InvalidateAll()
+}
+
+// notePrefetchRead advances ino's sequential detector with a demand read
+// of block idx and issues the next read-ahead window when one is due.
 func (c *Client) notePrefetchRead(ino msg.ObjectID, idx uint64) {
-	w := c.prefetchWindow()
-	if w <= 0 {
+	if c.maxWindow <= 0 {
 		return
 	}
-	if c.seqRun[ino] > 0 && c.seqNext[ino] == idx {
-		c.seqRun[ino]++
+	ra := c.readAhead[ino]
+	if ra == nil {
+		ra = &readAhead{}
+		c.readAhead[ino] = ra
+	}
+	if ra.run > 0 && ra.next == idx {
+		ra.run++
 	} else {
-		c.seqRun[ino] = 1
-		delete(c.pfEnd, ino) // a new scan re-arms read-ahead from scratch
+		*ra = readAhead{run: 1}
 	}
-	c.seqNext[ino] = idx + 1
-	if c.seqRun[ino] < 2 {
+	ra.next = idx + 1
+	switch {
+	case ra.run < 2:
+		return
+	case ra.size == 0:
+		ra.mark = idx + 1
+		ra.size = min(firstWindow, c.maxWindow)
+	case idx >= ra.mark:
+		ra.mark += uint64(ra.size)
+		ra.size = min(2*ra.size, c.maxWindow)
+	default:
 		return
 	}
-	// Issue a fresh window only when the scan is about to run past the
-	// blocks already covered: one w-block batch per w consumed blocks,
-	// not a 1-block batch per read.
-	if idx+1 < c.pfEnd[ino] {
-		return
-	}
+	c.issueWindow(ino, ra.mark, ra.mark+uint64(ra.size))
+}
+
+// issueWindow reads blocks [start, end) of ino ahead: those mapped, not
+// resident and not already on the wire, one batch per disk.
+func (c *Client) issueWindow(ino msg.ObjectID, start, end uint64) {
 	o := c.cache.Object(ino)
-	if o == nil || !o.HaveMap {
+	if o == nil {
 		return
 	}
 	// Candidates in ascending index order; batches grouped per disk in
@@ -80,10 +151,9 @@ func (c *Client) notePrefetchRead(ino msg.ObjectID, idx uint64) {
 	}
 	var order []msg.NodeID
 	byDisk := make(map[msg.NodeID]*batch)
-	end := idx + uint64(w)
-	c.pfEnd[ino] = end + 1
-	for j := idx + 1; j <= end && j < uint64(len(o.Blocks)); j++ {
-		if o.Page(j) != nil || c.prefetchInflight[ino][j] {
+	infl := c.prefetchInflight[ino]
+	for j := start; j < end && j < uint64(len(o.Blocks)); j++ {
+		if _, onWire := infl[j]; onWire || o.Page(j) != nil {
 			continue
 		}
 		ref := o.Blocks[j]
@@ -101,62 +171,66 @@ func (c *Client) notePrefetchRead(ino msg.ObjectID, idx uint64) {
 	}
 }
 
+// stillMapped reports whether block idx of ino is still the block ref
+// names. A read is issued for the block the map held then; by the time it
+// completes a Truncate may have freed that block, and its content must
+// not enter the cache under an index that no longer owns it.
+func (c *Client) stillMapped(ino msg.ObjectID, idx uint64, ref msg.BlockRef) bool {
+	o := c.cache.Object(ino)
+	return o != nil && idx < uint64(len(o.Blocks)) && o.Blocks[idx] == ref
+}
+
 // issuePrefetch sends one read-ahead batch to disk d and installs the
 // returned blocks that are still wanted when the reply arrives.
 func (c *Client) issuePrefetch(ino msg.ObjectID, d msg.NodeID, idxs, nums []uint64) {
 	infl := c.prefetchInflight[ino]
 	if infl == nil {
-		infl = make(map[uint64]bool)
+		infl = make(map[uint64]msg.BlockRef)
 		c.prefetchInflight[ino] = infl
 	}
-	for _, j := range idxs {
-		infl[j] = true
+	for i, j := range idxs {
+		infl[j] = msg.BlockRef{Disk: d, Num: nums[i]}
 	}
 	c.ioBegin(ino)
 	c.prefetchBatches.Inc()
-	c.emit(trace.Event{Type: trace.EvPrefetch, Ino: ino, Block: idxs[0],
-		Note: fmt.Sprintf("window=%d", len(idxs))})
+	if c.tracer.Enabled() {
+		c.emit(trace.Event{Type: trace.EvPrefetch, Ino: ino, Block: idxs[0],
+			Note: fmt.Sprintf("window=%d", len(idxs))})
+	}
 	c.sanCall(d, func(req msg.ReqID) msg.Message {
 		return &msg.DiskReadV{Client: c.id, Req: req, Blocks: nums}
 	}, func(reply msg.Message, errno msg.Errno) {
 		c.ioEnd(ino)
-		for _, j := range idxs {
-			delete(infl, j)
-		}
-		if len(infl) == 0 && len(c.prefetchInflight[ino]) == 0 {
-			delete(c.prefetchInflight, ino)
-		}
 		// The batch was read under the shared lock; install only if both
 		// the batch succeeded and that lock still stands (a lease expiry
 		// in the window means the content may no longer be ours to cache;
 		// cancelSAN delivers ErrStale here on expiry and crash).
-		installed := false
-		var res *msg.DiskReadVRes
-		if errno == msg.OK && reply != nil && c.lockedInos[ino].Covers(msg.LockShared) {
-			res = reply.(*msg.DiskReadVRes)
-			if len(res.Data) >= len(idxs)*BlockSize {
-				installed = true
-				for i, j := range idxs {
-					if i < len(res.Errs) && res.Errs[i] != msg.OK {
-						continue
-					}
-					var ver uint64
-					if i < len(res.Vers) {
-						ver = res.Vers[i]
-					}
-					c.cache.FillPrefetched(ino, j, res.Data[i*BlockSize:(i+1)*BlockSize], ver)
-				}
-			}
+		res, _ := reply.(*msg.DiskReadVRes)
+		if errno == msg.OK && (res == nil || len(res.Data) < len(idxs)*BlockSize ||
+			!c.lockedInos[ino].Covers(msg.LockShared)) {
+			errno = msg.ErrStale
 		}
 		for i, j := range idxs {
-			blockErr := errno
-			if blockErr == msg.OK && !installed {
-				blockErr = msg.ErrStale
+			ref := msg.BlockRef{Disk: d, Num: nums[i]}
+			// A later batch may have claimed the index for another block.
+			if infl[j] == ref {
+				delete(infl, j)
 			}
-			if blockErr == msg.OK && res != nil && i < len(res.Errs) && res.Errs[i] != msg.OK {
+			blockErr := errno
+			if blockErr == msg.OK && i < len(res.Errs) {
 				blockErr = res.Errs[i]
 			}
+			if blockErr == msg.OK && c.stillMapped(ino, j, ref) {
+				var ver uint64
+				if i < len(res.Vers) {
+					ver = res.Vers[i]
+				}
+				c.cache.FillPrefetched(ino, j, res.Data[i*BlockSize:(i+1)*BlockSize], ver)
+			}
 			c.servePrefetchWaiters(ino, j, blockErr)
+		}
+		if len(infl) == 0 && len(c.prefetchInflight[ino]) == 0 {
+			delete(c.prefetchInflight, ino)
 		}
 	})
 }
@@ -173,8 +247,9 @@ func (c *Client) waitForPrefetch(ino msg.ObjectID, idx uint64, done DataCallback
 }
 
 // servePrefetchWaiters completes any demand reads parked on block idx
-// of a finished read-ahead batch: from the freshly installed page on
-// success, or with the batch's error.
+// of a finished read-ahead batch: with the batch's error, or as a read
+// issued now is served — from the page just installed, or, when the index
+// no longer maps the block the batch read, from wherever it maps now.
 func (c *Client) servePrefetchWaiters(ino msg.ObjectID, idx uint64, errno msg.Errno) {
 	m := c.pfWaiters[ino]
 	ws := m[idx]
@@ -186,14 +261,10 @@ func (c *Client) servePrefetchWaiters(ino msg.ObjectID, idx uint64, errno msg.Er
 		delete(c.pfWaiters, ino)
 	}
 	for _, done := range ws {
-		if errno == msg.OK {
-			if p := c.cache.Lookup(ino, idx); p != nil {
-				c.oracle.Read(c.id, ino, idx, p.Ver)
-				done(append([]byte(nil), p.Data...), msg.OK)
-				continue
-			}
-			errno = msg.ErrStale
+		if errno != msg.OK {
+			done(nil, errno)
+			continue
 		}
-		done(nil, errno)
+		c.serveBlock(ino, idx, done)
 	}
 }

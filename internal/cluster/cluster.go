@@ -68,8 +68,8 @@ type Options struct {
 	// FlushBatch bounds how many dirty pages one vectored SAN write may
 	// carry (0 = client default; 1 = legacy per-page write-back).
 	FlushBatch int
-	// Prefetch is each client's sequential read-ahead window (0 = client
-	// default; negative = disabled).
+	// Prefetch is each client's client.Config.Prefetch: the largest
+	// sequential read-ahead window.
 	Prefetch int
 	// ClientRates pins explicit clock rates per client (overrides
 	// ClockSkew for those indices); ServerRate pins the server's.

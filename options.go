@@ -190,10 +190,10 @@ func WithCacheQuota(bytes int64) Option {
 	return func(b *Build) { b.Cluster.CacheQuota = bytes }
 }
 
-// WithPrefetch sets each client's sequential read-ahead window: after
-// two consecutive block reads the client issues one vectored SAN read
-// for the next n uncached blocks (n ≤ 0 disables read-ahead; the
-// default window is 3). [sim, live client]
+// WithPrefetch caps each client's sequential read-ahead window at n
+// blocks; n ≤ 0 disables read-ahead. Without the option the cap is the
+// client's default (client.Config.Prefetch has the policy). [sim, live
+// client]
 func WithPrefetch(n int) Option {
 	return func(b *Build) {
 		if n <= 0 {
