@@ -359,7 +359,7 @@ func benchSeqScan(b *testing.B, opts ...Option) {
 	for i := 0; i < b.N; i++ {
 		// A cold scan each iteration: drop the reader's cache and reopen
 		// so the object map is refetched.
-		cl.Clients[1].Cache().InvalidateAll()
+		cl.Clients[1].Sub(0).Cache().InvalidateAll()
 		hr, _ := cl.MustOpen(1, "/seq", false, false)
 		before := cl.Reg.CounterValue("net.san.sent.san-io")
 		for j := 0; j < blocks; j++ {
@@ -406,7 +406,7 @@ func BenchmarkSharedHotFile(b *testing.B) {
 
 	// Settle: a final cold scan on reader 1 pins the dedup ratio at a
 	// deterministic instant.
-	c1 := cl.Clients[1].Cache()
+	c1 := cl.Clients[1].Sub(0).Cache()
 	c1.InvalidateAll()
 	hr, _ := cl.MustOpen(1, workload.HotFilePath, false, false)
 	for j := 0; j < cfg.Blocks; j++ {

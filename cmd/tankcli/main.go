@@ -48,8 +48,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/rpcnet"
-	"repro/internal/shard"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -82,117 +80,63 @@ func main() {
 		opts = append(opts, rpcnet.WithTracer(trace.New(trace.NewLogf(log.Printf))))
 	}
 
-	cli := &cli{id: *id}
-	if *shardsFlag != "" {
+	topo := rpcnet.Topology{Server: 1, ServerAddr: *serverAddr, Disks: diskAddrs}
+	switch {
+	case *shardsFlag != "":
+		// Placement is the topology's default: hash over the sorted
+		// authority IDs, the map every tankd derives from the same book.
 		servers, err := parseDisks(*shardsFlag)
 		if err != nil {
 			log.Fatalf("-shards: %v", err)
 		}
-		topo := rpcnet.Topology{Servers: servers, Disks: diskAddrs}
-		// The same hash placement over sorted authority IDs the servers
-		// compute from their -shards flag.
-		ids := topo.ServerIDs()
-		place := shard.Hash{N: len(ids)}
-		route := func(path string) msg.NodeID {
-			idx, ok := place.Owner(path)
-			if !ok {
-				return msg.None
-			}
-			return ids[idx]
-		}
-		node, err := rpcnet.StartShardClientNode(rpcnet.NodeSpec{ID: msg.NodeID(*id), Topo: topo},
-			client.Config{Core: cfg}, route, opts...)
+		topo = rpcnet.Topology{Servers: servers, Disks: diskAddrs}
+	case *replFlag != "":
+		members, err := parseDisks(*replFlag)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("-replicas: %v", err)
 		}
-		defer node.Close()
-		cli.shard = node
-	} else {
-		topo := rpcnet.Topology{Server: 1, ServerAddr: *serverAddr, Disks: diskAddrs}
-		if *replFlag != "" {
-			members, err := parseDisks(*replFlag)
-			if err != nil {
-				log.Fatalf("-replicas: %v", err)
-			}
-			group := replicaGroup(members)
-			topo.Server = group[0]
-			topo.ServerAddr = members[group[0]]
-			topo.Servers = members
-			topo.ReplicaGroups = map[msg.NodeID][]msg.NodeID{group[0]: group}
-		}
-		node, err := rpcnet.StartClientNode(rpcnet.NodeSpec{ID: msg.NodeID(*id), Topo: topo},
-			client.Config{Core: cfg}, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer node.Close()
-		cli.node = node
+		group := replicaGroup(members)
+		topo.Server = group[0]
+		topo.ServerAddr = members[group[0]]
+		topo.Servers = members
+		topo.ReplicaGroups = map[msg.NodeID][]msg.NodeID{group[0]: group}
 	}
-	cli.register()
+	node, err := rpcnet.StartClientNode(rpcnet.NodeSpec{ID: msg.NodeID(*id), Topo: topo},
+		client.Config{Core: cfg}, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.Start(0); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("registered as n%d (authorities: %d)\n", *id, len(node.Router.Subs()))
+	cli := &cli{node: node}
 	if err := cli.run(flag.Args()); err != nil {
 		log.Fatal(err)
 	}
 }
 
-type cli struct {
-	id    int
-	node  *rpcnet.ClientNode      // single-authority mode
-	shard *rpcnet.ShardClientNode // -shards mode
-}
+type cli struct{ node *rpcnet.ClientNode }
 
 // pick returns the protocol instance that serves path.
 func (c *cli) pick(path string) *client.Client {
-	if c.shard != nil {
-		sub := c.shard.Route(path)
-		if sub == nil {
-			log.Fatalf("no authority owns %s", path)
-		}
-		return sub
+	sub := c.node.Router.Owner(path)
+	if sub == nil {
+		log.Fatalf("no authority owns %s", path)
 	}
-	return c.node.Client
-}
-
-func (c *cli) submit(fn func()) {
-	if c.shard != nil {
-		c.shard.Do(fn)
-		return
-	}
-	c.node.Do(fn)
-}
-
-func (c *cli) reg() *stats.Registry {
-	if c.shard != nil {
-		return c.shard.Reg
-	}
-	return c.node.Reg
+	return sub
 }
 
 // do runs fn on the client executor and waits for completion.
 func (c *cli) do(fn func(done func())) {
 	ch := make(chan struct{})
-	c.submit(func() { fn(func() { close(ch) }) })
+	c.node.Do(func() { fn(func() { close(ch) }) })
 	select {
 	case <-ch:
 	case <-time.After(30 * time.Second):
 		log.Fatal("operation timed out")
 	}
-}
-
-func (c *cli) register() {
-	if c.shard != nil {
-		if err := c.shard.Start(0); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("registered as n%d with %d authorities\n", c.id, len(c.shard.Subs))
-		return
-	}
-	c.do(func(done func()) {
-		c.node.Client.OnRecovered = func(e msg.Epoch) {
-			fmt.Printf("registered as n%d epoch %d\n", c.node.Client.ID(), e)
-			done()
-		}
-		c.node.Client.Start()
-	})
 }
 
 func (c *cli) open(path string, write, create bool) (msg.Handle, msg.Attr, msg.Errno) {
@@ -371,10 +315,10 @@ func (c *cli) run(args []string) error {
 		fmt.Printf("idling %v with cached state...\n", d)
 		time.Sleep(d)
 		ch := make(chan [2]uint64, 1)
-		c.submit(func() {
+		c.node.Do(func() {
 			ch <- [2]uint64{
-				c.reg().CounterValue(fmt.Sprintf("client.n%d.lease.keepalives", c.id)),
-				c.reg().CounterValue(fmt.Sprintf("client.n%d.lease.expiries", c.id)),
+				c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.keepalives", c.node.Client.ID())),
+				c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.expiries", c.node.Client.ID())),
 			}
 		})
 		v := <-ch

@@ -81,7 +81,6 @@ import (
 	"repro/internal/replica"
 	"repro/internal/rpcnet"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -274,19 +273,10 @@ func main() {
 			}
 			scfg.Replica = &replica.Config{LeaseTerm: *replTerm}
 		}
-		if len(topo.Servers) > 0 {
-			// Hash placement over the sorted authority IDs — every tankd and
-			// every tankcli of the installation computes the same map.
-			ids := topo.ServerIDs()
-			place := shard.Hash{N: len(ids)}
-			scfg.PlaceOwner = func(path string) msg.NodeID {
-				idx, ok := place.Owner(path)
-				if !ok {
-					return msg.None
-				}
-				return ids[idx]
-			}
-		}
+		// With more than one authority in -shards, the server's slice of the
+		// namespace is the topology's default placement: hash over the
+		// sorted authority IDs, the map every tankd and tankcli derives
+		// from the same book.
 		s, err := rpcnet.StartServerNode(rpcnet.NodeSpec{ID: topo.Server, Topo: topo}, scfg, nodeOpts...)
 		if err != nil {
 			log.Fatalf("server: %v", err)

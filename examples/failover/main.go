@@ -21,7 +21,7 @@ func main() {
 	cl.Start()
 	cfg := storagetank.Resolve().Cluster.Core
 	tau := cfg.Tau
-	c0 := cl.Clients[0]
+	c0 := cl.Clients[0].Sub(0)
 
 	var isoAt = func() time.Duration { return time.Duration(cl.Sched.Now()) }
 	var t0 time.Duration
@@ -65,8 +65,7 @@ func main() {
 	cl.RunFor(tau)
 
 	cl.Sync(1) // flush the survivor before auditing
-	cl.Checker.FinalCheck()
-	fmt.Printf("\nconsistency violations across the whole episode: %d\n", len(cl.Checker.Violations()))
+	fmt.Printf("\nconsistency violations across the whole episode: %d\n", len(cl.FinalCheck()))
 	fmt.Printf("keep-alives the isolated client sent in phase 2: %v\n",
 		cl.Reg.CounterValue("client.n10.lease.keepalives"))
 	fmt.Printf("dirty pages discarded at expiry (would be lost updates): %v\n",

@@ -64,7 +64,7 @@ func runScenario(pol storagetank.Policy) {
 	for i := range cl.Clients {
 		cl.Sync(i)
 	}
-	cl.Checker.FinalCheck()
+	cl.FinalCheck()
 
 	fmt.Printf("%-14s", pol.Name)
 	if granted {
@@ -73,9 +73,9 @@ func runScenario(pol storagetank.Policy) {
 		fmt.Printf(" C2 still waiting (> %v)  ", 3*tau)
 	}
 	fmt.Printf(" conflicts=%d stale=%d lost=%d\n",
-		cl.Checker.Count(checker.ConcurrentConflict),
-		cl.Checker.Count(checker.StaleRead),
-		cl.Checker.Count(checker.LostUpdate))
+		cl.Checkers[0].Count(checker.ConcurrentConflict),
+		cl.Checkers[0].Count(checker.StaleRead),
+		cl.Checkers[0].Count(checker.LostUpdate))
 }
 
 func block(b byte) []byte {

@@ -41,7 +41,7 @@ func main() {
 		log.Fatalf("write: %v", err)
 	}
 	fmt.Printf("client 0 wrote %d bytes (dirty pages in cache: %d)\n",
-		len(payload), cl.Clients[0].Cache().TotalDirty())
+		len(payload), cl.Clients[0].Sub(0).Cache().TotalDirty())
 
 	// Client 1 reads the same file. The server demands client 0's
 	// exclusive lock down to shared; client 0 flushes its dirty page to
@@ -55,7 +55,7 @@ func main() {
 		log.Fatalf("read: %v", err)
 	}
 	fmt.Printf("client 1 read:  %q\n", data[:len(payload)])
-	fmt.Printf("client 0 dirty pages after the demand: %d\n\n", cl.Clients[0].Cache().TotalDirty())
+	fmt.Printf("client 0 dirty pages after the demand: %d\n\n", cl.Clients[0].Sub(0).Cache().TotalDirty())
 
 	// Let the installation idle for a while: lock and metadata traffic
 	// stops, so the clients preserve their caches with keep-alives.
@@ -67,11 +67,10 @@ func main() {
 	fmt.Printf("  server lease operations:        %d\n",
 		cl.Reg.CounterValue("server.authority.ops"))
 	fmt.Printf("  server lease memory:            %d bytes\n",
-		cl.Server.Authority().StateBytes())
+		cl.Shards[0].Server.Authority().StateBytes())
 	fmt.Printf("  file data moved through server: %d bytes\n",
 		cl.Reg.CounterValue("server.data_bytes"))
 
 	// And the oracle confirms the run was sequentially consistent.
-	cl.Checker.FinalCheck()
-	fmt.Printf("  consistency violations:         %d\n", len(cl.Checker.Violations()))
+	fmt.Printf("  consistency violations:         %d\n", len(cl.FinalCheck()))
 }

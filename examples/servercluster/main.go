@@ -17,13 +17,13 @@ import (
 
 func main() {
 	const servers = 3
-	inst := storagetank.NewShardClusterWith(
+	inst := storagetank.NewClusterWith(
 		storagetank.WithShards(servers),
 		storagetank.WithPlacement(storagetank.SubtreePlacement{
 			Prefixes: map[string]int{"/s0": 0, "/s1": 1, "/s2": 2},
 		}))
 	inst.Start()
-	tau := storagetank.Resolve().Shard.Core.Tau
+	tau := storagetank.Resolve().Cluster.Core.Tau
 	fmt.Printf("cluster up: %d servers, namespace shards /s0 /s1 /s2, τ=%v\n\n",
 		servers, tau)
 
@@ -31,7 +31,7 @@ func main() {
 	handles := make([]msg.Handle, servers)
 	for i := range handles {
 		path := fmt.Sprintf("/s%d/data", i)
-		handles[i] = inst.MustOpen(0, path, true, true)
+		handles[i], _ = inst.MustOpen(0, path, true, true)
 		inst.Write(0, handles[i], 0, make([]byte, storagetank.BlockSize))
 		fmt.Printf("node 0 holds an exclusive lock on %s (lease with server %d)\n", path, i+1)
 	}
@@ -50,7 +50,7 @@ func main() {
 		fmt.Printf("  shard /s%d: %v\n", i, errno)
 	}
 
-	inst.HealAll()
+	inst.HealControl()
 	inst.RunFor(2 * tau)
 	inst.Sync(0)
 	fmt.Printf("\nafter heal: phases %v, violations across all shards: %d\n",

@@ -70,11 +70,12 @@ type Config struct {
 	// exceeds a quarter of the cache's page budget (CacheMaxPages,
 	// CacheQuota).
 	Prefetch int
-	// SANReqBase offsets the client's SAN request-ID sequence. Sharded
-	// nodes run one Client per lease authority sharing a single SAN
-	// identity; disjoint bases keep their request IDs from colliding and
-	// let the router demultiplex disk replies back to the issuing
-	// sub-client (DESIGN.md §14).
+	// SANReqBase offsets the client's SAN request-ID sequence and marks
+	// the handles it gives out. A node runs one Client per lease authority
+	// behind a single SAN identity (Router sets this); disjoint bases keep
+	// request IDs from colliding and let the router find the issuing
+	// instance of a disk reply or a handle in the ID's high bits
+	// (DESIGN.md §14).
 	SANReqBase msg.ReqID
 	// Replicas, when the authority is replicated, lists the full replica
 	// group for this client's server (including the primary). The channel

@@ -126,15 +126,15 @@ func TestReleaseLockDropsState(t *testing.T) {
 	}
 	done := false
 	var errno msg.Errno
-	cl.Clients[0].ReleaseLock(attr.Ino, func(e msg.Errno) { errno = e; done = true })
+	cl.Clients[0].Sub(0).ReleaseLock(attr.Ino, func(e msg.Errno) { errno = e; done = true })
 	cl.Sched.RunWhile(func() bool { return !done })
 	if errno != msg.OK {
 		t.Fatalf("release: %v", errno)
 	}
-	if cl.Clients[0].Cache().Object(attr.Ino) != nil {
+	if cl.Clients[0].Sub(0).Cache().Object(attr.Ino) != nil {
 		t.Fatal("cache object survived release")
 	}
-	if cl.Server.Locks().Held(cluster.ClientID(0), attr.Ino) != msg.LockNone {
+	if cl.Shards[0].Server.Locks().Held(cluster.ClientID(0), attr.Ino) != msg.LockNone {
 		t.Fatal("server still records the lock")
 	}
 	// The dirty write was flushed (not lost) before release.
@@ -160,8 +160,8 @@ func TestQuiescedClientRefusesNewOps(t *testing.T) {
 	cl.IsolateClient(0)
 	// Run into phase 3 (quiesce begins at 0.70τ).
 	cl.RunFor(8 * time.Second)
-	if !cl.Clients[0].Quiesced() {
-		t.Fatalf("client not quiesced (phase %v)", cl.Clients[0].Lease().Phase())
+	if !cl.Clients[0].Sub(0).Quiesced() {
+		t.Fatalf("client not quiesced (phase %v)", cl.Clients[0].Sub(0).Lease().Phase())
 	}
 	errno := msg.OK
 	cl.Clients[0].Read(h, 0, func(_ []byte, e msg.Errno) { errno = e })
@@ -183,7 +183,7 @@ func TestSyncIdempotent(t *testing.T) {
 	if e := cl.Sync(0); e != msg.OK {
 		t.Fatalf("second sync: %v", e)
 	}
-	if cl.Clients[0].Cache().TotalDirty() != 0 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 0 {
 		t.Fatal("dirty after sync")
 	}
 }
@@ -195,14 +195,14 @@ func TestInflightGaugeReturnsToZero(t *testing.T) {
 		cl.Clients[0].Write(h, uint64(i), make([]byte, 8), func(msg.Errno) {})
 	}
 	cl.RunFor(2 * time.Second)
-	if n := cl.Clients[0].Inflight(); n != 0 {
+	if n := cl.Clients[0].Sub(0).Inflight(); n != 0 {
 		t.Fatalf("inflight = %d after drain", n)
 	}
 }
 
 func TestEpochAdvancesAcrossRecovery(t *testing.T) {
 	cl := boot(t)
-	e1 := cl.Clients[0].Epoch()
+	e1 := cl.Clients[0].Sub(0).Epoch()
 	h, _ := cl.MustOpen(0, "/e", true, true)
 	cl.Write(0, h, 0, []byte("x"))
 	cl.IsolateClient(0)
@@ -213,7 +213,7 @@ func TestEpochAdvancesAcrossRecovery(t *testing.T) {
 	if !cl.Clients[0].Registered() {
 		t.Fatal("client did not rejoin")
 	}
-	if e2 := cl.Clients[0].Epoch(); e2 <= e1 {
+	if e2 := cl.Clients[0].Sub(0).Epoch(); e2 <= e1 {
 		t.Fatalf("epoch did not advance: %d -> %d", e1, e2)
 	}
 	// The old handle is dead after recovery.
@@ -231,16 +231,16 @@ func TestPeriodicWriteBack(t *testing.T) {
 	if e := cl.Write(0, h, 0, []byte("periodic")); e != msg.OK {
 		t.Fatal(e)
 	}
-	if cl.Clients[0].Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("setup: not dirty")
 	}
 	// No Sync, no demand: the background flush alone must clean the page.
 	cl.RunFor(2 * time.Second)
-	if cl.Clients[0].Cache().TotalDirty() != 0 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 0 {
 		t.Fatal("periodic write-back did not flush")
 	}
 	// The page is still cached (clean), not dropped.
-	obj := cl.Clients[0].Cache().Object(2)
+	obj := cl.Clients[0].Sub(0).Cache().Object(2)
 	if obj == nil || obj.Page(0) == nil || obj.Page(0).Dirty {
 		t.Fatal("flushed page missing or still dirty")
 	}
@@ -274,7 +274,7 @@ func TestReaddirThroughClient(t *testing.T) {
 	cl.MustOpen(0, "/lsfile", true, true)
 	var entries []msg.DirEntry
 	done := false
-	cl.Clients[0].Readdir(1, func(es []msg.DirEntry, e msg.Errno) { entries = es; done = true })
+	cl.Clients[0].Sub(0).Readdir(1, func(es []msg.DirEntry, e msg.Errno) { entries = es; done = true })
 	cl.Sched.RunWhile(func() bool { return !done })
 	found := false
 	for _, e := range entries {
@@ -357,7 +357,7 @@ func TestTruncateFlow(t *testing.T) {
 		t.Fatalf("kept block read: %v %q", e, data[0])
 	}
 	// Server-side blocks freed.
-	in, _ := cl.Server.Store().Lookup("/trunc")
+	in, _ := cl.Shards[0].Server.Store().Lookup("/trunc")
 	if len(in.Blocks) != 2 {
 		t.Fatalf("server block map = %d blocks", len(in.Blocks))
 	}
@@ -423,11 +423,11 @@ func TestCachePressureRefetchesFromSAN(t *testing.T) {
 	if cl.Reg.CounterValue("client.n10.cache.evictions") == 0 {
 		t.Fatal("no evictions under pressure")
 	}
-	if got := cl.Clients[0].Cache().ResidentPages(); got > 4 {
+	if got := cl.Clients[0].Sub(0).Cache().ResidentPages(); got > 4 {
 		t.Fatalf("resident pages = %d > capacity", got)
 	}
-	cl.Checker.FinalCheck()
-	if len(cl.Checker.Violations()) != 0 {
-		t.Fatalf("violations: %v", cl.Checker.Violations())
+	cl.FinalCheck()
+	if len(cl.Violations()) != 0 {
+		t.Fatalf("violations: %v", cl.Violations())
 	}
 }

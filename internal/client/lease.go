@@ -117,6 +117,15 @@ func (c *Client) rejoin() {
 			c.clock.AfterFunc(c.cfg.Core.RetryInterval, func() { c.rejoin() })
 			return
 		}
+		if c.lease != nil && !c.lease.Valid() {
+			// The ACK came more than τ after this request's first send, and
+			// a renewal dates from the send: the lease it grants is already
+			// over. Registered without a lease, the client would refuse
+			// every operation and send no keep-alive to get out, so ask
+			// again — a new request, with a send time of its own.
+			c.rejoin()
+			return
+		}
 		res := r.Body.(msg.RejoinRes)
 		c.chn.SetEpoch(res.Epoch)
 		c.registered = true

@@ -268,11 +268,14 @@ func (c *Client) openIno(ino msg.ObjectID, write bool, cb OpenCallback) {
 			return
 		}
 		res := r.Body.(msg.OpenRes)
-		c.handles[res.Handle] = handleInfo{ino: ino, write: write}
+		// The server's handle under this instance's ID base: a router over
+		// several instances finds the opener in the handle itself.
+		h := msg.Handle(c.cfg.SANReqBase) | res.Handle
+		c.handles[h] = handleInfo{ino: ino, write: write}
 		o := c.cache.Ensure(ino)
 		o.Attr = c.seenAttr(res.Attr)
 		o.HaveAttr = true
-		cb(res.Handle, o.Attr, msg.OK)
+		cb(h, o.Attr, msg.OK)
 	})
 }
 
@@ -291,7 +294,7 @@ func (c *Client) Close(h msg.Handle, cb ErrnoCallback) {
 	}
 	delete(c.handles, h)
 	closeIt := func() {
-		c.call(&msg.Close{Ino: info.ino, Handle: h}, func(r *msg.Reply) {
+		c.call(&msg.Close{Ino: info.ino, Handle: h &^ msg.Handle(c.cfg.SANReqBase)}, func(r *msg.Reply) {
 			errno := errnoOf(r)
 			c.finish(errno)
 			cb(errno)

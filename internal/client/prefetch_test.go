@@ -113,7 +113,7 @@ func TestCacheQuotaBoundsResidentBytes(t *testing.T) {
 	cl := cluster.New(opts)
 	cl.Start()
 	populateBlocks(t, cl, 0, "/quota", blocks)
-	c := cl.Clients[0]
+	c := cl.Clients[0].Sub(0)
 	if got := c.Cache().ResidentBytes(); got > quota {
 		t.Fatalf("resident bytes %d over quota %d after flush", got, quota)
 	}
@@ -196,7 +196,7 @@ func readCheck(t *testing.T, cl *cluster.Cluster, i int, h msg.Handle, idx uint6
 func quiet(t *testing.T, cl *cluster.Cluster, i int) {
 	t.Helper()
 	cl.RunFor(10 * time.Millisecond)
-	c := cl.Clients[i]
+	c := cl.Clients[i].Sub(0)
 	if c.ParkedReads() != 0 || c.PrefetchInflight() != 0 || c.Inflight() != 0 {
 		t.Fatalf("left behind: parked reads %d, blocks in flight %d, operations %d",
 			c.ParkedReads(), c.PrefetchInflight(), c.Inflight())
@@ -214,7 +214,7 @@ func TestReadAheadWindowRamps(t *testing.T) {
 	var onWire []int
 	cl.Opts.Tracer.Attach(trace.SinkFunc(func(e trace.Event) {
 		if e.Type == trace.EvPrefetch && e.Node == cluster.ClientID(1) {
-			onWire = append(onWire, cl.Clients[1].PrefetchInflight())
+			onWire = append(onWire, cl.Clients[1].Sub(0).PrefetchInflight())
 		}
 	}))
 	h, _ := cl.MustOpen(1, "/ramp", false, false)
@@ -274,7 +274,7 @@ func TestReadAheadCollapses(t *testing.T) {
 		if e := cl.Write(0, hw, 100, data); e != msg.OK {
 			t.Fatal(e)
 		}
-		if n := cl.Clients[1].ReadAheadRecords(); n != 0 {
+		if n := cl.Clients[1].Sub(0).ReadAheadRecords(); n != 0 {
 			t.Fatalf("%d detector records survived the demand", n)
 		}
 		at := mark(ring)
@@ -293,8 +293,8 @@ func TestReadAheadCollapses(t *testing.T) {
 		for i := 0; i < 200 && cl.Clients[1].Registered(); i++ {
 			cl.RunFor(100 * time.Millisecond)
 		}
-		if n := cl.Clients[1].ReadAheadRecords(); n != 0 || cl.Clients[1].Cache().ResidentPages() != 0 {
-			t.Fatalf("after expiry: %d detector records, %d pages", n, cl.Clients[1].Cache().ResidentPages())
+		if n := cl.Clients[1].Sub(0).ReadAheadRecords(); n != 0 || cl.Clients[1].Sub(0).Cache().ResidentPages() != 0 {
+			t.Fatalf("after expiry: %d detector records, %d pages", n, cl.Clients[1].Sub(0).Cache().ResidentPages())
 		}
 		quiet(t, cl, 1)
 		cl.HealControl()
@@ -316,13 +316,13 @@ func TestReadAheadCollapses(t *testing.T) {
 		if e := cl.Close(1, h1); e != msg.OK {
 			t.Fatal(e)
 		}
-		if n := cl.Clients[1].ReadAheadRecords(); n != 1 {
+		if n := cl.Clients[1].Sub(0).ReadAheadRecords(); n != 1 {
 			t.Fatalf("%d detector records with a handle still open, want 1", n)
 		}
 		if e := cl.Close(1, h2); e != msg.OK {
 			t.Fatal(e)
 		}
-		if n := cl.Clients[1].ReadAheadRecords(); n != 0 {
+		if n := cl.Clients[1].Sub(0).ReadAheadRecords(); n != 0 {
 			t.Fatalf("%d detector records after the last close", n)
 		}
 	})
@@ -371,7 +371,7 @@ func TestReadAheadWindowCaps(t *testing.T) {
 			if w := cl.Reg.CounterValue("client.n11.cache.prefetch_wasted"); w != 0 {
 				t.Fatalf("%s: a 16-page cache evicted %d pages of its own read-ahead", name, w)
 			}
-			if got := cl.Clients[1].Cache().ResidentPages(); got > 16 {
+			if got := cl.Clients[1].Sub(0).Cache().ResidentPages(); got > 16 {
 				t.Fatalf("%s: %d pages resident", name, got)
 			}
 		}

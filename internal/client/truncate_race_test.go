@@ -44,7 +44,7 @@ func mustBeHole(t *testing.T, cl *cluster.Cluster, h msg.Handle, ino msg.ObjectI
 		t.Fatalf("block %d past the truncated end read back old content %x…: "+
 			"a read that completed across the Truncate re-installed a freed block", idx, got[:8])
 	}
-	if o := cl.Clients[0].Cache().Object(ino); o != nil && o.Page(idx) != nil {
+	if o := cl.Clients[0].Sub(0).Cache().Object(ino); o != nil && o.Page(idx) != nil {
 		t.Fatalf("a page for freed block %d is resident", idx)
 	}
 }
@@ -55,7 +55,7 @@ func mustBeHole(t *testing.T, cl *cluster.Cluster, h msg.Handle, ino msg.ObjectI
 // after the Truncate gets — a hole.
 func TestTruncateAcrossReadAheadInstallsNothingPastTheEnd(t *testing.T) {
 	cl := slowSAN(t, "/t", 0)
-	c := cl.Clients[0]
+	c := cl.Clients[0].Sub(0)
 	h, attr := cl.MustOpen(0, "/t", true, false)
 	for i := uint64(0); i < 2; i++ {
 		if _, e := cl.Read(0, h, i); e != msg.OK {
@@ -92,7 +92,7 @@ func TestTruncateAcrossReadAheadInstallsNothingPastTheEnd(t *testing.T) {
 // not Fill the freed block's content back in either.
 func TestTruncateAcrossDemandReadInstallsNothingPastTheEnd(t *testing.T) {
 	cl := slowSAN(t, "/t", -1)
-	c := cl.Clients[0]
+	c := cl.Clients[0].Sub(0)
 	h, attr := cl.MustOpen(0, "/t", true, false)
 	if _, e := cl.Read(0, h, 0); e != msg.OK { // lock and map in hand
 		t.Fatal(e)

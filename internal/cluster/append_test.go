@@ -25,7 +25,7 @@ func appendBlocks(t *testing.T, cl *Cluster, i int, h msg.Handle, from, to uint6
 
 func inode(t *testing.T, cl *Cluster, path string) *meta.Inode {
 	t.Helper()
-	in, errno := cl.Server.Store().Lookup(path)
+	in, errno := cl.Shards[0].Server.Store().Lookup(path)
 	if errno != msg.OK {
 		t.Fatalf("lookup %s: %v", path, errno)
 	}
@@ -34,8 +34,8 @@ func inode(t *testing.T, cl *Cluster, path string) *meta.Inode {
 
 func noViolations(t *testing.T, cl *Cluster) {
 	t.Helper()
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -161,7 +161,7 @@ func TestTrimGivesBackWhatWasGrantedAhead(t *testing.T) {
 			if in.Size != 10*BlockSize || len(in.Blocks) != 10 {
 				t.Fatalf("after the trim: size %d, %d blocks; want %d, 10", in.Size, len(in.Blocks), 10*BlockSize)
 			}
-			if n := cl.Server.Store().Allocator().InUse(); n != 10 {
+			if n := cl.Shards[0].Server.Store().Allocator().InUse(); n != 10 {
 				t.Fatalf("allocator holds %d blocks, the only file has 10", n)
 			}
 			cl.Sync(0)
@@ -220,7 +220,7 @@ func TestPartitionedAppenderKeepsItsTail(t *testing.T) {
 	// The lease is still good and the blocks are granted: these appends
 	// complete in the cache without the server.
 	appendBlocks(t, cl, 0, h0, 10, 14)
-	if cl.Clients[0].Cache().TotalDirty() != 4 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 4 {
 		t.Fatal("setup: the isolated writer holds no dirty tail")
 	}
 
@@ -283,8 +283,8 @@ func TestAllocReplayedAcrossRestartRefetchesMap(t *testing.T) {
 			}
 		})
 		defer cl.Control.Attach(id, cl.Clients[0].Deliver)
-		cl.Control.Send(id, ServerID, &msg.AllocBlocks{
-			ReqHeader: msg.ReqHeader{Client: id, Req: 1 << 20, Epoch: cl.Clients[0].Epoch()},
+		cl.Control.Send(id, ServerID(0), &msg.AllocBlocks{
+			ReqHeader: msg.ReqHeader{Client: id, Req: 1 << 20, Epoch: cl.Clients[0].Sub(0).Epoch()},
 			Ino:       attr.Ino, Count: 1,
 		})
 		cl.RunFor(100 * time.Millisecond)
@@ -294,18 +294,18 @@ func TestAllocReplayedAcrossRestartRefetchesMap(t *testing.T) {
 	if first == nil || first.Err != msg.OK || first.Body.(msg.AllocRes).First != 2 {
 		t.Fatalf("the first execution: %+v", first)
 	}
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
-	cl.RestartServer()
+	cl.RestartServer(0)
 	// Any request gets the NACK that makes a client reassert its locks
 	// and take a new epoch from the restarted server.
-	old := cl.Clients[0].Epoch()
+	old := cl.Clients[0].Sub(0).Epoch()
 	for i := range cl.Clients {
 		cl.SyncClient(i).Stat(attr.Ino)
 	}
 	cl.RunFor(time.Second)
-	if cl.Clients[0].Epoch() == old || cl.Clients[0].Cache().Object(attr.Ino) == nil {
-		t.Fatalf("setup: client 0 did not reassert (epoch %d → %d)", old, cl.Clients[0].Epoch())
+	if cl.Clients[0].Sub(0).Epoch() == old || cl.Clients[0].Sub(0).Cache().Object(attr.Ino) == nil {
+		t.Fatalf("setup: client 0 did not reassert (epoch %d → %d)", old, cl.Clients[0].Sub(0).Epoch())
 	}
 	second := send()
 	if second == nil || second.Err != msg.OK || second.Body.(msg.AllocRes).First != 4 {
@@ -313,13 +313,13 @@ func TestAllocReplayedAcrossRestartRefetchesMap(t *testing.T) {
 	}
 
 	// The client's map still ends at 2; the server's at 6.
-	if n := len(cl.Clients[0].Cache().Object(attr.Ino).Blocks); n != 2 {
+	if n := len(cl.Clients[0].Sub(0).Cache().Object(attr.Ino).Blocks); n != 2 {
 		t.Fatalf("setup: client map has %d blocks", n)
 	}
 	appendBlocks(t, cl, 0, h, 2, 8)
 	cl.Sync(0)
 	in := inode(t, cl, "/f")
-	o := cl.Clients[0].Cache().Object(attr.Ino)
+	o := cl.Clients[0].Sub(0).Cache().Object(attr.Ino)
 	if len(o.Blocks) != len(in.Blocks) {
 		t.Fatalf("client map has %d blocks, the inode %d", len(o.Blocks), len(in.Blocks))
 	}

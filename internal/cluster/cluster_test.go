@@ -25,15 +25,15 @@ func TestStartRegistersAllClients(t *testing.T) {
 	cl := New(DefaultOptions())
 	cl.Start()
 	for i, c := range cl.Clients {
-		if !c.Registered() || c.Epoch() == 0 {
-			t.Fatalf("client %d not registered (epoch %d)", i, c.Epoch())
+		if !c.Registered() || c.Sub(0).Epoch() == 0 {
+			t.Fatalf("client %d not registered (epoch %d)", i, c.Sub(0).Epoch())
 		}
-		if !cl.Server.Registered(ClientID(i)) {
+		if !cl.Shards[0].Server.Registered(ClientID(i)) {
 			t.Fatalf("server does not know client %d", i)
 		}
 	}
-	if cl.Clients[0].Lease().Phase() != core.Phase1Valid {
-		t.Fatalf("lease phase = %v after registration", cl.Clients[0].Lease().Phase())
+	if cl.Clients[0].Sub(0).Lease().Phase() != core.Phase1Valid {
+		t.Fatalf("lease phase = %v after registration", cl.Clients[0].Sub(0).Lease().Phase())
 	}
 }
 
@@ -58,7 +58,7 @@ func TestWriteSyncReadAcrossClients(t *testing.T) {
 		t.Fatalf("read: %v, data[0]=%q", errno, data[:1])
 	}
 	cl.RunFor(time.Second)
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestDemandFlushesDirtyData(t *testing.T) {
 	if errno := cl.Write(0, h0, 0, block('D')); errno != msg.OK {
 		t.Fatalf("write: %v", errno)
 	}
-	if cl.Clients[0].Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("no dirty page in cache")
 	}
 	// Reader on client 1 forces the demand; the flush must happen before
@@ -81,11 +81,11 @@ func TestDemandFlushesDirtyData(t *testing.T) {
 	if errno != msg.OK || !bytes.Equal(data, block('D')) {
 		t.Fatalf("read after demand: %v", errno)
 	}
-	if cl.Clients[0].Cache().TotalDirty() != 0 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 0 {
 		t.Fatal("dirty data survived the demand")
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -106,8 +106,8 @@ func TestExclusiveWriterHandoff(t *testing.T) {
 	if errno != msg.OK || !bytes.Equal(data, block('2')) {
 		t.Fatalf("read-back: %v, got %q", errno, data[:1])
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestNormalOperationHasZeroLeaseOverhead(t *testing.T) {
 			// lease opportunistically ("the frequency of lock and
 			// metadata messages is much higher than the lease interval").
 			cl.Await(time.Minute, func(done func()) {
-				cl.Clients[i].Stat(meta.RootIno, func(msg.Attr, msg.Errno) { done() })
+				cl.Clients[i].Sub(0).Stat(meta.RootIno, func(msg.Attr, msg.Errno) { done() })
 			})
 		}
 		cl.RunFor(time.Second)
@@ -144,7 +144,7 @@ func TestNormalOperationHasZeroLeaseOverhead(t *testing.T) {
 	if n := cl.Reg.CounterValue("server.authority.ops"); n != 0 {
 		t.Fatalf("authority performed %d ops", n)
 	}
-	if b := cl.Server.Authority().StateBytes(); b != 0 {
+	if b := cl.Shards[0].Server.Authority().StateBytes(); b != 0 {
 		t.Fatalf("authority holds %d bytes", b)
 	}
 	if n := cl.Reg.CounterValue("server.nacks_sent"); n != 0 {
@@ -166,7 +166,7 @@ func TestIdleClientPreservesCacheWithKeepAlives(t *testing.T) {
 	// Then: total silence for 5 lease periods. The keep-alive machinery
 	// must hold the lease; the cache must survive.
 	cl.RunFor(50 * time.Second)
-	c := cl.Clients[0]
+	c := cl.Clients[0].Sub(0)
 	if !c.Lease().Valid() {
 		t.Fatalf("idle client lost its lease (phase %v)", c.Lease().Phase())
 	}
@@ -200,7 +200,7 @@ func TestIsolatedClientLeaseRecovery(t *testing.T) {
 	if errno := cl.Write(0, h0, 0, block('Y')); errno != msg.OK {
 		t.Fatal(errno)
 	}
-	if cl.Clients[0].Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("setup: no dirty data")
 	}
 
@@ -236,7 +236,7 @@ func TestIsolatedClientLeaseRecovery(t *testing.T) {
 	}
 
 	// Isolated client: quiesced, flushed, expired, and now recovering.
-	c0 := cl.Clients[0]
+	c0 := cl.Clients[0].Sub(0)
 	if c0.Lease().Valid() {
 		t.Fatal("isolated client still believes its lease is valid")
 	}
@@ -271,8 +271,8 @@ func TestIsolatedClientLeaseRecovery(t *testing.T) {
 		t.Fatalf("post-rejoin read: %v (must see survivor's data)", errno)
 	}
 
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under the lease protocol: %v", got)
 	}
 }
@@ -313,11 +313,11 @@ func TestFenceOnlyViolatesConsistency(t *testing.T) {
 		t.Fatalf("fenced client read: %v (expected stale X from cache)", errno)
 	}
 
-	if n := cl.Checker.Count(checker.StaleRead); n == 0 {
+	if n := cl.Checkers[0].Count(checker.StaleRead); n == 0 {
 		t.Fatal("no stale read detected — fencing-only should violate coherency")
 	}
-	cl.Checker.FinalCheck()
-	if n := cl.Checker.Count(checker.LostUpdate); n == 0 {
+	cl.FinalCheck()
+	if n := cl.Checkers[0].Count(checker.LostUpdate); n == 0 {
 		t.Fatal("no lost update detected — dirty data should be stranded")
 	}
 }
@@ -350,7 +350,7 @@ func TestNaiveStealViolatesConsistency(t *testing.T) {
 	cl.Sync(0) // and its flush reaches the disk: no fence stops it
 	cl.Sync(1)
 
-	if n := cl.Checker.Count(checker.ConcurrentConflict); n == 0 {
+	if n := cl.Checkers[0].Count(checker.ConcurrentConflict); n == 0 {
 		t.Fatal("no concurrent-conflict detected under naive steal")
 	}
 }
@@ -388,8 +388,8 @@ func TestHonorLocksUnavailableUntilHeal(t *testing.T) {
 	// still sitting dirty in a healthy cache as lost, so flush first.
 	cl.Sync(0)
 	cl.Sync(1)
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under honor-locks: %v", got)
 	}
 }
@@ -416,8 +416,8 @@ func TestCrashedClientRecovery(t *testing.T) {
 		t.Fatalf("granted after %v, before timeout", waited)
 	}
 	cl.Sync(1)
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations after crash recovery: %v", got)
 	}
 }
@@ -448,11 +448,11 @@ func TestHeartbeatPolicyWorksAndRecovers(t *testing.T) {
 		t.Fatalf("survivor write: %v", errno)
 	}
 	cl.Sync(1)
-	cl.Checker.FinalCheck()
+	cl.FinalCheck()
 	// Heartbeat leases are also safe (client stops at TTL; steal waits
 	// longer) — the difference vs the paper is the standing cost, not
 	// correctness.
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under heartbeat policy: %v", got)
 	}
 }
@@ -479,8 +479,8 @@ func TestVLeasePolicyRenewsPerObject(t *testing.T) {
 	if n := cl.Reg.CounterValue("net.control.sent.lease-admin"); n == 0 {
 		t.Fatal("no RenewObjects messages sent")
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under V leases: %v", got)
 	}
 }
@@ -542,7 +542,7 @@ func TestStaleEpochNACKed(t *testing.T) {
 			nacked = true
 		}
 	})
-	cl.Control.Send(ClientID(0), ServerID, &msg.GetAttr{
+	cl.Control.Send(ClientID(0), ServerID(0), &msg.GetAttr{
 		ReqHeader: msg.ReqHeader{Client: ClientID(0), Req: 9999, Epoch: 999},
 		Ino:       1,
 	})

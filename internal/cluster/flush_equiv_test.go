@@ -75,12 +75,12 @@ func runFlushPattern(t *testing.T, seed int64, batch int) sanSnapshot {
 		t.Fatalf("final sync: %v", errno)
 	}
 	for i := range cl.Clients {
-		if dirty := cl.Clients[i].Cache().TotalDirty(); dirty != 0 {
+		if dirty := cl.Clients[i].Sub(0).Cache().TotalDirty(); dirty != 0 {
 			t.Fatalf("client %d still has %d dirty pages after sync", i, dirty)
 		}
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations (batch=%d): %v", batch, got)
 	}
 	return snapshotSAN(cl)

@@ -22,37 +22,37 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 		t.Fatal(errno)
 	}
 	// Dirty page in cache, exclusive lock held.
-	if cl.Clients[0].Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("setup: no dirty page")
 	}
-	epochBefore := cl.Clients[0].Epoch()
+	epochBefore := cl.Clients[0].Sub(0).Epoch()
 
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
-	cl.RestartServer()
+	cl.RestartServer(0)
 
 	// The client's next ordinary request is NACKed (unknown epoch at the
 	// restarted server) and triggers reassertion.
 	recovered := false
-	cl.Clients[0].OnRecovered = func(msg.Epoch) { recovered = true }
+	cl.Clients[0].Sub(0).OnRecovered = func(msg.Epoch) { recovered = true }
 	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[0].Stat(1, func(msg.Attr, msg.Errno) { done() })
+		cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
 	})
 	deadline := cl.Sched.Now().Add(5 * time.Second)
 	cl.Sched.RunWhile(func() bool { return !recovered && !cl.Sched.Now().After(deadline) })
 	if !recovered {
-		t.Fatalf("client did not reassert (phase %v)", cl.Clients[0].Lease().Phase())
+		t.Fatalf("client did not reassert (phase %v)", cl.Clients[0].Sub(0).Lease().Phase())
 	}
 
 	// THE point of reassertion: cache, dirty data, handles, and locks all
 	// survived the server failure.
-	if cl.Clients[0].Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("dirty cache lost across server restart")
 	}
-	if cl.Clients[0].Epoch() <= epochBefore {
+	if cl.Clients[0].Sub(0).Epoch() <= epochBefore {
 		t.Fatal("epoch did not advance")
 	}
-	if cl.Server.Locks().Held(ClientID(0), inoOf(t, cl, "/persist")) != msg.LockExclusive {
+	if cl.Shards[0].Server.Locks().Held(ClientID(0), inoOf(t, cl, "/persist")) != msg.LockExclusive {
 		t.Fatal("lock not reinstalled at the restarted server")
 	}
 	// The old handle still works; more writes proceed immediately (the
@@ -71,8 +71,8 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	if errno != msg.OK || !bytes.Equal(data, block('A')) {
 		t.Fatalf("cross-client read after recovery: %v", errno)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -85,20 +85,20 @@ func TestServerRestartWithoutReassertionLosesCache(t *testing.T) {
 
 	h0, _ := cl.MustOpen(0, "/persist", true, true)
 	mustWrite(t, cl, 0, h0, 0, block('A'))
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
-	cl.RestartServer()
+	cl.RestartServer(0)
 
 	// Trigger the NACK; without reassertion the client must walk the full
 	// lease recovery: quiesce, flush (the SAN is fine), expire, rejoin.
 	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[0].Stat(1, func(msg.Attr, msg.Errno) { done() })
+		cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
 	})
 	cl.RunFor(opts.Core.Tau + 2*time.Second)
 	if !cl.Clients[0].Registered() {
-		t.Fatalf("client did not rejoin (phase %v)", cl.Clients[0].Lease().Phase())
+		t.Fatalf("client did not rejoin (phase %v)", cl.Clients[0].Sub(0).Lease().Phase())
 	}
-	if cl.Clients[0].Cache().Len() != 0 {
+	if cl.Clients[0].Sub(0).Cache().Len() != 0 {
 		t.Fatal("cache survived although reassertion was disabled")
 	}
 	// Crucially, still no lost update: the phase-4 flush saved the dirty
@@ -109,8 +109,8 @@ func TestServerRestartWithoutReassertionLosesCache(t *testing.T) {
 	if errno != msg.OK || !bytes.Equal(data, block('A')) {
 		t.Fatalf("data lost on non-reassert recovery: %v", errno)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }
@@ -125,9 +125,9 @@ func TestReassertRefusedAfterGrace(t *testing.T) {
 	// Drain background traffic (the size-extension SetAttr) so the client
 	// is genuinely silent when the server goes down.
 	cl.RunFor(2 * time.Second)
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
-	cl.RestartServer()
+	cl.RestartServer(0)
 	// The client's first contact is its phase-2 keep-alive, which lands
 	// well after the 1s grace window: the reassert is refused and the
 	// client must fall back to full recovery.
@@ -135,7 +135,7 @@ func TestReassertRefusedAfterGrace(t *testing.T) {
 	if !cl.Clients[0].Registered() {
 		t.Fatal("client never recovered")
 	}
-	if cl.Clients[0].Cache().Len() != 0 {
+	if cl.Clients[0].Sub(0).Cache().Len() != 0 {
 		t.Fatal("cache survived a refused reassertion")
 	}
 }
@@ -150,16 +150,16 @@ func TestNewAcquiresDeferredDuringGrace(t *testing.T) {
 	h0, _ := cl.MustOpen(0, "/contest", true, true)
 	mustWrite(t, cl, 0, h0, 0, block('X'))
 
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(500 * time.Millisecond)
-	cl.RestartServer()
+	cl.RestartServer(0)
 	restart := cl.Sched.Now()
 
 	// Client 1 re-registers (NACK → reassert with no claims → revive) and
 	// then asks for the contested lock: the grant must wait out the grace
 	// window, because client 0's lease may still cover it.
 	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[1].Stat(1, func(msg.Attr, msg.Errno) { done() })
+		cl.Clients[1].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
 	})
 	cl.RunFor(time.Second) // let the (empty) reassertion complete
 	h1, _, errno := cl.Open(1, "/contest", true, false)
@@ -191,5 +191,33 @@ func mustWrite(t *testing.T, cl *Cluster, i int, h msg.Handle, idx uint64, data 
 	t.Helper()
 	if errno := cl.Write(i, h, idx, data); errno != msg.OK {
 		t.Fatalf("write: %v", errno)
+	}
+}
+
+// TestLateRejoinAckIsReissued: a client cut off for longer than its
+// Rejoin can stay fresh (the request keeps its first send time through
+// every retransmission, and a renewal dates from that send) must not come
+// back registered without a lease. The ACK that finally arrives grants a
+// lease that is already over; the client asks again and gets a live one.
+func TestLateRejoinAckIsReissued(t *testing.T) {
+	opts := DefaultOptions()
+	cl := New(opts)
+	cl.Start()
+	tau := opts.Core.Tau
+
+	cl.IsolateClient(0)
+	cl.RunFor(4 * tau) // lease runs out, the rejoin starts retransmitting into the partition
+	cl.HealControl()
+	cl.RunFor(2 * tau)
+
+	c := cl.Clients[0].Sub(0)
+	if !c.Registered() || !c.Lease().Valid() {
+		t.Fatalf("stranded after heal: registered=%v lease phase %v", c.Registered(), c.Lease().Phase())
+	}
+	if _, _, errno := cl.Open(0, "/after-heal", true, true); errno != msg.OK {
+		t.Fatalf("open after heal: %v", errno)
+	}
+	if v := cl.FinalCheck(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
 	}
 }

@@ -55,10 +55,10 @@ func TestTraceTheorem31Ordering(t *testing.T) {
 
 	// The server observed the delivery failure and armed, then fired, the
 	// τ(1+ε) steal timer for exactly this client.
-	if n := events.Count(trace.ByNode(ServerID), trace.ByType(trace.EvStealArmed), trace.ByPeer(isolated)); n != 1 {
+	if n := events.Count(trace.ByNode(ServerID(0)), trace.ByType(trace.EvStealArmed), trace.ByPeer(isolated)); n != 1 {
 		t.Fatalf("steal timer armed %d times, want 1", n)
 	}
-	if n := events.Count(trace.ByNode(ServerID), trace.ByType(trace.EvStealFired), trace.ByPeer(isolated)); n != 1 {
+	if n := events.Count(trace.ByNode(ServerID(0)), trace.ByType(trace.EvStealFired), trace.ByPeer(isolated)); n != 1 {
 		t.Fatalf("steal fired %d times, want 1", n)
 	}
 
@@ -66,7 +66,7 @@ func TestTraceTheorem31Ordering(t *testing.T) {
 	// precedes the server's steal in the global event order.
 	if err := events.Precedes(
 		trace.And(trace.ByNode(isolated), trace.ByType(trace.EvExpire)),
-		trace.And(trace.ByNode(ServerID), trace.ByType(trace.EvStealFired))); err != nil {
+		trace.And(trace.ByNode(ServerID(0)), trace.ByType(trace.EvStealFired))); err != nil {
 		t.Fatalf("Theorem 3.1 ordering: %v", err)
 	}
 	// And the flush finished before the lease ran out: the expiry event
@@ -80,7 +80,7 @@ func TestTraceTheorem31Ordering(t *testing.T) {
 	fenceUp := func(e trace.Event) bool { return e.On }
 	if err := events.Precedes(
 		trace.And(trace.ByNode(isolated), trace.ByType(trace.EvExpire)),
-		trace.And(trace.ByNode(ServerID), trace.ByType(trace.EvFence), fenceUp)); err != nil {
+		trace.And(trace.ByNode(ServerID(0)), trace.ByType(trace.EvFence), fenceUp)); err != nil {
 		t.Fatalf("fence ordering: %v", err)
 	}
 
@@ -127,12 +127,12 @@ func TestTraceSteadyStateServerSilent(t *testing.T) {
 	// The server performed zero lease work: no NACKs, no steal timers, no
 	// demands-gone-bad, no fences. (Demands themselves are lock traffic
 	// and legitimate; none occur in this single-writer run either.)
-	if err := events.None(trace.ByNode(ServerID), trace.ByType(
+	if err := events.None(trace.ByNode(ServerID(0)), trace.ByType(
 		trace.EvNACKSent, trace.EvStealArmed, trace.EvStealFired,
 		trace.EvDemandFailed, trace.EvFence)); err != nil {
 		t.Fatalf("server lease activity in steady state: %v", err)
 	}
-	if cl.Server.Authority().SuspectCount() != 0 {
+	if cl.Shards[0].Server.Authority().SuspectCount() != 0 {
 		t.Fatal("authority holds lease state in steady state")
 	}
 	if ops := cl.Reg.CounterValue("server.authority.ops"); ops != 0 {

@@ -75,7 +75,7 @@ func phaseAblation(p Params, p1, p2, p3 float64) (keepalives uint64, dirtyAtFlus
 		mustOK(cl.Write(0, h, uint64(i), blockData('b')))
 	}
 
-	c0 := cl.Clients[0]
+	c0 := cl.Clients[0].Sub(0)
 	var flushEntryDirty, expiryDirty int
 	var expiryAt, flushDoneAt time.Duration
 	c0.OnPhase = func(from, to core.Phase) {
@@ -184,7 +184,7 @@ func retryAblation(p Params, retries int, interval time.Duration) (falseSuspicio
 	// of what this ablation measures), and the victim must hold the lock
 	// so the contender's write provokes a demand.
 	for i := 0; i < 2; i++ {
-		for tries := 0; cl.Server.Authority().Suspect(cluster.ClientID(i)); tries++ {
+		for tries := 0; cl.Shards[0].Server.Authority().Suspect(cluster.ClientID(i)); tries++ {
 			if tries > 5 {
 				panic("a2: client never recovered from false suspicion")
 			}
@@ -226,7 +226,7 @@ func retryAblation(p Params, retries int, interval time.Duration) (falseSuspicio
 	cl.Clients[1].Write(h1, 0, blockData('z'), func(msg.Errno) {})
 	deadline := cl.Sched.Now().Add(3 * tau)
 	cl.Sched.RunWhile(func() bool {
-		return !cl.Server.Authority().Suspect(cluster.ClientID(0)) &&
+		return !cl.Shards[0].Server.Authority().Suspect(cluster.ClientID(0)) &&
 			!cl.Sched.Now().After(deadline)
 	})
 	detection = cl.Sched.Now().Sub(isoAt)

@@ -53,7 +53,7 @@ func RunF2(p Params) *Result {
 		for i := range cl.Clients {
 			cl.Sync(i)
 		}
-		cl.Checker.FinalCheck()
+		cl.FinalCheck()
 
 		avail := "yes"
 		wait := out.lockWait.Round(time.Millisecond).String()
@@ -65,12 +65,12 @@ func RunF2(p Params) *Result {
 			pol.Name,
 			wait,
 			avail,
-			stats.FmtN(cl.Checker.Count(checker.ConcurrentConflict)),
-			stats.FmtN(cl.Checker.Count(checker.StaleRead)),
-			stats.FmtN(cl.Checker.Count(checker.LostUpdate)),
+			stats.FmtN(cl.Checkers[0].Count(checker.ConcurrentConflict)),
+			stats.FmtN(cl.Checkers[0].Count(checker.StaleRead)),
+			stats.FmtN(cl.Checkers[0].Count(checker.LostUpdate)),
 		)
 
-		total := float64(len(cl.Checker.Violations()))
+		total := float64(len(cl.Violations()))
 		res.Metric(pol.Name+".violations", total)
 		if out.granted {
 			res.Metric(pol.Name+".lock_wait_secs", out.lockWait.Seconds())

@@ -31,7 +31,7 @@ func RunF4(p Params) *Result {
 	tau := opts.Core.Tau
 
 	var events []phaseEvent
-	c0 := cl.Clients[0]
+	c0 := cl.Clients[0].Sub(0)
 	c0.OnPhase = func(from, to core.Phase) {
 		events = append(events, phaseEvent{phase: to, at: cl.Sched.Now(), dirty: c0.Cache().TotalDirty()})
 	}
@@ -88,8 +88,7 @@ func RunF4(p Params) *Result {
 	res.Metric("steal_after_expiry_secs", grantAt.Sub(expiryAt).Seconds())
 	res.Metric("flush_entry_frac", float64(flushAt.Sub(isoAt))/float64(tau))
 	mustOK(cl.Sync(1)) // quiesce the survivor before the audit
-	cl.Checker.FinalCheck()
-	res.Metric("violations", float64(len(cl.Checker.Violations())))
+	res.Metric("violations", float64(len(cl.FinalCheck())))
 	return res
 }
 

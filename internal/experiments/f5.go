@@ -67,7 +67,7 @@ func nackScenario(p Params, noNACK bool) (msgs, retries uint64, timeToQuiesce, t
 	// Run just long enough for the demand retries to fail (delivery
 	// failure → suspect) but far less than τ.
 	cl.RunFor(2 * time.Second)
-	if !cl.Server.Authority().Suspect(cluster.ClientID(0)) {
+	if !cl.Shards[0].Server.Authority().Suspect(cluster.ClientID(0)) {
 		panic("f5: server never became suspicious")
 	}
 
@@ -81,14 +81,14 @@ func nackScenario(p Params, noNACK bool) (msgs, retries uint64, timeToQuiesce, t
 	// The client now sends an ordinary valid request (§3.3's "sends new
 	// requests to a server").
 	var quiesceAt, rejoinAt sim.Time
-	cl.Clients[0].OnRecovered = func(msg.Epoch) {
+	cl.Clients[0].Sub(0).OnRecovered = func(msg.Epoch) {
 		if rejoinAt == 0 {
 			rejoinAt = cl.Sched.Now()
 		}
 	}
-	cl.Clients[0].Stat(1, func(msg.Attr, msg.Errno) {})
+	cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) {})
 	cl.Sched.RunWhile(func() bool {
-		if quiesceAt == 0 && cl.Clients[0].Quiesced() {
+		if quiesceAt == 0 && cl.Clients[0].Sub(0).Quiesced() {
 			quiesceAt = cl.Sched.Now()
 		}
 		return rejoinAt == 0 && cl.Sched.Now().Sub(healAt) < 3*tau

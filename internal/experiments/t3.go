@@ -97,9 +97,9 @@ func injectionTrial(seed int64, pol baselines.Policy, runFor time.Duration) (con
 	for i := range cl.Clients {
 		cl.Sync(i)
 	}
-	cl.Checker.FinalCheck()
-	return cl.Checker.Count(checker.ConcurrentConflict),
-		cl.Checker.Count(checker.StaleRead),
-		cl.Checker.Count(checker.LostUpdate),
+	cl.FinalCheck()
+	return cl.Checkers[0].Count(checker.ConcurrentConflict),
+		cl.Checkers[0].Count(checker.StaleRead),
+		cl.Checkers[0].Count(checker.LostUpdate),
 		ops
 }

@@ -104,7 +104,7 @@ func slowClientScenario(p Params, disableFence bool) (corrupted bool, rejections
 }
 
 func inoOf(cl *cluster.Cluster, path string) msg.ObjectID {
-	in, errno := cl.Server.Store().Lookup(path)
+	in, errno := cl.Shards[0].Server.Store().Lookup(path)
 	if errno != msg.OK {
 		panic("t6: lookup failed")
 	}
@@ -112,7 +112,7 @@ func inoOf(cl *cluster.Cluster, path string) msg.ObjectID {
 }
 
 func blockRefOf(cl *cluster.Cluster, ino msg.ObjectID, idx int) msg.BlockRef {
-	in, errno := cl.Server.Store().Get(ino)
+	in, errno := cl.Shards[0].Server.Store().Get(ino)
 	if errno != msg.OK || idx >= len(in.Blocks) {
 		panic("t6: block map")
 	}

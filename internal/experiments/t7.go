@@ -56,9 +56,9 @@ func serverRecoveryScenario(p Params, disableReassert bool) (outage time.Duratio
 	mustOK(cl.Write(0, h0, 0, blockData('B'))) // dirty page at crash time
 
 	crashAt := cl.Sched.Now()
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
-	cl.RestartServer()
+	cl.RestartServer(0)
 
 	// The holder keeps trying to work: one write attempt per 250ms until
 	// one succeeds end-to-end again. Like a real application, it reopens
@@ -97,17 +97,16 @@ func serverRecoveryScenario(p Params, disableReassert bool) (outage time.Duratio
 	// "Cache survived" means the PRE-CRASH cached page (block 0, written
 	// before the failure) is still resident — not merely that new ops
 	// repopulated the cache afterwards.
-	if o := cl.Clients[0].Cache().Object(inoOf(cl, "/journal")); o != nil {
+	if o := cl.Clients[0].Sub(0).Cache().Object(inoOf(cl, "/journal")); o != nil {
 		if pg := o.Page(0); pg != nil && pg.Data[0] == 'B' {
 			cacheOK = true
 		}
 	}
-	locksOK = cl.Server.Locks().Held(cluster.ClientID(0), inoOf(cl, "/journal")) == msg.LockExclusive
+	locksOK = cl.Shards[0].Server.Locks().Held(cluster.ClientID(0), inoOf(cl, "/journal")) == msg.LockExclusive
 
 	// Settle past the grace window; audit the whole episode.
 	cl.RunFor(opts.Core.StealDelay() + tau)
 	mustOK(cl.Sync(0))
-	cl.Checker.FinalCheck()
-	violations = len(cl.Checker.Violations())
+	violations = len(cl.FinalCheck())
 	return outage, cacheOK, locksOK, violations
 }

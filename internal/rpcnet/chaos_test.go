@@ -50,6 +50,13 @@ func TestLiveChaosPartitionStealHealRejoin(t *testing.T) {
 		t.Fatalf("survivor read %q, want the isolated client's flushed data %q", got[:24], payload)
 	}
 
+	// Stay partitioned until the client's Rejoin — first sent when it
+	// expired, about when the steal fired — is more than τ old: the ACK
+	// that gets through after Heal then grants a lease that is already
+	// over, and the client must ask again rather than come back
+	// registered and leaseless (its open below would be refused).
+	time.Sleep(cfg.Tau + 200*time.Millisecond)
+
 	// Heal the partition; the expired client's rejoin loop (still
 	// retrying over the surviving TCP connections) now gets through.
 	rejoined := make(chan msg.Epoch, 1)

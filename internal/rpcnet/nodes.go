@@ -14,6 +14,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/replica"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -95,9 +96,10 @@ type Topology struct {
 	// Servers, when set, is the full address book of a sharded
 	// installation: every lease authority's control address, including
 	// this installation's own. Server nodes dial it for cross-shard
-	// handoffs, and StartShardClientNode runs one protocol instance per
-	// entry. Nil for a single-authority installation. When ReplicaGroups
-	// is set, Servers also carries every replica member's address.
+	// handoffs, and a client node runs one protocol instance per
+	// authority in it. Nil for a single-authority installation. When
+	// ReplicaGroups is set, Servers also carries every replica member's
+	// address.
 	Servers map[msg.NodeID]string
 	// ReplicaGroups, when set, replicates lease authorities: each key is
 	// a group's primary ID — the authority identity clients route and
@@ -110,6 +112,12 @@ type Topology struct {
 	ReplicaGroups map[msg.NodeID][]msg.NodeID
 	// Disks maps each disk's node ID to its SAN listen address.
 	Disks map[msg.NodeID]string
+	// Placement maps a path to the index of the authority that owns it,
+	// counting in ServerIDs() order (nil = shard.Hash over them). It is set once,
+	// here: the servers' ownership map and the clients' routing are both
+	// derived from it, so they cannot disagree. An installation with one
+	// authority places nothing.
+	Placement shard.Placement
 }
 
 // GroupOf returns the replica group id belongs to (nil if id is not a
@@ -154,6 +162,28 @@ func (t Topology) ServerIDs() []msg.NodeID {
 	return ids
 }
 
+// authorities returns the installation's lease authorities in the order
+// placement indexes them: ServerIDs(), or the one Server when Servers
+// lists none.
+func (t Topology) authorities() []msg.NodeID {
+	if len(t.Servers) == 0 {
+		return []msg.NodeID{t.Server}
+	}
+	return t.ServerIDs()
+}
+
+// placement returns the map over n authorities, nil when there is nothing
+// to place.
+func (t Topology) placement(n int) shard.Placement {
+	switch {
+	case n < 2:
+		return nil
+	case t.Placement != nil:
+		return t.Placement
+	}
+	return shard.Hash{N: n}
+}
+
 // NodeSpec identifies one node within a topology.
 type NodeSpec struct {
 	// ID is this node's ID. For a disk node, Topo.Disks[ID] is its listen
@@ -167,7 +197,6 @@ type NodeSpec struct {
 // with; all have working defaults.
 type nodeOptions struct {
 	tracer     *trace.Tracer
-	logf       func(format string, args ...any)
 	clock      sim.Clock
 	reg        *stats.Registry
 	ctrlFaults *faultnet.Faults
@@ -185,11 +214,6 @@ type Option func(*nodeOptions)
 // totally-ordered event stream (see trace.Tracer).
 func WithTracer(tr *trace.Tracer) Option {
 	return func(o *nodeOptions) { o.tracer = tr }
-}
-
-// WithLogf installs a debug logger on the node's transports.
-func WithLogf(f func(format string, args ...any)) Option {
-	return func(o *nodeOptions) { o.logf = f }
 }
 
 // WithClock overrides the clock driving the node's protocol state
@@ -241,13 +265,10 @@ func buildOptions(opts []Option) nodeOptions {
 	return o
 }
 
-// applyTransport installs the node-level tracer/logger on a transport.
+// applyTransport installs the node-level tracer and clock on a transport.
 func (o nodeOptions) applyTransport(t *Transport) {
 	if o.tracer != nil {
 		t.SetTracer(o.tracer)
-	}
-	if o.logf != nil {
-		t.SetLogf(o.logf)
 	}
 	if o.clock != nil {
 		t.SetClock(o.clock)
@@ -286,9 +307,15 @@ type ServerNode struct {
 // on Topo.ServerAddr and dials the disks in Topo.Disks. A node whose ID
 // appears in Topo.ReplicaGroups additionally runs the PaxosLease
 // negotiator — there is no separate replica entry point; passive,
-// candidate, and active are runtime roles of the same server.
+// candidate, and active are runtime roles of the same server. In an
+// installation of several authorities the server's slice of the namespace
+// comes from Topo.Placement, unless cfg.PlaceOwner says otherwise.
 func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerNode, error) {
 	o := buildOptions(opts)
+	ids := spec.Topo.authorities()
+	if place := spec.Topo.placement(len(ids)); place != nil && cfg.PlaceOwner == nil {
+		cfg.PlaceOwner = shard.OwnerID(place, ids)
+	}
 	if g := spec.Topo.GroupOf(spec.ID); g != nil {
 		// The topology decides WHO replicates; cfg.Replica (when given)
 		// only tunes HOW. Unset knobs inherit the protocol defaults.
@@ -384,40 +411,50 @@ func (n *DiskNode) Close() {
 	n.Disk.Close()
 }
 
-// ClientNode is a live file-system client.
+// ClientNode is a live file-system client: one protocol instance — lease,
+// locks, cache, SAN request-ID space — per lease authority of the
+// topology behind one node ID, one executor and two transports.
 type ClientNode struct {
+	// Router routes each operation to the instance for the authority that
+	// owns its path, and each inbound message to the instance it is for.
+	Router *client.Router
+	// Client is the instance for the first authority: the whole client in
+	// a single-authority installation.
 	Client *client.Client
 	Ctrl   *Transport
 	SAN    *Transport
 	Exec   *Executor
 	Reg    *stats.Registry
-	// tmo times Sync's completion deadline. It deliberately bypasses the
-	// executor-funneled protocol clock: the timeout must still fire when
-	// the executor is the thing that is stuck. WithClock overrides it.
+	// tmo times Start's and Sync's completion deadlines. It deliberately
+	// bypasses the executor-funneled protocol clock: the timeout must
+	// still fire when the executor is the thing that is stuck. WithClock
+	// overrides it.
 	tmo sim.Clock
 }
 
-// StartClientNode launches client spec.ID: it dials the topology's
-// server on the control network and the disks on the SAN. When the
-// server is a replica group, the client dials every member and rotates
-// across them on redirects and silence.
+// StartClientNode launches client spec.ID against every authority of the
+// topology: it dials them on the control network and the disks on the
+// SAN. Where an authority is a replica group, the client dials every
+// member and rotates across them on redirects and silence.
 func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientNode, error) {
 	o := buildOptions(opts)
 	n := &ClientNode{Exec: NewExecutor(), Reg: o.reg}
-	peers := map[msg.NodeID]string{spec.Topo.Server: spec.Topo.ServerAddr}
-	if g := spec.Topo.GroupOf(spec.Topo.Server); g != nil {
-		for _, m := range g {
-			if addr, ok := spec.Topo.Servers[m]; ok {
-				peers[m] = addr
-			}
-		}
-		if cfg.Replicas == nil {
-			cfg.Replicas = g
-		}
+	topo := spec.Topo
+	peers := topo.Servers
+	if len(peers) == 0 {
+		peers = map[msg.NodeID]string{topo.Server: topo.ServerAddr}
 	}
-	n.Ctrl = New(spec.ID, peers,
-		func(env msg.Envelope) { n.Client.Deliver(env) })
-	n.SAN = New(spec.ID, spec.Topo.Disks, func(env msg.Envelope) { n.Client.DeliverSAN(env) })
+	ids := topo.authorities()
+	auths := make([]client.Authority, len(ids))
+	for i, id := range ids {
+		auths[i] = client.Authority{ID: id, Group: topo.GroupOf(id)}
+	}
+	var place func(path string) (int, bool)
+	if p := topo.placement(len(ids)); p != nil {
+		place = p.Owner
+	}
+	n.Ctrl = New(spec.ID, peers, func(env msg.Envelope) { n.Router.Deliver(env) })
+	n.SAN = New(spec.ID, topo.Disks, func(env msg.Envelope) { n.Router.DeliverSAN(env) })
 	n.Ctrl.UseExecutor(n.Exec)
 	n.SAN.UseExecutor(n.Exec)
 	o.applyControl(n.Ctrl)
@@ -429,21 +466,50 @@ func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientN
 	} else {
 		n.tmo = clock
 	}
-	n.Client = client.New(spec.ID, spec.Topo.Server, cfg, clock,
-		n.Ctrl.Send, n.SAN.Send, nil, n.Reg, o.tracer)
+	n.Router = client.NewRouter(spec.ID, auths, cfg, clock,
+		n.Ctrl.Send, n.SAN.Send, place, nil, n.Reg, o.tracer)
+	n.Client = n.Router.Sub(0)
 	go n.Exec.Run()
 	return n, nil
 }
 
-// Do runs fn on the client's executor and waits for it to be scheduled —
-// the bridge from synchronous callers (CLI, tests) into the event-driven
+// Do runs fn on the client's executor and returns immediately — the
+// bridge from synchronous callers (CLI, tests) into the event-driven
 // client. fn must arrange its own completion signalling.
 func (n *ClientNode) Do(fn func()) { n.Exec.Submit(fn) }
 
-// Sync returns a blocking wrapper over the node's client: each call
-// starts the operation on the executor (where all client callbacks run)
-// and blocks the calling goroutine until it completes or timeout passes
-// (0 = a default 30s).
+// Start registers every protocol instance with its authority, blocking
+// until all hold an epoch or timeout passes (0 = a default 30s).
+func (n *ClientNode) Start(timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = 30 * time.Second
+	}
+	subs := n.Router.Subs()
+	ch := make(chan struct{}, len(subs))
+	n.Exec.Submit(func() {
+		for _, sub := range subs {
+			sub.OnRecovered = func(msg.Epoch) {
+				sub.OnRecovered = nil // the hook is the caller's again
+				ch <- struct{}{}
+			}
+			sub.Start()
+		}
+	})
+	deadline := sim.After(n.tmo, timeout)
+	for range subs {
+		select {
+		case <-ch:
+		case <-deadline:
+			return fmt.Errorf("rpcnet: client %v got no lease from every authority within %v", n.Client.ID(), timeout)
+		}
+	}
+	return nil
+}
+
+// Sync returns a blocking wrapper over the node's first-authority
+// instance: each call starts the operation on the executor (where all
+// client callbacks run) and blocks the calling goroutine until it
+// completes or timeout passes (0 = a default 30s).
 func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -471,132 +537,6 @@ func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 
 // Close shuts the node down.
 func (n *ClientNode) Close() {
-	n.Ctrl.Close()
-	n.SAN.Close()
-	n.Exec.Close()
-}
-
-// ShardClientNode is a live client of a sharded installation: one
-// protocol instance — lease, locks, cache, SAN request-ID space — per
-// lease authority in Topo.Servers, all sharing the node's ID, executor,
-// and two transports. The same client-side router as the simulated
-// shard.Node: inbound control traffic routes by source authority, disk
-// replies by the request ID's per-shard base (disk identity cannot
-// route them — a handed-off file's blocks stay on the source shard's
-// disks).
-type ShardClientNode struct {
-	// Subs maps each authority (a replica group's primary ID, when
-	// replicated) to the node's protocol instance for it.
-	Subs  map[msg.NodeID]*client.Client
-	byIdx []*client.Client
-	route func(path string) msg.NodeID
-	topo  Topology
-	Ctrl  *Transport
-	SAN   *Transport
-	Exec  *Executor
-	Reg   *stats.Registry
-	tmo   sim.Clock
-}
-
-// StartShardClientNode launches client spec.ID against every authority
-// in spec.Topo.Servers. route maps a path to the node ID of its owning
-// authority (hash placement over Topo.ServerIDs(), ordinarily) and must
-// agree with the servers' own placement map.
-func StartShardClientNode(spec NodeSpec, cfg client.Config, route func(path string) msg.NodeID,
-	opts ...Option) (*ShardClientNode, error) {
-	if len(spec.Topo.Servers) == 0 {
-		return nil, fmt.Errorf("rpcnet: shard client needs Topo.Servers")
-	}
-	o := buildOptions(opts)
-	n := &ShardClientNode{
-		Subs:  make(map[msg.NodeID]*client.Client, len(spec.Topo.Servers)),
-		route: route,
-		topo:  spec.Topo,
-		Exec:  NewExecutor(),
-		Reg:   o.reg,
-	}
-	n.Ctrl = New(spec.ID, spec.Topo.Servers, n.deliverCtrl)
-	n.SAN = New(spec.ID, spec.Topo.Disks, n.deliverSAN)
-	n.Ctrl.UseExecutor(n.Exec)
-	n.SAN.UseExecutor(n.Exec)
-	o.applyControl(n.Ctrl)
-	o.applySAN(n.SAN)
-	clock := o.clock
-	if clock == nil {
-		clock = n.Ctrl.Clock()
-		n.tmo = sim.NewRealClock(nil)
-	} else {
-		n.tmo = clock
-	}
-	for i, sid := range spec.Topo.ServerIDs() {
-		subCfg := cfg
-		subCfg.SANReqBase = msg.ReqID(i+1) << 48
-		if g := spec.Topo.GroupOf(sid); g != nil && subCfg.Replicas == nil {
-			subCfg.Replicas = g
-		}
-		sub := client.New(spec.ID, sid, subCfg, clock,
-			n.Ctrl.Send, n.SAN.Send, nil, n.Reg, o.tracer)
-		n.Subs[sid] = sub
-		n.byIdx = append(n.byIdx, sub)
-	}
-	go n.Exec.Run()
-	return n, nil
-}
-
-// deliverCtrl routes inbound control traffic by source authority; a
-// replica member's traffic belongs to its group primary's instance.
-func (n *ShardClientNode) deliverCtrl(env msg.Envelope) {
-	if sub, ok := n.Subs[n.topo.primaryOf(env.From)]; ok {
-		sub.Deliver(env)
-	}
-}
-
-func (n *ShardClientNode) deliverSAN(env msg.Envelope) {
-	req, ok := msg.SANReplyReq(env.Payload)
-	if !ok {
-		return
-	}
-	if si := int(req>>48) - 1; si >= 0 && si < len(n.byIdx) {
-		n.byIdx[si].DeliverSAN(env)
-	}
-}
-
-// Route returns the protocol instance serving the authority that owns
-// path (nil if the route function maps it to no known authority).
-func (n *ShardClientNode) Route(path string) *client.Client {
-	return n.Subs[n.route(path)]
-}
-
-// Do runs fn on the node's executor and returns immediately.
-func (n *ShardClientNode) Do(fn func()) { n.Exec.Submit(fn) }
-
-// Start registers every protocol instance with its authority, blocking
-// until all have recovered or timeout passes (0 = a default 30s).
-func (n *ShardClientNode) Start(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ch := make(chan struct{}, len(n.byIdx))
-	n.Exec.Submit(func() {
-		for _, sub := range n.byIdx {
-			sub := sub
-			sub.OnRecovered = func(msg.Epoch) { ch <- struct{}{} }
-			sub.Start()
-		}
-	})
-	deadline := sim.After(n.tmo, timeout)
-	for range n.byIdx {
-		select {
-		case <-ch:
-		case <-deadline:
-			return fmt.Errorf("rpcnet: shard client registration timed out")
-		}
-	}
-	return nil
-}
-
-// Close shuts the node down.
-func (n *ShardClientNode) Close() {
 	n.Ctrl.Close()
 	n.SAN.Close()
 	n.Exec.Close()

@@ -16,23 +16,24 @@ import (
 
 // liveShards boots a sharded installation over real TCP: two lease
 // authorities (IDs 1 and 2) with one SAN disk each, the namespace split
-// by subtree (/s0 → server 1, /s1 → server 2), and n shard client
-// nodes. The shared Servers address book is what lets the authorities
-// dial each other for cross-shard handoffs.
+// by subtree (/s0 → server 1, /s1 → server 2), and n client nodes. The
+// shared Servers address book is what lets the authorities dial each
+// other for cross-shard handoffs; the placement is set once, in the
+// topology, and servers and clients both derive their maps from it.
 type liveShards struct {
 	srvs    []*ServerNode
 	disks   []*DiskNode
-	clients []*ShardClientNode
-	place   shard.Subtree
+	clients []*ClientNode
 }
 
 func startLiveShards(t *testing.T, nClients int, cfg core.Config, opts ...Option) *liveShards {
 	t.Helper()
-	ls := &liveShards{
-		place: shard.Subtree{Prefixes: map[string]int{"/s0": 0, "/s1": 1}},
-	}
-	servers := map[msg.NodeID]string{}
-	topo := Topology{Servers: servers, Disks: map[msg.NodeID]string{}}
+	ls := &liveShards{}
+	// The book is complete before any node starts: placement is over the
+	// authorities it lists.
+	servers := map[msg.NodeID]string{1: freeAddr(t), 2: freeAddr(t)}
+	topo := Topology{Servers: servers, Disks: map[msg.NodeID]string{},
+		Placement: shard.Subtree{Prefixes: map[string]int{"/s0": 0, "/s1": 1}}}
 	allCaps := map[msg.NodeID]uint64{}
 	diskCaps := make([]map[msg.NodeID]uint64, 2)
 	for si := 0; si < 2; si++ {
@@ -47,33 +48,22 @@ func startLiveShards(t *testing.T, nClients int, cfg core.Config, opts ...Option
 		allCaps[id] = 1 << 12
 		diskCaps[si] = map[msg.NodeID]uint64{id: 1 << 12}
 	}
-	owner := func(path string) msg.NodeID {
-		idx, ok := ls.place.Owner(path)
-		if !ok {
-			return msg.None
-		}
-		return msg.NodeID(1 + idx)
-	}
 	for si := 0; si < 2; si++ {
 		id := msg.NodeID(1 + si)
 		stopo := topo
 		stopo.Server = id
-		stopo.ServerAddr = Loopback()
+		stopo.ServerAddr = servers[id]
 		sn, err := StartServerNode(NodeSpec{ID: id, Topo: stopo}, server.Config{
-			Core: cfg, Disks: diskCaps[si], PlaceOwner: owner, FenceDisks: allCaps,
+			Core: cfg, Disks: diskCaps[si], FenceDisks: allCaps,
 		}, opts...)
 		if err != nil {
 			t.Fatalf("server %d: %v", si, err)
 		}
 		ls.srvs = append(ls.srvs, sn)
-		// Fill the shared address book as authorities come up; both
-		// entries are present before any traffic (handoff dials included)
-		// flows.
-		servers[id] = sn.Addr.String()
 	}
 	for i := 0; i < nClients; i++ {
-		cn, err := StartShardClientNode(NodeSpec{ID: msg.NodeID(10 + i), Topo: topo},
-			client.Config{Core: cfg}, owner, opts...)
+		cn, err := StartClientNode(NodeSpec{ID: msg.NodeID(10 + i), Topo: topo},
+			client.Config{Core: cfg}, opts...)
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
@@ -102,7 +92,7 @@ func (ls *liveShards) clientOp(t *testing.T, i int, path string, fn func(sub *cl
 	cn := ls.clients[i]
 	ch := make(chan struct{}, 1)
 	cn.Do(func() {
-		sub := cn.Route(path)
+		sub := cn.Router.Owner(path)
 		if sub == nil {
 			t.Errorf("no route for %s", path)
 			ch <- struct{}{}

@@ -62,7 +62,6 @@ type Transport struct {
 	// every outbound and inbound message (see internal/faultnet).
 	faults atomic.Pointer[faultnet.Faults]
 
-	logf   func(format string, args ...any)
 	tracer *trace.Tracer
 }
 
@@ -77,7 +76,6 @@ func New(self msg.NodeID, addrs map[msg.NodeID]string, handler func(env msg.Enve
 		exec:    NewExecutor(),
 		handler: handler,
 		dialFn:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
-		logf:    func(string, ...any) {},
 	}
 	t.clock = sim.NewRealClock(t.Submit)
 	t.delayClock = sim.NewRealClock(nil)
@@ -90,18 +88,6 @@ func New(self msg.NodeID, addrs map[msg.NodeID]string, handler func(env msg.Enve
 func (t *Transport) SetClock(c sim.Clock) {
 	if c != nil {
 		t.delayClock = c
-	}
-}
-
-// SetLogf installs a debug logger.
-//
-// Deprecated: use SetTracer with a trace.Tracer backed by
-// trace.NewLogf — transport diagnostics then land in the same
-// totally-ordered stream as the lease-lifecycle events instead of an
-// unstructured side channel.
-func (t *Transport) SetLogf(f func(format string, args ...any)) {
-	if f != nil {
-		t.logf = f
 	}
 }
 
@@ -120,11 +106,9 @@ func (t *Transport) SetFaults(f *faultnet.Faults) { t.faults.Store(f) }
 // Faults returns the installed fault plan, if any.
 func (t *Transport) Faults() *faultnet.Faults { return t.faults.Load() }
 
-// dropInjected reports a fault-injected drop: the canonical
-// EvTransport note (DropReason.Note()) plus the debug log. dir is
-// "send" or "recv" for the log line only.
-func (t *Transport) dropInjected(peer msg.NodeID, r simnet.DropReason, dir string) {
-	t.logf("rpcnet: fault injection dropped %s %v (%s)", dir, peer, r)
+// dropInjected reports a fault-injected drop under the canonical
+// EvTransport note (DropReason.Note()).
+func (t *Transport) dropInjected(peer msg.NodeID, r simnet.DropReason) {
 	if t.tracer.Enabled() {
 		t.tracer.Emit(trace.Event{
 			Type: trace.EvTransport,
@@ -136,11 +120,10 @@ func (t *Transport) dropInjected(peer msg.NodeID, r simnet.DropReason, dir strin
 	}
 }
 
-// debugf reports a transport diagnostic to both the debug logger and,
-// when a tracer is attached, the trace bus. peer is the remote node the
-// diagnostic concerns (0 when unknown).
+// debugf reports a transport diagnostic to the trace bus, when one is
+// attached (trace.NewLogf turns it into log lines). peer is the remote
+// node the diagnostic concerns (0 when unknown).
 func (t *Transport) debugf(peer msg.NodeID, format string, args ...any) {
-	t.logf(format, args...)
 	if t.tracer.Enabled() {
 		t.tracer.Emit(trace.Event{
 			Type: trace.EvTransport,
@@ -251,7 +234,7 @@ func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 		}
 		if f := t.faults.Load(); f != nil {
 			if v := f.JudgeRecv(env.From, t.self); !v.Deliver {
-				t.dropInjected(env.From, v.Reason, "recv")
+				t.dropInjected(env.From, v.Reason)
 				env.Release()
 				continue
 			}
@@ -278,7 +261,7 @@ func (t *Transport) Send(to msg.NodeID, m msg.Message) {
 	if f := t.faults.Load(); f != nil {
 		v := f.JudgeSend(t.self, to)
 		if !v.Deliver {
-			t.dropInjected(to, v.Reason, "send")
+			t.dropInjected(to, v.Reason)
 			return
 		}
 		delay = v.Delay

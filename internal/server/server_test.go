@@ -35,7 +35,7 @@ func raw(t *testing.T, cl *cluster.Cluster, req msg.Request) *msg.Reply {
 		}
 	})
 	defer cl.Control.Attach(id, orig.Deliver)
-	cl.Control.Send(id, cluster.ServerID, req)
+	cl.Control.Send(id, cluster.ServerID(0), req)
 	cl.RunFor(time.Second)
 	return got
 }
@@ -44,7 +44,7 @@ func hdrFor(cl *cluster.Cluster, reqID msg.ReqID) msg.ReqHeader {
 	return msg.ReqHeader{
 		Client: cluster.ClientID(0),
 		Req:    reqID,
-		Epoch:  cl.Clients[0].Epoch(),
+		Epoch:  cl.Clients[0].Sub(0).Epoch(),
 	}
 }
 
@@ -191,20 +191,20 @@ func TestFuncReadHoleReturnsZeros(t *testing.T) {
 // while the live incarnation's own window closes normally.
 func TestGraceTimerIgnoresStoppedIncarnation(t *testing.T) {
 	cl := boot(t)
-	cl.CrashServer()
+	cl.CrashServer(0)
 	cl.RunFor(time.Second)
 
-	cl.RestartServer()
-	mid := cl.Server // incarnation 2: grace window open
+	cl.RestartServer(0)
+	mid := cl.Shards[0].Server // incarnation 2: grace window open
 	if !mid.InGrace() || !mid.Recovering() {
 		t.Fatal("restarted server must open a grace window")
 	}
 
 	// Crash again midway through the grace window, then restart.
 	cl.RunFor(500 * time.Millisecond)
-	cl.CrashServer() // Stop()s the mid incarnation; its grace timer stays armed
-	cl.RestartServer()
-	final := cl.Server
+	cl.CrashServer(0) // Stop()s the mid incarnation; its grace timer stays armed
+	cl.RestartServer(0)
+	final := cl.Shards[0].Server
 
 	// Run well past both grace windows: the stale timer fires now.
 	cl.RunFor(3 * cl.Opts.Core.StealDelay())

@@ -1,22 +1,29 @@
-package shard
+package shard_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
 // scaleOptions is the benchmark configuration: the authority is the
 // bottleneck (100µs of metadata service per request, zero disk time, no
 // oracle), leases are long and retries lazy so the lease protocol is
-// pure background, and placement is the default hash — every client's
-// working set spreads across all shards.
-func scaleOptions(shards, clients int) Options {
-	opts := DefaultOptions()
+// pure background, and placement is the hash — every client's working set
+// spreads across all shards. It is set explicitly so that the one-shard
+// point is still a shard of a placed namespace (parents materialize on
+// create, as on every other point of the curve), and clocks run at rate 1
+// so the curve's figures are the ones the baseline records.
+func scaleOptions(shards, clients int) cluster.Options {
+	opts := shardOptions()
 	opts.Shards = shards
 	opts.Clients = clients
+	opts.Placement = shard.Hash{N: shards}
+	opts.ClockSkew = false
 	opts.Core.Tau = 60 * time.Second
 	opts.Core.RetryInterval = 2 * time.Second
 	opts.NoChecker = true
@@ -31,12 +38,12 @@ func scaleOptions(shards, clients int) Options {
 // metadata operations per simulated second.
 func runShardScale(tb testing.TB, shards, clients int, dur time.Duration) float64 {
 	tb.Helper()
-	inst := New(scaleOptions(shards, clients))
+	inst := cluster.New(scaleOptions(shards, clients))
 	inst.Start()
 
 	runners := make([]*workload.MetaRunner, clients)
 	for ci := 0; ci < clients; ci++ {
-		runners[ci] = workload.NewMetaRunner(inst.Nodes[ci], inst.Sched, ci,
+		runners[ci] = workload.NewMetaRunner(inst.Clients[ci], inst.Sched, ci,
 			16, 1.2, int64(1000+ci))
 		runners[ci].Start()
 	}

@@ -1,12 +1,14 @@
-package shard
+package shard_test
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/shard"
 )
 
 func block(b byte) []byte {
@@ -17,23 +19,31 @@ func block(b byte) []byte {
 	return buf
 }
 
+// shardOptions is the installation these tests start from: two shards
+// with a disk each, two clients, skewed clocks.
+func shardOptions() cluster.Options {
+	opts := cluster.DefaultOptions()
+	opts.Shards, opts.Clients, opts.Disks = 2, 2, 1
+	return opts
+}
+
 // subtreeOptions splits the namespace by subtree — /s0 on shard 0, /s1
 // on shard 1 — so a test can aim an operation at a specific authority
 // by path. (DefaultOptions uses Hash, which is total: good for routing
 // transparency, useless for aiming.)
-func subtreeOptions() Options {
-	opts := DefaultOptions()
-	opts.Placement = Subtree{Prefixes: map[string]int{"/s0": 0, "/s1": 1}}
+func subtreeOptions() cluster.Options {
+	opts := shardOptions()
+	opts.Placement = shard.Subtree{Prefixes: map[string]int{"/s0": 0, "/s1": 1}}
 	return opts
 }
 
 func TestRoutingAcrossShards(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
 
 	// One file per shard, written by node 0, read by node 1.
-	h0 := inst.MustOpen(0, "/s0/a.txt", true, true)
-	h1 := inst.MustOpen(0, "/s1/b.txt", true, true)
+	h0, _ := inst.MustOpen(0, "/s0/a.txt", true, true)
+	h1, _ := inst.MustOpen(0, "/s1/b.txt", true, true)
 	if errno := inst.Write(0, h0, 0, block('A')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -42,8 +52,8 @@ func TestRoutingAcrossShards(t *testing.T) {
 	}
 	inst.Sync(0)
 
-	r0 := inst.MustOpen(1, "/s0/a.txt", false, false)
-	r1 := inst.MustOpen(1, "/s1/b.txt", false, false)
+	r0, _ := inst.MustOpen(1, "/s0/a.txt", false, false)
+	r1, _ := inst.MustOpen(1, "/s1/b.txt", false, false)
 	if data, errno := inst.Read(1, r0, 0); errno != msg.OK || !bytes.Equal(data, block('A')) {
 		t.Fatalf("shard 0 read: %v", errno)
 	}
@@ -59,20 +69,20 @@ func TestRoutingAcrossShards(t *testing.T) {
 // caller never names a shard, yet every path lands on some authority
 // and reads back intact from another node.
 func TestHashRoutingTransparent(t *testing.T) {
-	opts := DefaultOptions()
+	opts := shardOptions()
 	opts.Shards = 4
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	paths := []string{"/a", "/deep/nested/file", "/b.txt", "/x/y", "/zzz"}
 	for i, p := range paths {
-		h := inst.MustOpen(0, p, true, true)
+		h, _ := inst.MustOpen(0, p, true, true)
 		if errno := inst.Write(0, h, 0, block(byte('0'+i))); errno != msg.OK {
 			t.Fatalf("write %s: %v", p, errno)
 		}
 	}
 	inst.Sync(0)
 	for i, p := range paths {
-		h := inst.MustOpen(1, p, false, false)
+		h, _ := inst.MustOpen(1, p, false, false)
 		if data, errno := inst.Read(1, h, 0); errno != msg.OK || data[0] != byte('0'+i) {
 			t.Fatalf("read %s: %v %q", p, errno, data[0])
 		}
@@ -83,16 +93,16 @@ func TestHashRoutingTransparent(t *testing.T) {
 }
 
 func TestUnroutablePath(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
 	errno := msg.OK
-	inst.Nodes[0].Open("/nowhere/x", true, true, func(_ msg.Handle, _ msg.Attr, e msg.Errno) { errno = e })
+	inst.Clients[0].Open("/nowhere/x", true, true, func(_ msg.Handle, _ msg.Attr, e msg.Errno) { errno = e })
 	inst.RunFor(time.Second)
 	if errno != msg.ErrNoEnt {
 		t.Fatalf("unroutable open = %v, want ErrNoEnt", errno)
 	}
 	var rerr msg.Errno
-	inst.Nodes[0].Read(999, 0, func(_ []byte, e msg.Errno) { rerr = e })
+	inst.Clients[0].Read(999, 0, func(_ []byte, e msg.Errno) { rerr = e })
 	if rerr != msg.ErrBadHandle {
 		t.Fatalf("bad node handle = %v", rerr)
 	}
@@ -104,12 +114,12 @@ func TestUnroutablePath(t *testing.T) {
 // other shards — and its service on them — continue untouched.
 func TestPerPairLeaseIndependence(t *testing.T) {
 	opts := subtreeOptions()
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	tau := opts.Core.Tau
 
-	h0 := inst.MustOpen(0, "/s0/f", true, true)
-	h1 := inst.MustOpen(0, "/s1/f", true, true)
+	h0, _ := inst.MustOpen(0, "/s0/f", true, true)
+	h1, _ := inst.MustOpen(0, "/s1/f", true, true)
 	if errno := inst.Write(0, h0, 0, block('X')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -137,14 +147,14 @@ func TestPerPairLeaseIndependence(t *testing.T) {
 
 	// Shard 0's lock is recoverable by the other node after τ(1+ε); the
 	// partitioned sub flushed its dirty X in phase 4 first.
-	w := inst.MustOpen(1, "/s0/f", true, false)
+	w, _ := inst.MustOpen(1, "/s0/f", true, false)
 	if errno := inst.Write(1, w, 0, block('Z')); errno != msg.OK {
 		t.Fatalf("survivor write on shard 0: %v", errno)
 	}
 	inst.Sync(1)
 
 	// Heal; the node's shard-0 sub rejoins; everything audits clean.
-	inst.HealAll()
+	inst.HealControl()
 	inst.RunFor(2 * tau)
 	inst.Sync(0)
 	if got := inst.FinalCheck(); len(got) != 0 {
@@ -157,16 +167,16 @@ func TestPerPairLeaseIndependence(t *testing.T) {
 }
 
 func TestShardNamespacesAreDisjoint(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
 	// Same basename on both shards: distinct objects.
-	a := inst.MustOpen(0, "/s0/same", true, true)
-	b := inst.MustOpen(0, "/s1/same", true, true)
+	a, _ := inst.MustOpen(0, "/s0/same", true, true)
+	b, _ := inst.MustOpen(0, "/s1/same", true, true)
 	inst.Write(0, a, 0, block('1'))
 	inst.Write(0, b, 0, block('2'))
 	inst.Sync(0)
-	ra := inst.MustOpen(1, "/s0/same", false, false)
-	rb := inst.MustOpen(1, "/s1/same", false, false)
+	ra, _ := inst.MustOpen(1, "/s0/same", false, false)
+	rb, _ := inst.MustOpen(1, "/s1/same", false, false)
 	da, _ := inst.Read(1, ra, 0)
 	db, _ := inst.Read(1, rb, 0)
 	if da[0] != '1' || db[0] != '2' {
@@ -177,9 +187,9 @@ func TestShardNamespacesAreDisjoint(t *testing.T) {
 // TestLocksHeldGauge: each authority exports server.<id>.locks_held —
 // the per-shard load signal the flag surface (tankd SIGUSR1) dumps.
 func TestLocksHeldGauge(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
-	h := inst.MustOpen(0, "/s0/locked", true, true)
+	h, _ := inst.MustOpen(0, "/s0/locked", true, true)
 	if errno := inst.Write(0, h, 0, block('L')); errno != msg.OK {
 		t.Fatal(errno)
 	}

@@ -1,10 +1,11 @@
-package shard
+package shard_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
@@ -35,23 +36,23 @@ func TestHandoffSingleOwner(t *testing.T) {
 	}
 	faults := []struct {
 		name   string
-		inject func(inst *Cluster)
-		heal   func(inst *Cluster)
+		inject func(inst *cluster.Cluster)
+		heal   func(inst *cluster.Cluster)
 	}{
 		{
 			name:   "partition-servers",
-			inject: func(inst *Cluster) { inst.IsolateServers(0, 1) },
-			heal:   func(inst *Cluster) { inst.HealAll() },
+			inject: func(inst *cluster.Cluster) { inst.IsolateServers(0, 1) },
+			heal:   func(inst *cluster.Cluster) { inst.HealControl() },
 		},
 		{
 			name:   "crash-source",
-			inject: func(inst *Cluster) { inst.CrashServer(0) },
-			heal:   func(inst *Cluster) { inst.RestartServer(0) },
+			inject: func(inst *cluster.Cluster) { inst.CrashServer(0) },
+			heal:   func(inst *cluster.Cluster) { inst.RestartServer(0) },
 		},
 		{
 			name:   "crash-dest",
-			inject: func(inst *Cluster) { inst.CrashServer(1) },
-			heal:   func(inst *Cluster) { inst.RestartServer(1) },
+			inject: func(inst *cluster.Cluster) { inst.CrashServer(1) },
+			heal:   func(inst *cluster.Cluster) { inst.RestartServer(1) },
 		},
 	}
 	for _, f := range faults {
@@ -65,7 +66,7 @@ func TestHandoffSingleOwner(t *testing.T) {
 
 // lookupRetry resolves path on node i, retrying across the transient
 // ErrStale a rejoining sub-client surfaces after its authority restarts.
-func lookupRetry(t *testing.T, inst *Cluster, i int, path string) msg.Errno {
+func lookupRetry(t *testing.T, inst *cluster.Cluster, i int, path string) msg.Errno {
 	t.Helper()
 	for try := 0; ; try++ {
 		errno := lookupErr(t, inst, i, path)
@@ -79,15 +80,15 @@ func lookupRetry(t *testing.T, inst *Cluster, i int, path string) msg.Errno {
 	}
 }
 
-func runHandoffFault(t *testing.T, inject, heal func(*Cluster), at time.Duration) {
+func runHandoffFault(t *testing.T, inject, heal func(*cluster.Cluster), at time.Duration) {
 	ring := trace.NewRing(1 << 16)
 	opts := subtreeOptions()
 	opts.Seed = int64(at) + 7
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 
-	h := inst.MustOpen(0, "/s0/victim", true, true)
+	h, _ := inst.MustOpen(0, "/s0/victim", true, true)
 	if errno := inst.Write(0, h, 0, block('V')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -98,7 +99,7 @@ func runHandoffFault(t *testing.T, inject, heal func(*Cluster), at time.Duration
 	// the plug.
 	settled := false
 	var renErr msg.Errno
-	inst.Nodes[0].Rename("/s0/victim", "/s1/victim", func(e msg.Errno) {
+	inst.Clients[0].Rename("/s0/victim", "/s1/victim", func(e msg.Errno) {
 		renErr, settled = e, true
 	})
 	inst.RunFor(at)
@@ -147,7 +148,7 @@ func runHandoffFault(t *testing.T, inject, heal func(*Cluster), at time.Duration
 	// the destination installed the object exactly once, and the source
 	// retired its copy only after that install.
 	events := ring.Events()
-	src, dst := ServerID(0), ServerID(1)
+	src, dst := cluster.ServerID(0), cluster.ServerID(1)
 	if n := events.Count(trace.ByNode(dst), trace.ByType(trace.EvShardInstall)); n != 1 {
 		t.Fatalf("object installed %d times, want exactly 1", n)
 	}
@@ -158,7 +159,7 @@ func runHandoffFault(t *testing.T, inject, heal func(*Cluster), at time.Duration
 	}
 
 	// The file's data survived the move.
-	rh := inst.MustOpen(1, "/s1/victim", false, false)
+	rh, _ := inst.MustOpen(1, "/s1/victim", false, false)
 	if data, errno := inst.Read(1, rh, 0); errno != msg.OK || data[0] != 'V' {
 		t.Fatalf("data lost in handoff: %v", errno)
 	}

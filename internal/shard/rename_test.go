@@ -1,10 +1,11 @@
-package shard
+package shard_test
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
@@ -12,11 +13,11 @@ import (
 // releaseLock looks up path on node i and voluntarily returns its data
 // lock — renames (like unlinks) are refused while any client holds a
 // lock on the object, so tests release after writing.
-func releaseLock(t *testing.T, inst *Cluster, i int, path string) {
+func releaseLock(t *testing.T, inst *cluster.Cluster, i int, path string) {
 	t.Helper()
 	var ino msg.ObjectID
 	ok := inst.Await(time.Minute, func(done func()) {
-		inst.Nodes[i].Lookup(path, func(attr msg.Attr, e msg.Errno) {
+		inst.Clients[i].Lookup(path, func(attr msg.Attr, e msg.Errno) {
 			if e != msg.OK {
 				t.Fatalf("lookup %s: %v", path, e)
 			}
@@ -27,9 +28,9 @@ func releaseLock(t *testing.T, inst *Cluster, i int, path string) {
 	if !ok {
 		t.Fatalf("lookup %s timed out", path)
 	}
-	sub, errno := inst.Nodes[i].owner(path)
-	if errno != msg.OK {
-		t.Fatalf("owner(%s): %v", path, errno)
+	sub := inst.Clients[i].Owner(path)
+	if sub == nil {
+		t.Fatalf("owner(%s): no authority", path)
 	}
 	if !inst.Await(time.Minute, func(done func()) {
 		sub.ReleaseLock(ino, func(e msg.Errno) {
@@ -44,11 +45,11 @@ func releaseLock(t *testing.T, inst *Cluster, i int, path string) {
 }
 
 // lookupErr resolves path on node i and returns the errno.
-func lookupErr(t *testing.T, inst *Cluster, i int, path string) msg.Errno {
+func lookupErr(t *testing.T, inst *cluster.Cluster, i int, path string) msg.Errno {
 	t.Helper()
 	errno := msg.ErrStale
 	if !inst.Await(2*time.Minute, func(done func()) {
-		inst.Nodes[i].Lookup(path, func(_ msg.Attr, e msg.Errno) { errno = e; done() })
+		inst.Clients[i].Lookup(path, func(_ msg.Attr, e msg.Errno) { errno = e; done() })
 	}) {
 		t.Fatalf("lookup %s timed out", path)
 	}
@@ -64,10 +65,10 @@ func TestCrossShardRenameMovesData(t *testing.T) {
 	ring := trace.NewRing(1 << 14)
 	opts := subtreeOptions()
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 
-	h := inst.MustOpen(0, "/s0/file", true, true)
+	h, _ := inst.MustOpen(0, "/s0/file", true, true)
 	if errno := inst.Write(0, h, 0, block('M')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -81,7 +82,7 @@ func TestCrossShardRenameMovesData(t *testing.T) {
 	if e := lookupErr(t, inst, 1, "/s0/file"); e != msg.ErrNoEnt {
 		t.Fatalf("old name still resolves: %v", e)
 	}
-	rh := inst.MustOpen(1, "/s1/file", false, false)
+	rh, _ := inst.MustOpen(1, "/s1/file", false, false)
 	if data, errno := inst.Read(1, rh, 0); errno != msg.OK || !bytes.Equal(data, block('M')) {
 		t.Fatalf("read at new home: %v", errno)
 	}
@@ -94,7 +95,7 @@ func TestCrossShardRenameMovesData(t *testing.T) {
 	// source retire its copy (single-owner: the overlap is dual-frozen,
 	// never dual-served).
 	events := ring.Events()
-	src, dst := ServerID(0), ServerID(1)
+	src, dst := cluster.ServerID(0), cluster.ServerID(1)
 	if n := events.Count(trace.ByNode(src), trace.ByType(trace.EvShardHandoff), trace.ByPeer(dst)); n != 1 {
 		t.Fatalf("handoff announced %d times, want 1", n)
 	}
@@ -123,7 +124,7 @@ func TestCrossShardRenameSameShardStaysLocal(t *testing.T) {
 	ring := trace.NewRing(1 << 12)
 	opts := subtreeOptions()
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	inst.MustOpen(0, "/s0/a", true, true)
 	if errno := inst.Rename(0, "/s0/a", "/s0/b"); errno != msg.OK {
@@ -138,9 +139,9 @@ func TestCrossShardRenameSameShardStaysLocal(t *testing.T) {
 // TestCrossShardRenameLockedRefused: an active lock holder pins the
 // object to its shard; the handoff never starts.
 func TestCrossShardRenameLockedRefused(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
-	h := inst.MustOpen(0, "/s0/busy", true, true)
+	h, _ := inst.MustOpen(0, "/s0/busy", true, true)
 	if errno := inst.Write(0, h, 0, block('B')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -152,10 +153,10 @@ func TestCrossShardRenameLockedRefused(t *testing.T) {
 // TestCrossShardRenameDirRefused: directory subtrees are placed, not
 // migrated — single-inode handoff only.
 func TestCrossShardRenameDirRefused(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
 	if !inst.Await(time.Minute, func(done func()) {
-		inst.Nodes[0].Create("/s0/dir", true, func(_ msg.Attr, e msg.Errno) {
+		inst.Clients[0].Create("/s0/dir", true, func(_ msg.Attr, e msg.Errno) {
 			if e != msg.OK {
 				t.Fatalf("mkdir: %v", e)
 			}
@@ -172,7 +173,7 @@ func TestCrossShardRenameDirRefused(t *testing.T) {
 // TestCrossShardRenameUnroutableDest: a destination name no authority
 // serves fails cleanly; the object stays put.
 func TestCrossShardRenameUnroutableDest(t *testing.T) {
-	inst := New(subtreeOptions())
+	inst := cluster.New(subtreeOptions())
 	inst.Start()
 	inst.MustOpen(0, "/s0/f", true, true)
 	if errno := inst.Rename(0, "/s0/f", "/limbo/f"); errno != msg.ErrNoEnt {

@@ -1,15 +1,17 @@
-package shard
+package shard_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
 
-func replicatedOptions(seed int64) Options {
-	opts := DefaultOptions()
+func replicatedOptions(seed int64) cluster.Options {
+	opts := shardOptions()
 	opts.Seed = seed
 	opts.Shards = 1
 	opts.Clients = 2
@@ -21,12 +23,12 @@ func replicatedOptions(seed int64) Options {
 // takeoverBound is the window within which a passive replica must assume
 // a crashed active's authority: the acceptors' acquisition timeout (they
 // must forget the dead holder's lease) plus negotiation slack.
-func takeoverBound(opts Options) time.Duration {
+func takeoverBound(opts cluster.Options) time.Duration {
 	return opts.Core.Bound.Stretch(opts.ReplicaLeaseTerm) +
 		opts.Core.Bound.Stretch(8*opts.Core.RetryInterval)
 }
 
-func activeReplica(t *testing.T, sh *Shard) int {
+func activeReplica(t *testing.T, sh *cluster.Shard) int {
 	t.Helper()
 	for i, srv := range sh.Replicas {
 		if !srv.Stopped() && srv.ActiveAuthority() {
@@ -45,12 +47,16 @@ func activeReplica(t *testing.T, sh *Shard) int {
 func TestReplicatedTakeover(t *testing.T) {
 	ring := trace.NewRing(1 << 16)
 	opts := replicatedOptions(7)
+	// The bound below is in the scheduler's time; an acceptor on a slow
+	// clock sits out the same timeout for longer than that. Rate-1 clocks
+	// make the two the same, which is what a wall-time bound needs.
+	opts.ClockSkew = false
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	sh := &inst.Shards[0]
 
-	h := inst.MustOpen(0, "/f", true, true)
+	h, _ := inst.MustOpen(0, "/f", true, true)
 	if errno := inst.Write(0, h, 0, block('a')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -90,7 +96,7 @@ func TestReplicatedTakeover(t *testing.T) {
 	// the new active — client 1 opens fresh, so the data must come from
 	// the recovered metadata + SAN, not from node 0's cache.
 	inst.RunFor(opts.Core.StealDelay() + time.Second)
-	h1 := inst.MustOpen(1, "/f", false, false)
+	h1, _ := inst.MustOpen(1, "/f", false, false)
 	data, errno := inst.Read(1, h1, 0)
 	if errno != msg.OK || len(data) == 0 || data[0] != 'a' {
 		t.Fatalf("acknowledged write lost across takeover: data=%v errno=%v", data, errno)
@@ -100,7 +106,7 @@ func TestReplicatedTakeover(t *testing.T) {
 	// (Fencing a client whose lease never lapsed would be a safety bug;
 	// fencing one that reasserted in time would be a double penalty.)
 	for ci := 0; ci < opts.Clients; ci++ {
-		if n := events.Count(trace.ByPeer(ClientID(ci)), trace.ByType(trace.EvFence),
+		if n := events.Count(trace.ByPeer(cluster.ClientID(ci)), trace.ByType(trace.EvFence),
 			func(e trace.Event) bool { return e.On }); n != 0 {
 			t.Fatalf("client %d fenced %d times during a clean takeover", ci, n)
 		}
@@ -124,15 +130,34 @@ func TestReplicatedTakeover(t *testing.T) {
 // client 0's locks, the client's own expiry must already have happened —
 // the τ(1+ε) bound spans the takeover boundary because the successor's
 // suspicion clock starts no earlier than its first unanswered demand.
+//
+// Like the per-shard theorem it runs under skewed clocks — the replicas'
+// too: two dozen seeds, and the corner where the client is as slow and
+// every replica as fast as the bound allows.
 func TestTheorem31AcrossTakeover(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			theorem31AcrossTakeover(t, replicatedOptions(seed))
+		})
+	}
+	t.Run("adversarial", func(t *testing.T) {
+		opts := replicatedOptions(11)
+		opts.ClientRates, opts.ServerRate = slowestAndFastest(opts)
+		theorem31AcrossTakeover(t, opts)
+	})
+}
+
+func theorem31AcrossTakeover(t *testing.T, opts cluster.Options) {
+	if !opts.ClockSkew {
+		t.Fatal("the theorem is about skewed clocks; the options pin rate 1")
+	}
 	ring := trace.NewRing(1 << 16)
-	opts := replicatedOptions(11)
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	sh := &inst.Shards[0]
 
-	h := inst.MustOpen(0, "/f", true, true)
+	h, _ := inst.MustOpen(0, "/f", true, true)
 	if errno := inst.Write(0, h, 0, block('a')); errno != msg.OK {
 		t.Fatal(errno)
 	}
@@ -159,19 +184,19 @@ func TestTheorem31AcrossTakeover(t *testing.T) {
 	// the successor) must expire before the successor steals.
 	for ri := range sh.Group {
 		if ri != oldIdx {
-			inst.Control.Block(ClientID(0), sh.Group[ri])
+			inst.Control.Block(cluster.ClientID(0), sh.Group[ri])
 		}
 	}
 
 	// Client 1 wants the file; the successor demands, fails to deliver,
 	// and arms its steal.
-	h1 := inst.MustOpen(1, "/f", true, false)
+	h1, _ := inst.MustOpen(1, "/f", true, false)
 	if errno := inst.Write(1, h1, 0, block('Z')); errno != msg.OK {
 		t.Fatalf("survivor write: %v", errno)
 	}
 
 	events := ring.Events()
-	isolated := ClientID(0)
+	isolated := cluster.ClientID(0)
 	if n := events.Count(trace.ByNode(succ.ID()), trace.ByType(trace.EvStealFired),
 		trace.ByPeer(isolated)); n != 1 {
 		t.Fatalf("successor fired %d steals at the isolated client, want 1", n)
@@ -190,7 +215,7 @@ func TestTheorem31AcrossTakeover(t *testing.T) {
 		t.Fatalf("expiry = %+v (ok=%v), want a clean flushed expiry", exp, ok)
 	}
 
-	inst.HealAll()
+	inst.HealControl()
 	inst.RunFor(2 * opts.Core.Tau)
 	inst.Sync(0)
 	inst.Sync(1)
@@ -203,7 +228,7 @@ func TestTheorem31AcrossTakeover(t *testing.T) {
 // warmup) and the group keeps exactly one active throughout.
 func TestReplicaRestartRejoinsGroup(t *testing.T) {
 	opts := replicatedOptions(13)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	sh := &inst.Shards[0]
 
@@ -235,13 +260,13 @@ func TestReplicaRestartRejoinsGroup(t *testing.T) {
 // openRetry opens path for writing on node i, retrying across the
 // transient ErrStale a client surfaces while re-registering after an
 // authority change.
-func openRetry(t *testing.T, inst *Cluster, i int, path string) msg.Handle {
+func openRetry(t *testing.T, inst *cluster.Cluster, i int, path string) msg.Handle {
 	t.Helper()
 	for try := 0; ; try++ {
 		var h msg.Handle
 		errno := msg.ErrStale
 		inst.Await(time.Minute, func(done func()) {
-			inst.Nodes[i].Open(path, true, true, func(gh msg.Handle, _ msg.Attr, e msg.Errno) {
+			inst.Clients[i].Open(path, true, true, func(gh msg.Handle, _ msg.Attr, e msg.Errno) {
 				h, errno = gh, e
 				done()
 			})
@@ -267,7 +292,8 @@ func BenchmarkReplicaFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := replicatedOptions(int64(100 + i))
 		opts.NoChecker = true
-		inst := New(opts)
+		opts.ClockSkew = false // takeover_ms is scheduler time; see TestReplicatedTakeover
+		inst := cluster.New(opts)
 		inst.Start()
 		sh := &inst.Shards[0]
 		var oldIdx int

@@ -1,9 +1,11 @@
-package shard
+package shard_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
@@ -15,11 +17,43 @@ import (
 // expiry of that specific pair's lease. The per-event Peer stamp is what
 // lets the assertion bind client-side expiries to the one authority
 // whose steal clock they race.
+//
+// It is a statement about skewed clocks, so it runs under them: two dozen
+// seeds of rates drawn within the pairwise bound ε, and the adversarial
+// corner — the isolated client as slow and every server as fast as the
+// bound allows, where the client's τ and the server's τ(1+ε) are the same
+// instant and only the renewal's head start (it dates from the send)
+// keeps expiry first.
 func TestTheorem31PerShard(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			opts := subtreeOptions()
+			opts.Seed = seed
+			theorem31PerShard(t, opts)
+		})
+	}
+	t.Run("adversarial", func(t *testing.T) {
+		opts := subtreeOptions()
+		opts.ClientRates, opts.ServerRate = slowestAndFastest(opts)
+		theorem31PerShard(t, opts)
+	})
+}
+
+// slowestAndFastest pins client 0 to the slowest and the servers to the
+// fastest rate the harness ever draws: any pair of clocks within
+// sqrt(1+ε) of 1 satisfies the pairwise bound ε, and this pair meets it.
+func slowestAndFastest(opts cluster.Options) (clientRates []float64, serverRate float64) {
+	hi := math.Sqrt(1 + opts.Core.Bound.Eps)
+	return []float64{1 / hi}, hi
+}
+
+func theorem31PerShard(t *testing.T, opts cluster.Options) {
+	if !opts.ClockSkew {
+		t.Fatal("the theorem is about skewed clocks; the options pin rate 1")
+	}
 	ring := trace.NewRing(1 << 16)
-	opts := subtreeOptions()
 	opts.Tracer = trace.New(ring)
-	inst := New(opts)
+	inst := cluster.New(opts)
 	inst.Start()
 	tau := opts.Core.Tau
 
@@ -28,7 +62,7 @@ func TestTheorem31PerShard(t *testing.T) {
 	handles := make([]msg.Handle, opts.Shards)
 	for si := 0; si < opts.Shards; si++ {
 		path := fmt.Sprintf("/s%d/f", si)
-		handles[si] = inst.MustOpen(0, path, true, true)
+		handles[si], _ = inst.MustOpen(0, path, true, true)
 		if errno := inst.Write(0, handles[si], 0, block(byte('a'+si))); errno != msg.OK {
 			t.Fatal(errno)
 		}
@@ -43,16 +77,16 @@ func TestTheorem31PerShard(t *testing.T) {
 	// and fires its τ(1+ε) steal.
 	for si := 0; si < opts.Shards; si++ {
 		path := fmt.Sprintf("/s%d/f", si)
-		h := inst.MustOpen(1, path, true, false)
+		h, _ := inst.MustOpen(1, path, true, false)
 		if errno := inst.Write(1, h, 0, block('Z')); errno != msg.OK {
 			t.Fatalf("survivor write on shard %d: %v", si, errno)
 		}
 	}
 
 	events := ring.Events()
-	isolated := ClientID(0)
+	isolated := cluster.ClientID(0)
 	for si := 0; si < opts.Shards; si++ {
-		sid := ServerID(si)
+		sid := cluster.ServerID(si)
 		// Exactly one steal per shard, aimed at the isolated node.
 		if n := events.Count(trace.ByNode(sid), trace.ByType(trace.EvStealFired),
 			trace.ByPeer(isolated)); n != 1 {
@@ -75,7 +109,7 @@ func TestTheorem31PerShard(t *testing.T) {
 	}
 
 	// Heal, settle, audit every shard's history.
-	inst.HealAll()
+	inst.HealControl()
 	inst.RunFor(2 * tau)
 	inst.Sync(0)
 	inst.Sync(1)

@@ -83,10 +83,10 @@ func (j *JSONL) Record(e Event) {
 	j.mu.Unlock()
 }
 
-// NewLogf adapts a printf-style logger into a sink: the tracer-backed
-// structured replacement for the deprecated rpcnet Transport.SetLogf.
-// Every event renders through Event.String, so a plain log.Printf gives
-// a readable, totally ordered protocol narrative.
+// NewLogf adapts a printf-style logger into a sink — the one debug
+// logger there is, transport diagnostics included. Every event renders
+// through Event.String, so a plain log.Printf gives a readable, totally
+// ordered protocol narrative.
 func NewLogf(logf func(format string, args ...any)) Sink {
 	return SinkFunc(func(e Event) { logf("trace: %s", e) })
 }

@@ -40,7 +40,7 @@ func TestHotFileDedupAndPrefetch(t *testing.T) {
 
 	// Settle: one last cold scan on reader 1 so its cache holds the whole
 	// file at a deterministic instant.
-	c1 := cl.Clients[1].Cache()
+	c1 := cl.Clients[1].Sub(0).Cache()
 	c1.InvalidateAll()
 	h, _ := cl.MustOpen(1, HotFilePath, false, false)
 	for b := 0; b < cfg.Blocks; b++ {
@@ -78,8 +78,8 @@ func TestHotFileDedupAndPrefetch(t *testing.T) {
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatalf("final sync: %v", errno)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under hot-file contention: %v", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestHotFileTheorem31ReaderIsolated(t *testing.T) {
 	if hf.Scans == 0 {
 		t.Fatal("warm-up produced no scans")
 	}
-	if got := cl.Clients[1].Cache().ResidentPages(); got == 0 {
+	if got := cl.Clients[1].Sub(0).Cache().ResidentPages(); got == 0 {
 		t.Fatal("reader 1 cache empty after warm-up")
 	}
 
@@ -131,26 +131,26 @@ func TestHotFileTheorem31ReaderIsolated(t *testing.T) {
 	}
 
 	// Theorem 3.1: client expiry strictly precedes the server's steal.
-	if n := events.Count(trace.ByNode(cluster.ServerID), trace.ByType(trace.EvStealFired), trace.ByPeer(isolated)); n != 1 {
+	if n := events.Count(trace.ByNode(cluster.ServerID(0)), trace.ByType(trace.EvStealFired), trace.ByPeer(isolated)); n != 1 {
 		t.Fatalf("steal fired %d times, want 1", n)
 	}
 	if err := events.Precedes(
 		trace.And(trace.ByNode(isolated), trace.ByType(trace.EvExpire)),
-		trace.And(trace.ByNode(cluster.ServerID), trace.ByType(trace.EvStealFired))); err != nil {
+		trace.And(trace.ByNode(cluster.ServerID(0)), trace.ByType(trace.EvStealFired))); err != nil {
 		t.Fatalf("Theorem 3.1 ordering: %v", err)
 	}
 
 	// Expiry tore the reader's cache down: nothing resident, nothing
 	// (prefetched or otherwise) left to serve stale reads from.
-	if got := cl.Clients[1].Cache().ResidentBytes(); got != 0 {
+	if got := cl.Clients[1].Sub(0).Cache().ResidentBytes(); got != 0 {
 		t.Fatalf("isolated reader still holds %d resident bytes after expiry", got)
 	}
 
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatalf("final sync: %v", errno)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 }

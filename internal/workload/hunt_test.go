@@ -49,10 +49,10 @@ func TestHuntRaces(t *testing.T) {
 		for i := range cl.Clients {
 			cl.Sync(i)
 		}
-		cl.Checker.FinalCheck()
-		if n := len(cl.Checker.Violations()); n > 0 {
+		cl.FinalCheck()
+		if n := len(cl.Violations()); n > 0 {
 			bad++
-			fmt.Printf("seed %d: %d violations; first: %v\n", opts.Seed, n, cl.Checker.Violations()[0])
+			fmt.Printf("seed %d: %d violations; first: %v\n", opts.Seed, n, cl.Violations()[0])
 		}
 	}
 	if bad > 0 {

@@ -5,16 +5,17 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
 // MetaOps is the metadata surface the sharded scale benchmark drives.
-// shard.Node satisfies it: every call is transparently routed to the
+// client.Router satisfies it: every call is transparently routed to the
 // authority the placement map assigns the path.
 type MetaOps interface {
-	Lookup(path string, cb func(attr msg.Attr, errno msg.Errno))
-	Create(path string, isDir bool, cb func(attr msg.Attr, errno msg.Errno))
+	Lookup(path string, cb client.AttrCallback)
+	Create(path string, isDir bool, cb client.AttrCallback)
 }
 
 // MetaRunner drives one client with closed-loop metadata traffic: each

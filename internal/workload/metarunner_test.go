@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -19,12 +20,12 @@ type fakeMeta struct {
 	lookups []string
 }
 
-func (f *fakeMeta) Lookup(path string, cb func(msg.Attr, msg.Errno)) {
+func (f *fakeMeta) Lookup(path string, cb client.AttrCallback) {
 	f.lookups = append(f.lookups, path)
 	f.complete(cb)
 }
 
-func (f *fakeMeta) Create(path string, _ bool, cb func(msg.Attr, msg.Errno)) {
+func (f *fakeMeta) Create(path string, _ bool, cb client.AttrCallback) {
 	f.creates = append(f.creates, path)
 	f.complete(cb)
 }

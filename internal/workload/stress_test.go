@@ -74,8 +74,8 @@ func stressTrial(t *testing.T, seed int64) {
 	for i := range cl.Clients {
 		cl.Sync(i)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		for _, v := range got {
 			t.Errorf("violation: %v", v)
 		}
@@ -125,8 +125,8 @@ func TestStressClientCrashes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		cl.Sync(i)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
 	// The crashed client's lock was reclaimed: someone else can write
@@ -171,8 +171,8 @@ func TestStressLossyBaselines(t *testing.T) {
 			for i := range cl.Clients {
 				cl.Sync(i)
 			}
-			cl.Checker.FinalCheck()
-			if got := cl.Checker.Violations(); len(got) != 0 {
+			cl.FinalCheck()
+			if got := cl.Violations(); len(got) != 0 {
 				t.Fatalf("violations under %s: %v", pol.Name, got)
 			}
 		})

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -185,6 +186,9 @@ type Runner struct {
 type openFile struct {
 	h   msg.Handle
 	ino msg.ObjectID
+	// sub is the client's protocol instance for the authority that owns
+	// the file: inode numbers mean something only there.
+	sub *client.Client
 }
 
 // NewRunner creates a load runner for client index `client`.
@@ -297,9 +301,9 @@ func (r *Runner) step() {
 			data[0] = byte(r.Ops)
 			c.Write(of.h, r.pick.Block(), data, func(e msg.Errno) { next(e) })
 		case OpStat:
-			c.Stat(of.ino, func(_ msg.Attr, e msg.Errno) { next(e) })
+			of.sub.Stat(of.ino, func(_ msg.Attr, e msg.Errno) { next(e) })
 		case OpReaddir:
-			c.Readdir(1, func(_ []msg.DirEntry, e msg.Errno) { next(e) }) // root
+			of.sub.Readdir(1, func(_ []msg.DirEntry, e msg.Errno) { next(e) }) // root
 		}
 	})
 }
@@ -311,9 +315,10 @@ func (r *Runner) withHandle(file int, fn func(openFile, msg.Errno)) {
 		fn(of, msg.OK)
 		return
 	}
-	r.cl.Clients[r.client].Open(FilePath(file), true, false,
+	c, path := r.cl.Clients[r.client], FilePath(file)
+	c.Open(path, true, false,
 		func(h msg.Handle, attr msg.Attr, errno msg.Errno) {
-			of := openFile{h: h, ino: attr.Ino}
+			of := openFile{h: h, ino: attr.Ino, sub: c.Owner(path)}
 			if errno == msg.OK {
 				r.handles[file] = of
 			}

@@ -140,8 +140,8 @@ func TestRunnerDrivesCluster(t *testing.T) {
 	for i := range runners {
 		cl.Sync(i)
 	}
-	cl.Checker.FinalCheck()
-	if got := cl.Checker.Violations(); len(got) != 0 {
+	cl.FinalCheck()
+	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations under normal contention: %v", got)
 	}
 }

@@ -6,10 +6,10 @@ package storagetank
 // and the disk/blockstore option structs underneath both — and a caller
 // wiring a tracer or a media store had to know which of the three each
 // knob belonged to. The With* options below speak all three dialects:
-// each option knows every surface it applies to, so the same
-// []Option configures a simulated Cluster (NewClusterWith), a simulated
-// sharded installation (NewShardClusterWith), or a live TCP node
-// (StartServer / StartDisk / StartClient).
+// each option knows every surface it applies to, so the same []Option
+// configures a simulated Cluster (NewClusterWith) — one server or a
+// sharded, replicated cluster of them — or a live TCP node (StartServer /
+// StartDisk / StartClient).
 
 import (
 	"fmt"
@@ -29,12 +29,10 @@ import (
 // knobs projected onto every construction surface at once. Options
 // mutate it; the constructors read only the slice relevant to them.
 type Build struct {
-	// Cluster configures a simulated single-server installation
-	// (NewClusterWith).
+	// Cluster configures a simulated installation (NewClusterWith); the
+	// live constructors read the protocol, policy, cache and disk knobs
+	// from it too.
 	Cluster cluster.Options
-	// Shard configures a simulated sharded installation
-	// (NewShardClusterWith).
-	Shard ShardOptions
 	// Node accumulates live-node functional options (StartServer,
 	// StartDisk, StartClient).
 	Node []rpcnet.Option
@@ -52,11 +50,10 @@ type Build struct {
 type Option func(*Build)
 
 // NewBuild returns the default configuration: a 3-client, 2-disk
-// single-server installation for the cluster surface,
-// DefaultShardOptions for the sharded surface, and no live-node
+// single-server installation for the simulated surface and no live-node
 // options.
 func NewBuild() Build {
-	return Build{Cluster: cluster.DefaultOptions(), Shard: DefaultShardOptions()}
+	return Build{Cluster: cluster.DefaultOptions()}
 }
 
 // Resolve applies opts over the defaults. Constructors call this; it is
@@ -71,88 +68,71 @@ func Resolve(opts ...Option) Build {
 }
 
 // WithSeed seeds all deterministic randomness (scheduler, clock skew,
-// network jitter). [sim, shard]
+// network jitter). [sim]
 func WithSeed(seed int64) Option {
-	return func(b *Build) {
-		b.Cluster.Seed = seed
-		b.Shard.Seed = seed
-	}
+	return func(b *Build) { b.Cluster.Seed = seed }
 }
 
-// WithClients sets the number of clients. [sim, shard]
+// WithClients sets the number of clients. [sim]
 func WithClients(n int) Option {
-	return func(b *Build) {
-		b.Cluster.Clients = n
-		b.Shard.Clients = n
-	}
+	return func(b *Build) { b.Cluster.Clients = n }
 }
 
-// WithDisks sets the number of SAN disks in a single-server
-// installation. [sim]
+// WithDisks sets the number of SAN disks each lease authority owns. [sim]
 func WithDisks(n int) Option {
 	return func(b *Build) { b.Cluster.Disks = n }
 }
 
 // WithShards sets the number of independent lease authorities the
-// namespace is partitioned across. [shard]
+// namespace is partitioned across (1, the default, is the single-server
+// installation). [sim]
 func WithShards(n int) Option {
-	return func(b *Build) { b.Shard.Shards = n }
+	return func(b *Build) { b.Cluster.Shards = n }
 }
 
 // WithReplicas gives every lease authority a replica group of m
 // members (m ≥ 2) negotiating the active role by diskless PaxosLease
 // (DESIGN.md §15); m ≤ 1 keeps singleton authorities. Live
 // installations declare groups in Topology.ReplicaGroups instead — the
-// topology is the address book, so membership must live there. [shard]
+// topology is the address book, so membership must live there. [sim]
 func WithReplicas(m int) Option {
-	return func(b *Build) { b.Shard.Replicas = m }
+	return func(b *Build) { b.Cluster.Replicas = m }
 }
 
 // WithReplicaLeaseTerm sets the authority-lease term of a replicated
 // installation (0 = the default; shorter terms take over faster and
 // renew more often). The takeover window after an active replica's
 // crash is bounded by term·(1+ε) plus negotiation retries plus the
-// grace period. [shard, live server]
+// grace period. [sim, live server]
 func WithReplicaLeaseTerm(d time.Duration) Option {
-	return func(b *Build) { b.Shard.ReplicaLeaseTerm = d }
+	return func(b *Build) { b.Cluster.ReplicaLeaseTerm = d }
 }
 
 // WithPlacement sets the deterministic path-to-shard placement map
-// (default: hash over the full path). [shard]
+// (default: hash over the full path when there is more than one shard).
+// Live installations set Topology.Placement instead. [sim]
 func WithPlacement(p Placement) Option {
-	return func(b *Build) { b.Shard.Placement = p }
+	return func(b *Build) { b.Cluster.Placement = p }
 }
 
 // WithServerService models each lease authority as a single-threaded
 // request processor with the given per-request service time (0 = the
 // default infinite capacity) — the knob the shard scale benchmark turns
-// to make metadata throughput authority-bound. [shard]
+// to make metadata throughput authority-bound. [sim]
 func WithServerService(d time.Duration) Option {
-	return func(b *Build) { b.Shard.ServerService = d }
-}
-
-// WithDisksPerServer sets how many SAN disks each authority of a
-// sharded installation owns. [shard]
-func WithDisksPerServer(n int) Option {
-	return func(b *Build) { b.Shard.DisksPerServer = n }
+	return func(b *Build) { b.Cluster.ServerService = d }
 }
 
 // WithDiskBlocks sets each disk's capacity in 4 KiB blocks.
-// [sim, shard, live disk]
+// [sim, live server, live disk]
 func WithDiskBlocks(n uint64) Option {
-	return func(b *Build) {
-		b.Cluster.DiskBlocks = n
-		b.Shard.DiskBlocks = n
-	}
+	return func(b *Build) { b.Cluster.DiskBlocks = n }
 }
 
 // WithProtocol sets the lease protocol configuration (τ, ε, phase
-// boundaries, retries). [sim, shard, live server, live client]
+// boundaries, retries). [sim, live server, live client]
 func WithProtocol(cfg Config) Option {
-	return func(b *Build) {
-		b.Cluster.Core = cfg
-		b.Shard.Core = cfg
-	}
+	return func(b *Build) { b.Cluster.Core = cfg }
 }
 
 // WithPolicy selects the lease/recovery/data-path policy.
@@ -175,17 +155,19 @@ func WithFlushBatch(n int) Option {
 	return func(b *Build) { b.Cluster.FlushBatch = n }
 }
 
-// WithCacheMaxPages bounds each client's resident cache (0 =
-// unbounded). [sim, live client]
+// WithCacheMaxPages bounds each client node's resident cache (0 =
+// unbounded); a node facing several authorities splits the bound evenly
+// across them. [sim, live client]
 func WithCacheMaxPages(n int) Option {
 	return func(b *Build) { b.Cluster.CacheMaxPages = n }
 }
 
-// WithCacheQuota bounds each client's resident cache in bytes, counted
-// after content dedup — pages sharing one content block cost its size
-// once (0 = unbounded). Clean pages are evicted LRU beyond the quota;
-// dirty pages are pinned until flushed. Composes with
-// WithCacheMaxPages: both bounds are enforced. [sim, live client]
+// WithCacheQuota bounds each client node's resident cache in bytes,
+// counted after content dedup — pages sharing one content block cost its
+// size once (0 = unbounded). Clean pages are evicted LRU beyond the quota;
+// dirty pages are pinned until flushed. Composes with WithCacheMaxPages
+// (both bounds are enforced) and, like it, is split evenly across the
+// authorities a node faces. [sim, live client]
 func WithCacheQuota(bytes int64) Option {
 	return func(b *Build) { b.Cluster.CacheQuota = bytes }
 }
@@ -211,22 +193,18 @@ func WithClockSkew(on bool) Option {
 }
 
 // WithDiskService sets the per-operation disk latency a disk simulates
-// before replying. A vectored batch pays it once. [sim, shard, live disk]
+// before replying. A vectored batch pays it once. [sim, live disk]
 func WithDiskService(d time.Duration) Option {
 	return func(b *Build) {
 		b.Cluster.DiskService = d
-		b.Shard.DiskService = d
 		b.liveDiskService = d
 	}
 }
 
-// WithoutChecker disables the consistency oracle (benchmarks measuring
-// raw protocol cost). [sim, shard]
+// WithoutChecker disables the consistency oracles (benchmarks measuring
+// raw protocol cost). [sim]
 func WithoutChecker() Option {
-	return func(b *Build) {
-		b.Cluster.NoChecker = true
-		b.Shard.NoChecker = true
-	}
+	return func(b *Build) { b.Cluster.NoChecker = true }
 }
 
 // WithGracePeriod overrides a restarted server's lock-reassertion
@@ -238,11 +216,10 @@ func WithGracePeriod(d time.Duration) Option {
 // WithTracer attaches the lease-lifecycle event bus to every node of
 // the installation — phase transitions, renewals, NACKs, steals,
 // demands, flushes, fences, vectored-batch disk commits, and transport
-// drops land in one totally-ordered stream. [sim, shard, live]
+// drops land in one totally-ordered stream. [sim, live]
 func WithTracer(tr *Tracer) Option {
 	return func(b *Build) {
 		b.Cluster.Tracer = tr
-		b.Shard.Tracer = tr
 		b.Node = append(b.Node, rpcnet.WithTracer(tr))
 	}
 }
@@ -268,26 +245,12 @@ func WithRegistry(reg *StatsRegistry) Option {
 	return func(b *Build) { b.Node = append(b.Node, rpcnet.WithRegistry(reg)) }
 }
 
-// WithLogf installs a printf-style debug logger on a live node's
-// transports. [live]
-func WithLogf(f func(format string, args ...any)) Option {
-	return func(b *Build) { b.Node = append(b.Node, rpcnet.WithLogf(f)) }
-}
-
-// NewClusterWith builds a simulated single-server installation from the
-// unified vocabulary; equivalent to NewCluster over a hand-built
-// Options. Nothing runs until its scheduler does (cl.Start registers
-// the clients).
+// NewClusterWith builds a simulated installation from the unified
+// vocabulary: one server by default, a cluster of them with WithShards,
+// each a replica group with WithReplicas. Nothing runs until its
+// scheduler does (cl.Start registers the clients).
 func NewClusterWith(opts ...Option) *Cluster {
-	b := Resolve(opts...)
-	return cluster.New(b.Cluster)
-}
-
-// NewShardClusterWith builds a simulated sharded installation from the
-// unified vocabulary.
-func NewShardClusterWith(opts ...Option) *ShardCluster {
-	b := Resolve(opts...)
-	return NewShardCluster(b.Shard)
+	return cluster.New(Resolve(opts...).Cluster)
 }
 
 // SyncClient is the blocking facade over the event-driven client: plain
@@ -336,8 +299,8 @@ func StartServer(spec NodeSpec, diskCaps map[NodeID]uint64, opts ...Option) (*Se
 	// A node listed in a Topology.ReplicaGroups group runs the PaxosLease
 	// negotiator (rpcnet fills the rest of the replica config from the
 	// group); the option only overrides the lease term.
-	if b.Shard.ReplicaLeaseTerm != 0 && spec.Topo.GroupOf(spec.ID) != nil {
-		cfg.Replica = &replica.Config{LeaseTerm: b.Shard.ReplicaLeaseTerm}
+	if b.Cluster.ReplicaLeaseTerm != 0 && spec.Topo.GroupOf(spec.ID) != nil {
+		cfg.Replica = &replica.Config{LeaseTerm: b.Cluster.ReplicaLeaseTerm}
 	}
 	return rpcnet.StartServerNode(spec, cfg, b.Node...)
 }
@@ -352,9 +315,10 @@ func StartDisk(spec NodeSpec, opts ...Option) (*DiskNode, error) {
 }
 
 // StartClient launches a live client node: it dials the topology's
-// server on the control network and the disks on the SAN, registers,
-// and waits for its first lease — the returned node is immediately
-// usable. Use node.Sync(timeout) for the blocking call surface.
+// servers on the control network and the disks on the SAN, registers with
+// every authority, and waits for its leases — the returned node is
+// immediately usable. Use node.Sync(timeout) for the blocking call
+// surface.
 func StartClient(spec NodeSpec, opts ...Option) (*ClientNode, error) {
 	b := Resolve(opts...)
 	cfg := client.Config{
@@ -369,22 +333,9 @@ func StartClient(spec NodeSpec, opts ...Option) (*ClientNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Register with the server; the first granted epoch marks the node
-	// ready. The hook is restored before user code can observe it.
-	ready := make(chan struct{})
-	cn.Do(func() {
-		cn.Client.OnRecovered = func(msg.Epoch) {
-			cn.Client.OnRecovered = nil
-			close(ready)
-		}
-		cn.Client.Start()
-	})
-	select {
-	case <-ready:
-	case <-time.After(30 * time.Second):
+	if err := cn.Start(0); err != nil {
 		cn.Close()
-		return nil, fmt.Errorf("storagetank: client %v got no lease from server %v within 30s",
-			spec.ID, spec.Topo.ServerAddr)
+		return nil, fmt.Errorf("storagetank: client %v: %w", spec.ID, err)
 	}
 	return cn, nil
 }

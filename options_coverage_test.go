@@ -11,9 +11,8 @@ import (
 
 // The unified vocabulary's completeness contract: every exported With*
 // option in options.go must demonstrably reach the Build the
-// constructors read — NewClusterWith and NewShardClusterWith consume
-// b.Cluster and b.Shard verbatim, the live Start* constructors consume
-// b.Cluster, b.Shard.ReplicaLeaseTerm, and b.Node. The option list
+// constructors read — NewClusterWith consumes b.Cluster verbatim, the
+// live Start* constructors consume b.Cluster and b.Node. The option list
 // below is checked against the source file itself (go/parser), so
 // adding an option without wiring it into this table fails the test
 // rather than silently shipping an inert knob.
@@ -32,38 +31,35 @@ func optionProbes() map[string]optionProbe {
 	place := SubtreePlacement{Prefixes: map[string]int{"/a": 0}}
 	return map[string]optionProbe{
 		"WithSeed": {WithSeed(42), func(b Build) bool {
-			return b.Cluster.Seed == 42 && b.Shard.Seed == 42
+			return b.Cluster.Seed == 42
 		}},
 		"WithClients": {WithClients(5), func(b Build) bool {
-			return b.Cluster.Clients == 5 && b.Shard.Clients == 5
+			return b.Cluster.Clients == 5
 		}},
 		"WithDisks": {WithDisks(4), func(b Build) bool {
 			return b.Cluster.Disks == 4
 		}},
 		"WithShards": {WithShards(3), func(b Build) bool {
-			return b.Shard.Shards == 3
+			return b.Cluster.Shards == 3
 		}},
 		"WithReplicas": {WithReplicas(3), func(b Build) bool {
-			return b.Shard.Replicas == 3
+			return b.Cluster.Replicas == 3
 		}},
 		"WithReplicaLeaseTerm": {WithReplicaLeaseTerm(800 * time.Millisecond), func(b Build) bool {
-			return b.Shard.ReplicaLeaseTerm == 800*time.Millisecond
+			return b.Cluster.ReplicaLeaseTerm == 800*time.Millisecond
 		}},
 		"WithPlacement": {WithPlacement(place), func(b Build) bool {
-			p, ok := b.Shard.Placement.(SubtreePlacement)
+			p, ok := b.Cluster.Placement.(SubtreePlacement)
 			return ok && p.Prefixes["/a"] == 0
 		}},
 		"WithServerService": {WithServerService(2 * time.Millisecond), func(b Build) bool {
-			return b.Shard.ServerService == 2*time.Millisecond
-		}},
-		"WithDisksPerServer": {WithDisksPerServer(2), func(b Build) bool {
-			return b.Shard.DisksPerServer == 2
+			return b.Cluster.ServerService == 2*time.Millisecond
 		}},
 		"WithDiskBlocks": {WithDiskBlocks(777), func(b Build) bool {
-			return b.Cluster.DiskBlocks == 777 && b.Shard.DiskBlocks == 777
+			return b.Cluster.DiskBlocks == 777
 		}},
 		"WithProtocol": {WithProtocol(cfg), func(b Build) bool {
-			return b.Cluster.Core.Tau == 9*time.Second && b.Shard.Core.Tau == 9*time.Second
+			return b.Cluster.Core.Tau == 9*time.Second
 		}},
 		"WithPolicy": {WithPolicy(Frangipani()), func(b Build) bool {
 			return b.Cluster.Policy.Name == Frangipani().Name
@@ -88,17 +84,16 @@ func optionProbes() map[string]optionProbe {
 		}},
 		"WithDiskService": {WithDiskService(3 * time.Millisecond), func(b Build) bool {
 			return b.Cluster.DiskService == 3*time.Millisecond &&
-				b.Shard.DiskService == 3*time.Millisecond &&
 				b.liveDiskService == 3*time.Millisecond
 		}},
 		"WithoutChecker": {WithoutChecker(), func(b Build) bool {
-			return b.Cluster.NoChecker && b.Shard.NoChecker
+			return b.Cluster.NoChecker
 		}},
 		"WithGracePeriod": {WithGracePeriod(7 * time.Second), func(b Build) bool {
 			return b.Cluster.GracePeriod == 7*time.Second
 		}},
 		"WithTracer": {WithTracer(tr), func(b Build) bool {
-			return b.Cluster.Tracer == tr && b.Shard.Tracer == tr && len(b.Node) == 1
+			return b.Cluster.Tracer == tr && len(b.Node) == 1
 		}},
 		"WithMedia": {WithMedia(NewMemMedia()), func(b Build) bool {
 			return len(b.Node) == 1
@@ -107,9 +102,6 @@ func optionProbes() map[string]optionProbe {
 			return len(b.Node) == 1
 		}},
 		"WithRegistry": {WithRegistry(NewStatsRegistry()), func(b Build) bool {
-			return len(b.Node) == 1
-		}},
-		"WithLogf": {WithLogf(func(string, ...any) {}), func(b Build) bool {
 			return len(b.Node) == 1
 		}},
 	}

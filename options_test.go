@@ -45,13 +45,6 @@ func TestUnifiedOptionsProjectOntoCluster(t *testing.T) {
 	case c.DiskService != time.Millisecond, c.Tracer != tr:
 		t.Fatalf("disk/tracer knobs lost")
 	}
-	// The same options project onto the sharded surface where they
-	// apply.
-	m := b.Shard
-	if m.Seed != 7 || m.Clients != 2 || m.DiskBlocks != 1<<10 ||
-		m.Core.Tau != 5*time.Second || m.Tracer != tr {
-		t.Fatalf("shard knobs lost: %+v", m)
-	}
 }
 
 func TestNewClusterWithRuns(t *testing.T) {
@@ -77,8 +70,8 @@ func TestNewClusterWithRuns(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read through the facade returned wrong bytes")
 	}
-	cl.Checker.FinalCheck()
-	if n := len(cl.Checker.Violations()); n != 0 {
+	cl.FinalCheck()
+	if n := len(cl.Violations()); n != 0 {
 		t.Fatalf("%d violations", n)
 	}
 }
@@ -92,10 +85,10 @@ func mustOpenRO(t *testing.T, sc *SyncClient, path string) (h Handle) {
 	return h
 }
 
-func TestNewShardClusterWithRuns(t *testing.T) {
-	inst := NewShardClusterWith(WithShards(3), WithClients(1))
+func TestNewClusterWithShardsRuns(t *testing.T) {
+	inst := NewClusterWith(WithShards(3), WithClients(1))
 	inst.Start()
-	h := inst.MustOpen(0, "/s1/x", true, true)
+	h, _ := inst.MustOpen(0, "/s1/x", true, true)
 	inst.Write(0, h, 0, make([]byte, BlockSize))
 	inst.Sync(0)
 	if v := inst.FinalCheck(); len(v) != 0 {

@@ -11,11 +11,14 @@
 // The package re-exports the pieces a downstream user composes:
 //
 //   - The unified With* option vocabulary (options.go): one set of
-//     knobs that configures a simulated Cluster (NewClusterWith), a
-//     simulated sharded server cluster (NewShardClusterWith), and live TCP nodes
-//     (StartServer / StartDisk / StartClient) alike.
+//     knobs that configures a simulated Cluster (NewClusterWith) and live
+//     TCP nodes (StartServer / StartDisk / StartClient) alike.
 //   - Cluster: a complete simulated installation (Fig 1) for
-//     deterministic experiments and tests.
+//     deterministic experiments and tests — one metadata server, or with
+//     WithShards and WithReplicas a cluster of them: the namespace
+//     partitioned across independent lease authorities by a placement
+//     map, one lease per (client, server) pair (§4), server-to-server
+//     handoff for renames that cross authorities (DESIGN.md §14).
 //   - Config: the protocol parameters (τ, ε, phase boundaries).
 //   - Policy and the named baselines for comparative runs.
 //   - Experiments: the runners that regenerate every figure and table of
@@ -79,8 +82,8 @@ var (
 )
 
 // Cluster is a complete simulated installation: scheduler, rate-skewed
-// clocks, control network, SAN, disks, server, clients, and the
-// consistency oracle.
+// clocks, control network, SAN, disks, one or more servers, clients, and
+// a consistency oracle per server.
 type Cluster = cluster.Cluster
 
 // BlockSize is the data block size used throughout (4 KiB).
@@ -135,22 +138,6 @@ func NewWorkloadRunner(cl *Cluster, clientIdx int, cfg WorkloadConfig, seed int6
 // PopulateWorkload creates the shared file population for runners.
 func PopulateWorkload(cl *Cluster, cfg WorkloadConfig) { workload.Populate(cl, cfg) }
 
-// ShardCluster is an installation with a cluster of metadata servers
-// (Fig 1): the namespace partitioned across independent lease
-// authorities by a deterministic placement map, one lease per
-// (client, server) pair (§4), and server-to-server handoff for renames
-// that cross authorities (DESIGN.md §14).
-type ShardCluster = shard.Cluster
-
-// ShardOptions configures a ShardCluster installation.
-type ShardOptions = shard.Options
-
-// NewShardCluster builds a sharded installation.
-func NewShardCluster(opts ShardOptions) *ShardCluster { return shard.New(opts) }
-
-// DefaultShardOptions returns a 2-shard, 2-client installation.
-func DefaultShardOptions() ShardOptions { return shard.DefaultOptions() }
-
 // Placement deterministically maps a path to the shard that owns it;
 // every client and server of an installation must share one.
 type Placement = shard.Placement
@@ -188,8 +175,7 @@ func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
 // NewTraceJSONL creates a sink writing each event as one JSON line.
 func NewTraceJSONL(w io.Writer) trace.Sink { return trace.NewJSONL(w) }
 
-// NewTraceLogf adapts a printf-style logger into a sink — the structured
-// replacement for the deprecated rpcnet Transport.SetLogf.
+// NewTraceLogf adapts a printf-style logger into a sink.
 func NewTraceLogf(logf func(format string, args ...any)) trace.Sink {
 	return trace.NewLogf(logf)
 }

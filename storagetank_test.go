@@ -32,9 +32,9 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if errno != msg.OK || string(data[:18]) != "through the facade" {
 		t.Fatalf("read: %v", errno)
 	}
-	cl.Checker.FinalCheck()
-	if len(cl.Checker.Violations()) != 0 {
-		t.Fatalf("violations: %v", cl.Checker.Violations())
+	cl.FinalCheck()
+	if len(cl.Violations()) != 0 {
+		t.Fatalf("violations: %v", cl.Violations())
 	}
 }
 
