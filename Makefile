@@ -41,8 +41,10 @@ lint:
 # tail of the metadata journal, and the journal's own crash suite
 # (replay = live over 1000 seeded histories, torn tail at every byte and
 # bit, both checkpoint crash windows, a deposed writer) and the restart
-# of an unreplicated journalled server run beside it. The suite then
-# runs once more under
+# of an unreplicated journalled server run beside it, and the name cache's
+# two live tests — two clients churning one directory with every reply
+# checked against a model, and the clean exit that strands no lock. The
+# suite then runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
 # cross-validation of what the static bufown pass proves per-path. Last,
@@ -57,6 +59,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestUnreplicatedServerRecoversMetadata' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
+	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
 	$(GO) test -race -tags tankdebug ./...
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
 

@@ -8,6 +8,7 @@ package storagetank
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -447,6 +448,48 @@ func BenchmarkCachedReadHit(b *testing.B) {
 			b.Fatal(errno)
 		}
 	}
+}
+
+// BenchmarkMetaLookupCached measures a lookup answered from the name
+// cache (warm private tree, every directory on the path held): the hit
+// path end to end through the simulated installation's pump. It counts the
+// control messages the lookups cost — benchjson gates ctl_msgs/lookup at
+// exactly 0 — and its allocation count is gated like every other one.
+func BenchmarkMetaLookupCached(b *testing.B) {
+	cl := NewClusterWith(WithoutChecker())
+	cl.Start()
+	sc := cl.SyncClient(0)
+	if _, err := sc.Create("/warm", true); err != nil {
+		b.Fatal(err)
+	}
+	paths := make([]string, 64)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/warm/d%d/f%d", i%4, i)
+		if i < 4 {
+			if _, err := sc.Create(fmt.Sprintf("/warm/d%d", i), true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, p := range paths {
+		if _, err := sc.Create(p, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sent := func() uint64 {
+		return cl.Reg.CounterValue("net.control.sent.control-req") +
+			cl.Reg.CounterValue("net.control.sent.keepalive")
+	}
+	before := sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Lookup(paths[i%len(paths)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sent()-before)/float64(b.N), "ctl_msgs/lookup")
 }
 
 func quickWorkload() WorkloadConfig {

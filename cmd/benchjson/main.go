@@ -27,8 +27,10 @@
 // Benchmarks that exist on only one side are ignored (new benchmarks
 // have no baseline; retired ones no current number), and timing metrics
 // are never gated — ns/op is hardware-noisy in CI, the gated counts and
-// ratios come out of the deterministic simulator. Three absolute gates
-// also apply: when both sizes of the metadata commit benchmark are
+// ratios come out of the deterministic simulator. Four absolute gates
+// also apply: when the cached-lookup benchmark is present, a lookup
+// answered from the name cache must have cost no control message at all
+// (names.ctl_msgs_per_lookup, exactly 0); when both sizes of the metadata commit benchmark are
 // present, persisting a mutation on a 100k-inode store may cost at most
 // twice what it costs on a 1k-inode one (metacommit.ns_100k_over_1k — a
 // ratio of two timings from one run, so the machine's speed cancels);
@@ -208,6 +210,10 @@ func compareBaseline(path string, current []Result) ([]string, error) {
 				"shardscale.speedup_4x: %.2f (floor is %.1fx over 1 shard)",
 				speedup, shardSpeedup4xFloor))
 		}
+		if m, ok := d["names.ctl_msgs_per_lookup"]; ok && m != 0 {
+			regressions = append(regressions, fmt.Sprintf(
+				"names.ctl_msgs_per_lookup: %g (a lookup answered from the name cache sends nothing: the gate is exactly 0)", m))
+		}
 		if w, ok := d["failover.takeover_ms"]; ok && w > takeoverMsCeiling {
 			regressions = append(regressions, fmt.Sprintf(
 				"failover.takeover_ms: %.0f (ceiling is %.0fms, the analytic takeover bound)",
@@ -309,6 +315,10 @@ func derive(results []Result) map[string]float64 {
 	}
 	if w, ok := metric("BenchmarkReplicaFailover", "takeover_ms"); ok {
 		out["failover.takeover_ms"] = w
+	}
+	// The name cache: control messages per lookup on a warm private tree.
+	if m, ok := metric("BenchmarkMetaLookupCached", "ctl_msgs/lookup"); ok {
+		out["names.ctl_msgs_per_lookup"] = m
 	}
 	// Shard scaling: metadata throughput of an N-authority installation
 	// over the single-authority baseline under the Zipf workload. The

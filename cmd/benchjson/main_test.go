@@ -230,3 +230,22 @@ func TestCompareBaselineMissingFile(t *testing.T) {
 		t.Fatal("missing baseline accepted")
 	}
 }
+
+func TestCompareGatesCachedLookupMessagesAtZero(t *testing.T) {
+	base := writeBaseline(t, nil)
+	lookup := func(msgs float64) Result {
+		return Result{Name: "BenchmarkMetaLookupCached-8", NsPerOp: 400,
+			Metrics: map[string]float64{"ctl_msgs/lookup": msgs}}
+	}
+	if d := derive([]Result{lookup(0)}); d == nil || d["names.ctl_msgs_per_lookup"] != 0 {
+		t.Fatalf("derived = %v, want names.ctl_msgs_per_lookup 0", d)
+	}
+	regs, err := compareBaseline(base, []Result{lookup(0)})
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("regressions = %v, %v; want none at 0 messages per lookup", regs, err)
+	}
+	regs, err = compareBaseline(base, []Result{lookup(0.01)})
+	if err != nil || len(regs) != 1 {
+		t.Fatalf("regressions = %v, %v; want the gate to refuse any message at all", regs, err)
+	}
+}

@@ -106,13 +106,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer node.Close()
 	if err := node.Start(0); err != nil {
+		node.Close()
 		log.Fatal(err)
 	}
 	fmt.Printf("registered as n%d (authorities: %d)\n", *id, len(node.Router.Subs()))
 	cli := &cli{node: node}
-	if err := cli.run(flag.Args()); err != nil {
+	err = cli.run(flag.Args())
+	// A clean exit, whatever the command's outcome: Close flushes and gives
+	// the locks back, so the next client does not wait out this one's
+	// lease (log.Fatal would skip a deferred call).
+	node.Close()
+	if err != nil {
 		log.Fatal(err)
 	}
 }

@@ -127,6 +127,14 @@ type Policy struct {
 	DLock bool
 }
 
+// CachesNames reports whether clients cache the namespace under shared
+// directory locks: exactly where they cache data under logical locks.
+// The function-ship, NFS and dlock configurations hold no logical locks
+// and keep asking the server.
+func (p Policy) CachesNames() bool {
+	return p.Data == DataDirect && !p.DLock && !p.NFS
+}
+
 // Validate rejects combinations that make no sense.
 func (p Policy) Validate() error {
 	switch p.Lease {

@@ -1,7 +1,9 @@
 // Package checker is the consistency oracle for the simulated
 // installation. It watches, from outside the protocol, every cache write,
 // disk commit, read, and lock-window transition, and detects the three
-// failure modes the paper argues about (§2, §2.1):
+// failure modes the paper argues about (§2, §2.1) — and their three
+// namespace twins, for names and attributes served from a client's name
+// cache (names.go):
 //
 //   - ConcurrentConflict: a client operates on an object while another
 //     client's conflicting lock window is still active — the "multiple
@@ -32,6 +34,10 @@ const (
 	StaleRead Kind = iota + 1
 	LostUpdate
 	ConcurrentConflict
+	// The namespace violations (names.go).
+	StaleName
+	StaleNegative
+	StaleAttr
 )
 
 func (k Kind) String() string {
@@ -42,6 +48,12 @@ func (k Kind) String() string {
 		return "lost-update"
 	case ConcurrentConflict:
 		return "concurrent-conflict"
+	case StaleName:
+		return "stale-name"
+	case StaleNegative:
+		return "stale-negative"
+	case StaleAttr:
+		return "stale-attr"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -81,6 +93,18 @@ type Oracle interface {
 	// ClientCrashed excuses the client's pending writes from lost-update
 	// accounting: volatile state of a failed machine is legitimately gone.
 	ClientCrashed(client msg.NodeID)
+
+	// The namespace half (names.go). A client reports what it answered
+	// from its name cache: that dir holds name as ino (0 = absent), a
+	// complete listing of dir, an object's attributes.
+	NameServed(client msg.NodeID, dir msg.ObjectID, name string, ino msg.ObjectID)
+	ListServed(client msg.NodeID, dir msg.ObjectID, entries []msg.DirEntry)
+	AttrServed(client msg.NodeID, attr msg.Attr)
+	// The server reports what each mutation it acknowledges changed, and
+	// on whose behalf: dir's name now leads to ino (0 = nowhere), an
+	// object's attributes are now attr.
+	NameChanged(by msg.NodeID, dir msg.ObjectID, name string, ino msg.ObjectID)
+	AttrChanged(by msg.NodeID, attr msg.Attr)
 }
 
 // Nop is an Oracle that records nothing (live deployments).
@@ -123,6 +147,11 @@ type Checker struct {
 	blocks  map[blockKey]*blockState
 	active  map[activeKey]msg.LockMode
 	crashed map[msg.NodeID]bool
+	// The acknowledged namespace (names.go): every name a mutation has
+	// touched, the names present per directory, every object's versions.
+	names    map[nameKey]nameState
+	listings map[msg.ObjectID]map[string]struct{}
+	attrs    map[msg.ObjectID]*attrState
 
 	violations []Violation
 	// seenConflict dedups concurrent-conflict reports per (a, b, ino).
@@ -136,6 +165,9 @@ func New(s *sim.Scheduler) *Checker {
 		blocks:       make(map[blockKey]*blockState),
 		active:       make(map[activeKey]msg.LockMode),
 		crashed:      make(map[msg.NodeID]bool),
+		names:        make(map[nameKey]nameState),
+		listings:     make(map[msg.ObjectID]map[string]struct{}),
+		attrs:        make(map[msg.ObjectID]*attrState),
 		seenConflict: make(map[string]bool),
 	}
 }

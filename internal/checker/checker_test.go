@@ -202,3 +202,71 @@ func TestKindAndViolationStrings(t *testing.T) {
 		t.Fatal("violation must format")
 	}
 }
+
+// The namespace half: a served name, absence or attribute is checked
+// against what the server has acknowledged, and a client's own changes
+// are excused.
+
+func namespaceKinds(c *Checker) [3]int {
+	return [3]int{c.Count(StaleName), c.Count(StaleNegative), c.Count(StaleAttr)}
+}
+
+func TestStaleNameAfterAcknowledgedUnlinkOrRename(t *testing.T) {
+	c := New(sim.NewScheduler(1))
+	c.NameChanged(1, 10, "f", 20) // client 1 created f
+	c.NameServed(2, 10, "f", 20)  // client 2 serves it: right
+	c.NameChanged(1, 10, "f", 0)  // client 1 unlinks it
+	c.NameServed(1, 10, "f", 20)  // the mutator's own cache may lag its own request
+	if got := namespaceKinds(c); got != [3]int{} {
+		t.Fatalf("violations before any stale serve: %v", got)
+	}
+	c.NameServed(2, 10, "f", 20)
+	c.NameChanged(1, 10, "g", 21)
+	c.NameChanged(1, 10, "g", 22) // renamed over: another object under the name
+	c.NameServed(2, 10, "g", 21)
+	c.ListServed(2, 10, []msg.DirEntry{{Name: "f", Ino: 20}, {Name: "g", Ino: 22}})
+	if got := namespaceKinds(c); got != [3]int{3, 0, 0} {
+		t.Fatalf("stale-name/negative/attr = %v, want 3 stale names (lookup, lookup, listing)", got)
+	}
+	if v := c.Violations()[0]; v.Actor != 2 || v.Other != 1 || v.Ino != 10 {
+		t.Fatalf("violation attribution: %+v", v)
+	}
+}
+
+func TestStaleNegativeAfterAcknowledgedCreate(t *testing.T) {
+	c := New(sim.NewScheduler(1))
+	c.NameServed(2, 10, "f", 0) // nobody has said anything about f
+	c.NameChanged(1, 10, "f", 20)
+	c.NameServed(1, 10, "f", 0)                               // own change
+	c.NameServed(2, 10, "f", 0)                               // a negative entry
+	c.ListServed(2, 10, []msg.DirEntry{{Name: "e", Ino: 19}}) // a complete listing lacking it
+	c.ListServed(2, 10, []msg.DirEntry{{Name: "f", Ino: 20}}) // right (e was never reported)
+	if got := namespaceKinds(c); got != [3]int{0, 2, 0} {
+		t.Fatalf("stale-name/negative/attr = %v, want 2 stale negatives", got)
+	}
+}
+
+func TestStaleAttrAfterAcknowledgedChange(t *testing.T) {
+	c := New(sim.NewScheduler(1))
+	c.AttrChanged(1, msg.Attr{Ino: 20, Size: 0, Version: 1})
+	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})
+	c.AttrChanged(1, msg.Attr{Ino: 20, Size: 4096, Version: 2})
+	c.AttrServed(1, msg.Attr{Ino: 20, Size: 0, Version: 1})    // own change
+	c.AttrServed(2, msg.Attr{Ino: 20, Size: 8192, Version: 2}) // a writer's own unsettled size is newer, not older
+	c.AttrServed(3, msg.Attr{Ino: 99, Version: 0})             // never reported
+	if got := namespaceKinds(c); got != [3]int{} {
+		t.Fatalf("violations before any stale serve: %v", got)
+	}
+	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})
+	c.AttrChanged(2, msg.Attr{Ino: 20, Size: 4096, Version: 3}) // client 2 changes it too
+	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})     // and still misses client 1's change
+	if got := namespaceKinds(c); got != [3]int{0, 0, 2} {
+		t.Fatalf("stale-name/negative/attr = %v, want 2 stale attrs", got)
+	}
+	var o Oracle = Nop{} // the no-op oracle takes the same calls
+	o.NameServed(1, 1, "x", 0)
+	o.ListServed(1, 1, nil)
+	o.AttrServed(1, msg.Attr{})
+	o.NameChanged(1, 1, "x", 2)
+	o.AttrChanged(1, msg.Attr{})
+}

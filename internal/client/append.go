@@ -33,6 +33,7 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 			return
 		}
 		res := r.Body.(msg.AllocRes)
+		c.names.refreshAttr(res.Attr)
 		o := c.cache.Ensure(ino)
 		if !o.HaveMap || int(res.First) != len(o.Blocks) {
 			o.HaveMap = false
@@ -92,7 +93,9 @@ func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
 	p.owed, p.inflight = false, true
 	c.call(&msg.SetAttr{Ino: ino, NewSize: size}, func(r *msg.Reply) {
 		p.inflight = false
-		if errnoOf(r) != msg.OK {
+		if errnoOf(r) == msg.OK {
+			c.learnAttr(r.Body.(msg.AttrRes), false)
+		} else {
 			// Refused, or cancelled with the lease: nothing more to send.
 			p.owed = false
 		}
@@ -210,7 +213,9 @@ func (c *Client) trim(ino msg.ObjectID, done func()) {
 	c.downgradeBegin(ino)
 	c.call(&msg.Truncate{Ino: ino, Blocks: uint32(keep)}, func(r *msg.Reply) {
 		if errnoOf(r) == msg.OK {
-			c.truncated(ino, keep, r.Body.(msg.AttrRes).Attr)
+			res := r.Body.(msg.AttrRes)
+			c.learnAttr(res, false)
+			c.truncated(ino, keep, res.Attr)
 		}
 		c.downgradeEnd(ino)
 		done()

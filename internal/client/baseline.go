@@ -235,6 +235,7 @@ func (c *Client) armVSweep() {
 			// drop follow once in-flight operations drain.
 			delete(c.objExpiry, ino)
 			delete(c.lockedInos, ino)
+			c.dropDir(ino)
 			c.whenIdle(ino, func() {
 				c.flushObject(ino, func() {
 					c.oracle.LockInactive(c.id, ino)
@@ -290,13 +291,11 @@ func (c *Client) funcShipRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 		return
 	}
 	c.nfsPolls.Inc()
-	c.call(&msg.GetAttr{Ino: ino}, func(r *msg.Reply) {
-		errno := errnoOf(r)
+	c.getAttr(ino, func(attr msg.Attr, errno msg.Errno) {
 		if errno != msg.OK {
 			done(nil, errno)
 			return
 		}
-		attr := r.Body.(msg.AttrRes).Attr
 		c.attrFetched[ino] = c.clock.Now()
 		o := c.cache.Ensure(ino)
 		if o.HaveAttr && o.Attr.Version != attr.Version {

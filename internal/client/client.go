@@ -183,6 +183,9 @@ type Client struct {
 	// overtake the downgrade and be answered from pre-downgrade state.
 	downgrading     map[msg.ObjectID]int
 	acquireDeferred map[msg.ObjectID][]func()
+	// askDeferred holds the namespace requests waiting for every such
+	// exchange to end (afterAllDowngrades).
+	askDeferred []func()
 	// sizePush holds what each object owes the server about its size
 	// (append.go).
 	sizePush map[msg.ObjectID]*sizePush
@@ -190,6 +193,9 @@ type Client struct {
 	// window (prefetch.go); maxWindow is Config.Prefetch resolved.
 	readAhead map[msg.ObjectID]*readAhead
 	maxWindow int
+	// names is what the client caches of the namespace under shared
+	// directory locks (names.go).
+	names nameCache
 	// prefetchInflight tracks the block indexes a read-ahead batch is
 	// already fetching, and the block each was issued for, so overlapping
 	// windows are not re-requested.
@@ -268,6 +274,7 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		server:           server,
 		oracle:           oracle,
 		cache:            cache.NewWithLimits(reg, prefix, cfg.CacheMaxPages, cfg.CacheQuota),
+		names:            newNameCache(cfg.Policy.CachesNames(), reg, prefix),
 		handles:          make(map[msg.Handle]handleInfo),
 		sanCalls:         make(map[msg.ReqID]*sanPending),
 		lockedInos:       make(map[msg.ObjectID]msg.LockMode),
@@ -562,8 +569,13 @@ func (c *Client) whenIdle(ino msg.ObjectID, fn func()) {
 	c.ioWaiters[ino] = append(c.ioWaiters[ino], fn)
 }
 
-// downgradeBegin marks a downgrade/release exchange in flight for ino.
-func (c *Client) downgradeBegin(ino msg.ObjectID) { c.downgrading[ino]++ }
+// downgradeBegin marks a downgrade/release exchange in flight for ino. A
+// directory grant in a reply that this exchange may overtake, or be
+// overtaken by, cannot be trusted (nameGuard).
+func (c *Client) downgradeBegin(ino msg.ObjectID) {
+	c.downgrading[ino]++
+	c.names.gen++
+}
 
 // downgradeEnd completes the exchange and releases deferred acquires.
 func (c *Client) downgradeEnd(ino msg.ObjectID) {
@@ -577,6 +589,24 @@ func (c *Client) downgradeEnd(ino msg.ObjectID) {
 	for _, fn := range deferred {
 		fn()
 	}
+	for len(c.downgrading) == 0 && len(c.askDeferred) > 0 {
+		fn := c.askDeferred[0]
+		c.askDeferred = c.askDeferred[1:]
+		fn()
+	}
+}
+
+// afterAllDowngrades runs fn once no downgrade exchange is in flight on any
+// object. A request whose reply may grant directory locks goes out behind
+// them: which directories it will name is not known until it comes back,
+// and over a datagram network it could overtake the release of one of
+// them and be answered from before it.
+func (c *Client) afterAllDowngrades(fn func()) {
+	if len(c.downgrading) == 0 {
+		fn()
+		return
+	}
+	c.askDeferred = append(c.askDeferred, fn)
 }
 
 // afterDowngrades runs fn once no downgrade exchange is in flight on ino.

@@ -19,16 +19,25 @@ import (
 // whose completion would then resurrect the lock and cache the client
 // had just given up.
 func (c *Client) handleDemand(m *msg.Demand) {
-	c.emit(trace.Event{Type: trace.EvDemandRecv, Peer: m.Server, Ino: m.Ino,
-		To: m.Mode.String()})
+	if c.tracer.Enabled() {
+		note := ""
+		if c.names.dirs[m.Ino] != nil {
+			note = "dir"
+		}
+		c.emit(trace.Event{Type: trace.EvDemandRecv, Peer: m.Server, Ino: m.Ino,
+			To: m.Mode.String(), Note: note})
+	}
 	// The transport-level ack goes out unconditionally and immediately;
 	// its absence is what the server interprets as a delivery failure.
 	c.sendCtrl(m.Server, &msg.DemandAck{Client: c.id, ID: m.ID})
 	// Invalidate any lock grant currently in flight for this object: the
 	// server sent this demand with knowledge of every grant it has made,
 	// so a grant the client has not yet seen is covered by (and consumed
-	// by) this demand.
+	// by) this demand. That goes for a directory lock riding on a reply
+	// still on its way, and which directories those are nobody here knows:
+	// any demand makes such a reply one that installs nothing.
 	c.demandSeq[m.Ino]++
+	c.names.gen++
 
 	if c.demandBusy[m.Ino] {
 		if cur, ok := c.demandNext[m.Ino]; !ok || m.Mode < cur.Mode ||
@@ -44,6 +53,11 @@ func (c *Client) handleDemand(m *msg.Demand) {
 // runDemand executes one demand while holding the object's compliance
 // slot.
 func (c *Client) runDemand(m *msg.Demand) {
+	if m.Mode == msg.LockNone && c.dropDir(m.Ino) {
+		// A directory: nothing to flush and nothing in flight under its
+		// lock. What it covered is gone; all that is left is to say so.
+		c.names.revoked.Inc()
+	}
 	held, ok := c.lockedInos[m.Ino]
 	if !ok || held <= m.Mode {
 		// Nothing to downgrade (already compliant, or a stale demand from

@@ -47,6 +47,13 @@ func (a leaseActions) Expired() {
 	c.registered = false
 	c.quiesced = false
 	c.reassertTried = false
+	// The registration is over before anything below runs: a cancellation
+	// callback may still send something — a demand's compliance, parked
+	// behind the operation just cancelled, reports that there is nothing
+	// left to downgrade — and under the old epoch a server that never
+	// noticed the isolation would ACK it, renewing the lease of a client
+	// that holds no registration to lease.
+	c.chn.SetEpoch(0)
 	c.chn.CancelAll()
 	c.cancelSAN()
 	c.sizePush = make(map[msg.ObjectID]*sizePush) // owed to a server that no longer honours this cache

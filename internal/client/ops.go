@@ -1,6 +1,8 @@
 package client
 
 import (
+	"sort"
+
 	"repro/internal/baselines"
 	"repro/internal/disk"
 	"repro/internal/msg"
@@ -88,14 +90,59 @@ func (c *Client) Lookup(path string, cb AttrCallback) {
 	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
 		return
 	}
-	c.call(&msg.Lookup{Path: path}, func(r *msg.Reply) {
-		errno := errnoOf(r)
+	if attr, errno, hit := c.lookupHit(path); hit {
 		c.finish(errno)
+		cb(attr, errno)
+		return
+	}
+	c.lookupAsk(path, func(attr msg.Attr, errno msg.Errno) {
+		c.finish(errno)
+		cb(attr, errno)
+	})
+}
+
+// lookup resolves a path from the name cache, or — at the first directory
+// the cache does not cover — by asking the server, whose reply brings the
+// locks that let the next one be answered here.
+func (c *Client) lookup(path string, cb AttrCallback) {
+	if attr, errno, hit := c.lookupHit(path); hit {
+		cb(attr, errno)
+		return
+	}
+	c.lookupAsk(path, cb)
+}
+
+// lookupHit is a lookup the name cache can answer: the object's
+// attributes as this client should see them, or ErrNoEnt.
+func (c *Client) lookupHit(path string) (msg.Attr, msg.Errno, bool) {
+	attr, errno, hit := c.cachedLookup(path)
+	switch {
+	case !hit:
+		return msg.Attr{}, msg.OK, false
+	case errno != msg.OK:
+		c.names.negHits.Inc()
+		return msg.Attr{}, errno, true
+	}
+	c.names.hits.Inc()
+	return c.seenAttr(attr), msg.OK, true
+}
+
+// lookupAsk is a lookup it cannot.
+func (c *Client) lookupAsk(path string, cb AttrCallback) {
+	c.names.misses.Inc()
+	c.ask(&msg.Lookup{Path: path}, func(r *msg.Reply, g nameGuard) {
+		errno := errnoOf(r)
+		if errno != msg.OK && errno != msg.ErrNoEnt {
+			cb(msg.Attr{}, errno)
+			return
+		}
+		res, _ := r.Body.(msg.LookupRes)
+		c.learnLookup(path, res, errno, g)
 		if errno != msg.OK {
 			cb(msg.Attr{}, errno)
 			return
 		}
-		cb(c.seenAttr(r.Body.(msg.LookupRes).Attr), msg.OK)
+		cb(c.seenAttr(res.Attr), msg.OK)
 	})
 }
 
@@ -104,14 +151,23 @@ func (c *Client) Create(path string, isDir bool, cb AttrCallback) {
 	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
 		return
 	}
-	c.call(&msg.Create{Path: path, IsDir: isDir}, func(r *msg.Reply) {
-		errno := errnoOf(r)
+	c.create(path, isDir, func(attr msg.Attr, errno msg.Errno) {
 		c.finish(errno)
+		cb(attr, errno)
+	})
+}
+
+// create sends a Create and takes its reply into the name cache.
+func (c *Client) create(path string, isDir bool, cb AttrCallback) {
+	c.ask(&msg.Create{Path: path, IsDir: isDir}, func(r *msg.Reply, g nameGuard) {
+		errno := errnoOf(r)
 		if errno != msg.OK {
 			cb(msg.Attr{}, errno)
 			return
 		}
-		cb(r.Body.(msg.CreateRes).Attr, msg.OK)
+		res := r.Body.(msg.CreateRes)
+		c.learnCreate(path, res, g)
+		cb(res.Attr, msg.OK)
 	})
 }
 
@@ -120,8 +176,11 @@ func (c *Client) Unlink(path string, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	c.call(&msg.Unlink{Path: path}, func(r *msg.Reply) {
+	c.ask(&msg.Unlink{Path: path}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
+		if errno == msg.OK {
+			c.learnUnlink(path, r.Body.(msg.LookupRes), g)
+		}
 		c.finish(errno)
 		cb(errno)
 	})
@@ -133,8 +192,13 @@ func (c *Client) Rename(oldPath, newPath string, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	c.call(&msg.Rename{OldPath: oldPath, NewPath: newPath}, func(r *msg.Reply) {
+	c.ask(&msg.Rename{OldPath: oldPath, NewPath: newPath}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
+		if errno == msg.OK {
+			// No body: the rename left this authority (learnRename).
+			res, _ := r.Body.(msg.LookupRes)
+			c.learnRename(oldPath, newPath, res, g)
+		}
 		c.finish(errno)
 		cb(errno)
 	})
@@ -177,7 +241,9 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 			c.call(&msg.Truncate{Ino: info.ino, Blocks: nBlocks}, func(r *msg.Reply) {
 				errno := errnoOf(r)
 				if errno == msg.OK {
-					c.truncated(info.ino, int(nBlocks), r.Body.(msg.AttrRes).Attr)
+					res := r.Body.(msg.AttrRes)
+					c.learnAttr(res, false)
+					c.truncated(info.ino, int(nBlocks), res.Attr)
 				}
 				done(errno)
 			})
@@ -190,14 +256,23 @@ func (c *Client) Readdir(ino msg.ObjectID, cb DirCallback) {
 	if !c.begin(func(e msg.Errno) { cb(nil, e) }) {
 		return
 	}
-	c.call(&msg.Readdir{Ino: ino}, func(r *msg.Reply) {
+	if entries, hit := c.cachedList(ino); hit {
+		c.names.hits.Inc()
+		c.finish(msg.OK)
+		cb(entries, msg.OK)
+		return
+	}
+	c.names.misses.Inc()
+	c.ask(&msg.Readdir{Ino: ino}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
 		c.finish(errno)
 		if errno != msg.OK {
 			cb(nil, errno)
 			return
 		}
-		cb(r.Body.(msg.ReaddirRes).Entries, msg.OK)
+		res := r.Body.(msg.ReaddirRes)
+		c.learnList(ino, res, g)
+		cb(res.Entries, msg.OK)
 	})
 }
 
@@ -206,14 +281,31 @@ func (c *Client) Stat(ino msg.ObjectID, cb AttrCallback) {
 	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
 		return
 	}
-	c.call(&msg.GetAttr{Ino: ino}, func(r *msg.Reply) {
-		errno := errnoOf(r)
+	if attr, hit := c.cachedStat(ino); hit {
+		c.names.hits.Inc()
+		c.finish(msg.OK)
+		cb(c.seenAttr(attr), msg.OK)
+		return
+	}
+	c.getAttr(ino, func(attr msg.Attr, errno msg.Errno) {
 		c.finish(errno)
+		cb(attr, errno)
+	})
+}
+
+// getAttr asks the server for attributes the name cache does not hold;
+// the reply brings the lock that covers them.
+func (c *Client) getAttr(ino msg.ObjectID, cb AttrCallback) {
+	c.names.misses.Inc()
+	c.ask(&msg.GetAttr{Ino: ino}, func(r *msg.Reply, g nameGuard) {
+		errno := errnoOf(r)
 		if errno != msg.OK {
 			cb(msg.Attr{}, errno)
 			return
 		}
-		cb(c.seenAttr(r.Body.(msg.AttrRes).Attr), msg.OK)
+		res := r.Body.(msg.AttrRes)
+		c.learnAttr(res, c.mayInstall(g))
+		cb(c.seenAttr(res.Attr), msg.OK)
 	})
 }
 
@@ -223,37 +315,34 @@ func (c *Client) Open(path string, write, create bool, cb OpenCallback) {
 	if !c.begin(func(e msg.Errno) { cb(0, msg.Attr{}, e) }) {
 		return
 	}
-	c.call(&msg.Lookup{Path: path}, func(r *msg.Reply) {
-		errno := errnoOf(r)
+	fail := func(errno msg.Errno) {
+		c.finish(errno)
+		cb(0, msg.Attr{}, errno)
+	}
+	c.lookup(path, func(attr msg.Attr, errno msg.Errno) {
 		switch {
 		case errno == msg.OK:
-			c.openIno(r.Body.(msg.LookupRes).Attr.Ino, write, cb)
+			c.openIno(attr.Ino, write, cb)
 		case errno == msg.ErrNoEnt && create:
-			c.call(&msg.Create{Path: path, IsDir: false}, func(r2 *msg.Reply) {
-				errno2 := errnoOf(r2)
-				if errno2 != msg.OK && errno2 != msg.ErrExist {
-					c.finish(errno2)
-					cb(0, msg.Attr{}, errno2)
-					return
-				}
-				if errno2 == msg.ErrExist {
+			c.create(path, false, func(attr msg.Attr, errno msg.Errno) {
+				switch errno {
+				case msg.OK:
+					c.openIno(attr.Ino, write, cb)
+				case msg.ErrExist:
 					// Lost a create race; open via lookup again.
-					c.call(&msg.Lookup{Path: path}, func(r3 *msg.Reply) {
-						errno3 := errnoOf(r3)
-						if errno3 != msg.OK {
-							c.finish(errno3)
-							cb(0, msg.Attr{}, errno3)
+					c.lookup(path, func(attr msg.Attr, errno msg.Errno) {
+						if errno != msg.OK {
+							fail(errno)
 							return
 						}
-						c.openIno(r3.Body.(msg.LookupRes).Attr.Ino, write, cb)
+						c.openIno(attr.Ino, write, cb)
 					})
-					return
+				default:
+					fail(errno)
 				}
-				c.openIno(r2.Body.(msg.CreateRes).Attr.Ino, write, cb)
 			})
 		default:
-			c.finish(errno)
-			cb(0, msg.Attr{}, errno)
+			fail(errno)
 		}
 	})
 }
@@ -272,6 +361,7 @@ func (c *Client) openIno(ino msg.ObjectID, write bool, cb OpenCallback) {
 		// several instances finds the opener in the handle itself.
 		h := msg.Handle(c.cfg.SANReqBase) | res.Handle
 		c.handles[h] = handleInfo{ino: ino, write: write}
+		c.names.refreshAttr(res.Attr)
 		o := c.cache.Ensure(ino)
 		o.Attr = c.seenAttr(res.Attr)
 		o.HaveAttr = true
@@ -566,6 +656,7 @@ func (c *Client) ensureMap(ino msg.ObjectID, cb ErrnoCallback) {
 			return
 		}
 		res := r.Body.(msg.BlocksRes)
+		c.names.refreshAttr(res.Attr)
 		o := c.cache.Ensure(ino)
 		o.Blocks = res.Blocks
 		o.Fetched = len(res.Blocks)
@@ -582,6 +673,16 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
+	c.releaseLock(ino, func(errno msg.Errno) {
+		c.finish(errno)
+		cb(errno)
+	})
+}
+
+// releaseLock flushes what the lock on ino covers, gives back the blocks
+// granted ahead of its writer, forgets everything cached under it and
+// tells the server.
+func (c *Client) releaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 	c.flushObject(ino, func() {
 		c.trim(ino, func() {
 			delete(c.lockedInos, ino)
@@ -591,10 +692,36 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 			c.downgradeBegin(ino)
 			c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {
 				c.downgradeEnd(ino)
-				errno := errnoOf(r)
-				c.finish(errno)
-				cb(errno)
+				cb(errnoOf(r))
 			})
 		})
 	})
+}
+
+// Shutdown gives back every lock this instance holds — data locks once
+// what they cover is on disk, directory locks as they are — and calls
+// done when the server has acknowledged the last, so that a client that
+// exits cleanly costs nobody the wait for its lease. The caller stops
+// issuing operations first; a client the server no longer honours has
+// nothing to give back.
+func (c *Client) Shutdown(done func()) {
+	if !c.admitted() {
+		done()
+		return
+	}
+	inos := make([]msg.ObjectID, 0, len(c.lockedInos))
+	for ino := range c.lockedInos {
+		inos = append(inos, ino)
+	}
+	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	remaining := len(inos) + 1
+	step := func(msg.Errno) {
+		if remaining--; remaining == 0 {
+			done()
+		}
+	}
+	for _, ino := range inos {
+		c.releaseLock(ino, step)
+	}
+	step(msg.OK)
 }

@@ -89,17 +89,20 @@ type readAhead struct {
 // own; what they may install is decided at completion.
 func (c *Client) forgetReadAhead(ino msg.ObjectID) { delete(c.readAhead, ino) }
 
-// dropObject discards everything cached for ino, the read-ahead state
-// with the pages.
+// dropObject discards everything cached for ino: the pages and the
+// read-ahead state of a file, the names of a directory.
 func (c *Client) dropObject(ino msg.ObjectID) {
 	c.cache.Drop(ino)
 	c.forgetReadAhead(ino)
+	c.dropDir(ino)
 }
 
-// invalidateAll empties the cache and every object's read-ahead state,
-// returning the number of dirty pages discarded.
+// invalidateAll empties the cache, every object's read-ahead state and
+// the name cache — what a lock covered goes with the lock, names like
+// pages — returning the number of dirty pages discarded.
 func (c *Client) invalidateAll() int {
 	c.readAhead = make(map[msg.ObjectID]*readAhead)
+	c.names.purge()
 	return c.cache.InvalidateAll()
 }
 

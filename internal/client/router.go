@@ -158,6 +158,19 @@ func (r *Router) Registered() bool {
 	return true
 }
 
+// Shutdown gives back every lock every instance holds (Client.Shutdown)
+// and calls done when all have been acknowledged.
+func (r *Router) Shutdown(done func()) {
+	remaining := len(r.subs)
+	for _, sub := range r.subs {
+		sub.Shutdown(func() {
+			if remaining--; remaining == 0 {
+				done()
+			}
+		})
+	}
+}
+
 // Crash fails the machine: every instance loses its volatile state.
 func (r *Router) Crash() {
 	for _, sub := range r.subs {

@@ -301,12 +301,15 @@ func TestAllocReplayedAcrossRestartRefetchesMap(t *testing.T) {
 	// and take a new epoch from the restarted server.
 	old := cl.Clients[0].Sub(0).Epoch()
 	for i := range cl.Clients {
-		cl.SyncClient(i).Stat(attr.Ino)
+		probe(cl, i)
 	}
 	cl.RunFor(time.Second)
 	if cl.Clients[0].Sub(0).Epoch() == old || cl.Clients[0].Sub(0).Cache().Object(attr.Ino) == nil {
 		t.Fatalf("setup: client 0 did not reassert (epoch %d → %d)", old, cl.Clients[0].Sub(0).Epoch())
 	}
+	// An allocation moves the file's version, which its directory's lock
+	// covers: the restarted server runs it once the grace window is over.
+	cl.RunFor(cl.Opts.Core.StealDelay())
 	second := send()
 	if second == nil || second.Err != msg.OK || second.Body.(msg.AllocRes).First != 4 {
 		t.Fatalf("the replay against the restarted server did not run again: %+v", second)

@@ -339,6 +339,9 @@ func (cl *Cluster) serverConfig(sh *Shard, store *meta.Store, rep *replica.Confi
 		Store: store, GracePeriod: o.GracePeriod, Replica: rep,
 		ServiceTime: o.ServerService,
 	}
+	if c := cl.Checkers[sh.ID-ServerID(0)]; c != nil {
+		cfg.Oracle = c // a nil *Checker in the interface would not be a nil Oracle
+	}
 	if o.Placement != nil {
 		ids := make([]msg.NodeID, len(cl.Shards))
 		for si := range ids {

@@ -18,12 +18,14 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	cl.Start()
 
 	h0, _ := cl.MustOpen(0, "/persist", true, true)
-	if errno := cl.Write(0, h0, 0, block('A')); errno != msg.OK {
-		t.Fatal(errno)
+	for idx := uint64(0); idx < 2; idx++ {
+		if errno := cl.Write(0, h0, idx, block('A')); errno != msg.OK {
+			t.Fatal(errno)
+		}
 	}
-	// Dirty page in cache, exclusive lock held.
-	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
-		t.Fatal("setup: no dirty page")
+	// Dirty pages in cache, exclusive lock held.
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 2 {
+		t.Fatal("setup: no dirty pages")
 	}
 	epochBefore := cl.Clients[0].Sub(0).Epoch()
 
@@ -35,9 +37,7 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	// restarted server) and triggers reassertion.
 	recovered := false
 	cl.Clients[0].Sub(0).OnRecovered = func(msg.Epoch) { recovered = true }
-	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
-	})
+	probe(cl, 0)
 	deadline := cl.Sched.Now().Add(5 * time.Second)
 	cl.Sched.RunWhile(func() bool { return !recovered && !cl.Sched.Now().After(deadline) })
 	if !recovered {
@@ -46,7 +46,7 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 
 	// THE point of reassertion: cache, dirty data, handles, and locks all
 	// survived the server failure.
-	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 2 {
 		t.Fatal("dirty cache lost across server restart")
 	}
 	if cl.Clients[0].Sub(0).Epoch() <= epochBefore {
@@ -56,7 +56,10 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 		t.Fatal("lock not reinstalled at the restarted server")
 	}
 	// The old handle still works; more writes proceed immediately (the
-	// reasserted lock needs no re-acquire).
+	// reasserted lock needs no re-acquire) — into blocks the file has: one
+	// that extended it would change attributes a directory lock covers,
+	// which waits out the grace window like any new acquire
+	// (TestNamesGraceDefersMutations).
 	if errno := cl.Write(0, h0, 1, block('B')); errno != msg.OK {
 		t.Fatalf("post-restart write: %v", errno)
 	}
@@ -91,9 +94,7 @@ func TestServerRestartWithoutReassertionLosesCache(t *testing.T) {
 
 	// Trigger the NACK; without reassertion the client must walk the full
 	// lease recovery: quiesce, flush (the SAN is fine), expire, rejoin.
-	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
-	})
+	probe(cl, 0)
 	cl.RunFor(opts.Core.Tau + 2*time.Second)
 	if !cl.Clients[0].Registered() {
 		t.Fatalf("client did not rejoin (phase %v)", cl.Clients[0].Sub(0).Lease().Phase())
@@ -158,9 +159,7 @@ func TestNewAcquiresDeferredDuringGrace(t *testing.T) {
 	// Client 1 re-registers (NACK → reassert with no claims → revive) and
 	// then asks for the contested lock: the grant must wait out the grace
 	// window, because client 0's lease may still cover it.
-	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[1].Sub(0).Stat(1, func(msg.Attr, msg.Errno) { done() })
-	})
+	probe(cl, 1)
 	cl.RunFor(time.Second) // let the (empty) reassertion complete
 	h1, _, errno := cl.Open(1, "/contest", true, false)
 	if errno != msg.OK {

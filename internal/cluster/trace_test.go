@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -155,5 +156,56 @@ func TestTraceSteadyStateServerSilent(t *testing.T) {
 				t.Fatalf("active client reached phase %q", bad)
 			}
 		}
+	}
+}
+
+// TestRejoinStealRaisesNoFence: a client the server has begun to time out
+// — its demand went unanswered — that rejoins before the timer fires makes
+// the steal safe at once: it has just said it holds nothing. That steal
+// must not raise the fence the rejoin is about to lift: the two orders
+// travel to each disk as separate datagrams, and arriving in the other
+// order they would leave a client in good standing fenced for good, its
+// flushes refused.
+func TestRejoinStealRaisesNoFence(t *testing.T) {
+	ring := trace.NewRing(1 << 14)
+	opts := DefaultOptions()
+	opts.Tracer = trace.New(ring)
+	cl := New(opts)
+	cl.Start()
+	h0, _ := cl.MustOpen(0, "/f", true, true)
+	if errno := cl.Write(0, h0, 0, block('A')); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	// Cut client 0 off just long enough for a demand to fail.
+	cl.IsolateClient(0)
+	h1, _, _ := cl.Open(1, "/f", true, false)
+	cl.Clients[1].Write(h1, 0, block('B'), func(msg.Errno) {})
+	cl.RunFor(2 * time.Second)
+	srv := ServerID(0)
+	if !cl.Shards[0].Server.Authority().Suspect(ClientID(0)) {
+		t.Fatal("setup: the server never began timing the client out")
+	}
+	cl.HealControl()
+	// The client learns by NACK, runs out its lease and rejoins, all before
+	// the server's τ(1+ε).
+	cl.RunFor(opts.Core.Tau)
+	events := ring.Events()
+	if _, ok := events.First(trace.ByNode(srv), trace.ByType(trace.EvStealFired), trace.ByNote("rejoin")); !ok {
+		t.Fatal("setup: the steal was not the rejoin's")
+	}
+	if err := events.None(trace.ByNode(srv), trace.ByType(trace.EvFence), trace.ByPeer(ClientID(0)),
+		func(e trace.Event) bool { return e.On }); err != nil {
+		t.Fatalf("the rejoin's steal raised a fence: %v", err)
+	}
+	// In good standing again: what it writes reaches the disks.
+	h0, _ = cl.MustOpen(0, "/f", true, false)
+	if errno := cl.Write(0, h0, 1, block('C')); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if errno := cl.Sync(0); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if got := cl.FinalCheck(); len(got) != 0 {
+		t.Fatalf("violations: %v", got)
 	}
 }

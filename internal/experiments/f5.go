@@ -86,7 +86,7 @@ func nackScenario(p Params, noNACK bool) (msgs, retries uint64, timeToQuiesce, t
 			rejoinAt = cl.Sched.Now()
 		}
 	}
-	cl.Clients[0].Sub(0).Stat(1, func(msg.Attr, msg.Errno) {})
+	cl.Clients[0].Lookup("/f5-after-heal", func(msg.Attr, msg.Errno) {}) // a name the cache cannot answer
 	cl.Sched.RunWhile(func() bool {
 		if quiesceAt == 0 && cl.Clients[0].Sub(0).Quiesced() {
 			quiesceAt = cl.Sched.Now()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/cluster"
+	"repro/internal/msg"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -27,7 +28,7 @@ func RunT1(p Params) *Result {
 	res := &Result{ID: "T1", Title: "lease overhead during normal operation"}
 	res.Table = stats.NewTable("",
 		"policy", "active: lease msgs/client/τ", "idle: lease msgs/client/τ",
-		"server lease ops", "server lease bytes (max)", "ctl msgs/op")
+		"server lease ops", "server lease bytes (max)", "ctl msgs/op", "ctl msgs/warm lookup")
 
 	policies := []baselines.Policy{
 		baselines.StorageTank(),
@@ -74,6 +75,26 @@ func RunT1(p Params) *Result {
 		idleDiff := cl.Reg.DiffFrom(idleBase)
 		idleLease := leaseTraffic(idleDiff, pol)
 
+		// Steady-state lookups: every client resolves every file of the
+		// population, twice; the second pass is counted. Where names are
+		// cached under directory locks it sends nothing at all.
+		var lookups uint64
+		var warmBase stats.Snapshot
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				warmBase = cl.Reg.Snapshot()
+			}
+			for i := 0; i < nClients; i++ {
+				for f := 0; f < wcfg.Files; f++ {
+					cl.Await(time.Minute, func(done func()) {
+						cl.Clients[i].Lookup(workload.FilePath(f), func(msg.Attr, msg.Errno) { done() })
+					})
+					lookups += uint64(pass)
+				}
+			}
+		}
+		warmMsgs := cl.Reg.DiffFrom(warmBase)["net.control.sent.control-req"]
+
 		perClientPerTau := func(n uint64) float64 {
 			periods := float64(phase) / float64(tau)
 			return float64(n) / float64(nClients) / periods
@@ -86,9 +107,11 @@ func RunT1(p Params) *Result {
 			stats.FmtN(cl.Reg.CounterValue("server.lease_ops")+cl.Reg.CounterValue("server.authority.ops")),
 			stats.FmtBytes(uint64(cl.Reg.Gauge("server.lease_state_bytes").Max())+uint64(cl.Reg.Gauge("server.authority.state_bytes").Max())),
 			stats.FmtF(safeDiv(float64(ctlMsgs), float64(ops))),
+			stats.FmtF(safeDiv(float64(warmMsgs), float64(lookups))),
 		)
 		res.Metric(pol.Name+".active_lease_msgs_per_tau", perClientPerTau(activeLease))
 		res.Metric(pol.Name+".idle_lease_msgs_per_tau", perClientPerTau(idleLease))
+		res.Metric(pol.Name+".ctl_msgs_per_warm_lookup", safeDiv(float64(warmMsgs), float64(lookups)))
 		res.Metric(pol.Name+".server_lease_ops",
 			float64(cl.Reg.CounterValue("server.lease_ops")+cl.Reg.CounterValue("server.authority.ops")))
 		res.Metric(pol.Name+".server_lease_bytes_max",

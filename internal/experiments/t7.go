@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -38,7 +39,7 @@ func RunT7(p Params) *Result {
 		res.Metric(key+".cache_survived", boolToF(cacheOK))
 		res.Metric(key+".violations", float64(violations))
 	}
-	res.Table.AddNote("server down 1s; grace window τ(1+ε); outage = crash → holder's next successful write")
+	res.Table.AddNote("server down 1s; grace window τ(1+ε); outage = crash → holder's next successful write and answered request")
 	return res
 }
 
@@ -52,6 +53,7 @@ func serverRecoveryScenario(p Params, disableReassert bool) (outage time.Duratio
 
 	h0, _ := cl.MustOpen(0, "/journal", true, true)
 	mustOK(cl.Write(0, h0, 0, blockData('A')))
+	mustOK(cl.Write(0, h0, 1, blockData('A')))
 	mustOK(cl.Sync(0))
 	mustOK(cl.Write(0, h0, 0, blockData('B'))) // dirty page at crash time
 
@@ -60,20 +62,32 @@ func serverRecoveryScenario(p Params, disableReassert bool) (outage time.Duratio
 	cl.RunFor(time.Second)
 	cl.RestartServer(0)
 
-	// The holder keeps trying to work: one write attempt per 250ms until
-	// one succeeds end-to-end again. Like a real application, it reopens
-	// the file when its handle dies (which happens on the full-recovery
-	// path when the lease expires).
+	// The holder keeps trying to work: one attempt per 250ms until one
+	// succeeds end-to-end again — a write under its lock, into a block the
+	// file already has (one that extended the file would change attributes
+	// a directory lock covers, and wait out the grace window like any new
+	// acquire, reasserted or not), and a request the server has to answer,
+	// here the lookup of a name nobody has asked about. Like a real
+	// application, it reopens the file when its handle dies (which happens
+	// on the full-recovery path when the lease expires).
 	recoveredAt := cl.Sched.Now()
 	ok := false
 	h := h0
+	probes := 0
 	var attempt func()
 	attempt = func() {
 		cl.Clients[0].Write(h, 1, blockData('C'), func(e msg.Errno) {
 			switch e {
 			case msg.OK:
-				ok = true
-				recoveredAt = cl.Sched.Now()
+				probes++
+				cl.Clients[0].Lookup(fmt.Sprintf("/journal.%d", probes), func(_ msg.Attr, e msg.Errno) {
+					if e != msg.ErrNoEnt {
+						cl.Sched.After(250*time.Millisecond, attempt)
+						return
+					}
+					ok = true
+					recoveredAt = cl.Sched.Now()
+				})
 			case msg.ErrBadHandle:
 				cl.Clients[0].Open("/journal", true, false, func(nh msg.Handle, _ msg.Attr, oe msg.Errno) {
 					if oe == msg.OK {

@@ -43,11 +43,10 @@ type objLock struct {
 	demanded map[msg.NodeID]demandState
 }
 
+// newObjLock makes an object's lock state. The demanded map is made by
+// the first demand: most locks are never demanded.
 func newObjLock() *objLock {
-	return &objLock{
-		holders:  make(map[msg.NodeID]msg.LockMode),
-		demanded: make(map[msg.NodeID]demandState),
-	}
+	return &objLock{holders: make(map[msg.NodeID]msg.LockMode)}
 }
 
 // Table is the lock manager for one server.
@@ -148,6 +147,30 @@ func (t *Table) Acquire(client msg.NodeID, ino msg.ObjectID, mode msg.LockMode, 
 	return false
 }
 
+// TryAcquire grants mode only if that takes nobody's cooperation — the
+// client already holds a covering mode, or no one is queued and every
+// other holder is compatible — and reports whether the client holds it on
+// return. It never queues and never demands: it is how a lock rides on
+// the reply to a request that did not ask for one (a directory grant),
+// and such a request must not wait behind a revocation.
+func (t *Table) TryAcquire(client msg.NodeID, ino msg.ObjectID, mode msg.LockMode) bool {
+	o := t.objects[ino]
+	if o == nil {
+		o = newObjLock()
+		t.objects[ino] = o
+		t.setHold(o, client, mode)
+		return true
+	}
+	if cur, ok := o.holders[client]; ok && cur.Covers(mode) {
+		return true
+	}
+	if len(o.waiters) > 0 || !o.compatible(client, mode) {
+		return false
+	}
+	t.setHold(o, client, mode)
+	return true
+}
+
 // issueDemands asks conflicting holders to downgrade far enough for the
 // head waiter (and any compatible followers) to proceed.
 func (t *Table) issueDemands(ino msg.ObjectID, o *objLock) {
@@ -179,6 +202,9 @@ func (t *Table) issueDemands(ino msg.ObjectID, o *objLock) {
 		}
 		t.nextID++
 		id := t.nextID
+		if o.demanded == nil {
+			o.demanded = make(map[msg.NodeID]demandState)
+		}
 		o.demanded[holder] = demandState{id: id, to: to}
 		t.demander.Demand(holder, ino, to, id)
 	}
@@ -333,6 +359,21 @@ func (t *Table) Held(client msg.NodeID, ino msg.ObjectID) msg.LockMode {
 		return o.holders[client]
 	}
 	return msg.LockNone
+}
+
+// Contended reports whether anybody but client holds a lock on ino or is
+// queued for one: whether client taking it exclusively would have to ask
+// somebody.
+func (t *Table) Contended(client msg.NodeID, ino msg.ObjectID) bool {
+	o, ok := t.objects[ino]
+	if !ok {
+		return false
+	}
+	if len(o.waiters) > 0 || len(o.holders) > 1 {
+		return true
+	}
+	_, own := o.holders[client]
+	return len(o.holders) == 1 && !own
 }
 
 // HoldersOf returns the number of holders of ino.

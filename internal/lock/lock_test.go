@@ -349,3 +349,49 @@ func TestGCCleansIdleObjects(t *testing.T) {
 		t.Fatal("queries on gc'd object wrong")
 	}
 }
+
+// TestTryAcquireNeverQueuesOrDemands: a try succeeds exactly when nobody
+// has to be asked — and, with a revocation queued, not even then, or a
+// stream of tries would starve it.
+func TestTryAcquireNeverQueuesOrDemands(t *testing.T) {
+	d := &demandRec{}
+	tb := NewTable(d)
+	if !tb.TryAcquire(1, 10, msg.LockShared) || !tb.TryAcquire(2, 10, msg.LockShared) {
+		t.Fatal("compatible tries refused")
+	}
+	if tb.HoldersOf(10) != 2 || tb.HeldCount() != 2 {
+		t.Fatalf("holders=%d held=%d", tb.HoldersOf(10), tb.HeldCount())
+	}
+	// An exclusive queues behind the two shares and demands them.
+	var m msg.LockMode
+	var ok bool
+	if tb.Acquire(3, 10, msg.LockExclusive, granted(&m, &ok)) {
+		t.Fatal("exclusive granted over two shares")
+	}
+	demands := len(d.demands)
+	// A third share must not slip in ahead of it; a holder's own re-try is
+	// still covered.
+	if tb.TryAcquire(4, 10, msg.LockShared) {
+		t.Fatal("try granted ahead of a queued exclusive")
+	}
+	if !tb.TryAcquire(1, 10, msg.LockShared) {
+		t.Fatal("holder's own try refused")
+	}
+	if tb.WaitersOf(10) != 1 || len(d.demands) != demands || tb.HoldersOf(10) != 2 {
+		t.Fatalf("a try queued or demanded: waiters=%d demands=%d holders=%d",
+			tb.WaitersOf(10), len(d.demands), tb.HoldersOf(10))
+	}
+	tb.Downgraded(1, 10, msg.LockNone, d.demands[0].id)
+	tb.Downgraded(2, 10, msg.LockNone, d.demands[1].id)
+	if !ok || tb.Held(3, 10) != msg.LockExclusive {
+		t.Fatal("exclusive not granted once the shares came back")
+	}
+	// Incompatible with a holder: refused, and the table keeps no trace.
+	if tb.TryAcquire(4, 10, msg.LockShared) || tb.Held(4, 10) != msg.LockNone {
+		t.Fatal("try granted against an exclusive holder")
+	}
+	tb.Release(3, 10, msg.LockNone)
+	if tb.Objects() != 0 {
+		t.Fatalf("objects=%d after everything was released", tb.Objects())
+	}
+}

@@ -140,7 +140,7 @@ func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Ino
 	}
 	in := &Inode{
 		Ino: s.nextIno, IsDir: attr.IsDir, Size: attr.Size,
-		Version: attr.Version, Nlink: 1, Blocks: blocks,
+		Version: attr.Version, Nlink: 1, Blocks: blocks, parent: parent.Ino,
 	}
 	s.nextIno++
 	if in.IsDir {

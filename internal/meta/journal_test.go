@@ -238,6 +238,10 @@ func TestJournalReplayEqualsLive(t *testing.T) {
 			t.Fatalf("seed %d: recovered and live store diverge under the same further calls\nlive: %s\n got: %s",
 				seed, live.Snapshot(), got.Snapshot())
 		}
+		// The parent links are in neither file: the mutators keep them and
+		// a snapshot load rebuilds them, and both must agree with a scan.
+		checkParents(t, live)
+		checkParents(t, got)
 		live.CloseJournal()
 		got.CloseJournal()
 	}

@@ -26,7 +26,19 @@ type Inode struct {
 	Blocks  []msg.BlockRef
 	// children maps names to inode numbers for directories.
 	children map[string]msg.ObjectID
+	// parent is the directory whose children map names this inode (the
+	// root is its own). It is derived state: every mutator that moves a
+	// name keeps it, and a snapshot load rebuilds it from the children
+	// maps, so neither the snapshot nor the journal carries it.
+	parent msg.ObjectID
 }
+
+// Parent returns the directory holding this inode's name: the directory
+// whose lock covers a file's attributes.
+func (in *Inode) Parent() msg.ObjectID { return in.parent }
+
+// Empty reports whether a directory has no entries.
+func (in *Inode) Empty() bool { return len(in.children) == 0 }
 
 // Attr renders the inode's wire-visible metadata.
 func (in *Inode) Attr() msg.Attr {
@@ -81,6 +93,7 @@ func NewStore(alloc *Allocator) *Store {
 	s.inodes[RootIno] = &Inode{
 		Ino: RootIno, IsDir: true, Nlink: 2,
 		children: make(map[string]msg.ObjectID),
+		parent:   RootIno,
 	}
 	return s
 }
@@ -91,7 +104,14 @@ func SplitPath(path string) (parts []string, ok bool) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, false
 	}
-	for _, p := range strings.Split(path, "/") {
+	parts = make([]string, 0, strings.Count(path, "/"))
+	for len(path) > 0 {
+		i := strings.IndexByte(path, '/')
+		if i < 0 {
+			i = len(path)
+		}
+		p := path[:i]
+		path = path[min(i+1, len(path)):]
 		switch p {
 		case "", ".":
 			// skip
@@ -107,6 +127,59 @@ func SplitPath(path string) (parts []string, ok bool) {
 	return parts, true
 }
 
+// pathIter yields the components SplitPath would return, without
+// building the slice when the path holds no ".." (which is resolved
+// lexically, and so needs the components before it).
+type pathIter struct {
+	rest  string
+	parts []string
+	split bool
+}
+
+func iterPath(path string) (pathIter, bool) {
+	if !strings.HasPrefix(path, "/") {
+		return pathIter{}, false
+	}
+	if strings.Contains(path, "..") {
+		parts, ok := SplitPath(path)
+		return pathIter{parts: parts, split: true}, ok
+	}
+	return pathIter{rest: path}, true
+}
+
+// next returns the next component, or "" when there is none.
+func (it *pathIter) next() string {
+	if it.split {
+		if len(it.parts) == 0 {
+			return ""
+		}
+		name := it.parts[0]
+		it.parts = it.parts[1:]
+		return name
+	}
+	for len(it.rest) > 0 {
+		i := strings.IndexByte(it.rest, '/')
+		if i < 0 {
+			i = len(it.rest)
+		}
+		name := it.rest[:i]
+		it.rest = it.rest[min(i+1, len(it.rest)):]
+		if name != "" && name != "." {
+			return name
+		}
+	}
+	return ""
+}
+
+// left counts the components not yet returned.
+func (it pathIter) left() int {
+	n := 0
+	for it.next() != "" {
+		n++
+	}
+	return n
+}
+
 // Get returns the inode by number.
 func (s *Store) Get(ino msg.ObjectID) (*Inode, msg.Errno) {
 	in, ok := s.inodes[ino]
@@ -118,12 +191,12 @@ func (s *Store) Get(ino msg.ObjectID) (*Inode, msg.Errno) {
 
 // Lookup resolves an absolute path.
 func (s *Store) Lookup(path string) (*Inode, msg.Errno) {
-	parts, ok := SplitPath(path)
+	it, ok := iterPath(path)
 	if !ok {
 		return nil, msg.ErrNoEnt
 	}
 	cur := s.inodes[RootIno]
-	for _, name := range parts {
+	for name := it.next(); name != ""; name = it.next() {
 		if !cur.IsDir {
 			return nil, msg.ErrNotDir
 		}
@@ -136,20 +209,66 @@ func (s *Store) Lookup(path string) (*Inode, msg.Errno) {
 	return cur, msg.OK
 }
 
+// Walk is a path resolved one component at a time, for callers that need
+// to know which directories the answer depended on.
+type Walk struct {
+	// Node is the object the path names; nil unless Errno is OK.
+	Node *Inode
+	// Dirs[i] is the directory component i was looked up in (Dirs[0] is
+	// the root): one entry per component reached. On ErrNoEnt the last
+	// entry is the directory the name is missing from.
+	Dirs []msg.ObjectID
+	// Rest counts the components after the one the walk ended at: 0 when
+	// it reached the last.
+	Rest  int
+	Errno msg.Errno
+}
+
+// Walk resolves an absolute path like Lookup and returns the chain of
+// directories it went through.
+func (s *Store) Walk(path string) Walk {
+	it, ok := iterPath(path)
+	if !ok {
+		return Walk{Errno: msg.ErrNoEnt}
+	}
+	// One more than the path can have components: a caller that finds a
+	// directory appends it.
+	w := Walk{Dirs: make([]msg.ObjectID, 0, strings.Count(path, "/")+1)}
+	cur := s.inodes[RootIno]
+	for name := it.next(); name != ""; name = it.next() {
+		if !cur.IsDir {
+			w.Rest, w.Errno = it.left()+1, msg.ErrNotDir
+			return w
+		}
+		w.Dirs = append(w.Dirs, cur.Ino)
+		next, ok := cur.children[name]
+		if !ok {
+			w.Rest, w.Errno = it.left(), msg.ErrNoEnt
+			return w
+		}
+		cur = s.inodes[next]
+	}
+	w.Node = cur
+	return w
+}
+
 // lookupParent resolves all but the last component, returning the parent
 // directory and the final name.
 func (s *Store) lookupParent(path string) (*Inode, string, msg.Errno) {
-	parts, ok := SplitPath(path)
-	if !ok || len(parts) == 0 {
+	it, ok := iterPath(path)
+	if !ok {
 		return nil, "", msg.ErrNoEnt
 	}
-	dirParts, name := parts[:len(parts)-1], parts[len(parts)-1]
+	name := it.next()
+	if name == "" {
+		return nil, "", msg.ErrNoEnt
+	}
 	cur := s.inodes[RootIno]
-	for _, p := range dirParts {
+	for after := it.next(); after != ""; name, after = after, it.next() {
 		if !cur.IsDir {
 			return nil, "", msg.ErrNotDir
 		}
-		next, ok := cur.children[p]
+		next, ok := cur.children[name]
 		if !ok {
 			return nil, "", msg.ErrNoEnt
 		}
@@ -170,6 +289,9 @@ func (s *Store) SetAutoParents(on bool) {
 	s.autoParents = on
 }
 
+// AutoParents reports whether Create materializes missing ancestors.
+func (s *Store) AutoParents() bool { return s.autoParents }
+
 // ensureParents creates any missing ancestor directories of path.
 func (s *Store) ensureParents(path string) {
 	parts, ok := SplitPath(path)
@@ -186,7 +308,7 @@ func (s *Store) ensureParents(path string) {
 			continue
 		}
 		in := &Inode{Ino: s.nextIno, IsDir: true, Nlink: 2,
-			children: make(map[string]msg.ObjectID)}
+			children: make(map[string]msg.ObjectID), parent: cur.Ino}
 		s.nextIno++
 		s.inodes[in.Ino] = in
 		cur.children[name] = in.Ino
@@ -217,7 +339,7 @@ func (s *Store) Create(path string, isDir bool) (*Inode, msg.Errno) {
 	if _, exists := parent.children[name]; exists {
 		return nil, msg.ErrExist
 	}
-	in := &Inode{Ino: s.nextIno, IsDir: isDir, Nlink: 1}
+	in := &Inode{Ino: s.nextIno, IsDir: isDir, Nlink: 1, parent: parent.Ino}
 	s.nextIno++
 	if isDir {
 		in.Nlink = 2
@@ -412,19 +534,15 @@ func (s *Store) Rename(oldPath, newPath string) msg.Errno {
 	// Moving a directory under itself would orphan the subtree.
 	moved := s.inodes[ino]
 	if moved.IsDir {
-		for p := newParent; p != nil; {
+		for p := newParent; p != nil && p.Ino != RootIno; p = s.inodes[p.parent] {
 			if p.Ino == ino {
 				return msg.ErrConflict
 			}
-			parent := s.parentOf(p.Ino)
-			if parent == nil || parent.Ino == p.Ino {
-				break
-			}
-			p = parent
 		}
 	}
 	delete(oldParent.children, oldName)
 	newParent.children[newName] = ino
+	moved.parent = newParent.Ino
 	if moved.IsDir && oldParent != newParent {
 		oldParent.Nlink--
 		newParent.Nlink++
@@ -432,25 +550,6 @@ func (s *Store) Rename(oldPath, newPath string) msg.Errno {
 	oldParent.Version++
 	newParent.Version++
 	return msg.OK
-}
-
-// parentOf finds the directory containing ino (nil for the root or a
-// detached inode). Linear in directory count; fine at metadata scale.
-func (s *Store) parentOf(ino msg.ObjectID) *Inode {
-	if ino == RootIno {
-		return s.inodes[RootIno]
-	}
-	for _, in := range s.inodes {
-		if !in.IsDir {
-			continue
-		}
-		for _, child := range in.children {
-			if child == ino {
-				return in
-			}
-		}
-	}
-	return nil
 }
 
 // Allocator exposes the block allocator to tests and the cluster harness.

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -489,5 +490,59 @@ func TestStoreModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkParents compares every inode's parent link with what a scan of the
+// children maps says.
+func checkParents(t *testing.T, s *Store) {
+	t.Helper()
+	want := map[msg.ObjectID]msg.ObjectID{RootIno: RootIno}
+	for _, dir := range s.inodes {
+		for _, child := range dir.children {
+			want[child] = dir.Ino
+		}
+	}
+	for ino, in := range s.inodes {
+		if p, named := want[ino]; named && in.parent != p {
+			t.Fatalf("inode %v: parent link %v, children maps say %v", ino, in.parent, p)
+		}
+	}
+}
+
+// TestWalkReturnsTheChain: Walk agrees with Lookup and names the
+// directory each component was looked up in, down to the one a missing
+// name is missing from.
+func TestWalkReturnsTheChain(t *testing.T) {
+	s := newStore()
+	d, _ := s.Create("/d", true)
+	e, _ := s.Create("/d/e", true)
+	f, _ := s.Create("/d/e/f", false)
+	for _, c := range []struct {
+		path  string
+		node  *Inode
+		dirs  []msg.ObjectID
+		rest  int
+		errno msg.Errno
+	}{
+		{"/", s.inodes[RootIno], nil, 0, msg.OK},
+		{"/d/e/f", f, []msg.ObjectID{RootIno, d.Ino, e.Ino}, 0, msg.OK},
+		{"/d/e", e, []msg.ObjectID{RootIno, d.Ino}, 0, msg.OK},
+		{"/d/e/g", nil, []msg.ObjectID{RootIno, d.Ino, e.Ino}, 0, msg.ErrNoEnt},
+		{"/d/x/y/z", nil, []msg.ObjectID{RootIno, d.Ino}, 2, msg.ErrNoEnt},
+		{"/d/e/f/g", nil, []msg.ObjectID{RootIno, d.Ino, e.Ino}, 1, msg.ErrNotDir},
+		{"relative", nil, nil, 0, msg.ErrNoEnt},
+	} {
+		w := s.Walk(c.path)
+		if w.Node != c.node || w.Errno != c.errno || w.Rest != c.rest || !reflect.DeepEqual(append([]msg.ObjectID(nil), w.Dirs...), c.dirs) {
+			t.Errorf("Walk(%q) = %+v, want node %v dirs %v rest %d errno %v", c.path, w, c.node, c.dirs, c.rest, c.errno)
+		}
+		if in, errno := s.Lookup(c.path); in != w.Node || errno != w.Errno {
+			t.Errorf("Walk(%q) and Lookup disagree: %v/%v against %v/%v", c.path, w.Node, w.Errno, in, errno)
+		}
+	}
+	checkParents(t, s)
+	if f.Parent() != e.Ino || s.inodes[RootIno].Parent() != RootIno {
+		t.Errorf("Parent: f in %v, root in %v", f.Parent(), s.inodes[RootIno].Parent())
 	}
 }

@@ -226,6 +226,17 @@ func Restore(data []byte) (*Store, error) {
 		}
 		s.inodes[node.Ino] = node
 	}
+	// The parent links are not in the snapshot: the children maps are.
+	if root := s.inodes[RootIno]; root != nil {
+		root.parent = RootIno
+	}
+	for _, dir := range s.inodes {
+		for _, child := range dir.children {
+			if in := s.inodes[child]; in != nil {
+				in.parent = dir.Ino
+			}
+		}
+	}
 	for _, e := range snap.Exports {
 		s.exports[e.HID] = e
 		s.migrating[e.Ino] = e.HID

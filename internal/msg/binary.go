@@ -280,6 +280,14 @@ func (c *coder) blockRefs(s *[]BlockRef) {
 }
 
 //tank:hotpath
+func (c *coder) inos(s *[]ObjectID) {
+	inos := vec(c, s, 8)
+	for i := range inos {
+		c.ino(&inos[i])
+	}
+}
+
+//tank:hotpath
 func (c *coder) errnos(s *[]Errno) {
 	errs := vec(c, s, 1)
 	for i := range errs {

@@ -410,21 +410,47 @@ func (m *Reply) layout(c *coder) {
 	c.result(&m.Body)
 }
 
-// LookupRes and friends carry request results.
-type LookupRes struct{ Attr Attr }
+// Directory grants (DESIGN.md §18). A reply to a namespace request says
+// which directory locks the client holds, shared, as the reply leaves:
+// what the answer depended on is covered by them, so the client may
+// answer the same question again without asking. A grant rides on the
+// reply and is try-only — a directory whose lock would have had to be
+// demanded from somebody is reported as 0, and that part of the answer
+// is simply not cacheable.
 
-func (LookupRes) resultMarker()   {}
-func (LookupRes) resultSize() int { return 29 }
+// LookupRes answers a path walk. It is the body of a Lookup reply — with
+// ErrNoEnt as well as OK — and of the replies to Unlink (Attr is the
+// object removed) and Rename (Attr is the object moved).
+//
+// Dirs[i] is the directory component i of the path was looked up in
+// (Dirs[0] is the root), one entry per component the walk reached, or 0
+// where the client does not hold that directory's lock. On ErrNoEnt the
+// last entry is the directory the name is missing from. When a Lookup
+// finds a directory, one more entry follows for the directory itself,
+// whose own lock covers its Attr. A Rename reply carries OldPath's chain
+// and then NewPath's.
+type LookupRes struct {
+	Attr Attr
+	Dirs []ObjectID
+}
 
-func (r LookupRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
+func (LookupRes) resultMarker()     {}
+func (r LookupRes) resultSize() int { return 33 + 8*len(r.Dirs) }
 
-// CreateRes returns the new object's metadata.
-type CreateRes struct{ Attr Attr }
+func (r LookupRes) layout(c *coder) { c.attr(&r.Attr); c.inos(&r.Dirs); keep(c, r) }
 
-func (CreateRes) resultMarker()   {}
-func (CreateRes) resultSize() int { return 29 }
+// CreateRes returns the new object's metadata and the chain of its path,
+// as LookupRes does: the last entry is the directory the name went into,
+// which the creator always holds.
+type CreateRes struct {
+	Attr Attr
+	Dirs []ObjectID
+}
 
-func (r CreateRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
+func (CreateRes) resultMarker()     {}
+func (r CreateRes) resultSize() int { return 33 + 8*len(r.Dirs) }
+
+func (r CreateRes) layout(c *coder) { c.attr(&r.Attr); c.inos(&r.Dirs); keep(c, r) }
 
 // OpenRes returns the open handle and current metadata.
 type OpenRes struct {
@@ -437,20 +463,30 @@ func (OpenRes) resultSize() int { return 37 }
 
 func (r OpenRes) layout(c *coder) { c.u64((*uint64)(&r.Handle)); c.attr(&r.Attr); keep(c, r) }
 
-// AttrRes returns metadata.
-type AttrRes struct{ Attr Attr }
+// AttrRes returns metadata. Dir is the directory whose lock covers it —
+// a file's parent, a directory itself — when the client holds that lock,
+// and 0 when it does not.
+type AttrRes struct {
+	Attr Attr
+	Dir  ObjectID
+}
 
 func (AttrRes) resultMarker()   {}
-func (AttrRes) resultSize() int { return 29 }
+func (AttrRes) resultSize() int { return 37 }
 
-func (r AttrRes) layout(c *coder) { c.attr(&r.Attr); keep(c, r) }
+func (r AttrRes) layout(c *coder) { c.attr(&r.Attr); c.ino(&r.Dir); keep(c, r) }
 
-// ReaddirRes returns directory entries.
-type ReaddirRes struct{ Entries []DirEntry }
+// ReaddirRes returns directory entries. Granted says the client holds the
+// listed directory's lock: the listing is then complete for as long as it
+// does.
+type ReaddirRes struct {
+	Entries []DirEntry
+	Granted bool
+}
 
 func (ReaddirRes) resultMarker() {}
 func (r ReaddirRes) resultSize() int {
-	n := 4
+	n := 5
 	for _, e := range r.Entries {
 		n += 9 + len(e.Name)
 	}
@@ -463,6 +499,7 @@ func (r ReaddirRes) layout(c *coder) {
 		c.ino(&r.Entries[i].Ino)
 		c.b1(&r.Entries[i].IsDir)
 	}
+	c.b1(&r.Granted)
 	keep(c, r)
 }
 

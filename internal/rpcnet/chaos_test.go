@@ -37,6 +37,17 @@ func TestLiveChaosPartitionStealHealRejoin(t *testing.T) {
 	payload := []byte("dirty-at-partition")
 	lc.write(t, 0, h0, 0, payload) // stays in the write-back cache
 
+	// The open left client 0 caching names, too: the root directory, the
+	// file in it, its attributes.
+	entries := func() int64 {
+		ch := make(chan int64, 1)
+		lc.clients[0].Do(func() { ch <- lc.clients[0].Reg.Gauge("client.n10.names.entries").Value() })
+		return <-ch
+	}
+	if n := entries(); n == 0 {
+		t.Fatal("setup: the isolated client caches no names")
+	}
+
 	// Partition: client 0 loses the control network in both directions.
 	// Unlike closing the transport, the TCP connections stay up — only
 	// the fault layer stops messages, exactly like a partitioned fabric.
@@ -48,6 +59,13 @@ func TestLiveChaosPartitionStealHealRejoin(t *testing.T) {
 	h1 := lc.open(t, 1, "/chaos.txt", true, false)
 	if got := lc.read(t, 1, h1, 0); !bytes.HasPrefix(got, payload) {
 		t.Fatalf("survivor read %q, want the isolated client's flushed data %q", got[:24], payload)
+	}
+
+	// The survivor's open changed nothing in the root, but its lock moved
+	// only with the steal, and the steal only after the isolated client's
+	// lease had run out: which took the names with the pages.
+	if n := entries(); n != 0 {
+		t.Fatalf("the isolated client still caches %d names after its lease expired", n)
 	}
 
 	// Stay partitioned until the client's Rejoin — first sent when it

@@ -2,6 +2,7 @@ package rpcnet
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -224,16 +225,19 @@ func TestLiveLeaseRenewalIsFree(t *testing.T) {
 	// cache-hit activity would legitimately need keep-alives — the lease
 	// is renewed by messages, not by local work.)
 	deadline := time.Now().Add(3500 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	for i := 0; time.Now().Before(deadline); i++ {
+		// A name nobody has asked about: the one lookup the name cache
+		// cannot answer, so a message every time.
+		path := fmt.Sprintf("/absent-%d", i)
 		ch := make(chan msg.Errno, 1)
-		cn.Do(func() { cn.Client.Stat(1, func(_ msg.Attr, e msg.Errno) { ch <- e }) })
+		cn.Do(func() { cn.Client.Lookup(path, func(_ msg.Attr, e msg.Errno) { ch <- e }) })
 		select {
 		case e := <-ch:
-			if e != msg.OK {
-				t.Fatalf("stat: %v", e)
+			if e != msg.ErrNoEnt {
+				t.Fatalf("lookup: %v", e)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("stat timed out")
+			t.Fatal("lookup timed out")
 		}
 		time.Sleep(150 * time.Millisecond)
 	}

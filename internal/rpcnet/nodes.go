@@ -430,6 +430,8 @@ type ClientNode struct {
 	// still fire when the executor is the thing that is stuck. WithClock
 	// overrides it.
 	tmo sim.Clock
+	// closing makes Close idempotent.
+	closing sync.Once
 }
 
 // StartClientNode launches client spec.ID against every authority of the
@@ -535,11 +537,30 @@ func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	})
 }
 
-// Close shuts the node down.
+// closeWait bounds how long Close waits for the servers to acknowledge the
+// locks it gives back before it closes anyway.
+const closeWait = time.Second
+
+// Close shuts the node down cleanly: it flushes what is dirty and gives
+// every lock back first (client.Router.Shutdown), so that nobody has to
+// wait out this client's lease for what it held, and waits for the
+// acknowledgments — but not long: a server that does not answer gets the
+// locks back when the lease runs out, as it would from a crash. The caller
+// has stopped issuing operations.
 func (n *ClientNode) Close() {
-	n.Ctrl.Close()
-	n.SAN.Close()
-	n.Exec.Close()
+	n.closing.Do(func() {
+		if n.Router != nil { // nil in a node a test assembled by hand
+			released := make(chan struct{})
+			n.Exec.Submit(func() { n.Router.Shutdown(func() { close(released) }) })
+			select {
+			case <-released:
+			case <-sim.After(n.tmo, closeWait):
+			}
+		}
+		n.Ctrl.Close()
+		n.SAN.Close()
+		n.Exec.Close()
+	})
 }
 
 // Loopback returns "127.0.0.1:0" for ephemeral test listeners.

@@ -86,32 +86,26 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		ack(msg.OK, nil)
 
 	case *msg.Lookup:
-		in, errno := s.store.Lookup(m.Path)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
+		w := s.store.Walk(m.Path)
+		switch w.Errno {
+		case msg.OK:
+			if w.Node.IsDir {
+				w.Dirs = append(w.Dirs, w.Node.Ino)
+			}
+			ack(msg.OK, msg.LookupRes{Attr: w.Node.Attr(), Dirs: s.grantChain(client, w.Dirs)})
+		case msg.ErrNoEnt:
+			// The chain ends at the directory the name is missing from:
+			// under its lock the client may remember that, too.
+			ack(msg.ErrNoEnt, msg.LookupRes{Dirs: s.grantChain(client, w.Dirs)})
+		default:
+			ack(w.Errno, nil)
 		}
-		ack(msg.OK, msg.LookupRes{Attr: in.Attr()})
 
 	case *msg.Create:
-		in, errno := s.store.Create(m.Path, m.IsDir)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		ack(msg.OK, msg.CreateRes{Attr: in.Attr()})
+		s.create(client, id, m)
 
 	case *msg.Unlink:
-		in, errno := s.store.Lookup(m.Path)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		if s.locks.HoldersOf(in.Ino) > 0 || s.store.Migrating(in.Ino) {
-			ack(msg.ErrConflict, nil)
-			return
-		}
-		ack(s.store.Unlink(m.Path), nil)
+		s.unlink(client, id, m)
 
 	case *msg.Open:
 		in, errno := s.store.Get(m.Ino)
@@ -144,56 +138,16 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			ack(errno, nil)
 			return
 		}
-		ack(msg.OK, msg.AttrRes{Attr: in.Attr()})
+		ack(msg.OK, attrRes(in, s.tryDir(client, coveringDir(in))))
 
 	case *msg.SetAttr:
-		if s.store.Migrating(m.Ino) {
-			ack(msg.ErrConflict, nil)
-			return
-		}
-		in, errno := s.store.SetSize(m.Ino, m.NewSize)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		ack(msg.OK, msg.AttrRes{Attr: in.Attr()})
+		s.setAttr(client, id, m)
 
 	case *msg.Rename:
-		in, e := s.store.Lookup(m.OldPath)
-		if e == msg.OK && s.locks.HoldersOf(in.Ino) > 0 {
-			// Like Unlink: path changes under an active lock holder are
-			// refused (clients cache nothing about paths, but keeping the
-			// rule uniform keeps recovery simple).
-			ack(msg.ErrConflict, nil)
-			return
-		}
-		if e == msg.OK && s.cfg.PlaceOwner != nil {
-			if s.store.Migrating(in.Ino) || s.cfg.PlaceOwner(m.NewPath) != s.id {
-				// The destination name belongs to another authority (or a
-				// handoff is already pending): run the cross-shard
-				// handoff protocol instead of a local move (shard.go).
-				s.crossShardRename(client, id, in, m)
-				return
-			}
-		}
-		ack(s.store.Rename(m.OldPath, m.NewPath), nil)
+		s.rename(client, id, m)
 
 	case *msg.Truncate:
-		// Truncation invalidates other holders' cached pages; demand the
-		// object exclusively first via the normal lock path — the server
-		// only checks that the requester is the sole holder.
-		if s.locks.HoldersOf(m.Ino) > 1 ||
-			(s.locks.HoldersOf(m.Ino) == 1 && s.locks.Held(client, m.Ino) == msg.LockNone) ||
-			s.store.Migrating(m.Ino) {
-			ack(msg.ErrConflict, nil)
-			return
-		}
-		in, errno := s.store.Truncate(m.Ino, int(m.Blocks))
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		ack(msg.OK, msg.AttrRes{Attr: in.Attr()})
+		s.truncate(client, id, m)
 
 	case *msg.Readdir:
 		entries, errno := s.store.Readdir(m.Ino)
@@ -201,7 +155,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			ack(errno, nil)
 			return
 		}
-		ack(msg.OK, msg.ReaddirRes{Entries: entries})
+		ack(msg.OK, msg.ReaddirRes{Entries: entries, Granted: s.tryDir(client, m.Ino)})
 
 	case *msg.GetBlocks:
 		in, errno := s.store.Get(m.Ino)
@@ -212,21 +166,18 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		ack(msg.OK, msg.BlocksRes{Attr: in.Attr(), Blocks: append([]msg.BlockRef(nil), in.Blocks...)})
 
 	case *msg.AllocBlocks:
-		if s.store.Migrating(m.Ino) {
-			ack(msg.ErrConflict, nil)
-			return
-		}
-		in, first, errno := s.store.GrantBlocks(m.Ino, m.Count)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
-			Blocks: append([]msg.BlockRef(nil), in.Blocks[first:]...)})
+		s.allocBlocks(client, id, m)
 
 	case *msg.LockAcquire:
 		if s.store.Migrating(m.Ino) {
 			ack(msg.ErrConflict, nil)
+			return
+		}
+		if in, errno := s.store.Get(m.Ino); errno == msg.OK && in.IsDir {
+			// A directory's lock is never asked for: it arrives on the
+			// replies that it covers, shared, and a client holding one any
+			// other way would be demanded by its own mutations.
+			ack(msg.ErrIsDir, nil)
 			return
 		}
 		if s.InGrace() {
@@ -303,7 +254,13 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.transactions.Inc()
 	s.emit(trace.Event{Type: trace.EvRejoin, Peer: client})
+	// A steal the rejoin itself makes safe raises no fence: the client has
+	// just said it holds nothing, and the fence would be lifted in the same
+	// breath — by a second datagram to each disk, which can overtake the
+	// first and leave the client fenced for good.
+	s.rejoining = client
 	s.auth.OnRejoin(client)
+	s.rejoining = msg.None
 	delete(s.mustRejoin, client)
 	// Always lift the fence: a restarted server has lost its fence
 	// bookkeeping, but a rejoining client by definition holds nothing,
@@ -311,6 +268,7 @@ func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.setFence(client, false)
 	// Any residue (locks, waiters, demands) from the previous incarnation
 	// goes away; under lease recovery the authority already stole them.
+	s.dropParked(client)
 	s.locks.StealAll(client)
 	s.cancelDemandsTo(client)
 	delete(s.handles, client)

@@ -1,0 +1,564 @@
+package server
+
+// Directory locks (DESIGN.md §18). A shared lock on a directory — an
+// ordinary lock-table entry on its inode — covers the directory's own
+// attributes, its entries (that a name is there, and that a name is not),
+// the completeness of a listing, and the attributes of its non-directory
+// children; a subdirectory's attributes are covered by its own lock.
+// Clients that hold one answer lookups, stats and listings from their
+// cache, so two rules keep the cache equal to the store:
+//
+//   - Grants ride on replies and never wait (tryDir): a request that reads
+//     the namespace gets, with its answer, the locks that cover it — unless
+//     somebody would have to be asked, and then the answer is simply not
+//     cacheable.
+//   - Revoke before mutate (mutate): whatever changes something a directory
+//     lock covers first takes that lock from every other holder, through a
+//     queued exclusive acquire — the lock table's own demand, FIFO and
+//     anti-starvation — and only then touches the store and answers. A
+//     holder that does not give it back is an undelivered demand: suspect,
+//     τ(1+ε), steal, exactly as for data.
+//
+// Every metadata mutator in this package is called from inside mutate
+// (TestMutatorsRunUnderRevoke enumerates them).
+
+import (
+	"slices"
+
+	"repro/internal/meta"
+	"repro/internal/msg"
+)
+
+// tryDir tries to leave client holding a shared lock on directory ino and
+// reports whether it does.
+func (s *Server) tryDir(client msg.NodeID, ino msg.ObjectID) bool {
+	if ino == 0 || !s.cfg.Policy.CachesNames() {
+		return false
+	}
+	held := s.locks.HeldCount()
+	if !s.locks.TryAcquire(client, ino, msg.LockShared) {
+		return false
+	}
+	if s.locks.HeldCount() > held {
+		s.dirGrants.Inc()
+	}
+	s.vLeaseTouch(client, ino)
+	return true
+}
+
+// grantChain tries every directory of a walked chain, in place: an entry
+// the client does not end up holding becomes 0.
+func (s *Server) grantChain(client msg.NodeID, dirs []msg.ObjectID) []msg.ObjectID {
+	for i, d := range dirs {
+		if !s.tryDir(client, d) {
+			dirs[i] = 0
+		}
+	}
+	return dirs
+}
+
+// coveringDir is the directory whose lock covers in's attributes.
+func coveringDir(in *meta.Inode) msg.ObjectID {
+	if in.IsDir {
+		return in.Ino
+	}
+	return in.Parent()
+}
+
+// mutation is one change to something directory locks cover.
+type mutation struct {
+	// by is the client the change is made for: the one left holding the
+	// locks, and excused by the oracle. The server's own ID stands for
+	// changes no client is waiting on (a handoff installed or completed).
+	by msg.NodeID
+	// keep leaves by holding the directories at Shared whatever it held
+	// before (Create, Unlink, Rename: it will be told so); otherwise it
+	// ends as it began, so that a writer settling sizes in a directory it
+	// never looked at does not collect its lock.
+	keep bool
+	// plan names the directories whose locks cover what apply is about to
+	// change, as the store stands when it is called; none when the request
+	// will fail without changing anything.
+	plan func() []msg.ObjectID
+	// apply runs the store's mutators and answers. It runs in the turn in
+	// which plan last ran, with every planned lock held exclusively.
+	apply func()
+
+	// taken are the planned directories apply may rely on — held
+	// exclusively for it, or free of any other holder — each with what the
+	// requester held before: never more than two (a rename's parents, an
+	// unlinked directory and its parent).
+	taken []takenLock
+	buf   [2]takenLock
+}
+
+// dirWait names what a parked mutation waits for: its requester's
+// exclusive hold on one directory.
+type dirWait struct {
+	by  msg.NodeID
+	ino msg.ObjectID
+}
+
+// dropParked forgets the mutations waiting on behalf of a client whose
+// locks and queued acquires were just stolen: nobody will answer them, and
+// the client's retries come back, after it rejoins, as new requests.
+func (s *Server) dropParked(client msg.NodeID) {
+	for k := range s.parked {
+		if k.by == client {
+			delete(s.parked, k)
+		}
+	}
+}
+
+// takenLock is a directory lock a mutation holds exclusively, and what its
+// requester held before.
+type takenLock struct {
+	ino   msg.ObjectID
+	prior msg.LockMode
+}
+
+// holds reports whether the requester will hold dir, one of the planned
+// directories, when the mutation is over — what apply tells the client.
+func (m *mutation) holds(dir msg.ObjectID) bool {
+	if m.keep {
+		return true
+	}
+	for _, t := range m.taken {
+		if t.ino == dir {
+			return t.prior >= msg.LockShared
+		}
+	}
+	return false
+}
+
+// contended reports whether taking any of dirs for by would mean asking
+// somebody.
+func (s *Server) contended(by msg.NodeID, dirs []msg.ObjectID) bool {
+	for _, d := range dirs {
+		if s.locks.Contended(by, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// mutate runs m: plan, take every planned lock, apply, give them back. A
+// lock that is not free queues behind its holders, and since the wait
+// invalidates the plan — the path may lead elsewhere by then, or a lock
+// taken earlier may have been demanded away by another mutation — mutate
+// starts over when it arrives. With nobody else holding the directories
+// the whole thing is a few map lookups in one turn.
+func (s *Server) mutate(m *mutation) {
+	if s.stopped || !s.authorityHeld() {
+		return
+	}
+	dirs := m.plan()
+	if len(dirs) > 0 && s.InGrace() {
+		// An unreasserted but still-leased client may hold any of these
+		// locks, and nobody knows to ask it: wait until every pre-restart
+		// lease has been reasserted or has provably lapsed, as a new lock
+		// acquire does.
+		s.clock.AfterFunc(s.graceUntil.Sub(s.clock.Now()), func() { s.mutate(m) })
+		return
+	}
+	if m.taken == nil {
+		m.taken = m.buf[:0]
+	}
+	if len(m.taken) == 0 && !s.contended(m.by, dirs) {
+		// Nobody else holds any of them, and nothing can change that
+		// before apply returns: there is nobody to take a lock from, and
+		// the requester keeps what it has. (A mutation that leaves it the
+		// directories grants them with the chain it reports.)
+		for _, d := range dirs {
+			m.taken = append(m.taken, takenLock{d, s.locks.Held(m.by, d)})
+		}
+		m.apply()
+		m.taken = nil
+		return
+	}
+	if len(dirs) > 1 {
+		// In one order everywhere: two mutations that want the same two
+		// directories must not each hold one and wait for the other.
+		slices.Sort(dirs)
+	}
+	// Locks taken under an earlier plan that this one does not name.
+	kept := m.taken[:0]
+	for _, t := range m.taken {
+		if slices.Contains(dirs, t.ino) {
+			kept = append(kept, t)
+		} else {
+			s.locks.Release(m.by, t.ino, s.endMode(m, t))
+		}
+	}
+	m.taken = kept
+	for i, d := range dirs {
+		if i > 0 && d == dirs[i-1] {
+			continue
+		}
+		prior := s.locks.Held(m.by, d)
+		if prior == msg.LockExclusive {
+			if !m.has(d) {
+				// Another mutation by the same requester holds it across a
+				// wait; sharing it is safe, and whoever finishes first
+				// downgrades it under the other, which then starts over.
+				m.taken = append(m.taken, takenLock{d, msg.LockShared})
+			}
+			continue
+		}
+		if !m.has(d) {
+			m.taken = append(m.taken, takenLock{d, prior})
+		}
+		if s.locks.TryAcquire(m.by, d, msg.LockExclusive) {
+			continue // nobody else holds it: the common case
+		}
+		// The table keeps one queued acquire per client and object, so
+		// mutations of one requester waiting on one directory wait
+		// together, behind the first one's acquire.
+		k := dirWait{m.by, d}
+		if s.parked[k] = append(s.parked[k], m); len(s.parked[k]) > 1 {
+			return
+		}
+		s.locks.Acquire(m.by, d, msg.LockExclusive, func(msg.LockMode) {
+			waiting := s.parked[k]
+			delete(s.parked, k)
+			switch {
+			case m.by == s.id:
+			case !s.auth.Allow(m.by):
+				// The requester became suspect while it waited. Never
+				// answer a suspect; the hold stays in the table until the
+				// steal clears it, as a granted acquire's does.
+				return
+			case s.mustRejoin[m.by]:
+				s.locks.Release(m.by, d, msg.LockNone)
+				return
+			}
+			for _, w := range waiting {
+				s.mutate(w)
+			}
+			s.syncLocksHeld()
+		})
+		return
+	}
+	m.apply()
+	for _, t := range m.taken {
+		s.locks.Release(m.by, t.ino, s.endMode(m, t))
+	}
+	m.taken = nil
+}
+
+func (m *mutation) has(dir msg.ObjectID) bool {
+	for _, t := range m.taken {
+		if t.ino == dir {
+			return true
+		}
+	}
+	return false
+}
+
+// endMode is what the requester holds on a taken directory afterwards:
+// nothing on one that is gone or was the server's own, Shared where the
+// mutation keeps it, what it held before otherwise.
+func (s *Server) endMode(m *mutation, t takenLock) msg.LockMode {
+	if _, errno := s.store.Get(t.ino); errno != msg.OK || m.by == s.id {
+		return msg.LockNone
+	}
+	if m.keep {
+		return msg.LockShared
+	}
+	return min(t.prior, msg.LockShared)
+}
+
+// noteName tells the oracle, when one listens, that the last name of path,
+// in dir, now leads to ino (0: nowhere), by by's doing.
+func (s *Server) noteName(by msg.NodeID, dir msg.ObjectID, path string, ino msg.ObjectID) {
+	if s.cfg.Oracle != nil {
+		s.cfg.Oracle.NameChanged(by, dir, lastName(path), ino)
+	}
+}
+
+// noteAttrs tells it the attributes of inos as they now stand.
+func (s *Server) noteAttrs(by msg.NodeID, inos ...msg.ObjectID) {
+	if s.cfg.Oracle == nil {
+		return
+	}
+	for _, ino := range inos {
+		if in, errno := s.store.Get(ino); errno == msg.OK {
+			s.cfg.Oracle.AttrChanged(by, in.Attr())
+		}
+	}
+}
+
+// lastName returns the final component of a path that has one.
+func lastName(path string) string {
+	parts, _ := meta.SplitPath(path)
+	if len(parts) == 0 {
+		return ""
+	}
+	return parts[len(parts)-1]
+}
+
+// --- the mutating requests ---------------------------------------------------
+
+// acker returns the function that answers request id of client. (The
+// requests below answer from closures that outlive their handler; the ones
+// that answer at once, in execute, keep theirs on the stack.)
+func (s *Server) acker(client msg.NodeID, id msg.ReqID) func(msg.Errno, msg.Result) {
+	return func(errno msg.Errno, body msg.Result) {
+		s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno, Body: body})
+	}
+}
+
+// create handles Create. The directory whose lock covers it is the parent
+// — or, where missing ancestors are about to be materialized, the deepest
+// one that exists.
+func (s *Server) create(client msg.NodeID, id msg.ReqID, m *msg.Create) {
+	ack := s.acker(client, id)
+	var w meta.Walk
+	mu := &mutation{by: client, keep: true}
+	mu.plan = func() []msg.ObjectID {
+		w = s.store.Walk(m.Path)
+		if w.Errno != msg.ErrNoEnt || len(w.Dirs) == 0 || w.Rest > 0 && !s.store.AutoParents() {
+			return nil // Create will say why
+		}
+		return w.Dirs[len(w.Dirs)-1:]
+	}
+	mu.apply = func() {
+		in, errno := s.store.Create(m.Path, m.IsDir)
+		if errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		if w.Rest > 0 {
+			w = s.store.Walk(m.Path) // through the ancestors just made
+		}
+		s.noteName(client, w.Dirs[len(w.Dirs)-1], m.Path, in.Ino)
+		s.noteAttrs(client, in.Ino)
+		s.noteAttrs(client, w.Dirs...)
+		ack(msg.OK, msg.CreateRes{Attr: in.Attr(), Dirs: s.grantChain(client, w.Dirs)})
+	}
+	s.mutate(mu)
+}
+
+// unlink handles Unlink: the parent's lock, and the victim's own when it
+// is a directory. A file somebody holds a data lock on is refused.
+func (s *Server) unlink(client msg.NodeID, id msg.ReqID, m *msg.Unlink) {
+	ack := s.acker(client, id)
+	var w meta.Walk
+	var refuse msg.Errno
+	mu := &mutation{by: client, keep: true}
+	mu.plan = func() []msg.ObjectID {
+		w, refuse = s.store.Walk(m.Path), msg.OK
+		switch {
+		case w.Errno != msg.OK || len(w.Dirs) == 0:
+			return nil // Unlink will say why
+		case s.store.Migrating(w.Node.Ino), !w.Node.IsDir && s.locks.HoldersOf(w.Node.Ino) > 0:
+			refuse = msg.ErrConflict
+			return nil
+		case w.Node.IsDir:
+			if !w.Node.Empty() {
+				return nil
+			}
+			return []msg.ObjectID{w.Dirs[len(w.Dirs)-1], w.Node.Ino}
+		}
+		return w.Dirs[len(w.Dirs)-1:]
+	}
+	mu.apply = func() {
+		if refuse != msg.OK {
+			ack(refuse, nil)
+			return
+		}
+		var gone msg.Attr
+		if w.Node != nil {
+			gone = w.Node.Attr()
+		}
+		if errno := s.store.Unlink(m.Path); errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		parent := w.Dirs[len(w.Dirs)-1]
+		s.noteName(client, parent, m.Path, 0)
+		s.noteAttrs(client, parent)
+		ack(msg.OK, msg.LookupRes{Attr: gone, Dirs: s.grantChain(client, w.Dirs)})
+	}
+	s.mutate(mu)
+}
+
+// rename handles Rename within this authority: both parents' locks. A
+// moved directory's own lock is untouched — its entries did not change.
+func (s *Server) rename(client msg.NodeID, id msg.ReqID, m *msg.Rename) {
+	ack := s.acker(client, id)
+	var from, to meta.Walk
+	var refuse msg.Errno
+	cross := false
+	mu := &mutation{by: client, keep: true}
+	mu.plan = func() []msg.ObjectID {
+		from, refuse, cross = s.store.Walk(m.OldPath), msg.OK, false
+		if from.Errno != msg.OK || len(from.Dirs) == 0 {
+			return nil
+		}
+		if !from.Node.IsDir && s.locks.HoldersOf(from.Node.Ino) > 0 {
+			// Like Unlink: a file's name does not change under a holder of
+			// its data lock.
+			refuse = msg.ErrConflict
+			return nil
+		}
+		if s.cfg.PlaceOwner != nil &&
+			(s.store.Migrating(from.Node.Ino) || s.cfg.PlaceOwner(m.NewPath) != s.id) {
+			// The destination name belongs to another authority, or a
+			// handoff is already pending: the handoff protocol, not a move.
+			cross = true
+			return nil
+		}
+		to = s.store.Walk(m.NewPath)
+		if to.Errno != msg.ErrNoEnt || to.Rest > 0 {
+			return nil
+		}
+		return []msg.ObjectID{from.Dirs[len(from.Dirs)-1], to.Dirs[len(to.Dirs)-1]}
+	}
+	mu.apply = func() {
+		switch {
+		case refuse != msg.OK:
+			ack(refuse, nil)
+			return
+		case cross:
+			s.crossShardRename(client, id, from.Node, m)
+			return
+		}
+		if errno := s.store.Rename(m.OldPath, m.NewPath); errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		oldParent, newParent := from.Dirs[len(from.Dirs)-1], to.Dirs[len(to.Dirs)-1]
+		s.noteName(client, oldParent, m.OldPath, 0)
+		s.noteName(client, newParent, m.NewPath, from.Node.Ino)
+		s.noteAttrs(client, oldParent, newParent)
+		ack(msg.OK, msg.LookupRes{Attr: from.Node.Attr(),
+			Dirs: s.grantChain(client, append(from.Dirs, to.Dirs...))})
+	}
+	s.mutate(mu)
+}
+
+// attrChange says what a request is about to do to a file's attributes,
+// so that whether they will move can be asked again after a wait.
+type attrChange struct {
+	// size, when sized, is the size the file is being set to; blocks, when
+	// cut, the length it is being truncated to. With neither the
+	// attributes always move (an allocation bumps the version).
+	size   uint64
+	blocks int
+	sized  bool
+	cut    bool
+}
+
+func (a attrChange) moves(in *meta.Inode) bool {
+	switch {
+	case in.IsDir:
+		return false
+	case a.sized:
+		return in.Size != a.size
+	case a.cut:
+		return a.blocks < len(in.Blocks)
+	}
+	return true
+}
+
+// mutateAttr runs change — store mutators on file ino, and the answer —
+// under the lock that covers ino's attributes, its parent's, when they
+// are about to move. The requester ends as it began; change is told
+// whether it holds that lock. On the way every extending write takes —
+// nobody else caches the directory — it asks two map lookups and
+// allocates nothing.
+func (s *Server) mutateAttr(by msg.NodeID, ino msg.ObjectID, what attrChange, change func(covered bool)) {
+	in, errno := s.store.Get(ino)
+	if errno != msg.OK || !what.moves(in) {
+		change(false)
+		return
+	}
+	if parent := in.Parent(); !s.InGrace() && !s.locks.Contended(by, parent) {
+		change(s.locks.Held(by, parent) >= msg.LockShared)
+		s.noteAttrs(by, ino)
+		return
+	}
+	var parent msg.ObjectID
+	mu := &mutation{by: by}
+	mu.plan = func() []msg.ObjectID {
+		parent = 0
+		if in, errno := s.store.Get(ino); errno == msg.OK && what.moves(in) {
+			parent = in.Parent()
+			return []msg.ObjectID{parent}
+		}
+		return nil
+	}
+	mu.apply = func() {
+		change(parent != 0 && mu.holds(parent))
+		s.noteAttrs(by, ino)
+	}
+	s.mutate(mu)
+}
+
+// setAttr handles SetAttr: a size that is already there changes nothing.
+func (s *Server) setAttr(client msg.NodeID, id msg.ReqID, m *msg.SetAttr) {
+	ack := s.acker(client, id)
+	if s.store.Migrating(m.Ino) {
+		ack(msg.ErrConflict, nil)
+		return
+	}
+	s.mutateAttr(client, m.Ino, attrChange{sized: true, size: m.NewSize}, func(covered bool) {
+		in, errno := s.store.SetSize(m.Ino, m.NewSize)
+		if errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		ack(msg.OK, attrRes(in, covered))
+	})
+}
+
+// truncate handles Truncate. Truncation invalidates other holders' cached
+// pages; they are demanded the object exclusively first, via the normal
+// lock path — here the server only checks that the requester is the sole
+// holder.
+func (s *Server) truncate(client msg.NodeID, id msg.ReqID, m *msg.Truncate) {
+	ack := s.acker(client, id)
+	if s.locks.HoldersOf(m.Ino) > 1 ||
+		(s.locks.HoldersOf(m.Ino) == 1 && s.locks.Held(client, m.Ino) == msg.LockNone) ||
+		s.store.Migrating(m.Ino) {
+		ack(msg.ErrConflict, nil)
+		return
+	}
+	s.mutateAttr(client, m.Ino, attrChange{cut: true, blocks: int(m.Blocks)}, func(covered bool) {
+		in, errno := s.store.Truncate(m.Ino, int(m.Blocks))
+		if errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		ack(msg.OK, attrRes(in, covered))
+	})
+}
+
+// allocBlocks handles AllocBlocks: an allocation moves the file's version.
+func (s *Server) allocBlocks(client msg.NodeID, id msg.ReqID, m *msg.AllocBlocks) {
+	ack := s.acker(client, id)
+	if s.store.Migrating(m.Ino) {
+		ack(msg.ErrConflict, nil)
+		return
+	}
+	s.mutateAttr(client, m.Ino, attrChange{}, func(bool) {
+		in, first, errno := s.store.GrantBlocks(m.Ino, m.Count)
+		if errno != msg.OK {
+			ack(errno, nil)
+			return
+		}
+		ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
+			Blocks: append([]msg.BlockRef(nil), in.Blocks[first:]...)})
+	})
+}
+
+// attrRes is the answer to a request about in's attributes from a client
+// known to hold (covered) or not to hold the lock that covers them.
+func attrRes(in *meta.Inode, covered bool) msg.AttrRes {
+	res := msg.AttrRes{Attr: in.Attr()}
+	if covered {
+		res.Dir = coveringDir(in)
+	}
+	return res
+}

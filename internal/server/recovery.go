@@ -30,12 +30,24 @@ func (s *Server) sendDemand(holder msg.NodeID, ino msg.ObjectID, to msg.LockMode
 
 func (s *Server) transmitDemand(pd *pendingDemand) {
 	s.demandsSent.Inc()
-	note := ""
-	if pd.tries > 0 {
-		note = "retry"
+	in, errno := s.store.Get(pd.ino)
+	dir := errno == msg.OK && in.IsDir
+	if dir {
+		s.dirRevokes.Inc()
 	}
-	s.emit(trace.Event{Type: trace.EvDemand, Peer: pd.holder, Ino: pd.ino,
-		To: pd.to.String(), Note: note})
+	if s.tracer.Enabled() {
+		note := ""
+		switch {
+		case dir && pd.tries > 0:
+			note = "dir retry"
+		case dir:
+			note = "dir"
+		case pd.tries > 0:
+			note = "retry"
+		}
+		s.emit(trace.Event{Type: trace.EvDemand, Peer: pd.holder, Ino: pd.ino,
+			To: pd.to.String(), Note: note})
+	}
 	s.send(pd.holder, &msg.Demand{ID: pd.id, Ino: pd.ino, Mode: pd.to, Server: s.id})
 	pd.timer = s.clock.AfterFunc(s.cfg.Core.RetryInterval, func() {
 		if s.demands[pd.id] != pd {
@@ -192,6 +204,7 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 		return
 	}
 	s.cancelDemandsTo(client)
+	s.dropParked(client)
 	s.locks.StealAll(client)
 	delete(s.handles, client)
 	for k := range s.objLeases {

@@ -114,6 +114,7 @@ func (s *Server) resetVolatile() {
 		delete(s.demands, id)
 	}
 	s.locks = lock.NewTable(demanderFunc(s.sendDemand))
+	s.parked = make(map[dirWait][]*mutation)
 	s.syncLocksHeld()
 	s.auth = core.NewAuthority(s.cfg.Core, s.clock, authorityActions{s},
 		core.Env{Reg: s.reg, Prefix: "server.", Tracer: s.tracer, Node: s.id})

@@ -118,32 +118,45 @@ func (s *Server) funcWrite(client msg.NodeID, id msg.ReqID, m *msg.FuncWrite) {
 		return
 	}
 	idx := m.Offset / disk.BlockSize
-	for uint64(len(in.Blocks)) <= idx {
-		need := uint32(idx + 1 - uint64(len(in.Blocks)))
-		var e msg.Errno
-		in, e = s.store.AllocBlocks(m.Ino, need)
-		if e != msg.OK {
-			s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: e})
-			return
-		}
-	}
-	ref := in.Blocks[idx]
 	data := m.Data
 	if len(data) > disk.BlockSize {
 		data = data[:disk.BlockSize]
 	}
-	s.dataBytes.Add(uint64(len(data)))
-	s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
-		return &msg.DiskWrite{Client: s.id, Req: req, Block: ref.Num, Data: data}
-	}, func(reply msg.Message, errno msg.Errno) {
-		if errno == msg.OK {
-			if end := m.Offset + uint64(len(data)); end > in.Size {
-				s.store.SetSize(m.Ino, end)
+	write := func() {
+		ref := in.Blocks[idx]
+		s.dataBytes.Add(uint64(len(data)))
+		s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
+			return &msg.DiskWrite{Client: s.id, Req: req, Block: ref.Num, Data: data}
+		}, func(reply msg.Message, errno msg.Errno) {
+			if errno != msg.OK {
+				s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno})
+				return
 			}
-			// Every server-mediated write is observable through attribute
-			// polling (NFS-style clients rely on this).
-			s.store.Touch(m.Ino)
+			s.mutateAttr(client, m.Ino, attrChange{}, func(bool) {
+				if end := m.Offset + uint64(len(data)); end > in.Size {
+					s.store.SetSize(m.Ino, end)
+				}
+				// Every server-mediated write is observable through
+				// attribute polling (NFS-style clients rely on this).
+				s.store.Touch(m.Ino)
+				s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: msg.OK})
+			})
+		})
+	}
+	if idx < uint64(len(in.Blocks)) {
+		write()
+		return
+	}
+	s.mutateAttr(client, m.Ino, attrChange{}, func(bool) {
+		for uint64(len(in.Blocks)) <= idx {
+			need := uint32(idx + 1 - uint64(len(in.Blocks)))
+			var e msg.Errno
+			in, e = s.store.AllocBlocks(m.Ino, need)
+			if e != msg.OK {
+				s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: e})
+				return
+			}
 		}
-		s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno})
+		write()
 	})
 }

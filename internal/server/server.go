@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/lock"
@@ -90,6 +91,10 @@ type Config struct {
 	// and commits the journal before every message it sends. Empty =
 	// in-memory only (the sim models HA by sharing the Store).
 	MetaPersist string
+	// Oracle, when non-nil, hears what every acknowledged mutation changed
+	// in the namespace (the simulated installation's consistency checker;
+	// nil = nobody listens).
+	Oracle checker.Oracle
 }
 
 // withDefaults fills unset fields.
@@ -141,6 +146,9 @@ type Server struct {
 
 	// Outstanding demands awaiting transport-level DemandAck.
 	demands map[msg.DemandID]*pendingDemand
+	// parked holds the mutations waiting for a directory lock to come back
+	// (namespace.go).
+	parked map[dirWait][]*mutation
 
 	// mustRejoin marks clients whose locks were stolen under non-lease
 	// policies; they are NACKed until they Rejoin (a merged partition's
@@ -149,6 +157,8 @@ type Server struct {
 	// fencedClients tracks who is fenced at the disks, so rejoin can lift
 	// the fence.
 	fencedClients map[msg.NodeID]bool
+	// rejoining is the client whose Rejoin is being handled, if any.
+	rejoining msg.NodeID
 
 	// Heartbeat baseline state (always resident for that policy).
 	lastHeard map[msg.NodeID]sim.Time
@@ -197,6 +207,11 @@ type Server struct {
 	// server.<id>.locks_held so a sharded installation's SIGUSR1 dump
 	// shows each authority's load side by side.
 	locksHeld *stats.Gauge
+	// dirGrants counts directory locks handed out on replies, dirRevokes
+	// the demands sent to take one back (both per server, like locks_held;
+	// a directory demand is also a demand in demands_sent).
+	dirGrants  *stats.Counter
+	dirRevokes *stats.Counter
 	// roleGauge/ballotGauge expose the replica role (a msg.Role* value)
 	// and current negotiation ballot per server, same per-id naming.
 	roleGauge     *stats.Gauge
@@ -230,6 +245,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		epochs:        make(map[msg.NodeID]msg.Epoch),
 		handles:       make(map[msg.NodeID]map[msg.Handle]msg.ObjectID),
 		demands:       make(map[msg.DemandID]*pendingDemand),
+		parked:        make(map[dirWait][]*mutation),
 		mustRejoin:    make(map[msg.NodeID]bool),
 		fencedClients: make(map[msg.NodeID]bool),
 		lastHeard:     make(map[msg.NodeID]sim.Time),
@@ -252,6 +268,8 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		demandsSent:   reg.Counter(prefix + "demands_sent"),
 		fences:        reg.Counter(prefix + "fences"),
 		locksHeld:     reg.Gauge(fmt.Sprintf("server.%v.locks_held", id)),
+		dirGrants:     reg.Counter(fmt.Sprintf("server.%v.dir_grants", id)),
+		dirRevokes:    reg.Counter(fmt.Sprintf("server.%v.dir_revokes", id)),
 		roleGauge:     reg.Gauge(fmt.Sprintf("server.%v.role", id)),
 		ballotGauge:   reg.Gauge(fmt.Sprintf("server.%v.ballot", id)),
 		redirectsSent: reg.Counter(prefix + "redirects_sent"),
@@ -347,7 +365,9 @@ func (f demanderFunc) Demand(holder msg.NodeID, ino msg.ObjectID, to msg.LockMod
 
 type authorityActions struct{ s *Server }
 
-func (a authorityActions) StealLocks(client msg.NodeID) { a.s.stealAndFence(client, true) }
+func (a authorityActions) StealLocks(client msg.NodeID) {
+	a.s.stealAndFence(client, client != a.s.rejoining)
+}
 
 // ID returns the server's node ID.
 func (s *Server) ID() msg.NodeID { return s.id }

@@ -51,6 +51,9 @@ type pendingHandoff struct {
 	timer  sim.Timer
 	client msg.NodeID
 	req    msg.ReqID
+	// settling: the destination has answered and the old name is waiting
+	// for its directory's lock. A retried Rename can still attach.
+	settling bool
 }
 
 // crossShardRename begins (or re-attaches to) the handoff migrating the
@@ -128,13 +131,36 @@ func (s *Server) handleShardMigrate(m *msg.ShardMigrate) {
 		s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
 		return
 	}
-	in, errno := s.store.Install(m.Path, m.Attr, m.Blocks)
-	s.store.RecordImport(m.Src, m.HID, errno)
-	if errno == msg.OK {
-		s.emit(trace.Event{Type: trace.EvShardInstall, Peer: m.Src, Ino: in.Ino,
-			Note: "hid=" + strconv.FormatUint(m.HID, 10)})
+	// The name appears in a directory clients of this authority may have
+	// cached — the deepest ancestor that exists, under which the rest are
+	// materialized — on nobody's behalf here: the server takes the lock
+	// itself and keeps none of it.
+	mu := &mutation{by: s.id}
+	mu.plan = func() []msg.ObjectID {
+		if w := s.store.Walk(m.Path); w.Errno == msg.ErrNoEnt && len(w.Dirs) > 0 {
+			return w.Dirs[len(w.Dirs)-1:]
+		}
+		return nil
 	}
-	s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
+	mu.apply = func() {
+		if errno, done := s.store.ImportResult(m.Src, m.HID); done {
+			// A retransmission caught up with this one while it waited.
+			s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
+			return
+		}
+		in, errno := s.store.Install(m.Path, m.Attr, m.Blocks)
+		s.store.RecordImport(m.Src, m.HID, errno)
+		if errno == msg.OK {
+			s.emit(trace.Event{Type: trace.EvShardInstall, Peer: m.Src, Ino: in.Ino,
+				Note: "hid=" + strconv.FormatUint(m.HID, 10)})
+			w := s.store.Walk(m.Path)
+			s.noteName(s.id, w.Dirs[len(w.Dirs)-1], m.Path, in.Ino)
+			s.noteAttrs(s.id, in.Ino)
+			s.noteAttrs(s.id, w.Dirs...)
+		}
+		s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
+	}
+	s.mutate(mu)
 }
 
 // handleShardMigrateRes settles an outbound handoff.
@@ -145,24 +171,57 @@ func (s *Server) handleShardMigrateRes(m *msg.ShardMigrateRes) {
 }
 
 func (s *Server) settleHandoff(ph *pendingHandoff, m *msg.ShardMigrateRes) {
+	if ph.settling {
+		return // an answer to a retransmission
+	}
 	if ph.timer != nil {
 		ph.timer.Stop()
 	}
-	delete(s.handoffs, ph.hid)
 	e := s.store.Export(ph.hid)
 	if e == nil {
+		delete(s.handoffs, ph.hid)
 		return
 	}
 	note := "hid=" + strconv.FormatUint(ph.hid, 10)
-	if m.Err == msg.OK {
-		s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.dest, Ino: e.Ino, Note: note})
-		s.store.CompleteExport(ph.hid)
-	} else {
+	if m.Err != msg.OK {
+		delete(s.handoffs, ph.hid)
 		s.emit(trace.Event{Type: trace.EvShardAbort, Peer: ph.dest, Ino: e.Ino,
 			Note: note + " " + m.Err.String()})
 		s.store.AbortExport(ph.hid)
+		if ph.client != 0 {
+			s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: m.Err})
+		}
+		return
 	}
-	if ph.client != 0 {
-		s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: m.Err})
+	ph.settling = true
+	// The old name goes, so its directory's lock comes back first — from
+	// everybody, the requester included: the handoff must complete whatever
+	// has become of its requester, so the server makes the change as its
+	// own.
+	var from meta.Walk
+	mu := &mutation{by: s.id}
+	mu.plan = func() []msg.ObjectID {
+		from = s.store.Walk(e.OldPath)
+		if from.Errno == msg.OK && from.Node.Ino == e.Ino {
+			return from.Dirs[len(from.Dirs)-1:]
+		}
+		return nil
 	}
+	mu.apply = func() {
+		delete(s.handoffs, ph.hid)
+		if s.store.Export(ph.hid) == nil {
+			return
+		}
+		s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.dest, Ino: e.Ino, Note: note})
+		s.store.CompleteExport(ph.hid)
+		if from.Errno == msg.OK && from.Node.Ino == e.Ino {
+			parent := from.Dirs[len(from.Dirs)-1]
+			s.noteName(s.id, parent, e.OldPath, 0)
+			s.noteAttrs(s.id, parent)
+		}
+		if ph.client != 0 {
+			s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: msg.OK})
+		}
+	}
+	s.mutate(mu)
 }

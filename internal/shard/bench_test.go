@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/msg"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -32,19 +33,47 @@ func scaleOptions(shards, clients int) cluster.Options {
 	return opts
 }
 
+// workingSet is how many files each client's private working set holds.
+const workingSet = 16
+
 // runShardScale boots the installation, drives every client closed-loop
 // with Zipf-skewed metadata traffic (skew 1.2 over a 16-file private
-// working set) for `dur` of simulated time, and returns completed
-// metadata operations per simulated second.
+// working set, each operation a create or an unlink: a transaction at
+// the file's authority) for `dur` of simulated time, and returns
+// completed metadata operations per simulated second.
+//
+// The directory skeleton is laid first, outside the measurement: a
+// client's first create on a shard materializes its directory in that
+// shard's root, which every client that has walked through the root has
+// cached — a revocation per holder, once per (client, shard), and with a
+// skewed working set hashed over eight shards a client would still be
+// paying its last ones seconds into the run. The curve is about what an
+// authority sustains, so every client touches each of its files once
+// before the clock starts.
 func runShardScale(tb testing.TB, shards, clients int, dur time.Duration) float64 {
 	tb.Helper()
 	inst := cluster.New(scaleOptions(shards, clients))
 	inst.Start()
 
+	pending := 0
+	for ci := 0; ci < clients; ci++ {
+		for j := 0; j < workingSet; j++ {
+			path, c := workload.MetaPath(ci, j), inst.Clients[ci]
+			pending++
+			c.Create(path, false, func(_ msg.Attr, errno msg.Errno) {
+				if errno != msg.OK {
+					tb.Errorf("laying %s: %v", path, errno)
+				}
+				c.Unlink(path, func(msg.Errno) { pending-- })
+			})
+		}
+	}
+	inst.Sched.RunWhile(func() bool { return pending > 0 })
+
 	runners := make([]*workload.MetaRunner, clients)
 	for ci := 0; ci < clients; ci++ {
 		runners[ci] = workload.NewMetaRunner(inst.Clients[ci], inst.Sched, ci,
-			16, 1.2, int64(1000+ci))
+			workingSet, 1.2, int64(1000+ci))
 		runners[ci].Start()
 	}
 	inst.RunFor(dur)

@@ -193,8 +193,10 @@ func TestLocksHeldGauge(t *testing.T) {
 	if errno := inst.Write(0, h, 0, block('L')); errno != msg.OK {
 		t.Fatal(errno)
 	}
-	if v := inst.Reg.Gauge("server.n1.locks_held").Value(); v != 1 {
-		t.Fatalf("shard 0 locks_held = %d, want 1", v)
+	// The file's data lock, and the locks of the two directories on its
+	// path, which came with the replies to the open's lookup and create.
+	if v := inst.Reg.Gauge("server.n1.locks_held").Value(); v != 3 {
+		t.Fatalf("shard 0 locks_held = %d, want 3", v)
 	}
 	if v := inst.Reg.Gauge("server.n2.locks_held").Value(); v != 0 {
 		t.Fatalf("shard 1 locks_held = %d, want 0", v)

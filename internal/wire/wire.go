@@ -40,11 +40,12 @@ type ID uint8
 // Binary is the fixed-layout zero-copy codec, the only one.
 const Binary ID = 1
 
-// preamble is the first byte of every connection: wire revision 1 in the
+// preamble is the first byte of every connection: the wire revision in the
 // high nibble, and in the low nibble the 1 that used to select this codec
 // over a gob stream (codec 0, retired). A revision that changes a frame
-// layout incompatibly changes this byte.
-const preamble = 1<<4 | byte(Binary)
+// layout incompatibly changes this byte: revision 2 added the directory
+// grants to four reply bodies (DESIGN.md §12.2).
+const preamble = 2<<4 | byte(Binary)
 
 // Dial wraps the dialer side of an established connection: it writes the
 // preamble, before which nothing else may be written to conn.

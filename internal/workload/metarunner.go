@@ -14,8 +14,8 @@ import (
 // client.Router satisfies it: every call is transparently routed to the
 // authority the placement map assigns the path.
 type MetaOps interface {
-	Lookup(path string, cb client.AttrCallback)
 	Create(path string, isDir bool, cb client.AttrCallback)
+	Unlink(path string, cb client.ErrnoCallback)
 }
 
 // MetaRunner drives one client with closed-loop metadata traffic: each
@@ -25,8 +25,11 @@ type MetaOps interface {
 // private Zipf-skewed working set /w<client>/f<j>: per-client
 // namespaces hash across every shard (keeping all authorities loaded)
 // while avoiding cross-client lock conflicts, which would measure
-// contention rather than capacity. A file is created on first touch and
-// looked up ever after.
+// contention rather than capacity. A touch creates the file if it is not
+// there and unlinks it if it is: every operation is a transaction at its
+// authority. (A lookup would not be: after the first, the client answers
+// it from its name cache, the loop would turn at a single instant, and
+// the curve would measure no authority at all.)
 type MetaRunner struct {
 	ops     MetaOps
 	sched   *sim.Scheduler
@@ -92,10 +95,10 @@ func (r *MetaRunner) step() {
 		// re-issued at delay 0 would spin the event loop in place.
 		r.sched.After(time.Millisecond, r.step)
 	}
-	if !r.created[j] {
-		r.created[j] = true
+	r.created[j] = !r.created[j]
+	if r.created[j] {
 		r.ops.Create(MetaPath(r.client, j), false, done)
 		return
 	}
-	r.ops.Lookup(MetaPath(r.client, j), done)
+	r.ops.Unlink(MetaPath(r.client, j), func(errno msg.Errno) { done(msg.Attr{}, errno) })
 }

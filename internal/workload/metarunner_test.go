@@ -17,17 +17,31 @@ type fakeMeta struct {
 	delay   time.Duration
 	fail    bool
 	creates []string
-	lookups []string
+	unlinks []string
+	exists  map[string]bool
+	wrong   int // creates of a file that exists, unlinks of one that does not
 }
 
-func (f *fakeMeta) Lookup(path string, cb client.AttrCallback) {
-	f.lookups = append(f.lookups, path)
-	f.complete(cb)
+func (f *fakeMeta) Unlink(path string, cb client.ErrnoCallback) {
+	f.unlinks = append(f.unlinks, path)
+	f.touch(path, false)
+	f.complete(func(_ msg.Attr, errno msg.Errno) { cb(errno) })
 }
 
 func (f *fakeMeta) Create(path string, _ bool, cb client.AttrCallback) {
 	f.creates = append(f.creates, path)
+	f.touch(path, true)
 	f.complete(cb)
+}
+
+func (f *fakeMeta) touch(path string, create bool) {
+	if f.exists == nil {
+		f.exists = make(map[string]bool)
+	}
+	if f.exists[path] == create {
+		f.wrong++
+	}
+	f.exists[path] = create
 }
 
 func (f *fakeMeta) complete(cb func(msg.Attr, msg.Errno)) {
@@ -54,32 +68,29 @@ func TestMetaRunnerClosedLoop(t *testing.T) {
 	if r.Ops < 900 || r.Errors != 0 {
 		t.Fatalf("ops = %d (errors %d), want ~1000", r.Ops, r.Errors)
 	}
-	// First touch creates, every later touch looks up — each working-set
-	// file is created at most once, under this client's own prefix.
-	seen := map[string]bool{}
-	for _, p := range f.creates {
-		if seen[p] {
-			t.Fatalf("file created twice: %s", p)
-		}
-		seen[p] = true
-		if !strings.HasPrefix(p, "/w3/") {
-			t.Fatalf("create outside client working set: %s", p)
-		}
+	// A touch creates the file or unlinks it, whichever it is due: every
+	// operation is a transaction, under this client's own prefix, and none
+	// is refused.
+	if f.wrong != 0 {
+		t.Fatalf("%d creates of an existing file or unlinks of a missing one", f.wrong)
 	}
-	for _, p := range f.lookups {
-		if !seen[p] {
-			t.Fatalf("lookup before create: %s", p)
+	if len(f.unlinks) == 0 {
+		t.Fatal("no file was ever touched twice")
+	}
+	for _, p := range append(f.creates, f.unlinks...) {
+		if !strings.HasPrefix(p, "/w3/") {
+			t.Fatalf("operation outside client working set: %s", p)
 		}
 	}
 	// Zipf skew: the hottest file draws a plurality of the traffic.
 	hot := 0
-	for _, p := range f.lookups {
+	for _, p := range append(f.creates, f.unlinks...) {
 		if p == MetaPath(3, 0) {
 			hot++
 		}
 	}
-	if hot*3 < len(f.lookups) {
-		t.Fatalf("skew missing: hottest file got %d of %d lookups", hot, len(f.lookups))
+	if hot*3 < len(f.creates)+len(f.unlinks) {
+		t.Fatalf("skew missing: hottest file got %d of %d operations", hot, len(f.creates)+len(f.unlinks))
 	}
 }
 

@@ -18,7 +18,14 @@ import (
 	"repro/internal/sim"
 )
 
-// OpKind is one generated operation.
+// OpKind is one generated operation. OpStat and OpReaddir are the mix's
+// metadata share: what they stand for in every experiment is an ordinary
+// metadata message — a transaction at the server whose ACK renews the
+// lease. Since clients cache names, attributes and listings under
+// directory locks, a stat or a readdir of something seen before is no
+// message at all, so both are issued as the metadata operation that still
+// is one: a create or an unlink in the runner's own directory, which
+// nobody else has cached.
 type OpKind uint8
 
 const (
@@ -174,6 +181,9 @@ type Runner struct {
 
 	handles map[int]openFile // file index → open handle
 	stopped bool
+	// scratch says the runner's scratch file exists: the next metadata
+	// operation unlinks it, the one after creates it again.
+	scratch bool
 
 	// Ops counts completed operations; Errors counts failures (refused
 	// while quiescing, stale handles after recovery, ...).
@@ -300,11 +310,32 @@ func (r *Runner) step() {
 			data := make([]byte, cluster.BlockSize)
 			data[0] = byte(r.Ops)
 			c.Write(of.h, r.pick.Block(), data, func(e msg.Errno) { next(e) })
-		case OpStat:
-			of.sub.Stat(of.ino, func(_ msg.Attr, e msg.Errno) { next(e) })
-		case OpReaddir:
-			of.sub.Readdir(1, func(_ []msg.DirEntry, e msg.Errno) { next(e) }) // root
+		case OpStat, OpReaddir:
+			r.metaOp(next)
 		}
+	})
+}
+
+// metaOp is one metadata transaction: the runner's scratch file, in a
+// directory of its own under the population's, created or unlinked.
+func (r *Runner) metaOp(next func(msg.Errno)) {
+	c := r.cl.Clients[r.client]
+	path := fmt.Sprintf("/pop/c%d/t", r.client)
+	if r.scratch {
+		c.Unlink(path, func(e msg.Errno) {
+			r.scratch = e != msg.OK && e != msg.ErrNoEnt
+			next(e)
+		})
+		return
+	}
+	c.Create(path, false, func(_ msg.Attr, e msg.Errno) {
+		if e == msg.ErrNoEnt {
+			// The first one makes the directory; it counts as the operation.
+			c.Create(fmt.Sprintf("/pop/c%d", r.client), true, func(_ msg.Attr, e msg.Errno) { next(e) })
+			return
+		}
+		r.scratch = e == msg.OK || e == msg.ErrExist
+		next(e)
 	})
 }
 

@@ -8,6 +8,14 @@
 // heartbeats, fencing-only recovery, naive lock stealing, NFS polling,
 // GFS dlocks).
 //
+// Clients cache two things under the lease: file data under data locks,
+// and the namespace — names, known absences, listings, attributes — under
+// shared directory locks that arrive on the replies to the requests they
+// cover (DESIGN.md §18). A lookup, stat or readdir of something seen
+// before sends nothing; a mutation in a directory other clients have
+// cached first takes the directory's lock back from each of them, by
+// demand or by waiting out an unreachable one's lease.
+//
 // The package re-exports the pieces a downstream user composes:
 //
 //   - The unified With* option vocabulary (options.go): one set of
