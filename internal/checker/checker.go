@@ -105,6 +105,10 @@ type Oracle interface {
 	// object's attributes are now attr.
 	NameChanged(by msg.NodeID, dir msg.ObjectID, name string, ino msg.ObjectID)
 	AttrChanged(by msg.NodeID, attr msg.Attr)
+	// A client reports how many of its own changes to the namespace are
+	// in flight — sent, and the reply not yet applied to its cache — each
+	// time the number moves.
+	OwnChanges(client msg.NodeID, inFlight int)
 }
 
 // Nop is an Oracle that records nothing (live deployments).
@@ -152,6 +156,8 @@ type Checker struct {
 	names    map[nameKey]nameState
 	listings map[msg.ObjectID]map[string]struct{}
 	attrs    map[msg.ObjectID]*attrState
+	// changing is each client's count of own namespace changes in flight.
+	changing map[msg.NodeID]int
 
 	violations []Violation
 	// seenConflict dedups concurrent-conflict reports per (a, b, ino).
@@ -167,6 +173,7 @@ func New(s *sim.Scheduler) *Checker {
 		crashed:      make(map[msg.NodeID]bool),
 		names:        make(map[nameKey]nameState),
 		listings:     make(map[msg.ObjectID]map[string]struct{}),
+		changing:     make(map[msg.NodeID]int),
 		attrs:        make(map[msg.ObjectID]*attrState),
 		seenConflict: make(map[string]bool),
 	}

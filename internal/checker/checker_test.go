@@ -205,7 +205,7 @@ func TestKindAndViolationStrings(t *testing.T) {
 
 // The namespace half: a served name, absence or attribute is checked
 // against what the server has acknowledged, and a client's own changes
-// are excused.
+// are excused while one of them is in flight — no longer.
 
 func namespaceKinds(c *Checker) [3]int {
 	return [3]int{c.Count(StaleName), c.Count(StaleNegative), c.Count(StaleAttr)}
@@ -215,11 +215,19 @@ func TestStaleNameAfterAcknowledgedUnlinkOrRename(t *testing.T) {
 	c := New(sim.NewScheduler(1))
 	c.NameChanged(1, 10, "f", 20) // client 1 created f
 	c.NameServed(2, 10, "f", 20)  // client 2 serves it: right
-	c.NameChanged(1, 10, "f", 0)  // client 1 unlinks it
-	c.NameServed(1, 10, "f", 20)  // the mutator's own cache may lag its own request
+	c.OwnChanges(1, 1)
+	c.NameChanged(1, 10, "f", 0) // client 1 unlinks it
+	c.NameServed(1, 10, "f", 20) // the mutator's own cache may lag its own request
 	if got := namespaceKinds(c); got != [3]int{} {
 		t.Fatalf("violations before any stale serve: %v", got)
 	}
+	c.OwnChanges(1, 0) // the reply has been applied: f is gone for client 1 too
+	c.NameServed(1, 10, "f", 20)
+	if got := namespaceKinds(c); got != [3]int{1, 0, 0} {
+		t.Fatalf("a name served after its own acknowledged unlink was applied: %v", got)
+	}
+	c = New(sim.NewScheduler(1))
+	c.NameChanged(1, 10, "f", 0)
 	c.NameServed(2, 10, "f", 20)
 	c.NameChanged(1, 10, "g", 21)
 	c.NameChanged(1, 10, "g", 22) // renamed over: another object under the name
@@ -236,8 +244,10 @@ func TestStaleNameAfterAcknowledgedUnlinkOrRename(t *testing.T) {
 func TestStaleNegativeAfterAcknowledgedCreate(t *testing.T) {
 	c := New(sim.NewScheduler(1))
 	c.NameServed(2, 10, "f", 0) // nobody has said anything about f
+	c.OwnChanges(1, 1)
 	c.NameChanged(1, 10, "f", 20)
-	c.NameServed(1, 10, "f", 0)                               // own change
+	c.NameServed(1, 10, "f", 0) // own change, its reply still on the way
+	c.OwnChanges(1, 0)
 	c.NameServed(2, 10, "f", 0)                               // a negative entry
 	c.ListServed(2, 10, []msg.DirEntry{{Name: "e", Ino: 19}}) // a complete listing lacking it
 	c.ListServed(2, 10, []msg.DirEntry{{Name: "f", Ino: 20}}) // right (e was never reported)
@@ -250,18 +260,23 @@ func TestStaleAttrAfterAcknowledgedChange(t *testing.T) {
 	c := New(sim.NewScheduler(1))
 	c.AttrChanged(1, msg.Attr{Ino: 20, Size: 0, Version: 1})
 	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})
+	c.OwnChanges(1, 1)
 	c.AttrChanged(1, msg.Attr{Ino: 20, Size: 4096, Version: 2})
-	c.AttrServed(1, msg.Attr{Ino: 20, Size: 0, Version: 1})    // own change
+	c.AttrServed(1, msg.Attr{Ino: 20, Size: 0, Version: 1}) // own change, its reply still on the way
+	c.OwnChanges(1, 0)
 	c.AttrServed(2, msg.Attr{Ino: 20, Size: 8192, Version: 2}) // a writer's own unsettled size is newer, not older
 	c.AttrServed(3, msg.Attr{Ino: 99, Version: 0})             // never reported
 	if got := namespaceKinds(c); got != [3]int{} {
 		t.Fatalf("violations before any stale serve: %v", got)
 	}
 	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})
+	c.OwnChanges(2, 1)
 	c.AttrChanged(2, msg.Attr{Ino: 20, Size: 4096, Version: 3}) // client 2 changes it too
 	c.AttrServed(2, msg.Attr{Ino: 20, Size: 0, Version: 1})     // and still misses client 1's change
-	if got := namespaceKinds(c); got != [3]int{0, 0, 2} {
-		t.Fatalf("stale-name/negative/attr = %v, want 2 stale attrs", got)
+	c.OwnChanges(2, 0)
+	c.AttrServed(2, msg.Attr{Ino: 20, Size: 4096, Version: 2}) // now its own as well
+	if got := namespaceKinds(c); got != [3]int{0, 0, 3} {
+		t.Fatalf("stale-name/negative/attr = %v, want 3 stale attrs", got)
 	}
 	var o Oracle = Nop{} // the no-op oracle takes the same calls
 	o.NameServed(1, 1, "x", 0)
@@ -269,4 +284,5 @@ func TestStaleAttrAfterAcknowledgedChange(t *testing.T) {
 	o.AttrServed(1, msg.Attr{})
 	o.NameChanged(1, 1, "x", 2)
 	o.AttrChanged(1, msg.Attr{})
+	o.OwnChanges(1, 1)
 }

@@ -19,13 +19,15 @@ import (
 //     complete listing that lacks it — after another client's
 //     acknowledged create or rename put it there.
 //   - StaleAttr: attributes served with a Version older than one an
-//     acknowledged change by another client produced (every change to
-//     Size or Nlink moves Version).
+//     acknowledged change produced (every change to Size or Nlink moves
+//     Version).
 //
-// A client's own changes are excused, as its own writes are for
-// StaleRead: between the server's acknowledgment and its arrival the
-// mutator's operation is still in progress, and its cache is allowed to
-// lag its own request.
+// A client's own changes are excused while one is in flight (OwnChanges):
+// between the server's acknowledgment and its arrival the mutator's
+// operation is still in progress, and its cache is allowed to lag its own
+// request. Once every reply has been applied the client answers for its
+// own changes like anybody's: a name it created and was told so must not
+// turn absent again because an older answer arrived late.
 
 type nameKey struct {
 	dir  msg.ObjectID
@@ -71,10 +73,20 @@ func (c *Checker) AttrChanged(by msg.NodeID, attr msg.Attr) {
 	}
 }
 
+// OwnChanges implements Oracle.
+func (c *Checker) OwnChanges(client msg.NodeID, inFlight int) {
+	c.changing[client] = inFlight
+}
+
+// excused reports whether client's cache may still lag a change made by by.
+func (c *Checker) excused(client, by msg.NodeID) bool {
+	return by == client && c.changing[client] > 0
+}
+
 // NameServed implements Oracle.
 func (c *Checker) NameServed(client msg.NodeID, dir msg.ObjectID, name string, ino msg.ObjectID) {
 	truth, known := c.names[nameKey{dir, name}]
-	if !known || truth.ino == ino || truth.by == client {
+	if !known || truth.ino == ino || c.excused(client, truth.by) {
 		return
 	}
 	kind, what := StaleName, fmt.Sprintf("served %q -> %v", name, ino)
@@ -113,7 +125,7 @@ func (c *Checker) AttrServed(client msg.NodeID, attr msg.Attr) {
 	var other msg.NodeID
 	var newest uint64
 	for by, ver := range a.by {
-		if by != client && (ver > newest || ver == newest && by < other) {
+		if !c.excused(client, by) && (ver > newest || ver == newest && by < other) {
 			other, newest = by, ver
 		}
 	}
@@ -128,3 +140,4 @@ func (Nop) ListServed(msg.NodeID, msg.ObjectID, []msg.DirEntry)        {}
 func (Nop) AttrServed(msg.NodeID, msg.Attr)                            {}
 func (Nop) NameChanged(msg.NodeID, msg.ObjectID, string, msg.ObjectID) {}
 func (Nop) AttrChanged(msg.NodeID, msg.Attr)                           {}
+func (Nop) OwnChanges(msg.NodeID, int)                                 {}

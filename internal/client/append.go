@@ -26,14 +26,17 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 		return
 	}
 	need := uint32(idx + 1 - uint64(len(o.Blocks)))
+	c.changeBegin() // an allocation moves the version
 	c.call(&msg.AllocBlocks{Ino: ino, Count: need}, func(r *msg.Reply) {
 		errno := errnoOf(r)
 		if errno != msg.OK {
+			c.changeEnd()
 			cb(errno)
 			return
 		}
 		res := r.Body.(msg.AllocRes)
 		c.names.refreshAttr(res.Attr)
+		c.changeEnd()
 		o := c.cache.Ensure(ino)
 		if !o.HaveMap || int(res.First) != len(o.Blocks) {
 			o.HaveMap = false
@@ -91,6 +94,7 @@ func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
 
 func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
 	p.owed, p.inflight = false, true
+	c.changeBegin()
 	c.call(&msg.SetAttr{Ino: ino, NewSize: size}, func(r *msg.Reply) {
 		p.inflight = false
 		if errnoOf(r) == msg.OK {
@@ -99,6 +103,7 @@ func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
 			// Refused, or cancelled with the lease: nothing more to send.
 			p.owed = false
 		}
+		c.changeEnd()
 		c.stepSize(ino, p)
 	})
 }
@@ -211,12 +216,14 @@ func (c *Client) trim(ino msg.ObjectID, done func()) {
 		return
 	}
 	c.downgradeBegin(ino)
+	c.changeBegin()
 	c.call(&msg.Truncate{Ino: ino, Blocks: uint32(keep)}, func(r *msg.Reply) {
 		if errnoOf(r) == msg.OK {
 			res := r.Body.(msg.AttrRes)
 			c.learnAttr(res, false)
 			c.truncated(ino, keep, res.Attr)
 		}
+		c.changeEnd()
 		c.downgradeEnd(ino)
 		done()
 	})

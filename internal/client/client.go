@@ -184,7 +184,7 @@ type Client struct {
 	downgrading     map[msg.ObjectID]int
 	acquireDeferred map[msg.ObjectID][]func()
 	// askDeferred holds the namespace requests waiting for every such
-	// exchange to end (afterAllDowngrades).
+	// exchange to end (behindDowngrades).
 	askDeferred []func()
 	// sizePush holds what each object owes the server about its size
 	// (append.go).
@@ -196,6 +196,9 @@ type Client struct {
 	// names is what the client caches of the namespace under shared
 	// directory locks (names.go).
 	names nameCache
+	// changes counts this client's own changes to what directory locks
+	// cover that are in flight (changeBegin).
+	changes int
 	// prefetchInflight tracks the block indexes a read-ahead batch is
 	// already fetching, and the block each was issued for, so overlapping
 	// windows are not re-requested.
@@ -449,7 +452,13 @@ func (c *Client) admitted() bool {
 // NACK means our locks are gone and the cache must be discarded; for the
 // paper's policy a NACK while our lease is still running may mean the
 // server restarted and lost its volatile state — worth one reassertion
-// attempt (§6) before completing the ordinary lease recovery.
+// attempt (§6) before completing the ordinary lease recovery. (A request
+// that was in flight across a reassertion is refused for the epoch it was
+// stamped with, which is history: the channel does not tell the lease, the
+// lease stays valid, and maybeReassert finds nothing to do — its operation
+// fails, and the registration that replaced that epoch, with everything in
+// flight under it, perhaps waiting out the server's grace window, is left
+// alone.)
 func (c *Client) call(req msg.Request, cb core.ReplyCallback) {
 	c.chn.Call(req, func(r *msg.Reply) {
 		if r != nil && r.Status == msg.NACK {
@@ -596,18 +605,13 @@ func (c *Client) downgradeEnd(ino msg.ObjectID) {
 	}
 }
 
-// afterAllDowngrades runs fn once no downgrade exchange is in flight on any
+// behindDowngrades reports whether a downgrade exchange is in flight on any
 // object. A request whose reply may grant directory locks goes out behind
-// them: which directories it will name is not known until it comes back,
-// and over a datagram network it could overtake the release of one of
-// them and be answered from before it.
-func (c *Client) afterAllDowngrades(fn func()) {
-	if len(c.downgrading) == 0 {
-		fn()
-		return
-	}
-	c.askDeferred = append(c.askDeferred, fn)
-}
+// them all — its sender queues itself on askDeferred, which downgradeEnd
+// drains: which directories the reply will name is not known until it
+// comes back, and over a datagram network it could overtake the release
+// of one of them and be answered from before it.
+func (c *Client) behindDowngrades() bool { return len(c.downgrading) > 0 }
 
 // afterDowngrades runs fn once no downgrade exchange is in flight on ino.
 func (c *Client) afterDowngrades(ino msg.ObjectID, fn func()) {

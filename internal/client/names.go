@@ -2,7 +2,6 @@ package client
 
 import (
 	"slices"
-	"strings"
 
 	"repro/internal/meta"
 	"repro/internal/msg"
@@ -71,8 +70,10 @@ type nameCache struct {
 	// head and tail of the LRU list of dirs.
 	head, tail *dirNames
 	count, cap int
-	// gen counts the events a reply's grants must not have crossed: a
-	// demand received, a release or downgrade sent (see nameGuard).
+	// gen counts the events a reply must not have crossed if what it says
+	// is to be installed: a demand received, a release or downgrade sent,
+	// one of this client's own changes leaving, or its reply being applied
+	// (see nameGuard).
 	gen uint64
 
 	hits, misses, negHits, revoked, evicted *stats.Counter
@@ -95,29 +96,6 @@ func newNameCache(on bool, reg *stats.Registry, prefix string) nameCache {
 }
 
 // --- the hit path ------------------------------------------------------------
-
-// nextName splits the first component off a path, skipping empty ones and
-// ".": name is "" when there is none left.
-//
-//tank:hotpath
-func nextName(p string) (name, rest string) {
-	for {
-		for len(p) > 0 && p[0] == '/' {
-			p = p[1:]
-		}
-		if p == "" {
-			return "", ""
-		}
-		i := strings.IndexByte(p, '/')
-		if i < 0 {
-			i = len(p)
-		}
-		name, p = p[:i], p[i:]
-		if name != "." {
-			return name, p
-		}
-	}
-}
 
 // find looks name up among the entries held.
 //
@@ -184,7 +162,8 @@ func (n *nameCache) unlink(d *dirNames) {
 	d.prev, d.next = nil, nil
 }
 
-// cachedLookup walks path through the cache from the root. It answers —
+// cachedLookup walks path through the cache from the root, a component
+// at a time as the server's walk takes them (meta.PathIter). It answers —
 // the object's attributes, or that a name on the way does not exist —
 // only when every step it took is covered; at the first directory it does
 // not hold, or name it does not know, it reports a miss.
@@ -192,13 +171,12 @@ func (n *nameCache) unlink(d *dirNames) {
 //tank:hotpath
 func (c *Client) cachedLookup(path string) (attr msg.Attr, errno msg.Errno, hit bool) {
 	n := &c.names
-	// ".." is resolved lexically, before the walk: the server's business.
-	if len(path) == 0 || path[0] != '/' || strings.Contains(path, "..") {
-		return msg.Attr{}, msg.OK, false
+	it, ok := meta.IterPath(path)
+	if !ok {
+		return msg.Attr{}, msg.OK, false // the server says how that fails
 	}
 	d := n.dirs[meta.RootIno]
-	name, rest := nextName(path)
-	for ; name != ""; name, rest = nextName(rest) {
+	for name := it.Next(); name != ""; name = it.Next() {
 		if d == nil {
 			return msg.Attr{}, msg.OK, false
 		}
@@ -217,7 +195,7 @@ func (c *Client) cachedLookup(path string) (attr msg.Attr, errno msg.Errno, hit 
 			d = n.dirs[e.Ino]
 			continue
 		}
-		if next, _ := nextName(rest); next != "" {
+		if it.Left() > 0 {
 			return msg.Attr{}, msg.OK, false // through a file: the server says how that fails
 		}
 		j, ok := d.file(e.Ino)
@@ -377,17 +355,23 @@ func (n *nameCache) forgetAttr(ino msg.ObjectID) {
 // --- the client's side of the lock -------------------------------------------
 
 // nameGuard is what a request remembers of the moment it was sent, to
-// decide on the reply's arrival whether the directory locks it carries
-// may be installed. A lock the reply grants is this client's only if
-// nothing took it away in between, and the client cannot tell a grant
-// made before a demand, or before a release of its own was processed,
-// from one made after: so a demand received, or a release or downgrade
-// sent, between the request and its reply makes the reply one that is
-// used but installs nothing. (One still unacknowledged when the request
-// leaves would do the same; ask waits for those first.) So does a new
-// registration, whose server has forgotten the grant, and a lease that
-// has stopped being valid, whose locks are about to be reasserted from
-// what is held now.
+// decide on the reply's arrival whether what it says may be installed. A
+// lock the reply grants is this client's only if nothing took it away in
+// between, and the client cannot tell a grant made before a demand, or
+// before a release of its own was processed, from one made after: so a
+// demand received, or a release or downgrade sent, between the request
+// and its reply makes the reply one that is used but installs nothing.
+// (One still unacknowledged when the request leaves would do the same;
+// ask waits for those first.) What the reply says of the namespace is
+// true now only if this client has changed nothing since the server
+// wrote it, and replies to requests in flight together arrive in any
+// order: so one of this client's own changes leaving, or its reply being
+// applied (changeBegin, changeEnd), between the request and its reply
+// does the same — a lookup answered "no such name" before this client's
+// create of that name, and delivered after it, is used and forgotten. So
+// does a new registration, whose server has forgotten the grant, and a
+// lease that has stopped being valid, whose locks are about to be
+// reasserted from what is held now.
 type nameGuard struct {
 	gen   uint64
 	epoch msg.Epoch
@@ -397,25 +381,64 @@ func (c *Client) mayInstall(g nameGuard) bool {
 	return c.names.on && g.gen == c.names.gen && g.epoch == c.chn.Epoch() && c.admitted()
 }
 
-// ask sends a request whose reply may grant directory locks — the three
-// the cache could not answer, and the three that change the namespace —
-// once no downgrade is in flight, and hands the reply to done with the
-// guard taken as it left.
+// ask sends a request that reads the namespace and whose reply may grant
+// directory locks — the three the cache could not answer — once no
+// downgrade is in flight, and hands the reply to done with the guard
+// taken as it left.
 func (c *Client) ask(req msg.Request, done func(r *msg.Reply, g nameGuard)) {
-	c.afterAllDowngrades(func() {
-		if !c.admitted() {
-			done(nil, nameGuard{}) // the lease went while it waited
-			return
-		}
-		g := nameGuard{gen: c.names.gen, epoch: c.chn.Epoch()}
-		c.call(req, func(r *msg.Reply) { done(r, g) })
+	if c.behindDowngrades() {
+		c.askDeferred = append(c.askDeferred, func() { c.ask(req, done) })
+		return
+	}
+	if !c.admitted() {
+		done(nil, nameGuard{}) // the lease went while it waited
+		return
+	}
+	g := nameGuard{gen: c.names.gen, epoch: c.chn.Epoch()}
+	c.call(req, func(r *msg.Reply) { done(r, g) })
+}
+
+// change sends one of the three requests that change names, likewise: its
+// reply also leaves the client holding directories.
+func (c *Client) change(req msg.Request, done func(r *msg.Reply, g nameGuard)) {
+	if c.behindDowngrades() {
+		c.askDeferred = append(c.askDeferred, func() { c.change(req, done) })
+		return
+	}
+	if !c.admitted() {
+		done(nil, nameGuard{})
+		return
+	}
+	g := c.changeBegin()
+	c.call(req, func(r *msg.Reply) {
+		done(r, g)
+		c.changeEnd()
 	})
+}
+
+// changeBegin marks a request of this client's that changes something a
+// directory lock covers — a name, or a file's attributes — as leaving, and
+// changeEnd its reply as applied to the cache. Between the two the server
+// makes the change at a moment the client cannot place among the other
+// replies on their way to it: every reply that overlaps the change is used
+// and installs nothing, and the oracle excuses a cache that lags the
+// client's own request — until changeEnd, and no longer.
+func (c *Client) changeBegin() nameGuard {
+	c.names.gen++
+	c.changes++
+	c.oracle.OwnChanges(c.id, c.changes)
+	return nameGuard{gen: c.names.gen, epoch: c.chn.Epoch()}
+}
+
+func (c *Client) changeEnd() {
+	c.names.gen++
+	c.changes--
+	c.oracle.OwnChanges(c.id, c.changes)
 }
 
 // holdDir returns the cached state of a directory a reply says the client
 // holds: what is cached already, or — when the reply may install — a new
-// entry, and the lock with it. A reply that may not install still updates
-// what is there, which the client holds on its own account.
+// entry, and the lock with it.
 func (c *Client) holdDir(ino msg.ObjectID, install bool) *dirNames {
 	if ino == 0 {
 		return nil
@@ -445,6 +468,20 @@ func (c *Client) dropDir(ino msg.ObjectID) bool {
 	return true
 }
 
+// distrust is what becomes of the reply to one of this client's own
+// changes that something crossed. The change is real, but so is whatever
+// overtook it — a demand and a fresh grant, another change of this
+// client's to the same name — and in which order the two reached the
+// server nobody here can tell: every directory the reply names goes, with
+// what was cached under it. (One it could not name, 0, the change did not
+// touch: the directories a mutation changes are its own for the
+// duration.) The locks stay the server's to demand.
+func (c *Client) distrust(dirs []msg.ObjectID) {
+	for _, ino := range dirs {
+		c.dropDir(ino)
+	}
+}
+
 // trimNames gives the least recently used directories back while the
 // cache is over its cap, sparing the one in use.
 func (c *Client) trimNames() {
@@ -458,78 +495,56 @@ func (c *Client) trimNames() {
 	}
 }
 
-// countNames counts a path's names as the server does, or reports that it
-// cannot: a relative path, or a ".." the server resolves before it walks,
-// and no chain can be matched to such a path's names.
-func countNames(path string) (n int, ok bool) {
-	if len(path) == 0 || path[0] != '/' || strings.Contains(path, "..") {
-		return 0, false
-	}
-	for name, rest := nextName(path); name != ""; name, rest = nextName(rest) {
-		n++
-	}
-	return n, true
+// countNames counts a path's names as the server's walk does.
+func countNames(path string) int {
+	it, _ := meta.IterPath(path)
+	return it.Left()
 }
 
-// learnWalk takes in what the reply to a request about path says about
-// the namespace. dirs[i] is the directory the path's i-th name was looked
-// up in, or 0. The walk found found at its end, or, when found is nil,
-// found the last name it reached missing from the last directory. The
+// learnWalk takes in what an uncrossed reply to a request about path says
+// about the namespace. dirs[i] is the directory the path's i-th name was
+// looked up in, or 0. The walk found found at its end, or, when found is
+// nil, found the last name it reached missing from the last directory. The
 // names cached are substrings of path.
-func (c *Client) learnWalk(path string, dirs []msg.ObjectID, found *msg.Attr, install bool) (names int) {
-	names, ok := countNames(path)
-	if !ok {
-		return -1
-	}
+func (c *Client) learnWalk(path string, dirs []msg.ObjectID, found *msg.Attr) (names int) {
+	it, _ := meta.IterPath(path)
+	names = it.Left()
 	n := &c.names
-	name, rest := nextName(path)
 	for i := 0; i < len(dirs) && i < names; i++ {
-		if d := c.holdDir(dirs[i], install); d != nil {
-			switch last := i == names-1 || i == len(dirs)-1; {
-			case !last:
-				if dirs[i+1] != 0 {
-					n.setEntry(d, name, dirs[i+1], true)
-				}
-			case found == nil:
-				n.setEntry(d, name, 0, false)
-			case i == names-1:
-				n.setEntry(d, name, found.Ino, found.IsDir)
-				if !found.IsDir {
-					n.setAttr(d, *found)
-				}
+		name := it.Next()
+		d := c.holdDir(dirs[i], true)
+		if d == nil {
+			continue
+		}
+		switch last := i == names-1 || i == len(dirs)-1; {
+		case !last:
+			if dirs[i+1] != 0 {
+				n.setEntry(d, name, dirs[i+1], true)
+			}
+		case found == nil:
+			n.setEntry(d, name, 0, false)
+		case i == names-1:
+			n.setEntry(d, name, found.Ino, found.IsDir)
+			if !found.IsDir {
+				n.setAttr(d, *found)
 			}
 		}
-		name, rest = nextName(rest)
 	}
 	c.trimNames()
 	return names
-}
-
-// mappable reports whether the names of path, which this client has just
-// changed something under, can be matched to a reply's chain. When they
-// cannot, what the change made stale cannot be found either, and
-// everything cached goes: the locks stay the server's to demand.
-func (c *Client) mappable(path string) bool {
-	if _, ok := countNames(path); ok {
-		return true
-	}
-	for ino := range c.names.dirs {
-		c.dropDir(ino)
-	}
-	return false
 }
 
 // learnLookup takes in a Lookup reply: the chain, the object's attributes
 // under the lock that covers them, or the name's absence.
 func (c *Client) learnLookup(path string, res msg.LookupRes, errno msg.Errno, g nameGuard) {
 	if !c.mayInstall(g) {
-		return // nothing here can disagree with what is cached
+		return // nothing here may disagree with what is cached
 	}
 	if errno != msg.OK {
-		c.learnWalk(path, res.Dirs, nil, true)
+		c.learnWalk(path, res.Dirs, nil)
 		return
 	}
-	names := c.learnWalk(path, res.Dirs, &res.Attr, true)
+	names := c.learnWalk(path, res.Dirs, &res.Attr)
 	if res.Attr.IsDir && len(res.Dirs) == names+1 {
 		// One more entry: the directory found, under its own lock.
 		if d := c.holdDir(res.Dirs[names], true); d != nil {
@@ -541,11 +556,14 @@ func (c *Client) learnLookup(path string, res msg.LookupRes, errno msg.Errno, g 
 // learnCreate takes in the reply to this client's own Create: a lookup of
 // the new name, and a directory whose own attributes just moved.
 func (c *Client) learnCreate(path string, res msg.CreateRes, g nameGuard) {
-	if !c.names.on || !c.mappable(path) {
-		return
+	switch {
+	case !c.names.on:
+	case !c.mayInstall(g):
+		c.distrust(res.Dirs)
+	default:
+		c.learnWalk(path, res.Dirs, &res.Attr)
+		c.parentChanged(res.Dirs)
 	}
-	c.learnWalk(path, res.Dirs, &res.Attr, c.mayInstall(g))
-	c.parentChanged(res.Dirs)
 }
 
 // parentChanged notes that the last directory of a chain gained or lost a
@@ -561,18 +579,22 @@ func (c *Client) parentChanged(dirs []msg.ObjectID) {
 // unlearn removes the name at the end of path, which this client's own
 // Unlink or Rename took out of the last directory of the chain, and
 // whatever was cached about the object under it.
-func (c *Client) unlearn(path string, dirs []msg.ObjectID, gone msg.Attr, install bool) {
-	c.learnWalk(path, dirs, nil, install)
+func (c *Client) unlearn(path string, dirs []msg.ObjectID, gone msg.Attr) {
+	c.learnWalk(path, dirs, nil)
 	c.parentChanged(dirs)
 	c.names.forgetAttr(gone.Ino)
 }
 
 // learnUnlink takes in the reply to this client's own Unlink.
 func (c *Client) learnUnlink(path string, res msg.LookupRes, g nameGuard) {
-	if !c.names.on || !c.mappable(path) {
+	if !c.names.on {
 		return
 	}
-	c.unlearn(path, res.Dirs, res.Attr, c.mayInstall(g))
+	if c.mayInstall(g) {
+		c.unlearn(path, res.Dirs, res.Attr)
+	} else {
+		c.distrust(res.Dirs)
+	}
 	if res.Attr.IsDir {
 		c.dropDir(res.Attr.Ino) // the server has let go of it for everyone
 	}
@@ -582,25 +604,25 @@ func (c *Client) learnUnlink(path string, res msg.LookupRes, g nameGuard) {
 // chain, then NewPath's. A rename that left the authority carries none —
 // its server took the old directory's lock from this client too.
 func (c *Client) learnRename(oldPath, newPath string, res msg.LookupRes, g nameGuard) {
-	if !c.names.on || !c.mappable(oldPath) || !c.mappable(newPath) {
-		return
+	from := countNames(oldPath)
+	switch {
+	case !c.names.on || len(res.Dirs) != from+countNames(newPath):
+	case !c.mayInstall(g):
+		c.distrust(res.Dirs)
+	default:
+		c.unlearn(oldPath, res.Dirs[:from], res.Attr)
+		c.learnWalk(newPath, res.Dirs[from:], &res.Attr)
+		c.parentChanged(res.Dirs[from:])
 	}
-	from, _ := countNames(oldPath)
-	to, _ := countNames(newPath)
-	if len(res.Dirs) != from+to {
-		return
-	}
-	install := c.mayInstall(g)
-	c.unlearn(oldPath, res.Dirs[:from], res.Attr, install)
-	c.learnWalk(newPath, res.Dirs[from:], &res.Attr, install)
-	c.parentChanged(res.Dirs[from:])
 }
 
 // learnAttr takes in attributes that came with the name of the directory
-// whose lock covers them (0: the client does not hold it). Only the reply
-// to a GetAttr may install that directory: the requests that change
-// attributes leave their requester holding what it held, and their
-// replies update what is cached.
+// whose lock covers them (0: the client does not hold it). Only the
+// uncrossed reply to a GetAttr may install that directory, or say what a
+// directory's own attributes are: the requests that change a file's
+// attributes leave their requester holding what it held, and their replies
+// update what is cached — the newer version stays, whatever order they
+// come in.
 func (c *Client) learnAttr(res msg.AttrRes, install bool) {
 	if !c.names.on {
 		return
@@ -608,7 +630,7 @@ func (c *Client) learnAttr(res msg.AttrRes, install bool) {
 	d := c.holdDir(res.Dir, install)
 	switch {
 	case res.Attr.IsDir:
-		if d != nil && res.Dir == res.Attr.Ino {
+		if install && d != nil && res.Dir == res.Attr.Ino {
 			d.attr, d.haveAttr = res.Attr, true
 		}
 	case d != nil:

@@ -404,6 +404,140 @@ func TestNamesGrantCrossingDemand(t *testing.T) {
 	noViolations(t, cl)
 }
 
+// holdReply holds back the first reply to client i whose body pick accepts,
+// and returns the function that delivers it at last (false: none came).
+func holdReply(cl *cluster.Cluster, i int, pick func(msg.Result) bool) (deliver func() bool) {
+	var held *msg.Envelope
+	cl.Control.Attach(cluster.ClientID(i), func(env msg.Envelope) {
+		if r, ok := env.Payload.(*msg.Reply); ok && held == nil && r.Status == msg.ACK && pick(r.Body) {
+			held = &env
+			return
+		}
+		cl.Clients[i].Deliver(env)
+	})
+	return func() bool {
+		if held == nil {
+			return false
+		}
+		cl.Clients[i].Deliver(*held)
+		return true
+	}
+}
+
+// TestNamesOwnChangeCrossesReply: a client may have several requests in
+// flight, and their replies arrive in any order. An answer the server
+// gave before this client's own change, delivered after the change's
+// acknowledgment, is used — it was true when given — and must not put
+// back into the cache what the change replaced: the client would go on
+// denying a file whose creation it has been told of, with nobody left to
+// demand the mistake away. Each case holds one reply back, lets a change
+// of the same client's complete, delivers the old reply, and asks again:
+// the answer must be the store's.
+func TestNamesOwnChangeCrossesReply(t *testing.T) {
+	setup := func(t *testing.T) (*cluster.Cluster, ns, ns, msg.ObjectID) {
+		cl := cluster.New(cluster.DefaultOptions())
+		cl.Start()
+		a, b := nsOf(t, cl, 0), nsOf(t, cl, 1)
+		dir := a.mkdir("/s").Ino
+		a.create("/s/old")
+		b.create("/s/other") // takes the directory, and all A knew of it, from A
+		return cl, a, b, dir
+	}
+	isLookup := func(r msg.Result) bool { _, ok := r.(msg.LookupRes); return ok }
+	isCreate := func(r msg.Result) bool { _, ok := r.(msg.CreateRes); return ok }
+	isList := func(r msg.Result) bool { _, ok := r.(msg.ReaddirRes); return ok }
+	isAttr := func(r msg.Result) bool { _, ok := r.(msg.AttrRes); return ok }
+
+	t.Run("absent then created", func(t *testing.T) {
+		cl, a, _, _ := setup(t)
+		deliver := holdReply(cl, 0, isLookup)
+		var got msg.Errno = msg.OK
+		cl.Clients[0].Lookup("/s/x", func(_ msg.Attr, errno msg.Errno) { got = errno })
+		cl.RunFor(50 * time.Millisecond)
+		a.create("/s/x")
+		if !deliver() || got != msg.ErrNoEnt {
+			t.Fatalf("the late reply was not used: %v", got)
+		}
+		if _, err := a.lookup("/s/x"); err != nil {
+			t.Fatalf("A denies the file it created: %v", err)
+		}
+		noViolations(t, cl)
+	})
+	t.Run("present then unlinked", func(t *testing.T) {
+		cl, a, _, _ := setup(t)
+		deliver := holdReply(cl, 0, func(r msg.Result) bool {
+			res, ok := r.(msg.LookupRes)
+			return ok && res.Attr.Ino != 0 && len(res.Dirs) == 2 // the lookup's, not the unlink's
+		})
+		found := false
+		cl.Clients[0].Lookup("/s/old", func(_ msg.Attr, errno msg.Errno) { found = errno == msg.OK })
+		cl.RunFor(50 * time.Millisecond)
+		if err := a.sc.Unlink("/s/old"); err != nil {
+			t.Fatal(err)
+		}
+		if !deliver() || !found {
+			t.Fatal("the late reply was not used")
+		}
+		if _, err := a.lookup("/s/old"); err != msg.ErrNoEnt {
+			t.Fatalf("A still finds the file it unlinked: %v", err)
+		}
+		noViolations(t, cl)
+	})
+	t.Run("listed then created", func(t *testing.T) {
+		cl, a, _, dir := setup(t)
+		deliver := holdReply(cl, 0, isList)
+		listed := -1
+		cl.Clients[0].Sub(0).Readdir(dir, func(entries []msg.DirEntry, _ msg.Errno) { listed = len(entries) })
+		cl.RunFor(50 * time.Millisecond)
+		a.create("/s/x")
+		if !deliver() || listed != 2 {
+			t.Fatalf("the late listing was not used: %d entries", listed)
+		}
+		if got := a.readdir(dir); len(got) != 3 {
+			t.Fatalf("A lists %d entries after its create", len(got))
+		}
+		a.lookup("/s/x")
+		noViolations(t, cl)
+	})
+	t.Run("created then unlinked, acknowledged in the other order", func(t *testing.T) {
+		cl, a, _, _ := setup(t)
+		deliver := holdReply(cl, 0, isCreate)
+		created := false
+		cl.Clients[0].Create("/s/x", false, func(_ msg.Attr, errno msg.Errno) { created = errno == msg.OK })
+		cl.RunFor(50 * time.Millisecond)
+		if err := a.sc.Unlink("/s/x"); err != nil {
+			t.Fatalf("the unlink of a file the server has created: %v", err)
+		}
+		if !deliver() || !created {
+			t.Fatal("the late acknowledgment was not used")
+		}
+		if _, err := a.lookup("/s/x"); err != msg.ErrNoEnt {
+			t.Fatalf("A finds the file it unlinked after creating it: %v", err)
+		}
+		noViolations(t, cl)
+	})
+	t.Run("stat then extended", func(t *testing.T) {
+		cl, a, b, _ := setup(t)
+		h, ino := cl.MustOpen(0, "/s/old", true, false)
+		b.create("/s/again") // A forgets the directory again, and the file's attributes with it
+		deliver := holdReply(cl, 0, isAttr)
+		var size uint64 = math.MaxUint64
+		cl.Clients[0].Sub(0).Stat(ino.Ino, func(attr msg.Attr, _ msg.Errno) { size = attr.Size })
+		cl.RunFor(50 * time.Millisecond)
+		if errno := cl.Write(0, h, 0, make([]byte, cluster.BlockSize)); errno != msg.OK {
+			t.Fatal(errno)
+		}
+		cl.Sync(0)
+		if !deliver() || size != 0 {
+			t.Fatalf("the late attributes were not used: size %d", size)
+		}
+		if got := a.stat(ino.Ino); got.Size != cluster.BlockSize {
+			t.Fatalf("A's stat after its own write settled: %+v", got)
+		}
+		noViolations(t, cl)
+	})
+}
+
 // TestNamesGraceDefersMutations: after a server restart nobody knows who
 // holds which directory, so a create waits out the grace window like a
 // new lock acquire. A reasserted directory lock is then honoured — the

@@ -90,6 +90,8 @@ func (c *Client) Lookup(path string, cb AttrCallback) {
 	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
 		return
 	}
+	// Not through lookup: the closure that finishes the operation would be
+	// the only thing a hit allocates.
 	if attr, errno, hit := c.lookupHit(path); hit {
 		c.finish(errno)
 		cb(attr, errno)
@@ -159,7 +161,7 @@ func (c *Client) Create(path string, isDir bool, cb AttrCallback) {
 
 // create sends a Create and takes its reply into the name cache.
 func (c *Client) create(path string, isDir bool, cb AttrCallback) {
-	c.ask(&msg.Create{Path: path, IsDir: isDir}, func(r *msg.Reply, g nameGuard) {
+	c.change(&msg.Create{Path: path, IsDir: isDir}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
 		if errno != msg.OK {
 			cb(msg.Attr{}, errno)
@@ -176,7 +178,7 @@ func (c *Client) Unlink(path string, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	c.ask(&msg.Unlink{Path: path}, func(r *msg.Reply, g nameGuard) {
+	c.change(&msg.Unlink{Path: path}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
 		if errno == msg.OK {
 			c.learnUnlink(path, r.Body.(msg.LookupRes), g)
@@ -192,7 +194,7 @@ func (c *Client) Rename(oldPath, newPath string, cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	c.ask(&msg.Rename{OldPath: oldPath, NewPath: newPath}, func(r *msg.Reply, g nameGuard) {
+	c.change(&msg.Rename{OldPath: oldPath, NewPath: newPath}, func(r *msg.Reply, g nameGuard) {
 		errno := errnoOf(r)
 		if errno == msg.OK {
 			// No body: the rename left this authority (learnRename).
@@ -238,6 +240,7 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 		// The size must not overtake the truncate: a push acknowledged
 		// after it would put the old length back.
 		c.settleSize(info.ino, func() {
+			c.changeBegin()
 			c.call(&msg.Truncate{Ino: info.ino, Blocks: nBlocks}, func(r *msg.Reply) {
 				errno := errnoOf(r)
 				if errno == msg.OK {
@@ -245,6 +248,7 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 					c.learnAttr(res, false)
 					c.truncated(info.ino, int(nBlocks), res.Attr)
 				}
+				c.changeEnd()
 				done(errno)
 			})
 		})
@@ -304,7 +308,9 @@ func (c *Client) getAttr(ino msg.ObjectID, cb AttrCallback) {
 			return
 		}
 		res := r.Body.(msg.AttrRes)
-		c.learnAttr(res, c.mayInstall(g))
+		if c.mayInstall(g) {
+			c.learnAttr(res, true)
+		}
 		cb(c.seenAttr(res.Attr), msg.OK)
 	})
 }

@@ -18,20 +18,19 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	cl.Start()
 
 	h0, _ := cl.MustOpen(0, "/persist", true, true)
-	for idx := uint64(0); idx < 2; idx++ {
-		if errno := cl.Write(0, h0, idx, block('A')); errno != msg.OK {
-			t.Fatal(errno)
-		}
+	if errno := cl.Write(0, h0, 0, block('A')); errno != msg.OK {
+		t.Fatal(errno)
 	}
-	// Dirty pages in cache, exclusive lock held.
-	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 2 {
-		t.Fatal("setup: no dirty pages")
+	// Dirty page in cache, exclusive lock held.
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
+		t.Fatal("setup: no dirty page")
 	}
 	epochBefore := cl.Clients[0].Sub(0).Epoch()
 
 	cl.CrashServer(0)
 	cl.RunFor(time.Second)
 	cl.RestartServer(0)
+	graceEnds := cl.Sched.Now().Add(opts.Core.StealDelay())
 
 	// The client's next ordinary request is NACKed (unknown epoch at the
 	// restarted server) and triggers reassertion.
@@ -46,7 +45,7 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 
 	// THE point of reassertion: cache, dirty data, handles, and locks all
 	// survived the server failure.
-	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 2 {
+	if cl.Clients[0].Sub(0).Cache().TotalDirty() != 1 {
 		t.Fatal("dirty cache lost across server restart")
 	}
 	if cl.Clients[0].Sub(0).Epoch() <= epochBefore {
@@ -55,13 +54,30 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	if cl.Shards[0].Server.Locks().Held(ClientID(0), inoOf(t, cl, "/persist")) != msg.LockExclusive {
 		t.Fatal("lock not reinstalled at the restarted server")
 	}
-	// The old handle still works; more writes proceed immediately (the
-	// reasserted lock needs no re-acquire) — into blocks the file has: one
-	// that extended it would change attributes a directory lock covers,
-	// which waits out the grace window like any new acquire
-	// (TestNamesGraceDefersMutations).
-	if errno := cl.Write(0, h0, 1, block('B')); errno != msg.OK {
+	// The old handle still works, and a write the file has room for
+	// proceeds immediately (the reasserted lock needs no re-acquire).
+	before := cl.Sched.Now()
+	if errno := cl.Write(0, h0, 0, block('B')); errno != msg.OK {
 		t.Fatalf("post-restart write: %v", errno)
+	}
+	if waited := cl.Sched.Now().Sub(before); waited != 0 {
+		t.Fatalf("a write under the reasserted lock waited %v", waited)
+	}
+	// One that extends the file is the cost of caching names: an allocation
+	// moves attributes that the parent directory's lock covers, nobody knows
+	// who held that lock before the restart, and so the change waits —
+	// like a new acquire, and like a create (TestNamesGraceDefersMutations)
+	// — until every lease from before the restart has been reasserted or
+	// has lapsed: to the end of the grace window, τ(1+ε) after the restart
+	// at the most, and not a retry interval longer.
+	if errno := cl.Write(0, h0, 1, block('C')); errno != msg.OK {
+		t.Fatalf("post-restart extending write: %v", errno)
+	}
+	switch now := cl.Sched.Now(); {
+	case now.Before(graceEnds):
+		t.Fatalf("the file's attributes moved %v inside the grace window", graceEnds.Sub(now))
+	case now.Sub(graceEnds) > opts.Core.RetryInterval:
+		t.Fatalf("the extending write waited %v past the grace window", now.Sub(graceEnds))
 	}
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatal(errno)
@@ -71,7 +87,7 @@ func TestServerRestartReassertionPreservesCache(t *testing.T) {
 	cl.RunFor(opts.Core.StealDelay() + time.Second)
 	h1, _ := cl.MustOpen(1, "/persist", false, false)
 	data, errno := cl.Read(1, h1, 0)
-	if errno != msg.OK || !bytes.Equal(data, block('A')) {
+	if errno != msg.OK || !bytes.Equal(data, block('B')) {
 		t.Fatalf("cross-client read after recovery: %v", errno)
 	}
 	cl.FinalCheck()

@@ -32,7 +32,9 @@ type pendingCall struct {
 //     request. Using the first attempt is required for safety: the reply
 //     proves the server heard *some* attempt, and only the first attempt
 //     is guaranteed to precede whichever receipt triggered the reply.
-//   - on NACK, LeaseClient.NACKed().
+//   - on NACK, LeaseClient.NACKed() — unless the request was stamped
+//     under a registration the channel has since replaced: that refusal
+//     says nothing about the current one.
 //
 // This is where opportunistic renewal (§3.1) lives: every ordinary
 // file-system message doubles as a lease renewal, so an active client
@@ -209,7 +211,7 @@ func (c *Channel) HandleReply(r *msg.Reply) {
 		}
 	case msg.NACK:
 		c.nacksC.Inc()
-		if c.lease != nil {
+		if c.lease != nil && p.req.Hdr().Epoch == c.epoch {
 			c.lease.NACKed()
 		}
 	}

@@ -120,6 +120,30 @@ func TestNACKNotifiesLease(t *testing.T) {
 	}
 }
 
+// A request stamped under a registration the channel has since replaced
+// is refused for that epoch: its caller hears the NACK, the lease — which
+// belongs to the registration that replaced it — does not.
+func TestNACKOfReplacedEpochSparesLease(t *testing.T) {
+	s := sim.NewScheduler(5)
+	w := &wire{}
+	reg := stats.NewRegistry()
+	rec := &actionsRec{s: s, autoFlush: true}
+	lease := NewLeaseClient(testCfg(), s.NewClock(1, 0), rec, Env{Reg: reg, Prefix: "c3."})
+	c := NewChannel(3, 1, testCfg(), s.NewClock(1, 0), w.send, lease, Env{Reg: reg, Prefix: "c3."})
+	c.SetEpoch(3)
+	lease.Renewed(0)
+	var got *msg.Reply
+	id := c.Call(&msg.Lookup{Path: "/x"}, func(r *msg.Reply) { got = r })
+	c.SetEpoch(4) // a reassertion completed while the lookup was in flight
+	c.HandleReply(&msg.Reply{Client: 3, Req: id, Status: msg.NACK})
+	if lease.Phase() != Phase1Valid {
+		t.Fatalf("lease phase = %v after a NACK for a replaced epoch", lease.Phase())
+	}
+	if got == nil || got.Status != msg.NACK {
+		t.Fatal("callback did not see the NACK")
+	}
+}
+
 func TestCancelAll(t *testing.T) {
 	s, w, c, _ := newChan(t)
 	var replies []*msg.Reply

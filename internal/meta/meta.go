@@ -98,57 +98,45 @@ func NewStore(alloc *Allocator) *Store {
 	return s
 }
 
-// SplitPath normalizes an absolute slash-separated path into components.
-// It returns ok=false for relative or empty paths.
-func SplitPath(path string) (parts []string, ok bool) {
-	if !strings.HasPrefix(path, "/") {
-		return nil, false
-	}
-	parts = make([]string, 0, strings.Count(path, "/"))
-	for len(path) > 0 {
-		i := strings.IndexByte(path, '/')
-		if i < 0 {
-			i = len(path)
-		}
-		p := path[:i]
-		path = path[min(i+1, len(path)):]
-		switch p {
-		case "", ".":
-			// skip
-		case "..":
-			if len(parts) == 0 {
-				return nil, false
-			}
-			parts = parts[:len(parts)-1]
-		default:
-			parts = append(parts, p)
-		}
-	}
-	return parts, true
-}
-
-// pathIter yields the components SplitPath would return, without
-// building the slice when the path holds no ".." (which is resolved
-// lexically, and so needs the components before it).
-type pathIter struct {
+// PathIter yields the components of an absolute slash-separated path one
+// at a time — the one tokenizer every path walk uses, here and in the
+// client's name cache, so that component i means the same thing to both.
+// Empty components and "." are skipped, ".." is resolved lexically before
+// the first component is handed out (the only case that builds a slice),
+// and the names are substrings of the path.
+type PathIter struct {
 	rest  string
-	parts []string
+	parts []string // the components left, when ".." made them be resolved first
 	split bool
 }
 
-func iterPath(path string) (pathIter, bool) {
+// IterPath starts on path. It reports false for a path that is relative,
+// empty, or climbs above the root.
+func IterPath(path string) (PathIter, bool) {
 	if !strings.HasPrefix(path, "/") {
-		return pathIter{}, false
+		return PathIter{}, false
 	}
-	if strings.Contains(path, "..") {
-		parts, ok := SplitPath(path)
-		return pathIter{parts: parts, split: true}, ok
+	if !strings.Contains(path, "..") {
+		return PathIter{rest: path}, true
 	}
-	return pathIter{rest: path}, true
+	parts := make([]string, 0, strings.Count(path, "/"))
+	for it := (PathIter{rest: path}); ; {
+		switch name := it.Next(); name {
+		case "":
+			return PathIter{parts: parts, split: true}, true
+		case "..":
+			if len(parts) == 0 {
+				return PathIter{}, false
+			}
+			parts = parts[:len(parts)-1]
+		default:
+			parts = append(parts, name)
+		}
+	}
 }
 
-// next returns the next component, or "" when there is none.
-func (it *pathIter) next() string {
+// Next returns the next component, or "" when there is none.
+func (it *PathIter) Next() string {
 	if it.split {
 		if len(it.parts) == 0 {
 			return ""
@@ -171,13 +159,27 @@ func (it *pathIter) next() string {
 	return ""
 }
 
-// left counts the components not yet returned.
-func (it pathIter) left() int {
+// Left counts the components not yet returned.
+func (it PathIter) Left() int {
 	n := 0
-	for it.next() != "" {
+	for it.Next() != "" {
 		n++
 	}
 	return n
+}
+
+// SplitPath normalizes an absolute slash-separated path into components.
+// It returns ok=false for relative or empty paths.
+func SplitPath(path string) (parts []string, ok bool) {
+	it, ok := IterPath(path)
+	if !ok {
+		return nil, false
+	}
+	parts = make([]string, 0, strings.Count(path, "/"))
+	for name := it.Next(); name != ""; name = it.Next() {
+		parts = append(parts, name)
+	}
+	return parts, true
 }
 
 // Get returns the inode by number.
@@ -191,12 +193,12 @@ func (s *Store) Get(ino msg.ObjectID) (*Inode, msg.Errno) {
 
 // Lookup resolves an absolute path.
 func (s *Store) Lookup(path string) (*Inode, msg.Errno) {
-	it, ok := iterPath(path)
+	it, ok := IterPath(path)
 	if !ok {
 		return nil, msg.ErrNoEnt
 	}
 	cur := s.inodes[RootIno]
-	for name := it.next(); name != ""; name = it.next() {
+	for name := it.Next(); name != ""; name = it.Next() {
 		if !cur.IsDir {
 			return nil, msg.ErrNotDir
 		}
@@ -227,7 +229,7 @@ type Walk struct {
 // Walk resolves an absolute path like Lookup and returns the chain of
 // directories it went through.
 func (s *Store) Walk(path string) Walk {
-	it, ok := iterPath(path)
+	it, ok := IterPath(path)
 	if !ok {
 		return Walk{Errno: msg.ErrNoEnt}
 	}
@@ -235,15 +237,15 @@ func (s *Store) Walk(path string) Walk {
 	// directory appends it.
 	w := Walk{Dirs: make([]msg.ObjectID, 0, strings.Count(path, "/")+1)}
 	cur := s.inodes[RootIno]
-	for name := it.next(); name != ""; name = it.next() {
+	for name := it.Next(); name != ""; name = it.Next() {
 		if !cur.IsDir {
-			w.Rest, w.Errno = it.left()+1, msg.ErrNotDir
+			w.Rest, w.Errno = it.Left()+1, msg.ErrNotDir
 			return w
 		}
 		w.Dirs = append(w.Dirs, cur.Ino)
 		next, ok := cur.children[name]
 		if !ok {
-			w.Rest, w.Errno = it.left(), msg.ErrNoEnt
+			w.Rest, w.Errno = it.Left(), msg.ErrNoEnt
 			return w
 		}
 		cur = s.inodes[next]
@@ -255,16 +257,16 @@ func (s *Store) Walk(path string) Walk {
 // lookupParent resolves all but the last component, returning the parent
 // directory and the final name.
 func (s *Store) lookupParent(path string) (*Inode, string, msg.Errno) {
-	it, ok := iterPath(path)
+	it, ok := IterPath(path)
 	if !ok {
 		return nil, "", msg.ErrNoEnt
 	}
-	name := it.next()
+	name := it.Next()
 	if name == "" {
 		return nil, "", msg.ErrNoEnt
 	}
 	cur := s.inodes[RootIno]
-	for after := it.next(); after != ""; name, after = after, it.next() {
+	for after := it.Next(); after != ""; name, after = after, it.Next() {
 		if !cur.IsDir {
 			return nil, "", msg.ErrNotDir
 		}

@@ -19,8 +19,8 @@ package server
 //     holder that does not give it back is an undelivered demand: suspect,
 //     τ(1+ε), steal, exactly as for data.
 //
-// Every metadata mutator in this package is called from inside mutate
-// (TestMutatorsRunUnderRevoke enumerates them).
+// Every metadata mutator in this package is called from a change's apply,
+// which only mutate runs (TestMutatorsRunUnderRevoke enumerates them).
 
 import (
 	"slices"
@@ -65,7 +65,22 @@ func coveringDir(in *meta.Inode) msg.ObjectID {
 	return in.Parent()
 }
 
-// mutation is one change to something directory locks cover.
+// change is what a mutation does, as the request that makes it defines it.
+type change interface {
+	// plan names the directories whose locks cover what apply is about to
+	// change, as the store stands when it is called; none when the request
+	// will fail without changing anything.
+	plan() []msg.ObjectID
+	// apply runs the store's mutators and answers. It runs in the turn in
+	// which plan last ran, with every planned lock held exclusively.
+	apply()
+}
+
+// mutation is one change to something directory locks cover: the part of
+// it that is the same for every request. Each request's own type (createOp
+// and the rest) embeds it and is what it does. A handler builds its op on
+// its stack and tries direct; only a mutation that has to ask somebody, or
+// wait, is copied to the heap and handed to mutate.
 type mutation struct {
 	// by is the client the change is made for: the one left holding the
 	// locks, and excused by the oracle. The server's own ID stands for
@@ -76,20 +91,21 @@ type mutation struct {
 	// ends as it began, so that a writer settling sizes in a directory it
 	// never looked at does not collect its lock.
 	keep bool
-	// plan names the directories whose locks cover what apply is about to
-	// change, as the store stands when it is called; none when the request
-	// will fail without changing anything.
-	plan func() []msg.ObjectID
-	// apply runs the store's mutators and answers. It runs in the turn in
-	// which plan last ran, with every planned lock held exclusively.
-	apply func()
+	// do is the op this mutation is embedded in, once it is on the heap.
+	do change
 
-	// taken are the planned directories apply may rely on — held
+	// taken[:n] are the planned directories apply may rely on — held
 	// exclusively for it, or free of any other holder — each with what the
 	// requester held before: never more than two (a rename's parents, an
 	// unlinked directory and its parent).
-	taken []takenLock
-	buf   [2]takenLock
+	taken [2]takenLock
+	n     int
+}
+
+// take notes that apply may rely on dir, which the requester held at prior.
+func (m *mutation) take(dir msg.ObjectID, prior msg.LockMode) {
+	m.taken[m.n] = takenLock{dir, prior}
+	m.n++
 }
 
 // dirWait names what a parked mutation waits for: its requester's
@@ -123,7 +139,7 @@ func (m *mutation) holds(dir msg.ObjectID) bool {
 	if m.keep {
 		return true
 	}
-	for _, t := range m.taken {
+	for _, t := range m.taken[:m.n] {
 		if t.ino == dir {
 			return t.prior >= msg.LockShared
 		}
@@ -142,17 +158,35 @@ func (s *Server) contended(by msg.NodeID, dirs []msg.ObjectID) bool {
 	return false
 }
 
-// mutate runs m: plan, take every planned lock, apply, give them back. A
-// lock that is not free queues behind its holders, and since the wait
-// invalidates the plan — the path may lead elsewhere by then, or a lock
-// taken earlier may have been demanded away by another mutation — mutate
-// starts over when it arrives. With nobody else holding the directories
-// the whole thing is a few map lookups in one turn.
+// direct reports whether m, whose plan names dirs, can be applied in this
+// turn, as it stands: nobody else holds any of the directories — nor may,
+// which after a restart nobody knows until the grace window has closed —
+// so there is nobody to take a lock from, nothing can change that before
+// apply returns, and the requester keeps what it has (a mutation that
+// leaves it the directories grants them with the chain it reports). It
+// notes what the requester holds, for apply to say. This is all a
+// mutation costs on a private tree: a few map lookups, and no allocation.
+func (s *Server) direct(m *mutation, dirs []msg.ObjectID) bool {
+	if len(dirs) > 0 && s.InGrace() || s.contended(m.by, dirs) {
+		return false
+	}
+	m.n = 0
+	for _, d := range dirs {
+		m.take(d, s.locks.Held(m.by, d))
+	}
+	return true
+}
+
+// mutate runs a mutation that direct turned down: plan, take every planned
+// lock, apply, give them back. A lock that is not free queues behind its
+// holders, and since the wait invalidates the plan — the path may lead
+// elsewhere by then, or a lock taken earlier may have been demanded away
+// by another mutation — mutate starts over when it arrives.
 func (s *Server) mutate(m *mutation) {
 	if s.stopped || !s.authorityHeld() {
 		return
 	}
-	dirs := m.plan()
+	dirs := m.do.plan()
 	if len(dirs) > 0 && s.InGrace() {
 		// An unreasserted but still-leased client may hold any of these
 		// locks, and nobody knows to ask it: wait until every pre-restart
@@ -161,36 +195,21 @@ func (s *Server) mutate(m *mutation) {
 		s.clock.AfterFunc(s.graceUntil.Sub(s.clock.Now()), func() { s.mutate(m) })
 		return
 	}
-	if m.taken == nil {
-		m.taken = m.buf[:0]
-	}
-	if len(m.taken) == 0 && !s.contended(m.by, dirs) {
-		// Nobody else holds any of them, and nothing can change that
-		// before apply returns: there is nobody to take a lock from, and
-		// the requester keeps what it has. (A mutation that leaves it the
-		// directories grants them with the chain it reports.)
-		for _, d := range dirs {
-			m.taken = append(m.taken, takenLock{d, s.locks.Held(m.by, d)})
-		}
-		m.apply()
-		m.taken = nil
-		return
-	}
 	if len(dirs) > 1 {
 		// In one order everywhere: two mutations that want the same two
 		// directories must not each hold one and wait for the other.
 		slices.Sort(dirs)
 	}
 	// Locks taken under an earlier plan that this one does not name.
-	kept := m.taken[:0]
-	for _, t := range m.taken {
+	held := m.taken[:m.n]
+	m.n = 0
+	for _, t := range held {
 		if slices.Contains(dirs, t.ino) {
-			kept = append(kept, t)
+			m.take(t.ino, t.prior)
 		} else {
 			s.locks.Release(m.by, t.ino, s.endMode(m, t))
 		}
 	}
-	m.taken = kept
 	for i, d := range dirs {
 		if i > 0 && d == dirs[i-1] {
 			continue
@@ -201,12 +220,12 @@ func (s *Server) mutate(m *mutation) {
 				// Another mutation by the same requester holds it across a
 				// wait; sharing it is safe, and whoever finishes first
 				// downgrades it under the other, which then starts over.
-				m.taken = append(m.taken, takenLock{d, msg.LockShared})
+				m.take(d, msg.LockShared)
 			}
 			continue
 		}
 		if !m.has(d) {
-			m.taken = append(m.taken, takenLock{d, prior})
+			m.take(d, prior)
 		}
 		if s.locks.TryAcquire(m.by, d, msg.LockExclusive) {
 			continue // nobody else holds it: the common case
@@ -239,15 +258,15 @@ func (s *Server) mutate(m *mutation) {
 		})
 		return
 	}
-	m.apply()
-	for _, t := range m.taken {
+	m.do.apply()
+	for _, t := range m.taken[:m.n] {
 		s.locks.Release(m.by, t.ino, s.endMode(m, t))
 	}
-	m.taken = nil
+	m.n = 0
 }
 
 func (m *mutation) has(dir msg.ObjectID) bool {
-	for _, t := range m.taken {
+	for _, t := range m.taken[:m.n] {
 		if t.ino == dir {
 			return true
 		}
@@ -289,153 +308,210 @@ func (s *Server) noteAttrs(by msg.NodeID, inos ...msg.ObjectID) {
 }
 
 // lastName returns the final component of a path that has one.
-func lastName(path string) string {
-	parts, _ := meta.SplitPath(path)
-	if len(parts) == 0 {
-		return ""
+func lastName(path string) (last string) {
+	it, _ := meta.IterPath(path)
+	for name := it.Next(); name != ""; name = it.Next() {
+		last = name
 	}
-	return parts[len(parts)-1]
+	return last
 }
 
 // --- the mutating requests ---------------------------------------------------
 
-// acker returns the function that answers request id of client. (The
-// requests below answer from closures that outlive their handler; the ones
-// that answer at once, in execute, keep theirs on the stack.)
-func (s *Server) acker(client msg.NodeID, id msg.ReqID) func(msg.Errno, msg.Result) {
-	return func(errno msg.Errno, body msg.Result) {
-		s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno, Body: body})
-	}
+// asked is the request a mutation answers, possibly turns later.
+type asked struct {
+	s      *Server
+	client msg.NodeID
+	id     msg.ReqID
 }
 
-// create handles Create. The directory whose lock covers it is the parent
-// — or, where missing ancestors are about to be materialized, the deepest
+func (a asked) ack(errno msg.Errno, body msg.Result) {
+	a.s.reply(a.client, a.id, &msg.Reply{Status: msg.ACK, Err: errno, Body: body})
+}
+
+// createOp is a Create. The directory whose lock covers it is the parent —
+// or, where missing ancestors are about to be materialized, the deepest
 // one that exists.
+type createOp struct {
+	mutation
+	asked
+	m *msg.Create
+	w meta.Walk
+}
+
 func (s *Server) create(client msg.NodeID, id msg.ReqID, m *msg.Create) {
-	ack := s.acker(client, id)
-	var w meta.Walk
-	mu := &mutation{by: client, keep: true}
-	mu.plan = func() []msg.ObjectID {
-		w = s.store.Walk(m.Path)
-		if w.Errno != msg.ErrNoEnt || len(w.Dirs) == 0 || w.Rest > 0 && !s.store.AutoParents() {
-			return nil // Create will say why
-		}
-		return w.Dirs[len(w.Dirs)-1:]
+	op := createOp{asked: asked{s, client, id}, m: m}
+	op.by, op.keep = client, true
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
+		return
 	}
-	mu.apply = func() {
-		in, errno := s.store.Create(m.Path, m.IsDir)
-		if errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		if w.Rest > 0 {
-			w = s.store.Walk(m.Path) // through the ancestors just made
-		}
-		s.noteName(client, w.Dirs[len(w.Dirs)-1], m.Path, in.Ino)
-		s.noteAttrs(client, in.Ino)
-		s.noteAttrs(client, w.Dirs...)
-		ack(msg.OK, msg.CreateRes{Attr: in.Attr(), Dirs: s.grantChain(client, w.Dirs)})
-	}
-	s.mutate(mu)
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
 }
 
-// unlink handles Unlink: the parent's lock, and the victim's own when it
+func (o *createOp) plan() []msg.ObjectID {
+	s := o.s
+	o.w = s.store.Walk(o.m.Path)
+	if w := &o.w; w.Errno != msg.ErrNoEnt || len(w.Dirs) == 0 || w.Rest > 0 && !s.store.AutoParents() {
+		return nil // Create will say why
+	}
+	return o.w.Dirs[len(o.w.Dirs)-1:]
+}
+
+func (o *createOp) apply() {
+	s, m := o.s, o.m
+	in, errno := s.store.Create(m.Path, m.IsDir)
+	if errno != msg.OK {
+		o.ack(errno, nil)
+		return
+	}
+	if o.w.Rest > 0 {
+		o.w = s.store.Walk(m.Path) // through the ancestors just made
+	}
+	dirs := o.w.Dirs
+	s.noteName(o.client, dirs[len(dirs)-1], m.Path, in.Ino)
+	s.noteAttrs(o.client, in.Ino)
+	s.noteAttrs(o.client, dirs...)
+	o.ack(msg.OK, msg.CreateRes{Attr: in.Attr(), Dirs: s.grantChain(o.client, dirs)})
+}
+
+// unlinkOp is an Unlink: the parent's lock, and the victim's own when it
 // is a directory. A file somebody holds a data lock on is refused.
-func (s *Server) unlink(client msg.NodeID, id msg.ReqID, m *msg.Unlink) {
-	ack := s.acker(client, id)
-	var w meta.Walk
-	var refuse msg.Errno
-	mu := &mutation{by: client, keep: true}
-	mu.plan = func() []msg.ObjectID {
-		w, refuse = s.store.Walk(m.Path), msg.OK
-		switch {
-		case w.Errno != msg.OK || len(w.Dirs) == 0:
-			return nil // Unlink will say why
-		case s.store.Migrating(w.Node.Ino), !w.Node.IsDir && s.locks.HoldersOf(w.Node.Ino) > 0:
-			refuse = msg.ErrConflict
-			return nil
-		case w.Node.IsDir:
-			if !w.Node.Empty() {
-				return nil
-			}
-			return []msg.ObjectID{w.Dirs[len(w.Dirs)-1], w.Node.Ino}
-		}
-		return w.Dirs[len(w.Dirs)-1:]
-	}
-	mu.apply = func() {
-		if refuse != msg.OK {
-			ack(refuse, nil)
-			return
-		}
-		var gone msg.Attr
-		if w.Node != nil {
-			gone = w.Node.Attr()
-		}
-		if errno := s.store.Unlink(m.Path); errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		parent := w.Dirs[len(w.Dirs)-1]
-		s.noteName(client, parent, m.Path, 0)
-		s.noteAttrs(client, parent)
-		ack(msg.OK, msg.LookupRes{Attr: gone, Dirs: s.grantChain(client, w.Dirs)})
-	}
-	s.mutate(mu)
+type unlinkOp struct {
+	mutation
+	asked
+	m      *msg.Unlink
+	w      meta.Walk
+	refuse msg.Errno
+	both   [2]msg.ObjectID // the plan for a directory: its parent, and itself
 }
 
-// rename handles Rename within this authority: both parents' locks. A
-// moved directory's own lock is untouched — its entries did not change.
+func (s *Server) unlink(client msg.NodeID, id msg.ReqID, m *msg.Unlink) {
+	op := unlinkOp{asked: asked{s, client, id}, m: m}
+	op.by, op.keep = client, true
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
+		return
+	}
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
+}
+
+func (o *unlinkOp) plan() []msg.ObjectID {
+	s := o.s
+	o.w, o.refuse = s.store.Walk(o.m.Path), msg.OK
+	w := &o.w
+	switch {
+	case w.Errno != msg.OK || len(w.Dirs) == 0:
+		return nil // Unlink will say why
+	case s.store.Migrating(w.Node.Ino), !w.Node.IsDir && s.locks.HoldersOf(w.Node.Ino) > 0:
+		o.refuse = msg.ErrConflict
+		return nil
+	case w.Node.IsDir:
+		if !w.Node.Empty() {
+			return nil
+		}
+		o.both = [2]msg.ObjectID{w.Dirs[len(w.Dirs)-1], w.Node.Ino}
+		return o.both[:]
+	}
+	return w.Dirs[len(w.Dirs)-1:]
+}
+
+func (o *unlinkOp) apply() {
+	s, w := o.s, &o.w
+	if o.refuse != msg.OK {
+		o.ack(o.refuse, nil)
+		return
+	}
+	var gone msg.Attr
+	if w.Node != nil {
+		gone = w.Node.Attr()
+	}
+	if errno := s.store.Unlink(o.m.Path); errno != msg.OK {
+		o.ack(errno, nil)
+		return
+	}
+	parent := w.Dirs[len(w.Dirs)-1]
+	s.noteName(o.client, parent, o.m.Path, 0)
+	s.noteAttrs(o.client, parent)
+	o.ack(msg.OK, msg.LookupRes{Attr: gone, Dirs: s.grantChain(o.client, w.Dirs)})
+}
+
+// renameOp is a Rename within this authority: both parents' locks. A moved
+// directory's own lock is untouched — its entries did not change.
+type renameOp struct {
+	mutation
+	asked
+	m        *msg.Rename
+	from, to meta.Walk
+	refuse   msg.Errno
+	cross    bool
+	parents  [2]msg.ObjectID // the plan
+}
+
 func (s *Server) rename(client msg.NodeID, id msg.ReqID, m *msg.Rename) {
-	ack := s.acker(client, id)
-	var from, to meta.Walk
-	var refuse msg.Errno
-	cross := false
-	mu := &mutation{by: client, keep: true}
-	mu.plan = func() []msg.ObjectID {
-		from, refuse, cross = s.store.Walk(m.OldPath), msg.OK, false
-		if from.Errno != msg.OK || len(from.Dirs) == 0 {
-			return nil
-		}
-		if !from.Node.IsDir && s.locks.HoldersOf(from.Node.Ino) > 0 {
-			// Like Unlink: a file's name does not change under a holder of
-			// its data lock.
-			refuse = msg.ErrConflict
-			return nil
-		}
-		if s.cfg.PlaceOwner != nil &&
-			(s.store.Migrating(from.Node.Ino) || s.cfg.PlaceOwner(m.NewPath) != s.id) {
-			// The destination name belongs to another authority, or a
-			// handoff is already pending: the handoff protocol, not a move.
-			cross = true
-			return nil
-		}
-		to = s.store.Walk(m.NewPath)
-		if to.Errno != msg.ErrNoEnt || to.Rest > 0 {
-			return nil
-		}
-		return []msg.ObjectID{from.Dirs[len(from.Dirs)-1], to.Dirs[len(to.Dirs)-1]}
+	op := renameOp{asked: asked{s, client, id}, m: m}
+	op.by, op.keep = client, true
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
+		return
 	}
-	mu.apply = func() {
-		switch {
-		case refuse != msg.OK:
-			ack(refuse, nil)
-			return
-		case cross:
-			s.crossShardRename(client, id, from.Node, m)
-			return
-		}
-		if errno := s.store.Rename(m.OldPath, m.NewPath); errno != msg.OK {
-			ack(errno, nil)
-			return
-		}
-		oldParent, newParent := from.Dirs[len(from.Dirs)-1], to.Dirs[len(to.Dirs)-1]
-		s.noteName(client, oldParent, m.OldPath, 0)
-		s.noteName(client, newParent, m.NewPath, from.Node.Ino)
-		s.noteAttrs(client, oldParent, newParent)
-		ack(msg.OK, msg.LookupRes{Attr: from.Node.Attr(),
-			Dirs: s.grantChain(client, append(from.Dirs, to.Dirs...))})
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
+}
+
+func (o *renameOp) plan() []msg.ObjectID {
+	s, m := o.s, o.m
+	o.from, o.refuse, o.cross = s.store.Walk(m.OldPath), msg.OK, false
+	from := &o.from
+	if from.Errno != msg.OK || len(from.Dirs) == 0 {
+		return nil
 	}
-	s.mutate(mu)
+	if !from.Node.IsDir && s.locks.HoldersOf(from.Node.Ino) > 0 {
+		// Like Unlink: a file's name does not change under a holder of
+		// its data lock.
+		o.refuse = msg.ErrConflict
+		return nil
+	}
+	if s.cfg.PlaceOwner != nil &&
+		(s.store.Migrating(from.Node.Ino) || s.cfg.PlaceOwner(m.NewPath) != s.id) {
+		// The destination name belongs to another authority, or a
+		// handoff is already pending: the handoff protocol, not a move.
+		o.cross = true
+		return nil
+	}
+	o.to = s.store.Walk(m.NewPath)
+	if o.to.Errno != msg.ErrNoEnt || o.to.Rest > 0 {
+		return nil
+	}
+	o.parents = [2]msg.ObjectID{from.Dirs[len(from.Dirs)-1], o.to.Dirs[len(o.to.Dirs)-1]}
+	return o.parents[:]
+}
+
+func (o *renameOp) apply() {
+	s, m, from, to := o.s, o.m, &o.from, &o.to
+	switch {
+	case o.refuse != msg.OK:
+		o.ack(o.refuse, nil)
+		return
+	case o.cross:
+		s.crossShardRename(o.client, o.id, from.Node, m)
+		return
+	}
+	if errno := s.store.Rename(m.OldPath, m.NewPath); errno != msg.OK {
+		o.ack(errno, nil)
+		return
+	}
+	oldParent, newParent := from.Dirs[len(from.Dirs)-1], to.Dirs[len(to.Dirs)-1]
+	s.noteName(o.client, oldParent, m.OldPath, 0)
+	s.noteName(o.client, newParent, m.NewPath, from.Node.Ino)
+	s.noteAttrs(o.client, oldParent, newParent)
+	o.ack(msg.OK, msg.LookupRes{Attr: from.Node.Attr(),
+		Dirs: s.grantChain(o.client, append(from.Dirs, to.Dirs...))})
 }
 
 // attrChange says what a request is about to do to a file's attributes,
@@ -462,54 +538,63 @@ func (a attrChange) moves(in *meta.Inode) bool {
 	return true
 }
 
+// attrOp is a change to a file's attributes: its parent's lock covers
+// them. The requester ends as it began.
+type attrOp struct {
+	mutation
+	s      *Server
+	ino    msg.ObjectID
+	what   attrChange
+	change func(covered bool)
+	parent [1]msg.ObjectID // the plan; 0 when the attributes will not move
+}
+
 // mutateAttr runs change — store mutators on file ino, and the answer —
-// under the lock that covers ino's attributes, its parent's, when they
-// are about to move. The requester ends as it began; change is told
-// whether it holds that lock. On the way every extending write takes —
-// nobody else caches the directory — it asks two map lookups and
-// allocates nothing.
+// under the lock that covers ino's attributes when they are about to move.
+// change is told whether the requester holds that lock.
 func (s *Server) mutateAttr(by msg.NodeID, ino msg.ObjectID, what attrChange, change func(covered bool)) {
-	in, errno := s.store.Get(ino)
-	if errno != msg.OK || !what.moves(in) {
-		change(false)
+	op := attrOp{s: s, ino: ino, what: what, change: change}
+	op.by = by
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
 		return
 	}
-	if parent := in.Parent(); !s.InGrace() && !s.locks.Contended(by, parent) {
-		change(s.locks.Held(by, parent) >= msg.LockShared)
-		s.noteAttrs(by, ino)
-		return
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
+}
+
+func (o *attrOp) plan() []msg.ObjectID {
+	o.parent[0] = 0
+	if in, errno := o.s.store.Get(o.ino); errno == msg.OK && o.what.moves(in) {
+		o.parent[0] = in.Parent()
+		return o.parent[:]
 	}
-	var parent msg.ObjectID
-	mu := &mutation{by: by}
-	mu.plan = func() []msg.ObjectID {
-		parent = 0
-		if in, errno := s.store.Get(ino); errno == msg.OK && what.moves(in) {
-			parent = in.Parent()
-			return []msg.ObjectID{parent}
-		}
-		return nil
+	return nil
+}
+
+func (o *attrOp) apply() {
+	moved := o.parent[0] != 0
+	o.change(moved && o.holds(o.parent[0]))
+	if moved {
+		o.s.noteAttrs(o.by, o.ino)
 	}
-	mu.apply = func() {
-		change(parent != 0 && mu.holds(parent))
-		s.noteAttrs(by, ino)
-	}
-	s.mutate(mu)
 }
 
 // setAttr handles SetAttr: a size that is already there changes nothing.
 func (s *Server) setAttr(client msg.NodeID, id msg.ReqID, m *msg.SetAttr) {
-	ack := s.acker(client, id)
+	a := asked{s, client, id}
 	if s.store.Migrating(m.Ino) {
-		ack(msg.ErrConflict, nil)
+		a.ack(msg.ErrConflict, nil)
 		return
 	}
 	s.mutateAttr(client, m.Ino, attrChange{sized: true, size: m.NewSize}, func(covered bool) {
 		in, errno := s.store.SetSize(m.Ino, m.NewSize)
 		if errno != msg.OK {
-			ack(errno, nil)
+			a.ack(errno, nil)
 			return
 		}
-		ack(msg.OK, attrRes(in, covered))
+		a.ack(msg.OK, attrRes(in, covered))
 	})
 }
 
@@ -518,37 +603,37 @@ func (s *Server) setAttr(client msg.NodeID, id msg.ReqID, m *msg.SetAttr) {
 // lock path — here the server only checks that the requester is the sole
 // holder.
 func (s *Server) truncate(client msg.NodeID, id msg.ReqID, m *msg.Truncate) {
-	ack := s.acker(client, id)
+	a := asked{s, client, id}
 	if s.locks.HoldersOf(m.Ino) > 1 ||
 		(s.locks.HoldersOf(m.Ino) == 1 && s.locks.Held(client, m.Ino) == msg.LockNone) ||
 		s.store.Migrating(m.Ino) {
-		ack(msg.ErrConflict, nil)
+		a.ack(msg.ErrConflict, nil)
 		return
 	}
 	s.mutateAttr(client, m.Ino, attrChange{cut: true, blocks: int(m.Blocks)}, func(covered bool) {
 		in, errno := s.store.Truncate(m.Ino, int(m.Blocks))
 		if errno != msg.OK {
-			ack(errno, nil)
+			a.ack(errno, nil)
 			return
 		}
-		ack(msg.OK, attrRes(in, covered))
+		a.ack(msg.OK, attrRes(in, covered))
 	})
 }
 
 // allocBlocks handles AllocBlocks: an allocation moves the file's version.
 func (s *Server) allocBlocks(client msg.NodeID, id msg.ReqID, m *msg.AllocBlocks) {
-	ack := s.acker(client, id)
+	a := asked{s, client, id}
 	if s.store.Migrating(m.Ino) {
-		ack(msg.ErrConflict, nil)
+		a.ack(msg.ErrConflict, nil)
 		return
 	}
 	s.mutateAttr(client, m.Ino, attrChange{}, func(bool) {
 		in, first, errno := s.store.GrantBlocks(m.Ino, m.Count)
 		if errno != msg.OK {
-			ack(errno, nil)
+			a.ack(errno, nil)
 			return
 		}
-		ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
+		a.ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
 			Blocks: append([]msg.BlockRef(nil), in.Blocks[first:]...)})
 	})
 }

@@ -72,9 +72,11 @@ func storeMutators(t *testing.T) map[string]bool {
 
 // TestMutatorsRunUnderRevoke: every call this package makes to a metadata
 // mutator that changes something a directory lock covers sits inside a
-// mutation's apply — the function mutate runs once the locks are back —
-// or the change function of a mutateAttr. A handler that reached the store
-// any other way would change the namespace under somebody's cache.
+// change's apply method, or the change function handed to mutateAttr,
+// which an apply runs; and apply itself is called only by mutate, once the
+// locks are back, and by a handler that direct has just told there is
+// nobody to take them from. A handler that reached the store any other way
+// would change the namespace under somebody's cache.
 func TestMutatorsRunUnderRevoke(t *testing.T) {
 	mutators := storeMutators(t)
 	for _, want := range []string{"Create", "Unlink", "Rename", "SetSize", "Touch", "AllocBlocks",
@@ -90,7 +92,7 @@ func TestMutatorsRunUnderRevoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	checked, applies := 0, 0
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			var stack []ast.Node
@@ -105,6 +107,13 @@ func TestMutatorsRunUnderRevoke(t *testing.T) {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if ok && sel.Sel.Name == "apply" && len(call.Args) == 0 {
+					applies++
+				}
+				if ok && sel.Sel.Name == "apply" && len(call.Args) == 0 && !afterRevoke(stack) {
+					t.Errorf("%s: apply is called outside mutate and not under `if s.direct(...)`",
+						fset.Position(call.Pos()))
+				}
 				if !ok || !mutators[sel.Sel.Name] || uncovered[sel.Sel.Name] {
 					return true
 				}
@@ -120,33 +129,43 @@ func TestMutatorsRunUnderRevoke(t *testing.T) {
 			})
 		}
 	}
-	if checked < 10 {
-		t.Fatalf("only %d mutator calls found: the scan is not seeing the handlers", checked)
+	if checked < 10 || applies < 7 {
+		t.Fatalf("only %d mutator calls and %d calls of apply found: the scan is not seeing the handlers", checked, applies)
 	}
 }
 
-// underRevoke reports whether the innermost node of stack lies inside a
-// function literal assigned to a mutation's apply field or handed to
-// mutateAttr.
-func underRevoke(stack []ast.Node) bool {
-	for i := len(stack) - 1; i > 0; i-- {
-		lit, ok := stack[i].(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		switch parent := stack[i-1].(type) {
-		case *ast.AssignStmt:
-			for j, rhs := range parent.Rhs {
-				if rhs != lit || j >= len(parent.Lhs) {
-					continue
-				}
-				if sel, ok := parent.Lhs[j].(*ast.SelectorExpr); ok && sel.Sel.Name == "apply" {
+// afterRevoke reports whether the innermost node of stack, a call of a
+// change's apply, is where one may be: in mutate, which has taken the
+// locks, or in the body of an `if s.direct(...)`, which has found nobody
+// to take them from.
+func afterRevoke(stack []ast.Node) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.FuncDecl:
+			return n.Name.Name == "mutate"
+		case *ast.IfStmt:
+			if call, ok := n.Cond.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "direct" {
 					return true
 				}
 			}
-		case *ast.CallExpr:
-			if sel, ok := parent.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "mutateAttr" {
-				return true
+		}
+	}
+	return false
+}
+
+// underRevoke reports whether the innermost node of stack lies inside a
+// method named apply or a function literal handed to mutateAttr.
+func underRevoke(stack []ast.Node) bool {
+	for i := len(stack) - 1; i > 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.FuncDecl:
+			return n.Recv != nil && n.Name.Name == "apply"
+		case *ast.FuncLit:
+			if call, ok := stack[i-1].(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "mutateAttr" {
+					return true
+				}
 			}
 		}
 	}

@@ -131,36 +131,52 @@ func (s *Server) handleShardMigrate(m *msg.ShardMigrate) {
 		s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
 		return
 	}
-	// The name appears in a directory clients of this authority may have
-	// cached — the deepest ancestor that exists, under which the rest are
-	// materialized — on nobody's behalf here: the server takes the lock
-	// itself and keeps none of it.
-	mu := &mutation{by: s.id}
-	mu.plan = func() []msg.ObjectID {
-		if w := s.store.Walk(m.Path); w.Errno == msg.ErrNoEnt && len(w.Dirs) > 0 {
-			return w.Dirs[len(w.Dirs)-1:]
-		}
-		return nil
+	op := importOp{s: s, m: m}
+	op.by = s.id
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
+		return
 	}
-	mu.apply = func() {
-		if errno, done := s.store.ImportResult(m.Src, m.HID); done {
-			// A retransmission caught up with this one while it waited.
-			s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
-			return
-		}
-		in, errno := s.store.Install(m.Path, m.Attr, m.Blocks)
-		s.store.RecordImport(m.Src, m.HID, errno)
-		if errno == msg.OK {
-			s.emit(trace.Event{Type: trace.EvShardInstall, Peer: m.Src, Ino: in.Ino,
-				Note: "hid=" + strconv.FormatUint(m.HID, 10)})
-			w := s.store.Walk(m.Path)
-			s.noteName(s.id, w.Dirs[len(w.Dirs)-1], m.Path, in.Ino)
-			s.noteAttrs(s.id, in.Ino)
-			s.noteAttrs(s.id, w.Dirs...)
-		}
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
+}
+
+// importOp installs a handed-off object. The name appears in a directory
+// clients of this authority may have cached — the deepest ancestor that
+// exists, under which the rest are materialized — on nobody's behalf here:
+// the server takes the lock itself and keeps none of it.
+type importOp struct {
+	mutation
+	s *Server
+	m *msg.ShardMigrate
+}
+
+func (o *importOp) plan() []msg.ObjectID {
+	if w := o.s.store.Walk(o.m.Path); w.Errno == msg.ErrNoEnt && len(w.Dirs) > 0 {
+		return w.Dirs[len(w.Dirs)-1:]
+	}
+	return nil
+}
+
+func (o *importOp) apply() {
+	s, m := o.s, o.m
+	if errno, done := s.store.ImportResult(m.Src, m.HID); done {
+		// A retransmission caught up with this one while it waited.
 		s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
+		return
 	}
-	s.mutate(mu)
+	in, errno := s.store.Install(m.Path, m.Attr, m.Blocks)
+	s.store.RecordImport(m.Src, m.HID, errno)
+	if errno == msg.OK {
+		s.emit(trace.Event{Type: trace.EvShardInstall, Peer: m.Src, Ino: in.Ino,
+			Note: "hid=" + strconv.FormatUint(m.HID, 10)})
+		w := s.store.Walk(m.Path)
+		s.noteName(s.id, w.Dirs[len(w.Dirs)-1], m.Path, in.Ino)
+		s.noteAttrs(s.id, in.Ino)
+		s.noteAttrs(s.id, w.Dirs...)
+	}
+	s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
 }
 
 // handleShardMigrateRes settles an outbound handoff.
@@ -194,34 +210,58 @@ func (s *Server) settleHandoff(ph *pendingHandoff, m *msg.ShardMigrateRes) {
 		return
 	}
 	ph.settling = true
-	// The old name goes, so its directory's lock comes back first — from
-	// everybody, the requester included: the handoff must complete whatever
-	// has become of its requester, so the server makes the change as its
-	// own.
-	var from meta.Walk
-	mu := &mutation{by: s.id}
-	mu.plan = func() []msg.ObjectID {
-		from = s.store.Walk(e.OldPath)
-		if from.Errno == msg.OK && from.Node.Ino == e.Ino {
-			return from.Dirs[len(from.Dirs)-1:]
-		}
-		return nil
+	op := exportDoneOp{s: s, ph: ph, e: e}
+	op.by = s.id
+	if s.direct(&op.mutation, op.plan()) {
+		op.apply()
+		return
 	}
-	mu.apply = func() {
-		delete(s.handoffs, ph.hid)
-		if s.store.Export(ph.hid) == nil {
-			return
-		}
-		s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.dest, Ino: e.Ino, Note: note})
-		s.store.CompleteExport(ph.hid)
-		if from.Errno == msg.OK && from.Node.Ino == e.Ino {
-			parent := from.Dirs[len(from.Dirs)-1]
-			s.noteName(s.id, parent, e.OldPath, 0)
-			s.noteAttrs(s.id, parent)
-		}
-		if ph.client != 0 {
-			s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: msg.OK})
-		}
+	queued := op
+	queued.do = &queued
+	s.mutate(&queued.mutation)
+}
+
+// exportDoneOp completes an outbound handoff the destination has
+// installed. The old name goes, so its directory's lock comes back first —
+// from everybody, the requester included: the handoff must complete
+// whatever has become of its requester, so the server makes the change as
+// its own.
+type exportDoneOp struct {
+	mutation
+	s    *Server
+	ph   *pendingHandoff
+	e    *meta.Export
+	from meta.Walk
+}
+
+// named reports whether the old path still names the exported object.
+func (o *exportDoneOp) named() bool {
+	return o.from.Errno == msg.OK && o.from.Node.Ino == o.e.Ino
+}
+
+func (o *exportDoneOp) plan() []msg.ObjectID {
+	o.from = o.s.store.Walk(o.e.OldPath)
+	if o.named() {
+		return o.from.Dirs[len(o.from.Dirs)-1:]
 	}
-	s.mutate(mu)
+	return nil
+}
+
+func (o *exportDoneOp) apply() {
+	s, ph, e := o.s, o.ph, o.e
+	delete(s.handoffs, ph.hid)
+	if s.store.Export(ph.hid) == nil {
+		return
+	}
+	s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.dest, Ino: e.Ino,
+		Note: "hid=" + strconv.FormatUint(ph.hid, 10)})
+	s.store.CompleteExport(ph.hid)
+	if o.named() {
+		parent := o.from.Dirs[len(o.from.Dirs)-1]
+		s.noteName(s.id, parent, e.OldPath, 0)
+		s.noteAttrs(s.id, parent)
+	}
+	if ph.client != 0 {
+		s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: msg.OK})
+	}
 }

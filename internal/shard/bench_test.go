@@ -55,20 +55,26 @@ func runShardScale(tb testing.TB, shards, clients int, dur time.Duration) float6
 	inst := cluster.New(scaleOptions(shards, clients))
 	inst.Start()
 
-	pending := 0
-	for ci := 0; ci < clients; ci++ {
-		for j := 0; j < workingSet; j++ {
-			path, c := workload.MetaPath(ci, j), inst.Clients[ci]
-			pending++
-			c.Create(path, false, func(_ msg.Attr, errno msg.Errno) {
-				if errno != msg.OK {
-					tb.Errorf("laying %s: %v", path, errno)
-				}
-				c.Unlink(path, func(msg.Errno) { pending-- })
-			})
+	// A hundred clients at a time: the ones laying their directories
+	// together take the root from one another, a demand per holder and
+	// create, so what that costs grows with the square of their number.
+	const wave = 100
+	for first := 0; first < clients; first += wave {
+		pending := 0
+		for ci := first; ci < min(first+wave, clients); ci++ {
+			for j := 0; j < workingSet; j++ {
+				path, c := workload.MetaPath(ci, j), inst.Clients[ci]
+				pending++
+				c.Create(path, false, func(_ msg.Attr, errno msg.Errno) {
+					if errno != msg.OK {
+						tb.Errorf("laying %s: %v", path, errno)
+					}
+					c.Unlink(path, func(msg.Errno) { pending-- })
+				})
+			}
 		}
+		inst.Sched.RunWhile(func() bool { return pending > 0 })
 	}
-	inst.Sched.RunWhile(func() bool { return pending > 0 })
 
 	runners := make([]*workload.MetaRunner, clients)
 	for ci := 0; ci < clients; ci++ {

@@ -122,13 +122,16 @@ func TestSharedDirectoryChurnUnderFailures(t *testing.T) {
 		opts := cluster.DefaultOptions()
 		opts.Seed = seed
 		opts.Policy = pol
+		opts.Control.LossProb = 0.02
 		cl := cluster.New(opts)
 		cl.Start()
 		tau := opts.Core.Tau
 		dir := populateChurn(cl, 16)
-		runners := make([]*dirChurn, opts.Clients)
+		// Two closed loops a client: its requests are in flight together, and
+		// the control network's jitter delivers their replies in any order.
+		runners := make([]*dirChurn, 2*opts.Clients)
 		for i := range runners {
-			runners[i] = newDirChurn(cl, i, 16, 40*time.Millisecond, seed*31+int64(i))
+			runners[i] = newDirChurn(cl, i%opts.Clients, 16, 80*time.Millisecond, seed*31+int64(i))
 			runners[i].start(dir)
 		}
 		victim := int(cl.Sched.Rand().Int31n(int32(opts.Clients)))
@@ -252,5 +255,38 @@ func TestSharedDirectoryPrice(t *testing.T) {
 	}
 	if got := cl.FinalCheck(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
+	}
+}
+
+// TestSharedDirectoryOverlappingRequests: several closed loops a client,
+// few names, short think times, no failures — so that a client's own
+// requests about one name are in flight together all the time, and the
+// control network's jitter delivers their replies in either order. A
+// lookup answered before the same client's create and delivered after its
+// acknowledgment must not make the client deny the file (the checker
+// excuses a client's own change only while it is in flight).
+func TestSharedDirectoryOverlappingRequests(t *testing.T) {
+	opts := cluster.DefaultOptions()
+	opts.Clients = 2
+	cl := cluster.New(opts)
+	cl.Start()
+	dir := populateChurn(cl, 4)
+	runners := make([]*dirChurn, 4*opts.Clients)
+	for i := range runners {
+		runners[i] = newDirChurn(cl, i%opts.Clients, 4, 2*time.Millisecond, int64(100+i))
+		runners[i].start(dir)
+	}
+	cl.RunFor(20 * time.Second)
+	var ops uint64
+	for _, r := range runners {
+		r.stopped = true
+		ops += r.ops
+	}
+	cl.RunFor(time.Second)
+	if ops < 10000 {
+		t.Errorf("the churn barely ran: %d operations", ops)
+	}
+	if got := cl.FinalCheck(); len(got) != 0 {
+		t.Fatalf("%d violations in %d operations, the first: %v", len(got), ops, got[0])
 	}
 }

@@ -19,13 +19,16 @@ import (
 )
 
 // OpKind is one generated operation. OpStat and OpReaddir are the mix's
-// metadata share: what they stand for in every experiment is an ordinary
-// metadata message — a transaction at the server whose ACK renews the
-// lease. Since clients cache names, attributes and listings under
-// directory locks, a stat or a readdir of something seen before is no
-// message at all, so both are issued as the metadata operation that still
-// is one: a create or an unlink in the runner's own directory, which
-// nobody else has cached.
+// metadata share. Each asks what it always asked — the attributes of the
+// shared file picked, the listing of the shared population's directory.
+// Under a policy that does not cache names that is a message, and the
+// whole operation. A client that holds the directory's lock answers from
+// its name cache, under the checker's eyes, while other clients write the
+// files and the failures of the experiment play out; and since such an
+// answer is no message at all, the operation then does what the metadata
+// share stands for in every experiment — a transaction at the server whose
+// ACK renews the lease: a create or an unlink in the runner's own
+// directory, which nobody else has cached.
 type OpKind uint8
 
 const (
@@ -167,8 +170,11 @@ func (p *Picker) Think() time.Duration {
 	return d
 }
 
+// popDir is the directory the shared population lives in.
+const popDir = "/pop"
+
 // FilePath names file i in the shared population.
-func FilePath(i int) string { return fmt.Sprintf("/pop/f%04d", i) }
+func FilePath(i int) string { return fmt.Sprintf("%s/f%04d", popDir, i) }
 
 // Runner drives one client of a cluster with generated load. It is fully
 // event-driven: Start schedules the first operation and each completion
@@ -180,6 +186,8 @@ type Runner struct {
 	pick   *Picker
 
 	handles map[int]openFile // file index → open handle
+	// popIno is the population directory's inode at each authority.
+	popIno  map[*client.Client]msg.ObjectID
 	stopped bool
 	// scratch says the runner's scratch file exists: the next metadata
 	// operation unlinks it, the one after creates it again.
@@ -216,8 +224,8 @@ func NewRunner(cl *cluster.Cluster, client int, cfg Config, seed int64) *Runner 
 // Call once per cluster, before starting runners.
 func Populate(cl *cluster.Cluster, cfg Config) {
 	sc := cl.SyncClient(0)
-	if _, err := sc.Lookup("/pop"); err == msg.ErrNoEnt {
-		if _, err := sc.Create("/pop", true); err != nil {
+	if _, err := sc.Lookup(popDir); err == msg.ErrNoEnt {
+		if _, err := sc.Create(popDir, true); err != nil {
 			panic(fmt.Sprintf("workload: mkdir /pop: %v", err))
 		}
 	}
@@ -310,17 +318,48 @@ func (r *Runner) step() {
 			data := make([]byte, cluster.BlockSize)
 			data[0] = byte(r.Ops)
 			c.Write(of.h, r.pick.Block(), data, func(e msg.Errno) { next(e) })
-		case OpStat, OpReaddir:
-			r.metaOp(next)
+		case OpStat:
+			of.sub.Stat(of.ino, func(_ msg.Attr, e msg.Errno) { r.metaOp(e, next) })
+		case OpReaddir:
+			r.withPopDir(of.sub, func(dir msg.ObjectID, e msg.Errno) {
+				if e != msg.OK {
+					next(e)
+					return
+				}
+				of.sub.Readdir(dir, func(_ []msg.DirEntry, e msg.Errno) { r.metaOp(e, next) })
+			})
 		}
 	})
 }
 
-// metaOp is one metadata transaction: the runner's scratch file, in a
-// directory of its own under the population's, created or unlinked.
-func (r *Runner) metaOp(next func(msg.Errno)) {
+// withPopDir finds the population directory's inode at sub's authority,
+// asking once.
+func (r *Runner) withPopDir(sub *client.Client, fn func(msg.ObjectID, msg.Errno)) {
+	if ino, ok := r.popIno[sub]; ok {
+		fn(ino, msg.OK)
+		return
+	}
+	sub.Lookup(popDir, func(dir msg.Attr, e msg.Errno) {
+		if e == msg.OK {
+			if r.popIno == nil {
+				r.popIno = make(map[*client.Client]msg.ObjectID)
+			}
+			r.popIno[sub] = dir.Ino
+		}
+		fn(dir.Ino, e)
+	})
+}
+
+// metaOp is the metadata transaction that follows a stat or a listing
+// that succeeded: the runner's scratch file, in a directory of its own
+// under the population's, created or unlinked.
+func (r *Runner) metaOp(asked msg.Errno, next func(msg.Errno)) {
+	if asked != msg.OK || !r.cl.Opts.Policy.CachesNames() {
+		next(asked)
+		return
+	}
 	c := r.cl.Clients[r.client]
-	path := fmt.Sprintf("/pop/c%d/t", r.client)
+	path := fmt.Sprintf("%s/c%d/t", popDir, r.client)
 	if r.scratch {
 		c.Unlink(path, func(e msg.Errno) {
 			r.scratch = e != msg.OK && e != msg.ErrNoEnt
@@ -331,7 +370,7 @@ func (r *Runner) metaOp(next func(msg.Errno)) {
 	c.Create(path, false, func(_ msg.Attr, e msg.Errno) {
 		if e == msg.ErrNoEnt {
 			// The first one makes the directory; it counts as the operation.
-			c.Create(fmt.Sprintf("/pop/c%d", r.client), true, func(_ msg.Attr, e msg.Errno) { next(e) })
+			c.Create(fmt.Sprintf("%s/c%d", popDir, r.client), true, func(_ msg.Attr, e msg.Errno) { next(e) })
 			return
 		}
 		r.scratch = e == msg.OK || e == msg.ErrExist
