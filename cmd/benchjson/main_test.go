@@ -225,6 +225,42 @@ func TestCompareEnforcesMetaCommitRatioCeiling(t *testing.T) {
 	}
 }
 
+// TestCompareGatesOnlyAllocsOnFsyncBoundRows: the three fsync-bound
+// benchmarks at 0 allocs/op have a B/op that is noise — 0 on one run, a
+// hundred on the next — and are gated on allocs/op alone; a benchmark
+// that merely starts with one of their names is gated on both.
+func TestCompareGatesOnlyAllocsOnFsyncBoundRows(t *testing.T) {
+	names := []string{"BenchmarkGroupCommit64PerBlock-2", "BenchmarkFileWrite-2", "BenchmarkFileWriteSync"}
+	var was, noisy, worse []Result
+	for _, n := range names {
+		was = append(was, bench(n, 0, 0))
+		noisy = append(noisy, bench(n, 0, 116))
+		worse = append(worse, bench(n, 1, 116))
+	}
+	base := writeBaseline(t, append(was, bench("BenchmarkFileWriteVSync/batch=8-2", 2, 600)))
+	regs, err := compareBaseline(base, noisy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("regressions = %v, want none: B/op is not gated on these", regs)
+	}
+	regs, err = compareBaseline(base, worse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != len(names) {
+		t.Fatalf("regressions = %v, want allocs/op on each of %v", regs, names)
+	}
+	regs, err = compareBaseline(base, []Result{bench("BenchmarkFileWriteVSync/batch=8-2", 2, 900)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 {
+		t.Fatalf("regressions = %v, want FileWriteVSync's B/op", regs)
+	}
+}
+
 func TestCompareBaselineMissingFile(t *testing.T) {
 	if _, err := compareBaseline(filepath.Join(t.TempDir(), "nope.json"), nil); err == nil {
 		t.Fatal("missing baseline accepted")

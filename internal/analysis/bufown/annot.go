@@ -190,15 +190,18 @@ func (c *ctx) summary(fn *types.Func) summary {
 	case pkgBase == "bufpool" && fn.Name() == "Put":
 		s.release = []int{0}
 	}
-	if recv := analysis.RecvNamed(fn); recv != nil &&
-		recv.Obj().Name() == "Envelope" && pkgBase == "msg" {
-		switch fn.Name() {
-		case "Retain":
+	if recv := analysis.RecvNamed(fn); recv != nil && pkgBase == "msg" {
+		switch recv.Obj().Name() + "." + fn.Name() {
+		case "Envelope.Retain":
 			s.retain = true
-		case "Release":
+		case "Envelope.Release":
 			s.releaseRef = true
-		case "Borrowed":
+		case "Envelope.Borrowed":
 			s.borrowed = true
+			s.owns = append(s.owns, 0)
+		case "DiskReadVRes.Lend":
+			// The reply lends its pooled payload to the fabric, whose
+			// msg.EndLoan is the Put.
 			s.owns = append(s.owns, 0)
 		}
 	}

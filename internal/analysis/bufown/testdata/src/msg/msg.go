@@ -22,3 +22,13 @@ func (e *Envelope) Release() {
 		e.free()
 	}
 }
+
+// DiskReadVRes stubs the sending-side loan: the checker matches
+// DiskReadVRes.Lend by receiver type name and package basename, as the
+// borrow above.
+type DiskReadVRes struct {
+	Data []byte
+	lent bool
+}
+
+func (m *DiskReadVRes) Lend(buf []byte) { m.Data, m.lent = buf, true }

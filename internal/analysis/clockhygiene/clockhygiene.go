@@ -37,16 +37,16 @@ var Analyzer = &analysis.Analyzer{
 // protocolPkgs names the packages (by import-path base) whose time must
 // flow through the injected clock.
 var protocolPkgs = map[string]bool{
-	"core":        true,
-	"client":      true,
-	"server":      true,
-	"disk":        true,
-	"lock":        true,
-	"cluster":     true,
-	"shard": true,
-	"sim":         true,
-	"rpcnet":      true,
-	"blockstore":  true,
+	"core":       true,
+	"client":     true,
+	"server":     true,
+	"disk":       true,
+	"lock":       true,
+	"cluster":    true,
+	"shard":      true,
+	"sim":        true,
+	"rpcnet":     true,
+	"blockstore": true,
 }
 
 // banned are the package-time functions that read or schedule against

@@ -56,6 +56,17 @@ type Media interface {
 	// serves zeros). A torn block returns an error wrapping ErrTorn;
 	// other errors are media failures.
 	Read(block uint64) (data []byte, ver uint64, ok bool, err error)
+	// ReadV is the vectored read: blocks[i] is served into
+	// dst[i·BlockSize:(i+1)·BlockSize] — the caller's buffer, whose
+	// contents on entry are undefined and which ReadV fills completely —
+	// with its version stamp in vers[i]. Every judgment Read makes is
+	// made per block: a never-written block is zeros with version 0, a
+	// torn block or a media failure is errs[i] (wrapping ErrTorn for the
+	// former) over a zeroed slot, and the blocks around it are served.
+	// errs is nil when every block was served. The file-backed media
+	// moves each maximal run of adjacent block numbers in one pread.
+	// len(dst) must be len(blocks)·BlockSize and len(vers) len(blocks).
+	ReadV(blocks []uint64, dst []byte, vers []uint64) (errs []error)
 	// Write durably stores one block (at most BlockSize bytes; short
 	// writes are zero-padded) with its version stamp. The caller must
 	// not acknowledge the write until Write returns nil.
@@ -64,8 +75,10 @@ type Media interface {
 	// entry (nil = committed). The durability contract is the batch
 	// analogue of Write's: when WriteV returns, every entry whose result
 	// is nil is stable — the file-backed media writes all data and
-	// trailers first and then issues a SINGLE group-commit fsync, so a
-	// batch costs one stabilization instead of one per block. Entries
+	// trailers first — one pwrite of data and one of trailers per run
+	// of adjacent block numbers — and then issues a SINGLE group-commit
+	// fsync, so a batch costs one stabilization instead of one per block
+	// and two system calls per run instead of two per block. Entries
 	// that fail individually (bad length, media error) do not prevent
 	// the rest of the batch from committing.
 	WriteV(batch []BlockWrite) []error

@@ -92,14 +92,19 @@ type File struct {
 	fenced   map[msg.NodeID]bool
 	walSize  int64
 	recovery RecoveryReport
-	// trailer is stage's scratch record: a local array would be moved to
-	// the heap on every call, because WriteAt's argument escapes.
-	trailer [trailerSize]byte
+	// trailers is stageRun's scratch, one record per block of the run: a
+	// local buffer would be moved to the heap on every call, because
+	// WriteAt's argument escapes.
+	trailers []byte
 
 	fsyncs      *stats.Counter
 	journalRec  *stats.Counter
 	fsyncWait   *stats.Histogram
 	fsyncsSaved *stats.Counter
+	// A run is one pread (or one data pwrite plus one trailer pwrite):
+	// run_blocks/runs is blocks moved per system call.
+	readRuns, readRunBlocks   *stats.Counter
+	writeRuns, writeRunBlocks *stats.Counter
 }
 
 // Open creates or recovers a file-backed store in dir. On an existing
@@ -120,6 +125,10 @@ func Open(dir string, opts Options) (*File, error) {
 		f.journalRec = opts.Registry.Counter(opts.StatsPrefix + "journal_records")
 		f.fsyncWait = opts.Registry.Histogram(opts.StatsPrefix + "fsync_wait")
 		f.fsyncsSaved = opts.Registry.Counter(opts.StatsPrefix + "fsyncs_saved")
+		f.readRuns = opts.Registry.Counter(opts.StatsPrefix + "read_runs")
+		f.readRunBlocks = opts.Registry.Counter(opts.StatsPrefix + "read_run_blocks")
+		f.writeRuns = opts.Registry.Counter(opts.StatsPrefix + "write_runs")
+		f.writeRunBlocks = opts.Registry.Counter(opts.StatsPrefix + "write_run_blocks")
 	}
 	var err error
 	if f.meta, err = os.OpenFile(filepath.Join(dir, metaFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
@@ -359,64 +368,185 @@ func (f *File) sync(file *os.File) error {
 	return nil
 }
 
-// Read serves one block, re-verifying its checksum against the trailer so
-// corruption is detected at the moment it would otherwise be served.
-func (f *File) Read(block uint64) (data []byte, ver uint64, ok bool, err error) {
+// judge is the part of a read that needs no I/O: a block beyond capacity
+// or torn is refused, a never-written one (ok false) is zeros, and only
+// what is left has bytes on the media to fetch and verify.
+func (f *File) judge(block uint64) (st blockState, ok bool, err error) {
 	if block >= f.capacity {
-		return nil, 0, false, fmt.Errorf("blockstore: block %d beyond capacity %d", block, f.capacity)
+		return st, false, fmt.Errorf("blockstore: block %d beyond capacity %d", block, f.capacity)
 	}
-	st, ok := f.index[block]
-	if !ok {
-		return nil, 0, false, nil
+	st, ok = f.index[block]
+	if ok && st.torn {
+		return st, true, fmt.Errorf("block %d: %w", block, ErrTorn)
 	}
-	if st.torn {
-		return nil, 0, true, fmt.Errorf("block %d: %w", block, ErrTorn)
+	return st, ok, nil
+}
+
+// verify re-checks a fetched block against its trailer's checksum, so
+// corruption is detected at the moment it would otherwise be served.
+func (f *File) verify(block uint64, st blockState, buf []byte) error {
+	if crc32.Checksum(buf, castagnoli) == st.crc {
+		return nil
+	}
+	// Detected at serve time rather than open (e.g. media decayed under a
+	// running node): fail-stop this block, but leave the open-time
+	// recovery report describing only what Open found.
+	f.index[block] = blockState{torn: true}
+	return fmt.Errorf("block %d: %w", block, ErrTorn)
+}
+
+// Read serves one block: judge, fetch, verify.
+func (f *File) Read(block uint64) (data []byte, ver uint64, ok bool, err error) {
+	st, ok, err := f.judge(block)
+	if err != nil || !ok {
+		return nil, 0, ok, err
 	}
 	buf := make([]byte, BlockSize)
 	if _, err := f.data.ReadAt(buf, DataOffset(block)); err != nil {
 		return nil, 0, true, fmt.Errorf("blockstore: read block %d: %w", block, err)
 	}
-	if crc32.Checksum(buf, castagnoli) != st.crc {
-		// Detected at serve time rather than open (e.g. media decayed
-		// under a running node): fail-stop this block, but leave the
-		// open-time recovery report describing only what Open found.
-		f.index[block] = blockState{torn: true}
-		return nil, 0, true, fmt.Errorf("block %d: %w", block, ErrTorn)
+	if err := f.verify(block, st, buf); err != nil {
+		return nil, 0, true, err
 	}
 	return buf, st.ver, true, nil
 }
 
-// stage pwrites one block's data and trailer WITHOUT stabilizing them.
-// The caller must fsync data and meta (commit) before updating the index
-// or acknowledging anything.
-func (f *File) stage(block uint64, data []byte, ver uint64) (crc uint32, err error) {
-	if block >= f.capacity {
-		return 0, fmt.Errorf("blockstore: block %d beyond capacity %d", block, f.capacity)
+// ReadV serves a batch into the caller's buffer. A run is a maximal
+// stretch of the request whose block numbers are adjacent and which judge
+// says have bytes to fetch; it costs one pread, straight into its slots of
+// dst, after which each block is verified on its own. Everything else —
+// refused, never written — is answered in place and ends the run, and a
+// pread that stops short fails the block it stopped in and starts over
+// behind it, so the outcome per block is Read's.
+func (f *File) ReadV(blocks []uint64, dst []byte, vers []uint64) (errs []error) {
+	zero := func(i int) {
+		clear(dst[i*BlockSize : (i+1)*BlockSize])
+		vers[i] = 0
 	}
-	if len(data) > BlockSize {
-		return 0, fmt.Errorf("blockstore: write of %d bytes exceeds block size", len(data))
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(blocks))
+		}
+		errs[i] = err
+		zero(i)
 	}
-	// A full block is checksummed and written from the caller's slice,
-	// which is only read; a short one is zero-padded in a pooled buffer.
-	buf := data
-	if len(data) < BlockSize {
-		buf = bufpool.Get(BlockSize)
-		defer bufpool.Put(buf)
-		clear(buf[copy(buf, data):])
+	for i := 0; i < len(blocks); {
+		if _, ok, err := f.judge(blocks[i]); err != nil {
+			fail(i, err)
+			i++
+			continue
+		} else if !ok {
+			zero(i)
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
+			if _, ok, err := f.judge(blocks[j]); err != nil || !ok {
+				break
+			}
+			j++
+		}
+		n, short := f.data.ReadAt(dst[i*BlockSize:j*BlockSize], DataOffset(blocks[i]))
+		end := j
+		if short != nil {
+			end = i + n/BlockSize // the block the pread stopped in
+		}
+		for k := i; k < end; k++ {
+			st := f.index[blocks[k]]
+			if err := f.verify(blocks[k], st, dst[k*BlockSize:(k+1)*BlockSize]); err != nil {
+				fail(k, err)
+				continue
+			}
+			vers[k] = st.ver
+		}
+		if short != nil {
+			fail(end, fmt.Errorf("blockstore: read block %d: %w", blocks[end], short))
+			end++
+		}
+		countRun(f.readRuns, f.readRunBlocks, end-i)
+		i = end
 	}
-	crc = crc32.Checksum(buf, castagnoli)
-	if _, err := f.data.WriteAt(buf, DataOffset(block)); err != nil {
-		return 0, fmt.Errorf("blockstore: write block %d: %w", block, err)
+	return errs
+}
+
+func countRun(runs, blocks *stats.Counter, n int) {
+	if runs != nil {
+		runs.Inc()
+		blocks.Add(uint64(n))
 	}
-	rec := f.trailer[:]
-	binary.LittleEndian.PutUint64(rec[0:], ver)
-	binary.LittleEndian.PutUint32(rec[8:], crc)
-	binary.LittleEndian.PutUint32(rec[12:], flagWritten)
-	binary.LittleEndian.PutUint32(rec[16:], crc32.Checksum(rec[:16], castagnoli))
-	if _, err := f.meta.WriteAt(rec, superSize+int64(block)*trailerSize); err != nil {
-		return 0, fmt.Errorf("blockstore: trailer %d: %w", block, err)
+}
+
+// writable is the part of a write that needs no I/O.
+func (f *File) writable(w BlockWrite) error {
+	if w.Block >= f.capacity {
+		return fmt.Errorf("blockstore: block %d beyond capacity %d", w.Block, f.capacity)
 	}
-	return crc, nil
+	if len(w.Data) > BlockSize {
+		return fmt.Errorf("blockstore: write of %d bytes exceeds block size", len(w.Data))
+	}
+	return nil
+}
+
+// spanning returns the one slice that holds a run's data when its entries
+// are full blocks lying end to end in memory — a DiskWriteV payload cut
+// into blocks does — so that the run is written from where it lies; nil
+// otherwise.
+func spanning(run []BlockWrite) []byte {
+	first := run[0].Data
+	if len(first) != BlockSize || cap(first) < len(run)*BlockSize {
+		return nil
+	}
+	span := first[:len(run)*BlockSize]
+	for i, w := range run[1:] {
+		if len(w.Data) != BlockSize || &w.Data[0] != &span[(i+1)*BlockSize] {
+			return nil
+		}
+	}
+	return span
+}
+
+// stageRun pwrites a run — writable entries with adjacent block numbers —
+// WITHOUT stabilizing it: the data in one pwrite, then the trailers, which
+// lie as adjacent in the meta file as the blocks do in the data file, in a
+// second. A crash between the two leaves trailers that do not match their
+// blocks, which recovery reports torn block by block. The caller must
+// fsync data and meta (commit) before updating the index or acknowledging
+// anything. crcs[i] receives entry i's data checksum.
+func (f *File) stageRun(run []BlockWrite, crcs []uint32) error {
+	// Full blocks lying end to end are checksummed and written from the
+	// caller's memory, which is only read; anything else is gathered,
+	// zero-padded, in a pooled buffer.
+	data := spanning(run)
+	if data == nil {
+		data = bufpool.Get(len(run) * BlockSize)
+		defer bufpool.Put(data)
+		for i, w := range run {
+			slot := data[i*BlockSize : (i+1)*BlockSize]
+			clear(slot[copy(slot, w.Data):])
+		}
+	}
+	if cap(f.trailers) < len(run)*trailerSize {
+		f.trailers = make([]byte, len(run)*trailerSize)
+	}
+	recs := f.trailers[:len(run)*trailerSize]
+	for i, w := range run {
+		crcs[i] = crc32.Checksum(data[i*BlockSize:(i+1)*BlockSize], castagnoli)
+		rec := recs[i*trailerSize : (i+1)*trailerSize]
+		binary.LittleEndian.PutUint64(rec[0:], w.Ver)
+		binary.LittleEndian.PutUint32(rec[8:], crcs[i])
+		binary.LittleEndian.PutUint32(rec[12:], flagWritten)
+		binary.LittleEndian.PutUint32(rec[16:], crc32.Checksum(rec[:16], castagnoli))
+	}
+	first := run[0].Block
+	if _, err := f.data.WriteAt(data, DataOffset(first)); err != nil {
+		return fmt.Errorf("blockstore: write block %d+%d: %w", first, len(run), err)
+	}
+	if _, err := f.meta.WriteAt(recs, superSize+int64(first)*trailerSize); err != nil {
+		return fmt.Errorf("blockstore: trailer %d+%d: %w", first, len(run), err)
+	}
+	countRun(f.writeRuns, f.writeRunBlocks, len(run))
+	return nil
 }
 
 // commit stabilizes everything staged so far: one data fsync, one meta
@@ -432,57 +562,72 @@ func (f *File) commit() error {
 // before returning, so the caller's acknowledgment implies durability and
 // a crash between the two pwrites is detectable (trailer CRC mismatch).
 func (f *File) Write(block uint64, data []byte, ver uint64) error {
-	crc, err := f.stage(block, data, ver)
-	if err != nil {
+	run := [1]BlockWrite{{Block: block, Data: data, Ver: ver}}
+	if err := f.writable(run[0]); err != nil {
+		return err
+	}
+	var crc [1]uint32
+	if err := f.stageRun(run[:], crc[:]); err != nil {
 		return err
 	}
 	if err := f.commit(); err != nil {
 		return err
 	}
-	f.index[block] = blockState{ver: ver, crc: crc}
+	f.index[block] = blockState{ver: ver, crc: crc[0]}
 	return nil
 }
 
-// WriteV stores a batch of blocks under ONE group commit: every entry is
-// staged (data pwrite + trailer pwrite), then a single data fsync and a
-// single meta fsync stabilize the whole batch — 2 fsyncs instead of 2·n.
-// Per-entry staging failures are reported individually and do not stop
+// WriteV stores a batch of blocks under ONE group commit: every run of
+// adjacent block numbers is staged (a data pwrite + a trailer pwrite),
+// then a single data fsync and a single meta fsync stabilize the whole
+// batch — 2 fsyncs instead of 2·n. Entries that cannot be written are
+// refused individually, a failed pwrite fails its run, and neither stops
 // the rest of the batch; a commit failure fails every staged entry, since
 // none of them can be claimed durable. The index is only updated after
 // the commit, so a crash mid-batch leaves either torn blocks (detected at
 // recovery) or old contents — never a half-acknowledged batch.
 func (f *File) WriteV(batch []BlockWrite) []error {
 	errs := make([]error, len(batch))
-	type staged struct {
-		i   int
-		crc uint32
-	}
-	stagedOK := make([]staged, 0, len(batch))
-	for i, w := range batch {
-		crc, err := f.stage(w.Block, w.Data, w.Ver)
-		if err != nil {
-			errs[i] = err
+	crcs := make([]uint32, len(batch))
+	staged := 0
+	for i := 0; i < len(batch); {
+		if errs[i] = f.writable(batch[i]); errs[i] != nil {
+			i++
 			continue
 		}
-		stagedOK = append(stagedOK, staged{i: i, crc: crc})
+		j := i + 1
+		for j < len(batch) && batch[j].Block == batch[j-1].Block+1 && f.writable(batch[j]) == nil {
+			j++
+		}
+		if err := f.stageRun(batch[i:j], crcs[i:j]); err != nil {
+			for k := i; k < j; k++ {
+				errs[k] = err
+			}
+		} else {
+			staged += j - i
+		}
+		i = j
 	}
-	if len(stagedOK) == 0 {
+	if staged == 0 {
 		return errs
 	}
 	if err := f.commit(); err != nil {
-		for _, s := range stagedOK {
-			errs[s.i] = err
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
 		}
 		return errs
 	}
-	if f.fsyncsSaved != nil && !f.noSync && len(stagedOK) > 1 {
+	if f.fsyncsSaved != nil && !f.noSync && staged > 1 {
 		// A per-block loop would have paid 2 fsyncs per entry; the group
 		// commit paid 2 total.
-		f.fsyncsSaved.Add(uint64(2*len(stagedOK) - 2))
+		f.fsyncsSaved.Add(uint64(2*staged - 2))
 	}
-	for _, s := range stagedOK {
-		w := batch[s.i]
-		f.index[w.Block] = blockState{ver: w.Ver, crc: s.crc}
+	for i, w := range batch {
+		if errs[i] == nil {
+			f.index[w.Block] = blockState{ver: w.Ver, crc: crcs[i]}
+		}
 	}
 	return errs
 }

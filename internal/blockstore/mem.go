@@ -35,6 +35,21 @@ func (m *Mem) Read(block uint64) (data []byte, ver uint64, ok bool, err error) {
 	return b, m.vers[block], true, nil
 }
 
+// ReadV copies each block into its slot of dst. Memory has no system
+// call to amortize, so the batch is exactly a loop over Read.
+func (m *Mem) ReadV(blocks []uint64, dst []byte, vers []uint64) []error {
+	for i, block := range blocks {
+		slot := dst[i*BlockSize : (i+1)*BlockSize]
+		if data, ok := m.data[block]; ok {
+			copy(slot, data)
+		} else {
+			clear(slot)
+		}
+		vers[i] = m.vers[block]
+	}
+	return nil
+}
+
 // Write stores a zero-padded copy of the block.
 func (m *Mem) Write(block uint64, data []byte, ver uint64) error {
 	buf := make([]byte, BlockSize)

@@ -104,8 +104,8 @@ func TestFileWriteVPartialFailure(t *testing.T) {
 	f := openTemp(t, t.TempDir(), 8)
 	batch := []BlockWrite{
 		{Block: 0, Data: []byte("good"), Ver: 1},
-		{Block: 99, Data: []byte("beyond"), Ver: 2},              // out of range
-		{Block: 1, Data: make([]byte, BlockSize+1), Ver: 3},      // oversized
+		{Block: 99, Data: []byte("beyond"), Ver: 2},         // out of range
+		{Block: 1, Data: make([]byte, BlockSize+1), Ver: 3}, // oversized
 		{Block: 2, Data: bytes.Repeat([]byte{7}, BlockSize), Ver: 4},
 	}
 	errs := f.WriteV(batch)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/blockstore"
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -398,46 +399,66 @@ func (d *Disk) writeV(m *msg.DiskWriteV) {
 
 // readV serves a vectored read as one device operation. Blocks[i] lands
 // in Data[i·BlockSize:(i+1)·BlockSize]; unwritten blocks read as zeros,
-// per-block failures as errnos with a zero payload slot.
+// per-block failures as errnos with a zero payload slot. Fence and range
+// are judged before there is a payload, so a refusal costs none; the
+// payload is then a pooled buffer the media fills in place — one
+// Media.ReadV per stretch of in-range blocks, which for anything but a
+// malformed request is the whole batch — and the reply lends it to the
+// fabric (msg.EndLoan).
 func (d *Disk) readV(m *msg.DiskReadV) {
 	n := len(m.Blocks)
-	res := &msg.DiskReadVRes{
-		Req:  m.Req,
-		Errs: make([]msg.Errno, n),
-		Vers: make([]uint64, n),
-		Data: make([]byte, n*BlockSize),
+	res := &msg.DiskReadVRes{Req: m.Req, Errs: make([]msg.Errno, n)}
+	refuse := func(e msg.Errno) {
+		res.Err = e
+		for i := range res.Errs {
+			res.Errs[i] = e
+		}
+		d.send(m.Client, res)
 	}
 	if d.media.Fenced(m.Client) {
 		d.fencedOps.Inc()
 		if d.obs.Rejected != nil {
 			d.obs.Rejected(d.id, m.Client)
 		}
-		res.Err = msg.ErrFenced
-		res.Data = nil
-		for i := range res.Errs {
-			res.Errs[i] = msg.ErrFenced
-		}
-		d.send(m.Client, res)
+		refuse(msg.ErrFenced)
 		return
 	}
-	for i, block := range m.Blocks {
-		if block >= d.cfg.Blocks {
-			res.Errs[i] = msg.ErrRange
+	inRange := 0
+	for _, block := range m.Blocks {
+		if block < d.cfg.Blocks {
+			inRange++
+		}
+	}
+	if inRange == 0 {
+		d.batchAccount("readv", n)
+		refuse(msg.ErrRange)
+		return
+	}
+	res.Vers = make([]uint64, n)
+	data := bufpool.Get(n * BlockSize)
+	for lo := 0; lo < n; {
+		if m.Blocks[lo] >= d.cfg.Blocks {
+			res.Errs[lo] = msg.ErrRange
+			clear(data[lo*BlockSize : (lo+1)*BlockSize])
+			lo++
 			continue
 		}
-		d.reads.Inc()
-		data, ver, ok, err := d.media.Read(block)
-		if err != nil {
-			res.Errs[i] = d.mediaFailed(block, err)
-			continue
+		hi := lo + 1
+		for hi < n && m.Blocks[hi] < d.cfg.Blocks {
+			hi++
 		}
-		if ok {
-			copy(res.Data[i*BlockSize:(i+1)*BlockSize], data)
-			res.Vers[i] = ver
+		errs := d.media.ReadV(m.Blocks[lo:hi], data[lo*BlockSize:hi*BlockSize], res.Vers[lo:hi])
+		for i := lo; i < hi; i++ {
+			d.reads.Inc()
+			if errs != nil && errs[i-lo] != nil {
+				res.Errs[i] = d.mediaFailed(m.Blocks[i], errs[i-lo])
+				continue
+			}
+			if d.obs.Served != nil {
+				d.obs.Served(d.id, m.Blocks[i], res.Vers[i], m.Client)
+			}
 		}
-		if d.obs.Served != nil {
-			d.obs.Served(d.id, block, res.Vers[i], m.Client)
-		}
+		lo = hi
 	}
 	for _, e := range res.Errs {
 		if e != msg.OK {
@@ -445,6 +466,7 @@ func (d *Disk) readV(m *msg.DiskReadV) {
 			break
 		}
 	}
+	res.Lend(data)
 	d.batchAccount("readv", n)
 	d.send(m.Client, res)
 }

@@ -1,6 +1,10 @@
 package msg
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/bufpool"
+)
 
 // borrowCell is the reference count behind a borrowed envelope. It lives
 // in an unexported pointer field of Envelope so that envelope values can
@@ -40,5 +44,32 @@ func (e *Envelope) Retain() {
 func (e *Envelope) Release() {
 	if e.borrow != nil && e.borrow.refs.Add(-1) == 0 {
 		e.borrow.free()
+	}
+}
+
+// Lend makes buf — a bufpool buffer the caller owns — the reply's Data,
+// on loan to whichever fabric the reply is handed to: the sending-side
+// twin of the receive borrow above. The sender must not touch buf again;
+// the fabric ends the loan with EndLoan when nothing of its own still
+// reads the payload. The mark is an unexported flag, not a field the wire
+// layout, gob or a reflecting test would have to know about.
+//
+//tank:owns buf
+func (m *DiskReadVRes) Lend(buf []byte) {
+	m.Data = buf //tank:adopt(the reply holds it until the fabric's EndLoan)
+	m.lent = true
+}
+
+// EndLoan returns a lent payload to the pool; for every other message it
+// does nothing. A fabric calls it exactly when its own use of the message
+// is over — the live transport when Codec.Send has returned, the simulated
+// one, which delivers the very message, when the receiving handler has —
+// and a fabric that drops a message instead may skip it: what is never
+// returned is the garbage collector's, as bufpool's contract allows.
+func EndLoan(m Message) {
+	if r, ok := m.(*DiskReadVRes); ok && r.lent {
+		r.lent = false
+		bufpool.Put(r.Data)
+		r.Data = nil
 	}
 }

@@ -144,13 +144,18 @@ func (m *DiskReadV) layout(c *coder) {
 // served at Data[i*BlockSize:(i+1)*BlockSize] with version Vers[i].
 // Per-block failures (torn block, out of range) land in Errs[i]; the
 // corresponding payload slot is zeros. Unwritten blocks read as zeros
-// with Err OK, as in the scalar protocol.
+// with Err OK, as in the scalar protocol. A reply that serves no block at
+// all — the initiator is fenced, or every block is out of range — carries
+// no payload.
 type DiskReadVRes struct {
 	Req  ReqID
 	Err  Errno
 	Errs []Errno
 	Vers []uint64
 	Data []byte
+	// lent marks Data as a pooled buffer on loan to the fabric (Lend,
+	// EndLoan in borrow.go). It never travels.
+	lent bool
 }
 
 func (*DiskReadVRes) Kind() Kind  { return KindSANReply }

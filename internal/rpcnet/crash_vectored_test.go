@@ -80,7 +80,7 @@ collect:
 				}
 			}
 			if all {
-				ackedBatch[int(res.Req - 100)] = true
+				ackedBatch[int(res.Req-100)] = true
 			}
 		case <-timeout:
 			break collect

@@ -62,6 +62,10 @@ func (e *Executor) Run() {
 			return
 		}
 		fn := e.queue[0]
+		// The slot would otherwise keep the closure — a delivered envelope
+		// and whatever its payload aliases — reachable until the backing
+		// array is regrown.
+		e.queue[0] = nil
 		e.queue = e.queue[1:]
 		e.mu.Unlock()
 		fn()

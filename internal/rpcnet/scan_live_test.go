@@ -15,9 +15,11 @@ import (
 // over loopback TCP with the default read-ahead window, through a client
 // whose SAN traffic the test can see: the scan must cost well under one
 // SAN message per read, both directions counted, and every block must
-// carry its stamp — a 16-block reply aliases a pooled frame until the
-// handler returns, so under -tags tankdebug a page that was not copied out
-// in time reads back as poison.
+// carry its stamp — a 16-block reply is a pooled buffer at both ends: the
+// disk lends its payload to the transport until the frame is written, and
+// the client's copy aliases a pooled frame until the handler returns, so
+// under -tags tankdebug a payload returned before it was sent, or a page
+// not copied out in time, reads back as poison.
 func TestLiveSequentialScanLeavesTheRoundTripPath(t *testing.T) {
 	const blocks = 256
 	lc := startLive(t, 1)

@@ -200,6 +200,9 @@ func (n *Network) Send(from, to msg.NodeID, payload msg.Message) {
 			n.Observer(Event{At: n.sched.Now(), Env: env, Delivered: true})
 		}
 		n.nodes[to](env)
+		// The handler was given the sender's own message, so a payload the
+		// sender lent is the fabric's to return only now.
+		msg.EndLoan(env.Payload)
 	})
 }
 

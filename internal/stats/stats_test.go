@@ -2,8 +2,8 @@ package stats
 
 import (
 	"math/rand"
-	"sync"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
