@@ -76,7 +76,7 @@ bench:
 # benchmark's allocs/op or B/op regressed more than 5% against the
 # checked-in baseline — the alloc regression gate for the zero-copy
 # wire codec. (B/op is not gated where it is noise: the fsync-bound rows
-# at 0 allocs/op and MetaCommit/100k, see cmd/benchjson.) One benchmark
+# and MetaCommit/100k, see cmd/benchjson.) One benchmark
 # run feeds both: the old report is snapshot to bin/ first, then compared
 # against the fresh numbers.
 bench-gate:

@@ -225,12 +225,13 @@ func TestCompareEnforcesMetaCommitRatioCeiling(t *testing.T) {
 	}
 }
 
-// TestCompareGatesOnlyAllocsOnFsyncBoundRows: the three fsync-bound
-// benchmarks at 0 allocs/op have a B/op that is noise — 0 on one run, a
-// hundred on the next — and are gated on allocs/op alone; a benchmark
-// that merely starts with one of their names is gated on both.
+// TestCompareGatesOnlyAllocsOnFsyncBoundRows: the fsync-bound benchmarks
+// have a B/op that is noise — 0 on one run, a hundred on the next — and
+// are gated on allocs/op alone; a benchmark that merely starts with one
+// of their names is gated on both.
 func TestCompareGatesOnlyAllocsOnFsyncBoundRows(t *testing.T) {
-	names := []string{"BenchmarkGroupCommit64PerBlock-2", "BenchmarkFileWrite-2", "BenchmarkFileWriteSync"}
+	names := []string{"BenchmarkGroupCommit64PerBlock-2", "BenchmarkGroupCommit64Batched-2",
+		"BenchmarkFileWrite-2", "BenchmarkFileWriteSync"}
 	var was, noisy, worse []Result
 	for _, n := range names {
 		was = append(was, bench(n, 0, 0))

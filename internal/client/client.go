@@ -172,6 +172,10 @@ type Client struct {
 	// one.
 	demandBusy map[msg.ObjectID]bool
 	demandNext map[msg.ObjectID]*msg.Demand
+	// arriving is the demand being delivered in this executor turn, until
+	// its LockDowngraded leaves: still set when the turn ends, the demand
+	// is acknowledged on its own (handleDemand).
+	arriving *msg.Demand
 	// demandSeq counts demands processed per object. A lock grant that
 	// was in flight while a demand arrived may already have been revoked
 	// (the client, not knowing, reported the demand "complied"); such

@@ -7,10 +7,15 @@ import (
 )
 
 // handleDemand answers a server-initiated lock demand (§1.2): the client
-// immediately acknowledges receipt at the transport level (proving it is
-// alive), then complies — flushing dirty data covered by the lock and
-// downgrading its cache — and finally reports completion with a
-// LockDowngraded request.
+// complies — flushing dirty data covered by the lock and downgrading its
+// cache — and reports completion with a LockDowngraded request. The server
+// must hear at once that the demand arrived (silence is the delivery
+// failure that starts its lease timer), and the report says that too: when
+// it leaves in the executor turn the demand arrived in, nothing else is
+// sent. When it cannot — a flush on the SAN, operations to drain, another
+// compliance ahead of this one — a transport-level DemandAck goes now and
+// the report follows, so the server can tell a slow flush from a dead
+// client (DESIGN.md §19.2).
 //
 // Compliance is serialized per object: a demand arriving while an
 // earlier one is mid-compliance (its flush still in flight) is deferred,
@@ -27,9 +32,6 @@ func (c *Client) handleDemand(m *msg.Demand) {
 		c.emit(trace.Event{Type: trace.EvDemandRecv, Peer: m.Server, Ino: m.Ino,
 			To: m.Mode.String(), Note: note})
 	}
-	// The transport-level ack goes out unconditionally and immediately;
-	// its absence is what the server interprets as a delivery failure.
-	c.sendCtrl(m.Server, &msg.DemandAck{Client: c.id, ID: m.ID})
 	// Invalidate any lock grant currently in flight for this object: the
 	// server sent this demand with knowledge of every grant it has made,
 	// so a grant the client has not yet seen is covered by (and consumed
@@ -39,15 +41,21 @@ func (c *Client) handleDemand(m *msg.Demand) {
 	c.demandSeq[m.Ino]++
 	c.names.gen++
 
+	c.arriving = m
 	if c.demandBusy[m.Ino] {
 		if cur, ok := c.demandNext[m.Ino]; !ok || m.Mode < cur.Mode ||
 			(m.Mode == cur.Mode && m.ID > cur.ID) {
 			c.demandNext[m.Ino] = m
 		}
-		return
+	} else {
+		c.demandBusy[m.Ino] = true
+		c.runDemand(m)
 	}
-	c.demandBusy[m.Ino] = true
-	c.runDemand(m)
+	if c.arriving == m {
+		// No report left for it in this turn: say that it arrived.
+		c.arriving = nil
+		c.sendCtrl(m.Server, &msg.DemandAck{Client: c.id, ID: m.ID})
+	}
 }
 
 // runDemand executes one demand while holding the object's compliance
@@ -58,19 +66,35 @@ func (c *Client) runDemand(m *msg.Demand) {
 		// lock. What it covered is gone; all that is left is to say so.
 		c.names.revoked.Inc()
 	}
-	held, ok := c.lockedInos[m.Ino]
-	if !ok || held <= m.Mode {
+	if !c.holdsAbove(m) {
 		// Nothing to downgrade (already compliant, or a stale demand from
 		// before an expiry). Still report, so the server's lock table
 		// resolves its demand state.
 		c.downgradeBegin(m.Ino)
-		c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
-			c.downgradeEnd(m.Ino)
-		})
-		c.finishDemand(m.Ino)
+		c.reportDowngraded(m)
 		return
 	}
 	c.whenIdle(m.Ino, func() { c.complyDemand(m) })
+}
+
+// holdsAbove reports whether the client holds a lock on m's object that
+// is stronger than the mode m demands.
+func (c *Client) holdsAbove(m *msg.Demand) bool {
+	held, ok := c.lockedInos[m.Ino]
+	return ok && held > m.Mode
+}
+
+// reportDowngraded sends the LockDowngraded that ends a compliance — the
+// caller holds the object's downgrade latch, the acknowledgment drops it —
+// and gives the compliance slot to the next demand.
+func (c *Client) reportDowngraded(m *msg.Demand) {
+	if c.arriving == m {
+		c.arriving = nil // the report stands for the DemandAck
+	}
+	c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
+		c.downgradeEnd(m.Ino)
+	})
+	c.finishDemand(m.Ino)
 }
 
 // finishDemand releases the object's compliance slot and starts any
@@ -90,45 +114,51 @@ func (c *Client) finishDemand(ino msg.ObjectID) {
 // held, so no new operation can slip a fresh dirty page in between the
 // flush and the downgrade.
 func (c *Client) complyDemand(m *msg.Demand) {
+	c.downgradeBegin(m.Ino)
 	// Re-check: the world may have moved while this compliance waited for
 	// in-flight operations to drain — in particular the lease may have
 	// expired (clearing every lock) or a previous compliance may already
 	// have downgraded far enough. Proceeding would resurrect a lock the
 	// client no longer holds.
-	if held, ok := c.lockedInos[m.Ino]; !ok || held <= m.Mode {
-		c.downgradeBegin(m.Ino)
-		c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
-			c.downgradeEnd(m.Ino)
-		})
-		c.finishDemand(m.Ino)
+	if !c.holdsAbove(m) {
+		c.reportDowngraded(m)
 		return
 	}
-	c.downgradeBegin(m.Ino)
 	c.emit(trace.Event{Type: trace.EvFlushStart, Ino: m.Ino, Note: "demand"})
 	c.flushObject(m.Ino, func() {
 		c.emit(trace.Event{Type: trace.EvFlushDone, Ino: m.Ino, Note: "demand"})
 		// The next holder reads size and map from the server: both are
 		// final there before the lock moves.
 		c.trim(m.Ino, func() {
-			if m.Mode == msg.LockNone {
-				delete(c.lockedInos, m.Ino)
-				c.oracle.LockInactive(c.id, m.Ino)
-				c.dropObject(m.Ino)
-				delete(c.objExpiry, m.Ino)
-			} else {
-				c.forgetReadAhead(m.Ino)
-				c.lockedInos[m.Ino] = m.Mode
-				if o := c.cache.Object(m.Ino); o != nil {
-					o.Mode = m.Mode
-				}
-				c.oracle.LockActive(c.id, m.Ino, m.Mode)
+			// And again: the flush and the trim are asynchronous, and a lease
+			// that runs out under them clears every lock and then fires
+			// these callbacks. Writing the demanded mode back then would be
+			// a lock nobody granted.
+			if c.holdsAbove(m) {
+				c.downgradeTo(m.Ino, m.Mode)
 			}
-			c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
-				c.downgradeEnd(m.Ino)
-			})
-			c.finishDemand(m.Ino)
+			c.reportDowngraded(m)
 		})
 	})
+}
+
+// downgradeTo gives up what the lock on ino covers beyond mode: all of it
+// for LockNone, and for Shared nothing but the right to write — the pages,
+// flushed by now, stay.
+func (c *Client) downgradeTo(ino msg.ObjectID, mode msg.LockMode) {
+	if mode == msg.LockNone {
+		delete(c.lockedInos, ino)
+		c.oracle.LockInactive(c.id, ino)
+		c.dropObject(ino)
+		delete(c.objExpiry, ino)
+		return
+	}
+	c.forgetReadAhead(ino)
+	c.lockedInos[ino] = mode
+	if o := c.cache.Object(ino); o != nil {
+		o.Mode = mode
+	}
+	c.oracle.LockActive(c.id, ino, mode)
 }
 
 // flushItem is one dirty page snapshotted for write-back: where it goes

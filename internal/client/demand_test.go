@@ -1,0 +1,100 @@
+package client_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/msg"
+	"repro/internal/trace"
+)
+
+// A compliance that outlives the lease must leave nothing behind. The
+// flush and the trim of a demand's compliance are asynchronous; a lease
+// that runs out under them clears every lock and then fires their
+// callbacks, and the continuation used to write the demanded mode back:
+// a Shared lock, and a LockActive at the oracle, for a client that was no
+// longer registered — it then read under a lock nobody had granted.
+//
+// The holder's requests stop reaching the server before the demand goes
+// out, so whichever step the compliance has reached stays in flight until
+// the lease is over: the flush, whose acknowledgments the disks' replies
+// never bring, or the trim's Truncate, which gives back a block granted
+// ahead of the writer.
+func TestComplianceOutlivingLeaseHoldsNothing(t *testing.T) {
+	for name, tc := range map[string]struct {
+		flushHeld bool
+		blocks    uint64 // 3 blocks are written into a map of 4: the trim has one to give back
+	}{
+		"flush in flight": {flushHeld: true, blocks: 1},
+		"trim in flight":  {flushHeld: false, blocks: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := cluster.DefaultOptions()
+			ring := trace.NewRing(1 << 12)
+			opts.Tracer = trace.New(ring)
+			cl := cluster.New(opts)
+			cl.Start()
+			tau := opts.Core.Tau
+			c0 := cl.Clients[0].Sub(0)
+
+			old := bytes.Repeat([]byte{'o'}, cluster.BlockSize)
+			h0, attr := cl.MustOpen(0, "/f", true, true)
+			for idx := uint64(0); idx < tc.blocks; idx++ {
+				if e := cl.Write(0, h0, idx, old); e != msg.OK {
+					t.Fatalf("write %d: %v", idx, e)
+				}
+			}
+			h1, _ := cl.MustOpen(1, "/f", true, false)
+
+			// The demand reaches the holder; nothing the holder says reaches
+			// the server.
+			cl.Control.BlockDir(cluster.ClientID(0), cluster.ServerID(0))
+			if tc.flushHeld {
+				for _, d := range cl.Disks {
+					cl.SAN.BlockDir(d.ID(), cluster.ClientID(0))
+				}
+			}
+			cl.Clients[1].Read(h1, 0, func([]byte, msg.Errno) {})
+			cl.RunFor(tau / 10)
+			events := ring.Events()
+			flushing := events.Count(trace.ByNode(cluster.ClientID(0)), trace.ByType(trace.EvFlushStart), trace.ByNote("demand"))
+			flushed := events.Count(trace.ByNode(cluster.ClientID(0)), trace.ByType(trace.EvFlushDone), trace.ByNote("demand"))
+			if flushing != 1 || (flushed == 0) != tc.flushHeld || c0.HeldMode(attr.Ino) != msg.LockExclusive {
+				t.Fatalf("test is vacuous: %d compliance flushes started, %d done, the holder holds %v",
+					flushing, flushed, c0.HeldMode(attr.Ino))
+			}
+
+			cl.RunFor(2 * tau)
+			if n := cl.Reg.CounterValue("client.n10.lease.expiries"); n != 1 {
+				t.Fatalf("test is vacuous: the holder's lease expired %d times", n)
+			}
+			if held := c0.HeldMode(attr.Ino); held != msg.LockNone {
+				t.Fatalf("an expired client holds %v: the compliance that outlived its lease wrote the lock back", held)
+			}
+
+			// Had anything been reported as held — here or to the oracle —
+			// this is where it would show: the other client writes under an
+			// exclusive lock the server granted without asking, and the old
+			// holder must ask for the block back.
+			cl.HealControl()
+			cl.SAN.Heal()
+			cl.RunFor(tau / 10)
+			fresh := bytes.Repeat([]byte{'n'}, cluster.BlockSize)
+			if e := cl.Write(1, h1, 0, fresh); e != msg.OK {
+				t.Fatalf("the other client's write: %v", e)
+			}
+			h0, _ = cl.MustOpen(0, "/f", false, false)
+			if got, e := cl.Read(0, h0, 0); e != msg.OK || !bytes.Equal(got, fresh) {
+				t.Fatalf("the old holder reads %.4q… (%v), want the block written since", got, e)
+			}
+			if held := cl.Shards[0].Server.Locks().Held(cluster.ClientID(0), attr.Ino); held != msg.LockShared {
+				t.Fatalf("the server records %v for the old holder, want the shared lock it just granted", held)
+			}
+			cl.FinalCheck()
+			if got := cl.Violations(); len(got) != 0 {
+				t.Fatalf("violations: %v", got)
+			}
+		})
+	}
+}

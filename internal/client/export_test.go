@@ -37,3 +37,6 @@ func (c *Client) NamesHeld(ino msg.ObjectID) bool { return c.names.dirs[ino] != 
 func (c *Client) NameDirs() int    { return len(c.names.dirs) }
 func (c *Client) NameEntries() int { return c.names.count }
 func (c *Client) LocksHeld() int   { return len(c.lockedInos) }
+
+// HeldMode is the data lock the client believes it holds on ino.
+func (c *Client) HeldMode(ino msg.ObjectID) msg.LockMode { return c.lockedInos[ino] }

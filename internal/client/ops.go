@@ -615,7 +615,9 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 	}
 	seq := c.demandSeq[ino]
 	epoch := c.chn.Epoch()
-	c.call(&msg.LockAcquire{Ino: ino, Mode: mode}, func(r *msg.Reply) {
+	o := c.cache.Object(ino)
+	wantMap := o == nil || !o.HaveMap
+	c.call(&msg.LockAcquire{Ino: ino, Mode: mode, WantMap: wantMap}, func(r *msg.Reply) {
 		errno := errnoOf(r)
 		if errno != msg.OK {
 			cb(errno)
@@ -637,18 +639,29 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			c.ensureLock(ino, mode, cb)
 			return
 		}
-		granted := r.Body.(msg.LockRes).Mode
-		if cur := c.lockedInos[ino]; granted > cur {
-			c.lockedInos[ino] = granted
-			c.cache.Ensure(ino).Mode = granted
-			c.oracle.LockActive(c.id, ino, granted)
+		res := r.Body.(msg.LockRes)
+		cur := c.lockedInos[ino]
+		if res.Mode > cur {
+			c.lockedInos[ino] = res.Mode
+			c.cache.Ensure(ino).Mode = res.Mode
+			c.oracle.LockActive(c.id, ino, res.Mode)
+		}
+		if res.HaveMap && cur == msg.LockNone {
+			// The map as it stood when the lock moved, and nothing has been
+			// done under the lock since: this is the grant that brought it.
+			// (A second grant for the same object — two operations asked at
+			// once — is older than what the first has been used for.)
+			c.installMap(ino, res.Attr, res.Blocks)
 		}
 		c.vLeaseNote(ino)
 		cb(msg.OK)
 	})
 }
 
-// ensureMap fetches the block map if not cached.
+// ensureMap fetches the block map if not cached. A lock's grant brings the
+// map with it (ensureLock), so this asks only for a map lost while the lock
+// was held — an allocation reply that did not splice — and for the
+// policies that take no lock.
 func (c *Client) ensureMap(ino msg.ObjectID, cb ErrnoCallback) {
 	o := c.cache.Ensure(ino)
 	if o.HaveMap {
@@ -662,15 +675,20 @@ func (c *Client) ensureMap(ino msg.ObjectID, cb ErrnoCallback) {
 			return
 		}
 		res := r.Body.(msg.BlocksRes)
-		c.names.refreshAttr(res.Attr)
-		o := c.cache.Ensure(ino)
-		o.Blocks = res.Blocks
-		o.Fetched = len(res.Blocks)
-		o.Attr = c.seenAttr(res.Attr)
-		o.HaveMap = true
-		o.HaveAttr = true
+		c.installMap(ino, res.Attr, res.Blocks)
 		cb(msg.OK)
 	})
+}
+
+// installMap caches ino's block map and the metadata that came with it.
+func (c *Client) installMap(ino msg.ObjectID, attr msg.Attr, blocks []msg.BlockRef) {
+	c.names.refreshAttr(attr)
+	o := c.cache.Ensure(ino)
+	o.Blocks = blocks
+	o.Fetched = len(blocks)
+	o.Attr = c.seenAttr(attr)
+	o.HaveMap = true
+	o.HaveAttr = true
 }
 
 // ReleaseLock voluntarily gives a data lock back (used by workloads that
@@ -691,10 +709,7 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 func (c *Client) releaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 	c.flushObject(ino, func() {
 		c.trim(ino, func() {
-			delete(c.lockedInos, ino)
-			c.oracle.LockInactive(c.id, ino)
-			c.dropObject(ino)
-			delete(c.objExpiry, ino)
+			c.downgradeTo(ino, msg.LockNone)
 			c.downgradeBegin(ino)
 			c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {
 				c.downgradeEnd(ino)

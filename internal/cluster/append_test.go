@@ -82,10 +82,11 @@ func TestSyncCoversSize(t *testing.T) {
 	if in := inode(t, cl, "/f"); in.Size != 40*BlockSize {
 		t.Fatalf("server size after Sync = %d, want %d", in.Size, 40*BlockSize)
 	}
-	// The lock, the map, 7 allocations (1, 1, 2, 4, 8, 16, 32 blocks) and
-	// the two SetAttr.
-	if n := cl.Reg.CounterValue("server.transactions") - before; n != 11 {
-		t.Fatalf("40 appended blocks and a Sync cost %d server transactions, want 11", n)
+	// The lock with the map — the grant carries it, where a GetBlocks used
+	// to follow every grant — 7 allocations (1, 1, 2, 4, 8, 16, 32 blocks)
+	// and the two SetAttr.
+	if n := cl.Reg.CounterValue("server.transactions") - before; n != 10 {
+		t.Fatalf("40 appended blocks and a Sync cost %d server transactions, want 10", n)
 	}
 }
 

@@ -380,6 +380,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	for _, frame := range readGolden(f) {
 		f.Add(frame)
 	}
+	f.Add(truncatedLockRes(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := DecodeBinary(data)
 		if err == nil {

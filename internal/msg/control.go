@@ -240,17 +240,25 @@ func (m *AllocBlocks) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u
 
 // LockAcquire asks for a data lock of the given mode. The server replies
 // when the lock is granted (demanding it from conflicting holders first if
-// necessary); the reliable-request layer keeps retrying meanwhile.
+// necessary); the reliable-request layer keeps retrying meanwhile. WantMap
+// says the client caches no block map for the object: the grant then
+// carries it (LockRes), as the server has it the moment the lock moves.
 type LockAcquire struct {
 	ReqHeader
-	Ino  ObjectID
-	Mode LockMode
+	Ino     ObjectID
+	Mode    LockMode
+	WantMap bool
 }
 
 func (*LockAcquire) Kind() Kind { return KindControlReq }
-func (*LockAcquire) Size() int  { return 33 }
+func (*LockAcquire) Size() int  { return 34 }
 
-func (m *LockAcquire) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.lock(&m.Mode) }
+func (m *LockAcquire) layout(c *coder) {
+	c.hdr(&m.ReqHeader)
+	c.ino(&m.Ino)
+	c.lock(&m.Mode)
+	c.b1(&m.WantMap)
+}
 
 // LockRelease gives a data lock back (or downgrades it to Mode).
 type LockRelease struct {
@@ -534,13 +542,36 @@ func (r AllocRes) layout(c *coder) {
 	keep(c, r)
 }
 
-// LockRes confirms the mode now held.
-type LockRes struct{ Mode LockMode }
+// LockRes confirms the mode now held. The grant of a LockAcquire that
+// asked for it (WantMap) also carries the object's metadata and block map
+// as they stand when the lock moves — what a GetBlocks right behind the
+// grant would have fetched. HaveMap says so; without it Attr and Blocks
+// are not on the wire at all, which is every reply to a LockRelease or a
+// LockDowngraded.
+type LockRes struct {
+	Mode    LockMode
+	HaveMap bool
+	Attr    Attr
+	Blocks  []BlockRef
+}
 
-func (LockRes) resultMarker()   {}
-func (LockRes) resultSize() int { return 1 }
+func (LockRes) resultMarker() {}
+func (r LockRes) resultSize() int {
+	if !r.HaveMap {
+		return 2
+	}
+	return 2 + 29 + 12*len(r.Blocks)
+}
 
-func (r LockRes) layout(c *coder) { c.lock(&r.Mode); keep(c, r) }
+func (r LockRes) layout(c *coder) {
+	c.lock(&r.Mode)
+	c.b1(&r.HaveMap)
+	if r.HaveMap {
+		c.attr(&r.Attr)
+		c.blockRefs(&r.Blocks)
+	}
+	keep(c, r)
+}
 
 // RejoinRes returns the client's fresh epoch.
 type RejoinRes struct{ Epoch Epoch }

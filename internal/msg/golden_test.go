@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,12 +28,23 @@ func deltaAllocRes() *Envelope {
 		First: 3, Blocks: []BlockRef{{Disk: 1000, Num: 9}, {Disk: 1001, Num: 9}}}}}
 }
 
+// bareLockRes is a LockRes without a map: every reply to a LockRelease or
+// a LockDowngraded, and a grant whose acquire did not ask for one. The
+// reflect-filled Reply/LockRes sample is the other shape (HaveMap set).
+func bareLockRes() *Envelope {
+	return &Envelope{From: 1, To: 10, Payload: &Reply{Client: 10, Req: 8, Status: ACK, Err: OK,
+		Body: LockRes{Mode: LockShared}}}
+}
+
 // goldenSamples is one envelope per wire type, keyed by type name: every
 // AllMessages entry and a Reply around every AllResults entry, each
 // reflect-filled from its own counter so that a sample's bytes do not
 // depend on its place in the registry.
 func goldenSamples() map[string]*Envelope {
-	samples := map[string]*Envelope{"Reply/AllocRes.delta": deltaAllocRes()}
+	samples := map[string]*Envelope{
+		"Reply/AllocRes.delta": deltaAllocRes(),
+		"Reply/LockRes.bare":   bareLockRes(),
+	}
 	for _, m := range AllMessages() {
 		ctr := 0
 		fill(reflect.ValueOf(m).Elem(), &ctr)
@@ -145,5 +157,58 @@ func TestBinaryAllocResGolden(t *testing.T) {
 	}
 	if r := deltaAllocRes().Payload.(*Reply); r.Size() != 16+33+2*12 {
 		t.Errorf("modelled size %d, want %d", r.Size(), 16+33+2*12)
+	}
+}
+
+// truncatedLockRes is a grant that announces a map and ends there.
+func truncatedLockRes(tb testing.TB) []byte {
+	bare := readGolden(tb)["Reply/LockRes.bare"]
+	if len(bare) == 0 {
+		tb.Fatal("no golden frame for Reply/LockRes.bare")
+	}
+	cut := append([]byte(nil), bare...)
+	cut[len(cut)-1] = 1 // HaveMap
+	return cut
+}
+
+// TestLockResLayout spells both shapes of a LockRes out field by field.
+// The map is on the wire only behind HaveMap: a bare result is two bytes,
+// whatever else the struct holds, and a frame that sets the flag and stops
+// is corrupt, not a grant with an empty map.
+func TestLockResLayout(t *testing.T) {
+	reply := "00000001" + "0000000a" + "17" + // from, to, Reply
+		"0000000a" + "0000000000000008" + "01" + "00" + // client, req, ACK, OK
+		"08" // LockRes
+	bare, _ := hex.DecodeString(reply + "01" + "00") // shared, no map
+	if got := readGolden(t)["Reply/LockRes.bare"]; !bytes.Equal(got, bare) {
+		t.Errorf("bare LockRes frame\n got %x\nwant %x", got, bare)
+	}
+	withMap := &Envelope{From: 1, To: 10, Payload: &Reply{Client: 10, Req: 8, Status: ACK, Err: OK, Body: LockRes{
+		Mode: LockShared, HaveMap: true,
+		Attr:   Attr{Ino: 2, Size: 8192, Version: 5, Nlink: 1},
+		Blocks: []BlockRef{{Disk: 1000, Num: 9}, {Disk: 1001, Num: 9}}}}}
+	want, _ := hex.DecodeString(reply + "01" + "01" + // shared, map follows
+		"0000000000000002" + "00" + "0000000000002000" + "0000000000000005" + "00000001" + // attr
+		"00000002" + "000003e8" + "0000000000000009" + "000003e9" + "0000000000000009")
+	if got := encodeFrame(t, withMap); !bytes.Equal(got, want) {
+		t.Errorf("LockRes with a map\n got %x\nwant %x", got, want)
+	}
+	if r := withMap.Payload.(*Reply); r.Size() != 16+2+29+2*12 {
+		t.Errorf("modelled size %d, want %d", r.Size(), 16+2+29+2*12)
+	}
+	if r := bareLockRes().Payload.(*Reply); r.Size() != 16+2 {
+		t.Errorf("modelled size of a bare LockRes %d, want %d", r.Size(), 16+2)
+	}
+	// What is not behind the flag does not travel.
+	hidden := bareLockRes()
+	hidden.Payload.(*Reply).Body = LockRes{Mode: LockShared, Attr: Attr{Ino: 2}, Blocks: []BlockRef{{Disk: 1000, Num: 9}}}
+	if got := encodeFrame(t, hidden); !bytes.Equal(got, bare) {
+		t.Errorf("LockRes without HaveMap encodes its map: %x", got)
+	}
+	if _, err := DecodeBinary(truncatedLockRes(t)); !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("a LockRes that announces a map and ends: err = %v, want ErrCorruptFrame", err)
+	}
+	if _, err := DecodeBinary(append(append([]byte(nil), bare...), want[len(bare):]...)); !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("a bare LockRes followed by a map: err = %v, want ErrCorruptFrame", err)
 	}
 }

@@ -213,7 +213,18 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 				s.locks.Release(client, m.Ino, msg.LockNone)
 				return
 			}
-			s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: msg.OK, Body: msg.LockRes{Mode: mode}})
+			res := msg.LockRes{Mode: mode}
+			if m.WantMap {
+				// What the client would ask for next (GetBlocks) is in hand,
+				// and final: the lock moves only after the previous holder's
+				// flush, trim and size push were acknowledged.
+				if in, errno := s.store.Get(m.Ino); errno == msg.OK {
+					res.HaveMap = true
+					res.Attr = in.Attr()
+					res.Blocks = append([]msg.BlockRef(nil), in.Blocks...)
+				}
+			}
+			s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: msg.OK, Body: res})
 		})
 
 	case *msg.LockRelease:
@@ -224,6 +235,9 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		ack(errno, msg.LockRes{Mode: m.To})
 
 	case *msg.LockDowngraded:
+		// The report is its own delivery proof: a holder that could comply
+		// in the turn the demand arrived sends no DemandAck beside it.
+		s.retireDemand(m.Demand, client)
 		errno := s.locks.Downgraded(client, m.Ino, m.To, m.Demand)
 		if m.To == msg.LockNone {
 			s.vLeaseDrop(client, m.Ino)

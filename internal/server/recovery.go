@@ -64,18 +64,20 @@ func (s *Server) transmitDemand(pd *pendingDemand) {
 	})
 }
 
-// handleDemandAck stops the retry loop: the client is alive and has
-// accepted the demand. The downgrade itself completes later via a
-// LockDowngraded request.
-func (s *Server) handleDemandAck(m *msg.DemandAck) {
-	pd, ok := s.demands[m.ID]
-	if !ok || pd.holder != m.Client {
+// retireDemand stops a demand's retry loop: the holder has shown that it
+// arrived. A DemandAck says so and nothing else — the downgrade itself
+// completes later — and the LockDowngraded that reports the downgrade says
+// so as well (handlers.go). A demand nobody is waiting on any more, or
+// one aimed at somebody else, is left alone.
+func (s *Server) retireDemand(id msg.DemandID, holder msg.NodeID) {
+	pd, ok := s.demands[id]
+	if !ok || pd.holder != holder {
 		return
 	}
 	if pd.timer != nil {
 		pd.timer.Stop()
 	}
-	delete(s.demands, m.ID)
+	delete(s.demands, id)
 }
 
 // cancelDemandsTo drops outstanding demands aimed at a client whose locks

@@ -398,7 +398,7 @@ func (s *Server) Deliver(env msg.Envelope) {
 			s.syncLocksHeld()
 		})
 	case *msg.DemandAck:
-		s.handleDemandAck(m)
+		s.retireDemand(m.ID, m.Client)
 	case *msg.ShardMigrate:
 		s.handleShardMigrate(m)
 	case *msg.ShardMigrateRes:
