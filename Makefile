@@ -46,7 +46,10 @@ lint:
 # bit, both checkpoint crash windows, a deposed writer) and the restart
 # of an unreplicated journalled server run beside it, and the name cache's
 # two live tests — two clients churning one directory with every reply
-# checked against a model, and the clean exit that strands no lock. The
+# checked against a model, and the clean exit that strands no lock — and
+# the executor's own stress test: many goroutines mixing Do and Submit on
+# one executor, mutual exclusion and per-producer order checked by plain
+# variables the race detector watches, ten times over. The
 # suite then runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
@@ -63,6 +66,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
+	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo' ./internal/rpcnet/
 	$(GO) test -race -tags tankdebug ./...
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
 

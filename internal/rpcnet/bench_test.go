@@ -1,0 +1,90 @@
+package rpcnet
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+)
+
+var sinkAttr msg.Attr
+
+// BenchmarkSyncHit is a ClientNode.Sync Lookup the name cache answers: what
+// a synchronous caller pays for an operation that needs nobody else. It
+// runs in the caller's own executor turn, so it must arm no timeout timer
+// and send nothing.
+func BenchmarkSyncHit(b *testing.B) {
+	lc := startLiveCfg(b, 1, liveCore())
+	cn := lc.clients[0]
+	if err := cn.Start(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	fs := cn.Sync(5 * time.Second)
+	if _, err := fs.Create("/d", true); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fs.Create("/d/f", false); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fs.Lookup("/d/f"); err != nil { // the miss that fills the cache
+		b.Fatal(err)
+	}
+	clk := newPendingClock()
+	cn.tmo = clk
+	hits := cn.Reg.Counter("client.n10.names.hits")
+	before := hits.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attr, err := fs.Lookup("/d/f")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkAttr = attr
+	}
+	b.StopTimer()
+	if got := hits.Value() - before; got != uint64(b.N) {
+		b.Fatalf("%d of %d lookups were answered by the name cache", got, b.N)
+	}
+	armed, _ := clk.counts()
+	b.ReportMetric(float64(armed)/float64(b.N), "timers/op")
+	if armed != 0 {
+		b.Fatalf("%d timeout timers armed for %d hits", armed, b.N)
+	}
+}
+
+// BenchmarkExecutorDo is a task brought to an idle executor: it runs on
+// the caller, between two uncontended lock/unlock pairs.
+func BenchmarkExecutorDo(b *testing.B) {
+	e := NewExecutor()
+	go e.Run()
+	defer e.Close()
+	n := 0
+	task := func() { n++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Do(task)
+	}
+	b.StopTimer()
+	if n != b.N {
+		b.Fatalf("%d of %d tasks ran before Do returned", n, b.N)
+	}
+}
+
+// BenchmarkExecutorSubmitHop is the same task queued for Run's goroutine
+// and waited for: the two goroutine switches a Sync call used to pay
+// around every operation, and a queued delivery still pays one of.
+func BenchmarkExecutorSubmitHop(b *testing.B) {
+	e := NewExecutor()
+	go e.Run()
+	defer e.Close()
+	ran := make(chan struct{})
+	task := func() { ran <- struct{}{} }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Submit(task)
+		<-ran
+	}
+}

@@ -118,22 +118,47 @@ func TestSyncTimeoutDefaultsToWallClock(t *testing.T) {
 	}
 }
 
-// pendingClock is a sim.Clock stub that never fires and counts the
-// timers armed on it and not stopped since.
+// pendingClock is a sim.Clock stub that fires only when told to. It counts
+// the timers armed on it and those not stopped since, and announces each
+// arming on armedCh.
 type pendingClock struct {
 	mu      sync.Mutex
 	armed   int
 	pending int
+	fns     []func()
+	armedCh chan struct{}
+}
+
+func newPendingClock() *pendingClock {
+	// Sized to the number of sends any test here makes without receiving.
+	return &pendingClock{armedCh: make(chan struct{}, 16)}
 }
 
 func (c *pendingClock) Now() sim.Time { return 0 }
 
-func (c *pendingClock) AfterFunc(time.Duration, func()) sim.Timer {
+func (c *pendingClock) AfterFunc(_ time.Duration, fn func()) sim.Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.armed++
 	c.pending++
+	c.fns = append(c.fns, fn)
+	c.armedCh <- struct{}{}
 	return &pendingTimer{c: c}
+}
+
+// counts returns the timers armed so far and those still pending.
+func (c *pendingClock) counts() (armed, pending int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.armed, c.pending
+}
+
+// fireLast runs the callback of the timer armed last.
+func (c *pendingClock) fireLast() {
+	c.mu.Lock()
+	fn := c.fns[len(c.fns)-1]
+	c.mu.Unlock()
+	fn()
 }
 
 type pendingTimer struct {
@@ -152,21 +177,31 @@ func (t *pendingTimer) Stop() bool {
 	return true
 }
 
-// TestSyncStopsItsTimeoutTimer is the regression test for the timer
-// Sync used to abandon per call: an op that completes must take its
-// timeout timer with it, or every op of the last 30 s holds a timer, a
-// channel and a closure (0.7 KB of RSS per op under load).
-func TestSyncStopsItsTimeoutTimer(t *testing.T) {
+// awaitNode is a client node with no server to talk to — an unregistered
+// client fails every operation at once, inside the task that started it,
+// so the whole pump runs — whose Sync timeouts are armed on clk.
+func awaitNode(t *testing.T, id msg.NodeID) (*ClientNode, *pendingClock) {
+	t.Helper()
 	topo := Topology{Server: 1, ServerAddr: "127.0.0.1:9", Disks: map[msg.NodeID]string{}}
-	n, err := StartClientNode(NodeSpec{ID: 9, Topo: topo}, client.Config{Core: liveCore()})
+	n, err := StartClientNode(NodeSpec{ID: id, Topo: topo}, client.Config{Core: liveCore()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	clk := &pendingClock{}
+	t.Cleanup(n.Close)
+	clk := newPendingClock()
 	n.tmo = clk
-	// An unregistered client fails every op at once, on its executor:
-	// the whole pump runs, no server needed.
+	return n, clk
+}
+
+// TestSyncStopsItsTimeoutTimer pins what a Sync call costs beside its
+// operation. One that completes in the caller's own turn — every cache
+// hit — arms no timer and makes no channel: the pump's whole cost is the
+// completion token and the two method values bound to it. One that has to
+// wait arms exactly one timer and takes it along when it completes, or
+// every operation of the last 30 s would hold a timer, a channel and a
+// closure (0.7 KB of RSS per operation under load).
+func TestSyncStopsItsTimeoutTimer(t *testing.T) {
+	n, clk := awaitNode(t, 9)
 	sc := n.Sync(0)
 	const calls = 10000
 	for i := 0; i < calls; i++ {
@@ -174,12 +209,62 @@ func TestSyncStopsItsTimeoutTimer(t *testing.T) {
 			t.Fatal("SyncAll on an unregistered client succeeded")
 		}
 	}
-	clk.mu.Lock()
-	defer clk.mu.Unlock()
-	if clk.armed != calls {
-		t.Fatalf("%d timers armed for %d calls", clk.armed, calls)
+	if armed, _ := clk.counts(); armed != 0 {
+		t.Fatalf("%d timers armed for %d calls that completed in place", armed, calls)
 	}
-	if clk.pending != 0 {
-		t.Fatalf("%d of %d timeout timers still pending after their ops completed", clk.pending, calls)
+	inPlace := func(done func()) { done() }
+	if allocs := testing.AllocsPerRun(1000, func() { n.await(inPlace, time.Second) }); allocs > 3 {
+		t.Fatalf("a call that completes in place allocates %.0f objects, want at most the token and its two method values (a channel would be a fourth)", allocs)
+	}
+
+	// An operation that waits: its done fires in a later task.
+	var done func()
+	returned := make(chan bool)
+	go func() { returned <- n.await(func(d func()) { done = d }, time.Second) }()
+	<-clk.armedCh
+	n.Do(func() { done() })
+	if ok := <-returned; !ok {
+		t.Fatal("a completed call reported a timeout")
+	}
+	if armed, pending := clk.counts(); armed != 1 || pending != 0 {
+		t.Fatalf("a call that waited armed %d timers and left %d pending, want 1 and 0", armed, pending)
+	}
+}
+
+// TestSyncLateDoneCannotCompleteNextCall: the completion token belongs to
+// one call. The done of a call that timed out, fired late, and the done of
+// a call that completed, fired again, must both leave a later call waiting
+// for its own.
+func TestSyncLateDoneCannotCompleteNextCall(t *testing.T) {
+	n, clk := awaitNode(t, 10)
+
+	// Call 1 never completes and times out; call 2 completes in place.
+	var late, dup func()
+	returned := make(chan bool)
+	go func() { returned <- n.await(func(d func()) { late = d }, time.Second) }()
+	<-clk.armedCh
+	clk.fireLast()
+	if ok := <-returned; ok {
+		t.Fatal("a call whose timer fired first reported completion")
+	}
+	if !n.await(func(d func()) { dup = d; d() }, time.Second) {
+		t.Fatal("a call that completed in place reported a timeout")
+	}
+
+	// Call 3 waits. Both stale dones fire while it does, each in a task as
+	// a real one would, and then its timer: it must report the timeout.
+	go func() { returned <- n.await(func(func()) {}, time.Second) }()
+	<-clk.armedCh
+	stale := make(chan struct{})
+	n.Do(func() {
+		late()
+		dup()
+		late()
+		close(stale)
+	})
+	<-stale
+	clk.fireLast()
+	if ok := <-returned; ok {
+		t.Fatal("an earlier call's done completed a later call")
 	}
 }

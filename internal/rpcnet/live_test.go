@@ -37,7 +37,7 @@ func startLive(t *testing.T, nClients int) *liveCluster {
 
 // startLiveCfg boots the installation with an explicit protocol config
 // and node options (e.g. WithTracer) applied to every node.
-func startLiveCfg(t *testing.T, nClients int, cfg core.Config, opts ...Option) *liveCluster {
+func startLiveCfg(t testing.TB, nClients int, cfg core.Config, opts ...Option) *liveCluster {
 	t.Helper()
 	lc := &liveCluster{}
 	topo := Topology{Server: 1, ServerAddr: Loopback(), Disks: make(map[msg.NodeID]string)}

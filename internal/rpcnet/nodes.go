@@ -5,6 +5,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockstore"
@@ -19,73 +20,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// Executor is a node's serial event loop: every protocol callback —
-// message delivery from either network, and every timer — runs here, so
-// node state needs no further locking, exactly as in the simulator. The
-// queue is unbounded: protocol callbacks must never be dropped while the
-// node is alive, and never block their producers.
-type Executor struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []func()
-	closed bool
-}
-
-// NewExecutor creates an executor; call Run (usually on a goroutine).
-func NewExecutor() *Executor {
-	e := &Executor{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
-
-// Submit enqueues fn; submissions after Close are dropped.
-func (e *Executor) Submit(fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.queue = append(e.queue, fn)
-	e.cond.Signal()
-}
-
-// Run drains tasks until Close.
-func (e *Executor) Run() {
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if len(e.queue) == 0 && e.closed {
-			e.mu.Unlock()
-			return
-		}
-		fn := e.queue[0]
-		// The slot would otherwise keep the closure — a delivered envelope
-		// and whatever its payload aliases — reachable until the backing
-		// array is regrown.
-		e.queue[0] = nil
-		e.queue = e.queue[1:]
-		e.mu.Unlock()
-		fn()
-	}
-}
-
-// Close stops the executor after the queued tasks drain.
-func (e *Executor) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// UseExecutor reroutes this transport's deliveries and timers through a
-// shared executor, for nodes attached to more than one network.
-func (t *Transport) UseExecutor(e *Executor) {
-	t.submitFn = e.Submit
-	t.clock.SetExec(e.Submit)
-}
 
 // Topology is the address book of a live installation: who the metadata
 // server is, where it listens, and where each SAN disk listens. One
@@ -355,6 +289,7 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 	if clock == nil {
 		clock = n.Ctrl.Clock()
 	}
+	n.Exec.Instrument(n.Reg, fmt.Sprintf("server.%v.exec.", spec.ID), clock)
 	n.Srv = server.New(spec.ID, cfg, clock, n.Ctrl.Send, n.SAN.Send, n.Reg, o.tracer)
 	addr, err := n.Ctrl.Listen(spec.Topo.ServerAddr)
 	if err != nil {
@@ -366,9 +301,9 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 	return n, nil
 }
 
-// Close shuts the node down. The server is retired on its own executor,
-// behind whatever is still queued there, which releases its metadata
-// journal.
+// Close shuts the node down. The server is retired as the executor's last
+// task, behind whatever is still queued there, and Close returns when that
+// has run: the metadata journal is released, and a successor may open it.
 func (n *ServerNode) Close() {
 	n.Ctrl.Close()
 	n.SAN.Close()
@@ -396,6 +331,7 @@ func StartDiskNode(spec NodeSpec, cfg disk.Config, opts ...Option) (*DiskNode, e
 	if clock == nil {
 		clock = n.SAN.Clock()
 	}
+	n.Exec.Instrument(o.reg, fmt.Sprintf("disk.%v.exec.", spec.ID), clock)
 	n.Disk = disk.New(spec.ID, cfg, clock, n.SAN.Send, o.reg, disk.Observer{},
 		disk.WithMedia(o.media), disk.WithTracer(o.tracer))
 	addr, err := n.SAN.Listen(spec.Topo.Disks[spec.ID])
@@ -408,7 +344,9 @@ func StartDiskNode(spec NodeSpec, cfg disk.Config, opts ...Option) (*DiskNode, e
 	return n, nil
 }
 
-// Close shuts the node down and releases its media.
+// Close shuts the node down and releases its media — in that order: the
+// executor's Close returns only when no request is inside the media any
+// more, on its loop or on a read loop's goroutine.
 func (n *DiskNode) Close() {
 	n.SAN.Close()
 	n.Exec.Close()
@@ -472,6 +410,7 @@ func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientN
 	} else {
 		n.tmo = clock
 	}
+	n.Exec.Instrument(n.Reg, fmt.Sprintf("client.%v.exec.", spec.ID), clock)
 	n.Router = client.NewRouter(spec.ID, auths, cfg, clock,
 		n.Ctrl.Send, n.SAN.Send, place, nil, n.Reg, o.tracer)
 	n.Client = n.Router.Sub(0)
@@ -479,9 +418,9 @@ func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientN
 	return n, nil
 }
 
-// Do runs fn on the client's executor and returns immediately — the
-// bridge from synchronous callers (CLI, tests) into the event-driven
-// client. fn must arrange its own completion signalling.
+// Do queues fn as a task of the client's executor and returns before it
+// runs — the bridge from synchronous callers (CLI, tests) into the
+// event-driven client. fn must arrange its own completion signalling.
 func (n *ClientNode) Do(fn func()) { n.Exec.Submit(fn) }
 
 // Start registers every protocol instance with its authority, blocking
@@ -513,32 +452,77 @@ func (n *ClientNode) Start(timeout time.Duration) error {
 }
 
 // Sync returns a blocking wrapper over the node's first-authority
-// instance: each call starts the operation on the executor (where all
-// client callbacks run) and blocks the calling goroutine until it
-// completes or timeout passes (0 = a default 30s).
+// instance. Each call starts its operation as a task of the executor
+// (where all client callbacks run) — on the calling goroutine when the
+// executor is idle, so that an operation the caches answer completes
+// before the pump has anything to wait for — and otherwise blocks the
+// caller until the operation completes or timeout passes (0 = a default
+// 30s). The timeout covers only the operations that wait: one that
+// completes in the caller's own turn cannot time out, because a task does
+// not block.
 func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
 	return client.NewSync(n.Client, func(start func(done func())) bool {
-		ch := make(chan struct{})
-		n.Exec.Submit(func() {
-			var once sync.Once
-			start(func() { once.Do(func() { close(ch) }) })
-		})
-		// One timer per call, stopped when the op completes first: an
-		// abandoned 30 s timer per op is memory proportional to the
-		// op rate.
-		expired := make(chan struct{})
-		tm := n.tmo.AfterFunc(timeout, func() { close(expired) })
-		defer tm.Stop()
-		select {
-		case <-ch:
-			return true
-		case <-expired:
-			return false
-		}
+		return n.await(start, timeout)
 	})
+}
+
+// await is Sync's pump. The branch that returns first is the cache hit:
+// it makes no channel and arms no timer.
+//
+//tank:hotpath
+func (n *ClientNode) await(start func(done func()), timeout time.Duration) bool {
+	//lint:allow hotpathalloc(the completion token is per call: a late done from an earlier call has nothing of a later one to complete)
+	c := &syncCall{start: start}
+	n.Exec.Do(c.run)
+	if c.state.Load() == callDone {
+		return true
+	}
+	return c.wait(n.tmo, timeout)
+}
+
+// syncCall is one Sync call's completion token, shared by the caller and
+// the task that runs the operation. It is made per call and never reused,
+// so a done that fires late — after its call timed out — or twice finds
+// only its own, finished, token.
+type syncCall struct {
+	start func(done func())
+	state atomic.Uint32
+	// ch is made by a caller that has to wait, before it moves state to
+	// callWaiting; done sends on it only after seeing that state.
+	ch chan bool
+}
+
+const (
+	callRunning uint32 = iota
+	callWaiting        // the caller is parked on ch
+	callDone
+)
+
+func (c *syncCall) run() { c.start(c.done) }
+
+func (c *syncCall) done() {
+	if c.state.Swap(callDone) == callWaiting {
+		c.ch <- true
+	}
+}
+
+// wait parks the caller until done or the timeout, whichever is first. The
+// timer is the one thing here that bypasses the executor, and is stopped
+// when the operation completes first: an abandoned 30 s timer per
+// operation is memory proportional to the operation rate.
+func (c *syncCall) wait(clock sim.Clock, timeout time.Duration) bool {
+	// Room for both senders, so that neither ever blocks: done at most
+	// once, the timer at most once.
+	c.ch = make(chan bool, 2)
+	if !c.state.CompareAndSwap(callRunning, callWaiting) {
+		return true // done fired on another goroutine meanwhile
+	}
+	tm := clock.AfterFunc(timeout, func() { c.ch <- false })
+	defer tm.Stop()
+	return <-c.ch
 }
 
 // closeWait bounds how long Close waits for the servers to acknowledge the

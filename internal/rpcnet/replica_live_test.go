@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -494,7 +495,18 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 			epoch0 = b
 		}
 	}
+	// The survivor's read returned as soon as the successor's steal had
+	// granted it the lock: from the middle of the task that goes on to
+	// raise the fence, in another process, a fraction of a millisecond
+	// ahead of the last line that task writes. Judge the traces once the
+	// fence is in them (its absence is still judged below).
+	isolated := msg.NodeID(10)
 	evs := replicaTraces(t, dir, group, epoch0)
+	fenced := func(e trace.Event) bool { return e.Type == trace.EvFence && e.On && e.Peer == isolated }
+	for deadline := time.Now().Add(2 * time.Second); !slices.ContainsFunc(evs, fenced) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		evs = replicaTraces(t, dir, group, epoch0)
+	}
 	clientEvs := readTrace(t, filepath.Join(dir, "trace-clients.jsonl"))
 	for i := range clientEvs {
 		d := time.Duration(clientBase[clientEvs[i].Node] - epoch0)
@@ -503,7 +515,6 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 			clientEvs[i].TC1 = clientEvs[i].TC1.Add(d)
 		}
 	}
-	isolated := msg.NodeID(10)
 
 	// Exactly one takeover, at a surviving replica, in grace mode: the
 	// persisted snapshot carried a nonzero epoch across processes.

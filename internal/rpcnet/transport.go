@@ -42,12 +42,13 @@ type Transport struct {
 	listener net.Listener
 	closed   bool
 
-	// exec serializes every handler and timer callback; submitFn, when
-	// set by UseExecutor, reroutes to a shared executor instead.
-	exec     *Executor
-	submitFn func(func())
-	handler  func(env msg.Envelope)
-	clock    *sim.RealClock
+	// tasks is the executor every handler and timer callback is a task of:
+	// own, the transport's private one that Run and Close drive, until
+	// UseExecutor names a shared one.
+	tasks   *Executor
+	own     *Executor
+	handler func(env msg.Envelope)
+	clock   *sim.RealClock
 	// delayClock times fault-injected send latency. Unlike clock, its
 	// callbacks must never funnel through the executor: the send
 	// goroutine parks on it, and a drained executor would turn a 5ms
@@ -66,20 +67,31 @@ type Transport struct {
 }
 
 // New creates a transport for node self that can dial the given peers.
-// handler receives every delivered envelope on the executor goroutine.
+// handler receives every delivered envelope as a task of the transport's
+// executor: one at a time with every other callback of the node, on the
+// read loop's goroutine when the executor is idle and on Run's otherwise.
 func New(self msg.NodeID, addrs map[msg.NodeID]string, handler func(env msg.Envelope)) *Transport {
 	t := &Transport{
 		self:    self,
 		addrs:   addrs,
 		conns:   make(map[msg.NodeID]*wire.Codec),
 		dials:   make(map[msg.NodeID]*dialCall),
-		exec:    NewExecutor(),
+		own:     NewExecutor(),
 		handler: handler,
 		dialFn:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 	}
-	t.clock = sim.NewRealClock(t.Submit)
+	t.tasks = t.own
+	t.clock = sim.NewRealClock(t.own.Do)
 	t.delayClock = sim.NewRealClock(nil)
 	return t
+}
+
+// UseExecutor makes this transport's deliveries and timers tasks of a
+// shared executor, for nodes attached to more than one network. Call
+// before traffic flows.
+func (t *Transport) UseExecutor(e *Executor) {
+	t.tasks = e
+	t.clock.SetExec(e.Do)
 }
 
 // SetClock overrides the clock that times fault-injected send latency
@@ -135,22 +147,16 @@ func (t *Transport) debugf(peer msg.NodeID, format string, args ...any) {
 	}
 }
 
-// Clock returns the node's wall clock; its timers fire on the executor.
+// Clock returns the node's wall clock; its timers fire as executor tasks.
 func (t *Transport) Clock() sim.Clock { return t.clock }
 
 // Submit enqueues fn on the executor.
-func (t *Transport) Submit(fn func()) {
-	if t.submitFn != nil {
-		t.submitFn(fn)
-		return
-	}
-	t.exec.Submit(fn)
-}
+func (t *Transport) Submit(fn func()) { t.tasks.Submit(fn) }
 
-// Run processes executor tasks until Close. Call from a dedicated
-// goroutine (or main). Not needed when UseExecutor routes callbacks to a
-// shared executor.
-func (t *Transport) Run() { t.exec.Run() }
+// Run processes the private executor's queued tasks until Close. Call from
+// a dedicated goroutine (or main). Not needed when UseExecutor routes
+// callbacks to a shared executor.
+func (t *Transport) Run() { t.own.Run() }
 
 // Listen accepts inbound connections on addr (servers, disks).
 func (t *Transport) Listen(addr string) (net.Addr, error) {
@@ -240,7 +246,7 @@ func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 			}
 		}
 		e := *env
-		t.Submit(func() {
+		t.tasks.Do(func() {
 			t.handler(e)
 			// The handler's return ends the borrow on any pooled receive
 			// buffer the payload aliases; handlers that defer work past
@@ -251,8 +257,11 @@ func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 }
 
 // Send transmits best-effort. It runs the (possibly blocking) dial and
-// write on a goroutine so the executor never stalls; failures drop the
-// message, exactly like a lost datagram. An installed fault plan is
+// write on a goroutine so the executor never stalls — and, now that a
+// delivery may be running on a read loop's goroutine, so that no read loop
+// ever parks in a write: two nodes that each wrote from their read loop
+// into the other's full socket would wait on each other for good. Failures
+// drop the message, exactly like a lost datagram. An installed fault plan is
 // consulted first: blocked or lost messages are dropped before any
 // socket work, and injected latency sleeps on the send goroutine. A
 // payload the sender lent (msg.EndLoan) goes back to its pool when the
@@ -362,7 +371,9 @@ func (t *Transport) dial(peer msg.NodeID, addr string) (*wire.Codec, error) {
 	return codec, nil
 }
 
-// Close shuts the transport down.
+// Close shuts the transport down: the listener, every connection, and the
+// private executor, whose Close waits out a handler still running there.
+// Call it from outside a handler.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -380,5 +391,5 @@ func (t *Transport) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	t.exec.Close()
+	t.own.Close()
 }

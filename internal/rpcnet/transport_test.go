@@ -58,3 +58,115 @@ func TestConnToSingleFlight(t *testing.T) {
 		t.Fatalf("delivered %d of %d messages sent on a healthy network", got, n)
 	}
 }
+
+// TestInlineDeliveryKeepsPeerOrder: two frames from one peer are handled
+// in the order they arrived, the second only after the first's handler has
+// returned, whichever goroutine runs them — the read loop's when the
+// executor is idle as the first arrives, Run's when it is busy.
+func TestInlineDeliveryKeepsPeerOrder(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		name := "idle at arrival"
+		if busy {
+			name = "busy at arrival"
+		}
+		t.Run(name, func(t *testing.T) {
+			var (
+				order   []msg.ReqID // written by handlers: executor tasks
+				holding bool
+				overlap bool
+			)
+			entered, gate := make(chan struct{}), make(chan struct{})
+			handled := make(chan struct{}, 2)
+			recv := New(2, nil, func(env msg.Envelope) {
+				req := env.Payload.(*msg.KeepAlive).Req
+				if holding {
+					overlap = true
+				}
+				if req == 1 {
+					holding = true
+					close(entered)
+					<-gate
+					holding = false
+				}
+				order = append(order, req)
+				handled <- struct{}{}
+			})
+			go recv.Run()
+			defer recv.Close()
+			addr, err := recv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := New(1, map[msg.NodeID]string{2: addr.String()}, func(msg.Envelope) {})
+			go tr.Run()
+			defer tr.Close()
+
+			release := make(chan struct{})
+			if busy {
+				occupied := make(chan struct{})
+				recv.Submit(func() {
+					close(occupied)
+					<-release
+				})
+				<-occupied
+			}
+			frame := func(req msg.ReqID) *msg.KeepAlive {
+				return &msg.KeepAlive{ReqHeader: msg.ReqHeader{Client: 1, Req: req}}
+			}
+			// Two Sends race each other to the socket, so the second goes
+			// out only when the first has provably arrived.
+			tr.Send(2, frame(1))
+			if busy {
+				queued := func(n int) func() bool {
+					return func() bool {
+						recv.own.mu.Lock()
+						defer recv.own.mu.Unlock()
+						return recv.own.n == n
+					}
+				}
+				waitFor(t, "the first frame to queue behind the busy executor", queued(1))
+				tr.Send(2, frame(2))
+				waitFor(t, "the second frame to queue behind the first", queued(2))
+				close(release)
+				<-entered
+			} else {
+				<-entered
+				tr.Send(2, frame(2))
+				// The second frame cannot be handled while the first holds
+				// the executor; give a wrong implementation time to try.
+				time.Sleep(20 * time.Millisecond)
+			}
+			close(gate)
+			for i := 0; i < 2; i++ {
+				select {
+				case <-handled:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a frame was never handled")
+				}
+			}
+			done := make(chan struct{})
+			recv.Submit(func() {
+				defer close(done)
+				if overlap {
+					t.Error("the second frame's handler ran while the first's was still running")
+				}
+				if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+					t.Errorf("frames handled in order %v, want [1 2]", order)
+				}
+			})
+			<-done
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

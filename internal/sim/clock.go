@@ -85,9 +85,11 @@ type RealClock struct {
 	exec  func(fn func())
 }
 
-// NewRealClock returns a wall-clock Clock. If exec is non-nil, timer
-// callbacks are funneled through it (a node's serial executor); otherwise
-// they run on the timer goroutine.
+// NewRealClock returns a wall-clock Clock. If exec is non-nil, every timer
+// callback is handed to it when the timer fires — a node passes its serial
+// executor's entry, which runs the callback as a task, on the timer
+// goroutine if the executor is idle and on its loop otherwise; with a nil
+// exec callbacks run on the timer goroutine, serialized with nothing.
 func NewRealClock(exec func(fn func())) *RealClock {
 	return &RealClock{start: time.Now(), exec: exec}
 }
@@ -95,8 +97,9 @@ func NewRealClock(exec func(fn func())) *RealClock {
 // Now returns nanoseconds since the clock was created.
 func (c *RealClock) Now() Time { return Time(time.Since(c.start)) }
 
-// SetExec replaces the executor hook timer callbacks are funneled
-// through. Call before any timers are armed.
+// SetExec replaces the hook timer callbacks are handed to; the hook, not
+// the clock, decides which goroutine runs them. Call before any timers are
+// armed.
 func (c *RealClock) SetExec(exec func(fn func())) { c.exec = exec }
 
 type realTimer struct{ t *time.Timer }
