@@ -49,8 +49,13 @@ lint:
 # checked against a model, and the clean exit that strands no lock — and
 # the executor's own stress test: many goroutines mixing Do and Submit on
 # one executor, mutual exclusion and per-producer order checked by plain
-# variables the race detector watches, ten times over. The
-# suite then runs once more under
+# variables the race detector watches, ten times over — and the send
+# path's, ten times over too: a peer that stops reading must not block a
+# Send, frames to one peer arrive once and in order across inline and
+# queued writes, two read loops sending into each other's full sockets
+# both finish, injected latency delays frames without a goroutine
+# each, and frames queued behind a dial survive the peer's own
+# connection replacing it. The suite then runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
 # cross-validation of what the static bufown pass proves per-path. Last,
@@ -67,6 +72,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo' ./internal/rpcnet/
+	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames' ./internal/rpcnet/
 	$(GO) test -race -tags tankdebug ./...
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
 

@@ -172,7 +172,7 @@ type summary struct {
 	ownsResult bool
 	retain     bool // Envelope.Retain
 	releaseRef bool // Envelope.Release
-	borrowed   bool // Envelope.Borrowed: fresh refs=1 borrow, owns the free closure
+	borrowed   bool // Envelope.Borrowed: fresh refs=1 borrow, owns the buffer
 }
 
 func (c *ctx) summary(fn *types.Func) summary {
@@ -199,7 +199,7 @@ func (c *ctx) summary(fn *types.Func) summary {
 		case "Envelope.Borrowed":
 			s.borrowed = true
 			s.owns = append(s.owns, 0)
-		case "DiskReadVRes.Lend":
+		case "DiskReadVRes.Lend", "DiskReadRes.Lend":
 			// The reply lends its pooled payload to the fabric, whose
 			// msg.EndLoan is the Put.
 			s.owns = append(s.owns, 0)

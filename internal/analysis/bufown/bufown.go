@@ -437,8 +437,8 @@ func (fc *fclient) call(call *ast.CallExpr, st *state, report bool) []cellID {
 		}
 		arg := call.Args[i]
 		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			// An owned closure parameter (Envelope.Borrowed's free
-			// func) adopts every owned buffer it captures.
+			// An owned closure parameter adopts every owned buffer it
+			// captures.
 			fc.capture(lit, st, report, captureOpts{owned: true})
 		} else {
 			for _, id := range fc.visit(arg, st, report) {

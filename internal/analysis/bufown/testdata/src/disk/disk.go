@@ -34,3 +34,28 @@ func (d *D) leakRefusedAfterGet(n int, fenced bool) {
 	res.Lend(data)
 	d.send(res)
 }
+
+// The scalar reply's loan: a one-block buffer the media read into is
+// lent when the block was served and Put on the paths that serve none.
+func (d *D) okLendScalar(n int, served, failed bool, send func(*msg.DiskReadRes)) {
+	res := &msg.DiskReadRes{}
+	data := bufpool.Get(n)
+	switch {
+	case failed:
+		bufpool.Put(data)
+	case served:
+		res.Lend(data)
+	default:
+		bufpool.Put(data)
+	}
+	send(res)
+}
+
+func (d *D) leakScalarHole(n int, served bool, send func(*msg.DiskReadRes)) {
+	res := &msg.DiskReadRes{}
+	data := bufpool.Get(n) // want `pooled buffer is not released on every path`
+	if served {
+		res.Lend(data)
+	}
+	send(res)
+}

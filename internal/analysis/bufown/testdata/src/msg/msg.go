@@ -9,22 +9,22 @@ type Envelope struct {
 	From, To NodeID
 	Payload  any
 	refs     int
-	free     func()
+	buf      []byte
 }
 
-func (e *Envelope) Borrowed(free func()) { e.refs, e.free = 1, free }
+func (e *Envelope) Borrowed(buf []byte) { e.refs, e.buf = 1, buf }
 
 func (e *Envelope) Retain() { e.refs++ }
 
 func (e *Envelope) Release() {
 	e.refs--
-	if e.refs == 0 && e.free != nil {
-		e.free()
+	if e.refs == 0 {
+		e.buf = nil
 	}
 }
 
-// DiskReadVRes stubs the sending-side loan: the checker matches
-// DiskReadVRes.Lend by receiver type name and package basename, as the
+// DiskReadVRes and DiskReadRes stub the sending-side loan: the checker
+// matches their Lend by receiver type name and package basename, as the
 // borrow above.
 type DiskReadVRes struct {
 	Data []byte
@@ -32,3 +32,10 @@ type DiskReadVRes struct {
 }
 
 func (m *DiskReadVRes) Lend(buf []byte) { m.Data, m.lent = buf, true }
+
+type DiskReadRes struct {
+	Data []byte
+	lent bool
+}
+
+func (m *DiskReadRes) Lend(buf []byte) { m.Data, m.lent = buf, true }

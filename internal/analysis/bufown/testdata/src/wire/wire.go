@@ -8,6 +8,7 @@ import (
 	"errors"
 
 	"repro/internal/analysis/bufown/testdata/src/bufpool"
+	"repro/internal/analysis/bufown/testdata/src/msg"
 )
 
 func okStraightLine(n int) {
@@ -202,4 +203,30 @@ func returnWithoutOwnsResult(n int) []byte {
 func allowListedLeak(n int) {
 	buf := bufpool.Get(n) //lint:allow bufown(deliberate leak exercising suppression)
 	_ = buf
+}
+
+// A send frame owns its pooled head once adopted into it: the frame is
+// what a link's queue holds until the frame is written or dropped.
+type sendFrame struct{ head, tail []byte }
+
+func okFrameAdopt(n int) sendFrame {
+	buf := bufpool.Get(n)
+	return sendFrame{head: buf} //tank:adopt(the frame owns its head until Release)
+}
+
+func escapeFrameUnsanctioned(n int) sendFrame {
+	buf := bufpool.Get(n)
+	return sendFrame{head: buf} // want `owned buffer escapes into a composite literal without //tank:adopt or //tank:alias`
+}
+
+// The receive side: the decoded envelope's borrow takes the body.
+func okBorrowBody(n int, decode func([]byte) (*msg.Envelope, error)) (*msg.Envelope, error) {
+	body := bufpool.Get(n)
+	env, err := decode(body)
+	if err != nil {
+		bufpool.Put(body)
+		return nil, err
+	}
+	env.Borrowed(body)
+	return env, nil
 }

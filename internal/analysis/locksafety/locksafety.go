@@ -7,11 +7,11 @@
 // goroutines that service them are never parked behind a mutex whose
 // holder is blocked on the network or the media. The node executors are
 // deliberately lock-free for protocol state; the mutexes that remain
-// (transport connection tables, the stats registry, executor queues)
-// are leaf locks that must only guard memory. Holding one across a
-// channel operation, a dial, a frame write, or a media fsync turns a
-// slow peer into a stalled node — exactly the failure mode the lease
-// machinery exists to bound.
+// (the transport's link table and each link's send queue, the stats
+// registry, executor queues) are leaf locks that must only guard
+// memory. Holding one across a channel operation, a dial, a blocking
+// frame write, or a media fsync turns a slow peer into a stalled node —
+// exactly the failure mode the lease machinery exists to bound.
 //
 // Scope: client, server, rpcnet, stats (by package-path base). The
 // analysis is lexical and intraprocedural: a held-set is threaded down
@@ -23,7 +23,7 @@
 // Rules:
 //
 //	L1  blocking op (chan send/recv outside select-with-default, net
-//	    dial/listen, wire.Codec Send/Recv, blockstore.Media I/O,
+//	    dial/listen, wire.Codec Send/WriteFrames/Recv, blockstore.Media I/O,
 //	    (*os.File).Sync, WaitGroup.Wait, time.Sleep/sim.Sleep) while a
 //	    mutex is held
 //	L2  Lock/RLock of a mutex already held on the same expression
@@ -69,6 +69,7 @@ var blockingFuncs = map[[2]string]bool{
 // round-trips, frame send/receive on a socket, media I/O and fsync.
 var blockingMethods = map[[3]string]bool{
 	{"wire", "Codec", "Send"}:           true,
+	{"wire", "Codec", "WriteFrames"}:    true,
 	{"wire", "Codec", "Recv"}:           true,
 	{"wire", "Codec", "SendHello"}:      true,
 	{"wire", "Codec", "RecvHello"}:      true,

@@ -114,3 +114,32 @@ func (t *Transport) sendOnCodecAfterUnlock(c *wire.Codec, env *int) {
 		c.Send(env)
 	}
 }
+
+// link is the per-peer send path: its mutex guards the queue and the
+// write token, and is a leaf — the writer's blocking drain runs with it
+// released, the nonblocking TryWrite may run under it.
+type link struct {
+	mu    sync.Mutex
+	codec *wire.Codec
+	queue []wire.Frame
+}
+
+func (l *link) drainUnderLock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.codec.WriteFrames(l.queue) // want `call to \(wire.Codec\).WriteFrames while l.mu is held`
+}
+
+func (l *link) drainAfterUnlock() {
+	l.mu.Lock()
+	batch := l.queue
+	l.queue = nil
+	l.mu.Unlock()
+	l.codec.WriteFrames(batch)
+}
+
+func (l *link) tryUnderLock(f *wire.Frame) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.codec.TryWrite(f)
+}

@@ -402,13 +402,33 @@ func (f *File) Read(block uint64) (data []byte, ver uint64, ok bool, err error) 
 		return nil, 0, ok, err
 	}
 	buf := make([]byte, BlockSize)
-	if _, err := f.data.ReadAt(buf, DataOffset(block)); err != nil {
-		return nil, 0, true, fmt.Errorf("blockstore: read block %d: %w", block, err)
-	}
-	if err := f.verify(block, st, buf); err != nil {
+	if err := f.fetch(block, st, buf); err != nil {
 		return nil, 0, true, err
 	}
 	return buf, st.ver, true, nil
+}
+
+// ReadInto is Read into the caller's buffer of BlockSize bytes, which it
+// fills when it serves the block (ok, no error) and otherwise leaves
+// undefined. The disk serves a scalar DiskRead with it, into a pooled
+// buffer the reply lends to the fabric.
+func (f *File) ReadInto(block uint64, dst []byte) (ver uint64, ok bool, err error) {
+	st, ok, err := f.judge(block)
+	if err != nil || !ok {
+		return 0, ok, err
+	}
+	if err := f.fetch(block, st, dst); err != nil {
+		return 0, true, err
+	}
+	return st.ver, true, nil
+}
+
+// fetch reads a judged block's bytes into buf and verifies them.
+func (f *File) fetch(block uint64, st blockState, buf []byte) error {
+	if _, err := f.data.ReadAt(buf, DataOffset(block)); err != nil {
+		return fmt.Errorf("blockstore: read block %d: %w", block, err)
+	}
+	return f.verify(block, st, buf)
 }
 
 // ReadV serves a batch into the caller's buffer. A run is a maximal

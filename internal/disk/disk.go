@@ -73,12 +73,14 @@ func (l dlock) overlaps(start uint64, count uint32) bool {
 
 // Disk is one SAN block device.
 type Disk struct {
-	id     msg.NodeID
-	cfg    Config
-	clock  sim.Clock
-	send   Sender
-	obs    Observer
-	media  blockstore.Media
+	id    msg.NodeID
+	cfg   Config
+	clock sim.Clock
+	send  Sender
+	obs   Observer
+	media blockstore.Media
+	// into is media's read-into-a-buffer path, when it has one (serve).
+	into   readerInto
 	tracer *trace.Tracer
 
 	dlocks []dlock
@@ -149,6 +151,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, send Sender, reg *stats.Reg
 	for _, opt := range opts {
 		opt(d)
 	}
+	d.into, _ = d.media.(readerInto)
 	d.reportRecovery()
 	return d
 }
@@ -272,21 +275,51 @@ func (d *Disk) read(m *msg.DiskRead) {
 		res.Err = msg.ErrRange
 	default:
 		d.reads.Inc()
-		data, ver, ok, err := d.media.Read(m.Block)
-		switch {
-		case err != nil:
-			res.Err = d.mediaFailed(m.Block, err)
-		case ok:
-			res.Data = data
-			res.Ver = ver
-		default:
-			res.Data = zeroBlock // unwritten blocks read as zeros
-		}
+		d.serve(m.Block, res)
 		if res.Err == msg.OK && d.obs.Served != nil {
 			d.obs.Served(d.id, m.Block, res.Ver, m.Client)
 		}
 	}
 	d.send(m.Client, res)
+}
+
+// readerInto is media that reads a block into the caller's buffer
+// (blockstore.File).
+type readerInto interface {
+	ReadInto(block uint64, dst []byte) (ver uint64, ok bool, err error)
+}
+
+// serve fills a scalar read's reply. Media that can read into the
+// caller's buffer fills a pooled one, which the reply lends to the
+// fabric (msg.EndLoan); Mem serves its own read-only buffer without a
+// copy, and never lends. An unwritten block reads as zeroBlock either
+// way.
+func (d *Disk) serve(block uint64, res *msg.DiskReadRes) {
+	if d.into == nil {
+		data, ver, ok, err := d.media.Read(block)
+		switch {
+		case err != nil:
+			res.Err = d.mediaFailed(block, err)
+		case ok:
+			res.Data, res.Ver = data, ver
+		default:
+			res.Data = zeroBlock
+		}
+		return
+	}
+	buf := bufpool.Get(BlockSize)
+	ver, ok, err := d.into.ReadInto(block, buf)
+	switch {
+	case err != nil:
+		bufpool.Put(buf)
+		res.Err = d.mediaFailed(block, err)
+	case ok:
+		res.Lend(buf)
+		res.Ver = ver
+	default:
+		bufpool.Put(buf)
+		res.Data = zeroBlock
+	}
 }
 
 func (d *Disk) write(m *msg.DiskWrite) {

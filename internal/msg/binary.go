@@ -31,7 +31,6 @@ package msg
 import (
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"sync"
 )
 
@@ -57,10 +56,8 @@ const (
 // coder is one run of a layout walk. Layouts are reached through an
 // interface, and a pointer passed through an interface call escapes, so
 // a coder declared in BinarySize would be a heap allocation per message
-// on a path whose budget is none: coders come from a pool instead (see
-// walk). Passing one by value through layout and back also allocates
-// nothing, but its frames are deep enough to grow the stack of the
-// transport's per-message send goroutine — a microsecond per message.
+// on a path whose budget is none: a coder lives in a Coder its caller
+// keeps, or in one borrowed from a pool per call.
 type coder struct {
 	mode coderMode
 	bad  bool    // the walk failed; later decode primitives do nothing
@@ -303,7 +300,7 @@ func (c *coder) result(body *Result) {
 	var id uint8
 	r, _ := (*body).(wireResult)
 	if *body != nil {
-		if id = wireID[reflect.TypeOf(*body)]; r == nil || id == brNil {
+		if id = resultID(*body); r == nil || id == brNil {
 			c.bad = true // encoding a Result the registry does not know
 			return
 		}
@@ -347,7 +344,7 @@ func (c *coder) envelope(env *Envelope) {
 	var id uint8
 	m, _ := env.Payload.(wireMessage)
 	if c.mode != decoding {
-		if id = wireID[reflect.TypeOf(env.Payload)]; m == nil || id == btInvalid {
+		if id = messageID(env.Payload); m == nil || id == btInvalid {
 			c.bad = true // encoding a Message the registry does not know
 			return
 		}
@@ -366,62 +363,94 @@ func (c *coder) envelope(env *Envelope) {
 	m.layout(c)
 }
 
-var coders = sync.Pool{New: func() any { return new(coder) }}
+// Coder runs the layout walks — size, encode, decode — on a coder of its
+// own. A caller that codes many frames in a row keeps one and pays
+// neither an allocation nor a pool round trip per walk: the live codec
+// keeps one for its read loop, the live transport one per peer for its
+// sends, used under that peer's lock. BinarySize, EncodeBinary and
+// DecodeBinary borrow one from a pool per call. A Coder is not safe for
+// concurrent use; its zero value is ready.
+type Coder struct{ c coder }
 
-// walk runs one envelope walk on a pooled coder: n is the bytes counted,
-// written or consumed, and tail the bulk Data field a sizing walk found.
+// walk runs one envelope walk: n is the bytes counted, written or
+// consumed, and tail the bulk Data field a sizing walk found.
 //
 //tank:hotpath
-func walk(mode coderMode, b []byte, env *Envelope) (n int, tail []byte, ok bool) {
-	c := coders.Get().(*coder)
+func (k *Coder) walk(mode coderMode, b []byte, env *Envelope) (n int, tail []byte, ok bool) {
+	c := &k.c
 	*c = coder{mode: mode, b: b}
 	c.envelope(env)
 	n, tail, ok = c.off, c.data, !c.bad
-	*c = coder{} // a pooled coder must not pin a frame or a message
-	coders.Put(c)
+	*c = coder{} // a kept coder must not pin a frame or a message
 	return n, tail, ok
 }
 
-// BinarySize returns the metadata length of env's frame body and the
+// Size returns the metadata length of env's frame body and the
 // zero-copy data tail. The full body is the metadata section followed
-// immediately by the tail; EncodeBinary writes exactly meta bytes and the
+// immediately by the tail; Encode writes exactly meta bytes and the
 // caller transmits (or appends) the tail itself.
 //
 //tank:hotpath
-func BinarySize(env *Envelope) (meta int, tail []byte, err error) {
-	meta, tail, ok := walk(sizing, nil, env)
+func (k *Coder) Size(env *Envelope) (meta int, tail []byte, err error) {
+	meta, tail, ok := k.walk(sizing, nil, env)
 	if !ok {
 		return 0, nil, ErrNoBinaryLayout
 	}
 	return meta, tail, nil
 }
 
-// EncodeBinary writes env's metadata section — everything except the
-// zero-copy tail reported by BinarySize — into dst, which must be exactly
+// Encode writes env's metadata section — everything except the
+// zero-copy tail reported by Size — into dst, which must be exactly
 // meta bytes long. Steady-state encoding performs no allocation: page
 // data stays in the caller's buffers and travels as the frame tail.
 //
 //tank:hotpath
-func EncodeBinary(dst []byte, env *Envelope) error {
-	if n, _, ok := walk(encoding, dst, env); !ok || n != len(dst) {
+func (k *Coder) Encode(dst []byte, env *Envelope) error {
+	if n, _, ok := k.walk(encoding, dst, env); !ok || n != len(dst) {
 		return ErrNoBinaryLayout
 	}
 	return nil
 }
 
-// DecodeBinary parses one frame body produced by BinarySize+EncodeBinary
-// (metadata section immediately followed by the tail). The Data fields of
+// Decode parses one frame body produced by Size+Encode (metadata
+// section immediately followed by the tail). The Data fields of
 // DiskWrite, DiskWriteV, DiskReadRes, and DiskReadVRes alias body — the
 // caller owns body's lifetime and signals it via Envelope.Borrowed —
 // while FuncWrite.Data and FuncReadRes.Data are copied out. A frame that
 // does not parse returns ErrCorruptFrame; corrupt input never panics.
 //
 //tank:hotpath
-func DecodeBinary(body []byte) (*Envelope, error) {
+func (k *Coder) Decode(body []byte) (*Envelope, error) {
 	//lint:allow hotpathalloc(the envelope is what a decode returns)
 	env := &Envelope{}
-	if n, _, ok := walk(decoding, body, env); !ok || n != len(body) {
+	if n, _, ok := k.walk(decoding, body, env); !ok || n != len(body) {
 		return nil, ErrCorruptFrame
 	}
 	return env, nil
+}
+
+var coders = sync.Pool{New: func() any { return new(Coder) }}
+
+// BinarySize is Coder.Size on a pooled Coder.
+func BinarySize(env *Envelope) (meta int, tail []byte, err error) {
+	k := coders.Get().(*Coder)
+	meta, tail, err = k.Size(env)
+	coders.Put(k)
+	return meta, tail, err
+}
+
+// EncodeBinary is Coder.Encode on a pooled Coder.
+func EncodeBinary(dst []byte, env *Envelope) error {
+	k := coders.Get().(*Coder)
+	err := k.Encode(dst, env)
+	coders.Put(k)
+	return err
+}
+
+// DecodeBinary is Coder.Decode on a pooled Coder.
+func DecodeBinary(body []byte) (*Envelope, error) {
+	k := coders.Get().(*Coder)
+	env, err := k.Decode(body)
+	coders.Put(k)
+	return env, err
 }

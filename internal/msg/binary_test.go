@@ -6,6 +6,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/bufpool"
 )
 
 // fill deterministically populates every exported field of v with
@@ -330,34 +332,33 @@ func reflectPointer(b []byte) uintptr {
 	return reflect.ValueOf(b).Pointer()
 }
 
-// TestBorrowLifecycle: the borrow fires exactly once, after every
-// Retain has been matched by a Release.
+// TestBorrowLifecycle: the borrowed buffer goes back to the pool exactly
+// once, after every Retain has been matched by a Release.
 func TestBorrowLifecycle(t *testing.T) {
-	freed := 0
+	held := func(e *Envelope) bool { return e.borrow.buf != nil }
 	env := &Envelope{}
-	env.Borrowed(func() { freed++ })
+	env.Borrowed(bufpool.Get(bufpool.MinClass))
 	env.Retain()
 	env.Release()
-	if freed != 0 {
+	if !held(env) {
 		t.Fatal("freed while retained")
 	}
 	env.Release()
-	if freed != 1 {
-		t.Fatalf("freed = %d, want 1", freed)
+	if held(env) {
+		t.Fatal("the last Release kept the buffer")
 	}
 	// Copies of the envelope share the cell.
-	freed = 0
 	env2 := &Envelope{}
-	env2.Borrowed(func() { freed++ })
+	env2.Borrowed(bufpool.Get(bufpool.MinClass))
 	cp := *env2
 	cp.Retain()
 	env2.Release()
-	if freed != 0 {
+	if !held(env2) {
 		t.Fatal("freed while a copy held a retain")
 	}
 	cp.Release()
-	if freed != 1 {
-		t.Fatalf("freed = %d, want 1", freed)
+	if held(&cp) {
+		t.Fatal("the copy's last Release kept the buffer")
 	}
 	// No borrow: Retain/Release are no-ops.
 	var bare Envelope

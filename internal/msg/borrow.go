@@ -12,19 +12,19 @@ import (
 // the exported fields only, so the cell never travels.
 type borrowCell struct {
 	refs atomic.Int32
-	free func()
+	buf  []byte
 }
 
-// Borrowed marks the envelope's payload as aliasing a borrowed buffer
-// (typically a pooled receive frame). free runs exactly once, when the
-// initial reference and every Retain have been matched by Release. The
-// transport attaches this on receive and releases after the handler
-// returns; a handler that keeps payload data past its own return must
-// Retain first (or copy the data).
+// Borrowed marks the envelope's payload as aliasing buf, a pooled
+// buffer (typically the receive frame) the envelope now owns: it goes
+// back to the pool exactly once, when the initial reference and every
+// Retain have been matched by Release. The transport attaches this on
+// receive and releases after the handler returns; a handler that keeps
+// payload data past its own return must Retain first (or copy the data).
 //
-//tank:owns free
-func (e *Envelope) Borrowed(free func()) {
-	c := &borrowCell{free: free}
+//tank:owns buf
+func (e *Envelope) Borrowed(buf []byte) {
+	c := &borrowCell{buf: buf} //tank:adopt(the cell holds it until the last Release)
 	c.refs.Store(1)
 	e.borrow = c
 }
@@ -38,12 +38,13 @@ func (e *Envelope) Retain() {
 	}
 }
 
-// Release drops one reference; the last release frees the borrow. The
-// payload (and anything aliasing it) must not be touched afterwards.
-// No-op for envelopes that borrow nothing.
+// Release drops one reference; the last release returns the buffer to
+// the pool. The payload (and anything aliasing it) must not be touched
+// afterwards. No-op for envelopes that borrow nothing.
 func (e *Envelope) Release() {
-	if e.borrow != nil && e.borrow.refs.Add(-1) == 0 {
-		e.borrow.free()
+	if c := e.borrow; c != nil && c.refs.Add(-1) == 0 {
+		bufpool.Put(c.buf)
+		c.buf = nil
 	}
 }
 
@@ -60,16 +61,35 @@ func (m *DiskReadVRes) Lend(buf []byte) {
 	m.lent = true
 }
 
+// Lend is DiskReadVRes.Lend for the scalar reply: a one-block payload
+// the media read into a pooled buffer.
+//
+//tank:owns buf
+func (m *DiskReadRes) Lend(buf []byte) {
+	m.Data = buf //tank:adopt(the reply holds it until the fabric's EndLoan)
+	m.lent = true
+}
+
 // EndLoan returns a lent payload to the pool; for every other message it
 // does nothing. A fabric calls it exactly when its own use of the message
-// is over — the live transport when Codec.Send has returned, the simulated
-// one, which delivers the very message, when the receiving handler has —
-// and a fabric that drops a message instead may skip it: what is never
-// returned is the garbage collector's, as bufpool's contract allows.
+// is over — the live transport when the message's frame has been written
+// or dropped, the simulated one, which delivers the very message, when
+// the receiving handler has — and a fabric that drops a message before
+// it has a frame may skip it: what is never returned is the garbage
+// collector's, as bufpool's contract allows.
 func EndLoan(m Message) {
-	if r, ok := m.(*DiskReadVRes); ok && r.lent {
-		r.lent = false
-		bufpool.Put(r.Data)
-		r.Data = nil
+	switch r := m.(type) {
+	case *DiskReadVRes:
+		if r.lent {
+			r.lent = false
+			bufpool.Put(r.Data)
+			r.Data = nil
+		}
+	case *DiskReadRes:
+		if r.lent {
+			r.lent = false
+			bufpool.Put(r.Data)
+			r.Data = nil
+		}
 	}
 }

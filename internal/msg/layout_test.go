@@ -66,8 +66,19 @@ func TestRegistryMatchesLayouts(t *testing.T) {
 	for _, r := range AllResults() {
 		registered[reflect.TypeOf(r).Name()] = true
 	}
-	if len(registered) != len(wireID) {
-		t.Errorf("%d registered types but %d identifiers: a type sits in two rows", len(registered), len(wireID))
+	if n := len(AllMessages()) + len(AllResults()); len(registered) != n {
+		t.Errorf("%d registered types but %d rows: a type sits in two rows", len(registered), n)
+	}
+	// The switches encode reads the tables with must read them back.
+	for id, mk := range messageTypes {
+		if mk != nil && messageID(mk()) != uint8(id) {
+			t.Errorf("messageID(%T) = %d, its row is %d", mk(), messageID(mk()), id)
+		}
+	}
+	for id, r := range resultTypes {
+		if r != nil && resultID(r) != uint8(id) {
+			t.Errorf("resultID(%T) = %d, its row is %d", r, resultID(r), id)
+		}
 	}
 
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {

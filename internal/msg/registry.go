@@ -1,11 +1,10 @@
 package msg
 
-import "reflect"
-
 // The registry: which types travel, and under which wire identifier.
-// A type's row here and its layout method are its whole description to
-// the wire format — decode's constructor, encode's type byte and
-// AllMessages/AllResults all derive from these two tables.
+// A type's rows here and its layout method are its whole description to
+// the wire format — decode's constructor and AllMessages/AllResults
+// derive from the two tables, encode's type byte from the two switches
+// that read them the other way.
 
 // Wire type identifiers. The list is append-only: reusing or renumbering
 // an identifier breaks mixed-version interoperability.
@@ -155,22 +154,138 @@ var resultTypes = [...]wireResult{
 	brReplicaInfoRes: ReplicaInfoRes{},
 }
 
-// wireID is the tables read the other way, for encoding: a message's or
-// result's dynamic type to its identifier.
-var wireID = func() map[reflect.Type]uint8 {
-	ids := make(map[reflect.Type]uint8, len(messageTypes)+len(resultTypes))
-	for id, mk := range messageTypes {
-		if mk != nil {
-			ids[reflect.TypeOf(mk())] = uint8(id)
-		}
+// messageID and resultID are the tables read the other way, for
+// encoding: a message's or result's dynamic type to its identifier (0
+// for a type the registry does not know). They are type switches rather
+// than a map built from the tables because every send runs them twice,
+// size then encode, and a switch is a few compares where a
+// reflect.Type-keyed map is a hash; TestRegistryMatchesLayouts holds
+// them to the tables.
+func messageID(m Message) uint8 {
+	switch m.(type) {
+	case *Rejoin:
+		return btRejoin
+	case *KeepAlive:
+		return btKeepAlive
+	case *Lookup:
+		return btLookup
+	case *Create:
+		return btCreate
+	case *Unlink:
+		return btUnlink
+	case *Rename:
+		return btRename
+	case *Truncate:
+		return btTruncate
+	case *Open:
+		return btOpen
+	case *Close:
+		return btClose
+	case *GetAttr:
+		return btGetAttr
+	case *SetAttr:
+		return btSetAttr
+	case *Readdir:
+		return btReaddir
+	case *GetBlocks:
+		return btGetBlocks
+	case *AllocBlocks:
+		return btAllocBlocks
+	case *LockAcquire:
+		return btLockAcquire
+	case *LockRelease:
+		return btLockRelease
+	case *LockDowngraded:
+		return btLockDowngraded
+	case *Reassert:
+		return btReassert
+	case *Heartbeat:
+		return btHeartbeat
+	case *RenewObjects:
+		return btRenewObjects
+	case *FuncRead:
+		return btFuncRead
+	case *FuncWrite:
+		return btFuncWrite
+	case *Reply:
+		return btReply
+	case *Demand:
+		return btDemand
+	case *DemandAck:
+		return btDemandAck
+	case *DiskRead:
+		return btDiskRead
+	case *DiskReadRes:
+		return btDiskReadRes
+	case *DiskWrite:
+		return btDiskWrite
+	case *DiskWriteRes:
+		return btDiskWriteRes
+	case *DiskWriteV:
+		return btDiskWriteV
+	case *DiskWriteVRes:
+		return btDiskWriteVRes
+	case *DiskReadV:
+		return btDiskReadV
+	case *DiskReadVRes:
+		return btDiskReadVRes
+	case *FenceSet:
+		return btFenceSet
+	case *FenceRes:
+		return btFenceRes
+	case *DLockAcquire:
+		return btDLockAcquire
+	case *DLockRelease:
+		return btDLockRelease
+	case *DLockRes:
+		return btDLockRes
+	case *ShardMigrate:
+		return btShardMigrate
+	case *ShardMigrateRes:
+		return btShardMigrateRes
+	case *ReplicaPrepare:
+		return btReplicaPrepare
+	case *ReplicaPromise:
+		return btReplicaPromise
+	case *ReplicaPropose:
+		return btReplicaPropose
+	case *ReplicaAccept:
+		return btReplicaAccept
+	case *ReplicaInfo:
+		return btReplicaInfo
 	}
-	for id, r := range resultTypes {
-		if r != nil {
-			ids[reflect.TypeOf(r)] = uint8(id)
-		}
+	return btInvalid
+}
+
+func resultID(r Result) uint8 {
+	switch r.(type) {
+	case LookupRes:
+		return brLookupRes
+	case CreateRes:
+		return brCreateRes
+	case OpenRes:
+		return brOpenRes
+	case AttrRes:
+		return brAttrRes
+	case ReaddirRes:
+		return brReaddirRes
+	case BlocksRes:
+		return brBlocksRes
+	case AllocRes:
+		return brAllocRes
+	case LockRes:
+		return brLockRes
+	case RejoinRes:
+		return brRejoinRes
+	case ReassertRes:
+		return brReassertRes
+	case FuncReadRes:
+		return brFuncReadRes
+	case ReplicaInfoRes:
+		return brReplicaInfoRes
 	}
-	return ids
-}()
+	return brNil
+}
 
 // AllMessages returns one zero-valued instance of every concrete message
 // type that can travel in an Envelope, in identifier order. The msg test

@@ -26,6 +26,9 @@ type DiskReadRes struct {
 	Err  Errno
 	Data []byte
 	Ver  uint64
+	// lent marks Data as a pooled buffer on loan to the fabric (Lend,
+	// EndLoan in borrow.go). It never travels.
+	lent bool
 }
 
 func (*DiskReadRes) Kind() Kind  { return KindSANReply }

@@ -223,10 +223,54 @@ func TestForeignPreambleDropsOnlyThatConnection(t *testing.T) {
 // impossible length prefix: the connection dies, every message in flight
 // on it with it, and the sender's retry does it again.
 func TestOversizedSendKeepsConnection(t *testing.T) {
+	tr, ring, dials, arrives := countedDials(t)
+	arrives(1)
+	tr.Send(2, &msg.FuncWrite{ReqHeader: msg.ReqHeader{Client: 1, Req: 2}, Ino: 3,
+		Data: make([]byte, wire.MaxFrame)})
+	waitForNote(t, ring, 2, "frame exceeds MaxFrame")
+	arrives(3)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dialed %d times, want 1: the oversized send cost the connection", n)
+	}
+	for _, ev := range ring.Events() {
+		if ev.Peer == 2 && strings.Contains(ev.Note, "connection closed") {
+			t.Fatalf("connection dropped: %q", ev.Note)
+		}
+	}
+}
+
+// foreign is a message the wire registry has no layout for.
+type foreign struct{}
+
+func (foreign) Kind() msg.Kind { return 0 }
+func (foreign) Size() int      { return 1 }
+
+// TestUnframeableSendDropsConnection pins the other half of the send
+// error semantics: a message that cannot be framed for any reason but its
+// size — a type the registry does not know — costs the connection, as
+// every send error but ErrFrameTooLarge does, and the next send redials.
+func TestUnframeableSendDropsConnection(t *testing.T) {
+	tr, ring, dials, arrives := countedDials(t)
+	arrives(1)
+	tr.Send(2, foreign{})
+	waitForNote(t, ring, 2, msg.ErrNoBinaryLayout.Error())
+	if connected, _, _ := linkState(tr, 2); connected {
+		t.Fatal("the link survived a send error other than ErrFrameTooLarge")
+	}
+	arrives(3)
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dialed %d times, want 2: a redial after the dropped connection", n)
+	}
+}
+
+// countedDials connects transport 1 to a listening transport 2, counting
+// its dials, and returns it with its trace ring and arrives, which sends
+// a keep-alive and waits for 2 to deliver it.
+func countedDials(t *testing.T) (*Transport, *trace.Ring, *atomic.Int32, func(msg.ReqID)) {
 	got := make(chan msg.Envelope, 16)
 	recv := New(2, nil, func(env msg.Envelope) { got <- env })
 	go recv.Run()
-	defer recv.Close()
+	t.Cleanup(recv.Close)
 	addr, err := recv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +280,8 @@ func TestOversizedSendKeepsConnection(t *testing.T) {
 	tr := New(1, map[msg.NodeID]string{2: addr.String()}, func(msg.Envelope) {})
 	tr.SetTracer(trace.New(ring))
 	go tr.Run()
-	defer tr.Close()
-	var dials atomic.Int32
+	t.Cleanup(tr.Close)
+	dials := new(atomic.Int32)
 	tr.dialFn = func(a string) (net.Conn, error) {
 		dials.Add(1)
 		return net.Dial("tcp", a)
@@ -254,18 +298,5 @@ func TestOversizedSendKeepsConnection(t *testing.T) {
 			t.Fatalf("keep-alive %d never arrived", req)
 		}
 	}
-
-	arrives(1)
-	tr.Send(2, &msg.FuncWrite{ReqHeader: msg.ReqHeader{Client: 1, Req: 2}, Ino: 3,
-		Data: make([]byte, wire.MaxFrame)})
-	waitForNote(t, ring, 2, "frame exceeds MaxFrame")
-	arrives(3)
-	if n := dials.Load(); n != 1 {
-		t.Fatalf("dialed %d times, want 1: the oversized send cost the connection", n)
-	}
-	for _, ev := range ring.Events() {
-		if ev.Peer == 2 && strings.Contains(ev.Note, "connection closed") {
-			t.Fatalf("connection dropped: %q", ev.Note)
-		}
-	}
+	return tr, ring, dials, arrives
 }

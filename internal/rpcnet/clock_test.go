@@ -2,6 +2,7 @@ package rpcnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,5 +267,45 @@ func TestSyncLateDoneCannotCompleteNextCall(t *testing.T) {
 	clk.fireLast()
 	if ok := <-returned; ok {
 		t.Fatal("an earlier call's done completed a later call")
+	}
+}
+
+// TestStopPreventsAQueuedTimerCallback: a timer of the node's clock that
+// fires while the executor is busy hands its callback to the executor's
+// queue. A Stop from the task ahead of it must still prevent the run, and
+// say so — as it would had the timer not fired yet, and as it does on the
+// simulator. LeaseClient.scheduleBoundary and the authority's steal timer
+// both stop timers from inside tasks and count on it.
+func TestStopPreventsAQueuedTimerCallback(t *testing.T) {
+	e := NewExecutor()
+	go e.Run()
+	defer e.Close()
+	clk := sim.NewRealClock(e.Do)
+
+	var ran atomic.Bool
+	var timer sim.Timer
+	entered, hold := make(chan struct{}), make(chan struct{})
+	stopped := make(chan bool, 1)
+	e.Submit(func() {
+		close(entered)
+		<-hold
+		stopped <- timer.Stop()
+	})
+	<-entered
+	timer = clk.AfterFunc(time.Millisecond, func() { ran.Store(true) })
+	waitFor(t, "the fired timer's callback to queue behind the busy task", func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.n == 1
+	})
+	close(hold)
+	if !<-stopped {
+		t.Error("Stop from the task ahead of the queued callback reported that it prevented nothing")
+	}
+	behind := make(chan struct{})
+	e.Submit(func() { close(behind) })
+	<-behind
+	if ran.Load() {
+		t.Fatal("a stopped timer's callback ran")
 	}
 }

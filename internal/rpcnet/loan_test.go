@@ -17,7 +17,8 @@ import (
 // loan — the payload is left whole for the garbage collector rather than
 // returned by a path that cannot know who else returns it. Ending the loan
 // afterwards is then the first Put, which under -tags tankdebug is what
-// distinguishes it from a second.
+// distinguishes it from a second. Both lending replies, vectored and
+// scalar.
 func TestDroppedReplyKeepsItsLoan(t *testing.T) {
 	const self, peer = msg.NodeID(1000), msg.NodeID(10)
 	tr := New(self, nil, func(msg.Envelope) {})
@@ -41,6 +42,20 @@ func TestDroppedReplyKeepsItsLoan(t *testing.T) {
 		t.Fatal("EndLoan left the payload on the reply")
 	}
 	msg.EndLoan(res) // over: a no-op, not a second Put
+
+	block := bufpool.Get(disk.BlockSize)
+	copy(block, want)
+	scalar := &msg.DiskReadRes{Req: 8}
+	scalar.Lend(block)
+	tr.Send(peer, scalar)
+	if !bytes.Equal(scalar.Data, want[:disk.BlockSize]) {
+		t.Fatalf("a dropped scalar reply's payload was returned to the pool (first byte %#x)", scalar.Data[0])
+	}
+	msg.EndLoan(scalar)
+	if scalar.Data != nil {
+		t.Fatal("EndLoan left the payload on the scalar reply")
+	}
+	msg.EndLoan(scalar)
 }
 
 // TestLiveRepliesInFlightKeepTheirPayloads fires a burst of vectored reads
@@ -113,6 +128,62 @@ func TestLiveRepliesInFlightKeepTheirPayloads(t *testing.T) {
 				if !bytes.Equal(res.Data[k*disk.BlockSize:(k+1)*disk.BlockSize], want) || res.Vers[k] != b+1 {
 					t.Fatalf("read %d: block %d arrived damaged (ver %d, first byte %#x)", res.Req, b, res.Vers[k], res.Data[k*disk.BlockSize])
 				}
+			}
+		case <-deadline:
+			t.Fatalf("%d reads of the burst never answered", len(pending))
+		}
+	}
+}
+
+// TestLiveScalarRepliesInFlightKeepTheirPayloads is the same for scalar
+// reads: a file-backed disk reads each block into a pooled buffer its
+// DiskReadRes lends to the transport until the frame is written, and a
+// burst keeps many such loans out at once.
+func TestLiveScalarRepliesInFlightKeepTheirPayloads(t *testing.T) {
+	const reads = 64
+	media, err := blockstore.Open(t.TempDir(), blockstore.Options{Blocks: crashBlocks, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := Topology{Disks: map[msg.NodeID]string{crashDiskID: Loopback()}}
+	dn, err := StartDiskNode(NodeSpec{ID: crashDiskID, Topo: topo}, disk.Config{Blocks: crashBlocks}, WithMedia(media))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dn.Close()
+	c := newSANClient(t, adminID, dn.Addr.String())
+	if ack := c.call(batchPayload(adminID, 1, 0, reads), func(m msg.Message) bool {
+		res, ok := m.(*msg.DiskWriteVRes)
+		return ok && res.Req == 1
+	}); ack == nil || ack.(*msg.DiskWriteVRes).Err != msg.OK {
+		t.Fatalf("seeding: %v", ack)
+	}
+
+	pending := map[msg.ReqID]uint64{} // request → block
+	for round := 0; round < 3; round++ {
+		for b := uint64(0); b < reads; b++ {
+			req := msg.ReqID(1000 + round*reads + int(b))
+			pending[req] = b
+			c.tr.Send(crashDiskID, &msg.DiskRead{Client: adminID, Req: req, Block: b})
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for len(pending) > 0 {
+		select {
+		case m := <-c.replies:
+			res, ok := m.(*msg.DiskReadRes)
+			if !ok {
+				continue
+			}
+			b, ok := pending[res.Req]
+			if !ok {
+				continue
+			}
+			delete(pending, res.Req)
+			want := make([]byte, disk.BlockSize)
+			copy(want, crashPayload(b))
+			if res.Err != msg.OK || res.Ver != b+1 || !bytes.Equal(res.Data, want) {
+				t.Fatalf("read %d: block %d arrived damaged (err %v, ver %d)", res.Req, b, res.Err, res.Ver)
 			}
 		case <-deadline:
 			t.Fatalf("%d reads of the burst never answered", len(pending))

@@ -4,13 +4,13 @@
 // protocol code in internal/core, internal/client, and internal/server
 // runs unchanged.
 //
-// Datagram semantics are preserved deliberately: Send never blocks the
-// executor, a dead connection silently drops traffic until the next dial
+// Datagram semantics are preserved deliberately: Send never blocks its
+// caller, a dead connection silently drops traffic until the next dial
 // attempt, and delivery gives no feedback. Retries, ACK/NACK, and
 // at-most-once execution all come from the protocol layer, as on the
-// simulated network. (A TCP connection does provide ordering per peer,
-// which the protocol does not rely on — it is safe under weaker
-// assumptions.)
+// simulated network. (Frames to one peer do leave in the order they were
+// sent, over one TCP connection; the protocol does not rely on it — it
+// is safe under weaker assumptions.)
 package rpcnet
 
 import (
@@ -36,9 +36,9 @@ type Transport struct {
 	// acceptors learn peers from Hello frames).
 	addrs map[msg.NodeID]string
 
-	mu       sync.Mutex
-	conns    map[msg.NodeID]*wire.Codec
-	dials    map[msg.NodeID]*dialCall
+	mu sync.Mutex
+	// links holds the send path to each peer: connected, or dialing.
+	links    map[msg.NodeID]*link
 	listener net.Listener
 	closed   bool
 
@@ -49,11 +49,11 @@ type Transport struct {
 	own     *Executor
 	handler func(env msg.Envelope)
 	clock   *sim.RealClock
-	// delayClock times fault-injected send latency. Unlike clock, its
-	// callbacks must never funnel through the executor: the send
-	// goroutine parks on it, and a drained executor would turn a 5ms
-	// injected delay into a leaked goroutine. Defaults to a plain wall
-	// clock; SetClock overrides it for tests that own time.
+	// delayClock times fault-injected send latency: a delayed message is
+	// a timer on it whose callback hands the message to the send path.
+	// That callback never blocks, so it may run anywhere; the default is
+	// a plain wall clock firing on the timer's goroutine, and SetClock
+	// overrides it for tests that own time.
 	delayClock sim.Clock
 
 	// dialFn establishes outbound connections (net.Dial in production;
@@ -74,8 +74,7 @@ func New(self msg.NodeID, addrs map[msg.NodeID]string, handler func(env msg.Enve
 	t := &Transport{
 		self:    self,
 		addrs:   addrs,
-		conns:   make(map[msg.NodeID]*wire.Codec),
-		dials:   make(map[msg.NodeID]*dialCall),
+		links:   make(map[msg.NodeID]*link),
 		own:     NewExecutor(),
 		handler: handler,
 		dialFn:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
@@ -181,6 +180,9 @@ func (t *Transport) acceptLoop(l net.Listener) {
 	}
 }
 
+// handleInbound runs an accepted connection: the preamble, the hello,
+// then its writer on a goroutine of its own and its read loop on this
+// one.
 func (t *Transport) handleInbound(conn net.Conn) {
 	codec, err := wire.Accept(conn)
 	if err != nil {
@@ -195,32 +197,55 @@ func (t *Transport) handleInbound(conn net.Conn) {
 		return
 	}
 	t.debugf(from, "accepted %v from %v", from, conn.RemoteAddr())
-	t.register(from, codec)
-	t.readLoop(from, codec)
-}
-
-// register installs the connection for outbound traffic to the peer,
-// replacing (and closing) any previous one.
-func (t *Transport) register(peer msg.NodeID, codec *wire.Codec) {
-	t.mu.Lock()
-	old := t.conns[peer]
-	t.conns[peer] = codec
-	t.mu.Unlock()
-	if old != nil && old != codec {
-		old.Close()
+	l := t.install(from, codec)
+	if l == nil {
+		return
 	}
+	go l.drain()
+	t.readLoop(l, codec)
 }
 
-func (t *Transport) dropConn(peer msg.NodeID, codec *wire.Codec) {
+// install makes a connection the send path to the peer, replacing (and
+// closing) any previous one, and returns its link; nil once the
+// transport is closed. What the previous link had queued — behind a dial
+// still in progress, say — is not lost: an encoded frame is as good on
+// any connection to the peer, so it moves to the front of the new link's
+// queue. Install holds the new link's token until it has.
+func (t *Transport) install(peer msg.NodeID, codec *wire.Codec) *link {
+	l := newLink(t, peer)
+	l.codec = codec
+	l.writing = true
 	t.mu.Lock()
-	if t.conns[peer] == codec {
-		delete(t.conns, peer)
+	if t.closed {
+		t.mu.Unlock()
+		codec.Close()
+		return nil
+	}
+	old := t.links[peer]
+	t.links[peer] = l
+	t.mu.Unlock()
+	var queued []wire.Frame
+	if old != nil {
+		queued = old.retire()
+	}
+	l.inherit(queued)
+	return l
+}
+
+// drop retires a link: it stops being the peer's send path (unless
+// something has replaced it already), and its connection and queued
+// frames go.
+func (t *Transport) drop(l *link) {
+	t.mu.Lock()
+	if t.links[l.peer] == l {
+		delete(t.links, l.peer)
 	}
 	t.mu.Unlock()
-	codec.Close()
+	l.close()
 }
 
-func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
+func (t *Transport) readLoop(l *link, codec *wire.Codec) {
+	peer := l.peer
 	for {
 		env, err := codec.Recv()
 		if err != nil {
@@ -235,7 +260,7 @@ func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 			} else {
 				t.debugf(peer, "read from %v: connection closed: %v", peer, err)
 			}
-			t.dropConn(peer, codec)
+			t.drop(l)
 			return
 		}
 		if f := t.faults.Load(); f != nil {
@@ -256,103 +281,110 @@ func (t *Transport) readLoop(peer msg.NodeID, codec *wire.Codec) {
 	}
 }
 
-// Send transmits best-effort. It runs the (possibly blocking) dial and
-// write on a goroutine so the executor never stalls — and, now that a
-// delivery may be running on a read loop's goroutine, so that no read loop
-// ever parks in a write: two nodes that each wrote from their read loop
-// into the other's full socket would wait on each other for good. Failures
-// drop the message, exactly like a lost datagram. An installed fault plan is
-// consulted first: blocked or lost messages are dropped before any
-// socket work, and injected latency sleeps on the send goroutine. A
-// payload the sender lent (msg.EndLoan) goes back to its pool when the
-// send goroutine is through with the message, written or not; one dropped
-// before that is left to the garbage collector. (The two calls are not a
-// defer: a defer record makes this goroutine's frame 32 bytes larger,
-// which is enough for the deepest encode under it to outgrow the 2 KiB
-// stack every send goroutine starts with — measured, −8 % on meta_storm.)
+// Send transmits best-effort and never blocks its caller: the message is
+// encoded on the calling goroutine and written there with one
+// nonblocking write when the peer's link is idle, and otherwise queued
+// for the link's writer (DESIGN §21). So no read loop — which runs
+// handlers, which send — ever parks in a write, and two nodes writing
+// into each other's full sockets cannot wait on each other. Frames to
+// one peer leave in the order they were sent. Failures drop the message,
+// exactly like a lost datagram. An installed fault plan is consulted
+// first: blocked or lost messages are dropped before any socket work,
+// and injected latency is a timer on the delay clock that hands the
+// message to the same path when it fires. A payload the sender lent
+// (msg.EndLoan) goes back to its pool when its frame has been written or
+// dropped, or when there is no way to the peer; one the fault plan drops
+// is left to the garbage collector.
+//
+//tank:hotpath
 func (t *Transport) Send(to msg.NodeID, m msg.Message) {
-	env := msg.Envelope{From: t.self, To: to, Payload: m}
-	var delay time.Duration
 	if f := t.faults.Load(); f != nil {
 		v := f.JudgeSend(t.self, to)
 		if !v.Deliver {
 			t.dropInjected(to, v.Reason)
 			return
 		}
-		delay = v.Delay
-	}
-	go func() {
-		if delay > 0 {
-			sim.Sleep(t.delayClock, delay)
-		}
-		codec, err := t.connTo(to)
-		if err != nil {
-			t.debugf(to, "send to %v: %v", to, err)
-			msg.EndLoan(env.Payload)
+		if v.Delay > 0 {
+			t.delay(to, m, v.Delay)
 			return
 		}
-		err = codec.Send(&env)
-		msg.EndLoan(env.Payload)
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			// Refused before a byte was written: the connection and
-			// everything else in flight on it are fine, and dropping it
-			// would only have the sender redial to be refused again.
-			t.debugf(to, "send to %v: dropping %T: %v", to, env.Payload, err)
-		} else if err != nil {
-			t.debugf(to, "send to %v: %v", to, err)
-			t.dropConn(to, codec)
-		}
-	}()
+	}
+	t.send(to, m)
 }
 
-// dialCall is an in-flight dial to one peer; concurrent senders wait on
-// done instead of dialing again.
-type dialCall struct {
-	done  chan struct{}
-	codec *wire.Codec
-	err   error
+// delay hands m to the send path once d has passed on the delay clock.
+func (t *Transport) delay(to msg.NodeID, m msg.Message, d time.Duration) {
+	t.delayClock.AfterFunc(d, func() { t.send(to, m) })
 }
 
-// connTo returns (dialing if necessary) a connection to the peer. Dials
-// are single-flight per peer: without that, two simultaneous Sends to
-// an unconnected peer would both dial, the loser's connection would be
-// closed by register, and its in-flight message silently lost even
-// though the network was healthy.
-func (t *Transport) connTo(peer msg.NodeID) (*wire.Codec, error) {
+// send is Send after the fault plan.
+//
+//tank:hotpath
+func (t *Transport) send(to msg.NodeID, m msg.Message) {
+	if l := t.linkTo(to); l != nil {
+		l.send(m)
+	} else {
+		msg.EndLoan(m)
+	}
+}
+
+// linkTo returns the send path to the peer, starting one — a link whose
+// token the dial holds until it connects, so that every send meanwhile
+// queues — when there is none. Dials are single-flight per peer because
+// links are: two simultaneous Sends to an unconnected peer queue on one
+// link behind one dial. It returns nil, having said why, when there is
+// no way to reach the peer.
+func (t *Transport) linkTo(peer msg.NodeID) *link {
 	t.mu.Lock()
-	if c, ok := t.conns[peer]; ok {
+	if l := t.links[peer]; l != nil {
 		t.mu.Unlock()
-		return c, nil
+		return l
 	}
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("rpcnet: transport closed")
-	}
-	if dc, ok := t.dials[peer]; ok {
-		t.mu.Unlock()
-		<-dc.done
-		return dc.codec, dc.err
+		t.debugf(peer, "send to %v: rpcnet: transport closed", peer)
+		return nil
 	}
 	addr, ok := t.addrs[peer]
 	if !ok {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("rpcnet: no address for %v and no inbound connection", peer)
+		t.debugf(peer, "send to %v: rpcnet: no address for %v and no inbound connection", peer, peer)
+		return nil
 	}
-	dc := &dialCall{done: make(chan struct{})}
-	t.dials[peer] = dc
+	l := newLink(t, peer)
+	l.writing = true
+	t.links[peer] = l
 	t.mu.Unlock()
-
-	dc.codec, dc.err = t.dial(peer, addr)
-	t.mu.Lock()
-	delete(t.dials, peer)
-	t.mu.Unlock()
-	close(dc.done)
-	return dc.codec, dc.err
+	go t.dial(l, addr)
+	return l
 }
 
-// dial establishes and registers one outbound connection: the version
-// preamble, then the hello.
-func (t *Transport) dial(peer msg.NodeID, addr string) (*wire.Codec, error) {
+// dial connects a link that linkTo started — the version preamble, then
+// the hello — and then becomes its writer, draining what queued while it
+// dialed. A failed dial drops the link and everything queued on it.
+func (t *Transport) dial(l *link, addr string) {
+	codec, err := t.connect(l.peer, addr)
+	if err != nil {
+		t.debugf(l.peer, "send to %v: %v", l.peer, err)
+		t.drop(l)
+		return
+	}
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		codec.Close()
+		return
+	}
+	l.codec = codec
+	l.writing = false
+	l.mu.Unlock()
+	go t.readLoop(l, codec)
+	l.ring()
+	l.drain()
+}
+
+// connect establishes one outbound connection.
+func (t *Transport) connect(peer msg.NodeID, addr string) (*wire.Codec, error) {
 	conn, err := t.dialFn(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: dial %v (%s): %w", peer, addr, err)
@@ -366,14 +398,12 @@ func (t *Transport) dial(peer msg.NodeID, addr string) (*wire.Codec, error) {
 		conn.Close()
 		return nil, err
 	}
-	t.register(peer, codec)
-	go t.readLoop(peer, codec)
 	return codec, nil
 }
 
-// Close shuts the transport down: the listener, every connection, and the
-// private executor, whose Close waits out a handler still running there.
-// Call it from outside a handler.
+// Close shuts the transport down: the listener, every link with what is
+// queued on it, and the private executor, whose Close waits out a
+// handler still running there. Call it from outside a handler.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -382,14 +412,238 @@ func (t *Transport) Close() {
 	}
 	t.closed = true
 	l := t.listener
-	conns := t.conns
-	t.conns = make(map[msg.NodeID]*wire.Codec)
+	links := t.links
+	t.links = make(map[msg.NodeID]*link)
 	t.mu.Unlock()
 	if l != nil {
 		l.Close()
 	}
-	for _, c := range conns {
-		c.Close()
+	for _, lk := range links {
+		lk.close()
 	}
 	t.own.Close()
+}
+
+// link is the send path to one peer over one connection: a FIFO of
+// encoded frames and a write token (DESIGN §21) — Executor.Do's
+// discipline, applied to a socket. Whoever holds the token is the only
+// one writing to the connection: a Send that found the link idle, for
+// one nonblocking write; the link's writer, for a blocking drain; the
+// dial, until the connection exists; or install, until the frames of the
+// link it replaced are queued. A Send that finds the token held, or
+// frames queued, queues its own frame behind them and returns. So:
+//
+//   - Send never blocks its caller: the only write it makes is TryWrite,
+//     which never parks, and only with the token;
+//   - frames leave in the order they were queued, and a Send writes
+//     inline only when nothing is queued, which overtakes nothing; what a
+//     short inline write leaves goes back to the head of the queue;
+//   - the queue is unbounded, as the executor's is (ROADMAP item 1).
+type link struct {
+	t    *Transport
+	peer msg.NodeID
+
+	mu sync.Mutex
+	// codec is the connection; nil while the dial that holds the token
+	// is in progress.
+	codec *wire.Codec
+	// enc is the encoder every Send to this peer runs on, under mu.
+	enc msg.Coder
+	// queue holds the frames not yet wholly written, in order; spare is
+	// the writer's other buffer: the two swap at every drain.
+	queue, spare []wire.Frame
+	// writing is the token.
+	writing bool
+	closed  bool
+	// wake is the writer's doorbell: rung with frames queued and the
+	// token free, and when the link closes.
+	wake chan struct{}
+}
+
+func newLink(t *Transport, peer msg.NodeID) *link {
+	return &link{t: t, peer: peer, wake: make(chan struct{}, 1)}
+}
+
+// send encodes m and writes it inline if the link is idle, or queues it.
+//
+//tank:hotpath
+func (l *link) send(m msg.Message) {
+	env := msg.Envelope{From: l.t.self, To: l.peer, Payload: m}
+	l.mu.Lock()
+	f, err := wire.Encode(&l.enc, &env)
+	if err != nil {
+		l.mu.Unlock()
+		msg.EndLoan(m)
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			l.t.refuse(l.peer, m, err)
+		} else {
+			l.t.fail(l, err)
+		}
+		return
+	}
+	if l.closed || l.writing || len(l.queue) > 0 {
+		l.enqueue(f)
+		l.mu.Unlock()
+		return
+	}
+	l.writing = true
+	codec := l.codec
+	l.mu.Unlock()
+	done, err := codec.TryWrite(&f)
+	if err != nil {
+		f.Release()
+		l.t.fail(l, err)
+		return
+	}
+	if done {
+		f.Release()
+	}
+	l.mu.Lock()
+	if !done {
+		l.requeue(f)
+	}
+	l.writing = false
+	if len(l.queue) > 0 {
+		l.ring()
+	}
+	l.mu.Unlock()
+}
+
+// enqueue appends f to the queue, or ends it on a closed link. Called
+// with l.mu held.
+func (l *link) enqueue(f wire.Frame) {
+	if l.closed {
+		f.Release()
+		return
+	}
+	l.queue = append(l.queue, f)
+	if !l.writing {
+		l.ring()
+	}
+}
+
+// requeue puts back what a short inline write left of f: at the head of
+// the queue, in front of whatever queued while it was being written.
+// Called with l.mu held and the token.
+func (l *link) requeue(f wire.Frame) {
+	if l.closed {
+		f.Release()
+		return
+	}
+	l.queue = append(l.queue, wire.Frame{})
+	copy(l.queue[1:], l.queue)
+	l.queue[0] = f
+}
+
+// ring wakes the writer, if it is not awake already.
+func (l *link) ring() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drain is the link's writer: one goroutine per connection, from its
+// accept or dial until the link closes. At each wake it takes the token
+// and everything queued, writes it all with one writev — parking here,
+// on a goroutine of its own, is what it is for — ends the frames, and
+// gives the token back.
+func (l *link) drain() {
+	for range l.wake {
+		for {
+			l.mu.Lock()
+			if l.closed {
+				l.mu.Unlock()
+				return
+			}
+			if l.writing || len(l.queue) == 0 {
+				l.mu.Unlock()
+				break
+			}
+			batch := l.queue
+			l.queue, l.spare = l.spare, nil
+			l.writing = true
+			codec := l.codec
+			l.mu.Unlock()
+			err := codec.WriteFrames(batch)
+			for i := range batch {
+				batch[i].Release()
+			}
+			if err != nil {
+				l.t.fail(l, err)
+				return
+			}
+			l.mu.Lock()
+			l.writing = false
+			l.spare = batch[:0]
+			l.mu.Unlock()
+		}
+	}
+}
+
+// close ends the link: what is queued is dropped, each frame ended, and
+// the connection closed, which fails a write in progress; the writer
+// wakes to find the link closed.
+func (l *link) close() {
+	queued := l.retire()
+	for i := range queued {
+		queued[i].Release()
+	}
+}
+
+// retire closes the link as close does, but returns what was queued on it
+// instead of ending it: the caller owns those frames now.
+func (l *link) retire() []wire.Frame {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	queued := l.queue
+	l.queue = nil
+	codec := l.codec
+	l.mu.Unlock()
+	if codec != nil {
+		codec.Close()
+	}
+	l.ring()
+	return queued
+}
+
+// inherit puts the frames a replaced link had queued in front of l's own,
+// each rewound — a frame the old connection took part of never reached
+// the peer whole — and gives back the token install held meanwhile.
+func (l *link) inherit(fs []wire.Frame) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		for i := range fs {
+			fs[i].Release()
+		}
+		return
+	}
+	for i := range fs {
+		fs[i].Rewind()
+	}
+	l.queue = append(fs, l.queue...)
+	l.writing = false
+	if len(l.queue) > 0 {
+		l.ring()
+	}
+	l.mu.Unlock()
+}
+
+// refuse reports a message too large to frame. Nothing was written, so
+// the connection and everything else in flight on it are fine: dropping
+// it would only have the sender redial to be refused again.
+func (t *Transport) refuse(peer msg.NodeID, m msg.Message, err error) {
+	t.debugf(peer, "send to %v: dropping %T: %v", peer, m, err)
+}
+
+// fail reports any other send error — a write's, or an encoding's other
+// than ErrFrameTooLarge — and drops the link it happened on.
+func (t *Transport) fail(l *link, err error) {
+	t.debugf(l.peer, "send to %v: %v", l.peer, err)
+	t.drop(l)
 }

@@ -160,7 +160,7 @@ func TestInlineDeliveryKeepsPeerOrder(t *testing.T) {
 }
 
 // waitFor polls cond until it holds, failing the test after 5 s.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {

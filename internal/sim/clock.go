@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -102,17 +103,49 @@ func (c *RealClock) Now() Time { return Time(time.Since(c.start)) }
 // armed.
 func (c *RealClock) SetExec(exec func(fn func())) { c.exec = exec }
 
-type realTimer struct{ t *time.Timer }
+// execTimer is a timer whose callback is handed to the exec hook when it
+// fires, and may then wait there — behind a busy executor's queue — before
+// it runs. state decides, once, between the callback and Stop: a Stop
+// that wins prevents the run however late it comes, even with the
+// callback already queued, which is the simulator's semantics and what
+// every caller that stops a timer relies on.
+type execTimer struct {
+	t     *time.Timer
+	state atomic.Uint32
+	fn    func()
+	exec  func(fn func())
+}
 
-func (t realTimer) Stop() bool { return t.t.Stop() }
+const (
+	timerArmed uint32 = iota
+	timerRan
+	timerStopped
+)
+
+// Stop reports true iff it prevented the callback from running.
+func (t *execTimer) Stop() bool {
+	t.t.Stop()
+	return t.state.CompareAndSwap(timerArmed, timerStopped)
+}
+
+// fire is the wall-clock timer's callback: it hands the run to exec.
+func (t *execTimer) fire() { t.exec(t.run) }
+
+// run is the callback as exec runs it, unless Stop got there first.
+func (t *execTimer) run() {
+	if t.state.CompareAndSwap(timerArmed, timerRan) {
+		t.fn()
+	}
+}
 
 // AfterFunc schedules fn after wall-clock duration d.
 func (c *RealClock) AfterFunc(d time.Duration, fn func()) Timer {
-	run := fn
-	if c.exec != nil {
-		run = func() { c.exec(fn) }
+	if c.exec == nil {
+		return time.AfterFunc(d, fn)
 	}
-	return realTimer{time.AfterFunc(d, run)}
+	t := &execTimer{fn: fn, exec: c.exec}
+	t.t = time.AfterFunc(d, t.fire)
+	return t
 }
 
 var _ Clock = (*RealClock)(nil)

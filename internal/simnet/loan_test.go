@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/disk"
 	"repro/internal/msg"
 )
@@ -60,6 +61,57 @@ func TestLentPayloadOutlivesALaterRead(t *testing.T) {
 	// still 100 µs from its handler.
 	n.Send(clientID, diskID, &msg.DiskReadV{Client: clientID, Req: 2, Blocks: reads[2]})
 	n.Send(clientID, diskID, &msg.DiskReadV{Client: clientID, Req: 3, Blocks: reads[3]})
+	s.Run()
+	if len(delivered) != 2 {
+		t.Fatalf("%d replies delivered, want 2", len(delivered))
+	}
+	if delivered[1].Data != nil {
+		t.Errorf("reply %d still holds its payload after its handler returned", delivered[1].Req)
+	}
+}
+
+// TestLentScalarPayloadOutlivesALaterRead is the same for the scalar
+// reply: on media that reads into the caller's buffer (blockstore.File —
+// Mem serves its own and never lends) a DiskReadRes lends a pooled block,
+// which must be whole when its handler runs while the disk serves a
+// second read from the same pool, and gone once that handler returned.
+func TestLentScalarPayloadOutlivesALaterRead(t *testing.T) {
+	const diskID, clientID = msg.NodeID(1000), msg.NodeID(10)
+	media, err := blockstore.Open(t.TempDir(), blockstore.Options{Blocks: 64, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer media.Close()
+	fixed := 100 * time.Microsecond
+	s, n := newNet(t, Config{Name: "san", DelayMin: fixed, DelayMax: fixed})
+	d := disk.New(diskID, disk.Config{Blocks: 64}, s.NewClock(1, 0),
+		func(to msg.NodeID, m msg.Message) { n.Send(diskID, to, m) }, nil, disk.Observer{},
+		disk.WithMedia(media))
+	n.Attach(diskID, d.Deliver)
+
+	content := func(b uint64) []byte { return bytes.Repeat([]byte{byte(b) + 1}, disk.BlockSize) }
+	var delivered []*msg.DiskReadRes
+	n.Attach(clientID, func(env msg.Envelope) {
+		res, ok := env.Payload.(*msg.DiskReadRes)
+		if !ok {
+			return
+		}
+		for _, earlier := range delivered {
+			if earlier.Data != nil {
+				t.Errorf("reply %d still holds its payload after its handler returned", earlier.Req)
+			}
+		}
+		if b := uint64(res.Req); res.Err != msg.OK || !bytes.Equal(res.Data, content(b)) {
+			t.Errorf("reply %d: err %v, block %d arrived damaged", res.Req, res.Err, b)
+		}
+		delivered = append(delivered, res)
+	})
+	for b := uint64(1); b <= 2; b++ {
+		n.Send(clientID, diskID, &msg.DiskWrite{Client: clientID, Req: msg.ReqID(100 + b), Block: b, Data: content(b), Ver: 1})
+	}
+	s.Run()
+	n.Send(clientID, diskID, &msg.DiskRead{Client: clientID, Req: 1, Block: 1})
+	n.Send(clientID, diskID, &msg.DiskRead{Client: clientID, Req: 2, Block: 2})
 	s.Run()
 	if len(delivered) != 2 {
 		t.Fatalf("%d replies delivered, want 2", len(delivered))
