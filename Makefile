@@ -90,11 +90,13 @@ bench:
 # wire codec. (B/op is not gated where it is noise: the fsync-bound rows
 # and MetaCommit/100k, see cmd/benchjson.) One benchmark
 # run feeds both: the old report is snapshot to bin/ first, then compared
-# against the fresh numbers.
+# against the fresh numbers. The run is also appended to
+# BENCH_history.jsonl, one line keyed by the commit it measured, so the
+# trajectory survives the overwrite.
 bench-gate:
 	@mkdir -p bin
 	cp BENCH_tier1.json bin/bench_baseline.json
-	$(GO) test -run=NONE -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_tier1.json -compare bin/bench_baseline.json
+	$(GO) test -run=NONE -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_tier1.json -compare bin/bench_baseline.json -history BENCH_history.jsonl
 
 # Regenerate the paper's figures and tables (see EXPERIMENTS.md). RUN
 # narrows it: CI runs `make experiments RUN=F3`, one cheap experiment

@@ -15,6 +15,12 @@
 // Non-benchmark lines (PASS, ok, package headers) pass through to
 // stderr so a terminal run still shows the suite's progress.
 //
+// With -history FILE the run is also appended to FILE as one JSON line,
+// keyed by `git rev-parse --short HEAD` (and marked dirty when tracked
+// files differ from that commit): the -o report is overwritten each run,
+// the history keeps the trajectory. `make bench-gate` keeps
+// BENCH_history.jsonl this way.
+//
 // With -compare BASELINE.json the command also gates deterministic
 // regressions: for every benchmark present in both the baseline report
 // and the current stream, the lower-is-better metrics (allocs/op, B/op,
@@ -45,10 +51,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"slices"
 	"strconv"
 	"strings"
@@ -77,7 +85,19 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to FILE (default stdout)")
 	compare := flag.String("compare", "",
 		"gate against a baseline report: exit 1 if any benchmark's allocs/op or B/op regresses >5%")
+	history := flag.String("history", "", "append the report to FILE as one JSON line keyed by the git commit")
 	flag.Parse()
+
+	// Before anything is written: the report file may be tracked.
+	var commit string
+	var dirty bool
+	if *history != "" {
+		var err error
+		if commit, dirty, err = gitRevision(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	var results []Result
 	pkg := ""
@@ -117,6 +137,13 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks -> %s\n", len(results), *out)
+	}
+	if *history != "" {
+		if err := appendHistory(*history, commit, dirty, report); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: run of %s appended to %s\n", commit, *history)
 	}
 	if *compare != "" {
 		regressions, err := compareBaseline(*compare, results)
@@ -368,6 +395,47 @@ func derive(results []Result) map[string]float64 {
 		return nil
 	}
 	return out
+}
+
+// historyLine is one run in the history file: the report, keyed by the
+// commit it was measured on.
+type historyLine struct {
+	Commit string `json:"commit"`
+	// Dirty: tracked files differed from Commit when the run was made.
+	Dirty bool `json:"dirty,omitempty"`
+	Report
+}
+
+// appendHistory adds report to the JSON-lines file at path as one line,
+// creating the file if need be.
+func appendHistory(path, commit string, dirty bool, report Report) error {
+	line, err := json.Marshal(historyLine{Commit: commit, Dirty: dirty, Report: report})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// gitRevision names the commit the work tree is on and reports whether
+// any tracked file differs from it.
+func gitRevision() (commit string, dirty bool, err error) {
+	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "", false, fmt.Errorf("git rev-parse: %w", err)
+	}
+	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	if err != nil {
+		return "", false, fmt.Errorf("git status: %w", err)
+	}
+	return string(bytes.TrimSpace(head)), len(bytes.TrimSpace(status)) > 0, nil
 }
 
 // parseBenchLine parses one "BenchmarkName-8  1234  987 ns/op  0 B/op ..."

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -284,5 +286,44 @@ func TestCompareGatesCachedLookupMessagesAtZero(t *testing.T) {
 	regs, err = compareBaseline(base, []Result{lookup(0.01)})
 	if err != nil || len(regs) != 1 {
 		t.Fatalf("regressions = %v, %v; want the gate to refuse any message at all", regs, err)
+	}
+}
+
+// TestAppendHistoryKeepsEveryRun: each run adds one line, keyed by its
+// commit, and leaves the lines before it as they were.
+func TestAppendHistoryKeepsEveryRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	runs := []historyLine{
+		{Commit: "aaaaaaa", Report: Report{Results: []Result{bench("BenchmarkF1-8", 10, 100)}}},
+		{Commit: "bbbbbbb", Dirty: true, Report: Report{
+			Results: []Result{bench("BenchmarkF1-8", 9, 90)},
+			Derived: map[string]float64{"flush64.san_msgs_reduction": 8},
+		}},
+	}
+	for _, run := range runs {
+		if err := appendHistory(path, run.Commit, run.Dirty, run.Report); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got []historyLine
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var line historyLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("line %d: %v", len(got)+1, err)
+		}
+		got = append(got, line)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, runs) {
+		t.Fatalf("history holds %+v, want %+v", got, runs)
 	}
 }

@@ -9,9 +9,9 @@ import (
 // The append path (DESIGN.md §17). Extending a file costs the server a
 // constant amount of work whatever the file's length: an allocation is
 // answered with the blocks it added, usually a run ahead of the writer,
-// the size travels in at most one SetAttr at a time and at most two
-// between settle points, and what was granted and never written goes
-// back when the exclusive lock does.
+// the size travels in one SetAttr per settle point and never two at a
+// time, and what was granted and never written goes back when the
+// exclusive lock does.
 
 // ensureAlloc extends the file's allocation to cover block idx. The reply
 // carries the blocks added and the index they start at; they are spliced
@@ -58,24 +58,26 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 // sizePush is what an object owes the server about its size. It exists
 // from the first write that extends the file until the next settle
 // point — Sync, the trim, Truncate, the periodic flush — has seen the
-// final size acknowledged.
+// final size acknowledged. Writes only mark the size owed; the settle
+// point is what sends it.
 type sizePush struct {
 	// inflight: a SetAttr is unacknowledged. There is never a second.
 	inflight bool
 	// owed: the size has grown since the last SetAttr was sent.
 	owed bool
+	// err is why a SetAttr failed; the entry retires with it.
+	err msg.Errno
 	// waiters are the settle points waiting; while there are any, an
 	// acknowledgment sends what is owed, and they run when nothing is.
-	waiters []func()
+	waiters []func(msg.Errno)
 }
 
-// maybeExtend moves the size forward after a write past the end of file.
-// The first such write since the last settle point tells the server at
-// once, so the size leaves the client as early as it ever did; the ones
-// after it only mark the size owed, and the settle point sends it. A run
-// of extending writes thus costs the server two SetAttr, not one each —
-// and how many is decided by the calls made, never by when an
-// acknowledgment happened to arrive.
+// maybeExtend moves the cached size forward after a write past the end
+// of file and marks it owed. It sends nothing: the server hears the size
+// at the next settle point, in one SetAttr carrying the size as it stands
+// then, however many writes extended the file since the last one. How
+// many SetAttr an append costs is thus decided by the calls made, never
+// by when an acknowledgment happened to arrive.
 func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
 	o := c.cache.Object(ino)
 	end := idx*BlockSize + uint64(n)
@@ -83,13 +85,12 @@ func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
 		return
 	}
 	o.Attr.Size = end
-	if p := c.sizePush[ino]; p != nil {
-		p.owed = true
-		return
+	p := c.sizePush[ino]
+	if p == nil {
+		p = &sizePush{}
+		c.sizePush[ino] = p
 	}
-	p := &sizePush{}
-	c.sizePush[ino] = p
-	c.sendSize(ino, p, end)
+	p.owed = true
 }
 
 func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
@@ -97,11 +98,12 @@ func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
 	c.changeBegin()
 	c.call(&msg.SetAttr{Ino: ino, NewSize: size}, func(r *msg.Reply) {
 		p.inflight = false
-		if errnoOf(r) == msg.OK {
+		if errno := errnoOf(r); errno == msg.OK {
 			c.learnAttr(r.Body.(msg.AttrRes), false)
 		} else {
-			// Refused, or cancelled with the lease: nothing more to send.
-			p.owed = false
+			// Refused, or cancelled with the lease: nothing more to send,
+			// and the settle points waiting hear why.
+			p.owed, p.err = false, errno
 		}
 		c.changeEnd()
 		c.stepSize(ino, p)
@@ -123,25 +125,27 @@ func (c *Client) stepSize(ino msg.ObjectID, p *sizePush) {
 		delete(c.sizePush, ino)
 	}
 	for _, w := range p.waiters {
-		w()
+		w(p.err)
 	}
 }
 
-// settleSize runs fn once the server has ino's size.
-func (c *Client) settleSize(ino msg.ObjectID, fn func()) {
+// settleSize runs fn once the server has ino's size, or once pushing it
+// has failed, with the failure.
+func (c *Client) settleSize(ino msg.ObjectID, fn func(msg.Errno)) {
 	p := c.sizePush[ino]
 	if p == nil {
-		fn()
+		fn(msg.OK)
 		return
 	}
 	p.waiters = append(p.waiters, fn)
 	c.stepSize(ino, p)
 }
 
-// settleSizes runs fn once the server has the size of every object.
-func (c *Client) settleSizes(fn func()) {
+// settleSizes runs fn once the server has the size of every object, with
+// the first failure among them.
+func (c *Client) settleSizes(fn func(msg.Errno)) {
 	if len(c.sizePush) == 0 {
-		fn()
+		fn(msg.OK)
 		return
 	}
 	inos := make([]msg.ObjectID, 0, len(c.sizePush))
@@ -150,16 +154,10 @@ func (c *Client) settleSizes(fn func()) {
 	}
 	// In a fixed order: the simulator's runs must repeat.
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	remaining := len(inos) + 1
-	done := func() {
-		if remaining--; remaining == 0 {
-			fn()
-		}
-	}
+	done := gather(len(inos), fn)
 	for _, ino := range inos {
 		c.settleSize(ino, done)
 	}
-	done()
 }
 
 // whenSettled runs fn once the server has ino's size and no data
@@ -167,7 +165,7 @@ func (c *Client) settleSizes(fn func()) {
 func (c *Client) whenSettled(ino msg.ObjectID, fn func()) {
 	switch {
 	case c.sizePush[ino] != nil:
-		c.settleSize(ino, func() { c.whenSettled(ino, fn) })
+		c.settleSize(ino, func(msg.Errno) { c.whenSettled(ino, fn) })
 	case c.ioCount[ino] > 0:
 		c.whenIdle(ino, func() { c.whenSettled(ino, fn) })
 	default:

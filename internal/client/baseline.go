@@ -237,7 +237,7 @@ func (c *Client) armVSweep() {
 			delete(c.lockedInos, ino)
 			c.dropDir(ino)
 			c.whenIdle(ino, func() {
-				c.flushObject(ino, func() {
+				c.flushObject(ino, func(msg.Errno) {
 					c.oracle.LockInactive(c.id, ino)
 					c.dropObject(ino)
 				})

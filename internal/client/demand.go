@@ -125,7 +125,7 @@ func (c *Client) complyDemand(m *msg.Demand) {
 		return
 	}
 	c.emit(trace.Event{Type: trace.EvFlushStart, Ino: m.Ino, Note: "demand"})
-	c.flushObject(m.Ino, func() {
+	c.flushObject(m.Ino, func(msg.Errno) {
 		c.emit(trace.Event{Type: trace.EvFlushDone, Ino: m.Ino, Note: "demand"})
 		// The next holder reads size and map from the server: both are
 		// final there before the lock moves.
@@ -228,34 +228,34 @@ func (c *Client) flushCommitted(it flushItem) {
 
 // flushItems writes the items back, coalescing per target disk into
 // vectored batches of at most flushBatchLimit pages; done fires when the
-// last batch is acknowledged. A single-page batch goes out as a scalar
-// DiskWrite — identical to the pre-vectoring wire traffic — so flushes
-// of one dirty page (the common case outside burst flushes) are
-// unchanged. Per-block failures inside a batch leave those pages dirty
-// for the next flush, exactly as a failed scalar write would.
-func (c *Client) flushItems(items []flushItem, done func()) {
+// last batch is acknowledged, with the first failure among them or OK. A
+// single-page batch goes out as a scalar DiskWrite — identical to the
+// pre-vectoring wire traffic — so flushes of one dirty page (the common
+// case outside burst flushes) are unchanged. Per-block failures inside a
+// batch leave those pages dirty for the next flush, exactly as a failed
+// scalar write would.
+func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
+	if done == nil {
+		done = func(msg.Errno) {}
+	}
 	if len(items) == 0 {
-		if done != nil {
-			done()
-		}
+		done(msg.OK)
 		return
 	}
 	limit := c.flushBatchLimit()
 	byDisk := make(map[msg.NodeID][]flushItem)
 	var order []msg.NodeID
+	batches := 0
 	for _, it := range items {
 		if _, ok := byDisk[it.disk]; !ok {
 			order = append(order, it.disk)
 		}
+		if len(byDisk[it.disk])%limit == 0 {
+			batches++
+		}
 		byDisk[it.disk] = append(byDisk[it.disk], it)
 	}
-	remaining := 0
-	finish := func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
-	}
+	finish := gather(batches, done)
 	for _, d := range order {
 		queue := byDisk[d]
 		for len(queue) > 0 {
@@ -265,7 +265,6 @@ func (c *Client) flushItems(items []flushItem, done func()) {
 			}
 			chunk := queue[:n]
 			queue = queue[n:]
-			remaining++
 			if len(chunk) == 1 {
 				// Scalar write. The item's data aliases the live cache
 				// page, which cache.Write may re-dirty in place while the
@@ -280,7 +279,7 @@ func (c *Client) flushItems(items []flushItem, done func()) {
 					if errno == msg.OK {
 						c.flushCommitted(it)
 					}
-					finish()
+					finish(errno)
 				})
 				continue
 			}
@@ -295,16 +294,19 @@ func (c *Client) flushItems(items []flushItem, done func()) {
 				return &msg.DiskWriteV{Client: c.id, Req: req, Blocks: vecs, Data: payload}
 			}, payload, func(reply msg.Message, errno msg.Errno) {
 				res, _ := reply.(*msg.DiskWriteVRes)
+				failed := errno
 				for i, it := range chunk {
-					ok := errno == msg.OK
+					e := errno
 					if res != nil && i < len(res.Errs) {
-						ok = res.Errs[i] == msg.OK
+						e = res.Errs[i]
 					}
-					if ok {
+					if e == msg.OK {
 						c.flushCommitted(it)
+					} else if failed == msg.OK {
+						failed = e
 					}
 				}
-				finish()
+				finish(failed)
 			})
 		}
 	}
@@ -313,7 +315,7 @@ func (c *Client) flushItems(items []flushItem, done func()) {
 // flushObject writes every dirty page of ino to the SAN and calls done
 // when the last write is acknowledged. done runs immediately when there
 // is nothing dirty.
-func (c *Client) flushObject(ino msg.ObjectID, done func()) {
+func (c *Client) flushObject(ino msg.ObjectID, done func(msg.Errno)) {
 	c.flushItems(c.collectDirty(ino), done)
 }
 
@@ -321,7 +323,7 @@ func (c *Client) flushObject(ino msg.ObjectID, done func()) {
 // acknowledged (or immediately when the cache is clean). Dirty pages of
 // DIFFERENT objects that live on the same disk coalesce into the same
 // batches — the scatter-gather message addresses blocks, not files.
-func (c *Client) flushAll(done func()) {
+func (c *Client) flushAll(done func(msg.Errno)) {
 	var items []flushItem
 	for _, ino := range c.cache.DirtyObjects() {
 		items = append(items, c.collectDirty(ino)...)

@@ -28,7 +28,7 @@ func (a leaseActions) Quiesce() {
 // may be gone but the SAN is not — the server's fence only rises at
 // τ(1+ε), after our lease (and this flush window) has ended.
 func (a leaseActions) Flush(done func()) {
-	a.c.flushAll(done)
+	a.c.flushAll(func(msg.Errno) { done() })
 }
 
 // Expired: the contract is over. Caches (data and metadata) are invalid,
@@ -184,7 +184,7 @@ func (c *Client) startFlushTimer() {
 		}
 		if c.registered && !c.quiesced {
 			c.flushAll(nil)
-			c.settleSizes(func() {})
+			c.settleSizes(func(msg.Errno) {})
 		}
 		c.flushTimer = c.clock.AfterFunc(c.cfg.FlushInterval, fire)
 	}

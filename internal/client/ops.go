@@ -66,6 +66,24 @@ func errnoOf(r *msg.Reply) msg.Errno {
 	}
 }
 
+// gather returns a callback to be called n times, once per outcome; the
+// n-th call calls done with the first failure among them, or OK.
+func gather(n int, done func(msg.Errno)) func(msg.Errno) {
+	// One variable, so that capturing it costs one allocation, not two.
+	g := struct {
+		left  int
+		first msg.Errno
+	}{left: n}
+	return func(errno msg.Errno) {
+		if g.first == msg.OK {
+			g.first = errno
+		}
+		if g.left--; g.left == 0 {
+			done(g.first)
+		}
+	}
+}
+
 // ReplicaInfo asks whichever replica the channel currently targets for
 // its role, last ballot, and who it believes holds the authority lease —
 // the operator query behind tankcli's `role` command and the SIGUSR1
@@ -238,8 +256,9 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 			cb(errno)
 		}
 		// The size must not overtake the truncate: a push acknowledged
-		// after it would put the old length back.
-		c.settleSize(info.ino, func() {
+		// after it would put the old length back. (One that failed has no
+		// say: the truncate sets the size.)
+		c.settleSize(info.ino, func(msg.Errno) {
 			c.changeBegin()
 			c.call(&msg.Truncate{Ino: info.ino, Blocks: nBlocks}, func(r *msg.Reply) {
 				errno := errnoOf(r)
@@ -574,18 +593,18 @@ func (c *Client) Write(h msg.Handle, idx uint64, data []byte, cb ErrnoCallback) 
 }
 
 // Sync flushes all dirty data and completes when everything is on disk
-// and the server has the size of every file written.
+// and the server has the size of every file written — or, when some of
+// it could not be settled, with the first failure. A page whose write
+// failed stays dirty for the next flush.
 func (c *Client) Sync(cb ErrnoCallback) {
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
-	pending := 2 // the data and the sizes go out side by side
-	done := func() {
-		if pending--; pending == 0 {
-			c.finish(msg.OK)
-			cb(msg.OK)
-		}
-	}
+	// The data and the sizes go out side by side.
+	done := gather(2, func(errno msg.Errno) {
+		c.finish(errno)
+		cb(errno)
+	})
 	c.flushAll(done)
 	c.settleSizes(done)
 }
@@ -707,7 +726,7 @@ func (c *Client) ReleaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 // granted ahead of its writer, forgets everything cached under it and
 // tells the server.
 func (c *Client) releaseLock(ino msg.ObjectID, cb ErrnoCallback) {
-	c.flushObject(ino, func() {
+	c.flushObject(ino, func(msg.Errno) {
 		c.trim(ino, func() {
 			c.downgradeTo(ino, msg.LockNone)
 			c.downgradeBegin(ino)

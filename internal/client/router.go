@@ -251,15 +251,7 @@ func (r *Router) Close(h msg.Handle, cb ErrnoCallback) {
 // Sync flushes every authority's dirty data and reports the first
 // failure, if any, once all have answered.
 func (r *Router) Sync(cb ErrnoCallback) {
-	remaining, first := len(r.subs), msg.OK
-	done := func(e msg.Errno) {
-		if e != msg.OK && first == msg.OK {
-			first = e
-		}
-		if remaining--; remaining == 0 {
-			cb(first)
-		}
-	}
+	done := gather(len(r.subs), cb)
 	for _, sub := range r.subs {
 		sub.Sync(done)
 	}

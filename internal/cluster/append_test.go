@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/meta"
 	"repro/internal/msg"
+	"repro/internal/simnet"
 )
 
 // The append path (DESIGN.md §17): allocation ahead of the writer, delta
-// replies spliced by the client, one size push in flight, and the trim
-// that gives back what was granted and never written.
+// replies spliced by the client, one size push per settle point, and the
+// trim that gives back what was granted and never written.
 
 // appendBlocks writes blocks [from, to) of h on client i, one Write each.
 func appendBlocks(t *testing.T, cl *Cluster, i int, h msg.Handle, from, to uint64) {
@@ -30,6 +31,20 @@ func inode(t *testing.T, cl *Cluster, path string) *meta.Inode {
 		t.Fatalf("lookup %s: %v", path, errno)
 	}
 	return in
+}
+
+// setAttrs counts the SetAttr requests sent on the control network from
+// now on, a retransmission once.
+func setAttrs(cl *Cluster) func() int {
+	reqs := make(map[msg.ReqHeader]bool)
+	observe := cl.Control.Observer
+	cl.Control.Observer = func(e simnet.Event) {
+		observe(e)
+		if m, ok := e.Env.Payload.(*msg.SetAttr); ok {
+			reqs[m.ReqHeader] = true
+		}
+	}
+	return func() int { return len(reqs) }
 }
 
 func noViolations(t *testing.T, cl *Cluster) {
@@ -65,16 +80,17 @@ func TestTruncateResetsSize(t *testing.T) {
 }
 
 // TestSyncCoversSize: when Sync returns the server has the file's size,
-// and a run of extending writes cost it two SetAttr — the first write's
-// and the one Sync settled — not one per write.
+// and a run of extending writes cost it one SetAttr — the one Sync sent
+// — not one per write. Until then the server's size is the last settled
+// one.
 func TestSyncCoversSize(t *testing.T) {
 	cl := New(DefaultOptions())
 	cl.Start()
 	h, _ := cl.MustOpen(0, "/f", true, true)
 	before := cl.Reg.CounterValue("server.transactions")
 	appendBlocks(t, cl, 0, h, 0, 40)
-	if in := inode(t, cl, "/f"); in.Size != BlockSize {
-		t.Fatalf("server size before Sync = %d: the first extending write's push, and only that, goes at once", in.Size)
+	if in := inode(t, cl, "/f"); in.Size != 0 {
+		t.Fatalf("server size before Sync = %d: no extending write pushes the size, the settle point does", in.Size)
 	}
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatal(errno)
@@ -84,16 +100,179 @@ func TestSyncCoversSize(t *testing.T) {
 	}
 	// The lock with the map — the grant carries it, where a GetBlocks used
 	// to follow every grant — 7 allocations (1, 1, 2, 4, 8, 16, 32 blocks)
-	// and the two SetAttr.
-	if n := cl.Reg.CounterValue("server.transactions") - before; n != 10 {
-		t.Fatalf("40 appended blocks and a Sync cost %d server transactions, want 10", n)
+	// and the one SetAttr.
+	if n := cl.Reg.CounterValue("server.transactions") - before; n != 9 {
+		t.Fatalf("40 appended blocks and a Sync cost %d server transactions, want 9", n)
 	}
+}
+
+// TestExtendingWritesSendNoSize: however many writes extend a file, none
+// of them tells the server its size; only a settle point does.
+func TestExtendingWritesSendNoSize(t *testing.T) {
+	cl := New(DefaultOptions())
+	cl.Start()
+	h, attr := cl.MustOpen(0, "/f", true, true)
+	sent := setAttrs(cl)
+	appendBlocks(t, cl, 0, h, 0, 100)
+	cl.RunFor(time.Minute)
+	if n := sent(); n != 0 {
+		t.Fatalf("100 extending writes and no settle point sent %d SetAttr, want 0", n)
+	}
+	if in := inode(t, cl, "/f"); in.Size != 0 {
+		t.Fatalf("the server's size moved without a settle point: %d", in.Size)
+	}
+	if a, err := cl.SyncClient(0).Stat(attr.Ino); err != nil || a.Size != 100*BlockSize {
+		t.Fatalf("the writer's Stat: size %d, %v; want its own %d", a.Size, err, 100*BlockSize)
+	}
+}
+
+// TestOneSizePushPerSettlePoint: every settle point sends the size an
+// append owes in exactly one SetAttr, whatever the number of writes
+// before it, and leaves the server with it.
+func TestOneSizePushPerSettlePoint(t *testing.T) {
+	const n = 10
+	for _, tc := range []struct {
+		name   string
+		opts   func(*Options)
+		settle func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID)
+		size   uint64 // the server's size after the settle point
+	}{
+		{name: "sync", size: n * BlockSize, settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+			if errno := cl.Sync(0); errno != msg.OK {
+				t.Fatal(errno)
+			}
+		}},
+		{name: "truncate", size: 4 * BlockSize, settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+			if err := cl.SyncClient(0).Truncate(h, 4); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "close", size: n * BlockSize, settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+			if errno := cl.Close(0, h); errno != msg.OK {
+				t.Fatal(errno)
+			}
+		}},
+		{name: "flush-interval", size: n * BlockSize,
+			opts: func(o *Options) { o.FlushInterval = time.Second },
+			settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+				cl.RunFor(3 * time.Second) // three ticks: one has something to send
+			}},
+		{name: "demand", size: n * BlockSize, settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+			hr, _ := cl.MustOpen(1, "/f", false, false)
+			if _, errno := cl.Read(1, hr, n-1); errno != msg.OK {
+				t.Fatal(errno)
+			}
+		}},
+		{name: "release", size: n * BlockSize, settle: func(t *testing.T, cl *Cluster, h msg.Handle, ino msg.ObjectID) {
+			if err := cl.SyncClient(0).ReleaseLock(ino); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			cl := New(opts)
+			cl.Start()
+			h, attr := cl.MustOpen(0, "/f", true, true)
+			sent := setAttrs(cl)
+			appendBlocks(t, cl, 0, h, 0, n)
+			if got := sent(); got != 0 {
+				t.Fatalf("%d extending writes sent %d SetAttr before the settle point", n, got)
+			}
+			tc.settle(t, cl, h, attr.Ino)
+			if got := sent(); got != 1 {
+				t.Fatalf("the settle point sent %d SetAttr, want 1", got)
+			}
+			if in := inode(t, cl, "/f"); in.Size != tc.size {
+				t.Fatalf("after the settle point the server has size %d, want %d", in.Size, tc.size)
+			}
+		})
+	}
+}
+
+// TestSyncReportsAnUnsettledSize: a Sync that could not give the server
+// the size says so. The writer is cut off the control network after its
+// last extending writes, so its Sync's SetAttr dies with the lease; Sync
+// must return that, not OK.
+func TestSyncReportsAnUnsettledSize(t *testing.T) {
+	cl := New(DefaultOptions())
+	cl.Start()
+	h, _ := cl.MustOpen(0, "/f", true, true)
+	appendBlocks(t, cl, 0, h, 0, 2)
+	if errno := cl.Sync(0); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	appendBlocks(t, cl, 0, h, 2, 4)
+	cl.IsolateClient(0)
+	errno := cl.Sync(0)
+	in := inode(t, cl, "/f")
+	if in.Size == 4*BlockSize {
+		t.Fatal("setup: the size crossed the partition")
+	}
+	if errno == msg.OK {
+		t.Fatalf("Sync returned OK, and the server has a size of %d blocks of 4", in.Size/BlockSize)
+	}
+}
+
+// TestSyncReportsARefusedWrite: a Sync whose writes a disk refused says
+// so, and the pages stay dirty for the next one — a scalar write and a
+// vectored one alike.
+func TestSyncReportsARefusedWrite(t *testing.T) {
+	cl := New(DefaultOptions())
+	cl.Start()
+	h, _ := cl.MustOpen(0, "/f", true, true)
+	appendBlocks(t, cl, 0, h, 0, 4) // grants of 1, 1 and 2 blocks: one run each
+	if errno := cl.Sync(0); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	fence := func(on bool) {
+		for _, d := range cl.Disks {
+			if err := d.Media().SetFence(ClientID(0), on); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Rewrite in place, so the size owes nothing: block 1 goes out alone,
+	// blocks 2 and 3 in one DiskWriteV.
+	if b := inode(t, cl, "/f").Blocks; b[1].Disk == b[2].Disk || b[2].Disk != b[3].Disk {
+		t.Fatalf("setup: blocks on disks %v, want block 1 alone and blocks 2 and 3 together", b)
+	}
+	fence(true)
+	for _, idx := range []uint64{1, 2, 3} {
+		if errno := cl.Write(0, h, idx, block('X')); errno != msg.OK {
+			t.Fatal(errno)
+		}
+	}
+	cache := cl.Clients[0].Sub(0).Cache()
+	if errno := cl.Sync(0); errno != msg.ErrFenced {
+		t.Fatalf("Sync against disks that refuse the writer returned %v, want ErrFenced", errno)
+	}
+	if n := cache.TotalDirty(); n != 3 {
+		t.Fatalf("%d pages dirty after the refused Sync, want 3", n)
+	}
+	fence(false)
+	if errno := cl.Sync(0); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if n := cache.TotalDirty(); n != 0 {
+		t.Fatalf("%d pages dirty after the Sync that went through", n)
+	}
+	hr, _ := cl.MustOpen(1, "/f", false, false)
+	for _, idx := range []uint64{1, 2, 3} {
+		if data, errno := cl.Read(1, hr, idx); errno != msg.OK || !bytes.Equal(data, block('X')) {
+			t.Fatalf("block %d read back by another client: %v", idx, errno)
+		}
+	}
+	noViolations(t, cl)
 }
 
 // TestWriterSeesItsOwnSize: between settle points the server's size lags
 // the writer's, and every reply that carries it — Stat, a second Open —
 // must not take the writer's own size backwards: the trim computes the
-// blocks to keep from it.
+// blocks to keep from it. Another client sees the last settled size.
 func TestWriterSeesItsOwnSize(t *testing.T) {
 	cl := New(DefaultOptions())
 	cl.Start()
@@ -103,8 +282,8 @@ func TestWriterSeesItsOwnSize(t *testing.T) {
 	if a, err := sc.Stat(attr.Ino); err != nil || a.Size != 5*BlockSize {
 		t.Fatalf("the writer's Stat: size %d, %v; want its own %d", a.Size, err, 5*BlockSize)
 	}
-	if a, err := cl.SyncClient(1).Stat(attr.Ino); err != nil || a.Size != BlockSize {
-		t.Fatalf("another client's Stat: size %d, %v; want the server's %d", a.Size, err, BlockSize)
+	if a, err := cl.SyncClient(1).Stat(attr.Ino); err != nil || a.Size != 0 {
+		t.Fatalf("another client's Stat: size %d, %v; want the last settled size, 0", a.Size, err)
 	}
 	hr, again := cl.MustOpen(0, "/f", false, false)
 	if again.Size != 5*BlockSize {

@@ -139,8 +139,9 @@ func TestReassertRefusedAfterGrace(t *testing.T) {
 	cl.Start()
 	h0, _ := cl.MustOpen(0, "/late", true, true)
 	mustWrite(t, cl, 0, h0, 0, block('L'))
-	// Drain background traffic (the size-extension SetAttr) so the client
-	// is genuinely silent when the server goes down.
+	// Let any traffic still in flight drain so the client is genuinely
+	// silent when the server goes down. (The write owes its size, but only
+	// a settle point would send it.)
 	cl.RunFor(2 * time.Second)
 	cl.CrashServer(0)
 	cl.RunFor(time.Second)

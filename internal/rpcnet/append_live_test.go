@@ -15,10 +15,11 @@ import (
 // TestLiveAppendIsConstantServerWork appends 1 024 blocks over loopback
 // TCP, one WriteAt each, through a client whose control traffic the test
 // can see: the server must be asked for blocks a couple of dozen times,
-// not a thousand, and what it answers must not grow with the file. Then
-// the file wraps to empty and is appended to again, 8 blocks and a
-// SyncAll at a time, on file-backed disks: each append must reach the
-// SAN as one DiskWriteV of one run.
+// not a thousand, what it answers must not grow with the file, and it
+// must not hear the size before the first SyncAll. Then the file wraps
+// to empty and is appended to again, 8 blocks and a SyncAll at a time, on
+// file-backed disks: each append must reach the SAN as one DiskWriteV of
+// one run, and the server as one SetAttr.
 func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	const blocks = 1024
 	mediaReg := stats.NewRegistry()
@@ -38,6 +39,7 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	// StartClientNode, with the two control-network hooks in the middle.
 	// Both run on the node's executor, as every client callback does.
 	allocReqs := make(map[msg.ReqID]bool) // by request: a retransmission is not a transaction
+	sizeReqs := make(map[msg.ReqID]bool)  // SetAttr, the same way
 	var allocReplies []int                // frame bytes of each AllocRes reply
 	writeVs := 0                          // DiskWriteV requests sent
 	n := &ClientNode{Exec: NewExecutor(), Reg: stats.NewRegistry(), tmo: sim.NewRealClock(nil)}
@@ -58,8 +60,11 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	n.SAN.UseExecutor(n.Exec)
 	n.Client = client.New(10, topo.Server, client.Config{Core: liveCore()}, n.Ctrl.Clock(),
 		func(to msg.NodeID, m msg.Message) {
-			if a, ok := m.(*msg.AllocBlocks); ok {
-				allocReqs[a.Req] = true
+			switch m := m.(type) {
+			case *msg.AllocBlocks:
+				allocReqs[m.Req] = true
+			case *msg.SetAttr:
+				sizeReqs[m.Req] = true
 			}
 			n.Ctrl.Send(to, m)
 		}, func(to msg.NodeID, m msg.Message) {
@@ -77,12 +82,23 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read on the executor, behind everything the calls before it ran there.
+	onExec := func(read func()) {
+		done := make(chan struct{})
+		n.Do(func() { read(); close(done) })
+		<-done
+	}
 	buf := make([]byte, client.BlockSize)
 	for idx := uint64(0); idx < blocks; idx++ {
 		buf[0] = byte(idx)
 		if err := sc.WriteAt(h, idx, buf); err != nil {
 			t.Fatalf("append of block %d: %v", idx, err)
 		}
+	}
+	var sizes int
+	onExec(func() { sizes = len(sizeReqs) })
+	if sizes != 0 {
+		t.Errorf("%d extending writes and no settle point sent %d SetAttr, want 0", blocks, sizes)
 	}
 	if err := sc.SyncAll(); err != nil {
 		t.Fatal(err)
@@ -91,15 +107,9 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Off the executor, behind everything the calls above ran there.
-	done := make(chan struct{})
 	var nReqs int
 	var replies []int
-	n.Do(func() {
-		nReqs, replies = len(allocReqs), append([]int(nil), allocReplies...)
-		close(done)
-	})
-	<-done
+	onExec(func() { nReqs, replies = len(allocReqs), append([]int(nil), allocReplies...) })
 	t.Logf("%d AllocBlocks transactions, reply frames of %v bytes", nReqs, replies)
 	if nReqs > 24 {
 		t.Errorf("%d blocks appended one at a time cost %d AllocBlocks transactions, want at most 24", blocks, nReqs)
@@ -144,15 +154,13 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	if err := sc.Truncate(h, 0); err != nil {
 		t.Fatal(err)
 	}
-	counts := func() (wv int, runs uint64) {
-		done := make(chan struct{})
-		n.Do(func() { wv = writeVs; close(done) })
-		<-done
-		return wv, mediaReg.CounterValue("media.0.write_runs") + mediaReg.CounterValue("media.1.write_runs")
+	counts := func() (wv, sizes int, runs uint64) {
+		onExec(func() { wv, sizes = writeVs, len(sizeReqs) })
+		return wv, sizes, mediaReg.CounterValue("media.0.write_runs") + mediaReg.CounterValue("media.1.write_runs")
 	}
-	wvStart, runsStart := counts()
+	wvStart, _, runsStart := counts()
 	for op := uint64(0); op < blocks/8; op++ {
-		wv0, runs0 := counts()
+		wv0, sizes0, runs0 := counts()
 		for idx := op * 8; idx < op*8+8; idx++ {
 			buf[0] = byte(idx)
 			if err := sc.WriteAt(h, idx, buf); err != nil {
@@ -162,12 +170,15 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 		if err := sc.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
-		wv, runs := counts()
+		wv, sizes, runs := counts()
 		if op > 0 && (wv-wv0 != 1 || runs-runs0 != 1) {
 			t.Fatalf("append %d after the wrap cost %d DiskWriteV and %d media write runs, want 1 and 1",
 				op, wv-wv0, runs-runs0)
 		}
+		if sizes-sizes0 != 1 {
+			t.Fatalf("append %d after the wrap and its SyncAll sent %d SetAttr, want 1", op, sizes-sizes0)
+		}
 	}
-	wv, runs := counts()
+	wv, _, runs := counts()
 	t.Logf("after the wrap: %d appends, %d DiskWriteV, %d media write runs", blocks/8, wv-wvStart, runs-runsStart)
 }
