@@ -44,7 +44,8 @@ lint:
 # tail of the metadata journal, and the journal's own crash suite
 # (replay = live over 1000 seeded histories, torn tail at every byte and
 # bit, both checkpoint crash windows, a deposed writer), the block
-# allocator held to a bitmap over 20 000 seeded histories, and the restart
+# allocator held to a bitmap and the page cache to a model LRU over
+# 20 000 seeded histories each, and the restart
 # of an unreplicated journalled server run beside it, and the name cache's
 # two live tests — two clients churning one directory with every reply
 # checked against a model, and the clean exit that strands no lock — and
@@ -69,6 +70,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestCrashRestart' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestJournal|TestCheckpointCrashWindows|TestDeposedWriter' ./internal/meta/
 	$(GO) test -count=1 -run 'TestAllocatorAgainstBitmap' ./internal/meta/ -allocseeds=20000
+	$(GO) test -count=1 -run 'TestCacheModelProperty' ./internal/cache/ -cacheseeds=20000
 	$(GO) test -race -count=1 -run 'TestUnreplicatedServerRecoversMetadata' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/

@@ -17,7 +17,7 @@ import (
 // makes it O(1), so ns/op should be flat across these sizes.
 func benchmarkEvictChurn(b *testing.B, dirtyTail int) {
 	reg := stats.NewRegistry()
-	c := NewWithCapacity(reg, "b.", dirtyTail+8)
+	c := NewWithLimits(reg, "b.", dirtyTail+8, 0)
 	data := make([]byte, 512)
 	for i := 0; i < dirtyTail; i++ {
 		binary.BigEndian.PutUint64(data, uint64(i))

@@ -10,20 +10,24 @@ import (
 // The content store deduplicates CLEAN page content: pages whose bytes
 // are identical — across files, across block indexes, across fills —
 // share one pooled buffer. Dirty content never enters the store: a
-// dirty page's bytes are private to its object until they reach the SAN
+// dirty page's bytes are private to its page until they reach the SAN
 // (MarkClean), because dedup must never let one object's un-flushed
 // write become visible through another object's page.
 //
-// Ownership rules versus the bufpool borrow contract:
+// Every page holds exactly one block, and the block is in the store iff
+// the page is clean. Ownership rules versus the bufpool borrow contract:
 //
-//   - A block owns its buffer. The buffer came from bufpool.Get and is
-//     returned by bufpool.Put exactly once, when the block's reference
-//     count drops to zero. Pages holding the block alias block.data and
-//     must never Put it themselves.
-//   - A dirty page owns a private pooled buffer (Page.blk == nil); the
-//     cache Puts it when the page is dropped, or hands it to the store
-//     when MarkClean promotes the content (internOwned — the store
-//     either adopts the buffer or Puts it on a dedup hit).
+//   - A block owns its buffer from bufpool.Get until freeBlock returns
+//     it with bufpool.Put, exactly once. Pages alias block.data and never
+//     Put it themselves.
+//   - A clean page's block is in the store and refcounted; the last
+//     deref frees it. A dirty page's block is private (refs 1, never in
+//     the store): Write copies into it in place, MarkClean files it in
+//     the store (promote — or frees it on a dedup hit), and removing the
+//     page frees it.
+//   - Block headers never leave the cache: freeBlock parks a header on a
+//     free list and newBlock takes it back, so a fill allocates its Page
+//     and nothing else.
 //   - Readers in internal/client copy page content out before the end
 //     of the executor turn, exactly as before: sharing changes who may
 //     recycle a buffer, not when its content is stable.
@@ -33,7 +37,7 @@ type block struct {
 	// the exact content length.
 	data []byte
 	refs int
-	// next links the blocks whose content hashes alike.
+	// next links the blocks whose content hashes alike, or the free list.
 	next *block
 }
 
@@ -64,14 +68,10 @@ func (c *Cache) share(h uint64, data []byte) *block {
 	return nil
 }
 
-// adopt makes buf a resident block with one reference.
-//
-//tank:owns buf
-func (c *Cache) adopt(h uint64, buf []byte) *block {
-	b := &block{hash: h, data: buf, refs: 1, next: c.blocks[h]} //tank:adopt(block owns data; released by deref)
+// insert files b in the store under hash h.
+func (c *Cache) insert(h uint64, b *block) {
+	b.hash, b.next = h, c.blocks[h]
 	c.blocks[h] = b
-	c.addBytes(int64(len(buf)))
-	return b
 }
 
 // intern returns a block holding a copy of data, sharing an existing
@@ -85,33 +85,52 @@ func (c *Cache) intern(data []byte) *block {
 	if b := c.share(h, data); b != nil {
 		return b
 	}
-	buf := bufpool.Get(len(data))
-	copy(buf, data)
-	return c.adopt(h, buf)
+	b := c.newBlock()
+	c.setData(b, data)
+	c.insert(h, b)
+	return b
 }
 
-// internOwned is intern for a buffer the caller already owns (a dirty
-// page being promoted by MarkClean): on a dedup hit the buffer is
-// recycled, otherwise the store adopts it without copying.
+// promote files a flushed page's private block in the store: the page
+// shares an identical resident block and its own is freed, or its own
+// is inserted as it stands.
 //
 //tank:hotpath
-//tank:owns buf
-func (c *Cache) internOwned(buf []byte) *block {
-	h := c.hash(buf)
-	if b := c.share(h, buf); b != nil {
-		bufpool.Put(buf)
-		return b
+func (c *Cache) promote(p *Page) {
+	h := c.hash(p.blk.data)
+	if b := c.share(h, p.blk.data); b != nil {
+		c.freeBlock(p.blk)
+		p.blk = b
+		return
 	}
-	return c.adopt(h, buf)
+	c.insert(h, p.blk)
+}
+
+// own returns a private block for a clean page about to be written: its
+// own block taken out of the store when the page is the only holder,
+// otherwise a new one (the others keep b).
+func (c *Cache) own(b *block) *block {
+	if b.refs > 1 {
+		b.refs--
+		return c.newBlock()
+	}
+	c.unhash(b)
+	return b
 }
 
 // deref releases one page's reference; the last reference removes the
-// block from the store and recycles its buffer.
+// block from the store and frees it.
 func (c *Cache) deref(b *block) {
 	b.refs--
 	if b.refs > 0 {
 		return
 	}
+	c.unhash(b)
+	c.freeBlock(b)
+}
+
+// unhash takes b off its hash chain.
+func (c *Cache) unhash(b *block) {
 	if head := c.blocks[b.hash]; head == b {
 		if b.next == nil {
 			delete(c.blocks, b.hash)
@@ -123,8 +142,38 @@ func (c *Cache) deref(b *block) {
 		}
 		head.next = b.next
 	}
+}
+
+// newBlock returns a header with one reference and no buffer, from the
+// free list when it has one.
+func (c *Cache) newBlock() *block {
+	b := c.spare
+	if b == nil {
+		return &block{refs: 1}
+	}
+	c.spare, b.next, b.refs = b.next, nil, 1
+	return b
+}
+
+// freeBlock returns b's buffer to the pool and its header to the free
+// list.
+func (c *Cache) freeBlock(b *block) {
 	c.addBytes(-int64(len(b.data)))
 	bufpool.Put(b.data)
+	*b = block{next: c.spare}
+	c.spare = b
+}
+
+// setData makes b hold a copy of data, taking a new buffer only when
+// the content outgrows the one it has.
+func (c *Cache) setData(b *block, data []byte) {
+	c.addBytes(int64(len(data) - len(b.data)))
+	if cap(b.data) < len(data) {
+		bufpool.Put(b.data)
+		b.data = bufpool.Get(len(data)) //tank:adopt(a block owns its buffer from Get to freeBlock)
+	}
+	b.data = b.data[:len(data)]
+	copy(b.data, data)
 }
 
 // SharedBlocks returns the number of distinct content blocks resident

@@ -9,45 +9,53 @@
 // with identical bytes share one pooled buffer across files and block
 // indexes, refcounted per page, so the resident footprint of N readers
 // of the same hot data is one copy, not N. Dirty content is always
-// private to its object — a write copy-on-writes away from any shared
+// private to its page — a write copy-on-writes away from any shared
 // block — so dedup never leaks un-flushed bytes between objects, and
 // dropping one object (demand compliance, lease expiry) releases only
 // its own references.
 package cache
 
 import (
-	"container/list"
 	"hash/maphash"
 	"sort"
 
-	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
 
 // Page is one cached block of file data.
 //
-// Data is owned by the cache and recycled when the page is evicted,
-// dropped, or invalidated, so anything that keeps page content past the
-// current executor turn must copy it (the read paths in internal/client
-// do). A clean page's Data aliases a refcounted content block that other
-// pages may share — it must never be written through; all mutation goes
-// through Cache.Write, which detaches the page onto a private buffer
-// first.
+// Its bytes are owned by the cache and recycled when the page is
+// evicted, dropped, or invalidated, so anything that keeps page content
+// past the current executor turn must copy it (the read paths in
+// internal/client do). A clean page's bytes are a refcounted content
+// block that other pages may share — they must never be written
+// through; all mutation goes through Cache.Write, which moves the page
+// onto a private block first.
 type Page struct {
-	Data  []byte
-	Dirty bool
 	// Ver is the oracle's version stamp for this content (consistency
 	// checking only).
 	Ver uint64
-	// blk is the shared content block a clean page references (nil for
-	// dirty pages, whose Data is a private pooled buffer).
+	// blk holds the content: a block in the store while the page is
+	// clean, a private one (refs 1, never in the store) while it is dirty.
 	blk *block
+	// prev and next link a clean page into the cache's LRU ring; a dirty
+	// page is off the ring and both are nil.
+	prev, next *Page
+	// obj and idx say where the page is filed, so eviction looks nothing
+	// up.
+	obj   *Object
+	idx   uint64
+	Dirty bool
 	// prefetched marks a page installed by read-ahead and not yet
 	// served; the first Lookup hit counts it and clears the flag, and
 	// removal with the flag still set counts as wasted read-ahead.
 	prefetched bool
 }
+
+// Bytes returns the page's content, which aliases cache memory (see
+// Page).
+func (p *Page) Bytes() []byte { return p.blk.data }
 
 // Object is the cached state for one file.
 type Object struct {
@@ -79,15 +87,10 @@ func (o *Object) Page(idx uint64) *Page { return o.pages[idx] }
 // DirtyCount returns the number of dirty pages.
 func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
 
-type pageKey struct {
-	ino msg.ObjectID
-	idx uint64
-}
-
 // Cache is one client's cache across all objects. When a page or byte
 // budget is set, clean pages are evicted least-recently-used; dirty
 // pages are pinned until flushed (losing them would lose acknowledged
-// writes) and live off the LRU list entirely, so eviction never scans
+// writes) and live off the LRU ring entirely, so eviction never scans
 // past them.
 type Cache struct {
 	objects map[msg.ObjectID]*Object
@@ -95,13 +98,16 @@ type Cache struct {
 	// bytes (each 0 = unbounded; both may be set).
 	maxPages int
 	maxBytes int64
-	lru      *list.List // clean pages only; front = most recent; values are pageKey
-	elems    map[pageKey]*list.Element
+	// lru is the sentinel of the ring of clean pages: lru.next is the
+	// most recently used, lru.prev the next to evict.
+	lru Page
 	// blocks is the content store: hash under seed → the chain of blocks
 	// with that hash (longer than one means a collision, disambiguated by
 	// byte compare).
 	blocks map[uint64]*block
-	seed   maphash.Seed
+	// spare is the free list of block headers, linked through next.
+	spare *block
+	seed  maphash.Seed
 	// resident counts pages (clean + dirty); residentBytes counts
 	// content bytes, each shared block once plus each private dirty
 	// buffer.
@@ -123,12 +129,6 @@ func New(reg *stats.Registry, prefix string) *Cache {
 	return NewWithLimits(reg, prefix, 0, 0)
 }
 
-// NewWithCapacity creates a cache evicting clean pages LRU beyond
-// maxPages (0 = unbounded).
-func NewWithCapacity(reg *stats.Registry, prefix string, maxPages int) *Cache {
-	return NewWithLimits(reg, prefix, maxPages, 0)
-}
-
 // NewWithLimits creates a cache bounded by maxPages resident pages and
 // maxBytes resident content bytes (each 0 = unbounded). Bytes are
 // counted after dedup — N pages sharing one block cost its size once —
@@ -137,12 +137,10 @@ func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes in
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
-	return &Cache{
+	c := &Cache{
 		objects:        make(map[msg.ObjectID]*Object),
 		maxPages:       maxPages,
 		maxBytes:       maxBytes,
-		lru:            list.New(),
-		elems:          make(map[pageKey]*list.Element),
 		blocks:         make(map[uint64]*block),
 		seed:           maphash.MakeSeed(),
 		hits:           reg.Counter(prefix + "cache.hits"),
@@ -155,6 +153,8 @@ func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes in
 		prefetchHits:   reg.Counter(prefix + "cache.prefetch_hits"),
 		prefetchWasted: reg.Counter(prefix + "cache.prefetch_wasted"),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // addBytes moves the resident-byte account (and its gauge) by d.
@@ -163,36 +163,32 @@ func (c *Cache) addBytes(d int64) {
 	c.bytesGauge.Add(d)
 }
 
-// touch marks a clean page most-recently-used.
-func (c *Cache) touch(k pageKey) {
-	if e, ok := c.elems[k]; ok {
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.elems[k] = c.lru.PushFront(k)
+// link puts a clean page at the front of the ring, most recently used.
+func (c *Cache) link(p *Page) {
+	p.prev, p.next = &c.lru, c.lru.next
+	p.next.prev = p
+	c.lru.next = p
 }
 
-// forget removes a page from the LRU bookkeeping.
-func (c *Cache) forget(k pageKey) {
-	if e, ok := c.elems[k]; ok {
-		c.lru.Remove(e)
-		delete(c.elems, k)
-	}
+// unlink takes a page off the ring.
+func (c *Cache) unlink(p *Page) {
+	p.prev.next = p.next
+	p.next.prev = p.prev
+	p.prev, p.next = nil, nil
 }
 
-// release frees a page's content and its cache-wide bookkeeping. The
+// release frees a page's block and its cache-wide bookkeeping. The
 // caller removes the page from its object's map and settles dirty
-// accounting; release handles buffer ownership (deref a shared block,
-// recycle a private buffer), the LRU entry, the resident count, and
-// wasted-read-ahead attribution.
-func (c *Cache) release(k pageKey, p *Page) {
-	if p.blk != nil {
-		c.deref(p.blk)
+// accounting; release handles the block (free a dirty page's private
+// one, deref a clean page's and take the page off the ring), the
+// resident count, and wasted-read-ahead attribution.
+func (c *Cache) release(p *Page) {
+	if p.Dirty {
+		c.freeBlock(p.blk)
 	} else {
-		c.addBytes(-int64(len(p.Data)))
-		bufpool.Put(p.Data)
+		c.unlink(p)
+		c.deref(p.blk)
 	}
-	c.forget(k)
 	c.resident--
 	if p.prefetched {
 		c.prefetchWasted.Inc()
@@ -205,30 +201,17 @@ func (c *Cache) overBudget() bool {
 }
 
 // evictIfNeeded drops least-recently-used clean pages down to budget.
-// Dirty pages are not on the LRU list, so each eviction is O(1): the
-// back of the list is always evictable, and a cache whose budget is
-// consumed entirely by pinned dirty pages simply has an empty list.
+// Dirty pages are not on the ring, so each eviction is O(1) pointer
+// work: the ring's tail is always evictable, and a cache whose budget is
+// consumed entirely by pinned dirty pages simply has an empty ring.
 func (c *Cache) evictIfNeeded() {
 	for c.overBudget() {
-		e := c.lru.Back()
-		if e == nil {
+		p := c.lru.prev
+		if p == &c.lru {
 			return // everything resident is dirty: over budget, but safe
 		}
-		k := e.Value.(pageKey)
-		o := c.objects[k.ino]
-		if o == nil {
-			c.lru.Remove(e)
-			delete(c.elems, k)
-			continue
-		}
-		p := o.pages[k.idx]
-		if p == nil {
-			c.lru.Remove(e)
-			delete(c.elems, k)
-			continue
-		}
-		delete(o.pages, k.idx)
-		c.release(k, p)
+		delete(p.obj.pages, p.idx)
+		c.release(p)
 		c.evictions.Inc()
 	}
 }
@@ -255,8 +238,9 @@ func (c *Cache) Lookup(ino msg.ObjectID, idx uint64) *Page {
 				p.prefetched = false
 				c.prefetchHits.Inc()
 			}
-			if !p.Dirty {
-				c.touch(pageKey{ino, idx})
+			if !p.Dirty && c.lru.next != p {
+				c.unlink(p)
+				c.link(p)
 			}
 			return p
 		}
@@ -299,67 +283,56 @@ func (c *Cache) fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64, pref
 		if old.Dirty {
 			return old
 		}
-		// Replacing clean content: drop the old reference; the LRU entry
-		// is reused under the same key.
-		c.deref(old.blk)
-		c.resident--
+		// Replacing clean content: the old page goes the way every removal
+		// does, off the ring and counted wasted if it was unserved
+		// read-ahead; the new one enters at the front.
+		c.release(old)
 	}
-	b := c.intern(data)
-	p := &Page{Data: b.data, Ver: ver, blk: b, prefetched: prefetched}
+	p := &Page{Ver: ver, blk: c.intern(data), obj: o, idx: idx, prefetched: prefetched}
 	o.pages[idx] = p
 	c.resident++
-	c.touch(pageKey{ino, idx})
+	c.link(p)
 	c.evictIfNeeded()
 	return p
 }
 
 // Write applies a write-back store to a page, marking it dirty with the
 // new version stamp. Missing pages are created (whole-block write). A
-// page referencing a shared content block is detached onto a private
-// buffer first (copy-on-write): other pages sharing the block keep
-// their bytes.
+// clean page leaves the ring — dirty pages are pinned until flushed —
+// and the store, onto a private block (copy-on-write): other pages
+// sharing its block keep their bytes. A dirty page is written in place.
 func (c *Cache) Write(ino msg.ObjectID, idx uint64, data []byte, ver uint64) *Page {
 	o := c.Ensure(ino)
-	k := pageKey{ino, idx}
 	p := o.pages[idx]
-	if p == nil {
-		p = &Page{}
+	switch {
+	case p == nil:
+		p = &Page{blk: c.newBlock(), obj: o, idx: idx}
 		o.pages[idx] = p
 		c.resident++
-	} else if p.blk != nil {
-		c.deref(p.blk)
-		p.blk = nil
-		p.Data = nil
+	case !p.Dirty:
+		c.unlink(p)
+		p.blk = c.own(p.blk)
 	}
 	if p.prefetched {
 		// Overwritten before ever being served: that read-ahead was wasted.
 		p.prefetched = false
 		c.prefetchWasted.Inc()
 	}
-	c.addBytes(int64(len(data) - len(p.Data)))
-	if cap(p.Data) >= len(data) {
-		p.Data = p.Data[:len(data)]
-	} else {
-		bufpool.Put(p.Data)
-		p.Data = bufpool.Get(len(data)) //tank:adopt(page owns Data; released on invalidate or intern)
-	}
-	copy(p.Data, data)
+	c.setData(p.blk, data)
 	p.Ver = ver
 	if !p.Dirty {
 		p.Dirty = true
 		o.dirtyKeys[idx] = true
 		c.dirtyPages.Add(1)
-		// Dirty pages are pinned: off the LRU list until flushed.
-		c.forget(k)
 	}
 	c.evictIfNeeded()
 	return p
 }
 
 // MarkClean records that a page's current content reached the SAN. The
-// private buffer is promoted into the content store — future fills or
+// private block is promoted into the content store — future fills or
 // flushes of identical bytes dedup against it — and the page rejoins
-// the clean LRU as most-recently-used.
+// the ring as most-recently-used.
 func (c *Cache) MarkClean(ino msg.ObjectID, idx uint64) {
 	o := c.objects[ino]
 	if o == nil {
@@ -372,12 +345,9 @@ func (c *Cache) MarkClean(ino msg.ObjectID, idx uint64) {
 	p.Dirty = false
 	delete(o.dirtyKeys, idx)
 	c.dirtyPages.Add(-1)
-	c.addBytes(-int64(len(p.Data)))
-	b := c.internOwned(p.Data)
-	p.blk = b
-	p.Data = b.data
+	c.promote(p)
 	// Newly clean pages become evictable; trim if over budget.
-	c.touch(pageKey{ino, idx})
+	c.link(p)
 	c.evictIfNeeded()
 }
 
@@ -436,7 +406,7 @@ func (c *Cache) DropPagesFrom(ino msg.ObjectID, from uint64) {
 			c.dirtyPages.Add(-1)
 		}
 		delete(o.pages, idx)
-		c.release(pageKey{ino, idx}, p)
+		c.release(p)
 	}
 }
 
@@ -452,8 +422,8 @@ func (c *Cache) Drop(ino msg.ObjectID) {
 		return
 	}
 	c.dirtyPages.Add(-int64(len(o.dirtyKeys)))
-	for idx, p := range o.pages {
-		c.release(pageKey{ino, idx}, p)
+	for _, p := range o.pages {
+		c.release(p)
 	}
 	delete(c.objects, ino)
 	c.invals.Inc()
@@ -463,32 +433,10 @@ func (c *Cache) Drop(ino msg.ObjectID) {
 // dirty pages discarded — nonzero means lost updates, which the paper's
 // protocol avoids by flushing in phase 4 before this is called.
 func (c *Cache) InvalidateAll() (discardedDirty int) {
-	for _, o := range c.objects {
-		discardedDirty += len(o.dirtyKeys)
-		for _, p := range o.pages {
-			if p.blk == nil {
-				// Private dirty buffer; shared blocks are recycled once
-				// each from the store below.
-				bufpool.Put(p.Data)
-			}
-			if p.prefetched {
-				c.prefetchWasted.Inc()
-			}
-		}
+	discardedDirty = c.TotalDirty()
+	for ino := range c.objects {
+		c.Drop(ino)
 	}
-	for _, b := range c.blocks {
-		for ; b != nil; b = b.next {
-			bufpool.Put(b.data)
-		}
-	}
-	c.dirtyPages.Add(-int64(discardedDirty))
-	c.invals.Add(uint64(len(c.objects)))
-	c.objects = make(map[msg.ObjectID]*Object)
-	c.blocks = make(map[uint64]*block)
-	c.lru.Init()
-	c.elems = make(map[pageKey]*list.Element)
-	c.resident = 0
-	c.addBytes(-c.residentBytes)
 	return discardedDirty
 }
 

@@ -17,7 +17,7 @@ func TestLookupHitMiss(t *testing.T) {
 	}
 	c.Fill(1, 0, []byte("data"), 7)
 	p := c.Lookup(1, 0)
-	if p == nil || !bytes.Equal(p.Data, []byte("data")) || p.Ver != 7 || p.Dirty {
+	if p == nil || !bytes.Equal(p.Bytes(), []byte("data")) || p.Ver != 7 || p.Dirty {
 		t.Fatalf("page = %+v", p)
 	}
 	if reg.CounterValue("c.cache.hits") != 1 || reg.CounterValue("c.cache.misses") != 1 {
@@ -39,7 +39,7 @@ func TestWriteMarksDirty(t *testing.T) {
 		t.Fatalf("object dirty = %d", o.DirtyCount())
 	}
 	p := o.Page(0)
-	if !bytes.Equal(p.Data, []byte("v2")) || p.Ver != 2 {
+	if !bytes.Equal(p.Bytes(), []byte("v2")) || p.Ver != 2 {
 		t.Fatalf("page = %+v", p)
 	}
 	dirty := c.DirtyPages(1)
@@ -125,7 +125,7 @@ func TestFillCopiesData(t *testing.T) {
 	buf := []byte("abc")
 	c.Fill(1, 0, buf, 1)
 	buf[0] = 'Z'
-	if c.Object(1).Page(0).Data[0] != 'a' {
+	if c.Object(1).Page(0).Bytes()[0] != 'a' {
 		t.Fatal("Fill aliased caller's buffer")
 	}
 }
@@ -183,7 +183,7 @@ func TestDropPagesFrom(t *testing.T) {
 
 func TestLRUEvictionCleanOnly(t *testing.T) {
 	reg := stats.NewRegistry()
-	c := NewWithCapacity(reg, "e.", 3)
+	c := NewWithLimits(reg, "e.", 3, 0)
 	c.Fill(1, 0, []byte("a"), 1)  // oldest clean
 	c.Write(1, 1, []byte("b"), 2) // dirty: pinned
 	c.Fill(1, 2, []byte("c"), 3)
@@ -205,7 +205,7 @@ func TestLRUEvictionCleanOnly(t *testing.T) {
 }
 
 func TestLRUNeverEvictsDirty(t *testing.T) {
-	c := NewWithCapacity(nil, "", 2)
+	c := NewWithLimits(nil, "", 2, 0)
 	c.Write(1, 0, []byte("a"), 1)
 	c.Write(1, 1, []byte("b"), 2)
 	c.Write(1, 2, []byte("c"), 3) // all dirty: over budget but pinned
@@ -221,7 +221,7 @@ func TestLRUNeverEvictsDirty(t *testing.T) {
 }
 
 func TestLRUDropMaintainsList(t *testing.T) {
-	c := NewWithCapacity(nil, "", 4)
+	c := NewWithLimits(nil, "", 4, 0)
 	c.Fill(1, 0, []byte("a"), 1)
 	c.Fill(2, 0, []byte("b"), 2)
 	c.Drop(1)

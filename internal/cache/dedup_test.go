@@ -2,10 +2,12 @@ package cache
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/stats"
@@ -23,10 +25,10 @@ func TestFillOverDirtyRefused(t *testing.T) {
 	c := New(reg, "r.")
 	c.Write(1, 0, []byte("fresh"), 5)
 	p := c.Fill(1, 0, []byte("stale"), 4)
-	if !p.Dirty || !bytes.Equal(p.Data, []byte("fresh")) {
+	if !p.Dirty || !bytes.Equal(p.Bytes(), []byte("fresh")) {
 		t.Fatalf("Fill overwrote dirty content: page = %+v", p)
 	}
-	if got := c.Object(1).Page(0); !got.Dirty || !bytes.Equal(got.Data, []byte("fresh")) {
+	if got := c.Object(1).Page(0); !got.Dirty || !bytes.Equal(got.Bytes(), []byte("fresh")) {
 		t.Fatalf("resident page lost the acknowledged write: %+v", got)
 	}
 	if c.TotalDirty() != 1 || reg.Gauge("r.cache.dirty_pages").Value() != 1 {
@@ -64,7 +66,7 @@ func TestDedupSharesAndIsolates(t *testing.T) {
 	// Copy-on-write: mutating (2,5) must not change (1,0)'s bytes.
 	other := bytes.Repeat([]byte("y"), 512)
 	c.Write(2, 5, other, 3)
-	if !bytes.Equal(c.Object(1).Page(0).Data, content) {
+	if !bytes.Equal(c.Object(1).Page(0).Bytes(), content) {
 		t.Fatal("write through a shared block corrupted the other holder")
 	}
 	if c.ResidentBytes() != 1024 {
@@ -73,7 +75,7 @@ func TestDedupSharesAndIsolates(t *testing.T) {
 	// Per-object invalidation: dropping object 1 must not touch object
 	// 2's page (the lease protocol revokes per object).
 	c.Drop(1)
-	if got := c.Object(2).Page(5); got == nil || !bytes.Equal(got.Data, other) {
+	if got := c.Object(2).Page(5); got == nil || !bytes.Equal(got.Bytes(), other) {
 		t.Fatal("dropping one object disturbed another holder")
 	}
 	if c.ResidentBytes() != 512 || c.ResidentPages() != 1 {
@@ -99,7 +101,7 @@ func TestMarkCleanDedupsAgainstResident(t *testing.T) {
 	if reg.CounterValue("m.cache.dedup_hits") != 1 {
 		t.Fatal("promotion did not dedup")
 	}
-	if !bytes.Equal(c.Object(2).Page(0).Data, content) {
+	if !bytes.Equal(c.Object(2).Page(0).Bytes(), content) {
 		t.Fatal("promoted page lost its content")
 	}
 }
@@ -210,13 +212,29 @@ func TestPrefetchCounters(t *testing.T) {
 		t.Fatalf("wasted = %d, want 2", wasted())
 	}
 	c.Fill(3, 0, []byte("f"), 5)
-	if p := c.FillPrefetched(3, 0, []byte("g"), 6); !bytes.Equal(p.Data, []byte("f")) {
+	if p := c.FillPrefetched(3, 0, []byte("g"), 6); !bytes.Equal(p.Bytes(), []byte("f")) {
 		t.Fatal("prefetch completion displaced a demand-read page")
 	}
 	c.Lookup(3, 0)
 	if hits() != 1 {
 		t.Fatalf("hits = %d — demand-read page wrongly attributed to prefetch", hits())
 	}
+	// A demand fill over an unserved read-ahead page replaces it: that
+	// read-ahead was wasted, and the page it leaves is no prefetch hit.
+	c.FillPrefetched(4, 0, []byte("h"), 7)
+	c.Fill(4, 0, []byte("i"), 8)
+	c.Lookup(4, 0)
+	if hits() != 1 || wasted() != 3 {
+		t.Fatalf("hits=%d wasted=%d after a demand fill over read-ahead, want 1/3", hits(), wasted())
+	}
+}
+
+var cacheSeeds = flag.Int("cacheseeds", 24, "histories TestCacheModelProperty draws")
+
+// mkey is where the model files one page.
+type mkey struct {
+	ino msg.ObjectID
+	idx uint64
 }
 
 // mpage is the model's view of one page.
@@ -225,17 +243,79 @@ type mpage struct {
 	dirty   bool
 }
 
-// Model-based property test: the cache against a trivial per-object
-// page map under arbitrary interleavings of every mutating operation.
-// This is the dedup analogue of the flush-equivalence test — MarkClean
-// stands in for a flush commit — and pins exactly the bookkeeping the
-// lease protocol's phase 4 relies on:
+// cacheModel is the cache as a plain page map plus a recency list of
+// its clean pages, most recent first, under the same two budgets.
+type cacheModel struct {
+	pages    map[mkey]mpage
+	lru      []mkey
+	maxPages int
+	quota    int64
+}
+
+func (m *cacheModel) forget(k mkey) {
+	for i, k2 := range m.lru {
+		if k2 == k {
+			m.lru = append(m.lru[:i], m.lru[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *cacheModel) touch(k mkey) {
+	m.forget(k)
+	m.lru = append([]mkey{k}, m.lru...)
+}
+
+func (m *cacheModel) remove(k mkey) {
+	delete(m.pages, k)
+	m.forget(k)
+}
+
+// bytes is the footprint the byte quota bounds: each unique clean
+// content once, each dirty page on its own.
+func (m *cacheModel) bytes() int64 {
+	var n int64
+	clean := make(map[string]bool)
+	for _, p := range m.pages {
+		if p.dirty {
+			n += int64(len(p.content))
+		} else if !clean[p.content] {
+			clean[p.content] = true
+			n += int64(len(p.content))
+		}
+	}
+	return n
+}
+
+// evict drops least-recently-used clean pages down to budget and returns
+// them in eviction order.
+func (m *cacheModel) evict() []mkey {
+	var victims []mkey
+	for len(m.lru) > 0 && ((m.maxPages > 0 && len(m.pages) > m.maxPages) ||
+		(m.quota > 0 && m.bytes() > m.quota)) {
+		k := m.lru[len(m.lru)-1]
+		m.remove(k)
+		victims = append(victims, k)
+	}
+	return victims
+}
+
+// Model-based property test: the cache against a plain page map and a
+// recency list under arbitrary interleavings of every mutating
+// operation. This is the dedup analogue of the flush-equivalence test —
+// MarkClean stands in for a flush commit — and pins exactly the
+// bookkeeping the lease protocol's phase 4 relies on:
 //
 //	dirtyKeys ↔ Page.Dirty ↔ dirty_pages gauge never diverge,
 //	dirty (acknowledged) content is never dropped or altered,
 //	every resident page's bytes match the model (dedup never leaks
 //	content between objects),
-//	resident bytes equal the recomputed unique-content footprint.
+//	resident bytes equal the recomputed unique-content footprint,
+//	every eviction takes the model LRU's victim, and the ring holds
+//	exactly the clean pages in the model's recency order,
+//	every page holds one block, in the store iff the page is clean.
+//
+// -cacheseeds widens the sweep (make verify runs 20 000).
 func TestCacheModelProperty(t *testing.T) {
 	const (
 		inos  = 3
@@ -247,70 +327,82 @@ func TestCacheModelProperty(t *testing.T) {
 		contents[i] = strings.Repeat(string(rune('a'+i)), 512)
 	}
 
-	for seed := int64(0); seed < 24; seed++ {
+	for seed := int64(0); seed < int64(*cacheSeeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		bounded := seed%2 == 1
-		maxPages, quota := 0, int64(0)
-		if bounded {
-			maxPages, quota = 5, 4*512
+		m := &cacheModel{pages: make(map[mkey]mpage)}
+		if seed%2 == 1 {
+			m.maxPages, m.quota = 5, 4*512
 		}
 		reg := stats.NewRegistry()
-		c := NewWithLimits(reg, "mp.", maxPages, quota)
-		model := make(map[msg.ObjectID]map[uint64]mpage)
-		ensure := func(ino msg.ObjectID) map[uint64]mpage {
-			if model[ino] == nil {
-				model[ino] = make(map[uint64]mpage)
-			}
-			return model[ino]
-		}
+		c := NewWithLimits(reg, "mp.", m.maxPages, m.quota)
 
 		var ver uint64
 		for step := 0; step < steps; step++ {
 			ino := msg.ObjectID(rng.Intn(inos) + 1)
 			idx := uint64(rng.Intn(idxs))
+			k := mkey{ino, idx}
 			data := contents[rng.Intn(len(contents))]
 			ver++
+			evictions := reg.CounterValue("mp.cache.evictions")
+			p, resident := m.pages[k]
 			switch rng.Intn(12) {
 			case 0, 1, 2:
 				c.Fill(ino, idx, []byte(data), ver)
-				if m, ok := ensure(ino)[idx]; !ok || !m.dirty {
-					ensure(ino)[idx] = mpage{content: data}
+				if !p.dirty {
+					m.pages[k] = mpage{content: data}
+					m.touch(k)
 				}
 			case 3, 4:
-				// FillPrefetched is a no-op iff the page is still resident
-				// (a bounded cache may have evicted the model's entry).
-				resident := c.Object(ino) != nil && c.Object(ino).Page(idx) != nil
 				c.FillPrefetched(ino, idx, []byte(data), ver)
 				if !resident {
-					ensure(ino)[idx] = mpage{content: data}
+					m.pages[k] = mpage{content: data}
+					m.touch(k)
 				}
 			case 5, 6, 7:
 				c.Write(ino, idx, []byte(data), ver)
-				ensure(ino)[idx] = mpage{content: data, dirty: true}
+				m.pages[k] = mpage{content: data, dirty: true}
+				m.forget(k)
 			case 8:
 				c.MarkClean(ino, idx)
-				if m, ok := ensure(ino)[idx]; ok && m.dirty {
-					ensure(ino)[idx] = mpage{content: m.content}
+				if p.dirty {
+					m.pages[k] = mpage{content: p.content}
+					m.touch(k)
 				}
 			case 9:
 				c.Drop(ino)
-				delete(model, ino)
+				for k2 := range m.pages {
+					if k2.ino == ino {
+						m.remove(k2)
+					}
+				}
 			case 10:
 				c.DropPagesFrom(ino, idx)
-				for i2 := range model[ino] {
-					if i2 >= idx {
-						delete(model[ino], i2)
+				for k2 := range m.pages {
+					if k2.ino == ino && k2.idx >= idx {
+						m.remove(k2)
 					}
 				}
 			case 11:
 				if rng.Intn(8) == 0 {
 					c.InvalidateAll()
-					model = make(map[msg.ObjectID]map[uint64]mpage)
+					m.pages, m.lru = make(map[mkey]mpage), nil
 				} else {
 					c.Lookup(ino, idx)
+					if resident && !p.dirty {
+						m.touch(k)
+					}
 				}
 			}
-			checkModel(t, c, reg, model, bounded, seed, step)
+			victims := m.evict()
+			if got := reg.CounterValue("mp.cache.evictions") - evictions; got != uint64(len(victims)) {
+				t.Fatalf("seed %d step %d: %d evictions, the model LRU made %d (%v)", seed, step, got, len(victims), victims)
+			}
+			for _, v := range victims {
+				if o := c.Object(v.ino); o != nil && o.Page(v.idx) != nil {
+					t.Fatalf("seed %d step %d: the model LRU evicted %v, the cache kept it", seed, step, v)
+				}
+			}
+			checkModel(t, c, reg, m, seed, step)
 			if t.Failed() {
 				return
 			}
@@ -318,62 +410,73 @@ func TestCacheModelProperty(t *testing.T) {
 	}
 }
 
-func checkModel(t *testing.T, c *Cache, reg *stats.Registry,
-	model map[msg.ObjectID]map[uint64]mpage, bounded bool, seed int64, step int) {
+func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed int64, step int) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 	}
 
+	store := make(map[*block]int) // block → clean pages holding it
+	for _, b := range c.blocks {
+		for ; b != nil; b = b.next {
+			store[b] = 0
+		}
+	}
 	wantDirty := 0
 	residentPages := 0
 	cleanContents := make(map[string]bool)
 	var wantBytes int64
 	for ino := msg.ObjectID(1); ino <= 3; ino++ {
 		o := c.Object(ino)
-		mobj := model[ino]
 		dirtyHere := 0
 		for idx := uint64(0); idx < 4; idx++ {
 			var p *Page
 			if o != nil {
 				p = o.Page(idx)
 			}
-			m, inModel := mobj[idx]
+			mp, inModel := m.pages[mkey{ino, idx}]
 			if p == nil {
-				if inModel && m.dirty {
-					fail("dirty page (%d,%d) missing — acknowledged write dropped", ino, idx)
-				}
-				if inModel && !bounded {
-					fail("page (%d,%d) missing from unbounded cache", ino, idx)
+				if inModel {
+					fail("page (%d,%d) missing, the model holds it (dirty %v)", ino, idx, mp.dirty)
 				}
 				continue
 			}
 			if !inModel {
-				fail("cache invented page (%d,%d)", ino, idx)
+				fail("cache kept or invented page (%d,%d)", ino, idx)
 			}
-			if string(p.Data) != m.content {
+			if p.blk == nil {
+				fail("page (%d,%d) has no block", ino, idx)
+			}
+			if string(p.Bytes()) != mp.content {
 				fail("page (%d,%d) content diverged from model", ino, idx)
 			}
-			if p.Dirty != m.dirty {
-				fail("page (%d,%d) dirty flag = %v, model %v", ino, idx, p.Dirty, m.dirty)
+			if p.Dirty != mp.dirty {
+				fail("page (%d,%d) dirty flag = %v, model %v", ino, idx, p.Dirty, mp.dirty)
 			}
 			residentPages++
+			refs, inStore := store[p.blk]
 			if p.Dirty {
 				dirtyHere++
 				wantDirty++
-				wantBytes += int64(len(p.Data))
-				if p.blk != nil {
-					fail("dirty page (%d,%d) references a shared block", ino, idx)
+				wantBytes += int64(len(p.Bytes()))
+				if inStore || p.blk.refs != 1 {
+					fail("dirty page (%d,%d): block in store %v, refs %d; want a private block", ino, idx, inStore, p.blk.refs)
 				}
 			} else {
-				if p.blk == nil {
-					fail("clean page (%d,%d) has no content block", ino, idx)
+				if !inStore {
+					fail("clean page (%d,%d) holds a block outside the store", ino, idx)
 				}
-				cleanContents[m.content] = true
+				store[p.blk] = refs + 1
+				cleanContents[mp.content] = true
 			}
 		}
 		if o != nil && o.DirtyCount() != dirtyHere {
 			fail("object %d dirtyKeys = %d, pages say %d", ino, o.DirtyCount(), dirtyHere)
+		}
+	}
+	for b, holders := range store {
+		if b.refs != holders {
+			fail("block refs = %d, held by %d clean pages", b.refs, holders)
 		}
 	}
 	for content := range cleanContents {
@@ -397,8 +500,69 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry,
 	if c.SharedBlocks() != len(cleanContents) {
 		fail("SharedBlocks = %d, unique clean contents %d", c.SharedBlocks(), len(cleanContents))
 	}
-	if bounded && c.overBudget() && c.lru.Len() > 0 {
-		fail("over budget with evictable clean pages on the LRU")
+	ring := ringOrder(t, c)
+	if len(ring) != residentPages-wantDirty || len(ring) != len(m.lru) {
+		fail("ring holds %d pages, %d are clean, the model LRU %d", len(ring), residentPages-wantDirty, len(m.lru))
+	}
+	for i, p := range ring {
+		if k := m.lru[i]; c.Object(k.ino) == nil || c.Object(k.ino).Page(k.idx) != p {
+			fail("ring position %d is not the model's %v (ring %d long, model %v)", i, k, len(ring), m.lru)
+		}
+	}
+	if c.overBudget() && len(ring) > 0 {
+		fail("over budget with evictable clean pages on the ring")
+	}
+}
+
+// ringOrder walks the LRU ring front to back, checking its links, and
+// returns its pages.
+func ringOrder(t *testing.T, c *Cache) []*Page {
+	t.Helper()
+	var out []*Page
+	for p := c.lru.next; p != &c.lru; p = p.next {
+		if p.next.prev != p || p.Dirty {
+			t.Fatalf("ring broken at page %d (dirty %v)", p.idx, p.Dirty)
+		}
+		if p.obj.pages[p.idx] != p {
+			t.Fatalf("ring holds page %d its object no longer files", p.idx)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// Regression: a refill of a clean page must take the old page off the
+// ring. Left on it, the old page reaches the tail later and is evicted
+// a second time: its block, already released by the refill, is dereffed
+// again, and the new page's map entry is deleted under it.
+func TestRefillUnlinksTheOldPage(t *testing.T) {
+	reg := stats.NewRegistry()
+	c := NewWithLimits(reg, "r.", 2, 0)
+	content := func(b byte) []byte { return bytes.Repeat([]byte{b}, 512) }
+	c.Fill(1, 0, content('a'), 1)
+	c.Fill(1, 0, content('b'), 2) // refill: the page with 'a' must leave the ring
+	c.Fill(1, 1, content('c'), 3)
+	c.Fill(1, 2, content('d'), 4) // evicts (1,0), once
+	c.Fill(1, 3, content('e'), 5) // evicts (1,1)
+	o := c.Object(1)
+	if o.Page(0) != nil || o.Page(1) != nil || o.Page(2) == nil || o.Page(3) == nil {
+		t.Fatal("eviction took the wrong pages")
+	}
+	if n := len(ringOrder(t, c)); n != 2 || c.ResidentPages() != 2 {
+		t.Fatalf("ring %d, resident %d; want 2 and 2", n, c.ResidentPages())
+	}
+	if c.ResidentBytes() != 1024 || c.SharedBlocks() != 2 || reg.CounterValue("r.cache.evictions") != 2 {
+		t.Fatalf("bytes=%d blocks=%d evictions=%d, want 1024/2/2",
+			c.ResidentBytes(), c.SharedBlocks(), reg.CounterValue("r.cache.evictions"))
+	}
+}
+
+// Page must stay in the 64-byte size class: a fill allocates exactly
+// one Page and nothing else, so BenchmarkFillDedup's B/op is one Page,
+// and the bench gate would read any growth as a regression.
+func TestPageFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Page{}); n > 64 {
+		t.Fatalf("Page is %d bytes, past the 64-byte size class", n)
 	}
 }
 
@@ -412,10 +576,12 @@ func TestInternConfirmsContentOnACollidingChain(t *testing.T) {
 	b := bytes.Repeat([]byte("b"), 4096)
 	// b's block sits where a's content hashes to, as if the two collided.
 	h := c.hash(a)
-	planted := c.adopt(h, append([]byte(nil), b...))
+	planted := c.newBlock()
+	c.setData(planted, b)
+	c.insert(h, planted)
 
 	pa := c.Fill(1, 0, a, 1)
-	if !bytes.Equal(pa.Data, a) || pa.blk == planted {
+	if !bytes.Equal(pa.Bytes(), a) || pa.blk == planted {
 		t.Fatal("a fill of a was served b's colliding block")
 	}
 	if pa.blk.hash != h || pa.blk.next != planted {

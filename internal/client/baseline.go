@@ -261,7 +261,7 @@ func (c *Client) funcShipRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 	fetch := func() {
 		if p := c.cache.Lookup(ino, idx); p != nil && c.cfg.Policy.NFS {
 			c.oracle.Read(c.id, ino, idx, p.Ver)
-			done(append([]byte(nil), p.Data...), msg.OK)
+			done(append([]byte(nil), p.Bytes()...), msg.OK)
 			return
 		}
 		c.call(&msg.FuncRead{Ino: ino, Offset: idx * BlockSize, Length: BlockSize}, func(r *msg.Reply) {

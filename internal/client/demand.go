@@ -195,7 +195,7 @@ func (c *Client) collectDirty(ino msg.ObjectID) []flushItem {
 		// operation can re-dirty the page in place.
 		items = append(items, flushItem{
 			ino: ino, idx: idx, disk: ref.Disk, num: ref.Num,
-			ver: p.Ver, data: p.Data,
+			ver: p.Ver, data: p.Bytes(),
 		})
 	}
 	return items

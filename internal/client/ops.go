@@ -492,7 +492,7 @@ func (c *Client) readBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 	if p := c.cache.Lookup(ino, idx); p != nil {
 		c.oracle.Read(c.id, ino, idx, p.Ver)
-		done(append([]byte(nil), p.Data...), msg.OK)
+		done(append([]byte(nil), p.Bytes()...), msg.OK)
 		return
 	}
 	o := c.cache.Object(ino)

@@ -112,7 +112,7 @@ func serverRecoveryScenario(p Params, disableReassert bool) (outage time.Duratio
 	// before the failure) is still resident — not merely that new ops
 	// repopulated the cache afterwards.
 	if o := cl.Clients[0].Sub(0).Cache().Object(inoOf(cl, "/journal")); o != nil {
-		if pg := o.Page(0); pg != nil && pg.Data[0] == 'B' {
+		if pg := o.Page(0); pg != nil && pg.Bytes()[0] == 'B' {
 			cacheOK = true
 		}
 	}
