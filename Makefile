@@ -57,7 +57,10 @@ lint:
 # queued writes, two read loops sending into each other's full sockets
 # both finish, injected latency delays frames without a goroutine
 # each, and frames queued behind a dial survive the peer's own
-# connection replacing it. The suite then runs once more under
+# connection replacing it — and the receive path's, ten times over: frames
+# split, bursting and spanning reads arrive whole, a close behind the last
+# frame is seen, and Close from inside a handler ends the read loop
+# instead of waiting for it. The suite then runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
 # and double-Put panics with the first Put's stack: dynamic
 # cross-validation of what the static bufown pass proves per-path. Last,
@@ -76,7 +79,8 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo' ./internal/rpcnet/
-	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames' ./internal/rpcnet/
+	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames|TestHandlerDropsItsOwnLink' ./internal/rpcnet/
+	$(GO) test -race -count=10 -run 'TestServeFraming|TestServeSeesACloseBehindTheLastFrame|TestCloseWhileServing' ./internal/wire/
 	$(GO) test -race -tags tankdebug ./...
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
 

@@ -52,6 +52,9 @@ type ctx struct {
 	docOwns map[*types.Func]*ownsSpec
 	// annots is filename → line → annotation for //tank:adopt / alias.
 	annots map[string]map[int]lineAnnot
+	// served holds the function literals handed to a Serve as its deliver
+	// callback (markServed).
+	served map[*ast.FuncLit]bool
 }
 
 func newCtx(pass *analysis.Pass) *ctx {
@@ -60,6 +63,7 @@ func newCtx(pass *analysis.Pass) *ctx {
 		info:    pass.TypesInfo,
 		docOwns: map[*types.Func]*ownsSpec{},
 		annots:  map[string]map[int]lineAnnot{},
+		served:  map[*ast.FuncLit]bool{},
 	}
 	for _, f := range pass.Files {
 		c.collectLineAnnots(f)
@@ -220,6 +224,33 @@ func (c *ctx) summary(fn *types.Func) summary {
 		s.ownsResult = spec.result
 	}
 	return s
+}
+
+// markServed records the function literals call hands a method named
+// Serve as its deliver callback — wire.Codec.Serve, without naming the
+// package, as Recv is matched. Serve gives each call of the callback the
+// borrow a Recv caller owns, so the literal's envelope parameter starts
+// owned and must be released or handed on on every path.
+func (c *ctx) markServed(call *ast.CallExpr) {
+	if fn := analysis.Callee(c.info, call); fn == nil || fn.Name() != "Serve" {
+		return
+	}
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && isDeliverType(c.info.TypeOf(lit)) {
+			c.served[lit] = true
+		}
+	}
+}
+
+// isDeliverType reports whether t is func(*msg.Envelope): a deliver
+// callback, which takes the borrow of the envelope it is called with.
+func isDeliverType(t types.Type) bool {
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+		return false
+	}
+	_, ptr := sig.Params().At(0).Type().(*types.Pointer)
+	return ptr && isEnvelopeType(sig.Params().At(0).Type())
 }
 
 func isBufferType(t types.Type) bool {

@@ -79,8 +79,11 @@ func run(pass *analysis.Pass) error {
 			// analysis covers them via the capture scan).
 			var inner []*ast.FuncLit
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					inner = append(inner, lit)
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					inner = append(inner, n)
+				case *ast.CallExpr:
+					ctx.markServed(n)
 				}
 				return true
 			})
@@ -124,6 +127,17 @@ func (c *ctx) checkBody(scope ast.Node, body *ast.BlockStmt, fn *types.Func) err
 				}
 				id := cellID(v.Pos())
 				st.cells[id] = &cell{kind: kindBuffer, bits: bOwned}
+				st.bind[v] = []cellID{id}
+			}
+		}
+	}
+	if lit, ok := scope.(*ast.FuncLit); ok && c.served[lit] {
+		// A Serve's deliver callback: its envelope parameter arrives as
+		// an owned borrow, as a Recv's result does.
+		for _, name := range lit.Type.Params.List[0].Names {
+			if v, _ := c.info.Defs[name].(*types.Var); v != nil {
+				id := cellID(v.Pos())
+				st.cells[id] = &cell{kind: kindEnvelope, bits: 1 << 1}
 				st.bind[v] = []cellID{id}
 			}
 		}
@@ -469,12 +483,19 @@ func (fc *fclient) call(call *ast.CallExpr, st *state, report bool) []cellID {
 	}
 
 	// Pass 2: remaining arguments are borrows (checked for released
-	// uses, closures scanned for captures).
+	// uses, closures scanned for captures) — except an envelope handed to
+	// a deliver callback, whose borrow moves to the callee, as a return
+	// moves a Recv's to its caller.
+	deliver := fn == nil && isDeliverType(fc.ctx.info.TypeOf(call.Fun))
 	for i, arg := range call.Args {
 		if handled[i] {
 			continue
 		}
-		fc.visit(arg, st, report)
+		for _, id := range fc.visit(arg, st, report) {
+			if cl := st.cells[id]; deliver && cl != nil && cl.kind == kindEnvelope {
+				st.kill(id)
+			}
+		}
 	}
 
 	// Envelope refcount effects on the receiver.

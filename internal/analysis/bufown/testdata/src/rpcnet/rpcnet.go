@@ -1,5 +1,6 @@
 // Package rpcnet is the bufown fixture for the envelope refcount
-// rules: owned borrows from Recv, Retain/Release balance per path,
+// rules: owned borrows from Recv and to a Serve's deliver callback,
+// Retain/Release balance per path,
 // closure-credited releases, and underflow.
 package rpcnet
 
@@ -16,6 +17,27 @@ func (c *codec) Recv() (*msg.Envelope, error) {
 		return nil, errors.New("closed")
 	}
 	return &msg.Envelope{}, nil
+}
+
+// Serve hands each envelope Recv returns to deliver, which takes its
+// borrow.
+func (c *codec) Serve(deliver func(*msg.Envelope)) error {
+	for {
+		env, err := c.Recv()
+		if err != nil {
+			return err
+		}
+		deliver(env)
+	}
+}
+
+func (c *codec) leakServeDropsFrame(deliver func(*msg.Envelope)) error {
+	env, err := c.Recv() // want `Envelope retain/borrow is not balanced by a Release on every path`
+	if err != nil || env.From == 0 {
+		return err
+	}
+	deliver(env)
+	return nil
 }
 
 type transport struct {
@@ -49,6 +71,23 @@ func (t *transport) okDropPath(bad bool) {
 	}
 	e := *env
 	t.submit(func() { t.handler(e); e.Release() })
+}
+
+// The deliver callback owns each envelope as a Recv caller does.
+func (t *transport) okServeLoop() {
+	t.c.Serve(func(env *msg.Envelope) {
+		if env.From == 0 {
+			env.Release()
+			return
+		}
+		t.submit(func() { t.handler(*env); env.Release() })
+	})
+}
+
+func (t *transport) leakServeNoRelease() {
+	t.c.Serve(func(env *msg.Envelope) { // want `Envelope retain/borrow is not balanced by a Release on every path`
+		t.handler(*env)
+	})
 }
 
 func (t *transport) leakRecvNoRelease() {

@@ -23,7 +23,7 @@
 // Rules:
 //
 //	L1  blocking op (chan send/recv outside select-with-default, net
-//	    dial/listen, wire.Codec Send/WriteFrames/Recv, blockstore.Media I/O,
+//	    dial/listen, wire.Codec Send/WriteFrames/Recv/Serve, blockstore.Media I/O,
 //	    (*os.File).Sync, WaitGroup.Wait, time.Sleep/sim.Sleep) while a
 //	    mutex is held
 //	L2  Lock/RLock of a mutex already held on the same expression
@@ -71,6 +71,7 @@ var blockingMethods = map[[3]string]bool{
 	{"wire", "Codec", "Send"}:           true,
 	{"wire", "Codec", "WriteFrames"}:    true,
 	{"wire", "Codec", "Recv"}:           true,
+	{"wire", "Codec", "Serve"}:          true,
 	{"wire", "Codec", "SendHello"}:      true,
 	{"wire", "Codec", "RecvHello"}:      true,
 	{"net", "Conn", "Read"}:             true,

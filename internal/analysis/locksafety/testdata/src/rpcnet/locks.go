@@ -101,8 +101,9 @@ func (t *Transport) waitUnderLock(wg *sync.WaitGroup) {
 func (t *Transport) sendOnCodecUnderLock(c *wire.Codec, env *int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c.Send(env) // want `call to \(wire.Codec\).Send while t.mu is held`
-	c.Recv()    // want `call to \(wire.Codec\).Recv while t.mu is held`
+	c.Send(env)  // want `call to \(wire.Codec\).Send while t.mu is held`
+	c.Recv()     // want `call to \(wire.Codec\).Recv while t.mu is held`
+	c.Serve(nil) // want `call to \(wire.Codec\).Serve while t.mu is held`
 	c.Close()
 }
 

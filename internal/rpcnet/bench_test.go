@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/stats"
 )
 
 var sinkAttr msg.Attr
@@ -92,4 +93,39 @@ func BenchmarkExecutorSubmitHop(b *testing.B) {
 		e.Submit(task)
 		<-ran
 	}
+}
+
+// BenchmarkTransportPingPong is a control message from one transport to
+// another over loopback and one back: per op, two inline sends, two
+// frames read and decoded, two handler tasks. It reports the reads each
+// received frame cost, counted by the transports' own instruments.
+func BenchmarkTransportPingPong(b *testing.B) {
+	reg := stats.NewRegistry()
+	back := make(chan struct{}, 1)
+	req, rep := keepAlive(1), keepAlive(2)
+	var tb *Transport
+	tb = New(2, nil, func(msg.Envelope) { tb.Send(1, rep) })
+	tb.Instrument(reg, "b.")
+	go tb.Run()
+	defer tb.Close()
+	addr, err := tb.Listen(Loopback())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ta := New(1, map[msg.NodeID]string{2: addr.String()}, func(msg.Envelope) { back <- struct{}{} })
+	ta.Instrument(reg, "a.")
+	go ta.Run()
+	defer ta.Close()
+	ta.Send(2, req)
+	<-back
+	reads := func() int64 { return reg.Gauge("a.reads").Value() + reg.Gauge("b.reads").Value() }
+	before := reads()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ta.Send(2, req)
+		<-back
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(reads()-before)/float64(2*b.N), "reads/frame")
 }

@@ -289,7 +289,10 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 	if clock == nil {
 		clock = n.Ctrl.Clock()
 	}
-	n.Exec.Instrument(n.Reg, fmt.Sprintf("server.%v.exec.", spec.ID), clock)
+	prefix := fmt.Sprintf("server.%v.", spec.ID)
+	n.Exec.Instrument(n.Reg, prefix+"exec.", clock)
+	n.Ctrl.Instrument(n.Reg, prefix+"net.")
+	n.SAN.Instrument(n.Reg, prefix+"net.")
 	n.Srv = server.New(spec.ID, cfg, clock, n.Ctrl.Send, n.SAN.Send, n.Reg, o.tracer)
 	addr, err := n.Ctrl.Listen(spec.Topo.ServerAddr)
 	if err != nil {
@@ -331,7 +334,9 @@ func StartDiskNode(spec NodeSpec, cfg disk.Config, opts ...Option) (*DiskNode, e
 	if clock == nil {
 		clock = n.SAN.Clock()
 	}
-	n.Exec.Instrument(o.reg, fmt.Sprintf("disk.%v.exec.", spec.ID), clock)
+	prefix := fmt.Sprintf("disk.%v.", spec.ID)
+	n.Exec.Instrument(o.reg, prefix+"exec.", clock)
+	n.SAN.Instrument(o.reg, prefix+"net.")
 	n.Disk = disk.New(spec.ID, cfg, clock, n.SAN.Send, o.reg, disk.Observer{},
 		disk.WithMedia(o.media), disk.WithTracer(o.tracer))
 	addr, err := n.SAN.Listen(spec.Topo.Disks[spec.ID])
@@ -410,7 +415,10 @@ func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientN
 	} else {
 		n.tmo = clock
 	}
-	n.Exec.Instrument(n.Reg, fmt.Sprintf("client.%v.exec.", spec.ID), clock)
+	prefix := fmt.Sprintf("client.%v.", spec.ID)
+	n.Exec.Instrument(n.Reg, prefix+"exec.", clock)
+	n.Ctrl.Instrument(n.Reg, prefix+"net.")
+	n.SAN.Instrument(n.Reg, prefix+"net.")
 	n.Router = client.NewRouter(spec.ID, auths, cfg, clock,
 		n.Ctrl.Send, n.SAN.Send, place, nil, n.Reg, o.tracer)
 	n.Client = n.Router.Sub(0)

@@ -25,6 +25,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -64,6 +65,9 @@ type Transport struct {
 	faults atomic.Pointer[faultnet.Faults]
 
 	tracer *trace.Tracer
+	// reads and framesIn count its connections' reads and the frames they
+	// brought (Instrument); nil counts nothing.
+	reads, framesIn *stats.Gauge
 }
 
 // New creates a transport for node self that can dial the given peers.
@@ -106,6 +110,15 @@ func (t *Transport) SetClock(c sim.Clock) {
 // dial failures, dropped sends) are emitted as EvTransport events
 // stamped with this node's ID and wall clock.
 func (t *Transport) SetTracer(tr *trace.Tracer) { t.tracer = tr }
+
+// Instrument registers prefix+"reads" and prefix+"frames_in" in reg: every
+// read the transport's connections make (wire.Codec.Instrument), and every
+// frame they bring. Both are gauges that only rise, not counters, because
+// how many reads a frame costs is a matter of timing. A node's transports
+// share one prefix. Call before traffic flows.
+func (t *Transport) Instrument(reg *stats.Registry, prefix string) {
+	t.reads, t.framesIn = reg.Gauge(prefix+"reads"), reg.Gauge(prefix+"frames_in")
+}
 
 // SetFaults installs (or, with nil, removes) a fault-injection plan.
 // Every outbound message is judged by faults.JudgeSend — structural
@@ -244,41 +257,40 @@ func (t *Transport) drop(l *link) {
 	l.close()
 }
 
+// readLoop serves the connection's read side until it ends
+// (wire.Codec.Serve, DESIGN §21.6): every frame the fault plan lets
+// through becomes a task of the executor, on this goroutine when the
+// executor is idle.
 func (t *Transport) readLoop(l *link, codec *wire.Codec) {
 	peer := l.peer
-	for {
-		env, err := codec.Recv()
-		if err != nil {
-			// A typed bad frame is protocol damage — corrupt framing, a
-			// codec bug, a garbage-injecting middlebox — and is reported as
-			// such; everything else (io.EOF above all) is the peer going
-			// away, the ordinary redial case. Conflating them made chaos
-			// traces blame "peer restart" for what was really frame
-			// corruption.
-			if errors.Is(err, wire.ErrBadFrame) {
-				t.debugf(peer, "read from %v: dropping connection on corrupt frame: %v", peer, err)
-			} else {
-				t.debugf(peer, "read from %v: connection closed: %v", peer, err)
-			}
-			t.drop(l)
-			return
-		}
+	codec.Instrument(t.reads, t.framesIn)
+	err := codec.Serve(func(env *msg.Envelope) {
 		if f := t.faults.Load(); f != nil {
 			if v := f.JudgeRecv(env.From, t.self); !v.Deliver {
 				t.dropInjected(env.From, v.Reason)
 				env.Release()
-				continue
+				return
 			}
 		}
-		e := *env
 		t.tasks.Do(func() {
-			t.handler(e)
+			t.handler(*env)
 			// The handler's return ends the borrow on any pooled receive
 			// buffer the payload aliases; handlers that defer work past
 			// this point (disk service queues) Retain first.
-			e.Release()
+			env.Release()
 		})
+	})
+	// A typed bad frame is protocol damage — corrupt framing, a codec bug,
+	// a garbage-injecting middlebox — and is reported as such; everything
+	// else (io.EOF above all) is the peer going away, the ordinary redial
+	// case. Conflating them made chaos traces blame "peer restart" for what
+	// was really frame corruption.
+	if errors.Is(err, wire.ErrBadFrame) {
+		t.debugf(peer, "read from %v: dropping connection on corrupt frame: %v", peer, err)
+	} else {
+		t.debugf(peer, "read from %v: connection closed: %v", peer, err)
 	}
+	t.drop(l)
 }
 
 // Send transmits best-effort and never blocks its caller: the message is

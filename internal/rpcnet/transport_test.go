@@ -1,12 +1,14 @@
 package rpcnet
 
 import (
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/stats"
 )
 
 // TestConnToSingleFlight is the regression test for the concurrent-dial
@@ -168,5 +170,86 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHandlerDropsItsOwnLink: a handler running inline on the read loop —
+// the executor was idle — drops the link it arrived on, as a failed send
+// to the same peer does. The handler returns, the read loop exits, and the
+// descriptor is closed: the connection's Close shut the socket down rather
+// than wait for the read the handler runs inside.
+func TestHandlerDropsItsOwnLink(t *testing.T) {
+	returned := make(chan struct{}, 1)
+	var b *Transport
+	b = New(2, nil, func(msg.Envelope) {
+		b.mu.Lock()
+		l := b.links[1]
+		b.mu.Unlock()
+		b.drop(l)
+		returned <- struct{}{}
+	})
+	go b.Run()
+	defer b.Close()
+	ln, err := net.Listen("tcp", Loopback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		b.handleInbound(c) // returns when the read loop exits
+		served <- c
+	}()
+	a := New(1, map[msg.NodeID]string{2: ln.Addr().String()}, func(msg.Envelope) {})
+	go a.Run()
+	defer a.Close()
+
+	a.Send(2, keepAlive(1))
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler that dropped its own link never returned")
+	}
+	select {
+	case c := <-served:
+		raw, err := c.(*net.TCPConn).SyscallConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw.Control(func(uintptr) {}) == nil {
+			t.Fatal("the read loop exited and left the descriptor open")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read loop never exited")
+	}
+}
+
+// TestNodesCountReadsPerFrame: every node registers its transports'
+// net.reads and net.frames_in, and on a live installation a frame costs
+// one read, not the two of a loop that reads until EAGAIN: one to bring
+// it, one to find the socket empty.
+func TestNodesCountReadsPerFrame(t *testing.T) {
+	lc := startLive(t, 1)
+	lc.start(t, 0)
+	fs := lc.clients[0].Sync(5 * time.Second)
+	for i := 0; i < 20; i++ {
+		if _, err := fs.Create(fmt.Sprintf("/f%d", i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		reg  *stats.Registry
+		node string
+	}{{lc.clients[0].Reg, "client.n10"}, {lc.srv.Reg, "server.n1"}} {
+		reads := c.reg.Gauge(c.node + ".net.reads").Value()
+		frames := c.reg.Gauge(c.node + ".net.frames_in").Value()
+		t.Logf("%s: %d frames in %d reads", c.node, frames, reads)
+		if frames < 20 || reads >= 2*frames {
+			t.Errorf("%s: %d frames in %d reads, want at least 20 frames and fewer than two reads each", c.node, frames, reads)
+		}
 	}
 }

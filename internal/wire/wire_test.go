@@ -188,57 +188,63 @@ func rawBinaryPeer(t *testing.T) (raw net.Conn, peer *Codec) {
 	return a, r.c
 }
 
-// TestBinaryFramingCorruption drives the binary codec's Recv with every
-// flavor of damaged frame. Each must produce an error wrapping
-// ErrBadFrame (or a plain EOF for a clean close) — never a panic, never
-// a giant allocation, never a hang.
+// TestBinaryFramingCorruption drives the binary codec's two readers, Recv
+// and Serve, with every flavor of damaged frame. Each must produce an
+// error wrapping ErrBadFrame (or a plain EOF for a clean close) — never a
+// panic, never a giant allocation, never a hang.
 func TestBinaryFramingCorruption(t *testing.T) {
 	writeLen := func(n uint32) []byte {
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], n)
 		return b[:]
 	}
-	t.Run("oversized-length-prefix", func(t *testing.T) {
-		raw, peer := rawBinaryPeer(t)
-		raw.Write(writeLen(MaxFrame + 1))
-		if _, err := peer.Recv(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("err = %v, want ErrBadFrame", err)
+	readers := []struct {
+		name     string
+		firstErr func(*Codec) error
+	}{
+		{"Recv", func(c *Codec) error { _, err := c.Recv(); return err }},
+		{"Serve", func(c *Codec) error {
+			return c.Serve(func(env *msg.Envelope) {
+				env.Release()
+				t.Errorf("Serve delivered %T from a damaged stream", env.Payload)
+			})
+		}},
+	}
+	check := func(t *testing.T, send func(raw net.Conn), want error) {
+		t.Helper()
+		for _, r := range readers {
+			raw, peer := rawBinaryPeer(t)
+			send(raw)
+			if err := r.firstErr(peer); !errors.Is(err, want) {
+				t.Fatalf("%s: err = %v, want %v", r.name, err, want)
+			}
 		}
+	}
+	t.Run("oversized-length-prefix", func(t *testing.T) {
+		check(t, func(raw net.Conn) { raw.Write(writeLen(MaxFrame + 1)) }, ErrBadFrame)
 	})
 	t.Run("undersized-length-prefix", func(t *testing.T) {
-		raw, peer := rawBinaryPeer(t)
-		raw.Write(writeLen(4)) // header alone needs 9 bytes
-		if _, err := peer.Recv(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("err = %v, want ErrBadFrame", err)
-		}
+		check(t, func(raw net.Conn) { raw.Write(writeLen(4)) }, ErrBadFrame) // header alone needs 9 bytes
 	})
 	t.Run("truncated-body", func(t *testing.T) {
-		raw, peer := rawBinaryPeer(t)
-		raw.Write(writeLen(100))
-		raw.Write(make([]byte, 40)) // 60 bytes short
-		raw.Close()
-		if _, err := peer.Recv(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("err = %v, want ErrBadFrame", err)
-		}
+		check(t, func(raw net.Conn) {
+			raw.Write(writeLen(100))
+			raw.Write(make([]byte, 40)) // 60 bytes short
+			raw.Close()
+		}, ErrBadFrame)
 	})
 	t.Run("garbage-body", func(t *testing.T) {
-		raw, peer := rawBinaryPeer(t)
 		body := make([]byte, 32)
 		for i := range body {
 			body[i] = 0xff
 		}
-		raw.Write(writeLen(32))
-		raw.Write(body)
-		if _, err := peer.Recv(); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("err = %v, want ErrBadFrame", err)
-		}
+		check(t, func(raw net.Conn) {
+			raw.Write(writeLen(32))
+			raw.Write(body)
+		}, ErrBadFrame)
 	})
 	t.Run("clean-close-is-eof", func(t *testing.T) {
-		raw, peer := rawBinaryPeer(t)
-		raw.Close()
-		if _, err := peer.Recv(); !errors.Is(err, io.EOF) {
-			t.Fatalf("err = %v, want io.EOF (clean close is not frame damage)", err)
-		}
+		check(t, func(raw net.Conn) { raw.Close() }, io.EOF) // clean close is not frame damage
 	})
 }
 
