@@ -22,16 +22,15 @@ race:
 # lint builds tanklint (cmd/tanklint) and runs its six protocol-
 # invariant passes — clockhygiene, locksafety, ackdurable (disk acks and
 # the server's commit-before-send), traceexhaustive, hotpathalloc,
-# bufown — over the whole module through `go vet -vettool`, so results
-# ride the build cache. Exemptions need a visible
-# //lint:allow pass(reason) directive; `tanklint help <pass>` lists the
-# tree's current exemptions. Add -json for machine output. First, any
-# file gofmt would rewrite fails the target by name.
+# bufown — over the whole module with `tanklint ./...`. Exemptions need
+# a visible //lint:allow pass(reason) directive; `tanklint help <pass>`
+# lists the tree's current exemptions. First, any file gofmt would
+# rewrite fails the target by name. CI's lint job runs this target.
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build -o $(TANKLINT) ./cmd/tanklint
-	$(GO) vet -vettool=$(TANKLINT) ./...
+	$(TANKLINT) ./...
 
 # verify is the pre-merge gate: everything must compile, pass vet and
 # tanklint, and run the full suite (including the live-TCP chaos tests

@@ -1,4 +1,4 @@
-// Command tanklint is the repository's protocol-invariant linter: five
+// Command tanklint is the repository's protocol-invariant linter: six
 // static-analysis passes that machine-check the discipline rules the
 // paper's safety argument (Theorem 3.1) and the zero-copy data path
 // rest on but the compiler cannot see.
@@ -24,8 +24,8 @@
 //
 // Usage:
 //
-//	tanklint ./...                       # standalone over package patterns
-//	go vet -vettool=$(which tanklint) ./...   # unit-checked, build-cached
+//	tanklint [patterns]   # analyze packages (default ./...)
+//	tanklint help [pass]  # pass docs and the tree's exemptions
 //
 // Site-level exemptions use a visible, reasoned directive:
 //

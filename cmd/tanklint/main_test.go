@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -52,28 +50,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestVettool exercises the unitchecker protocol end to end: build the
-// real binary, hand it to `go vet -vettool`, and require a clean exit
-// over the whole module. This is the exact invocation `make lint` and
-// CI use.
-func TestVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and vets the whole module")
-	}
-	root := repoRoot(t)
-	bin := filepath.Join(t.TempDir(), "tanklint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/tanklint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building tanklint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
 	}
 }
 
@@ -209,21 +185,5 @@ func TestHelpListsAllows(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "unknown pass") || !strings.Contains(errOut.String(), "bufown") {
 		t.Errorf("unknown-pass error should name the known passes:\n%s", errOut.String())
-	}
-}
-
-// TestJSONMode: `tanklint -json` emits a JSON array (empty, not null,
-// on a clean tree) so CI scripting can `jq` the findings.
-func TestJSONMode(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := driver.Main(Analyzers, []string{"-json", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("-json ./...: exit %d, stderr:\n%s", code, errOut.String())
-	}
-	var diags []map[string]any
-	if err := json.Unmarshal([]byte(out.String()), &diags); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out.String())
-	}
-	if len(diags) != 0 {
-		t.Errorf("clean package produced %d JSON findings:\n%s", len(diags), out.String())
 	}
 }

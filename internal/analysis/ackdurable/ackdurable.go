@@ -13,7 +13,7 @@
 // Either fact is a one-line diff to destroy silently; this pass makes
 // such a diff a build failure.
 //
-// Rules (disk and blockstore packages, non-test files):
+// Rules (disk and blockstore packages):
 //
 //	A1  a call whose result includes an error (or []error, the WriteV
 //	    contract) used as a bare statement discards that error; handle
@@ -85,9 +85,6 @@ var syncHelpers = map[string]string{
 func run(pass *analysis.Pass) error {
 	base := analysis.PkgBase(pass.Pkg.Path())
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		switch base {
 		case "disk":
 			checkDiscardedErrors(pass, file)

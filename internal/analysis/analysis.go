@@ -5,10 +5,11 @@
 // The repository vendors no third-party code, so tanklint (cmd/tanklint)
 // cannot build on x/tools. This package keeps the same shape —
 // Analyzer{Name, Doc, Run}, Pass with Fset/Files/Pkg/TypesInfo — so the
-// four protocol passes (clockhygiene, locksafety, ackdurable,
-// traceexhaustive) would port to the real framework by changing one
-// import. Drivers live in internal/analysis/driver; the golden-test
-// harness in internal/analysis/analysistest.
+// passes would port to the real framework by changing one import. A
+// Pass never holds a _test.go file: tests legitimately use wall-clock
+// deadlines and discard errors, and the invariants guard shipped code.
+// The driver lives in internal/analysis/driver; the golden-test harness
+// in internal/analysis/analysistest.
 package analysis
 
 import (
@@ -17,7 +18,6 @@ import (
 	"go/token"
 	"go/types"
 	"path"
-	"strings"
 )
 
 // Analyzer is one named static check.
@@ -59,13 +59,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // passes key their applicability on ("repro/internal/disk" → "disk"),
 // which also makes testdata packages ("fixtures/disk") eligible.
 func PkgBase(pkgPath string) string { return path.Base(pkgPath) }
-
-// IsTestFile reports whether the file is a _test.go file. The passes
-// skip test files: tests legitimately use wall-clock deadlines and
-// discard errors, and the invariants guard shipped protocol code.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
 
 // FileBase returns the basename of the file containing pos.
 func (p *Pass) FileBase(pos token.Pos) string {

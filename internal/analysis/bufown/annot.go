@@ -27,16 +27,11 @@ import (
 //	                         ownership and the usual Put obligation.
 //
 // Line annotations cover their own line and the next, mirroring
-// //lint:allow placement.
+// //lint:allow placement; as there, an empty reason is itself a finding.
 var (
 	tankLineRE = regexp.MustCompile(`^//\s*tank:(adopt|alias)\(([^)]*)\)\s*$`)
 	tankOwnsRE = regexp.MustCompile(`^//\s*tank:owns\s+([A-Za-z_][A-Za-z0-9_]*)\s*(//.*)?$`)
 )
-
-type lineAnnot struct {
-	kind   string // "adopt" or "alias"
-	reason string
-}
 
 // ownsSpec is the parsed //tank:owns content of one function's doc.
 type ownsSpec struct {
@@ -50,8 +45,8 @@ type ctx struct {
 	pass    *analysis.Pass
 	info    *types.Info
 	docOwns map[*types.Func]*ownsSpec
-	// annots is filename → line → annotation for //tank:adopt / alias.
-	annots map[string]map[int]lineAnnot
+	// annots is filename → line → annotation kind, "adopt" or "alias".
+	annots map[string]map[int]string
 	// served holds the function literals handed to a Serve as its deliver
 	// callback (markServed).
 	served map[*ast.FuncLit]bool
@@ -62,12 +57,12 @@ func newCtx(pass *analysis.Pass) *ctx {
 		pass:    pass,
 		info:    pass.TypesInfo,
 		docOwns: map[*types.Func]*ownsSpec{},
-		annots:  map[string]map[int]lineAnnot{},
+		annots:  map[string]map[int]string{},
 		served:  map[*ast.FuncLit]bool{},
 	}
 	for _, f := range pass.Files {
 		c.collectLineAnnots(f)
-		c.collectDocOwns(f, !pass.IsTestFile(f))
+		c.collectDocOwns(f)
 	}
 	return c
 }
@@ -79,36 +74,33 @@ func (c *ctx) collectLineAnnots(f *ast.File) {
 			if m == nil {
 				continue
 			}
+			if strings.TrimSpace(m[2]) == "" {
+				c.pass.Reportf(cm.Pos(), "tank:%s annotation needs a reason: //tank:%s(why this store is safe)", m[1], m[1])
+			}
 			pos := c.pass.Fset.Position(cm.Pos())
 			byLine := c.annots[pos.Filename]
 			if byLine == nil {
-				byLine = map[int]lineAnnot{}
+				byLine = map[int]string{}
 				c.annots[pos.Filename] = byLine
 			}
-			byLine[pos.Line] = lineAnnot{kind: m[1], reason: strings.TrimSpace(m[2])}
+			byLine[pos.Line] = m[1]
 		}
 	}
 }
 
-// sanction returns the line annotation covering pos, if any: an
-// annotation sanctions its own line (trailing comment) and the line
+// sanction returns the kind of the line annotation covering pos, or "":
+// an annotation sanctions its own line (trailing comment) and the line
 // below it (own-line comment above the statement).
-func (c *ctx) sanction(pos token.Pos) (lineAnnot, bool) {
+func (c *ctx) sanction(pos token.Pos) string {
 	p := c.pass.Fset.Position(pos)
 	byLine := c.annots[p.Filename]
-	if byLine == nil {
-		return lineAnnot{}, false
-	}
 	if a, ok := byLine[p.Line]; ok {
-		return a, true
+		return a
 	}
-	if a, ok := byLine[p.Line-1]; ok {
-		return a, true
-	}
-	return lineAnnot{}, false
+	return byLine[p.Line-1]
 }
 
-func (c *ctx) collectDocOwns(f *ast.File, reportMalformed bool) {
+func (c *ctx) collectDocOwns(f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Doc == nil {
@@ -134,9 +126,7 @@ func (c *ctx) collectDocOwns(f *ast.File, reportMalformed bool) {
 			}
 			idx, ok := paramIndex(fd, m[1])
 			if !ok {
-				if reportMalformed {
-					c.pass.Reportf(cm.Pos(), "//tank:owns names unknown parameter %q", m[1])
-				}
+				c.pass.Reportf(cm.Pos(), "//tank:owns names unknown parameter %q", m[1])
 				continue
 			}
 			spec.params = append(spec.params, idx)

@@ -60,9 +60,6 @@ func run(pass *analysis.Pass) error {
 	}
 	ctx := newCtx(pass)
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -312,15 +309,13 @@ func (fc *fclient) escape(pos token.Pos, ids []cellID, st *state, report bool, w
 		if cl == nil || cl.kind != kindBuffer || cl.bits&bOwned == 0 {
 			continue
 		}
-		if a, ok := fc.ctx.sanction(pos); ok {
-			if a.kind == "alias" {
-				continue // ownership (and the Put obligation) stays put
-			}
-			cl.bits = (cl.bits &^ bOwned) | bEscaped
-			continue
+		switch fc.ctx.sanction(pos) {
+		case "alias":
+			continue // ownership (and the Put obligation) stays put
+		case "":
+			fc.reportOnce(report, pos, "escape",
+				"owned buffer escapes into "+what+" without //tank:adopt or //tank:alias")
 		}
-		fc.reportOnce(report, pos, "escape",
-			"owned buffer escapes into "+what+" without //tank:adopt or //tank:alias")
 		cl.bits = (cl.bits &^ bOwned) | bEscaped
 	}
 }

@@ -125,6 +125,11 @@ func okAdoptedField(f *frame, n int) {
 	f.data = buf //tank:adopt(frame owns its data until reset)
 }
 
+func adoptWithoutReason(f *frame, n int) {
+	buf := bufpool.Get(n)
+	f.data = buf /* want `tank:adopt annotation needs a reason` */ //tank:adopt()
+}
+
 func okAliasedStaging(f *frame, n int) {
 	buf := bufpool.Get(n)
 	//tank:alias(staged for the write below; ownership stays here)

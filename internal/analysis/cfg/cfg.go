@@ -1,9 +1,8 @@
 // Package cfg builds a control-flow graph over one function body: basic
 // blocks of statement-level AST nodes connected by branch, loop, switch,
 // select, label, and panic edges. It is the substrate of tanklint's
-// flow-sensitive passes (bufown today; locksafety's lock-order check can
-// migrate onto it), built — like the rest of internal/analysis — on the
-// standard library alone.
+// flow-sensitive passes, bufown and locksafety, built — like the rest of
+// internal/analysis — on the standard library alone.
 //
 // Granularity is the statement: each block holds simple statements in
 // execution order, and compound statements (if/for/switch/...) are

@@ -13,9 +13,9 @@
 // The pass flags any reference to time.Now, time.Sleep, time.After,
 // time.AfterFunc, time.NewTimer, time.NewTicker, time.Tick, time.Since,
 // or time.Until inside the protocol packages (core, client, server,
-// disk, lock, cluster, shard, rpcnet, blockstore, and sim outside
-// clock.go — clock.go IS the wall-clock shim the rest of the tree
-// injects). Types and constants (time.Duration, time.Second) are fine:
+// disk, lock, cluster, shard, rpcnet, blockstore, replica, meta, and
+// sim outside clock.go — clock.go IS the wall-clock shim the rest of
+// the tree injects). Types and constants (time.Duration, time.Second) are fine:
 // only the ambient clock is banned, not the unit system. Exemptions
 // need a visible //lint:allow clockhygiene(reason) directive.
 package clockhygiene
@@ -47,6 +47,8 @@ var protocolPkgs = map[string]bool{
 	"sim":        true,
 	"rpcnet":     true,
 	"blockstore": true,
+	"replica":    true,
+	"meta":       true,
 }
 
 // banned are the package-time functions that read or schedule against
@@ -69,9 +71,6 @@ func run(pass *analysis.Pass) error {
 	}
 	inSim := analysis.PkgBase(pass.Pkg.Path()) == "sim"
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		if inSim && pass.FileBase(file.Pos()) == "clock.go" {
 			// sim/clock.go is the one sanctioned wall-clock adapter: it
 			// DEFINES RealClock, the injected clock of the live transport.

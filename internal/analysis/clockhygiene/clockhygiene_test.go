@@ -8,5 +8,5 @@ import (
 )
 
 func TestClockHygiene(t *testing.T) {
-	analysistest.Run(t, clockhygiene.Analyzer, "client", "server", "sim", "util")
+	analysistest.Run(t, clockhygiene.Analyzer, "client", "server", "sim", "util", "replica", "meta")
 }

@@ -1,15 +1,9 @@
-// Package driver runs tanklint's analyzers, two ways:
-//
-//   - Standalone: Load resolves package patterns with `go list -json
-//     -deps -export`, type-checks each target package from source
-//     against the compiler's export data, and Run executes every
-//     analyzer. This is what `tanklint ./...` does.
-//   - Unit-checked: unitchecker.go speaks the vet.cfg protocol, so the
-//     same binary plugs into `go vet -vettool=$(which tanklint)` and the
-//     build cache does the scheduling.
-//
-// Both modes apply //lint:allow suppression (see internal/analysis) and
-// report malformed directives under the pseudo-analyzer "directive".
+// Package driver runs tanklint's analyzers: Load resolves package
+// patterns with `go list -json -deps -export`, type-checks each target
+// package's GoFiles (never its _test.go files) from source against the
+// compiler's export data, and Run executes every analyzer, applying
+// //lint:allow suppression (see internal/analysis) and reporting
+// malformed directives under the pseudo-analyzer "directive".
 package driver
 
 import (
@@ -61,6 +55,38 @@ type listedPkg struct {
 	Error      *struct{ Err string }
 }
 
+// Main is the entry point of cmd/tanklint:
+//
+//	tanklint help [pass]  → pass docs and the tree's //lint:allow sites
+//	tanklint [patterns]   → load, analyze, print; exit 2 on findings
+//
+// It returns the process exit code.
+func Main(analyzers []*analysis.Analyzer, args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "help" {
+		return helpMain(analyzers, args[1:], stdout, stderr)
+	}
+	if len(args) == 0 {
+		args = []string{"./..."}
+	}
+	pkgs, fset, err := Load(".", args)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	diags, err := Run(fset, pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
+}
+
 // Load resolves patterns in dir and returns the matched (non-dependency)
 // packages, parsed and type-checked. Dependencies — standard library and
 // module-internal alike — are consumed from compiler export data, which
@@ -107,7 +133,7 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 	})
 	var pkgs []*Package
 	for _, p := range targets {
-		pkg, err := check(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
+		pkg, err := check(fset, imp, p)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -116,33 +142,17 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 	return pkgs, fset, nil
 }
 
-// check parses and type-checks one package from its source files.
-func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
+// check parses and type-checks one listed package from its GoFiles.
+func check(fset *token.FileSet, imp types.Importer, p *listedPkg) (*Package, error) {
 	var files []*ast.File
-	for _, name := range goFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", pkgPath, err)
-	}
-	return &Package{PkgPath: pkgPath, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// NewInfo allocates the full set of type-checker fact maps the passes
-// consult.
-func NewInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -151,6 +161,12 @@ func NewInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+	}
+	return &Package{PkgPath: p.ImportPath, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // Run executes every analyzer over every package, applies //lint:allow
@@ -158,11 +174,27 @@ func NewInfo() *types.Info {
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diag, error) {
 	var out []Diag
 	for _, pkg := range pkgs {
-		diags, err := RunPackage(fset, pkg, analyzers)
-		if err != nil {
-			return nil, err
+		dirs, malformed := analysis.PackageDirectives(fset, pkg.Files)
+		for _, d := range malformed {
+			out = append(out, Diag{Position: fset.Position(d.Pos), Analyzer: "directive", Message: d.Message})
 		}
-		out = append(out, diags...)
+		for _, a := range analyzers {
+			var diags []analysis.Diagnostic
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
+			}
+			for _, d := range analysis.Suppress(fset, a.Name, diags, dirs) {
+				out = append(out, Diag{Position: fset.Position(d.Pos), Analyzer: a.Name, Message: d.Message})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -174,32 +206,5 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*analysis.Analyzer) (
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, nil
-}
-
-// RunPackage executes the analyzers over one package.
-func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*analysis.Analyzer) ([]Diag, error) {
-	dirs, malformed := analysis.PackageDirectives(fset, pkg.Files)
-	var out []Diag
-	for _, d := range malformed {
-		out = append(out, Diag{Position: fset.Position(d.Pos), Analyzer: "directive", Message: d.Message})
-	}
-	for _, a := range analyzers {
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
-		}
-		for _, d := range analysis.Suppress(fset, a.Name, diags, dirs) {
-			out = append(out, Diag{Position: fset.Position(d.Pos), Analyzer: a.Name, Message: d.Message})
-		}
-	}
 	return out, nil
 }

@@ -61,9 +61,6 @@ func isHotpath(doc *ast.CommentGroup) bool {
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !isHotpath(fd.Doc) {

@@ -8,24 +8,30 @@
 // holder is blocked on the network or the media. The node executors are
 // deliberately lock-free for protocol state; the mutexes that remain
 // (the transport's link table and each link's send queue, the stats
-// registry, executor queues) are leaf locks that must only guard
-// memory. Holding one across a channel operation, a dial, a blocking
-// frame write, or a media fsync turns a slow peer into a stalled node —
-// exactly the failure mode the lease machinery exists to bound.
+// registry, executor queues, the fault injector's tables, the trace
+// sinks) are leaf locks that must only guard memory. Holding one across
+// a channel operation, a dial, a blocking frame write, or a media fsync
+// turns a slow peer into a stalled node — exactly the failure mode the
+// lease machinery exists to bound.
 //
-// Scope: client, server, rpcnet, stats (by package-path base). The
-// analysis is lexical and intraprocedural: a held-set is threaded down
-// each function body, branches fork a copy, `go` statements and
-// function literals start empty (they run on other goroutines or at
-// other times). That cannot prove absence of deadlock — it machine-
-// checks the discipline the code review would otherwise re-litigate.
+// Scope: client, server, rpcnet, stats, faultnet, trace (by
+// package-path base). The analysis is intraprocedural and flow-sensitive:
+// a forward dataflow pass (internal/analysis/dataflow) over each
+// function's CFG tracks the set of mutexes that may be held, joined by
+// union, so a lock taken on one branch counts as held after the join.
+// A deferred Unlock keeps its mutex held until the function exits;
+// function literals are analyzed on their own, starting with nothing
+// held (they run on other goroutines or at other times), and only a
+// defer's or go's arguments are evaluated in place. That cannot prove
+// absence of deadlock — it machine-checks the discipline the code review
+// would otherwise re-litigate.
 //
 // Rules:
 //
 //	L1  blocking op (chan send/recv outside select-with-default, net
-//	    dial/listen, wire.Codec Send/WriteFrames/Recv/Serve, blockstore.Media I/O,
-//	    (*os.File).Sync, WaitGroup.Wait, time.Sleep/sim.Sleep) while a
-//	    mutex is held
+//	    dial/listen, wire.Codec Send/WriteFrames/Recv/Serve, blockstore
+//	    Media/File reads, writes and fences, (*os.File).Sync,
+//	    WaitGroup.Wait, time.Sleep/sim.Sleep) while a mutex is held
 //	L2  Lock/RLock of a mutex already held on the same expression
 //	L3  lock-order inversion: some function takes A then B while
 //	    another takes B then A (keys are Type.field, per package)
@@ -39,21 +45,25 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/cfg"
+	"repro/internal/analysis/dataflow"
 )
 
 // Analyzer is the locksafety pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafety",
 	Doc: "flag blocking operations, double-locks, and lock-order inversions " +
-		"while a sync mutex is held in client/server/rpcnet/stats",
+		"while a sync mutex is held in client/server/rpcnet/stats/faultnet/trace",
 	Run: run,
 }
 
 var scopePkgs = map[string]bool{
-	"client": true,
-	"server": true,
-	"rpcnet": true,
-	"stats":  true,
+	"client":   true,
+	"server":   true,
+	"rpcnet":   true,
+	"stats":    true,
+	"faultnet": true,
+	"trace":    true,
 }
 
 // blockingFuncs are package-level functions that can block the caller.
@@ -77,11 +87,16 @@ var blockingMethods = map[[3]string]bool{
 	{"net", "Conn", "Read"}:             true,
 	{"net", "Conn", "Write"}:            true,
 	{"blockstore", "Media", "Read"}:     true,
+	{"blockstore", "Media", "ReadV"}:    true,
 	{"blockstore", "Media", "Write"}:    true,
 	{"blockstore", "Media", "WriteV"}:   true,
 	{"blockstore", "Media", "SetFence"}: true,
+	{"blockstore", "File", "Read"}:      true,
+	{"blockstore", "File", "ReadV"}:     true,
+	{"blockstore", "File", "ReadInto"}:  true,
 	{"blockstore", "File", "Write"}:     true,
 	{"blockstore", "File", "WriteV"}:    true,
+	{"blockstore", "File", "SetFence"}:  true,
 	{"os", "File", "Sync"}:              true,
 	{"sync", "WaitGroup", "Wait"}:       true,
 }
@@ -93,9 +108,11 @@ type lockInfo struct {
 	pos     token.Pos
 }
 
-type held map[string]*lockInfo // instance key ("t.mu") → info
+// held is the dataflow state: the mutexes that may be held, by instance
+// key ("t.mu").
+type held map[string]*lockInfo
 
-func (h held) clone() held {
+func (h held) Clone() dataflow.State {
 	c := make(held, len(h))
 	for k, v := range h {
 		c[k] = v
@@ -103,237 +120,171 @@ func (h held) clone() held {
 	return c
 }
 
+// JoinInto unions other into h. A mutex write-locked on either side
+// counts as write-locked, which keeps the join monotone.
+func (h held) JoinInto(other dataflow.State) bool {
+	changed := false
+	for k, v := range other.(held) {
+		if prev, ok := h[k]; !ok || prev.kind == "RLock" && v.kind == "Lock" {
+			h[k] = v
+			changed = true
+		}
+	}
+	return changed
+}
+
 // edge is one observed acquisition order between two type-keyed locks.
 type edge struct{ first, second string }
 
-type scanner struct {
+// checker is the per-package state and the dataflow.Client of every
+// function body in it.
+type checker struct {
 	pass  *analysis.Pass
 	edges map[edge]token.Pos
+	// comms maps each select's communication statement to whether the
+	// select has no default, i.e. parks until a case fires.
+	comms map[ast.Node]bool
 }
 
 func run(pass *analysis.Pass) error {
 	if !scopePkgs[analysis.PkgBase(pass.Pkg.Path())] {
 		return nil
 	}
-	s := &scanner{pass: pass, edges: make(map[edge]token.Pos)}
+	c := &checker{pass: pass, edges: make(map[edge]token.Pos), comms: make(map[ast.Node]bool)}
+	var bodies []*ast.BlockStmt
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					bodies = append(bodies, n.Body)
+				}
+			case *ast.FuncLit:
+				bodies = append(bodies, n.Body)
+			case *ast.SelectStmt:
+				hasDefault := false
+				for _, cc := range n.Body.List {
+					hasDefault = hasDefault || cc.(*ast.CommClause).Comm == nil
+				}
+				for _, cc := range n.Body.List {
+					if comm := cc.(*ast.CommClause).Comm; comm != nil {
+						c.comms[comm] = !hasDefault
+					}
+				}
 			}
-			s.scanStmts(fd.Body.List, make(held))
+			return true
+		})
+	}
+	for _, body := range bodies {
+		g := cfg.New(body)
+		res, err := dataflow.Forward(g, make(held), c)
+		if err != nil {
+			return fmt.Errorf("locksafety: %v", err)
 		}
+		dataflow.Report(g, res, c)
 	}
 	// L3: report each inverted pair once, deterministically.
 	var pairs []edge
-	for e := range s.edges {
+	for e := range c.edges {
 		if e.first < e.second {
-			if _, ok := s.edges[edge{e.second, e.first}]; ok {
+			if _, ok := c.edges[edge{e.second, e.first}]; ok {
 				pairs = append(pairs, e)
 			}
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].first < pairs[j].first })
 	for _, e := range pairs {
-		pass.Reportf(s.edges[edge{e.second, e.first}],
+		pass.Reportf(c.edges[edge{e.second, e.first}],
 			"lock-order inversion: %s is taken while holding %s here, but elsewhere %s is taken while holding %s — pick one order",
 			e.first, e.second, e.second, e.first)
 	}
 	return nil
 }
 
-// scanStmts threads the held-set through a statement list in order.
-func (s *scanner) scanStmts(stmts []ast.Stmt, h held) {
-	for _, st := range stmts {
-		s.scanStmt(st, h)
-	}
-}
-
-func (s *scanner) scanStmt(st ast.Stmt, h held) {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(st.X, h, false)
-	case *ast.SendStmt:
-		s.scanExpr(st.Chan, h, false)
-		s.scanExpr(st.Value, h, false)
-		s.blockingOp(st.Arrow, "channel send", h)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.scanExpr(e, h, false)
-		}
-		for _, e := range st.Lhs {
-			s.scanExpr(e, h, false)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						s.scanExpr(e, h, false)
-					}
-				}
-			}
-		}
+// Transfer applies one CFG node. A defer or go evaluates only its
+// arguments here, a range statement only its operand (the body has its
+// own blocks). A select's communication parks only when the select has
+// no default, and its channel operation is the select's, not its own.
+func (c *checker) Transfer(n ast.Node, s dataflow.State, report bool) {
+	h := s.(held)
+	switch n := n.(type) {
 	case *ast.DeferStmt:
-		// defer x.mu.Unlock() pins the lock to function exit: keep it
-		// held (everything after is genuinely under the lock) but make a
-		// later explicit Unlock unnecessary. Other deferred calls run
-		// after the locks here are gone; don't scan their bodies.
-		if kind, key, _ := s.lockCall(st.Call); kind == "Unlock" || kind == "RUnlock" {
-			_ = key // the lock stays held until return by definition
+		for _, arg := range n.Call.Args {
+			c.eval(arg, h, report, false)
 		}
 	case *ast.GoStmt:
-		// A new goroutine holds nothing.
-		for _, arg := range st.Call.Args {
-			s.scanExpr(arg, h, false)
+		for _, arg := range n.Call.Args {
+			c.eval(arg, h, report, false)
 		}
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			s.scanStmts(fl.Body.List, make(held))
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.scanExpr(e, h, false)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, h)
-		}
-		s.scanExpr(st.Cond, h, false)
-		s.scanStmts(st.Body.List, h.clone())
-		if st.Else != nil {
-			s.scanStmt(st.Else, h.clone())
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(st.List, h)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, h)
-		}
-		if st.Cond != nil {
-			s.scanExpr(st.Cond, h, false)
-		}
-		s.scanStmts(st.Body.List, h.clone())
 	case *ast.RangeStmt:
-		s.scanExpr(st.X, h, false)
-		s.scanStmts(st.Body.List, h.clone())
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, h)
+		c.eval(n.X, h, report, false)
+	default:
+		parks, inComm := c.comms[n]
+		if parks {
+			c.blockingOp(n.Pos(), "select without default", h, report)
 		}
-		if st.Tag != nil {
-			s.scanExpr(st.Tag, h, false)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, h.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, h.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		for _, c := range st.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm != nil && !hasDefault {
-				// Without a default the select parks until a case fires.
-				s.blockingOp(cc.Comm.Pos(), "select without default", h)
-			}
-			s.scanStmts(cc.Body, h.clone())
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(st.Stmt, h)
+		c.eval(n, h, report, inComm)
 	}
 }
 
-// scanExpr walks an expression: lock/unlock calls mutate h, receives and
-// blocking calls are checked against it. inSelect suppresses receive
-// reports (the select statement handles them).
-func (s *scanner) scanExpr(e ast.Expr, h held, inSelect bool) {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		s.call(e, h)
-	case *ast.UnaryExpr:
-		if e.Op == token.ARROW && !inSelect {
-			s.blockingOp(e.OpPos, "channel receive", h)
-		}
-		s.scanExpr(e.X, h, inSelect)
-	case *ast.BinaryExpr:
-		s.scanExpr(e.X, h, inSelect)
-		s.scanExpr(e.Y, h, inSelect)
-	case *ast.ParenExpr:
-		s.scanExpr(e.X, h, inSelect)
-	case *ast.SelectorExpr:
-		s.scanExpr(e.X, h, inSelect)
-	case *ast.IndexExpr:
-		s.scanExpr(e.X, h, inSelect)
-		s.scanExpr(e.Index, h, inSelect)
-	case *ast.FuncLit:
-		// Runs at some other time, with locks we cannot see. Scan with an
-		// empty held-set so its own locking is still checked.
-		s.scanStmts(e.Body.List, make(held))
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			s.scanExpr(el, h, inSelect)
-		}
-	case *ast.KeyValueExpr:
-		s.scanExpr(e.Value, h, inSelect)
-	case *ast.StarExpr:
-		s.scanExpr(e.X, h, inSelect)
-	case *ast.TypeAssertExpr:
-		s.scanExpr(e.X, h, inSelect)
-	}
+func (c *checker) FlowEdge(_ *cfg.Block, _ int, _ *cfg.Block, s dataflow.State) dataflow.State {
+	return s
 }
 
-// call handles one call expression: mutex transitions, blocking checks,
-// and recursion into arguments.
-func (s *scanner) call(call *ast.CallExpr, h held) {
-	for _, arg := range call.Args {
-		s.scanExpr(arg, h, false)
-	}
-	if kind, key, typeKey := s.lockCall(call); kind != "" {
-		switch kind {
-		case "Lock", "RLock":
+// eval walks what n evaluates in place: lock calls update h, channel
+// operations (unless inComm) and blocking calls are checked against it.
+// Function literals are analyzed on their own.
+func (c *checker) eval(n ast.Node, h held, report, inComm bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SendStmt:
+			if !inComm {
+				c.blockingOp(n.Arrow, "channel send", h, report)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW && !inComm {
+				c.blockingOp(n.OpPos, "channel receive", h, report)
+			}
+		case *ast.CallExpr:
+			c.call(n, h, report)
+		}
+		return true
+	})
+}
+
+// call handles one call expression: a mutex transition or a blocking
+// check. Findings and lock-order edges are recorded only when report is
+// set, from converged states.
+func (c *checker) call(call *ast.CallExpr, h held, report bool) {
+	kind, key, typeKey := c.lockCall(call)
+	switch kind {
+	case "Lock", "RLock":
+		if report {
 			if prev, ok := h[key]; ok && !(kind == "RLock" && prev.kind == "RLock") {
-				s.pass.Reportf(call.Pos(),
+				c.pass.Reportf(call.Pos(),
 					"%s of %s which is already held (acquired at %s): guaranteed self-deadlock",
-					kind, key, s.pass.Fset.Position(prev.pos))
+					kind, key, c.pass.Fset.Position(prev.pos))
 			}
 			for _, prev := range h {
-				if prev.typeKey != typeKey {
-					if _, ok := s.edges[edge{prev.typeKey, typeKey}]; !ok {
-						s.edges[edge{prev.typeKey, typeKey}] = call.Pos()
-					}
+				if _, ok := c.edges[edge{prev.typeKey, typeKey}]; !ok && prev.typeKey != typeKey {
+					c.edges[edge{prev.typeKey, typeKey}] = call.Pos()
 				}
 			}
-			h[key] = &lockInfo{kind: kind, typeKey: typeKey, pos: call.Pos()}
-		case "Unlock", "RUnlock":
-			delete(h, key)
 		}
-		return
+		h[key] = &lockInfo{kind: kind, typeKey: typeKey, pos: call.Pos()}
+	case "Unlock", "RUnlock":
+		delete(h, key)
+	default:
+		c.checkBlockingCall(call, h, report)
 	}
-	s.checkBlockingCall(call, h)
 }
 
 // lockCall classifies a call as a sync.Mutex/RWMutex transition. It
 // returns the method kind, the instance key (source rendering of the
 // receiver, e.g. "t.mu"), and the type key (e.g. "Transport.mu").
-func (s *scanner) lockCall(call *ast.CallExpr) (kind, key, typeKey string) {
+func (c *checker) lockCall(call *ast.CallExpr) (kind, key, typeKey string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", "", ""
@@ -343,7 +294,7 @@ func (s *scanner) lockCall(call *ast.CallExpr) (kind, key, typeKey string) {
 	default:
 		return "", "", ""
 	}
-	fn, _ := s.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	fn, _ := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if fn == nil {
 		return "", "", ""
 	}
@@ -354,15 +305,15 @@ func (s *scanner) lockCall(call *ast.CallExpr) (kind, key, typeKey string) {
 	if name := recv.Obj().Name(); name != "Mutex" && name != "RWMutex" {
 		return "", "", ""
 	}
-	return sel.Sel.Name, types.ExprString(sel.X), s.typeKey(sel.X)
+	return sel.Sel.Name, types.ExprString(sel.X), c.typeKey(sel.X)
 }
 
 // typeKey renders a mutex expression as Type.field so the same lock is
 // named identically across functions ("t.mu" and "tr.mu" both become
 // "Transport.mu").
-func (s *scanner) typeKey(x ast.Expr) string {
+func (c *checker) typeKey(x ast.Expr) string {
 	if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
-		if tv, ok := s.pass.TypesInfo.Types[sel.X]; ok {
+		if tv, ok := c.pass.TypesInfo.Types[sel.X]; ok {
 			if named := analysis.NamedOf(tv.Type); named != nil {
 				return named.Obj().Name() + "." + sel.Sel.Name
 			}
@@ -372,8 +323,8 @@ func (s *scanner) typeKey(x ast.Expr) string {
 }
 
 // checkBlockingCall reports curated blocking callees while locked.
-func (s *scanner) checkBlockingCall(call *ast.CallExpr, h held) {
-	fn := analysis.Callee(s.pass.TypesInfo, call)
+func (c *checker) checkBlockingCall(call *ast.CallExpr, h held, report bool) {
+	fn := analysis.Callee(c.pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -384,18 +335,18 @@ func (s *scanner) checkBlockingCall(call *ast.CallExpr, h held) {
 			recvPkg = analysis.PkgBase(recv.Obj().Pkg().Path())
 		}
 		if blockingMethods[[3]string{recvPkg, recv.Obj().Name(), fn.Name()}] {
-			s.blockingOp(call.Pos(), fmt.Sprintf("call to (%s.%s).%s", recvPkg, recv.Obj().Name(), fn.Name()), h)
+			c.blockingOp(call.Pos(), fmt.Sprintf("call to (%s.%s).%s", recvPkg, recv.Obj().Name(), fn.Name()), h, report)
 		}
 		return
 	}
 	if blockingFuncs[[2]string{pkgBase, fn.Name()}] {
-		s.blockingOp(call.Pos(), fmt.Sprintf("call to %s.%s", pkgBase, fn.Name()), h)
+		c.blockingOp(call.Pos(), fmt.Sprintf("call to %s.%s", pkgBase, fn.Name()), h, report)
 	}
 }
 
-// blockingOp reports op if any mutex is currently held.
-func (s *scanner) blockingOp(pos token.Pos, op string, h held) {
-	if len(h) == 0 {
+// blockingOp reports op if any mutex may be held.
+func (c *checker) blockingOp(pos token.Pos, op string, h held, report bool) {
+	if !report || len(h) == 0 {
 		return
 	}
 	keys := make([]string, 0, len(h))
@@ -404,7 +355,7 @@ func (s *scanner) blockingOp(pos token.Pos, op string, h held) {
 	}
 	sort.Strings(keys)
 	info := h[keys[0]]
-	s.pass.Reportf(pos,
+	c.pass.Reportf(pos,
 		"%s while %s is held (acquired at %s): a blocked peer stalls every goroutine contending for this mutex; release it first or hand off to a goroutine",
-		op, keys[0], s.pass.Fset.Position(info.pos))
+		op, keys[0], c.pass.Fset.Position(info.pos))
 }

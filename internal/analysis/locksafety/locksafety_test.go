@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockSafety(t *testing.T) {
-	analysistest.Run(t, locksafety.Analyzer, "rpcnet", "stats", "worker")
+	analysistest.Run(t, locksafety.Analyzer, "rpcnet", "stats", "worker", "faultnet", "trace")
 }

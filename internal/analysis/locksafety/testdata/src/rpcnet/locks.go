@@ -55,6 +55,17 @@ func (t *Transport) selectWithDefault() int {
 	}
 }
 
+// A lock taken on one branch may still be held after the join.
+func (t *Transport) sendAfterBranchLock(locked bool) {
+	if locked {
+		t.mu.Lock()
+	}
+	t.ch <- 1 // want `channel send while t.mu is held`
+	if locked {
+		t.mu.Unlock()
+	}
+}
+
 func (t *Transport) releasedFirst() {
 	t.mu.Lock()
 	n := len(t.conns)

@@ -119,13 +119,10 @@ func checkEnums(pass *analysis.Pass) {
 			enums[named.Obj()] = append(enums[named.Obj()], c)
 		}
 	}
-	// Scan every non-test file for mapping references: case clauses and
+	// Scan every file for mapping references: case clauses and
 	// composite-literal keys resolve to constant uses.
 	covered := make(map[*types.Const]bool)
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CaseClause:
@@ -184,9 +181,6 @@ func markConst(pass *analysis.Pass, e ast.Expr, covered map[*types.Const]bool) {
 
 func checkEmitBeforeError(pass *analysis.Pass, base string) {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) == 0 {
