@@ -19,10 +19,10 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# lint builds tanklint (cmd/tanklint) and runs its six protocol-
+# lint builds tanklint (cmd/tanklint) and runs its five protocol-
 # invariant passes — clockhygiene, locksafety, ackdurable (disk acks and
-# the server's commit-before-send), traceexhaustive, hotpathalloc,
-# bufown — over the whole module with `tanklint ./...`. Exemptions need
+# the server's commit-before-send), traceexhaustive, bufown — over the
+# whole module with `tanklint ./...`. Exemptions need
 # a visible //lint:allow pass(reason) directive; `tanklint help <pass>`
 # lists the tree's current exemptions. First, any file gofmt would
 # rewrite fails the target by name. CI's lint job runs this target.
@@ -60,9 +60,10 @@ lint:
 # split, bursting and spanning reads arrive whole, a close behind the last
 # frame is seen, and Close from inside a handler ends the read loop
 # instead of waiting for it. The suite then runs once more under
-# -tags tankdebug, where bufpool.Put poisons released buffers (0xDB)
-# and double-Put panics with the first Put's stack: dynamic
-# cross-validation of what the static bufown pass proves per-path. Last,
+# -tags tankdebug, where bufpool.Put poisons released buffers (0xDB),
+# double-Put panics with the first Put's stack and an Envelope.Release
+# past its borrow panics: dynamic cross-validation of bufown's three
+# rules, which the static pass proves per path. Last,
 # ten seconds of fuzzing the wire decoder from every type's golden frame:
 # the one piece of the tree that parses bytes a peer chose.
 verify: lint

@@ -1,7 +1,10 @@
-// Command tanklint is the repository's protocol-invariant linter: six
+// Command tanklint is the repository's protocol-invariant linter: five
 // static-analysis passes that machine-check the discipline rules the
 // paper's safety argument (Theorem 3.1) and the zero-copy data path
-// rest on but the compiler cannot see.
+// rest on but the compiler cannot see. Each checks a rule whose breach
+// corrupts or loses bytes or stalls the lease machinery; what a rule
+// breach would only cost in allocations is pinned by allocation tests
+// beside the hot paths' benchmarks instead.
 //
 //	clockhygiene     protocol time flows through the injected sim.Clock
 //	                 (rate-synchronized clocks, DESIGN §3)
@@ -14,13 +17,9 @@
 //	                 every control message it sends (DESIGN §15)
 //	traceexhaustive  trace/drop/errno enums stay exhaustively mapped and
 //	                 protocol-error paths emit their trace events
-//	hotpathalloc     //tank:hotpath-marked codec primitives contain no
-//	                 allocating constructs outside the buffer pool
-//	                 (zero-copy wire codec, DESIGN §12)
-//	bufown           flow-sensitive ownership of pooled buffers: every
-//	                 bufpool.Get reaches exactly one Put or sanctioned
-//	                 //tank:owns transfer on every path, no use after
-//	                 Put, Envelope Retain/Release balance (DESIGN §16)
+//	bufown           a pooled buffer is Put at most once and never used
+//	                 after, and no Envelope.Release goes past its borrow
+//	                 (flow-sensitive, DESIGN §16)
 //
 // Usage:
 //
@@ -42,7 +41,6 @@ import (
 	"repro/internal/analysis/bufown"
 	"repro/internal/analysis/clockhygiene"
 	"repro/internal/analysis/driver"
-	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/locksafety"
 	"repro/internal/analysis/traceexhaustive"
 )
@@ -53,7 +51,6 @@ var Analyzers = []*analysis.Analyzer{
 	locksafety.Analyzer,
 	ackdurable.Analyzer,
 	traceexhaustive.Analyzer,
-	hotpathalloc.Analyzer,
 	bufown.Analyzer,
 }
 

@@ -63,20 +63,9 @@ func TestRepoClean(t *testing.T) {
 func TestDirectiveBudget(t *testing.T) {
 	root := repoRoot(t)
 	// The complete, intended exemption surface. A pass absent from this
-	// map has a budget of zero — bufown in particular ships with none:
-	// every sanctioned transfer is a //tank:owns/adopt/alias annotation
-	// the pass checks, not an exemption from checking.
+	// map has a budget of zero.
 	want := map[string]int{
 		"clockhygiene": 1, // (*File).sync fsync latency stamp, internal/blockstore/file.go
-		// internal/msg/binary.go: what a DECODE hands its caller — the
-		// envelope, a message's strings, its vectors, the copied-out
-		// FuncWrite/FuncReadRes data. The primitives that make them are
-		// also the encode path, which is why they carry the marker at all.
-		// internal/client/names.go: the slice a Readdir answered from the
-		// name cache hands its caller, the hit path's one allocation.
-		// internal/rpcnet/nodes.go: a Sync call's completion token, made
-		// per call so that no late done can reach a later call.
-		"hotpathalloc": 6,
 	}
 	dirs, err := driver.TreeAllows(root, "")
 	if err != nil {

@@ -9,5 +9,5 @@ import (
 
 func TestBufown(t *testing.T) {
 	analysistest.Run(t, bufown.Analyzer,
-		"bufpool", "msg", "wire", "rpcnet", "client", "cache", "disk")
+		"blockstore", "bufpool", "msg", "wire", "rpcnet")
 }

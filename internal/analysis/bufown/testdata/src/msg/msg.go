@@ -22,20 +22,3 @@ func (e *Envelope) Release() {
 		e.buf = nil
 	}
 }
-
-// DiskReadVRes and DiskReadRes stub the sending-side loan: the checker
-// matches their Lend by receiver type name and package basename, as the
-// borrow above.
-type DiskReadVRes struct {
-	Data []byte
-	lent bool
-}
-
-func (m *DiskReadVRes) Lend(buf []byte) { m.Data, m.lent = buf, true }
-
-type DiskReadRes struct {
-	Data []byte
-	lent bool
-}
-
-func (m *DiskReadRes) Lend(buf []byte) { m.Data, m.lent = buf, true }

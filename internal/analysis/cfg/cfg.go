@@ -8,9 +8,7 @@
 // execution order, and compound statements (if/for/switch/...) are
 // decomposed into blocks and edges. Conditions are recorded on the block
 // that evaluates them (Block.Cond), with the convention that for a
-// two-way branch Succs[0] is the true edge and Succs[1] the false edge,
-// so dataflow clients can refine facts per edge (e.g. the `err != nil`
-// guard over a just-received value).
+// two-way branch Succs[0] is the true edge and Succs[1] the false edge.
 //
 // Defer is modeled in place, not at exit: a *ast.DeferStmt appears as an
 // ordinary node in the block that registers it, and clients that care
@@ -434,7 +432,8 @@ func (b *builder) switchBody(body *ast.BlockStmt) {
 	// done. With a default — or for a select, which blocks until a
 	// case fires — every execution goes through some clause, and an
 	// extra head→done edge would manufacture a "no clause ran" path
-	// that cannot happen (a false leak report in bufown).
+	// that cannot happen (a false "lock may be held" after a switch that
+	// unlocks in every clause, in locksafety).
 	if !hasDefault {
 		head.Succs = append(head.Succs, done)
 	}

@@ -1,14 +1,13 @@
 // Package dataflow is a forward abstract-interpretation engine over the
-// CFGs of internal/analysis/cfg: a client supplies an abstract state, a
-// per-node transfer function, and (optionally) a per-edge refinement,
-// and Forward computes the fixpoint of block input states by worklist
-// iteration in reverse postorder.
+// CFGs of internal/analysis/cfg: a client supplies an abstract state and
+// a per-node transfer function, and Forward computes the fixpoint of
+// block input states by worklist iteration in reverse postorder.
 //
 // The engine is deliberately small and generic — it knows nothing about
 // buffers or locks. A client guarantees termination by making its state
 // a finite join-semilattice: Join must be monotone (the result covers
-// both inputs) and the state space finite (bufown uses bitsets over a
-// four-point ownership domain and clamped refcount deltas). A safety cap
+// both inputs) and the state space finite (bufown uses bitsets over two
+// buffer facts and over reference counts clamped at 3). A safety cap
 // on iterations turns a non-converging client into a loud error instead
 // of a hung lint run.
 package dataflow
@@ -37,12 +36,6 @@ type Client interface {
 	// only) from the final reporting pass (true: diagnostics allowed);
 	// clients that report during fixpoint would emit duplicates.
 	Transfer(n ast.Node, s State, report bool)
-	// FlowEdge refines the state flowing from one block to a specific
-	// successor — the hook for condition-derived facts (from.Cond is
-	// the branch condition; succIndex 0 is its true edge, 1 its false
-	// edge). The engine passes a private clone; return it (mutated or
-	// not).
-	FlowEdge(from *cfg.Block, succIndex int, to *cfg.Block, s State) State
 }
 
 // maxPasses bounds fixpoint iteration: state lattices here are tiny, so
@@ -99,15 +92,14 @@ func Forward(g *cfg.Graph, entry State, c Client) (*Result, error) {
 		for _, n := range b.Nodes {
 			c.Transfer(n, out, false)
 		}
-		for si, succ := range b.Succs {
-			edge := c.FlowEdge(b, si, succ, out.Clone())
+		for _, succ := range b.Succs {
 			target := res.In[succ.Index]
 			changed := false
 			if target == nil {
-				res.In[succ.Index] = edge.Clone()
+				res.In[succ.Index] = out.Clone()
 				changed = true
 			} else {
-				changed = target.JoinInto(edge)
+				changed = target.JoinInto(out)
 			}
 			if changed {
 				if pos, ok := order[succ]; ok && !inList[pos] {

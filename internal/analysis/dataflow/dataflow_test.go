@@ -13,7 +13,7 @@ import (
 // The test client runs classic reaching-definedness over a single
 // variable "x": the state records whether x has definitely been
 // assigned, maybe, or not at all — a three-point lattice exercising
-// joins, loops, and edge refinement.
+// joins and loops.
 
 type defState struct {
 	// 1 = assigned, 2 = unassigned; 3 = maybe (join of both).
@@ -29,11 +29,7 @@ func (s *defState) JoinInto(other State) bool {
 	return changed
 }
 
-type defClient struct {
-	// refuted counts FlowEdge calls that saw a condition, proving the
-	// hook fires with the branch indexes.
-	trueEdges, falseEdges int
-}
+type defClient struct{}
 
 func (c *defClient) Transfer(n ast.Node, s State, report bool) {
 	st := s.(*defState)
@@ -44,17 +40,6 @@ func (c *defClient) Transfer(n ast.Node, s State, report bool) {
 			}
 		}
 	}
-}
-
-func (c *defClient) FlowEdge(from *cfg.Block, si int, to *cfg.Block, s State) State {
-	if from.Cond != nil {
-		if si == 0 {
-			c.trueEdges++
-		} else {
-			c.falseEdges++
-		}
-	}
-	return s
 }
 
 func buildGraph(t *testing.T, body string) *cfg.Graph {
@@ -123,18 +108,6 @@ func TestInfiniteLoopNoExitState(t *testing.T) {
 	}
 }
 
-func TestFlowEdgeSeesBranchIndexes(t *testing.T) {
-	g := buildGraph(t, "var x, y int\nif y > 0 { x = 1 }\n_ = x")
-	cl := &defClient{}
-	if _, err := Forward(g, &defState{bits: 2}, cl); err != nil {
-		t.Fatal(err)
-	}
-	if cl.trueEdges == 0 || cl.falseEdges == 0 {
-		t.Fatalf("FlowEdge should see both edges of the condition: true=%d false=%d",
-			cl.trueEdges, cl.falseEdges)
-	}
-}
-
 func TestReportVisitsReachableBlocksOnce(t *testing.T) {
 	g := buildGraph(t, "var x, y int\nif y > 0 { x = 1 } else { x = 2 }\n_ = x")
 	res, err := Forward(g, &defState{bits: 2}, &defClient{})
@@ -163,9 +136,6 @@ func (r *recordingClient) Transfer(n ast.Node, s State, report bool) {
 		return
 	}
 	*r.visit = append(*r.visit, nodeKey(n))
-}
-func (r *recordingClient) FlowEdge(from *cfg.Block, si int, to *cfg.Block, s State) State {
-	return s
 }
 
 func nodeKey(n ast.Node) string {

@@ -227,10 +227,6 @@ func (c *checker) Transfer(n ast.Node, s dataflow.State, report bool) {
 	}
 }
 
-func (c *checker) FlowEdge(_ *cfg.Block, _ int, _ *cfg.Block, s dataflow.State) dataflow.State {
-	return s
-}
-
 // eval walks what n evaluates in place: lock calls update h, channel
 // operations (unless inComm) and blocking calls are checked against it.
 // Function literals are analyzed on their own.

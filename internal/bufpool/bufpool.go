@@ -16,6 +16,11 @@
 //     depends on a Put; only steady-state allocation rates do. When in
 //     doubt, leak to the GC.
 //
+// tanklint's bufown pass checks the half that can corrupt bytes — at most
+// one Put per Get, no use after it — and the tankdebug build checks it
+// again at run time; the allocation pins beside the hot paths' benchmarks
+// check the half that costs allocations.
+//
 // Buffers are rounded up to power-of-two classes between MinClass and
 // MaxClass; requests outside that range fall through to plain make and
 // are never pooled.
@@ -54,8 +59,6 @@ func classIndex(n int) int {
 
 // Get returns a buffer of length n. Contents are undefined (the buffer
 // is recycled unzeroed); the caller owns it until Put.
-//
-//tank:owns result
 func Get(n int) []byte {
 	if n > MaxClass {
 		return make([]byte, n)

@@ -50,7 +50,7 @@ func TestRecycles(t *testing.T) {
 // warm, a Get/Put cycle performs zero heap allocations — including the
 // *[]byte box Put parks the slice header in, which is itself recycled.
 func TestSteadyStateAllocFree(t *testing.T) {
-	if tankdebugEnabled {
+	if Debug {
 		t.Skip("tankdebug hooks allocate (first-Put stacks) by design")
 	}
 	// Warm the class and the box pool.

@@ -6,9 +6,10 @@ package bufpool
 // Get/Put pay nothing for the instrumentation that exists under the
 // tankdebug tag (see debug_tank.go).
 
-// tankdebugEnabled gates tests that assert allocation-freedom: the
-// debug hooks allocate (stack capture, poison bookkeeping) by design.
-const tankdebugEnabled = false
+// Debug reports a tankdebug build. Tests that pin allocation counts skip
+// when it is set: the debug hooks allocate (stack capture, poison
+// bookkeeping) by design.
+const Debug = false
 
 func debugGet(b []byte) {}
 

@@ -9,9 +9,10 @@ import (
 )
 
 // tankdebug is the dynamic complement of the static bufown pass: where
-// bufown proves the one-Put-per-buffer contract on paths it can see,
-// this instrumentation catches what it cannot — cross-goroutine
-// lifetimes, data-dependent aliasing — at runtime, loudly:
+// bufown checks its three rules — at most one Put, no use after it, no
+// Envelope.Release past its borrow — on the paths it can see, this
+// instrumentation catches what it cannot — cross-goroutine lifetimes,
+// data-dependent aliasing — at runtime, loudly:
 //
 //   - Put poisons the full capacity with 0xDB before parking the
 //     buffer, so a use-after-Put reads garbage instead of plausibly
@@ -20,13 +21,16 @@ import (
 //   - A second Put of the same backing array before an intervening Get
 //     panics, printing the stack of the first Put — the half of the
 //     bug report a crash at the *second* site never contains.
+//   - An Envelope.Release that takes the borrow's count below zero
+//     panics (internal/msg reads Debug).
 //
 // `make verify` runs the race suite once under this tag; the build is
 // never shipped (the poison pass is O(cap) per Put).
 
-// tankdebugEnabled gates tests that assert allocation-freedom: the
-// debug hooks allocate (stack capture, poison bookkeeping) by design.
-const tankdebugEnabled = true
+// Debug reports a tankdebug build. Tests that pin allocation counts skip
+// when it is set: the debug hooks allocate (stack capture, poison
+// bookkeeping) by design.
+const Debug = true
 
 // poisonByte fills released buffers. 0xDB ("dead buffer") is unlikely
 // to be a valid length prefix, opcode, or page checksum, so poisoned

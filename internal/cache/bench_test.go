@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
@@ -116,5 +117,48 @@ func BenchmarkWriteCow4K(b *testing.B) {
 		binary.BigEndian.PutUint64(data, uint64(i))
 		c.Write(1, 0, data, uint64(i))
 		c.MarkClean(1, 0)
+	}
+}
+
+// TestHitWriteFillAllocs pins in the tier-1 suite the allocation counts
+// the three benchmarks above report: a Lookup hit and a copy-on-write
+// Write with its write-back allocate nothing, and a Fill into a full cache
+// allocates only its Page.
+func TestHitWriteFillAllocs(t *testing.T) {
+	if bufpool.Debug {
+		t.Skip("tankdebug hooks allocate by design")
+	}
+	data := make([]byte, 4096)
+	c := New(nil, "")
+	c.Fill(1, 0, data, 1)
+	if got := testing.AllocsPerRun(1000, func() {
+		if c.Lookup(1, 0) == nil {
+			t.Fatal("miss")
+		}
+	}); got != 0 {
+		t.Errorf("Lookup hit: %v allocs, want 0", got)
+	}
+	i := uint64(0)
+	if got := testing.AllocsPerRun(1000, func() {
+		i++
+		binary.BigEndian.PutUint64(data, i)
+		c.Write(1, 0, data, i)
+		c.MarkClean(1, 0)
+	}); got != 0 {
+		t.Errorf("copy-on-write Write: %v allocs, want 0", got)
+	}
+	const quota = 64 * 4096
+	full := NewWithLimits(nil, "", 0, quota)
+	next := uint64(0)
+	fillOne := func() {
+		binary.BigEndian.PutUint64(data, next)
+		full.Fill(1, next, data, 1)
+		next++
+	}
+	for full.ResidentBytes() < quota {
+		fillOne()
+	}
+	if got := testing.AllocsPerRun(1000, fillOne); got != 1 {
+		t.Errorf("Fill with eviction: %v allocs, want 1", got)
 	}
 }

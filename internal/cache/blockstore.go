@@ -49,14 +49,10 @@ type block struct {
 // hash only buckets — nothing iterates the store in hash order where
 // the order could be observed — so a seed that differs from process to
 // process leaves simulated runs repeatable.
-//
-//tank:hotpath
 func (c *Cache) hash(b []byte) uint64 { return maphash.Bytes(c.seed, b) }
 
 // share takes a reference on the resident block holding exactly data;
 // nil when there is none.
-//
-//tank:hotpath
 func (c *Cache) share(h uint64, data []byte) *block {
 	for b := c.blocks[h]; b != nil; b = b.next {
 		if bytes.Equal(b.data, data) {
@@ -78,8 +74,6 @@ func (c *Cache) insert(h uint64, b *block) {
 // block when one with identical content is resident. The caller's data
 // may alias a transport receive buffer; it is copied before the turn
 // ends.
-//
-//tank:hotpath
 func (c *Cache) intern(data []byte) *block {
 	h := c.hash(data)
 	if b := c.share(h, data); b != nil {
@@ -94,8 +88,6 @@ func (c *Cache) intern(data []byte) *block {
 // promote files a flushed page's private block in the store: the page
 // shares an identical resident block and its own is freed, or its own
 // is inserted as it stands.
-//
-//tank:hotpath
 func (c *Cache) promote(p *Page) {
 	h := c.hash(p.blk.data)
 	if b := c.share(h, p.blk.data); b != nil {
@@ -170,7 +162,7 @@ func (c *Cache) setData(b *block, data []byte) {
 	c.addBytes(int64(len(data) - len(b.data)))
 	if cap(b.data) < len(data) {
 		bufpool.Put(b.data)
-		b.data = bufpool.Get(len(data)) //tank:adopt(a block owns its buffer from Get to freeBlock)
+		b.data = bufpool.Get(len(data)) // a block owns its buffer from Get to freeBlock
 	}
 	b.data = b.data[:len(data)]
 	copy(b.data, data)

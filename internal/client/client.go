@@ -488,13 +488,11 @@ func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 // sanCallBuf is sanCall for requests whose payload lives in a pooled
 // buffer: buf (if non-nil) is returned to the pool when the call is
 // acknowledged without ever having been retransmitted. See sanPending.
-//
-//tank:owns buf
 func (c *Client) sanCallBuf(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 	buf []byte, cb func(reply msg.Message, errno msg.Errno)) {
 	c.nextSANReq++
 	id := c.nextSANReq
-	p := &sanPending{cb: cb, buf: buf} //tank:adopt(returned on un-retransmitted ack; see completeSAN)
+	p := &sanPending{cb: cb, buf: buf}
 	c.sanCalls[id] = p
 	var transmit func()
 	transmit = func() {

@@ -98,8 +98,6 @@ func newNameCache(on bool, reg *stats.Registry, prefix string) nameCache {
 // --- the hit path ------------------------------------------------------------
 
 // find looks name up among the entries held.
-//
-//tank:hotpath
 func (d *dirNames) find(name string) (int, bool) {
 	lo, hi := 0, len(d.ents)
 	for lo < hi {
@@ -114,8 +112,6 @@ func (d *dirNames) find(name string) (int, bool) {
 }
 
 // file looks ino up among the attributes held.
-//
-//tank:hotpath
 func (d *dirNames) file(ino msg.ObjectID) (int, bool) {
 	lo, hi := 0, len(d.files)
 	for lo < hi {
@@ -130,8 +126,6 @@ func (d *dirNames) file(ino msg.ObjectID) (int, bool) {
 }
 
 // touch makes d the most recently used directory.
-//
-//tank:hotpath
 func (n *nameCache) touch(d *dirNames) {
 	if n.head == d {
 		return
@@ -147,7 +141,6 @@ func (n *nameCache) touch(d *dirNames) {
 	}
 }
 
-//tank:hotpath
 func (n *nameCache) unlink(d *dirNames) {
 	if d.prev != nil {
 		d.prev.next = d.next
@@ -167,8 +160,6 @@ func (n *nameCache) unlink(d *dirNames) {
 // the object's attributes, or that a name on the way does not exist —
 // only when every step it took is covered; at the first directory it does
 // not hold, or name it does not know, it reports a miss.
-//
-//tank:hotpath
 func (c *Client) cachedLookup(path string) (attr msg.Attr, errno msg.Errno, hit bool) {
 	n := &c.names
 	it, ok := meta.IterPath(path)
@@ -217,8 +208,6 @@ func (c *Client) cachedLookup(path string) (attr msg.Attr, errno msg.Errno, hit 
 
 // cachedStat answers a stat by inode: a file's attributes under its
 // parent's lock, a directory's under its own.
-//
-//tank:hotpath
 func (c *Client) cachedStat(ino msg.ObjectID) (msg.Attr, bool) {
 	n := &c.names
 	if d := n.where[ino]; d != nil {
@@ -238,15 +227,12 @@ func (c *Client) cachedStat(ino msg.ObjectID) (msg.Attr, bool) {
 
 // cachedList answers a readdir from a complete listing. The slice is the
 // caller's; the names in it are the cached strings.
-//
-//tank:hotpath
 func (c *Client) cachedList(ino msg.ObjectID) ([]msg.DirEntry, bool) {
 	d := c.names.dirs[ino]
 	if d == nil || !d.complete {
 		return nil, false
 	}
 	c.names.touch(d)
-	//lint:allow hotpathalloc(the one slice a listing hands out)
 	out := make([]msg.DirEntry, len(d.ents))
 	copy(out, d.ents)
 	c.oracle.ListServed(c.id, ino, out)

@@ -69,8 +69,6 @@ type coder struct {
 
 // short reports (and records) that a decode cannot consume n more bytes.
 // Every read goes through it, so a corrupt frame fails and never panics.
-//
-//tank:hotpath
 func (c *coder) short(n int) bool {
 	if c.bad || n < 0 || len(c.b)-c.off < n {
 		c.bad = true
@@ -83,7 +81,6 @@ func (c *coder) short(n int) bool {
 // slice index, which the round-trip tests would catch as a sizing and
 // an encoding walk that disagree.
 
-//tank:hotpath
 func (c *coder) u8(v *uint8) {
 	switch c.mode {
 	case encoding:
@@ -97,7 +94,6 @@ func (c *coder) u8(v *uint8) {
 	c.off++
 }
 
-//tank:hotpath
 func (c *coder) u32(v *uint32) {
 	switch c.mode {
 	case encoding:
@@ -111,7 +107,6 @@ func (c *coder) u32(v *uint32) {
 	c.off += 4
 }
 
-//tank:hotpath
 func (c *coder) u64(v *uint64) {
 	switch c.mode {
 	case encoding:
@@ -129,7 +124,6 @@ func (c *coder) u64(v *uint64) {
 // an encode must never write to a message, because a retry can be
 // encoding the same one on another goroutine.
 
-//tank:hotpath
 func (c *coder) b1(v *bool) {
 	var x uint8
 	if *v {
@@ -141,7 +135,6 @@ func (c *coder) b1(v *bool) {
 	}
 }
 
-//tank:hotpath
 func (c *coder) i32(v *int32) {
 	x := uint32(*v)
 	c.u32(&x)
@@ -150,7 +143,6 @@ func (c *coder) i32(v *int32) {
 	}
 }
 
-//tank:hotpath
 func (c *coder) i64(v *int64) {
 	x := uint64(*v)
 	c.u64(&x)
@@ -159,22 +151,16 @@ func (c *coder) i64(v *int64) {
 	}
 }
 
-//tank:hotpath
 func (c *coder) node(v *NodeID) { c.i32((*int32)(v)) }
 
-//tank:hotpath
 func (c *coder) req(v *ReqID) { c.u64((*uint64)(v)) }
 
-//tank:hotpath
 func (c *coder) ino(v *ObjectID) { c.u64((*uint64)(v)) }
 
-//tank:hotpath
 func (c *coder) errno(v *Errno) { c.u8((*uint8)(v)) }
 
-//tank:hotpath
 func (c *coder) lock(v *LockMode) { c.u8((*uint8)(v)) }
 
-//tank:hotpath
 func (c *coder) str(v *string) {
 	n := uint32(len(*v))
 	c.u32(&n)
@@ -186,7 +172,6 @@ func (c *coder) str(v *string) {
 			return
 		}
 		if n > 0 {
-			//lint:allow hotpathalloc(a decoded message owns its strings)
 			*v = string(c.b[c.off : c.off+int(n)])
 		}
 	}
@@ -199,8 +184,6 @@ func (c *coder) str(v *string) {
 // them — the sender transmits them from the caller's buffer. Decoding
 // ALIASES the frame: the field is valid only while the envelope's borrow
 // is held. An empty field decodes as nil.
-//
-//tank:hotpath
 func (c *coder) tail(v *[]byte) {
 	n := uint32(len(*v))
 	c.u32(&n)
@@ -218,12 +201,9 @@ func (c *coder) tail(v *[]byte) {
 
 // tailCopy is tail for fields whose consumers outlive the receive
 // handler: decoding copies the bytes out of the frame.
-//
-//tank:hotpath
 func (c *coder) tailCopy(v *[]byte) {
 	c.tail(v)
 	if c.mode == decoding && *v != nil {
-		//lint:allow hotpathalloc(the copy is the point: the field outlives the frame)
 		*v = append([]byte(nil), *v...)
 	}
 }
@@ -233,8 +213,6 @@ func (c *coder) tailCopy(v *[]byte) {
 // actually remaining (elem is an element's minimum encoded size), so a
 // corrupt count can never drive an oversized allocation, and allocates
 // the vector; a zero count decodes as nil.
-//
-//tank:hotpath
 func vec[T any](c *coder, s *[]T, elem int) []T {
 	n := uint32(len(*s))
 	c.u32(&n)
@@ -244,21 +222,18 @@ func vec[T any](c *coder, s *[]T, elem int) []T {
 			return nil
 		}
 		if n > 0 {
-			//lint:allow hotpathalloc(a decoded message owns its vectors)
 			*s = make([]T, n)
 		}
 	}
 	return *s
 }
 
-//tank:hotpath
 func (c *coder) hdr(h *ReqHeader) {
 	c.node(&h.Client)
 	c.req(&h.Req)
 	c.u32((*uint32)(&h.Epoch))
 }
 
-//tank:hotpath
 func (c *coder) attr(a *Attr) {
 	c.ino(&a.Ino)
 	c.b1(&a.IsDir)
@@ -267,7 +242,6 @@ func (c *coder) attr(a *Attr) {
 	c.u32(&a.Nlink)
 }
 
-//tank:hotpath
 func (c *coder) blockRefs(s *[]BlockRef) {
 	refs := vec(c, s, 12)
 	for i := range refs {
@@ -276,7 +250,6 @@ func (c *coder) blockRefs(s *[]BlockRef) {
 	}
 }
 
-//tank:hotpath
 func (c *coder) inos(s *[]ObjectID) {
 	inos := vec(c, s, 8)
 	for i := range inos {
@@ -284,7 +257,6 @@ func (c *coder) inos(s *[]ObjectID) {
 	}
 }
 
-//tank:hotpath
 func (c *coder) errnos(s *[]Errno) {
 	errs := vec(c, s, 1)
 	for i := range errs {
@@ -294,8 +266,6 @@ func (c *coder) errnos(s *[]Errno) {
 
 // result walks a Reply body: a result-type byte (brNil for no body),
 // then the result's own layout.
-//
-//tank:hotpath
 func (c *coder) result(body *Result) {
 	var id uint8
 	r, _ := (*body).(wireResult)
@@ -327,8 +297,6 @@ func (c *coder) result(body *Result) {
 // Reply.Body, so a layout walks its receiver's own copy; when decoding,
 // that copy IS the result, and keep stores it in the Reply — boxing it,
 // the one allocation a decoded result costs.
-//
-//tank:hotpath
 func keep[R Result](c *coder, r R) {
 	if c.mode == decoding {
 		*c.out = r
@@ -338,8 +306,6 @@ func keep[R Result](c *coder, r R) {
 // envelope walks a whole frame body: the header, whose type byte names
 // the payload, then the payload's layout. Decoding constructs the
 // payload the type byte asks for.
-//
-//tank:hotpath
 func (c *coder) envelope(env *Envelope) {
 	var id uint8
 	m, _ := env.Payload.(wireMessage)
@@ -374,8 +340,6 @@ type Coder struct{ c coder }
 
 // walk runs one envelope walk: n is the bytes counted, written or
 // consumed, and tail the bulk Data field a sizing walk found.
-//
-//tank:hotpath
 func (k *Coder) walk(mode coderMode, b []byte, env *Envelope) (n int, tail []byte, ok bool) {
 	c := &k.c
 	*c = coder{mode: mode, b: b}
@@ -389,8 +353,6 @@ func (k *Coder) walk(mode coderMode, b []byte, env *Envelope) (n int, tail []byt
 // zero-copy data tail. The full body is the metadata section followed
 // immediately by the tail; Encode writes exactly meta bytes and the
 // caller transmits (or appends) the tail itself.
-//
-//tank:hotpath
 func (k *Coder) Size(env *Envelope) (meta int, tail []byte, err error) {
 	meta, tail, ok := k.walk(sizing, nil, env)
 	if !ok {
@@ -403,8 +365,6 @@ func (k *Coder) Size(env *Envelope) (meta int, tail []byte, err error) {
 // zero-copy tail reported by Size — into dst, which must be exactly
 // meta bytes long. Steady-state encoding performs no allocation: page
 // data stays in the caller's buffers and travels as the frame tail.
-//
-//tank:hotpath
 func (k *Coder) Encode(dst []byte, env *Envelope) error {
 	if n, _, ok := k.walk(encoding, dst, env); !ok || n != len(dst) {
 		return ErrNoBinaryLayout
@@ -418,10 +378,7 @@ func (k *Coder) Encode(dst []byte, env *Envelope) error {
 // caller owns body's lifetime and signals it via Envelope.Borrowed —
 // while FuncWrite.Data and FuncReadRes.Data are copied out. A frame that
 // does not parse returns ErrCorruptFrame; corrupt input never panics.
-//
-//tank:hotpath
 func (k *Coder) Decode(body []byte) (*Envelope, error) {
-	//lint:allow hotpathalloc(the envelope is what a decode returns)
 	env := &Envelope{}
 	if n, _, ok := k.walk(decoding, body, env); !ok || n != len(body) {
 		return nil, ErrCorruptFrame

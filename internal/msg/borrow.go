@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/bufpool"
@@ -21,10 +22,8 @@ type borrowCell struct {
 // Retain have been matched by Release. The transport attaches this on
 // receive and releases after the handler returns; a handler that keeps
 // payload data past its own return must Retain first (or copy the data).
-//
-//tank:owns buf
 func (e *Envelope) Borrowed(buf []byte) {
-	c := &borrowCell{buf: buf} //tank:adopt(the cell holds it until the last Release)
+	c := &borrowCell{buf: buf}
 	c.refs.Store(1)
 	e.borrow = c
 }
@@ -40,11 +39,18 @@ func (e *Envelope) Retain() {
 
 // Release drops one reference; the last release returns the buffer to
 // the pool. The payload (and anything aliasing it) must not be touched
-// afterwards. No-op for envelopes that borrow nothing.
+// afterwards. No-op for envelopes that borrow nothing. A Release past
+// the last reference does nothing either, except in a tankdebug build,
+// where it panics.
 func (e *Envelope) Release() {
-	if c := e.borrow; c != nil && c.refs.Add(-1) == 0 {
-		bufpool.Put(c.buf)
-		c.buf = nil
+	if c := e.borrow; c != nil {
+		switch n := c.refs.Add(-1); {
+		case n == 0:
+			bufpool.Put(c.buf)
+			c.buf = nil
+		case n < 0 && bufpool.Debug:
+			panic(fmt.Sprintf("msg: Envelope.Release past its borrow (reference count %d)", n))
+		}
 	}
 }
 
@@ -54,19 +60,15 @@ func (e *Envelope) Release() {
 // the fabric ends the loan with EndLoan when nothing of its own still
 // reads the payload. The mark is an unexported flag, not a field the wire
 // layout, gob or a reflecting test would have to know about.
-//
-//tank:owns buf
 func (m *DiskReadVRes) Lend(buf []byte) {
-	m.Data = buf //tank:adopt(the reply holds it until the fabric's EndLoan)
+	m.Data = buf
 	m.lent = true
 }
 
 // Lend is DiskReadVRes.Lend for the scalar reply: a one-block payload
 // the media read into a pooled buffer.
-//
-//tank:owns buf
 func (m *DiskReadRes) Lend(buf []byte) {
-	m.Data = buf //tank:adopt(the reply holds it until the fabric's EndLoan)
+	m.Data = buf
 	m.lent = true
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
@@ -75,6 +76,28 @@ func BenchmarkExecutorDo(b *testing.B) {
 	b.StopTimer()
 	if n != b.N {
 		b.Fatalf("%d of %d tasks ran before Do returned", n, b.N)
+	}
+}
+
+// TestSendAndDoAllocs pins in the tier-1 suite what BenchmarkExecutorDo
+// and BenchmarkTransportSend report: a task run on an idle executor and a
+// control message written inline to a connected peer allocate nothing.
+func TestSendAndDoAllocs(t *testing.T) {
+	if bufpool.Debug {
+		t.Skip("tankdebug hooks allocate by design")
+	}
+	e := NewExecutor()
+	go e.Run()
+	defer e.Close()
+	n := 0
+	task := func() { n++ }
+	if got := testing.AllocsPerRun(1000, func() { e.Do(task) }); got != 0 {
+		t.Errorf("Executor.Do: %v allocs, want 0", got)
+	}
+	tr := connectedSender(t)
+	m := keepAlive(1)
+	if got := testing.AllocsPerRun(1000, func() { tr.Send(2, m) }); got != 0 {
+		t.Errorf("Transport.Send: %v allocs, want 0", got)
 	}
 }
 

@@ -83,8 +83,6 @@ func (e *Executor) Instrument(reg *stats.Registry, prefix string, clock sim.Cloc
 // nothing is running and nothing is queued; otherwise it enqueues fn as
 // Submit does and returns. Either way fn may have run when Do returns, or
 // may not have. Tasks after Close are dropped.
-//
-//tank:hotpath
 func (e *Executor) Do(fn func()) {
 	e.mu.Lock()
 	if e.closed {

@@ -479,10 +479,7 @@ func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 
 // await is Sync's pump. The branch that returns first is the cache hit:
 // it makes no channel and arms no timer.
-//
-//tank:hotpath
 func (n *ClientNode) await(start func(done func()), timeout time.Duration) bool {
-	//lint:allow hotpathalloc(the completion token is per call: a late done from an earlier call has nothing of a later one to complete)
 	c := &syncCall{start: start}
 	n.Exec.Do(c.run)
 	if c.state.Load() == callDone {

@@ -385,11 +385,23 @@ func TestInboundConnectionTakesQueuedFrames(t *testing.T) {
 // link's token — the path every send takes while nothing is queued. Its
 // allocs/op must be 0.
 func BenchmarkTransportSend(b *testing.B) {
+	tr := connectedSender(b)
+	m := keepAlive(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Send(2, m)
+	}
+}
+
+// connectedSender returns transport 1 with an idle link to peer 2, a
+// loopback listener that reads and discards everything.
+func connectedSender(tb testing.TB) *Transport {
 	ln, err := net.Listen("tcp", Loopback())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer ln.Close()
+	tb.Cleanup(func() { ln.Close() })
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -399,13 +411,8 @@ func BenchmarkTransportSend(b *testing.B) {
 		c.Close()
 	}()
 	tr := New(1, map[msg.NodeID]string{2: ln.Addr().String()}, func(msg.Envelope) {})
-	defer tr.Close()
-	m := keepAlive(1)
-	tr.Send(2, m)
-	waitFor(b, "the link to connect", idle(tr, 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Send(2, m)
-	}
+	tb.Cleanup(func() { tr.Close() })
+	tr.Send(2, keepAlive(1))
+	waitFor(tb, "the link to connect", idle(tr, 2))
+	return tr
 }

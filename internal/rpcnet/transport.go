@@ -307,8 +307,6 @@ func (t *Transport) readLoop(l *link, codec *wire.Codec) {
 // (msg.EndLoan) goes back to its pool when its frame has been written or
 // dropped, or when there is no way to the peer; one the fault plan drops
 // is left to the garbage collector.
-//
-//tank:hotpath
 func (t *Transport) Send(to msg.NodeID, m msg.Message) {
 	if f := t.faults.Load(); f != nil {
 		v := f.JudgeSend(t.self, to)
@@ -330,8 +328,6 @@ func (t *Transport) delay(to msg.NodeID, m msg.Message, d time.Duration) {
 }
 
 // send is Send after the fault plan.
-//
-//tank:hotpath
 func (t *Transport) send(to msg.NodeID, m msg.Message) {
 	if l := t.linkTo(to); l != nil {
 		l.send(m)
@@ -477,8 +473,6 @@ func newLink(t *Transport, peer msg.NodeID) *link {
 }
 
 // send encodes m and writes it inline if the link is idle, or queues it.
-//
-//tank:hotpath
 func (l *link) send(m msg.Message) {
 	env := msg.Envelope{From: l.t.self, To: l.peer, Payload: m}
 	l.mu.Lock()

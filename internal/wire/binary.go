@@ -138,8 +138,6 @@ type Frame struct {
 // allocated: refused at the far end it reads as a corrupt length prefix,
 // and the connection dies with everything else in flight on it while
 // the sender retries the same frame.
-//
-//tank:hotpath
 func Encode(enc *msg.Coder, env *msg.Envelope) (Frame, error) {
 	meta, tail, err := enc.Size(env)
 	if err != nil {
@@ -154,13 +152,11 @@ func Encode(enc *msg.Coder, env *msg.Envelope) (Frame, error) {
 		bufpool.Put(buf)
 		return Frame{}, err
 	}
-	return Frame{head: buf, tail: tail, m: env.Payload}, nil //tank:adopt(the frame owns its head until Release)
+	return Frame{head: buf, tail: tail, m: env.Payload}, nil
 }
 
 // Release ends the frame, written or dropped: its head goes back to the
 // pool, and a payload its sender lent ends its loan (msg.EndLoan).
-//
-//tank:hotpath
 func (f *Frame) Release() {
 	bufpool.Put(f.head)
 	msg.EndLoan(f.m)
@@ -187,8 +183,6 @@ func (f *Frame) rest() (head, tail []byte) {
 // said, so a full socket (EAGAIN) is nothing written rather than a wait.
 // It reports whether f is now wholly written; what is not stays in f for
 // WriteFrames. The caller holds the connection's write token.
-//
-//tank:hotpath
 func (c *Codec) TryWrite(f *Frame) (bool, error) {
 	if c.raw == nil {
 		return false, nil
@@ -262,8 +256,6 @@ func (c *Codec) WriteFrames(fs []Frame) error {
 // socket has taken it all. Safe for concurrent use; a connection written
 // with Send is not also written with TryWrite/WriteFrames. Unlike a
 // frame's Release, Send leaves a lent payload's loan to its caller.
-//
-//tank:hotpath
 func (c *Codec) Send(env *msg.Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -345,8 +337,6 @@ func (c *Codec) reportsQueue() bool {
 // returns false — wait for the next readiness event — once a read has
 // left the receive queue empty, or found it so, and true when Serve is
 // done.
-//
-//tank:hotpath
 func (c *Codec) readFrames(fd uintptr) bool {
 	for {
 		if c.state.Load() == closed {
@@ -462,7 +452,7 @@ func (c *Codec) next() (*msg.Envelope, error) {
 			return c.decode(body)
 		}
 		c.r, c.w = 0, 0
-		c.body, c.got = body, got //tank:adopt(the codec holds a body until its last byte is read)
+		c.body, c.got = body, got // the codec holds a body until its last byte is read
 		return nil, nil
 	}
 	if c.got < len(c.body) {
@@ -474,8 +464,6 @@ func (c *Codec) next() (*msg.Envelope, error) {
 }
 
 // decode decodes a frame's body, which the envelope's borrow then owns.
-//
-//tank:owns body
 func (c *Codec) decode(body []byte) (*msg.Envelope, error) {
 	env, err := c.dec.Decode(body)
 	if err != nil {
