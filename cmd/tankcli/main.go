@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -67,9 +66,9 @@ func main() {
 		log.Fatal("usage: tankcli [flags] COMMAND ARGS...\ncommands: mkdir create ls stat rm mv write read idle role")
 	}
 
-	diskAddrs, err := parseDisks(*disksFlag)
+	diskAddrs, err := rpcnet.ParseAddrBook(*disksFlag)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-disks: %v", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Tau = *tau
@@ -85,17 +84,17 @@ func main() {
 	case *shardsFlag != "":
 		// Placement is the topology's default: hash over the sorted
 		// authority IDs, the map every tankd derives from the same book.
-		servers, err := parseDisks(*shardsFlag)
+		servers, err := rpcnet.ParseAddrBook(*shardsFlag)
 		if err != nil {
 			log.Fatalf("-shards: %v", err)
 		}
 		topo = rpcnet.Topology{Servers: servers, Disks: diskAddrs}
 	case *replFlag != "":
-		members, err := parseDisks(*replFlag)
+		members, err := rpcnet.ParseAddrBook(*replFlag)
 		if err != nil {
 			log.Fatalf("-replicas: %v", err)
 		}
-		group := replicaGroup(members)
+		group := rpcnet.ReplicaGroup(members)
 		topo.Server = group[0]
 		topo.ServerAddr = members[group[0]]
 		topo.Servers = members
@@ -352,35 +351,4 @@ func (c *cli) run(args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-// replicaGroup orders a -replicas book's member IDs. The first — the
-// lowest — is the group's primary: the authority identity the client
-// routes by, matching what each tankd derives from the same book.
-func replicaGroup(members map[msg.NodeID]string) []msg.NodeID {
-	group := make([]msg.NodeID, 0, len(members))
-	for m := range members {
-		group = append(group, m)
-	}
-	slices.Sort(group)
-	return group
-}
-
-func parseDisks(s string) (map[msg.NodeID]string, error) {
-	out := make(map[msg.NodeID]string)
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad -disks entry %q (want id=addr)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad disk id %q: %v", kv[0], err)
-		}
-		out[msg.NodeID(id)] = kv[1]
-	}
-	return out, nil
 }

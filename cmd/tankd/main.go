@@ -66,9 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -185,7 +182,7 @@ func main() {
 	topo := rpcnet.Topology{Server: msg.NodeID(*shardID), ServerAddr: *ctrlAddr,
 		Disks: make(map[msg.NodeID]string)}
 	if *shardsFlag != "" {
-		servers, err := parseAddrBook(*shardsFlag)
+		servers, err := rpcnet.ParseAddrBook(*shardsFlag)
 		if err != nil {
 			log.Fatalf("-shards: %v", err)
 		}
@@ -195,14 +192,14 @@ func main() {
 		topo.Servers = servers
 	}
 	if *replFlag != "" {
-		members, err := parseAddrBook(*replFlag)
+		members, err := rpcnet.ParseAddrBook(*replFlag)
 		if err != nil {
 			log.Fatalf("-replicas: %v", err)
 		}
 		if _, ok := members[topo.Server]; !ok {
 			log.Fatalf("-replicas %q does not include this node (-shard-id %d)", *replFlag, *shardID)
 		}
-		group := replicaGroup(members)
+		group := rpcnet.ReplicaGroup(members)
 		if topo.Servers == nil {
 			topo.Servers = make(map[msg.NodeID]string)
 		}
@@ -219,7 +216,7 @@ func main() {
 		// their addresses (fencing, function-shipping) and capacities
 		// (block allocation). A replica member that hosts no disks of its
 		// own is useless as a successor without this view.
-		remote, err := parseAddrBook(*sanDisks)
+		remote, err := rpcnet.ParseAddrBook(*sanDisks)
 		if err != nil {
 			log.Fatalf("-san-disks: %v", err)
 		}
@@ -383,34 +380,4 @@ func diskFlag(addrs map[msg.NodeID]string, base int) string {
 		out += fmt.Sprintf("%d=%s", id, addr)
 	}
 	return out
-}
-
-// replicaGroup orders a -replicas book's member IDs. The first — the
-// lowest — is the group's primary: the authority identity clients route
-// by. Every tankd and tankcli of the installation derives the same
-// ordering from the same book.
-func replicaGroup(members map[msg.NodeID]string) []msg.NodeID {
-	group := make([]msg.NodeID, 0, len(members))
-	for m := range members {
-		group = append(group, m)
-	}
-	slices.Sort(group)
-	return group
-}
-
-// parseAddrBook parses "id=addr,id=addr,..." into a node address book.
-func parseAddrBook(s string) (map[msg.NodeID]string, error) {
-	out := make(map[msg.NodeID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad entry %q (want id=addr)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad node id %q: %v", kv[0], err)
-		}
-		out[msg.NodeID(id)] = kv[1]
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/rpcnet"
 )
 
 func TestPolicyByName(t *testing.T) {
@@ -29,17 +30,20 @@ func TestDiskFlag(t *testing.T) {
 }
 
 func TestParseAddrBook(t *testing.T) {
-	got, err := parseAddrBook("1=127.0.0.1:7001, 2=127.0.0.1:7002")
+	got, err := rpcnet.ParseAddrBook("1=127.0.0.1:7001, 2=127.0.0.1:7002")
 	if err != nil || len(got) != 2 || got[1] != "127.0.0.1:7001" || got[2] != "127.0.0.1:7002" {
-		t.Fatalf("parseAddrBook = %v, %v", got, err)
+		t.Fatalf("ParseAddrBook = %v, %v", got, err)
 	}
-	if _, err := parseAddrBook("nonsense"); err == nil {
+	if m, err := rpcnet.ParseAddrBook(""); err != nil || len(m) != 0 {
+		t.Fatalf("empty: %v %v", m, err)
+	}
+	if _, err := rpcnet.ParseAddrBook("nonsense"); err == nil {
 		t.Fatal("bad entry accepted")
 	}
 }
 
 func TestReplicaGroupPrimaryIsLowestID(t *testing.T) {
-	group := replicaGroup(map[msg.NodeID]string{
+	group := rpcnet.ReplicaGroup(map[msg.NodeID]string{
 		201: "127.0.0.1:7003", 1: "127.0.0.1:7001", 101: "127.0.0.1:7002",
 	})
 	if len(group) != 3 || group[0] != 1 || group[1] != 101 || group[2] != 201 {

@@ -55,22 +55,25 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 	})
 }
 
-// sizePush is what an object owes the server about its size. It exists
-// from the first write that extends the file until the next settle
-// point — Sync, the trim, Truncate, the periodic flush — has seen the
-// final size acknowledged. Writes only mark the size owed; the settle
-// point is what sends it.
+// sizePush is what an object owes the server about its size, in its
+// record. It is pending from the first write that extends the file until
+// the next settle point — Sync, the trim, Truncate, the periodic flush —
+// has seen the final size acknowledged. Writes only mark the size owed;
+// the settle point is what sends it.
 type sizePush struct {
 	// inflight: a SetAttr is unacknowledged. There is never a second.
 	inflight bool
 	// owed: the size has grown since the last SetAttr was sent.
 	owed bool
-	// err is why a SetAttr failed; the entry retires with it.
+	// err is why a SetAttr failed; the push retires with it.
 	err msg.Errno
 	// waiters are the settle points waiting; while there are any, an
 	// acknowledgment sends what is owed, and they run when nothing is.
 	waiters []func(msg.Errno)
 }
+
+// pending reports whether the server does not have the size yet.
+func (p *sizePush) pending() bool { return p.owed || p.inflight || len(p.waiters) > 0 }
 
 // maybeExtend moves the cached size forward after a write past the end
 // of file and marks it owed. It sends nothing: the server hears the size
@@ -85,15 +88,12 @@ func (c *Client) maybeExtend(ino msg.ObjectID, idx uint64, n int) {
 		return
 	}
 	o.Attr.Size = end
-	p := c.sizePush[ino]
-	if p == nil {
-		p = &sizePush{}
-		c.sizePush[ino] = p
-	}
-	p.owed = true
+	c.obj(ino).push.owed = true
 }
 
-func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
+// sendSize pushes size for ino, whose record is o.
+func (c *Client) sendSize(ino msg.ObjectID, o *object, size uint64) {
+	p := &o.push
 	p.owed, p.inflight = false, true
 	c.changeBegin()
 	c.call(&msg.SetAttr{Ino: ino, NewSize: size}, func(r *msg.Reply) {
@@ -106,51 +106,54 @@ func (c *Client) sendSize(ino msg.ObjectID, p *sizePush, size uint64) {
 			p.owed, p.err = false, errno
 		}
 		c.changeEnd()
-		c.stepSize(ino, p)
+		c.stepSize(ino, o)
 	})
 }
 
 // stepSize moves a settling object forward: send what is owed, or, with
-// nothing owed and nothing in flight, retire the entry and release the
+// nothing owed and nothing in flight, retire the push and release the
 // settle points waiting on it.
-func (c *Client) stepSize(ino msg.ObjectID, p *sizePush) {
+func (c *Client) stepSize(ino msg.ObjectID, o *object) {
+	p := &o.push
 	if p.inflight || len(p.waiters) == 0 {
 		return
 	}
-	if o := c.cache.Object(ino); p.owed && o != nil && o.HaveAttr {
-		c.sendSize(ino, p, o.Attr.Size)
+	if co := c.cache.Object(ino); p.owed && co != nil && co.HaveAttr {
+		c.sendSize(ino, o, co.Attr.Size)
 		return
 	}
-	if c.sizePush[ino] == p {
-		delete(c.sizePush, ino)
-	}
-	for _, w := range p.waiters {
-		w(p.err)
+	waiters, err := p.waiters, p.err
+	*p = sizePush{}
+	c.tidy(ino, o)
+	for _, w := range waiters {
+		w(err)
 	}
 }
 
 // settleSize runs fn once the server has ino's size, or once pushing it
 // has failed, with the failure.
 func (c *Client) settleSize(ino msg.ObjectID, fn func(msg.Errno)) {
-	p := c.sizePush[ino]
-	if p == nil {
+	o := c.objs[ino]
+	if o == nil || !o.push.pending() {
 		fn(msg.OK)
 		return
 	}
-	p.waiters = append(p.waiters, fn)
-	c.stepSize(ino, p)
+	o.push.waiters = append(o.push.waiters, fn)
+	c.stepSize(ino, o)
 }
 
 // settleSizes runs fn once the server has the size of every object, with
 // the first failure among them.
 func (c *Client) settleSizes(fn func(msg.Errno)) {
-	if len(c.sizePush) == 0 {
+	var inos []msg.ObjectID
+	for ino, o := range c.objs {
+		if o.push.pending() {
+			inos = append(inos, ino)
+		}
+	}
+	if len(inos) == 0 {
 		fn(msg.OK)
 		return
-	}
-	inos := make([]msg.ObjectID, 0, len(c.sizePush))
-	for ino := range c.sizePush {
-		inos = append(inos, ino)
 	}
 	// In a fixed order: the simulator's runs must repeat.
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
@@ -163,10 +166,11 @@ func (c *Client) settleSizes(fn func(msg.Errno)) {
 // whenSettled runs fn once the server has ino's size and no data
 // operation is in flight on it.
 func (c *Client) whenSettled(ino msg.ObjectID, fn func()) {
+	o := c.objs[ino]
 	switch {
-	case c.sizePush[ino] != nil:
+	case o != nil && o.push.pending():
 		c.settleSize(ino, func(msg.Errno) { c.whenSettled(ino, fn) })
-	case c.ioCount[ino] > 0:
+	case o != nil && o.io > 0:
 		c.whenIdle(ino, func() { c.whenSettled(ino, fn) })
 	default:
 		fn()
@@ -177,7 +181,7 @@ func (c *Client) whenSettled(ino msg.ObjectID, fn func()) {
 // the object owes the server its size, the client's own is the newer
 // one, and a reply does not move it backwards.
 func (c *Client) seenAttr(attr msg.Attr) msg.Attr {
-	if c.sizePush[attr.Ino] == nil {
+	if o := c.objs[attr.Ino]; o == nil || !o.push.pending() {
 		return attr
 	}
 	if o := c.cache.Object(attr.Ino); o != nil && o.HaveAttr && o.Attr.Size > attr.Size {
@@ -196,20 +200,18 @@ func (c *Client) seenAttr(attr msg.Attr) msg.Attr {
 // is the only place grant-ahead is undone. The downgrade latch keeps new
 // writes out of the tail while the truncate is on its way.
 func (c *Client) trim(ino msg.ObjectID, done func()) {
-	if c.sizePush[ino] != nil || c.ioCount[ino] > 0 {
+	o := c.objs[ino]
+	if o != nil && (o.push.pending() || o.io > 0) {
 		c.whenSettled(ino, func() { c.trim(ino, done) })
 		return
 	}
-	o := c.cache.Object(ino)
-	if o == nil || !o.HaveMap || !o.HaveAttr || c.lockedInos[ino] != msg.LockExclusive {
+	co := c.cache.Object(ino)
+	if co == nil || !co.HaveMap || !co.HaveAttr || o == nil || o.mode != msg.LockExclusive {
 		done()
 		return
 	}
-	keep := int((o.Attr.Size + BlockSize - 1) / BlockSize)
-	if keep < o.Fetched {
-		keep = o.Fetched
-	}
-	if len(o.Blocks) <= keep {
+	keep := max(int((co.Attr.Size+BlockSize-1)/BlockSize), co.Fetched)
+	if len(co.Blocks) <= keep {
 		done()
 		return
 	}
@@ -222,7 +224,7 @@ func (c *Client) trim(ino msg.ObjectID, done func()) {
 			c.truncated(ino, keep, res.Attr)
 		}
 		c.changeEnd()
-		c.downgradeEnd(ino)
+		c.downgradeEnd(ino, o)
 		done()
 	})
 }

@@ -6,11 +6,17 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/msg"
+	"repro/internal/sim"
 )
 
 // Baseline client behaviours: the lease-maintenance work prior systems
 // impose on clients, which the paper's protocol eliminates. Each runs
-// only under its policy.
+// only under its policy. A heartbeat lease and a per-object lease each
+// run τ, as the server counts them (core.Config.HeartbeatInterval).
+
+// attrTTL is how long the NFS-poll baseline trusts fetched attributes:
+// 3 s, NFS's classic actimeo floor.
+const attrTTL = 3 * time.Second
 
 // startBaselineTimers arms the periodic machinery after (re)registration.
 func (c *Client) startBaselineTimers() {
@@ -27,29 +33,11 @@ func (c *Client) startBaselineTimers() {
 }
 
 func (c *Client) stopBaselineTimers() {
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-		c.hbTimer = nil
-	}
-	if c.hbExpire != nil {
-		c.hbExpire.Stop()
-		c.hbExpire = nil
-	}
-	if c.hbWarn != nil {
-		c.hbWarn.Stop()
-		c.hbWarn = nil
-	}
-	if c.vRenew != nil {
-		c.vRenew.Stop()
-		c.vRenew = nil
-	}
-	if c.vSweep != nil {
-		c.vSweep.Stop()
-		c.vSweep = nil
-	}
-	if c.flushTimer != nil {
-		c.flushTimer.Stop()
-		c.flushTimer = nil
+	for _, t := range []*sim.Timer{&c.hbTimer, &c.hbExpire, &c.hbWarn, &c.vRenew, &c.vSweep, &c.flushTimer} {
+		if *t != nil {
+			(*t).Stop()
+			*t = nil
+		}
 	}
 }
 
@@ -58,7 +46,7 @@ func (c *Client) stopBaselineTimers() {
 // hbValid reports whether the heartbeat lease is current: the client may
 // only use locks while its last ACKed heartbeat is younger than the TTL.
 func (c *Client) hbValid() bool {
-	return c.hbHave && c.clock.Now().Sub(c.hbLastAck) < c.cfg.HeartbeatTTL
+	return c.hbHave && c.clock.Now().Sub(c.hbLastAck) < c.cfg.Core.Tau
 }
 
 // armHeartbeat sends heartbeats every interval, forever. Unlike the
@@ -70,7 +58,7 @@ func (c *Client) armHeartbeat() {
 	}
 	c.armHBExpiry()
 	c.armHBWarn()
-	c.hbTimer = c.clock.AfterFunc(c.cfg.HeartbeatInterval, func() {
+	c.hbTimer = c.clock.AfterFunc(c.cfg.Core.HeartbeatInterval(), func() {
 		if c.crashedFlg || !c.registered {
 			return
 		}
@@ -98,7 +86,7 @@ func (c *Client) armHBWarn() {
 	if c.hbWarn != nil {
 		c.hbWarn.Stop()
 	}
-	warnAfter := time.Duration(float64(c.cfg.HeartbeatTTL) * 0.6)
+	warnAfter := time.Duration(float64(c.cfg.Core.Tau) * 0.6)
 	delay := c.hbLastAck.Add(warnAfter).Sub(c.clock.Now())
 	if delay < time.Microsecond {
 		delay = time.Microsecond
@@ -123,7 +111,7 @@ func (c *Client) armHBExpiry() {
 	if c.hbExpire != nil {
 		c.hbExpire.Stop()
 	}
-	delay := c.hbLastAck.Add(c.cfg.HeartbeatTTL).Sub(c.clock.Now())
+	delay := c.hbLastAck.Add(c.cfg.Core.Tau).Sub(c.clock.Now())
 	if delay < time.Microsecond {
 		// Clock-rate conversions round; never arm a zero/negative delay
 		// or the timer can fire marginally early and spin.
@@ -145,28 +133,30 @@ func (c *Client) armHBExpiry() {
 
 // --- Per-object leases (V system) --------------------------------------------
 
-// vLeaseNote records a fresh per-object lease after a lock grant.
-func (c *Client) vLeaseNote(ino msg.ObjectID) {
+// vLeaseNote records a fresh per-object lease on o's object after a lock
+// grant.
+func (c *Client) vLeaseNote(o *object) {
 	if c.cfg.Policy.Lease != baselines.LeasePerObject {
 		return
 	}
-	c.objExpiry[ino] = c.clock.Now().Add(c.cfg.PerObjectTTL)
+	o.vExpiry = c.clock.Now().Add(c.cfg.Core.Tau)
 }
 
-// vLeaseCheck gates use of a cached lock on the object's lease validity;
-// an expired object lease forces a fresh acquire (which renews it).
-func (c *Client) vLeaseCheck(ino msg.ObjectID, cb ErrnoCallback) {
+// vLeaseCheck gates use of the cached lock on ino, whose record is o, on
+// the object's lease validity; an expired object lease forces a fresh
+// acquire (which renews it).
+func (c *Client) vLeaseCheck(ino msg.ObjectID, o *object, cb ErrnoCallback) {
 	if c.cfg.Policy.Lease != baselines.LeasePerObject {
 		cb(msg.OK)
 		return
 	}
-	if exp, ok := c.objExpiry[ino]; ok && c.clock.Now().Before(exp) {
+	if o.vExpiry != 0 && c.clock.Now().Before(o.vExpiry) {
 		cb(msg.OK)
 		return
 	}
 	// Lease lapsed: the lock may have been stolen. Drop and re-acquire.
-	mode := c.lockedInos[ino]
-	delete(c.lockedInos, ino)
+	mode := o.mode
+	o.mode = msg.LockNone
 	c.oracle.LockInactive(c.id, ino)
 	if mode == msg.LockNone {
 		mode = msg.LockShared
@@ -181,22 +171,17 @@ func (c *Client) armVRenew() {
 	if c.cfg.Policy.Lease != baselines.LeasePerObject {
 		return
 	}
-	c.vRenew = c.clock.AfterFunc(c.cfg.PerObjectRenewInterval, func() {
+	c.vRenew = c.clock.AfterFunc(c.cfg.Core.ObjectRenewInterval(), func() {
 		if c.crashedFlg || !c.registered {
 			return
 		}
-		inos := make([]msg.ObjectID, 0, len(c.lockedInos))
-		for ino := range c.lockedInos {
-			inos = append(inos, ino)
-		}
-		sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-		if len(inos) > 0 {
+		if inos := c.locked(); len(inos) > 0 {
 			sent := c.clock.Now()
 			c.call(&msg.RenewObjects{Inos: inos}, func(r *msg.Reply) {
 				if r != nil && r.Status == msg.ACK {
 					for _, ino := range inos {
-						if _, still := c.lockedInos[ino]; still {
-							c.objExpiry[ino] = sent.Add(c.cfg.PerObjectTTL)
+						if o := c.objs[ino]; o != nil && o.mode != msg.LockNone {
+							o.vExpiry = sent.Add(c.cfg.Core.Tau)
 						}
 					}
 				}
@@ -216,25 +201,23 @@ func (c *Client) armVSweep() {
 	if c.cfg.Policy.Lease != baselines.LeasePerObject {
 		return
 	}
-	margin := c.cfg.PerObjectTTL / 4
-	c.vSweep = c.clock.AfterFunc(c.cfg.PerObjectRenewInterval/4, func() {
+	margin := c.cfg.Core.Tau / 4
+	c.vSweep = c.clock.AfterFunc(c.cfg.Core.ObjectRenewInterval()/4, func() {
 		if c.crashedFlg || !c.registered {
 			return
 		}
 		horizon := c.clock.Now().Add(margin)
-		expired := make([]msg.ObjectID, 0, len(c.objExpiry))
-		for ino, exp := range c.objExpiry {
-			if !horizon.Before(exp) {
+		var expired []msg.ObjectID
+		for ino, o := range c.objs {
+			if o.vExpiry != 0 && !horizon.Before(o.vExpiry) {
 				expired = append(expired, ino)
 			}
 		}
 		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 		for _, ino := range expired {
-			ino := ino
 			// Stop handing out the cached lock immediately; the flush and
 			// drop follow once in-flight operations drain.
-			delete(c.objExpiry, ino)
-			delete(c.lockedInos, ino)
+			c.unlock(ino)
 			c.dropDir(ino)
 			c.whenIdle(ino, func() {
 				c.flushObject(ino, func(msg.Errno) {
@@ -286,7 +269,7 @@ func (c *Client) funcShipRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 		return
 	}
 	// NFS attribute polling: trust cached attrs for AttrTTL.
-	if at, ok := c.attrFetched[ino]; ok && c.clock.Now().Sub(at) < c.cfg.AttrTTL {
+	if o := c.objs[ino]; o != nil && o.attrAt != 0 && c.clock.Now().Sub(o.attrAt) < attrTTL {
 		fetch()
 		return
 	}
@@ -296,7 +279,7 @@ func (c *Client) funcShipRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 			done(nil, errno)
 			return
 		}
-		c.attrFetched[ino] = c.clock.Now()
+		c.obj(ino).attrAt = c.clock.Now()
 		o := c.cache.Ensure(ino)
 		if o.HaveAttr && o.Attr.Version != attr.Version {
 			c.cache.Drop(ino) // file changed: invalidate pages

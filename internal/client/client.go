@@ -35,19 +35,10 @@ type Config struct {
 	Core   core.Config
 	Policy baselines.Policy
 	// FlushInterval, when nonzero, write-backs dirty data periodically
-	// even without demands (bounds the at-risk window).
+	// even without demands (bounds the at-risk window). The baselines'
+	// lease terms are not configured here: they derive from Core.Tau, as
+	// the server's do (core.Config.HeartbeatInterval).
 	FlushInterval time.Duration
-	// HeartbeatInterval/HeartbeatTTL drive the Frangipani baseline
-	// (defaults: TTL = Core.Tau, interval = TTL/3).
-	HeartbeatInterval time.Duration
-	HeartbeatTTL      time.Duration
-	// PerObjectTTL/PerObjectRenewInterval drive the V baseline
-	// (defaults: TTL = Core.Tau, interval = TTL/2).
-	PerObjectTTL           time.Duration
-	PerObjectRenewInterval time.Duration
-	// AttrTTL drives the NFS-poll baseline's attribute cache (default
-	// 3s, NFS's classic actimeo floor).
-	AttrTTL time.Duration
 	// DisableReassert (ablation): skip lock reassertion after a server
 	// restart and always run the full lease recovery (cache loss).
 	DisableReassert bool
@@ -91,25 +82,6 @@ const DefaultFlushBatch = 32
 // DefaultPrefetch is the largest read-ahead window when Config.Prefetch
 // is zero.
 const DefaultPrefetch = 32
-
-func (c Config) withDefaults() Config {
-	if c.HeartbeatTTL == 0 {
-		c.HeartbeatTTL = c.Core.Tau
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = c.HeartbeatTTL / 3
-	}
-	if c.PerObjectTTL == 0 {
-		c.PerObjectTTL = c.Core.Tau
-	}
-	if c.PerObjectRenewInterval == 0 {
-		c.PerObjectRenewInterval = c.PerObjectTTL / 2
-	}
-	if c.AttrTTL == 0 {
-		c.AttrTTL = 3 * time.Second
-	}
-	return c
-}
 
 type handleInfo struct {
 	ino   msg.ObjectID
@@ -157,45 +129,24 @@ type Client struct {
 	sanCalls   map[msg.ReqID]*sanPending
 	nextSANReq msg.ReqID
 	inflight   int
-	// lockedInos tracks the data locks this client believes it holds.
-	lockedInos map[msg.ObjectID]msg.LockMode
-	// ioCount/ioWaiters reference-count in-flight data operations per
-	// object: lock downgrades (demand compliance, V-lease purges) wait
-	// until operations started under the lock drain, so an in-flight read
-	// can never complete into a revoked cache.
-	ioCount   map[msg.ObjectID]int
-	ioWaiters map[msg.ObjectID][]func()
-	// demandBusy/demandNext serialize demand compliance per object: a
-	// second demand arriving while one is being complied with (flush in
-	// flight) is deferred — and coalesced to the strongest target — so
-	// a weaker compliance can never finish after, and undo, a stronger
-	// one.
-	demandBusy map[msg.ObjectID]bool
-	demandNext map[msg.ObjectID]*msg.Demand
+	// objs is what the client keeps about each object (object.go).
+	objs map[msg.ObjectID]*object
+	// demands counts the demands received: each stamps its object's
+	// record, so a lock grant can tell whether a demand crossed it.
+	demands uint64
 	// arriving is the demand being delivered in this executor turn, until
 	// its LockDowngraded leaves: still set when the turn ends, the demand
 	// is acknowledged on its own (handleDemand).
 	arriving *msg.Demand
-	// demandSeq counts demands processed per object. A lock grant that
-	// was in flight while a demand arrived may already have been revoked
-	// (the client, not knowing, reported the demand "complied"); such
-	// grants are discarded and re-acquired. See ensureLock.
-	demandSeq map[msg.ObjectID]uint64
-	// downgrading counts in-flight LockDowngraded/LockRelease exchanges
-	// per object. New acquires for the object wait until these are
-	// acknowledged: over a datagram network an acquire could otherwise
-	// overtake the downgrade and be answered from pre-downgrade state.
-	downgrading     map[msg.ObjectID]int
-	acquireDeferred map[msg.ObjectID][]func()
-	// askDeferred holds the namespace requests waiting for every such
-	// exchange to end (behindDowngrades).
+	// downgrades counts the downgrade exchanges in flight on every object,
+	// and askDeferred holds the namespace requests waiting for them all to
+	// end. A request whose reply may grant directory locks goes out behind
+	// them all: which directories the reply will name is not known until it
+	// comes back, and over a datagram network it could overtake the release
+	// of one of them and be answered from before it.
+	downgrades  int
 	askDeferred []func()
-	// sizePush holds what each object owes the server about its size
-	// (append.go).
-	sizePush map[msg.ObjectID]*sizePush
-	// readAhead holds each object's sequential detector and read-ahead
-	// window (prefetch.go); maxWindow is Config.Prefetch resolved.
-	readAhead map[msg.ObjectID]*readAhead
+	// maxWindow is Config.Prefetch resolved (prefetch.go).
 	maxWindow int
 	// names is what the client caches of the namespace under shared
 	// directory locks (names.go).
@@ -203,14 +154,6 @@ type Client struct {
 	// changes counts this client's own changes to what directory locks
 	// cover that are in flight (changeBegin).
 	changes int
-	// prefetchInflight tracks the block indexes a read-ahead batch is
-	// already fetching, and the block each was issued for, so overlapping
-	// windows are not re-requested.
-	prefetchInflight map[msg.ObjectID]map[uint64]msg.BlockRef
-	// pfWaiters parks demand reads for blocks an in-flight read-ahead
-	// batch already covers: the read completes off the batch instead of
-	// duplicating the SAN round trip.
-	pfWaiters map[msg.ObjectID]map[uint64][]DataCallback
 
 	// Heartbeat baseline.
 	hbLastAck sim.Time
@@ -224,12 +167,8 @@ type Client struct {
 	hbSuspect bool
 
 	// Per-object (V) baseline.
-	objExpiry map[msg.ObjectID]sim.Time
-	vRenew    sim.Timer
-	vSweep    sim.Timer
-
-	// NFS baseline attribute cache.
-	attrFetched map[msg.ObjectID]sim.Time
+	vRenew sim.Timer
+	vSweep sim.Timer
 
 	flushTimer sim.Timer
 
@@ -258,7 +197,6 @@ type Client struct {
 // nil; tr receives the client's lease-lifecycle events.
 func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	oracle checker.Oracle, reg *stats.Registry, tr *trace.Tracer) *Client {
-	cfg = cfg.withDefaults()
 	if err := cfg.Core.Validate(); err != nil {
 		panic(err)
 	}
@@ -273,43 +211,30 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	}
 	prefix := fmt.Sprintf("client.%v.", id)
 	c := &Client{
-		id:               id,
-		cfg:              cfg,
-		clock:            clock,
-		ctrl:             ctrl,
-		san:              san,
-		server:           server,
-		oracle:           oracle,
-		cache:            cache.NewWithLimits(reg, prefix, cfg.CacheMaxPages, cfg.CacheQuota),
-		names:            newNameCache(cfg.Policy.CachesNames(), reg, prefix),
-		handles:          make(map[msg.Handle]handleInfo),
-		sanCalls:         make(map[msg.ReqID]*sanPending),
-		lockedInos:       make(map[msg.ObjectID]msg.LockMode),
-		ioCount:          make(map[msg.ObjectID]int),
-		ioWaiters:        make(map[msg.ObjectID][]func()),
-		demandSeq:        make(map[msg.ObjectID]uint64),
-		demandBusy:       make(map[msg.ObjectID]bool),
-		demandNext:       make(map[msg.ObjectID]*msg.Demand),
-		downgrading:      make(map[msg.ObjectID]int),
-		acquireDeferred:  make(map[msg.ObjectID][]func()),
-		sizePush:         make(map[msg.ObjectID]*sizePush),
-		readAhead:        make(map[msg.ObjectID]*readAhead),
-		maxWindow:        cfg.maxWindow(),
-		prefetchInflight: make(map[msg.ObjectID]map[uint64]msg.BlockRef),
-		pfWaiters:        make(map[msg.ObjectID]map[uint64][]DataCallback),
-		objExpiry:        make(map[msg.ObjectID]sim.Time),
-		attrFetched:      make(map[msg.ObjectID]sim.Time),
-		reg:              reg,
-		opsOK:            reg.Counter(prefix + "ops_ok"),
-		opsFailed:        reg.Counter(prefix + "ops_failed"),
-		reads:            reg.Counter(prefix + "reads"),
-		writes:           reg.Counter(prefix + "writes"),
-		staleEps:         reg.Counter(prefix + "ops_refused"),
-		recovers:         reg.Counter(prefix + "recoveries"),
-		lostDirty:        reg.Counter(prefix + "dirty_discarded"),
-		fencedIO:         reg.Counter(prefix + "fenced_io"),
-		nfsPolls:         reg.Counter(prefix + "nfs_polls"),
-		prefetchBatches:  reg.Counter(prefix + "prefetch_batches"),
+		id:              id,
+		cfg:             cfg,
+		clock:           clock,
+		ctrl:            ctrl,
+		san:             san,
+		server:          server,
+		oracle:          oracle,
+		cache:           cache.NewWithLimits(reg, prefix, cfg.CacheMaxPages, cfg.CacheQuota),
+		names:           newNameCache(cfg.Policy.CachesNames(), reg, prefix),
+		handles:         make(map[msg.Handle]handleInfo),
+		sanCalls:        make(map[msg.ReqID]*sanPending),
+		objs:            make(map[msg.ObjectID]*object),
+		maxWindow:       cfg.maxWindow(),
+		reg:             reg,
+		opsOK:           reg.Counter(prefix + "ops_ok"),
+		opsFailed:       reg.Counter(prefix + "ops_failed"),
+		reads:           reg.Counter(prefix + "reads"),
+		writes:          reg.Counter(prefix + "writes"),
+		staleEps:        reg.Counter(prefix + "ops_refused"),
+		recovers:        reg.Counter(prefix + "recoveries"),
+		lostDirty:       reg.Counter(prefix + "dirty_discarded"),
+		fencedIO:        reg.Counter(prefix + "fenced_io"),
+		nfsPolls:        reg.Counter(prefix + "nfs_polls"),
+		prefetchBatches: reg.Counter(prefix + "prefetch_batches"),
 	}
 	c.nextSANReq = cfg.SANReqBase
 	c.tracer = tr
@@ -397,11 +322,9 @@ func (c *Client) Crash() {
 	if c.lease != nil {
 		c.lease.Reset()
 	}
-	for ino := range c.allCachedObjects() {
-		c.oracle.LockInactive(c.id, ino)
-	}
-	c.invalidateAll()
-	c.oracle.ClientCrashed(c.id)
+	c.names.purge()
+	c.cache.InvalidateAll()
+	c.oracle.ClientCrashed(c.id) // every lock it held with it
 }
 
 // Deliver is the client's control-network handler.
@@ -554,18 +477,23 @@ func (c *Client) cancelSAN() {
 	}
 }
 
-// ioBegin marks a data operation in flight under ino's lock.
-func (c *Client) ioBegin(ino msg.ObjectID) { c.ioCount[ino]++ }
+// ioBegin marks a data operation in flight under the lock on ino and
+// returns its record, which ioEnd takes.
+func (c *Client) ioBegin(ino msg.ObjectID) *object {
+	o := c.objs[ino]
+	o.io++
+	return o
+}
 
-// ioEnd completes a data operation, releasing any deferred downgrades.
-func (c *Client) ioEnd(ino msg.ObjectID) {
-	c.ioCount[ino]--
-	if c.ioCount[ino] > 0 {
+// ioEnd completes a data operation on ino, whose record is o, releasing
+// any deferred downgrades.
+func (c *Client) ioEnd(ino msg.ObjectID, o *object) {
+	if o.io--; o.io > 0 {
 		return
 	}
-	delete(c.ioCount, ino)
-	waiters := c.ioWaiters[ino]
-	delete(c.ioWaiters, ino)
+	waiters := o.idle
+	o.idle = nil
+	c.tidy(ino, o)
 	for _, w := range waiters {
 		w()
 	}
@@ -573,71 +501,41 @@ func (c *Client) ioEnd(ino msg.ObjectID) {
 
 // whenIdle runs fn once no data operation is in flight on ino.
 func (c *Client) whenIdle(ino msg.ObjectID, fn func()) {
-	if c.ioCount[ino] == 0 {
+	o := c.objs[ino]
+	if o == nil || o.io == 0 {
 		fn()
 		return
 	}
-	c.ioWaiters[ino] = append(c.ioWaiters[ino], fn)
+	o.idle = append(o.idle, fn)
 }
 
-// downgradeBegin marks a downgrade/release exchange in flight for ino. A
-// directory grant in a reply that this exchange may overtake, or be
-// overtaken by, cannot be trusted (nameGuard).
-func (c *Client) downgradeBegin(ino msg.ObjectID) {
-	c.downgrading[ino]++
+// downgradeBegin marks a downgrade/release exchange in flight for ino and
+// returns its record, which downgradeEnd takes. A directory grant in a
+// reply that this exchange may overtake, or be overtaken by, cannot be
+// trusted (nameGuard).
+func (c *Client) downgradeBegin(ino msg.ObjectID) *object {
+	o := c.obj(ino)
+	o.downgrades++
+	c.downgrades++
 	c.names.gen++
+	return o
 }
 
 // downgradeEnd completes the exchange and releases deferred acquires.
-func (c *Client) downgradeEnd(ino msg.ObjectID) {
-	c.downgrading[ino]--
-	if c.downgrading[ino] > 0 {
+func (c *Client) downgradeEnd(ino msg.ObjectID, o *object) {
+	c.downgrades--
+	if o.downgrades--; o.downgrades > 0 {
 		return
 	}
-	delete(c.downgrading, ino)
-	deferred := c.acquireDeferred[ino]
-	delete(c.acquireDeferred, ino)
+	deferred := o.deferred
+	o.deferred = nil
+	c.tidy(ino, o)
 	for _, fn := range deferred {
 		fn()
 	}
-	for len(c.downgrading) == 0 && len(c.askDeferred) > 0 {
+	for c.downgrades == 0 && len(c.askDeferred) > 0 {
 		fn := c.askDeferred[0]
 		c.askDeferred = c.askDeferred[1:]
 		fn()
 	}
-}
-
-// behindDowngrades reports whether a downgrade exchange is in flight on any
-// object. A request whose reply may grant directory locks goes out behind
-// them all — its sender queues itself on askDeferred, which downgradeEnd
-// drains: which directories the reply will name is not known until it
-// comes back, and over a datagram network it could overtake the release
-// of one of them and be answered from before it.
-func (c *Client) behindDowngrades() bool { return len(c.downgrading) > 0 }
-
-// afterDowngrades runs fn once no downgrade exchange is in flight on ino.
-func (c *Client) afterDowngrades(ino msg.ObjectID, fn func()) {
-	if c.downgrading[ino] == 0 {
-		fn()
-		return
-	}
-	c.acquireDeferred[ino] = append(c.acquireDeferred[ino], fn)
-}
-
-// allCachedObjects returns the set of inos with cache entries.
-func (c *Client) allCachedObjects() map[msg.ObjectID]bool {
-	out := make(map[msg.ObjectID]bool)
-	for _, h := range c.handles {
-		out[h.ino] = true
-	}
-	for _, ino := range c.cache.DirtyObjects() {
-		out[ino] = true
-	}
-	for ino := range c.objExpiry {
-		out[ino] = true
-	}
-	for ino := range c.lockedInos {
-		out[ino] = true
-	}
-	return out
 }

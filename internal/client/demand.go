@@ -38,17 +38,19 @@ func (c *Client) handleDemand(m *msg.Demand) {
 	// by) this demand. That goes for a directory lock riding on a reply
 	// still on its way, and which directories those are nobody here knows:
 	// any demand makes such a reply one that installs nothing.
-	c.demandSeq[m.Ino]++
+	c.demands++
+	o := c.obj(m.Ino)
+	o.demanded = c.demands
 	c.names.gen++
 
 	c.arriving = m
-	if c.demandBusy[m.Ino] {
-		if cur, ok := c.demandNext[m.Ino]; !ok || m.Mode < cur.Mode ||
+	if o.complying {
+		if cur := o.next; cur == nil || m.Mode < cur.Mode ||
 			(m.Mode == cur.Mode && m.ID > cur.ID) {
-			c.demandNext[m.Ino] = m
+			o.next = m
 		}
 	} else {
-		c.demandBusy[m.Ino] = true
+		o.complying = true
 		c.runDemand(m)
 	}
 	if c.arriving == m {
@@ -70,8 +72,7 @@ func (c *Client) runDemand(m *msg.Demand) {
 		// Nothing to downgrade (already compliant, or a stale demand from
 		// before an expiry). Still report, so the server's lock table
 		// resolves its demand state.
-		c.downgradeBegin(m.Ino)
-		c.reportDowngraded(m)
+		c.reportDowngraded(m, c.downgradeBegin(m.Ino))
 		return
 	}
 	c.whenIdle(m.Ino, func() { c.complyDemand(m) })
@@ -80,32 +81,34 @@ func (c *Client) runDemand(m *msg.Demand) {
 // holdsAbove reports whether the client holds a lock on m's object that
 // is stronger than the mode m demands.
 func (c *Client) holdsAbove(m *msg.Demand) bool {
-	held, ok := c.lockedInos[m.Ino]
-	return ok && held > m.Mode
+	o := c.objs[m.Ino]
+	return o != nil && o.mode > m.Mode
 }
 
 // reportDowngraded sends the LockDowngraded that ends a compliance — the
-// caller holds the object's downgrade latch, the acknowledgment drops it —
-// and gives the compliance slot to the next demand.
-func (c *Client) reportDowngraded(m *msg.Demand) {
+// caller holds the downgrade latch of the object, whose record is o; the
+// acknowledgment drops it — and gives the compliance slot to the next
+// demand.
+func (c *Client) reportDowngraded(m *msg.Demand, o *object) {
 	if c.arriving == m {
 		c.arriving = nil // the report stands for the DemandAck
 	}
 	c.call(&msg.LockDowngraded{Ino: m.Ino, To: m.Mode, Demand: m.ID}, func(*msg.Reply) {
-		c.downgradeEnd(m.Ino)
+		c.downgradeEnd(m.Ino, o)
 	})
-	c.finishDemand(m.Ino)
+	c.finishDemand(m.Ino, o)
 }
 
 // finishDemand releases the object's compliance slot and starts any
 // deferred (strongest-coalesced) demand.
-func (c *Client) finishDemand(ino msg.ObjectID) {
-	if next, ok := c.demandNext[ino]; ok {
-		delete(c.demandNext, ino)
+func (c *Client) finishDemand(ino msg.ObjectID, o *object) {
+	if next := o.next; next != nil {
+		o.next = nil
 		c.runDemand(next)
 		return
 	}
-	delete(c.demandBusy, ino)
+	o.complying = false
+	c.tidy(ino, o)
 }
 
 // complyDemand performs the flush + downgrade once in-flight operations
@@ -114,14 +117,14 @@ func (c *Client) finishDemand(ino msg.ObjectID) {
 // held, so no new operation can slip a fresh dirty page in between the
 // flush and the downgrade.
 func (c *Client) complyDemand(m *msg.Demand) {
-	c.downgradeBegin(m.Ino)
+	o := c.downgradeBegin(m.Ino)
 	// Re-check: the world may have moved while this compliance waited for
 	// in-flight operations to drain — in particular the lease may have
 	// expired (clearing every lock) or a previous compliance may already
 	// have downgraded far enough. Proceeding would resurrect a lock the
 	// client no longer holds.
 	if !c.holdsAbove(m) {
-		c.reportDowngraded(m)
+		c.reportDowngraded(m, o)
 		return
 	}
 	c.emit(trace.Event{Type: trace.EvFlushStart, Ino: m.Ino, Note: "demand"})
@@ -137,7 +140,7 @@ func (c *Client) complyDemand(m *msg.Demand) {
 			if c.holdsAbove(m) {
 				c.downgradeTo(m.Ino, m.Mode)
 			}
-			c.reportDowngraded(m)
+			c.reportDowngraded(m, o)
 		})
 	})
 }
@@ -147,16 +150,15 @@ func (c *Client) complyDemand(m *msg.Demand) {
 // flushed by now, stay.
 func (c *Client) downgradeTo(ino msg.ObjectID, mode msg.LockMode) {
 	if mode == msg.LockNone {
-		delete(c.lockedInos, ino)
+		c.unlock(ino)
 		c.oracle.LockInactive(c.id, ino)
 		c.dropObject(ino)
-		delete(c.objExpiry, ino)
 		return
 	}
-	c.forgetReadAhead(ino)
-	c.lockedInos[ino] = mode
-	if o := c.cache.Object(ino); o != nil {
-		o.Mode = mode
+	o := c.obj(ino)
+	o.mode, o.ra = mode, readAhead{}
+	if co := c.cache.Object(ino); co != nil {
+		co.Mode = mode
 	}
 	c.oracle.LockActive(c.id, ino, mode)
 }

@@ -5,8 +5,8 @@ import "repro/internal/msg"
 // ParkedReads counts the demand reads parked on read-ahead batches.
 func (c *Client) ParkedReads() int {
 	n := 0
-	for _, m := range c.pfWaiters {
-		for _, ws := range m {
+	for _, o := range c.objs {
+		for _, ws := range o.parked {
 			n += len(ws)
 		}
 	}
@@ -16,14 +16,22 @@ func (c *Client) ParkedReads() int {
 // PrefetchInflight counts the blocks read-ahead batches have on the wire.
 func (c *Client) PrefetchInflight() int {
 	n := 0
-	for _, m := range c.prefetchInflight {
-		n += len(m)
+	for _, o := range c.objs {
+		n += len(o.onWire)
 	}
 	return n
 }
 
 // ReadAheadRecords counts the objects holding a detector record.
-func (c *Client) ReadAheadRecords() int { return len(c.readAhead) }
+func (c *Client) ReadAheadRecords() int {
+	n := 0
+	for _, o := range c.objs {
+		if o.ra != (readAhead{}) {
+			n++
+		}
+	}
+	return n
+}
 
 // SetNameCap replaces the name cache's entry cap.
 func (c *Client) SetNameCap(n int) { c.names.cap = n }
@@ -33,10 +41,17 @@ func (c *Client) NamesHeld(ino msg.ObjectID) bool { return c.names.dirs[ino] != 
 
 // NameDirs and NameEntries count the directories cached and the entries
 // (names and file attributes) under them; LocksHeld counts the locks the
-// client believes it holds, data and directory.
+// client believes it holds, data and directory; Records counts the
+// objects it keeps a record of.
 func (c *Client) NameDirs() int    { return len(c.names.dirs) }
 func (c *Client) NameEntries() int { return c.names.count }
-func (c *Client) LocksHeld() int   { return len(c.lockedInos) }
+func (c *Client) LocksHeld() int   { return len(c.locked()) }
+func (c *Client) Records() int     { return len(c.objs) }
 
 // HeldMode is the data lock the client believes it holds on ino.
-func (c *Client) HeldMode(ino msg.ObjectID) msg.LockMode { return c.lockedInos[ino] }
+func (c *Client) HeldMode(ino msg.ObjectID) msg.LockMode {
+	if o := c.objs[ino]; o != nil {
+		return o.mode
+	}
+	return msg.LockNone
+}

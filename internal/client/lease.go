@@ -1,11 +1,8 @@
 package client
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
 // leaseActions adapts the Client to core.LeaseActions: this is where the
@@ -36,27 +33,9 @@ func (a leaseActions) Flush(done func()) {
 // client begins rejoin.
 func (a leaseActions) Expired() {
 	c := a.c
-	for ino := range c.lockedInos {
-		c.oracle.LockInactive(c.id, ino)
-	}
-	c.lockedInos = make(map[msg.ObjectID]msg.LockMode)
-	if lost := c.invalidateAll(); lost > 0 {
-		c.lostDirty.Add(uint64(lost))
-	}
-	c.handles = make(map[msg.Handle]handleInfo)
-	c.registered = false
 	c.quiesced = false
 	c.reassertTried = false
-	// The registration is over before anything below runs: a cancellation
-	// callback may still send something — a demand's compliance, parked
-	// behind the operation just cancelled, reports that there is nothing
-	// left to downgrade — and under the old epoch a server that never
-	// noticed the isolation would ACK it, renewing the lease of a client
-	// that holds no registration to lease.
-	c.chn.SetEpoch(0)
-	c.chn.CancelAll()
-	c.cancelSAN()
-	c.sizePush = make(map[msg.ObjectID]*sizePush) // owed to a server that no longer honours this cache
+	c.endEpisode()
 	c.lease.Reset()
 	c.rejoin()
 }
@@ -82,11 +61,11 @@ func (c *Client) maybeReassert() {
 		return
 	}
 	c.reassertTried = true
-	claims := make([]msg.LockClaim, 0, len(c.lockedInos))
-	for ino, mode := range c.lockedInos {
-		claims = append(claims, msg.LockClaim{Ino: ino, Mode: mode})
+	inos := c.locked()
+	claims := make([]msg.LockClaim, len(inos))
+	for i, ino := range inos {
+		claims[i] = msg.LockClaim{Ino: ino, Mode: c.objs[ino].mode}
 	}
-	sort.Slice(claims, func(i, j int) bool { return claims[i].Ino < claims[j].Ino })
 	sent := c.clock.Now()
 	c.chn.Call(&msg.Reassert{Locks: claims}, func(r *msg.Reply) {
 		if r == nil || r.Status != msg.ACK || r.Err != msg.OK {
@@ -153,20 +132,7 @@ func (c *Client) recoverLeaseless() {
 	if c.crashedFlg || c.recovering {
 		return
 	}
-	for ino := range c.lockedInos {
-		c.oracle.LockInactive(c.id, ino)
-	}
-	c.lockedInos = make(map[msg.ObjectID]msg.LockMode)
-	if lost := c.invalidateAll(); lost > 0 {
-		c.lostDirty.Add(uint64(lost))
-	}
-	c.handles = make(map[msg.Handle]handleInfo)
-	c.registered = false
-	c.objExpiry = make(map[msg.ObjectID]sim.Time)
-	c.attrFetched = make(map[msg.ObjectID]sim.Time)
-	c.chn.CancelAll()
-	c.cancelSAN()
-	c.sizePush = make(map[msg.ObjectID]*sizePush)
+	c.endEpisode()
 	c.stopBaselineTimers()
 	c.rejoin()
 }

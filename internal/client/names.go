@@ -19,7 +19,7 @@ import (
 // and a client that cannot be asked loses everything at its lease's end.
 //
 // A directory is in the cache exactly while the client believes it holds
-// its lock (Client.lockedInos has it at Shared): the two are installed by
+// its lock (its record's mode is Shared): the two are installed by
 // holdDir and dropped by dropDir together. Locks arrive on replies — no
 // request asks for one — and a reply may install only if nothing crossed
 // it on the wire (nameGuard).
@@ -372,7 +372,7 @@ func (c *Client) mayInstall(g nameGuard) bool {
 // downgrade is in flight, and hands the reply to done with the guard
 // taken as it left.
 func (c *Client) ask(req msg.Request, done func(r *msg.Reply, g nameGuard)) {
-	if c.behindDowngrades() {
+	if c.downgrades > 0 {
 		c.askDeferred = append(c.askDeferred, func() { c.ask(req, done) })
 		return
 	}
@@ -387,7 +387,7 @@ func (c *Client) ask(req msg.Request, done func(r *msg.Reply, g nameGuard)) {
 // change sends one of the three requests that change names, likewise: its
 // reply also leaves the client holding directories.
 func (c *Client) change(req msg.Request, done func(r *msg.Reply, g nameGuard)) {
-	if c.behindDowngrades() {
+	if c.downgrades > 0 {
 		c.askDeferred = append(c.askDeferred, func() { c.change(req, done) })
 		return
 	}
@@ -435,8 +435,9 @@ func (c *Client) holdDir(ino msg.ObjectID, install bool) *dirNames {
 	if !install {
 		return nil
 	}
-	c.lockedInos[ino] = msg.LockShared
-	c.vLeaseNote(ino)
+	o := c.obj(ino)
+	o.mode = msg.LockShared
+	c.vLeaseNote(o)
 	return c.names.add(ino)
 }
 
@@ -449,8 +450,7 @@ func (c *Client) dropDir(ino msg.ObjectID) bool {
 		return false
 	}
 	c.names.drop(d)
-	delete(c.lockedInos, ino)
-	delete(c.objExpiry, ino)
+	c.unlock(ino)
 	return true
 }
 
@@ -476,8 +476,8 @@ func (c *Client) trimNames() {
 		ino := n.tail.ino
 		c.dropDir(ino)
 		n.evicted.Inc()
-		c.downgradeBegin(ino)
-		c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(*msg.Reply) { c.downgradeEnd(ino) })
+		o := c.downgradeBegin(ino)
+		c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(*msg.Reply) { c.downgradeEnd(ino, o) })
 	}
 }
 

@@ -1,8 +1,6 @@
 package client
 
 import (
-	"sort"
-
 	"repro/internal/baselines"
 	"repro/internal/disk"
 	"repro/internal/msg"
@@ -249,9 +247,9 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 			cb(errno)
 			return
 		}
-		c.ioBegin(info.ino)
+		o := c.ioBegin(info.ino)
 		done := func(errno msg.Errno) {
-			c.ioEnd(info.ino)
+			c.ioEnd(info.ino, o)
 			c.finish(errno)
 			cb(errno)
 		}
@@ -463,9 +461,9 @@ func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
 		}
 		// Hold the lock pinned (drain-before-downgrade) for the rest of
 		// the operation.
-		c.ioBegin(info.ino)
+		o := c.ioBegin(info.ino)
 		done := func(data []byte, errno msg.Errno) {
-			c.ioEnd(info.ino)
+			c.ioEnd(info.ino, o)
 			c.finish(errno)
 			cb(data, errno)
 		}
@@ -474,16 +472,16 @@ func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
 				done(nil, errno)
 				return
 			}
-			c.readBlock(info.ino, idx, done)
+			c.readBlock(info.ino, o, idx, done)
 		})
 	})
 }
 
-// readBlock is one demand read of block idx.
-func (c *Client) readBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
+// readBlock is one demand read of block idx of ino, whose record is o.
+func (c *Client) readBlock(ino msg.ObjectID, o *object, idx uint64, done DataCallback) {
 	// Feed the sequential detector before serving: read-ahead targets
 	// blocks AFTER idx, so it never races the block being read here.
-	c.notePrefetchRead(ino, idx)
+	c.notePrefetchRead(ino, o, idx)
 	c.serveBlock(ino, idx, done)
 }
 
@@ -495,19 +493,24 @@ func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 		done(append([]byte(nil), p.Bytes()...), msg.OK)
 		return
 	}
-	o := c.cache.Object(ino)
-	if o == nil || idx >= uint64(len(o.Blocks)) {
+	co := c.cache.Object(ino)
+	if co == nil || idx >= uint64(len(co.Blocks)) {
 		// Unallocated block: zeros (a hole).
 		c.oracle.Read(c.id, ino, idx, 0)
 		done(make([]byte, BlockSize), msg.OK)
 		return
 	}
-	ref := o.Blocks[idx]
-	if onWire, ok := c.prefetchInflight[ino][idx]; ok && onWire == ref {
-		// A read-ahead batch already has this block on the wire: ride it
-		// instead of duplicating the SAN round trip.
-		c.waitForPrefetch(ino, idx, done)
-		return
+	ref := co.Blocks[idx]
+	if o := c.objs[ino]; o != nil {
+		if onWire, ok := o.onWire[idx]; ok && onWire == ref {
+			// A read-ahead batch already has this block on the wire: ride
+			// it instead of duplicating the SAN round trip.
+			if o.parked == nil {
+				o.parked = make(map[uint64][]DataCallback)
+			}
+			o.parked[idx] = append(o.parked[idx], done)
+			return
+		}
 	}
 	c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
 		return &msg.DiskRead{Client: c.id, Req: req, Block: ref.Num}
@@ -567,9 +570,9 @@ func (c *Client) Write(h msg.Handle, idx uint64, data []byte, cb ErrnoCallback) 
 			cb(errno)
 			return
 		}
-		c.ioBegin(info.ino)
+		o := c.ioBegin(info.ino)
 		done := func(errno msg.Errno) {
-			c.ioEnd(info.ino)
+			c.ioEnd(info.ino, o)
 			c.finish(errno)
 			cb(errno)
 		}
@@ -624,19 +627,29 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 	// overtake the downgrade on the wire, and a cached-lock fast path
 	// must not start new work (in particular, dirty new pages) while a
 	// revocation is between its flush and its downgrade report.
-	if c.downgrading[ino] > 0 {
-		c.afterDowngrades(ino, func() { c.ensureLock(ino, mode, cb) })
+	o := c.objs[ino]
+	if o != nil && o.downgrades > 0 {
+		o.deferred = append(o.deferred, func() { c.ensureLock(ino, mode, cb) })
 		return
 	}
-	if held := c.lockedInos[ino]; held.Covers(mode) {
-		c.vLeaseCheck(ino, cb)
+	if o != nil && o.mode.Covers(mode) {
+		c.vLeaseCheck(ino, o, cb)
 		return
 	}
-	seq := c.demandSeq[ino]
+	if o == nil {
+		o = c.obj(ino)
+	}
+	// The acquire holds the record, and with it the stamp of the last
+	// demand; a demand that arrives while it is in flight moves the stamp
+	// past the count taken here.
+	o.acquiring++
+	seq := c.demands
 	epoch := c.chn.Epoch()
-	o := c.cache.Object(ino)
-	wantMap := o == nil || !o.HaveMap
+	co := c.cache.Object(ino)
+	wantMap := co == nil || !co.HaveMap
 	c.call(&msg.LockAcquire{Ino: ino, Mode: mode, WantMap: wantMap}, func(r *msg.Reply) {
+		o.acquiring--
+		defer c.tidy(ino, o)
 		errno := errnoOf(r)
 		if errno != msg.OK {
 			cb(errno)
@@ -649,7 +662,7 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			cb(msg.ErrStale)
 			return
 		}
-		if c.demandSeq[ino] != seq {
+		if o.demanded > seq {
 			// A demand crossed this grant on the wire: the server issued
 			// the demand after making the grant, and our compliance reply
 			// told it the grant is relinquished. Applying the grant now
@@ -659,9 +672,9 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			return
 		}
 		res := r.Body.(msg.LockRes)
-		cur := c.lockedInos[ino]
+		cur := o.mode
 		if res.Mode > cur {
-			c.lockedInos[ino] = res.Mode
+			o.mode = res.Mode
 			c.cache.Ensure(ino).Mode = res.Mode
 			c.oracle.LockActive(c.id, ino, res.Mode)
 		}
@@ -672,7 +685,7 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			// once — is older than what the first has been used for.)
 			c.installMap(ino, res.Attr, res.Blocks)
 		}
-		c.vLeaseNote(ino)
+		c.vLeaseNote(o)
 		cb(msg.OK)
 	})
 }
@@ -729,9 +742,9 @@ func (c *Client) releaseLock(ino msg.ObjectID, cb ErrnoCallback) {
 	c.flushObject(ino, func(msg.Errno) {
 		c.trim(ino, func() {
 			c.downgradeTo(ino, msg.LockNone)
-			c.downgradeBegin(ino)
+			o := c.downgradeBegin(ino)
 			c.call(&msg.LockRelease{Ino: ino, To: msg.LockNone}, func(r *msg.Reply) {
-				c.downgradeEnd(ino)
+				c.downgradeEnd(ino, o)
 				cb(errnoOf(r))
 			})
 		})
@@ -749,17 +762,8 @@ func (c *Client) Shutdown(done func()) {
 		done()
 		return
 	}
-	inos := make([]msg.ObjectID, 0, len(c.lockedInos))
-	for ino := range c.lockedInos {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	remaining := len(inos) + 1
-	step := func(msg.Errno) {
-		if remaining--; remaining == 0 {
-			done()
-		}
-	}
+	inos := c.locked()
+	step := gather(len(inos)+1, func(msg.Errno) { done() })
 	for _, ino := range inos {
 		c.releaseLock(ino, step)
 	}

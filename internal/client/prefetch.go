@@ -17,7 +17,7 @@ import (
 // one before it is consumed and never more than two are outstanding.
 // Anything that breaks the run or takes the object's pages — a read out
 // of sequence, giving the lock up or down, a lease expiry, a Truncate,
-// the last Close — discards the object's record, and the next run starts
+// the last Close — resets the object's detector, and the next run starts
 // from firstWindow again.
 //
 // Read-ahead is pure optimization layered on the data path, and it must
@@ -70,9 +70,9 @@ func (c Config) maxWindow() int {
 	return w
 }
 
-// readAhead is one object's sequential detector and read-ahead window.
-// It lives as long as the object's pages may: forgetReadAhead runs
-// wherever they are dropped.
+// readAhead is one object's sequential detector and read-ahead window, in
+// its record. It lives as long as the object's pages may: forgetReadAhead
+// runs wherever they are dropped.
 type readAhead struct {
 	// next is the block index that would extend the run, run its length.
 	next uint64
@@ -87,7 +87,12 @@ type readAhead struct {
 // forgetReadAhead discards ino's detector and window: the next run on it
 // starts over. In-flight batches complete (or are cancelled) on their
 // own; what they may install is decided at completion.
-func (c *Client) forgetReadAhead(ino msg.ObjectID) { delete(c.readAhead, ino) }
+func (c *Client) forgetReadAhead(ino msg.ObjectID) {
+	if o := c.objs[ino]; o != nil {
+		o.ra = readAhead{}
+		c.tidy(ino, o)
+	}
+}
 
 // dropObject discards everything cached for ino: the pages and the
 // read-ahead state of a file, the names of a directory.
@@ -97,26 +102,14 @@ func (c *Client) dropObject(ino msg.ObjectID) {
 	c.dropDir(ino)
 }
 
-// invalidateAll empties the cache, every object's read-ahead state and
-// the name cache — what a lock covered goes with the lock, names like
-// pages — returning the number of dirty pages discarded.
-func (c *Client) invalidateAll() int {
-	c.readAhead = make(map[msg.ObjectID]*readAhead)
-	c.names.purge()
-	return c.cache.InvalidateAll()
-}
-
-// notePrefetchRead advances ino's sequential detector with a demand read
-// of block idx and issues the next read-ahead window when one is due.
-func (c *Client) notePrefetchRead(ino msg.ObjectID, idx uint64) {
+// notePrefetchRead advances the sequential detector of ino, whose record
+// is o, with a demand read of block idx and issues the next read-ahead
+// window when one is due.
+func (c *Client) notePrefetchRead(ino msg.ObjectID, o *object, idx uint64) {
 	if c.maxWindow <= 0 {
 		return
 	}
-	ra := c.readAhead[ino]
-	if ra == nil {
-		ra = &readAhead{}
-		c.readAhead[ino] = ra
-	}
+	ra := &o.ra
 	if ra.run > 0 && ra.next == idx {
 		ra.run++
 	} else {
@@ -135,14 +128,14 @@ func (c *Client) notePrefetchRead(ino msg.ObjectID, idx uint64) {
 	default:
 		return
 	}
-	c.issueWindow(ino, ra.mark, ra.mark+uint64(ra.size))
+	c.issueWindow(ino, o, ra.mark, ra.mark+uint64(ra.size))
 }
 
 // issueWindow reads blocks [start, end) of ino ahead: those mapped, not
 // resident and not already on the wire, one batch per disk.
-func (c *Client) issueWindow(ino msg.ObjectID, start, end uint64) {
-	o := c.cache.Object(ino)
-	if o == nil {
+func (c *Client) issueWindow(ino msg.ObjectID, o *object, start, end uint64) {
+	co := c.cache.Object(ino)
+	if co == nil {
 		return
 	}
 	// Candidates in ascending index order; batches grouped per disk in
@@ -154,12 +147,11 @@ func (c *Client) issueWindow(ino msg.ObjectID, start, end uint64) {
 	}
 	var order []msg.NodeID
 	byDisk := make(map[msg.NodeID]*batch)
-	infl := c.prefetchInflight[ino]
-	for j := start; j < end && j < uint64(len(o.Blocks)); j++ {
-		if _, onWire := infl[j]; onWire || o.Page(j) != nil {
+	for j := start; j < end && j < uint64(len(co.Blocks)); j++ {
+		if _, onWire := o.onWire[j]; onWire || co.Page(j) != nil {
 			continue
 		}
-		ref := o.Blocks[j]
+		ref := co.Blocks[j]
 		bt := byDisk[ref.Disk]
 		if bt == nil {
 			bt = &batch{}
@@ -170,7 +162,7 @@ func (c *Client) issueWindow(ino msg.ObjectID, start, end uint64) {
 		bt.nums = append(bt.nums, ref.Num)
 	}
 	for _, d := range order {
-		c.issuePrefetch(ino, d, byDisk[d].idxs, byDisk[d].nums)
+		c.issuePrefetch(ino, o, d, byDisk[d].idxs, byDisk[d].nums)
 	}
 }
 
@@ -185,14 +177,12 @@ func (c *Client) stillMapped(ino msg.ObjectID, idx uint64, ref msg.BlockRef) boo
 
 // issuePrefetch sends one read-ahead batch to disk d and installs the
 // returned blocks that are still wanted when the reply arrives.
-func (c *Client) issuePrefetch(ino msg.ObjectID, d msg.NodeID, idxs, nums []uint64) {
-	infl := c.prefetchInflight[ino]
-	if infl == nil {
-		infl = make(map[uint64]msg.BlockRef)
-		c.prefetchInflight[ino] = infl
+func (c *Client) issuePrefetch(ino msg.ObjectID, o *object, d msg.NodeID, idxs, nums []uint64) {
+	if o.onWire == nil {
+		o.onWire = make(map[uint64]msg.BlockRef)
 	}
 	for i, j := range idxs {
-		infl[j] = msg.BlockRef{Disk: d, Num: nums[i]}
+		o.onWire[j] = msg.BlockRef{Disk: d, Num: nums[i]}
 	}
 	c.ioBegin(ino)
 	c.prefetchBatches.Inc()
@@ -203,21 +193,21 @@ func (c *Client) issuePrefetch(ino msg.ObjectID, d msg.NodeID, idxs, nums []uint
 	c.sanCall(d, func(req msg.ReqID) msg.Message {
 		return &msg.DiskReadV{Client: c.id, Req: req, Blocks: nums}
 	}, func(reply msg.Message, errno msg.Errno) {
-		c.ioEnd(ino)
+		c.ioEnd(ino, o)
 		// The batch was read under the shared lock; install only if both
 		// the batch succeeded and that lock still stands (a lease expiry
 		// in the window means the content may no longer be ours to cache;
 		// cancelSAN delivers ErrStale here on expiry and crash).
 		res, _ := reply.(*msg.DiskReadVRes)
 		if errno == msg.OK && (res == nil || len(res.Data) < len(idxs)*BlockSize ||
-			!c.lockedInos[ino].Covers(msg.LockShared)) {
+			!o.mode.Covers(msg.LockShared)) {
 			errno = msg.ErrStale
 		}
 		for i, j := range idxs {
 			ref := msg.BlockRef{Disk: d, Num: nums[i]}
 			// A later batch may have claimed the index for another block.
-			if infl[j] == ref {
-				delete(infl, j)
+			if o.onWire[j] == ref {
+				delete(o.onWire, j)
 			}
 			blockErr := errno
 			if blockErr == msg.OK && i < len(res.Errs) {
@@ -230,39 +220,22 @@ func (c *Client) issuePrefetch(ino msg.ObjectID, d msg.NodeID, idxs, nums []uint
 				}
 				c.cache.FillPrefetched(ino, j, res.Data[i*BlockSize:(i+1)*BlockSize], ver)
 			}
-			c.servePrefetchWaiters(ino, j, blockErr)
+			c.servePrefetchWaiters(ino, o, j, blockErr)
 		}
-		if len(infl) == 0 && len(c.prefetchInflight[ino]) == 0 {
-			delete(c.prefetchInflight, ino)
-		}
+		c.tidy(ino, o)
 	})
-}
-
-// waitForPrefetch parks a demand read on the in-flight read-ahead batch
-// covering idx. The caller verified coverage via prefetchInflight.
-func (c *Client) waitForPrefetch(ino msg.ObjectID, idx uint64, done DataCallback) {
-	m := c.pfWaiters[ino]
-	if m == nil {
-		m = make(map[uint64][]DataCallback)
-		c.pfWaiters[ino] = m
-	}
-	m[idx] = append(m[idx], done)
 }
 
 // servePrefetchWaiters completes any demand reads parked on block idx
 // of a finished read-ahead batch: with the batch's error, or as a read
 // issued now is served — from the page just installed, or, when the index
 // no longer maps the block the batch read, from wherever it maps now.
-func (c *Client) servePrefetchWaiters(ino msg.ObjectID, idx uint64, errno msg.Errno) {
-	m := c.pfWaiters[ino]
-	ws := m[idx]
+func (c *Client) servePrefetchWaiters(ino msg.ObjectID, o *object, idx uint64, errno msg.Errno) {
+	ws := o.parked[idx]
 	if len(ws) == 0 {
 		return
 	}
-	delete(m, idx)
-	if len(m) == 0 {
-		delete(c.pfWaiters, ino)
-	}
+	delete(o.parked, idx)
 	for _, done := range ws {
 		if errno != msg.OK {
 			done(nil, errno)

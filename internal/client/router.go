@@ -161,13 +161,9 @@ func (r *Router) Registered() bool {
 // Shutdown gives back every lock every instance holds (Client.Shutdown)
 // and calls done when all have been acknowledged.
 func (r *Router) Shutdown(done func()) {
-	remaining := len(r.subs)
+	step := gather(len(r.subs), func(msg.Errno) { done() })
 	for _, sub := range r.subs {
-		sub.Shutdown(func() {
-			if remaining--; remaining == 0 {
-				done()
-			}
-		})
+		sub.Shutdown(func() { step(msg.OK) })
 	}
 }
 

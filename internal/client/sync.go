@@ -24,9 +24,6 @@ func NewSync(c *Client, await Await) *SyncClient {
 	return &SyncClient{c: c, await: await}
 }
 
-// Client returns the wrapped event-driven client.
-func (s *SyncClient) Client() *Client { return s.c }
-
 // Open opens (optionally creating) a path for reading or writing.
 func (s *SyncClient) Open(path string, write, create bool) (msg.Handle, msg.Attr, error) {
 	var h msg.Handle

@@ -168,3 +168,16 @@ func (c Config) phaseStart(p Phase) time.Duration {
 // starting no later than the server's failure observation — has expired
 // by then.
 func (c Config) StealDelay() time.Duration { return c.Bound.Stretch(c.Tau) }
+
+// The baselines' lease terms (internal/baselines) derive from τ here, for
+// client and server alike, so the two sides cannot disagree about them: a
+// heartbeat lease and a per-object lease each run τ from the send of the
+// message that renewed it, and the server steals after StealDelay.
+
+// HeartbeatInterval is how often a heartbeat-baseline client renews its
+// lease: three times a term.
+func (c Config) HeartbeatInterval() time.Duration { return c.Tau / 3 }
+
+// ObjectRenewInterval is how often a per-object-baseline client renews the
+// lease of every object it holds: twice a term.
+func (c Config) ObjectRenewInterval() time.Duration { return c.Tau / 2 }

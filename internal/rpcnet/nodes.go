@@ -3,7 +3,10 @@ package rpcnet
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +123,40 @@ func (t Topology) placement(n int) shard.Placement {
 		return t.Placement
 	}
 	return shard.Hash{N: n}
+}
+
+// ParseAddrBook parses an address book as the commands take it on their
+// flags, "id=addr,id=addr,...". The empty string is the empty book.
+func ParseAddrBook(s string) (map[msg.NodeID]string, error) {
+	out := make(map[msg.NodeID]string)
+	if s == "" {
+		return out, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("bad entry %q (want id=addr)", part)
+		}
+		id, err := strconv.Atoi(kv[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad node id %q: %v", kv[0], err)
+		}
+		out[msg.NodeID(id)] = kv[1]
+	}
+	return out, nil
+}
+
+// ReplicaGroup orders a replica group's address book by member ID. The
+// first — the lowest — is the group's primary: the authority identity
+// clients route by (ReplicaGroups' key). Every node of the installation
+// derives the same ordering from the same book.
+func ReplicaGroup(members map[msg.NodeID]string) []msg.NodeID {
+	group := make([]msg.NodeID, 0, len(members))
+	for m := range members {
+		group = append(group, m)
+	}
+	slices.Sort(group)
+	return group
 }
 
 // NodeSpec identifies one node within a topology.

@@ -356,7 +356,7 @@ func (s *Server) baselineOnMessage(client msg.NodeID, req msg.Request) {
 			now := s.clock.Now()
 			for _, ino := range m.Inos {
 				s.leaseOps.Inc()
-				s.objLeases[objLeaseKey{client, ino}] = now.Add(s.cfg.PerObjectTTL)
+				s.objLeases[objLeaseKey{client, ino}] = now.Add(s.cfg.Core.Tau)
 			}
 			s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
 		}
@@ -374,7 +374,7 @@ func (s *Server) vLeaseTouch(client msg.NodeID, ino msg.ObjectID) {
 		return
 	}
 	s.leaseOps.Inc()
-	s.objLeases[objLeaseKey{client, ino}] = s.clock.Now().Add(s.cfg.PerObjectTTL)
+	s.objLeases[objLeaseKey{client, ino}] = s.clock.Now().Add(s.cfg.Core.Tau)
 	s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
 }
 

@@ -168,9 +168,9 @@ func (s *Server) scheduleHeartbeatSteal(client msg.NodeID) {
 		// heartbeat's send time — has then provably lapsed (the same
 		// argument as Theorem 3.1, with heartbeats in place of
 		// opportunistic renewals).
-		if ok && s.clock.Now().Sub(last) < s.cfg.Core.Bound.Stretch(s.cfg.HeartbeatTTL) {
+		if ok && s.clock.Now().Sub(last) < s.cfg.Core.StealDelay() {
 			// Lease still valid; re-check when it could lapse.
-			s.hbTimers[client] = s.clock.AfterFunc(s.cfg.HeartbeatTTL/4, check)
+			s.hbTimers[client] = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
 			return
 		}
 		delete(s.hbTimers, client)
@@ -178,7 +178,7 @@ func (s *Server) scheduleHeartbeatSteal(client msg.NodeID) {
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "heartbeat"})
 		s.stealAndFence(client, true)
 	}
-	s.hbTimers[client] = s.clock.AfterFunc(s.cfg.HeartbeatTTL/4, check)
+	s.hbTimers[client] = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
 }
 
 // schedulePerObjectSteal arms the V-style steal at TTL(1+ε).
@@ -187,7 +187,7 @@ func (s *Server) schedulePerObjectSteal(client msg.NodeID) {
 		return
 	}
 	s.leaseOps.Inc()
-	s.vTimers[client] = s.clock.AfterFunc(s.cfg.Core.Bound.Stretch(s.cfg.PerObjectTTL), func() {
+	s.vTimers[client] = s.clock.AfterFunc(s.cfg.Core.StealDelay(), func() {
 		delete(s.vTimers, client)
 		s.mustRejoin[client] = true
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "per-object"})

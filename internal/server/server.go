@@ -32,14 +32,6 @@ type Config struct {
 	Policy baselines.Policy
 	// Disks lists the SAN block devices and their capacities.
 	Disks map[msg.NodeID]uint64
-	// ReplyCacheKeep bounds the at-most-once reply cache per client.
-	ReplyCacheKeep int
-	// HeartbeatTTL is the Frangipani-baseline lease term (defaults to
-	// Core.Tau).
-	HeartbeatTTL time.Duration
-	// PerObjectTTL is the V-baseline per-object lease term (defaults to
-	// Core.Tau).
-	PerObjectTTL time.Duration
 	// NoNACK (ablation, F5): instead of negatively acknowledging suspect
 	// clients, silently ignore their requests. Correct but wasteful —
 	// §3.3's argument for the NACK.
@@ -99,20 +91,14 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.ReplyCacheKeep == 0 {
-		c.ReplyCacheKeep = 128
-	}
-	if c.HeartbeatTTL == 0 {
-		c.HeartbeatTTL = c.Core.Tau
-	}
-	if c.PerObjectTTL == 0 {
-		c.PerObjectTTL = c.Core.Tau
-	}
 	if c.GracePeriod == 0 {
 		c.GracePeriod = c.Core.StealDelay()
 	}
 	return c
 }
+
+// replyCacheKeep bounds the at-most-once reply cache per client.
+const replyCacheKeep = 128
 
 type objLeaseKey struct {
 	client msg.NodeID
@@ -241,7 +227,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		ctrl:          ctrl,
 		san:           san,
 		store:         meta.NewStore(meta.NewAllocator(cfg.Disks)),
-		rcache:        core.NewReplyCache(cfg.ReplyCacheKeep, reg, prefix),
+		rcache:        core.NewReplyCache(replyCacheKeep, reg, prefix),
 		epochs:        make(map[msg.NodeID]msg.Epoch),
 		handles:       make(map[msg.NodeID]map[msg.Handle]msg.ObjectID),
 		demands:       make(map[msg.DemandID]*pendingDemand),

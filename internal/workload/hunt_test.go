@@ -12,8 +12,9 @@ import (
 
 // huntTrial is one randomized failure trial: four clients contending for
 // five files over a lossy control network, two isolate/heal cycles
-// against random victims, then the audit.
-func huntTrial(seed int64, tracer *trace.Tracer) []checker.Violation {
+// against random victims, then the audit: the violations, and what the
+// settled clients still have in flight (atRest).
+func huntTrial(seed int64, tracer *trace.Tracer) ([]checker.Violation, error) {
 	opts := cluster.DefaultOptions()
 	opts.Seed = seed
 	opts.Clients = 4
@@ -53,7 +54,7 @@ func huntTrial(seed int64, tracer *trace.Tracer) []checker.Violation {
 	for i := range cl.Clients {
 		cl.Sync(i)
 	}
-	return cl.FinalCheck()
+	return cl.FinalCheck(), atRest(cl, opts.Clients)
 }
 
 // TestHuntRaces is a wide-seed sweep of the randomized failure trial,
@@ -64,9 +65,13 @@ func TestHuntRaces(t *testing.T) {
 	}
 	bad := 0
 	for seed := int64(0); seed < 60; seed++ {
-		if got := huntTrial(seed*977+11, nil); len(got) > 0 {
+		got, rest := huntTrial(seed*977+11, nil)
+		if len(got) > 0 {
 			bad++
 			fmt.Printf("seed %d: %d violations; first: %v\n", seed*977+11, len(got), got[0])
+		} else if rest != nil {
+			bad++
+			fmt.Printf("seed %d: %v\n", seed*977+11, rest)
 		}
 	}
 	if bad > 0 {
@@ -108,8 +113,12 @@ func TestHuntRaces(t *testing.T) {
 func TestHuntFound(t *testing.T) {
 	for _, seed := range []int64{24436, 99665, 1718554, 56677} {
 		ring := trace.NewRing(1 << 16)
-		if got := huntTrial(seed, trace.New(ring)); len(got) > 0 {
+		got, rest := huntTrial(seed, trace.New(ring))
+		if len(got) > 0 {
 			t.Errorf("seed %d: %d violations; first: %v", seed, len(got), got[0])
+		}
+		if rest != nil {
+			t.Errorf("seed %d: %v", seed, rest)
 		}
 		events := ring.Events()
 		for i := 0; i < 4; i++ {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -92,6 +93,22 @@ func stressTrial(t *testing.T, seed int64) {
 			t.Fatalf("client %d never recovered", i)
 		}
 	}
+	if err := atRest(cl, opts.Clients); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// atRest is the liveness probe of a quiesced installation: the first n
+// clients — those that have not crashed — have nothing left in flight on
+// any object (Client.AtRest).
+func atRest(cl *cluster.Cluster, n int) error {
+	var errs []error
+	for i := 0; i < n; i++ {
+		for _, sub := range cl.Clients[i].Subs() {
+			errs = append(errs, sub.AtRest())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // TestStressClientCrashes mixes real crashes (volatile state lost) with
@@ -128,6 +145,9 @@ func TestStressClientCrashes(t *testing.T) {
 	cl.FinalCheck()
 	if got := cl.Violations(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
+	}
+	if err := atRest(cl, 2); err != nil {
+		t.Fatal(err)
 	}
 	// The crashed client's lock was reclaimed: someone else can write
 	// that file now.
