@@ -164,9 +164,11 @@ func main() {
 }
 
 // gatedMetrics are the lower-is-better units the -compare gate enforces
-// as ceilings: allocation behavior and the simulated SAN cost of a
-// sequential scan — deterministic per run, unlike wall-clock timing.
-var gatedMetrics = []string{"allocs/op", "B/op", "san_reads/scan", "takeover_ms"}
+// as ceilings: allocation behavior, the runtime timers a path arms, and
+// the simulated SAN cost of a sequential scan — deterministic per run,
+// unlike wall-clock timing. A baseline of 0 gates exactly: any timer at
+// all where the baseline armed none is a regression.
+var gatedMetrics = []string{"allocs/op", "B/op", "timers/op", "san_reads/scan", "takeover_ms"}
 
 // flooredMetrics are the higher-is-better units the gate enforces as
 // floors: cache-effectiveness ratios the simulator computes exactly. A
@@ -206,6 +208,11 @@ func compareBaseline(path string, current []Result) ([]string, error) {
 				continue
 			}
 			if unit == "B/op" && bytesUngated(cur.Name) {
+				continue
+			}
+			if was == 0 {
+				regressions = append(regressions, fmt.Sprintf(
+					"%s %s: 0 -> %g (the baseline is 0, so the gate is exactly 0)", cur.Name, unit, now))
 				continue
 			}
 			regressions = append(regressions, fmt.Sprintf(
@@ -265,11 +272,7 @@ func compareBaseline(path string, current []Result) ([]string, error) {
 // parent for three PRs. GroupCommit64Batched, at 2 allocs/op, carries the
 // same remainder on top of its own 1 410 B: six runs of one build read
 // 1 411 to 1 622. FileWriteVSync/batch=32 is fsync-bound the same way
-// (ten runs of one build, 2 allocs/op each: 640 to 710 B/op). LeaseRenewal
-// re-arms a simulated timer per iteration and the stopped ones stay queued
-// until they come due, so the queue grows with the iteration count and
-// its doublings divide into B/op differently each run (ten runs, 2
-// allocs/op each: 112 to 119 B/op).
+// (ten runs of one build, 2 allocs/op each: 640 to 710 B/op).
 var amortizedBytesBenches = []string{
 	"BenchmarkMetaCommit/100k",
 	"BenchmarkGroupCommit64PerBlock",
@@ -277,7 +280,6 @@ var amortizedBytesBenches = []string{
 	"BenchmarkFileWrite",
 	"BenchmarkFileWriteSync",
 	"BenchmarkFileWriteVSync/batch=32",
-	"BenchmarkLeaseRenewal",
 }
 
 func bytesUngated(name string) bool {

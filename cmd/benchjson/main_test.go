@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -291,6 +292,22 @@ func TestCompareGatesCachedLookupMessagesAtZero(t *testing.T) {
 
 // TestAppendHistoryKeepsEveryRun: each run adds one line, keyed by its
 // commit, and leaves the lines before it as they were.
+func TestCompareGatesTimersFromZero(t *testing.T) {
+	call := func(timers float64) Result {
+		return Result{Name: "BenchmarkChannelCall-8", NsPerOp: 300,
+			Metrics: map[string]float64{"timers/op": timers, "allocs/op": 1}}
+	}
+	base := writeBaseline(t, []Result{call(0)})
+	regs, err := compareBaseline(base, []Result{call(0)})
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("regressions = %v, %v; want none at 0 timers per call", regs, err)
+	}
+	regs, err = compareBaseline(base, []Result{call(0.001)})
+	if err != nil || len(regs) != 1 || !strings.Contains(regs[0], "timers/op") {
+		t.Fatalf("regressions = %v, %v; want one timers/op regression for any timer over a 0 baseline", regs, err)
+	}
+}
+
 func TestAppendHistoryKeepsEveryRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	runs := []historyLine{

@@ -89,8 +89,11 @@ type handleInfo struct {
 }
 
 type sanPending struct {
+	id    msg.ReqID
+	disk  msg.NodeID
+	build func(req msg.ReqID) msg.Message
 	cb    func(reply msg.Message, errno msg.Errno)
-	timer sim.Timer
+	retry sim.Retry[*sanPending]
 	// tries counts retransmissions. buf (set for flush writes whose
 	// payload lives in a pooled buffer) is recycled on acknowledgment
 	// ONLY when tries is still zero: once a retransmission exists, a
@@ -127,6 +130,7 @@ type Client struct {
 
 	handles    map[msg.Handle]handleInfo
 	sanCalls   map[msg.ReqID]*sanPending
+	sanRetry   *sim.Retries[*sanPending]
 	nextSANReq msg.ReqID
 	inflight   int
 	// objs is what the client keeps about each object (object.go).
@@ -236,6 +240,7 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		nfsPolls:        reg.Counter(prefix + "nfs_polls"),
 		prefetchBatches: reg.Counter(prefix + "prefetch_batches"),
 	}
+	c.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, c.retransmitSAN)
 	c.nextSANReq = cfg.SANReqBase
 	c.tracer = tr
 	env := core.Env{
@@ -414,24 +419,25 @@ func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 func (c *Client) sanCallBuf(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 	buf []byte, cb func(reply msg.Message, errno msg.Errno)) {
 	c.nextSANReq++
-	id := c.nextSANReq
-	p := &sanPending{cb: cb, buf: buf}
-	c.sanCalls[id] = p
-	var transmit func()
-	transmit = func() {
-		if c.crashedFlg {
-			return
-		}
-		c.san(d, build(id))
-		p.timer = c.clock.AfterFunc(c.cfg.Core.RetryInterval, func() {
-			if c.sanCalls[id] != p {
-				return
-			}
-			p.tries++
-			transmit()
-		})
+	p := &sanPending{id: c.nextSANReq, disk: d, build: build, cb: cb, buf: buf}
+	c.sanCalls[p.id] = p
+	c.transmitSAN(p)
+}
+
+// transmitSAN sends p and queues its retransmission.
+func (c *Client) transmitSAN(p *sanPending) {
+	if c.crashedFlg {
+		return
 	}
-	transmit()
+	c.san(p.disk, p.build(p.id))
+	c.sanRetry.Add(&p.retry, p)
+}
+
+// retransmitSAN resends a SAN request its interval has passed without
+// an answer.
+func (c *Client) retransmitSAN(p *sanPending) {
+	p.tries++
+	c.transmitSAN(p)
 }
 
 func (c *Client) completeSAN(req msg.ReqID, reply msg.Message, errno msg.Errno) {
@@ -440,9 +446,7 @@ func (c *Client) completeSAN(req msg.ReqID, reply msg.Message, errno msg.Errno) 
 		return
 	}
 	delete(c.sanCalls, req)
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	c.sanRetry.Remove(&p.retry)
 	if errno == msg.ErrFenced {
 		c.fencedIO.Inc()
 		// Discovering the fence is how a fenced client learns anything at
@@ -468,9 +472,7 @@ func (c *Client) cancelSAN() {
 	// write. The buffers are simply garbage.
 	for id, p := range c.sanCalls {
 		delete(c.sanCalls, id)
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		c.sanRetry.Remove(&p.retry)
 		if p.cb != nil {
 			p.cb(nil, msg.ErrStale)
 		}

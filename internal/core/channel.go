@@ -19,7 +19,7 @@ type pendingCall struct {
 	req   msg.Request
 	tC1   sim.Time // local time of the FIRST send attempt
 	cb    ReplyCallback
-	timer sim.Timer
+	retry sim.Retry[*pendingCall]
 	tries int
 }
 
@@ -57,6 +57,7 @@ type Channel struct {
 	epoch   msg.Epoch
 	nextReq msg.ReqID
 	pending map[msg.ReqID]*pendingCall
+	retry   *sim.Retries[*pendingCall]
 
 	sent    *stats.Counter // first-attempt sends
 	retries *stats.Counter
@@ -78,7 +79,7 @@ func NewChannel(self, server msg.NodeID, cfg Config, clock sim.Clock,
 		panic(err)
 	}
 	env = env.withDefaults()
-	return &Channel{
+	c := &Channel{
 		self:    self,
 		server:  server,
 		targets: []msg.NodeID{server},
@@ -93,6 +94,8 @@ func NewChannel(self, server msg.NodeID, cfg Config, clock sim.Clock,
 		nacksC:  env.counter("chan.nacks"),
 		redirs:  env.counter("chan.redirects"),
 	}
+	c.retry = sim.NewRetries(clock, cfg.RetryInterval, c.retransmit)
+	return c
 }
 
 // SetTargets installs the replica set the channel may address. The
@@ -152,23 +155,19 @@ func (c *Channel) Call(req msg.Request, cb ReplyCallback) msg.ReqID {
 	c.pending[id] = p
 	c.sent.Inc()
 	c.send(c.server, req)
-	c.armRetry(p, id)
+	c.retry.Add(&p.retry, p)
 	return id
 }
 
-func (c *Channel) armRetry(p *pendingCall, id msg.ReqID) {
-	p.timer = c.clock.AfterFunc(c.cfg.RetryInterval, func() {
-		if c.pending[id] != p {
-			return
-		}
-		p.tries++
-		c.retries.Inc()
-		if p.tries%redirectTries == 0 {
-			c.rotate() // the target may be dead; try a peer replica
-		}
-		c.send(c.server, p.req)
-		c.armRetry(p, id)
-	})
+// retransmit resends a call its interval has passed without an answer.
+func (c *Channel) retransmit(p *pendingCall) {
+	p.tries++
+	c.retries.Inc()
+	if p.tries%redirectTries == 0 {
+		c.rotate() // the target may be dead; try a peer replica
+	}
+	c.send(c.server, p.req)
+	c.retry.Add(&p.retry, p)
 }
 
 // HandleReply dispatches a server Reply to its pending call. Duplicate or
@@ -184,17 +183,12 @@ func (c *Channel) HandleReply(r *msg.Reply) {
 		// lease machine entirely: keep the call pending, rotate, resend.
 		c.redirs.Inc()
 		c.rotate()
-		if p.timer != nil {
-			p.timer.Stop()
-		}
 		c.send(c.server, p.req)
-		c.armRetry(p, r.Req)
+		c.retry.Add(&p.retry, p)
 		return
 	}
 	delete(c.pending, r.Req)
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	c.retry.Remove(&p.retry)
 	if _, info := r.Body.(msg.ReplicaInfoRes); info {
 		// Operator role query: answered by ANY replica, so its ACK proves
 		// nothing about the authority hearing from us — lease-neutral.
@@ -237,9 +231,7 @@ func (c *Channel) CancelAll() {
 			continue
 		}
 		delete(c.pending, id)
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		c.retry.Remove(&p.retry)
 		if p.cb != nil {
 			p.cb(nil)
 		}

@@ -48,8 +48,15 @@ type LeaseClient struct {
 	// flushed records completion of the phase-4 flush.
 	flushed bool
 
-	timer   sim.Timer // next phase boundary
-	kaTimer sim.Timer // keep-alive repetition in phase 2
+	// The next phase boundary: timer is armed for at, where the boundary
+	// into next was when it was armed. A renewal in phase 1 moves the
+	// boundary, due, later and leaves timer alone: when timer fires, it
+	// re-arms for due if due has moved past at (DESIGN §23.2).
+	timer      sim.Timer
+	at, due    sim.Deadline
+	next       Phase
+	onBoundary func()
+	kaTimer    sim.Timer // keep-alive repetition in phase 2
 
 	// Instrumentation.
 	renewals   *stats.Counter // opportunistic renewals (any ACK)
@@ -67,7 +74,7 @@ func NewLeaseClient(cfg Config, clock sim.Clock, act LeaseActions, env Env) *Lea
 		panic(err)
 	}
 	env = env.withDefaults()
-	return &LeaseClient{
+	l := &LeaseClient{
 		cfg:        cfg,
 		clock:      clock,
 		act:        act,
@@ -78,6 +85,8 @@ func NewLeaseClient(cfg Config, clock sim.Clock, act LeaseActions, env Env) *Lea
 		expiries:   env.counter("lease.expiries"),
 		dirtyAtEnd: env.counter("lease.dirty_at_expiry"),
 	}
+	l.onBoundary = l.boundary
+	return l
 }
 
 // Phase returns the current phase.
@@ -126,6 +135,13 @@ func (l *LeaseClient) Renewed(tC1 sim.Time) {
 	l.start = tC1
 	l.nacked = false
 	l.flushed = false
+	if l.phase == Phase1Valid {
+		// The boundary into phase 2 only moves later: the armed timer
+		// re-checks it when it fires.
+		l.due = l.clock.Deadline(l.start.Add(l.cfg.phaseStart(Phase2Renewal)))
+		l.announce(Phase1Valid)
+		return
+	}
 	l.toPhase(Phase1Valid)
 }
 
@@ -193,14 +209,19 @@ func (l *LeaseClient) stopTimers() {
 	}
 }
 
-// toPhase enters p, runs its entry action, and schedules the next
-// boundary relative to the current lease start.
-func (l *LeaseClient) toPhase(p Phase) {
-	l.stopTimers()
+// announce enters p and reports the transition.
+func (l *LeaseClient) announce(p Phase) {
 	from := l.phase
 	l.phase = p
 	l.env.emit(l.clock, trace.Event{Type: trace.EvPhase, From: from.String(), To: p.String()})
 	l.act.PhaseChange(from, p)
+}
+
+// toPhase enters p, runs its entry action, and schedules the next
+// boundary relative to the current lease start.
+func (l *LeaseClient) toPhase(p Phase) {
+	l.stopTimers()
+	l.announce(p)
 
 	switch p {
 	case Phase1Valid:
@@ -236,16 +257,27 @@ func (l *LeaseClient) toPhase(p Phase) {
 // machine advances immediately via a zero-delay timer, preserving the
 // invariant that transitions happen from timer context, not reentrantly.
 func (l *LeaseClient) scheduleBoundary(next Phase) {
-	at := l.start.Add(l.cfg.phaseStart(next))
-	delay := at.Sub(l.clock.Now())
-	if delay < 0 {
-		delay = 0
+	l.next = next
+	l.due = l.clock.Deadline(l.start.Add(l.cfg.phaseStart(next)))
+	l.arm()
+}
+
+// arm sets the phase timer for the boundary where it is now.
+func (l *LeaseClient) arm() {
+	l.at = l.due
+	l.timer = l.clock.AtFunc(l.at, l.onBoundary)
+}
+
+// boundary is the phase timer's callback. Whether the boundary has come
+// is decided by the deadline the timer was armed for, not by reading the
+// clock: renewals since the arming have moved it later, or not at all.
+func (l *LeaseClient) boundary() {
+	l.timer = nil
+	if l.due > l.at {
+		l.arm()
+		return
 	}
-	l.timer = l.clock.AfterFunc(delay, func() {
-		// The lease may have been renewed between arming and firing; the
-		// renewal stopped this timer, so if we run, the transition stands.
-		l.toPhase(next)
-	})
+	l.toPhase(l.next)
 }
 
 // startKeepAlives sends one keep-alive immediately and then repeats at

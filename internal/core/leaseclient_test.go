@@ -434,3 +434,105 @@ func TestKeepAliveIntervalUnclamped(t *testing.T) {
 		t.Fatalf("keep-alive interval = %v, want %v", got, want)
 	}
 }
+
+// stormLease is a lease on a clock running 5 % fast from an odd offset,
+// with every timer armed on it counted.
+func stormLease(t *testing.T) (*sim.Scheduler, *actionsRec, *LeaseClient, *sim.CountingClock) {
+	t.Helper()
+	s := sim.NewScheduler(3)
+	clock := &sim.CountingClock{Clock: s.NewClock(1.05, 7*time.Hour+123456789)}
+	rec := &actionsRec{s: s, autoFlush: true}
+	return s, rec, NewLeaseClient(testCfg(), clock, rec, Env{}), clock
+}
+
+// renewalStorm renews l 10 000 times, every 100µs of global time for a
+// second, each time for a message sent 50µs before, as a busy client's
+// replies do. It returns the deadline of the boundary into phase 2 as a
+// timer armed at the last renewal would have had it.
+func renewalStorm(s *sim.Scheduler, l *LeaseClient, clock sim.Clock) sim.Deadline {
+	var last sim.Deadline
+	for i := 1; i <= 10000; i++ {
+		s.At(s.Now().Add(sim.Duration(i)*100*time.Microsecond), func() {
+			l.Renewed(clock.Now().Add(-50 * time.Microsecond))
+			last = clock.Deadline(l.Start().Add(l.cfg.phaseStart(Phase2Renewal)))
+		})
+	}
+	s.RunUntil(s.Now().Add(time.Second))
+	return last
+}
+
+// TestRenewalStormArmsOneTimer pins the lazy phase boundary: renewals in
+// phase 1 only move the boundary later, so 10 000 of them arm no timer
+// beyond the one the first renewal armed.
+func TestRenewalStormArmsOneTimer(t *testing.T) {
+	s, _, l, clock := stormLease(t)
+	l.Renewed(clock.Now())
+	renewalStorm(s, l, clock)
+	if l.Phase() != Phase1Valid {
+		t.Fatalf("phase = %v after the storm", l.Phase())
+	}
+	if n := clock.Armed(); n != 1 {
+		t.Fatalf("10 000 renewals in phase 1 armed %d timers, want the first renewal's one", n)
+	}
+}
+
+// TestPhase2StartsAtLastRenewal checks where the lazy boundary lands on a
+// skewed clock: phase 2 begins exactly where a timer armed at the last
+// renewal would have begun it, P1End·τ after that renewal's send.
+func TestPhase2StartsAtLastRenewal(t *testing.T) {
+	s, rec, l, clock := stormLease(t)
+	l.Renewed(clock.Now())
+	first := s.Now().Add(clock.Clock.(*sim.NodeClock).GlobalDur(l.cfg.phaseStart(Phase2Renewal)))
+	want := renewalStorm(s, l, clock)
+	boundary := l.Start().Add(l.cfg.phaseStart(Phase2Renewal))
+	s.Run()
+	if len(rec.keepalives) == 0 {
+		t.Fatal("phase 2 never began")
+	}
+	got := rec.keepalives[0] // the first keep-alive goes out on entering phase 2
+	if got != sim.Time(want) {
+		t.Fatalf("phase 2 began at global %v, want %v (the last renewal's boundary)", got, sim.Time(want))
+	}
+	if global := clock.Clock.(*sim.NodeClock).GlobalAt(boundary); got < global-2 || got > global+2 {
+		t.Fatalf("phase 2 began at global %v, %v from start+P1End·τ", got, got.Sub(global))
+	}
+	if got.Sub(first) < 900*time.Millisecond {
+		t.Fatalf("phase 2 began %v after the first renewal's boundary: the storm did not move it", got.Sub(first))
+	}
+}
+
+// TestNACKAfterRenewalStorm: a NACK moves the boundary it leaves armed
+// (phase 2's) to phase 4's, and phase 4 begins P3End·τ after the last
+// renewal's send, not after the first's.
+func TestNACKAfterRenewalStorm(t *testing.T) {
+	s, rec, l, clock := stormLease(t)
+	l.Renewed(clock.Now())
+	renewalStorm(s, l, clock)
+	want := clock.Deadline(l.Start().Add(l.cfg.phaseStart(Phase4Flush)))
+	l.NACKed()
+	if l.Phase() != Phase3Suspect || len(rec.quiesces) != 1 {
+		t.Fatalf("phase %v, %d quiesces after the NACK", l.Phase(), len(rec.quiesces))
+	}
+	s.Run()
+	if len(rec.flushes) != 1 || rec.flushes[0] != sim.Time(want) {
+		t.Fatalf("phase 4 began at %v, want %v", rec.flushes, sim.Time(want))
+	}
+	if len(rec.keepalives) != 0 {
+		t.Fatalf("a NACKed lease sent %d keep-alives", len(rec.keepalives))
+	}
+}
+
+// TestResetAfterRenewalStormDisarms: Reset leaves no timer armed, the
+// lazy boundary's included.
+func TestResetAfterRenewalStormDisarms(t *testing.T) {
+	s, rec, l, clock := stormLease(t)
+	l.Renewed(clock.Now())
+	renewalStorm(s, l, clock)
+	l.Reset()
+	changes := len(rec.changes)
+	fired := s.Fired()
+	s.Run()
+	if s.Fired() != fired || len(rec.changes) != changes {
+		t.Fatalf("%d timers fired after Reset, %d phase changes", s.Fired()-fired, len(rec.changes)-changes)
+	}
+}

@@ -14,13 +14,16 @@ var sinkAttr msg.Attr
 // BenchmarkSyncHit is a ClientNode.Sync Lookup the name cache answers: what
 // a synchronous caller pays for an operation that needs nobody else. It
 // runs in the caller's own executor turn, so it must arm no timeout timer
-// and send nothing. The lease is long enough that no keep-alive falls in
-// the timed loop: a hit that arrives while a lease task holds the
-// executor rightly waits for it, timer armed, and that is the lease's
+// and send nothing. The lease and the retry interval are long enough that
+// no protocol timer fires in the timed loop — neither a keep-alive nor
+// the retransmission queue's timer, which the set-up's requests left
+// armed (DESIGN §23.1): a hit that arrives while such a task holds the
+// executor rightly waits for it, timer armed, and that is the protocol's
 // cost, not the hit's.
 func BenchmarkSyncHit(b *testing.B) {
 	cfg := liveCore()
 	cfg.Tau = time.Hour
+	cfg.RetryInterval = time.Hour
 	lc := startLiveCfg(b, 1, cfg)
 	cn := lc.clients[0]
 	if err := cn.Start(5 * time.Second); err != nil {

@@ -33,6 +33,12 @@ func (c *recClock) AfterFunc(d time.Duration, fn func()) sim.Timer {
 	return recTimer{}
 }
 
+func (c *recClock) Deadline(at sim.Time) sim.Deadline { return sim.Deadline(at) }
+
+func (c *recClock) AtFunc(dl sim.Deadline, fn func()) sim.Timer {
+	return c.AfterFunc(sim.Time(dl).Sub(c.Now()), fn)
+}
+
 func (c *recClock) durations() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,6 +151,12 @@ func (c *pendingClock) AfterFunc(_ time.Duration, fn func()) sim.Timer {
 	c.fns = append(c.fns, fn)
 	c.armedCh <- struct{}{}
 	return &pendingTimer{c: c}
+}
+
+func (c *pendingClock) Deadline(at sim.Time) sim.Deadline { return sim.Deadline(at) }
+
+func (c *pendingClock) AtFunc(dl sim.Deadline, fn func()) sim.Timer {
+	return c.AfterFunc(sim.Time(dl).Sub(c.Now()), fn)
 }
 
 // counts returns the timers armed so far and those still pending.

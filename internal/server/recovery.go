@@ -18,7 +18,7 @@ type pendingDemand struct {
 	to     msg.LockMode
 	id     msg.DemandID
 	tries  int
-	timer  sim.Timer
+	retry  sim.Retry[*pendingDemand]
 }
 
 // sendDemand is the lock table's Demander hook.
@@ -49,19 +49,21 @@ func (s *Server) transmitDemand(pd *pendingDemand) {
 			To: pd.to.String(), Note: note})
 	}
 	s.send(pd.holder, &msg.Demand{ID: pd.id, Ino: pd.ino, Mode: pd.to, Server: s.id})
-	pd.timer = s.clock.AfterFunc(s.cfg.Core.RetryInterval, func() {
-		if s.demands[pd.id] != pd {
-			return
-		}
-		if pd.tries >= s.cfg.Core.DemandRetries {
-			delete(s.demands, pd.id)
-			s.emit(trace.Event{Type: trace.EvDemandFailed, Peer: pd.holder, Ino: pd.ino})
-			s.onDeliveryFailure(pd.holder)
-			return
-		}
-		pd.tries++
-		s.transmitDemand(pd)
-	})
+	s.demandRetry.Add(&pd.retry, pd)
+}
+
+// retransmitDemand runs when a demand's interval passes without its
+// DemandAck: it resends, or, with the retry budget spent, reports the
+// delivery error.
+func (s *Server) retransmitDemand(pd *pendingDemand) {
+	if pd.tries >= s.cfg.Core.DemandRetries {
+		delete(s.demands, pd.id)
+		s.emit(trace.Event{Type: trace.EvDemandFailed, Peer: pd.holder, Ino: pd.ino})
+		s.onDeliveryFailure(pd.holder)
+		return
+	}
+	pd.tries++
+	s.transmitDemand(pd)
 }
 
 // retireDemand stops a demand's retry loop: the holder has shown that it
@@ -74,9 +76,7 @@ func (s *Server) retireDemand(id msg.DemandID, holder msg.NodeID) {
 	if !ok || pd.holder != holder {
 		return
 	}
-	if pd.timer != nil {
-		pd.timer.Stop()
-	}
+	s.demandRetry.Remove(&pd.retry)
 	delete(s.demands, id)
 }
 
@@ -85,9 +85,7 @@ func (s *Server) retireDemand(id msg.DemandID, holder msg.NodeID) {
 func (s *Server) cancelDemandsTo(client msg.NodeID) {
 	for id, pd := range s.demands {
 		if pd.holder == client {
-			if pd.timer != nil {
-				pd.timer.Stop()
-			}
+			s.demandRetry.Remove(&pd.retry)
 			delete(s.demands, id)
 		}
 	}

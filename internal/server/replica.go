@@ -108,9 +108,7 @@ func (s *Server) deactivate() {
 // ledgers) is untouched.
 func (s *Server) resetVolatile() {
 	for id, d := range s.demands {
-		if d.timer != nil {
-			d.timer.Stop()
-		}
+		s.demandRetry.Remove(&d.retry)
 		delete(s.demands, id)
 	}
 	s.locks = lock.NewTable(demanderFunc(s.sendDemand))

@@ -10,33 +10,30 @@ import (
 // function-ship disk I/O). The SAN is a datagram fabric too, so these
 // retry until answered.
 type sanCall struct {
+	id    msg.ReqID
 	disk  msg.NodeID
 	build func(req msg.ReqID) msg.Message
 	cb    func(reply msg.Message, errno msg.Errno)
-	timer sim.Timer
+	retry sim.Retry[*sanCall]
 }
 
 // sanSend issues a SAN request. cb may be nil (fire-and-forget fences).
 func (s *Server) sanSend(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 	cb func(reply msg.Message, errno msg.Errno)) {
 	s.nextSANReq++
-	id := s.nextSANReq
-	call := &sanCall{disk: d, build: build, cb: cb}
-	s.sanPending[id] = call
-	var transmit func()
-	transmit = func() {
-		if s.stopped {
-			return
-		}
-		s.san(d, build(id))
-		call.timer = s.clock.AfterFunc(s.cfg.Core.RetryInterval, func() {
-			if s.sanPending[id] != call {
-				return
-			}
-			transmit()
-		})
+	call := &sanCall{id: s.nextSANReq, disk: d, build: build, cb: cb}
+	s.sanPending[call.id] = call
+	s.transmitSAN(call)
+}
+
+// transmitSAN sends call and queues its retransmission; it is also the
+// retransmission, when the interval passes without an answer.
+func (s *Server) transmitSAN(call *sanCall) {
+	if s.stopped {
+		return
 	}
-	transmit()
+	s.san(call.disk, call.build(call.id))
+	s.sanRetry.Add(&call.retry, call)
 }
 
 // handleSANReply completes a pending SAN call.
@@ -46,9 +43,7 @@ func (s *Server) handleSANReply(req msg.ReqID, reply msg.Message, errno msg.Errn
 		return
 	}
 	delete(s.sanPending, req)
-	if call.timer != nil {
-		call.timer.Stop()
-	}
+	s.sanRetry.Remove(&call.retry)
 	if call.cb != nil {
 		call.cb(reply, errno)
 	}

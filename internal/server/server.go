@@ -132,6 +132,10 @@ type Server struct {
 
 	// Outstanding demands awaiting transport-level DemandAck.
 	demands map[msg.DemandID]*pendingDemand
+	// The retransmission queues of demands, SAN requests and handoffs.
+	demandRetry  *sim.Retries[*pendingDemand]
+	sanRetry     *sim.Retries[*sanCall]
+	handoffRetry *sim.Retries[*pendingHandoff]
 	// parked holds the mutations waiting for a directory lock to come back
 	// (namespace.go).
 	parked map[dirWait][]*mutation
@@ -261,6 +265,9 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		redirectsSent: reg.Counter(prefix + "redirects_sent"),
 	}
 	s.tracer = tr
+	s.demandRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.retransmitDemand)
+	s.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitSAN)
+	s.handoffRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitHandoff)
 	s.locks = lock.NewTable(demanderFunc(s.sendDemand))
 	s.auth = core.NewAuthority(cfg.Core, clock, authorityActions{s},
 		core.Env{Reg: reg, Prefix: prefix, Tracer: tr, Node: id})

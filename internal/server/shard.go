@@ -46,9 +46,8 @@ import (
 // zero for a handoff re-driven after a restart (the original reply died
 // with the crash — the client's retried Rename re-attaches).
 type pendingHandoff struct {
-	hid    uint64
-	dest   msg.NodeID
-	timer  sim.Timer
+	e      *meta.Export
+	retry  sim.Retry[*pendingHandoff]
 	client msg.NodeID
 	req    msg.ReqID
 	// settling: the destination has answered and the old name is waiting
@@ -90,23 +89,28 @@ func (s *Server) crossShardRename(client msg.NodeID, id msg.ReqID, in *meta.Inod
 	e := s.store.BeginExport(in.Ino, dest, m.OldPath, m.NewPath)
 	s.emit(trace.Event{Type: trace.EvShardHandoff, Peer: dest, Ino: in.Ino,
 		Note: "hid=" + strconv.FormatUint(e.HID, 10)})
-	ph := &pendingHandoff{hid: e.HID, dest: dest, client: client, req: id}
+	ph := &pendingHandoff{e: e, client: client, req: id}
 	s.handoffs[e.HID] = ph
-	s.transmitHandoff(ph, e)
+	s.transmitHandoff(ph)
 }
 
 // resumeHandoff re-drives a durable export found at restart.
 func (s *Server) resumeHandoff(e *meta.Export) {
-	ph := &pendingHandoff{hid: e.HID, dest: e.Dest}
+	ph := &pendingHandoff{e: e}
 	s.handoffs[e.HID] = ph
-	s.transmitHandoff(ph, e)
+	s.transmitHandoff(ph)
 }
 
-// transmitHandoff sends the migrate message and arms retransmission.
-// Like sanSend it retries until answered: the export is durable and the
-// destination's ledger makes duplicates harmless, so persistence — not
-// a retry budget — is the correct policy.
-func (s *Server) transmitHandoff(ph *pendingHandoff, e *meta.Export) {
+// transmitHandoff sends the migrate message and queues its
+// retransmission; it is also the retransmission, when the interval
+// passes without an answer. Like sanSend it retries until answered: the
+// export is durable and the destination's ledger makes duplicates
+// harmless, so persistence — not a retry budget — is the correct policy.
+func (s *Server) transmitHandoff(ph *pendingHandoff) {
+	if s.stopped {
+		return
+	}
+	e := ph.e
 	in, errno := s.store.Get(e.Ino)
 	if errno != msg.OK {
 		// Unreachable while the export pins the inode; settle
@@ -116,12 +120,7 @@ func (s *Server) transmitHandoff(ph *pendingHandoff, e *meta.Export) {
 	}
 	s.send(e.Dest, &msg.ShardMigrate{Src: s.id, HID: e.HID, Path: e.NewPath,
 		Attr: in.Attr(), Blocks: append([]msg.BlockRef(nil), in.Blocks...)})
-	ph.timer = s.clock.AfterFunc(s.cfg.Core.RetryInterval, func() {
-		if s.stopped || s.handoffs[ph.hid] != ph {
-			return
-		}
-		s.transmitHandoff(ph, e)
-	})
+	s.handoffRetry.Add(&ph.retry, ph)
 }
 
 // handleShardMigrate is the destination half: install once, answer from
@@ -190,20 +189,18 @@ func (s *Server) settleHandoff(ph *pendingHandoff, m *msg.ShardMigrateRes) {
 	if ph.settling {
 		return // an answer to a retransmission
 	}
-	if ph.timer != nil {
-		ph.timer.Stop()
-	}
-	e := s.store.Export(ph.hid)
+	s.handoffRetry.Remove(&ph.retry)
+	e := s.store.Export(ph.e.HID)
 	if e == nil {
-		delete(s.handoffs, ph.hid)
+		delete(s.handoffs, ph.e.HID)
 		return
 	}
-	note := "hid=" + strconv.FormatUint(ph.hid, 10)
+	note := "hid=" + strconv.FormatUint(ph.e.HID, 10)
 	if m.Err != msg.OK {
-		delete(s.handoffs, ph.hid)
-		s.emit(trace.Event{Type: trace.EvShardAbort, Peer: ph.dest, Ino: e.Ino,
+		delete(s.handoffs, ph.e.HID)
+		s.emit(trace.Event{Type: trace.EvShardAbort, Peer: ph.e.Dest, Ino: e.Ino,
 			Note: note + " " + m.Err.String()})
-		s.store.AbortExport(ph.hid)
+		s.store.AbortExport(ph.e.HID)
 		if ph.client != 0 {
 			s.reply(ph.client, ph.req, &msg.Reply{Status: msg.ACK, Err: m.Err})
 		}
@@ -248,13 +245,13 @@ func (o *exportDoneOp) plan() []msg.ObjectID {
 
 func (o *exportDoneOp) apply() {
 	s, ph, e := o.s, o.ph, o.e
-	delete(s.handoffs, ph.hid)
-	if s.store.Export(ph.hid) == nil {
+	delete(s.handoffs, ph.e.HID)
+	if s.store.Export(ph.e.HID) == nil {
 		return
 	}
-	s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.dest, Ino: e.Ino,
-		Note: "hid=" + strconv.FormatUint(ph.hid, 10)})
-	s.store.CompleteExport(ph.hid)
+	s.emit(trace.Event{Type: trace.EvShardDone, Peer: ph.e.Dest, Ino: e.Ino,
+		Note: "hid=" + strconv.FormatUint(ph.e.HID, 10)})
+	s.store.CompleteExport(ph.e.HID)
 	if parent := o.parent[0]; parent != 0 {
 		s.noteName(s.id, parent, e.OldPath, 0)
 		s.noteAttrs(s.id, parent)

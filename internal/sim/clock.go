@@ -77,6 +77,20 @@ func (c *NodeClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return c.sched.After(c.GlobalDur(d), fn)
 }
 
+// Deadline returns the global instant AfterFunc(at − Now()) would fire at.
+func (c *NodeClock) Deadline(at Time) Deadline {
+	d := at.Sub(c.Now())
+	if d < 0 {
+		d = 0
+	}
+	return Deadline(c.sched.now.Add(c.GlobalDur(d)))
+}
+
+// AtFunc schedules fn at deadline dl, or now if dl has passed.
+func (c *NodeClock) AtFunc(dl Deadline, fn func()) Timer {
+	return c.sched.At(max(Time(dl), c.sched.now), fn)
+}
+
 var _ Clock = (*NodeClock)(nil)
 
 // RealClock is a Clock backed by the wall clock, used by the live TCP
@@ -148,4 +162,35 @@ func (c *RealClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return t
 }
 
+// Deadline is at itself: a wall-clock timer's schedule is local time.
+func (c *RealClock) Deadline(at Time) Deadline { return Deadline(at) }
+
+// AtFunc schedules fn when the clock reads dl.
+func (c *RealClock) AtFunc(dl Deadline, fn func()) Timer {
+	return c.AfterFunc(Time(dl).Sub(c.Now()), fn)
+}
+
 var _ Clock = (*RealClock)(nil)
+
+// CountingClock wraps a Clock and counts the timers armed on it, for
+// tests and benchmarks that pin how many timers a path arms. It is safe
+// for concurrent use if the wrapped clock is.
+type CountingClock struct {
+	Clock
+	armed atomic.Int64
+}
+
+// AfterFunc counts the timer and arms it on the wrapped clock.
+func (c *CountingClock) AfterFunc(d time.Duration, fn func()) Timer {
+	c.armed.Add(1)
+	return c.Clock.AfterFunc(d, fn)
+}
+
+// AtFunc counts the timer and arms it on the wrapped clock.
+func (c *CountingClock) AtFunc(dl Deadline, fn func()) Timer {
+	c.armed.Add(1)
+	return c.Clock.AtFunc(dl, fn)
+}
+
+// Armed returns the number of timers armed so far.
+func (c *CountingClock) Armed() int64 { return c.armed.Load() }

@@ -18,6 +18,12 @@ func (c *stubClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return stubTimer{}
 }
 
+func (c *stubClock) Deadline(at Time) Deadline { return Deadline(at) }
+
+func (c *stubClock) AtFunc(dl Deadline, fn func()) Timer {
+	return c.AfterFunc(Time(dl).Sub(c.Now()), fn)
+}
+
 type stubTimer struct{}
 
 func (stubTimer) Stop() bool { return false }

@@ -56,7 +56,21 @@ type Clock interface {
 	// this clock and returns a Timer that can cancel it. fn runs on the
 	// node's executor (the scheduler goroutine in simulation).
 	AfterFunc(d time.Duration, fn func()) Timer
+	// Deadline returns the instant at which a timer armed now for local
+	// instant at (or at once, if at has passed) would fire. A caller that
+	// takes a deadline when it would have armed a timer, and arms one for
+	// that deadline later (AtFunc), fires at the same instant.
+	Deadline(at Time) Deadline
+	// AtFunc is AfterFunc for a deadline: fn runs at dl, or at once if dl
+	// has passed.
+	AtFunc(dl Deadline, fn func()) Timer
 }
+
+// Deadline is an instant on a clock's timer schedule. Deadlines of one
+// clock order like the local instants they were taken for, and compare
+// only with each other: on a simulated clock a deadline is global time,
+// so protocol code never mixes one with a Time.
+type Deadline int64
 
 // RateBound describes the paper's rate-synchronization assumption: an
 // interval of length t measured on one clock has length within
