@@ -3,7 +3,7 @@
 GO ?= go
 TANKLINT ?= bin/tanklint
 
-.PHONY: all build test race vet lint verify bench bench-gate experiments clean
+.PHONY: all build test race vet lint verify bench bench-gate experiments loc clean
 
 all: build
 
@@ -112,6 +112,14 @@ bench-gate:
 RUN ?= all
 experiments:
 	$(GO) run ./cmd/simulate -run $(RUN)
+
+# loc prints the non-test Go lines of each package (a directory's .go
+# files, _test.go files and testdata/ left out) and their total: the
+# count a change reports as lines added and removed, before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -60,8 +60,6 @@ func (p *Page) Bytes() []byte { return p.blk.data }
 // Object is the cached state for one file.
 type Object struct {
 	Attr msg.Attr
-	// Mode is the data lock under which this object is cached.
-	Mode msg.LockMode
 	// Blocks is the cached block map (valid while a data lock is held —
 	// the map can only change through this client's own AllocBlocks).
 	Blocks []msg.BlockRef

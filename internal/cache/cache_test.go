@@ -107,11 +107,10 @@ func TestObjectMetadataFields(t *testing.T) {
 	o := c.Ensure(5)
 	o.Attr = msg.Attr{Ino: 5, Size: 100}
 	o.HaveAttr = true
-	o.Mode = msg.LockExclusive
 	o.Blocks = []msg.BlockRef{{Disk: 9, Num: 3}}
 	o.HaveMap = true
 	got := c.Object(5)
-	if !got.HaveAttr || got.Attr.Size != 100 || got.Mode != msg.LockExclusive || len(got.Blocks) != 1 {
+	if !got.HaveAttr || got.Attr.Size != 100 || len(got.Blocks) != 1 {
 		t.Fatalf("object = %+v", got)
 	}
 	// Ensure is idempotent.

@@ -350,17 +350,8 @@ func (c *Client) DeliverSAN(env msg.Envelope) {
 	if c.crashedFlg {
 		return
 	}
-	switch m := env.Payload.(type) {
-	case *msg.DiskReadRes:
-		c.completeSAN(m.Req, m, m.Err)
-	case *msg.DiskWriteRes:
-		c.completeSAN(m.Req, m, m.Err)
-	case *msg.DiskWriteVRes:
-		c.completeSAN(m.Req, m, m.Err)
-	case *msg.DiskReadVRes:
-		c.completeSAN(m.Req, m, m.Err)
-	case *msg.DLockRes:
-		c.completeSAN(m.Req, m, m.Err)
+	if req, errno, ok := msg.SANReplyReq(env.Payload); ok {
+		c.completeSAN(req, env.Payload, errno)
 	}
 }
 

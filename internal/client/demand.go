@@ -157,9 +157,6 @@ func (c *Client) downgradeTo(ino msg.ObjectID, mode msg.LockMode) {
 	}
 	o := c.obj(ino)
 	o.mode, o.ra = mode, readAhead{}
-	if co := c.cache.Object(ino); co != nil {
-		co.Mode = mode
-	}
 	c.oracle.LockActive(c.id, ino, mode)
 }
 

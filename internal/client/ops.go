@@ -675,7 +675,7 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 		cur := o.mode
 		if res.Mode > cur {
 			o.mode = res.Mode
-			c.cache.Ensure(ino).Mode = res.Mode
+			c.cache.Ensure(ino) // the data path finds an entry under any lock
 			c.oracle.LockActive(c.id, ino, res.Mode)
 		}
 		if res.HaveMap && cur == msg.LockNone {

@@ -108,7 +108,7 @@ func (r *Router) Deliver(env msg.Envelope) {
 // DeliverSAN is the node's SAN handler: a disk reply belongs to the sub
 // whose request-ID base it carries.
 func (r *Router) DeliverSAN(env msg.Envelope) {
-	if req, ok := msg.SANReplyReq(env.Payload); ok {
+	if req, _, ok := msg.SANReplyReq(env.Payload); ok {
 		r.issuer(uint64(req)).DeliverSAN(env)
 	}
 }

@@ -99,6 +99,14 @@ func (rc *ReplyCache) Complete(client msg.NodeID, req msg.ReqID, reply *msg.Repl
 // ReqID space restarts with its new epoch).
 func (rc *ReplyCache) Forget(client msg.NodeID) { delete(rc.perClient, client) }
 
+// Kept reports how many completed replies the cache holds for client.
+func (rc *ReplyCache) Kept(client msg.NodeID) int {
+	if cr, ok := rc.perClient[client]; ok {
+		return len(cr.done)
+	}
+	return 0
+}
+
 // InFlight reports whether the request is currently executing.
 func (rc *ReplyCache) InFlight(client msg.NodeID, req msg.ReqID) bool {
 	if cr, ok := rc.perClient[client]; ok {

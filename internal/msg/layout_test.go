@@ -179,17 +179,24 @@ func TestEncodeOnlyReads(t *testing.T) {
 }
 
 // TestSANReplyReq: the six disk replies, and nothing else, route by
-// request ID.
+// request ID, and each hands back its own errno.
 func TestSANReplyReq(t *testing.T) {
 	replies := map[string]bool{"DiskReadRes": true, "DiskWriteRes": true, "DiskReadVRes": true,
 		"DiskWriteVRes": true, "FenceRes": true, "DLockRes": true}
 	for name, env := range goldenSamples() {
-		req, ok := SANReplyReq(env.Payload)
+		req, errno, ok := SANReplyReq(env.Payload)
 		if ok != replies[name] {
 			t.Errorf("SANReplyReq(%s) ok = %v", name, ok)
 		}
-		if ok && req != ReqID(reflect.ValueOf(env.Payload).Elem().FieldByName("Req").Uint()) {
+		if !ok {
+			continue
+		}
+		v := reflect.ValueOf(env.Payload).Elem()
+		if req != ReqID(v.FieldByName("Req").Uint()) {
 			t.Errorf("SANReplyReq(%s) = %d, not the reply's Req", name, req)
+		}
+		if errno != Errno(v.FieldByName("Err").Uint()) {
+			t.Errorf("SANReplyReq(%s) errno = %v, not the reply's Err", name, errno)
 		}
 	}
 }

@@ -258,24 +258,24 @@ func (*DLockRes) Size() int  { return 9 }
 
 func (m *DLockRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 
-// SANReplyReq returns the request ID a disk's reply answers, for nodes
-// that route SAN replies to one of several protocol instances by the
-// request ID's high bits; ok is false for anything that is not a disk
-// reply.
-func SANReplyReq(m Message) (req ReqID, ok bool) {
+// SANReplyReq returns the request ID a disk's reply answers and the errno
+// it carries, for the handlers that complete a SAN call by its request ID
+// (and the nodes that route it to one of several protocol instances by
+// the ID's high bits); ok is false for anything that is not a disk reply.
+func SANReplyReq(m Message) (req ReqID, errno Errno, ok bool) {
 	switch m := m.(type) {
 	case *DiskReadRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	case *DiskWriteRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	case *DiskReadVRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	case *DiskWriteVRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	case *FenceRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	case *DLockRes:
-		return m.Req, true
+		return m.Req, m.Err, true
 	}
-	return 0, false
+	return 0, 0, false
 }

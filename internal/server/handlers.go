@@ -3,7 +3,6 @@ package server
 import (
 	"strconv"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -45,20 +44,21 @@ func (s *Server) handleRequest(req msg.Request) {
 	// Lease admission. For the paper's policy this is Authority.Allow —
 	// a lookup in an empty map during normal operation. For baseline
 	// policies, mustRejoin covers stolen clients.
-	if !s.auth.Allow(client) || s.mustRejoin[client] {
+	p := s.peers[client]
+	if !s.auth.Allow(client) || p != nil && p.mustRejoin {
 		if !s.cfg.NoNACK {
 			s.nack(client, id)
 		}
 		return
 	}
 	// Stale or missing registration: the client must (re)join first.
-	if s.epochs[client] == 0 || s.epochs[client] != h.Epoch {
+	if p == nil || p.epoch == 0 || p.epoch != h.Epoch {
 		s.nack(client, id)
 		return
 	}
 
 	// Baseline lease bookkeeping on the receive path.
-	s.baselineOnMessage(client, req)
+	s.baselineOnMessage(p, req)
 
 	disp, cached := s.rcache.Admit(client, id)
 	switch disp {
@@ -80,9 +80,10 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno, Body: body})
 	}
 	switch m := req.(type) {
-	case *msg.KeepAlive:
-		// The NULL message (§3.1): no state touched; the ACK itself is
-		// the entire function.
+	case *msg.KeepAlive, *msg.Close, *msg.Heartbeat, *msg.RenewObjects:
+		// The ACK is the entire function: a KeepAlive is the NULL message
+		// (§3.1), the server keeps no table of open handles, and the
+		// baselines' lease bookkeeping was done in baselineOnMessage.
 		ack(msg.OK, nil)
 
 	case *msg.Lookup:
@@ -118,19 +119,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			return
 		}
 		s.nextHandle++
-		hs := s.handles[client]
-		if hs == nil {
-			hs = make(map[msg.Handle]msg.ObjectID)
-			s.handles[client] = hs
-		}
-		hs[s.nextHandle] = m.Ino
 		ack(msg.OK, msg.OpenRes{Handle: s.nextHandle, Attr: in.Attr()})
-
-	case *msg.Close:
-		if hs := s.handles[client]; hs != nil {
-			delete(hs, m.Handle)
-		}
-		ack(msg.OK, nil)
 
 	case *msg.GetAttr:
 		in, errno := s.store.Get(m.Ino)
@@ -206,7 +195,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			if !s.auth.Allow(client) {
 				return
 			}
-			if s.mustRejoin[client] {
+			if p := s.peers[client]; p != nil && p.mustRejoin {
 				// Leaseless policies steal synchronously when they mark
 				// mustRejoin, which also drops the client's waiters, so
 				// this grant cannot race a pending steal: give it back.
@@ -244,14 +233,6 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		}
 		ack(errno, msg.LockRes{Mode: m.To})
 
-	case *msg.Heartbeat:
-		// Handled in baselineOnMessage; the ACK is all that remains.
-		ack(msg.OK, nil)
-
-	case *msg.RenewObjects:
-		// Bookkeeping already done in baselineOnMessage.
-		ack(msg.OK, nil)
-
 	case *msg.FuncRead:
 		s.funcRead(client, id, m)
 
@@ -263,8 +244,8 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 	}
 }
 
-// handleRejoin (re)registers a client: fresh epoch, no locks, no handles,
-// empty reply-cache history, fence lifted.
+// handleRejoin (re)registers a client: fresh epoch, no locks, empty
+// reply-cache history, fence lifted.
 func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.transactions.Inc()
 	s.emit(trace.Event{Type: trace.EvRejoin, Peer: client})
@@ -275,34 +256,25 @@ func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.rejoining = client
 	s.auth.OnRejoin(client)
 	s.rejoining = msg.None
-	delete(s.mustRejoin, client)
+	p := s.peerOf(client)
+	p.mustRejoin = false
 	// Always lift the fence: a restarted server has lost its fence
 	// bookkeeping, but a rejoining client by definition holds nothing,
 	// so unfencing is safe and idempotent.
 	s.setFence(client, false)
 	// Any residue (locks, waiters, demands) from the previous incarnation
 	// goes away; under lease recovery the authority already stole them.
-	s.dropParked(client)
-	s.locks.StealAll(client)
-	s.cancelDemandsTo(client)
-	delete(s.handles, client)
-	s.rcache.Forget(client)
-	s.baselineForget(client)
-
-	s.epochs[client] = s.store.NextEpoch()
+	s.stealAndFence(client, false)
+	p.epoch = s.store.NextEpoch()
 	// Registration counts as contact for the heartbeat baseline: the
 	// lease is established by the (ACKed) Rejoin itself. Without this, a
 	// client isolated before its first heartbeat would be stolen from
 	// immediately.
-	if s.cfg.Policy.Lease == baselines.LeaseHeartbeat {
-		s.leaseOps.Inc()
-		s.lastHeard[client] = s.clock.Now()
-		s.leaseBytes.Set(int64(len(s.lastHeard)) * heartbeatEntryBytes)
-	}
+	s.heardFrom(p)
 	// Reply directly: Rejoin is idempotent by construction (each attempt
 	// may mint a new epoch; only the one the client adopts matters).
 	s.send(client, &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
-		Body: msg.RejoinRes{Epoch: s.epochs[client]}})
+		Body: msg.RejoinRes{Epoch: p.epoch}})
 }
 
 // handleReassert rebuilds a client's registration and lock state after a
@@ -318,98 +290,35 @@ func (s *Server) handleReassert(client msg.NodeID, id msg.ReqID, m *msg.Reassert
 	s.emit(trace.Event{Type: trace.EvReassert, Peer: client,
 		Note: "claims=" + strconv.Itoa(len(m.Locks))})
 	// All-or-nothing: install claims, rolling back on conflict.
-	installed := make([]msg.LockClaim, 0, len(m.Locks))
-	for _, claim := range m.Locks {
+	for i, claim := range m.Locks {
 		if !s.locks.Install(client, claim.Ino, claim.Mode) {
-			for _, done := range installed {
+			for _, done := range m.Locks[:i] {
 				s.locks.Release(client, done.Ino, msg.LockNone)
 			}
 			s.nack(client, id)
 			return
 		}
-		installed = append(installed, claim)
+	}
+	p := s.peerOf(client)
+	s.endSession(p)
+	for _, claim := range m.Locks {
 		s.vLeaseTouch(client, claim.Ino)
 	}
-	s.rcache.Forget(client)
-	s.epochs[client] = s.store.NextEpoch()
-	if s.cfg.Policy.Lease == baselines.LeaseHeartbeat {
-		s.leaseOps.Inc()
-		s.lastHeard[client] = s.clock.Now()
-		s.leaseBytes.Set(int64(len(s.lastHeard)) * heartbeatEntryBytes)
-	}
+	p.epoch = s.store.NextEpoch()
+	s.heardFrom(p)
 	s.send(client, &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
-		Body: msg.ReassertRes{Epoch: s.epochs[client]}})
+		Body: msg.ReassertRes{Epoch: p.epoch}})
 }
 
 // baselineOnMessage performs the per-message lease work the comparison
 // policies require — precisely the work the paper's protocol avoids.
-func (s *Server) baselineOnMessage(client msg.NodeID, req msg.Request) {
-	switch s.cfg.Policy.Lease {
-	case baselines.LeaseHeartbeat:
-		if _, ok := req.(*msg.Heartbeat); ok {
-			s.leaseOps.Inc()
-			s.lastHeard[client] = s.clock.Now()
-			s.leaseBytes.Set(int64(len(s.lastHeard)) * heartbeatEntryBytes)
+func (s *Server) baselineOnMessage(p *peer, req msg.Request) {
+	switch m := req.(type) {
+	case *msg.Heartbeat:
+		s.heardFrom(p)
+	case *msg.RenewObjects:
+		for _, ino := range m.Inos {
+			s.vLeaseTouch(p.id, ino)
 		}
-	case baselines.LeasePerObject:
-		if m, ok := req.(*msg.RenewObjects); ok {
-			now := s.clock.Now()
-			for _, ino := range m.Inos {
-				s.leaseOps.Inc()
-				s.objLeases[objLeaseKey{client, ino}] = now.Add(s.cfg.Core.Tau)
-			}
-			s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
-		}
-	}
-}
-
-const (
-	heartbeatEntryBytes = 16
-	objLeaseEntryBytes  = 24
-)
-
-// vLeaseTouch registers a per-object lease on first grant (V baseline).
-func (s *Server) vLeaseTouch(client msg.NodeID, ino msg.ObjectID) {
-	if s.cfg.Policy.Lease != baselines.LeasePerObject {
-		return
-	}
-	s.leaseOps.Inc()
-	s.objLeases[objLeaseKey{client, ino}] = s.clock.Now().Add(s.cfg.Core.Tau)
-	s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
-}
-
-// vLeaseDrop removes a per-object lease when the lock is fully released.
-func (s *Server) vLeaseDrop(client msg.NodeID, ino msg.ObjectID) {
-	if s.cfg.Policy.Lease != baselines.LeasePerObject {
-		return
-	}
-	if _, ok := s.objLeases[objLeaseKey{client, ino}]; ok {
-		s.leaseOps.Inc()
-		delete(s.objLeases, objLeaseKey{client, ino})
-		s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
-	}
-}
-
-// baselineForget clears baseline lease state on rejoin.
-func (s *Server) baselineForget(client msg.NodeID) {
-	delete(s.lastHeard, client)
-	if t := s.hbTimers[client]; t != nil {
-		t.Stop()
-		delete(s.hbTimers, client)
-	}
-	for k := range s.objLeases {
-		if k.client == client {
-			delete(s.objLeases, k)
-		}
-	}
-	if t := s.vTimers[client]; t != nil {
-		t.Stop()
-		delete(s.vTimers, client)
-	}
-	switch s.cfg.Policy.Lease {
-	case baselines.LeaseHeartbeat:
-		s.leaseBytes.Set(int64(len(s.lastHeard)) * heartbeatEntryBytes)
-	case baselines.LeasePerObject:
-		s.leaseBytes.Set(int64(len(s.objLeases)) * objLeaseEntryBytes)
 	}
 }

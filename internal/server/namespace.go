@@ -108,24 +108,6 @@ func (m *mutation) take(dir msg.ObjectID, prior msg.LockMode) {
 	m.n++
 }
 
-// dirWait names what a parked mutation waits for: its requester's
-// exclusive hold on one directory.
-type dirWait struct {
-	by  msg.NodeID
-	ino msg.ObjectID
-}
-
-// dropParked forgets the mutations waiting on behalf of a client whose
-// locks and queued acquires were just stolen: nobody will answer them, and
-// the client's retries come back, after it rejoins, as new requests.
-func (s *Server) dropParked(client msg.NodeID) {
-	for k := range s.parked {
-		if k.by == client {
-			delete(s.parked, k)
-		}
-	}
-}
-
 // takenLock is a directory lock a mutation holds exclusively, and what its
 // requester held before.
 type takenLock struct {
@@ -233,13 +215,13 @@ func (s *Server) mutate(m *mutation) {
 		// The table keeps one queued acquire per client and object, so
 		// mutations of one requester waiting on one directory wait
 		// together, behind the first one's acquire.
-		k := dirWait{m.by, d}
-		if s.parked[k] = append(s.parked[k], m); len(s.parked[k]) > 1 {
+		p := s.peerOf(m.by)
+		if p.parked[d] = append(p.parked[d], m); len(p.parked[d]) > 1 {
 			return
 		}
 		s.locks.Acquire(m.by, d, msg.LockExclusive, func(msg.LockMode) {
-			waiting := s.parked[k]
-			delete(s.parked, k)
+			waiting := p.parked[d]
+			delete(p.parked, d)
 			switch {
 			case m.by == s.id:
 			case !s.auth.Allow(m.by):
@@ -247,7 +229,7 @@ func (s *Server) mutate(m *mutation) {
 				// answer a suspect; the hold stays in the table until the
 				// steal clears it, as a granted acquire's does.
 				return
-			case s.mustRejoin[m.by]:
+			case p.mustRejoin:
 				s.locks.Release(m.by, d, msg.LockNone)
 				return
 			}

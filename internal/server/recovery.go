@@ -13,7 +13,7 @@ import (
 // DemandAck. The absence of that ack, after retries, is the "delivery
 // error" that activates the recovery policy.
 type pendingDemand struct {
-	holder msg.NodeID
+	holder *peer
 	ino    msg.ObjectID
 	to     msg.LockMode
 	id     msg.DemandID
@@ -23,8 +23,9 @@ type pendingDemand struct {
 
 // sendDemand is the lock table's Demander hook.
 func (s *Server) sendDemand(holder msg.NodeID, ino msg.ObjectID, to msg.LockMode, id msg.DemandID) {
-	pd := &pendingDemand{holder: holder, ino: ino, to: to, id: id}
-	s.demands[id] = pd
+	p := s.peerOf(holder)
+	pd := &pendingDemand{holder: p, ino: ino, to: to, id: id}
+	p.demands[id] = pd
 	s.transmitDemand(pd)
 }
 
@@ -45,10 +46,10 @@ func (s *Server) transmitDemand(pd *pendingDemand) {
 		case pd.tries > 0:
 			note = "retry"
 		}
-		s.emit(trace.Event{Type: trace.EvDemand, Peer: pd.holder, Ino: pd.ino,
+		s.emit(trace.Event{Type: trace.EvDemand, Peer: pd.holder.id, Ino: pd.ino,
 			To: pd.to.String(), Note: note})
 	}
-	s.send(pd.holder, &msg.Demand{ID: pd.id, Ino: pd.ino, Mode: pd.to, Server: s.id})
+	s.send(pd.holder.id, &msg.Demand{ID: pd.id, Ino: pd.ino, Mode: pd.to, Server: s.id})
 	s.demandRetry.Add(&pd.retry, pd)
 }
 
@@ -57,9 +58,9 @@ func (s *Server) transmitDemand(pd *pendingDemand) {
 // delivery error.
 func (s *Server) retransmitDemand(pd *pendingDemand) {
 	if pd.tries >= s.cfg.Core.DemandRetries {
-		delete(s.demands, pd.id)
-		s.emit(trace.Event{Type: trace.EvDemandFailed, Peer: pd.holder, Ino: pd.ino})
-		s.onDeliveryFailure(pd.holder)
+		delete(pd.holder.demands, pd.id)
+		s.emit(trace.Event{Type: trace.EvDemandFailed, Peer: pd.holder.id, Ino: pd.ino})
+		s.onDeliveryFailure(pd.holder.id)
 		return
 	}
 	pd.tries++
@@ -72,22 +73,13 @@ func (s *Server) retransmitDemand(pd *pendingDemand) {
 // so as well (handlers.go). A demand nobody is waiting on any more, or
 // one aimed at somebody else, is left alone.
 func (s *Server) retireDemand(id msg.DemandID, holder msg.NodeID) {
-	pd, ok := s.demands[id]
-	if !ok || pd.holder != holder {
+	p := s.peers[holder]
+	if p == nil {
 		return
 	}
-	s.demandRetry.Remove(&pd.retry)
-	delete(s.demands, id)
-}
-
-// cancelDemandsTo drops outstanding demands aimed at a client whose locks
-// were stolen (nothing left to downgrade).
-func (s *Server) cancelDemandsTo(client msg.NodeID) {
-	for id, pd := range s.demands {
-		if pd.holder == client {
-			s.demandRetry.Remove(&pd.retry)
-			delete(s.demands, id)
-		}
+	if pd, ok := p.demands[id]; ok {
+		s.demandRetry.Remove(&pd.retry)
+		delete(p.demands, id)
 	}
 }
 
@@ -109,14 +101,14 @@ func (s *Server) onDeliveryFailure(client msg.NodeID) {
 
 	case baselines.RecoverStealImmediate:
 		// Traditional recovery, unsafe on NAS: steal now, no fence.
-		s.mustRejoin[client] = true
+		s.peerOf(client).mustRejoin = true
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "immediate"})
 		s.stealAndFence(client, false)
 
 	case baselines.RecoverFenceOnly:
 		// §2.1's strawman: fence at the disks, then steal. The client is
 		// not told; it discovers the fence when its I/O fails.
-		s.mustRejoin[client] = true
+		s.peerOf(client).mustRejoin = true
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "fence-only"})
 		s.stealAndFence(client, true)
 
@@ -141,61 +133,60 @@ func (s *Server) redemandNow(client msg.NodeID) {
 	if s.locks.LocksHeldBy(client) == 0 {
 		return
 	}
+	p := s.peerOf(client)
 	for _, d := range s.locks.OutstandingDemands(client) {
-		if _, inFlight := s.demands[d.ID]; inFlight {
-			continue
+		if _, inFlight := p.demands[d.ID]; !inFlight {
+			s.sendDemand(client, d.Ino, d.To, d.ID)
 		}
-		pd := &pendingDemand{holder: client, ino: d.Ino, to: d.To, id: d.ID}
-		s.demands[d.ID] = pd
-		s.transmitDemand(pd)
 	}
 }
 
 // scheduleHeartbeatSteal arms (idempotently) the Frangipani-style steal.
 func (s *Server) scheduleHeartbeatSteal(client msg.NodeID) {
-	if s.hbTimers[client] != nil {
+	p := s.peerOf(client)
+	if p.steal != nil {
 		return
 	}
 	s.leaseOps.Inc()
 	var check func()
 	check = func() {
-		last, ok := s.lastHeard[client]
 		s.leaseOps.Inc() // scanning the lease table is server work
 		// The steal waits TTL(1+ε) past the last heartbeat: the client's
 		// own lease — measured on its rate-synchronized clock from the
 		// heartbeat's send time — has then provably lapsed (the same
 		// argument as Theorem 3.1, with heartbeats in place of
 		// opportunistic renewals).
-		if ok && s.clock.Now().Sub(last) < s.cfg.Core.StealDelay() {
+		if p.heard && s.clock.Now().Sub(p.lastHeard) < s.cfg.Core.StealDelay() {
 			// Lease still valid; re-check when it could lapse.
-			s.hbTimers[client] = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
+			p.steal = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
 			return
 		}
-		delete(s.hbTimers, client)
-		s.mustRejoin[client] = true
+		p.steal = nil
+		p.mustRejoin = true
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "heartbeat"})
 		s.stealAndFence(client, true)
 	}
-	s.hbTimers[client] = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
+	p.steal = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
 }
 
 // schedulePerObjectSteal arms the V-style steal at TTL(1+ε).
 func (s *Server) schedulePerObjectSteal(client msg.NodeID) {
-	if s.vTimers[client] != nil {
+	p := s.peerOf(client)
+	if p.steal != nil {
 		return
 	}
 	s.leaseOps.Inc()
-	s.vTimers[client] = s.clock.AfterFunc(s.cfg.Core.StealDelay(), func() {
-		delete(s.vTimers, client)
-		s.mustRejoin[client] = true
+	p.steal = s.clock.AfterFunc(s.cfg.Core.StealDelay(), func() {
+		p.steal = nil
+		p.mustRejoin = true
 		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "per-object"})
 		s.stealAndFence(client, false) // V predates fencing; client-side expiry is the safety
 	})
 }
 
-// stealAndFence removes every lock the client holds (redistributing to
-// waiters), cancels demands aimed at it, closes its handles, and — when
-// fence is true — erects the SAN fence.
+// stealAndFence ends the client's session (endSession), removes every
+// lock it holds (redistributing to waiters), and — when fence is true —
+// erects the SAN fence.
 func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 	if !s.authorityHeld() {
 		// A stale suspect timer from a pre-stepdown authority incarnation:
@@ -203,15 +194,8 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 		// steal nor fence.
 		return
 	}
-	s.cancelDemandsTo(client)
-	s.dropParked(client)
+	s.endSession(s.peerOf(client))
 	s.locks.StealAll(client)
-	delete(s.handles, client)
-	for k := range s.objLeases {
-		if k.client == client {
-			delete(s.objLeases, k)
-		}
-	}
 	if fence && !s.cfg.DisableFence {
 		s.setFence(client, true)
 	}
@@ -221,11 +205,6 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 // setFence instructs every disk to fence/unfence the client.
 func (s *Server) setFence(client msg.NodeID, on bool) {
 	s.emit(trace.Event{Type: trace.EvFence, Peer: client, On: on})
-	if on {
-		s.fencedClients[client] = true
-	} else {
-		delete(s.fencedClients, client)
-	}
 	fenceDisks := s.cfg.Disks
 	if s.cfg.FenceDisks != nil {
 		fenceDisks = s.cfg.FenceDisks

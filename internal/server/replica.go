@@ -7,7 +7,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/meta"
 	"repro/internal/msg"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -103,23 +102,18 @@ func (s *Server) deactivate() {
 }
 
 // resetVolatile clears every piece of state the paper calls volatile
-// (§6): locks, registrations, handles, baseline leases, suspect-tracking,
-// and in-flight demands. The durable store (metadata, epochs, handoff
+// (§6): every client's record, each ended (endSession) before it goes,
+// the locks and suspect-tracking. The durable store (metadata, epochs, handoff
 // ledgers) is untouched.
 func (s *Server) resetVolatile() {
-	for id, d := range s.demands {
-		s.demandRetry.Remove(&d.retry)
-		delete(s.demands, id)
+	for _, p := range s.peers {
+		s.endSession(p)
 	}
+	s.peers = make(map[msg.NodeID]*peer)
 	s.locks = lock.NewTable(demanderFunc(s.sendDemand))
-	s.parked = make(map[dirWait][]*mutation)
 	s.syncLocksHeld()
 	s.auth = core.NewAuthority(s.cfg.Core, s.clock, authorityActions{s},
 		core.Env{Reg: s.reg, Prefix: "server.", Tracer: s.tracer, Node: s.id})
-	s.epochs = make(map[msg.NodeID]msg.Epoch)
-	s.handles = make(map[msg.NodeID]map[msg.Handle]msg.ObjectID)
-	s.objLeases = make(map[objLeaseKey]sim.Time)
-	s.mustRejoin = make(map[msg.NodeID]bool)
 	s.inRecovery = false
 }
 

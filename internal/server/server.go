@@ -100,11 +100,6 @@ func (c Config) withDefaults() Config {
 // replyCacheKeep bounds the at-most-once reply cache per client.
 const replyCacheKeep = 128
 
-type objLeaseKey struct {
-	client msg.NodeID
-	ino    msg.ObjectID
-}
-
 // Server is one metadata server node.
 type Server struct {
 	id    msg.NodeID
@@ -124,39 +119,22 @@ type Server struct {
 	neg       *replica.Negotiator
 	activeFlg bool
 
-	// Registration state (lock/FS state, not lease state): epoch per
-	// registered client, open handles.
-	epochs     map[msg.NodeID]msg.Epoch
-	handles    map[msg.NodeID]map[msg.Handle]msg.ObjectID
+	// peers is everything the server holds for each client, and for
+	// itself where it makes a change of its own (peer.go): registration,
+	// outstanding demands, parked mutations, the baselines' leases.
+	// heardCount and objLeaseCount total the baselines' leases across them.
+	peers         map[msg.NodeID]*peer
+	heardCount    int
+	objLeaseCount int
+	// nextHandle numbers the handles Open returns; the server keeps no
+	// table of them.
 	nextHandle msg.Handle
-
-	// Outstanding demands awaiting transport-level DemandAck.
-	demands map[msg.DemandID]*pendingDemand
 	// The retransmission queues of demands, SAN requests and handoffs.
 	demandRetry  *sim.Retries[*pendingDemand]
 	sanRetry     *sim.Retries[*sanCall]
 	handoffRetry *sim.Retries[*pendingHandoff]
-	// parked holds the mutations waiting for a directory lock to come back
-	// (namespace.go).
-	parked map[dirWait][]*mutation
-
-	// mustRejoin marks clients whose locks were stolen under non-lease
-	// policies; they are NACKed until they Rejoin (a merged partition's
-	// requests are "merely denied", §1.2).
-	mustRejoin map[msg.NodeID]bool
-	// fencedClients tracks who is fenced at the disks, so rejoin can lift
-	// the fence.
-	fencedClients map[msg.NodeID]bool
 	// rejoining is the client whose Rejoin is being handled, if any.
 	rejoining msg.NodeID
-
-	// Heartbeat baseline state (always resident for that policy).
-	lastHeard map[msg.NodeID]sim.Time
-	hbTimers  map[msg.NodeID]sim.Timer
-
-	// Per-object (V) baseline state.
-	objLeases map[objLeaseKey]sim.Time
-	vTimers   map[msg.NodeID]sim.Timer
 
 	// Server-side SAN requests (fencing, function-ship I/O).
 	sanPending map[msg.ReqID]*sanCall
@@ -225,25 +203,16 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	}
 	prefix := "server."
 	s := &Server{
-		id:            id,
-		cfg:           cfg,
-		clock:         clock,
-		ctrl:          ctrl,
-		san:           san,
-		store:         meta.NewStore(meta.NewAllocator(cfg.Disks)),
-		rcache:        core.NewReplyCache(replyCacheKeep, reg, prefix),
-		epochs:        make(map[msg.NodeID]msg.Epoch),
-		handles:       make(map[msg.NodeID]map[msg.Handle]msg.ObjectID),
-		demands:       make(map[msg.DemandID]*pendingDemand),
-		parked:        make(map[dirWait][]*mutation),
-		mustRejoin:    make(map[msg.NodeID]bool),
-		fencedClients: make(map[msg.NodeID]bool),
-		lastHeard:     make(map[msg.NodeID]sim.Time),
-		hbTimers:      make(map[msg.NodeID]sim.Timer),
-		objLeases:     make(map[objLeaseKey]sim.Time),
-		vTimers:       make(map[msg.NodeID]sim.Timer),
-		sanPending:    make(map[msg.ReqID]*sanCall),
-		handoffs:      make(map[uint64]*pendingHandoff),
+		id:         id,
+		cfg:        cfg,
+		clock:      clock,
+		ctrl:       ctrl,
+		san:        san,
+		store:      meta.NewStore(meta.NewAllocator(cfg.Disks)),
+		rcache:     core.NewReplyCache(replyCacheKeep, reg, prefix),
+		peers:      make(map[msg.NodeID]*peer),
+		sanPending: make(map[msg.ReqID]*sanCall),
+		handoffs:   make(map[uint64]*pendingHandoff),
 
 		reg:           reg,
 		transactions:  reg.Counter(prefix + "transactions"),
@@ -375,7 +344,7 @@ func (s *Server) Locks() *lock.Table { return s.locks }
 func (s *Server) Authority() *core.Authority { return s.auth }
 
 // Registered reports whether the client currently holds a valid epoch.
-func (s *Server) Registered(c msg.NodeID) bool { return s.epochs[c] != 0 }
+func (s *Server) Registered(c msg.NodeID) bool { return s.peers[c] != nil && s.peers[c].epoch != 0 }
 
 // Deliver is the server's control-network handler.
 func (s *Server) Deliver(env msg.Envelope) {
@@ -441,13 +410,8 @@ func (s *Server) DeliverSAN(env msg.Envelope) {
 	if s.stopped {
 		return
 	}
-	switch m := env.Payload.(type) {
-	case *msg.FenceRes:
-		s.handleSANReply(m.Req, m, msg.OK)
-	case *msg.DiskReadRes:
-		s.handleSANReply(m.Req, m, m.Err)
-	case *msg.DiskWriteRes:
-		s.handleSANReply(m.Req, m, m.Err)
+	if req, errno, ok := msg.SANReplyReq(env.Payload); ok {
+		s.handleSANReply(req, env.Payload, errno)
 	}
 }
 

@@ -218,3 +218,40 @@ func TestGraceTimerIgnoresStoppedIncarnation(t *testing.T) {
 		t.Fatal("live incarnation still reports an open grace window")
 	}
 }
+
+// TestStealForgetsReplyHistory: after a steal the client is NACKed before
+// its requests reach the reply cache, until it rejoins, and the rejoin
+// starts its history afresh, so the steal drops the history. A client that
+// never comes back must not pin its last replies (each LockRes with its
+// file's block map) for good.
+func TestStealForgetsReplyHistory(t *testing.T) {
+	cl := boot(t)
+	srv := cl.Shards[0].Server
+	victim := cluster.ClientID(0)
+	h0, _ := cl.MustOpen(0, "/stolen", true, true)
+	if errno := cl.Write(0, h0, 0, make([]byte, cluster.BlockSize)); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if errno := cl.Sync(0); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if srv.RepliesKept(victim) == 0 {
+		t.Fatal("no replies kept before the steal")
+	}
+	cl.IsolateClient(0)
+	h1, _ := cl.MustOpen(1, "/stolen", true, false)
+	// The write needs the victim's lock: its demand goes unanswered, and
+	// τ(1+ε) later the authority steals.
+	if errno := cl.Write(1, h1, 0, make([]byte, cluster.BlockSize)); errno != msg.OK {
+		t.Fatal(errno)
+	}
+	if !srv.Authority().Expired(victim) {
+		t.Fatal("the victim's locks were not stolen")
+	}
+	if n := srv.RepliesKept(victim); n != 0 {
+		t.Fatalf("server keeps %d replies for a client it stole from", n)
+	}
+	if err := srv.AtRest(); err != nil {
+		t.Fatal(err)
+	}
+}

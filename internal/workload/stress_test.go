@@ -9,6 +9,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/msg"
+	"repro/internal/server"
 )
 
 // TestStressRandomFailures hammers the paper's protocol with randomized
@@ -100,12 +101,22 @@ func stressTrial(t *testing.T, seed int64) {
 
 // atRest is the liveness probe of a quiesced installation: the first n
 // clients — those that have not crashed — have nothing left in flight on
-// any object (Client.AtRest).
+// any object (Client.AtRest), and no server, replicas included, has a
+// demand outstanding or a mutation parked for any client (Server.AtRest).
 func atRest(cl *cluster.Cluster, n int) error {
 	var errs []error
 	for i := 0; i < n; i++ {
 		for _, sub := range cl.Clients[i].Subs() {
 			errs = append(errs, sub.AtRest())
+		}
+	}
+	for _, sh := range cl.Shards {
+		servers := sh.Replicas
+		if len(servers) == 0 {
+			servers = []*server.Server{sh.Server}
+		}
+		for _, s := range servers {
+			errs = append(errs, s.AtRest())
 		}
 	}
 	return errors.Join(errs...)
