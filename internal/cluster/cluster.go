@@ -378,7 +378,8 @@ func (cl *Cluster) bootServer(id msg.NodeID, cfg server.Config, clock sim.Clock)
 	return srv
 }
 
-// observeNetworks counts message traffic per network and kind. The
+// observeNetworks counts message traffic per network and kind, and the
+// frame-body bytes the live codec would write for it. The
 // observer runs once per simulated message, so a kind's counter handles
 // are resolved once, at its first message — building the counter name per
 // event would put two string concatenations and a mutex-guarded map
@@ -389,6 +390,7 @@ func (cl *Cluster) observeNetworks() {
 	count := func(net string) func(simnet.Event) {
 		var sent, delivered [msg.KindReplica + 1]*stats.Counter
 		bytes := cl.Reg.Counter(net + ".bytes")
+		var coder msg.Coder
 		return func(e simnet.Event) {
 			k := e.Env.Payload.Kind()
 			if sent[k] == nil {
@@ -396,7 +398,8 @@ func (cl *Cluster) observeNetworks() {
 				delivered[k] = cl.Reg.Counter(net + ".delivered." + k.String())
 			}
 			sent[k].Inc()
-			bytes.Add(uint64(e.Env.Payload.Size()))
+			meta, tail, _ := coder.Size(&e.Env) // a message without a layout counts 0
+			bytes.Add(uint64(meta + len(tail)))
 			if e.Delivered {
 				delivered[k].Inc()
 			}

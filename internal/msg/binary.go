@@ -24,9 +24,10 @@ package msg
 // its fields in wire order, one coder primitive per field. The coder's
 // mode decides what a primitive does — count the field's bytes, write
 // them, or bounds-check and read them — so BinarySize, EncodeBinary and
-// DecodeBinary are three runs of the same walk and cannot disagree. The
-// registry (registry.go) maps wire identifiers to types; nothing in this
-// file names a message.
+// DecodeBinary are three runs of the same walk and cannot disagree; the
+// byte counters count with the sizing run, so what they add is what the
+// live transport writes. The registry (registry.go) maps wire
+// identifiers to types; nothing in this file names a message.
 
 import (
 	"encoding/binary"
@@ -35,9 +36,9 @@ import (
 )
 
 var (
-	// ErrNoBinaryLayout reports a payload (or Reply body) type the wire
-	// format has no layout for: a Message implemented outside the
-	// registry, or a destination buffer BinarySize did not size.
+	// ErrNoBinaryLayout reports a payload type the wire format has no
+	// layout for — a Message implemented outside the registry — or a
+	// destination buffer BinarySize did not size.
 	ErrNoBinaryLayout = errors.New("msg: no binary layout for payload type")
 	// ErrCorruptFrame reports a frame body that does not parse: truncated
 	// fields, counts larger than the remaining bytes, trailing garbage, or
@@ -268,9 +269,9 @@ func (c *coder) errnos(s *[]Errno) {
 // then the result's own layout.
 func (c *coder) result(body *Result) {
 	var id uint8
-	r, _ := (*body).(wireResult)
-	if *body != nil {
-		if id = resultID(*body); r == nil || id == brNil {
+	r := *body
+	if r != nil {
+		if id = resultID(r); id == brNil {
 			c.bad = true // encoding a Result the registry does not know
 			return
 		}
@@ -333,7 +334,8 @@ func (c *coder) envelope(env *Envelope) {
 // own. A caller that codes many frames in a row keeps one and pays
 // neither an allocation nor a pool round trip per walk: the live codec
 // keeps one for its read loop, the live transport one per peer for its
-// sends, used under that peer's lock. BinarySize, EncodeBinary and
+// sends, used under that peer's lock, and each byte counter one to size
+// what it counts. BinarySize, EncodeBinary and
 // DecodeBinary borrow one from a pool per call. A Coder is not safe for
 // concurrent use; its zero value is ready.
 type Coder struct{ c coder }

@@ -82,7 +82,6 @@ func (h *ReqHeader) Hdr() *ReqHeader { return h }
 type Rejoin struct{ ReqHeader }
 
 func (*Rejoin) Kind() Kind { return KindControlReq }
-func (*Rejoin) Size() int  { return 24 }
 
 func (m *Rejoin) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
@@ -93,7 +92,6 @@ func (m *Rejoin) layout(c *coder) { c.hdr(&m.ReqHeader) }
 type KeepAlive struct{ ReqHeader }
 
 func (*KeepAlive) Kind() Kind { return KindKeepAlive }
-func (*KeepAlive) Size() int  { return 24 }
 
 func (m *KeepAlive) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
@@ -103,8 +101,7 @@ type Lookup struct {
 	Path string
 }
 
-func (*Lookup) Kind() Kind  { return KindControlReq }
-func (m *Lookup) Size() int { return 24 + len(m.Path) }
+func (*Lookup) Kind() Kind { return KindControlReq }
 
 func (m *Lookup) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path) }
 
@@ -115,8 +112,7 @@ type Create struct {
 	IsDir bool
 }
 
-func (*Create) Kind() Kind  { return KindControlReq }
-func (m *Create) Size() int { return 25 + len(m.Path) }
+func (*Create) Kind() Kind { return KindControlReq }
 
 func (m *Create) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path); c.b1(&m.IsDir) }
 
@@ -126,8 +122,7 @@ type Unlink struct {
 	Path string
 }
 
-func (*Unlink) Kind() Kind  { return KindControlReq }
-func (m *Unlink) Size() int { return 24 + len(m.Path) }
+func (*Unlink) Kind() Kind { return KindControlReq }
 
 func (m *Unlink) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.Path) }
 
@@ -137,8 +132,7 @@ type Rename struct {
 	OldPath, NewPath string
 }
 
-func (*Rename) Kind() Kind  { return KindControlReq }
-func (m *Rename) Size() int { return 24 + len(m.OldPath) + len(m.NewPath) }
+func (*Rename) Kind() Kind { return KindControlReq }
 
 func (m *Rename) layout(c *coder) { c.hdr(&m.ReqHeader); c.str(&m.OldPath); c.str(&m.NewPath) }
 
@@ -151,7 +145,6 @@ type Truncate struct {
 }
 
 func (*Truncate) Kind() Kind { return KindControlReq }
-func (*Truncate) Size() int  { return 36 }
 
 func (m *Truncate) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u32(&m.Blocks) }
 
@@ -163,7 +156,6 @@ type Open struct {
 }
 
 func (*Open) Kind() Kind { return KindControlReq }
-func (*Open) Size() int  { return 33 }
 
 func (m *Open) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.b1(&m.Write) }
 
@@ -175,7 +167,6 @@ type Close struct {
 }
 
 func (*Close) Kind() Kind { return KindControlReq }
-func (*Close) Size() int  { return 40 }
 
 func (m *Close) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u64((*uint64)(&m.Handle)) }
 
@@ -186,7 +177,6 @@ type GetAttr struct {
 }
 
 func (*GetAttr) Kind() Kind { return KindControlReq }
-func (*GetAttr) Size() int  { return 32 }
 
 func (m *GetAttr) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
 
@@ -198,7 +188,6 @@ type SetAttr struct {
 }
 
 func (*SetAttr) Kind() Kind { return KindControlReq }
-func (*SetAttr) Size() int  { return 40 }
 
 func (m *SetAttr) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u64(&m.NewSize) }
 
@@ -209,7 +198,6 @@ type Readdir struct {
 }
 
 func (*Readdir) Kind() Kind { return KindControlReq }
-func (*Readdir) Size() int  { return 32 }
 
 func (m *Readdir) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
 
@@ -221,7 +209,6 @@ type GetBlocks struct {
 }
 
 func (*GetBlocks) Kind() Kind { return KindControlReq }
-func (*GetBlocks) Size() int  { return 32 }
 
 func (m *GetBlocks) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino) }
 
@@ -234,7 +221,6 @@ type AllocBlocks struct {
 }
 
 func (*AllocBlocks) Kind() Kind { return KindControlReq }
-func (*AllocBlocks) Size() int  { return 36 }
 
 func (m *AllocBlocks) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.u32(&m.Count) }
 
@@ -251,7 +237,6 @@ type LockAcquire struct {
 }
 
 func (*LockAcquire) Kind() Kind { return KindControlReq }
-func (*LockAcquire) Size() int  { return 34 }
 
 func (m *LockAcquire) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -269,7 +254,6 @@ type LockRelease struct {
 }
 
 func (*LockRelease) Kind() Kind { return KindControlReq }
-func (*LockRelease) Size() int  { return 33 }
 
 func (m *LockRelease) layout(c *coder) { c.hdr(&m.ReqHeader); c.ino(&m.Ino); c.lock(&m.To) }
 
@@ -283,7 +267,6 @@ type LockDowngraded struct {
 }
 
 func (*LockDowngraded) Kind() Kind { return KindControlReq }
-func (*LockDowngraded) Size() int  { return 41 }
 
 func (m *LockDowngraded) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -310,8 +293,7 @@ type Reassert struct {
 	Locks []LockClaim
 }
 
-func (*Reassert) Kind() Kind  { return KindControlReq }
-func (m *Reassert) Size() int { return 24 + 9*len(m.Locks) }
+func (*Reassert) Kind() Kind { return KindControlReq }
 
 func (m *Reassert) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -326,7 +308,6 @@ func (m *Reassert) layout(c *coder) {
 type Heartbeat struct{ ReqHeader }
 
 func (*Heartbeat) Kind() Kind { return KindLeaseAdmin }
-func (*Heartbeat) Size() int  { return 24 }
 
 func (m *Heartbeat) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
@@ -337,8 +318,7 @@ type RenewObjects struct {
 	Inos []ObjectID
 }
 
-func (*RenewObjects) Kind() Kind  { return KindLeaseAdmin }
-func (m *RenewObjects) Size() int { return 24 + 8*len(m.Inos) }
+func (*RenewObjects) Kind() Kind { return KindLeaseAdmin }
 
 func (m *RenewObjects) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -358,7 +338,6 @@ type FuncRead struct {
 }
 
 func (*FuncRead) Kind() Kind { return KindControlReq }
-func (*FuncRead) Size() int  { return 44 }
 
 func (m *FuncRead) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -375,8 +354,7 @@ type FuncWrite struct {
 	Data   []byte
 }
 
-func (*FuncWrite) Kind() Kind  { return KindControlReq }
-func (m *FuncWrite) Size() int { return 40 + len(m.Data) }
+func (*FuncWrite) Kind() Kind { return KindControlReq }
 
 func (m *FuncWrite) layout(c *coder) {
 	c.hdr(&m.ReqHeader)
@@ -387,8 +365,10 @@ func (m *FuncWrite) layout(c *coder) {
 
 // --- Replies ---------------------------------------------------------------
 
-// Result is the typed payload of a successful Reply.
-type Result interface{ resultMarker() }
+// Result is the typed payload of a successful Reply. It is sealed by its
+// wire layout: only a type this package lays out can be a Reply body.
+// Results are values, so a layout has a value receiver and ends in keep.
+type Result interface{ layout(*coder) }
 
 // Reply answers a Request. Status NACK means the server refuses to serve
 // this client (suspect, expired, or stale epoch); Err reports file-system
@@ -402,13 +382,6 @@ type Reply struct {
 }
 
 func (*Reply) Kind() Kind { return KindControlReply }
-func (r *Reply) Size() int {
-	n := 16
-	if b, ok := r.Body.(interface{ resultSize() int }); ok {
-		n += b.resultSize()
-	}
-	return n
-}
 
 func (m *Reply) layout(c *coder) {
 	c.node(&m.Client)
@@ -442,9 +415,6 @@ type LookupRes struct {
 	Dirs []ObjectID
 }
 
-func (LookupRes) resultMarker()     {}
-func (r LookupRes) resultSize() int { return 33 + 8*len(r.Dirs) }
-
 func (r LookupRes) layout(c *coder) { c.attr(&r.Attr); c.inos(&r.Dirs); keep(c, r) }
 
 // CreateRes returns the new object's metadata and the chain of its path,
@@ -455,9 +425,6 @@ type CreateRes struct {
 	Dirs []ObjectID
 }
 
-func (CreateRes) resultMarker()     {}
-func (r CreateRes) resultSize() int { return 33 + 8*len(r.Dirs) }
-
 func (r CreateRes) layout(c *coder) { c.attr(&r.Attr); c.inos(&r.Dirs); keep(c, r) }
 
 // OpenRes returns the open handle and current metadata.
@@ -465,9 +432,6 @@ type OpenRes struct {
 	Handle Handle
 	Attr   Attr
 }
-
-func (OpenRes) resultMarker()   {}
-func (OpenRes) resultSize() int { return 37 }
 
 func (r OpenRes) layout(c *coder) { c.u64((*uint64)(&r.Handle)); c.attr(&r.Attr); keep(c, r) }
 
@@ -479,9 +443,6 @@ type AttrRes struct {
 	Dir  ObjectID
 }
 
-func (AttrRes) resultMarker()   {}
-func (AttrRes) resultSize() int { return 37 }
-
 func (r AttrRes) layout(c *coder) { c.attr(&r.Attr); c.ino(&r.Dir); keep(c, r) }
 
 // ReaddirRes returns directory entries. Granted says the client holds the
@@ -490,15 +451,6 @@ func (r AttrRes) layout(c *coder) { c.attr(&r.Attr); c.ino(&r.Dir); keep(c, r) }
 type ReaddirRes struct {
 	Entries []DirEntry
 	Granted bool
-}
-
-func (ReaddirRes) resultMarker() {}
-func (r ReaddirRes) resultSize() int {
-	n := 5
-	for _, e := range r.Entries {
-		n += 9 + len(e.Name)
-	}
-	return n
 }
 
 func (r ReaddirRes) layout(c *coder) {
@@ -517,9 +469,6 @@ type BlocksRes struct {
 	Blocks []BlockRef
 }
 
-func (BlocksRes) resultMarker()     {}
-func (r BlocksRes) resultSize() int { return 29 + 12*len(r.Blocks) }
-
 func (r BlocksRes) layout(c *coder) { c.attr(&r.Attr); c.blockRefs(&r.Blocks); keep(c, r) }
 
 // AllocRes returns what an extension added: Blocks are the new blocks
@@ -531,9 +480,6 @@ type AllocRes struct {
 	First  uint32
 	Blocks []BlockRef
 }
-
-func (AllocRes) resultMarker()     {}
-func (r AllocRes) resultSize() int { return 33 + 12*len(r.Blocks) }
 
 func (r AllocRes) layout(c *coder) {
 	c.attr(&r.Attr)
@@ -555,14 +501,6 @@ type LockRes struct {
 	Blocks  []BlockRef
 }
 
-func (LockRes) resultMarker() {}
-func (r LockRes) resultSize() int {
-	if !r.HaveMap {
-		return 2
-	}
-	return 2 + 29 + 12*len(r.Blocks)
-}
-
 func (r LockRes) layout(c *coder) {
 	c.lock(&r.Mode)
 	c.b1(&r.HaveMap)
@@ -576,24 +514,15 @@ func (r LockRes) layout(c *coder) {
 // RejoinRes returns the client's fresh epoch.
 type RejoinRes struct{ Epoch Epoch }
 
-func (RejoinRes) resultMarker()   {}
-func (RejoinRes) resultSize() int { return 4 }
-
 func (r RejoinRes) layout(c *coder) { c.u32((*uint32)(&r.Epoch)); keep(c, r) }
 
 // ReassertRes returns the fresh epoch after a successful reassertion.
 type ReassertRes struct{ Epoch Epoch }
 
-func (ReassertRes) resultMarker()   {}
-func (ReassertRes) resultSize() int { return 4 }
-
 func (r ReassertRes) layout(c *coder) { c.u32((*uint32)(&r.Epoch)); keep(c, r) }
 
 // FuncReadRes returns function-shipped data.
 type FuncReadRes struct{ Data []byte }
-
-func (FuncReadRes) resultMarker()     {}
-func (r FuncReadRes) resultSize() int { return 4 + len(r.Data) }
 
 func (r FuncReadRes) layout(c *coder) { c.tailCopy(&r.Data); keep(c, r) }
 
@@ -612,7 +541,6 @@ type Demand struct {
 }
 
 func (*Demand) Kind() Kind { return KindDemand }
-func (*Demand) Size() int  { return 25 }
 
 func (m *Demand) layout(c *coder) {
 	c.u64((*uint64)(&m.ID))
@@ -630,7 +558,6 @@ type DemandAck struct {
 }
 
 func (*DemandAck) Kind() Kind { return KindDemandAck }
-func (*DemandAck) Size() int  { return 12 }
 
 func (m *DemandAck) layout(c *coder) { c.node(&m.Client); c.u64((*uint64)(&m.ID)) }
 
@@ -652,9 +579,6 @@ type ShardMigrate struct {
 }
 
 func (*ShardMigrate) Kind() Kind { return KindShard }
-func (m *ShardMigrate) Size() int {
-	return 49 + len(m.Path) + 12*len(m.Blocks)
-}
 
 func (m *ShardMigrate) layout(c *coder) {
 	c.node(&m.Src)
@@ -674,6 +598,5 @@ type ShardMigrateRes struct {
 }
 
 func (*ShardMigrateRes) Kind() Kind { return KindShard }
-func (*ShardMigrateRes) Size() int  { return 9 }
 
 func (m *ShardMigrateRes) layout(c *coder) { c.u64(&m.HID); c.errno(&m.Err) }

@@ -60,6 +60,17 @@ func goldenSamples() map[string]*Envelope {
 	return samples
 }
 
+// countedBytes is what a byte counter adds for env: the whole frame
+// body the codec writes, metadata and tail.
+func countedBytes(tb testing.TB, env *Envelope) int {
+	tb.Helper()
+	meta, tail, err := BinarySize(env)
+	if err != nil {
+		tb.Fatalf("BinarySize(%T): %v", env.Payload, err)
+	}
+	return meta + len(tail)
+}
+
 // readGolden parses frames.golden: "name hex" per line, '#' comments.
 func readGolden(tb testing.TB) map[string][]byte {
 	tb.Helper()
@@ -155,8 +166,8 @@ func TestBinaryAllocResGolden(t *testing.T) {
 	if got := readGolden(t)["Reply/AllocRes.delta"]; !bytes.Equal(got, want) {
 		t.Errorf("delta AllocRes frame\n got %x\nwant %x", got, want)
 	}
-	if r := deltaAllocRes().Payload.(*Reply); r.Size() != 16+33+2*12 {
-		t.Errorf("modelled size %d, want %d", r.Size(), 16+33+2*12)
+	if n := countedBytes(t, deltaAllocRes()); n != len(want) {
+		t.Errorf("counted size %d, want the %d bytes spelled out above", n, len(want))
 	}
 }
 
@@ -193,11 +204,11 @@ func TestLockResLayout(t *testing.T) {
 	if got := encodeFrame(t, withMap); !bytes.Equal(got, want) {
 		t.Errorf("LockRes with a map\n got %x\nwant %x", got, want)
 	}
-	if r := withMap.Payload.(*Reply); r.Size() != 16+2+29+2*12 {
-		t.Errorf("modelled size %d, want %d", r.Size(), 16+2+29+2*12)
+	if n := countedBytes(t, withMap); n != len(want) {
+		t.Errorf("counted size %d, want the %d bytes spelled out above", n, len(want))
 	}
-	if r := bareLockRes().Payload.(*Reply); r.Size() != 16+2 {
-		t.Errorf("modelled size of a bare LockRes %d, want %d", r.Size(), 16+2)
+	if n := countedBytes(t, bareLockRes()); n != len(bare) {
+		t.Errorf("counted size of a bare LockRes %d, want %d", n, len(bare))
 	}
 	// What is not behind the flag does not travel.
 	hidden := bareLockRes()

@@ -121,20 +121,15 @@ func TestRegistryMatchesLayouts(t *testing.T) {
 type foreignMessage struct{}
 
 func (foreignMessage) Kind() Kind { return KindControlReq }
-func (foreignMessage) Size() int  { return 1 }
 
-type foreignResult struct{}
-
-func (foreignResult) resultMarker() {}
-
-// TestNoLayoutIsAnError: a Message or Result from outside the registry,
-// and a destination BinarySize did not size, are ErrNoBinaryLayout — not
-// a panic and not a frame.
+// TestNoLayoutIsAnError: a Message from outside the registry, and a
+// destination BinarySize did not size, are ErrNoBinaryLayout — not a
+// panic and not a frame. (A Result from outside the package does not
+// compile: Result is sealed by its layout.)
 func TestNoLayoutIsAnError(t *testing.T) {
 	for _, env := range []*Envelope{
 		{From: 1, To: 2},
 		{From: 1, To: 2, Payload: foreignMessage{}},
-		{From: 1, To: 2, Payload: &Reply{Client: 1, Req: 2, Status: ACK, Body: foreignResult{}}},
 	} {
 		if _, _, err := BinarySize(env); !errors.Is(err, ErrNoBinaryLayout) {
 			t.Errorf("BinarySize(%T): err = %v, want ErrNoBinaryLayout", env.Payload, err)

@@ -170,13 +170,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Message is anything that can travel on a network.
+// Message is anything that can travel on a network. What it costs on
+// the wire is not a property it reports: a type is described once, by
+// its layout (binary.go), and the byte counters — the server's bytes_out,
+// the simulated networks' net.*.bytes — count the frame body that layout
+// writes, metadata and tail (Coder.Size), on either transport.
 type Message interface {
 	Kind() Kind
-	// Size returns the approximate wire size in bytes, used for byte
-	// accounting on the simulated networks (the live transport measures
-	// real encoded sizes).
-	Size() int
 }
 
 // Envelope is a message in flight. The unexported borrow field tracks

@@ -141,6 +141,9 @@ func TestGobReplyBodyTypes(t *testing.T) {
 	}
 }
 
+// TestSizesPositive: what a byte counter adds for a message is its whole
+// frame body — the 9-byte header, the metadata and the data tail — and
+// never less.
 func TestSizesPositive(t *testing.T) {
 	msgs := []Message{
 		&Rejoin{}, &KeepAlive{}, &Lookup{Path: "p"}, &Create{Path: "p"},
@@ -157,8 +160,9 @@ func TestSizesPositive(t *testing.T) {
 		&DLockRelease{}, &DLockRes{},
 	}
 	for _, m := range msgs {
-		if m.Size() <= 0 {
-			t.Errorf("%T.Size() = %d, want > 0", m, m.Size())
+		env := &Envelope{From: 1, To: 2, Payload: m}
+		if n, frame := countedBytes(t, env), encodeFrame(t, env); n <= 9 || n != len(frame) {
+			t.Errorf("%T counts %d bytes, its frame body is %d", m, n, len(frame))
 		}
 		if m.Kind().String() == "" {
 			t.Errorf("%T has empty kind string", m)
@@ -167,9 +171,9 @@ func TestSizesPositive(t *testing.T) {
 }
 
 func TestRenewObjectsSizeScales(t *testing.T) {
-	small := (&RenewObjects{Inos: make([]ObjectID, 1)}).Size()
-	big := (&RenewObjects{Inos: make([]ObjectID, 100)}).Size()
-	if big <= small {
-		t.Fatal("per-object renewal size must scale with object count")
+	small := countedBytes(t, &Envelope{Payload: &RenewObjects{Inos: make([]ObjectID, 1)}})
+	big := countedBytes(t, &Envelope{Payload: &RenewObjects{Inos: make([]ObjectID, 100)}})
+	if big-small != 99*8 {
+		t.Fatalf("100 objects count %d bytes more than 1, want 99×8", big-small)
 	}
 }

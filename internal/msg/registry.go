@@ -81,13 +81,6 @@ type wireMessage interface {
 	layout(*coder)
 }
 
-// wireResult is a Result with a wire layout. Results are values, so the
-// layout has a value receiver and ends in keep.
-type wireResult interface {
-	Result
-	layout(*coder)
-}
-
 // messageTypes constructs the message behind each identifier.
 var messageTypes = [...]func() wireMessage{
 	btRejoin:          func() wireMessage { return new(Rejoin) },
@@ -139,7 +132,7 @@ var messageTypes = [...]func() wireMessage{
 
 // resultTypes holds the zero result behind each identifier; decoding
 // runs its layout, whose value receiver is a fresh copy.
-var resultTypes = [...]wireResult{
+var resultTypes = [...]Result{
 	brLookupRes:      LookupRes{},
 	brCreateRes:      CreateRes{},
 	brOpenRes:        OpenRes{},

@@ -17,7 +17,6 @@ type ReplicaPrepare struct {
 }
 
 func (*ReplicaPrepare) Kind() Kind { return KindReplica }
-func (*ReplicaPrepare) Size() int  { return 13 }
 
 func (m *ReplicaPrepare) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot) }
 
@@ -38,7 +37,6 @@ type ReplicaPromise struct {
 }
 
 func (*ReplicaPromise) Kind() Kind { return KindReplica }
-func (*ReplicaPromise) Size() int  { return 27 }
 
 func (m *ReplicaPromise) layout(c *coder) {
 	c.node(&m.From)
@@ -58,7 +56,6 @@ type ReplicaPropose struct {
 }
 
 func (*ReplicaPropose) Kind() Kind { return KindReplica }
-func (*ReplicaPropose) Size() int  { return 17 }
 
 func (m *ReplicaPropose) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot); c.node(&m.Holder) }
 
@@ -71,7 +68,6 @@ type ReplicaAccept struct {
 }
 
 func (*ReplicaAccept) Kind() Kind { return KindReplica }
-func (*ReplicaAccept) Size() int  { return 14 }
 
 func (m *ReplicaAccept) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot); c.b1(&m.OK) }
 
@@ -82,7 +78,6 @@ func (m *ReplicaAccept) layout(c *coder) { c.node(&m.From); c.u64(&m.Ballot); c.
 type ReplicaInfo struct{ ReqHeader }
 
 func (*ReplicaInfo) Kind() Kind { return KindReplica }
-func (*ReplicaInfo) Size() int  { return 24 }
 
 func (m *ReplicaInfo) layout(c *coder) { c.hdr(&m.ReqHeader) }
 
@@ -115,9 +110,6 @@ type ReplicaInfoRes struct {
 	Ballot uint64
 	Active NodeID
 }
-
-func (ReplicaInfoRes) resultMarker()   {}
-func (ReplicaInfoRes) resultSize() int { return 13 }
 
 func (r ReplicaInfoRes) layout(c *coder) {
 	c.u8(&r.Role)

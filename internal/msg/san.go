@@ -15,7 +15,6 @@ type DiskRead struct {
 }
 
 func (*DiskRead) Kind() Kind { return KindSANIO }
-func (*DiskRead) Size() int  { return 20 }
 
 func (m *DiskRead) layout(c *coder) { c.node(&m.Client); c.req(&m.Req); c.u64(&m.Block) }
 
@@ -31,8 +30,7 @@ type DiskReadRes struct {
 	lent bool
 }
 
-func (*DiskReadRes) Kind() Kind  { return KindSANReply }
-func (m *DiskReadRes) Size() int { return 17 + len(m.Data) }
+func (*DiskReadRes) Kind() Kind { return KindSANReply }
 
 func (m *DiskReadRes) layout(c *coder) {
 	c.req(&m.Req)
@@ -51,8 +49,7 @@ type DiskWrite struct {
 	Ver    uint64
 }
 
-func (*DiskWrite) Kind() Kind  { return KindSANIO }
-func (m *DiskWrite) Size() int { return 28 + len(m.Data) }
+func (*DiskWrite) Kind() Kind { return KindSANIO }
 
 func (m *DiskWrite) layout(c *coder) {
 	c.node(&m.Client)
@@ -69,7 +66,6 @@ type DiskWriteRes struct {
 }
 
 func (*DiskWriteRes) Kind() Kind { return KindSANReply }
-func (*DiskWriteRes) Size() int  { return 9 }
 
 func (m *DiskWriteRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 
@@ -97,8 +93,7 @@ type DiskWriteV struct {
 	Data []byte
 }
 
-func (*DiskWriteV) Kind() Kind  { return KindSANIO }
-func (m *DiskWriteV) Size() int { return 20 + 16*len(m.Blocks) + len(m.Data) }
+func (*DiskWriteV) Kind() Kind { return KindSANIO }
 
 func (m *DiskWriteV) layout(c *coder) {
 	c.node(&m.Client)
@@ -120,8 +115,7 @@ type DiskWriteVRes struct {
 	Errs []Errno
 }
 
-func (*DiskWriteVRes) Kind() Kind  { return KindSANReply }
-func (m *DiskWriteVRes) Size() int { return 9 + len(m.Errs) }
+func (*DiskWriteVRes) Kind() Kind { return KindSANReply }
 
 func (m *DiskWriteVRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err); c.errnos(&m.Errs) }
 
@@ -132,8 +126,7 @@ type DiskReadV struct {
 	Blocks []uint64
 }
 
-func (*DiskReadV) Kind() Kind  { return KindSANIO }
-func (m *DiskReadV) Size() int { return 20 + 8*len(m.Blocks) }
+func (*DiskReadV) Kind() Kind { return KindSANIO }
 
 func (m *DiskReadV) layout(c *coder) {
 	c.node(&m.Client)
@@ -161,8 +154,7 @@ type DiskReadVRes struct {
 	lent bool
 }
 
-func (*DiskReadVRes) Kind() Kind  { return KindSANReply }
-func (m *DiskReadVRes) Size() int { return 9 + len(m.Errs) + 8*len(m.Vers) + len(m.Data) }
+func (*DiskReadVRes) Kind() Kind { return KindSANReply }
 
 func (m *DiskReadVRes) layout(c *coder) {
 	c.req(&m.Req)
@@ -185,7 +177,6 @@ type FenceSet struct {
 }
 
 func (*FenceSet) Kind() Kind { return KindFence }
-func (*FenceSet) Size() int  { return 17 }
 
 func (m *FenceSet) layout(c *coder) {
 	c.node(&m.Admin)
@@ -201,7 +192,6 @@ type FenceRes struct {
 }
 
 func (*FenceRes) Kind() Kind { return KindFence }
-func (*FenceRes) Size() int  { return 9 }
 
 func (m *FenceRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 
@@ -218,7 +208,6 @@ type DLockAcquire struct {
 }
 
 func (*DLockAcquire) Kind() Kind { return KindSANIO }
-func (*DLockAcquire) Size() int  { return 36 }
 
 func (m *DLockAcquire) layout(c *coder) {
 	c.node(&m.Client)
@@ -237,7 +226,6 @@ type DLockRelease struct {
 }
 
 func (*DLockRelease) Kind() Kind { return KindSANIO }
-func (*DLockRelease) Size() int  { return 28 }
 
 func (m *DLockRelease) layout(c *coder) {
 	c.node(&m.Client)
@@ -254,7 +242,6 @@ type DLockRes struct {
 }
 
 func (*DLockRes) Kind() Kind { return KindSANReply }
-func (*DLockRes) Size() int  { return 9 }
 
 func (m *DLockRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
 

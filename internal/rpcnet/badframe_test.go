@@ -243,7 +243,6 @@ func TestOversizedSendKeepsConnection(t *testing.T) {
 type foreign struct{}
 
 func (foreign) Kind() msg.Kind { return 0 }
-func (foreign) Size() int      { return 1 }
 
 // TestUnframeableSendDropsConnection pins the other half of the send
 // error semantics: a message that cannot be framed for any reason but its

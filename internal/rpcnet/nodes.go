@@ -126,22 +126,31 @@ func (t Topology) placement(n int) shard.Placement {
 }
 
 // ParseAddrBook parses an address book as the commands take it on their
-// flags, "id=addr,id=addr,...". The empty string is the empty book.
+// flags, "id=addr,id=addr,...". The empty string is the empty book. An
+// ID is a node ID, 1 to 2³¹−1, listed once, with a non-empty address.
 func ParseAddrBook(s string) (map[msg.NodeID]string, error) {
 	out := make(map[msg.NodeID]string)
 	if s == "" {
 		return out, nil
 	}
 	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
+		key, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
 			return nil, fmt.Errorf("bad entry %q (want id=addr)", part)
 		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad node id %q: %v", kv[0], err)
+		id, err := strconv.ParseInt(key, 10, 32)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("bad node id %q: %v", key, err)
+		case id < 1:
+			return nil, fmt.Errorf("bad node id %q: node IDs start at 1", key)
+		case addr == "":
+			return nil, fmt.Errorf("node %d: empty address", id)
 		}
-		out[msg.NodeID(id)] = kv[1]
+		if _, dup := out[msg.NodeID(id)]; dup {
+			return nil, fmt.Errorf("node %d listed twice", id)
+		}
+		out[msg.NodeID(id)] = addr
 	}
 	return out, nil
 }

@@ -258,10 +258,31 @@ func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.rejoining = msg.None
 	p := s.peerOf(client)
 	p.mustRejoin = false
-	// Always lift the fence: a restarted server has lost its fence
-	// bookkeeping, but a rejoining client by definition holds nothing,
-	// so unfencing is safe and idempotent.
-	s.setFence(client, false)
+	switch {
+	case !p.fenced:
+		// Lift the fence all the same: a restarted server has lost its
+		// fence bookkeeping, but a rejoining client by definition holds
+		// nothing, so unfencing is safe and idempotent.
+		s.setFence(client, false, nil)
+	case p.lift == nil:
+		// This server fenced the client: the ACK waits until every disk
+		// has lifted the fence. The client's first SAN request follows the
+		// ACK at once, on a path of its own to the disk, and could
+		// overtake an unfence sent with the ACK: it would find the fence
+		// still up. A Rejoin retransmitted while the lift is out only
+		// changes what the lift answers with.
+		l := &lift{}
+		p.lift = l
+		s.setFence(client, false, func() {
+			if p.lift != l {
+				return // a fence raised since voided this lift
+			}
+			p.fenced, p.lift = false, nil
+			if l.answer != nil {
+				s.send(client, l.answer)
+			}
+		})
+	}
 	// Any residue (locks, waiters, demands) from the previous incarnation
 	// goes away; under lease recovery the authority already stole them.
 	s.stealAndFence(client, false)
@@ -273,8 +294,13 @@ func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	s.heardFrom(p)
 	// Reply directly: Rejoin is idempotent by construction (each attempt
 	// may mint a new epoch; only the one the client adopts matters).
-	s.send(client, &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
-		Body: msg.RejoinRes{Epoch: p.epoch}})
+	ack := &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
+		Body: msg.RejoinRes{Epoch: p.epoch}}
+	if p.lift != nil {
+		p.lift.answer = ack
+		return
+	}
+	s.send(client, ack)
 }
 
 // handleReassert rebuilds a client's registration and lock state after a

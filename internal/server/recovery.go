@@ -197,13 +197,16 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 	s.endSession(s.peerOf(client))
 	s.locks.StealAll(client)
 	if fence && !s.cfg.DisableFence {
-		s.setFence(client, true)
+		p := s.peerOf(client)
+		p.fenced, p.lift = true, nil // a lift sent before this fence answers nobody
+		s.setFence(client, true, nil)
 	}
 	s.syncLocksHeld()
 }
 
-// setFence instructs every disk to fence/unfence the client.
-func (s *Server) setFence(client msg.NodeID, on bool) {
+// setFence instructs every disk to fence/unfence the client. done, when
+// not nil, runs once every disk has answered.
+func (s *Server) setFence(client msg.NodeID, on bool, done func()) {
 	s.emit(trace.Event{Type: trace.EvFence, Peer: client, On: on})
 	fenceDisks := s.cfg.Disks
 	if s.cfg.FenceDisks != nil {
@@ -214,10 +217,23 @@ func (s *Server) setFence(client msg.NodeID, on bool) {
 		disks = append(disks, d)
 	}
 	sort.Slice(disks, func(i, j int) bool { return disks[i] < disks[j] })
+	var answered func(msg.Message, msg.Errno)
+	if done != nil {
+		if len(disks) == 0 {
+			done()
+			return
+		}
+		left := len(disks)
+		answered = func(msg.Message, msg.Errno) {
+			if left--; left == 0 {
+				done()
+			}
+		}
+	}
 	for _, d := range disks {
 		s.fences.Inc()
 		s.sanSend(d, func(req msg.ReqID) msg.Message {
 			return &msg.FenceSet{Admin: s.id, Req: req, Target: client, On: on}
-		}, nil)
+		}, answered)
 	}
 }

@@ -163,8 +163,8 @@ type Server struct {
 	transactions *stats.Counter
 	msgsIn       *stats.Counter
 	msgsOut      *stats.Counter
-	bytesIn      *stats.Counter
-	bytesOut     *stats.Counter
+	bytesOut     *stats.Counter // frame-body bytes of the control messages sent
+	coder        msg.Coder      // sizes what send counts in bytesOut
 	dataBytes    *stats.Counter // file data moved through the server
 	leaseOps     *stats.Counter // lease-specific server work (baselines)
 	leaseBytes   *stats.Gauge   // lease state held (baselines + authority)
@@ -218,7 +218,6 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		transactions:  reg.Counter(prefix + "transactions"),
 		msgsIn:        reg.Counter(prefix + "msgs_in"),
 		msgsOut:       reg.Counter(prefix + "msgs_out"),
-		bytesIn:       reg.Counter(prefix + "bytes_in"),
 		bytesOut:      reg.Counter(prefix + "bytes_out"),
 		dataBytes:     reg.Counter(prefix + "data_bytes"),
 		leaseOps:      reg.Counter(prefix + "lease_ops"),
@@ -352,7 +351,6 @@ func (s *Server) Deliver(env msg.Envelope) {
 		return
 	}
 	s.msgsIn.Inc()
-	s.bytesIn.Add(uint64(env.Payload.Size()))
 	switch m := env.Payload.(type) {
 	case msg.Request:
 		s.withService(func() {
@@ -430,7 +428,9 @@ func (s *Server) send(to msg.NodeID, m msg.Message) {
 		panic(fmt.Sprintf("server %v: committing metadata journal: %v", s.id, err))
 	}
 	s.msgsOut.Inc()
-	s.bytesOut.Add(uint64(m.Size()))
+	// Every message a server sends has a layout; one without counts 0.
+	meta, tail, _ := s.coder.Size(&msg.Envelope{From: s.id, To: to, Payload: m})
+	s.bytesOut.Add(uint64(meta + len(tail)))
 	s.ctrl(to, m)
 }
 

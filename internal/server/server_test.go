@@ -164,6 +164,37 @@ func TestServerCountsTransactions(t *testing.T) {
 	}
 }
 
+// TestServerCountsBytesSent: what server.bytes_out adds for a reply is
+// the frame body the live codec writes for it — header, metadata and
+// tail — not a model of it.
+func TestServerCountsBytesSent(t *testing.T) {
+	cl := boot(t)
+	msgs, bytes := cl.Reg.CounterValue("server.msgs_out"), cl.Reg.CounterValue("server.bytes_out")
+	r := raw(t, cl, &msg.Lookup{ReqHeader: hdrFor(cl, 6101), Path: "/"})
+	if r == nil || r.Status != msg.ACK || r.Err != msg.OK {
+		t.Fatalf("reply = %+v, want ACK OK", r)
+	}
+	if n := cl.Reg.CounterValue("server.msgs_out") - msgs; n != 1 {
+		t.Fatalf("server sent %d messages, want the one reply", n)
+	}
+	env := &msg.Envelope{From: cluster.ServerID(0), To: cluster.ClientID(0), Payload: r}
+	meta, tail, err := msg.BinarySize(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, meta)
+	if err := msg.EncodeBinary(body, env); err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, tail...)
+	if _, err := msg.DecodeBinary(body); err != nil {
+		t.Fatalf("the reply's encoded body does not decode: %v", err)
+	}
+	if got := cl.Reg.CounterValue("server.bytes_out") - bytes; got != uint64(len(body)) {
+		t.Errorf("bytes_out rose by %d for the reply, its encoded body is %d bytes", got, len(body))
+	}
+}
+
 func TestFuncReadHoleReturnsZeros(t *testing.T) {
 	opts := cluster.DefaultOptions()
 	opts.Policy = policyFunctionShip()

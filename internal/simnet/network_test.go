@@ -11,7 +11,6 @@ import (
 type ping struct{}
 
 func (ping) Kind() msg.Kind { return msg.KindControlReq }
-func (ping) Size() int      { return 8 }
 
 func newNet(t *testing.T, cfg Config) (*sim.Scheduler, *Network) {
 	t.Helper()
