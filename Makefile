@@ -20,8 +20,9 @@ race:
 	$(GO) test -race ./...
 
 # lint builds tanklint (cmd/tanklint) and runs its five protocol-
-# invariant passes — clockhygiene, locksafety, ackdurable (disk acks and
-# the server's commit-before-send), traceexhaustive, bufown — over the
+# invariant passes — clockhygiene, locksafety, ackdurable (disk acks,
+# the server's commit-before-send, and one fsync site for the whole
+# tree: blockstore's (*Syncer).fsync), traceexhaustive, bufown — over the
 # whole module with `tanklint ./...`. Exemptions need
 # a visible //lint:allow pass(reason) directive; `tanklint help <pass>`
 # lists the tree's current exemptions. First, any file gofmt would

@@ -11,8 +11,9 @@
 //	locksafety       no blocking operation, double-lock, or lock-order
 //	                 inversion while a protocol mutex is held
 //	ackdurable       a DiskWrite/FenceSet acknowledgment implies the
-//	                 media call succeeded and was fsynced through the
-//	                 sanctioned helper (flush-before-expiry, DESIGN §4/§9);
+//	                 media call succeeded (flush-before-expiry, DESIGN
+//	                 §4/§9); every fsync in the tree goes through one
+//	                 function, blockstore's (*Syncer).fsync (DESIGN §9);
 //	                 the server commits the metadata journal before
 //	                 every control message it sends (DESIGN §15)
 //	traceexhaustive  trace/drop/errno enums stay exhaustively mapped and

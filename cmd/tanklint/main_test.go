@@ -153,7 +153,7 @@ func TestHelpListsAllows(t *testing.T) {
 	}
 	for _, wantSub := range []string{
 		"clockhygiene:",
-		"internal/blockstore/file.go:",
+		"internal/blockstore/durable.go:",
 		"fsync latency",
 	} {
 		if !strings.Contains(out.String(), wantSub) {

@@ -1,6 +1,7 @@
 // Package ackdurable machine-checks the ack-implies-durable contract in
-// the disk and blockstore packages, and its metadata analogue, persist-
-// before-send, in the server and meta packages.
+// the disk and blockstore packages, its metadata analogue, persist-
+// before-send, in the server package, and that the tree reaches stable
+// storage through one fsync site.
 //
 // Paper property (§4, flush-before-expiry): a client counts a dirty
 // page as safe the moment the disk's DiskWriteRes arrives, and the
@@ -8,10 +9,11 @@
 // "acknowledged writes survive" therefore terminates at two code
 // facts: (1) the reply is only sent after the corresponding
 // Media.Write/WriteV/SetFence returned, with its error inspected, and
-// (2) every fsync in the file-backed media flows through the one
-// sanctioned, instrumented, -no-fsync-gated helper, (*File).sync.
-// Either fact is a one-line diff to destroy silently; this pass makes
-// such a diff a build failure.
+// (2) every fsync — of the file-backed media, of its fence journal, of
+// the metadata journal and snapshot, of the directories their names
+// live in — flows through the one instrumented, NoSync-gated function,
+// blockstore's (*Syncer).fsync. Either fact is a one-line diff to
+// destroy silently; this pass makes such a diff a build failure.
 //
 // Rules (disk and blockstore packages):
 //
@@ -25,10 +27,14 @@
 //	    call (Write/WriteV/SetFence) whose error is consumed; an ACK
 //	    with no durability point, or one whose media error goes to _,
 //	    is flagged at the send site
-//	A3  in package blockstore, (*os.File).Sync may only be called
-//	    inside the sanctioned helper (*File).sync — anywhere else
-//	    bypasses the fsync instrumentation and the NoSync gate. Package
-//	    meta has the same rule with its helper, fsync
+//
+// Rule for every package:
+//
+//	A3  (*os.File).Sync may only be called inside blockstore's
+//	    (*Syncer).fsync — anywhere else bypasses the fsync
+//	    instrumentation and the NoSync gate, and a file or directory
+//	    install written by hand can forget the directory fsync that
+//	    Syncer.Install does not
 //
 // The metadata server makes the matching promise for its own storage
 // (§1.1, DESIGN §15): a mutation a message acknowledges — a Reply to a
@@ -53,10 +59,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "ackdurable",
 	Doc: "enforce ack-implies-durable in disk/blockstore: no discarded media/fsync errors, " +
-		"no write/fence acknowledgment without a checked durable media call, " +
-		"no fsync outside the sanctioned (*File).sync helper; " +
-		"and persist-before-send in server/meta: no control message without a checked " +
-		"metadata journal commit before it, no fsync outside meta's fsync helper",
+		"no write/fence acknowledgment without a checked durable media call; " +
+		"persist-before-send in server: no control message without a checked " +
+		"metadata journal commit before it; and in every package, " +
+		"no fsync outside blockstore's (*Syncer).fsync",
 	Run: run,
 }
 
@@ -75,25 +81,16 @@ var durableMethods = map[string]bool{
 	"SetFence": true,
 }
 
-// syncHelpers names, per package, the one function or method that may
-// call (*os.File).Sync.
-var syncHelpers = map[string]string{
-	"blockstore": "sync",
-	"meta":       "fsync",
-}
-
 func run(pass *analysis.Pass) error {
 	base := analysis.PkgBase(pass.Pkg.Path())
 	for _, file := range pass.Files {
+		checkSyncSite(pass, file)
 		switch base {
 		case "disk":
 			checkDiscardedErrors(pass, file)
 			checkAckFunctions(pass, file)
 		case "blockstore":
 			checkDiscardedErrors(pass, file)
-			checkSanctionedSync(pass, file, syncHelpers[base])
-		case "meta":
-			checkSanctionedSync(pass, file, syncHelpers[base])
 		case "server":
 			checkCommitBeforeSend(pass, file)
 		}
@@ -315,16 +312,19 @@ func isDurableMediaCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return analysis.PkgBase(recv.Obj().Pkg().Path()) == "blockstore"
 }
 
-// checkSanctionedSync implements A3: (*os.File).Sync only inside the
-// function or method named helper.
-func checkSanctionedSync(pass *analysis.Pass, file *ast.File, helper string) {
+// checkSyncSite implements A3: (*os.File).Sync only inside the method
+// fsync of type Syncer in package blockstore.
+func checkSyncSite(pass *analysis.Pass, file *ast.File) {
 	for _, decl := range file.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		if fd.Name.Name == helper {
-			continue // the sanctioned helper itself
+		if fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); fn != nil && fn.Name() == "fsync" {
+			if recv := analysis.RecvNamed(fn); recv != nil && recv.Obj().Name() == "Syncer" &&
+				analysis.PkgBase(pass.Pkg.Path()) == "blockstore" {
+				continue // the one fsync site
+			}
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -341,8 +341,7 @@ func checkSanctionedSync(pass *analysis.Pass, file *ast.File, helper string) {
 			}
 			if recv.Obj().Pkg().Path() == "os" && recv.Obj().Name() == "File" {
 				pass.Reportf(call.Pos(),
-					"direct (*os.File).Sync bypasses the sanctioned %s helper: every fsync of the package goes through one place, where it is instrumented, gated, and its error wrapped",
-					helper)
+					"direct (*os.File).Sync bypasses blockstore's (*Syncer).fsync: every fsync of the tree goes through that one function, where it is instrumented, gated, and its error wrapped")
 			}
 			return true
 		})

@@ -1,6 +1,6 @@
 // Package blockstore mirrors the media surface the ackdurable pass keys
 // on. Being in scope itself, it also exercises rules A1 (discarded
-// errors) and A3 (fsync outside the sanctioned helper).
+// errors) and A3 (fsync outside the one site, (*Syncer).fsync).
 package blockstore
 
 import (
@@ -22,17 +22,32 @@ type Media interface {
 	Close() error
 }
 
-type File struct {
-	f      *os.File
+// Syncer is the one way to stable storage.
+type Syncer struct {
 	noSync bool
 }
 
-// sync is the sanctioned fsync helper; A3 exempts the method by name.
-func (f *File) sync(file *os.File) error {
-	if f.noSync {
+// fsync is the tree's one fsync site; A3 exempts exactly this method.
+func (s *Syncer) fsync(f *os.File) error {
+	if s.noSync {
 		return nil
 	}
-	return file.Sync()
+	return f.Sync()
+}
+
+type File struct {
+	f      *os.File
+	syncer *Syncer
+}
+
+// sync reaches the disk through the Syncer: allowed.
+func (f *File) sync(file *os.File) error {
+	return f.syncer.fsync(file)
+}
+
+// fsync has the sanctioned name on the wrong receiver.
+func (f *File) fsync(file *os.File) error {
+	return file.Sync() // want `direct \(\*os.File\).Sync bypasses blockstore's \(\*Syncer\).fsync`
 }
 
 func (f *File) commit() error {
@@ -40,7 +55,7 @@ func (f *File) commit() error {
 }
 
 func rogueSync(file *os.File) error {
-	return file.Sync() // want `direct \(\*os.File\).Sync bypasses the sanctioned`
+	return file.Sync() // want `direct \(\*os.File\).Sync bypasses blockstore's \(\*Syncer\).fsync`
 }
 
 func closeQuietly(f *os.File) {

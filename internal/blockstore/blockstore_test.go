@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/stats"
@@ -230,6 +231,66 @@ func TestFileInstruments(t *testing.T) {
 	}
 	if reg.Histogram("disk.n9.media.fsync_wait").Count() != 4 {
 		t.Fatal("fsync_wait histogram empty")
+	}
+}
+
+// TestCreateSyncsDirectories: a store Open creates survives a power loss
+// as soon as Open returns. Each directory Open makes is fsynced into its
+// parent, and the store's directory once its three files are in it;
+// those fsyncs count as dir_fsyncs, apart from the superblock's file
+// fsync.
+func TestCreateSyncsDirectories(t *testing.T) {
+	reg := stats.NewRegistry()
+	dir := filepath.Join(t.TempDir(), "san", "disk-9")
+	f, err := Open(dir, Options{Blocks: 8, Registry: reg, StatsPrefix: "m."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// san into the temp dir, disk-9 into san, the files into disk-9.
+	if got := reg.CounterValue("m.dir_fsyncs"); got != 3 {
+		t.Errorf("dir_fsyncs = %d after creating a store two directories deep, want 3", got)
+	}
+	if got := reg.CounterValue("m.fsyncs"); got != 1 {
+		t.Errorf("fsyncs = %d, want 1 (the superblock)", got)
+	}
+}
+
+// TestReopenSyncsCompactedJournal: reopening a store that holds a fence
+// installs the compacted fence journal, and fsyncs the directory after
+// its rename, before Open returns. Without that fsync a power loss could
+// bring the old journal back and forget every fence acknowledged since.
+func TestReopenSyncsCompactedJournal(t *testing.T) {
+	reg := stats.NewRegistry()
+	dir := t.TempDir()
+	opts := Options{Blocks: 8, Registry: reg, StatsPrefix: "m."}
+	f, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetFence(7, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.CounterValue("m.dir_fsyncs")
+	g, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if got := reg.CounterValue("m.dir_fsyncs") - before; got != 1 {
+		t.Errorf("reopen fsynced the directory %d times, want 1 (after the journal's rename)", got)
+	}
+	if !g.Fenced(7) {
+		t.Error("fence lost across the reopen")
+	}
+	if _, err := os.Stat(filepath.Join(dir, fenceFileName+".tmp")); !os.IsNotExist(err) {
+		t.Errorf("compaction left its temp file behind: %v", err)
+	}
+	if err := g.SetFence(8, true); err != nil {
+		t.Fatalf("appending to the compacted journal: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/msg"
@@ -60,13 +59,12 @@ type Options struct {
 	// an existing store it must match the superblock (0 accepts whatever
 	// the superblock records).
 	Blocks uint64
-	// NoSync skips the per-operation fsync. Acknowledged durability then
-	// relies on the OS page cache (which survives a killed process but
-	// not a machine crash); tests use it to keep bursts fast.
+	// NoSync skips every fsync (NewSyncer); tests use it to keep bursts
+	// fast.
 	NoSync bool
 	// Registry, when non-nil, receives the store's instruments under
-	// StatsPrefix: fsyncs, fsync latency, journal records, and the
-	// recovery verified/torn counts.
+	// StatsPrefix: its Syncer's, journal records, fsyncs saved by group
+	// commit, and the read and write runs.
 	Registry    *stats.Registry
 	StatsPrefix string
 }
@@ -82,7 +80,7 @@ type blockState struct {
 type File struct {
 	dir      string
 	capacity uint64
-	noSync   bool
+	syncer   *Syncer
 
 	data  *os.File
 	meta  *os.File
@@ -97,9 +95,7 @@ type File struct {
 	// WriteAt's argument escapes.
 	trailers []byte
 
-	fsyncs      *stats.Counter
 	journalRec  *stats.Counter
-	fsyncWait   *stats.Histogram
 	fsyncsSaved *stats.Counter
 	// A run is one pread (or one data pwrite plus one trailer pwrite):
 	// run_blocks/runs is blocks moved per system call.
@@ -109,76 +105,78 @@ type File struct {
 
 // Open creates or recovers a file-backed store in dir. On an existing
 // store it replays the fence journal, verifies the checksum of every
-// written block, and records the outcome in Recovery().
+// written block, and records the outcome in Recovery(). A store it
+// creates, and any directory it makes for one, is durable by the time
+// it returns: the files' names are fsynced into their directory.
 func Open(dir string, opts Options) (*File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("blockstore: %w", err)
-	}
 	f := &File{
 		dir:    dir,
-		noSync: opts.NoSync,
+		syncer: NewSyncer(opts.Registry, opts.StatsPrefix, opts.NoSync),
 		index:  make(map[uint64]blockState),
 		fenced: make(map[msg.NodeID]bool),
 	}
 	if opts.Registry != nil {
-		f.fsyncs = opts.Registry.Counter(opts.StatsPrefix + "fsyncs")
 		f.journalRec = opts.Registry.Counter(opts.StatsPrefix + "journal_records")
-		f.fsyncWait = opts.Registry.Histogram(opts.StatsPrefix + "fsync_wait")
 		f.fsyncsSaved = opts.Registry.Counter(opts.StatsPrefix + "fsyncs_saved")
 		f.readRuns = opts.Registry.Counter(opts.StatsPrefix + "read_runs")
 		f.readRunBlocks = opts.Registry.Counter(opts.StatsPrefix + "read_run_blocks")
 		f.writeRuns = opts.Registry.Counter(opts.StatsPrefix + "write_runs")
 		f.writeRunBlocks = opts.Registry.Counter(opts.StatsPrefix + "write_run_blocks")
 	}
+	if err := f.open(opts.Blocks); err != nil {
+		// Nothing acknowledged was written through the handles; the open
+		// error is the one the caller must see.
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// open creates the store's files, or recovers them, for Open.
+func (f *File) open(blocks uint64) error {
+	if err := f.syncer.mkdirAll(f.dir); err != nil {
+		return fmt.Errorf("blockstore: %w", err)
+	}
 	var err error
-	if f.meta, err = os.OpenFile(filepath.Join(dir, metaFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-		return nil, fmt.Errorf("blockstore: %w", err)
+	if f.meta, err = os.OpenFile(filepath.Join(f.dir, metaFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		return fmt.Errorf("blockstore: %w", err)
 	}
-	// On every open-failure path below, the close error is discarded
-	// deliberately: nothing was written yet, the handles are read-only as
-	// far as durability is concerned, and the open error is the one the
-	// caller must see.
-	if f.data, err = os.OpenFile(filepath.Join(dir, dataFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-		_ = f.meta.Close()
-		return nil, fmt.Errorf("blockstore: %w", err)
+	if f.data, err = os.OpenFile(filepath.Join(f.dir, dataFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		return fmt.Errorf("blockstore: %w", err)
 	}
-	if f.fence, err = os.OpenFile(filepath.Join(dir, fenceFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-		_ = f.meta.Close()
-		_ = f.data.Close()
-		return nil, fmt.Errorf("blockstore: %w", err)
+	if f.fence, err = os.OpenFile(filepath.Join(f.dir, fenceFileName), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		return fmt.Errorf("blockstore: %w", err)
 	}
 	st, err := f.meta.Stat()
 	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("blockstore: %w", err)
+		return fmt.Errorf("blockstore: %w", err)
 	}
 	if st.Size() == 0 {
-		if opts.Blocks == 0 {
-			_ = f.Close()
-			return nil, fmt.Errorf("blockstore: creating %s: Options.Blocks must be set", dir)
+		if blocks == 0 {
+			return fmt.Errorf("blockstore: creating %s: Options.Blocks must be set", f.dir)
 		}
-		f.capacity = opts.Blocks
+		f.capacity = blocks
 		if err := f.writeSuper(); err != nil {
-			_ = f.Close()
-			return nil, err
+			return err
 		}
-		return f, nil
+		// The directory fsync makes the three files' names durable.
+		if err := f.syncer.syncDir(f.dir); err != nil {
+			return fmt.Errorf("blockstore: %w", err)
+		}
+		return nil
 	}
-	if err := f.readSuper(opts.Blocks); err != nil {
-		_ = f.Close()
-		return nil, err
+	if err := f.readSuper(blocks); err != nil {
+		return err
 	}
 	if err := f.recoverBlocks(); err != nil {
-		_ = f.Close()
-		return nil, err
+		return err
 	}
 	if err := f.recoverFences(); err != nil {
-		_ = f.Close()
-		return nil, err
+		return err
 	}
 	f.recovery.Recovered = true
 	sortReport(&f.recovery)
-	return f, nil
+	return nil
 }
 
 func (f *File) writeSuper() error {
@@ -267,28 +265,24 @@ func (f *File) markTorn(block uint64) {
 
 // recoverFences replays the journal, then compacts it so the file stays
 // proportional to the live fence table rather than to history.
+// A journal that cannot be read fails the open: treating the unread part
+// as a torn tail could forget an acknowledged fence.
 func (f *File) recoverFences() error {
-	st, err := f.fence.Stat()
+	log, err := io.ReadAll(f.fence)
 	if err != nil {
-		return fmt.Errorf("blockstore: %w", err)
+		return fmt.Errorf("blockstore: fence journal: %w", err)
 	}
-	rec := make([]byte, fenceRecLen)
-	var off int64
-	for off+fenceRecLen <= st.Size() {
-		if _, err := io.ReadFull(io.NewSectionReader(f.fence, off, fenceRecLen), rec); err != nil {
-			break
-		}
-		if binary.LittleEndian.Uint32(rec[8:]) != crc32.Checksum(rec[:8], castagnoli) {
+	for ; len(log) >= fenceRecLen; log = log[fenceRecLen:] {
+		if binary.LittleEndian.Uint32(log[8:]) != crc32.Checksum(log[:8], castagnoli) {
 			break // torn tail: an unacknowledged append
 		}
-		target := msg.NodeID(int32(binary.LittleEndian.Uint32(rec[0:])))
-		if binary.LittleEndian.Uint32(rec[4:]) != 0 {
+		target := msg.NodeID(int32(binary.LittleEndian.Uint32(log[0:])))
+		if binary.LittleEndian.Uint32(log[4:]) != 0 {
 			f.fenced[target] = true
 		} else {
 			delete(f.fenced, target)
 		}
 		f.recovery.JournalRecords++
-		off += fenceRecLen
 	}
 	for id := range f.fenced {
 		f.recovery.Fenced = append(f.recovery.Fenced, id)
@@ -297,42 +291,20 @@ func (f *File) recoverFences() error {
 }
 
 // compactJournal rewrites the journal as one set-record per live fence,
-// atomically (write temp, fsync, rename, reopen).
+// installed atomically in place of the one just replayed.
 func (f *File) compactJournal() error {
-	tmp := filepath.Join(f.dir, fenceFileName+".tmp")
-	w, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("blockstore: compact: %w", err)
-	}
 	var buf []byte
 	for id := range f.fenced {
 		buf = append(buf, fenceRecord(id, true)...)
 	}
-	if _, err := w.Write(buf); err != nil {
-		// The write/fsync failure is the error that matters; the temp file
-		// is abandoned either way.
-		_ = w.Close()
-		return fmt.Errorf("blockstore: compact: %w", err)
-	}
-	if err := f.sync(w); err != nil {
-		_ = w.Close()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return fmt.Errorf("blockstore: compact: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(f.dir, fenceFileName)); err != nil {
-		return fmt.Errorf("blockstore: compact: %w", err)
-	}
-	old := f.fence
-	if f.fence, err = os.OpenFile(filepath.Join(f.dir, fenceFileName), os.O_RDWR, 0o644); err != nil {
-		f.fence = old
+	fence, err := f.syncer.Install(filepath.Join(f.dir, fenceFileName), buf)
+	if err != nil {
 		return fmt.Errorf("blockstore: compact: %w", err)
 	}
 	// The superseded journal handle holds nothing durable — the compacted
-	// file has already been fsynced and renamed into place.
-	_ = old.Close()
-	f.walSize = int64(len(buf))
+	// file is already durable in its place.
+	_ = f.fence.Close()
+	f.fence, f.walSize = fence, int64(len(buf))
 	return nil
 }
 
@@ -346,27 +318,8 @@ func fenceRecord(target msg.NodeID, on bool) []byte {
 	return rec
 }
 
-// sync fsyncs one file, instrumented. This is the single sanctioned
-// fsync site (the ackdurable pass enforces it): the NoSync gate and the
-// latency instrumentation live here and nowhere else. The wall-clock
-// reads are measurement of the real device, not protocol time.
-//
-//lint:allow clockhygiene(fsync latency is a measurement of the physical device, not protocol time)
-func (f *File) sync(file *os.File) error {
-	if f.noSync {
-		return nil
-	}
-	start := time.Now()
-	err := file.Sync()
-	if f.fsyncs != nil {
-		f.fsyncs.Inc()
-		f.fsyncWait.Observe(time.Since(start))
-	}
-	if err != nil {
-		return fmt.Errorf("blockstore: fsync: %w", err)
-	}
-	return nil
-}
+// sync fsyncs one of the store's files through its Syncer.
+func (f *File) sync(file *os.File) error { return f.syncer.fsync(file, false) }
 
 // judge is the part of a read that needs no I/O: a block beyond capacity
 // or torn is refused, a never-written one (ok false) is zeros, and only
@@ -639,7 +592,7 @@ func (f *File) WriteV(batch []BlockWrite) []error {
 		}
 		return errs
 	}
-	if f.fsyncsSaved != nil && !f.noSync && staged > 1 {
+	if f.fsyncsSaved != nil && !f.syncer.noSync && staged > 1 {
 		// A per-block loop would have paid 2 fsyncs per entry; the group
 		// commit paid 2 total.
 		f.fsyncsSaved.Add(uint64(2*staged - 2))

@@ -639,21 +639,5 @@ func (cl *Cluster) RestartReplica(si, ri int) {
 	}
 }
 
-// IsolateReplica partitions member ri of shard si's group from its peers
-// and from every client node — the replica stays up but can neither
-// renew nor serve. HealControl lifts it.
-func (cl *Cluster) IsolateReplica(si, ri int) {
-	sh := &cl.Shards[si]
-	rid := sh.Group[ri]
-	for _, peer := range sh.Group {
-		if peer != rid {
-			cl.Control.Block(rid, peer)
-		}
-	}
-	for ci := range cl.Clients {
-		cl.Control.Block(rid, ClientID(ci))
-	}
-}
-
 // BlockSize re-exports the installation's data block size.
 const BlockSize = client.BlockSize

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/msg"
 )
 
@@ -264,7 +265,7 @@ func TestOldLayoutLogWithAllocationIsRefused(t *testing.T) {
 		if err := os.WriteFile(logPath(path), log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenJournaled(path, nil)
+		s, err := OpenJournaled(path, nil, new(blockstore.Syncer))
 		if err == nil {
 			t.Cleanup(func() { s.CloseJournal() })
 		}

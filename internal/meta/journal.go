@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 
+	"repro/internal/blockstore"
 	"repro/internal/msg"
 )
 
@@ -36,7 +36,6 @@ const (
 
 const (
 	logSuffix = ".log"
-	tmpSuffix = ".tmp"
 
 	// recHeader is len u32 | crc32c u32; the checksummed body that
 	// follows starts with seq u64 | op u8.
@@ -63,9 +62,10 @@ var ErrSuperseded = errors.New("meta: journal superseded by a later recovery")
 // into pending; Commit hands pending to the kernel.
 type journal struct {
 	snapPath string
-	f        *os.File // the log, opened O_APPEND
-	size     int64    // bytes written to f
-	limit    int64    // checkpoint once size exceeds this
+	syncer   *blockstore.Syncer // fsyncs and installs the snapshot and the log
+	f        *os.File           // the log, written at its end
+	size     int64              // bytes written to f
+	limit    int64              // checkpoint once size exceeds this
 	pending  []byte
 	start    int   // offset in pending of the record being built
 	err      error // a failed append: the log's tail is unknown, so every later Commit fails too
@@ -269,12 +269,13 @@ func (s *Store) replay(log []byte, oldLayout bool) error {
 // the journal, and checkpoints. The checkpoint bounds the next replay,
 // drops any torn tail with the old log, and unlinks the file a deposed
 // writer may still hold open. From here on every mutator logs its call
-// and Commit makes the calls so far survive this process.
+// and Commit makes the calls so far survive this process. Every fsync
+// the journal pays goes through syncer.
 //
 // A log behind a snapshot in the old allocator layout (persist.go) is
 // refused if it holds an AllocBlocks record: the blocks that call was
 // granted cannot be placed again.
-func OpenJournaled(path string, disks map[msg.NodeID]uint64) (*Store, error) {
+func OpenJournaled(path string, disks map[msg.NodeID]uint64, syncer *blockstore.Syncer) (*Store, error) {
 	s, oldLayout, err := loadSnapshot(path)
 	if err != nil {
 		return nil, err
@@ -289,7 +290,7 @@ func OpenJournaled(path string, disks map[msg.NodeID]uint64) (*Store, error) {
 	if err := s.replay(log, oldLayout); err != nil {
 		return nil, err
 	}
-	s.j = &journal{snapPath: path}
+	s.j = &journal{snapPath: path, syncer: syncer}
 	if err := s.checkpoint(); err != nil {
 		s.j = nil
 		return nil, err
@@ -343,13 +344,13 @@ func (s *Store) checkpoint() error {
 			return ErrSuperseded
 		}
 	}
-	snapSize, err := s.saveSnapshot(j.snapPath)
+	snapSize, err := s.saveSnapshot(j.snapPath, j.syncer)
 	if err != nil {
 		return err
 	}
-	f, err := installFile(path, nil)
+	f, err := j.syncer.Install(path, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("meta: %w", err)
 	}
 	if j.f != nil {
 		// Everything in the old log is in the snapshot now.
@@ -371,52 +372,6 @@ func (s *Store) CloseJournal() error {
 	s.j = nil
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("meta: journal close: %w", err)
-	}
-	return nil
-}
-
-// installFile puts data at path so that a crash at any instant leaves
-// the old file or the new one, whole and durable: write a temp file,
-// fsync it, rename it into place, fsync the directory. It returns the
-// file, still open for appending.
-func installFile(path string, data []byte) (*os.File, error) {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("meta: %w", err)
-	}
-	fail := func(err error) (*os.File, error) {
-		// The temp file is abandoned; the error that matters is err.
-		_ = f.Close()
-		return nil, fmt.Errorf("meta: installing %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := fsync(f); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(err)
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fail(err)
-	}
-	err = fsync(dir)
-	// Nothing was written through dir; its fsync error is the one to report.
-	_ = dir.Close()
-	if err != nil {
-		return fail(err)
-	}
-	return f, nil
-}
-
-// fsync is the one place this package calls (*os.File).Sync (tanklint's
-// ackdurable pass holds it to that).
-func fsync(f *os.File) error {
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("fsync %s: %w", f.Name(), err)
 	}
 	return nil
 }

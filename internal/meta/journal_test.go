@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/msg"
 )
 
@@ -16,7 +17,7 @@ var testDisks = map[msg.NodeID]uint64{100: 6, 101: 6}
 
 func openJournaled(t *testing.T, path string) *Store {
 	t.Helper()
-	s, err := OpenJournaled(path, testDisks)
+	s, err := OpenJournaled(path, testDisks, new(blockstore.Syncer))
 	if err != nil {
 		t.Fatalf("OpenJournaled: %v", err)
 	}
@@ -286,7 +287,7 @@ func recoverFrom(t *testing.T, f journalFiles) (*Store, error) {
 	if err := os.WriteFile(logPath(path), f.log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenJournaled(path, testDisks)
+	s, err := OpenJournaled(path, testDisks, new(blockstore.Syncer))
 	if err == nil {
 		t.Cleanup(func() { s.CloseJournal() })
 	}
@@ -418,10 +419,10 @@ func TestCheckpointCrashWindows(t *testing.T) {
 	dir := t.TempDir()
 	path2 := filepath.Join(dir, "meta.json")
 	for name, data := range map[string][]byte{
-		path2:                      after.snap,
-		logPath(path2):             after.log,
-		path2 + tmpSuffix:          []byte(`{"Inodes":[{"Ino":1`), // a snapshot cut short
-		logPath(path2) + tmpSuffix: oldLog,
+		path2:                   after.snap,
+		logPath(path2):          after.log,
+		path2 + ".tmp":          []byte(`{"Inodes":[{"Ino":1`), // a snapshot cut short
+		logPath(path2) + ".tmp": oldLog,
 	} {
 		if err := os.WriteFile(name, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -493,7 +494,7 @@ func BenchmarkMetaCommit(b *testing.B) {
 	}{{"1k", 1000}, {"100k", 100000}} {
 		b.Run(size.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "meta.json")
-			s, err := OpenJournaled(path, testDisks)
+			s, err := OpenJournaled(path, testDisks, new(blockstore.Syncer))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/blockstore"
 	"repro/internal/msg"
 )
 
@@ -47,9 +48,9 @@ import (
 // skips a seq or does not parse is corruption and fails the recovery.
 //
 // Checkpoint rule: once the log outgrows max(1 MiB, 4 × the last
-// snapshot), Commit writes a new snapshot — temp file, fsync, rename,
-// fsync of the directory — and then replaces the log with an empty one
-// the same way. A crash between the two leaves a log whose records the
+// snapshot), Commit installs a new snapshot with blockstore's
+// Syncer.Install — temp file, fsync, rename, fsync of the directory —
+// and then replaces the log with an empty one the same way. A crash between the two leaves a log whose records the
 // snapshot's seq makes replay skip. A checkpoint is O(namespace) and is
 // paid once per O(namespace) bytes of log, so a mutation's amortized
 // cost does not grow with the namespace. Recovery always ends with one,
@@ -269,16 +270,17 @@ func restore(data []byte) (s *Store, oldLayout bool, err error) {
 // power loss included, leaves either the previous snapshot or the new
 // one, never a torn file.
 func (s *Store) SaveSnapshot(path string) error {
-	_, err := s.saveSnapshot(path)
+	_, err := s.saveSnapshot(path, new(blockstore.Syncer))
 	return err
 }
 
-// saveSnapshot is SaveSnapshot, also returning the snapshot's size.
-func (s *Store) saveSnapshot(path string) (int, error) {
+// saveSnapshot is SaveSnapshot through syncer, also returning the
+// snapshot's size.
+func (s *Store) saveSnapshot(path string, syncer *blockstore.Syncer) (int, error) {
 	data := s.Snapshot()
-	f, err := installFile(path, data)
+	f, err := syncer.Install(path, data)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("meta: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("meta: snapshot close: %w", err)

@@ -71,7 +71,9 @@ type Config struct {
 	// full acquisition timeout has passed on its clock — otherwise its
 	// amnesia could let a second holder win a quorum while the first's
 	// lease is still live. A cold-booting group (no prior incarnation)
-	// may skip the wait.
+	// may skip the wait, but only a harness that knows which boot is
+	// which can tell: the simulator sets it on restarts alone, and the
+	// live transport (rpcnet) sets it always.
 	Warmup bool
 }
 

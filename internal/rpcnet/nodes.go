@@ -320,6 +320,11 @@ func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerN
 		if rc.Bound.Eps == 0 {
 			rc.Bound = cfg.Core.Bound
 		}
+		// A process cannot tell its first boot from a restart, and a
+		// restarted diskless acceptor may already have vouched for the
+		// window it boots into: every live negotiator sits out one
+		// acquisition timeout before it votes or campaigns (DESIGN §15.2).
+		rc.Warmup = true
 		cfg.Replica = &rc
 	}
 	n := &ServerNode{Exec: NewExecutor(), Reg: o.reg}

@@ -356,6 +356,11 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 	for _, id := range group {
 		helpers[id] = startReplicaHelper(t, dir, id, topo)
 	}
+	// Every live member boots warming up, so the group elects one
+	// acquisition timeout after it starts. A client that registered
+	// before that would hold a lease dated from its first, unanswered
+	// send: nearly spent on arrival.
+	findActiveReplica(t, dir, group)
 
 	// The parent's two clients share one JSONL stream so their events
 	// merge with the children's by wall-clock time.

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/meta"
@@ -140,9 +141,12 @@ func (s *Server) handleReplicaInfo(client msg.NodeID, id msg.ReqID) {
 // recoverMeta replaces the store with the one persisted at
 // cfg.MetaPersist — snapshot plus journal replay, an empty store on a
 // first boot — journalled from here on, and checkpointed: whoever served
-// from these files before holds a descriptor on an unlinked log now.
+// from these files before holds a descriptor on an unlinked log now. The
+// journal's fsyncs count into the server's registry as meta.fsyncs,
+// meta.fsync_wait and meta.dir_fsyncs.
 func (s *Server) recoverMeta() {
-	st, err := meta.OpenJournaled(s.cfg.MetaPersist, s.cfg.Disks)
+	st, err := meta.OpenJournaled(s.cfg.MetaPersist, s.cfg.Disks,
+		blockstore.NewSyncer(s.reg, "server.meta.", false))
 	if err != nil {
 		panic(fmt.Sprintf("server %v: recovering metadata store: %v", s.id, err))
 	}

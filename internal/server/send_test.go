@@ -1,11 +1,13 @@
 package server
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // TestSendCountsWithoutAllocating pins the price of exact byte
@@ -26,5 +28,27 @@ func TestSendCountsWithoutAllocating(t *testing.T) {
 	}
 	if got, want := s.bytesOut.Value(), s.msgsOut.Value()*uint64(meta+len(tail)); got != want {
 		t.Errorf("bytes_out %d over %d sends, want %d", got, s.msgsOut.Value(), want)
+	}
+}
+
+// TestMetaFsyncsAreCounted: the metadata journal's fsyncs land in the
+// server's registry. Recovery checkpoints: the snapshot and the empty
+// log are each fsynced, then renamed into place and their directory
+// fsynced.
+func TestMetaFsyncsAreCounted(t *testing.T) {
+	clock := sim.NewScheduler(1).NewClock(1, 0)
+	nop := func(msg.NodeID, msg.Message) {}
+	reg := stats.NewRegistry()
+	s := New(1, Config{Core: core.DefaultConfig(), Disks: map[msg.NodeID]uint64{1000: 64},
+		MetaPersist: filepath.Join(t.TempDir(), "meta.json")}, clock, nop, nop, reg, nil)
+	defer s.Stop()
+	if got := reg.CounterValue("server.meta.fsyncs"); got != 2 {
+		t.Errorf("server.meta.fsyncs = %d after recovery, want 2", got)
+	}
+	if got := reg.Histogram("server.meta.fsync_wait").Count(); got != 2 {
+		t.Errorf("server.meta.fsync_wait holds %d samples, want 2", got)
+	}
+	if got := reg.CounterValue("server.meta.dir_fsyncs"); got != 2 {
+		t.Errorf("server.meta.dir_fsyncs = %d after recovery, want 2", got)
 	}
 }
