@@ -49,9 +49,11 @@ lint:
 # of an unreplicated journalled server run beside it, and the name cache's
 # two live tests — two clients churning one directory with every reply
 # checked against a model, and the clean exit that strands no lock — and
-# the executor's own stress test: many goroutines mixing Do and Submit on
+# the executor's own stress tests: many goroutines mixing Do and Submit on
 # one executor, mutual exclusion and per-producer order checked by plain
-# variables the race detector watches, ten times over — and the send
+# variables the race detector watches, and producers that take the token
+# a hit runs under (Enter) only once their own task has run, ten times
+# over each — and the send
 # path's, ten times over too: a peer that stops reading must not block a
 # Send, frames to one peer arrive once and in order across inline and
 # queued writes, two read loops sending into each other's full sockets
@@ -79,7 +81,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
-	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo' ./internal/rpcnet/
+	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo|TestEnterNeverOvertakesTheQueue' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames|TestHandlerDropsItsOwnLink' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestServeFraming|TestServeSeesACloseBehindTheLastFrame|TestCloseWhileServing' ./internal/wire/
 	$(GO) test -race -tags tankdebug ./...

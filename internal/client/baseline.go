@@ -142,26 +142,13 @@ func (c *Client) vLeaseNote(o *object) {
 	o.vExpiry = c.clock.Now().Add(c.cfg.Core.Tau)
 }
 
-// vLeaseCheck gates use of the cached lock on ino, whose record is o, on
-// the object's lease validity; an expired object lease forces a fresh
-// acquire (which renews it).
-func (c *Client) vLeaseCheck(ino msg.ObjectID, o *object, cb ErrnoCallback) {
-	if c.cfg.Policy.Lease != baselines.LeasePerObject {
-		cb(msg.OK)
-		return
-	}
-	if o.vExpiry != 0 && c.clock.Now().Before(o.vExpiry) {
-		cb(msg.OK)
-		return
-	}
-	// Lease lapsed: the lock may have been stolen. Drop and re-acquire.
-	mode := o.mode
-	o.mode = msg.LockNone
-	c.oracle.LockInactive(c.id, ino)
-	if mode == msg.LockNone {
-		mode = msg.LockShared
-	}
-	c.ensureLock(ino, mode, cb)
+// vLeaseValid reports whether the V baseline's lease on the object whose
+// record is o still runs; under every other policy there is none to run
+// out. A lock whose object lease lapsed is used only after a fresh acquire
+// (ensureLock), which renews it.
+func (c *Client) vLeaseValid(o *object) bool {
+	return c.cfg.Policy.Lease != baselines.LeasePerObject ||
+		o.vExpiry != 0 && c.clock.Now().Before(o.vExpiry)
 }
 
 // armVRenew renews every cached object's lease each interval — the

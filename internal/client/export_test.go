@@ -55,3 +55,18 @@ func (c *Client) HeldMode(ino msg.ObjectID) msg.LockMode {
 	}
 	return msg.LockNone
 }
+
+// Downgrading reports whether a downgrade of ino is in flight: between
+// the start of its compliance and the acknowledgment of its report.
+func (c *Client) Downgrading(ino msg.ObjectID) bool {
+	o := c.objs[ino]
+	return o != nil && o.downgrades > 0
+}
+
+// LapseObjectLease ends the V baseline's lease on ino now, as if its
+// renewals had stopped arriving.
+func (c *Client) LapseObjectLease(ino msg.ObjectID) {
+	if o := c.objs[ino]; o != nil {
+		o.vExpiry = c.clock.Now()
+	}
+}

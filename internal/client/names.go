@@ -155,59 +155,83 @@ func (n *nameCache) unlink(d *dirNames) {
 	d.prev, d.next = nil, nil
 }
 
+// walkStep is one directory a lookup walk of the name cache passed and,
+// when the directory answered, the name looked up in it ("" when it did
+// not) and what that name maps to (0: nothing).
+type walkStep struct {
+	d    *dirNames
+	name string
+	ino  msg.ObjectID
+}
+
+// walkDepth is how many steps a caller's buffer for a walk holds: a
+// deeper path's walk allocates.
+const walkDepth = 8
+
 // cachedLookup walks path through the cache from the root, a component
 // at a time as the server's walk takes them (meta.PathIter). It answers —
 // the object's attributes, or that a name on the way does not exist —
 // only when every step it took is covered; at the first directory it does
-// not hold, or name it does not know, it reports a miss.
-func (c *Client) cachedLookup(path string) (attr msg.Attr, errno msg.Errno, hit bool) {
+// not hold, or name it does not know, it reports a miss. The walk itself
+// changes nothing: it appends to steps what it passed, and serveWalk does
+// what passing it means, once the caller knows it wants that done.
+func (c *Client) cachedLookup(path string, steps []walkStep) ([]walkStep, msg.Attr, msg.Errno, bool) {
 	n := &c.names
 	it, ok := meta.IterPath(path)
 	if !ok {
-		return msg.Attr{}, msg.OK, false // the server says how that fails
+		return steps, msg.Attr{}, msg.OK, false // the server says how that fails
 	}
 	d := n.dirs[meta.RootIno]
 	for name := it.Next(); name != ""; name = it.Next() {
 		if d == nil {
-			return msg.Attr{}, msg.OK, false
+			return steps, msg.Attr{}, msg.OK, false
 		}
-		n.touch(d)
 		i, found := d.find(name)
 		switch {
 		case !found && !d.complete:
-			return msg.Attr{}, msg.OK, false
+			return append(steps, walkStep{d: d}), msg.Attr{}, msg.OK, false
 		case !found || d.ents[i].Ino == 0:
-			c.oracle.NameServed(c.id, d.ino, name, 0)
-			return msg.Attr{}, msg.ErrNoEnt, true
+			return append(steps, walkStep{d: d, name: name}), msg.Attr{}, msg.ErrNoEnt, true
 		}
 		e := &d.ents[i]
-		c.oracle.NameServed(c.id, d.ino, name, e.Ino)
+		steps = append(steps, walkStep{d: d, name: name, ino: e.Ino})
 		if e.IsDir {
 			d = n.dirs[e.Ino]
 			continue
 		}
 		if it.Left() > 0 {
-			return msg.Attr{}, msg.OK, false // through a file: the server says how that fails
+			return steps, msg.Attr{}, msg.OK, false // through a file: the server says how that fails
 		}
 		j, ok := d.file(e.Ino)
 		if !ok {
-			return msg.Attr{}, msg.OK, false
+			return steps, msg.Attr{}, msg.OK, false
 		}
-		attr = d.files[j].attr()
-		c.oracle.AttrServed(c.id, attr)
-		return attr, msg.OK, true
+		return steps, d.files[j].attr(), msg.OK, true
 	}
 	// The path names a directory: its own lock covers its attributes.
 	if d == nil || !d.haveAttr {
-		return msg.Attr{}, msg.OK, false
+		return steps, msg.Attr{}, msg.OK, false
 	}
-	n.touch(d)
-	c.oracle.AttrServed(c.id, d.attr)
-	return d.attr, msg.OK, true
+	return append(steps, walkStep{d: d}), d.attr, msg.OK, true
+}
+
+// serveWalk does what a lookup walk's steps mean: it touches each
+// directory passed, in order, and tells the oracle each name it answered
+// and, when served is set, the attributes attr it answered.
+func (c *Client) serveWalk(steps []walkStep, attr msg.Attr, served bool) {
+	for _, s := range steps {
+		c.names.touch(s.d)
+		if s.name != "" {
+			c.oracle.NameServed(c.id, s.d.ino, s.name, s.ino)
+		}
+	}
+	if served {
+		c.oracle.AttrServed(c.id, attr)
+	}
 }
 
 // cachedStat answers a stat by inode: a file's attributes under its
-// parent's lock, a directory's under its own.
+// parent's lock, a directory's under its own. A miss changes nothing.
 func (c *Client) cachedStat(ino msg.ObjectID) (msg.Attr, bool) {
 	n := &c.names
 	if d := n.where[ino]; d != nil {
@@ -226,7 +250,8 @@ func (c *Client) cachedStat(ino msg.ObjectID) (msg.Attr, bool) {
 }
 
 // cachedList answers a readdir from a complete listing. The slice is the
-// caller's; the names in it are the cached strings.
+// caller's; the names in it are the cached strings. A miss changes
+// nothing.
 func (c *Client) cachedList(ino msg.ObjectID) ([]msg.DirEntry, bool) {
 	d := c.names.dirs[ino]
 	if d == nil || !d.complete {

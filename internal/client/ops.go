@@ -103,17 +103,14 @@ func (c *Client) ReplicaInfo(cb ReplicaInfoCallback) {
 
 // Lookup resolves a path.
 func (c *Client) Lookup(path string, cb AttrCallback) {
-	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
-		return
-	}
-	// Not through lookup: the closure that finishes the operation would be
-	// the only thing a hit allocates.
 	if attr, errno, hit := c.lookupHit(path); hit {
-		c.finish(errno)
 		cb(attr, errno)
 		return
 	}
-	c.lookupAsk(path, func(attr msg.Attr, errno msg.Errno) {
+	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
+		return
+	}
+	c.lookup(path, func(attr msg.Attr, errno msg.Errno) {
 		c.finish(errno)
 		cb(attr, errno)
 	})
@@ -123,26 +120,27 @@ func (c *Client) Lookup(path string, cb AttrCallback) {
 // the cache does not cover — by asking the server, whose reply brings the
 // locks that let the next one be answered here.
 func (c *Client) lookup(path string, cb AttrCallback) {
-	if attr, errno, hit := c.lookupHit(path); hit {
-		cb(attr, errno)
+	var buf [walkDepth]walkStep
+	steps, attr, errno, hit := c.cachedLookup(path, buf[:0])
+	if !hit {
+		c.serveWalk(steps, msg.Attr{}, false)
+		c.lookupAsk(path, cb)
 		return
 	}
-	c.lookupAsk(path, cb)
+	cb(c.serveLookup(steps, attr, errno), errno)
 }
 
-// lookupHit is a lookup the name cache can answer: the object's
-// attributes as this client should see them, or ErrNoEnt.
-func (c *Client) lookupHit(path string) (msg.Attr, msg.Errno, bool) {
-	attr, errno, hit := c.cachedLookup(path)
-	switch {
-	case !hit:
-		return msg.Attr{}, msg.OK, false
-	case errno != msg.OK:
+// serveLookup serves a lookup the name cache answered along steps — the
+// object's attributes attr, or errno ErrNoEnt — and returns the attributes
+// as this client should see them.
+func (c *Client) serveLookup(steps []walkStep, attr msg.Attr, errno msg.Errno) msg.Attr {
+	c.serveWalk(steps, attr, errno == msg.OK)
+	if errno != msg.OK {
 		c.names.negHits.Inc()
-		return msg.Attr{}, errno, true
+		return msg.Attr{}
 	}
 	c.names.hits.Inc()
-	return c.seenAttr(attr), msg.OK, true
+	return c.seenAttr(attr)
 }
 
 // lookupAsk is a lookup it cannot.
@@ -274,13 +272,11 @@ func (c *Client) Truncate(h msg.Handle, nBlocks uint32, cb ErrnoCallback) {
 
 // Readdir lists a directory by inode.
 func (c *Client) Readdir(ino msg.ObjectID, cb DirCallback) {
-	if !c.begin(func(e msg.Errno) { cb(nil, e) }) {
+	if entries, hit := c.listHit(ino); hit {
+		cb(entries, msg.OK)
 		return
 	}
-	if entries, hit := c.cachedList(ino); hit {
-		c.names.hits.Inc()
-		c.finish(msg.OK)
-		cb(entries, msg.OK)
+	if !c.begin(func(e msg.Errno) { cb(nil, e) }) {
 		return
 	}
 	c.names.misses.Inc()
@@ -299,13 +295,11 @@ func (c *Client) Readdir(ino msg.ObjectID, cb DirCallback) {
 
 // Stat fetches attributes by inode.
 func (c *Client) Stat(ino msg.ObjectID, cb AttrCallback) {
-	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
+	if attr, hit := c.statHit(ino); hit {
+		cb(attr, msg.OK)
 		return
 	}
-	if attr, hit := c.cachedStat(ino); hit {
-		c.names.hits.Inc()
-		c.finish(msg.OK)
-		cb(c.seenAttr(attr), msg.OK)
+	if !c.begin(func(e msg.Errno) { cb(msg.Attr{}, e) }) {
 		return
 	}
 	c.getAttr(ino, func(attr msg.Attr, errno msg.Errno) {
@@ -432,9 +426,13 @@ func (c *Client) Close(h msg.Handle, cb ErrnoCallback) {
 	closeIt()
 }
 
-// Read returns the file block at index idx. The fast path — lock cached,
-// map cached, page cached — completes synchronously with zero messages.
+// Read returns the file block at index idx. A hit — lock cached, map
+// cached, page cached — completes synchronously with zero messages.
 func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
+	if data, hit := c.readHit(h, idx); hit {
+		cb(data, msg.OK)
+		return
+	}
 	if !c.begin(func(e msg.Errno) { cb(nil, e) }) {
 		return
 	}
@@ -536,6 +534,10 @@ func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 // completes as soon as the data is cached under an exclusive lock; the
 // data reaches the SAN on demand, periodic flush, or lease phase 4.
 func (c *Client) Write(h msg.Handle, idx uint64, data []byte, cb ErrnoCallback) {
+	if c.writeHit(h, idx, data) {
+		cb(msg.OK)
+		return
+	}
 	if !c.begin(func(e msg.Errno) { cb(e) }) {
 		return
 	}
@@ -622,21 +624,29 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 		cb(msg.ErrStale)
 		return
 	}
-	// Order every lock use behind any in-flight downgrade of this
-	// object. This covers two hazards at once: a fresh acquire must not
-	// overtake the downgrade on the wire, and a cached-lock fast path
-	// must not start new work (in particular, dirty new pages) while a
-	// revocation is between its flush and its downgrade report.
+	// The cached lock serves when holds says so — the one predicate the
+	// hit functions use too. Otherwise every lock use goes behind any
+	// in-flight downgrade of this object. This covers two hazards at once:
+	// a fresh acquire must not overtake the downgrade on the wire, and a
+	// cached lock must not start new work (in particular, dirty new pages)
+	// while a revocation is between its flush and its downgrade report.
 	o := c.objs[ino]
-	if o != nil && o.downgrades > 0 {
+	switch {
+	case c.holds(o, mode):
+		cb(msg.OK)
+		return
+	case o != nil && o.downgrades > 0:
 		o.deferred = append(o.deferred, func() { c.ensureLock(ino, mode, cb) })
 		return
-	}
-	if o != nil && o.mode.Covers(mode) {
-		c.vLeaseCheck(ino, o, cb)
+	case o != nil && o.mode.Covers(mode):
+		// Only the V baseline's lease on the object ran out: the lock may
+		// have been stolen. Drop it and acquire it again, in the mode held.
+		held := o.mode
+		o.mode = msg.LockNone
+		c.oracle.LockInactive(c.id, ino)
+		c.ensureLock(ino, held, cb)
 		return
-	}
-	if o == nil {
+	case o == nil:
 		o = c.obj(ino)
 	}
 	// The acquire holds the record, and with it the stamp of the last

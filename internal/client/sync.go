@@ -9,20 +9,41 @@ import "repro/internal/msg"
 // a live node submits to its executor and blocks the calling goroutine.
 type Await func(start func(done func())) bool
 
+// Token is a runtime's right to run client code on the calling
+// goroutine: Enter takes it when nothing else runs or waits to run, and
+// reports whether it did; Leave gives back what a true Enter took.
+// rpcnet.Executor is one.
+type Token interface {
+	Enter() bool
+	Leave()
+}
+
 // SyncClient adapts the callback-based Client to plain blocking calls
 // returning error — the surface examples, tools, and populate-style test
-// setup actually want. Every method drives exactly the event-driven code
-// path the simulator exercises; the wrapper adds no protocol behaviour,
-// only the pump.
+// setup actually want. It adds no protocol behaviour. With a token, a
+// Lookup, Stat, Readdir, ReadAt or WriteAt first tries the operation's
+// hit function under it, on the caller's stack (DESIGN §20.6); every
+// other call, and one the caches cannot answer or that finds the token
+// taken, drives exactly the event-driven code path the simulator
+// exercises, through the pump.
 type SyncClient struct {
 	c     *Client
 	await Await
+	tok   Token
 }
 
-// NewSync wraps c with the runtime's pump.
+// NewSync wraps c with the runtime's pump; every call goes through it.
 func NewSync(c *Client, await Await) *SyncClient {
 	return &SyncClient{c: c, await: await}
 }
+
+// NewSyncInline is NewSync whose hits run under tok, with no pump.
+func NewSyncInline(c *Client, await Await, tok Token) *SyncClient {
+	return &SyncClient{c: c, await: await, tok: tok}
+}
+
+// enter takes the token for a hit function; Leave gives it back.
+func (s *SyncClient) enter() bool { return s.tok != nil && s.tok.Enter() }
 
 // Open opens (optionally creating) a path for reading or writing.
 func (s *SyncClient) Open(path string, write, create bool) (msg.Handle, msg.Attr, error) {
@@ -59,6 +80,13 @@ func (s *SyncClient) Create(path string, isDir bool) (msg.Attr, error) {
 
 // Lookup resolves a path.
 func (s *SyncClient) Lookup(path string) (msg.Attr, error) {
+	if s.enter() {
+		attr, errno, hit := s.c.lookupHit(path)
+		s.tok.Leave()
+		if hit {
+			return attr, errno.Or()
+		}
+	}
 	var attr msg.Attr
 	errno := msg.ErrStale
 	ok := s.await(func(done func()) {
@@ -75,6 +103,13 @@ func (s *SyncClient) Lookup(path string) (msg.Attr, error) {
 
 // Stat fetches an object's attributes.
 func (s *SyncClient) Stat(ino msg.ObjectID) (msg.Attr, error) {
+	if s.enter() {
+		attr, hit := s.c.statHit(ino)
+		s.tok.Leave()
+		if hit {
+			return attr, nil
+		}
+	}
 	var attr msg.Attr
 	errno := msg.ErrStale
 	ok := s.await(func(done func()) {
@@ -91,6 +126,13 @@ func (s *SyncClient) Stat(ino msg.ObjectID) (msg.Attr, error) {
 
 // Readdir lists a directory.
 func (s *SyncClient) Readdir(ino msg.ObjectID) ([]msg.DirEntry, error) {
+	if s.enter() {
+		entries, hit := s.c.listHit(ino)
+		s.tok.Leave()
+		if hit {
+			return entries, nil
+		}
+	}
 	var entries []msg.DirEntry
 	errno := msg.ErrStale
 	ok := s.await(func(done func()) {
@@ -122,6 +164,13 @@ func (s *SyncClient) errnoOp(start func(cb ErrnoCallback)) error {
 
 // ReadAt reads block idx of an open handle.
 func (s *SyncClient) ReadAt(h msg.Handle, idx uint64) ([]byte, error) {
+	if s.enter() {
+		data, hit := s.c.readHit(h, idx)
+		s.tok.Leave()
+		if hit {
+			return data, nil
+		}
+	}
 	var data []byte
 	errno := msg.ErrStale
 	ok := s.await(func(done func()) {
@@ -139,6 +188,13 @@ func (s *SyncClient) ReadAt(h msg.Handle, idx uint64) ([]byte, error) {
 // WriteAt writes block idx of an open handle (into the write-back cache;
 // SyncAll makes it durable).
 func (s *SyncClient) WriteAt(h msg.Handle, idx uint64, data []byte) error {
+	if s.enter() {
+		hit := s.c.writeHit(h, idx, data)
+		s.tok.Leave()
+		if hit {
+			return nil
+		}
+	}
 	return s.errnoOp(func(cb ErrnoCallback) { s.c.Write(h, idx, data, cb) })
 }
 

@@ -449,13 +449,22 @@ func (cl *Cluster) RunFor(d time.Duration) { cl.Sched.RunFor(d) }
 
 // SyncClient returns a blocking wrapper over client i's protocol instance
 // for the first authority — the whole client in a single-server
-// installation — pumped by the simulator: each call advances the
-// scheduler until the operation completes (at most a simulated minute).
+// installation — pumped by the simulator: each call the caches do not
+// answer advances the scheduler until the operation completes (at most a
+// simulated minute).
 func (cl *Cluster) SyncClient(i int) *client.SyncClient {
-	return client.NewSync(cl.Clients[i].Sub(0), func(start func(done func())) bool {
+	return client.NewSyncInline(cl.Clients[i].Sub(0), func(start func(done func())) bool {
 		return cl.Await(time.Minute, start)
-	})
+	}, freeToken{})
 }
+
+// freeToken is the simulator's executor token: the scheduler runs one
+// event at a time on the goroutine that pumps it, which is the caller's,
+// so between two calls nothing else runs or waits to run.
+type freeToken struct{}
+
+func (freeToken) Enter() bool { return true }
+func (freeToken) Leave()      {}
 
 // FinalCheck audits every shard's history and returns all violations.
 func (cl *Cluster) FinalCheck() []checker.Violation {

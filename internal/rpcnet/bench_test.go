@@ -2,64 +2,60 @@ package rpcnet
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/client"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
 
-var sinkAttr msg.Attr
+var (
+	sinkAttr msg.Attr
+	sinkData []byte
+)
 
-// BenchmarkSyncHit is a ClientNode.Sync Lookup the name cache answers: what
-// a synchronous caller pays for an operation that needs nobody else. It
-// runs in the caller's own executor turn, so it must arm no timeout timer
-// and send nothing. The lease and the retry interval are long enough that
-// no protocol timer fires in the timed loop — neither a keep-alive nor
-// the retransmission queue's timer, which the set-up's requests left
-// armed (DESIGN §23.1): a hit that arrives while such a task holds the
-// executor rightly waits for it, timer armed, and that is the protocol's
-// cost, not the hit's.
+// BenchmarkSyncHit is a ClientNode.Sync call the caches answer: what a
+// synchronous caller pays for an operation that needs nobody else — a
+// Lookup from the name cache, a ReadAt of a resident page, a WriteAt over
+// one. Each is one call of the operation's hit function on the caller's
+// goroutine (DESIGN §20.6), so it must arm no timeout timer and send
+// nothing. The set-up (newHitFile) keeps every protocol timer out of the
+// timed loop.
 func BenchmarkSyncHit(b *testing.B) {
-	cfg := liveCore()
-	cfg.Tau = time.Hour
-	cfg.RetryInterval = time.Hour
-	lc := startLiveCfg(b, 1, cfg)
-	cn := lc.clients[0]
-	if err := cn.Start(5 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	fs := cn.Sync(5 * time.Second)
-	if _, err := fs.Create("/d", true); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := fs.Create("/d/f", false); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := fs.Lookup("/d/f"); err != nil { // the miss that fills the cache
-		b.Fatal(err)
-	}
-	clk := newPendingClock()
-	cn.tmo = clk
-	hits := cn.Reg.Counter("client.n10.names.hits")
-	before := hits.Value()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attr, err := fs.Lookup("/d/f")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkAttr = attr
-	}
-	b.StopTimer()
-	if got := hits.Value() - before; got != uint64(b.N) {
-		b.Fatalf("%d of %d lookups were answered by the name cache", got, b.N)
-	}
-	armed, _ := clk.counts()
-	b.ReportMetric(float64(armed)/float64(b.N), "timers/op")
-	if armed != 0 {
-		b.Fatalf("%d timeout timers armed for %d hits", armed, b.N)
+	f := newHitFile(b, 1)
+	block := make([]byte, client.BlockSize)
+	for _, bc := range []struct {
+		name    string
+		counter string
+		op      func() error
+	}{
+		{"Lookup", "client.n10.names.hits", func() (err error) { sinkAttr, err = f.fs.Lookup("/d/f"); return err }},
+		{"ReadAt", "client.n10.cache.hits", func() (err error) { sinkData, err = f.fs.ReadAt(f.h, 0); return err }},
+		{"WriteAt", "client.n10.writes", func() error { return f.fs.WriteAt(f.h, 0, block) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			clk := newPendingClock()
+			f.cn.tmo = clk
+			hits := f.cn.Reg.Counter(bc.counter)
+			sent := f.cn.Reg.Counter("client.n10.chan.sent")
+			before, sentBefore := hits.Value(), sent.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := hits.Value() - before; got != uint64(b.N) || sent.Value() != sentBefore {
+				b.Fatalf("%d of %d calls counted by %s, %d requests sent", got, b.N, bc.counter, sent.Value()-sentBefore)
+			}
+			armed, _ := clk.counts()
+			b.ReportMetric(float64(armed)/float64(b.N), "timers/op")
+			if armed != 0 {
+				b.Fatalf("%d timeout timers armed for %d hits", armed, b.N)
+			}
+		})
 	}
 }
 

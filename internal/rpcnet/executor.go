@@ -17,8 +17,8 @@ import (
 //   - tasks that were queued run in the order they were queued;
 //   - a task never blocks on another task (one that calls Do or Submit
 //     from inside a task enqueues);
-//   - Do jumps the queue only when the queue is empty and nothing is
-//     running, which is no jump at all: the task runs on the goroutine
+//   - Do and Enter jump the queue only when the queue is empty and nothing
+//     is running, which is no jump at all: the task runs on the goroutine
 //     that brought it, where a queued one runs on Run's.
 //
 // The queue is unbounded: protocol callbacks must never be dropped while
@@ -84,22 +84,34 @@ func (e *Executor) Instrument(reg *stats.Registry, prefix string, clock sim.Cloc
 // Submit does and returns. Either way fn may have run when Do returns, or
 // may not have. Tasks after Close are dropped.
 func (e *Executor) Do(fn func()) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if !e.Enter() {
+		e.Submit(fn)
 		return
-	}
-	if e.busy || e.n > 0 {
-		e.push(fn)
-		e.mu.Unlock()
-		return
-	}
-	e.busy = true
-	e.mu.Unlock()
-	if e.ins != nil {
-		e.ins.inline.Add(1)
 	}
 	fn()
+	e.Leave()
+}
+
+// Enter takes the token for the calling goroutine when nothing is
+// running and nothing is queued — when Do would run a task here — and
+// reports whether it did. What the caller does until Leave is a task,
+// counted as one run inline, and like any task it must not block. A
+// false Enter takes nothing; after Close, Enter is always false.
+func (e *Executor) Enter() bool {
+	e.mu.Lock()
+	ok := !e.closed && !e.busy && e.n == 0
+	if ok {
+		e.busy = true
+	}
+	e.mu.Unlock()
+	if ok && e.ins != nil {
+		e.ins.inline.Add(1)
+	}
+	return ok
+}
+
+// Leave gives back the token a true Enter took.
+func (e *Executor) Leave() {
 	e.mu.Lock()
 	e.release()
 	e.mu.Unlock()

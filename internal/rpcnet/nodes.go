@@ -511,25 +511,28 @@ func (n *ClientNode) Start(timeout time.Duration) error {
 }
 
 // Sync returns a blocking wrapper over the node's first-authority
-// instance. Each call starts its operation as a task of the executor
-// (where all client callbacks run) — on the calling goroutine when the
-// executor is idle, so that an operation the caches answer completes
-// before the pump has anything to wait for — and otherwise blocks the
-// caller until the operation completes or timeout passes (0 = a default
-// 30s). The timeout covers only the operations that wait: one that
-// completes in the caller's own turn cannot time out, because a task does
-// not block.
+// instance. A call the caches answer is one call of its hit function, on
+// the calling goroutine under the executor's token (Enter), when the
+// executor is idle. Every other call starts its operation as a task of
+// the executor (where all client callbacks run) — on the calling
+// goroutine, too, when the executor is idle — and blocks the caller until
+// the operation completes or timeout passes (0 = a default 30s). The
+// timeout covers only the operations that wait: one that completes in the
+// caller's own turn cannot time out, because a task does not block.
 func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	return client.NewSync(n.Client, func(start func(done func())) bool {
+	return client.NewSyncInline(n.Client, func(start func(done func())) bool {
 		return n.await(start, timeout)
-	})
+	}, n.Exec)
 }
 
-// await is Sync's pump. The branch that returns first is the cache hit:
-// it makes no channel and arms no timer.
+// await is Sync's pump. The branch that returns first is an operation
+// that completed in the caller's turn — a failure the client gives at
+// once, a hole, a sync with nothing to send, a hit that found the
+// executor busy at first and idle by the time Do ran it: it makes no
+// channel and arms no timer.
 func (n *ClientNode) await(start func(done func()), timeout time.Duration) bool {
 	c := &syncCall{start: start}
 	n.Exec.Do(c.run)
