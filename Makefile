@@ -49,7 +49,8 @@ lint:
 # of an unreplicated journalled server run beside it, and the name cache's
 # two live tests — two clients churning one directory with every reply
 # checked against a model, and the clean exit that strands no lock — and
-# the executor's own stress tests: many goroutines mixing Do and Submit on
+# a two-authority node's ClientNode.Sync sending each path, handle and
+# inode to the authority that owns it, and the executor's own stress tests: many goroutines mixing Do and Submit on
 # one executor, mutual exclusion and per-producer order checked by plain
 # variables the race detector watches, and producers that take the token
 # a hit runs under (Enter) only once their own task has run, ten times
@@ -80,7 +81,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestUnreplicatedServerRecoversMetadata' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
-	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks' ./internal/rpcnet/
+	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks|TestLiveSyncClientRoutesByPath' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo|TestEnterNeverOvertakesTheQueue' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames|TestHandlerDropsItsOwnLink' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestServeFraming|TestServeSeesACloseBehindTheLastFrame|TestCloseWhileServing' ./internal/wire/

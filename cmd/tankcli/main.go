@@ -30,15 +30,21 @@
 //	tankcli -replicas "1=127.0.0.1:7001,101=127.0.0.1:7002,201=127.0.0.1:7003" \
 //	        -disks "..." role
 //
-// The role command asks the currently-targeted replica for its
-// negotiation state: passive, candidate, or active, the last PaxosLease
-// ballot it touched, and who it believes is active.
+// The role command asks the currently-targeted replica of the first
+// authority for its negotiation state: passive, candidate, or active, the
+// last PaxosLease ballot it touched, and who it believes is active.
+//
+// Every command runs on the node's blocking client (ClientNode.Sync),
+// which routes each call exactly as the node does and gives an operation
+// 30 s before it fails with ErrStale.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -110,7 +116,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("registered as n%d (authorities: %d)\n", *id, len(node.Router.Subs()))
-	cli := &cli{node: node}
+	cli := &cli{node: node, sc: node.Sync(opTimeout), out: os.Stdout}
 	err = cli.run(flag.Args())
 	// A clean exit, whatever the command's outcome: Close flushes and gives
 	// the locks back, so the next client does not wait out this one's
@@ -121,39 +127,14 @@ func main() {
 	}
 }
 
-type cli struct{ node *rpcnet.ClientNode }
+// opTimeout bounds each operation of a command.
+const opTimeout = 30 * time.Second
 
-// pick returns the protocol instance that serves path.
-func (c *cli) pick(path string) *client.Client {
-	sub := c.node.Router.Owner(path)
-	if sub == nil {
-		log.Fatalf("no authority owns %s", path)
-	}
-	return sub
-}
-
-// do runs fn on the client executor and waits for completion.
-func (c *cli) do(fn func(done func())) {
-	ch := make(chan struct{})
-	c.node.Do(func() { fn(func() { close(ch) }) })
-	select {
-	case <-ch:
-	case <-time.After(30 * time.Second):
-		log.Fatal("operation timed out")
-	}
-}
-
-func (c *cli) open(path string, write, create bool) (msg.Handle, msg.Attr, msg.Errno) {
-	var h msg.Handle
-	var attr msg.Attr
-	var errno msg.Errno
-	c.do(func(done func()) {
-		c.pick(path).Open(path, write, create, func(gh msg.Handle, a msg.Attr, e msg.Errno) {
-			h, attr, errno = gh, a, e
-			done()
-		})
-	})
-	return h, attr, errno
+// cli runs one command on a started node and prints its result to out.
+type cli struct {
+	node *rpcnet.ClientNode
+	sc   *client.SyncClient
+	out  io.Writer
 }
 
 func (c *cli) run(args []string) error {
@@ -169,39 +150,28 @@ func (c *cli) run(args []string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		var errno msg.Errno
-		c.do(func(done func()) {
-			c.pick(rest[0]).Create(rest[0], cmd == "mkdir", func(_ msg.Attr, e msg.Errno) {
-				errno = e
-				done()
-			})
-		})
-		return errno.Or()
+		_, err := c.sc.Create(rest[0], cmd == "mkdir")
+		return err
 
 	case "ls":
 		if err := need(1); err != nil {
 			return err
 		}
-		_, attr, errno := c.open(rest[0], false, false)
-		if errno != msg.OK {
-			return errno
+		_, attr, err := c.sc.Open(rest[0], false, false)
+		if err != nil {
+			return err
 		}
-		var entries []msg.DirEntry
-		c.do(func(done func()) {
-			c.pick(rest[0]).Readdir(attr.Ino, func(es []msg.DirEntry, e msg.Errno) {
-				entries, errno = es, e
-				done()
-			})
-		})
-		if errno != msg.OK {
-			return errno
+		// Inode numbers are per authority: ask the one the path lives on.
+		entries, err := c.sc.Owner(rest[0]).Readdir(attr.Ino)
+		if err != nil {
+			return err
 		}
 		for _, e := range entries {
 			kind := "f"
 			if e.IsDir {
 				kind = "d"
 			}
-			fmt.Printf("%s %8v %s\n", kind, e.Ino, e.Name)
+			fmt.Fprintf(c.out, "%s %8v %s\n", kind, e.Ino, e.Name)
 		}
 		return nil
 
@@ -209,18 +179,11 @@ func (c *cli) run(args []string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		var attr msg.Attr
-		var errno msg.Errno
-		c.do(func(done func()) {
-			c.pick(rest[0]).Lookup(rest[0], func(a msg.Attr, e msg.Errno) {
-				attr, errno = a, e
-				done()
-			})
-		})
-		if errno != msg.OK {
-			return errno
+		attr, err := c.sc.Lookup(rest[0])
+		if err != nil {
+			return err
 		}
-		fmt.Printf("ino=%v dir=%v size=%d version=%d nlink=%d\n",
+		fmt.Fprintf(c.out, "ino=%v dir=%v size=%d version=%d nlink=%d\n",
 			attr.Ino, attr.IsDir, attr.Size, attr.Version, attr.Nlink)
 		return nil
 
@@ -228,11 +191,7 @@ func (c *cli) run(args []string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		var errno msg.Errno
-		c.do(func(done func()) {
-			c.pick(rest[0]).Unlink(rest[0], func(e msg.Errno) { errno = e; done() })
-		})
-		return errno.Or()
+		return c.sc.Unlink(rest[0])
 
 	case "mv":
 		if err := need(2); err != nil {
@@ -242,14 +201,11 @@ func (c *cli) run(args []string) error {
 		// hashes to a different authority the servers run the cross-shard
 		// handoff and this call returns once the file lives at its new
 		// home.
-		var errno msg.Errno
-		c.do(func(done func()) {
-			c.pick(rest[0]).Rename(rest[0], rest[1], func(e msg.Errno) { errno = e; done() })
-		})
-		if errno == msg.OK {
-			fmt.Printf("moved %s -> %s\n", rest[0], rest[1])
+		if err := c.sc.Rename(rest[0], rest[1]); err != nil {
+			return err
 		}
-		return errno.Or()
+		fmt.Fprintf(c.out, "moved %s -> %s\n", rest[0], rest[1])
+		return nil
 
 	case "write":
 		if err := need(3); err != nil {
@@ -259,23 +215,18 @@ func (c *cli) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		h, _, errno := c.open(rest[0], true, true)
-		if errno != msg.OK {
-			return errno
+		h, _, err := c.sc.Open(rest[0], true, true)
+		if err != nil {
+			return err
 		}
-		c.do(func(done func()) {
-			c.pick(rest[0]).Write(h, idx, []byte(rest[2]), func(e msg.Errno) { errno = e; done() })
-		})
-		if errno != msg.OK {
-			return errno
+		if err := c.sc.WriteAt(h, idx, []byte(rest[2])); err != nil {
+			return err
 		}
-		c.do(func(done func()) {
-			c.pick(rest[0]).Sync(func(e msg.Errno) { errno = e; done() })
-		})
-		if errno == msg.OK {
-			fmt.Printf("wrote %d bytes to %s block %d (flushed)\n", len(rest[2]), rest[0], idx)
+		if err := c.sc.SyncAll(); err != nil {
+			return err
 		}
-		return errno.Or()
+		fmt.Fprintf(c.out, "wrote %d bytes to %s block %d (flushed)\n", len(rest[2]), rest[0], idx)
+		return nil
 
 	case "read":
 		if err := need(2); err != nil {
@@ -285,18 +236,15 @@ func (c *cli) run(args []string) error {
 		if err != nil {
 			return err
 		}
-		h, _, errno := c.open(rest[0], false, false)
-		if errno != msg.OK {
-			return errno
+		h, _, err := c.sc.Open(rest[0], false, false)
+		if err != nil {
+			return err
 		}
-		var data []byte
-		c.do(func(done func()) {
-			c.pick(rest[0]).Read(h, idx, func(d []byte, e msg.Errno) { data, errno = d, e; done() })
-		})
-		if errno != msg.OK {
-			return errno
+		data, err := c.sc.ReadAt(h, idx)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%s\n", strings.TrimRight(string(data), "\x00"))
+		fmt.Fprintf(c.out, "%s\n", strings.TrimRight(string(data), "\x00"))
 		return nil
 
 	case "idle":
@@ -309,24 +257,20 @@ func (c *cli) run(args []string) error {
 		}
 		// Demonstrate keep-alives: touch a file, then idle. The client's
 		// lease machinery preserves the cache with NULL messages.
-		h, _, errno := c.open("/idle-demo", true, true)
-		if errno != msg.OK {
-			return errno
+		h, _, err := c.sc.Open("/idle-demo", true, true)
+		if err != nil {
+			return err
 		}
-		c.do(func(done func()) {
-			c.pick("/idle-demo").Write(h, 0, []byte("cached"), func(msg.Errno) { done() })
-		})
-		fmt.Printf("idling %v with cached state...\n", d)
+		if err := c.sc.WriteAt(h, 0, []byte("cached")); err != nil {
+			return err
+		}
+		fmt.Fprintf(c.out, "idling %v with cached state...\n", d)
 		time.Sleep(d)
-		ch := make(chan [2]uint64, 1)
-		c.node.Do(func() {
-			ch <- [2]uint64{
-				c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.keepalives", c.node.Client.ID())),
-				c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.expiries", c.node.Client.ID())),
-			}
-		})
-		v := <-ch
-		fmt.Printf("keep-alives sent: %d, lease expiries: %d\n", v[0], v[1])
+		// The registry's instruments are atomic: read them from here.
+		id := c.node.Client.ID()
+		fmt.Fprintf(c.out, "keep-alives sent: %d, lease expiries: %d\n",
+			c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.keepalives", id)),
+			c.node.Reg.CounterValue(fmt.Sprintf("client.%v.lease.expiries", id)))
 		return nil
 
 	case "role":
@@ -334,18 +278,11 @@ func (c *cli) run(args []string) error {
 		// takeover that is whoever the redirects settled on — for its
 		// negotiation state. Passive replicas answer too: the query is
 		// lease-neutral and served before registration checks.
-		var info msg.ReplicaInfoRes
-		var errno msg.Errno
-		c.do(func(done func()) {
-			c.pick("/").ReplicaInfo(func(i msg.ReplicaInfoRes, e msg.Errno) {
-				info, errno = i, e
-				done()
-			})
-		})
-		if errno != msg.OK {
-			return errno
+		info, err := c.sc.ReplicaInfo()
+		if err != nil {
+			return err
 		}
-		fmt.Printf("role=%s ballot=%d active=%v\n", msg.RoleName(info.Role), info.Ballot, info.Active)
+		fmt.Fprintf(c.out, "role=%s ballot=%d active=%v\n", msg.RoleName(info.Role), info.Ballot, info.Active)
 		return nil
 
 	default:

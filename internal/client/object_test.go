@@ -135,10 +135,12 @@ var raceOn bool
 // under a held lock and a write into a cached dirty page, each exactly —
 // both are one call of their hit function, so the read allocates only the
 // copy it hands out and the write nothing (4 each when they ran through
-// the callback chain) — and one writer→reader handoff cycle over the simulated
-// installation, at what it measured once a request and a renewal armed
-// no timer (314 before). They guard alloc_kb_per_op on scan_cold,
-// append_sync and lock_handoff.
+// the callback chain) — the same two through the simulated installation's
+// Read and Write, which are calls on its SyncClient and so take the hit
+// functions too (6 and 4 when they pumped their own callbacks), and one
+// writer→reader handoff cycle over the simulated installation, at what it
+// measured once a request and a renewal armed no timer (314 before).
+// They guard alloc_kb_per_op on scan_cold, append_sync and lock_handoff.
 func TestDataPathAllocations(t *testing.T) {
 	if bufpool.Debug {
 		t.Skip("tankdebug hooks allocate by design")
@@ -176,6 +178,8 @@ func TestDataPathAllocations(t *testing.T) {
 	}{
 		{"read hit", 1, func() { c0.Read(h0, 0, read) }},
 		{"write hit", 0, func() { c0.Write(h0, 0, data, wrote) }},
+		{"cl.Read hit", 1, func() { read(cl.Read(0, h0, 0)) }},
+		{"cl.Write hit", 0, func() { wrote(cl.Write(0, h0, 0, data)) }},
 	} {
 		got := testing.AllocsPerRun(200, tc.op)
 		t.Logf("%s: %v allocations", tc.name, got)

@@ -1,6 +1,10 @@
 package client
 
-import "repro/internal/msg"
+import (
+	"sync/atomic"
+
+	"repro/internal/msg"
+)
 
 // Await pumps the client's event loop until the operation started by
 // start signals completion by invoking done, returning false if the
@@ -18,215 +22,249 @@ type Token interface {
 	Leave()
 }
 
-// SyncClient adapts the callback-based Client to plain blocking calls
-// returning error — the surface examples, tools, and populate-style test
-// setup actually want. It adds no protocol behaviour. With a token, a
-// Lookup, Stat, Readdir, ReadAt or WriteAt first tries the operation's
-// hit function under it, on the caller's stack (DESIGN §20.6); every
-// other call, and one the caches cannot answer or that finds the token
-// taken, drives exactly the event-driven code path the simulator
-// exercises, through the pump.
+// SyncClient adapts a client node — its Router — to plain blocking calls
+// returning error: the surface examples, tools, and populate-style test
+// setup actually want. It adds no protocol behaviour and routes exactly
+// as the Router does (DESIGN §14.2): a path-keyed call goes to the
+// instance that talks to the path's owner, a handle-keyed call to the
+// instance that issued the handle, SyncAll to every instance, and an
+// inode-keyed call (Stat, Readdir, ReleaseLock, ReplicaInfo) — inode
+// numbers are per authority — to the first instance, or to the path's
+// owner on the SyncClient that Owner(path) returns.
+//
+// With a token, a Lookup, Stat, Readdir, ReadAt or WriteAt first tries
+// the operation's hit function under it, on the caller's stack (DESIGN
+// §20.6); every other call, and one the caches cannot answer or that
+// finds the token taken, drives exactly the event-driven code path the
+// simulator exercises, through the pump.
 type SyncClient struct {
-	c     *Client
+	r *Router
+	// sub serves the inode-keyed calls.
+	sub   *Client
 	await Await
 	tok   Token
+	// spare is the reply record of the last call that completed, kept for
+	// the next; see reply.
+	spare *atomic.Pointer[reply]
 }
 
-// NewSync wraps c with the runtime's pump; every call goes through it.
+// NewSync wraps c, as a node with one protocol instance, with the
+// runtime's pump; every call goes through it.
 func NewSync(c *Client, await Await) *SyncClient {
-	return &SyncClient{c: c, await: await}
+	return NewSyncInline(&Router{subs: []*Client{c}}, await, nil)
 }
 
-// NewSyncInline is NewSync whose hits run under tok, with no pump.
-func NewSyncInline(c *Client, await Await, tok Token) *SyncClient {
-	return &SyncClient{c: c, await: await, tok: tok}
+// NewSyncInline wraps the node r with the runtime's pump; with a token,
+// its hits run under tok, with no pump.
+func NewSyncInline(r *Router, await Await, tok Token) *SyncClient {
+	return &SyncClient{r: r, sub: r.subs[0], await: await, tok: tok, spare: new(atomic.Pointer[reply])}
+}
+
+// Owner returns a SyncClient over the same node whose inode-keyed calls go
+// to the instance that talks to path's owner, or nil when the placement
+// routes path nowhere.
+func (s *SyncClient) Owner(path string) *SyncClient {
+	sub := s.r.Owner(path)
+	if sub == nil {
+		return nil
+	}
+	o := *s
+	o.sub = sub
+	return &o
 }
 
 // enter takes the token for a hit function; Leave gives it back.
 func (s *SyncClient) enter() bool { return s.tok != nil && s.tok.Enter() }
 
+// reply is what one pumped operation reports: the operation's callback is
+// one of reply's methods, which fills the fields the operation has and
+// calls done, the pump's completion.
+//
+// A SyncClient hands the record of a call that completed to the next
+// call: its callback has run, and nothing holds the record any more. The
+// record of a call the pump gave up on is left behind, since its callback
+// may still run. So a pumped call allocates its pump closure and its
+// callback here, and nothing for its results: no more than the
+// simulator's hand-pumped calls this replaced (TestDataPathAllocations'
+// handoff cycle).
+type reply struct {
+	h       msg.Handle
+	attr    msg.Attr
+	data    []byte
+	entries []msg.DirEntry
+	info    msg.ReplicaInfoRes
+	errno   msg.Errno
+	done    func()
+}
+
+func (r *reply) opened(h msg.Handle, a msg.Attr, e msg.Errno) { r.h = h; r.attrs(a, e) }
+func (r *reply) attrs(a msg.Attr, e msg.Errno)                { r.attr = a; r.status(e) }
+func (r *reply) read(d []byte, e msg.Errno)                   { r.data = d; r.status(e) }
+func (r *reply) listed(es []msg.DirEntry, e msg.Errno)        { r.entries = es; r.status(e) }
+func (r *reply) replica(i msg.ReplicaInfoRes, e msg.Errno)    { r.info = i; r.status(e) }
+func (r *reply) status(e msg.Errno)                           { r.errno = e; r.done() }
+
+// reply returns a record for one pumped call.
+func (s *SyncClient) reply() *reply {
+	if r := s.spare.Swap(nil); r != nil {
+		return r
+	}
+	return new(reply)
+}
+
+// finish collects what the pumped call recorded in r, given what the pump
+// reported: ErrStale when it gave up first.
+func (s *SyncClient) finish(r *reply, completed bool) (reply, error) {
+	if !completed {
+		return reply{}, msg.ErrStale
+	}
+	out := *r
+	*r = reply{}
+	s.spare.Store(r)
+	return out, out.errno.Or()
+}
+
 // Open opens (optionally creating) a path for reading or writing.
 func (s *SyncClient) Open(path string, write, create bool) (msg.Handle, msg.Attr, error) {
-	var h msg.Handle
-	var attr msg.Attr
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Open(path, write, create, func(gh msg.Handle, a msg.Attr, e msg.Errno) {
-			h, attr, errno = gh, a, e
-			done()
-		})
-	})
-	if !ok {
-		return h, attr, msg.ErrStale
-	}
-	return h, attr, errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Open(path, write, create, r.opened) }))
+	return out.h, out.attr, err
 }
 
 // Create makes a file or directory.
 func (s *SyncClient) Create(path string, isDir bool) (msg.Attr, error) {
-	var attr msg.Attr
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Create(path, isDir, func(a msg.Attr, e msg.Errno) {
-			attr, errno = a, e
-			done()
-		})
-	})
-	if !ok {
-		return attr, msg.ErrStale
-	}
-	return attr, errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Create(path, isDir, r.attrs) }))
+	return out.attr, err
 }
 
 // Lookup resolves a path.
 func (s *SyncClient) Lookup(path string) (msg.Attr, error) {
+	sub := s.r.Owner(path)
+	if sub == nil {
+		return msg.Attr{}, msg.ErrNoEnt
+	}
 	if s.enter() {
-		attr, errno, hit := s.c.lookupHit(path)
+		attr, errno, hit := sub.lookupHit(path)
 		s.tok.Leave()
 		if hit {
 			return attr, errno.Or()
 		}
 	}
-	var attr msg.Attr
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Lookup(path, func(a msg.Attr, e msg.Errno) {
-			attr, errno = a, e
-			done()
-		})
-	})
-	if !ok {
-		return attr, msg.ErrStale
-	}
-	return attr, errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Lookup(path, r.attrs) }))
+	return out.attr, err
 }
 
 // Stat fetches an object's attributes.
 func (s *SyncClient) Stat(ino msg.ObjectID) (msg.Attr, error) {
 	if s.enter() {
-		attr, hit := s.c.statHit(ino)
+		attr, hit := s.sub.statHit(ino)
 		s.tok.Leave()
 		if hit {
 			return attr, nil
 		}
 	}
-	var attr msg.Attr
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Stat(ino, func(a msg.Attr, e msg.Errno) {
-			attr, errno = a, e
-			done()
-		})
-	})
-	if !ok {
-		return attr, msg.ErrStale
-	}
-	return attr, errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.Stat(ino, r.attrs) }))
+	return out.attr, err
 }
 
 // Readdir lists a directory.
 func (s *SyncClient) Readdir(ino msg.ObjectID) ([]msg.DirEntry, error) {
 	if s.enter() {
-		entries, hit := s.c.listHit(ino)
+		entries, hit := s.sub.listHit(ino)
 		s.tok.Leave()
 		if hit {
 			return entries, nil
 		}
 	}
-	var entries []msg.DirEntry
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Readdir(ino, func(es []msg.DirEntry, e msg.Errno) {
-			entries, errno = es, e
-			done()
-		})
-	})
-	if !ok {
-		return nil, msg.ErrStale
-	}
-	return entries, errno.Or()
-}
-
-// errnoOp drives one ErrnoCallback-shaped operation.
-func (s *SyncClient) errnoOp(start func(cb ErrnoCallback)) error {
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		start(func(e msg.Errno) {
-			errno = e
-			done()
-		})
-	})
-	if !ok {
-		return msg.ErrStale
-	}
-	return errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.Readdir(ino, r.listed) }))
+	return out.entries, err
 }
 
 // ReadAt reads block idx of an open handle.
 func (s *SyncClient) ReadAt(h msg.Handle, idx uint64) ([]byte, error) {
+	sub := s.r.issuer(uint64(h))
 	if s.enter() {
-		data, hit := s.c.readHit(h, idx)
+		data, hit := sub.readHit(h, idx)
 		s.tok.Leave()
 		if hit {
 			return data, nil
 		}
 	}
-	var data []byte
-	errno := msg.ErrStale
-	ok := s.await(func(done func()) {
-		s.c.Read(h, idx, func(d []byte, e msg.Errno) {
-			data, errno = d, e
-			done()
-		})
-	})
-	if !ok {
-		return nil, msg.ErrStale
-	}
-	return data, errno.Or()
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Read(h, idx, r.read) }))
+	return out.data, err
 }
 
 // WriteAt writes block idx of an open handle (into the write-back cache;
 // SyncAll makes it durable).
 func (s *SyncClient) WriteAt(h msg.Handle, idx uint64, data []byte) error {
+	sub := s.r.issuer(uint64(h))
 	if s.enter() {
-		hit := s.c.writeHit(h, idx, data)
+		hit := sub.writeHit(h, idx, data)
 		s.tok.Leave()
 		if hit {
 			return nil
 		}
 	}
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Write(h, idx, data, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Write(h, idx, data, r.status) }))
+	return err
 }
 
-// SyncAll flushes every dirty page to the SAN and returns once the last
-// write is acknowledged — with vectored write-back, typically a handful
-// of batched messages rather than one per page — and the server has the
-// size of every file the writes extended.
+// SyncAll flushes every dirty page, on every authority, to the SAN and
+// returns once the last write is acknowledged — with vectored write-back,
+// typically a handful of batched messages rather than one per page — and
+// the servers have the size of every file the writes extended.
 func (s *SyncClient) SyncAll() error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Sync(cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Sync(r.status) }))
+	return err
 }
 
 // Close closes an open handle.
 func (s *SyncClient) Close(h msg.Handle) error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Close(h, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Close(h, r.status) }))
+	return err
 }
 
 // Unlink removes a path.
 func (s *SyncClient) Unlink(path string) error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Unlink(path, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Unlink(path, r.status) }))
+	return err
 }
 
-// Rename moves an object.
+// Rename moves an object; across authorities, the call returns once the
+// object lives at its new home (Router.Rename).
 func (s *SyncClient) Rename(oldPath, newPath string) error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Rename(oldPath, newPath, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Rename(oldPath, newPath, r.status) }))
+	return err
 }
 
 // Truncate resizes an open file to nBlocks blocks.
 func (s *SyncClient) Truncate(h msg.Handle, nBlocks uint32) error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.Truncate(h, nBlocks, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Truncate(h, nBlocks, r.status) }))
+	return err
 }
 
 // ReleaseLock gives up the client's data lock on ino.
 func (s *SyncClient) ReleaseLock(ino msg.ObjectID) error {
-	return s.errnoOp(func(cb ErrnoCallback) { s.c.ReleaseLock(ino, cb) })
+	r := s.reply()
+	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.ReleaseLock(ino, r.status) }))
+	return err
+}
+
+// ReplicaInfo asks the authority member the instance's channel targets
+// now for its negotiation state (Client.ReplicaInfo).
+func (s *SyncClient) ReplicaInfo() (msg.ReplicaInfoRes, error) {
+	r := s.reply()
+	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.ReplicaInfo(r.replica) }))
+	return out.info, err
 }

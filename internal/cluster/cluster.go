@@ -184,6 +184,9 @@ type Cluster struct {
 	// Clients are the client machines: one router each over a protocol
 	// instance per shard.
 	Clients []*client.Router
+	// syncs is one blocking client per client machine, pumped by the
+	// simulator (SyncClient).
+	syncs []*client.SyncClient
 	// Disks lists every SAN device, shard by shard.
 	Disks []*disk.Disk
 	// Checkers is one consistency oracle per shard (nil entries with
@@ -308,6 +311,7 @@ func New(opts Options) *Cluster {
 		CacheMaxPages: opts.CacheMaxPages, CacheQuota: opts.CacheQuota,
 		FlushBatch: opts.FlushBatch, Prefetch: opts.Prefetch,
 	}
+	pump := func(start func(done func())) bool { return cl.Await(time.Minute, start) }
 	for i := 0; i < opts.Clients; i++ {
 		id := ClientID(i)
 		var clock sim.Clock = newClock()
@@ -319,6 +323,7 @@ func New(opts Options) *Cluster {
 			func(to msg.NodeID, m msg.Message) { cl.SAN.Send(id, to, m) },
 			place, oracles, cl.Reg, opts.Tracer)
 		cl.Clients = append(cl.Clients, c)
+		cl.syncs = append(cl.syncs, client.NewSyncInline(c, pump, freeToken{}))
 		cl.Control.Attach(id, c.Deliver)
 		cl.SAN.Attach(id, c.DeliverSAN)
 	}
@@ -447,16 +452,11 @@ func (cl *Cluster) Await(maxSim time.Duration, start func(done func())) bool {
 // RunFor advances the installation by d of simulated time.
 func (cl *Cluster) RunFor(d time.Duration) { cl.Sched.RunFor(d) }
 
-// SyncClient returns a blocking wrapper over client i's protocol instance
-// for the first authority — the whole client in a single-server
-// installation — pumped by the simulator: each call the caches do not
-// answer advances the scheduler until the operation completes (at most a
-// simulated minute).
-func (cl *Cluster) SyncClient(i int) *client.SyncClient {
-	return client.NewSyncInline(cl.Clients[i].Sub(0), func(start func(done func())) bool {
-		return cl.Await(time.Minute, start)
-	}, freeToken{})
-}
+// SyncClient returns client i's blocking client: it routes each call as
+// the client machine does (client.SyncClient), and each call the caches do
+// not answer advances the scheduler until the operation completes (at
+// most a simulated minute).
+func (cl *Cluster) SyncClient(i int) *client.SyncClient { return cl.syncs[i] }
 
 // freeToken is the simulator's executor token: the scheduler runs one
 // event at a time on the goroutine that pumps it, which is the caller's,
@@ -498,6 +498,9 @@ func (cl *Cluster) LeasePhases(i int) []core.Phase {
 }
 
 // --- Synchronous convenience wrappers (tests, examples, experiments) --------
+//
+// Each is one call on the client's SyncClient, with its error as an Errno
+// (ErrStale if the simulation ran out first).
 
 // MustOpen opens (optionally creating) a file on client i.
 func (cl *Cluster) MustOpen(i int, path string, write, create bool) (msg.Handle, msg.Attr) {
@@ -508,65 +511,42 @@ func (cl *Cluster) MustOpen(i int, path string, write, create bool) (msg.Handle,
 	return h, attr
 }
 
-// Open opens a file and returns the errno (ErrStale if the simulation
-// ran out first).
+// Open opens a file on client i.
 func (cl *Cluster) Open(i int, path string, write, create bool) (msg.Handle, msg.Attr, msg.Errno) {
-	var h msg.Handle
-	var attr msg.Attr
-	errno := msg.ErrStale
-	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[i].Open(path, write, create, func(gh msg.Handle, a msg.Attr, e msg.Errno) {
-			h, attr, errno = gh, a, e
-			done()
-		})
-	})
-	return h, attr, errno
+	h, attr, err := cl.syncs[i].Open(path, write, create)
+	return h, attr, errnoOf(err)
 }
 
-// errnoOp drives one ErrnoCallback-shaped operation to completion.
-func (cl *Cluster) errnoOp(start func(cb client.ErrnoCallback)) msg.Errno {
-	errno := msg.ErrStale
-	cl.Await(time.Minute, func(done func()) {
-		start(func(e msg.Errno) {
-			errno = e
-			done()
-		})
-	})
-	return errno
-}
-
-// Write writes one block on client i and returns the errno (which
-// reflects acceptance into the write-back cache).
+// Write writes one block on client i; the errno reflects acceptance into
+// the write-back cache.
 func (cl *Cluster) Write(i int, h msg.Handle, idx uint64, data []byte) msg.Errno {
-	return cl.errnoOp(func(cb client.ErrnoCallback) { cl.Clients[i].Write(h, idx, data, cb) })
+	return errnoOf(cl.syncs[i].WriteAt(h, idx, data))
 }
 
 // Read reads one block on client i.
 func (cl *Cluster) Read(i int, h msg.Handle, idx uint64) ([]byte, msg.Errno) {
-	var data []byte
-	errno := msg.ErrStale
-	cl.Await(time.Minute, func(done func()) {
-		cl.Clients[i].Read(h, idx, func(d []byte, e msg.Errno) {
-			data, errno = d, e
-			done()
-		})
-	})
-	return data, errno
+	data, err := cl.syncs[i].ReadAt(h, idx)
+	return data, errnoOf(err)
 }
 
 // Sync flushes client i's dirty data on every shard.
-func (cl *Cluster) Sync(i int) msg.Errno {
-	return cl.errnoOp(cl.Clients[i].Sync)
-}
+func (cl *Cluster) Sync(i int) msg.Errno { return errnoOf(cl.syncs[i].SyncAll()) }
 
 // Rename moves oldPath to newPath from client i.
 func (cl *Cluster) Rename(i int, oldPath, newPath string) msg.Errno {
-	return cl.errnoOp(func(cb client.ErrnoCallback) { cl.Clients[i].Rename(oldPath, newPath, cb) })
+	return errnoOf(cl.syncs[i].Rename(oldPath, newPath))
 }
 
 // Close closes a handle on client i.
-func (cl *Cluster) Close(i int, h msg.Handle) msg.Errno {
-	return cl.errnoOp(func(cb client.ErrnoCallback) { cl.Clients[i].Close(h, cb) })
+func (cl *Cluster) Close(i int, h msg.Handle) msg.Errno { return errnoOf(cl.syncs[i].Close(h)) }
+
+// errnoOf is the Errno a SyncClient error carries: every one is an Errno,
+// and nil is OK.
+func errnoOf(err error) msg.Errno {
+	if err == nil {
+		return msg.OK
+	}
+	return err.(msg.Errno)
 }
 
 // --- Fault injection ----------------------------------------------------------

@@ -143,3 +143,60 @@ func TestShardedPolicyReachesEveryNode(t *testing.T) {
 		t.Error("no heartbeat reached a server")
 	}
 }
+
+// TestSyncClientRoutesByPath drives client 0's blocking client on both
+// shards: each path-keyed call must reach the authority that owns its
+// path, each handle-keyed call the instance that opened the handle, and
+// an inode-keyed call asked of Owner(path) that path's authority. The
+// files differ in size, so a Stat that reached the wrong shard — where
+// the same inode number may name another file — cannot pass.
+func TestSyncClientRoutesByPath(t *testing.T) {
+	cl := New(twoShards())
+	cl.Start()
+	sc := cl.SyncClient(0)
+	paths := []string{"/s0/f", "/s1/f"}
+	inos := make([]msg.ObjectID, len(paths))
+	for si, path := range paths {
+		if _, err := sc.Create(path, false); err != nil {
+			t.Fatalf("create %s: %v", path, err)
+		}
+		h, attr, err := sc.Open(path, true, false)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		inos[si] = attr.Ino
+		for b := 0; b <= si; b++ {
+			if err := sc.WriteAt(h, uint64(b), block(byte('a'+si))); err != nil {
+				t.Fatalf("write %s: %v", path, err)
+			}
+		}
+		if data, err := sc.ReadAt(h, 0); err != nil || data[0] != byte('a'+si) {
+			t.Fatalf("read back %s: %v", path, err)
+		}
+	}
+	if err := sc.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	for si, path := range paths {
+		for sj := range cl.Shards {
+			_, errno := cl.Shards[sj].Server.Store().Lookup(path)
+			if owns := errno == msg.OK; owns != (si == sj) {
+				t.Errorf("%s in shard %d's store: %v", path, sj, errno)
+			}
+		}
+		h, _, errno := cl.Open(1, path, false, false)
+		if errno != msg.OK {
+			t.Fatalf("client 1 opens %s: %v", path, errno)
+		}
+		if data, errno := cl.Read(1, h, 0); errno != msg.OK || data[0] != byte('a'+si) {
+			t.Fatalf("client 1 reads %s: %v", path, errno)
+		}
+		want := uint64(si+1) * BlockSize
+		if attr, err := sc.Owner(path).Stat(inos[si]); err != nil || attr.Ino != inos[si] || attr.Size != want {
+			t.Fatalf("Owner(%s).Stat(%v) = %+v, %v; want size %d", path, inos[si], attr, err, want)
+		}
+	}
+	if v := cl.FinalCheck(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/cluster"
-	"repro/internal/msg"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -86,9 +85,7 @@ func RunT1(p Params) *Result {
 			}
 			for i := 0; i < nClients; i++ {
 				for f := 0; f < wcfg.Files; f++ {
-					cl.Await(time.Minute, func(done func()) {
-						cl.Clients[i].Lookup(workload.FilePath(f), func(msg.Attr, msg.Errno) { done() })
-					})
+					_, _ = cl.SyncClient(i).Lookup(workload.FilePath(f))
 					lookups += uint64(pass)
 				}
 			}

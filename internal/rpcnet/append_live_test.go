@@ -53,13 +53,13 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 				allocReplies = append(allocReplies, meta+len(tail))
 			}
 		}
-		n.Client.Deliver(env)
+		n.Router.Deliver(env)
 	})
-	n.SAN = New(10, topo.Disks, func(env msg.Envelope) { n.Client.DeliverSAN(env) })
+	n.SAN = New(10, topo.Disks, func(env msg.Envelope) { n.Router.DeliverSAN(env) })
 	n.Ctrl.UseExecutor(n.Exec)
 	n.SAN.UseExecutor(n.Exec)
-	n.Client = client.New(10, topo.Server, client.Config{Core: liveCore()}, n.Ctrl.Clock(),
-		func(to msg.NodeID, m msg.Message) {
+	n.Router = client.NewRouter(10, []client.Authority{{ID: topo.Server}}, client.Config{Core: liveCore()},
+		n.Ctrl.Clock(), func(to msg.NodeID, m msg.Message) {
 			switch m := m.(type) {
 			case *msg.AllocBlocks:
 				allocReqs[m.Req] = true
@@ -72,7 +72,8 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 				writeVs++
 			}
 			n.SAN.Send(to, m)
-		}, nil, n.Reg, nil)
+		}, nil, nil, n.Reg, nil)
+	n.Client = n.Router.Sub(0)
 	go n.Exec.Run()
 	lc.clients = append(lc.clients, n) // closed with the installation
 	lc.start(t, 0)

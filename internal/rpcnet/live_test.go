@@ -100,100 +100,46 @@ func (lc *liveCluster) close() {
 	}
 }
 
-// sync helpers: run an async client op and wait for its callback.
+// The helpers below are the node's own blocking surface: Start, and one
+// call on Sync's client each, failing the test on an error or after 5 s.
+const liveOpTimeout = 5 * time.Second
+
 func (lc *liveCluster) start(t *testing.T, i int) {
 	t.Helper()
-	cn := lc.clients[i]
-	done := make(chan msg.Epoch, 1)
-	cn.Do(func() {
-		// OnRecovered fires again on every later revival (e.g. after an
-		// authority takeover); only the first one completes registration,
-		// and a blocking send here would wedge the client's event loop.
-		cn.Client.OnRecovered = func(e msg.Epoch) {
-			select {
-			case done <- e:
-			default:
-			}
-		}
-		cn.Client.Start()
-	})
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("client %d registration timed out", i)
+	if err := lc.clients[i].Start(liveOpTimeout); err != nil {
+		t.Fatalf("client %d: %v", i, err)
 	}
 }
 
 func (lc *liveCluster) open(t *testing.T, i int, path string, write, create bool) msg.Handle {
 	t.Helper()
-	cn := lc.clients[i]
-	type res struct {
-		h     msg.Handle
-		errno msg.Errno
+	h, _, err := lc.clients[i].Sync(liveOpTimeout).Open(path, write, create)
+	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
 	}
-	ch := make(chan res, 1)
-	cn.Do(func() {
-		cn.Client.Open(path, write, create, func(h msg.Handle, _ msg.Attr, e msg.Errno) {
-			ch <- res{h, e}
-		})
-	})
-	select {
-	case r := <-ch:
-		if r.errno != msg.OK {
-			t.Fatalf("open %s: %v", path, r.errno)
-		}
-		return r.h
-	case <-time.After(5 * time.Second):
-		t.Fatalf("open %s timed out", path)
-		return 0
-	}
+	return h
 }
 
 func (lc *liveCluster) write(t *testing.T, i int, h msg.Handle, idx uint64, data []byte) {
 	t.Helper()
-	cn := lc.clients[i]
-	ch := make(chan msg.Errno, 1)
-	cn.Do(func() { cn.Client.Write(h, idx, data, func(e msg.Errno) { ch <- e }) })
-	select {
-	case e := <-ch:
-		if e != msg.OK {
-			t.Fatalf("write: %v", e)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write timed out")
+	if err := lc.clients[i].Sync(liveOpTimeout).WriteAt(h, idx, data); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 }
 
 func (lc *liveCluster) read(t *testing.T, i int, h msg.Handle, idx uint64) []byte {
 	t.Helper()
-	cn := lc.clients[i]
-	type res struct {
-		data  []byte
-		errno msg.Errno
+	data, err := lc.clients[i].Sync(liveOpTimeout).ReadAt(h, idx)
+	if err != nil {
+		t.Fatalf("read: %v", err)
 	}
-	ch := make(chan res, 1)
-	cn.Do(func() { cn.Client.Read(h, idx, func(d []byte, e msg.Errno) { ch <- res{d, e} }) })
-	select {
-	case r := <-ch:
-		if r.errno != msg.OK {
-			t.Fatalf("read: %v", r.errno)
-		}
-		return r.data
-	case <-time.After(5 * time.Second):
-		t.Fatal("read timed out")
-		return nil
-	}
+	return data
 }
 
 func (lc *liveCluster) sync(t *testing.T, i int) {
 	t.Helper()
-	cn := lc.clients[i]
-	ch := make(chan msg.Errno, 1)
-	cn.Do(func() { cn.Client.Sync(func(e msg.Errno) { ch <- e }) })
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sync timed out")
+	if err := lc.clients[i].Sync(liveOpTimeout).SyncAll(); err != nil {
+		t.Fatalf("sync: %v", err)
 	}
 }
 

@@ -510,20 +510,21 @@ func (n *ClientNode) Start(timeout time.Duration) error {
 	return nil
 }
 
-// Sync returns a blocking wrapper over the node's first-authority
-// instance. A call the caches answer is one call of its hit function, on
-// the calling goroutine under the executor's token (Enter), when the
-// executor is idle. Every other call starts its operation as a task of
-// the executor (where all client callbacks run) — on the calling
-// goroutine, too, when the executor is idle — and blocks the caller until
-// the operation completes or timeout passes (0 = a default 30s). The
-// timeout covers only the operations that wait: one that completes in the
-// caller's own turn cannot time out, because a task does not block.
+// Sync returns a blocking client over the node's Router, routing each
+// call as the Router does (client.SyncClient). A call the caches answer
+// is one call of its hit function, on the calling goroutine under the
+// executor's token (Enter), when the executor is idle. Every other call
+// starts its operation as a task of the executor (where all client
+// callbacks run) — on the calling goroutine, too, when the executor is
+// idle — and blocks the caller until the operation completes or timeout
+// passes (0 = a default 30s). The timeout covers only the operations
+// that wait: one that completes in the caller's own turn cannot time out,
+// because a task does not block.
 func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	return client.NewSyncInline(n.Client, func(start func(done func())) bool {
+	return client.NewSyncInline(n.Router, func(start func(done func())) bool {
 		return n.await(start, timeout)
 	}, n.Exec)
 }
@@ -596,13 +597,11 @@ const closeWait = time.Second
 // has stopped issuing operations.
 func (n *ClientNode) Close() {
 	n.closing.Do(func() {
-		if n.Router != nil { // nil in a node a test assembled by hand
-			released := make(chan struct{})
-			n.Exec.Submit(func() { n.Router.Shutdown(func() { close(released) }) })
-			select {
-			case <-released:
-			case <-sim.After(n.tmo, closeWait):
-			}
+		released := make(chan struct{})
+		n.Exec.Submit(func() { n.Router.Shutdown(func() { close(released) }) })
+		select {
+		case <-released:
+		case <-sim.After(n.tmo, closeWait):
 		}
 		n.Ctrl.Close()
 		n.SAN.Close()

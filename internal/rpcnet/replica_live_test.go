@@ -47,85 +47,51 @@ func liveReplicaCore() core.Config {
 	return cfg
 }
 
-// openRetry and readRetry tolerate transient ErrStale around the
-// takeover: mid-revival a client's call can race its own
+// openRetry, readRetry and writeRetry tolerate transient ErrStale
+// around the takeover: mid-revival a client's call can race its own
 // re-registration, and a demand against a holder that is itself still
-// re-asserting fails retryably. ErrStale is the protocol's
-// "retry later" errno — the app-level contract is retry, so the
-// harness retries, on a deadline.
+// re-asserting fails retryably. ErrStale is the protocol's "retry later"
+// errno — the app-level contract is retry, so the harness retries, on a
+// deadline.
 func (lc *liveCluster) openRetry(t *testing.T, i int, path string, write, create bool) msg.Handle {
 	t.Helper()
-	cn := lc.clients[i]
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		type res struct {
-			h     msg.Handle
-			errno msg.Errno
-		}
-		ch := make(chan res, 1)
-		cn.Do(func() {
-			cn.Client.Open(path, write, create, func(h msg.Handle, _ msg.Attr, e msg.Errno) {
-				ch <- res{h, e}
-			})
-		})
-		select {
-		case r := <-ch:
-			if r.errno == msg.OK {
-				return r.h
-			}
-			if r.errno != msg.ErrStale || time.Now().After(deadline) {
-				t.Fatalf("open %s: %v", path, r.errno)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatalf("open %s timed out", path)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	var h msg.Handle
+	lc.retry(t, i, "open "+path, func(sc *client.SyncClient) (err error) {
+		h, _, err = sc.Open(path, write, create)
+		return err
+	})
+	return h
 }
 
 func (lc *liveCluster) readRetry(t *testing.T, i int, h msg.Handle, idx uint64) []byte {
 	t.Helper()
-	cn := lc.clients[i]
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		type res struct {
-			data  []byte
-			errno msg.Errno
-		}
-		ch := make(chan res, 1)
-		cn.Do(func() { cn.Client.Read(h, idx, func(d []byte, e msg.Errno) { ch <- res{d, e} }) })
-		select {
-		case r := <-ch:
-			if r.errno == msg.OK {
-				return r.data
-			}
-			if r.errno != msg.ErrStale || time.Now().After(deadline) {
-				t.Fatalf("read: %v", r.errno)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatal("read timed out")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	var data []byte
+	lc.retry(t, i, "read", func(sc *client.SyncClient) (err error) {
+		data, err = sc.ReadAt(h, idx)
+		return err
+	})
+	return data
 }
 
 func (lc *liveCluster) writeRetry(t *testing.T, i int, h msg.Handle, idx uint64, data []byte) {
 	t.Helper()
-	cn := lc.clients[i]
-	deadline := time.Now().Add(15 * time.Second)
+	lc.retry(t, i, "write", func(sc *client.SyncClient) error { return sc.WriteAt(h, idx, data) })
+}
+
+// retry runs op on client i until it succeeds, failing the test on an
+// error other than ErrStale or once 15 s have passed.
+func (lc *liveCluster) retry(t *testing.T, i int, what string, op func(sc *client.SyncClient) error) {
+	t.Helper()
+	const patience = 15 * time.Second
+	sc := lc.clients[i].Sync(patience)
+	deadline := time.Now().Add(patience)
 	for {
-		ch := make(chan msg.Errno, 1)
-		cn.Do(func() { cn.Client.Write(h, idx, data, func(e msg.Errno) { ch <- e }) })
-		select {
-		case e := <-ch:
-			if e == msg.OK {
-				return
-			}
-			if e != msg.ErrStale || time.Now().After(deadline) {
-				t.Fatalf("write: %v", e)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatal("write timed out")
+		err := op(sc)
+		if err == nil {
+			return
+		}
+		if err != msg.ErrStale || time.Now().After(deadline) {
+			t.Fatalf("%s: %v", what, err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -429,20 +395,8 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 	bound := cfg.Bound.Stretch(repLeaseTerm) + cfg.Bound.Stretch(cfg.Tau) + 3*time.Second
 	probeOK := false
 	for time.Since(killedAt) < bound {
-		ch := make(chan msg.Errno, 1)
-		cn := lc.clients[1]
-		cn.Do(func() {
-			cn.Client.Open("/probe.txt", true, true, func(_ msg.Handle, _ msg.Attr, e msg.Errno) {
-				ch <- e
-			})
-		})
-		var e msg.Errno
-		select {
-		case e = <-ch:
-		case <-time.After(bound - time.Since(killedAt)):
-			e = msg.ErrStale
-		}
-		if e == msg.OK {
+		_, _, err := lc.clients[1].Sync(bound-time.Since(killedAt)).Open("/probe.txt", true, true)
+		if err == nil {
 			probeOK = true
 			break
 		}

@@ -50,18 +50,19 @@ func TestLiveSequentialScanLeavesTheRoundTripPath(t *testing.T) {
 	sanMsgs := 0
 	n := &ClientNode{Exec: NewExecutor(), Reg: stats.NewRegistry(), tmo: sim.NewRealClock(nil)}
 	n.Ctrl = New(11, map[msg.NodeID]string{topo.Server: topo.ServerAddr},
-		func(env msg.Envelope) { n.Client.Deliver(env) })
+		func(env msg.Envelope) { n.Router.Deliver(env) })
 	n.SAN = New(11, topo.Disks, func(env msg.Envelope) {
 		sanMsgs++
-		n.Client.DeliverSAN(env)
+		n.Router.DeliverSAN(env)
 	})
 	n.Ctrl.UseExecutor(n.Exec)
 	n.SAN.UseExecutor(n.Exec)
-	n.Client = client.New(11, topo.Server, client.Config{Core: liveCore()}, n.Ctrl.Clock(),
-		n.Ctrl.Send, func(to msg.NodeID, m msg.Message) {
+	n.Router = client.NewRouter(11, []client.Authority{{ID: topo.Server}}, client.Config{Core: liveCore()},
+		n.Ctrl.Clock(), n.Ctrl.Send, func(to msg.NodeID, m msg.Message) {
 			sanMsgs++
 			n.SAN.Send(to, m)
-		}, nil, n.Reg, nil)
+		}, nil, nil, n.Reg, nil)
+	n.Client = n.Router.Sub(0)
 	go n.Exec.Run()
 	lc.clients = append(lc.clients, n) // closed with the installation
 	lc.start(t, 1)

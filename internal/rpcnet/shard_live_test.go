@@ -85,68 +85,33 @@ func (ls *liveShards) close() {
 	}
 }
 
-// clientOp runs fn on client i's executor against the sub owning path
-// and waits for done.
-func (ls *liveShards) clientOp(t *testing.T, i int, path string, fn func(sub *client.Client, done func())) {
-	t.Helper()
-	cn := ls.clients[i]
-	ch := make(chan struct{}, 1)
-	cn.Do(func() {
-		sub := cn.Router.Owner(path)
-		if sub == nil {
-			t.Errorf("no route for %s", path)
-			ch <- struct{}{}
-			return
-		}
-		fn(sub, func() { ch <- struct{}{} })
-	})
-	select {
-	case <-ch:
-	case <-time.After(15 * time.Second):
-		t.Fatalf("client %d op on %s timed out", i, path)
-	}
-}
+// sc is client i's blocking client: it routes each call as the node's
+// Router does. An operation waits out a steal (τ(1+ε)) at most.
+func (ls *liveShards) sc(i int) *client.SyncClient { return ls.clients[i].Sync(15 * time.Second) }
 
 func (ls *liveShards) open(t *testing.T, i int, path string, write, create bool) msg.Handle {
 	t.Helper()
-	var h msg.Handle
-	ls.clientOp(t, i, path, func(sub *client.Client, done func()) {
-		sub.Open(path, write, create, func(gh msg.Handle, _ msg.Attr, e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("open %s: %v", path, e)
-			}
-			h = gh
-			done()
-		})
-	})
+	h, _, err := ls.sc(i).Open(path, write, create)
+	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
+	}
 	return h
 }
 
 func (ls *liveShards) write(t *testing.T, i int, path string, h msg.Handle, idx uint64, data []byte) {
 	t.Helper()
-	ls.clientOp(t, i, path, func(sub *client.Client, done func()) {
-		sub.Write(h, idx, data, func(e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("write %s: %v", path, e)
-			}
-			done()
-		})
-	})
+	if err := ls.sc(i).WriteAt(h, idx, data); err != nil {
+		t.Fatalf("write %s: %v", path, err)
+	}
 }
 
 func (ls *liveShards) read(t *testing.T, i int, path string, h msg.Handle, idx uint64) []byte {
 	t.Helper()
-	var out []byte
-	ls.clientOp(t, i, path, func(sub *client.Client, done func()) {
-		sub.Read(h, idx, func(data []byte, e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("read %s: %v", path, e)
-			}
-			out = append([]byte(nil), data...)
-			done()
-		})
-	})
-	return out
+	data, err := ls.sc(i).ReadAt(h, idx)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	return data
 }
 
 // TestLiveShardCrossRename drives the full cross-shard handoff over
@@ -164,54 +129,29 @@ func TestLiveShardCrossRename(t *testing.T) {
 	h := ls.open(t, 0, "/s0/file", true, true)
 	payload := bytes.Repeat([]byte{'H'}, 512)
 	ls.write(t, 0, "/s0/file", h, 0, payload)
-	ls.clientOp(t, 0, "/s0/file", func(sub *client.Client, done func()) {
-		sub.Sync(func(e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("sync: %v", e)
-			}
-			done()
-		})
-	})
-	var ino msg.ObjectID
-	ls.clientOp(t, 0, "/s0/file", func(sub *client.Client, done func()) {
-		sub.Lookup("/s0/file", func(attr msg.Attr, e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("lookup: %v", e)
-			}
-			ino = attr.Ino
-			done()
-		})
-	})
-	ls.clientOp(t, 0, "/s0/file", func(sub *client.Client, done func()) {
-		sub.ReleaseLock(ino, func(e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("release: %v", e)
-			}
-			done()
-		})
-	})
+	sc := ls.sc(0)
+	if err := sc.SyncAll(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	attr, err := sc.Lookup("/s0/file")
+	if err != nil {
+		t.Fatalf("lookup: %v", err)
+	}
+	if err := sc.Owner("/s0/file").ReleaseLock(attr.Ino); err != nil {
+		t.Fatalf("release: %v", err)
+	}
 
 	// The mv: routed to the authority owning the OLD path, which runs
 	// the handoff with its peer before answering.
-	ls.clientOp(t, 0, "/s0/file", func(sub *client.Client, done func()) {
-		sub.Rename("/s0/file", "/s1/file", func(e msg.Errno) {
-			if e != msg.OK {
-				t.Errorf("cross-shard rename: %v", e)
-			}
-			done()
-		})
-	})
+	if err := sc.Rename("/s0/file", "/s1/file"); err != nil {
+		t.Fatalf("cross-shard rename: %v", err)
+	}
 
 	// Old name gone (asked of shard 0), new name serves the bytes
 	// (asked of shard 1 — a different TCP connection, different lease).
-	ls.clientOp(t, 0, "/s0/file", func(sub *client.Client, done func()) {
-		sub.Lookup("/s0/file", func(_ msg.Attr, e msg.Errno) {
-			if e != msg.ErrNoEnt {
-				t.Errorf("old name after mv: %v, want ErrNoEnt", e)
-			}
-			done()
-		})
-	})
+	if _, err := sc.Lookup("/s0/file"); err != msg.ErrNoEnt {
+		t.Fatalf("old name after mv: %v, want ErrNoEnt", err)
+	}
 	rh := ls.open(t, 0, "/s1/file", false, false)
 	if got := ls.read(t, 0, "/s1/file", rh, 0); !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatal("payload corrupted across the handoff")
@@ -282,6 +222,67 @@ func TestLiveShardTheorem31PerShard(t *testing.T) {
 		exp, _ := events.First(trace.ByNode(isolated), trace.ByType(trace.EvExpire), trace.ByPeer(sid))
 		if exp.Note == "dirty" {
 			t.Fatalf("shard %d: expiry with the phase-4 flush incomplete", si)
+		}
+	}
+}
+
+// TestLiveSyncClientRoutesByPath is TestSyncClientRoutesByPath
+// (internal/cluster) over real TCP: client 0's ClientNode.Sync creates,
+// writes, syncs and reads back a file on each authority. Each file must
+// be in its owner's store alone, client 1 must find both, and an
+// inode-keyed call asked of Owner(path) must reach the path's authority
+// (the files differ in size, so a Stat answered by the other authority,
+// where the same inode number may name another file, cannot pass).
+func TestLiveSyncClientRoutesByPath(t *testing.T) {
+	ls := startLiveShards(t, 2, liveCore())
+	for _, cn := range ls.clients {
+		if err := cn.Start(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := ls.sc(0)
+	paths := []string{"/s0/f", "/s1/f"}
+	inos := make([]msg.ObjectID, len(paths))
+	for si, path := range paths {
+		if _, err := sc.Create(path, false); err != nil {
+			t.Fatalf("create %s: %v", path, err)
+		}
+		h, attr, err := sc.Open(path, true, false)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		inos[si] = attr.Ino
+		for b := 0; b <= si; b++ {
+			if err := sc.WriteAt(h, uint64(b), bytes.Repeat([]byte{byte('a' + si)}, client.BlockSize)); err != nil {
+				t.Fatalf("write %s: %v", path, err)
+			}
+		}
+		if data, err := sc.ReadAt(h, 0); err != nil || data[0] != byte('a'+si) {
+			t.Fatalf("read back %s: %v", path, err)
+		}
+	}
+	if err := sc.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	for si, path := range paths {
+		for sj, sn := range ls.srvs {
+			// The store is the server's: read it on the server's executor.
+			found := make(chan msg.Errno)
+			sn.Exec.Submit(func() {
+				_, errno := sn.Srv.Store().Lookup(path)
+				found <- errno
+			})
+			if errno := <-found; (errno == msg.OK) != (si == sj) {
+				t.Errorf("%s in authority %d's store: %v", path, sj, errno)
+			}
+		}
+		h := ls.open(t, 1, path, false, false)
+		if data := ls.read(t, 1, path, h, 0); data[0] != byte('a'+si) {
+			t.Fatalf("client 1 reads %q from %s", data[0], path)
+		}
+		want := uint64(si+1) * client.BlockSize
+		if attr, err := sc.Owner(path).Stat(inos[si]); err != nil || attr.Ino != inos[si] || attr.Size != want {
+			t.Fatalf("Owner(%s).Stat(%v) = %+v, %v; want size %d", path, inos[si], attr, err, want)
 		}
 	}
 }

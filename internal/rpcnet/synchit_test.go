@@ -2,6 +2,7 @@ package rpcnet
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -185,4 +186,52 @@ func TestEnterNeverOvertakesTheQueue(t *testing.T) {
 		total += entered[p]
 	}
 	t.Logf("%d of %d tries took the token", total, producers*rounds)
+}
+
+// TestSyncClientSharedAcrossGoroutines runs one SyncClient from several
+// goroutines at once, each on its own file: pumped calls (an open, a
+// lookup of a name no one has asked about, a sync) interleave with hits,
+// and each call must get its own results back. A SyncClient hands the
+// reply record of a completed call to the next; two calls in flight must
+// never share one.
+func TestSyncClientSharedAcrossGoroutines(t *testing.T) {
+	lc := startLive(t, 1)
+	lc.start(t, 0)
+	sc := lc.clients[0].Sync(liveOpTimeout)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			path := fmt.Sprintf("/g%d", g)
+			h, _, err := sc.Open(path, true, true)
+			if err != nil {
+				t.Errorf("open %s: %v", path, err)
+				return
+			}
+			for i := 0; i < 20; i++ {
+				block := bytes.Repeat([]byte{byte(g), byte(i)}, client.BlockSize/2)
+				if err := sc.WriteAt(h, uint64(i), block); err != nil {
+					t.Errorf("write %s/%d: %v", path, i, err)
+					return
+				}
+				if _, err := sc.Lookup(fmt.Sprintf("/absent-%d-%d", g, i)); err != msg.ErrNoEnt {
+					t.Errorf("lookup of an absent name from %s: %v, want ErrNoEnt", path, err)
+					return
+				}
+				if got, err := sc.ReadAt(h, uint64(i)); err != nil || !bytes.Equal(got, block) {
+					t.Errorf("read %s/%d: %v", path, i, err)
+					return
+				}
+			}
+			if err := sc.SyncAll(); err != nil {
+				t.Errorf("sync from %s: %v", path, err)
+				return
+			}
+			if attr, err := sc.Lookup(path); err != nil || attr.Size != 20*client.BlockSize {
+				t.Errorf("lookup %s: %+v, %v", path, attr, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -79,7 +79,7 @@ func PopulateHotFile(cl *cluster.Cluster, cfg HotFileConfig) {
 	if err := sc.Close(h); err != nil {
 		panic(fmt.Sprintf("workload: hot-file close: %v", err))
 	}
-	_ = sc.ReleaseLock(attr.Ino)
+	_ = sc.Owner(HotFilePath).ReleaseLock(attr.Ino)
 }
 
 // HotFile drives the workload on a started cluster. Like Runner it is

@@ -255,7 +255,7 @@ func Populate(cl *cluster.Cluster, cfg Config) {
 			panic(fmt.Sprintf("workload: populate lookup: %v", err))
 		}
 		// A failed release is tolerable (the lock may already be gone).
-		_ = sc.ReleaseLock(attr.Ino)
+		_ = sc.Owner(FilePath(i)).ReleaseLock(attr.Ino)
 	}
 }
 
