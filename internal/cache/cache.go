@@ -68,9 +68,12 @@ type Object struct {
 	// since. A fetched block may hold data whatever Attr.Size says (its
 	// writer's size update can have been lost), so only granted ones are
 	// ever given back unwritten.
-	Fetched   int
-	HaveAttr  bool
-	HaveMap   bool
+	Fetched  int
+	HaveAttr bool
+	HaveMap  bool
+	// evicted records that eviction has taken one of the object's pages
+	// since the object entered the cache.
+	evicted   bool
 	pages     map[uint64]*Page // index in file → page
 	dirtyKeys map[uint64]bool
 }
@@ -82,14 +85,20 @@ func newObject() *Object {
 // Page returns the cached page at file-block index idx, or nil.
 func (o *Object) Page(idx uint64) *Page { return o.pages[idx] }
 
+// Evicted reports whether eviction has taken one of the object's pages
+// since it entered the cache: the file does not fit beside what else the
+// cache holds. The record goes with the object, at Drop or InvalidateAll.
+func (o *Object) Evicted() bool { return o.evicted }
+
 // DirtyCount returns the number of dirty pages.
 func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
 
 // Cache is one client's cache across all objects. When a page or byte
-// budget is set, clean pages are evicted least-recently-used; dirty
-// pages are pinned until flushed (losing them would lose acknowledged
-// writes) and live off the LRU ring entirely, so eviction never scans
-// past them.
+// budget is set, clean pages are evicted from the cold end of the ring:
+// least-recently-used, unless LookupBehind or Hit filed a consumed page
+// there, which then goes first. Dirty pages are pinned until flushed
+// (losing them would lose acknowledged writes) and live off the ring
+// entirely, so eviction never scans past them.
 type Cache struct {
 	objects map[msg.ObjectID]*Object
 	// maxPages bounds resident pages; maxBytes bounds resident content
@@ -97,7 +106,7 @@ type Cache struct {
 	maxPages int
 	maxBytes int64
 	// lru is the sentinel of the ring of clean pages: lru.next is the
-	// most recently used, lru.prev the next to evict.
+	// most recently used, lru.prev — the cold end — the next to evict.
 	lru Page
 	// blocks is the content store: hash under seed → the chain of blocks
 	// with that hash (longer than one means a collision, disambiguated by
@@ -168,6 +177,13 @@ func (c *Cache) link(p *Page) {
 	c.lru.next = p
 }
 
+// linkCold puts a clean page at the cold end of the ring, next to evict.
+func (c *Cache) linkCold(p *Page) {
+	p.prev, p.next = c.lru.prev, &c.lru
+	p.prev.next = p
+	c.lru.prev = p
+}
+
 // unlink takes a page off the ring.
 func (c *Cache) unlink(p *Page) {
 	p.prev.next = p.next
@@ -198,10 +214,11 @@ func (c *Cache) overBudget() bool {
 		(c.maxBytes > 0 && c.residentBytes > c.maxBytes)
 }
 
-// evictIfNeeded drops least-recently-used clean pages down to budget.
-// Dirty pages are not on the ring, so each eviction is O(1) pointer
-// work: the ring's tail is always evictable, and a cache whose budget is
-// consumed entirely by pinned dirty pages simply has an empty ring.
+// evictIfNeeded drops clean pages from the cold end of the ring down to
+// budget, and records on each page's object that it lost one. Dirty
+// pages are not on the ring, so each eviction is O(1) pointer work: the
+// ring's tail is always evictable, and a cache whose budget is consumed
+// entirely by pinned dirty pages simply has an empty ring.
 func (c *Cache) evictIfNeeded() {
 	for c.overBudget() {
 		p := c.lru.prev
@@ -209,6 +226,7 @@ func (c *Cache) evictIfNeeded() {
 			return // everything resident is dirty: over budget, but safe
 		}
 		delete(p.obj.pages, p.idx)
+		p.obj.evicted = true
 		c.release(p)
 		c.evictions.Inc()
 	}
@@ -227,24 +245,51 @@ func (c *Cache) Ensure(ino msg.ObjectID) *Object {
 	return o
 }
 
-// Lookup serves a cached page, counting hit/miss.
+// Lookup serves a cached page, counting hit/miss; a clean page it serves
+// becomes the most recently used.
 func (c *Cache) Lookup(ino msg.ObjectID, idx uint64) *Page {
+	return c.lookup(ino, idx, false)
+}
+
+// LookupBehind is Lookup for a page its reader has consumed and will not
+// want again soon: a clean page it serves goes to the cold end of the
+// ring, the next to evict (DESIGN §13.2).
+func (c *Cache) LookupBehind(ino msg.ObjectID, idx uint64) *Page {
+	return c.lookup(ino, idx, true)
+}
+
+func (c *Cache) lookup(ino msg.ObjectID, idx uint64, behind bool) *Page {
 	if o := c.objects[ino]; o != nil {
 		if p := o.pages[idx]; p != nil {
-			c.hits.Inc()
-			if p.prefetched {
-				p.prefetched = false
-				c.prefetchHits.Inc()
-			}
-			if !p.Dirty && c.lru.next != p {
-				c.unlink(p)
-				c.link(p)
-			}
+			c.Hit(p, behind)
 			return p
 		}
 	}
 	c.misses.Inc()
 	return nil
+}
+
+// Hit does the bookkeeping of serving p, a resident page its caller
+// found with Object.Page: what Lookup (behind false) or LookupBehind
+// (behind true) does once it has found the page.
+func (c *Cache) Hit(p *Page, behind bool) {
+	c.hits.Inc()
+	if p.prefetched {
+		p.prefetched = false
+		c.prefetchHits.Inc()
+	}
+	switch {
+	case p.Dirty:
+		// Off the ring until MarkClean.
+	case behind:
+		if c.lru.prev != p {
+			c.unlink(p)
+			c.linkCold(p)
+		}
+	case c.lru.next != p:
+		c.unlink(p)
+		c.link(p)
+	}
 }
 
 // Fill installs a clean page read from the SAN. data is copied (or

@@ -244,10 +244,12 @@ type mpage struct {
 }
 
 // cacheModel is the cache as a plain page map plus a recency list of
-// its clean pages, most recent first, under the same two budgets.
+// its clean pages, most recent first, under the same two budgets, and
+// the objects eviction has taken a page from.
 type cacheModel struct {
 	pages    map[mkey]mpage
 	lru      []mkey
+	evicted  map[msg.ObjectID]bool
 	maxPages int
 	quota    int64
 }
@@ -264,6 +266,12 @@ func (m *cacheModel) forget(k mkey) {
 func (m *cacheModel) touch(k mkey) {
 	m.forget(k)
 	m.lru = append([]mkey{k}, m.lru...)
+}
+
+// cool files k at the cold end, the next to evict.
+func (m *cacheModel) cool(k mkey) {
+	m.forget(k)
+	m.lru = append(m.lru, k)
 }
 
 func (m *cacheModel) remove(k mkey) {
@@ -295,6 +303,7 @@ func (m *cacheModel) evict() []mkey {
 		(m.quota > 0 && m.bytes() > m.quota)) {
 		k := m.lru[len(m.lru)-1]
 		m.remove(k)
+		m.evicted[k.ino] = true
 		victims = append(victims, k)
 	}
 	return victims
@@ -312,7 +321,11 @@ func (m *cacheModel) evict() []mkey {
 //	content between objects),
 //	resident bytes equal the recomputed unique-content footprint,
 //	every eviction takes the model LRU's victim, and the ring holds
-//	exactly the clean pages in the model's recency order,
+//	exactly the clean pages in the model's recency order — a page a
+//	sequential reader consumed (LookupBehind, Hit behind) at its cold
+//	end,
+//	an object records an eviction from its first until Drop or
+//	InvalidateAll,
 //	every page holds one block, in the store iff the page is clean.
 //
 // -cacheseeds widens the sweep (make verify runs 20 000).
@@ -329,7 +342,7 @@ func TestCacheModelProperty(t *testing.T) {
 
 	for seed := int64(0); seed < int64(*cacheSeeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := &cacheModel{pages: make(map[mkey]mpage)}
+		m := &cacheModel{pages: make(map[mkey]mpage), evicted: make(map[msg.ObjectID]bool)}
 		if seed%2 == 1 {
 			m.maxPages, m.quota = 5, 4*512
 		}
@@ -345,7 +358,7 @@ func TestCacheModelProperty(t *testing.T) {
 			ver++
 			evictions := reg.CounterValue("mp.cache.evictions")
 			p, resident := m.pages[k]
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0, 1, 2:
 				c.Fill(ino, idx, []byte(data), ver)
 				if !p.dirty {
@@ -375,6 +388,7 @@ func TestCacheModelProperty(t *testing.T) {
 						m.remove(k2)
 					}
 				}
+				delete(m.evicted, ino)
 			case 10:
 				c.DropPagesFrom(ino, idx)
 				for k2 := range m.pages {
@@ -386,11 +400,23 @@ func TestCacheModelProperty(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					c.InvalidateAll()
 					m.pages, m.lru = make(map[mkey]mpage), nil
+					m.evicted = make(map[msg.ObjectID]bool)
 				} else {
 					c.Lookup(ino, idx)
 					if resident && !p.dirty {
 						m.touch(k)
 					}
+				}
+			case 12:
+				// A sequential reader's consumed page, found the way either
+				// of the client's read paths finds it.
+				if o := c.Object(ino); o != nil && o.Page(idx) != nil && rng.Intn(2) == 0 {
+					c.Hit(o.Page(idx), true)
+				} else {
+					c.LookupBehind(ino, idx)
+				}
+				if resident && !p.dirty {
+					m.cool(k)
 				}
 			}
 			victims := m.evict()
@@ -472,6 +498,9 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed
 		}
 		if o != nil && o.DirtyCount() != dirtyHere {
 			fail("object %d dirtyKeys = %d, pages say %d", ino, o.DirtyCount(), dirtyHere)
+		}
+		if got := o != nil && o.Evicted(); got != m.evicted[ino] {
+			fail("object %d Evicted = %v, the model %v", ino, got, m.evicted[ino])
 		}
 	}
 	for b, holders := range store {
@@ -563,6 +592,15 @@ func TestRefillUnlinksTheOldPage(t *testing.T) {
 func TestPageFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Page{}); n > 64 {
 		t.Fatalf("Page is %d bytes, past the 64-byte size class", n)
+	}
+}
+
+// Object must stay in the 96-byte size class: a reader whose every read
+// follows an invalidation (tankbench's lock_handoff) makes a new Object
+// per read, and one more word moves it to the 112-byte class.
+func TestObjectFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 96 {
+		t.Fatalf("Object is %d bytes, past the 96-byte size class", n)
 	}
 }
 

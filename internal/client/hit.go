@@ -44,7 +44,11 @@ func (c *Client) readHit(h msg.Handle, idx uint64) ([]byte, bool) {
 		return nil, false
 	}
 	co := c.cache.Object(info.ino)
-	if !c.holds(c.objs[info.ino], msg.LockShared) || co == nil || !co.HaveMap || co.Page(idx) == nil {
+	if !c.holds(c.objs[info.ino], msg.LockShared) || co == nil || !co.HaveMap {
+		return nil, false
+	}
+	p := co.Page(idx)
+	if p == nil {
 		return nil, false
 	}
 	c.inflight++
@@ -52,7 +56,7 @@ func (c *Client) readHit(h msg.Handle, idx uint64) ([]byte, bool) {
 	o := c.ioBegin(info.ino)
 	c.notePrefetchRead(info.ino, o, idx)
 	// Read-ahead only sends: the page is still resident.
-	p := c.cache.Lookup(info.ino, idx)
+	c.cache.Hit(p, behind(o, co))
 	c.oracle.Read(c.id, info.ino, idx, p.Ver)
 	data := append([]byte(nil), p.Bytes()...)
 	c.ioEnd(info.ino, o)

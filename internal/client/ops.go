@@ -2,6 +2,7 @@ package client
 
 import (
 	"repro/internal/baselines"
+	"repro/internal/cache"
 	"repro/internal/disk"
 	"repro/internal/msg"
 )
@@ -486,12 +487,18 @@ func (c *Client) readBlock(ino msg.ObjectID, o *object, idx uint64, done DataCal
 // serveBlock serves one block from the cache, off a read-ahead batch
 // already fetching it, or from the SAN.
 func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
-	if p := c.cache.Lookup(ino, idx); p != nil {
+	co := c.cache.Object(ino)
+	var p *cache.Page
+	if behind(c.objs[ino], co) {
+		p = c.cache.LookupBehind(ino, idx)
+	} else {
+		p = c.cache.Lookup(ino, idx)
+	}
+	if p != nil {
 		c.oracle.Read(c.id, ino, idx, p.Ver)
 		done(append([]byte(nil), p.Bytes()...), msg.OK)
 		return
 	}
-	co := c.cache.Object(ino)
 	if co == nil || idx >= uint64(len(co.Blocks)) {
 		// Unallocated block: zeros (a hole).
 		c.oracle.Read(c.id, ino, idx, 0)

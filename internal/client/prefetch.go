@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
@@ -129,6 +130,15 @@ func (c *Client) notePrefetchRead(ino msg.ObjectID, o *object, idx uint64) {
 		return
 	}
 	c.issueWindow(ino, o, ra.mark, ra.mark+uint64(ra.size))
+}
+
+// behind reports whether a page served to the reader of o, whose cached
+// state is co (either may be nil), goes to the cold end of the cache's
+// ring once consumed (DESIGN §13.2): the read extends a run, and the file
+// has already lost a page to eviction, so it does not fit beside what
+// else the cache holds. A file that fits, and a first pass, keep LRU.
+func behind(o *object, co *cache.Object) bool {
+	return o != nil && o.ra.run >= 2 && co != nil && co.Evicted()
 }
 
 // issueWindow reads blocks [start, end) of ino ahead: those mapped, not
