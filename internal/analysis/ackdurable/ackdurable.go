@@ -4,11 +4,12 @@
 // storage through one fsync site.
 //
 // Paper property (§4, flush-before-expiry): a client counts a dirty
-// page as safe the moment the disk's DiskWriteRes arrives, and the
-// server lifts a fence the moment FenceRes arrives. Theorem 3.1's
+// page as safe the moment the disk's DiskWriteRes arrives, and a fence
+// the disk has acknowledged with FenceRes must outlive the disk's
+// process, or a restart would let the fenced stamps back in. Theorem 3.1's
 // "acknowledged writes survive" therefore terminates at two code
 // facts: (1) the reply is only sent after the corresponding
-// Media.Write/WriteV/SetFence returned, with its error inspected, and
+// Media.Write/WriteV/RaiseFence returned, with its error inspected, and
 // (2) every fsync — of the file-backed media, of its fence journal, of
 // the metadata journal and snapshot, of the directories their names
 // live in — flows through the one instrumented, NoSync-gated function,
@@ -24,7 +25,7 @@
 //	    sweep for Close/Sync/Remove and every media call
 //	A2  a function in package disk that sends a DiskWriteRes,
 //	    DiskWriteVRes, or FenceRes reply must contain a durable media
-//	    call (Write/WriteV/SetFence) whose error is consumed; an ACK
+//	    call (Write/WriteV/RaiseFence) whose error is consumed; an ACK
 //	    with no durability point, or one whose media error goes to _,
 //	    is flagged at the send site
 //
@@ -76,9 +77,9 @@ var ackReplies = map[string]bool{
 
 // durableMethods are the Media operations that establish durability.
 var durableMethods = map[string]bool{
-	"Write":    true,
-	"WriteV":   true,
-	"SetFence": true,
+	"Write":      true,
+	"WriteV":     true,
+	"RaiseFence": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -158,7 +159,7 @@ func checkAckFunctions(pass *analysis.Pass, file *ast.File) {
 					pass.Fset.Position(durableDiscarded.Pos()))
 			default:
 				pass.Reportf(send.Pos(),
-					"write/fence reply sent without any durable media call (Media.Write/WriteV/SetFence) in this function: an acknowledgment that nothing made stable violates ack-implies-durable")
+					"write/fence reply sent without any durable media call (Media.Write/WriteV/RaiseFence) in this function: an acknowledgment that nothing made stable violates ack-implies-durable")
 			}
 		}
 	}
@@ -298,7 +299,7 @@ func sendsAckReply(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// isDurableMediaCall reports whether call invokes Write/WriteV/SetFence
+// isDurableMediaCall reports whether call invokes Write/WriteV/RaiseFence
 // on a blockstore media value (the Media interface or a concrete store).
 func isDurableMediaCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := analysis.Callee(pass.TypesInfo, call)

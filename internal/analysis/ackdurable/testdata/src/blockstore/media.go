@@ -15,10 +15,15 @@ type BlockWrite struct {
 	Ver   uint64
 }
 
+type Fence struct {
+	Authority, Target msg.NodeID
+	Below             uint32
+}
+
 type Media interface {
 	Write(block uint64, data []byte, ver uint64) error
 	WriteV(batch []BlockWrite) []error
-	SetFence(target msg.NodeID, on bool) error
+	RaiseFence(f Fence) error
 	Close() error
 }
 

@@ -27,7 +27,7 @@ func (d *Disk) ackWithoutMedia(client msg.NodeID, block uint64) {
 }
 
 func (d *Disk) ackDiscardedFence(client msg.NodeID, target msg.NodeID) {
-	_ = d.media.SetFence(target, true)
+	_ = d.media.RaiseFence(blockstore.Fence{Target: target, Below: 1})
 	d.send(client, &msg.FenceRes{Target: target}) // want `discards its error`
 }
 

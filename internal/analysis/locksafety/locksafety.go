@@ -78,27 +78,27 @@ var blockingFuncs = map[[2]string]bool{
 // blockingMethods are methods (by receiver type) that can block: network
 // round-trips, frame send/receive on a socket, media I/O and fsync.
 var blockingMethods = map[[3]string]bool{
-	{"wire", "Codec", "Send"}:           true,
-	{"wire", "Codec", "WriteFrames"}:    true,
-	{"wire", "Codec", "Recv"}:           true,
-	{"wire", "Codec", "Serve"}:          true,
-	{"wire", "Codec", "SendHello"}:      true,
-	{"wire", "Codec", "RecvHello"}:      true,
-	{"net", "Conn", "Read"}:             true,
-	{"net", "Conn", "Write"}:            true,
-	{"blockstore", "Media", "Read"}:     true,
-	{"blockstore", "Media", "ReadV"}:    true,
-	{"blockstore", "Media", "Write"}:    true,
-	{"blockstore", "Media", "WriteV"}:   true,
-	{"blockstore", "Media", "SetFence"}: true,
-	{"blockstore", "File", "Read"}:      true,
-	{"blockstore", "File", "ReadV"}:     true,
-	{"blockstore", "File", "ReadInto"}:  true,
-	{"blockstore", "File", "Write"}:     true,
-	{"blockstore", "File", "WriteV"}:    true,
-	{"blockstore", "File", "SetFence"}:  true,
-	{"os", "File", "Sync"}:              true,
-	{"sync", "WaitGroup", "Wait"}:       true,
+	{"wire", "Codec", "Send"}:             true,
+	{"wire", "Codec", "WriteFrames"}:      true,
+	{"wire", "Codec", "Recv"}:             true,
+	{"wire", "Codec", "Serve"}:            true,
+	{"wire", "Codec", "SendHello"}:        true,
+	{"wire", "Codec", "RecvHello"}:        true,
+	{"net", "Conn", "Read"}:               true,
+	{"net", "Conn", "Write"}:              true,
+	{"blockstore", "Media", "Read"}:       true,
+	{"blockstore", "Media", "ReadV"}:      true,
+	{"blockstore", "Media", "Write"}:      true,
+	{"blockstore", "Media", "WriteV"}:     true,
+	{"blockstore", "Media", "RaiseFence"}: true,
+	{"blockstore", "File", "Read"}:        true,
+	{"blockstore", "File", "ReadV"}:       true,
+	{"blockstore", "File", "ReadInto"}:    true,
+	{"blockstore", "File", "Write"}:       true,
+	{"blockstore", "File", "WriteV"}:      true,
+	{"blockstore", "File", "RaiseFence"}:  true,
+	{"os", "File", "Sync"}:                true,
+	{"sync", "WaitGroup", "Wait"}:         true,
 }
 
 // lockInfo describes one held mutex.

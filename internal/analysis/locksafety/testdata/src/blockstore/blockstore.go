@@ -10,14 +10,18 @@ type Media interface {
 	ReadV(blocks []uint64, dst []byte, vers []uint64) []error
 	Write(block uint64, data []byte, ver uint64) error
 	WriteV(batch []BlockWrite) []error
-	SetFence(target int, on bool) error
-	Fenced(target int) bool
+	RaiseFence(f Fence) error
+	Fences() *Fences
 }
+
+type Fence struct{ Authority, Target, Below int }
+
+type Fences struct{}
 
 type File struct{}
 
 func (f *File) Read(block uint64) ([]byte, uint64, bool, error)          { return nil, 0, false, nil }
 func (f *File) ReadInto(block uint64, dst []byte) (uint64, bool, error)  { return 0, false, nil }
 func (f *File) ReadV(blocks []uint64, dst []byte, vers []uint64) []error { return nil }
-func (f *File) SetFence(target int, on bool) error                       { return nil }
-func (f *File) Fenced(target int) bool                                   { return false }
+func (f *File) RaiseFence(fc Fence) error                                { return nil }
+func (f *File) Fences() *Fences                                          { return nil }

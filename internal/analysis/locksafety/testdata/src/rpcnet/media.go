@@ -7,7 +7,7 @@ import (
 )
 
 // store witnesses the media reads: each one waits on the device, so none
-// may run under a leaf lock. Fenced only reads the in-memory table.
+// may run under a leaf lock. Fences only hands over the in-memory table.
 type store struct {
 	mu    sync.Mutex
 	media blockstore.Media
@@ -17,11 +17,11 @@ type store struct {
 func (s *store) readUnderLock(blocks []uint64, dst []byte, vers []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.media.ReadV(blocks, dst, vers) // want `call to \(blockstore.Media\).ReadV while s.mu is held`
-	s.file.Read(0)                   // want `call to \(blockstore.File\).Read while s.mu is held`
-	s.file.ReadV(blocks, dst, vers)  // want `call to \(blockstore.File\).ReadV while s.mu is held`
-	s.file.ReadInto(0, dst)          // want `call to \(blockstore.File\).ReadInto while s.mu is held`
-	s.file.SetFence(1, true)         // want `call to \(blockstore.File\).SetFence while s.mu is held`
-	s.file.Fenced(1)
-	s.media.Fenced(1)
+	s.media.ReadV(blocks, dst, vers)      // want `call to \(blockstore.Media\).ReadV while s.mu is held`
+	s.file.Read(0)                        // want `call to \(blockstore.File\).Read while s.mu is held`
+	s.file.ReadV(blocks, dst, vers)       // want `call to \(blockstore.File\).ReadV while s.mu is held`
+	s.file.ReadInto(0, dst)               // want `call to \(blockstore.File\).ReadInto while s.mu is held`
+	s.file.RaiseFence(blockstore.Fence{}) // want `call to \(blockstore.File\).RaiseFence while s.mu is held`
+	s.file.Fences()
+	s.media.Fences()
 }

@@ -14,7 +14,7 @@
 //     addressed by block number (pread/pwrite at block·BlockSize), a
 //     per-block trailer holding the version stamp and a CRC32C of the
 //     block for torn-write detection, and a write-ahead fence journal
-//     that is fsynced before a FenceSet is acknowledged. Open replays
+//     whose records are fsynced before a FenceSet is acknowledged. Open replays
 //     the journal and verifies every written block's checksum, so a
 //     disk-node restart recovers exactly the state it acknowledged.
 //
@@ -31,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/msg"
 )
 
 // BlockSize is the data block size, identical to disk.BlockSize (the
@@ -82,11 +80,13 @@ type Media interface {
 	// that fail individually (bad length, media error) do not prevent
 	// the rest of the batch from committing.
 	WriteV(batch []BlockWrite) []error
-	// SetFence durably updates the fence table. The caller must not
-	// acknowledge the fence operation until SetFence returns nil.
-	SetFence(target msg.NodeID, on bool) error
-	// Fenced reports whether target is fenced.
-	Fenced(target msg.NodeID) bool
+	// RaiseFence durably raises f's pair in the fence table to f.Below; a
+	// fence at or below the one in place changes nothing. The caller must
+	// not acknowledge the fence operation until RaiseFence returns nil.
+	RaiseFence(f Fence) error
+	// Fences returns the fence table, which the media keeps current; the
+	// caller only reads it.
+	Fences() *Fences
 	// Recovery reports what the open-time recovery pass found. For
 	// freshly-created media the report is zero.
 	Recovery() RecoveryReport
@@ -111,8 +111,8 @@ type RecoveryReport struct {
 	Recovered bool
 	// JournalRecords is the number of fence-journal records replayed.
 	JournalRecords int
-	// Fenced is the fence table after replay, sorted by node ID.
-	Fenced []msg.NodeID
+	// Fenced is the fence table after replay (Fences.All).
+	Fenced []Fence
 	// Verified counts written blocks whose checksum matched.
 	Verified uint64
 	// Torn lists blocks whose trailer and data disagree, sorted.
@@ -127,6 +127,5 @@ func (r RecoveryReport) String() string {
 }
 
 func sortReport(r *RecoveryReport) {
-	sort.Slice(r.Fenced, func(i, j int) bool { return r.Fenced[i] < r.Fenced[j] })
 	sort.Slice(r.Torn, func(i, j int) bool { return r.Torn[i] < r.Torn[j] })
 }

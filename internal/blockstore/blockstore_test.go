@@ -2,9 +2,13 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -47,20 +51,25 @@ func TestMemMatchesFileSemantics(t *testing.T) {
 			if !bytes.Equal(data[5:], make([]byte, BlockSize-5)) {
 				t.Fatal("tail not zeroed")
 			}
-			if m.Fenced(9) {
-				t.Fatal("fenced before SetFence")
+			fences := m.Fences()
+			if fl := fences.Floor(1, 9); fl != 0 {
+				t.Fatalf("floor %d before any fence", fl)
 			}
-			if err := m.SetFence(9, true); err != nil {
-				t.Fatal(err)
+			for _, fc := range []Fence{{1, 9, 5}, {1, 9, 3}, {2, 8, 7}} {
+				if err := m.RaiseFence(fc); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !m.Fenced(9) {
-				t.Fatal("not fenced after SetFence")
+			// The lower fence changed nothing, and each authority's pair
+			// is its own.
+			if fl := fences.Floor(1, 9); fl != 5 {
+				t.Fatalf("authority 1's floor for 9 is %d, want 5", fl)
 			}
-			if err := m.SetFence(9, false); err != nil {
-				t.Fatal(err)
+			if fl := fences.Floor(2, 9); fl != 0 {
+				t.Fatalf("authority 2's floor for 9 is %d: authority 1's fence reached it", fl)
 			}
-			if m.Fenced(9) {
-				t.Fatal("fenced after clear")
+			if top := fences.Top(1); top != 5 {
+				t.Fatalf("authority 1's top is %d, want 5", top)
 			}
 		})
 	}
@@ -73,14 +82,10 @@ func TestFilePersistsAcrossReopen(t *testing.T) {
 	if err := f.Write(5, payload, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetFence(77, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetFence(78, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetFence(78, false); err != nil {
-		t.Fatal(err)
+	for _, fc := range []Fence{{1, 77, 4}, {1, 78, 2}, {1, 78, 6}, {2, 78, 1}} {
+		if err := f.RaiseFence(fc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f.Close()
 
@@ -89,22 +94,23 @@ func TestFilePersistsAcrossReopen(t *testing.T) {
 	if err != nil || !ok || ver != 42 || !bytes.Equal(data, payload) {
 		t.Fatalf("reopen read: ok=%v ver=%d err=%v", ok, ver, err)
 	}
-	if !g.Fenced(77) || g.Fenced(78) {
-		t.Fatalf("fence table lost: 77=%v 78=%v", g.Fenced(77), g.Fenced(78))
+	want := []Fence{{1, 77, 4}, {1, 78, 6}, {2, 78, 1}}
+	if got := g.Fences().All(); !slices.Equal(got, want) {
+		t.Fatalf("fence table after reopen: %v, want %v", got, want)
 	}
 	rep := g.Recovery()
 	if !rep.Recovered || rep.Verified != 1 || len(rep.Torn) != 0 {
 		t.Fatalf("recovery report: %v", rep)
 	}
-	if len(rep.Fenced) != 1 || rep.Fenced[0] != 77 {
+	if !slices.Equal(rep.Fenced, want) {
 		t.Fatalf("recovered fences: %v", rep.Fenced)
 	}
 	// The replay processed the compacted journal from the prior open (0
-	// records, fresh store) plus this run's 3 appends — after compaction
-	// a third open sees exactly one record.
+	// records, fresh store) plus this run's 4 appends — after compaction
+	// a third open sees one record per pair.
 	g.Close()
 	h := openTemp(t, dir, 32)
-	if rec := h.Recovery().JournalRecords; rec != 1 {
+	if rec := h.Recovery().JournalRecords; rec != 3 {
 		t.Fatalf("journal not compacted: %d records", rec)
 	}
 }
@@ -155,26 +161,50 @@ func TestFileDetectsTornBlock(t *testing.T) {
 func TestFileTornJournalTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	f := openTemp(t, dir, 8)
-	if err := f.SetFence(5, true); err != nil {
+	if err := f.RaiseFence(Fence{1, 5, 2}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	// Append a torn (half-written, garbage-CRC) record.
+	// Append a torn (garbage-CRC) record.
 	raw, err := os.OpenFile(dir+"/"+fenceFileName, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err != nil {
+	if _, err := raw.Write([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}); err != nil {
 		t.Fatal(err)
 	}
 	raw.Close()
 
 	g := openTemp(t, dir, 8)
-	if !g.Fenced(5) {
+	if g.Fences().Floor(1, 5) != 2 {
 		t.Fatal("acknowledged fence lost to torn tail")
 	}
 	if rec := g.Recovery().JournalRecords; rec != 1 {
 		t.Fatalf("replayed %d records, want 1 (torn tail skipped)", rec)
+	}
+}
+
+// TestFileRefusesTheOldFenceJournal: a journal in the per-target format
+// of older builds names no authority for its fences, so Open refuses it
+// and says what to do; one that holds no record holds no fence, and is
+// taken as it is.
+func TestFileRefusesTheOldFenceJournal(t *testing.T) {
+	dir := t.TempDir()
+	openTemp(t, dir, 8).Close()
+	journal := filepath.Join(dir, fenceFileName)
+	if err := os.WriteFile(journal, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openTemp(t, dir, 8).Close()
+	// target 5 | on 1 | CRC over both.
+	old := []byte{5, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(old[8:], crc32.Checksum(old[:8], castagnoli))
+	if err := os.WriteFile(journal, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("Open over an old-format fence journal: %v", err)
 	}
 }
 
@@ -219,17 +249,21 @@ func TestFileInstruments(t *testing.T) {
 	if err := f.Write(0, []byte("x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetFence(3, true); err != nil {
+	if err := f.RaiseFence(Fence{1, 3, 2}); err != nil {
 		t.Fatal(err)
 	}
-	// superblock(1) + write(2) + fence(1) fsyncs.
-	if got := reg.CounterValue("disk.n9.media.fsyncs"); got != 4 {
-		t.Fatalf("fsyncs = %d, want 4", got)
+	// A fence that raises nothing writes nothing.
+	if err := f.RaiseFence(Fence{1, 3, 1}); err != nil {
+		t.Fatal(err)
+	}
+	// superblock(1) + journal header(1) + write(2) + fence(1) fsyncs.
+	if got := reg.CounterValue("disk.n9.media.fsyncs"); got != 5 {
+		t.Fatalf("fsyncs = %d, want 5", got)
 	}
 	if got := reg.CounterValue("disk.n9.media.journal_records"); got != 1 {
 		t.Fatalf("journal_records = %d, want 1", got)
 	}
-	if reg.Histogram("disk.n9.media.fsync_wait").Count() != 4 {
+	if reg.Histogram("disk.n9.media.fsync_wait").Count() != 5 {
 		t.Fatal("fsync_wait histogram empty")
 	}
 }
@@ -237,8 +271,8 @@ func TestFileInstruments(t *testing.T) {
 // TestCreateSyncsDirectories: a store Open creates survives a power loss
 // as soon as Open returns. Each directory Open makes is fsynced into its
 // parent, and the store's directory once its three files are in it;
-// those fsyncs count as dir_fsyncs, apart from the superblock's file
-// fsync.
+// those fsyncs count as dir_fsyncs, apart from the file fsyncs of the
+// superblock and of the fence journal's header.
 func TestCreateSyncsDirectories(t *testing.T) {
 	reg := stats.NewRegistry()
 	dir := filepath.Join(t.TempDir(), "san", "disk-9")
@@ -251,8 +285,8 @@ func TestCreateSyncsDirectories(t *testing.T) {
 	if got := reg.CounterValue("m.dir_fsyncs"); got != 3 {
 		t.Errorf("dir_fsyncs = %d after creating a store two directories deep, want 3", got)
 	}
-	if got := reg.CounterValue("m.fsyncs"); got != 1 {
-		t.Errorf("fsyncs = %d, want 1 (the superblock)", got)
+	if got := reg.CounterValue("m.fsyncs"); got != 2 {
+		t.Errorf("fsyncs = %d, want 2 (the superblock, the journal's header)", got)
 	}
 }
 
@@ -268,7 +302,7 @@ func TestReopenSyncsCompactedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetFence(7, true); err != nil {
+	if err := f.RaiseFence(Fence{1, 7, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -283,13 +317,13 @@ func TestReopenSyncsCompactedJournal(t *testing.T) {
 	if got := reg.CounterValue("m.dir_fsyncs") - before; got != 1 {
 		t.Errorf("reopen fsynced the directory %d times, want 1 (after the journal's rename)", got)
 	}
-	if !g.Fenced(7) {
+	if g.Fences().Floor(1, 7) != 1 {
 		t.Error("fence lost across the reopen")
 	}
 	if _, err := os.Stat(filepath.Join(dir, fenceFileName+".tmp")); !os.IsNotExist(err) {
 		t.Errorf("compaction left its temp file behind: %v", err)
 	}
-	if err := g.SetFence(8, true); err != nil {
+	if err := g.RaiseFence(Fence{1, 8, 1}); err != nil {
 		t.Fatalf("appending to the compacted journal: %v", err)
 	}
 }

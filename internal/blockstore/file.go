@@ -19,16 +19,20 @@ import (
 //	           every write is a pwrite at its final address)
 //	meta.blk   a 4 KiB superblock, then one 24-byte trailer per block at
 //	           superSize + b·trailerSize
-//	fence.wal  the write-ahead fence journal: 12-byte records appended
-//	           and fsynced before a FenceSet is acknowledged
+//	fence.wal  the write-ahead fence journal: an 8-byte header, then
+//	           16-byte records appended and fsynced before a FenceSet
+//	           that raises a fence is acknowledged
 //
 // Trailer record: ver u64 | dataCRC u32 | flags u32 | recCRC u32 | pad.
 // dataCRC is CRC32C over the full zero-padded block; recCRC covers the
 // first 16 bytes, so a trailer torn mid-sector is itself detectable.
 //
-// Journal record: target u32 | on u32 | recCRC u32 (over the first 8).
-// Replay stops at the first record whose CRC fails — a torn journal tail
-// loses only unacknowledged fence operations.
+// Journal header: fenceMagic. Record: authority u32 | target u32 |
+// below u32 | recCRC u32 (over the first 12). Replay keeps the highest
+// below per pair and stops at the first record whose CRC fails — a torn
+// journal tail loses only unacknowledged fence operations. A journal
+// without the header is the per-target format of older builds, whose
+// records name no authority; Open refuses it.
 const (
 	dataFileName  = "data.blk"
 	metaFileName  = "meta.blk"
@@ -36,13 +40,14 @@ const (
 
 	superSize   = 4096
 	trailerSize = 24
-	fenceRecLen = 12
+	fenceRecLen = 16
 
 	flagWritten = 1 << 0
 )
 
 var (
 	superMagic = [8]byte{'T', 'A', 'N', 'K', 'B', 'L', 'K', '1'}
+	fenceMagic = [8]byte{'T', 'A', 'N', 'K', 'F', 'N', 'C', '2'}
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
@@ -87,7 +92,7 @@ type File struct {
 	fence *os.File
 
 	index    map[uint64]blockState
-	fenced   map[msg.NodeID]bool
+	fences   Fences
 	walSize  int64
 	recovery RecoveryReport
 	// trailers is stageRun's scratch, one record per block of the run: a
@@ -113,7 +118,6 @@ func Open(dir string, opts Options) (*File, error) {
 		dir:    dir,
 		syncer: NewSyncer(opts.Registry, opts.StatsPrefix, opts.NoSync),
 		index:  make(map[uint64]blockState),
-		fenced: make(map[msg.NodeID]bool),
 	}
 	if opts.Registry != nil {
 		f.journalRec = opts.Registry.Counter(opts.StatsPrefix + "journal_records")
@@ -159,11 +163,9 @@ func (f *File) open(blocks uint64) error {
 		if err := f.writeSuper(); err != nil {
 			return err
 		}
-		// The directory fsync makes the three files' names durable.
-		if err := f.syncer.syncDir(f.dir); err != nil {
-			return fmt.Errorf("blockstore: %w", err)
-		}
-		return nil
+		// Installing the empty journal fsyncs the directory, which makes
+		// the three files' names durable.
+		return f.compactJournal()
 	}
 	if err := f.readSuper(blocks); err != nil {
 		return err
@@ -266,36 +268,45 @@ func (f *File) markTorn(block uint64) {
 // recoverFences replays the journal, then compacts it so the file stays
 // proportional to the live fence table rather than to history.
 // A journal that cannot be read fails the open: treating the unread part
-// as a torn tail could forget an acknowledged fence.
+// as a torn tail could forget an acknowledged fence. So does one in the
+// old per-target format, which cannot say which authority raised each
+// fence. An empty journal — a store created, or left by the old format
+// with no fence up — holds no fence in either.
 func (f *File) recoverFences() error {
 	log, err := io.ReadAll(f.fence)
 	if err != nil {
 		return fmt.Errorf("blockstore: fence journal: %w", err)
 	}
+	if len(log) > 0 {
+		if len(log) < len(fenceMagic) || [8]byte(log[:8]) != fenceMagic {
+			return fmt.Errorf("blockstore: %s is in the per-target format of an older build, "+
+				"whose fences name no authority: open the store once with that build and let "+
+				"every client it fenced rejoin, which empties it, or remove the file if none "+
+				"of them can still reach this disk", filepath.Join(f.dir, fenceFileName))
+		}
+		log = log[len(fenceMagic):]
+	}
 	for ; len(log) >= fenceRecLen; log = log[fenceRecLen:] {
-		if binary.LittleEndian.Uint32(log[8:]) != crc32.Checksum(log[:8], castagnoli) {
+		if binary.LittleEndian.Uint32(log[12:]) != crc32.Checksum(log[:12], castagnoli) {
 			break // torn tail: an unacknowledged append
 		}
-		target := msg.NodeID(int32(binary.LittleEndian.Uint32(log[0:])))
-		if binary.LittleEndian.Uint32(log[4:]) != 0 {
-			f.fenced[target] = true
-		} else {
-			delete(f.fenced, target)
-		}
+		f.fences.raise(Fence{
+			Authority: msg.NodeID(int32(binary.LittleEndian.Uint32(log[0:]))),
+			Target:    msg.NodeID(int32(binary.LittleEndian.Uint32(log[4:]))),
+			Below:     msg.Epoch(binary.LittleEndian.Uint32(log[8:])),
+		})
 		f.recovery.JournalRecords++
 	}
-	for id := range f.fenced {
-		f.recovery.Fenced = append(f.recovery.Fenced, id)
-	}
+	f.recovery.Fenced = f.fences.All()
 	return f.compactJournal()
 }
 
-// compactJournal rewrites the journal as one set-record per live fence,
-// installed atomically in place of the one just replayed.
+// compactJournal rewrites the journal as its header and one record per
+// live fence, installed atomically in place of the one just replayed.
 func (f *File) compactJournal() error {
-	var buf []byte
-	for id := range f.fenced {
-		buf = append(buf, fenceRecord(id, true)...)
+	buf := append([]byte(nil), fenceMagic[:]...)
+	for _, fc := range f.fences.All() {
+		buf = append(buf, fenceRecord(fc)...)
 	}
 	fence, err := f.syncer.Install(filepath.Join(f.dir, fenceFileName), buf)
 	if err != nil {
@@ -308,13 +319,12 @@ func (f *File) compactJournal() error {
 	return nil
 }
 
-func fenceRecord(target msg.NodeID, on bool) []byte {
+func fenceRecord(fc Fence) []byte {
 	rec := make([]byte, fenceRecLen)
-	binary.LittleEndian.PutUint32(rec[0:], uint32(int32(target)))
-	if on {
-		binary.LittleEndian.PutUint32(rec[4:], 1)
-	}
-	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[:8], castagnoli))
+	binary.LittleEndian.PutUint32(rec[0:], uint32(int32(fc.Authority)))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(int32(fc.Target)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(fc.Below))
+	binary.LittleEndian.PutUint32(rec[12:], crc32.Checksum(rec[:12], castagnoli))
 	return rec
 }
 
@@ -605,10 +615,14 @@ func (f *File) WriteV(batch []BlockWrite) []error {
 	return errs
 }
 
-// SetFence appends one journal record and fsyncs it before returning:
-// the FenceRes the disk then sends is backed by stable storage.
-func (f *File) SetFence(target msg.NodeID, on bool) error {
-	rec := fenceRecord(target, on)
+// RaiseFence appends one journal record and fsyncs it before returning:
+// the FenceRes the disk then sends is backed by stable storage. A fence
+// that raises nothing writes nothing.
+func (f *File) RaiseFence(fc Fence) error {
+	if !f.fences.rises(fc) {
+		return nil
+	}
+	rec := fenceRecord(fc)
 	if _, err := f.fence.WriteAt(rec, f.walSize); err != nil {
 		return fmt.Errorf("blockstore: fence journal: %w", err)
 	}
@@ -619,16 +633,12 @@ func (f *File) SetFence(target msg.NodeID, on bool) error {
 	if f.journalRec != nil {
 		f.journalRec.Inc()
 	}
-	if on {
-		f.fenced[target] = true
-	} else {
-		delete(f.fenced, target)
-	}
+	f.fences.raise(fc)
 	return nil
 }
 
-// Fenced reports whether target is fenced.
-func (f *File) Fenced(target msg.NodeID) bool { return f.fenced[target] }
+// Fences returns the fence table.
+func (f *File) Fences() *Fences { return &f.fences }
 
 // Recovery reports the open-time recovery pass.
 func (f *File) Recovery() RecoveryReport { return f.recovery }

@@ -1,7 +1,5 @@
 package blockstore
 
-import "repro/internal/msg"
-
 // Mem is the in-memory media the simulator (and any test that does not
 // care about durability) runs on. Its semantics are exactly the maps the
 // disk used to hold inline: unwritten blocks read as absent, writes are
@@ -11,15 +9,14 @@ import "repro/internal/msg"
 type Mem struct {
 	data   map[uint64][]byte
 	vers   map[uint64]uint64
-	fenced map[msg.NodeID]bool
+	fences Fences
 }
 
 // NewMem returns an empty in-memory media.
 func NewMem() *Mem {
 	return &Mem{
-		data:   make(map[uint64][]byte),
-		vers:   make(map[uint64]uint64),
-		fenced: make(map[msg.NodeID]bool),
+		data: make(map[uint64][]byte),
+		vers: make(map[uint64]uint64),
 	}
 }
 
@@ -71,18 +68,14 @@ func (m *Mem) WriteV(batch []BlockWrite) []error {
 	return errs
 }
 
-// SetFence updates the fence table.
-func (m *Mem) SetFence(target msg.NodeID, on bool) error {
-	if on {
-		m.fenced[target] = true
-	} else {
-		delete(m.fenced, target)
-	}
+// RaiseFence raises f's pair in the fence table.
+func (m *Mem) RaiseFence(f Fence) error {
+	m.fences.raise(f)
 	return nil
 }
 
-// Fenced reports whether target is fenced.
-func (m *Mem) Fenced(target msg.NodeID) bool { return m.fenced[target] }
+// Fences returns the fence table.
+func (m *Mem) Fences() *Fences { return &m.fences }
 
 // Recovery returns a zero report: memory has nothing to recover.
 func (m *Mem) Recovery() RecoveryReport { return RecoveryReport{} }

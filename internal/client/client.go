@@ -89,9 +89,12 @@ type handleInfo struct {
 }
 
 type sanPending struct {
-	id    msg.ReqID
-	disk  msg.NodeID
-	build func(req msg.ReqID) msg.Message
+	id   msg.ReqID
+	disk msg.NodeID
+	// epoch is the registration the request was issued under, which every
+	// transmission of it is stamped with (sanCallBuf).
+	epoch msg.Epoch
+	build func(req msg.ReqID, epoch msg.Epoch) msg.Message
 	cb    func(reply msg.Message, errno msg.Errno)
 	retry sim.Retry[*sanPending]
 	// tries counts retransmissions. buf (set for flush writes whose
@@ -399,7 +402,12 @@ func (c *Client) call(req msg.Request, cb core.ReplyCallback) {
 
 // --- SAN I/O ---------------------------------------------------------------
 
-func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID) msg.Message,
+// sanCall issues a SAN request. build makes each transmission of it,
+// stamped with c.server — the authority this instance registered with —
+// and the epoch passed in: the registration's when the request was
+// issued, so that a retransmission still speaks for the registration
+// the request belonged to (msg/san.go).
+func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID, epoch msg.Epoch) msg.Message,
 	cb func(reply msg.Message, errno msg.Errno)) {
 	c.sanCallBuf(d, build, nil, cb)
 }
@@ -407,10 +415,10 @@ func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID) msg.Message,
 // sanCallBuf is sanCall for requests whose payload lives in a pooled
 // buffer: buf (if non-nil) is returned to the pool when the call is
 // acknowledged without ever having been retransmitted. See sanPending.
-func (c *Client) sanCallBuf(d msg.NodeID, build func(req msg.ReqID) msg.Message,
+func (c *Client) sanCallBuf(d msg.NodeID, build func(req msg.ReqID, epoch msg.Epoch) msg.Message,
 	buf []byte, cb func(reply msg.Message, errno msg.Errno)) {
 	c.nextSANReq++
-	p := &sanPending{id: c.nextSANReq, disk: d, build: build, cb: cb, buf: buf}
+	p := &sanPending{id: c.nextSANReq, disk: d, epoch: c.chn.Epoch(), build: build, cb: cb, buf: buf}
 	c.sanCalls[p.id] = p
 	c.transmitSAN(p)
 }
@@ -420,7 +428,7 @@ func (c *Client) transmitSAN(p *sanPending) {
 	if c.crashedFlg {
 		return
 	}
-	c.san(p.disk, p.build(p.id))
+	c.san(p.disk, p.build(p.id, p.epoch))
 	c.sanRetry.Add(&p.retry, p)
 }
 

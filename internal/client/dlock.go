@@ -31,8 +31,8 @@ func (c *Client) dlockRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 				done(nil, errno)
 				return
 			}
-			c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
-				return &msg.DiskRead{Client: c.id, Req: req, Block: ref.Num}
+			c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+				return &msg.DiskRead{Client: c.id, Authority: c.server, Epoch: epoch, Req: req, Block: ref.Num}
 			}, func(reply msg.Message, rerrno msg.Errno) {
 				unlock(func() {
 					if rerrno != msg.OK || reply == nil {
@@ -73,8 +73,9 @@ func (c *Client) dlockWrite(ino msg.ObjectID, idx uint64, data []byte, cb ErrnoC
 					return
 				}
 				ver := c.oracle.NextVer(c.id, ino, idx)
-				c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
-					return &msg.DiskWrite{Client: c.id, Req: req, Block: ref.Num, Data: data, Ver: ver}
+				c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+					return &msg.DiskWrite{Client: c.id, Authority: c.server, Epoch: epoch,
+						Req: req, Block: ref.Num, Data: data, Ver: ver}
 				}, func(reply msg.Message, werrno msg.Errno) {
 					if werrno == msg.OK {
 						c.oracle.Committed(c.id, ino, idx, ver)
@@ -95,8 +96,9 @@ func (c *Client) dlockWrite(ino msg.ObjectID, idx uint64, data []byte, cb ErrnoC
 func (c *Client) withDlock(ref msg.BlockRef, fn func(errno msg.Errno, unlock func(func()))) {
 	var attempt func()
 	attempt = func() {
-		c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
-			return &msg.DLockAcquire{Client: c.id, Req: req, Start: ref.Num, Count: 1, TTL: c.cfg.Core.Tau}
+		c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+			return &msg.DLockAcquire{Client: c.id, Authority: c.server, Epoch: epoch,
+				Req: req, Start: ref.Num, Count: 1, TTL: c.cfg.Core.Tau}
 		}, func(reply msg.Message, errno msg.Errno) {
 			switch errno {
 			case msg.ErrDLockHeld:
@@ -106,7 +108,7 @@ func (c *Client) withDlock(ref msg.BlockRef, fn func(errno msg.Errno, unlock fun
 				return
 			case msg.OK:
 				fn(msg.OK, func(cont func()) {
-					c.sanCall(ref.Disk, func(req msg.ReqID) msg.Message {
+					c.sanCall(ref.Disk, func(req msg.ReqID, _ msg.Epoch) msg.Message {
 						return &msg.DLockRelease{Client: c.id, Req: req, Start: ref.Num, Count: 1}
 					}, func(msg.Message, msg.Errno) { cont() })
 				})

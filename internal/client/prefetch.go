@@ -200,8 +200,8 @@ func (c *Client) issuePrefetch(ino msg.ObjectID, o *object, d msg.NodeID, idxs, 
 		c.emit(trace.Event{Type: trace.EvPrefetch, Ino: ino, Block: idxs[0],
 			Note: fmt.Sprintf("window=%d", len(idxs))})
 	}
-	c.sanCall(d, func(req msg.ReqID) msg.Message {
-		return &msg.DiskReadV{Client: c.id, Req: req, Blocks: nums}
+	c.sanCall(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+		return &msg.DiskReadV{Client: c.id, Authority: c.server, Epoch: epoch, Req: req, Blocks: nums}
 	}, func(reply msg.Message, errno msg.Errno) {
 		c.ioEnd(ino, o)
 		// The batch was read under the shared lock; install only if both

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/meta"
 	"repro/internal/msg"
 	"repro/internal/simnet"
@@ -228,11 +229,20 @@ func TestSyncReportsARefusedWrite(t *testing.T) {
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatal(errno)
 	}
-	fence := func(on bool) {
+	sub := cl.Clients[0].Sub(0)
+	fence := func() {
 		for _, d := range cl.Disks {
-			if err := d.Media().SetFence(ClientID(0), on); err != nil {
+			f := blockstore.Fence{Authority: ServerID(0), Target: ClientID(0), Below: sub.Epoch() + 1}
+			if err := d.Media().RaiseFence(f); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	// No protocol step lowers a fence; the test empties the tables to let
+	// the second Sync through.
+	lift := func() {
+		for _, d := range cl.Disks {
+			*d.Media().Fences() = blockstore.Fences{}
 		}
 	}
 	// Rewrite in place, so the size owes nothing: block 1 goes out alone,
@@ -240,20 +250,20 @@ func TestSyncReportsARefusedWrite(t *testing.T) {
 	if b := inode(t, cl, "/f").Blocks; b[1].Disk == b[2].Disk || b[2].Disk != b[3].Disk {
 		t.Fatalf("setup: blocks on disks %v, want block 1 alone and blocks 2 and 3 together", b)
 	}
-	fence(true)
+	fence()
 	for _, idx := range []uint64{1, 2, 3} {
 		if errno := cl.Write(0, h, idx, block('X')); errno != msg.OK {
 			t.Fatal(errno)
 		}
 	}
-	cache := cl.Clients[0].Sub(0).Cache()
+	cache := sub.Cache()
 	if errno := cl.Sync(0); errno != msg.ErrFenced {
 		t.Fatalf("Sync against disks that refuse the writer returned %v, want ErrFenced", errno)
 	}
 	if n := cache.TotalDirty(); n != 3 {
 		t.Fatalf("%d pages dirty after the refused Sync, want 3", n)
 	}
-	fence(false)
+	lift()
 	if errno := cl.Sync(0); errno != msg.OK {
 		t.Fatal(errno)
 	}

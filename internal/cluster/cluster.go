@@ -150,13 +150,15 @@ type Shard struct {
 	Server *server.Server
 	// Disks lists the shard's own SAN devices and capacities.
 	Disks map[msg.NodeID]uint64
+	// Store is the shard's metadata store, which outlives its servers: it
+	// models the paper's highly-available server-private storage, which a
+	// restarted server and every replica recover (§6).
+	Store *meta.Store
 	// Replicated-authority state (Options.Replicas ≥ 2). Replicas holds
 	// every group member (Replicas[0] == Server); Group their node IDs in
-	// ballot order; Store the shared metadata store that models the
-	// paper's highly-available server-private storage.
+	// ballot order.
 	Replicas []*server.Server
 	Group    []msg.NodeID
-	Store    *meta.Store
 }
 
 // Active returns the replica currently holding the shard's authority
@@ -274,19 +276,19 @@ func New(opts Options) *Cluster {
 	// Servers: attached to both networks (Fig 1).
 	for si := range cl.Shards {
 		sh := &cl.Shards[si]
+		sh.Store = meta.NewStore(meta.NewAllocator(sh.Disks))
 		if opts.Replicas < 2 {
-			sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, nil, nil), serverClock())
+			sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, nil), serverClock())
 			continue
 		}
-		// Replicated authority: M diskless negotiators share one metadata
-		// store (HA server-private storage) and elect the active.
-		sh.Store = meta.NewStore(meta.NewAllocator(sh.Disks))
+		// Replicated authority: M diskless negotiators share the store and
+		// elect the active.
 		for j := 0; j < opts.Replicas; j++ {
 			sh.Group = append(sh.Group, ReplicaID(si, j))
 		}
 		for _, rid := range sh.Group {
 			sh.Replicas = append(sh.Replicas, cl.bootServer(rid,
-				cl.serverConfig(sh, sh.Store, cl.replicaConfig(sh, rid, false)), serverClock()))
+				cl.serverConfig(sh, cl.replicaConfig(sh, rid, false)), serverClock()))
 		}
 		sh.Server = sh.Replicas[0]
 	}
@@ -334,14 +336,14 @@ func New(opts Options) *Cluster {
 // allocates from its own disks and fences the installation-wide disk set,
 // since a handed-off file's blocks may live on any shard's disks. Under a
 // placement it serves the map's slice of the namespace (server.New then
-// materializes missing parents). store is non-nil on restart and for
-// replicas.
-func (cl *Cluster) serverConfig(sh *Shard, store *meta.Store, rep *replica.Config) server.Config {
+// materializes missing parents). Every server is handed the shard's
+// store, so its epoch counter survives the server (§6).
+func (cl *Cluster) serverConfig(sh *Shard, rep *replica.Config) server.Config {
 	o := &cl.Opts
 	cfg := server.Config{
 		Core: o.Core, Policy: o.Policy, Disks: sh.Disks, FenceDisks: cl.allDisks,
 		NoNACK: o.NoNACK, DisableFence: o.DisableFence,
-		Store: store, GracePeriod: o.GracePeriod, Replica: rep,
+		Store: sh.Store, GracePeriod: o.GracePeriod, Replica: rep,
 		ServiceTime: o.ServerService,
 	}
 	if c := cl.Checkers[sh.ID-ServerID(0)]; c != nil {
@@ -598,7 +600,7 @@ func (cl *Cluster) RestartServer(si int) {
 	sh := &cl.Shards[si]
 	cl.Control.Restart(sh.ID)
 	cl.SAN.Restart(sh.ID)
-	sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, sh.Server.Store(), nil), cl.Sched.NewClock(1, 0))
+	sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, nil), cl.Sched.NewClock(1, 0))
 }
 
 // CrashReplica fails member ri of shard si's authority group: its
@@ -620,7 +622,7 @@ func (cl *Cluster) RestartReplica(si, ri int) {
 	rid := sh.Group[ri]
 	cl.Control.Restart(rid)
 	cl.SAN.Restart(rid)
-	srv := cl.bootServer(rid, cl.serverConfig(sh, sh.Store, cl.replicaConfig(sh, rid, true)),
+	srv := cl.bootServer(rid, cl.serverConfig(sh, cl.replicaConfig(sh, rid, true)),
 		cl.Sched.NewClock(1, 0))
 	sh.Replicas[ri] = srv
 	if ri == 0 {

@@ -76,12 +76,10 @@ func TestTraceTheorem31Ordering(t *testing.T) {
 	if exp.Note == "dirty" {
 		t.Fatal("client expired with the phase-4 flush incomplete")
 	}
-	// The fence ROSE with (not before) the steal. Fence-lift events (On
-	// false) happen at every rejoin and are not part of this invariant.
-	fenceUp := func(e trace.Event) bool { return e.On }
+	// The fence ROSE with (not before) the steal.
 	if err := events.Precedes(
 		trace.And(trace.ByNode(isolated), trace.ByType(trace.EvExpire)),
-		trace.And(trace.ByNode(ServerID(0)), trace.ByType(trace.EvFence), fenceUp)); err != nil {
+		trace.And(trace.ByNode(ServerID(0)), trace.ByType(trace.EvFence))); err != nil {
 		t.Fatalf("fence ordering: %v", err)
 	}
 
@@ -106,8 +104,8 @@ func TestTraceSteadyStateServerSilent(t *testing.T) {
 	opts.Tracer = trace.New(ring)
 	cl := New(opts)
 	cl.Start()
-	// Registration itself emits rejoin bookkeeping (fence lifts); the
-	// steady-state claim starts after every client is registered.
+	// Registration itself emits rejoin events; the steady-state claim
+	// starts after every client is registered.
 	steadyFrom := ring.Total()
 
 	// Ordinary metadata traffic: every message doubles as a renewal
@@ -162,10 +160,8 @@ func TestTraceSteadyStateServerSilent(t *testing.T) {
 // TestRejoinStealRaisesNoFence: a client the server has begun to time out
 // — its demand went unanswered — that rejoins before the timer fires makes
 // the steal safe at once: it has just said it holds nothing. That steal
-// must not raise the fence the rejoin is about to lift: the two orders
-// travel to each disk as separate datagrams, and arriving in the other
-// order they would leave a client in good standing fenced for good, its
-// flushes refused.
+// raises no fence, so the rejoin sends nothing to the disks, and the
+// client's writes under its new registration reach them.
 func TestRejoinStealRaisesNoFence(t *testing.T) {
 	ring := trace.NewRing(1 << 14)
 	opts := DefaultOptions()
@@ -193,8 +189,7 @@ func TestRejoinStealRaisesNoFence(t *testing.T) {
 	if _, ok := events.First(trace.ByNode(srv), trace.ByType(trace.EvStealFired), trace.ByNote("rejoin")); !ok {
 		t.Fatal("setup: the steal was not the rejoin's")
 	}
-	if err := events.None(trace.ByNode(srv), trace.ByType(trace.EvFence), trace.ByPeer(ClientID(0)),
-		func(e trace.Event) bool { return e.On }); err != nil {
+	if err := events.None(trace.ByNode(srv), trace.ByType(trace.EvFence), trace.ByPeer(ClientID(0))); err != nil {
 		t.Fatalf("the rejoin's steal raised a fence: %v", err)
 	}
 	// In good standing again: what it writes reaches the disks.

@@ -1,9 +1,11 @@
 // Package disk implements the shared storage devices on the SAN. Per the
 // paper (§2), the devices are deliberately dumb: they execute block reads
 // and writes for any initiator, enforce a fence table on behalf of the
-// servers, and — solely for the GFS comparison baseline — implement
-// dlock, an expiring lock over a disk-address range. They keep no network
-// views, run no membership protocol, and never initiate messages.
+// lease authorities (one floor epoch per authority and initiator, which
+// every request's stamp is judged against), and — solely for the GFS
+// comparison baseline — implement dlock, an expiring lock over a
+// disk-address range. They keep no network views, run no membership
+// protocol, and never initiate messages.
 package disk
 
 import (
@@ -39,8 +41,6 @@ type Observer struct {
 	Committed func(disk msg.NodeID, block uint64, ver uint64, writer msg.NodeID)
 	// Served fires when a read returns data.
 	Served func(disk msg.NodeID, block uint64, ver uint64, reader msg.NodeID)
-	// Rejected fires when a fenced initiator's I/O is refused.
-	Rejected func(disk msg.NodeID, initiator msg.NodeID)
 	// Torn fires when the media reports a torn block: at the open-time
 	// recovery pass, or when a read is refused because the block's
 	// checksum no longer matches its trailer.
@@ -79,6 +79,8 @@ type Disk struct {
 	send  Sender
 	obs   Observer
 	media blockstore.Media
+	// fences is media's fence table, which admit reads.
+	fences *blockstore.Fences
 	// into is media's read-into-a-buffer path, when it has one (serve).
 	into   readerInto
 	tracer *trace.Tracer
@@ -151,6 +153,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, send Sender, reg *stats.Reg
 	for _, opt := range opts {
 		opt(d)
 	}
+	d.fences = d.media.Fences()
 	d.into, _ = d.media.(readerInto)
 	d.reportRecovery()
 	return d
@@ -167,9 +170,9 @@ func (d *Disk) reportRecovery() {
 	d.trace(trace.Event{Type: trace.EvDisk, Node: d.id, Time: d.clock.Now(),
 		Note: fmt.Sprintf("recovered journal=%d fenced=%d verified=%d torn=%d",
 			rep.JournalRecords, len(rep.Fenced), rep.Verified, len(rep.Torn))})
-	for _, target := range rep.Fenced {
+	for _, f := range rep.Fenced {
 		d.trace(trace.Event{Type: trace.EvDisk, Node: d.id, Time: d.clock.Now(),
-			Peer: target, Note: "fence-replay"})
+			Peer: f.Target, Epoch: f.Below, Note: fmt.Sprintf("fence-replay authority=%v", f.Authority)})
 	}
 	for _, block := range rep.Torn {
 		d.trace(trace.Event{Type: trace.EvDisk, Node: d.id, Time: d.clock.Now(),
@@ -262,15 +265,28 @@ func (d *Disk) withService(fn func()) {
 	d.clock.AfterFunc(d.busyUntil.Sub(now), fn)
 }
 
+// admit judges a request's stamp against the fence table: it refuses
+// initiator's I/O stamped with authority and an epoch below the fence
+// that authority raised against it. A refusal counts in the disk's
+// rejected counter and, traced, names the pair, the stamp and the floor.
+func (d *Disk) admit(initiator, authority msg.NodeID, epoch msg.Epoch) bool {
+	floor := d.fences.Floor(authority, initiator)
+	if epoch >= floor {
+		return true
+	}
+	d.fencedOps.Inc()
+	if d.tracer.Enabled() {
+		d.tracer.Emit(trace.Event{Type: trace.EvDisk, Node: d.id, Time: d.clock.Now(),
+			Peer: initiator, Epoch: epoch, Note: fmt.Sprintf("fenced authority=%v floor=%d", authority, floor)})
+	}
+	return false
+}
+
 func (d *Disk) read(m *msg.DiskRead) {
 	res := &msg.DiskReadRes{Req: m.Req}
 	switch {
-	case d.media.Fenced(m.Client):
-		d.fencedOps.Inc()
+	case !d.admit(m.Client, m.Authority, m.Epoch):
 		res.Err = msg.ErrFenced
-		if d.obs.Rejected != nil {
-			d.obs.Rejected(d.id, m.Client)
-		}
 	case m.Block >= d.cfg.Blocks:
 		res.Err = msg.ErrRange
 	default:
@@ -325,12 +341,8 @@ func (d *Disk) serve(block uint64, res *msg.DiskReadRes) {
 func (d *Disk) write(m *msg.DiskWrite) {
 	res := &msg.DiskWriteRes{Req: m.Req}
 	switch {
-	case d.media.Fenced(m.Client):
-		d.fencedOps.Inc()
+	case !d.admit(m.Client, m.Authority, m.Epoch):
 		res.Err = msg.ErrFenced
-		if d.obs.Rejected != nil {
-			d.obs.Rejected(d.id, m.Client)
-		}
 	case m.Block >= d.cfg.Blocks:
 		res.Err = msg.ErrRange
 	case len(m.Data) > BlockSize:
@@ -383,13 +395,9 @@ func (d *Disk) writeV(m *msg.DiskWriteV) {
 		}
 		d.send(m.Client, res)
 	}
-	if d.media.Fenced(m.Client) {
-		// Fencing is per initiator, not per block: a fenced client's whole
-		// batch is refused in one judgment.
-		d.fencedOps.Inc()
-		if d.obs.Rejected != nil {
-			d.obs.Rejected(d.id, m.Client)
-		}
+	if !d.admit(m.Client, m.Authority, m.Epoch) {
+		// Fencing is per stamp, not per block: a fenced batch is refused
+		// in one judgment.
 		fail(msg.ErrFenced)
 		return
 	}
@@ -450,11 +458,7 @@ func (d *Disk) readV(m *msg.DiskReadV) {
 		}
 		d.send(m.Client, res)
 	}
-	if d.media.Fenced(m.Client) {
-		d.fencedOps.Inc()
-		if d.obs.Rejected != nil {
-			d.obs.Rejected(d.id, m.Client)
-		}
+	if !d.admit(m.Client, m.Authority, m.Epoch) {
 		refuse(msg.ErrFenced)
 		return
 	}
@@ -509,16 +513,14 @@ func (d *Disk) readV(m *msg.DiskReadV) {
 func (d *Disk) fence(m *msg.FenceSet) {
 	res := &msg.FenceRes{Req: m.Req}
 	// Durable before acknowledged: the file-backed media journals and
-	// fsyncs the fence record before SetFence returns, so a FenceRes
+	// fsyncs the fence record before RaiseFence returns, so a FenceRes
 	// implies the fence survives a disk-controller restart (§2.1).
-	if err := d.media.SetFence(m.Target, m.On); err != nil {
+	if err := d.media.RaiseFence(blockstore.Fence{Authority: m.Authority, Target: m.Target, Below: m.Below}); err != nil {
 		res.Err = d.mediaFailed(0, err)
 	}
+	res.Top = d.fences.Top(m.Authority)
 	d.send(m.Admin, res)
 }
-
-// Fenced reports whether an initiator is currently fenced (test hook).
-func (d *Disk) Fenced(id msg.NodeID) bool { return d.media.Fenced(id) }
 
 // Media returns the storage the disk serves from (test/bootstrap hook).
 func (d *Disk) Media() blockstore.Media { return d.media }
@@ -545,7 +547,7 @@ func (d *Disk) dlockAcquire(m *msg.DLockAcquire) {
 	now := d.clock.Now()
 	d.expireDlocks(now)
 	res := &msg.DLockRes{Req: m.Req}
-	if d.media.Fenced(m.Client) {
+	if !d.admit(m.Client, m.Authority, m.Epoch) {
 		res.Err = msg.ErrFenced
 		d.send(m.Client, res)
 		return

@@ -8,6 +8,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // rig wires one disk to a capture of its outbound replies, with a zero
@@ -15,18 +16,22 @@ import (
 type rig struct {
 	s       *sim.Scheduler
 	d       *Disk
+	reg     *stats.Registry
 	replies []msg.Message
 }
 
-func newRig(t *testing.T, cfg Config, obs Observer) *rig {
+func newRig(t *testing.T, cfg Config, obs Observer, opts ...Option) *rig {
 	t.Helper()
-	r := &rig{s: sim.NewScheduler(1)}
+	r := &rig{s: sim.NewScheduler(1), reg: stats.NewRegistry()}
 	clock := r.s.NewClock(1, 0)
 	r.d = New(9, cfg, clock, func(to msg.NodeID, m msg.Message) {
 		r.replies = append(r.replies, m)
-	}, stats.NewRegistry(), obs)
+	}, r.reg, obs, opts...)
 	return r
 }
+
+// rejected is the disk's count of refused requests.
+func (r *rig) rejected() uint64 { return r.reg.CounterValue("disk.n9.rejected") }
 
 func (r *rig) deliver(m msg.Message) {
 	r.d.Deliver(msg.Envelope{From: 1, To: 9, Payload: m})
@@ -79,44 +84,59 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFencingRejectsIndefinitely: authority 100's fence against client 1
+// below epoch 3 refuses client 1's requests stamped with authority 100
+// and an older epoch, for good: a lower fence does not lift it. What the
+// fence leaves alone goes through: another initiator, client 1 under
+// another authority, and client 1 at the epoch the fence admits.
 func TestFencingRejectsIndefinitely(t *testing.T) {
-	rejected := 0
-	r := newRig(t, Config{Blocks: 16}, Observer{
-		Rejected: func(d, init msg.NodeID) {
-			if init != 1 {
-				t.Errorf("rejected wrong initiator %v", init)
-			}
-			rejected++
-		},
-	})
-	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Target: 1, On: true})
-	if res := r.last().(*msg.FenceRes); res.Err != msg.OK {
-		t.Fatalf("fence err = %v", res.Err)
+	r := newRig(t, Config{Blocks: 16}, Observer{})
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Authority: 100, Target: 1, Below: 3})
+	if res := r.last().(*msg.FenceRes); res.Err != msg.OK || res.Top != 3 {
+		t.Fatalf("fence answered err=%v top=%d, want OK and 3", res.Err, res.Top)
 	}
-	if !r.d.Fenced(1) {
-		t.Fatal("Fenced(1) = false")
+	refused := func(what string, m msg.Message) {
+		t.Helper()
+		r.deliver(m)
+		if _, errno, _ := msg.SANReplyReq(r.last()); errno != msg.ErrFenced {
+			t.Fatalf("%s: %v, want ErrFenced", what, errno)
+		}
 	}
-	r.deliver(&msg.DiskWrite{Client: 1, Req: 2, Block: 0, Data: []byte("x")})
-	if res := r.last().(*msg.DiskWriteRes); res.Err != msg.ErrFenced {
-		t.Fatalf("write err = %v, want ErrFenced", res.Err)
+	admitted := func(what string, m msg.Message) {
+		t.Helper()
+		r.deliver(m)
+		if _, errno, _ := msg.SANReplyReq(r.last()); errno != msg.OK {
+			t.Fatalf("%s: %v, want OK", what, errno)
+		}
 	}
-	r.deliver(&msg.DiskRead{Client: 1, Req: 3, Block: 0})
-	if res := r.last().(*msg.DiskReadRes); res.Err != msg.ErrFenced {
-		t.Fatalf("read err = %v, want ErrFenced", res.Err)
+	refused("write at epoch 2", &msg.DiskWrite{Client: 1, Authority: 100, Epoch: 2, Req: 2, Block: 0, Data: []byte("x")})
+	refused("read at epoch 2", &msg.DiskRead{Client: 1, Authority: 100, Epoch: 2, Req: 3, Block: 0})
+	admitted("another initiator", &msg.DiskWrite{Client: 2, Authority: 100, Epoch: 1, Req: 4, Block: 0, Data: []byte("y")})
+	admitted("another authority", &msg.DiskWrite{Client: 1, Authority: 200, Epoch: 1, Req: 5, Block: 0, Data: []byte("y")})
+	admitted("the epoch the fence admits", &msg.DiskWrite{Client: 1, Authority: 100, Epoch: 3, Req: 6, Block: 0, Data: []byte("z")})
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 7, Authority: 100, Target: 1, Below: 1})
+	if res := r.last().(*msg.FenceRes); res.Err != msg.OK || res.Top != 3 {
+		t.Fatalf("lower fence answered err=%v top=%d, want OK and 3", res.Err, res.Top)
 	}
-	// Other initiators are unaffected.
-	r.deliver(&msg.DiskWrite{Client: 2, Req: 4, Block: 0, Data: []byte("y")})
-	if res := r.last().(*msg.DiskWriteRes); res.Err != msg.OK {
-		t.Fatalf("other client write err = %v", res.Err)
+	refused("write at epoch 2 after a lower fence", &msg.DiskWrite{Client: 1, Authority: 100, Epoch: 2, Req: 8, Block: 0, Data: []byte("x")})
+	if n := r.rejected(); n != 3 {
+		t.Fatalf("rejected counter %d, want 3", n)
 	}
-	// Unfence restores access.
-	r.deliver(&msg.FenceSet{Admin: 100, Req: 5, Target: 1, On: false})
-	r.deliver(&msg.DiskWrite{Client: 1, Req: 6, Block: 0, Data: []byte("z")})
-	if res := r.last().(*msg.DiskWriteRes); res.Err != msg.OK {
-		t.Fatalf("post-unfence write err = %v", res.Err)
+}
+
+// TestRefusalIsTraced: with a tracer attached, a refusal is one EvDisk
+// event naming the initiator, its stamp and the floor it fell below.
+func TestRefusalIsTraced(t *testing.T) {
+	ring := trace.NewRing(16)
+	r := newRig(t, Config{Blocks: 16}, Observer{}, WithTracer(trace.New(ring)))
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Authority: 100, Target: 1, Below: 3})
+	r.deliver(&msg.DiskRead{Client: 1, Authority: 100, Epoch: 2, Req: 2, Block: 0})
+	events := ring.Events().Filter(trace.ByType(trace.EvDisk))
+	if len(events) != 1 {
+		t.Fatalf("%d disk events, want 1: %v", len(events), events)
 	}
-	if rejected != 2 {
-		t.Fatalf("rejected observer fired %d times, want 2", rejected)
+	if e := events[0]; e.Peer != 1 || e.Epoch != 2 || e.Note != "fenced authority=n100 floor=3" {
+		t.Fatalf("refusal traced as %s", e)
 	}
 }
 
@@ -226,8 +246,8 @@ func TestDLockRelease(t *testing.T) {
 
 func TestDLockFencedInitiator(t *testing.T) {
 	r := newRig(t, Config{Blocks: 64}, Observer{})
-	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Target: 1, On: true})
-	r.deliver(&msg.DLockAcquire{Client: 1, Req: 2, Start: 0, Count: 4, TTL: time.Hour})
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Authority: 100, Target: 1, Below: 1})
+	r.deliver(&msg.DLockAcquire{Client: 1, Authority: 100, Req: 2, Start: 0, Count: 4, TTL: time.Hour})
 	if res := r.last().(*msg.DLockRes); res.Err != msg.ErrFenced {
 		t.Fatalf("err = %v, want ErrFenced", res.Err)
 	}
@@ -372,11 +392,11 @@ func TestFenceRejectsQueuedWrites(t *testing.T) {
 	r := newServiceRig(t, time.Millisecond)
 	for i := 0; i < 3; i++ {
 		r.d.Deliver(msg.Envelope{From: 1, To: 9, Payload: &msg.DiskWrite{
-			Client: 1, Req: msg.ReqID(i + 1), Block: uint64(i), Data: []byte("w")}})
+			Client: 1, Authority: 100, Req: msg.ReqID(i + 1), Block: uint64(i), Data: []byte("w")}})
 	}
 	// The fence arrives while all three writes are still queued.
 	r.d.Deliver(msg.Envelope{From: 100, To: 9, Payload: &msg.FenceSet{
-		Admin: 100, Req: 9, Target: 1, On: true}})
+		Admin: 100, Req: 9, Authority: 100, Target: 1, Below: 1}})
 	r.s.Run()
 	if len(r.replies) != 4 {
 		t.Fatalf("got %d replies, want 4", len(r.replies))

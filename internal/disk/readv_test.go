@@ -19,8 +19,8 @@ import (
 func TestReadVFencedAllocatesNoPayload(t *testing.T) {
 	d := New(9, Config{Blocks: 64}, sim.NewScheduler(1).NewClock(1, 0),
 		func(msg.NodeID, msg.Message) {}, stats.NewRegistry(), Observer{})
-	d.Deliver(msg.Envelope{From: 100, To: 9, Payload: &msg.FenceSet{Admin: 100, Req: 1, Target: 1, On: true}})
-	window := &msg.DiskReadV{Client: 1, Req: 2, Blocks: make([]uint64, 32)}
+	d.Deliver(msg.Envelope{From: 100, To: 9, Payload: &msg.FenceSet{Admin: 100, Req: 1, Authority: 100, Target: 1, Below: 1}})
+	window := &msg.DiskReadV{Client: 1, Authority: 100, Req: 2, Blocks: make([]uint64, 32)}
 	for i := range window.Blocks {
 		window.Blocks[i] = uint64(i)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func writeVOf(client msg.NodeID, req msg.ReqID, blocks ...uint64) *msg.DiskWriteV {
-	m := &msg.DiskWriteV{Client: client, Req: req, Data: make([]byte, len(blocks)*BlockSize)}
+	m := &msg.DiskWriteV{Client: client, Authority: 100, Req: req, Data: make([]byte, len(blocks)*BlockSize)}
 	for i, b := range blocks {
 		m.Blocks = append(m.Blocks, msg.BlockVec{Block: b, Ver: 100 + b})
 		copy(m.Data[i*BlockSize:], bytes.Repeat([]byte{byte(b) + 1}, BlockSize))
@@ -85,11 +85,8 @@ func TestWriteVUntracedFormatsNothing(t *testing.T) {
 }
 
 func TestWriteVFencedClient(t *testing.T) {
-	rejected := 0
-	r := newRig(t, Config{Blocks: 16}, Observer{
-		Rejected: func(d, init msg.NodeID) { rejected++ },
-	})
-	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Target: 1, On: true})
+	r := newRig(t, Config{Blocks: 16}, Observer{})
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 1, Authority: 100, Target: 1, Below: 1})
 	r.deliver(writeVOf(1, 2, 0, 1))
 	res := r.last().(*msg.DiskWriteVRes)
 	if res.Err != msg.ErrFenced {
@@ -101,8 +98,8 @@ func TestWriteVFencedClient(t *testing.T) {
 		}
 	}
 	// One fence judgment for the whole batch, not one per block.
-	if rejected != 1 {
-		t.Fatalf("rejected observer fired %d times, want 1", rejected)
+	if n := r.rejected(); n != 1 {
+		t.Fatalf("rejected counter %d, want 1", n)
 	}
 	if _, _, ok := r.d.PeekBlock(0); ok {
 		t.Fatal("fenced batch reached the media")
@@ -195,8 +192,8 @@ func TestReadVFencedAndRange(t *testing.T) {
 	if res.Err != msg.ErrRange || res.Errs[0] != msg.OK || res.Errs[1] != msg.ErrRange {
 		t.Fatalf("err=%v errs=%v", res.Err, res.Errs)
 	}
-	r.deliver(&msg.FenceSet{Admin: 100, Req: 2, Target: 1, On: true})
-	r.deliver(&msg.DiskReadV{Client: 1, Req: 3, Blocks: []uint64{0}})
+	r.deliver(&msg.FenceSet{Admin: 100, Req: 2, Authority: 100, Target: 1, Below: 1})
+	r.deliver(&msg.DiskReadV{Client: 1, Authority: 100, Req: 3, Blocks: []uint64{0}})
 	res = r.last().(*msg.DiskReadVRes)
 	if res.Err != msg.ErrFenced || res.Errs[0] != msg.ErrFenced {
 		t.Fatalf("fenced readv: err=%v errs=%v", res.Err, res.Errs)

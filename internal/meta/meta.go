@@ -569,3 +569,9 @@ func (s *Store) NextEpoch() msg.Epoch {
 	s.epochSeq++
 	return s.epochSeq
 }
+
+// RaiseEpoch lifts the epoch counter to at least e, so that NextEpoch
+// mints above it. It journals nothing: it is for a store that is neither
+// journaled nor shared, whose counter started again at zero and which
+// learns from the disks how high its authority's fences reach.
+func (s *Store) RaiseEpoch(e msg.Epoch) { s.epochSeq = max(s.epochSeq, e) }

@@ -235,6 +235,14 @@ func (c *coder) hdr(h *ReqHeader) {
 	c.u32((*uint32)(&h.Epoch))
 }
 
+// stamp codes a SAN request's initiator and the stamp it carries
+// (san.go).
+func (c *coder) stamp(client, authority *NodeID, epoch *Epoch) {
+	c.node(client)
+	c.node(authority)
+	c.u32((*uint32)(epoch))
+}
+
 func (c *coder) attr(a *Attr) {
 	c.ino(&a.Ino)
 	c.b1(&a.IsDir)

@@ -6,17 +6,31 @@ import "time"
 // I/O, maintain a fence table, and — for the GFS-baseline only — a small
 // table of expiring disk-address-range locks (dlocks). They never initiate
 // messages and keep no view of the network.
+//
+// Every request a disk judges against its fence table carries a stamp:
+// Authority, the lease authority the issuing protocol instance registered
+// with (a lone server's ID, or a replica group's first member's), and
+// Epoch, that registration's epoch. The disk refuses the request when the
+// epoch is below the fence Authority raised against Client (FenceSet). A
+// server's own requests are stamped with its authority and epoch 0, and
+// nothing fences a server.
 
 // DiskRead asks a disk for one block.
 type DiskRead struct {
-	Client NodeID
-	Req    ReqID
-	Block  uint64
+	Client    NodeID
+	Authority NodeID
+	Epoch     Epoch
+	Req       ReqID
+	Block     uint64
 }
 
 func (*DiskRead) Kind() Kind { return KindSANIO }
 
-func (m *DiskRead) layout(c *coder) { c.node(&m.Client); c.req(&m.Req); c.u64(&m.Block) }
+func (m *DiskRead) layout(c *coder) {
+	c.stamp(&m.Client, &m.Authority, &m.Epoch)
+	c.req(&m.Req)
+	c.u64(&m.Block)
+}
 
 // DiskReadRes returns block contents. Ver is the oracle's version stamp
 // for the data (consistency checking only; not protocol-visible).
@@ -42,17 +56,19 @@ func (m *DiskReadRes) layout(c *coder) {
 // DiskWrite writes one block. Ver is the oracle version stamp assigned
 // when the data was produced in the writer's cache.
 type DiskWrite struct {
-	Client NodeID
-	Req    ReqID
-	Block  uint64
-	Data   []byte
-	Ver    uint64
+	Client    NodeID
+	Authority NodeID
+	Epoch     Epoch
+	Req       ReqID
+	Block     uint64
+	Data      []byte
+	Ver       uint64
 }
 
 func (*DiskWrite) Kind() Kind { return KindSANIO }
 
 func (m *DiskWrite) layout(c *coder) {
-	c.node(&m.Client)
+	c.stamp(&m.Client, &m.Authority, &m.Epoch)
 	c.req(&m.Req)
 	c.u64(&m.Block)
 	c.u64(&m.Ver) // not struct order: the bulk field goes last
@@ -82,12 +98,14 @@ type BlockVec struct {
 // The disk executes the whole batch under a single service slot and — on
 // durable media — a single group-commit fsync, so the acknowledgment
 // means every block of the batch is stable (ack-implies-batch-durable).
-// Fence and range checks still apply per block; a partial failure
-// degrades to per-block result codes in DiskWriteVRes.
+// The fence judges the batch as a whole and the range each block; a
+// partial failure degrades to per-block result codes in DiskWriteVRes.
 type DiskWriteV struct {
-	Client NodeID
-	Req    ReqID
-	Blocks []BlockVec
+	Client    NodeID
+	Authority NodeID
+	Epoch     Epoch
+	Req       ReqID
+	Blocks    []BlockVec
 	// Data is the batch payload: len(Blocks)·BlockSize bytes, each block
 	// zero-padded into its fixed-size slot.
 	Data []byte
@@ -96,7 +114,7 @@ type DiskWriteV struct {
 func (*DiskWriteV) Kind() Kind { return KindSANIO }
 
 func (m *DiskWriteV) layout(c *coder) {
-	c.node(&m.Client)
+	c.stamp(&m.Client, &m.Authority, &m.Epoch)
 	c.req(&m.Req)
 	for i := range vec(c, &m.Blocks, 16) {
 		c.u64(&m.Blocks[i].Block)
@@ -121,15 +139,17 @@ func (m *DiskWriteVRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err); c.err
 
 // DiskReadV reads a batch of blocks in one SAN message.
 type DiskReadV struct {
-	Client NodeID
-	Req    ReqID
-	Blocks []uint64
+	Client    NodeID
+	Authority NodeID
+	Epoch     Epoch
+	Req       ReqID
+	Blocks    []uint64
 }
 
 func (*DiskReadV) Kind() Kind { return KindSANIO }
 
 func (m *DiskReadV) layout(c *coder) {
-	c.node(&m.Client)
+	c.stamp(&m.Client, &m.Authority, &m.Epoch)
 	c.req(&m.Req)
 	for i := range vec(c, &m.Blocks, 8) {
 		c.u64(&m.Blocks[i])
@@ -166,14 +186,18 @@ func (m *DiskReadVRes) layout(c *coder) {
 	c.tail(&m.Data)
 }
 
-// FenceSet instructs a disk to start (On) or stop (off) rejecting all I/O
-// from Target. Only servers send it. Fences persist until explicitly
-// cleared — the device enforces the denial indefinitely (§1.2).
+// FenceSet raises Authority's fence against Target to Below: from then
+// on the disk refuses every request of Target's stamped with Authority
+// and an epoch below it. Only servers send it. A fence only rises — a
+// FenceSet below the one in place changes nothing — and the device
+// enforces it indefinitely (§1.2); a fenced client gets back in by
+// registering anew, at an epoch the authority mints above it.
 type FenceSet struct {
-	Admin  NodeID
-	Req    ReqID
-	Target NodeID
-	On     bool
+	Admin     NodeID
+	Req       ReqID
+	Authority NodeID
+	Target    NodeID
+	Below     Epoch
 }
 
 func (*FenceSet) Kind() Kind { return KindFence }
@@ -181,36 +205,42 @@ func (*FenceSet) Kind() Kind { return KindFence }
 func (m *FenceSet) layout(c *coder) {
 	c.node(&m.Admin)
 	c.req(&m.Req)
+	c.node(&m.Authority)
 	c.node(&m.Target)
-	c.b1(&m.On)
+	c.u32((*uint32)(&m.Below))
 }
 
-// FenceRes acknowledges a FenceSet.
+// FenceRes acknowledges a FenceSet. Top is the highest fence the disk
+// holds under the FenceSet's Authority, against any target: a server
+// that lost its epoch counter mints above it.
 type FenceRes struct {
 	Req ReqID
 	Err Errno
+	Top Epoch
 }
 
 func (*FenceRes) Kind() Kind { return KindFence }
 
-func (m *FenceRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err) }
+func (m *FenceRes) layout(c *coder) { c.req(&m.Req); c.errno(&m.Err); c.u32((*uint32)(&m.Top)) }
 
 // DLockAcquire asks the disk for a GFS-style expiring lock over the block
 // range [Start, Start+Count). Used only by the dlock baseline (§5): the
 // disk, not a server, is the locking authority, and the lock times out
 // after TTL on the disk's clock.
 type DLockAcquire struct {
-	Client NodeID
-	Req    ReqID
-	Start  uint64
-	Count  uint32
-	TTL    time.Duration
+	Client    NodeID
+	Authority NodeID
+	Epoch     Epoch
+	Req       ReqID
+	Start     uint64
+	Count     uint32
+	TTL       time.Duration
 }
 
 func (*DLockAcquire) Kind() Kind { return KindSANIO }
 
 func (m *DLockAcquire) layout(c *coder) {
-	c.node(&m.Client)
+	c.stamp(&m.Client, &m.Authority, &m.Epoch)
 	c.req(&m.Req)
 	c.u64(&m.Start)
 	c.u32(&m.Count)

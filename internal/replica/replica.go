@@ -53,7 +53,8 @@ type Config struct {
 	Self msg.NodeID
 	// Group is the full replica group, including Self. Order must be
 	// identical at every member (it determines ballot disambiguation and
-	// candidacy staggering).
+	// candidacy staggering). Group[0] names the authority the group
+	// speaks for: the ID its clients lease from, which its fences carry.
 	Group []msg.NodeID
 	// LeaseTerm is how long one granted authority lease runs on the
 	// holder's clock. The holder re-negotiates at half term; acceptors

@@ -123,8 +123,10 @@ func (c *sanClient) call(m msg.Message, want func(msg.Message) bool) msg.Message
 	}
 }
 
+// read reads block, stamped as registered at epoch 1 with the authority
+// adminID speaks for.
 func (c *sanClient) read(req msg.ReqID, block uint64) *msg.DiskReadRes {
-	r := c.call(&msg.DiskRead{Client: c.tr.self, Req: req, Block: block},
+	r := c.call(&msg.DiskRead{Client: c.tr.self, Authority: adminID, Epoch: 1, Req: req, Block: block},
 		func(m msg.Message) bool {
 			res, ok := m.(*msg.DiskReadRes)
 			return ok && res.Req == req
@@ -176,10 +178,10 @@ func TestCrashRestartDurability(t *testing.T) {
 	dir := t.TempDir()
 	helper, addr := startCrashHelper(t, dir)
 
-	// Fence client 77 before the crash; assertion (c) checks the fence
-	// survives the restart.
+	// Fence client 77's I/O below epoch 2 before the crash; assertion (c)
+	// checks the fence survives the restart, at that epoch.
 	admin := newSANClient(t, adminID, addr)
-	if r := admin.call(&msg.FenceSet{Admin: adminID, Req: 1, Target: fencedID, On: true},
+	if r := admin.call(&msg.FenceSet{Admin: adminID, Req: 1, Authority: adminID, Target: fencedID, Below: 2},
 		func(m msg.Message) bool { _, ok := m.(*msg.FenceRes); return ok }); r == nil {
 		t.Fatal("no FenceRes")
 	} else if res := r.(*msg.FenceRes); res.Err != msg.OK {
@@ -289,7 +291,7 @@ collect:
 		switch {
 		case e.Note == "torn" && e.Block == torn:
 			sawTorn = true
-		case e.Note == "fence-replay" && e.Peer == fencedID:
+		case strings.HasPrefix(e.Note, "fence-replay") && e.Peer == fencedID && e.Epoch == 2:
 			sawReplay = true
 		case strings.HasPrefix(e.Note, "recovered "):
 			sawRecovered = true
@@ -307,8 +309,8 @@ collect:
 		t.Fatal(err)
 	}
 	defer media.Close()
-	if !media.Fenced(fencedID) {
-		t.Fatal("fence not persisted in media")
+	if fl := media.Fences().Floor(adminID, fencedID); fl != 2 {
+		t.Fatalf("fence persisted in media at %d, want 2", fl)
 	}
 	clock := sim.NewScheduler(1).NewClock(1, 0)
 	d := disk.New(crashDiskID, disk.Config{Blocks: crashBlocks}, clock,

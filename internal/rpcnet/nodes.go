@@ -45,7 +45,7 @@ type Topology struct {
 	// ReplicaGroups, when set, replicates lease authorities: each key is
 	// a group's primary ID — the authority identity clients route and
 	// hash placement by — and the value lists every member, primary
-	// included, in an order all members agree on. StartServerNode gives
+	// first, in an order all members agree on. StartServerNode gives
 	// any node whose ID appears in a group the PaxosLease negotiator role
 	// (see internal/replica); clients dial the whole group and follow
 	// ErrNotActive redirects to whichever member holds the authority

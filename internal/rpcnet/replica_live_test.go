@@ -461,7 +461,7 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 	// fence is in them (its absence is still judged below).
 	isolated := msg.NodeID(10)
 	evs := replicaTraces(t, dir, group, epoch0)
-	fenced := func(e trace.Event) bool { return e.Type == trace.EvFence && e.On && e.Peer == isolated }
+	fenced := func(e trace.Event) bool { return e.Type == trace.EvFence && e.Peer == isolated }
 	for deadline := time.Now().Add(2 * time.Second); !slices.ContainsFunc(evs, fenced) && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
 		evs = replicaTraces(t, dir, group, epoch0)
@@ -533,7 +533,7 @@ func TestLiveReplicaFailoverSIGKILL(t *testing.T) {
 		case e.Type == trace.EvStealFired:
 			steals++
 			steal = &evs[i]
-		case e.Type == trace.EvFence && e.On:
+		case e.Type == trace.EvFence:
 			fences++
 		}
 	}

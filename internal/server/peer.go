@@ -39,17 +39,7 @@ type peer struct {
 	heard     bool
 	objLeases map[msg.ObjectID]sim.Time
 	steal     sim.Timer
-
-	// fenced: this server has raised the SAN fence against the client
-	// since the client last registered. lift is the lifting of that fence
-	// which the client's rejoin waits on (nil: none out).
-	fenced bool
-	lift   *lift
 }
-
-// lift is an unfence on its way to every disk; answer is the Rejoin ACK
-// sent once all of them have confirmed it.
-type lift struct{ answer *msg.Reply }
 
 // peerOf returns c's record, making it on first use.
 func (s *Server) peerOf(c msg.NodeID) *peer {

@@ -65,6 +65,7 @@ func (s *Server) activate(ballot uint64) {
 	if s.cfg.MetaPersist != "" {
 		s.recoverMeta()
 	}
+	s.mustLearnFloor()
 	if s.cfg.PlaceOwner != nil {
 		s.store.SetAutoParents(true)
 		for _, e := range s.store.PendingExports() {
@@ -116,6 +117,7 @@ func (s *Server) resetVolatile() {
 	s.auth = core.NewAuthority(s.cfg.Core, s.clock, authorityActions{s},
 		core.Env{Reg: s.reg, Prefix: "server.", Tracer: s.tracer, Node: s.id})
 	s.inRecovery = false
+	s.learning = nil // the Rejoins it holds go to whoever activates next
 }
 
 // redirect answers a client request this passive replica must not serve:

@@ -78,7 +78,7 @@ func (s *Server) funcRead(client msg.NodeID, id msg.ReqID, m *msg.FuncRead) {
 	}
 	ref := in.Blocks[idx]
 	s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
-		return &msg.DiskRead{Client: s.id, Req: req, Block: ref.Num}
+		return &msg.DiskRead{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num}
 	}, func(reply msg.Message, errno msg.Errno) {
 		if errno != msg.OK {
 			s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno})
@@ -121,7 +121,7 @@ func (s *Server) funcWrite(client msg.NodeID, id msg.ReqID, m *msg.FuncWrite) {
 		ref := in.Blocks[idx]
 		s.dataBytes.Add(uint64(len(data)))
 		s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
-			return &msg.DiskWrite{Client: s.id, Req: req, Block: ref.Num, Data: data}
+			return &msg.DiskWrite{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num, Data: data}
 		}, func(reply msg.Message, errno msg.Errno) {
 			if errno != msg.OK {
 				s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: errno})

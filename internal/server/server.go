@@ -94,6 +94,9 @@ func (c Config) withDefaults() Config {
 	if c.GracePeriod == 0 {
 		c.GracePeriod = c.Core.StealDelay()
 	}
+	if c.FenceDisks == nil {
+		c.FenceDisks = c.Disks
+	}
 	return c
 }
 
@@ -102,11 +105,13 @@ const replyCacheKeep = 128
 
 // Server is one metadata server node.
 type Server struct {
-	id    msg.NodeID
-	cfg   Config
-	clock sim.Clock
-	ctrl  Sender
-	san   Sender
+	id msg.NodeID
+	// authority stamps the server's fences: its ID, or its replica group's.
+	authority msg.NodeID
+	cfg       Config
+	clock     sim.Clock
+	ctrl      Sender
+	san       Sender
 
 	store  *meta.Store
 	locks  *lock.Table
@@ -135,6 +140,8 @@ type Server struct {
 	handoffRetry *sim.Retries[*pendingHandoff]
 	// rejoining is the client whose Rejoin is being handled, if any.
 	rejoining msg.NodeID
+	// learning is the round learnFloor has out, which Rejoins wait on.
+	learning *floorRound
 
 	// Server-side SAN requests (fencing, function-ship I/O).
 	sanPending map[msg.ReqID]*sanCall
@@ -204,6 +211,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	prefix := "server."
 	s := &Server{
 		id:         id,
+		authority:  id,
 		cfg:        cfg,
 		clock:      clock,
 		ctrl:       ctrl,
@@ -243,17 +251,15 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		s.store = cfg.Store
 	}
 	if cfg.Replica == nil {
-		// A restart recovers the durable store — handed over by the sim
-		// harness, or read back from MetaPersist, where a nonzero epoch
-		// counter says clients registered before this boot — and opens
-		// the grace window. (A replicated server defers this to
-		// activation — see activate in replica.go.)
-		restart := cfg.Store != nil
+		// A nonzero epoch counter in the store — handed over by the sim
+		// harness, or read back from MetaPersist — says clients registered
+		// before this boot: a restart opens the grace window. (A replicated
+		// server defers this to activation — see activate in replica.go.)
 		if cfg.MetaPersist != "" {
 			s.recoverMeta()
-			restart = s.store.CurrentEpoch() > 0
 		}
-		if restart {
+		s.mustLearnFloor()
+		if s.store.CurrentEpoch() > 0 {
 			s.inRecovery = true
 			s.graceUntil = clock.Now().Add(cfg.GracePeriod)
 			clock.AfterFunc(cfg.GracePeriod, func() {
@@ -273,6 +279,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		s.neg.OnActive = s.activate
 		s.neg.OnStepdown = s.deactivate
 		s.neg.Start()
+		s.authority = cfg.Replica.Group[0]
 	} else {
 		s.activeFlg = true
 	}

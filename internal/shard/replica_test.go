@@ -106,8 +106,7 @@ func TestReplicatedTakeover(t *testing.T) {
 	// (Fencing a client whose lease never lapsed would be a safety bug;
 	// fencing one that reasserted in time would be a double penalty.)
 	for ci := 0; ci < opts.Clients; ci++ {
-		if n := events.Count(trace.ByPeer(cluster.ClientID(ci)), trace.ByType(trace.EvFence),
-			func(e trace.Event) bool { return e.On }); n != 0 {
+		if n := events.Count(trace.ByPeer(cluster.ClientID(ci)), trace.ByType(trace.EvFence)); n != 0 {
 			t.Fatalf("client %d fenced %d times during a clean takeover", ci, n)
 		}
 	}

@@ -79,8 +79,8 @@ const (
 	EvFlushDone
 	// EvExpire: the client's lease expired; cache and locks are invalid.
 	EvExpire
-	// EvFence: the server set (On=true) or lifted (On=false) the SAN
-	// fence for Peer.
+	// EvFence: the server raised its SAN fence against Peer to Epoch: the
+	// disks refuse Peer's I/O under this authority stamped below it.
 	EvFence
 	// EvRejoin: the server granted Peer a fresh registration epoch.
 	EvRejoin
@@ -222,7 +222,8 @@ type Event struct {
 	// under internal/sim, wall-clock nanoseconds under internal/rpcnet.
 	Time sim.Time `json:"t"`
 	// Epoch is Node's registration epoch at emission (0 = unregistered
-	// or not applicable).
+	// or not applicable); for EvFence, the epoch the fence refuses below,
+	// and for a disk's refusal, the epoch the refused request carried.
 	Epoch msg.Epoch `json:"epoch,omitempty"`
 	// Peer is the other party, when the event concerns one (the suspect
 	// client for server events, the server for client events).
@@ -236,8 +237,6 @@ type Event struct {
 	To   string `json:"to,omitempty"`
 	// TC1 is the renewal's first-send time (EvRenew), on Node's clock.
 	TC1 sim.Time `json:"tc1,omitempty"`
-	// On is the fence direction for EvFence.
-	On bool `json:"on,omitempty"`
 	// Note carries free-form detail ("retry", "rejoin", policy names,
 	// transport diagnostics).
 	Note string `json:"note,omitempty"`
@@ -263,13 +262,6 @@ func (e Event) String() string {
 	}
 	if e.Type == EvRenew {
 		s += fmt.Sprintf(" tC1=%v", e.TC1)
-	}
-	if e.Type == EvFence {
-		if e.On {
-			s += " on"
-		} else {
-			s += " off"
-		}
 	}
 	if e.Note != "" {
 		s += " (" + e.Note + ")"

@@ -111,7 +111,7 @@ func TestLogfSink(t *testing.T) {
 	tr := New(NewLogf(func(format string, args ...any) {
 		got = append(got, format)
 	}))
-	tr.Emit(Event{Type: EvFence, Node: 1, Peer: 10, On: true})
+	tr.Emit(Event{Type: EvFence, Node: 1, Peer: 10, Epoch: 2})
 	if len(got) != 1 {
 		t.Fatalf("logf called %d times", len(got))
 	}
