@@ -42,22 +42,22 @@ type block struct {
 }
 
 // hash addresses a page by content: the runtime's memhash, a word at a
-// time, under a seed drawn once per Cache. Content addresses never leave
-// the process and need no collision resistance against adversaries:
-// equal hashes are confirmed by a byte compare before any sharing
-// happens, so a collision costs a missed dedup never a wrong read. The
-// hash only buckets — nothing iterates the store in hash order where
-// the order could be observed — so a seed that differs from process to
-// process leaves simulated runs repeatable.
-func (c *Cache) hash(b []byte) uint64 { return maphash.Bytes(c.seed, b) }
+// time, under a seed drawn once per store (one per client machine).
+// Content addresses never leave the process and need no collision
+// resistance against adversaries: equal hashes are confirmed by a byte
+// compare before any sharing happens, so a collision costs a missed
+// dedup never a wrong read. The hash only buckets — nothing iterates the
+// store in hash order where the order could be observed — so a seed that
+// differs from process to process leaves simulated runs repeatable.
+func (s *store) hash(b []byte) uint64 { return maphash.Bytes(s.seed, b) }
 
 // share takes a reference on the resident block holding exactly data;
 // nil when there is none.
-func (c *Cache) share(h uint64, data []byte) *block {
-	for b := c.blocks[h]; b != nil; b = b.next {
+func (s *store) share(h uint64, data []byte) *block {
+	for b := s.blocks[h]; b != nil; b = b.next {
 		if bytes.Equal(b.data, data) {
 			b.refs++
-			c.dedupHits.Inc()
+			s.dedupHits.Inc()
 			return b
 		}
 	}
@@ -65,69 +65,69 @@ func (c *Cache) share(h uint64, data []byte) *block {
 }
 
 // insert files b in the store under hash h.
-func (c *Cache) insert(h uint64, b *block) {
-	b.hash, b.next = h, c.blocks[h]
-	c.blocks[h] = b
+func (s *store) insert(h uint64, b *block) {
+	b.hash, b.next = h, s.blocks[h]
+	s.blocks[h] = b
 }
 
 // intern returns a block holding a copy of data, sharing an existing
 // block when one with identical content is resident. The caller's data
 // may alias a transport receive buffer; it is copied before the turn
 // ends.
-func (c *Cache) intern(data []byte) *block {
-	h := c.hash(data)
-	if b := c.share(h, data); b != nil {
+func (s *store) intern(data []byte) *block {
+	h := s.hash(data)
+	if b := s.share(h, data); b != nil {
 		return b
 	}
-	b := c.newBlock()
-	c.setData(b, data)
-	c.insert(h, b)
+	b := s.newBlock()
+	s.setData(b, data)
+	s.insert(h, b)
 	return b
 }
 
 // promote files a flushed page's private block in the store: the page
 // shares an identical resident block and its own is freed, or its own
 // is inserted as it stands.
-func (c *Cache) promote(p *Page) {
-	h := c.hash(p.blk.data)
-	if b := c.share(h, p.blk.data); b != nil {
-		c.freeBlock(p.blk)
+func (s *store) promote(p *Page) {
+	h := s.hash(p.blk.data)
+	if b := s.share(h, p.blk.data); b != nil {
+		s.freeBlock(p.blk)
 		p.blk = b
 		return
 	}
-	c.insert(h, p.blk)
+	s.insert(h, p.blk)
 }
 
 // own returns a private block for a clean page about to be written: its
 // own block taken out of the store when the page is the only holder,
 // otherwise a new one (the others keep b).
-func (c *Cache) own(b *block) *block {
+func (s *store) own(b *block) *block {
 	if b.refs > 1 {
 		b.refs--
-		return c.newBlock()
+		return s.newBlock()
 	}
-	c.unhash(b)
+	s.unhash(b)
 	return b
 }
 
 // deref releases one page's reference; the last reference removes the
 // block from the store and frees it.
-func (c *Cache) deref(b *block) {
+func (s *store) deref(b *block) {
 	b.refs--
 	if b.refs > 0 {
 		return
 	}
-	c.unhash(b)
-	c.freeBlock(b)
+	s.unhash(b)
+	s.freeBlock(b)
 }
 
 // unhash takes b off its hash chain.
-func (c *Cache) unhash(b *block) {
-	if head := c.blocks[b.hash]; head == b {
+func (s *store) unhash(b *block) {
+	if head := s.blocks[b.hash]; head == b {
 		if b.next == nil {
-			delete(c.blocks, b.hash)
+			delete(s.blocks, b.hash)
 		} else {
-			c.blocks[b.hash] = b.next
+			s.blocks[b.hash] = b.next
 		}
 	} else {
 		for ; head.next != b; head = head.next {
@@ -138,28 +138,28 @@ func (c *Cache) unhash(b *block) {
 
 // newBlock returns a header with one reference and no buffer, from the
 // free list when it has one.
-func (c *Cache) newBlock() *block {
-	b := c.spare
+func (s *store) newBlock() *block {
+	b := s.spare
 	if b == nil {
 		return &block{refs: 1}
 	}
-	c.spare, b.next, b.refs = b.next, nil, 1
+	s.spare, b.next, b.refs = b.next, nil, 1
 	return b
 }
 
 // freeBlock returns b's buffer to the pool and its header to the free
 // list.
-func (c *Cache) freeBlock(b *block) {
-	c.addBytes(-int64(len(b.data)))
+func (s *store) freeBlock(b *block) {
+	s.addBytes(-int64(len(b.data)))
 	bufpool.Put(b.data)
-	*b = block{next: c.spare}
-	c.spare = b
+	*b = block{next: s.spare}
+	s.spare = b
 }
 
 // setData makes b hold a copy of data, taking a new buffer only when
 // the content outgrows the one it has.
-func (c *Cache) setData(b *block, data []byte) {
-	c.addBytes(int64(len(data) - len(b.data)))
+func (s *store) setData(b *block, data []byte) {
+	s.addBytes(int64(len(data) - len(b.data)))
 	if cap(b.data) < len(data) {
 		bufpool.Put(b.data)
 		b.data = bufpool.Get(len(data)) // a block owns its buffer from Get to freeBlock
@@ -168,8 +168,8 @@ func (c *Cache) setData(b *block, data []byte) {
 	copy(b.data, data)
 }
 
-// SharedBlocks returns the number of distinct content blocks resident
-// (tests and experiments: ResidentPages − SharedBlocks pages are served
+// SharedBlocks returns the number of distinct content blocks the
+// machine's store holds (tests and experiments: ResidentPages − SharedBlocks pages are served
 // without their own buffer).
 func (c *Cache) SharedBlocks() int {
 	n := 0

@@ -6,13 +6,13 @@
 // mode.
 //
 // Clean page content is content-addressed (see blockstore.go): pages
-// with identical bytes share one pooled buffer across files and block
-// indexes, refcounted per page, so the resident footprint of N readers
-// of the same hot data is one copy, not N. Dirty content is always
-// private to its page — a write copy-on-writes away from any shared
-// block — so dedup never leaks un-flushed bytes between objects, and
-// dropping one object (demand compliance, lease expiry) releases only
-// its own references.
+// with identical bytes share one pooled buffer across files, block
+// indexes and authorities, refcounted per page, so the resident
+// footprint of N readers of the same hot data is one copy, not N. Dirty
+// content is always private to its page — a write copy-on-writes away
+// from any shared block — so dedup never leaks un-flushed bytes between
+// objects, and dropping one object (demand compliance, lease expiry)
+// releases only its own references.
 package cache
 
 import (
@@ -93,14 +93,22 @@ func (o *Object) Evicted() bool { return o.evicted }
 // DirtyCount returns the number of dirty pages.
 func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
 
-// Cache is one client's cache across all objects. When a page or byte
-// budget is set, clean pages are evicted from the cold end of the ring:
-// least-recently-used, unless LookupBehind or Hit filed a consumed page
-// there, which then goes first. Dirty pages are pinned until flushed
-// (losing them would lose acknowledged writes) and live off the ring
-// entirely, so eviction never scans past them.
+// Cache is one protocol instance's object table over its machine's page
+// store, which every lease authority's instance shares (Sibling). The
+// budget, ring, content and counters are the machine's; the objects, and
+// what Object, TotalDirty, DirtyObjects, Len, Drop and InvalidateAll see,
+// are the instance's. When a page or byte budget is set, clean pages of
+// any table are evicted from the cold end of the ring: least-recently-
+// used, unless LookupBehind or Hit filed a consumed page there, which
+// then goes first. Dirty pages are pinned until flushed (losing them
+// would lose acknowledged writes) and live off the ring entirely.
 type Cache struct {
 	objects map[msg.ObjectID]*Object
+	*store
+}
+
+// store is a machine's pages: what every object table over it shares.
+type store struct {
 	// maxPages bounds resident pages; maxBytes bounds resident content
 	// bytes (each 0 = unbounded; both may be set).
 	maxPages int
@@ -131,21 +139,20 @@ type Cache struct {
 	prefetchWasted *stats.Counter
 }
 
-// New creates an empty, unbounded cache.
+// New creates an empty, unbounded cache with a store of its own.
 func New(reg *stats.Registry, prefix string) *Cache {
 	return NewWithLimits(reg, prefix, 0, 0)
 }
 
-// NewWithLimits creates a cache bounded by maxPages resident pages and
-// maxBytes resident content bytes (each 0 = unbounded). Bytes are
-// counted after dedup — N pages sharing one block cost its size once —
-// so the byte quota bounds actual memory, not logical cache size.
+// NewWithLimits creates a cache, and its store, bounded by maxPages
+// resident pages and maxBytes resident content bytes (each 0 =
+// unbounded). Bytes are counted after dedup — N pages sharing one block
+// cost its size once — so the byte quota bounds actual memory.
 func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes int64) *Cache {
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
-	c := &Cache{
-		objects:        make(map[msg.ObjectID]*Object),
+	s := &store{
 		maxPages:       maxPages,
 		maxBytes:       maxBytes,
 		blocks:         make(map[uint64]*block),
@@ -160,32 +167,38 @@ func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes in
 		prefetchHits:   reg.Counter(prefix + "cache.prefetch_hits"),
 		prefetchWasted: reg.Counter(prefix + "cache.prefetch_wasted"),
 	}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	return c
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return &Cache{objects: make(map[msg.ObjectID]*Object), store: s}
+}
+
+// Sibling returns an empty object table over c's store, for another
+// lease authority's instance on the same machine.
+func (c *Cache) Sibling() *Cache {
+	return &Cache{objects: make(map[msg.ObjectID]*Object), store: c.store}
 }
 
 // addBytes moves the resident-byte account (and its gauge) by d.
-func (c *Cache) addBytes(d int64) {
-	c.residentBytes += d
-	c.bytesGauge.Add(d)
+func (s *store) addBytes(d int64) {
+	s.residentBytes += d
+	s.bytesGauge.Add(d)
 }
 
 // link puts a clean page at the front of the ring, most recently used.
-func (c *Cache) link(p *Page) {
-	p.prev, p.next = &c.lru, c.lru.next
+func (s *store) link(p *Page) {
+	p.prev, p.next = &s.lru, s.lru.next
 	p.next.prev = p
-	c.lru.next = p
+	s.lru.next = p
 }
 
 // linkCold puts a clean page at the cold end of the ring, next to evict.
-func (c *Cache) linkCold(p *Page) {
-	p.prev, p.next = c.lru.prev, &c.lru
+func (s *store) linkCold(p *Page) {
+	p.prev, p.next = s.lru.prev, &s.lru
 	p.prev.next = p
-	c.lru.prev = p
+	s.lru.prev = p
 }
 
 // unlink takes a page off the ring.
-func (c *Cache) unlink(p *Page) {
+func (s *store) unlink(p *Page) {
 	p.prev.next = p.next
 	p.next.prev = p.prev
 	p.prev, p.next = nil, nil
@@ -196,22 +209,22 @@ func (c *Cache) unlink(p *Page) {
 // accounting; release handles the block (free a dirty page's private
 // one, deref a clean page's and take the page off the ring), the
 // resident count, and wasted-read-ahead attribution.
-func (c *Cache) release(p *Page) {
+func (s *store) release(p *Page) {
 	if p.Dirty {
-		c.freeBlock(p.blk)
+		s.freeBlock(p.blk)
 	} else {
-		c.unlink(p)
-		c.deref(p.blk)
+		s.unlink(p)
+		s.deref(p.blk)
 	}
-	c.resident--
+	s.resident--
 	if p.prefetched {
-		c.prefetchWasted.Inc()
+		s.prefetchWasted.Inc()
 	}
 }
 
-func (c *Cache) overBudget() bool {
-	return (c.maxPages > 0 && c.resident > c.maxPages) ||
-		(c.maxBytes > 0 && c.residentBytes > c.maxBytes)
+func (s *store) overBudget() bool {
+	return (s.maxPages > 0 && s.resident > s.maxPages) ||
+		(s.maxBytes > 0 && s.residentBytes > s.maxBytes)
 }
 
 // evictIfNeeded drops clean pages from the cold end of the ring down to
@@ -219,20 +232,20 @@ func (c *Cache) overBudget() bool {
 // pages are not on the ring, so each eviction is O(1) pointer work: the
 // ring's tail is always evictable, and a cache whose budget is consumed
 // entirely by pinned dirty pages simply has an empty ring.
-func (c *Cache) evictIfNeeded() {
-	for c.overBudget() {
-		p := c.lru.prev
-		if p == &c.lru {
+func (s *store) evictIfNeeded() {
+	for s.overBudget() {
+		p := s.lru.prev
+		if p == &s.lru {
 			return // everything resident is dirty: over budget, but safe
 		}
 		delete(p.obj.pages, p.idx)
 		p.obj.evicted = true
-		c.release(p)
-		c.evictions.Inc()
+		s.release(p)
+		s.evictions.Inc()
 	}
 }
 
-// Object returns the cached object, or nil.
+// Object returns the instance's cached object, or nil.
 func (c *Cache) Object(ino msg.ObjectID) *Object { return c.objects[ino] }
 
 // Ensure returns the object's cache entry, creating it if absent.
@@ -410,8 +423,8 @@ func (c *Cache) DirtyPages(ino msg.ObjectID) []uint64 {
 	return out
 }
 
-// DirtyObjects lists objects that have at least one dirty page, in
-// deterministic (ascending) order.
+// DirtyObjects lists the instance's objects that have at least one dirty
+// page, in deterministic (ascending) order.
 func (c *Cache) DirtyObjects() []msg.ObjectID {
 	var out []msg.ObjectID
 	for ino, o := range c.objects {
@@ -423,7 +436,7 @@ func (c *Cache) DirtyObjects() []msg.ObjectID {
 	return out
 }
 
-// TotalDirty returns the number of dirty pages across all objects.
+// TotalDirty returns the number of dirty pages in the instance's objects.
 func (c *Cache) TotalDirty() int {
 	n := 0
 	for _, o := range c.objects {
@@ -472,9 +485,10 @@ func (c *Cache) Drop(ino msg.ObjectID) {
 	c.invals.Inc()
 }
 
-// InvalidateAll empties the cache (lease expiry). Returns the number of
-// dirty pages discarded — nonzero means lost updates, which the paper's
-// protocol avoids by flushing in phase 4 before this is called.
+// InvalidateAll drops the instance's objects (lease expiry), leaving other
+// tables' pages. Returns the number of dirty pages discarded — nonzero
+// means lost updates, which the paper's protocol avoids by flushing in
+// phase 4 before this is called.
 func (c *Cache) InvalidateAll() (discardedDirty int) {
 	discardedDirty = c.TotalDirty()
 	for ino := range c.objects {
@@ -483,14 +497,14 @@ func (c *Cache) InvalidateAll() (discardedDirty int) {
 	return discardedDirty
 }
 
-// Len returns the number of cached objects.
+// Len returns the number of the instance's cached objects.
 func (c *Cache) Len() int { return len(c.objects) }
 
-// ResidentPages returns the number of pages currently cached (clean and
-// dirty).
+// ResidentPages returns the number of pages the machine's store holds
+// (clean and dirty), across every table over it.
 func (c *Cache) ResidentPages() int { return c.resident }
 
-// ResidentBytes returns the resident content footprint: each shared
-// block counted once plus each private dirty buffer. This is the
-// quantity the byte quota bounds.
+// ResidentBytes returns the machine's resident content footprint: each
+// shared block counted once plus each private dirty buffer, across every
+// table over the store. This is the quantity the byte quota bounds.
 func (c *Cache) ResidentBytes() int64 { return c.residentBytes }

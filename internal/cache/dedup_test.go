@@ -231,8 +231,11 @@ func TestPrefetchCounters(t *testing.T) {
 
 var cacheSeeds = flag.Int("cacheseeds", 24, "histories TestCacheModelProperty draws")
 
-// mkey is where the model files one page.
+// mkey is where the model files one page: an object table over the
+// store, an object in it, a block index. With idx 0 it also names an
+// object.
 type mkey struct {
+	tab int
 	ino msg.ObjectID
 	idx uint64
 }
@@ -243,13 +246,13 @@ type mpage struct {
 	dirty   bool
 }
 
-// cacheModel is the cache as a plain page map plus a recency list of
+// cacheModel is the store as a plain page map plus a recency list of
 // its clean pages, most recent first, under the same two budgets, and
 // the objects eviction has taken a page from.
 type cacheModel struct {
 	pages    map[mkey]mpage
 	lru      []mkey
-	evicted  map[msg.ObjectID]bool
+	evicted  map[mkey]bool
 	maxPages int
 	quota    int64
 }
@@ -303,7 +306,7 @@ func (m *cacheModel) evict() []mkey {
 		(m.quota > 0 && m.bytes() > m.quota)) {
 		k := m.lru[len(m.lru)-1]
 		m.remove(k)
-		m.evicted[k.ino] = true
+		m.evicted[mkey{tab: k.tab, ino: k.ino}] = true
 		victims = append(victims, k)
 	}
 	return victims
@@ -311,7 +314,8 @@ func (m *cacheModel) evict() []mkey {
 
 // Model-based property test: the cache against a plain page map and a
 // recency list under arbitrary interleavings of every mutating
-// operation. This is the dedup analogue of the flush-equivalence test —
+// operation, on one object table or on two over one store (Sibling: two
+// authorities' instances on one machine, whose inode numbers overlap). This is the dedup analogue of the flush-equivalence test —
 // MarkClean stands in for a flush commit — and pins exactly the
 // bookkeeping the lease protocol's phase 4 relies on:
 //
@@ -325,7 +329,9 @@ func (m *cacheModel) evict() []mkey {
 //	sequential reader consumed (LookupBehind, Hit behind) at its cold
 //	end,
 //	an object records an eviction from its first until Drop or
-//	InvalidateAll,
+//	InvalidateAll, whichever table's fill caused it,
+//	Drop, DropPagesFrom and InvalidateAll on one table leave the other
+//	table's pages and dirty set as they were,
 //	every page holds one block, in the store iff the page is clean.
 //
 // -cacheseeds widens the sweep (make verify runs 20 000).
@@ -342,18 +348,26 @@ func TestCacheModelProperty(t *testing.T) {
 
 	for seed := int64(0); seed < int64(*cacheSeeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := &cacheModel{pages: make(map[mkey]mpage), evicted: make(map[msg.ObjectID]bool)}
+		m := &cacheModel{pages: make(map[mkey]mpage), evicted: make(map[mkey]bool)}
 		if seed%2 == 1 {
 			m.maxPages, m.quota = 5, 4*512
 		}
 		reg := stats.NewRegistry()
-		c := NewWithLimits(reg, "mp.", m.maxPages, m.quota)
+		tabs := []*Cache{NewWithLimits(reg, "mp.", m.maxPages, m.quota)}
+		if seed%4 >= 2 {
+			tabs = append(tabs, tabs[0].Sibling())
+		}
 
 		var ver uint64
 		for step := 0; step < steps; step++ {
+			tab := 0
+			if len(tabs) > 1 {
+				tab = rng.Intn(len(tabs))
+			}
+			c := tabs[tab]
 			ino := msg.ObjectID(rng.Intn(inos) + 1)
 			idx := uint64(rng.Intn(idxs))
-			k := mkey{ino, idx}
+			k := mkey{tab, ino, idx}
 			data := contents[rng.Intn(len(contents))]
 			ver++
 			evictions := reg.CounterValue("mp.cache.evictions")
@@ -384,23 +398,31 @@ func TestCacheModelProperty(t *testing.T) {
 			case 9:
 				c.Drop(ino)
 				for k2 := range m.pages {
-					if k2.ino == ino {
+					if k2.tab == tab && k2.ino == ino {
 						m.remove(k2)
 					}
 				}
-				delete(m.evicted, ino)
+				delete(m.evicted, mkey{tab: tab, ino: ino})
 			case 10:
 				c.DropPagesFrom(ino, idx)
 				for k2 := range m.pages {
-					if k2.ino == ino && k2.idx >= idx {
+					if k2.tab == tab && k2.ino == ino && k2.idx >= idx {
 						m.remove(k2)
 					}
 				}
 			case 11:
 				if rng.Intn(8) == 0 {
 					c.InvalidateAll()
-					m.pages, m.lru = make(map[mkey]mpage), nil
-					m.evicted = make(map[msg.ObjectID]bool)
+					for k2 := range m.pages {
+						if k2.tab == tab {
+							m.remove(k2)
+						}
+					}
+					for k2 := range m.evicted {
+						if k2.tab == tab {
+							delete(m.evicted, k2)
+						}
+					}
 				} else {
 					c.Lookup(ino, idx)
 					if resident && !p.dirty {
@@ -424,11 +446,11 @@ func TestCacheModelProperty(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d evictions, the model LRU made %d (%v)", seed, step, got, len(victims), victims)
 			}
 			for _, v := range victims {
-				if o := c.Object(v.ino); o != nil && o.Page(v.idx) != nil {
+				if o := tabs[v.tab].Object(v.ino); o != nil && o.Page(v.idx) != nil {
 					t.Fatalf("seed %d step %d: the model LRU evicted %v, the cache kept it", seed, step, v)
 				}
 			}
-			checkModel(t, c, reg, m, seed, step)
+			checkModel(t, tabs, reg, m, seed, step)
 			if t.Failed() {
 				return
 			}
@@ -436,12 +458,14 @@ func TestCacheModelProperty(t *testing.T) {
 	}
 }
 
-func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed int64, step int) {
+func checkModel(t *testing.T, tabs []*Cache, reg *stats.Registry, m *cacheModel, seed int64, step int) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 	}
 
+	// The store's figures read the same through any table.
+	c := tabs[0]
 	store := make(map[*block]int) // block → clean pages holding it
 	for _, b := range c.blocks {
 		for ; b != nil; b = b.next {
@@ -452,56 +476,68 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed
 	residentPages := 0
 	cleanContents := make(map[string]bool)
 	var wantBytes int64
-	for ino := msg.ObjectID(1); ino <= 3; ino++ {
-		o := c.Object(ino)
-		dirtyHere := 0
-		for idx := uint64(0); idx < 4; idx++ {
-			var p *Page
-			if o != nil {
-				p = o.Page(idx)
-			}
-			mp, inModel := m.pages[mkey{ino, idx}]
-			if p == nil {
-				if inModel {
-					fail("page (%d,%d) missing, the model holds it (dirty %v)", ino, idx, mp.dirty)
-				}
-				continue
-			}
-			if !inModel {
-				fail("cache kept or invented page (%d,%d)", ino, idx)
-			}
-			if p.blk == nil {
-				fail("page (%d,%d) has no block", ino, idx)
-			}
-			if string(p.Bytes()) != mp.content {
-				fail("page (%d,%d) content diverged from model", ino, idx)
-			}
-			if p.Dirty != mp.dirty {
-				fail("page (%d,%d) dirty flag = %v, model %v", ino, idx, p.Dirty, mp.dirty)
-			}
-			residentPages++
-			refs, inStore := store[p.blk]
-			if p.Dirty {
-				dirtyHere++
-				wantDirty++
-				wantBytes += int64(len(p.Bytes()))
-				if inStore || p.blk.refs != 1 {
-					fail("dirty page (%d,%d): block in store %v, refs %d; want a private block", ino, idx, inStore, p.blk.refs)
-				}
-			} else {
-				if !inStore {
-					fail("clean page (%d,%d) holds a block outside the store", ino, idx)
-				}
-				store[p.blk] = refs + 1
-				cleanContents[mp.content] = true
-			}
+	for tab, tc := range tabs {
+		if tc.store != c.store {
+			fail("table %d has a store of its own", tab)
 		}
-		if o != nil && o.DirtyCount() != dirtyHere {
-			fail("object %d dirtyKeys = %d, pages say %d", ino, o.DirtyCount(), dirtyHere)
+		tabDirty := 0
+		for ino := msg.ObjectID(1); ino <= 3; ino++ {
+			o := tc.Object(ino)
+			dirtyHere := 0
+			for idx := uint64(0); idx < 4; idx++ {
+				var p *Page
+				if o != nil {
+					p = o.Page(idx)
+				}
+				k := mkey{tab, ino, idx}
+				mp, inModel := m.pages[k]
+				if p == nil {
+					if inModel {
+						fail("page %v missing, the model holds it (dirty %v)", k, mp.dirty)
+					}
+					continue
+				}
+				if !inModel {
+					fail("cache kept or invented page %v", k)
+				}
+				if p.blk == nil {
+					fail("page %v has no block", k)
+				}
+				if string(p.Bytes()) != mp.content {
+					fail("page %v content diverged from model", k)
+				}
+				if p.Dirty != mp.dirty {
+					fail("page %v dirty flag = %v, model %v", k, p.Dirty, mp.dirty)
+				}
+				residentPages++
+				refs, inStore := store[p.blk]
+				if p.Dirty {
+					dirtyHere++
+					wantBytes += int64(len(p.Bytes()))
+					if inStore || p.blk.refs != 1 {
+						fail("dirty page %v: block in store %v, refs %d; want a private block", k, inStore, p.blk.refs)
+					}
+				} else {
+					if !inStore {
+						fail("clean page %v holds a block outside the store", k)
+					}
+					store[p.blk] = refs + 1
+					cleanContents[mp.content] = true
+				}
+			}
+			if o != nil && o.DirtyCount() != dirtyHere {
+				fail("table %d object %d dirtyKeys = %d, pages say %d", tab, ino, o.DirtyCount(), dirtyHere)
+			}
+			obj := mkey{tab: tab, ino: ino}
+			if got := o != nil && o.Evicted(); got != m.evicted[obj] {
+				fail("table %d object %d Evicted = %v, the model %v", tab, ino, got, m.evicted[obj])
+			}
+			tabDirty += dirtyHere
 		}
-		if got := o != nil && o.Evicted(); got != m.evicted[ino] {
-			fail("object %d Evicted = %v, the model %v", ino, got, m.evicted[ino])
+		if tc.TotalDirty() != tabDirty {
+			fail("table %d TotalDirty = %d, want %d", tab, tc.TotalDirty(), tabDirty)
 		}
+		wantDirty += tabDirty
 	}
 	for b, holders := range store {
 		if b.refs != holders {
@@ -510,9 +546,6 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed
 	}
 	for content := range cleanContents {
 		wantBytes += int64(len(content))
-	}
-	if c.TotalDirty() != wantDirty {
-		fail("TotalDirty = %d, want %d", c.TotalDirty(), wantDirty)
 	}
 	if g := reg.Gauge("mp.cache.dirty_pages").Value(); g != int64(wantDirty) {
 		fail("dirty_pages gauge = %d, want %d", g, wantDirty)
@@ -534,7 +567,7 @@ func checkModel(t *testing.T, c *Cache, reg *stats.Registry, m *cacheModel, seed
 		fail("ring holds %d pages, %d are clean, the model LRU %d", len(ring), residentPages-wantDirty, len(m.lru))
 	}
 	for i, p := range ring {
-		if k := m.lru[i]; c.Object(k.ino) == nil || c.Object(k.ino).Page(k.idx) != p {
+		if k := m.lru[i]; tabs[k.tab].Object(k.ino) == nil || tabs[k.tab].Object(k.ino).Page(k.idx) != p {
 			fail("ring position %d is not the model's %v (ring %d long, model %v)", i, k, len(ring), m.lru)
 		}
 	}

@@ -42,12 +42,13 @@ type Config struct {
 	// DisableReassert (ablation): skip lock reassertion after a server
 	// restart and always run the full lease recovery (cache loss).
 	DisableReassert bool
-	// CacheMaxPages bounds the resident data cache; clean pages are
-	// evicted LRU beyond it (0 = unbounded). Dirty pages are pinned.
+	// CacheMaxPages bounds the machine's resident data cache, one for all
+	// its authorities (Router); clean pages are evicted LRU beyond it (0 =
+	// unbounded). Dirty pages are pinned.
 	CacheMaxPages int
-	// CacheQuota bounds the resident data cache in bytes, counted after
-	// content dedup — pages sharing one content block cost its size once
-	// (0 = unbounded). Clean pages are evicted LRU beyond it; dirty
+	// CacheQuota bounds the machine's data cache in bytes, after dedup —
+	// pages sharing one content block, under any authority, cost its size
+	// once (0 = unbounded). Clean pages are evicted LRU beyond it; dirty
 	// pages are pinned. Both CacheMaxPages and CacheQuota may be set.
 	CacheQuota int64
 	// FlushBatch bounds how many dirty pages one vectored SAN write may
@@ -200,10 +201,17 @@ type Client struct {
 	prefetchBatches *stats.Counter
 }
 
-// New creates a client talking to server. reg, oracle, and tr may be
-// nil; tr receives the client's lease-lifecycle events.
+// New creates a client talking to server, with a page store of its own.
+// reg, oracle, and tr may be nil; tr receives lease-lifecycle events.
 func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	oracle checker.Oracle, reg *stats.Registry, tr *trace.Tracer) *Client {
+	return newClient(id, server, cfg, clock, ctrl, san, oracle, reg, tr, nil)
+}
+
+// newClient is New over pages, another instance's cache on the same
+// machine (nil: a store of the client's own).
+func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
+	oracle checker.Oracle, reg *stats.Registry, tr *trace.Tracer, pages *cache.Cache) *Client {
 	if err := cfg.Core.Validate(); err != nil {
 		panic(err)
 	}
@@ -217,6 +225,9 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		oracle = checker.Nop{}
 	}
 	prefix := fmt.Sprintf("client.%v.", id)
+	if pages == nil {
+		pages = cache.NewWithLimits(reg, prefix, cfg.CacheMaxPages, cfg.CacheQuota)
+	}
 	c := &Client{
 		id:              id,
 		cfg:             cfg,
@@ -225,7 +236,7 @@ func New(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		san:             san,
 		server:          server,
 		oracle:          oracle,
-		cache:           cache.NewWithLimits(reg, prefix, cfg.CacheMaxPages, cfg.CacheQuota),
+		cache:           pages,
 		names:           newNameCache(cfg.Policy.CachesNames(), reg, prefix),
 		handles:         make(map[msg.Handle]handleInfo),
 		sanCalls:        make(map[msg.ReqID]*sanPending),

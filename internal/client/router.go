@@ -1,6 +1,7 @@
 package client
 
 import (
+	"repro/internal/cache"
 	"repro/internal/checker"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -19,10 +20,10 @@ type Authority struct {
 }
 
 // Router is one client machine: S ≥ 1 instances of the protocol — one
-// lease, lock set, cache and request-ID space per (client, server) pair,
-// exactly the paper's §4 — behind one network identity. The
-// single-server installation is S = 1. Like the Client it is
-// transport-agnostic: the simulated harness and the live node both
+// lease, lock set, cached-object table and request-ID space per (client,
+// server) pair, exactly the paper's §4 — over one page store, behind one
+// network identity. The single-server installation is S = 1. Like the
+// Client it is transport-agnostic: the simulated harness and the live node both
 // attach Deliver and DeliverSAN to their networks and call the rest.
 //
 // Inode numbers are per authority, so the three inode-keyed calls (Stat,
@@ -45,10 +46,9 @@ const subShift = 48
 // authority 0's); oracles, when given, is one consistency oracle per
 // authority, since object IDs are per-authority and histories must not
 // mix. Every sub shares the node's clock — a machine has one oscillator
-// — and its two senders.
-//
-// The cache budget is the node's: CacheQuota and CacheMaxPages are split
-// evenly across the subs until one cache serves the whole node.
+// — its two senders, and its page store: the first sub's cache, under
+// the node's whole CacheQuota and CacheMaxPages, with an object table
+// per sub (cache.Cache.Sibling).
 func NewRouter(id msg.NodeID, auths []Authority, cfg Config, clock sim.Clock, ctrl, san Sender,
 	place func(path string) (int, bool), oracles []checker.Oracle,
 	reg *stats.Registry, tr *trace.Tracer) *Router {
@@ -63,8 +63,6 @@ func NewRouter(id msg.NodeID, auths []Authority, cfg Config, clock sim.Clock, ct
 		routes: make(map[msg.NodeID]*Client, len(auths)),
 		place:  place,
 	}
-	cfg.CacheQuota = share(cfg.CacheQuota, len(auths))
-	cfg.CacheMaxPages = int(share(int64(cfg.CacheMaxPages), len(auths)))
 	for i, a := range auths {
 		sub := cfg
 		// Disk identity cannot route a SAN reply (after a cross-shard
@@ -78,7 +76,11 @@ func NewRouter(id msg.NodeID, auths []Authority, cfg Config, clock sim.Clock, ct
 		if i < len(oracles) {
 			oracle = oracles[i]
 		}
-		c := New(id, a.ID, sub, clock, ctrl, san, oracle, reg, tr)
+		var pages *cache.Cache
+		if i > 0 {
+			pages = r.subs[0].cache.Sibling()
+		}
+		c := newClient(id, a.ID, sub, clock, ctrl, san, oracle, reg, tr, pages)
 		r.subs = append(r.subs, c)
 		r.routes[a.ID] = c
 		for _, m := range a.Group {
@@ -86,15 +88,6 @@ func NewRouter(id msg.NodeID, auths []Authority, cfg Config, clock sim.Clock, ct
 		}
 	}
 	return r
-}
-
-// share is one of n instances' part of a node-wide budget. A budget that
-// is set never rounds down to 0, which would mean unbounded.
-func share(total int64, n int) int64 {
-	if total == 0 {
-		return 0
-	}
-	return max(total/int64(n), 1)
 }
 
 // Deliver is the node's control-network handler: a message belongs to

@@ -76,7 +76,7 @@ func TestShardedClientOptionsReachEverySub(t *testing.T) {
 	opts.FlushBatch = 1 // per-page write-back: no vectored write anywhere
 	opts.Prefetch = -1
 	opts.FlushInterval = 500 * time.Millisecond
-	opts.CacheMaxPages = 8 // 4 pages per authority
+	opts.CacheMaxPages = 8 // the node's, across both authorities
 	cl := New(opts)
 	cl.Start()
 
@@ -102,7 +102,7 @@ func TestShardedClientOptionsReachEverySub(t *testing.T) {
 	}
 
 	// A sequential scan from the other client: no read-ahead, and no more
-	// than each sub's share of the page budget left resident.
+	// than the node's page budget left resident.
 	for si := 0; si < opts.Shards; si++ {
 		h, _ := cl.MustOpen(1, fmt.Sprintf("/s%d/f", si), false, false)
 		for b := uint64(0); b < blocks; b++ {
@@ -115,8 +115,8 @@ func TestShardedClientOptionsReachEverySub(t *testing.T) {
 		t.Errorf("%d read-ahead batches with Prefetch off", n)
 	}
 	for si, sub := range cl.Clients[1].Subs() {
-		if n := sub.Cache().ResidentPages(); n > opts.CacheMaxPages/opts.Shards {
-			t.Errorf("shard %d: %d pages resident, share of the bound is %d", si, n, opts.CacheMaxPages/opts.Shards)
+		if n := sub.Cache().ResidentPages(); n > opts.CacheMaxPages {
+			t.Errorf("shard %d: %d pages resident on the node, bound %d", si, n, opts.CacheMaxPages)
 		}
 	}
 	if v := cl.FinalCheck(); len(v) != 0 {

@@ -111,12 +111,33 @@ func TestUnroutablePath(t *testing.T) {
 // TestPerPairLeaseIndependence is §4's granularity argument as a test: a
 // failure between a client and ONE authority invalidates exactly the
 // locks and cache held with that authority; the client's leases with
-// other shards — and its service on them — continue untouched.
+// other shards — and its service on them, and their pages in the
+// node's one page store — continue untouched.
 func TestPerPairLeaseIndependence(t *testing.T) {
 	opts := subtreeOptions()
 	inst := cluster.New(opts)
 	inst.Start()
 	tau := opts.Core.Tau
+
+	// Clean shard-1 pages on node 0: written by node 1, read by node 0.
+	const cleanBlocks = 4
+	g, _ := inst.MustOpen(1, "/s1/g", true, true)
+	for i := uint64(0); i < cleanBlocks; i++ {
+		if errno := inst.Write(1, g, i, block(byte('g'+i))); errno != msg.OK {
+			t.Fatal(errno)
+		}
+	}
+	inst.Sync(1)
+	g0, _ := inst.MustOpen(0, "/s1/g", false, false)
+	readG := func() {
+		t.Helper()
+		for i := uint64(0); i < cleanBlocks; i++ {
+			if data, errno := inst.Read(0, g0, i); errno != msg.OK || !bytes.Equal(data, block(byte('g'+i))) {
+				t.Fatalf("read /s1/g block %d: %v", i, errno)
+			}
+		}
+	}
+	readG()
 
 	h0, _ := inst.MustOpen(0, "/s0/f", true, true)
 	h1, _ := inst.MustOpen(0, "/s1/f", true, true)
@@ -144,6 +165,22 @@ func TestPerPairLeaseIndependence(t *testing.T) {
 	if phases[1] != core.Phase1Valid {
 		t.Fatalf("shard-1 lease disturbed: %v", phases[1])
 	}
+	// Shard 0's episode has ended, and its instance's objects are gone
+	// from the node's store; shard 1's dirty and clean pages are not.
+	if n := inst.Reg.CounterValue("client.n10.lease.expiries"); n == 0 {
+		t.Fatal("shard-0 lease never expired")
+	}
+	if n := inst.Clients[0].Sub(0).Cache().Len(); n != 0 {
+		t.Fatalf("shard 0's instance still caches %d objects after its lease expired", n)
+	}
+	if n := inst.Clients[0].Sub(1).Cache().TotalDirty(); n != 4 {
+		t.Fatalf("shard 1's instance holds %d dirty pages after shard 0's expiry, want 4", n)
+	}
+	before := inst.Reg.CounterValue("net.san.sent.san-io")
+	readG()
+	if n := inst.Reg.CounterValue("net.san.sent.san-io") - before; n != 0 {
+		t.Fatalf("re-reading shard 1's cached blocks sent %d SAN messages, want 0", n)
+	}
 
 	// Shard 0's lock is recoverable by the other node after τ(1+ε); the
 	// partitioned sub flushed its dirty X in phase 4 first.
@@ -160,9 +197,10 @@ func TestPerPairLeaseIndependence(t *testing.T) {
 	if got := inst.FinalCheck(); len(got) != 0 {
 		t.Fatalf("violations: %v", got)
 	}
-	// Shard-1 cache was never invalidated (no recovery on that pair).
-	if n := inst.Reg.CounterValue("client.n10.lease.expiries"); n == 0 {
-		t.Fatal("expected exactly the shard-0 lease to expire")
+	// Shard-1 cache was never invalidated (no recovery on that pair), and
+	// no acknowledged write on either pair was lost.
+	if n := inst.Reg.CounterValue("client.n10.dirty_discarded"); n != 0 {
+		t.Fatalf("%d dirty pages discarded", n)
 	}
 }
 

@@ -156,8 +156,8 @@ func WithFlushBatch(n int) Option {
 }
 
 // WithCacheMaxPages bounds each client node's resident cache (0 =
-// unbounded); a node facing several authorities splits the bound evenly
-// across them. [sim, live client]
+// unbounded); a node facing several authorities keeps one cache under
+// the bound for all of them. [sim, live client]
 func WithCacheMaxPages(n int) Option {
 	return func(b *Build) { b.Cluster.CacheMaxPages = n }
 }
@@ -166,8 +166,8 @@ func WithCacheMaxPages(n int) Option {
 // counted after content dedup — pages sharing one content block cost its
 // size once (0 = unbounded). Clean pages are evicted LRU beyond the quota;
 // dirty pages are pinned until flushed. Composes with WithCacheMaxPages
-// (both bounds are enforced) and, like it, is split evenly across the
-// authorities a node faces. [sim, live client]
+// (both bounds are enforced) and, like it, bounds the node's one cache
+// whatever number of authorities it faces. [sim, live client]
 func WithCacheQuota(bytes int64) Option {
 	return func(b *Build) { b.Cluster.CacheQuota = bytes }
 }
