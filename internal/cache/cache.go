@@ -17,7 +17,7 @@ package cache
 
 import (
 	"hash/maphash"
-	"sort"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/stats"
@@ -96,7 +96,7 @@ func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
 // Cache is one protocol instance's object table over its machine's page
 // store, which every lease authority's instance shares (Sibling). The
 // budget, ring, content and counters are the machine's; the objects, and
-// what Object, TotalDirty, DirtyObjects, Len, Drop and InvalidateAll see,
+// what Object, TotalDirty, AppendDirtyObjects, Len, Drop and InvalidateAll see,
 // are the instance's. When a page or byte budget is set, clean pages of
 // any table are evicted from the cold end of the ring: least-recently-
 // used, unless LookupBehind or Hit filed a consumed page there, which
@@ -407,33 +407,35 @@ func (c *Cache) MarkClean(ino msg.ObjectID, idx uint64) {
 	c.evictIfNeeded()
 }
 
-// DirtyPages lists the dirty page indexes of an object.
-func (c *Cache) DirtyPages(ino msg.ObjectID) []uint64 {
+// AppendDirtyPages appends the dirty page indexes of an object to dst,
+// in ascending order, and returns the extended slice.
+func (c *Cache) AppendDirtyPages(dst []uint64, ino msg.ObjectID) []uint64 {
 	o := c.objects[ino]
 	if o == nil {
-		return nil
+		return dst
 	}
-	out := make([]uint64, 0, len(o.dirtyKeys))
+	n := len(dst)
 	for idx := range o.dirtyKeys {
-		out = append(out, idx)
+		dst = append(dst, idx)
 	}
 	// Deterministic order: flush I/O issue order is behaviour (the disks
 	// queue), and simulations must replay identically from a seed.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
-// DirtyObjects lists the instance's objects that have at least one dirty
-// page, in deterministic (ascending) order.
-func (c *Cache) DirtyObjects() []msg.ObjectID {
-	var out []msg.ObjectID
+// AppendDirtyObjects appends the instance's objects that have at least
+// one dirty page to dst, in ascending order, and returns the extended
+// slice.
+func (c *Cache) AppendDirtyObjects(dst []msg.ObjectID) []msg.ObjectID {
+	n := len(dst)
 	for ino, o := range c.objects {
 		if len(o.dirtyKeys) > 0 {
-			out = append(out, ino)
+			dst = append(dst, ino)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // TotalDirty returns the number of dirty pages in the instance's objects.

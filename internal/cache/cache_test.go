@@ -42,11 +42,11 @@ func TestWriteMarksDirty(t *testing.T) {
 	if !bytes.Equal(p.Bytes(), []byte("v2")) || p.Ver != 2 {
 		t.Fatalf("page = %+v", p)
 	}
-	dirty := c.DirtyPages(1)
+	dirty := c.AppendDirtyPages(nil, 1)
 	if len(dirty) != 2 {
 		t.Fatalf("DirtyPages = %v", dirty)
 	}
-	if objs := c.DirtyObjects(); len(objs) != 1 || objs[0] != 1 {
+	if objs := c.AppendDirtyObjects(nil); len(objs) != 1 || objs[0] != 1 {
 		t.Fatalf("DirtyObjects = %v", objs)
 	}
 }

@@ -1,7 +1,7 @@
 package client
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/msg"
 )
@@ -156,7 +156,7 @@ func (c *Client) settleSizes(fn func(msg.Errno)) {
 		return
 	}
 	// In a fixed order: the simulator's runs must repeat.
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	done := gather(len(inos), fn)
 	for _, ino := range inos {
 		c.settleSize(ino, done)

@@ -199,6 +199,10 @@ type Client struct {
 	// prefetchBatches counts read-ahead batches issued to the SAN (each
 	// one vectored read: a window's blocks on one disk).
 	prefetchBatches *stats.Counter
+
+	// scratch is reused by every flush while it collects its dirty pages
+	// (demand.go); nothing keeps it past the executor turn.
+	scratch flushScratch
 }
 
 // New creates a client talking to server, with a page store of its own.

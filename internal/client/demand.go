@@ -1,6 +1,8 @@
 package client
 
 import (
+	"slices"
+
 	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -171,16 +173,26 @@ type flushItem struct {
 	data []byte
 }
 
-// collectDirty snapshots ino's dirty pages as flush items. Pages without
-// a block mapping (allocation lost) are skipped; nothing safe to do.
-func (c *Client) collectDirty(ino msg.ObjectID) []flushItem {
-	dirty := c.cache.DirtyPages(ino)
+// flushScratch holds what a flush needs only while it collects: the
+// dirty objects and page indexes, and the disks in the order they first
+// appear. Grown on first use; each flush reslices it to zero.
+type flushScratch struct {
+	objs  []msg.ObjectID
+	pages []uint64
+	disks []msg.NodeID
+}
+
+// appendDirty appends ino's dirty pages to items as flush items. Pages
+// without a block mapping (allocation lost) are skipped; nothing safe to
+// do.
+func (c *Client) appendDirty(items []flushItem, ino msg.ObjectID) []flushItem {
 	o := c.cache.Object(ino)
-	if len(dirty) == 0 || o == nil || !o.HaveMap {
-		return nil
+	if o == nil || !o.HaveMap {
+		return items
 	}
-	items := make([]flushItem, 0, len(dirty))
-	for _, idx := range dirty {
+	c.scratch.pages = c.cache.AppendDirtyPages(c.scratch.pages[:0], ino)
+	items = slices.Grow(items, len(c.scratch.pages))
+	for _, idx := range c.scratch.pages {
 		if idx >= uint64(len(o.Blocks)) {
 			continue
 		}
@@ -225,6 +237,38 @@ func (c *Client) flushCommitted(it flushItem) {
 	c.oracle.Committed(c.id, it.ino, it.idx, it.ver)
 }
 
+// groupByDisk reorders items in place so that each disk's items are
+// adjacent, disks in the order they first appear and each disk's items
+// in their original order: a stable sort by first appearance, which
+// finds nothing to move when every dirty file sits on one disk.
+func (c *Client) groupByDisk(items []flushItem) {
+	disks := c.scratch.disks[:0]
+	grouped := true
+	for i, it := range items {
+		switch {
+		case !slices.Contains(disks, it.disk):
+			disks = append(disks, it.disk)
+		case it.disk != items[i-1].disk:
+			grouped = false // a disk seen before comes back
+		}
+	}
+	c.scratch.disks = disks
+	if !grouped {
+		rank := func(it flushItem) int { return slices.Index(disks, it.disk) }
+		slices.SortStableFunc(items, func(a, b flushItem) int { return rank(a) - rank(b) })
+	}
+}
+
+// nextBatch returns the end of the batch that starts at items[lo]: at
+// most limit items, all for one disk.
+func nextBatch(items []flushItem, lo, limit int) int {
+	hi := lo + 1
+	for hi < len(items) && hi-lo < limit && items[hi].disk == items[lo].disk {
+		hi++
+	}
+	return hi
+}
+
 // flushItems writes the items back, coalescing per target disk into
 // vectored batches of at most flushBatchLimit pages; done fires when the
 // last batch is acknowledged, with the first failure among them or OK. A
@@ -233,6 +277,9 @@ func (c *Client) flushCommitted(it flushItem) {
 // case outside burst flushes) are unchanged. Per-block failures inside a
 // batch leave those pages dirty for the next flush, exactly as a failed
 // scalar write would.
+//
+// items is the flush's own: it is grouped by disk in place, and each
+// batch's callback keeps its stretch of it.
 func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
 	if done == nil {
 		done = func(msg.Errno) {}
@@ -242,74 +289,60 @@ func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
 		return
 	}
 	limit := c.flushBatchLimit()
-	byDisk := make(map[msg.NodeID][]flushItem)
-	var order []msg.NodeID
+	c.groupByDisk(items)
 	batches := 0
-	for _, it := range items {
-		if _, ok := byDisk[it.disk]; !ok {
-			order = append(order, it.disk)
-		}
-		if len(byDisk[it.disk])%limit == 0 {
-			batches++
-		}
-		byDisk[it.disk] = append(byDisk[it.disk], it)
+	for lo := 0; lo < len(items); lo = nextBatch(items, lo, limit) {
+		batches++
 	}
 	finish := gather(batches, done)
-	for _, d := range order {
-		queue := byDisk[d]
-		for len(queue) > 0 {
-			n := limit
-			if n > len(queue) {
-				n = len(queue)
-			}
-			chunk := queue[:n]
-			queue = queue[n:]
-			if len(chunk) == 1 {
-				// Scalar write. The item's data aliases the live cache
-				// page, which cache.Write may re-dirty in place while the
-				// write is in flight — snapshot it into a pooled buffer,
-				// returned on un-retransmitted acknowledgment.
-				it := chunk[0]
-				buf := bufpool.Get(len(it.data))
-				copy(buf, it.data)
-				c.sanCallBuf(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
-					return &msg.DiskWrite{Client: c.id, Authority: c.server, Epoch: epoch,
-						Req: req, Block: it.num, Data: buf, Ver: it.ver}
-				}, buf, func(reply msg.Message, errno msg.Errno) {
-					if errno == msg.OK {
-						c.flushCommitted(it)
-					}
-					finish(errno)
-				})
-				continue
-			}
-			chunk = append([]flushItem(nil), chunk...)
-			vecs := make([]msg.BlockVec, len(chunk))
-			payload := bufpool.Get(len(chunk) * BlockSize)
-			for i, it := range chunk {
-				vecs[i] = msg.BlockVec{Block: it.num, Ver: it.ver}
-				copy(payload[i*BlockSize:(i+1)*BlockSize], it.data)
-			}
+	for lo, hi := 0, 0; lo < len(items); lo = hi {
+		hi = nextBatch(items, lo, limit)
+		batch := items[lo:hi:hi]
+		d := batch[0].disk
+		if len(batch) == 1 {
+			// Scalar write. The item's data aliases the live cache
+			// page, which cache.Write may re-dirty in place while the
+			// write is in flight — snapshot it into a pooled buffer,
+			// returned on un-retransmitted acknowledgment.
+			it := &batch[0]
+			buf := bufpool.Get(len(it.data))
+			copy(buf, it.data)
 			c.sanCallBuf(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
-				return &msg.DiskWriteV{Client: c.id, Authority: c.server, Epoch: epoch,
-					Req: req, Blocks: vecs, Data: payload}
-			}, payload, func(reply msg.Message, errno msg.Errno) {
-				res, _ := reply.(*msg.DiskWriteVRes)
-				failed := errno
-				for i, it := range chunk {
-					e := errno
-					if res != nil && i < len(res.Errs) {
-						e = res.Errs[i]
-					}
-					if e == msg.OK {
-						c.flushCommitted(it)
-					} else if failed == msg.OK {
-						failed = e
-					}
+				return &msg.DiskWrite{Client: c.id, Authority: c.server, Epoch: epoch,
+					Req: req, Block: it.num, Data: buf, Ver: it.ver}
+			}, buf, func(reply msg.Message, errno msg.Errno) {
+				if errno == msg.OK {
+					c.flushCommitted(*it)
 				}
-				finish(failed)
+				finish(errno)
 			})
+			continue
 		}
+		vecs := make([]msg.BlockVec, len(batch))
+		payload := bufpool.Get(len(batch) * BlockSize)
+		for i, it := range batch {
+			vecs[i] = msg.BlockVec{Block: it.num, Ver: it.ver}
+			copy(payload[i*BlockSize:(i+1)*BlockSize], it.data)
+		}
+		c.sanCallBuf(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+			return &msg.DiskWriteV{Client: c.id, Authority: c.server, Epoch: epoch,
+				Req: req, Blocks: vecs, Data: payload}
+		}, payload, func(reply msg.Message, errno msg.Errno) {
+			res, _ := reply.(*msg.DiskWriteVRes)
+			failed := errno
+			for i, it := range batch {
+				e := errno
+				if res != nil && i < len(res.Errs) {
+					e = res.Errs[i]
+				}
+				if e == msg.OK {
+					c.flushCommitted(it)
+				} else if failed == msg.OK {
+					failed = e
+				}
+			}
+			finish(failed)
+		})
 	}
 }
 
@@ -317,7 +350,7 @@ func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
 // when the last write is acknowledged. done runs immediately when there
 // is nothing dirty.
 func (c *Client) flushObject(ino msg.ObjectID, done func(msg.Errno)) {
-	c.flushItems(c.collectDirty(ino), done)
+	c.flushItems(c.appendDirty(nil, ino), done)
 }
 
 // flushAll flushes every dirty object; done fires when all writes are
@@ -325,9 +358,14 @@ func (c *Client) flushObject(ino msg.ObjectID, done func(msg.Errno)) {
 // DIFFERENT objects that live on the same disk coalesce into the same
 // batches — the scatter-gather message addresses blocks, not files.
 func (c *Client) flushAll(done func(msg.Errno)) {
-	var items []flushItem
-	for _, ino := range c.cache.DirtyObjects() {
-		items = append(items, c.collectDirty(ino)...)
+	c.scratch.objs = c.cache.AppendDirtyObjects(c.scratch.objs[:0])
+	n := 0
+	for _, ino := range c.scratch.objs {
+		n += c.cache.Object(ino).DirtyCount()
+	}
+	items := make([]flushItem, 0, n)
+	for _, ino := range c.scratch.objs {
+		items = c.appendDirty(items, ino)
 	}
 	c.flushItems(items, done)
 }

@@ -2,10 +2,12 @@ package client_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/msg"
+	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -96,5 +98,97 @@ func TestComplianceOutlivingLeaseHoldsNothing(t *testing.T) {
 				t.Fatalf("violations: %v", got)
 			}
 		})
+	}
+}
+
+// A flush groups its pages by disk in place: disks in the order they
+// first appear among the dirty pages — objects by inode number, each
+// object's pages by index — each disk's pages in that order, cut into
+// batches of at most FlushBatch. Each of the two files here is written
+// from its first block to its last, and each of its grants (1, 1, 2, 4
+// and 8 blocks) comes from the other disk, so the flush has to gather
+// each disk's pages from across both files. The sequence of DiskWrite
+// and DiskWriteV must be the one that a map from disk to pages and a
+// list of disks in first-seen order produced before the grouping moved
+// into the flush's own slice. The SAN delivers in send order (no jitter),
+// so what the disks receive is what the client sent.
+func TestFlushGroupsPagesByDisk(t *testing.T) {
+	opts := cluster.DefaultOptions()
+	opts.Disks = 2
+	opts.FlushBatch = 3
+	opts.NoChecker = true
+	opts.SAN.DelayMax = opts.SAN.DelayMin
+	cl := cluster.New(opts)
+	cl.Start()
+	const pages = 16
+	paths := []string{"/a", "/b"}
+	data := make([]byte, cluster.BlockSize)
+	// A clean block first, so that the dirty pages start on the disk
+	// with the higher ID: first appearance, not ID, orders the batches.
+	h, _ := cl.MustOpen(0, "/clean", true, true)
+	if e := cl.Write(0, h, 0, data); e != msg.OK || cl.Sync(0) != msg.OK {
+		t.Fatalf("write /clean: %v", e)
+	}
+	for _, p := range paths {
+		h, _ := cl.MustOpen(0, p, true, true)
+		for idx := uint64(0); idx < pages; idx++ {
+			if e := cl.Write(0, h, idx, data); e != msg.OK {
+				t.Fatalf("%s: write %d: %v", p, idx, e)
+			}
+		}
+	}
+
+	// The dirty pages in the order the flush collects them: the files
+	// were created in order, so their inode numbers ascend with paths.
+	var dirty []msg.BlockRef
+	for _, p := range paths {
+		in, errno := cl.Shards[0].Store.Lookup(p)
+		if errno != msg.OK || len(in.Blocks) < pages {
+			t.Fatalf("%s: %v, %d blocks placed", p, errno, len(in.Blocks))
+		}
+		dirty = append(dirty, in.Blocks[:pages]...)
+	}
+	byDisk := make(map[msg.NodeID][]msg.BlockRef)
+	var order []msg.NodeID
+	for _, ref := range dirty {
+		if _, ok := byDisk[ref.Disk]; !ok {
+			order = append(order, ref.Disk)
+		}
+		byDisk[ref.Disk] = append(byDisk[ref.Disk], ref)
+	}
+	if len(order) != 2 || order[0] < order[1] || dirty[1].Disk == dirty[0].Disk || dirty[2].Disk != dirty[0].Disk {
+		t.Fatalf("test is vacuous: the dirty pages do not alternate between two disks, higher ID first: %v", dirty)
+	}
+	var want [][]msg.BlockRef
+	for _, d := range order {
+		for q := byDisk[d]; len(q) > 0; {
+			n := min(len(q), opts.FlushBatch)
+			want = append(want, q[:n])
+			q = q[n:]
+		}
+	}
+
+	var got [][]msg.BlockRef
+	observe := cl.SAN.Observer
+	cl.SAN.Observer = func(ev simnet.Event) {
+		observe(ev)
+		var batch []msg.BlockRef
+		switch m := ev.Env.Payload.(type) {
+		case *msg.DiskWrite:
+			batch = append(batch, msg.BlockRef{Disk: ev.Env.To, Num: m.Block})
+		case *msg.DiskWriteV:
+			for _, v := range m.Blocks {
+				batch = append(batch, msg.BlockRef{Disk: ev.Env.To, Num: v.Block})
+			}
+		default:
+			return
+		}
+		got = append(got, batch)
+	}
+	if e := cl.Sync(0); e != msg.OK {
+		t.Fatalf("sync: %v", e)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the flush wrote\n%v\nwant\n%v", got, want)
 	}
 }

@@ -137,10 +137,13 @@ var raceOn bool
 // copy it hands out and the write nothing (4 each when they ran through
 // the callback chain) — the same two through the simulated installation's
 // Read and Write, which are calls on its SyncClient and so take the hit
-// functions too (6 and 4 when they pumped their own callbacks), and one
+// functions too (6 and 4 when they pumped their own callbacks); one
 // writer→reader handoff cycle over the simulated installation, at what it
-// measured once a request and a renewal armed no timer (314 before).
-// They guard alloc_kb_per_op on scan_cold, append_sync and lock_handoff.
+// measured once a flush and a pumped call allocated per batch and per
+// record (256 before, 314 before a request and a renewal armed no timer);
+// and one append cycle — eight writes and a Sync — at the same (70
+// before). They guard alloc_kb_per_op on scan_cold, append_sync and
+// lock_handoff.
 func TestDataPathAllocations(t *testing.T) {
 	if bufpool.Debug {
 		t.Skip("tankdebug hooks allocate by design")
@@ -210,7 +213,7 @@ func TestDataPathAllocations(t *testing.T) {
 	}
 	handoff()
 	demands := cl.Reg.CounterValue("server.demands_sent")
-	const maxHandoff = 258
+	const maxHandoff = 234
 	got := testing.AllocsPerRun(50, handoff)
 	t.Logf("handoff cycle: %v allocations", got)
 	if got > maxHandoff {
@@ -219,5 +222,36 @@ func TestDataPathAllocations(t *testing.T) {
 	// AllocsPerRun runs the cycle once more than it measures.
 	if n := cl.Reg.CounterValue("server.demands_sent") - demands; n < 4*51 {
 		t.Fatalf("the handoff cycles made %d demands, want at least 4 a cycle", n)
+	}
+
+	// The append cycle: eight blocks written, then a Sync that flushes
+	// them as one vectored write.
+	ha, _ := cl.MustOpen(0, "/append", true, true)
+	appendCycle := func() {
+		for idx := uint64(0); idx < 8; idx++ {
+			if e := cl.Write(0, ha, idx, data); e != msg.OK {
+				t.Fatalf("write %d: %v", idx, e)
+			}
+		}
+		if e := cl.Sync(0); e != msg.OK {
+			t.Fatalf("sync: %v", e)
+		}
+	}
+	batched := func() (n uint64) {
+		for _, d := range cl.Disks {
+			n += cl.Reg.CounterValue(fmt.Sprintf("disk.%v.batched_blocks", d.ID()))
+		}
+		return n
+	}
+	appendCycle()
+	blocks := batched()
+	const maxAppend = 46
+	got = testing.AllocsPerRun(50, appendCycle)
+	t.Logf("append cycle: %v allocations", got)
+	if got > maxAppend {
+		t.Errorf("append cycle: %v allocations, want at most %v", got, maxAppend)
+	}
+	if n := batched() - blocks; n != 8*51 {
+		t.Fatalf("the append cycles wrote %d blocks in batches, want 8 a cycle", n)
 	}
 }

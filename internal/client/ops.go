@@ -66,8 +66,12 @@ func errnoOf(r *msg.Reply) msg.Errno {
 }
 
 // gather returns a callback to be called n times, once per outcome; the
-// n-th call calls done with the first failure among them, or OK.
+// n-th call calls done with the first failure among them, or OK. For one
+// outcome that callback is done itself.
 func gather(n int, done func(msg.Errno)) func(msg.Errno) {
+	if n == 1 {
+		return done
+	}
 	// One variable, so that capturing it costs one allocation, not two.
 	g := struct {
 		left  int

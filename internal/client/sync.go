@@ -13,6 +13,12 @@ import (
 // a live node submits to its executor and blocks the calling goroutine.
 type Await func(start func(done func())) bool
 
+// Pump is an Await that is also handed the call's completion record, c.
+// The record belongs to the SyncClient's reply record and is reused with
+// it, so a pump that keeps its per-call state there (Call.Arm, Call.Wait)
+// allocates nothing for it.
+type Pump func(c *Call, start func(done func())) bool
+
 // Token is a runtime's right to run client code on the calling
 // goroutine: Enter takes it when nothing else runs or waits to run, and
 // reports whether it did; Leave gives back what a true Enter took.
@@ -40,9 +46,9 @@ type Token interface {
 type SyncClient struct {
 	r *Router
 	// sub serves the inode-keyed calls.
-	sub   *Client
-	await Await
-	tok   Token
+	sub  *Client
+	pump Pump
+	tok  Token
 	// spare is the reply record of the last call that completed, kept for
 	// the next; see reply.
 	spare *atomic.Pointer[reply]
@@ -51,13 +57,14 @@ type SyncClient struct {
 // NewSync wraps c, as a node with one protocol instance, with the
 // runtime's pump; every call goes through it.
 func NewSync(c *Client, await Await) *SyncClient {
-	return NewSyncInline(&Router{subs: []*Client{c}}, await, nil)
+	pump := func(_ *Call, start func(done func())) bool { return await(start) }
+	return NewSyncInline(&Router{subs: []*Client{c}}, pump, nil)
 }
 
 // NewSyncInline wraps the node r with the runtime's pump; with a token,
 // its hits run under tok, with no pump.
-func NewSyncInline(r *Router, await Await, tok Token) *SyncClient {
-	return &SyncClient{r: r, sub: r.subs[0], await: await, tok: tok, spare: new(atomic.Pointer[reply])}
+func NewSyncInline(r *Router, pump Pump, tok Token) *SyncClient {
+	return &SyncClient{r: r, sub: r.subs[0], pump: pump, tok: tok, spare: new(atomic.Pointer[reply])}
 }
 
 // Owner returns a SyncClient over the same node whose inode-keyed calls go
@@ -76,18 +83,25 @@ func (s *SyncClient) Owner(path string) *SyncClient {
 // enter takes the token for a hit function; Leave gives it back.
 func (s *SyncClient) enter() bool { return s.tok != nil && s.tok.Enter() }
 
-// reply is what one pumped operation reports: the operation's callback is
-// one of reply's methods, which fills the fields the operation has and
-// calls done, the pump's completion.
+// reply is one pumped call's record: its completion, which the pump
+// uses, and its results. The operation's callback is one of reply's
+// methods, which fills the results the operation has and calls done, the
+// pump's completion.
 //
 // A SyncClient hands the record of a call that completed to the next
 // call: its callback has run, and nothing holds the record any more. The
 // record of a call the pump gave up on is left behind, since its callback
 // may still run. So a pumped call allocates its pump closure and its
-// callback here, and nothing for its results: no more than the
-// simulator's hand-pumped calls this replaced (TestDataPathAllocations'
-// handoff cycle).
+// callback here, and nothing for its results or its completion: no more
+// than the simulator's hand-pumped calls this replaced
+// (TestDataPathAllocations' handoff cycle).
 type reply struct {
+	result
+	call Call
+}
+
+// result is what one pumped operation reports.
+type result struct {
 	h       msg.Handle
 	attr    msg.Attr
 	data    []byte
@@ -112,14 +126,13 @@ func (s *SyncClient) reply() *reply {
 	return new(reply)
 }
 
-// finish collects what the pumped call recorded in r, given what the pump
-// reported: ErrStale when it gave up first.
-func (s *SyncClient) finish(r *reply, completed bool) (reply, error) {
-	if !completed {
-		return reply{}, msg.ErrStale
+// await runs the call start begins through the pump, with r's completion.
+func (s *SyncClient) await(r *reply, start func(done func())) (result, error) {
+	if !s.pump(&r.call, start) {
+		return result{}, msg.ErrStale
 	}
-	out := *r
-	*r = reply{}
+	out := r.result
+	r.result = result{}
 	s.spare.Store(r)
 	return out, out.errno.Or()
 }
@@ -127,14 +140,14 @@ func (s *SyncClient) finish(r *reply, completed bool) (reply, error) {
 // Open opens (optionally creating) a path for reading or writing.
 func (s *SyncClient) Open(path string, write, create bool) (msg.Handle, msg.Attr, error) {
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Open(path, write, create, r.opened) }))
+	out, err := s.await(r, func(done func()) { r.done = done; s.r.Open(path, write, create, r.opened) })
 	return out.h, out.attr, err
 }
 
 // Create makes a file or directory.
 func (s *SyncClient) Create(path string, isDir bool) (msg.Attr, error) {
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Create(path, isDir, r.attrs) }))
+	out, err := s.await(r, func(done func()) { r.done = done; s.r.Create(path, isDir, r.attrs) })
 	return out.attr, err
 }
 
@@ -152,7 +165,7 @@ func (s *SyncClient) Lookup(path string) (msg.Attr, error) {
 		}
 	}
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Lookup(path, r.attrs) }))
+	out, err := s.await(r, func(done func()) { r.done = done; sub.Lookup(path, r.attrs) })
 	return out.attr, err
 }
 
@@ -166,7 +179,7 @@ func (s *SyncClient) Stat(ino msg.ObjectID) (msg.Attr, error) {
 		}
 	}
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.Stat(ino, r.attrs) }))
+	out, err := s.await(r, func(done func()) { r.done = done; s.sub.Stat(ino, r.attrs) })
 	return out.attr, err
 }
 
@@ -180,7 +193,7 @@ func (s *SyncClient) Readdir(ino msg.ObjectID) ([]msg.DirEntry, error) {
 		}
 	}
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.Readdir(ino, r.listed) }))
+	out, err := s.await(r, func(done func()) { r.done = done; s.sub.Readdir(ino, r.listed) })
 	return out.entries, err
 }
 
@@ -195,7 +208,7 @@ func (s *SyncClient) ReadAt(h msg.Handle, idx uint64) ([]byte, error) {
 		}
 	}
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Read(h, idx, r.read) }))
+	out, err := s.await(r, func(done func()) { r.done = done; sub.Read(h, idx, r.read) })
 	return out.data, err
 }
 
@@ -211,7 +224,7 @@ func (s *SyncClient) WriteAt(h msg.Handle, idx uint64, data []byte) error {
 		}
 	}
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; sub.Write(h, idx, data, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; sub.Write(h, idx, data, r.status) })
 	return err
 }
 
@@ -221,21 +234,21 @@ func (s *SyncClient) WriteAt(h msg.Handle, idx uint64, data []byte) error {
 // the servers have the size of every file the writes extended.
 func (s *SyncClient) SyncAll() error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Sync(r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.r.Sync(r.status) })
 	return err
 }
 
 // Close closes an open handle.
 func (s *SyncClient) Close(h msg.Handle) error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Close(h, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.r.Close(h, r.status) })
 	return err
 }
 
 // Unlink removes a path.
 func (s *SyncClient) Unlink(path string) error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Unlink(path, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.r.Unlink(path, r.status) })
 	return err
 }
 
@@ -243,21 +256,21 @@ func (s *SyncClient) Unlink(path string) error {
 // object lives at its new home (Router.Rename).
 func (s *SyncClient) Rename(oldPath, newPath string) error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Rename(oldPath, newPath, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.r.Rename(oldPath, newPath, r.status) })
 	return err
 }
 
 // Truncate resizes an open file to nBlocks blocks.
 func (s *SyncClient) Truncate(h msg.Handle, nBlocks uint32) error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.r.Truncate(h, nBlocks, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.r.Truncate(h, nBlocks, r.status) })
 	return err
 }
 
 // ReleaseLock gives up the client's data lock on ino.
 func (s *SyncClient) ReleaseLock(ino msg.ObjectID) error {
 	r := s.reply()
-	_, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.ReleaseLock(ino, r.status) }))
+	_, err := s.await(r, func(done func()) { r.done = done; s.sub.ReleaseLock(ino, r.status) })
 	return err
 }
 
@@ -265,6 +278,6 @@ func (s *SyncClient) ReleaseLock(ino msg.ObjectID) error {
 // now for its negotiation state (Client.ReplicaInfo).
 func (s *SyncClient) ReplicaInfo() (msg.ReplicaInfoRes, error) {
 	r := s.reply()
-	out, err := s.finish(r, s.await(func(done func()) { r.done = done; s.sub.ReplicaInfo(r.replica) }))
+	out, err := s.await(r, func(done func()) { r.done = done; s.sub.ReplicaInfo(r.replica) })
 	return out.info, err
 }

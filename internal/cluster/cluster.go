@@ -313,7 +313,7 @@ func New(opts Options) *Cluster {
 		CacheMaxPages: opts.CacheMaxPages, CacheQuota: opts.CacheQuota,
 		FlushBatch: opts.FlushBatch, Prefetch: opts.Prefetch,
 	}
-	pump := func(start func(done func())) bool { return cl.Await(time.Minute, start) }
+	pump := func(c *client.Call, start func(done func())) bool { return cl.pump(c, time.Minute, start) }
 	for i := 0; i < opts.Clients; i++ {
 		id := ClientID(i)
 		var clock sim.Clock = newClock()
@@ -442,13 +442,18 @@ func (cl *Cluster) Start() {
 // Await runs the simulation until the operation started by start calls
 // done, or the queue drains, or maxSim elapses. It reports completion.
 func (cl *Cluster) Await(maxSim time.Duration, start func(done func())) bool {
-	finished := false
+	return cl.pump(new(client.Call), maxSim, start)
+}
+
+// pump is Await with the call's completion record c: a SyncClient's,
+// reused from call to call.
+func (cl *Cluster) pump(c *client.Call, maxSim time.Duration, start func(done func())) bool {
 	deadline := cl.Sched.Now().Add(maxSim)
-	start(func() { finished = true })
+	c.Arm(start)()
 	cl.Sched.RunWhile(func() bool {
-		return !finished && !cl.Sched.Now().After(deadline)
+		return !c.Completed() && !cl.Sched.Now().After(deadline)
 	})
-	return finished
+	return c.Completed()
 }
 
 // RunFor advances the installation by d of simulated time.

@@ -11,6 +11,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockstore"
@@ -104,6 +105,11 @@ type Disk struct {
 	// carried (lazy, like mediaErrs): blocks/ops is the mean batch size.
 	batchOps    *stats.Counter
 	batchBlocks *stats.Counter
+
+	// writeBatch and writePos are writeV's scratch: the disk serves one
+	// request at a time, and the media keeps neither past the call.
+	writeBatch []blockstore.BlockWrite
+	writePos   []int
 }
 
 // Option customizes a disk beyond its Config.
@@ -405,8 +411,8 @@ func (d *Disk) writeV(m *msg.DiskWriteV) {
 		fail(msg.ErrRange)
 		return
 	}
-	batch := make([]blockstore.BlockWrite, 0, n)
-	pos := make([]int, 0, n) // batch index -> request index
+	batch := slices.Grow(d.writeBatch[:0], n)
+	pos := slices.Grow(d.writePos[:0], n) // batch index -> request index
 	for i, bv := range m.Blocks {
 		if bv.Block >= d.cfg.Blocks {
 			res.Errs[i] = msg.ErrRange
@@ -430,6 +436,8 @@ func (d *Disk) writeV(m *msg.DiskWriteV) {
 			d.obs.Committed(d.id, batch[j].Block, batch[j].Ver, m.Client)
 		}
 	}
+	clear(batch) // unpin the request's payload
+	d.writeBatch, d.writePos = batch[:0], pos[:0]
 	for _, e := range res.Errs {
 		if e != msg.OK {
 			res.Err = e

@@ -1,11 +1,14 @@
 package rpcnet
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/msg"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -57,6 +60,61 @@ func BenchmarkSyncHit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSyncAppend is tankbench's append_sync on one live client over
+// loopback: per op, eight WriteAt calls extend a file by 32 KiB and a
+// SyncAll writes the blocks back, in one DiskWriteV, and settles the
+// size. At 1 024 blocks the file is truncated to empty, untimed, as
+// append_sync does. Every call that waits joins the node's deadline
+// queue, which arms at most one timer per timeout; timers/op counts the
+// timers armed on the node's timeout clock. τ and the retry interval are
+// an hour, so no keep-alive or retransmission lands in the loop.
+func BenchmarkSyncAppend(b *testing.B) {
+	const (
+		blocks = 8
+		wrap   = 1024
+	)
+	cfg := liveCore()
+	cfg.Tau = time.Hour
+	cfg.RetryInterval = time.Hour
+	lc := startLiveCfg(b, 1, cfg)
+	cn := lc.clients[0]
+	if err := cn.Start(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	fs := cn.Sync(5 * time.Second)
+	h, _, err := fs.Open("/append", true, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := bytes.Repeat([]byte{'a'}, client.BlockSize)
+	clk := &sim.CountingClock{Clock: cn.tmo}
+	cn.tmo = clk
+	next := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == wrap {
+			b.StopTimer()
+			if err := fs.Truncate(h, 0); err != nil {
+				b.Fatal(err)
+			}
+			next = 0
+			b.StartTimer()
+		}
+		for k := 0; k < blocks; k++ {
+			if err := fs.WriteAt(h, next, block); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		if err := fs.SyncAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(clk.Armed())/float64(b.N), "timers/op")
 }
 
 // BenchmarkExecutorDo is a task brought to an idle executor: it runs on

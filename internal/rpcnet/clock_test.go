@@ -206,13 +206,46 @@ func awaitNode(t *testing.T, id msg.NodeID) (*ClientNode, *pendingClock) {
 	return n, clk
 }
 
+// await is Sync's pump for a call with a completion record of its own —
+// as every call that times out has, since a SyncClient never hands its
+// record out again.
+func (n *ClientNode) await(start func(done func()), timeout time.Duration) bool {
+	return n.pump(new(client.Call), start, timeout)
+}
+
+// queueClock is a sim.Clock stub for the node's Deadlines. Now announces
+// on queued that a call is joining the queue — the queue is the only
+// reader of the timeout clock's Now while no Start or Close runs — and
+// the timers it arms are only counted: none fires.
+type queueClock struct {
+	queued chan struct{}
+	armed  atomic.Int64
+}
+
+func (c *queueClock) Now() sim.Time {
+	c.queued <- struct{}{}
+	return 0
+}
+
+func (c *queueClock) AfterFunc(time.Duration, func()) sim.Timer {
+	c.armed.Add(1)
+	return recTimer{}
+}
+
+func (c *queueClock) Deadline(at sim.Time) sim.Deadline { return sim.Deadline(at) }
+
+func (c *queueClock) AtFunc(dl sim.Deadline, fn func()) sim.Timer {
+	return c.AfterFunc(0, fn)
+}
+
 // TestSyncStopsItsTimeoutTimer pins what a Sync call costs beside its
 // operation. One that completes in the caller's own turn — every cache
-// hit — arms no timer and makes no channel: the pump's whole cost is the
-// completion token and the two method values bound to it. One that has to
-// wait arms exactly one timer and takes it along when it completes, or
-// every operation of the last 30 s would hold a timer, a channel and a
-// closure (0.7 KB of RSS per operation under load).
+// hit — arms no timer and, with its SyncClient's reused record, allocates
+// nothing. One that has to wait allocates nothing either, beyond the
+// closure that starts its operation (made once here): it joins the node's
+// deadline queue and leaves it when done fires, and 1 000 of them arm at
+// most one timer between them — the queue's, for the first call's
+// deadline — where each used to arm, and stop, a timer of its own.
 func TestSyncStopsItsTimeoutTimer(t *testing.T) {
 	n, clk := awaitNode(t, 9)
 	sc := n.Sync(0)
@@ -225,22 +258,39 @@ func TestSyncStopsItsTimeoutTimer(t *testing.T) {
 	if armed, _ := clk.counts(); armed != 0 {
 		t.Fatalf("%d timers armed for %d calls that completed in place", armed, calls)
 	}
+	var c client.Call
 	inPlace := func(done func()) { done() }
-	if allocs := testing.AllocsPerRun(1000, func() { n.await(inPlace, time.Second) }); allocs > 3 {
-		t.Fatalf("a call that completes in place allocates %.0f objects, want at most the token and its two method values (a channel would be a fourth)", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { n.pump(&c, inPlace, time.Second) }); allocs != 0 {
+		t.Fatalf("a call that completes in place allocates %.0f objects, want 0", allocs)
 	}
 
-	// An operation that waits: its done fires in a later task.
-	var done func()
-	returned := make(chan bool)
-	go func() { returned <- n.await(func(d func()) { done = d }, time.Second) }()
-	<-clk.armedCh
-	n.Do(func() { done() })
-	if ok := <-returned; !ok {
-		t.Fatal("a completed call reported a timeout")
+	// Operations that wait: each one's done fires in a task once the call
+	// has joined the queue.
+	qc := &queueClock{queued: make(chan struct{}, 1)}
+	n.tmo = qc
+	dones := make(chan func(), 1)
+	go func() {
+		for d := range dones {
+			<-qc.queued
+			n.Do(d)
+		}
+	}()
+	defer close(dones)
+	start := func(d func()) { dones <- d }
+	waited := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if n.pump(&c, start, time.Second) {
+			waited++
+		}
+	})
+	if waited != 1001 {
+		t.Fatalf("%d of 1001 calls that waited reported completion", waited)
 	}
-	if armed, pending := clk.counts(); armed != 1 || pending != 0 {
-		t.Fatalf("a call that waited armed %d timers and left %d pending, want 1 and 0", armed, pending)
+	if allocs != 0 {
+		t.Errorf("a call that waits allocates %.0f objects beyond its start closure, want 0", allocs)
+	}
+	if armed := qc.armed.Load(); armed > 1 {
+		t.Errorf("1001 calls that waited armed %d timers, want at most 1", armed)
 	}
 }
 

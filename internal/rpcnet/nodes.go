@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockstore"
@@ -428,6 +427,9 @@ type ClientNode struct {
 	// still fire when the executor is the thing that is stuck. WithClock
 	// overrides it.
 	tmo sim.Clock
+	// deadlines holds the Sync calls that wait, by when they time out on
+	// tmo.
+	deadlines client.Deadlines
 	// closing makes Close idempotent.
 	closing sync.Once
 }
@@ -524,65 +526,21 @@ func (n *ClientNode) Sync(timeout time.Duration) *client.SyncClient {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	return client.NewSyncInline(n.Router, func(start func(done func())) bool {
-		return n.await(start, timeout)
+	return client.NewSyncInline(n.Router, func(c *client.Call, start func(done func())) bool {
+		return n.pump(c, start, timeout)
 	}, n.Exec)
 }
 
-// await is Sync's pump. The branch that returns first is an operation
+// pump is Sync's pump. The branch that returns first is an operation
 // that completed in the caller's turn — a failure the client gives at
 // once, a hole, a sync with nothing to send, a hit that found the
-// executor busy at first and idle by the time Do ran it: it makes no
-// channel and arms no timer.
-func (n *ClientNode) await(start func(done func()), timeout time.Duration) bool {
-	c := &syncCall{start: start}
-	n.Exec.Do(c.run)
-	if c.state.Load() == callDone {
-		return true
-	}
-	return c.wait(n.tmo, timeout)
-}
-
-// syncCall is one Sync call's completion token, shared by the caller and
-// the task that runs the operation. It is made per call and never reused,
-// so a done that fires late — after its call timed out — or twice finds
-// only its own, finished, token.
-type syncCall struct {
-	start func(done func())
-	state atomic.Uint32
-	// ch is made by a caller that has to wait, before it moves state to
-	// callWaiting; done sends on it only after seeing that state.
-	ch chan bool
-}
-
-const (
-	callRunning uint32 = iota
-	callWaiting        // the caller is parked on ch
-	callDone
-)
-
-func (c *syncCall) run() { c.start(c.done) }
-
-func (c *syncCall) done() {
-	if c.state.Swap(callDone) == callWaiting {
-		c.ch <- true
-	}
-}
-
-// wait parks the caller until done or the timeout, whichever is first. The
-// timer is the one thing here that bypasses the executor, and is stopped
-// when the operation completes first: an abandoned 30 s timer per
-// operation is memory proportional to the operation rate.
-func (c *syncCall) wait(clock sim.Clock, timeout time.Duration) bool {
-	// Room for both senders, so that neither ever blocks: done at most
-	// once, the timer at most once.
-	c.ch = make(chan bool, 2)
-	if !c.state.CompareAndSwap(callRunning, callWaiting) {
-		return true // done fired on another goroutine meanwhile
-	}
-	tm := clock.AfterFunc(timeout, func() { c.ch <- false })
-	defer tm.Stop()
-	return <-c.ch
+// executor busy at first and idle by the time Do ran it: it waits for
+// nothing. One that waits is an entry of the node's Deadlines until its
+// done fires. Neither allocates: the call's completion is c, the
+// SyncClient's record, reused from call to call.
+func (n *ClientNode) pump(c *client.Call, start func(done func()), timeout time.Duration) bool {
+	n.Exec.Do(c.Arm(start))
+	return c.Completed() || c.Wait(&n.deadlines, n.tmo, timeout)
 }
 
 // closeWait bounds how long Close waits for the servers to acknowledge the
