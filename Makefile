@@ -50,7 +50,9 @@ lint:
 # two live tests — two clients churning one directory with every reply
 # checked against a model, and the clean exit that strands no lock — and
 # a two-authority node's ClientNode.Sync sending each path, handle and
-# inode to the authority that owns it, and the executor's own stress tests: many goroutines mixing Do and Submit on
+# inode to the authority that owns it, and two authorities started as
+# tankd starts them, where one's steal must fence the other's disk too,
+# and the executor's own stress tests: many goroutines mixing Do and Submit on
 # one executor, mutual exclusion and per-producer order checked by plain
 # variables the race detector watches, and producers that take the token
 # a hit runs under (Enter) only once their own task has run, ten times
@@ -81,7 +83,7 @@ verify: lint
 	$(GO) test -race -count=1 -run 'TestUnreplicatedServerRecoversMetadata' ./internal/rpcnet/
 	$(GO) test -race -count=1 -run 'TestShardScaleSmoke' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestLiveReplicaFailoverSIGKILL' ./internal/rpcnet/
-	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks|TestLiveSyncClientRoutesByPath' ./internal/rpcnet/
+	$(GO) test -race -count=1 -run 'TestLiveSharedDirectoryChurn|TestCleanExitReleasesLocks|TestLiveSyncClientRoutesByPath|TestLiveShardFencesEveryDisk' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestExecutorSerialUnderDo|TestEnterNeverOvertakesTheQueue' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestSendNeverBlocksTheCaller|TestSendKeepsPeerOrder|TestReadLoopsCannotDeadlock|TestInjectedLatencyStillDelays|TestInboundConnectionTakesQueuedFrames|TestHandlerDropsItsOwnLink' ./internal/rpcnet/
 	$(GO) test -race -count=10 -run 'TestServeFraming|TestServeSeesACloseBehindTheLastFrame|TestCloseWhileServing' ./internal/wire/

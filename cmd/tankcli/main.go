@@ -85,26 +85,11 @@ func main() {
 		opts = append(opts, rpcnet.WithTracer(trace.New(trace.NewLogf(log.Printf))))
 	}
 
+	// Under -shards, placement is the topology's default: hash over the
+	// sorted authority IDs, the map every tankd derives from the same book.
 	topo := rpcnet.Topology{Server: 1, ServerAddr: *serverAddr, Disks: diskAddrs}
-	switch {
-	case *shardsFlag != "":
-		// Placement is the topology's default: hash over the sorted
-		// authority IDs, the map every tankd derives from the same book.
-		servers, err := rpcnet.ParseAddrBook(*shardsFlag)
-		if err != nil {
-			log.Fatalf("-shards: %v", err)
-		}
-		topo = rpcnet.Topology{Servers: servers, Disks: diskAddrs}
-	case *replFlag != "":
-		members, err := rpcnet.ParseAddrBook(*replFlag)
-		if err != nil {
-			log.Fatalf("-replicas: %v", err)
-		}
-		group := rpcnet.ReplicaGroup(members)
-		topo.Server = group[0]
-		topo.ServerAddr = members[group[0]]
-		topo.Servers = members
-		topo.ReplicaGroups = map[msg.NodeID][]msg.NodeID{group[0]: group}
+	if err := topo.AddBooks(msg.None, *shardsFlag, *replFlag); err != nil {
+		log.Fatal(err)
 	}
 	node, err := rpcnet.StartClientNode(rpcnet.NodeSpec{ID: msg.NodeID(*id), Topo: topo},
 		client.Config{Core: cfg}, opts...)

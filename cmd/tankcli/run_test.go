@@ -19,9 +19,10 @@ import (
 
 // startTwoAuthorities boots, over loopback TCP, what two `tankd -shards`
 // and their disks would: two lease authorities (IDs 1 and 2) with a disk
-// each, the namespace split by the topology's default hash placement. It
-// returns the topology a `tankcli -shards` would build from the same
-// address book.
+// each, the namespace split by the topology's default hash placement.
+// Each allocates from the disk it hosts and knows the other's from its
+// -san-disks, as tankd starts it. It returns the topology a `tankcli
+// -shards` would build from the same address book.
 func startTwoAuthorities(t *testing.T, cfg core.Config) rpcnet.Topology {
 	t.Helper()
 	servers := map[msg.NodeID]string{}
@@ -34,7 +35,6 @@ func startTwoAuthorities(t *testing.T, cfg core.Config) rpcnet.Topology {
 		l.Close()
 	}
 	topo := rpcnet.Topology{Servers: servers, Disks: map[msg.NodeID]string{}}
-	all := map[msg.NodeID]uint64{}
 	for si := 0; si < 2; si++ {
 		id := msg.NodeID(1000 + si)
 		topo.Disks[id] = rpcnet.Loopback()
@@ -44,14 +44,12 @@ func startTwoAuthorities(t *testing.T, cfg core.Config) rpcnet.Topology {
 		}
 		t.Cleanup(dn.Close)
 		topo.Disks[id] = dn.Addr.String()
-		all[id] = 1 << 10
 	}
 	for si, id := range []msg.NodeID{1, 2} {
 		stopo := topo
 		stopo.Server, stopo.ServerAddr = id, servers[id]
-		own := msg.NodeID(1000 + si)
 		sn, err := rpcnet.StartServerNode(rpcnet.NodeSpec{ID: id, Topo: stopo}, server.Config{
-			Core: cfg, Disks: map[msg.NodeID]uint64{own: all[own]}, FenceDisks: all,
+			Core: cfg, Disks: map[msg.NodeID]uint64{msg.NodeID(1000 + si): 1 << 10},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -26,11 +26,15 @@
 // -shard-id and the full -shards address book (and a distinct
 // -disk-base). Every authority serves the hash-placed slice of the
 // namespace and hands files whose rename destination lives elsewhere to
-// the owning peer (DESIGN.md §14). The per-authority lock count is the
+// the owning peer (DESIGN.md §14). An authority allocates only from the
+// disks it hosts; -san-disks names the other authorities' disks, which it
+// dials and fences but never allocates from: a handed-off file keeps its
+// blocks where they were allocated, so every authority fences every disk
+// (DESIGN.md §25). The per-authority lock count is the
 // server.<id>.locks_held gauge in the SIGUSR1 dump:
 //
-//	tankd -shard-id 1 -ctrl :7001 -san-base 7101 -disk-base 1000 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002"
-//	tankd -shard-id 2 -ctrl :7002 -san-base 7201 -disk-base 1100 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002"
+//	tankd -shard-id 1 -ctrl :7001 -san-base 7101 -disk-base 1000 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002" -san-disks "1100=127.0.0.1:7201,1101=127.0.0.1:7202"
+//	tankd -shard-id 2 -ctrl :7002 -san-base 7201 -disk-base 1100 -shards "1=127.0.0.1:7001,2=127.0.0.1:7002" -san-disks "1000=127.0.0.1:7101,1001=127.0.0.1:7102"
 //
 // With -meta-persist FILE a server's metadata survives its process:
 // every mutation is journalled to FILE.log before its reply leaves,
@@ -66,6 +70,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -90,7 +96,7 @@ func main() {
 		replFlag   = flag.String("replicas", "", "replica group address book: id=addr,id=addr,... including this node; members run PaxosLease to elect the active lease authority")
 		replTerm   = flag.Duration("replica-lease-term", 0, "PaxosLease authority-lease term (0 = protocol default)")
 		metaFile   = flag.String("meta-persist", "", "make the metadata durable: snapshot FILE plus the redo journal FILE.log beside it — every mutation is journalled before its reply leaves, and a restarted server (or, with -replicas, the takeover winner; every member must name the same FILE on shared storage) recovers the namespace from the pair (paper §1.1). Survives kill -9; a power loss may roll back to the last checkpoint")
-		sanDisks   = flag.String("san-disks", "", "SAN disks hosted by OTHER processes: id=addr,id=addr,... — every replica member needs the full SAN view to allocate and fence once it activates (capacity assumed -disk-blocks each)")
+		sanDisks   = flag.String("san-disks", "", "SAN disks hosted by OTHER processes: id=addr,id=addr,... — every replica member needs the full SAN view to allocate and fence once it activates (capacity assumed -disk-blocks each); under -shards, the other authorities' disks, fenced but never allocated from")
 		noServer   = flag.Bool("no-server", false, "host only the SAN disks, no lease authority — a network-attached storage box that outlives any server kill")
 		sanHost    = flag.String("san-host", "127.0.0.1", "host disks listen on")
 		sanBase    = flag.Int("san-base", 7101, "first SAN port; disk i listens on san-base+i")
@@ -181,48 +187,26 @@ func main() {
 	// write and the fence table; without it the media is in-memory.
 	topo := rpcnet.Topology{Server: msg.NodeID(*shardID), ServerAddr: *ctrlAddr,
 		Disks: make(map[msg.NodeID]string)}
-	if *shardsFlag != "" {
-		servers, err := rpcnet.ParseAddrBook(*shardsFlag)
-		if err != nil {
-			log.Fatalf("-shards: %v", err)
-		}
-		if _, ok := servers[topo.Server]; !ok {
-			log.Fatalf("-shards %q does not include this authority (-shard-id %d)", *shardsFlag, *shardID)
-		}
-		topo.Servers = servers
-	}
-	if *replFlag != "" {
-		members, err := rpcnet.ParseAddrBook(*replFlag)
-		if err != nil {
-			log.Fatalf("-replicas: %v", err)
-		}
-		if _, ok := members[topo.Server]; !ok {
-			log.Fatalf("-replicas %q does not include this node (-shard-id %d)", *replFlag, *shardID)
-		}
-		group := rpcnet.ReplicaGroup(members)
-		if topo.Servers == nil {
-			topo.Servers = make(map[msg.NodeID]string)
-		}
-		for m, addr := range members {
-			if _, ok := topo.Servers[m]; !ok {
-				topo.Servers[m] = addr
-			}
-		}
-		topo.ReplicaGroups = map[msg.NodeID][]msg.NodeID{group[0]: group}
+	if err := topo.AddBooks(topo.Server, *shardsFlag, *replFlag); err != nil {
+		log.Fatal(err)
 	}
 	diskCaps := make(map[msg.NodeID]uint64)
 	if *sanDisks != "" {
 		// SAN disks living in other processes: the server still needs
-		// their addresses (fencing, function-shipping) and capacities
-		// (block allocation). A replica member that hosts no disks of its
-		// own is useless as a successor without this view.
+		// their addresses (fencing, function-shipping) and, unless they
+		// are another authority's, their capacities (block allocation). A
+		// replica member that hosts no disks of its own is useless as a
+		// successor without this view.
 		remote, err := rpcnet.ParseAddrBook(*sanDisks)
 		if err != nil {
 			log.Fatalf("-san-disks: %v", err)
 		}
+		sharded := len(topo.ServerIDs()) > 1
 		for id, addr := range remote {
 			topo.Disks[id] = addr
-			diskCaps[id] = *diskBlocks
+			if !sharded {
+				diskCaps[id] = *diskBlocks
+			}
 		}
 	}
 	var diskNodes []*rpcnet.DiskNode
@@ -260,7 +244,7 @@ func main() {
 	var srv *rpcnet.ServerNode
 	if *noServer {
 		fmt.Printf("no server: hosting %d SAN disks only\n", *nDisks)
-		fmt.Printf("servers: tankd -disks 0 -san-disks %q ...\n", diskFlag(topo.Disks, *diskBase))
+		fmt.Printf("servers: tankd -disks 0 -san-disks %q ...\n", diskFlag(topo.Disks))
 	} else {
 		scfg := server.Config{Core: cfg, Policy: pol, Disks: diskCaps,
 			MetaPersist: *metaFile}
@@ -273,7 +257,7 @@ func main() {
 		// With more than one authority in -shards, the server's slice of the
 		// namespace is the topology's default placement: hash over the
 		// sorted authority IDs, the map every tankd and tankcli derives
-		// from the same book.
+		// from the same book. It fences on every disk in topo.Disks.
 		s, err := rpcnet.StartServerNode(rpcnet.NodeSpec{ID: topo.Server, Topo: topo}, scfg, nodeOpts...)
 		if err != nil {
 			log.Fatalf("server: %v", err)
@@ -282,22 +266,18 @@ func main() {
 		fmt.Printf("server n%d listening on %v (policy=%s τ=%v ε=%g)\n", *shardID, srv.Addr, pol.Name, *tau, *eps)
 		switch {
 		case *replFlag != "":
-			term := *replTerm
-			if term == 0 {
-				term = replica.DefaultLeaseTerm
-			}
+			rc := srv.Srv.Config().Replica
 			role := srv.Reg.Gauge(fmt.Sprintf("server.%v.role", topo.Server)).Value()
-			fmt.Printf("replica %s of group %v (PaxosLease term %v)\n",
-				msg.RoleName(uint8(role)), topo.GroupOf(topo.Server), term)
+			fmt.Printf("replica %s of group %v (PaxosLease term %v)\n", msg.RoleName(uint8(role)), rc.Group, rc.LeaseTerm)
 			if *metaFile == "" {
 				fmt.Println("warning: no -meta-persist — the namespace dies with the active; point every member at one file on shared storage")
 			}
-			fmt.Printf("clients: tankcli -replicas %q -disks %q\n", *replFlag, diskFlag(topo.Disks, *diskBase))
+			fmt.Printf("clients: tankcli -replicas %q -disks %q\n", *replFlag, diskFlag(topo.Disks))
 		case *shardsFlag != "":
 			fmt.Printf("shard %d of %d (hash placement over %v)\n", *shardID, len(topo.Servers), topo.ServerIDs())
-			fmt.Printf("clients: tankcli -shards %q -disks %q\n", *shardsFlag, diskFlag(topo.Disks, *diskBase))
+			fmt.Printf("clients: tankcli -shards %q -disks %q\n", *shardsFlag, diskFlag(topo.Disks))
 		default:
-			fmt.Printf("clients: tankcli -server %v -disks %q\n", srv.Addr, diskFlag(topo.Disks, *diskBase))
+			fmt.Printf("clients: tankcli -server %v -disks %q\n", srv.Addr, diskFlag(topo.Disks))
 		}
 	}
 	if faultsConfigured {
@@ -367,17 +347,18 @@ func policyByName(name string) (baselines.Policy, bool) {
 	return baselines.Policy{}, false
 }
 
-func diskFlag(addrs map[msg.NodeID]string, base int) string {
-	out := ""
-	for id := msg.NodeID(base); ; id++ {
-		addr, ok := addrs[id]
-		if !ok {
-			break
-		}
-		if out != "" {
-			out += ","
-		}
-		out += fmt.Sprintf("%d=%s", id, addr)
+// diskFlag renders an address book of disks, in ID order, as -disks and
+// -san-disks take it: every disk this tankd hosts or dials, which is what
+// a client of the installation dials.
+func diskFlag(addrs map[msg.NodeID]string) string {
+	ids := make([]msg.NodeID, 0, len(addrs))
+	for id := range addrs {
+		ids = append(ids, id)
 	}
-	return out
+	slices.Sort(ids)
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = fmt.Sprintf("%d=%s", id, addrs[id])
+	}
+	return strings.Join(parts, ",")
 }

@@ -17,15 +17,17 @@ func TestPolicyByName(t *testing.T) {
 }
 
 func TestDiskFlag(t *testing.T) {
-	got := diskFlag(map[msg.NodeID]string{1000: "a:1", 1001: "b:2"}, 1000)
+	got := diskFlag(map[msg.NodeID]string{1000: "a:1", 1001: "b:2"})
 	if got != "1000=a:1,1001=b:2" {
 		t.Fatalf("diskFlag = %q", got)
 	}
-	if diskFlag(nil, 1000) != "" {
+	if diskFlag(nil) != "" {
 		t.Fatal("empty map should yield empty flag")
 	}
-	if got := diskFlag(map[msg.NodeID]string{1100: "a:1"}, 1100); got != "1100=a:1" {
-		t.Fatalf("diskFlag with base = %q", got)
+	// A sharded tankd's book: its own disks and another authority's, all
+	// of which a client dials.
+	if got := diskFlag(map[msg.NodeID]string{1100: "a:1", 1000: "b:2"}); got != "1000=b:2,1100=a:1" {
+		t.Fatalf("diskFlag across authorities = %q", got)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestDataPathAllocations(t *testing.T) {
 	}
 	handoff()
 	demands := cl.Reg.CounterValue("server.demands_sent")
-	const maxHandoff = 234
+	const maxHandoff = 228
 	got := testing.AllocsPerRun(50, handoff)
 	t.Logf("handoff cycle: %v allocations", got)
 	if got > maxHandoff {

@@ -146,19 +146,17 @@ func DefaultOptions() Options {
 
 // Shard is one lease authority and its private resources.
 type Shard struct {
-	ID     msg.NodeID
+	// Authority is the shard's ID, its replica group (Options.Replicas ≥
+	// 2) and the disks it allocates from.
+	shard.Authority
 	Server *server.Server
-	// Disks lists the shard's own SAN devices and capacities.
-	Disks map[msg.NodeID]uint64
 	// Store is the shard's metadata store, which outlives its servers: it
 	// models the paper's highly-available server-private storage, which a
 	// restarted server and every replica recover (§6).
 	Store *meta.Store
-	// Replicated-authority state (Options.Replicas ≥ 2). Replicas holds
-	// every group member (Replicas[0] == Server); Group their node IDs in
-	// ballot order.
+	// Replicas holds every member of a replicated authority's group
+	// (Replicas[0] == Server).
 	Replicas []*server.Server
-	Group    []msg.NodeID
 }
 
 // Active returns the replica currently holding the shard's authority
@@ -195,8 +193,8 @@ type Cluster struct {
 	// NoChecker): object IDs are per authority, so histories must not mix.
 	Checkers []*checker.Checker
 	Reg      *stats.Registry
-	// allDisks is the installation-wide disk set every shard fences on.
-	allDisks map[msg.NodeID]uint64
+	// inst describes the installation to every node it boots.
+	inst shard.Installation
 }
 
 // New builds an installation: S servers — each owning its disks and
@@ -206,9 +204,6 @@ type Cluster struct {
 func New(opts Options) *Cluster {
 	if opts.Shards < 1 || opts.Clients < 1 || opts.Disks < 1 {
 		panic("cluster: need at least one shard, one client and one disk")
-	}
-	if opts.Placement == nil && opts.Shards > 1 {
-		opts.Placement = shard.Hash{N: opts.Shards}
 	}
 	s := sim.NewScheduler(opts.Seed)
 	cl := &Cluster{
@@ -221,7 +216,11 @@ func New(opts Options) *Cluster {
 		Disks:    make([]*disk.Disk, 0, opts.Shards*opts.Disks),
 		Checkers: make([]*checker.Checker, 0, opts.Shards),
 		Reg:      stats.NewRegistry(),
-		allDisks: make(map[msg.NodeID]uint64, opts.Shards*opts.Disks),
+		inst: shard.Installation{
+			Authorities: make([]shard.Authority, 0, opts.Shards),
+			Disks:       make([]msg.NodeID, 0, opts.Shards*opts.Disks),
+			Placement:   opts.Placement,
+		},
 	}
 	cl.observeNetworks()
 	// Dropped messages land in the trace stream under the same DropReason
@@ -263,9 +262,19 @@ func New(opts Options) *Cluster {
 			cl.Disks = append(cl.Disks, dev)
 			cl.SAN.Attach(id, dev.Deliver)
 			diskMap[id] = opts.DiskBlocks
-			cl.allDisks[id] = opts.DiskBlocks
+			cl.inst.Disks = append(cl.inst.Disks, id)
 		}
-		cl.Shards = append(cl.Shards, Shard{ID: ServerID(si), Disks: diskMap})
+		// A replicated authority: M diskless negotiators share the store and
+		// elect the active.
+		var group []msg.NodeID
+		if opts.Replicas > 1 {
+			for j := range opts.Replicas {
+				group = append(group, ReplicaID(si, j))
+			}
+		}
+		a := shard.Authority{Authority: client.Authority{ID: ServerID(si), Group: group}, Disks: diskMap}
+		cl.Shards = append(cl.Shards, Shard{Authority: a})
+		cl.inst.Authorities = append(cl.inst.Authorities, a)
 		if opts.NoChecker {
 			cl.Checkers = append(cl.Checkers, nil)
 		} else {
@@ -277,42 +286,26 @@ func New(opts Options) *Cluster {
 	for si := range cl.Shards {
 		sh := &cl.Shards[si]
 		sh.Store = meta.NewStore(meta.NewAllocator(sh.Disks))
-		if opts.Replicas < 2 {
-			sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, nil), serverClock())
+		if len(sh.Group) == 0 {
+			sh.Server = cl.bootServer(si, sh.ID, false, serverClock())
 			continue
 		}
-		// Replicated authority: M diskless negotiators share the store and
-		// elect the active.
-		for j := 0; j < opts.Replicas; j++ {
-			sh.Group = append(sh.Group, ReplicaID(si, j))
-		}
 		for _, rid := range sh.Group {
-			sh.Replicas = append(sh.Replicas, cl.bootServer(rid,
-				cl.serverConfig(sh, cl.replicaConfig(sh, rid, false)), serverClock()))
+			sh.Replicas = append(sh.Replicas, cl.bootServer(si, rid, false, serverClock()))
 		}
 		sh.Server = sh.Replicas[0]
 	}
 
 	// Client nodes: attached to both networks, one clock each — a machine
 	// has one oscillator, whatever the number of authorities it faces.
-	auths := make([]client.Authority, len(cl.Shards))
+	auths, place := cl.inst.Client()
 	oracles := make([]checker.Oracle, len(cl.Shards))
-	for si, sh := range cl.Shards {
-		auths[si] = client.Authority{ID: sh.ID, Group: sh.Group}
-		if cl.Checkers[si] != nil {
-			oracles[si] = cl.Checkers[si]
+	for si, c := range cl.Checkers {
+		if c != nil {
+			oracles[si] = c
 		}
 	}
-	var place func(path string) (int, bool)
-	if opts.Placement != nil {
-		place = opts.Placement.Owner
-	}
-	ccfg := client.Config{
-		Core: opts.Core, Policy: opts.Policy,
-		FlushInterval: opts.FlushInterval, DisableReassert: opts.DisableReassert,
-		CacheMaxPages: opts.CacheMaxPages, CacheQuota: opts.CacheQuota,
-		FlushBatch: opts.FlushBatch, Prefetch: opts.Prefetch,
-	}
+	ccfg := opts.ClientConfig()
 	pump := func(c *client.Call, start func(done func())) bool { return cl.pump(c, time.Minute, start) }
 	for i := 0; i < opts.Clients; i++ {
 		id := ClientID(i)
@@ -332,51 +325,33 @@ func New(opts Options) *Cluster {
 	return cl
 }
 
-// serverConfig builds one shard's server configuration: the shard
-// allocates from its own disks and fences the installation-wide disk set,
-// since a handed-off file's blocks may live on any shard's disks. Under a
-// placement it serves the map's slice of the namespace (server.New then
-// materializes missing parents). Every server is handed the shard's
-// store, so its epoch counter survives the server (§6).
-func (cl *Cluster) serverConfig(sh *Shard, rep *replica.Config) server.Config {
+// ClientConfig is the configuration every client machine of the
+// installation runs with.
+func (o Options) ClientConfig() client.Config {
+	return client.Config{
+		Core: o.Core, Policy: o.Policy,
+		FlushInterval: o.FlushInterval, DisableReassert: o.DisableReassert,
+		CacheMaxPages: o.CacheMaxPages, CacheQuota: o.CacheQuota,
+		FlushBatch: o.FlushBatch, Prefetch: o.Prefetch,
+	}
+}
+
+// bootServer creates and attaches node id of shard si: its server, or a
+// member of its authority group, warming up when told to. Every server
+// is handed the shard's store, so its epoch counter survives the server
+// (§6); the rest of what it is told about the installation comes from
+// its description (shard.Installation.Server).
+func (cl *Cluster) bootServer(si int, id msg.NodeID, warmup bool, clock sim.Clock) *server.Server {
 	o := &cl.Opts
-	cfg := server.Config{
-		Core: o.Core, Policy: o.Policy, Disks: sh.Disks, FenceDisks: cl.allDisks,
-		NoNACK: o.NoNACK, DisableFence: o.DisableFence,
-		Store: sh.Store, GracePeriod: o.GracePeriod, Replica: rep,
-		ServiceTime: o.ServerService,
+	base := server.Config{
+		Core: o.Core, Policy: o.Policy, NoNACK: o.NoNACK, DisableFence: o.DisableFence,
+		Store: cl.Shards[si].Store, GracePeriod: o.GracePeriod, ServiceTime: o.ServerService,
+		Replica: &replica.Config{LeaseTerm: o.ReplicaLeaseTerm},
 	}
-	if c := cl.Checkers[sh.ID-ServerID(0)]; c != nil {
-		cfg.Oracle = c // a nil *Checker in the interface would not be a nil Oracle
+	if c := cl.Checkers[si]; c != nil {
+		base.Oracle = c // a nil *Checker in the interface would not be a nil Oracle
 	}
-	if o.Placement != nil {
-		ids := make([]msg.NodeID, len(cl.Shards))
-		for si := range ids {
-			ids[si] = cl.Shards[si].ID
-		}
-		cfg.PlaceOwner = shard.OwnerID(o.Placement, ids)
-	}
-	return cfg
-}
-
-// replicaConfig builds the negotiation parameters for one member of a
-// shard's authority group.
-func (cl *Cluster) replicaConfig(sh *Shard, self msg.NodeID, warmup bool) *replica.Config {
-	term := cl.Opts.ReplicaLeaseTerm
-	if term == 0 {
-		term = replica.DefaultLeaseTerm
-	}
-	return &replica.Config{
-		Self: self, Group: sh.Group,
-		LeaseTerm: term, Bound: cl.Opts.Core.Bound,
-		RetryInterval: cl.Opts.Core.RetryInterval,
-		Warmup:        warmup,
-	}
-}
-
-// bootServer creates and attaches one server (or replica) node.
-func (cl *Cluster) bootServer(id msg.NodeID, cfg server.Config, clock sim.Clock) *server.Server {
-	srv := server.New(id, cfg, clock,
+	srv := server.New(id, cl.inst.Server(id, base, warmup), clock,
 		func(to msg.NodeID, m msg.Message) { cl.Control.Send(id, to, m) },
 		func(to msg.NodeID, m msg.Message) { cl.SAN.Send(id, to, m) },
 		cl.Reg, cl.Opts.Tracer)
@@ -605,7 +580,7 @@ func (cl *Cluster) RestartServer(si int) {
 	sh := &cl.Shards[si]
 	cl.Control.Restart(sh.ID)
 	cl.SAN.Restart(sh.ID)
-	sh.Server = cl.bootServer(sh.ID, cl.serverConfig(sh, nil), cl.Sched.NewClock(1, 0))
+	sh.Server = cl.bootServer(si, sh.ID, false, cl.Sched.NewClock(1, 0))
 }
 
 // CrashReplica fails member ri of shard si's authority group: its
@@ -627,8 +602,7 @@ func (cl *Cluster) RestartReplica(si, ri int) {
 	rid := sh.Group[ri]
 	cl.Control.Restart(rid)
 	cl.SAN.Restart(rid)
-	srv := cl.bootServer(rid, cl.serverConfig(sh, cl.replicaConfig(sh, rid, true)),
-		cl.Sched.NewClock(1, 0))
+	srv := cl.bootServer(si, rid, true, cl.Sched.NewClock(1, 0))
 	sh.Replicas[ri] = srv
 	if ri == 0 {
 		sh.Server = srv

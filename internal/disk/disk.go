@@ -221,31 +221,35 @@ func (d *Disk) ID() msg.NodeID { return d.id }
 // Capacity returns the number of blocks.
 func (d *Disk) Capacity() uint64 { return d.cfg.Blocks }
 
-// Deliver handles one SAN datagram. It is the disk's network handler.
+// Deliver handles one SAN datagram: it is the disk's network handler. A
+// fence is a control operation, with no media access and no service time.
 func (d *Disk) Deliver(env msg.Envelope) {
-	switch m := env.Payload.(type) {
+	if _, fence := env.Payload.(*msg.FenceSet); fence || d.cfg.ServiceTime <= 0 {
+		d.handle(env.Payload)
+		return
+	}
+	d.withService(env)
+}
+
+// handle runs one request.
+func (d *Disk) handle(m msg.Message) {
+	switch m := m.(type) {
 	case *msg.DiskRead:
-		d.withService(func() { d.read(m) })
+		d.read(m)
 	case *msg.DiskWrite:
-		// The write payload may alias a borrowed receive buffer, and
-		// withService can defer execution past the handler's return —
-		// retain the borrow until the media has consumed the data.
-		env.Retain()
-		d.withService(func() { d.write(m); env.Release() })
+		d.write(m)
 	case *msg.DiskReadV:
 		// A vectored batch occupies ONE service slot: the actuator pays one
 		// seek for the whole transfer, which is the point of scatter-gather.
-		d.withService(func() { d.readV(m) })
+		d.readV(m)
 	case *msg.DiskWriteV:
-		env.Retain()
-		d.withService(func() { d.writeV(m); env.Release() })
+		d.writeV(m)
 	case *msg.FenceSet:
-		// Fencing is a control operation: no media access, no service time.
 		d.fence(m)
 	case *msg.DLockAcquire:
-		d.withService(func() { d.dlockAcquire(m) })
+		d.dlockAcquire(m)
 	case *msg.DLockRelease:
-		d.withService(func() { d.dlockRelease(m) })
+		d.dlockRelease(m)
 	default:
 		// Dumb device: silently ignore anything it does not understand.
 	}
@@ -255,12 +259,10 @@ func (d *Disk) Deliver(env msg.Envelope) {
 // at a time, ServiceTime each, FIFO. Concurrent arrivals queue, so a
 // burst of N operations (e.g. a phase-4 flush of N dirty pages) takes
 // ~N·ServiceTime — which is exactly what makes the flush-window ablation
-// (experiment A1) meaningful.
-func (d *Disk) withService(fn func()) {
-	if d.cfg.ServiceTime <= 0 {
-		fn()
-		return
-	}
+// (experiment A1) meaningful. A write's payload may alias a borrowed
+// receive buffer, and the request runs past the handler's return: the
+// borrow is retained until it has.
+func (d *Disk) withService(env msg.Envelope) {
 	now := d.clock.Now()
 	start := now
 	if d.busyUntil.After(start) {
@@ -268,7 +270,11 @@ func (d *Disk) withService(fn func()) {
 	}
 	d.queueWait.Observe(start.Sub(now))
 	d.busyUntil = start.Add(d.cfg.ServiceTime)
-	d.clock.AfterFunc(d.busyUntil.Sub(now), fn)
+	env.Retain()
+	d.clock.AfterFunc(d.busyUntil.Sub(now), func() {
+		d.handle(env.Payload)
+		env.Release()
+	})
 }
 
 // admit judges a request's stamp against the fence table: it refuses

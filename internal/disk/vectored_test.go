@@ -71,16 +71,28 @@ func TestWriteVSingleServiceSlot(t *testing.T) {
 }
 
 // TestWriteVUntracedFormatsNothing: with the trace bus off, a one-block
-// batch on Mem media costs eight allocations — the envelope and closure
-// its turn at the actuator takes, the reply and its Errs, the media batch
-// and its index, the media's errors and the block's copy. The batch's
-// trace note is formatted only when someone reads it.
+// batch on Mem media costs four allocations — the reply and its Errs, and
+// two of the media's; a disk with no service time runs it at once, so
+// neither the envelope nor a closure moves to the heap. The batch's trace
+// note is formatted only when someone reads it.
 func TestWriteVUntracedFormatsNothing(t *testing.T) {
 	d := New(9, Config{Blocks: 16}, sim.NewScheduler(1).NewClock(1, 0),
 		func(msg.NodeID, msg.Message) {}, nil, Observer{})
 	env := msg.Envelope{From: 1, To: 9, Payload: writeVOf(1, 1, 3)}
-	if allocs := testing.AllocsPerRun(100, func() { d.Deliver(env) }); allocs > 8 {
-		t.Errorf("an untraced one-block DiskWriteV made %.0f allocations, want 8", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { d.Deliver(env) }); allocs > 4 {
+		t.Errorf("an untraced one-block DiskWriteV made %.0f allocations, want 4", allocs)
+	}
+}
+
+// TestReadAllocatesItsReply: a scalar read on a disk with no service time
+// (a live disk) costs one allocation, its reply.
+func TestReadAllocatesItsReply(t *testing.T) {
+	d := New(9, Config{Blocks: 16}, sim.NewScheduler(1).NewClock(1, 0),
+		func(msg.NodeID, msg.Message) {}, nil, Observer{})
+	d.Deliver(msg.Envelope{From: 1, To: 9, Payload: writeVOf(1, 1, 3)})
+	env := msg.Envelope{From: 1, To: 9, Payload: &msg.DiskRead{Client: 1, Req: 2, Block: 3}}
+	if allocs := testing.AllocsPerRun(100, func() { d.Deliver(env) }); allocs > 1 {
+		t.Errorf("a DiskRead made %.0f allocations, want 1", allocs)
 	}
 }
 

@@ -10,8 +10,9 @@
 package lock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/msg"
 )
@@ -182,7 +183,7 @@ func (t *Table) issueDemands(ino msg.ObjectID, o *objLock) {
 	for h := range o.holders {
 		holders = append(holders, h)
 	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
+	slices.Sort(holders)
 	for _, holder := range holders {
 		held := o.holders[holder]
 		if holder == head.client {
@@ -306,7 +307,7 @@ func (t *Table) StealAll(client msg.NodeID) []msg.ObjectID {
 	for ino := range t.objects {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	var stolen []msg.ObjectID
 	for _, ino := range inos {
 		o := t.objects[ino]
@@ -349,7 +350,7 @@ func (t *Table) OutstandingDemands(holder msg.NodeID) []DemandInfo {
 			out = append(out, DemandInfo{Ino: ino, To: d.to, ID: d.id})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ino < out[j].Ino })
+	slices.SortFunc(out, func(a, b DemandInfo) int { return cmp.Compare(a.Ino, b.Ino) })
 	return out
 }
 

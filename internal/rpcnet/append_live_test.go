@@ -23,7 +23,7 @@ import (
 func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	const blocks = 1024
 	mediaReg := stats.NewRegistry()
-	lc := startLiveMedia(t, 0, liveCore(), func(i int) blockstore.Media {
+	lc := bootLive(t, 1, 0, liveCore(), func(i int) blockstore.Media {
 		m, err := blockstore.Open(t.TempDir(), blockstore.Options{Blocks: 1 << 12, NoSync: true,
 			Registry: mediaReg, StatsPrefix: fmt.Sprintf("media.%d.", i)})
 		if err != nil {
@@ -31,7 +31,7 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 		}
 		return m
 	})
-	topo := Topology{Server: 1, ServerAddr: lc.srv.Addr.String(), Disks: make(map[msg.NodeID]string)}
+	topo := Topology{Server: 1, ServerAddr: lc.srvs[0].Addr.String(), Disks: make(map[msg.NodeID]string)}
 	for i, d := range lc.disks {
 		topo.Disks[msg.NodeID(1000+i)] = d.Addr.String()
 	}
@@ -133,8 +133,8 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 		blocks, inUse int
 	}
 	ch := make(chan state, 1)
-	lc.srv.Exec.Submit(func() {
-		st := lc.srv.Srv.Store()
+	lc.srvs[0].Exec.Submit(func() {
+		st := lc.srvs[0].Srv.Store()
 		in, _ := st.Get(attr.Ino)
 		ch <- state{in.Size, len(in.Blocks), st.Allocator().InUse()}
 	})

@@ -10,12 +10,67 @@ import (
 	"repro/internal/server"
 )
 
-// floorAt reads authority 1's fence against client at disk i, on the
+// floorAt reads authority's fence against client at disk i, on the
 // disk's executor.
-func (lc *liveCluster) floorAt(i int, client msg.NodeID) msg.Epoch {
+func (lc *liveCluster) floorAt(i int, authority, client msg.NodeID) msg.Epoch {
 	got := make(chan msg.Epoch, 1)
-	lc.disks[i].Exec.Submit(func() { got <- lc.disks[i].Disk.Media().Fences().Floor(1, client) })
+	lc.disks[i].Exec.Submit(func() { got <- lc.disks[i].Disk.Media().Fences().Floor(authority, client) })
 	return <-got
+}
+
+// TestLiveShardFencesEveryDisk: two authorities with a disk each, each
+// started as tankd starts it — told only the disk it allocates from. A
+// file written under authority 1 and handed to authority 2 keeps its
+// block on authority 1's disk, and a client dirty on it is cut off. When
+// authority 2 steals from it, its fence must reach authority 1's disk
+// too: a late write stamped with the epoch the client held under
+// authority 2 would otherwise land on the handed-off block.
+func TestLiveShardFencesEveryDisk(t *testing.T) {
+	cfg := liveCore()
+	cfg.Tau = 1500 * time.Millisecond
+	lc := bootLive(t, 2, 2, cfg, nil)
+	lc.start(t, 0)
+	lc.start(t, 1)
+
+	sc := lc.sc(0)
+	h := lc.open(t, 0, "/s0/f", true, true)
+	lc.write(t, 0, h, 0, []byte("allocated by authority 1"))
+	lc.sync(t, 0)
+	attr, err := sc.Lookup("/s0/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Owner("/s0/f").ReleaseLock(attr.Ino); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Rename("/s0/f", "/s1/f"); err != nil {
+		t.Fatalf("cross-shard rename: %v", err)
+	}
+	h = lc.open(t, 0, "/s1/f", true, false)
+	lc.write(t, 0, h, 0, []byte("dirty under authority 2"))
+	epoch := make(chan msg.Epoch, 1)
+	lc.clients[0].Do(func() { epoch <- lc.clients[0].Router.Sub(1).Epoch() })
+	held := <-epoch
+
+	// Cut client 0 off; the survivor's write waits out authority 2's steal.
+	lc.clients[0].Ctrl.Close()
+	g := lc.open(t, 1, "/s1/f", true, false)
+	lc.write(t, 1, g, 0, []byte("stolen"))
+	isolated := msg.NodeID(10)
+	deadline := time.Now().Add(5 * time.Second)
+	for lc.floorAt(1, 2, isolated) <= held {
+		if time.Now().After(deadline) {
+			t.Fatal("authority 2's steal raised no fence at its own disk")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for lc.floorAt(0, 2, isolated) <= held {
+		if time.Now().After(deadline) {
+			t.Fatalf("authority 1's disk admits client %v's writes stamped (authority 2, epoch %d): authority 2 fenced only its own disk",
+				isolated, held)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestForgetfulServerRestartAdmitsItsClients: a server with no
@@ -41,17 +96,17 @@ func TestForgetfulServerRestartAdmitsItsClients(t *testing.T) {
 	lc.sync(t, 1)
 	fenced := msg.NodeID(10)
 	deadline := time.Now().Add(5 * time.Second)
-	for lc.floorAt(0, fenced) == 0 || lc.floorAt(1, fenced) == 0 {
+	for lc.floorAt(0, 1, fenced) == 0 || lc.floorAt(1, 1, fenced) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the steal raised no fence at the disks")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	floor := max(lc.floorAt(0, fenced), lc.floorAt(1, fenced))
+	floor := max(lc.floorAt(0, 1, fenced), lc.floorAt(1, 1, fenced))
 
 	// Restart the server with nothing of its state, and the fenced client
 	// with it.
-	lc.srv.Close()
+	lc.srvs[0].Close()
 	lc.clients[0].Close()
 	topo := Topology{Server: 1, ServerAddr: Loopback(), Disks: map[msg.NodeID]string{}}
 	caps := map[msg.NodeID]uint64{}
@@ -63,7 +118,7 @@ func TestForgetfulServerRestartAdmitsItsClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.srv = srv
+	lc.srvs[0] = srv
 	topo.ServerAddr = srv.Addr.String()
 	cn, err := StartClientNode(NodeSpec{ID: fenced, Topo: topo}, client.Config{Core: cfg})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/msg"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -26,9 +27,12 @@ func liveCore() core.Config {
 	return cfg
 }
 
-// liveCluster boots 1 server + 2 disks + n clients over real TCP.
+// liveCluster is an installation over real TCP: lease authorities 1..S,
+// SAN disks 1000.., and client nodes 10.., each node started as tankd and
+// tankcli start theirs: a server is told only the disks it allocates from
+// and derives the rest from the topology.
 type liveCluster struct {
-	srv     *ServerNode
+	srvs    []*ServerNode
 	disks   []*DiskNode
 	clients []*ClientNode
 }
@@ -37,21 +41,38 @@ func startLive(t *testing.T, nClients int) *liveCluster {
 	return startLiveCfg(t, nClients, liveCore())
 }
 
-// startLiveCfg boots the installation with an explicit protocol config
-// and node options (e.g. WithTracer) applied to every node.
+// startLiveCfg boots one authority and two disks with an explicit
+// protocol config and node options (e.g. WithTracer) applied to every
+// node.
 func startLiveCfg(t testing.TB, nClients int, cfg core.Config, opts ...Option) *liveCluster {
 	t.Helper()
-	return startLiveMedia(t, nClients, cfg, nil, opts...)
+	return bootLive(t, 1, nClients, cfg, nil, opts...)
 }
 
-// startLiveMedia is startLiveCfg whose disk i serves media(i) instead of
-// memory, when media is not nil.
-func startLiveMedia(t testing.TB, nClients int, cfg core.Config, media func(i int) blockstore.Media, opts ...Option) *liveCluster {
+// bootLive boots S lease authorities over max(2, S) disks, disk j
+// allocated from by authority j mod S, and nClients clients. Several
+// authorities share one address book, which lets them dial each other
+// for cross-shard handoffs, and split the namespace by subtree (/s<i> to
+// authority i). Disk i serves media(i) instead of memory when media is
+// not nil.
+func bootLive(t testing.TB, authorities, nClients int, cfg core.Config, media func(i int) blockstore.Media, opts ...Option) *liveCluster {
 	t.Helper()
 	lc := &liveCluster{}
+	t.Cleanup(lc.close)
 	topo := Topology{Server: 1, ServerAddr: Loopback(), Disks: make(map[msg.NodeID]string)}
-	diskCaps := make(map[msg.NodeID]uint64)
-	for i := 0; i < 2; i++ {
+	if authorities > 1 {
+		// The book is complete before any node starts: placement is over
+		// the authorities it lists.
+		topo.Servers = make(map[msg.NodeID]string, authorities)
+		prefixes := make(map[string]int, authorities)
+		for si := 0; si < authorities; si++ {
+			topo.Servers[msg.NodeID(1+si)] = freeAddr(t)
+			prefixes[fmt.Sprintf("/s%d", si)] = si
+		}
+		topo.Placement = shard.Subtree{Prefixes: prefixes}
+	}
+	diskCaps := make([]map[msg.NodeID]uint64, authorities)
+	for i := 0; i < max(2, authorities); i++ {
 		id := msg.NodeID(1000 + i)
 		// Disks listen on ephemeral ports; fill the topology as they come
 		// up so later nodes can dial them.
@@ -66,16 +87,25 @@ func startLiveMedia(t testing.TB, nClients int, cfg core.Config, media func(i in
 		}
 		lc.disks = append(lc.disks, dn)
 		topo.Disks[id] = dn.Addr.String()
-		diskCaps[id] = 1 << 12
+		if diskCaps[i%authorities] == nil {
+			diskCaps[i%authorities] = make(map[msg.NodeID]uint64)
+		}
+		diskCaps[i%authorities][id] = 1 << 12
 	}
-	srv, err := StartServerNode(NodeSpec{ID: topo.Server, Topo: topo}, server.Config{
-		Core: cfg, Disks: diskCaps,
-	}, opts...)
-	if err != nil {
-		t.Fatalf("server: %v", err)
+	for si := 0; si < authorities; si++ {
+		stopo := topo
+		stopo.Server = msg.NodeID(1 + si)
+		if topo.Servers != nil {
+			stopo.ServerAddr = topo.Servers[stopo.Server]
+		}
+		srv, err := StartServerNode(NodeSpec{ID: stopo.Server, Topo: stopo},
+			server.Config{Core: cfg, Disks: diskCaps[si]}, opts...)
+		if err != nil {
+			t.Fatalf("server %d: %v", si, err)
+		}
+		lc.srvs = append(lc.srvs, srv)
 	}
-	lc.srv = srv
-	topo.ServerAddr = srv.Addr.String()
+	topo.ServerAddr = lc.srvs[0].Addr.String()
 	for i := 0; i < nClients; i++ {
 		cn, err := StartClientNode(NodeSpec{ID: msg.NodeID(10 + i), Topo: topo},
 			client.Config{Core: cfg}, opts...)
@@ -84,7 +114,6 @@ func startLiveMedia(t testing.TB, nClients int, cfg core.Config, media func(i in
 		}
 		lc.clients = append(lc.clients, cn)
 	}
-	t.Cleanup(lc.close)
 	return lc
 }
 
@@ -92,8 +121,8 @@ func (lc *liveCluster) close() {
 	for _, c := range lc.clients {
 		c.Close()
 	}
-	if lc.srv != nil {
-		lc.srv.Close()
+	for _, s := range lc.srvs {
+		s.Close()
 	}
 	for _, d := range lc.disks {
 		d.Close()
@@ -104,6 +133,10 @@ func (lc *liveCluster) close() {
 // call on Sync's client each, failing the test on an error or after 5 s.
 const liveOpTimeout = 5 * time.Second
 
+// sc is client i's blocking client: it routes each call as the node's
+// Router does.
+func (lc *liveCluster) sc(i int) *client.SyncClient { return lc.clients[i].Sync(liveOpTimeout) }
+
 func (lc *liveCluster) start(t *testing.T, i int) {
 	t.Helper()
 	if err := lc.clients[i].Start(liveOpTimeout); err != nil {
@@ -113,7 +146,7 @@ func (lc *liveCluster) start(t *testing.T, i int) {
 
 func (lc *liveCluster) open(t *testing.T, i int, path string, write, create bool) msg.Handle {
 	t.Helper()
-	h, _, err := lc.clients[i].Sync(liveOpTimeout).Open(path, write, create)
+	h, _, err := lc.sc(i).Open(path, write, create)
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
 	}
@@ -122,14 +155,14 @@ func (lc *liveCluster) open(t *testing.T, i int, path string, write, create bool
 
 func (lc *liveCluster) write(t *testing.T, i int, h msg.Handle, idx uint64, data []byte) {
 	t.Helper()
-	if err := lc.clients[i].Sync(liveOpTimeout).WriteAt(h, idx, data); err != nil {
+	if err := lc.sc(i).WriteAt(h, idx, data); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 }
 
 func (lc *liveCluster) read(t *testing.T, i int, h msg.Handle, idx uint64) []byte {
 	t.Helper()
-	data, err := lc.clients[i].Sync(liveOpTimeout).ReadAt(h, idx)
+	data, err := lc.sc(i).ReadAt(h, idx)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -138,7 +171,7 @@ func (lc *liveCluster) read(t *testing.T, i int, h msg.Handle, idx uint64) []byt
 
 func (lc *liveCluster) sync(t *testing.T, i int) {
 	t.Helper()
-	if err := lc.clients[i].Sync(liveOpTimeout).SyncAll(); err != nil {
+	if err := lc.sc(i).SyncAll(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 }

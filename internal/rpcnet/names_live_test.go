@@ -60,7 +60,7 @@ func TestCleanExitReleasesLocks(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("the survivor waited %v for a client that had exited cleanly", took)
 	}
-	if n := lc.srv.Reg.CounterValue("server.authority.timeouts_started"); n != 0 {
+	if n := lc.srvs[0].Reg.CounterValue("server.authority.timeouts_started"); n != 0 {
 		t.Fatalf("the server started %d lease timeouts", n)
 	}
 }
@@ -142,7 +142,7 @@ func TestLiveSharedDirectoryChurn(t *testing.T) {
 		}
 	}
 	// Both caches worked for their living, and were taken away often.
-	snap := lc.srv.Reg.Snapshot()
+	snap := lc.srvs[0].Reg.Snapshot()
 	for _, id := range []string{"n10", "n11"} {
 		reg := lc.clients[0].Reg
 		if id == "n11" {

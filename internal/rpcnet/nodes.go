@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/faultnet"
 	"repro/internal/msg"
-	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -53,10 +51,10 @@ type Topology struct {
 	// Disks maps each disk's node ID to its SAN listen address.
 	Disks map[msg.NodeID]string
 	// Placement maps a path to the index of the authority that owns it,
-	// counting in ServerIDs() order (nil = shard.Hash over them). It is set once,
-	// here: the servers' ownership map and the clients' routing are both
-	// derived from it, so they cannot disagree. An installation with one
-	// authority places nothing.
+	// counting in ServerIDs() order (nil = shard.Hash over them, and no
+	// placement at all for one authority). It is set once, here: the
+	// servers' ownership map and the clients' routing are both derived
+	// from it (shard.Installation), so they cannot disagree.
 	Placement shard.Placement
 }
 
@@ -73,19 +71,6 @@ func (t Topology) GroupOf(id msg.NodeID) []msg.NodeID {
 	return nil
 }
 
-// primaryOf maps a group member to its group's primary ID; IDs outside
-// every group map to themselves.
-func (t Topology) primaryOf(id msg.NodeID) msg.NodeID {
-	for p, members := range t.ReplicaGroups {
-		for _, m := range members {
-			if m == id {
-				return p
-			}
-		}
-	}
-	return id
-}
-
 // ServerIDs returns the sharded address book's authority IDs in sorted
 // order — the canonical shard enumeration every node must agree on for
 // hash placement to be consistent installation-wide. Replica members
@@ -94,34 +79,39 @@ func (t Topology) primaryOf(id msg.NodeID) msg.NodeID {
 func (t Topology) ServerIDs() []msg.NodeID {
 	ids := make([]msg.NodeID, 0, len(t.Servers))
 	for id := range t.Servers {
-		if t.primaryOf(id) == id {
+		if _, primary := t.ReplicaGroups[id]; primary || t.GroupOf(id) == nil {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
-// authorities returns the installation's lease authorities in the order
-// placement indexes them: ServerIDs(), or the one Server when Servers
-// lists none.
-func (t Topology) authorities() []msg.NodeID {
-	if len(t.Servers) == 0 {
-		return []msg.NodeID{t.Server}
+// installation describes the installation as node self sees it: the
+// authorities in placement order (ServerIDs(), or the one Server), every
+// disk in Disks, and the placement. Of the disks each authority allocates
+// from, a node knows only its own authority's: own.
+func (t Topology) installation(self msg.NodeID, own map[msg.NodeID]uint64) shard.Installation {
+	ids := []msg.NodeID{t.Server}
+	if len(t.Servers) > 0 {
+		ids = t.ServerIDs()
 	}
-	return t.ServerIDs()
-}
-
-// placement returns the map over n authorities, nil when there is nothing
-// to place.
-func (t Topology) placement(n int) shard.Placement {
-	switch {
-	case n < 2:
-		return nil
-	case t.Placement != nil:
-		return t.Placement
+	in := shard.Installation{
+		Authorities: make([]shard.Authority, len(ids)),
+		Disks:       make([]msg.NodeID, 0, len(t.Disks)),
+		Placement:   t.Placement,
 	}
-	return shard.Hash{N: n}
+	for id := range t.Disks {
+		in.Disks = append(in.Disks, id)
+	}
+	slices.Sort(in.Disks)
+	for i, id := range ids {
+		in.Authorities[i].Authority = client.Authority{ID: id, Group: t.GroupOf(id)}
+		if id == self || slices.Contains(in.Authorities[i].Group, self) {
+			in.Authorities[i].Disks = own
+		}
+	}
+	return in
 }
 
 // ParseAddrBook parses an address book as the commands take it on their
@@ -152,6 +142,39 @@ func ParseAddrBook(s string) (map[msg.NodeID]string, error) {
 		out[msg.NodeID(id)] = addr
 	}
 	return out, nil
+}
+
+// AddBooks adds to the topology the address books tankd and tankcli take
+// as -shards and -replicas (ParseAddrBook's syntax; empty = none): every
+// lease authority's control address, and the members of one replicated
+// authority (ReplicaGroup). Unless self is msg.None, each book given must
+// list it.
+func (t *Topology) AddBooks(self msg.NodeID, shards, replicas string) error {
+	for _, b := range [...]struct{ flag, book string }{{"-shards", shards}, {"-replicas", replicas}} {
+		if b.book == "" {
+			continue
+		}
+		members, err := ParseAddrBook(b.book)
+		if _, ok := members[self]; err == nil && self != msg.None && !ok {
+			err = fmt.Errorf("does not include this node (n%d)", self)
+		}
+		if err != nil {
+			return fmt.Errorf("%s %q: %v", b.flag, b.book, err)
+		}
+		if t.Servers == nil {
+			t.Servers = make(map[msg.NodeID]string, len(members))
+		}
+		for m, addr := range members {
+			if _, ok := t.Servers[m]; !ok {
+				t.Servers[m] = addr
+			}
+		}
+		if b.flag == "-replicas" {
+			group := ReplicaGroup(members)
+			t.ReplicaGroups = map[msg.NodeID][]msg.NodeID{group[0]: group}
+		}
+	}
+	return nil
 }
 
 // ReplicaGroup orders a replica group's address book by member ID. The
@@ -248,30 +271,36 @@ func buildOptions(opts []Option) nodeOptions {
 	return o
 }
 
-// applyTransport installs the node-level tracer and clock on a transport.
-func (o nodeOptions) applyTransport(t *Transport) {
+// transport makes one of node id's transports on its executor: it dials
+// peers and delivers to deliver, with the node's tracer and clock, the
+// fault plan of its network, and its gauges under prefix.
+func (o nodeOptions) transport(id msg.NodeID, peers map[msg.NodeID]string, deliver func(msg.Envelope),
+	exec *Executor, faults *faultnet.Faults, prefix string) *Transport {
+	t := New(id, peers, deliver)
+	t.UseExecutor(exec)
 	if o.tracer != nil {
 		t.SetTracer(o.tracer)
 	}
 	if o.clock != nil {
 		t.SetClock(o.clock)
 	}
+	if faults != nil {
+		t.SetFaults(faults)
+	}
+	t.Instrument(o.reg, prefix+"net.")
+	return t
 }
 
-// applyControl configures a control-network transport; applySAN a SAN
-// one (they differ only in which fault plan applies).
-func (o nodeOptions) applyControl(t *Transport) {
-	o.applyTransport(t)
-	if o.ctrlFaults != nil {
-		t.SetFaults(o.ctrlFaults)
+// protocolClock instruments a node's executor and returns the clock its
+// protocol runs on: WithClock's, or the wall clock of t, its first
+// transport.
+func (o nodeOptions) protocolClock(exec *Executor, t *Transport, prefix string) sim.Clock {
+	clock := o.clock
+	if clock == nil {
+		clock = t.Clock()
 	}
-}
-
-func (o nodeOptions) applySAN(t *Transport) {
-	o.applyTransport(t)
-	if o.sanFaults != nil {
-		t.SetFaults(o.sanFaults)
-	}
+	exec.Instrument(o.reg, prefix+"exec.", clock)
+	return clock
 }
 
 // ServerNode is a live metadata server: a control listener, a SAN dialer
@@ -287,62 +316,25 @@ type ServerNode struct {
 }
 
 // StartServerNode launches the topology's server: it listens for clients
-// on Topo.ServerAddr and dials the disks in Topo.Disks. A node whose ID
-// appears in Topo.ReplicaGroups additionally runs the PaxosLease
-// negotiator — there is no separate replica entry point; passive,
-// candidate, and active are runtime roles of the same server. In an
-// installation of several authorities the server's slice of the namespace
-// comes from Topo.Placement, unless cfg.PlaceOwner says otherwise.
+// on Topo.ServerAddr, dials the disks in Topo.Disks and fences on all of
+// them, and allocates from cfg.Disks. A node whose ID appears in
+// Topo.ReplicaGroups also runs the PaxosLease negotiator — passive,
+// candidate and active are runtime roles of the same server — warming up
+// at every boot (DESIGN §15.2). The rest of what the node agrees on with
+// the others, its slice of the namespace included, comes from the
+// topology too (shard.Installation.Server).
 func StartServerNode(spec NodeSpec, cfg server.Config, opts ...Option) (*ServerNode, error) {
 	o := buildOptions(opts)
-	ids := spec.Topo.authorities()
-	if place := spec.Topo.placement(len(ids)); place != nil && cfg.PlaceOwner == nil {
-		cfg.PlaceOwner = shard.OwnerID(place, ids)
-	}
-	if g := spec.Topo.GroupOf(spec.ID); g != nil {
-		// The topology decides WHO replicates; cfg.Replica (when given)
-		// only tunes HOW. Unset knobs inherit the protocol defaults.
-		rc := replica.Config{}
-		if cfg.Replica != nil {
-			rc = *cfg.Replica
-		}
-		rc.Self = spec.ID
-		if rc.Group == nil {
-			rc.Group = g
-		}
-		if rc.LeaseTerm == 0 {
-			rc.LeaseTerm = replica.DefaultLeaseTerm
-		}
-		if rc.RetryInterval == 0 {
-			rc.RetryInterval = cfg.Core.RetryInterval
-		}
-		if rc.Bound.Eps == 0 {
-			rc.Bound = cfg.Core.Bound
-		}
-		// A process cannot tell its first boot from a restart, and a
-		// restarted diskless acceptor may already have vouched for the
-		// window it boots into: every live negotiator sits out one
-		// acquisition timeout before it votes or campaigns (DESIGN §15.2).
-		rc.Warmup = true
-		cfg.Replica = &rc
-	}
+	cfg = spec.Topo.installation(spec.ID, cfg.Disks).Server(spec.ID, cfg, true)
 	n := &ServerNode{Exec: NewExecutor(), Reg: o.reg}
+	prefix := fmt.Sprintf("server.%v.", spec.ID)
 	// Peer authorities (if any) are dialable for cross-shard handoffs;
 	// client connections are still learned from inbound Hello frames.
-	n.Ctrl = New(spec.ID, spec.Topo.Servers, func(env msg.Envelope) { n.Srv.Deliver(env) })
-	n.SAN = New(spec.ID, spec.Topo.Disks, func(env msg.Envelope) { n.Srv.DeliverSAN(env) })
-	n.Ctrl.UseExecutor(n.Exec)
-	n.SAN.UseExecutor(n.Exec)
-	o.applyControl(n.Ctrl)
-	o.applySAN(n.SAN)
-	clock := o.clock
-	if clock == nil {
-		clock = n.Ctrl.Clock()
-	}
-	prefix := fmt.Sprintf("server.%v.", spec.ID)
-	n.Exec.Instrument(n.Reg, prefix+"exec.", clock)
-	n.Ctrl.Instrument(n.Reg, prefix+"net.")
-	n.SAN.Instrument(n.Reg, prefix+"net.")
+	n.Ctrl = o.transport(spec.ID, spec.Topo.Servers, func(env msg.Envelope) { n.Srv.Deliver(env) },
+		n.Exec, o.ctrlFaults, prefix)
+	n.SAN = o.transport(spec.ID, spec.Topo.Disks, func(env msg.Envelope) { n.Srv.DeliverSAN(env) },
+		n.Exec, o.sanFaults, prefix)
+	clock := o.protocolClock(n.Exec, n.Ctrl, prefix)
 	n.Srv = server.New(spec.ID, cfg, clock, n.Ctrl.Send, n.SAN.Send, n.Reg, o.tracer)
 	addr, err := n.Ctrl.Listen(spec.Topo.ServerAddr)
 	if err != nil {
@@ -377,16 +369,9 @@ type DiskNode struct {
 func StartDiskNode(spec NodeSpec, cfg disk.Config, opts ...Option) (*DiskNode, error) {
 	o := buildOptions(opts)
 	n := &DiskNode{Exec: NewExecutor()}
-	n.SAN = New(spec.ID, nil, func(env msg.Envelope) { n.Disk.Deliver(env) })
-	n.SAN.UseExecutor(n.Exec)
-	o.applySAN(n.SAN)
-	clock := o.clock
-	if clock == nil {
-		clock = n.SAN.Clock()
-	}
 	prefix := fmt.Sprintf("disk.%v.", spec.ID)
-	n.Exec.Instrument(o.reg, prefix+"exec.", clock)
-	n.SAN.Instrument(o.reg, prefix+"net.")
+	n.SAN = o.transport(spec.ID, nil, func(env msg.Envelope) { n.Disk.Deliver(env) }, n.Exec, o.sanFaults, prefix)
+	clock := o.protocolClock(n.Exec, n.SAN, prefix)
 	n.Disk = disk.New(spec.ID, cfg, clock, n.SAN.Send, o.reg, disk.Observer{},
 		disk.WithMedia(o.media), disk.WithTracer(o.tracer))
 	addr, err := n.SAN.Listen(spec.Topo.Disks[spec.ID])
@@ -446,32 +431,16 @@ func StartClientNode(spec NodeSpec, cfg client.Config, opts ...Option) (*ClientN
 	if len(peers) == 0 {
 		peers = map[msg.NodeID]string{topo.Server: topo.ServerAddr}
 	}
-	ids := topo.authorities()
-	auths := make([]client.Authority, len(ids))
-	for i, id := range ids {
-		auths[i] = client.Authority{ID: id, Group: topo.GroupOf(id)}
-	}
-	var place func(path string) (int, bool)
-	if p := topo.placement(len(ids)); p != nil {
-		place = p.Owner
-	}
-	n.Ctrl = New(spec.ID, peers, func(env msg.Envelope) { n.Router.Deliver(env) })
-	n.SAN = New(spec.ID, topo.Disks, func(env msg.Envelope) { n.Router.DeliverSAN(env) })
-	n.Ctrl.UseExecutor(n.Exec)
-	n.SAN.UseExecutor(n.Exec)
-	o.applyControl(n.Ctrl)
-	o.applySAN(n.SAN)
-	clock := o.clock
-	if clock == nil {
-		clock = n.Ctrl.Clock()
-		n.tmo = sim.NewRealClock(nil)
-	} else {
-		n.tmo = clock
-	}
+	auths, place := topo.installation(spec.ID, nil).Client()
 	prefix := fmt.Sprintf("client.%v.", spec.ID)
-	n.Exec.Instrument(n.Reg, prefix+"exec.", clock)
-	n.Ctrl.Instrument(n.Reg, prefix+"net.")
-	n.SAN.Instrument(n.Reg, prefix+"net.")
+	n.Ctrl = o.transport(spec.ID, peers, func(env msg.Envelope) { n.Router.Deliver(env) },
+		n.Exec, o.ctrlFaults, prefix)
+	n.SAN = o.transport(spec.ID, topo.Disks, func(env msg.Envelope) { n.Router.DeliverSAN(env) },
+		n.Exec, o.sanFaults, prefix)
+	clock := o.protocolClock(n.Exec, n.Ctrl, prefix)
+	if n.tmo = o.clock; n.tmo == nil {
+		n.tmo = sim.NewRealClock(nil)
+	}
 	n.Router = client.NewRouter(spec.ID, auths, cfg, clock,
 		n.Ctrl.Send, n.SAN.Send, place, nil, n.Reg, o.tracer)
 	n.Client = n.Router.Sub(0)

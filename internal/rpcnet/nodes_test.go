@@ -2,6 +2,7 @@ package rpcnet
 
 import (
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/msg"
@@ -39,5 +40,38 @@ func TestParseAddrBook(t *testing.T) {
 		if err != nil || !maps.Equal(got, tc.want) {
 			t.Errorf("ParseAddrBook(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
+	}
+}
+
+// TestTopologyDescribesTheInstallation: a node reads the installation
+// off the address book — the authorities in ServerIDs() order, replica
+// members folded into their group's primary, every disk in ID order, and
+// its own authority's disks alone, which a member shares with its group.
+func TestTopologyDescribesTheInstallation(t *testing.T) {
+	topo := Topology{
+		Servers:       map[msg.NodeID]string{3: "c", 1: "a", 101: "a2", 2: "b"},
+		ReplicaGroups: map[msg.NodeID][]msg.NodeID{1: {1, 101}},
+		Disks:         map[msg.NodeID]string{1002: "z", 1000: "x", 1001: "y"},
+	}
+	own := map[msg.NodeID]uint64{1000: 64}
+	in := topo.installation(101, own)
+	if ids := topo.ServerIDs(); len(in.Authorities) != len(ids) {
+		t.Fatalf("%d authorities, want %v", len(in.Authorities), ids)
+	}
+	for i, id := range topo.ServerIDs() {
+		a := in.Authorities[i]
+		if a.ID != id || !slices.Equal(a.Group, topo.GroupOf(id)) {
+			t.Errorf("authority %d = %v %v, want %v %v", i, a.ID, a.Group, id, topo.GroupOf(id))
+		}
+		if mine := id == 1; (a.Disks != nil) != mine {
+			t.Errorf("authority %v allocates from %v as member 101 sees it", id, a.Disks)
+		}
+	}
+	if !slices.Equal(in.Disks, []msg.NodeID{1000, 1001, 1002}) {
+		t.Errorf("disks %v, want all three in ID order", in.Disks)
+	}
+	auths, place := in.Client()
+	if len(auths) != 3 || auths[0].ID != 1 || auths[1].ID != 2 || auths[2].ID != 3 || place == nil {
+		t.Errorf("client faces %+v (placement %v), want n1 n2 n3 under a hash", auths, place != nil)
 	}
 }

@@ -153,7 +153,7 @@ func TestReplicaServerHelper(t *testing.T) {
 
 // freeAddr reserves an ephemeral loopback port and releases it: replica
 // addresses must be in the shared topology before any process starts.
-func freeAddr(t *testing.T) string {
+func freeAddr(t testing.TB) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

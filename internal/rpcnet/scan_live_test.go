@@ -43,7 +43,7 @@ func TestLiveSequentialScanLeavesTheRoundTripPath(t *testing.T) {
 
 	// StartClientNode, with a counter on either side of the SAN transport.
 	// Both run on the node's executor, as every client callback does.
-	topo := Topology{Server: 1, ServerAddr: lc.srv.Addr.String(), Disks: make(map[msg.NodeID]string)}
+	topo := Topology{Server: 1, ServerAddr: lc.srvs[0].Addr.String(), Disks: make(map[msg.NodeID]string)}
 	for i, d := range lc.disks {
 		topo.Disks[msg.NodeID(1000+i)] = d.Addr.String()
 	}

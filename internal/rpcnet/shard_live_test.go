@@ -6,113 +6,9 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/msg"
-	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
-
-// liveShards boots a sharded installation over real TCP: two lease
-// authorities (IDs 1 and 2) with one SAN disk each, the namespace split
-// by subtree (/s0 → server 1, /s1 → server 2), and n client nodes. The
-// shared Servers address book is what lets the authorities dial each
-// other for cross-shard handoffs; the placement is set once, in the
-// topology, and servers and clients both derive their maps from it.
-type liveShards struct {
-	srvs    []*ServerNode
-	disks   []*DiskNode
-	clients []*ClientNode
-}
-
-func startLiveShards(t *testing.T, nClients int, cfg core.Config, opts ...Option) *liveShards {
-	t.Helper()
-	ls := &liveShards{}
-	// The book is complete before any node starts: placement is over the
-	// authorities it lists.
-	servers := map[msg.NodeID]string{1: freeAddr(t), 2: freeAddr(t)}
-	topo := Topology{Servers: servers, Disks: map[msg.NodeID]string{},
-		Placement: shard.Subtree{Prefixes: map[string]int{"/s0": 0, "/s1": 1}}}
-	allCaps := map[msg.NodeID]uint64{}
-	diskCaps := make([]map[msg.NodeID]uint64, 2)
-	for si := 0; si < 2; si++ {
-		id := msg.NodeID(1000 + si)
-		topo.Disks[id] = Loopback()
-		dn, err := StartDiskNode(NodeSpec{ID: id, Topo: topo}, disk.Config{Blocks: 1 << 12}, opts...)
-		if err != nil {
-			t.Fatalf("disk %d: %v", si, err)
-		}
-		ls.disks = append(ls.disks, dn)
-		topo.Disks[id] = dn.Addr.String()
-		allCaps[id] = 1 << 12
-		diskCaps[si] = map[msg.NodeID]uint64{id: 1 << 12}
-	}
-	for si := 0; si < 2; si++ {
-		id := msg.NodeID(1 + si)
-		stopo := topo
-		stopo.Server = id
-		stopo.ServerAddr = servers[id]
-		sn, err := StartServerNode(NodeSpec{ID: id, Topo: stopo}, server.Config{
-			Core: cfg, Disks: diskCaps[si], FenceDisks: allCaps,
-		}, opts...)
-		if err != nil {
-			t.Fatalf("server %d: %v", si, err)
-		}
-		ls.srvs = append(ls.srvs, sn)
-	}
-	for i := 0; i < nClients; i++ {
-		cn, err := StartClientNode(NodeSpec{ID: msg.NodeID(10 + i), Topo: topo},
-			client.Config{Core: cfg}, opts...)
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-		ls.clients = append(ls.clients, cn)
-	}
-	t.Cleanup(ls.close)
-	return ls
-}
-
-func (ls *liveShards) close() {
-	for _, c := range ls.clients {
-		c.Close()
-	}
-	for _, s := range ls.srvs {
-		s.Close()
-	}
-	for _, d := range ls.disks {
-		d.Close()
-	}
-}
-
-// sc is client i's blocking client: it routes each call as the node's
-// Router does. An operation waits out a steal (τ(1+ε)) at most.
-func (ls *liveShards) sc(i int) *client.SyncClient { return ls.clients[i].Sync(15 * time.Second) }
-
-func (ls *liveShards) open(t *testing.T, i int, path string, write, create bool) msg.Handle {
-	t.Helper()
-	h, _, err := ls.sc(i).Open(path, write, create)
-	if err != nil {
-		t.Fatalf("open %s: %v", path, err)
-	}
-	return h
-}
-
-func (ls *liveShards) write(t *testing.T, i int, path string, h msg.Handle, idx uint64, data []byte) {
-	t.Helper()
-	if err := ls.sc(i).WriteAt(h, idx, data); err != nil {
-		t.Fatalf("write %s: %v", path, err)
-	}
-}
-
-func (ls *liveShards) read(t *testing.T, i int, path string, h msg.Handle, idx uint64) []byte {
-	t.Helper()
-	data, err := ls.sc(i).ReadAt(h, idx)
-	if err != nil {
-		t.Fatalf("read %s: %v", path, err)
-	}
-	return data
-}
 
 // TestLiveShardCrossRename drives the full cross-shard handoff over
 // real TCP: write on shard 0, release the lock, mv into shard 1's
@@ -121,15 +17,15 @@ func (ls *liveShards) read(t *testing.T, i int, path string, h msg.Handle, idx u
 func TestLiveShardCrossRename(t *testing.T) {
 	ring := trace.NewRing(1 << 14)
 	cfg := liveCore()
-	ls := startLiveShards(t, 1, cfg, WithTracer(trace.New(ring)))
-	if err := ls.clients[0].Start(0); err != nil {
+	lc := bootLive(t, 2, 1, cfg, nil, WithTracer(trace.New(ring)))
+	if err := lc.clients[0].Start(0); err != nil {
 		t.Fatal(err)
 	}
 
-	h := ls.open(t, 0, "/s0/file", true, true)
+	h := lc.open(t, 0, "/s0/file", true, true)
 	payload := bytes.Repeat([]byte{'H'}, 512)
-	ls.write(t, 0, "/s0/file", h, 0, payload)
-	sc := ls.sc(0)
+	lc.write(t, 0, h, 0, payload)
+	sc := lc.sc(0)
 	if err := sc.SyncAll(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -152,8 +48,8 @@ func TestLiveShardCrossRename(t *testing.T) {
 	if _, err := sc.Lookup("/s0/file"); err != msg.ErrNoEnt {
 		t.Fatalf("old name after mv: %v, want ErrNoEnt", err)
 	}
-	rh := ls.open(t, 0, "/s1/file", false, false)
-	if got := ls.read(t, 0, "/s1/file", rh, 0); !bytes.Equal(got[:len(payload)], payload) {
+	rh := lc.open(t, 0, "/s1/file", false, false)
+	if got := lc.read(t, 0, rh, 0); !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatal("payload corrupted across the handoff")
 	}
 
@@ -181,29 +77,29 @@ func TestLiveShardTheorem31PerShard(t *testing.T) {
 	ring := trace.NewRing(1 << 14)
 	cfg := liveCore()
 	cfg.Tau = 1500 * time.Millisecond
-	ls := startLiveShards(t, 2, cfg, WithTracer(trace.New(ring)))
-	for i := range ls.clients {
-		if err := ls.clients[i].Start(0); err != nil {
+	lc := bootLive(t, 2, 2, cfg, nil, WithTracer(trace.New(ring)))
+	for i := range lc.clients {
+		if err := lc.clients[i].Start(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	h0 := ls.open(t, 0, "/s0/f", true, true)
-	h1 := ls.open(t, 0, "/s1/f", true, true)
-	ls.write(t, 0, "/s0/f", h0, 0, []byte("dirty-on-shard-0"))
-	ls.write(t, 0, "/s1/f", h1, 0, []byte("dirty-on-shard-1"))
+	h0 := lc.open(t, 0, "/s0/f", true, true)
+	h1 := lc.open(t, 0, "/s1/f", true, true)
+	lc.write(t, 0, h0, 0, []byte("dirty-on-shard-0"))
+	lc.write(t, 0, h1, 0, []byte("dirty-on-shard-1"))
 
 	// Cut client 0 off from BOTH authorities at once. Its executor,
 	// clocks, and SAN stay alive: each sub's lease state machine walks
 	// to expiry unattended and flushes to the disks.
-	ls.clients[0].Ctrl.Close()
+	lc.clients[0].Ctrl.Close()
 
 	// The survivor demands both files; opens complete only after each
 	// authority's steal.
-	g0 := ls.open(t, 1, "/s0/f", true, false)
-	ls.write(t, 1, "/s0/f", g0, 0, []byte("stolen-0"))
-	g1 := ls.open(t, 1, "/s1/f", true, false)
-	ls.write(t, 1, "/s1/f", g1, 0, []byte("stolen-1"))
+	g0 := lc.open(t, 1, "/s0/f", true, false)
+	lc.write(t, 1, g0, 0, []byte("stolen-0"))
+	g1 := lc.open(t, 1, "/s1/f", true, false)
+	lc.write(t, 1, g1, 0, []byte("stolen-1"))
 
 	events := ring.Events()
 	isolated := msg.NodeID(10)
@@ -234,13 +130,13 @@ func TestLiveShardTheorem31PerShard(t *testing.T) {
 // (the files differ in size, so a Stat answered by the other authority,
 // where the same inode number may name another file, cannot pass).
 func TestLiveSyncClientRoutesByPath(t *testing.T) {
-	ls := startLiveShards(t, 2, liveCore())
-	for _, cn := range ls.clients {
+	lc := bootLive(t, 2, 2, liveCore(), nil)
+	for _, cn := range lc.clients {
 		if err := cn.Start(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sc := ls.sc(0)
+	sc := lc.sc(0)
 	paths := []string{"/s0/f", "/s1/f"}
 	inos := make([]msg.ObjectID, len(paths))
 	for si, path := range paths {
@@ -265,7 +161,7 @@ func TestLiveSyncClientRoutesByPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for si, path := range paths {
-		for sj, sn := range ls.srvs {
+		for sj, sn := range lc.srvs {
 			// The store is the server's: read it on the server's executor.
 			found := make(chan msg.Errno)
 			sn.Exec.Submit(func() {
@@ -276,8 +172,8 @@ func TestLiveSyncClientRoutesByPath(t *testing.T) {
 				t.Errorf("%s in authority %d's store: %v", path, sj, errno)
 			}
 		}
-		h := ls.open(t, 1, path, false, false)
-		if data := ls.read(t, 1, path, h, 0); data[0] != byte('a'+si) {
+		h := lc.open(t, 1, path, false, false)
+		if data := lc.read(t, 1, h, 0); data[0] != byte('a'+si) {
 			t.Fatalf("client 1 reads %q from %s", data[0], path)
 		}
 		want := uint64(si+1) * client.BlockSize

@@ -58,7 +58,7 @@ func TestLiveHandoffArmsNoTimers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cc := &countedClocks{}
 	lc := startLiveCfg(t, 2, cfg, cc.option())
-	cc.bind(lc.disks[0].Exec, lc.disks[1].Exec, lc.srv.Exec, lc.clients[0].Exec, lc.clients[1].Exec)
+	cc.bind(lc.disks[0].Exec, lc.disks[1].Exec, lc.srvs[0].Exec, lc.clients[0].Exec, lc.clients[1].Exec)
 	for _, cn := range lc.clients {
 		cn.tmo = sim.NewRealClock(nil) // Start's and Sync's waits are not protocol timers
 	}

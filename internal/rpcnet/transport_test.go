@@ -244,7 +244,7 @@ func TestNodesCountReadsPerFrame(t *testing.T) {
 	for _, c := range []struct {
 		reg  *stats.Registry
 		node string
-	}{{lc.clients[0].Reg, "client.n10"}, {lc.srv.Reg, "server.n1"}} {
+	}{{lc.clients[0].Reg, "client.n10"}, {lc.srvs[0].Reg, "server.n1"}} {
 		reads := c.reg.Gauge(c.node + ".net.reads").Value()
 		frames := c.reg.Gauge(c.node + ".net.frames_in").Value()
 		t.Logf("%s: %d frames in %d reads", c.node, frames, reads)

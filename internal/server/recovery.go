@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-
 	"repro/internal/baselines"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -210,17 +208,12 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 // fence disk, in ID order, and hands each disk's answer to answered (nil:
 // none wanted). It returns how many disks it asked.
 func (s *Server) fence(target msg.NodeID, below msg.Epoch, answered func(msg.Message, msg.Errno)) int {
-	disks := make([]msg.NodeID, 0, len(s.cfg.FenceDisks))
-	for d := range s.cfg.FenceDisks {
-		disks = append(disks, d)
-	}
-	sort.Slice(disks, func(i, j int) bool { return disks[i] < disks[j] })
-	for _, d := range disks {
+	for _, d := range s.cfg.FenceDisks {
 		s.sanSend(d, func(req msg.ReqID) msg.Message {
 			return &msg.FenceSet{Admin: s.id, Req: req, Authority: s.authority, Target: target, Below: below}
 		}, answered)
 	}
-	return len(disks)
+	return len(s.cfg.FenceDisks)
 }
 
 // floorRound is one learnFloor: the disks yet to answer, and the Rejoins

@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/baselines"
@@ -56,11 +57,11 @@ type Config struct {
 	// and Create materializes missing parents (each shard sees only its
 	// slice of the tree). Nil = sole authority, behavior unchanged.
 	PlaceOwner func(path string) msg.NodeID
-	// FenceDisks, when non-nil, is the full set of SAN disks fences are
-	// administered on. A shard allocates only from its own Disks, but a
-	// client it steals from may hold handed-off blocks on any disk, so
-	// shards fence installation-wide. Nil = fence on Disks.
-	FenceDisks map[msg.NodeID]uint64
+	// FenceDisks lists, in ID order, the SAN disks fences are raised on:
+	// every disk of the installation, since a client a shard steals from
+	// may hold handed-off blocks on any of them. shard.Installation.Server
+	// sets it; nil = fence on Disks.
+	FenceDisks []msg.NodeID
 	// ServiceTime, when positive, models the server as a single-threaded
 	// request processor: control requests are serviced one at a time,
 	// ServiceTime each, FIFO. This is what makes a one-shard metadata
@@ -95,7 +96,10 @@ func (c Config) withDefaults() Config {
 		c.GracePeriod = c.Core.StealDelay()
 	}
 	if c.FenceDisks == nil {
-		c.FenceDisks = c.Disks
+		for id := range c.Disks {
+			c.FenceDisks = append(c.FenceDisks, id)
+		}
+		slices.Sort(c.FenceDisks)
 	}
 	return c
 }
@@ -339,6 +343,9 @@ func (a authorityActions) StealLocks(client msg.NodeID) {
 
 // ID returns the server's node ID.
 func (s *Server) ID() msg.NodeID { return s.id }
+
+// Config returns the configuration the server runs with, defaults filled.
+func (s *Server) Config() Config { return s.cfg }
 
 // Store exposes the metadata store to tests and the cluster harness.
 func (s *Server) Store() *meta.Store { return s.store }

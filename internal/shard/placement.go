@@ -6,20 +6,19 @@
 // Theorem 3.1 holds per shard by construction (DESIGN.md §14).
 //
 // The package supplies the deterministic placement map (hash by
-// default, pluggable subtree placement) and nothing else: the client-side
-// router that resolves every operation to its authority is
-// client.Router, the simulated installation is internal/cluster with
-// Shards > 1 (the tests beside this file drive it — scale curve, handoff
-// fault matrix, Theorem 3.1 per shard and across a replica takeover), and
-// cross-shard renames run the server-to-server handoff protocol in
-// internal/server/shard.go.
+// default, pluggable subtree placement) and the installation's
+// description every node of both fabrics is configured from
+// (Installation, assembly.go). The client-side router that resolves
+// every operation to its authority is client.Router, the simulated
+// installation is internal/cluster with Shards > 1 (the tests beside this
+// file drive it — scale curve, handoff fault matrix, Theorem 3.1 per
+// shard and across a replica takeover), and cross-shard renames run the
+// server-to-server handoff protocol in internal/server/shard.go.
 package shard
 
 import (
 	"hash/fnv"
 	"strings"
-
-	"repro/internal/msg"
 )
 
 // Placement deterministically maps an absolute path to the index of the
@@ -69,18 +68,4 @@ func (t Subtree) Owner(path string) (int, bool) {
 		}
 	}
 	return best, ok
-}
-
-// OwnerID turns a placement over the authorities ids — indexed in that
-// order — into the map a server is configured with: path to owning node
-// ID, msg.None where the placement routes a path nowhere (or outside
-// ids).
-func OwnerID(p Placement, ids []msg.NodeID) func(path string) msg.NodeID {
-	return func(path string) msg.NodeID {
-		idx, ok := p.Owner(path)
-		if !ok || idx < 0 || idx >= len(ids) {
-			return msg.None
-		}
-		return ids[idx]
-	}
 }

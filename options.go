@@ -284,12 +284,18 @@ type (
 func Loopback() string { return rpcnet.Loopback() }
 
 // StartServer launches a live metadata server for the topology in
-// spec: it listens for clients on Topo.ServerAddr and dials the disks
-// in Topo.Disks. diskCaps lists each disk's capacity in blocks (nil =
-// every disk in the topology at the configured WithDiskBlocks size).
+// spec: it listens for clients on Topo.ServerAddr, dials the disks in
+// Topo.Disks and fences on all of them. diskCaps lists the disks it
+// allocates from, each with its capacity in blocks. Nil means every disk
+// in the topology at the configured WithDiskBlocks size, which only an
+// installation of one authority may ask for: no two authorities allocate
+// from one disk.
 func StartServer(spec NodeSpec, diskCaps map[NodeID]uint64, opts ...Option) (*ServerNode, error) {
 	b := Resolve(opts...)
 	if diskCaps == nil {
+		if n := len(spec.Topo.ServerIDs()); n > 1 {
+			return nil, fmt.Errorf("storagetank: server %v: pass the disks it allocates from; %d authorities cannot all allocate from every disk", spec.ID, n)
+		}
 		diskCaps = make(map[msg.NodeID]uint64, len(spec.Topo.Disks))
 		for id := range spec.Topo.Disks {
 			diskCaps[id] = b.Cluster.DiskBlocks
@@ -297,9 +303,8 @@ func StartServer(spec NodeSpec, diskCaps map[NodeID]uint64, opts ...Option) (*Se
 	}
 	cfg := server.Config{Core: b.Cluster.Core, Policy: b.Cluster.Policy, Disks: diskCaps}
 	// A node listed in a Topology.ReplicaGroups group runs the PaxosLease
-	// negotiator (rpcnet fills the rest of the replica config from the
-	// group); the option only overrides the lease term.
-	if b.Cluster.ReplicaLeaseTerm != 0 && spec.Topo.GroupOf(spec.ID) != nil {
+	// negotiator; the option only sets its lease term.
+	if b.Cluster.ReplicaLeaseTerm != 0 {
 		cfg.Replica = &replica.Config{LeaseTerm: b.Cluster.ReplicaLeaseTerm}
 	}
 	return rpcnet.StartServerNode(spec, cfg, b.Node...)
@@ -321,15 +326,7 @@ func StartDisk(spec NodeSpec, opts ...Option) (*DiskNode, error) {
 // surface.
 func StartClient(spec NodeSpec, opts ...Option) (*ClientNode, error) {
 	b := Resolve(opts...)
-	cfg := client.Config{
-		Core: b.Cluster.Core, Policy: b.Cluster.Policy,
-		FlushInterval: b.Cluster.FlushInterval,
-		CacheMaxPages: b.Cluster.CacheMaxPages,
-		CacheQuota:    b.Cluster.CacheQuota,
-		FlushBatch:    b.Cluster.FlushBatch,
-		Prefetch:      b.Cluster.Prefetch,
-	}
-	cn, err := rpcnet.StartClientNode(spec, cfg, b.Node...)
+	cn, err := rpcnet.StartClientNode(spec, b.Cluster.ClientConfig(), b.Node...)
 	if err != nil {
 		return nil, err
 	}

@@ -155,3 +155,23 @@ func TestUnifiedOptionsLiveNodes(t *testing.T) {
 		t.Fatal("live round trip returned wrong bytes")
 	}
 }
+
+// TestStartServerNeedsItsDisksAmongShards: with several authorities, a
+// server started with no disk list would allocate from every disk, the
+// others' included; it is refused before it listens.
+func TestStartServerNeedsItsDisksAmongShards(t *testing.T) {
+	topo := Topology{
+		Servers: map[NodeID]string{1: Loopback(), 2: Loopback()},
+		Disks:   map[NodeID]string{1000: Loopback(), 1001: Loopback()},
+	}
+	topo.Server, topo.ServerAddr = 1, Loopback()
+	if srv, err := StartServer(NodeSpec{ID: 1, Topo: topo}, nil); err == nil {
+		srv.Close()
+		t.Fatal("a server of two authorities started with every disk to allocate from")
+	}
+	srv, err := StartServer(NodeSpec{ID: 1, Topo: topo}, map[NodeID]uint64{1000: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+}
