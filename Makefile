@@ -67,11 +67,18 @@ lint:
 # frame is seen, and Close from inside a handler ends the read loop
 # instead of waiting for it. The suite then runs once more under
 # -tags tankdebug, where bufpool.Put poisons released buffers (0xDB),
-# double-Put panics with the first Put's stack and an Envelope.Release
-# past its borrow panics: dynamic cross-validation of bufown's three
-# rules, which the static pass proves per path. Last,
-# ten seconds of fuzzing the wire decoder from every type's golden frame:
-# the one piece of the tree that parses bytes a peer chose.
+# and so does the wire codec the bytes of every frame it decoded in its
+# connection buffer, double-Put panics with the first Put's stack and an
+# Envelope.Release past its borrow panics: dynamic cross-validation of
+# bufown's three rules, which the static pass proves per path, and of
+# the derived table of frames that alias nothing. Last, ten seconds each
+# of fuzzing the wire decoder and the codec's frame parser (frames cut at
+# chosen read boundaries, straddling reads and outgrowing the buffer),
+# both seeded from every type's golden frame: the one piece of the tree
+# that parses bytes a peer chose. The parser's minimization is held to a
+# second: its candidates often declare frames of megabytes, whose bodies
+# the codec allocates, and left at the default minute, minimizing one
+# input took the whole ten seconds.
 verify: lint
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -89,6 +96,7 @@ verify: lint
 	$(GO) test -race -count=10 -run 'TestServeFraming|TestServeSeesACloseBehindTheLastFrame|TestCloseWhileServing' ./internal/wire/
 	$(GO) test -race -tags tankdebug ./...
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBinary -fuzztime=10s ./internal/msg/
+	$(GO) test -run=NONE -fuzz=FuzzCodecFrames -fuzztime=10s -fuzzminimizetime=1s ./internal/wire/
 
 # bench runs every benchmark with allocation stats and renders the
 # results as BENCH_tier1.json (op/s and ns/op per benchmark; see

@@ -61,7 +61,9 @@ func BenchmarkBinaryDecodeDiskWrite(b *testing.B) {
 
 // TestCoderAllocs pins what a kept Coder allocates per DiskWrite frame:
 // nothing to size and encode it, the message and its envelope to decode
-// it — the data tail is aliased, never copied.
+// it — the data tail is aliased, never copied, and the borrow cell is a
+// field of the message — and the message alone to decode it into an
+// envelope the caller keeps, as the live codec does.
 func TestCoderAllocs(t *testing.T) {
 	if bufpool.Debug {
 		t.Skip("tankdebug hooks allocate by design")
@@ -83,10 +85,23 @@ func TestCoderAllocs(t *testing.T) {
 	}
 	frame = append(frame, tail...)
 	if got := testing.AllocsPerRun(1000, func() {
-		if _, err := k.Decode(frame); err != nil {
+		var err error
+		if sinkEnv, err = k.Decode(frame); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 2 {
 		t.Errorf("Decode of a DiskWrite: %v allocs, want 2", got)
 	}
+	var kept Envelope
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := k.DecodeInto(frame, &kept); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("DecodeInto of a DiskWrite: %v allocs, want 1", got)
+	}
 }
+
+// sinkEnv keeps a decoded envelope reachable, so that the compiler cannot
+// place it on the stack.
+var sinkEnv *Envelope

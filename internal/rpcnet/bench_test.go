@@ -158,6 +158,59 @@ func TestSendAndDoAllocs(t *testing.T) {
 	}
 }
 
+// raceOn is set in a build with the race detector (race_on_test.go).
+var raceOn bool
+
+// TestRecvAllocs pins in the tier-1 suite what a received frame costs the
+// live receive path (DESIGN §12.3, §21.6): its message, and nothing else
+// — no envelope, no borrow cell, no task closure, no body copied out of
+// the connection buffer. A KeepAlive round trip over loopback is two
+// frames, each decoded where it landed and handled on its read loop, so
+// two objects: the two KeepAlives. A DiskReadRes aliases its frame, whose
+// pooled body the message's own borrow cell holds until the handler
+// returns: one object, the DiskReadRes.
+func TestRecvAllocs(t *testing.T) {
+	if bufpool.Debug || raceOn {
+		t.Skip("tankdebug hooks allocate, and the race detector's sync.Pool drops buffers, by design")
+	}
+	back := make(chan struct{}, 1)
+	req, rep := keepAlive(1), keepAlive(2)
+	var tb *Transport
+	tb = New(2, nil, func(env msg.Envelope) {
+		if _, ok := env.Payload.(*msg.KeepAlive); ok {
+			tb.Send(1, rep)
+		} else {
+			back <- struct{}{}
+		}
+	})
+	go tb.Run()
+	defer tb.Close()
+	addr, err := tb.Listen(Loopback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta := New(1, map[msg.NodeID]string{2: addr.String()}, func(msg.Envelope) { back <- struct{}{} })
+	go ta.Run()
+	defer ta.Close()
+	roundTrip := func() {
+		ta.Send(2, req)
+		<-back
+	}
+	roundTrip()
+	if got := testing.AllocsPerRun(500, roundTrip); got > 2 {
+		t.Errorf("a KeepAlive round trip: %v allocs, want at most 2", got)
+	}
+	page := &msg.DiskReadRes{Req: 3, Data: make([]byte, 4096)}
+	readRes := func() {
+		ta.Send(2, page)
+		<-back
+	}
+	readRes()
+	if got := testing.AllocsPerRun(500, readRes); got > 1 {
+		t.Errorf("a DiskReadRes frame: %v allocs, want at most 1", got)
+	}
+}
+
 // BenchmarkExecutorSubmitHop is the same task queued for Run's goroutine
 // and waited for: the two goroutine switches a Sync call used to pay
 // around every operation, and a queued delivery still pays one of.

@@ -259,8 +259,10 @@ func (t *Transport) drop(l *link) {
 
 // readLoop serves the connection's read side until it ends
 // (wire.Codec.Serve, DESIGN §21.6): every frame the fault plan lets
-// through becomes a task of the executor, on this goroutine when the
-// executor is idle.
+// through becomes a task of the executor. When the executor is idle the
+// task runs here, under the token Enter takes, and costs nothing beyond
+// the frame's message; only a frame that has to queue is copied out of
+// the codec's envelope, into the closure Submit keeps.
 func (t *Transport) readLoop(l *link, codec *wire.Codec) {
 	peer := l.peer
 	codec.Instrument(t.reads, t.framesIn)
@@ -272,12 +274,19 @@ func (t *Transport) readLoop(l *link, codec *wire.Codec) {
 				return
 			}
 		}
-		t.tasks.Do(func() {
+		// The handler's return ends the borrow on any pooled receive
+		// buffer the payload aliases; handlers that defer work past this
+		// point (disk service queues) Retain first.
+		if t.tasks.Enter() {
 			t.handler(*env)
-			// The handler's return ends the borrow on any pooled receive
-			// buffer the payload aliases; handlers that defer work past
-			// this point (disk service queues) Retain first.
 			env.Release()
+			t.tasks.Leave()
+			return
+		}
+		queued := *env
+		t.tasks.Submit(func() {
+			t.handler(queued)
+			queued.Release()
 		})
 	})
 	// A typed bad frame is protocol damage — corrupt framing, a codec bug,

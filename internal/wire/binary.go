@@ -35,23 +35,30 @@ const MaxFrame = 1 << 24
 // A frame stages the length prefix and metadata in a pooled buffer and
 // carries bulk page data as a scatter-gather tail straight from the
 // sender's buffer (writev), so steady-state sends copy no page bytes and
-// allocate nothing. Each received frame's body is a pooled buffer that
-// the decoded envelope's page payloads alias; the envelope owns the
-// buffer through its borrow, whose last release returns it to the pool.
+// allocate nothing. A received frame costs its message and nothing more
+// (DESIGN.md §12.3): one whose message aliases nothing is decoded where
+// it landed in the connection buffer, and only the SAN page messages,
+// whose Data aliases their frame, get a pooled body of their own, which
+// the message owns through its borrow until the last release returns it
+// to the pool.
 type Codec struct {
 	conn net.Conn
 
 	// The reader's, whether it reads with Serve or Recv. buf[r:w] is what
-	// has been read and not parsed: whole frames, then at most the first
-	// bytes of a length prefix. body is the pooled body of a frame whose
-	// length prefix has been parsed and whose last byte has not arrived,
-	// got bytes of it filled; the buffer is empty meanwhile, so the next
-	// read goes into the body first (DESIGN.md §12.3).
+	// has been read and not parsed: whole frames, then the start of one
+	// that is decoded in the buffer once it has all arrived. body is the
+	// pooled body of a frame that aliases its bytes or outgrows the
+	// buffer, whose header has been parsed and whose last byte has not
+	// arrived, got bytes of it filled; the buffer is empty meanwhile, so
+	// the next read goes into the body first (DESIGN.md §12.3). env is
+	// what the last frame decoded to, until Serve has delivered it or
+	// Recv handed it over.
 	dec  msg.Coder
 	buf  []byte
 	r, w int
 	body []byte
 	got  int
+	env  msg.Envelope
 	// reads and frames count reads and decoded frames (Instrument).
 	reads, frames *stats.Gauge
 
@@ -271,8 +278,10 @@ func (c *Codec) Send(env *msg.Envelope) error {
 }
 
 // Serve reads the connection until it ends and hands every frame to
-// deliver, in order, on the calling goroutine. Each envelope carries the
-// borrow a Recv caller would own: deliver must Release it or pass it on.
+// deliver, in order, on the calling goroutine. The envelope is the
+// codec's own, valid only until deliver returns: what outlives the call
+// is a copy. It carries the borrow a Recv caller would own: deliver must
+// Release it or pass it on.
 // Serve returns what ended the connection — io.EOF at a frame boundary,
 // an error wrapping ErrBadFrame, net.ErrClosed after Close — and closes
 // it on the way out.
@@ -293,11 +302,10 @@ func (c *Codec) Serve(deliver func(*msg.Envelope)) error {
 	}
 	if !c.reportsQueue() {
 		for c.state.Load() != closed {
-			env, err := c.Recv()
-			if err != nil {
+			if err := c.read(); err != nil {
 				return err
 			}
-			deliver(env)
+			c.hand(deliver)
 		}
 		return net.ErrClosed
 	}
@@ -343,13 +351,13 @@ func (c *Codec) readFrames(fd uintptr) bool {
 			c.serveErr = net.ErrClosed
 			return true
 		}
-		env, err := c.next()
+		ok, err := c.next()
 		switch {
 		case err != nil:
 			c.serveErr = err
 			return true
-		case env != nil:
-			c.deliver(env)
+		case ok:
+			c.hand(c.deliver)
 			continue
 		case c.dry:
 			c.dry = false
@@ -402,17 +410,36 @@ func (c *Codec) readFD(fd uintptr) (n int, more bool, errno syscall.Errno) {
 }
 
 // Recv reads the next frame, parking the caller in a read as often as the
-// frame needs. The returned envelope aliases a pooled buffer; it carries a
-// borrow that the consumer must Release.
+// frame needs. The caller owns the returned envelope; one whose payload
+// aliases a pooled buffer carries a borrow that the consumer must Release
+// (a Release of any other does nothing).
 func (c *Codec) Recv() (*msg.Envelope, error) {
+	if err := c.read(); err != nil {
+		return nil, err
+	}
+	env := new(msg.Envelope)
+	*env, c.env = c.env, msg.Envelope{}
+	return env, nil
+}
+
+// read decodes the next frame into c.env, parking the caller in a read
+// as often as the frame needs.
+func (c *Codec) read() error {
 	for {
-		if env, err := c.next(); env != nil || err != nil {
-			return env, err
+		if ok, err := c.next(); ok || err != nil {
+			return err
 		}
 		if err := c.fill(); err != nil {
-			return nil, err
+			return err
 		}
 	}
+}
+
+// hand delivers the envelope the last frame decoded to, and then forgets
+// it, so that the codec pins no message.
+func (c *Codec) hand(deliver func(*msg.Envelope)) {
+	deliver(&c.env)
+	c.env = msg.Envelope{}
 }
 
 // fill is one blocking Read into where the next bytes go.
@@ -430,51 +457,99 @@ func (c *Codec) fill() error {
 	return nil
 }
 
-// next parses the next frame out of what has been read: the decoded
-// envelope, nil while no frame has wholly arrived.
-func (c *Codec) next() (*msg.Envelope, error) {
-	if c.body == nil {
-		if c.w-c.r < 4 {
-			// A partial length prefix moves to the front, so the next read
-			// has the whole buffer.
-			c.w = copy(c.buf, c.buf[c.r:c.w])
-			c.r = 0
-			return nil, nil
+// frameHead is how much of a frame next must have read to choose where
+// its body goes: the length prefix and the body's header, whose type byte
+// says whether the message aliases its frame.
+const frameHead = 4 + msg.HeaderSize
+
+// next parses the next frame out of what has been read into c.env, and
+// reports whether a whole one had arrived. A frame whose message aliases
+// nothing and that fits the buffer is decoded where it landed. Any other
+// — a SAN page message, or a frame larger than the buffer — goes into a
+// pooled body, which an aliasing message owns through its borrow and any
+// other gives back as soon as it is decoded.
+func (c *Codec) next() (bool, error) {
+	if c.body != nil {
+		if c.got < len(c.body) {
+			return false, nil
 		}
-		n := binary.BigEndian.Uint32(c.buf[c.r:])
-		if n < 9 || n > MaxFrame {
-			return nil, fmt.Errorf("%w: impossible length prefix %d", ErrBadFrame, n)
-		}
-		body := bufpool.Get(int(n))
-		got := copy(body, c.buf[c.r+4:c.w])
-		c.r += 4 + got
-		if got == len(body) {
-			return c.decode(body)
-		}
-		c.r, c.w = 0, 0
-		c.body, c.got = body, got // the codec holds a body until its last byte is read
-		return nil, nil
+		body := c.body
+		c.body, c.got = nil, 0
+		return c.decodeBody(body)
 	}
-	if c.got < len(c.body) {
-		return nil, nil
+	have := c.w - c.r
+	var n int
+	if have >= 4 {
+		if n = int(binary.BigEndian.Uint32(c.buf[c.r:])); n < msg.HeaderSize || n > MaxFrame {
+			return false, fmt.Errorf("%w: impossible length prefix %d", ErrBadFrame, n)
+		}
 	}
-	body := c.body
-	c.body, c.got = nil, 0
-	return c.decode(body)
+	if have < frameHead {
+		// A partial header moves to the front, so the next read has the
+		// whole buffer.
+		c.compact()
+		return false, nil
+	}
+	if end := 4 + n; end <= len(c.buf) && !msg.Aliases(c.buf[c.r+4:c.r+frameHead]) {
+		switch {
+		case have >= end:
+			return c.decodeHere(end)
+		case c.r+end > len(c.buf):
+			c.compact() // the frame straddles the end: at the front it fits
+		}
+		return false, nil
+	}
+	body := bufpool.Get(n)
+	got := copy(body, c.buf[c.r+4:c.w])
+	c.r += 4 + got
+	if got == n {
+		return c.decodeBody(body)
+	}
+	c.r, c.w = 0, 0
+	c.body, c.got = body, got // the codec holds a body until its last byte is read
+	return false, nil
 }
 
-// decode decodes a frame's body, which the envelope's borrow then owns.
-func (c *Codec) decode(body []byte) (*msg.Envelope, error) {
-	env, err := c.dec.Decode(body)
-	if err != nil {
+// compact moves what has been read and not parsed to the front of the
+// buffer.
+func (c *Codec) compact() {
+	c.w = copy(c.buf, c.buf[c.r:c.w])
+	c.r = 0
+}
+
+// decodeHere decodes the frame at r, end bytes with its length prefix,
+// where it lies in the buffer. Nothing decoded aliases those bytes, so
+// the next read may overwrite them: a tankdebug build poisons them at
+// once, as it does a pooled body given back.
+func (c *Codec) decodeHere(end int) (bool, error) {
+	frame := c.buf[c.r : c.r+end]
+	c.r += end
+	err := c.dec.DecodeInto(frame[4:], &c.env)
+	bufpool.Poison(frame)
+	return c.decoded(err)
+}
+
+// decodeBody decodes a pooled body. An aliasing message owns the body
+// through its borrow; any other decode gives it back.
+func (c *Codec) decodeBody(body []byte) (bool, error) {
+	err := c.dec.DecodeInto(body, &c.env)
+	if err == nil && msg.Aliases(body) {
+		c.env.Borrowed(body)
+	} else {
 		bufpool.Put(body)
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	env.Borrowed(body)
+	return c.decoded(err)
+}
+
+// decoded counts a decoded frame, or reports a frame that did not parse.
+func (c *Codec) decoded(err error) (bool, error) {
+	if err != nil {
+		return false, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
 	if c.frames != nil {
 		c.frames.Add(1)
 	}
-	return env, nil
+	return true, nil
 }
 
 // space returns where the next read goes: the rest of a partly read body,
@@ -498,12 +573,15 @@ func (c *Codec) filled(n int) {
 }
 
 // lost reports the error that ended the connection's bytes by where it
-// cut them: inside a body it is frame damage, a truncated body; inside a
-// length prefix an unexpected EOF; between frames the error itself.
+// cut them: inside a body — a pooled one, or one in the buffer behind its
+// length prefix — it is frame damage, a truncated body; inside a length
+// prefix an unexpected EOF; between frames the error itself.
 func (c *Codec) lost(err error) error {
-	if c.body != nil {
-		bufpool.Put(c.body)
-		c.body, c.got = nil, 0
+	if c.body != nil || c.w-c.r >= 4 {
+		if c.body != nil {
+			bufpool.Put(c.body)
+			c.body, c.got = nil, 0
+		}
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

@@ -1,0 +1,223 @@
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+)
+
+// goldenFrames reads the frame body of every wire type from the msg
+// package's golden file, in name order.
+func goldenFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	f, err := os.Open("../msg/testdata/frames.golden")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	var names []string
+	frames := map[string][]byte{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		name, hexFrame, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		b, err := hex.DecodeString(hexFrame)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		names = append(names, name)
+		frames[name] = b
+	}
+	if err := sc.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	sort.Strings(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = frames[name]
+	}
+	return out
+}
+
+// prefixed returns bodies as they follow each other on a connection:
+// each behind its length prefix.
+func prefixed(bodies ...[]byte) []byte {
+	var b []byte
+	for _, body := range bodies {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(body)))
+		b = append(b, body...)
+	}
+	return b
+}
+
+// chunkConn is a connection whose reads bring stream in the sizes cuts
+// names, one size per read in turn (a byte b is b+1 bytes), or as much as
+// each read asks for when cuts is empty; then io.EOF.
+type chunkConn struct {
+	stream, cuts []byte
+	next         int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(c.cuts) > 0 {
+		n = min(n, int(c.cuts[c.next%len(c.cuts)])+1)
+		c.next++
+	}
+	n = copy(p, c.stream[:min(n, len(c.stream))])
+	c.stream = c.stream[n:]
+	return n, nil
+}
+
+func (c *chunkConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *chunkConn) Close() error                     { return nil }
+func (c *chunkConn) LocalAddr() net.Addr              { return nil }
+func (c *chunkConn) RemoteAddr() net.Addr             { return nil }
+func (c *chunkConn) SetDeadline(time.Time) error      { return nil }
+func (c *chunkConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *chunkConn) SetWriteDeadline(time.Time) error { return nil }
+
+// reencode returns env's frame body as the encoder writes it: two
+// envelopes are the same envelope when their bodies are the same bytes.
+func reencode(tb testing.TB, env *msg.Envelope) []byte {
+	tb.Helper()
+	meta, tail, err := msg.BinarySize(env)
+	if err != nil {
+		tb.Fatalf("a decoded %T does not size: %v", env.Payload, err)
+	}
+	body := make([]byte, meta, meta+len(tail))
+	if err := msg.EncodeBinary(body, env); err != nil {
+		tb.Fatalf("a decoded %T does not encode: %v", env.Payload, err)
+	}
+	return append(body, tail...)
+}
+
+// FuzzCodecFrames drives the codec's frame parser — not just the decoder
+// FuzzDecodeBinary covers — with length-prefixed frame bodies cut at
+// read boundaries the fuzzer chooses. It must never panic, and each
+// frame must decode to the envelope the decoder alone makes of its body,
+// whether it arrived whole, straddled a read, or was larger than the
+// codec's buffer; the stream must end as its bytes do — io.EOF at a frame
+// boundary, an error anywhere else.
+func FuzzCodecFrames(f *testing.F) {
+	golden := goldenFrames(f)
+	all := prefixed(golden...)
+	f.Add(all, []byte{})
+	f.Add(all, []byte{0})
+	f.Add(all, []byte{12, 200, 3, 40})
+	for _, body := range golden {
+		f.Add(prefixed(body, body), []byte{5})
+	}
+	// The runs share their buffers, and find in them what the last run
+	// left: a codec must not read what its reads did not bring.
+	big, small := make([]byte, readBuf), make([]byte, frameHead+3)
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		// What the decoder alone makes of the stream: each body's
+		// re-encoding, up to the first damage.
+		var want [][]byte
+		clean := true
+		for rest := stream; len(rest) > 0; {
+			if len(rest) < 4 {
+				clean = false
+				break
+			}
+			n := int(binary.BigEndian.Uint32(rest))
+			if n < msg.HeaderSize || n > MaxFrame || len(rest)-4 < n {
+				clean = false
+				break
+			}
+			env, err := msg.DecodeBinary(rest[4 : 4+n])
+			if err != nil {
+				clean = false
+				break
+			}
+			want = append(want, reencode(t, env))
+			rest = rest[4+n:]
+		}
+		for _, run := range []struct {
+			name string
+			buf  []byte
+			cuts []byte
+		}{
+			{"whole", big, nil},
+			{"straddled", big, cuts},
+			{"larger-than-the-buffer", small, cuts},
+		} {
+			c := &Codec{conn: &chunkConn{stream: stream, cuts: run.cuts}, buf: run.buf}
+			for i := 0; ; i++ {
+				env, err := c.Recv()
+				if err != nil {
+					switch {
+					case i < len(want):
+						t.Fatalf("%s: frame %d of %d: %v", run.name, i, len(want), err)
+					case clean && err != io.EOF:
+						t.Fatalf("%s: a stream of %d whole frames ended with %v", run.name, i, err)
+					case !clean && err == io.EOF:
+						t.Fatalf("%s: a damaged stream ended cleanly after %d frames", run.name, i)
+					}
+					break
+				}
+				if i >= len(want) {
+					t.Fatalf("%s: frame %d decoded from a stream of %d", run.name, i, len(want))
+				}
+				if got := reencode(t, env); !bytes.Equal(got, want[i]) {
+					t.Fatalf("%s: frame %d decoded to\n %x\nwant\n %x", run.name, i, got, want[i])
+				}
+				env.Release()
+			}
+		}
+	})
+}
+
+// TestRecvOwnership: Recv's envelope is the caller's. Two successive
+// results share no storage, and the first survives the second's decode —
+// which, for frames decoded in the connection buffer, reuses the bytes
+// the first came from.
+func TestRecvOwnership(t *testing.T) {
+	first := &msg.Envelope{From: 3, To: 9, Payload: &msg.Lookup{
+		ReqHeader: msg.ReqHeader{Client: 3, Req: 1}, Path: "/first/path"}}
+	second := &msg.Envelope{From: 3, To: 9, Payload: &msg.Readdir{
+		ReqHeader: msg.ReqHeader{Client: 3, Req: 2}, Ino: 7}}
+	want1, want2 := reencode(t, first), reencode(t, second)
+	stream := prefixed(want1, want2)
+	for _, cuts := range [][]byte{nil, {0}, {byte(len(want1) + 5)}} {
+		c := newCodec(&chunkConn{stream: stream, cuts: cuts})
+		a, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b || a.Payload == b.Payload {
+			t.Fatalf("two Recv results share storage: %p %p", a, b)
+		}
+		if got := reencode(t, a); !bytes.Equal(got, want1) {
+			t.Fatalf("the first result changed when the second arrived:\n %x\nwant\n %x", got, want1)
+		}
+		if got := reencode(t, b); !bytes.Equal(got, want2) {
+			t.Fatalf("second result:\n %x\nwant\n %x", got, want2)
+		}
+		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+			t.Fatalf("after both frames: %v, want io.EOF", err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,6 +145,52 @@ func TestServeFraming(t *testing.T) {
 			ca.conn.Write([]byte{c})
 		}
 		expectWrites(t, got, 30, 9)
+	})
+	t.Run("control-frames-in-the-buffer", func(t *testing.T) {
+		// Frames that alias nothing are decoded where they land: a burst
+		// of them runs past the buffer's end, so one straddles it and
+		// moves to the front, and one is larger than the buffer and takes
+		// a pooled body. Each must arrive whole, in order, and keep its
+		// path after the bytes it came from are reused.
+		ca, cb := codecPair(t)
+		lookup := func(req, n int) *msg.Envelope {
+			path := strings.Repeat(string(rune('a'+req%26)), n)
+			return &msg.Envelope{From: 1, To: 2, Payload: &msg.Lookup{ReqHeader: msg.ReqHeader{Client: 1, Req: msg.ReqID(req)}, Path: path}}
+		}
+		sizes := make([]int, 300, 302)
+		for i := range sizes {
+			sizes[i] = 300
+		}
+		var burst []byte
+		var want []*msg.Lookup
+		for i, n := range append(sizes, readBuf+100, 7) {
+			env := lookup(i, n)
+			burst = append(burst, frameBytes(t, env)...)
+			want = append(want, env.Payload.(*msg.Lookup))
+		}
+		got := make(chan *msg.Lookup, len(want))
+		go cb.Serve(func(env *msg.Envelope) {
+			got <- env.Payload.(*msg.Lookup)
+			env.Release()
+		})
+		ca.conn.Write(burst)
+		var kept []*msg.Lookup
+		for i, w := range want {
+			select {
+			case g := <-got:
+				if g.Req != w.Req || g.Path != w.Path {
+					t.Fatalf("frame %d: Lookup %d with a %d-byte path, want %d with %d", i, g.Req, len(g.Path), w.Req, len(w.Path))
+				}
+				kept = append(kept, g)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Lookup %d never delivered", i)
+			}
+		}
+		for i, g := range kept {
+			if g.Path != want[i].Path {
+				t.Fatalf("Lookup %d's path changed after delivery", i)
+			}
+		}
 	})
 	t.Run("frames-behind-the-hello", func(t *testing.T) {
 		ca, cb := codecPair(t)
