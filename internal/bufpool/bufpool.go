@@ -81,15 +81,30 @@ func Get(n int) []byte {
 // Put returns a buffer obtained from Get to its size class. Buffers
 // whose capacity is not an exact class size (grown, sliced from
 // elsewhere, or larger than MaxClass) are dropped for the GC.
-func Put(b []byte) {
-	debugPut(b)
-	c := cap(b)
-	if c < MinClass || c > MaxClass || c&(c-1) != 0 {
-		return
-	}
+func Put(b []byte) { PutBox(Box(b)) }
+
+// Box parks b, a buffer from Get, in one of the boxes the pool recycles,
+// for a holder with room for one pointer: a borrowed frame's envelope
+// (internal/msg). The holder owns b through the box until PutBox.
+func Box(b []byte) *[]byte {
 	p, _ := boxes.Get().(*[]byte)
 	if p == nil {
 		p = new([]byte)
+	}
+	*p = b
+	return p
+}
+
+// PutBox is Put of the buffer p holds; p goes to the pool with it, so
+// neither may be touched again.
+func PutBox(p *[]byte) {
+	b := *p
+	debugPut(b)
+	c := cap(b)
+	if c < MinClass || c > MaxClass || c&(c-1) != 0 {
+		*p = nil
+		boxes.Put(p)
+		return
 	}
 	*p = b[:c]
 	pools[classIndex(c)].Put(p)
