@@ -75,9 +75,11 @@ lint:
 # of fuzzing the wire decoder and the codec's frame parser (frames cut at
 # chosen read boundaries, straddling reads and outgrowing the buffer),
 # both seeded from every type's golden frame: the one piece of the tree
-# that parses bytes a peer chose. The parser's minimization is held to a
-# second: its candidates often declare frames of megabytes, whose bodies
-# the codec allocates, and left at the default minute, minimizing one
+# that parses bytes a peer chose; the parser's seeds also hold a page
+# frame's head that declares MaxFrame bytes. Its minimization is held to
+# a second: its candidates often declare frames of megabytes, whose
+# bodies the codec once allocated on the head alone (its buffer now grows
+# only as bytes arrive), and left at the default minute, minimizing one
 # input took the whole ten seconds.
 verify: lint
 	$(GO) build ./...

@@ -16,7 +16,6 @@
 package cache
 
 import (
-	"hash/maphash"
 	"slices"
 
 	"repro/internal/msg"
@@ -116,13 +115,12 @@ type store struct {
 	// lru is the sentinel of the ring of clean pages: lru.next is the
 	// most recently used, lru.prev — the cold end — the next to evict.
 	lru Page
-	// blocks is the content store: hash under seed → the chain of blocks
-	// with that hash (longer than one means a collision, disambiguated by
+	// blocks is the content store: CRC32C → the chain of blocks with
+	// that checksum (longer than one means a collision, disambiguated by
 	// byte compare).
-	blocks map[uint64]*block
+	blocks map[uint32]*block
 	// spare is the free list of block headers, linked through next.
 	spare *block
-	seed  maphash.Seed
 	// resident counts pages (clean + dirty); residentBytes counts
 	// content bytes, each shared block once plus each private dirty
 	// buffer.
@@ -155,8 +153,7 @@ func NewWithLimits(reg *stats.Registry, prefix string, maxPages int, maxBytes in
 	s := &store{
 		maxPages:       maxPages,
 		maxBytes:       maxBytes,
-		blocks:         make(map[uint64]*block),
-		seed:           maphash.MakeSeed(),
+		blocks:         make(map[uint32]*block),
 		hits:           reg.Counter(prefix + "cache.hits"),
 		misses:         reg.Counter(prefix + "cache.misses"),
 		dirtyPages:     reg.Gauge(prefix + "cache.dirty_pages"),

@@ -2,6 +2,8 @@ package rpcnet
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,22 +168,38 @@ var raceOn bool
 // — no envelope, no borrow cell, no task closure, no body copied out of
 // the connection buffer. A KeepAlive round trip over loopback is two
 // frames, each decoded where it landed and handled on its read loop, so
-// two objects: the two KeepAlives. A DiskReadRes aliases its frame, whose
-// pooled body the message's own borrow cell holds until the handler
-// returns: one object, the DiskReadRes.
+// two objects: the two KeepAlives. A DiskReadRes aliases its frame, which
+// is copied into a pooled body (it is under half the buffer) that the
+// message's own borrow cell holds until the handler returns: one object,
+// the DiskReadRes. An 8-page DiskWriteV leaves in the buffer it landed in,
+// and the connection reads on into one from the pool: two objects, the
+// DiskWriteV and the block list the decoder makes for it.
+//
+// What a page message pins is the other half: a handler that keeps every
+// frame makes each one cost the connection a fresh buffer, so the bytes
+// allocated per kept frame are what it pins, and must stay within twice
+// the frame.
 func TestRecvAllocs(t *testing.T) {
 	if bufpool.Debug || raceOn {
 		t.Skip("tankdebug hooks allocate, and the race detector's sync.Pool drops buffers, by design")
 	}
 	back := make(chan struct{}, 1)
 	req, rep := keepAlive(1), keepAlive(2)
+	var (
+		keep atomic.Bool // set by the test, read on tb's read loop
+		kept = make([]msg.Envelope, 0, 64)
+	)
 	var tb *Transport
 	tb = New(2, nil, func(env msg.Envelope) {
-		if _, ok := env.Payload.(*msg.KeepAlive); ok {
+		switch {
+		case keep.Load():
+			env.Retain()
+			kept = append(kept, env)
+		case env.Payload.Kind() == msg.KindControlReq:
 			tb.Send(1, rep)
-		} else {
-			back <- struct{}{}
+			return
 		}
+		back <- struct{}{}
 	})
 	go tb.Run()
 	defer tb.Close()
@@ -200,14 +218,48 @@ func TestRecvAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(500, roundTrip); got > 2 {
 		t.Errorf("a KeepAlive round trip: %v allocs, want at most 2", got)
 	}
-	page := &msg.DiskReadRes{Req: 3, Data: make([]byte, 4096)}
-	readRes := func() {
-		ta.Send(2, page)
-		<-back
+	blocks := make([]msg.BlockVec, 8)
+	for i := range blocks {
+		blocks[i] = msg.BlockVec{Block: uint64(i + 1), Ver: 1}
 	}
-	readRes()
-	if got := testing.AllocsPerRun(500, readRes); got > 1 {
-		t.Errorf("a DiskReadRes frame: %v allocs, want at most 1", got)
+	for _, tc := range []struct {
+		name   string
+		m      msg.Message
+		allocs float64
+	}{
+		{"a DiskReadRes frame", &msg.DiskReadRes{Req: 3, Data: make([]byte, 4096)}, 1},
+		{"an 8-page DiskWriteV frame", &msg.DiskWriteV{Client: 1, Req: 4, Blocks: blocks, Data: make([]byte, 8*4096)}, 2},
+	} {
+		send := func() {
+			ta.Send(2, tc.m)
+			<-back
+		}
+		send()
+		if got := testing.AllocsPerRun(500, send); got > tc.allocs {
+			t.Errorf("%s: %v allocs, want at most %v", tc.name, got, tc.allocs)
+		}
+		meta, tail, err := msg.BinarySize(&msg.Envelope{From: 1, To: 2, Payload: tc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := 4 + meta + len(tail)
+		var before, after runtime.MemStats
+		keep.Store(true)
+		runtime.ReadMemStats(&before)
+		for range cap(kept) {
+			send()
+		}
+		runtime.ReadMemStats(&after)
+		keep.Store(false)
+		perFrame := int(after.TotalAlloc-before.TotalAlloc) / cap(kept)
+		for i := range kept {
+			kept[i].Release()
+		}
+		kept = kept[:0]
+		if perFrame > 2*frame+512 {
+			t.Errorf("%s of %d bytes, kept by its handler, costs the receiver %d bytes, want at most twice the frame (and its message)",
+				tc.name, frame, perFrame)
+		}
 	}
 }
 

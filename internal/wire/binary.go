@@ -16,11 +16,14 @@ import (
 	"repro/internal/stats"
 )
 
-// MaxFrame bounds a frame body. The largest legitimate frame is a
-// full-batch DiskWriteV/DiskReadVRes (flush batch × 4 KiB pages plus
-// metadata), far below this; a received length prefix beyond it is
+// MaxFrame bounds a frame body: a received length prefix beyond it is
 // treated as corrupt rather than a reason to allocate gigabytes, and
-// Encode refuses to produce one.
+// Encode refuses to produce one. It is no tight bound on legitimate
+// frames. A flush batch or a read-ahead reply is at most a few hundred
+// KiB, but a grant's block map grows with its file and a ReaddirRes with
+// its directory. So the receiver does not trust a length prefix with
+// memory: beyond bufpool.MaxClass its buffer grows only as the frame's
+// bytes arrive (DESIGN.md §12.3).
 const MaxFrame = 1 << 24
 
 // Codec frames envelopes over one connection: length-prefixed frames in
@@ -36,28 +39,24 @@ const MaxFrame = 1 << 24
 // carries bulk page data as a scatter-gather tail straight from the
 // sender's buffer (writev), so steady-state sends copy no page bytes and
 // allocate nothing. A received frame costs its message and nothing more
-// (DESIGN.md §12.3): one whose message aliases nothing is decoded where
-// it landed in the connection buffer, and only the SAN page messages,
-// whose Data aliases their frame, get a pooled body of their own, which
-// the message owns through its borrow until the last release returns it
-// to the pool.
+// (DESIGN.md §12.3): every frame is decoded where it landed in the
+// connection buffer, a pooled one. A SAN page message, whose Data aliases
+// its frame, takes that buffer with it and owns it through its borrow
+// until the last release returns it to the pool; the connection reads on
+// into a fresh one. A page frame under half its buffer is copied into a
+// pooled body of its own instead, so no message pins more than twice its
+// frame's bytes.
 type Codec struct {
 	conn net.Conn
 
-	// The reader's, whether it reads with Serve or Recv. buf[r:w] is what
-	// has been read and not parsed: whole frames, then the start of one
-	// that is decoded in the buffer once it has all arrived. body is the
-	// pooled body of a frame that aliases its bytes or outgrows the
-	// buffer, whose header has been parsed and whose last byte has not
-	// arrived, got bytes of it filled; the buffer is empty meanwhile, so
-	// the next read goes into the body first (DESIGN.md §12.3). env is
-	// what the last frame decoded to, until Serve has delivered it or
-	// Recv handed it over.
+	// The reader's, whether it reads with Serve or Recv. buf is a pooled
+	// buffer, and buf[r:w] is what has been read and not parsed: whole
+	// frames, then the start of one, which is decoded in the buffer once
+	// it has all arrived (DESIGN.md §12.3). env is what the last frame
+	// decoded to, until Serve has delivered it or Recv handed it over.
 	dec  msg.Coder
 	buf  []byte
 	r, w int
-	body []byte
-	got  int
 	env  msg.Envelope
 	// reads and frames count reads and decoded frames (Instrument).
 	reads, frames *stats.Gauge
@@ -70,7 +69,7 @@ type Codec struct {
 	dry      bool
 	serveErr error
 	readMsg  syscall.Msghdr
-	readIOV  [2]syscall.Iovec
+	readIOV  syscall.Iovec
 	inq      [3]uint64
 	// state is idle, serving or closed: Close shuts a served socket down
 	// where it closes any other.
@@ -101,8 +100,8 @@ type Codec struct {
 	bufs net.Buffers
 }
 
-// readBuf is the size of a connection's receive buffer: what one read(2)
-// may bring when no frame is partly read.
+// readBuf is the size of a connection's receive buffer until a frame
+// outgrows it.
 const readBuf = 64 << 10
 
 // The codec's states: Serve moves idle to serving, Close anything to
@@ -114,7 +113,7 @@ const (
 )
 
 func newCodec(conn net.Conn) *Codec {
-	c := &Codec{conn: conn, buf: make([]byte, readBuf)}
+	c := &Codec{conn: conn, buf: bufpool.Get(readBuf)}
 	if sc, ok := conn.(syscall.Conn); ok {
 		if raw, err := sc.SyscallConn(); err == nil {
 			c.raw = raw
@@ -310,7 +309,7 @@ func (c *Codec) Serve(deliver func(*msg.Envelope)) error {
 		return net.ErrClosed
 	}
 	c.deliver = deliver
-	c.readMsg.Iov = &c.readIOV[0]
+	c.readMsg.Iov, c.readMsg.Iovlen = &c.readIOV, 1
 	c.readMsg.Control = (*byte)(unsafe.Pointer(&c.inq[0]))
 	err := c.raw.Read(c.readFrames)
 	c.deliver = nil
@@ -376,30 +375,20 @@ func (c *Codec) readFrames(fd uintptr) bool {
 			c.serveErr = c.lost(io.EOF)
 			return true
 		}
-		c.filled(n)
+		c.w += n
 		c.dry = !more
 	}
 }
 
-// readFD is one recvmsg(2) into where the next bytes go — the rest of a
-// partly read body first, then the buffer — and reports whether the
-// receive queue still held something after it: bytes, or the peer's FIN.
-// Anything that arrives later raises a readiness event.
+// readFD is one recvmsg(2) into the free end of the buffer, and reports
+// whether the receive queue still held something after it: bytes, or the
+// peer's FIN. Anything that arrives later raises a readiness event.
 func (c *Codec) readFD(fd uintptr) (n int, more bool, errno syscall.Errno) {
-	body, buf := c.space()
-	if body == nil {
-		c.readIOV[0].Base = &buf[0]
-		c.readIOV[0].SetLen(len(buf))
-		c.readMsg.Iovlen = 1
-	} else {
-		c.readIOV[0].Base, c.readIOV[1].Base = &body[0], &buf[0]
-		c.readIOV[0].SetLen(len(body))
-		c.readIOV[1].SetLen(len(buf))
-		c.readMsg.Iovlen = 2
-	}
+	c.readIOV.Base = &c.buf[c.w]
+	c.readIOV.SetLen(len(c.buf) - c.w)
 	c.readMsg.SetControllen(len(c.inq) * 8)
 	r, _, errno := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&c.readMsg)), 0)
-	c.readIOV = [2]syscall.Iovec{} // the vector must not pin a body
+	c.readIOV = syscall.Iovec{} // the vector must not pin a buffer a message took
 	c.countRead()
 	more = true // unless the kernel says otherwise
 	if h := (*syscall.Cmsghdr)(unsafe.Pointer(&c.inq[0])); errno == 0 && int(c.readMsg.Controllen) >= syscall.CmsgLen(4) &&
@@ -442,72 +431,65 @@ func (c *Codec) hand(deliver func(*msg.Envelope)) {
 	c.env = msg.Envelope{}
 }
 
-// fill is one blocking Read into where the next bytes go.
+// fill is one blocking Read into the free end of the buffer.
 func (c *Codec) fill() error {
-	body, buf := c.space()
-	if body == nil {
-		body = buf
-	}
-	n, err := c.conn.Read(body)
+	n, err := c.conn.Read(c.buf[c.w:])
 	c.countRead()
-	c.filled(n)
+	c.w += n
 	if n == 0 && err != nil {
 		return c.lost(err)
 	}
 	return nil
 }
 
-// frameHead is how much of a frame next must have read to choose where
-// its body goes: the length prefix and the body's header, whose type byte
-// says whether the message aliases its frame.
-const frameHead = 4 + msg.HeaderSize
-
 // next parses the next frame out of what has been read into c.env, and
-// reports whether a whole one had arrived. A frame whose message aliases
-// nothing and that fits the buffer is decoded where it landed. Any other
-// — a SAN page message, or a frame larger than the buffer — goes into a
-// pooled body, which an aliasing message owns through its borrow and any
-// other gives back as soon as it is decoded.
+// reports whether a whole one had arrived. Every frame is decoded where
+// it landed in the buffer; one that has not all arrived first gets room
+// to land in.
 func (c *Codec) next() (bool, error) {
-	if c.body != nil {
-		if c.got < len(c.body) {
-			return false, nil
-		}
-		body := c.body
-		c.body, c.got = nil, 0
-		return c.decodeBody(body)
-	}
 	have := c.w - c.r
-	var n int
-	if have >= 4 {
-		if n = int(binary.BigEndian.Uint32(c.buf[c.r:])); n < msg.HeaderSize || n > MaxFrame {
-			return false, fmt.Errorf("%w: impossible length prefix %d", ErrBadFrame, n)
-		}
-	}
-	if have < frameHead {
-		// A partial header moves to the front, so the next read has the
-		// whole buffer.
-		c.compact()
-		return false, nil
-	}
-	if end := 4 + n; end <= len(c.buf) && !msg.Aliases(c.buf[c.r+4:c.r+frameHead]) {
-		switch {
-		case have >= end:
-			return c.decodeHere(end)
-		case c.r+end > len(c.buf):
-			c.compact() // the frame straddles the end: at the front it fits
+	if have < 4 {
+		// A partial length prefix moves to the front, so the next read
+		// has the whole buffer; beyond the largest class, a buffer lasts
+		// one frame.
+		if len(c.buf) > bufpool.MaxClass {
+			bufpool.Put(c.swap(readBuf))
+		} else {
+			c.compact()
 		}
 		return false, nil
 	}
-	body := bufpool.Get(n)
-	got := copy(body, c.buf[c.r+4:c.w])
-	c.r += 4 + got
-	if got == n {
-		return c.decodeBody(body)
+	n := int(binary.BigEndian.Uint32(c.buf[c.r:]))
+	if n < msg.HeaderSize || n > MaxFrame {
+		return false, fmt.Errorf("%w: impossible length prefix %d", ErrBadFrame, n)
 	}
-	c.r, c.w = 0, 0
-	c.body, c.got = body, got // the codec holds a body until its last byte is read
+	end := 4 + n
+	if have >= end {
+		return c.decode(end)
+	}
+	c.room(end)
 	return false, nil
+}
+
+// room makes the buffer able to take the rest of a frame of end bytes,
+// length prefix included, that begins at r. A frame that fits the buffer
+// and would run past its end moves to the front. A larger one gets a
+// pooled buffer of its class, which the connection keeps; beyond the
+// largest class, memory follows the bytes: the buffer doubles as they
+// arrive, so a peer that declares a frame it does not send makes the
+// receiver hold at most that class or twice what it sent.
+func (c *Codec) room(end int) {
+	size := end
+	if size > bufpool.MaxClass {
+		size = min(end, max(bufpool.MaxClass, 2*(c.w-c.r)))
+	}
+	switch {
+	case c.r+end <= len(c.buf):
+	case size > len(c.buf):
+		bufpool.Put(c.swap(size))
+	default:
+		c.compact()
+	}
 }
 
 // compact moves what has been read and not parsed to the front of the
@@ -517,26 +499,51 @@ func (c *Codec) compact() {
 	c.r = 0
 }
 
-// decodeHere decodes the frame at r, end bytes with its length prefix,
-// where it lies in the buffer. Nothing decoded aliases those bytes, so
-// the next read may overwrite them: a tankdebug build poisons them at
-// once, as it does a pooled body given back.
-func (c *Codec) decodeHere(end int) (bool, error) {
-	frame := c.buf[c.r : c.r+end]
-	c.r += end
-	err := c.dec.DecodeInto(frame[4:], &c.env)
-	bufpool.Poison(frame)
-	return c.decoded(err)
+// swap reads on into a pooled buffer of at least size bytes, with what
+// has been read and not parsed moved over, and returns the buffer it
+// replaces, which the caller puts back or hands on.
+func (c *Codec) swap(size int) []byte {
+	old := c.buf
+	c.buf = bufpool.Get(size)
+	c.buf = c.buf[:cap(c.buf)]
+	c.w = copy(c.buf, old[c.r:c.w])
+	c.r = 0
+	return old
 }
 
-// decodeBody decodes a pooled body. An aliasing message owns the body
-// through its borrow; any other decode gives it back.
-func (c *Codec) decodeBody(body []byte) (bool, error) {
+// decode decodes the frame at r, end bytes with its length prefix, where
+// it lies in the buffer. A message that aliases nothing leaves the bytes
+// free for the next read to overwrite: a tankdebug build poisons them at
+// once, as it does a pooled buffer given back. A page message takes the
+// buffer with it, and the connection reads on into a fresh one of the
+// same size; a page frame under half the buffer is copied into a pooled
+// body first, so that no message pins more than twice its frame.
+func (c *Codec) decode(end int) (bool, error) {
+	frame := c.buf[c.r : c.r+end]
+	c.r += end
+	switch {
+	case !msg.Aliases(frame[4:]):
+		err := c.dec.DecodeInto(frame[4:], &c.env)
+		bufpool.Poison(frame)
+		return c.decoded(err)
+	case 2*end < len(c.buf):
+		body := bufpool.Get(end - 4)
+		copy(body, frame[4:])
+		bufpool.Poison(frame)
+		return c.borrowed(body, body)
+	default:
+		return c.borrowed(frame[4:], c.swap(max(min(len(c.buf), bufpool.MaxClass), c.w-c.r)))
+	}
+}
+
+// borrowed decodes body, a page frame lying in buf, a pooled buffer the
+// message then owns through its borrow.
+func (c *Codec) borrowed(body, buf []byte) (bool, error) {
 	err := c.dec.DecodeInto(body, &c.env)
-	if err == nil && msg.Aliases(body) {
-		c.env.Borrowed(body)
+	if err == nil {
+		c.env.Borrowed(buf)
 	} else {
-		bufpool.Put(body)
+		bufpool.Put(buf)
 	}
 	return c.decoded(err)
 }
@@ -552,42 +559,18 @@ func (c *Codec) decoded(err error) (bool, error) {
 	return true, nil
 }
 
-// space returns where the next read goes: the rest of a partly read body,
-// then the buffer — empty while a body is partly read — or, with no body
-// pending, the free end of the buffer.
-func (c *Codec) space() (body, buf []byte) {
-	if c.body != nil {
-		return c.body[c.got:], c.buf
-	}
-	return nil, c.buf[c.w:]
-}
-
-// filled accounts for n bytes read into space.
-func (c *Codec) filled(n int) {
-	if c.body != nil {
-		k := min(n, len(c.body)-c.got)
-		c.got += k
-		n -= k
-	}
-	c.w += n
-}
-
 // lost reports the error that ended the connection's bytes by where it
-// cut them: inside a body — a pooled one, or one in the buffer behind its
-// length prefix — it is frame damage, a truncated body; inside a length
-// prefix an unexpected EOF; between frames the error itself.
+// cut them: inside a body, behind its length prefix, it is frame damage, a
+// truncated body; inside a length prefix an unexpected EOF; between
+// frames the error itself.
 func (c *Codec) lost(err error) error {
-	if c.body != nil || c.w-c.r >= 4 {
-		if c.body != nil {
-			bufpool.Put(c.body)
-			c.body, c.got = nil, 0
-		}
+	switch {
+	case c.w-c.r >= 4:
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("%w: truncated body: %v", ErrBadFrame, err)
-	}
-	if err == io.EOF && c.w > c.r {
+	case err == io.EOF && c.w > c.r:
 		return io.ErrUnexpectedEOF
 	}
 	return err

@@ -10,7 +10,7 @@ import (
 	"repro/internal/msg"
 )
 
-func pipe(t *testing.T) (a, b net.Conn) {
+func pipe(t testing.TB) (a, b net.Conn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,7 +40,7 @@ func pipe(t *testing.T) (a, b net.Conn) {
 
 // codecPair negotiates a connection with Dial/Accept and returns both
 // ends, exactly as the transport does it.
-func codecPair(t *testing.T) (dialed, accepted *Codec) {
+func codecPair(t testing.TB) (dialed, accepted *Codec) {
 	t.Helper()
 	a, b := pipe(t)
 	type res struct {
