@@ -75,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -107,7 +106,6 @@ func main() {
 		noSync     = flag.Bool("no-fsync", false, "with -data-dir, skip per-operation fsync (durable across process restarts, not power loss)")
 		tau        = flag.Duration("tau", 30*time.Second, "lease period τ")
 		eps        = flag.Float64("eps", 0.05, "clock rate-synchronization bound ε")
-		policyName = flag.String("policy", "storage-tank", "recovery policy (see internal/baselines)")
 		tracePath  = flag.String("trace", "", "append lease-lifecycle events to FILE as JSON lines")
 		traceRing  = flag.Int("trace-ring", 256, "recent events kept for the SIGUSR1 dump")
 		verbose    = flag.Bool("v", false, "log transport events")
@@ -119,10 +117,6 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, ok := policyByName(*policyName)
-	if !ok {
-		log.Fatalf("unknown policy %q", *policyName)
-	}
 	if *noServer {
 		// A pure NAS box: the paper's network-attached disks outlive any
 		// lease authority, so the storage must not die with a server kill.
@@ -246,8 +240,7 @@ func main() {
 		fmt.Printf("no server: hosting %d SAN disks only\n", *nDisks)
 		fmt.Printf("servers: tankd -disks 0 -san-disks %q ...\n", diskFlag(topo.Disks))
 	} else {
-		scfg := server.Config{Core: cfg, Policy: pol, Disks: diskCaps,
-			MetaPersist: *metaFile}
+		scfg := server.Config{Core: cfg, Disks: diskCaps, MetaPersist: *metaFile}
 		if *replTerm != 0 {
 			if topo.GroupOf(topo.Server) == nil {
 				log.Fatal("-replica-lease-term needs -replicas")
@@ -263,7 +256,7 @@ func main() {
 			log.Fatalf("server: %v", err)
 		}
 		srv = s
-		fmt.Printf("server n%d listening on %v (policy=%s τ=%v ε=%g)\n", *shardID, srv.Addr, pol.Name, *tau, *eps)
+		fmt.Printf("server n%d listening on %v (τ=%v ε=%g)\n", *shardID, srv.Addr, *tau, *eps)
 		switch {
 		case *replFlag != "":
 			rc := srv.Srv.Config().Replica
@@ -336,15 +329,6 @@ func dumpState(reg *stats.Registry, self msg.NodeID, ring *trace.Ring, faults *f
 	for _, e := range evs {
 		fmt.Println(e.String())
 	}
-}
-
-func policyByName(name string) (baselines.Policy, bool) {
-	for _, p := range baselines.All() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return baselines.Policy{}, false
 }
 
 // diskFlag renders an address book of disks, in ID order, as -disks and

@@ -7,15 +7,6 @@ import (
 	"repro/internal/rpcnet"
 )
 
-func TestPolicyByName(t *testing.T) {
-	if p, ok := policyByName("storage-tank"); !ok || p.Name != "storage-tank" {
-		t.Fatalf("lookup failed: %v %v", p, ok)
-	}
-	if _, ok := policyByName("nope"); ok {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestDiskFlag(t *testing.T) {
 	got := diskFlag(map[msg.NodeID]string{1000: "a:1", 1001: "b:2"})
 	if got != "1000=a:1,1001=b:2" {

@@ -1,15 +1,15 @@
-// Package baselines defines the policy axes along which the reproduction
-// compares the paper's protocol against prior systems (§1.2, §2.1, §4,
-// §5): how leases are maintained, how the server recovers locks from
-// unreachable clients, and how file data travels. The real client/server
-// implementations are parameterized by these policies, so every baseline
-// exercises the same metadata, lock, cache, and network code — only the
-// safety/recovery behaviour differs.
+// Package baselines names the comparison systems the reproduction runs
+// against the paper's protocol (§1.2, §2.1, §4, §5): a Policy is one value
+// per axis — the recovery, which fixes the lease, and the data path. The
+// client's and the server's constructors turn it into seams, with the
+// baselines' code beside the paper's (DESIGN §26). The zero Policy is the
+// paper's protocol.
 package baselines
 
 import "fmt"
 
-// LeasePolicy selects the lease/liveness mechanism.
+// LeasePolicy names the lease/liveness mechanism, which a RecoveryPolicy
+// determines (Policy.Lease).
 type LeasePolicy uint8
 
 const (
@@ -31,17 +31,7 @@ const (
 )
 
 func (p LeasePolicy) String() string {
-	switch p {
-	case LeaseStorageTank:
-		return "storage-tank"
-	case LeaseHeartbeat:
-		return "heartbeat"
-	case LeasePerObject:
-		return "per-object"
-	case LeaseNone:
-		return "no-lease"
-	}
-	return fmt.Sprintf("LeasePolicy(%d)", uint8(p))
+	return name(p, "LeasePolicy", "storage-tank", "heartbeat", "per-object", "no-lease")
 }
 
 // RecoveryPolicy selects what the server does when a client stops
@@ -66,148 +56,127 @@ const (
 	RecoverFenceOnly
 	// RecoverHeartbeatSteal waits until the client's heartbeat lease
 	// lapses (last-heard older than τ on the server's clock), then steals
-	// and fences. Pairs with LeaseHeartbeat.
+	// and fences. Its clients keep heartbeat leases.
 	RecoverHeartbeatSteal
 	// RecoverPerObjectExpire waits τ(1+ε) (the worst-case remaining
 	// validity of any of the client's per-object leases), then steals.
-	// Pairs with LeasePerObject.
+	// Its clients keep per-object leases.
 	RecoverPerObjectExpire
 )
 
 func (p RecoveryPolicy) String() string {
-	switch p {
-	case RecoverLeaseFence:
-		return "lease+fence"
-	case RecoverHonorLocks:
-		return "honor-locks"
-	case RecoverStealImmediate:
-		return "naive-steal"
-	case RecoverFenceOnly:
-		return "fence-only"
-	case RecoverHeartbeatSteal:
-		return "heartbeat-steal"
-	case RecoverPerObjectExpire:
-		return "per-object-expire"
-	}
-	return fmt.Sprintf("RecoveryPolicy(%d)", uint8(p))
+	return name(p, "RecoveryPolicy", "lease+fence", "honor-locks", "naive-steal", "fence-only",
+		"heartbeat-steal", "per-object-expire")
 }
 
 // DataPath selects how file data moves.
 type DataPath uint8
 
 const (
-	// DataDirect: clients read and write the SAN disks directly; the
-	// server never touches file data (Storage Tank, Fig 1).
+	// DataDirect: clients read and write the SAN disks directly, caching
+	// under logical locks; the server never touches file data (Storage
+	// Tank, Fig 1).
 	DataDirect DataPath = iota
 	// DataFunctionShip: clients ship every data request to the server,
 	// which performs the disk I/O — the traditional client/server file
 	// system of §1.1, used by experiment F1.
 	DataFunctionShip
+	// DataNFSPoll is function shipping with NFS-style attribute polling
+	// (§5): no locks, a TTL'd attribute cache, and weak consistency.
+	DataNFSPoll
+	// DataDLock replaces logical locking with GFS-style disk-address-range
+	// locks enforced (with TTLs) by the disks themselves (§5). No data
+	// caching: every operation pays disk round-trips for the lock.
+	DataDLock
 )
 
 func (p DataPath) String() string {
-	if p == DataDirect {
-		return "direct"
-	}
-	return "function-ship"
+	return name(p, "DataPath", "direct", "function-ship", "nfs-poll", "dlock")
 }
 
-// Policy is one complete configuration.
+// name is the name of the enum value v of type typ, or v's number.
+func name[T ~uint8](v T, typ string, names ...string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, uint8(v))
+}
+
+// Policy is one complete configuration: a name, and one value per axis.
 type Policy struct {
 	Name     string
-	Lease    LeasePolicy
 	Recovery RecoveryPolicy
 	Data     DataPath
-	// NFS enables NFS-style attribute polling on the function-ship path:
-	// no locks, a TTL'd attribute cache, and weak consistency (§5).
-	NFS bool
-	// DLock replaces logical locking with GFS-style disk-address-range
-	// locks enforced (with TTLs) by the disks themselves (§5). No data
-	// caching: every operation pays disk round-trips for the lock.
-	DLock bool
+}
+
+// Lease is the lease the recovery relies on: the paper's for lease+fence,
+// a heartbeat or per-object lease for the steals that wait one out.
+func (p Policy) Lease() LeasePolicy {
+	switch p.Recovery {
+	case RecoverLeaseFence:
+		return LeaseStorageTank
+	case RecoverHeartbeatSteal:
+		return LeaseHeartbeat
+	case RecoverPerObjectExpire:
+		return LeasePerObject
+	}
+	return LeaseNone
 }
 
 // CachesNames reports whether clients cache the namespace under shared
 // directory locks: exactly where they cache data under logical locks.
 // The function-ship, NFS and dlock configurations hold no logical locks
 // and keep asking the server.
-func (p Policy) CachesNames() bool {
-	return p.Data == DataDirect && !p.DLock && !p.NFS
-}
-
-// Validate rejects combinations that make no sense.
-func (p Policy) Validate() error {
-	switch p.Lease {
-	case LeaseStorageTank:
-		if p.Recovery != RecoverLeaseFence {
-			return fmt.Errorf("baselines: %s requires lease+fence recovery", p.Lease)
-		}
-	case LeaseHeartbeat:
-		if p.Recovery != RecoverHeartbeatSteal {
-			return fmt.Errorf("baselines: %s requires heartbeat-steal recovery", p.Lease)
-		}
-	case LeasePerObject:
-		if p.Recovery != RecoverPerObjectExpire {
-			return fmt.Errorf("baselines: %s requires per-object-expire recovery", p.Lease)
-		}
-	case LeaseNone:
-		switch p.Recovery {
-		case RecoverHonorLocks, RecoverStealImmediate, RecoverFenceOnly:
-		default:
-			return fmt.Errorf("baselines: no-lease cannot use %s recovery", p.Recovery)
-		}
-	}
-	return nil
-}
+func (p Policy) CachesNames() bool { return p.Data == DataDirect }
 
 // The named configurations the experiments run.
 
 // StorageTank is the paper's system.
 func StorageTank() Policy {
-	return Policy{Name: "storage-tank", Lease: LeaseStorageTank, Recovery: RecoverLeaseFence, Data: DataDirect}
+	return Policy{Name: "storage-tank", Recovery: RecoverLeaseFence, Data: DataDirect}
 }
 
 // Frangipani is the heartbeat-lease comparison (§5).
 func Frangipani() Policy {
-	return Policy{Name: "frangipani", Lease: LeaseHeartbeat, Recovery: RecoverHeartbeatSteal, Data: DataDirect}
+	return Policy{Name: "frangipani", Recovery: RecoverHeartbeatSteal, Data: DataDirect}
 }
 
 // VSystem is the per-object-lease comparison (§4).
 func VSystem() Policy {
-	return Policy{Name: "v-leases", Lease: LeasePerObject, Recovery: RecoverPerObjectExpire, Data: DataDirect}
+	return Policy{Name: "v-leases", Recovery: RecoverPerObjectExpire, Data: DataDirect}
 }
 
 // HonorLocks never recovers (§2's indefinite unavailability).
 func HonorLocks() Policy {
-	return Policy{Name: "honor-locks", Lease: LeaseNone, Recovery: RecoverHonorLocks, Data: DataDirect}
+	return Policy{Name: "honor-locks", Recovery: RecoverHonorLocks, Data: DataDirect}
 }
 
 // NaiveSteal is the traditional recovery applied unsafely to NAS (§1.2).
 func NaiveSteal() Policy {
-	return Policy{Name: "naive-steal", Lease: LeaseNone, Recovery: RecoverStealImmediate, Data: DataDirect}
+	return Policy{Name: "naive-steal", Recovery: RecoverStealImmediate, Data: DataDirect}
 }
 
 // FenceOnly is §2.1's inadequate strawman.
 func FenceOnly() Policy {
-	return Policy{Name: "fence-only", Lease: LeaseNone, Recovery: RecoverFenceOnly, Data: DataDirect}
+	return Policy{Name: "fence-only", Recovery: RecoverFenceOnly, Data: DataDirect}
 }
 
 // FunctionShip is the traditional server-marshaled data path (F1
 // comparison); recovery by immediate steal is safe there.
 func FunctionShip() Policy {
-	return Policy{Name: "function-ship", Lease: LeaseNone, Recovery: RecoverStealImmediate, Data: DataFunctionShip}
+	return Policy{Name: "function-ship", Recovery: RecoverStealImmediate, Data: DataFunctionShip}
 }
 
 // NFSPoll is the NFS comparison (§5): attribute polling, no locks, weak
 // consistency, data through the server.
 func NFSPoll() Policy {
-	return Policy{Name: "nfs-poll", Lease: LeaseNone, Recovery: RecoverStealImmediate, Data: DataFunctionShip, NFS: true}
+	return Policy{Name: "nfs-poll", Recovery: RecoverStealImmediate, Data: DataNFSPoll}
 }
 
 // GFSDlock is the Global File System comparison (§5): physical locks on
 // disk-address ranges, enforced by the disks with timeouts.
 func GFSDlock() Policy {
-	return Policy{Name: "gfs-dlock", Lease: LeaseNone, Recovery: RecoverStealImmediate, Data: DataDirect, DLock: true}
+	return Policy{Name: "gfs-dlock", Recovery: RecoverStealImmediate, Data: DataDLock}
 }
 
 // All returns every named policy, Storage Tank first.

@@ -5,9 +5,6 @@ import "testing"
 func TestNamedPoliciesValidate(t *testing.T) {
 	names := make(map[string]bool)
 	for _, p := range All() {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
 		if p.Name == "" {
 			t.Error("unnamed policy")
 		}
@@ -22,21 +19,29 @@ func TestNamedPoliciesValidate(t *testing.T) {
 	if All()[0].Name != "storage-tank" {
 		t.Fatal("storage-tank must come first")
 	}
+	if st := StorageTank(); st.Recovery != 0 || st.Data != 0 {
+		t.Fatal("the zero policy must be the paper's protocol")
+	}
 }
 
-func TestInvalidCombinationsRejected(t *testing.T) {
-	bad := []Policy{
-		{Lease: LeaseStorageTank, Recovery: RecoverHonorLocks},
-		{Lease: LeaseHeartbeat, Recovery: RecoverLeaseFence},
-		{Lease: LeasePerObject, Recovery: RecoverHeartbeatSteal},
-		{Lease: LeaseNone, Recovery: RecoverLeaseFence},
-		{Lease: LeaseNone, Recovery: RecoverHeartbeatSteal},
-		{Lease: LeaseNone, Recovery: RecoverPerObjectExpire},
+// TestLeaseFollowsRecovery: each recovery relies on exactly one lease
+// mechanism, the paper's lease+fence on the paper's lease.
+func TestLeaseFollowsRecovery(t *testing.T) {
+	want := map[RecoveryPolicy]LeasePolicy{
+		RecoverLeaseFence:      LeaseStorageTank,
+		RecoverHeartbeatSteal:  LeaseHeartbeat,
+		RecoverPerObjectExpire: LeasePerObject,
+		RecoverHonorLocks:      LeaseNone,
+		RecoverStealImmediate:  LeaseNone,
+		RecoverFenceOnly:       LeaseNone,
 	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("combination %d validated but should not", i)
+	for r, l := range want {
+		if got := (Policy{Recovery: r}).Lease(); got != l {
+			t.Errorf("%s: lease %s, want %s", r, got, l)
 		}
+	}
+	if (Policy{}).Lease() != LeaseStorageTank {
+		t.Error("the zero policy must keep the paper's lease")
 	}
 }
 
@@ -52,19 +57,27 @@ func TestEnumStrings(t *testing.T) {
 			t.Errorf("empty string for recovery policy %d", r)
 		}
 	}
-	if DataDirect.String() == "" || DataFunctionShip.String() == "" {
-		t.Error("empty data path string")
+	seen := make(map[string]bool)
+	for _, d := range []DataPath{DataDirect, DataFunctionShip, DataNFSPoll, DataDLock, DataPath(99)} {
+		if s := d.String(); s == "" || seen[s] {
+			t.Errorf("data path %d: string %q empty or repeated", d, s)
+		} else {
+			seen[s] = true
+		}
 	}
 }
 
 func TestPolicyFlags(t *testing.T) {
-	if !NFSPoll().NFS || NFSPoll().Data != DataFunctionShip {
-		t.Fatal("NFSPoll flags wrong")
+	if NFSPoll().Data != DataNFSPoll || NFSPoll().CachesNames() {
+		t.Fatal("NFSPoll data path wrong")
 	}
-	if !GFSDlock().DLock || GFSDlock().Data != DataDirect {
-		t.Fatal("GFSDlock flags wrong")
+	if GFSDlock().Data != DataDLock || GFSDlock().CachesNames() {
+		t.Fatal("GFSDlock data path wrong")
 	}
-	if StorageTank().NFS || StorageTank().DLock {
-		t.Fatal("StorageTank must not carry baseline flags")
+	if FunctionShip().Data != DataFunctionShip || FunctionShip().CachesNames() {
+		t.Fatal("FunctionShip data path wrong")
+	}
+	if StorageTank().Data != DataDirect || !StorageTank().CachesNames() {
+		t.Fatal("StorageTank must move data directly and cache names")
 	}
 }

@@ -6,10 +6,10 @@
 // The client is fully event-driven: every file-system operation is
 // asynchronous, completing through a callback, so the same code runs
 // under the deterministic simulator and under the live TCP transport.
-// Baseline behaviours (heartbeat leases, per-object leases, no lease,
-// function-shipped data, NFS-style polling) are selected by
-// baselines.Policy so that comparisons exercise identical code paths
-// everywhere except the safety mechanism under test.
+// The comparison systems (heartbeat leases, per-object leases, no lease,
+// function-shipped data, NFS-style polling, disk locks) sit behind two
+// seams the constructor picks, so that comparisons exercise identical
+// code paths everywhere except the mechanism under test.
 package client
 
 import (
@@ -32,7 +32,8 @@ type Sender func(to msg.NodeID, m msg.Message)
 
 // Config parameterizes a client.
 type Config struct {
-	Core   core.Config
+	Core core.Config
+	// Policy is the system the client runs (zero: the paper's protocol).
 	Policy baselines.Policy
 	// FlushInterval, when nonzero, write-backs dirty data periodically
 	// even without demands (bounds the at-risk window). The baselines'
@@ -120,8 +121,10 @@ type Client struct {
 	server msg.NodeID
 	oracle checker.Oracle
 
-	chn   *core.Channel
-	lease *core.LeaseClient // non-nil only for LeaseStorageTank
+	chn *core.Channel
+	// lease and data are the seams the policy picks (newClient).
+	lease clientLease
+	data  dataPath
 	cache *cache.Cache
 
 	registered bool
@@ -163,21 +166,7 @@ type Client struct {
 	// cover that are in flight (changeBegin).
 	changes int
 
-	// Heartbeat baseline.
-	hbLastAck sim.Time
-	hbTimer   sim.Timer
-	hbExpire  sim.Timer
-	hbWarn    sim.Timer
-	hbHave    bool
-	// hbSuspect: the heartbeat lease is close to lapsing with no recent
-	// ACKs; the client has stopped new operations and flushed dirty data
-	// (our stand-in for Frangipani's write-ahead-log recovery).
-	hbSuspect bool
-
-	// Per-object (V) baseline.
-	vRenew sim.Timer
-	vSweep sim.Timer
-
+	// flushTimer writes dirty data back every Config.FlushInterval.
 	flushTimer sim.Timer
 
 	// OnPhase, if set, observes lease phase transitions (F4 traces).
@@ -195,7 +184,6 @@ type Client struct {
 	recovers  *stats.Counter
 	lostDirty *stats.Counter
 	fencedIO  *stats.Counter
-	nfsPolls  *stats.Counter
 	// prefetchBatches counts read-ahead batches issued to the SAN (each
 	// one vectored read: a window's blocks on one disk).
 	prefetchBatches *stats.Counter
@@ -219,9 +207,6 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 	if err := cfg.Core.Validate(); err != nil {
 		panic(err)
 	}
-	if err := cfg.Policy.Validate(); err != nil {
-		panic(err)
-	}
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
@@ -241,7 +226,6 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 		server:          server,
 		oracle:          oracle,
 		cache:           pages,
-		names:           newNameCache(cfg.Policy.CachesNames(), reg, prefix),
 		handles:         make(map[msg.Handle]handleInfo),
 		sanCalls:        make(map[msg.ReqID]*sanPending),
 		objs:            make(map[msg.ObjectID]*object),
@@ -255,7 +239,6 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 		recovers:        reg.Counter(prefix + "recoveries"),
 		lostDirty:       reg.Counter(prefix + "dirty_discarded"),
 		fencedIO:        reg.Counter(prefix + "fenced_io"),
-		nfsPolls:        reg.Counter(prefix + "nfs_polls"),
 		prefetchBatches: reg.Counter(prefix + "prefetch_batches"),
 	}
 	c.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, c.retransmitSAN)
@@ -276,10 +259,36 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 			return c.chn.Epoch()
 		},
 	}
-	if cfg.Policy.Lease == baselines.LeaseStorageTank {
-		c.lease = core.NewLeaseClient(cfg.Core, clock, leaseActions{c}, env)
+	// The policy picks the seams, once.
+	var lc *core.LeaseClient
+	switch cfg.Policy.Lease() {
+	case baselines.LeaseStorageTank:
+		lc = core.NewLeaseClient(cfg.Core, clock, leaseActions{c}, env)
+		c.lease = paperLease{noLease{c}, lc}
+	case baselines.LeaseHeartbeat:
+		c.lease = &heartbeat{noLease: noLease{c}}
+	case baselines.LeasePerObject:
+		c.lease = &objectLeases{noLease: noLease{c}}
+	default:
+		c.lease = noLease{c}
 	}
-	c.chn = core.NewChannel(id, server, cfg.Core, clock, c.sendCtrl, c.lease, env)
+	switch cfg.Policy.Data {
+	case baselines.DataDirect:
+		c.data = direct{}
+	case baselines.DataFunctionShip:
+		c.data = shipped{}
+	case baselines.DataNFSPoll:
+		if cfg.Policy.Lease() == baselines.LeasePerObject {
+			panic("client: per-object leases and NFS polls cannot share object.base")
+		}
+		c.data = shipped{reg.Counter(prefix + "nfs_polls")}
+	case baselines.DataDLock:
+		c.data = dlocks{}
+	default:
+		panic(fmt.Sprintf("client: unknown data path %v", cfg.Policy.Data))
+	}
+	c.names = newNameCache(c.data.caches(), reg, prefix)
+	c.chn = core.NewChannel(id, server, cfg.Core, clock, c.sendCtrl, lc, env)
 	if len(cfg.Replicas) > 0 {
 		c.chn.SetTargets(cfg.Replicas)
 	}
@@ -316,8 +325,11 @@ func (c *Client) ID() msg.NodeID { return c.id }
 // Cache exposes the cache for tests and experiments.
 func (c *Client) Cache() *cache.Cache { return c.cache }
 
-// Lease exposes the lease machine (nil for baseline policies).
-func (c *Client) Lease() *core.LeaseClient { return c.lease }
+// Lease exposes the paper's lease machine (nil for baseline policies).
+func (c *Client) Lease() *core.LeaseClient {
+	l, _ := c.lease.(paperLease)
+	return l.LeaseClient
+}
 
 // Epoch returns the current registration epoch (0 = not registered).
 func (c *Client) Epoch() msg.Epoch { return c.chn.Epoch() }
@@ -341,10 +353,8 @@ func (c *Client) Crash() {
 	c.crashedFlg = true
 	c.chn.CancelAll()
 	c.cancelSAN()
-	c.stopBaselineTimers()
-	if c.lease != nil {
-		c.lease.Reset()
-	}
+	stopTimers(&c.flushTimer)
+	c.lease.teardown()
 	c.names.purge()
 	c.cache.InvalidateAll()
 	c.oracle.ClientCrashed(c.id) // every lock it held with it
@@ -374,40 +384,17 @@ func (c *Client) DeliverSAN(env msg.Envelope) {
 }
 
 // admitted reports whether a new file-system request may be serviced
-// under the active policy's safety contract.
+// under the lease's safety contract.
 func (c *Client) admitted() bool {
-	if c.crashedFlg || !c.registered || c.quiesced {
-		return false
-	}
-	switch c.cfg.Policy.Lease {
-	case baselines.LeaseStorageTank:
-		return c.lease.Valid()
-	case baselines.LeaseHeartbeat:
-		return c.hbValid() && !c.hbSuspect
-	default:
-		return true
-	}
+	return !c.crashedFlg && c.registered && !c.quiesced && c.lease.admits()
 }
 
-// call wraps Channel.Call with the NACK hooks: for leaseless policies a
-// NACK means our locks are gone and the cache must be discarded; for the
-// paper's policy a NACK while our lease is still running may mean the
-// server restarted and lost its volatile state — worth one reassertion
-// attempt (§6) before completing the ordinary lease recovery. (A request
-// that was in flight across a reassertion is refused for the epoch it was
-// stamped with, which is history: the channel does not tell the lease, the
-// lease stays valid, and maybeReassert finds nothing to do — its operation
-// fails, and the registration that replaced that epoch, with everything in
-// flight under it, perhaps waiting out the server's grace window, is left
-// alone.)
+// call wraps Channel.Call with the NACK hook: a NACK tells the lease that
+// the server may no longer honour the client's locks (clientLease.refused).
 func (c *Client) call(req msg.Request, cb core.ReplyCallback) {
 	c.chn.Call(req, func(r *msg.Reply) {
 		if r != nil && r.Status == msg.NACK {
-			if c.lease == nil {
-				c.recoverLeaseless()
-			} else {
-				c.maybeReassert()
-			}
+			c.lease.refused(false)
 		}
 		if cb != nil {
 			cb(r)
@@ -464,12 +451,8 @@ func (c *Client) completeSAN(req msg.ReqID, reply msg.Message, errno msg.Errno) 
 	if errno == msg.ErrFenced {
 		c.fencedIO.Inc()
 		// Discovering the fence is how a fenced client learns anything at
-		// all (§2.1). Leaseless clients recover; the paper's clients
-		// normally never hit this (their lease expired first) except as
-		// the slow-computer backstop (T6).
-		if c.lease == nil {
-			defer c.recoverLeaseless()
-		}
+		// all (§2.1); the lease hears of it once the caller has.
+		defer c.lease.refused(true)
 	}
 	if p.cb != nil {
 		p.cb(reply, errno)

@@ -7,9 +7,12 @@ import "repro/internal/msg"
 // caching, because nothing revokes a remote cache when the range changes
 // hands. Every operation pays the dlock round-trips; that cost, compared
 // with Storage Tank's cached logical locks, is experiment T4.
+type dlocks struct{}
 
-// dlockRead performs lock → read → unlock against the owning disk.
-func (c *Client) dlockRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
+func (dlocks) caches() bool { return false }
+
+// read performs lock → read → unlock against the owning disk.
+func (dlocks) read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback) {
 	done := func(data []byte, errno msg.Errno) {
 		c.finish(errno)
 		cb(data, errno)
@@ -50,8 +53,8 @@ func (c *Client) dlockRead(ino msg.ObjectID, idx uint64, cb DataCallback) {
 	})
 }
 
-// dlockWrite performs lock → write → unlock (write-through; no cache).
-func (c *Client) dlockWrite(ino msg.ObjectID, idx uint64, data []byte, cb ErrnoCallback) {
+// write performs lock → write → unlock (write-through; no cache).
+func (dlocks) write(c *Client, ino msg.ObjectID, idx uint64, data []byte, cb ErrnoCallback) {
 	done := func(errno msg.Errno) {
 		c.finish(errno)
 		cb(errno)

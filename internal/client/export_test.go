@@ -67,6 +67,6 @@ func (c *Client) Downgrading(ino msg.ObjectID) bool {
 // renewals had stopped arriving.
 func (c *Client) LapseObjectLease(ino msg.ObjectID) {
 	if o := c.objs[ino]; o != nil {
-		o.vExpiry = c.clock.Now()
+		o.base = c.clock.Now()
 	}
 }

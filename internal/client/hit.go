@@ -1,9 +1,6 @@
 package client
 
-import (
-	"repro/internal/baselines"
-	"repro/internal/msg"
-)
+import "repro/internal/msg"
 
 // A hit function answers one operation from what the client caches, in
 // one synchronous step, or declines it (DESIGN §20.6). It first checks,
@@ -19,18 +16,11 @@ import (
 // holds reports whether o, the record of an object (nil: none), shows a
 // lock that serves an operation needing mode here and now: no downgrade
 // is in flight — a revocation between its flush and its report must not
-// see new work start under it — the mode covers, and under the V baseline
-// the object's own lease runs. ensureLock uses the cached lock exactly
-// when this holds.
+// see new work start under it — the mode covers, and the lease lets the
+// lock serve (under the V baseline, the object's own lease runs).
+// ensureLock uses the cached lock exactly when this holds.
 func (c *Client) holds(o *object, mode msg.LockMode) bool {
-	return o != nil && o.downgrades == 0 && o.mode.Covers(mode) && c.vLeaseValid(o)
-}
-
-// locksData reports whether data operations take the paper's path — lock,
-// map, page — rather than a baseline's own: function shipping and the
-// distributed lock manager keep theirs.
-func (c *Client) locksData() bool {
-	return c.cfg.Policy.Data != baselines.DataFunctionShip && !c.cfg.Policy.DLock
+	return o != nil && o.downgrades == 0 && o.mode.Covers(mode) && c.lease.serves(o)
 }
 
 // readHit is a Read of block idx served from a resident page under a held
@@ -40,7 +30,7 @@ func (c *Client) readHit(h msg.Handle, idx uint64) ([]byte, bool) {
 		return nil, false
 	}
 	info, ok := c.handles[h]
-	if !ok || !c.locksData() {
+	if !ok || !c.data.caches() {
 		return nil, false
 	}
 	co := c.cache.Object(info.ino)
@@ -71,7 +61,7 @@ func (c *Client) writeHit(h msg.Handle, idx uint64, data []byte) bool {
 		return false
 	}
 	info, ok := c.handles[h]
-	if !ok || !info.write || len(data) > BlockSize || !c.locksData() {
+	if !ok || !info.write || len(data) > BlockSize || !c.data.caches() {
 		return false
 	}
 	co := c.cache.Object(info.ino)

@@ -3,7 +3,34 @@ package client
 import (
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sim"
 )
+
+// A clientLease is how the client knows the server still honours its
+// locks (DESIGN §26): the paper's lease, or a baseline's (baseline.go).
+type clientLease interface {
+	admits() bool          // may a new operation start?
+	serves(o *object) bool // may the lock o shows serve one (holds)?
+	locked(o *object)      // o's lock was granted, or given up
+	registered() bool      // a Rejoin's ACK starts the lease: false if over already
+	teardown()             // the registration is over
+	refused(fenced bool)   // a NACK, or a disk's refusal, came back
+}
+
+// paperLease is the paper's lease (§3): one per server, renewed by every
+// ACKed message, its four phases run by core.LeaseClient.
+type paperLease struct {
+	noLease
+	*core.LeaseClient
+}
+
+func (l paperLease) admits() bool { return l.Valid() }
+func (l paperLease) teardown()    { l.Reset() }
+
+// registered: a Rejoin ACKed more than τ after its first send grants a
+// lease that is over, and a client registered without one would refuse
+// every operation and send no keep-alive to get out. It asks again.
+func (l paperLease) registered() bool { return l.Valid() }
 
 // leaseActions adapts the Client to core.LeaseActions: this is where the
 // four phases of §3.2 become file-system behaviour.
@@ -36,7 +63,7 @@ func (a leaseActions) Expired() {
 	c.quiesced = false
 	c.reassertTried = false
 	c.endEpisode()
-	c.lease.Reset()
+	c.lease.teardown()
 	c.rejoin()
 }
 
@@ -46,18 +73,22 @@ func (a leaseActions) PhaseChange(from, to core.Phase) {
 	}
 }
 
-// maybeReassert attempts client-driven lock reassertion (§6): the NACK
-// that just arrived may come from a restarted server that lost its lock
-// table rather than from a lease timeout. While our lease is still
-// running (phase 3/4 after the NACK), our locks remain contractually
-// protected, so we present them; a server in its grace period restores
-// them and the lease revives, a server that is actually timing us out
-// refuses and the ordinary recovery completes.
-func (c *Client) maybeReassert() {
-	if c.crashedFlg || !c.registered || c.reassertTried || c.cfg.DisableReassert {
+// refused attempts client-driven lock reassertion (§6): the NACK may come
+// from a restarted server that lost its lock table rather than from a
+// lease timeout. While our lease still runs (phase 3/4 after the NACK), our
+// locks remain contractually protected, so we present them; a server in
+// its grace period restores them and the lease revives, one timing us out
+// refuses and the ordinary recovery completes. (A request in flight across
+// a reassertion is refused for an epoch that is history: the channel does
+// not tell the lease, which stays valid, and the registration that replaced
+// that epoch is left alone.) A fenced I/O needs nothing: the lease ran out
+// before the fence rose, unless the clock ran slow, which fencing is for.
+func (l paperLease) refused(fenced bool) {
+	c := l.c
+	if fenced || c.crashedFlg || !c.registered || c.reassertTried || c.cfg.DisableReassert {
 		return
 	}
-	if c.lease.Phase() != core.Phase3Suspect && c.lease.Phase() != core.Phase4Flush {
+	if l.Phase() != core.Phase3Suspect && l.Phase() != core.Phase4Flush {
 		return
 	}
 	c.reassertTried = true
@@ -72,7 +103,7 @@ func (c *Client) maybeReassert() {
 			return // recovery proceeds through the phases
 		}
 		res := r.Body.(msg.ReassertRes)
-		if !c.lease.Revive(sent) {
+		if !l.Revive(sent) {
 			return // too late: the lease lapsed while reasserting
 		}
 		c.chn.SetEpoch(res.Epoch)
@@ -86,8 +117,7 @@ func (c *Client) maybeReassert() {
 
 // rejoin (re)registers with the server, retrying until it succeeds. On
 // success the client starts from nothing: fresh epoch, empty cache, no
-// locks — and, for the paper's policy, a fresh lease granted by the
-// Rejoin ACK itself.
+// locks — and a fresh lease granted by the Rejoin ACK itself.
 func (c *Client) rejoin() {
 	if c.crashedFlg || c.recovering {
 		return
@@ -103,12 +133,7 @@ func (c *Client) rejoin() {
 			c.clock.AfterFunc(c.cfg.Core.RetryInterval, func() { c.rejoin() })
 			return
 		}
-		if c.lease != nil && !c.lease.Valid() {
-			// The ACK came more than τ after this request's first send, and
-			// a renewal dates from the send: the lease it grants is already
-			// over. Registered without a lease, the client would refuse
-			// every operation and send no keep-alive to get out, so ask
-			// again — a new request, with a send time of its own.
+		if !c.lease.registered() {
 			c.rejoin()
 			return
 		}
@@ -116,25 +141,11 @@ func (c *Client) rejoin() {
 		c.chn.SetEpoch(res.Epoch)
 		c.registered = true
 		c.quiesced = false
-		c.startBaselineTimers()
 		c.startFlushTimer()
 		if c.OnRecovered != nil {
 			c.OnRecovered(res.Epoch)
 		}
 	})
-}
-
-// recoverLeaseless is the recovery path for policies without the paper's
-// lease: the client has just learned (via NACK or a fenced I/O) that the
-// server stopped honoring its locks. By now it may have served stale
-// reads and stranded dirty data — exactly what the experiments count.
-func (c *Client) recoverLeaseless() {
-	if c.crashedFlg || c.recovering {
-		return
-	}
-	c.endEpisode()
-	c.stopBaselineTimers()
-	c.rejoin()
 }
 
 // startFlushTimer arms periodic write-back when configured.
@@ -155,4 +166,14 @@ func (c *Client) startFlushTimer() {
 		c.flushTimer = c.clock.AfterFunc(c.cfg.FlushInterval, fire)
 	}
 	c.flushTimer = c.clock.AfterFunc(c.cfg.FlushInterval, fire)
+}
+
+// stopTimers stops and forgets each timer set.
+func stopTimers(ts ...*sim.Timer) {
+	for _, t := range ts {
+		if *t != nil {
+			(*t).Stop()
+			*t = nil
+		}
+	}
 }

@@ -462,7 +462,7 @@ func (c *Client) holdDir(ino msg.ObjectID, install bool) *dirNames {
 	}
 	o := c.obj(ino)
 	o.mode = msg.LockShared
-	c.vLeaseNote(o)
+	c.lease.locked(o)
 	return c.names.add(ino)
 }
 

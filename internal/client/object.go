@@ -11,7 +11,7 @@ import (
 
 // object is everything the client keeps about one object (DESIGN.md §22):
 // one record in Client.objs, made when something needs it and deleted as
-// soon as it holds nothing. Episode state — the fields up to attrAt — is
+// soon as it holds nothing. Episode state — the fields up to base — is
 // what the registration vouches for, and its end clears it (endEpisode).
 // In-flight state — the rest — is what messages on the wire will come back
 // to; it is never reset, but drains through the callbacks of the calls it
@@ -23,9 +23,9 @@ type object struct {
 	push sizePush
 	// ra is the sequential detector and read-ahead window (prefetch.go).
 	ra readAhead
-	// vExpiry is when the V baseline's lease on the object runs out, and
-	// attrAt when the NFS baseline last fetched its attributes (0: never).
-	vExpiry, attrAt sim.Time
+	// base is a baseline's time for the object (baseline.go): its V lease's
+	// expiry, or its NFS attribute fetch; 0 under the paper's protocol.
+	base sim.Time
 
 	// io counts data operations in flight under the lock; idle runs once
 	// there are none. A downgrade waits for them, so an in-flight read
@@ -64,7 +64,7 @@ func (o *object) busy() bool {
 // empty reports whether the record holds nothing of either kind.
 func (o *object) empty() bool {
 	return o.mode == msg.LockNone && !o.push.pending() && o.ra == (readAhead{}) &&
-		o.vExpiry == 0 && o.attrAt == 0 && !o.busy()
+		o.base == 0 && !o.busy()
 }
 
 // obj returns ino's record, making it if there is none.
@@ -85,10 +85,11 @@ func (c *Client) tidy(ino msg.ObjectID, o *object) {
 	}
 }
 
-// unlock forgets the lock on ino, and the V baseline's lease with it.
+// unlock forgets the lock on ino.
 func (c *Client) unlock(ino msg.ObjectID) {
 	if o := c.objs[ino]; o != nil {
-		o.mode, o.vExpiry = msg.LockNone, 0
+		o.mode = msg.LockNone
+		c.lease.locked(o)
 		c.tidy(ino, o)
 	}
 }
@@ -135,7 +136,7 @@ func (c *Client) endEpisode() {
 	c.chn.CancelAll()
 	c.cancelSAN()
 	for ino, o := range c.objs {
-		o.push, o.ra, o.vExpiry, o.attrAt = sizePush{}, readAhead{}, 0, 0
+		o.push, o.ra, o.base = sizePush{}, readAhead{}, 0
 		c.tidy(ino, o)
 	}
 }

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"repro/internal/baselines"
 	"repro/internal/cache"
 	"repro/internal/disk"
 	"repro/internal/msg"
@@ -448,15 +447,25 @@ func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
 		return
 	}
 	c.reads.Inc()
-	if c.cfg.Policy.Data == baselines.DataFunctionShip {
-		c.funcShipRead(info.ino, idx, cb)
-		return
-	}
-	if c.cfg.Policy.DLock {
-		c.dlockRead(info.ino, idx, cb)
-		return
-	}
-	c.ensureLock(info.ino, msg.LockShared, func(errno msg.Errno) {
+	c.data.read(c, info.ino, idx, cb)
+}
+
+// A dataPath is how file data moves (DESIGN §26): the paper's direct path,
+// or a baseline's (baseline.go, dlock.go). read and write finish a begun
+// operation; caches says whether data and names are cached under locks.
+type dataPath interface {
+	read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback)
+	write(c *Client, ino msg.ObjectID, idx uint64, data []byte, cb ErrnoCallback)
+	caches() bool
+}
+
+// direct is the paper's data path (Fig 1): the SAN, under cached locks.
+type direct struct{}
+
+func (direct) caches() bool { return true }
+
+func (direct) read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback) {
+	c.ensureLock(ino, msg.LockShared, func(errno msg.Errno) {
 		if errno != msg.OK {
 			c.finish(errno)
 			cb(nil, errno)
@@ -464,18 +473,18 @@ func (c *Client) Read(h msg.Handle, idx uint64, cb DataCallback) {
 		}
 		// Hold the lock pinned (drain-before-downgrade) for the rest of
 		// the operation.
-		o := c.ioBegin(info.ino)
+		o := c.ioBegin(ino)
 		done := func(data []byte, errno msg.Errno) {
-			c.ioEnd(info.ino, o)
+			c.ioEnd(ino, o)
 			c.finish(errno)
 			cb(data, errno)
 		}
-		c.ensureMap(info.ino, func(errno msg.Errno) {
+		c.ensureMap(ino, func(errno msg.Errno) {
 			if errno != msg.OK {
 				done(nil, errno)
 				return
 			}
-			c.readBlock(info.ino, o, idx, done)
+			c.readBlock(ino, o, idx, done)
 		})
 	})
 }
@@ -569,39 +578,35 @@ func (c *Client) Write(h msg.Handle, idx uint64, data []byte, cb ErrnoCallback) 
 		return
 	}
 	c.writes.Inc()
-	if c.cfg.Policy.Data == baselines.DataFunctionShip {
-		c.funcShipWrite(info.ino, idx, data, cb)
-		return
-	}
-	if c.cfg.Policy.DLock {
-		c.dlockWrite(info.ino, idx, data, cb)
-		return
-	}
-	c.ensureLock(info.ino, msg.LockExclusive, func(errno msg.Errno) {
+	c.data.write(c, info.ino, idx, data, cb)
+}
+
+func (direct) write(c *Client, ino msg.ObjectID, idx uint64, data []byte, cb ErrnoCallback) {
+	c.ensureLock(ino, msg.LockExclusive, func(errno msg.Errno) {
 		if errno != msg.OK {
 			c.finish(errno)
 			cb(errno)
 			return
 		}
-		o := c.ioBegin(info.ino)
+		o := c.ioBegin(ino)
 		done := func(errno msg.Errno) {
-			c.ioEnd(info.ino, o)
+			c.ioEnd(ino, o)
 			c.finish(errno)
 			cb(errno)
 		}
-		c.ensureMap(info.ino, func(errno msg.Errno) {
+		c.ensureMap(ino, func(errno msg.Errno) {
 			if errno != msg.OK {
 				done(errno)
 				return
 			}
-			c.ensureAlloc(info.ino, idx, func(errno msg.Errno) {
+			c.ensureAlloc(ino, idx, func(errno msg.Errno) {
 				if errno != msg.OK {
 					done(errno)
 					return
 				}
-				ver := c.oracle.NextVer(c.id, info.ino, idx)
-				c.cache.Write(info.ino, idx, data, ver)
-				c.maybeExtend(info.ino, idx, len(data))
+				ver := c.oracle.NextVer(c.id, ino, idx)
+				c.cache.Write(ino, idx, data, ver)
+				c.maybeExtend(ino, idx, len(data))
 				done(msg.OK)
 			})
 		})
@@ -706,7 +711,7 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			// once — is older than what the first has been used for.)
 			c.installMap(ino, res.Attr, res.Blocks)
 		}
-		c.vLeaseNote(o)
+		c.lease.locked(o)
 		cb(msg.OK)
 	})
 }

@@ -65,14 +65,14 @@ func RunT1(p Params) *Result {
 			ops += r.Ops
 		}
 		activeDiff := cl.Reg.DiffFrom(activeBase)
-		activeLease := leaseTraffic(activeDiff, pol)
+		activeLease := leaseTraffic(activeDiff)
 		ctlMsgs := activeDiff["net.control.sent.control-req"] + activeLease
 
 		// Idle phase: no operations, but caches and locks are retained.
 		idleBase := cl.Reg.Snapshot()
 		cl.RunFor(phase)
 		idleDiff := cl.Reg.DiffFrom(idleBase)
-		idleLease := leaseTraffic(idleDiff, pol)
+		idleLease := leaseTraffic(idleDiff)
 
 		// Steady-state lookups: every client resolves every file of the
 		// population, twice; the second pass is counted. Where names are
@@ -120,15 +120,13 @@ func RunT1(p Params) *Result {
 }
 
 // leaseTraffic counts the messages that exist only to maintain
-// leases/liveness/coherence under the given policy: keep-alives,
-// heartbeats, per-object renewals, and NFS attribute polls.
-func leaseTraffic(diff stats.Snapshot, pol baselines.Policy) uint64 {
+// leases/liveness/coherence: keep-alives, heartbeats, per-object renewals,
+// and NFS attribute polls (counted only where NFS polls).
+func leaseTraffic(diff stats.Snapshot) uint64 {
 	n := diff["net.control.sent.keepalive"] + diff["net.control.sent.lease-admin"]
-	if pol.NFS {
-		for name, v := range diff {
-			if strings.HasSuffix(name, ".nfs_polls") {
-				n += v
-			}
+	for name, v := range diff {
+		if strings.HasSuffix(name, ".nfs_polls") {
+			n += v
 		}
 	}
 	return n

@@ -57,8 +57,8 @@ func (s *Server) handleRequest(req msg.Request) {
 		return
 	}
 
-	// Baseline lease bookkeeping on the receive path.
-	s.baselineOnMessage(p, req)
+	// A baseline's lease bookkeeping on the receive path.
+	s.rec.message(p, req)
 
 	disp, cached := s.rcache.Admit(client, id)
 	switch disp {
@@ -83,7 +83,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 	case *msg.KeepAlive, *msg.Close, *msg.Heartbeat, *msg.RenewObjects:
 		// The ACK is the entire function: a KeepAlive is the NULL message
 		// (§3.1), the server keeps no table of open handles, and the
-		// baselines' lease bookkeeping was done in baselineOnMessage.
+		// baselines' lease bookkeeping was done on admission.
 		ack(msg.OK, nil)
 
 	case *msg.Lookup:
@@ -183,7 +183,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			})
 			return
 		}
-		s.vLeaseTouch(client, m.Ino)
+		s.rec.granted(client, m.Ino)
 		s.locks.Acquire(client, m.Ino, m.Mode, func(mode msg.LockMode) {
 			// The grant may fire much later; by then the client may have
 			// become suspect. Never ACK a suspect (§3): stay silent. The
@@ -219,7 +219,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 	case *msg.LockRelease:
 		errno := s.locks.Release(client, m.Ino, m.To)
 		if m.To == msg.LockNone {
-			s.vLeaseDrop(client, m.Ino)
+			s.rec.released(client, m.Ino)
 		}
 		ack(errno, msg.LockRes{Mode: m.To})
 
@@ -229,7 +229,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 		s.retireDemand(m.Demand, client)
 		errno := s.locks.Downgraded(client, m.Ino, m.To, m.Demand)
 		if m.To == msg.LockNone {
-			s.vLeaseDrop(client, m.Ino)
+			s.rec.released(client, m.Ino)
 		}
 		ack(errno, msg.LockRes{Mode: m.To})
 
@@ -270,11 +270,7 @@ func (s *Server) handleRejoin(client msg.NodeID, id msg.ReqID) {
 	// goes away; under lease recovery the authority already stole them.
 	s.stealAndFence(client, false)
 	p.epoch = s.store.NextEpoch()
-	// Registration counts as contact for the heartbeat baseline: the
-	// lease is established by the (ACKed) Rejoin itself. Without this, a
-	// client isolated before its first heartbeat would be stolen from
-	// immediately.
-	s.heardFrom(p)
+	s.rec.contact(p)
 	// Reply directly: Rejoin is idempotent by construction (each attempt
 	// may mint a new epoch; only the one the client adopts matters).
 	s.send(client, &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
@@ -306,23 +302,10 @@ func (s *Server) handleReassert(client msg.NodeID, id msg.ReqID, m *msg.Reassert
 	p := s.peerOf(client)
 	s.endSession(p)
 	for _, claim := range m.Locks {
-		s.vLeaseTouch(client, claim.Ino)
+		s.rec.granted(client, claim.Ino)
 	}
 	p.epoch = s.store.NextEpoch()
-	s.heardFrom(p)
+	s.rec.contact(p)
 	s.send(client, &msg.Reply{Client: client, Req: id, Status: msg.ACK, Err: msg.OK,
 		Body: msg.ReassertRes{Epoch: p.epoch}})
-}
-
-// baselineOnMessage performs the per-message lease work the comparison
-// policies require — precisely the work the paper's protocol avoids.
-func (s *Server) baselineOnMessage(p *peer, req msg.Request) {
-	switch m := req.(type) {
-	case *msg.Heartbeat:
-		s.heardFrom(p)
-	case *msg.RenewObjects:
-		for _, ino := range m.Inos {
-			s.vLeaseTouch(p.id, ino)
-		}
-	}
 }

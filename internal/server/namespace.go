@@ -32,7 +32,7 @@ import (
 // tryDir tries to leave client holding a shared lock on directory ino and
 // reports whether it does.
 func (s *Server) tryDir(client msg.NodeID, ino msg.ObjectID) bool {
-	if ino == 0 || !s.cfg.Policy.CachesNames() {
+	if ino == 0 || !s.grantsDirs {
 		return false
 	}
 	held := s.locks.HeldCount()
@@ -42,7 +42,7 @@ func (s *Server) tryDir(client msg.NodeID, ino msg.ObjectID) bool {
 	if s.locks.HeldCount() > held {
 		s.dirGrants.Inc()
 	}
-	s.vLeaseTouch(client, ino)
+	s.rec.granted(client, ino)
 	return true
 }
 

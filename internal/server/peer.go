@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
 // peer is everything the server holds for one client (DESIGN.md §24). The
@@ -31,14 +29,9 @@ type peer struct {
 	// own ID has a record for the changes it makes itself.
 	parked map[msg.ObjectID][]*mutation
 
-	// Heartbeat baseline: when the client was last heard from (heard: at
-	// all). Per-object (V) baseline: each lease's expiry. steal is the
-	// baseline's steal, which a failed demand arms: the heartbeat check,
-	// or the V leases' lapse.
-	lastHeard sim.Time
-	heard     bool
-	objLeases map[msg.ObjectID]sim.Time
-	steal     sim.Timer
+	// base is a baseline's leases for the client (baseline.go); nil under
+	// the paper's protocol, which keeps nothing per client.
+	base *baseLease
 }
 
 // peerOf returns c's record, making it on first use.
@@ -54,91 +47,21 @@ func (s *Server) peerOf(c msg.NodeID) *peer {
 }
 
 // endSession is the one teardown of a client's record: its demands leave
-// their retransmission queue, its parked mutations and baseline leases go,
-// the baseline's steal timer stops, and its reply history is forgotten.
-// It keeps the registration, which only a rejoin or a reassertion
-// replaces, and the locks, which the caller steals or installs. Every
-// request the client sends from here on is NACKed (it is suspect, or must
-// rejoin) or comes with a new epoch, so nothing dropped can be asked for
-// again.
+// their retransmission queue, its parked mutations and a baseline's leases
+// and steal go, and its reply history is forgotten. It keeps the
+// registration, which only a rejoin or a reassertion replaces, and the
+// locks, which the caller steals or installs. Every request the client
+// sends from here on is NACKed (it is suspect, or must rejoin) or comes
+// with a new epoch, so nothing dropped can be asked for again.
 func (s *Server) endSession(p *peer) {
 	for _, pd := range p.demands {
 		s.demandRetry.Remove(&pd.retry)
 	}
 	clear(p.demands)
 	clear(p.parked)
-	if p.heard {
-		p.heard = false
-		s.heardCount--
-	}
-	s.objLeaseCount -= len(p.objLeases)
-	p.objLeases = nil
-	if p.steal != nil {
-		p.steal.Stop()
-		p.steal = nil
-	}
+	s.rec.ended(p)
 	s.rcache.Forget(p.id)
-	s.syncLeaseBytes()
 }
-
-// heardFrom notes contact from p for the heartbeat baseline.
-func (s *Server) heardFrom(p *peer) {
-	if s.cfg.Policy.Lease != baselines.LeaseHeartbeat {
-		return
-	}
-	s.leaseOps.Inc()
-	if !p.heard {
-		p.heard = true
-		s.heardCount++
-	}
-	p.lastHeard = s.clock.Now()
-	s.syncLeaseBytes()
-}
-
-// vLeaseTouch grants or renews client's per-object lease on ino (V
-// baseline).
-func (s *Server) vLeaseTouch(client msg.NodeID, ino msg.ObjectID) {
-	if s.cfg.Policy.Lease != baselines.LeasePerObject {
-		return
-	}
-	s.leaseOps.Inc()
-	p := s.peerOf(client)
-	if p.objLeases == nil {
-		p.objLeases = make(map[msg.ObjectID]sim.Time)
-	}
-	if _, ok := p.objLeases[ino]; !ok {
-		s.objLeaseCount++
-	}
-	p.objLeases[ino] = s.clock.Now().Add(s.cfg.Core.Tau)
-	s.syncLeaseBytes()
-}
-
-// vLeaseDrop removes a per-object lease when the lock is fully released.
-func (s *Server) vLeaseDrop(client msg.NodeID, ino msg.ObjectID) {
-	if p := s.peers[client]; p != nil {
-		if _, ok := p.objLeases[ino]; ok {
-			s.leaseOps.Inc()
-			delete(p.objLeases, ino)
-			s.objLeaseCount--
-			s.syncLeaseBytes()
-		}
-	}
-}
-
-// syncLeaseBytes sets lease_state_bytes from the baseline's running count.
-func (s *Server) syncLeaseBytes() {
-	switch s.cfg.Policy.Lease {
-	case baselines.LeaseHeartbeat:
-		s.leaseBytes.Set(int64(s.heardCount) * heartbeatEntryBytes)
-	case baselines.LeasePerObject:
-		s.leaseBytes.Set(int64(s.objLeaseCount) * objLeaseEntryBytes)
-	}
-}
-
-const (
-	heartbeatEntryBytes = 16
-	objLeaseEntryBytes  = 24
-)
 
 // AtRest reports, by client, what the server still has in flight for it:
 // demands awaiting their DemandAck, and mutations parked on a directory

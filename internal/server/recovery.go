@@ -1,7 +1,6 @@
 package server
 
 import (
-	"repro/internal/baselines"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -58,7 +57,7 @@ func (s *Server) retransmitDemand(pd *pendingDemand) {
 	if pd.tries >= s.cfg.Core.DemandRetries {
 		delete(pd.holder.demands, pd.id)
 		s.emit(trace.Event{Type: trace.EvDemandFailed, Peer: pd.holder.id, Ino: pd.ino})
-		s.onDeliveryFailure(pd.holder.id)
+		s.rec.failed(pd.holder.id)
 		return
 	}
 	pd.tries++
@@ -81,106 +80,36 @@ func (s *Server) retireDemand(id msg.DemandID, holder msg.NodeID) {
 	}
 }
 
-// onDeliveryFailure reacts to an unacknowledged demand per the recovery
-// policy — the heart of the comparison experiments.
-func (s *Server) onDeliveryFailure(client msg.NodeID) {
-	switch s.cfg.Policy.Recovery {
-	case baselines.RecoverLeaseFence:
-		// The paper's protocol: hand the problem to the passive lease
-		// authority. It NACKs the client from now on and steals (and
-		// fences, via StealLocks) after τ(1+ε).
-		s.auth.OnDeliveryFailure(client)
-
-	case baselines.RecoverHonorLocks:
-		// Never steal. The conflicting request stays queued — possibly
-		// forever (T2's unavailability) — and the server keeps re-sending
-		// the demand so that progress resumes if the partition heals.
-		s.clock.AfterFunc(s.cfg.Core.RetryInterval*4, func() { s.redemandNow(client) })
-
-	case baselines.RecoverStealImmediate:
-		// Traditional recovery, unsafe on NAS: steal now, no fence.
-		s.peerOf(client).mustRejoin = true
-		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "immediate"})
-		s.stealAndFence(client, false)
-
-	case baselines.RecoverFenceOnly:
-		// §2.1's strawman: fence at the disks, then steal. The client is
-		// not told; it discovers the fence when its I/O fails.
-		s.peerOf(client).mustRejoin = true
-		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "fence-only"})
-		s.stealAndFence(client, true)
-
-	case baselines.RecoverHeartbeatSteal:
-		// Frangipani-style: steal once the heartbeat lease has lapsed on
-		// the server's clock.
-		s.scheduleHeartbeatSteal(client)
-
-	case baselines.RecoverPerObjectExpire:
-		// V-style: every per-object lease the client holds will have
-		// lapsed once TTL(1+ε) passes without renewals (renewals can no
-		// longer arrive: the client is NACKed after the steal; before
-		// it, each renewal pushes expiry, so wait from "now").
-		s.schedulePerObjectSteal(client)
-	}
+// A recovery is what the server does about a client that stops
+// acknowledging demands (failed), with the lease bookkeeping it relies on
+// (DESIGN §26): the paper's passive authority (leaseFence) or a baseline's.
+// The rest hear of an admitted request, a registration or reassertion, a
+// lock taken or given up, and the end of the client's session.
+type recovery interface {
+	failed(client msg.NodeID)
+	message(p *peer, req msg.Request)
+	contact(p *peer)
+	granted(client msg.NodeID, ino msg.ObjectID)
+	released(client msg.NodeID, ino msg.ObjectID)
+	ended(p *peer)
 }
 
-// redemandNow re-transmits the demands still outstanding against a
-// holder (honor-locks). If delivery fails again, onDeliveryFailure
-// re-schedules this, so the demand loop runs until the partition heals.
-func (s *Server) redemandNow(client msg.NodeID) {
-	if s.locks.LocksHeldBy(client) == 0 {
-		return
-	}
-	p := s.peerOf(client)
-	for _, d := range s.locks.OutstandingDemands(client) {
-		if _, inFlight := p.demands[d.ID]; !inFlight {
-			s.sendDemand(client, d.Ino, d.To, d.ID)
-		}
-	}
-}
+// passive is the paper's server: it keeps nothing per client and does
+// nothing per message (§1's "zero messages, zero server memory, zero
+// server computation").
+type passive struct{ s *Server }
 
-// scheduleHeartbeatSteal arms (idempotently) the Frangipani-style steal.
-func (s *Server) scheduleHeartbeatSteal(client msg.NodeID) {
-	p := s.peerOf(client)
-	if p.steal != nil {
-		return
-	}
-	s.leaseOps.Inc()
-	var check func()
-	check = func() {
-		s.leaseOps.Inc() // scanning the lease table is server work
-		// The steal waits TTL(1+ε) past the last heartbeat: the client's
-		// own lease — measured on its rate-synchronized clock from the
-		// heartbeat's send time — has then provably lapsed (the same
-		// argument as Theorem 3.1, with heartbeats in place of
-		// opportunistic renewals).
-		if p.heard && s.clock.Now().Sub(p.lastHeard) < s.cfg.Core.StealDelay() {
-			// Lease still valid; re-check when it could lapse.
-			p.steal = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
-			return
-		}
-		p.steal = nil
-		p.mustRejoin = true
-		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "heartbeat"})
-		s.stealAndFence(client, true)
-	}
-	p.steal = s.clock.AfterFunc(s.cfg.Core.Tau/4, check)
-}
+func (passive) message(*peer, msg.Request)        {}
+func (passive) contact(*peer)                     {}
+func (passive) granted(msg.NodeID, msg.ObjectID)  {}
+func (passive) released(msg.NodeID, msg.ObjectID) {}
+func (passive) ended(*peer)                       {}
 
-// schedulePerObjectSteal arms the V-style steal at TTL(1+ε).
-func (s *Server) schedulePerObjectSteal(client msg.NodeID) {
-	p := s.peerOf(client)
-	if p.steal != nil {
-		return
-	}
-	s.leaseOps.Inc()
-	p.steal = s.clock.AfterFunc(s.cfg.Core.StealDelay(), func() {
-		p.steal = nil
-		p.mustRejoin = true
-		s.emit(trace.Event{Type: trace.EvStealFired, Peer: client, Note: "per-object"})
-		s.stealAndFence(client, false) // V predates fencing; client-side expiry is the safety
-	})
-}
+// leaseFence is the paper's recovery: the lease authority NACKs the
+// client from now on and steals, and fences, after τ(1+ε) (StealLocks).
+type leaseFence struct{ passive }
+
+func (r leaseFence) failed(client msg.NodeID) { r.s.auth.OnDeliveryFailure(client) }
 
 // stealAndFence ends the client's session (endSession), removes every
 // lock it holds (redistributing to waiters), and — when fence is true —

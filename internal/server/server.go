@@ -29,7 +29,8 @@ type Sender func(to msg.NodeID, m msg.Message)
 
 // Config parameterizes a server.
 type Config struct {
-	Core   core.Config
+	Core core.Config
+	// Policy is the system the server runs (zero: the paper's protocol).
 	Policy baselines.Policy
 	// Disks lists the SAN block devices and their capacities.
 	Disks map[msg.NodeID]uint64
@@ -128,13 +129,13 @@ type Server struct {
 	neg       *replica.Negotiator
 	activeFlg bool
 
+	// rec and grantsDirs (clients cache names) are what the policy picks.
+	rec        recovery
+	grantsDirs bool
 	// peers is everything the server holds for each client, and for
 	// itself where it makes a change of its own (peer.go): registration,
-	// outstanding demands, parked mutations, the baselines' leases.
-	// heardCount and objLeaseCount total the baselines' leases across them.
-	peers         map[msg.NodeID]*peer
-	heardCount    int
-	objLeaseCount int
+	// outstanding demands, parked mutations, a baseline's leases.
+	peers map[msg.NodeID]*peer
 	// nextHandle numbers the handles Open returns; the server keeps no
 	// table of them.
 	nextHandle msg.Handle
@@ -178,7 +179,7 @@ type Server struct {
 	coder        msg.Coder      // sizes what send counts in bytesOut
 	dataBytes    *stats.Counter // file data moved through the server
 	leaseOps     *stats.Counter // lease-specific server work (baselines)
-	leaseBytes   *stats.Gauge   // lease state held (baselines + authority)
+	leaseBytes   *stats.Gauge   // lease state held (baselines)
 	nacksSent    *stats.Counter
 	demandsSent  *stats.Counter
 	fences       *stats.Counter
@@ -204,9 +205,6 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	reg *stats.Registry, tr *trace.Tracer) *Server {
 	cfg = cfg.withDefaults()
 	if err := cfg.Core.Validate(); err != nil {
-		panic(err)
-	}
-	if err := cfg.Policy.Validate(); err != nil {
 		panic(err)
 	}
 	if reg == nil {
@@ -245,6 +243,25 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 		redirectsSent: reg.Counter(prefix + "redirects_sent"),
 	}
 	s.tracer = tr
+	// The policy picks the seam, once, and whether clients cache names.
+	switch base := (passive{s}); cfg.Policy.Recovery {
+	case baselines.RecoverLeaseFence:
+		s.rec = leaseFence{base}
+	case baselines.RecoverHonorLocks:
+		s.rec = honorLocks{base}
+	case baselines.RecoverStealImmediate:
+		s.rec = stealNow{base, "immediate", false}
+	case baselines.RecoverFenceOnly:
+		s.rec = stealNow{base, "fence-only", true}
+	case baselines.RecoverHeartbeatSteal:
+		s.rec = heartbeats{stealNow{base, "heartbeat", true}}
+	case baselines.RecoverPerObjectExpire:
+		// V predates fencing: client-side expiry is the safety.
+		s.rec = objectLeases{stealNow{base, "per-object", false}}
+	default:
+		panic(fmt.Sprintf("server: unknown recovery %v", cfg.Policy.Recovery))
+	}
+	s.grantsDirs = cfg.Policy.CachesNames()
 	s.demandRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.retransmitDemand)
 	s.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitSAN)
 	s.handoffRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitHandoff)

@@ -169,7 +169,7 @@ func TestSharedDirectoryChurnUnderFailures(t *testing.T) {
 		}
 		cl.RunFor(2 * tau)
 		cl.FinalCheck()
-		if pol.Lease == baselines.LeaseStorageTank || pol.Recovery == baselines.RecoverHonorLocks {
+		if pol.Recovery == baselines.RecoverLeaseFence || pol.Recovery == baselines.RecoverHonorLocks {
 			for _, v := range cl.Violations() {
 				t.Errorf("%s seed %d: %v", pol.Name, seed, v)
 			}
@@ -193,7 +193,7 @@ func TestSharedDirectoryChurnUnderFailures(t *testing.T) {
 		if ops < 1000 {
 			t.Errorf("%s: the churn barely ran: %d operations", pol.Name, ops)
 		}
-		safe := pol.Lease == baselines.LeaseStorageTank || pol.Recovery == baselines.RecoverHonorLocks
+		safe := pol.Recovery == baselines.RecoverLeaseFence || pol.Recovery == baselines.RecoverHonorLocks
 		if safe && violations != 0 {
 			t.Errorf("%s: %d namespace violations", pol.Name, violations)
 		}
