@@ -18,6 +18,7 @@ package cache
 import (
 	"slices"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
@@ -31,6 +32,17 @@ import (
 // block that other pages may share — they must never be written
 // through; all mutation goes through Cache.Write, which moves the page
 // onto a private block first.
+//
+// The header itself is recycled too: a removed page is parked on the
+// store's free list and the next page filed takes it back. A *Page is
+// handed out only by Lookup, LookupBehind and Object.Page, and is valid
+// until the next call that can remove a page — Fill, FillPrefetched,
+// Write, MarkClean, DropPagesFrom, Drop, InvalidateAll. Every holder
+// outside this package reads the page and lets go of it before making
+// one (TestNoPageOutlivesItsLookup checks the shipped code for it); a
+// flush that outlives the turn keeps the page's index and version and
+// finds the page again. Under -tags tankdebug a parked header is
+// poisoned: its Ver and index read 0xDB… and Bytes panics.
 type Page struct {
 	// Ver is the oracle's version stamp for this content (consistency
 	// checking only).
@@ -59,14 +71,15 @@ func (p *Page) Bytes() []byte { return p.blk.data }
 // Object is the cached state for one file.
 type Object struct {
 	Attr msg.Attr
-	// Blocks is the cached block map (valid while a data lock is held —
-	// the map can only change through this client's own AllocBlocks).
-	Blocks []msg.BlockRef
-	// Fetched counts the leading entries of Blocks that came with the map
-	// as the server returned it; the rest were granted to this client
-	// since. A fetched block may hold data whatever Attr.Size says (its
-	// writer's size update can have been lost), so only granted ones are
-	// ever given back unwritten.
+	// Map is the cached block map, as runs (valid while a data lock is
+	// held — the map can only change through this client's own
+	// AllocBlocks).
+	Map msg.Extents
+	// Fetched counts the leading blocks of Map that came with the map as
+	// the server returned it; the rest were granted to this client since.
+	// A fetched block may hold data whatever Attr.Size says (its writer's
+	// size update can have been lost), so only granted ones are ever
+	// given back unwritten.
 	Fetched  int
 	HaveAttr bool
 	HaveMap  bool
@@ -119,8 +132,10 @@ type store struct {
 	// that checksum (longer than one means a collision, disambiguated by
 	// byte compare).
 	blocks map[uint32]*block
-	// spare is the free list of block headers, linked through next.
-	spare *block
+	// spare is the free list of block headers, linked through next, and
+	// sparePages that of page headers, linked through Page.next.
+	spare      *block
+	sparePages *Page
 	// resident counts pages (clean + dirty); residentBytes counts
 	// content bytes, each shared block once plus each private dirty
 	// buffer.
@@ -217,6 +232,30 @@ func (s *store) release(p *Page) {
 	if p.prefetched {
 		s.prefetchWasted.Inc()
 	}
+	*p = Page{next: s.sparePages}
+	if bufpool.Debug {
+		p.Ver, p.idx = poisonPage, poisonPage
+	}
+	s.sparePages = p
+}
+
+// poisonPage is what a parked header's Ver and index read under
+// tankdebug: the bytes bufpool poisons a released buffer with.
+const poisonPage = 0xDBDB_DBDB_DBDB_DBDB
+
+// newPage files a fresh header for block idx of o, from the free list
+// when it has one, and counts it resident.
+func (s *store) newPage(o *Object, idx uint64, blk *block) *Page {
+	p := s.sparePages
+	if p == nil {
+		p = new(Page)
+	} else {
+		s.sparePages = p.next
+	}
+	*p = Page{blk: blk, obj: o, idx: idx}
+	o.pages[idx] = p
+	s.resident++
+	return p
 }
 
 func (s *store) overBudget() bool {
@@ -306,47 +345,43 @@ func (c *Cache) Hit(p *Page, behind bool) {
 // deduplicated against resident content) — it may alias a receive
 // buffer the transport recycles.
 //
-// Fill over a DIRTY page refuses and returns the dirty page unchanged:
+// Fill over a DIRTY page refuses and leaves the dirty page unchanged:
 // the cached dirty bytes are strictly newer than anything the SAN can
 // return (the write was acknowledged into the cache under an exclusive
 // lock), so overwriting would lose the update — and the historical
 // variant of this path that did overwrite also left dirtyKeys and the
 // dirty_pages gauge claiming a dirty page that no longer existed,
 // wedging phase-4 quiesce on a TotalDirty that never drained.
-func (c *Cache) Fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64) *Page {
-	return c.fill(ino, idx, data, ver, false)
+func (c *Cache) Fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64) {
+	c.fill(ino, idx, data, ver, false)
 }
 
 // FillPrefetched is Fill for read-ahead completions: the page is
 // flagged so its first hit (or its eviction without one) attributes the
 // prefetch. A page already resident — a demand read won the race — is
 // left untouched.
-func (c *Cache) FillPrefetched(ino msg.ObjectID, idx uint64, data []byte, ver uint64) *Page {
-	if o := c.objects[ino]; o != nil {
-		if p := o.pages[idx]; p != nil {
-			return p
-		}
+func (c *Cache) FillPrefetched(ino msg.ObjectID, idx uint64, data []byte, ver uint64) {
+	if o := c.objects[ino]; o != nil && o.pages[idx] != nil {
+		return
 	}
-	return c.fill(ino, idx, data, ver, true)
+	c.fill(ino, idx, data, ver, true)
 }
 
-func (c *Cache) fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64, prefetched bool) *Page {
+func (c *Cache) fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64, prefetched bool) {
 	o := c.Ensure(ino)
 	if old := o.pages[idx]; old != nil {
 		if old.Dirty {
-			return old
+			return
 		}
 		// Replacing clean content: the old page goes the way every removal
 		// does, off the ring and counted wasted if it was unserved
 		// read-ahead; the new one enters at the front.
 		c.release(old)
 	}
-	p := &Page{Ver: ver, blk: c.intern(data), obj: o, idx: idx, prefetched: prefetched}
-	o.pages[idx] = p
-	c.resident++
+	p := c.newPage(o, idx, c.intern(data))
+	p.Ver, p.prefetched = ver, prefetched
 	c.link(p)
 	c.evictIfNeeded()
-	return p
 }
 
 // Write applies a write-back store to a page, marking it dirty with the
@@ -354,14 +389,12 @@ func (c *Cache) fill(ino msg.ObjectID, idx uint64, data []byte, ver uint64, pref
 // clean page leaves the ring — dirty pages are pinned until flushed —
 // and the store, onto a private block (copy-on-write): other pages
 // sharing its block keep their bytes. A dirty page is written in place.
-func (c *Cache) Write(ino msg.ObjectID, idx uint64, data []byte, ver uint64) *Page {
+func (c *Cache) Write(ino msg.ObjectID, idx uint64, data []byte, ver uint64) {
 	o := c.Ensure(ino)
 	p := o.pages[idx]
 	switch {
 	case p == nil:
-		p = &Page{blk: c.newBlock(), obj: o, idx: idx}
-		o.pages[idx] = p
-		c.resident++
+		p = c.newPage(o, idx, c.newBlock())
 	case !p.Dirty:
 		c.unlink(p)
 		p.blk = c.own(p.blk)
@@ -379,7 +412,6 @@ func (c *Cache) Write(ino msg.ObjectID, idx uint64, data []byte, ver uint64) *Pa
 		c.dirtyPages.Add(1)
 	}
 	c.evictIfNeeded()
-	return p
 }
 
 // MarkClean records that a page's current content reached the SAN. The

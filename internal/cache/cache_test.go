@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/stats"
 )
@@ -107,10 +108,10 @@ func TestObjectMetadataFields(t *testing.T) {
 	o := c.Ensure(5)
 	o.Attr = msg.Attr{Ino: 5, Size: 100}
 	o.HaveAttr = true
-	o.Blocks = []msg.BlockRef{{Disk: 9, Num: 3}}
+	o.Map = msg.Extents{{Disk: 9, Start: 3, Len: 1}}
 	o.HaveMap = true
 	got := c.Object(5)
-	if !got.HaveAttr || got.Attr.Size != 100 || len(got.Blocks) != 1 {
+	if !got.HaveAttr || got.Attr.Size != 100 || got.Map.Len() != 1 {
 		t.Fatalf("object = %+v", got)
 	}
 	// Ensure is idempotent.
@@ -230,5 +231,58 @@ func TestLRUDropMaintainsList(t *testing.T) {
 	c.InvalidateAll()
 	if c.ResidentPages() != 0 {
 		t.Fatalf("resident = %d after invalidate", c.ResidentPages())
+	}
+}
+
+// TestRemovedPageHeaderIsReused: whichever way a page leaves — eviction,
+// a refill of its index, DropPagesFrom, Drop, InvalidateAll — its header
+// is parked, and the next page filed, by a fill or a write, takes it
+// back. Under tankdebug the parked header reads poison until then: its
+// version and index are 0xDB… and Bytes panics, so a holder that kept
+// the pointer past the removal fails there.
+func TestRemovedPageHeaderIsReused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(c *Cache)
+	}{
+		{"evict", func(c *Cache) { c.Fill(2, 0, []byte("b"), 2) }},
+		{"drop pages from", func(c *Cache) { c.DropPagesFrom(1, 0) }},
+		{"drop", func(c *Cache) { c.Drop(1) }},
+		{"invalidate", func(c *Cache) { c.InvalidateAll() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewWithLimits(nil, "", 1, 0)
+			c.Fill(1, 0, []byte("a"), 1)
+			p := c.Object(1).Page(0)
+			tc.remove(c)
+			if c.Object(1) != nil && c.Object(1).Page(0) != nil {
+				t.Fatal("the page was not removed")
+			}
+			if bufpool.Debug {
+				if p.Ver != poisonPage || p.idx != poisonPage || p.obj != nil {
+					t.Errorf("parked header not poisoned: %+v", *p)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("Bytes of a parked header did not panic")
+						}
+					}()
+					_ = p.Bytes()
+				}()
+			}
+			c.Write(3, 7, []byte("c"), 3)
+			if q := c.Object(3).Page(7); q != p || !q.Dirty || q.Ver != 3 || !bytes.Equal(q.Bytes(), []byte("c")) {
+				t.Fatalf("the next page is %p %+v, want the parked header %p holding the write", q, *q, p)
+			}
+		})
+	}
+	// A refill of a clean index takes its own header straight back.
+	c := New(nil, "")
+	c.Fill(1, 0, []byte("a"), 1)
+	p := c.Object(1).Page(0)
+	c.Fill(1, 0, []byte("b"), 2)
+	if q := c.Object(1).Page(0); q != p || q.Ver != 2 || !bytes.Equal(q.Bytes(), []byte("b")) {
+		t.Fatalf("refill: page %p %+v, want header %p reused", q, *q, p)
 	}
 }

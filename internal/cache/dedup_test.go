@@ -24,8 +24,8 @@ func TestFillOverDirtyRefused(t *testing.T) {
 	reg := stats.NewRegistry()
 	c := New(reg, "r.")
 	c.Write(1, 0, []byte("fresh"), 5)
-	p := c.Fill(1, 0, []byte("stale"), 4)
-	if !p.Dirty || !bytes.Equal(p.Bytes(), []byte("fresh")) {
+	c.Fill(1, 0, []byte("stale"), 4)
+	if p := c.Object(1).Page(0); !p.Dirty || !bytes.Equal(p.Bytes(), []byte("fresh")) {
 		t.Fatalf("Fill overwrote dirty content: page = %+v", p)
 	}
 	if got := c.Object(1).Page(0); !got.Dirty || !bytes.Equal(got.Bytes(), []byte("fresh")) {
@@ -212,7 +212,7 @@ func TestPrefetchCounters(t *testing.T) {
 		t.Fatalf("wasted = %d, want 2", wasted())
 	}
 	c.Fill(3, 0, []byte("f"), 5)
-	if p := c.FillPrefetched(3, 0, []byte("g"), 6); !bytes.Equal(p.Bytes(), []byte("f")) {
+	if c.FillPrefetched(3, 0, []byte("g"), 6); !bytes.Equal(c.Object(3).Page(0).Bytes(), []byte("f")) {
 		t.Fatal("prefetch completion displaced a demand-read page")
 	}
 	c.Lookup(3, 0)
@@ -651,8 +651,9 @@ func TestInternConfirmsContentOnACollidingChain(t *testing.T) {
 	}
 	h := hash(a)
 
-	pa := c.Fill(1, 0, a, 1)
-	pb := c.Fill(2, 0, b, 1)
+	c.Fill(1, 0, a, 1)
+	c.Fill(2, 0, b, 1)
+	pa, pb := c.Object(1).Page(0), c.Object(2).Page(0)
 	if pa.blk == pb.blk {
 		t.Fatal("two contents with one CRC32C share a block")
 	}
@@ -664,7 +665,7 @@ func TestInternConfirmsContentOnACollidingChain(t *testing.T) {
 	}
 	// Each content finds its own block, and only its own, from a fill and
 	// from a flushed write.
-	if p := c.Fill(3, 0, a, 2); p.blk != pa.blk {
+	if c.Fill(3, 0, a, 2); c.Object(3).Page(0).blk != pa.blk {
 		t.Fatal("a's content on a colliding chain was not shared")
 	}
 	c.Write(4, 0, b, 1)
@@ -686,7 +687,8 @@ func TestInternConfirmsContentOnACollidingChain(t *testing.T) {
 		t.Fatal("dropping b's pages disturbed a's block on the same chain")
 	}
 	// b filled again goes to the head; unlinking the tail leaves it.
-	pb = c.Fill(5, 0, b, 1)
+	c.Fill(5, 0, b, 1)
+	pb = c.Object(5).Page(0)
 	if c.blocks[h] != pb.blk || pb.blk.next != pa.blk {
 		t.Fatal("test is vacuous: b's refill is not the head of a's chain")
 	}

@@ -21,11 +21,12 @@ import (
 // and the map is fetched whole.
 func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 	o := c.cache.Ensure(ino)
-	if idx < uint64(len(o.Blocks)) {
+	have := uint64(o.Map.Len())
+	if idx < have {
 		cb(msg.OK)
 		return
 	}
-	need := uint32(idx + 1 - uint64(len(o.Blocks)))
+	need := uint32(idx + 1 - have)
 	c.changeBegin() // an allocation moves the version
 	c.call(&msg.AllocBlocks{Ino: ino, Count: need}, func(r *msg.Reply) {
 		errno := errnoOf(r)
@@ -38,7 +39,7 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 		c.names.refreshAttr(res.Attr)
 		c.changeEnd()
 		o := c.cache.Ensure(ino)
-		if !o.HaveMap || int(res.First) != len(o.Blocks) {
+		if !o.HaveMap || int(res.First) != o.Map.Len() {
 			o.HaveMap = false
 			c.ensureMap(ino, func(errno msg.Errno) {
 				if errno != msg.OK {
@@ -49,7 +50,7 @@ func (c *Client) ensureAlloc(ino msg.ObjectID, idx uint64, cb ErrnoCallback) {
 			})
 			return
 		}
-		o.Blocks = append(o.Blocks, res.Blocks...)
+		o.Map = o.Map.Append(res.Map...)
 		o.Attr = c.seenAttr(res.Attr)
 		cb(msg.OK)
 	})
@@ -211,7 +212,7 @@ func (c *Client) trim(ino msg.ObjectID, done func()) {
 		return
 	}
 	keep := max(int((co.Attr.Size+BlockSize-1)/BlockSize), co.Fetched)
-	if len(co.Blocks) <= keep {
+	if co.Map.Len() <= keep {
 		done()
 		return
 	}
@@ -237,9 +238,7 @@ func (c *Client) truncated(ino msg.ObjectID, nBlocks int, attr msg.Attr) {
 	o := c.cache.Ensure(ino)
 	c.cache.DropPagesFrom(ino, uint64(nBlocks))
 	c.forgetReadAhead(ino)
-	if len(o.Blocks) > nBlocks {
-		o.Blocks = o.Blocks[:nBlocks]
-	}
+	o.Map = o.Map.Head(nBlocks)
 	if o.Fetched > nBlocks {
 		o.Fetched = nBlocks
 	}

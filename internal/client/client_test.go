@@ -358,8 +358,8 @@ func TestTruncateFlow(t *testing.T) {
 	}
 	// Server-side blocks freed.
 	in, _ := cl.Shards[0].Server.Store().Lookup("/trunc")
-	if len(in.Blocks) != 2 {
-		t.Fatalf("server block map = %d blocks", len(in.Blocks))
+	if in.Map.Len() != 2 {
+		t.Fatalf("server block map = %d blocks", in.Map.Len())
 	}
 	// Truncate through a read-only handle is refused.
 	hr, _, _ := cl.Open(1, "/trunc", false, false)

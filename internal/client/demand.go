@@ -192,15 +192,16 @@ func (c *Client) appendDirty(items []flushItem, ino msg.ObjectID) []flushItem {
 	}
 	c.scratch.pages = c.cache.AppendDirtyPages(c.scratch.pages[:0], ino)
 	items = slices.Grow(items, len(c.scratch.pages))
+	mapped := uint64(o.Map.Len())
 	for _, idx := range c.scratch.pages {
-		if idx >= uint64(len(o.Blocks)) {
+		if idx >= mapped {
 			continue
 		}
 		p := o.Page(idx)
 		if p == nil || !p.Dirty {
 			continue
 		}
-		ref := o.Blocks[idx]
+		ref := o.Map.At(idx)
 		// data ALIASES the live cache page. flushItems copies it into the
 		// outgoing payload buffer in this same executor turn, before any
 		// operation can re-dirty the page in place.

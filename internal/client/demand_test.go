@@ -143,10 +143,10 @@ func TestFlushGroupsPagesByDisk(t *testing.T) {
 	var dirty []msg.BlockRef
 	for _, p := range paths {
 		in, errno := cl.Shards[0].Store.Lookup(p)
-		if errno != msg.OK || len(in.Blocks) < pages {
-			t.Fatalf("%s: %v, %d blocks placed", p, errno, len(in.Blocks))
+		if errno != msg.OK || in.Map.Len() < pages {
+			t.Fatalf("%s: %v, %d blocks placed", p, errno, in.Map.Len())
 		}
-		dirty = append(dirty, in.Blocks[:pages]...)
+		dirty = append(dirty, in.Map.AppendRefs(nil)[:pages]...)
 	}
 	byDisk := make(map[msg.NodeID][]msg.BlockRef)
 	var order []msg.NodeID

@@ -23,12 +23,12 @@ func (dlocks) read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback) {
 			return
 		}
 		o := c.cache.Object(ino)
-		if idx >= uint64(len(o.Blocks)) {
+		if idx >= uint64(o.Map.Len()) {
 			c.oracle.Read(c.id, ino, idx, 0)
 			done(make([]byte, BlockSize), msg.OK)
 			return
 		}
-		ref := o.Blocks[idx]
+		ref := o.Map.At(idx)
 		c.withDlock(ref, func(errno msg.Errno, unlock func(func())) {
 			if errno != msg.OK {
 				done(nil, errno)
@@ -69,7 +69,7 @@ func (dlocks) write(c *Client, ino msg.ObjectID, idx uint64, data []byte, cb Err
 				done(errno)
 				return
 			}
-			ref := c.cache.Object(ino).Blocks[idx]
+			ref := c.cache.Object(ino).Map.At(idx)
 			c.withDlock(ref, func(errno msg.Errno, unlock func(func())) {
 				if errno != msg.OK {
 					done(errno)

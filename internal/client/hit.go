@@ -65,7 +65,7 @@ func (c *Client) writeHit(h msg.Handle, idx uint64, data []byte) bool {
 		return false
 	}
 	co := c.cache.Object(info.ino)
-	if !c.holds(c.objs[info.ino], msg.LockExclusive) || co == nil || !co.HaveMap || idx >= uint64(len(co.Blocks)) {
+	if !c.holds(c.objs[info.ino], msg.LockExclusive) || co == nil || !co.HaveMap || idx >= uint64(co.Map.Len()) {
 		return false
 	}
 	c.inflight++

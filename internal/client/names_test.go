@@ -246,6 +246,25 @@ func TestNamesRevokedBeforeMutation(t *testing.T) {
 	}
 	a.readdir(dir)
 	a.stat(dir)
+	// A Truncate that cuts blocks moves the file's attributes, which the
+	// directory's lock covers.
+	h, _ := cl.MustOpen(1, "/s/t", true, true)
+	for idx := uint64(0); idx < 4; idx++ {
+		if e := cl.Write(1, h, idx, make([]byte, cluster.BlockSize)); e != msg.OK {
+			t.Fatalf("write /s/t block %d: %v", idx, e)
+		}
+	}
+	if e := cl.Sync(1); e != msg.OK {
+		t.Fatalf("sync /s/t: %v", e)
+	}
+	tf, _ := a.lookup("/s/t")
+	if a.stat(tf.Ino).Size != 4*cluster.BlockSize || !a.sub().NamesHeld(dir) {
+		t.Fatal("setup: A does not cache /s/t at 4 blocks")
+	}
+	mutate("truncate /s/t to 1 block", func(done func(msg.Errno)) { cl.Clients[1].Truncate(h, 1, done) })
+	if got := a.stat(tf.Ino).Size; got != cluster.BlockSize {
+		t.Fatalf("A's stat after B's truncate: size %d, want %d", got, cluster.BlockSize)
+	}
 	// B's own cache followed its own mutations.
 	sent := ctrlSent(cl)
 	b.lookup("/s/x")

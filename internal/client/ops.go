@@ -512,13 +512,13 @@ func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 		done(append([]byte(nil), p.Bytes()...), msg.OK)
 		return
 	}
-	if co == nil || idx >= uint64(len(co.Blocks)) {
+	if co == nil || idx >= uint64(co.Map.Len()) {
 		// Unallocated block: zeros (a hole).
 		c.oracle.Read(c.id, ino, idx, 0)
 		done(make([]byte, BlockSize), msg.OK)
 		return
 	}
-	ref := co.Blocks[idx]
+	ref := co.Map.At(idx)
 	if o := c.objs[ino]; o != nil {
 		if onWire, ok := o.onWire[idx]; ok && onWire == ref {
 			// A read-ahead batch already has this block on the wire: ride
@@ -709,7 +709,7 @@ func (c *Client) ensureLock(ino msg.ObjectID, mode msg.LockMode, cb ErrnoCallbac
 			// done under the lock since: this is the grant that brought it.
 			// (A second grant for the same object — two operations asked at
 			// once — is older than what the first has been used for.)
-			c.installMap(ino, res.Attr, res.Blocks)
+			c.installMap(ino, res.Attr, res.Map)
 		}
 		c.lease.locked(o)
 		cb(msg.OK)
@@ -733,17 +733,18 @@ func (c *Client) ensureMap(ino msg.ObjectID, cb ErrnoCallback) {
 			return
 		}
 		res := r.Body.(msg.BlocksRes)
-		c.installMap(ino, res.Attr, res.Blocks)
+		c.installMap(ino, res.Attr, res.Map)
 		cb(msg.OK)
 	})
 }
 
-// installMap caches ino's block map and the metadata that came with it.
-func (c *Client) installMap(ino msg.ObjectID, attr msg.Attr, blocks []msg.BlockRef) {
+// installMap caches ino's block map, which becomes the cache's own, and
+// the metadata that came with it.
+func (c *Client) installMap(ino msg.ObjectID, attr msg.Attr, m msg.Extents) {
 	c.names.refreshAttr(attr)
 	o := c.cache.Ensure(ino)
-	o.Blocks = blocks
-	o.Fetched = len(blocks)
+	o.Map = m
+	o.Fetched = m.Len()
 	o.Attr = c.seenAttr(attr)
 	o.HaveMap = true
 	o.HaveAttr = true

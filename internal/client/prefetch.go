@@ -157,11 +157,12 @@ func (c *Client) issueWindow(ino msg.ObjectID, o *object, start, end uint64) {
 	}
 	var order []msg.NodeID
 	byDisk := make(map[msg.NodeID]*batch)
-	for j := start; j < end && j < uint64(len(co.Blocks)); j++ {
+	end = min(end, uint64(co.Map.Len()))
+	for j := start; j < end; j++ {
 		if _, onWire := o.onWire[j]; onWire || co.Page(j) != nil {
 			continue
 		}
-		ref := co.Blocks[j]
+		ref := co.Map.At(j)
 		bt := byDisk[ref.Disk]
 		if bt == nil {
 			bt = &batch{}
@@ -182,7 +183,7 @@ func (c *Client) issueWindow(ino msg.ObjectID, o *object, start, end uint64) {
 // not enter the cache under an index that no longer owns it.
 func (c *Client) stillMapped(ino msg.ObjectID, idx uint64, ref msg.BlockRef) bool {
 	o := c.cache.Object(ino)
-	return o != nil && idx < uint64(len(o.Blocks)) && o.Blocks[idx] == ref
+	return o != nil && idx < uint64(o.Map.Len()) && o.Map.At(idx) == ref
 }
 
 // issuePrefetch sends one read-ahead batch to disk d and installs the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -247,7 +248,7 @@ func TestSyncReportsARefusedWrite(t *testing.T) {
 	}
 	// Rewrite in place, so the size owes nothing: block 1 goes out alone,
 	// blocks 2 and 3 in one DiskWriteV.
-	if b := inode(t, cl, "/f").Blocks; b[1].Disk == b[2].Disk || b[2].Disk != b[3].Disk {
+	if b := inode(t, cl, "/f").Map.AppendRefs(nil); b[1].Disk == b[2].Disk || b[2].Disk != b[3].Disk {
 		t.Fatalf("setup: blocks on disks %v, want block 1 alone and blocks 2 and 3 together", b)
 	}
 	fence()
@@ -302,8 +303,8 @@ func TestWriterSeesItsOwnSize(t *testing.T) {
 	if errno := cl.Close(0, h); errno != msg.OK { // the last write handle: settles and trims
 		t.Fatal(errno)
 	}
-	if in := inode(t, cl, "/f"); in.Size != 5*BlockSize || len(in.Blocks) != 5 {
-		t.Fatalf("after Close the server has size %d and %d blocks, want %d and 5", in.Size, len(in.Blocks), 5*BlockSize)
+	if in := inode(t, cl, "/f"); in.Size != 5*BlockSize || in.Map.Len() != 5 {
+		t.Fatalf("after Close the server has size %d and %d blocks, want %d and 5", in.Size, in.Map.Len(), 5*BlockSize)
 	}
 	h1, _ := cl.MustOpen(1, "/f", false, false)
 	for idx := uint64(0); idx < 5; idx++ {
@@ -343,13 +344,13 @@ func TestTrimGivesBackWhatWasGrantedAhead(t *testing.T) {
 			cl.Start()
 			h, attr := cl.MustOpen(0, "/log", true, true)
 			appendBlocks(t, cl, 0, h, 0, 10)
-			if in := inode(t, cl, "/log"); len(in.Blocks) != 16 {
-				t.Fatalf("10 appends left %d blocks on the inode, want a run ahead to 16", len(in.Blocks))
+			if in := inode(t, cl, "/log"); in.Map.Len() != 16 {
+				t.Fatalf("10 appends left %d blocks on the inode, want a run ahead to 16", in.Map.Len())
 			}
 			giveUp(t, cl, h, attr.Ino)
 			in := inode(t, cl, "/log")
-			if in.Size != 10*BlockSize || len(in.Blocks) != 10 {
-				t.Fatalf("after the trim: size %d, %d blocks; want %d, 10", in.Size, len(in.Blocks), 10*BlockSize)
+			if in.Size != 10*BlockSize || in.Map.Len() != 10 {
+				t.Fatalf("after the trim: size %d, %d blocks; want %d, 10", in.Size, in.Map.Len(), 10*BlockSize)
 			}
 			if n := cl.Shards[0].Server.Store().Allocator().InUse(); n != 10 {
 				t.Fatalf("allocator holds %d blocks, the only file has 10", n)
@@ -387,9 +388,9 @@ func TestNoTrimWhenMapFitsFile(t *testing.T) {
 			t.Fatalf("handoff %d: %v", i, errno)
 		}
 	}
-	if in := inode(t, cl, "/f"); in.Version != version || len(in.Blocks) != 4 {
+	if in := inode(t, cl, "/f"); in.Version != version || in.Map.Len() != 4 {
 		t.Fatalf("handoffs of an unextended file changed the inode: version %d → %d, %d blocks",
-			version, in.Version, len(in.Blocks))
+			version, in.Version, in.Map.Len())
 	}
 }
 
@@ -429,8 +430,8 @@ func TestPartitionedAppenderKeepsItsTail(t *testing.T) {
 		t.Fatalf("lock granted after %v, before the lease could expire", waited)
 	}
 	in := inode(t, cl, "/log")
-	if len(in.Blocks) != 16 {
-		t.Fatalf("the server trimmed on its own: %d blocks", len(in.Blocks))
+	if in.Map.Len() != 16 {
+		t.Fatalf("the server trimmed on its own: %d blocks", in.Map.Len())
 	}
 	if in.Size >= 14*BlockSize {
 		t.Fatalf("setup: the size pushes crossed the partition (size %d)", in.Size)
@@ -506,20 +507,15 @@ func TestAllocReplayedAcrossRestartRefetchesMap(t *testing.T) {
 	}
 
 	// The client's map still ends at 2; the server's at 6.
-	if n := len(cl.Clients[0].Sub(0).Cache().Object(attr.Ino).Blocks); n != 2 {
+	if n := cl.Clients[0].Sub(0).Cache().Object(attr.Ino).Map.Len(); n != 2 {
 		t.Fatalf("setup: client map has %d blocks", n)
 	}
 	appendBlocks(t, cl, 0, h, 2, 8)
 	cl.Sync(0)
 	in := inode(t, cl, "/f")
 	o := cl.Clients[0].Sub(0).Cache().Object(attr.Ino)
-	if len(o.Blocks) != len(in.Blocks) {
-		t.Fatalf("client map has %d blocks, the inode %d", len(o.Blocks), len(in.Blocks))
-	}
-	for i := range o.Blocks {
-		if o.Blocks[i] != in.Blocks[i] {
-			t.Fatalf("block %d: client has %v, server %v", i, o.Blocks[i], in.Blocks[i])
-		}
+	if !slices.Equal(o.Map, in.Map) {
+		t.Fatalf("client map %v, the inode's %v", o.Map, in.Map)
 	}
 	cl.RunFor(cl.Opts.Core.StealDelay()) // past the grace window
 	h1, _ := cl.MustOpen(1, "/f", false, false)

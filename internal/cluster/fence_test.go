@@ -70,10 +70,10 @@ func take(t *testing.T, cl *Cluster, paths ...string) {
 func onDisk(t *testing.T, cl *Cluster, si int, path string) []byte {
 	t.Helper()
 	in, errno := cl.Shards[si].Active().Store().Lookup(path)
-	if errno != msg.OK || len(in.Blocks) == 0 {
+	if errno != msg.OK || in.Map.Len() == 0 {
 		t.Fatalf("lookup %s at shard %d: %v", path, si, errno)
 	}
-	ref := in.Blocks[0]
+	ref := in.Map.At(0)
 	for _, d := range cl.Disks {
 		if d.ID() == ref.Disk {
 			data, _, _ := d.PeekBlock(ref.Num)

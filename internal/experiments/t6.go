@@ -113,10 +113,10 @@ func inoOf(cl *cluster.Cluster, path string) msg.ObjectID {
 
 func blockRefOf(cl *cluster.Cluster, ino msg.ObjectID, idx int) msg.BlockRef {
 	in, errno := cl.Shards[0].Server.Store().Get(ino)
-	if errno != msg.OK || idx >= len(in.Blocks) {
+	if errno != msg.OK || idx >= in.Map.Len() {
 		panic("t6: block map")
 	}
-	return in.Blocks[idx]
+	return in.Map.At(uint64(idx))
 }
 
 func yesNo(b bool) string {

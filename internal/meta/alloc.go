@@ -58,18 +58,20 @@ func NewAllocator(disks map[msg.NodeID]uint64) *Allocator {
 // Alloc returns count blocks as runs of at most MaxGrantAhead, each from
 // one disk. It fails, taking nothing, only when the disks together hold
 // fewer than count free blocks.
-func (a *Allocator) Alloc(count int) ([]msg.BlockRef, msg.Errno) {
+func (a *Allocator) Alloc(count int) (msg.Extents, msg.Errno) {
 	if len(a.disks) == 0 || a.freeBlocks() < uint64(count) {
 		return nil, msg.ErrNoSpace
 	}
-	refs := make([]msg.BlockRef, 0, count)
-	for len(refs) < count {
-		want := uint64(min(count-len(refs), MaxGrantAhead))
+	runs := make(msg.Extents, 0, (count+MaxGrantAhead-1)/MaxGrantAhead)
+	for left := uint64(count); left > 0; {
+		want := min(left, MaxGrantAhead)
 		i := a.pick(want)
-		refs = a.disks[i].take(refs, want)
+		var got uint64
+		runs, got = a.disks[i].take(runs, want)
+		left -= got
 		a.next = (i + 1) % len(a.disks)
 	}
-	return refs, msg.OK
+	return runs, msg.OK
 }
 
 // pick chooses the disk for a run of want blocks: in rotation order, the
@@ -100,32 +102,32 @@ func (d *diskSpace) fit(want uint64) int {
 	return -1
 }
 
-// take appends up to want blocks of this disk to refs: the head of the
-// lowest extent that holds them all, else the lowest extents in order.
-func (d *diskSpace) take(refs []msg.BlockRef, want uint64) []msg.BlockRef {
+// take appends up to want blocks of this disk to runs, and says how many
+// it took: the head of the lowest extent that holds them all, else the
+// lowest extents in order.
+func (d *diskSpace) take(runs msg.Extents, want uint64) (msg.Extents, uint64) {
 	if i := d.fit(want); i >= 0 {
-		return d.cut(refs, i, want)
+		return d.cut(runs, i, want), want
 	}
-	for want > 0 && len(d.free) > 0 {
-		n := min(want, d.free[0].Len)
-		refs = d.cut(refs, 0, n)
-		want -= n
+	got := uint64(0)
+	for got < want && len(d.free) > 0 {
+		n := min(want-got, d.free[0].Len)
+		runs = d.cut(runs, 0, n)
+		got += n
 	}
-	return refs
+	return runs, got
 }
 
-// cut appends the first n blocks of extent i to refs and removes them.
-func (d *diskSpace) cut(refs []msg.BlockRef, i int, n uint64) []msg.BlockRef {
+// cut appends the first n blocks of extent i to runs and removes them.
+func (d *diskSpace) cut(runs msg.Extents, i int, n uint64) msg.Extents {
 	e := &d.free[i]
-	for b := e.Start; b < e.Start+n; b++ {
-		refs = append(refs, msg.BlockRef{Disk: d.id, Num: b})
-	}
+	runs = runs.Append(msg.Extent{Disk: d.id, Start: e.Start, Len: uint32(n)})
 	e.Start, e.Len = e.Start+n, e.Len-n
 	d.nFree -= n
 	if e.Len == 0 {
 		d.free = slices.Delete(d.free, i, i+1)
 	}
-	return refs
+	return runs
 }
 
 // give returns [start, start+n) to the free extents, merged with its
@@ -169,22 +171,17 @@ func (a *Allocator) disk(id msg.NodeID) *diskSpace {
 	return nil
 }
 
-// Free returns blocks to the allocator, each ascending run of them in one
-// step. Double frees panic: they are always a metadata-integrity bug.
-// Foreign (adopted) blocks are retired without becoming free — only their
-// home allocator may reuse them.
-func (a *Allocator) Free(refs []msg.BlockRef) {
-	for len(refs) > 0 {
-		n := 1
-		for n < len(refs) && refs[n].Disk == refs[0].Disk && refs[n].Num == refs[0].Num+uint64(n) {
-			n++
-		}
-		if d := a.disk(refs[0].Disk); d == nil || !d.give(refs[0].Num, uint64(n)) {
-			for _, ref := range refs[:n] {
-				a.freeOne(ref)
+// Free returns blocks to the allocator, each run in one step. Double
+// frees panic: they are always a metadata-integrity bug. Foreign
+// (adopted) blocks are retired without becoming free — only their home
+// allocator may reuse them.
+func (a *Allocator) Free(runs msg.Extents) {
+	for _, e := range runs {
+		if d := a.disk(e.Disk); d == nil || !d.give(e.Start, uint64(e.Len)) {
+			for b := e.Start; b < e.End(); b++ {
+				a.freeOne(msg.BlockRef{Disk: e.Disk, Num: b})
 			}
 		}
-		refs = refs[n:]
 	}
 }
 
@@ -204,9 +201,11 @@ func (a *Allocator) freeOne(ref msg.BlockRef) {
 // allocator and arrived here through a cross-shard handoff. Adopted
 // blocks keep their original disk addresses (file data never moves);
 // they are tracked only so Free tolerates them.
-func (a *Allocator) Adopt(refs []msg.BlockRef) {
-	for _, ref := range refs {
-		a.foreign[ref] = true
+func (a *Allocator) Adopt(runs msg.Extents) {
+	for _, e := range runs {
+		for b := e.Start; b < e.End(); b++ {
+			a.foreign[msg.BlockRef{Disk: e.Disk, Num: b}] = true
+		}
 	}
 }
 

@@ -109,14 +109,42 @@ func (m bitmap) check(t *testing.T, what string, a *Allocator) {
 	}
 }
 
+// holdsModel holds each file's map to its per-block model: the same
+// blocks in the same order, in the per-block form Lookup fills, through
+// Len, and through At at each run's ends; and the runs canonical — none
+// empty, none continuing the one before it.
+func holdsModel(t *testing.T, what string, s *Store, files map[string][]msg.BlockRef) {
+	t.Helper()
+	for path, want := range files {
+		in, _ := s.Lookup(path)
+		m := in.Map
+		if !slices.Equal(in.Blocks, want) || m.Len() != len(want) {
+			t.Fatalf("%s: %s maps %v (Len %d), the model %v", what, path, in.Blocks, m.Len(), want)
+		}
+		first := 0
+		for i, e := range m {
+			if e.Len == 0 || i > 0 && m[i-1].Disk == e.Disk && m[i-1].End() == e.Start {
+				t.Fatalf("%s: %s map %v is not canonical at run %d", what, path, m, i)
+			}
+			for _, b := range []int{first, first + int(e.Len) - 1} {
+				if m.At(uint64(b)) != want[b] {
+					t.Fatalf("%s: %s block %d is %v, the model %v", what, path, b, m.At(uint64(b)), want[b])
+				}
+			}
+			first += int(e.Len)
+		}
+	}
+}
+
 // TestAllocatorAgainstBitmap draws histories of grants, exact
 // allocations, failed ones, truncates, unlinks and snapshot round trips
 // on a store over three small disks, and holds the allocator to a bitmap
 // after every call: no block handed out twice or freed unheld, free +
 // in use = capacity, a failed allocation changes nothing, and a request
 // of at most MaxGrantAhead blocks is one ascending run whenever some
-// disk has a free extent that long. Restore(Snapshot()) must equal the
-// store it was taken from. make verify runs it with many more seeds.
+// disk has a free extent that long. Each file's runs are held to a
+// per-block model of its map. Restore(Snapshot()) must equal the store
+// it was taken from. make verify runs it with many more seeds.
 func TestAllocatorAgainstBitmap(t *testing.T) {
 	disks := map[msg.NodeID]uint64{2: 96, 4: 160, 6: 40}
 	paths := []string{"/a", "/b", "/c", "/d"}
@@ -128,8 +156,10 @@ func TestAllocatorAgainstBitmap(t *testing.T) {
 		for id, n := range disks {
 			m[id] = make([]bool, n)
 		}
+		files := make(map[string][]msg.BlockRef)
 		for _, p := range paths {
 			s.Create(p, false)
+			files[p] = nil
 		}
 		for step := 0; step < 200; step++ {
 			what := fmt.Sprintf("seed %d step %d", seed, step)
@@ -145,7 +175,7 @@ func TestAllocatorAgainstBitmap(t *testing.T) {
 				if count > m.free() {
 					before = s.Snapshot()
 				}
-				longest, have := m.longestFree(), len(in.Blocks)
+				longest, have := m.longestFree(), in.Map.Len()
 				var errno msg.Errno
 				if op < 5 {
 					_, _, errno = s.GrantBlocks(in.Ino, uint32(count))
@@ -162,8 +192,12 @@ func TestAllocatorAgainstBitmap(t *testing.T) {
 					failed++
 					break
 				}
-				got := in.Blocks[have:]
+				got := in.Map.AppendRefs(nil)[have:]
+				if tail := in.Map.Tail(have).AppendRefs(nil); !slices.Equal(tail, got) {
+					t.Fatalf("%s: Tail(%d) is %v, the blocks added %v", what, have, tail, got)
+				}
 				m.mark(t, what, got, true)
+				files[path] = append(files[path], got...)
 				if len(got) <= MaxGrantAhead && longest >= len(got) {
 					if runs := runsOf(got); len(runs) != 1 {
 						t.Fatalf("%s: %d blocks came as %v though a free extent of %d existed", what, len(got), runs, longest)
@@ -173,15 +207,17 @@ func TestAllocatorAgainstBitmap(t *testing.T) {
 					split++
 				}
 			case op < 18:
-				keep := rng.Intn(len(in.Blocks) + 1)
-				gone := append([]msg.BlockRef(nil), in.Blocks[keep:]...)
+				keep := rng.Intn(in.Map.Len() + 1)
+				gone := in.Map.AppendRefs(nil)[keep:]
 				s.Truncate(in.Ino, keep)
 				m.mark(t, what, gone, false)
+				files[path] = files[path][:keep]
 			case op < 24:
-				gone := in.Blocks
+				gone := in.Map.AppendRefs(nil)
 				s.Unlink(path)
 				s.Create(path, false)
 				m.mark(t, what, gone, false)
+				files[path] = nil
 			default:
 				snap := s.Snapshot()
 				r, err := Restore(snap)
@@ -195,6 +231,7 @@ func TestAllocatorAgainstBitmap(t *testing.T) {
 				restored++
 			}
 			m.check(t, what, s.alloc)
+			holdsModel(t, what, s, files)
 		}
 	}
 	t.Logf("%d seeds: %d allocations held to one run, %d split for want of an extent, %d failed, %d restores",
@@ -235,11 +272,68 @@ func TestRestoreReadsOldLayout(t *testing.T) {
 		t.Errorf("%d blocks in use, want 11", s.alloc.InUse())
 	}
 	// Next was 1: the run goes to disk 101, whose first extent of 4 is at 7.
-	if refs, errno := s.alloc.Alloc(4); errno != msg.OK || fmt.Sprint(runsOf(refs)) != "[{n101 7 4}]" {
-		t.Errorf("first allocation after restore: %v %v", runsOf(refs), errno)
+	if runs, errno := s.alloc.Alloc(4); errno != msg.OK || fmt.Sprint(runs) != "[{n101 7 4}]" {
+		t.Errorf("first allocation after restore: %v %v", runs, errno)
 	}
 	if snap := string(s.Snapshot()); strings.Contains(snap, "Cursor") || strings.Contains(snap, "Frees") {
 		t.Errorf("a restored store still writes the old layout: %s", snap)
+	}
+}
+
+// perBlockSnapshot is a snapshot as the store wrote it while a map was
+// one BlockRef per block: /f holds three blocks of disk 100 in a row and
+// one of disk 101, /g none.
+const perBlockSnapshot = `{"Inodes":[{"Ino":1,"IsDir":true,"Version":2,"Nlink":2,"Children":{"f":2,"g":3}},` +
+	`{"Ino":2,"Size":16384,"Version":3,"Nlink":1,"Blocks":[{"Disk":100,"Num":0},{"Disk":100,"Num":1},` +
+	`{"Disk":100,"Num":2},{"Disk":101,"Num":0}]},{"Ino":3,"Version":1,"Nlink":1}],` +
+	`"NextIno":4,"EpochSeq":2,"Alloc":{"Disks":[{"ID":100,"Capacity":16,"Free":[{"Start":3,"Len":13}]},` +
+	`{"ID":101,"Capacity":16,"Free":[{"Start":1,"Len":15}]}],"Next":0},"Seq":9}`
+
+// TestRestoreReadsPerBlockMaps: a snapshot whose maps are one entry per
+// block, and an Install journal record in that layout (op 13) behind it,
+// come back as runs — and the next snapshot writes runs.
+func TestRestoreReadsPerBlockMaps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.json")
+	if err := os.WriteFile(path, []byte(perBlockSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The record as the per-block build logged Install: seq, op 13, path,
+	// IsDir, Size, Version, the block count, then disk | num per block.
+	old := &Store{seq: 9, j: &journal{}}
+	j := old.logOp(opInstall).str("/in/h").flag(false).u64(3 * 4096).u64(4).u32(3)
+	for _, ref := range []msg.BlockRef{{Disk: 900, Num: 7}, {Disk: 900, Num: 8}, {Disk: 901, Num: 7}} {
+		j.u32(uint32(ref.Disk)).u64(ref.Num)
+	}
+	j.end()
+	if err := os.WriteFile(logPath(path), old.j.pending, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenJournaled(path, nil, new(blockstore.Syncer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseJournal()
+	for p, want := range map[string]msg.Extents{
+		"/f":    {{Disk: 100, Start: 0, Len: 3}, {Disk: 101, Start: 0, Len: 1}},
+		"/g":    nil,
+		"/in/h": {{Disk: 900, Start: 7, Len: 2}, {Disk: 901, Start: 7, Len: 1}},
+	} {
+		if in, errno := s.Lookup(p); errno != msg.OK || !slices.Equal(in.Map, want) {
+			t.Errorf("%s: %v, map %v, want %v", p, errno, in.Map, want)
+		}
+	}
+	if s.alloc.InUse() != 4 {
+		t.Errorf("%d blocks in use, want /f's 4", s.alloc.InUse())
+	}
+	if snap := string(s.Snapshot()); strings.Contains(snap, `"Blocks"`) || !strings.Contains(snap, `"Runs"`) {
+		t.Errorf("a restored store still writes per-block maps: %s", snap)
+	}
+	// The adopted blocks retire without touching this allocator's disks,
+	// and /f's go back whole.
+	s.Unlink("/in/h")
+	s.Unlink("/f")
+	if s.alloc.InUse() != 0 {
+		t.Errorf("%d blocks in use after both unlinks", s.alloc.InUse())
 	}
 }
 
@@ -297,16 +391,16 @@ func TestOldLayoutLogWithAllocationIsRefused(t *testing.T) {
 // that wrap: sixteen grants of MaxGrantAhead, then all 1 024 blocks freed.
 func BenchmarkAllocatorChurn(b *testing.B) {
 	a := NewAllocator(map[msg.NodeID]uint64{1: 1 << 16, 2: 1 << 16})
-	held := make([]msg.BlockRef, 0, 16*MaxGrantAhead)
+	held := make(msg.Extents, 0, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		held = held[:0]
 		for g := 0; g < 16; g++ {
-			refs, errno := a.Alloc(MaxGrantAhead)
+			runs, errno := a.Alloc(MaxGrantAhead)
 			if errno != msg.OK {
 				b.Fatal(errno)
 			}
-			held = append(held, refs...)
+			held = held.Append(runs...)
 		}
 		a.Free(held)
 	}

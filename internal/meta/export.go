@@ -123,16 +123,16 @@ func (s *Store) PendingExports() []*Export {
 
 // Install materializes an object received from another shard: a fresh
 // local inode at path carrying the migrated size, version, and block
-// map, with the blocks adopted into the local allocator. Missing parent
-// directories are created — each shard holds only the slice of the
-// namespace placed on it, so an imported path's ancestors may not exist
-// here yet.
-func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Inode, msg.Errno) {
+// map, with the blocks adopted into the local allocator; the inode holds
+// a canonical copy of runs. Missing parent directories are created —
+// each shard holds only the slice of the namespace placed on it, so an
+// imported path's ancestors may not exist here yet.
+func (s *Store) Install(path string, attr msg.Attr, runs msg.Extents) (*Inode, msg.Errno) {
 	if s.j != nil {
-		j := s.logOp(opInstall).str(path).flag(attr.IsDir).u64(attr.Size).u64(attr.Version)
-		j.u32(uint32(len(blocks)))
-		for _, ref := range blocks {
-			j.u32(uint32(ref.Disk)).u64(ref.Num)
+		j := s.logOp(opInstallRuns).str(path).flag(attr.IsDir).u64(attr.Size).u64(attr.Version)
+		j.u32(uint32(len(runs)))
+		for _, e := range runs {
+			j.u32(uint32(e.Disk)).u64(e.Start).u32(e.Len)
 		}
 		j.end()
 	}
@@ -146,7 +146,7 @@ func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Ino
 	}
 	in := &Inode{
 		Ino: s.nextIno, IsDir: attr.IsDir, Size: attr.Size,
-		Version: attr.Version, Nlink: 1, Blocks: blocks, parent: parent.Ino,
+		Version: attr.Version, Nlink: 1, Map: msg.Extents(nil).Append(runs...), parent: parent.Ino,
 	}
 	s.nextIno++
 	if in.IsDir {
@@ -154,7 +154,7 @@ func (s *Store) Install(path string, attr msg.Attr, blocks []msg.BlockRef) (*Ino
 		in.children = make(map[string]msg.ObjectID)
 		parent.Nlink++
 	}
-	s.alloc.Adopt(blocks)
+	s.alloc.Adopt(runs)
 	s.inodes[in.Ino] = in
 	parent.children[name] = in.Ino
 	parent.Version++

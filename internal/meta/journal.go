@@ -30,8 +30,9 @@ const (
 	opBeginExport
 	opCompleteExport
 	opAbortExport
-	opInstall
+	opInstall // a map one block per entry: replayed, no longer written
 	opRecordImport
+	opInstallRuns
 )
 
 const (
@@ -42,6 +43,7 @@ const (
 	recHeader   = 8
 	recBodyHead = 9
 	blockRefLen = 12 // disk u32 | num u64
+	extentLen   = 16 // disk u32 | start u64 | len u32
 
 	// A checkpoint is due once the log holds more than
 	// max(minCheckpointBytes, checkpointFactor × the last snapshot):
@@ -158,6 +160,32 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) flag() bool  { return d.u8() != 0 }
 func (d *decoder) str() string { return string(d.take(int(d.u32()))) }
 
+// extents reads a block map: count-prefixed runs, or with perBlock the
+// count-prefixed blocks an opInstall record holds, made into runs.
+func (d *decoder) extents(perBlock bool) msg.Extents {
+	size := extentLen
+	if perBlock {
+		size = blockRefLen
+	}
+	n := int(d.u32())
+	if n > len(d.b)/size {
+		d.bad = true
+		return nil
+	}
+	runs := make(msg.Extents, 0, n)
+	for range n {
+		e := msg.Extent{Disk: msg.NodeID(int32(d.u32())), Start: d.u64(), Len: 1}
+		if !perBlock {
+			e.Len = d.u32()
+		}
+		if e.Len == 0 || e.End() < e.Start {
+			d.bad = true
+		}
+		runs = runs.Append(e)
+	}
+	return runs
+}
+
 // apply re-invokes the mutator a record names. The arguments are decoded
 // in full first: a record that passed its CRC but does not parse is
 // corruption (or a newer format), never a torn tail.
@@ -201,18 +229,11 @@ func (s *Store) apply(op byte, args []byte) error {
 	case opAbortExport:
 		hid := d.u64()
 		call = func() { s.AbortExport(hid) }
-	case opInstall:
+	case opInstall, opInstallRuns:
 		path := d.str()
 		attr := msg.Attr{IsDir: d.flag(), Size: d.u64(), Version: d.u64()}
-		n := int(d.u32())
-		if n > len(d.b)/blockRefLen {
-			d.bad, n = true, 0
-		}
-		blocks := make([]msg.BlockRef, n)
-		for i := range blocks {
-			blocks[i] = msg.BlockRef{Disk: msg.NodeID(int32(d.u32())), Num: d.u64()}
-		}
-		call = func() { s.Install(path, attr, blocks) }
+		runs := d.extents(op == opInstall)
+		call = func() { s.Install(path, attr, runs) }
 	case opRecordImport:
 		src, hid, errno := msg.NodeID(int32(d.u32())), d.u64(), msg.Errno(d.u8())
 		call = func() { s.RecordImport(src, hid, errno) }

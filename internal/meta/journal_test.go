@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -161,13 +162,14 @@ func (m *mutator) step(ss ...*Store) string {
 	case 14:
 		path := m.path()
 		attr := msg.Attr{IsDir: m.rng.Intn(4) == 0, Size: uint64(m.rng.Intn(1 << 14)), Version: uint64(m.rng.Intn(9))}
-		var blocks []msg.BlockRef
+		var runs msg.Extents
 		for n := m.rng.Intn(3); n > 0 && !attr.IsDir; n-- {
-			m.foreign++
-			blocks = append(blocks, msg.BlockRef{Disk: 900, Num: m.foreign})
+			e := msg.Extent{Disk: 900, Start: m.foreign + 1, Len: uint32(1 + m.rng.Intn(3))}
+			m.foreign = e.End() - 1 + uint64(m.rng.Intn(2))
+			runs = append(runs, e)
 		}
 		for _, s := range ss {
-			s.Install(path, attr, append([]msg.BlockRef(nil), blocks...))
+			s.Install(path, attr, slices.Clone(runs))
 		}
 		return "Install"
 	case 15:
@@ -180,11 +182,11 @@ func (m *mutator) step(ss ...*Store) string {
 		}
 		ahead := 0
 		if in, errno := s.Get(ino); errno == msg.OK {
-			ahead = len(in.Blocks)
+			ahead = in.Map.Len()
 		}
 		for _, s := range ss {
 			in, first, errno := s.GrantBlocks(ino, count)
-			if s == ss[0] && errno == msg.OK && ahead > int(count) && len(in.Blocks)-first == int(count) {
+			if s == ss[0] && errno == msg.OK && ahead > int(count) && in.Map.Len()-first == int(count) {
 				m.fellBack++
 			}
 		}

@@ -17,13 +17,22 @@ import (
 const RootIno msg.ObjectID = 1
 
 // Inode is one file-system object.
+//
+// Its fields are ordered to keep it in the 80-byte size class: the
+// metadata workloads hold an inode per file.
 type Inode struct {
 	Ino     msg.ObjectID
-	IsDir   bool
 	Size    uint64
 	Version uint64 // modification counter, stands in for mtime
 	Nlink   uint32
-	Blocks  []msg.BlockRef
+	IsDir   bool
+	// Map is where the file's blocks lie, as runs (msg.Extents).
+	Map msg.Extents
+	// perBlock holds Blocks, Map one entry per block, for readers outside
+	// the server that index it directly. Only Lookup sets it, as it
+	// returns the inode: nothing in the store or the server reads it, and
+	// an inode no Lookup returned has none.
+	*perBlock
 	// children maps names to inode numbers for directories.
 	children map[string]msg.ObjectID
 	// parent is the directory whose children map names this inode (the
@@ -32,6 +41,9 @@ type Inode struct {
 	// maps, so neither the snapshot nor the journal carries it.
 	parent msg.ObjectID
 }
+
+// perBlock is an inode's map one BlockRef per block (Inode.Blocks).
+type perBlock struct{ Blocks []msg.BlockRef }
 
 // Parent returns the directory holding this inode's name: the directory
 // whose lock covers a file's attributes.
@@ -191,7 +203,9 @@ func (s *Store) Get(ino msg.ObjectID) (*Inode, msg.Errno) {
 	return in, msg.OK
 }
 
-// Lookup resolves an absolute path.
+// Lookup resolves an absolute path, and fills the inode's per-block
+// Blocks from its Map. It is for callers outside the server, which
+// resolves paths with Walk.
 func (s *Store) Lookup(path string) (*Inode, msg.Errno) {
 	it, ok := IterPath(path)
 	if !ok {
@@ -208,6 +222,10 @@ func (s *Store) Lookup(path string) (*Inode, msg.Errno) {
 		}
 		cur = s.inodes[next]
 	}
+	if cur.perBlock == nil {
+		cur.perBlock = new(perBlock)
+	}
+	cur.Blocks = cur.Map.AppendRefs(nil)
 	return cur, msg.OK
 }
 
@@ -375,7 +393,7 @@ func (s *Store) Unlink(path string) msg.Errno {
 		parent.Nlink--
 	}
 	// Return the object's blocks to the allocator.
-	s.alloc.Free(in.Blocks)
+	s.alloc.Free(in.Map)
 	delete(parent.children, name)
 	delete(s.inodes, ino)
 	parent.Version++
@@ -453,11 +471,11 @@ func (s *Store) AllocBlocks(ino msg.ObjectID, count uint32) (*Inode, msg.Errno) 
 	if in.IsDir {
 		return nil, msg.ErrIsDir
 	}
-	refs, errno := s.alloc.Alloc(int(count))
+	runs, errno := s.alloc.Alloc(int(count))
 	if errno != msg.OK {
 		return nil, errno
 	}
-	in.Blocks = append(in.Blocks, refs...)
+	in.Map = in.Map.Append(runs...)
 	in.Version++
 	return in, msg.OK
 }
@@ -477,7 +495,7 @@ const MaxGrantAhead = 64
 // the store never takes them back on its own.
 func (s *Store) GrantBlocks(ino msg.ObjectID, n uint32) (in *Inode, first int, errno msg.Errno) {
 	if cur, ok := s.inodes[ino]; ok {
-		first = len(cur.Blocks)
+		first = cur.Map.Len()
 		if ahead := uint32(min(first, MaxGrantAhead)); ahead > n {
 			if in, errno = s.AllocBlocks(ino, ahead); errno != msg.ErrNoSpace {
 				return in, first, errno
@@ -501,9 +519,9 @@ func (s *Store) Truncate(ino msg.ObjectID, nBlocks int) (*Inode, msg.Errno) {
 	if in.IsDir {
 		return nil, msg.ErrIsDir
 	}
-	if nBlocks < len(in.Blocks) {
-		s.alloc.Free(in.Blocks[nBlocks:])
-		in.Blocks = in.Blocks[:nBlocks]
+	if nBlocks < in.Map.Len() {
+		s.alloc.Free(in.Map.Tail(nBlocks))
+		in.Map = in.Map.Head(nBlocks)
 		if end := uint64(nBlocks) * blockstore.BlockSize; in.Size > end {
 			in.Size = end
 		}

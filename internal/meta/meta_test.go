@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/msg"
 )
@@ -187,16 +188,16 @@ func TestAllocBlocksAndTruncate(t *testing.T) {
 	s := newStore()
 	f, _ := s.Create("/f", false)
 	in, errno := s.AllocBlocks(f.Ino, 5)
-	if errno != msg.OK || len(in.Blocks) != 5 {
-		t.Fatalf("alloc: %v %v", errno, in.Blocks)
+	if errno != msg.OK || in.Map.Len() != 5 {
+		t.Fatalf("alloc: %v %v", errno, in.Map)
 	}
 	in, errno = s.Truncate(f.Ino, 2)
-	if errno != msg.OK || len(in.Blocks) != 2 {
-		t.Fatalf("truncate: %v %v", errno, in.Blocks)
+	if errno != msg.OK || in.Map.Len() != 2 {
+		t.Fatalf("truncate: %v %v", errno, in.Map)
 	}
 	// Growing truncate is a no-op.
 	in, _ = s.Truncate(f.Ino, 10)
-	if len(in.Blocks) != 2 {
+	if in.Map.Len() != 2 {
 		t.Fatal("truncate grew the file")
 	}
 	if _, errno := s.AllocBlocks(RootIno, 1); errno != msg.ErrIsDir {
@@ -232,16 +233,16 @@ func TestGrantBlocksRunsAhead(t *testing.T) {
 	f, _ := s.Create("/f", false)
 	want := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
 	for i, total := range want {
-		before := len(f.Blocks)
+		before := f.Map.Len()
 		in, first, errno := s.GrantBlocks(f.Ino, 1)
-		if errno != msg.OK || first != before || len(in.Blocks) != total {
+		if errno != msg.OK || first != before || in.Map.Len() != total {
 			t.Fatalf("grant %d: errno %v, first %d (file had %d), file now %d blocks, want %d",
-				i, errno, first, before, len(in.Blocks), total)
+				i, errno, first, before, in.Map.Len(), total)
 		}
 	}
 	// A request larger than the run ahead is served as asked.
-	if in, first, _ := s.GrantBlocks(f.Ino, 100); first != 256 || len(in.Blocks) != 356 {
-		t.Fatalf("grant of 100 at 256 blocks: first %d, file now %d blocks", first, len(in.Blocks))
+	if in, first, _ := s.GrantBlocks(f.Ino, 100); first != 256 || in.Map.Len() != 356 {
+		t.Fatalf("grant of 100 at 256 blocks: first %d, file now %d blocks", first, in.Map.Len())
 	}
 	if _, _, errno := s.GrantBlocks(999, 1); errno != msg.ErrNoEnt {
 		t.Fatalf("grant on a missing inode: %v", errno)
@@ -263,16 +264,16 @@ func TestGrantBlocksFallsBackToExact(t *testing.T) {
 	}
 	// 4 blocks free: the run of 8 does not fit, the 2 asked for do.
 	in, first, errno := s.GrantBlocks(f.Ino, 2)
-	if errno != msg.OK || first != 8 || len(in.Blocks) != 10 || alloc.InUse() != 10 {
+	if errno != msg.OK || first != 8 || in.Map.Len() != 10 || alloc.InUse() != 10 {
 		t.Fatalf("nearly full: errno %v, first %d, %d blocks, %d in use; want OK, 8, 10, 10",
-			errno, first, len(in.Blocks), alloc.InUse())
+			errno, first, in.Map.Len(), alloc.InUse())
 	}
 	// 2 free: neither the run nor the 3 asked for fit.
 	if _, _, errno := s.GrantBlocks(f.Ino, 3); errno != msg.ErrNoSpace {
 		t.Fatalf("over-ask: %v, want ErrNoSpace", errno)
 	}
-	if alloc.InUse() != 10 || len(f.Blocks) != 10 {
-		t.Fatalf("a failed grant kept blocks: %d in use, file has %d", alloc.InUse(), len(f.Blocks))
+	if alloc.InUse() != 10 || f.Map.Len() != 10 {
+		t.Fatalf("a failed grant kept blocks: %d in use, file has %d", alloc.InUse(), f.Map.Len())
 	}
 	if _, _, errno := s.GrantBlocks(f.Ino, 2); errno != msg.OK || alloc.InUse() != 12 {
 		t.Fatalf("the last two blocks: %v, %d in use", errno, alloc.InUse())
@@ -293,8 +294,8 @@ func TestAllocatorStripes(t *testing.T) {
 		{150, []run{{3, 4, 64}, {5, 4, 64}, {3, 68, 22}}},
 		{64, []run{{5, 68, 64}}},
 	} {
-		refs, errno := a.Alloc(c.count)
-		if got := runsOf(refs); errno != msg.OK || !reflect.DeepEqual(got, c.want) {
+		runs, errno := a.Alloc(c.count)
+		if got := runsOf(runs.AppendRefs(nil)); errno != msg.OK || !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("Alloc(%d) = %v %v, want runs %v", c.count, got, errno, c.want)
 		}
 	}
@@ -312,7 +313,7 @@ func TestAllocatorExhaustionRollsBack(t *testing.T) {
 	if a.InUse() != 3 {
 		t.Fatalf("in-use = %d after failed alloc, want 3", a.InUse())
 	}
-	if refs, errno := a.Alloc(1); errno != msg.OK || len(refs) != 1 {
+	if runs, errno := a.Alloc(1); errno != msg.OK || runs.Len() != 1 {
 		t.Fatal("remaining block not allocatable")
 	}
 }
@@ -341,14 +342,14 @@ func TestAllocatorUniqueProperty(t *testing.T) {
 	f := func(counts []uint8) bool {
 		a := NewAllocator(map[msg.NodeID]uint64{2: 64, 4: 64, 6: 64})
 		seen := make(map[msg.BlockRef]bool)
-		var held [][]msg.BlockRef
+		var held []msg.Extents
 		for _, c := range counts {
 			n := int(c%8) + 1
 			refs, errno := a.Alloc(n)
 			if errno != msg.OK {
 				// Exhausted: free everything and continue.
 				for _, h := range held {
-					for _, r := range h {
+					for _, r := range h.AppendRefs(nil) {
 						delete(seen, r)
 					}
 					a.Free(h)
@@ -356,7 +357,7 @@ func TestAllocatorUniqueProperty(t *testing.T) {
 				held = nil
 				continue
 			}
-			for _, r := range refs {
+			for _, r := range refs.AppendRefs(nil) {
 				if seen[r] {
 					return false
 				}
@@ -575,5 +576,13 @@ func TestWalkReturnsTheChain(t *testing.T) {
 	checkParents(t, s)
 	if f.Parent() != e.Ino || s.inodes[RootIno].Parent() != RootIno {
 		t.Errorf("Parent: f in %v, root in %v", f.Parent(), s.inodes[RootIno].Parent())
+	}
+}
+
+// Inode must stay in the 80-byte size class: the metadata workloads hold
+// one per file, and every Create allocates one.
+func TestInodeFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Inode{}); n > 80 {
+		t.Fatalf("Inode is %d bytes, past the 80-byte size class", n)
 	}
 }

@@ -25,15 +25,19 @@ import (
 // Record: len u32 | crc32c u32 | seq u64 | op u8 | args, little-endian.
 // len counts the bytes after the 8-byte header and the CRC (Castagnoli)
 // covers exactly those. op names a mutator (journal.go) and args are its
-// arguments: strings as u32 length + bytes, a block as disk u32 | num
-// u64. The store is deterministic — first-fit runs over sorted per-disk
+// arguments: strings as u32 length + bytes, a block map as a u32 count
+// of runs, each disk u32 | start u64 | len u32. (An Install record
+// before runs, op 13, held one disk u32 | num u64 per block; replay
+// still reads it.) The store is deterministic — first-fit runs over sorted per-disk
 // free extents with a rotation cursor (alloc.go), monotone inode, handoff
 // and epoch counters — so the call is all a record needs, and the call
 // is logged whatever its outcome: a Create under auto-parents
 // materializes ancestors even when it then returns ErrExist.
 //
-// The allocator's part of the snapshot is each disk's free extents and
-// the rotation cursor, O(fragments). Restore still reads the layout
+// An inode's map is in the snapshot as its runs (Runs); a snapshot that
+// holds it one block per entry (Blocks) is read into runs. The
+// allocator's part of the snapshot is each disk's free extents and the
+// rotation cursor, O(fragments). Restore still reads the layout
 // before it (per-block in-use set, LIFO free lists, a never-allocated
 // cursor per disk) as free = the free lists ∪ [cursor, capacity). What
 // it cannot rebuild is where the old allocator would have put the next
@@ -73,8 +77,11 @@ type inodeSnap struct {
 	Size     uint64                  `json:",omitempty"`
 	Version  uint64                  `json:",omitempty"`
 	Nlink    uint32                  `json:",omitempty"`
-	Blocks   []msg.BlockRef          `json:",omitempty"`
+	Runs     msg.Extents             `json:",omitempty"`
 	Children map[string]msg.ObjectID `json:",omitempty"`
+	// Blocks is the map one entry per block, as the layout before Runs
+	// held it: read and never written.
+	Blocks []msg.BlockRef `json:",omitempty"`
 }
 
 type diskSnap struct {
@@ -141,7 +148,7 @@ func (s *Store) Snapshot() []byte {
 		in := s.inodes[ino]
 		snap.Inodes = append(snap.Inodes, inodeSnap{
 			Ino: in.Ino, IsDir: in.IsDir, Size: in.Size, Version: in.Version,
-			Nlink: in.Nlink, Blocks: in.Blocks, Children: in.children,
+			Nlink: in.Nlink, Runs: in.Map, Children: in.children,
 		})
 	}
 	a := s.alloc
@@ -238,7 +245,10 @@ func restore(data []byte) (s *Store, oldLayout bool, err error) {
 		in := &snap.Inodes[i]
 		node := &Inode{
 			Ino: in.Ino, IsDir: in.IsDir, Size: in.Size, Version: in.Version,
-			Nlink: in.Nlink, Blocks: in.Blocks, children: in.Children,
+			Nlink: in.Nlink, Map: in.Runs, children: in.Children,
+		}
+		for _, ref := range in.Blocks {
+			node.Map = node.Map.Append(msg.Extent{Disk: ref.Disk, Start: ref.Num, Len: 1})
 		}
 		if node.IsDir && node.children == nil {
 			node.children = make(map[string]msg.ObjectID)

@@ -36,7 +36,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("epoch: got %d want 2", restored.CurrentEpoch())
 	}
 	rin, errno := restored.Lookup("/a/b/f")
-	if errno != msg.OK || rin.Size != 5*4096 || len(rin.Blocks) != 5 {
+	if errno != msg.OK || rin.Size != 5*4096 || rin.Map.Len() != 5 {
 		t.Fatalf("restored inode: %+v errno=%v", rin, errno)
 	}
 	if !restored.Migrating(rin.Ino) {
@@ -49,12 +49,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("allocator in-use mismatch: %d vs %d", restored.alloc.InUse(), s.alloc.InUse())
 	}
 	// The restored allocator must keep handing out non-colliding blocks.
-	refs, errno := restored.alloc.Alloc(3)
+	runs, errno := restored.alloc.Alloc(3)
 	if errno != msg.OK {
 		t.Fatalf("alloc after restore: %v", errno)
 	}
-	for _, ref := range refs {
-		for _, old := range in.Blocks {
+	for _, ref := range runs.AppendRefs(nil) {
+		for _, old := range in.Map.AppendRefs(nil) {
 			if ref == old {
 				t.Fatalf("restored allocator reissued live block %v", ref)
 			}

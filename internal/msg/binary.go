@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -268,11 +269,25 @@ func (c *coder) attr(a *Attr) {
 	c.u32(&a.Nlink)
 }
 
-func (c *coder) blockRefs(s *[]BlockRef) {
-	refs := vec(c, s, 12)
-	for i := range refs {
-		c.node(&refs[i].Disk)
-		c.u64(&refs[i].Num)
+// extents codes a block map as its runs, disk i32 | start u64 | len u32
+// each. A decode refuses an empty run, a run that passes the last block
+// number, and a map of more blocks than a uint32 counts — a file's block
+// index travels as one (AllocRes.First, Truncate.Blocks).
+func (c *coder) extents(m *Extents) {
+	runs := vec(c, (*[]Extent)(m), 16)
+	var total uint64
+	for i := range runs {
+		e := &runs[i]
+		c.node(&e.Disk)
+		c.u64(&e.Start)
+		c.u32(&e.Len)
+		if c.mode != decoding {
+			continue
+		}
+		if total += uint64(e.Len); e.Len == 0 || e.End() < e.Start || total > math.MaxUint32 {
+			c.bad = true
+			return
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func normalized(env *Envelope) Envelope {
 
 // encodeFrame runs the production encode path: size, header+meta encode,
 // scatter-gather tail appended exactly as writev would transmit it.
-func encodeFrame(t *testing.T, env *Envelope) []byte {
+func encodeFrame(t testing.TB, env *Envelope) []byte {
 	t.Helper()
 	meta, tail, err := BinarySize(env)
 	if err != nil {
@@ -449,6 +449,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(truncatedLockRes(f))
+	for _, bad := range badMaps {
+		f.Add(encodeFrame(f, runCarriers(bad.m)["AllocRes"]))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := DecodeBinary(data)
 		if err == nil {

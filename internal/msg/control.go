@@ -465,40 +465,40 @@ func (r ReaddirRes) layout(c *coder) {
 
 // BlocksRes returns an object's block map and current metadata.
 type BlocksRes struct {
-	Attr   Attr
-	Blocks []BlockRef
+	Attr Attr
+	Map  Extents
 }
 
-func (r BlocksRes) layout(c *coder) { c.attr(&r.Attr); c.blockRefs(&r.Blocks); keep(c, r) }
+func (r BlocksRes) layout(c *coder) { c.attr(&r.Attr); c.extents(&r.Map); keep(c, r) }
 
-// AllocRes returns what an extension added: Blocks are the new blocks
-// only, and First is the index in the file of Blocks[0] — the length of
-// the map the server extended. A client splices Blocks at First; its
-// size does not depend on the file's length.
+// AllocRes returns what an extension added: Map holds the new blocks
+// only, and First is the index in the file of its first block — the
+// length of the map the server extended. A client splices Map at First;
+// its size does not depend on the file's length.
 type AllocRes struct {
-	Attr   Attr
-	First  uint32
-	Blocks []BlockRef
+	Attr  Attr
+	First uint32
+	Map   Extents
 }
 
 func (r AllocRes) layout(c *coder) {
 	c.attr(&r.Attr)
 	c.u32(&r.First)
-	c.blockRefs(&r.Blocks)
+	c.extents(&r.Map)
 	keep(c, r)
 }
 
 // LockRes confirms the mode now held. The grant of a LockAcquire that
 // asked for it (WantMap) also carries the object's metadata and block map
 // as they stand when the lock moves — what a GetBlocks right behind the
-// grant would have fetched. HaveMap says so; without it Attr and Blocks
-// are not on the wire at all, which is every reply to a LockRelease or a
+// grant would have fetched. HaveMap says so; without it Attr and Map are
+// not on the wire at all, which is every reply to a LockRelease or a
 // LockDowngraded.
 type LockRes struct {
 	Mode    LockMode
 	HaveMap bool
 	Attr    Attr
-	Blocks  []BlockRef
+	Map     Extents
 }
 
 func (r LockRes) layout(c *coder) {
@@ -506,7 +506,7 @@ func (r LockRes) layout(c *coder) {
 	c.b1(&r.HaveMap)
 	if r.HaveMap {
 		c.attr(&r.Attr)
-		c.blockRefs(&r.Blocks)
+		c.extents(&r.Map)
 	}
 	keep(c, r)
 }
@@ -568,14 +568,14 @@ func (m *DemandAck) layout(c *coder) { c.node(&m.Client); c.u64((*uint64)(&m.ID)
 // destination to install the object at Path with the given attributes
 // and block map. HID is a durable per-source handoff identifier; the
 // destination installs at most once per (Src, HID), so the source may
-// retransmit until answered. Blocks keep their original disk addresses —
-// file data never moves during a handoff.
+// retransmit until answered. The blocks keep their original disk
+// addresses — file data never moves during a handoff.
 type ShardMigrate struct {
-	Src    NodeID
-	HID    uint64
-	Path   string
-	Attr   Attr
-	Blocks []BlockRef
+	Src  NodeID
+	HID  uint64
+	Path string
+	Attr Attr
+	Map  Extents
 }
 
 func (*ShardMigrate) Kind() Kind { return KindShard }
@@ -585,7 +585,7 @@ func (m *ShardMigrate) layout(c *coder) {
 	c.u64(&m.HID)
 	c.str(&m.Path)
 	c.attr(&m.Attr)
-	c.blockRefs(&m.Blocks)
+	c.extents(&m.Map)
 }
 
 // ShardMigrateRes answers a ShardMigrate: OK means the object now exists

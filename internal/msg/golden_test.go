@@ -20,12 +20,13 @@ const goldenPath = "testdata/frames.golden"
 
 // deltaAllocRes is the one hand-written golden sample: a delta
 // allocation reply with a First that is neither zero nor the block
-// count. Two builds that disagree about First would each round-trip
-// their own frames and still splice each other's at the wrong place.
+// count, and two runs of different lengths. Two builds that disagree
+// about First would each round-trip their own frames and still splice
+// each other's at the wrong place.
 func deltaAllocRes() *Envelope {
 	return &Envelope{From: 1, To: 10, Payload: &Reply{Client: 10, Req: 7, Status: ACK, Err: OK, Body: AllocRes{
 		Attr:  Attr{Ino: 2, Size: 8192, Version: 5, Nlink: 1},
-		First: 3, Blocks: []BlockRef{{Disk: 1000, Num: 9}, {Disk: 1001, Num: 9}}}}}
+		First: 3, Map: Extents{{Disk: 1000, Start: 9, Len: 64}, {Disk: 1001, Start: 9, Len: 2}}}}}
 }
 
 // bareLockRes is a LockRes without a map: every reply to a LockRelease or
@@ -154,15 +155,15 @@ func TestGoldenFrames(t *testing.T) {
 
 // TestBinaryAllocResGolden spells the one hand-written golden frame out
 // field by field: header, reply fields, result tag, attr, the index the
-// added blocks start at, then only those blocks.
+// added blocks start at, then only those blocks, as runs.
 func TestBinaryAllocResGolden(t *testing.T) {
 	want, _ := hex.DecodeString("" +
 		"00000001" + "0000000a" + "17" + // from, to, Reply
 		"0000000a" + "0000000000000007" + "01" + "00" + // client, req, ACK, OK
 		"07" + // AllocRes
 		"0000000000000002" + "00" + "0000000000002000" + "0000000000000005" + "00000001" + // attr
-		"00000003" + "00000002" + // First, len(Blocks)
-		"000003e8" + "0000000000000009" + "000003e9" + "0000000000000009")
+		"00000003" + "00000002" + // First, runs
+		"000003e8" + "0000000000000009" + "00000040" + "000003e9" + "0000000000000009" + "00000002")
 	if got := readGolden(t)["Reply/AllocRes.delta"]; !bytes.Equal(got, want) {
 		t.Errorf("delta AllocRes frame\n got %x\nwant %x", got, want)
 	}
@@ -196,11 +197,11 @@ func TestLockResLayout(t *testing.T) {
 	}
 	withMap := &Envelope{From: 1, To: 10, Payload: &Reply{Client: 10, Req: 8, Status: ACK, Err: OK, Body: LockRes{
 		Mode: LockShared, HaveMap: true,
-		Attr:   Attr{Ino: 2, Size: 8192, Version: 5, Nlink: 1},
-		Blocks: []BlockRef{{Disk: 1000, Num: 9}, {Disk: 1001, Num: 9}}}}}
+		Attr: Attr{Ino: 2, Size: 8192, Version: 5, Nlink: 1},
+		Map:  Extents{{Disk: 1000, Start: 9, Len: 16}}}}}
 	want, _ := hex.DecodeString(reply + "01" + "01" + // shared, map follows
 		"0000000000000002" + "00" + "0000000000002000" + "0000000000000005" + "00000001" + // attr
-		"00000002" + "000003e8" + "0000000000000009" + "000003e9" + "0000000000000009")
+		"00000001" + "000003e8" + "0000000000000009" + "00000010") // one run of 16 blocks
 	if got := encodeFrame(t, withMap); !bytes.Equal(got, want) {
 		t.Errorf("LockRes with a map\n got %x\nwant %x", got, want)
 	}
@@ -212,7 +213,7 @@ func TestLockResLayout(t *testing.T) {
 	}
 	// What is not behind the flag does not travel.
 	hidden := bareLockRes()
-	hidden.Payload.(*Reply).Body = LockRes{Mode: LockShared, Attr: Attr{Ino: 2}, Blocks: []BlockRef{{Disk: 1000, Num: 9}}}
+	hidden.Payload.(*Reply).Body = LockRes{Mode: LockShared, Attr: Attr{Ino: 2}, Map: Extents{{Disk: 1000, Start: 9, Len: 1}}}
 	if got := encodeFrame(t, hidden); !bytes.Equal(got, bare) {
 		t.Errorf("LockRes without HaveMap encodes its map: %x", got)
 	}

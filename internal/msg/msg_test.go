@@ -99,8 +99,8 @@ func TestGobRoundTripEnvelope(t *testing.T) {
 		&DiskReadVRes{Req: 14, Errs: []Errno{OK, OK}, Vers: []uint64{1, 2},
 			Data: make([]byte, 8192)},
 		&Reply{Client: 3, Req: 12, Status: ACK, Body: BlocksRes{
-			Attr:   Attr{Ino: 42, Size: 8192, Version: 3, Nlink: 1},
-			Blocks: []BlockRef{{Disk: 9, Num: 0}, {Disk: 9, Num: 1}},
+			Attr: Attr{Ino: 42, Size: 8192, Version: 3, Nlink: 1},
+			Map:  Extents{{Disk: 9, Start: 0, Len: 2}},
 		}},
 	}
 	for _, m := range reqs {

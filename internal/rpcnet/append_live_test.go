@@ -136,7 +136,7 @@ func TestLiveAppendIsConstantServerWork(t *testing.T) {
 	lc.srvs[0].Exec.Submit(func() {
 		st := lc.srvs[0].Srv.Store()
 		in, _ := st.Get(attr.Ino)
-		ch <- state{in.Size, len(in.Blocks), st.Allocator().InUse()}
+		ch <- state{in.Size, in.Map.Len(), st.Allocator().InUse()}
 	})
 	if got := <-ch; got != (state{blocks * client.BlockSize, blocks, blocks}) {
 		t.Errorf("after Sync and Close the server has %+v, want size %d and %d blocks, all that are in use",

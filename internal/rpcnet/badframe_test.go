@@ -25,7 +25,7 @@ func dialRawBinary(t *testing.T, addr string, from msg.NodeID) net.Conn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	var hello [5]byte
-	hello[0] = 3<<4 | uint8(wire.Binary) // preamble: revision 3, binary
+	hello[0] = 4<<4 | uint8(wire.Binary) // preamble: revision 4, binary
 	binary.BigEndian.PutUint32(hello[1:], uint32(int32(from)))
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestForeignPreambleDropsOnlyThatConnection(t *testing.T) {
 	}
 	waitForNote(t, ring, 60, "accepted")
 
-	for _, pre := range []byte{0x10, 0x21, 0x41} { // version 1 codec 0 (gob); the previous revision; the next
+	for _, pre := range []byte{0x10, 0x31, 0x51} { // version 1 codec 0 (gob); the previous revision; the next
 		foreign, err := net.Dial("tcp", addr.String())
 		if err != nil {
 			t.Fatal(err)

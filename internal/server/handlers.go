@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -152,7 +153,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 			ack(errno, nil)
 			return
 		}
-		ack(msg.OK, msg.BlocksRes{Attr: in.Attr(), Blocks: append([]msg.BlockRef(nil), in.Blocks...)})
+		ack(msg.OK, msg.BlocksRes{Attr: in.Attr(), Map: slices.Clone(in.Map)})
 
 	case *msg.AllocBlocks:
 		s.allocBlocks(client, id, m)
@@ -210,7 +211,7 @@ func (s *Server) execute(client msg.NodeID, id msg.ReqID, req msg.Request) {
 				if in, errno := s.store.Get(m.Ino); errno == msg.OK {
 					res.HaveMap = true
 					res.Attr = in.Attr()
-					res.Blocks = append([]msg.BlockRef(nil), in.Blocks...)
+					res.Map = slices.Clone(in.Map)
 				}
 			}
 			s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: msg.OK, Body: res})

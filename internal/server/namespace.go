@@ -515,7 +515,7 @@ func (a attrChange) moves(in *meta.Inode) bool {
 	case a.sized:
 		return in.Size != a.size
 	case a.cut:
-		return a.blocks < len(in.Blocks)
+		return a.blocks < in.Map.Len()
 	}
 	return true
 }
@@ -615,8 +615,7 @@ func (s *Server) allocBlocks(client msg.NodeID, id msg.ReqID, m *msg.AllocBlocks
 			a.ack(errno, nil)
 			return
 		}
-		a.ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first),
-			Blocks: append([]msg.BlockRef(nil), in.Blocks[first:]...)})
+		a.ack(msg.OK, msg.AllocRes{Attr: in.Attr(), First: uint32(first), Map: in.Map.Tail(first)})
 	})
 }
 

@@ -69,14 +69,14 @@ func (s *Server) funcRead(client msg.NodeID, id msg.ReqID, m *msg.FuncRead) {
 	if n > disk.BlockSize {
 		n = disk.BlockSize
 	}
-	if idx >= uint64(len(in.Blocks)) {
+	if idx >= uint64(in.Map.Len()) {
 		// Hole or beyond allocation: zeros.
 		s.dataBytes.Add(uint64(n))
 		s.reply(client, id, &msg.Reply{Status: msg.ACK, Err: msg.OK,
 			Body: msg.FuncReadRes{Data: make([]byte, n)}})
 		return
 	}
-	ref := in.Blocks[idx]
+	ref := in.Map.At(idx)
 	s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
 		return &msg.DiskRead{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num}
 	}, func(reply msg.Message, errno msg.Errno) {
@@ -118,7 +118,7 @@ func (s *Server) funcWrite(client msg.NodeID, id msg.ReqID, m *msg.FuncWrite) {
 		data = data[:disk.BlockSize]
 	}
 	write := func() {
-		ref := in.Blocks[idx]
+		ref := in.Map.At(idx)
 		s.dataBytes.Add(uint64(len(data)))
 		s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
 			return &msg.DiskWrite{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num, Data: data}
@@ -138,13 +138,13 @@ func (s *Server) funcWrite(client msg.NodeID, id msg.ReqID, m *msg.FuncWrite) {
 			})
 		})
 	}
-	if idx < uint64(len(in.Blocks)) {
+	if idx < uint64(in.Map.Len()) {
 		write()
 		return
 	}
 	s.mutateAttr(client, m.Ino, attrChange{}, func(bool) {
-		for uint64(len(in.Blocks)) <= idx {
-			need := uint32(idx + 1 - uint64(len(in.Blocks)))
+		for uint64(in.Map.Len()) <= idx {
+			need := uint32(idx + 1 - uint64(in.Map.Len()))
 			var e msg.Errno
 			in, e = s.store.AllocBlocks(m.Ino, need)
 			if e != msg.OK {

@@ -18,7 +18,7 @@ func TestSendCountsWithoutAllocating(t *testing.T) {
 	nop := func(msg.NodeID, msg.Message) {}
 	s := New(1, Config{Core: core.DefaultConfig()}, clock, nop, nop, nil, nil)
 	r := &msg.Reply{Client: 10, Req: 7, Status: msg.ACK, Body: msg.LockRes{
-		Mode: msg.LockShared, HaveMap: true, Blocks: make([]msg.BlockRef, 4)}}
+		Mode: msg.LockShared, HaveMap: true, Map: make(msg.Extents, 4)}}
 	if got := testing.AllocsPerRun(1000, func() { s.send(10, r) }); got != 0 {
 		t.Errorf("send: %v allocs, want 0", got)
 	}

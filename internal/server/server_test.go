@@ -141,7 +141,7 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 	// Exactly-fitting allocation still works afterwards (rollback).
 	r = raw(t, cl, &msg.AllocBlocks{ReqHeader: hdrFor(cl, 9102), Ino: attr.Ino, Count: 4})
-	if r == nil || r.Err != msg.OK || len(r.Body.(msg.AllocRes).Blocks) != 4 {
+	if r == nil || r.Err != msg.OK || r.Body.(msg.AllocRes).Map.Len() != 4 {
 		t.Fatalf("fitting alloc = %+v", r)
 	}
 }

@@ -9,7 +9,7 @@ package server
 //     durable Export record and marks the inode migrating — from this
 //     instant every operation on it is refused with ErrConflict, so no
 //     new lock or block can be granted against state that is leaving.
-//  2. The source transmits ShardMigrate{Src, HID, Path, Attr, Blocks}
+//  2. The source transmits ShardMigrate{Src, HID, Path, Attr, Map}
 //     and retries on a timer until answered — like sanSend, delivery
 //     errors are invisible; only an answer settles the handoff.
 //  3. The destination installs the object under a fresh local inode,
@@ -33,6 +33,7 @@ package server
 // owner, never nobody.
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/meta"
@@ -119,7 +120,7 @@ func (s *Server) transmitHandoff(ph *pendingHandoff) {
 		return
 	}
 	s.send(e.Dest, &msg.ShardMigrate{Src: s.id, HID: e.HID, Path: e.NewPath,
-		Attr: in.Attr(), Blocks: append([]msg.BlockRef(nil), in.Blocks...)})
+		Attr: in.Attr(), Map: slices.Clone(in.Map)})
 	s.handoffRetry.Add(&ph.retry, ph)
 }
 
@@ -165,7 +166,7 @@ func (o *importOp) apply() {
 		s.send(m.Src, &msg.ShardMigrateRes{HID: m.HID, Err: errno})
 		return
 	}
-	in, errno := s.store.Install(m.Path, m.Attr, m.Blocks)
+	in, errno := s.store.Install(m.Path, m.Attr, m.Map)
 	s.store.RecordImport(m.Src, m.HID, errno)
 	if errno == msg.OK {
 		s.emit(trace.Event{Type: trace.EvShardInstall, Peer: m.Src, Ino: in.Ino,

@@ -112,6 +112,27 @@ func reencode(tb testing.TB, env *msg.Envelope) []byte {
 	return append(body, tail...)
 }
 
+// badRunFrames are three grants of a block map the decoder refuses: one
+// with an empty run, one with a run that passes the last block number,
+// and one of more blocks than a uint32 counts.
+func badRunFrames(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, m := range []msg.Extents{
+		{{Disk: 1000, Start: 9, Len: 4}, {Disk: 1001, Start: 9, Len: 0}},
+		{{Disk: 1000, Start: 1<<64 - 3, Len: 4}},
+		{{Disk: 1000, Start: 0, Len: 1<<32 - 1}, {Disk: 1001, Start: 0, Len: 1}},
+	} {
+		env := &msg.Envelope{From: 1, To: 10, Payload: &msg.Reply{Client: 10, Req: 7, Status: msg.ACK,
+			Body: msg.LockRes{Mode: msg.LockShared, HaveMap: true, Attr: msg.Attr{Ino: 2}, Map: m}}}
+		body := reencode(tb, env)
+		if _, err := msg.DecodeBinary(body); !errors.Is(err, msg.ErrCorruptFrame) {
+			tb.Fatalf("map %v decodes: %v", m, err)
+		}
+		out = append(out, body)
+	}
+	return out
+}
+
 // FuzzCodecFrames drives the codec's frame parser — not just the decoder
 // FuzzDecodeBinary covers — with length-prefixed frame bodies cut at
 // read boundaries the fuzzer chooses. It must never panic, and each
@@ -129,6 +150,9 @@ func FuzzCodecFrames(f *testing.F) {
 		f.Add(prefixed(body, body), []byte{5})
 	}
 	f.Add(declaredHead(f), []byte{})
+	for _, bad := range badRunFrames(f) {
+		f.Add(prefixed(golden[0], bad, golden[0]), []byte{7})
+	}
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		// What the decoder alone makes of the stream: each body's
 		// re-encoding, up to the first damage.

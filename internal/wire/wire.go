@@ -44,9 +44,9 @@ const Binary ID = 1
 // high nibble, and in the low nibble the 1 that used to select this codec
 // over a gob stream (codec 0, retired). A revision that changes a frame
 // layout incompatibly changes this byte: revision 2 added the directory
-// grants to four reply bodies, revision 3 the block map to a lock's grant
-// (DESIGN.md §12.2).
-const preamble = 3<<4 | byte(Binary)
+// grants to four reply bodies, revision 3 the block map to a lock's
+// grant, revision 4 sent every block map as runs (DESIGN.md §12.2).
+const preamble = 4<<4 | byte(Binary)
 
 // Dial wraps the dialer side of an established connection: it writes the
 // preamble, before which nothing else may be written to conn.

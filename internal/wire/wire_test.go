@@ -127,7 +127,7 @@ func TestRecvAfterCloseErrors(t *testing.T) {
 	})
 }
 
-// TestAcceptRejectsBadPreamble: any first byte but this revision's 0x31
+// TestAcceptRejectsBadPreamble: any first byte but this revision's 0x41
 // — another version, another codec, the retired gob codec 0 — produces
 // ErrBadFrame, not a hang or a panic.
 func TestAcceptRejectsBadPreamble(t *testing.T) {
@@ -137,7 +137,7 @@ func TestAcceptRejectsBadPreamble(t *testing.T) {
 	}{
 		{"version-zero", 0x00},
 		{"future-version", 0xf1},
-		{"previous-revision", 0x21},
+		{"previous-revision", 0x31},
 		{"unknown-codec", 0x2e},
 		{"retired-gob-codec", 0x20},
 	}
@@ -248,15 +248,15 @@ func TestBinaryFramingCorruption(t *testing.T) {
 	})
 }
 
-// TestPreambleByte pins the one byte a revision-3 dialer sends: 0x11 until
+// TestPreambleByte pins the one byte a revision-4 dialer sends: 0x11 until
 // four reply layouts grew their directory grants, 0x21 until a lock's
-// grant grew the block map.
+// grant grew the block map, 0x31 until block maps went as runs.
 func TestPreambleByte(t *testing.T) {
 	a, b := pipe(t)
 	go Dial(a, Binary)
 	var pre [1]byte
-	if _, err := io.ReadFull(b, pre[:]); err != nil || pre[0] != 0x31 {
-		t.Fatalf("preamble = %#02x, %v; want 0x31", pre[0], err)
+	if _, err := io.ReadFull(b, pre[:]); err != nil || pre[0] != 0x41 {
+		t.Fatalf("preamble = %#02x, %v; want 0x41", pre[0], err)
 	}
 	if _, err := Dial(a, 0); err == nil {
 		t.Fatal("Dial accepted the retired codec 0")
