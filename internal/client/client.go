@@ -90,34 +90,12 @@ type handleInfo struct {
 	write bool
 }
 
-type sanPending struct {
-	id   msg.ReqID
-	disk msg.NodeID
-	// epoch is the registration the request was issued under, which every
-	// transmission of it is stamped with (sanCallBuf).
-	epoch msg.Epoch
-	build func(req msg.ReqID, epoch msg.Epoch) msg.Message
-	cb    func(reply msg.Message, errno msg.Errno)
-	retry sim.Retry[*sanPending]
-	// tries counts retransmissions. buf (set for flush writes whose
-	// payload lives in a pooled buffer) is recycled on acknowledgment
-	// ONLY when tries is still zero: once a retransmission exists, a
-	// duplicate delivery may sit in a disk's deferred service queue — or
-	// a second writev may be in flight — still aliasing the buffer, so
-	// the pool never gets it back (the garbage collector does). A plain
-	// slice rather than a release closure: flushing allocates nothing
-	// per page beyond the message itself.
-	tries int
-	buf   []byte
-}
-
 // Client is one file-system client node.
 type Client struct {
 	id     msg.NodeID
 	cfg    Config
 	clock  sim.Clock
 	ctrl   Sender
-	san    Sender
 	server msg.NodeID
 	oracle checker.Oracle
 
@@ -135,11 +113,9 @@ type Client struct {
 	// attempt per lease episode.
 	reassertTried bool
 
-	handles    map[msg.Handle]handleInfo
-	sanCalls   map[msg.ReqID]*sanPending
-	sanRetry   *sim.Retries[*sanPending]
-	nextSANReq msg.ReqID
-	inflight   int
+	handles  map[msg.Handle]handleInfo
+	sanCalls *core.Calls[core.SANCall]
+	inflight int
 	// objs is what the client keeps about each object (object.go).
 	objs map[msg.ObjectID]*object
 	// demands counts the demands received: each stamps its object's
@@ -222,12 +198,10 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 		cfg:             cfg,
 		clock:           clock,
 		ctrl:            ctrl,
-		san:             san,
 		server:          server,
 		oracle:          oracle,
 		cache:           pages,
 		handles:         make(map[msg.Handle]handleInfo),
-		sanCalls:        make(map[msg.ReqID]*sanPending),
 		objs:            make(map[msg.ObjectID]*object),
 		maxWindow:       cfg.maxWindow(),
 		reg:             reg,
@@ -241,8 +215,8 @@ func newClient(id, server msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sen
 		fencedIO:        reg.Counter(prefix + "fenced_io"),
 		prefetchBatches: reg.Counter(prefix + "prefetch_batches"),
 	}
-	c.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, c.retransmitSAN)
-	c.nextSANReq = cfg.SANReqBase
+	c.sanCalls = core.NewSANCalls(cfg.SANReqBase, clock, cfg.Core.RetryInterval, san,
+		func() bool { return !c.crashedFlg })
 	c.tracer = tr
 	env := core.Env{
 		Reg:    reg,
@@ -351,8 +325,7 @@ func (c *Client) Start() { c.rejoin() }
 // networks. Restart by creating a new Client.
 func (c *Client) Crash() {
 	c.crashedFlg = true
-	c.chn.CancelAll()
-	c.cancelSAN()
+	c.cancelCalls()
 	stopTimers(&c.flushTimer)
 	c.lease.teardown()
 	c.names.purge()
@@ -378,8 +351,22 @@ func (c *Client) DeliverSAN(env msg.Envelope) {
 	if c.crashedFlg {
 		return
 	}
-	if req, errno, ok := msg.SANReplyReq(env.Payload); ok {
-		c.completeSAN(req, env.Payload, errno)
+	// A flush write's pooled payload goes back to the pool ONLY if the
+	// write was never retransmitted: once a retransmission exists, a
+	// duplicate delivery may sit in a disk's deferred service queue — or a
+	// second writev may be in flight — still aliasing the buffer, so the
+	// pool never gets it back (the garbage collector does). A plain slice
+	// rather than a release closure: flushing allocates nothing per page
+	// beyond the message itself.
+	p, errno := core.Answer(c.sanCalls, env.Payload)
+	if p != nil && p.Val.Buf != nil && p.Tries == 0 {
+		bufpool.Put(p.Val.Buf)
+	}
+	if p != nil && errno == msg.ErrFenced {
+		// Discovering the fence is how a fenced client learns anything at
+		// all (§2.1); the lease hears of it once the caller has.
+		c.fencedIO.Inc()
+		c.lease.refused(true)
 	}
 }
 
@@ -406,74 +393,25 @@ func (c *Client) call(req msg.Request, cb core.ReplyCallback) {
 
 // sanCall issues a SAN request. build makes each transmission of it,
 // stamped with c.server — the authority this instance registered with —
-// and the epoch passed in: the registration's when the request was
-// issued, so that a retransmission still speaks for the registration
-// the request belonged to (msg/san.go).
+// and the epoch passed in: the registration's when the request was issued,
+// so that a retransmission still speaks for the registration the request
+// belonged to (msg/san.go). buf is a flush write's pooled payload, or nil.
 func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID, epoch msg.Epoch) msg.Message,
-	cb func(reply msg.Message, errno msg.Errno)) {
-	c.sanCallBuf(d, build, nil, cb)
-}
-
-// sanCallBuf is sanCall for requests whose payload lives in a pooled
-// buffer: buf (if non-nil) is returned to the pool when the call is
-// acknowledged without ever having been retransmitted. See sanPending.
-func (c *Client) sanCallBuf(d msg.NodeID, build func(req msg.ReqID, epoch msg.Epoch) msg.Message,
 	buf []byte, cb func(reply msg.Message, errno msg.Errno)) {
-	c.nextSANReq++
-	p := &sanPending{id: c.nextSANReq, disk: d, epoch: c.chn.Epoch(), build: build, cb: cb, buf: buf}
-	c.sanCalls[p.id] = p
-	c.transmitSAN(p)
+	c.sanCalls.Send(c.sanCalls.Add(core.SANCall{Disk: d, Epoch: c.chn.Epoch(), Build: build, Done: cb, Buf: buf}))
 }
 
-// transmitSAN sends p and queues its retransmission.
-func (c *Client) transmitSAN(p *sanPending) {
-	if c.crashedFlg {
-		return
-	}
-	c.san(p.disk, p.build(p.id, p.epoch))
-	c.sanRetry.Add(&p.retry, p)
-}
-
-// retransmitSAN resends a SAN request its interval has passed without
-// an answer.
-func (c *Client) retransmitSAN(p *sanPending) {
-	p.tries++
-	c.transmitSAN(p)
-}
-
-func (c *Client) completeSAN(req msg.ReqID, reply msg.Message, errno msg.Errno) {
-	p, ok := c.sanCalls[req]
-	if !ok {
-		return
-	}
-	delete(c.sanCalls, req)
-	c.sanRetry.Remove(&p.retry)
-	if errno == msg.ErrFenced {
-		c.fencedIO.Inc()
-		// Discovering the fence is how a fenced client learns anything at
-		// all (§2.1); the lease hears of it once the caller has.
-		defer c.lease.refused(true)
-	}
-	if p.cb != nil {
-		p.cb(reply, errno)
-	}
-	if p.buf != nil && p.tries == 0 {
-		bufpool.Put(p.buf)
-	}
-}
-
-func (c *Client) cancelSAN() {
-	// Cancellation never runs release hooks: a cancelled request's send
-	// (or a duplicate in a disk's service queue) may still alias the
-	// payload buffer, so recycling it here could corrupt an in-flight
-	// write. The buffers are simply garbage.
-	for id, p := range c.sanCalls {
-		delete(c.sanCalls, id)
-		c.sanRetry.Remove(&p.retry)
-		if p.cb != nil {
-			p.cb(nil, msg.ErrStale)
+// cancelCalls cancels every control call in flight, then every SAN call
+// (with msg.ErrStale), each in the order they were issued. It never
+// recycles a payload buffer: a cancelled request's send (or a duplicate in
+// a disk's service queue) may still alias it. The buffers are garbage.
+func (c *Client) cancelCalls() {
+	c.chn.CancelAll()
+	c.sanCalls.Cancel(func(p *core.Call[core.SANCall]) {
+		if p.Val.Done != nil {
+			p.Val.Done(nil, msg.ErrStale)
 		}
-	}
+	})
 }
 
 // ioBegin marks a data operation in flight under the lock on ino and

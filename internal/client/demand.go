@@ -308,7 +308,7 @@ func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
 			it := &batch[0]
 			buf := bufpool.Get(len(it.data))
 			copy(buf, it.data)
-			c.sanCallBuf(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+			c.sanCall(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 				return &msg.DiskWrite{Client: c.id, Authority: c.server, Epoch: epoch,
 					Req: req, Block: it.num, Data: buf, Ver: it.ver}
 			}, buf, func(reply msg.Message, errno msg.Errno) {
@@ -325,7 +325,7 @@ func (c *Client) flushItems(items []flushItem, done func(msg.Errno)) {
 			vecs[i] = msg.BlockVec{Block: it.num, Ver: it.ver}
 			copy(payload[i*BlockSize:(i+1)*BlockSize], it.data)
 		}
-		c.sanCallBuf(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
+		c.sanCall(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 			return &msg.DiskWriteV{Client: c.id, Authority: c.server, Epoch: epoch,
 				Req: req, Blocks: vecs, Data: payload}
 		}, payload, func(reply msg.Message, errno msg.Errno) {

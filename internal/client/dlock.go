@@ -36,7 +36,7 @@ func (dlocks) read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback) {
 			}
 			c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 				return &msg.DiskRead{Client: c.id, Authority: c.server, Epoch: epoch, Req: req, Block: ref.Num}
-			}, func(reply msg.Message, rerrno msg.Errno) {
+			}, nil, func(reply msg.Message, rerrno msg.Errno) {
 				unlock(func() {
 					if rerrno != msg.OK || reply == nil {
 						done(nil, rerrno)
@@ -79,7 +79,7 @@ func (dlocks) write(c *Client, ino msg.ObjectID, idx uint64, data []byte, cb Err
 				c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 					return &msg.DiskWrite{Client: c.id, Authority: c.server, Epoch: epoch,
 						Req: req, Block: ref.Num, Data: data, Ver: ver}
-				}, func(reply msg.Message, werrno msg.Errno) {
+				}, nil, func(reply msg.Message, werrno msg.Errno) {
 					if werrno == msg.OK {
 						c.oracle.Committed(c.id, ino, idx, ver)
 					}
@@ -102,7 +102,7 @@ func (c *Client) withDlock(ref msg.BlockRef, fn func(errno msg.Errno, unlock fun
 		c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 			return &msg.DLockAcquire{Client: c.id, Authority: c.server, Epoch: epoch,
 				Req: req, Start: ref.Num, Count: 1, TTL: c.cfg.Core.Tau}
-		}, func(reply msg.Message, errno msg.Errno) {
+		}, nil, func(reply msg.Message, errno msg.Errno) {
 			switch errno {
 			case msg.ErrDLockHeld:
 				// Contended: retry after a backoff. GFS clients poll the
@@ -113,7 +113,7 @@ func (c *Client) withDlock(ref msg.BlockRef, fn func(errno msg.Errno, unlock fun
 				fn(msg.OK, func(cont func()) {
 					c.sanCall(ref.Disk, func(req msg.ReqID, _ msg.Epoch) msg.Message {
 						return &msg.DLockRelease{Client: c.id, Req: req, Start: ref.Num, Count: 1}
-					}, func(msg.Message, msg.Errno) { cont() })
+					}, nil, func(msg.Message, msg.Errno) { cont() })
 				})
 			default:
 				fn(errno, nil)

@@ -133,8 +133,7 @@ func (c *Client) endEpisode() {
 	// noticed the isolation would ACK it, renewing the lease of a client
 	// that holds no registration to lease.
 	c.chn.SetEpoch(0)
-	c.chn.CancelAll()
-	c.cancelSAN()
+	c.cancelCalls()
 	for ino, o := range c.objs {
 		o.push, o.ra, o.base = sizePush{}, readAhead{}, 0
 		c.tidy(ino, o)

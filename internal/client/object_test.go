@@ -143,8 +143,10 @@ var raceOn bool
 // before a flush and a pumped call allocated per batch and per record,
 // 314 before a request and a renewal armed no timer); and one append
 // cycle — eight writes and a Sync — at what it measured once a flush
-// allocated per batch (70 before). They guard alloc_kb_per_op on
-// scan_cold, append_sync and lock_handoff.
+// allocated per batch (70 before); and one growing append cycle, eight
+// new blocks and a Sync as append_sync runs them, at what it measured
+// when it was added. They guard alloc_kb_per_op on scan_cold, append_sync
+// and lock_handoff.
 func TestDataPathAllocations(t *testing.T) {
 	if bufpool.Debug {
 		t.Skip("tankdebug hooks allocate by design")
@@ -254,5 +256,44 @@ func TestDataPathAllocations(t *testing.T) {
 	}
 	if n := batched() - blocks; n != 8*51 {
 		t.Fatalf("the append cycles wrote %d blocks in batches, want 8 a cycle", n)
+	}
+
+	// The growing append cycle is append_sync's: eight blocks past the end
+	// of the file, then a Sync. Each cycle fills new pages, and once the
+	// file has 64 blocks every eighth one waits for a grant of 64 more
+	// (meta.MaxGrantAhead). Sixteen cycles bring the file to 128 blocks;
+	// the 64 measured cycles, and the one AllocsPerRun runs first, take
+	// nine grants.
+	hg, attr := cl.MustOpen(0, "/grow", true, true)
+	var end uint64
+	grow := func() {
+		for stop := end + 8; end < stop; end++ {
+			if e := cl.Write(0, hg, end, data); e != msg.OK {
+				t.Fatalf("write %d: %v", end, e)
+			}
+		}
+		if e := cl.Sync(0); e != msg.OK {
+			t.Fatalf("sync: %v", e)
+		}
+	}
+	granted := func() int {
+		in, e := cl.Shards[0].Store.Get(attr.Ino)
+		if e != msg.OK {
+			t.Fatal(e)
+		}
+		return in.Map.Len()
+	}
+	for i := 0; i < 16; i++ {
+		grow()
+	}
+	before := granted()
+	const maxGrow = 54
+	got = testing.AllocsPerRun(64, grow)
+	t.Logf("growing append cycle: %v allocations", got)
+	if got > maxGrow {
+		t.Errorf("growing append cycle: %v allocations, want at most %v", got, maxGrow)
+	}
+	if n := granted() - before; n != 9*64 {
+		t.Fatalf("the growing append cycles were granted %d blocks, want nine grants of 64", n)
 	}
 }

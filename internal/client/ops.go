@@ -532,7 +532,7 @@ func (c *Client) serveBlock(ino msg.ObjectID, idx uint64, done DataCallback) {
 	}
 	c.sanCall(ref.Disk, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 		return &msg.DiskRead{Client: c.id, Authority: c.server, Epoch: epoch, Req: req, Block: ref.Num}
-	}, func(reply msg.Message, errno msg.Errno) {
+	}, nil, func(reply msg.Message, errno msg.Errno) {
 		if errno != msg.OK || reply == nil {
 			done(nil, errno)
 			return

@@ -31,7 +31,7 @@ import (
 //     into a revoked cache.
 //   - Completion re-checks that the lock is still held before
 //     installing pages (the lease may have expired, or a demand may
-//     have been complied with, while the batch was in flight; cancelSAN
+//     have been complied with, while the batch was in flight; cancelCalls
 //     also fails the batch with ErrStale on expiry and crash).
 //   - Completion installs a block only where the file still maps the
 //     index to the block that was read (stillMapped): a Truncate does
@@ -203,12 +203,12 @@ func (c *Client) issuePrefetch(ino msg.ObjectID, o *object, d msg.NodeID, idxs, 
 	}
 	c.sanCall(d, func(req msg.ReqID, epoch msg.Epoch) msg.Message {
 		return &msg.DiskReadV{Client: c.id, Authority: c.server, Epoch: epoch, Req: req, Blocks: nums}
-	}, func(reply msg.Message, errno msg.Errno) {
+	}, nil, func(reply msg.Message, errno msg.Errno) {
 		c.ioEnd(ino, o)
 		// The batch was read under the shared lock; install only if both
 		// the batch succeeded and that lock still stands (a lease expiry
 		// in the window means the content may no longer be ours to cache;
-		// cancelSAN delivers ErrStale here on expiry and crash).
+		// cancelCalls delivers ErrStale here on expiry and crash).
 		res, _ := reply.(*msg.DiskReadVRes)
 		if errno == msg.OK && (res == nil || len(res.Data) < len(idxs)*BlockSize ||
 			!o.mode.Covers(msg.LockShared)) {

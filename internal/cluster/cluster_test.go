@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/trace"
 )
 
 // probe sends one ordinary request from client i to the server and waits
@@ -580,5 +582,56 @@ func TestDeterministicRuns(t *testing.T) {
 	s2, f2 := run()
 	if s1 != s2 || f1 != f2 {
 		t.Fatalf("non-deterministic: msgs %d vs %d, events %d vs %d", s1, s2, f1, f2)
+	}
+
+	// The cancel path replays as well: client 0 loses the SAN with two
+	// block reads in flight and then the control network with two lookups
+	// in flight, and its lease expires with all four. Two runs trace the
+	// same events in the same order.
+	cancelled := func() (sum [sha256.Size]byte) {
+		h := sha256.New()
+		opts := DefaultOptions()
+		expired := 0
+		opts.Tracer = trace.New(trace.NewJSONL(h), trace.SinkFunc(func(e trace.Event) {
+			if e.Type == trace.EvExpire && e.Node == ClientID(0) {
+				expired++
+			}
+		}))
+		cl := New(opts)
+		cl.Start()
+		hw, _ := cl.MustOpen(1, "/g", true, true)
+		for b := uint64(0); b < 2; b++ {
+			cl.Write(1, hw, b, block('G'))
+		}
+		cl.Sync(1)
+		hr, _ := cl.MustOpen(0, "/g", false, false)
+		stale := 0
+		cl.SAN.Isolate(ClientID(0))
+		for b := uint64(0); b < 2; b++ {
+			cl.Clients[0].Read(hr, b, func(_ []byte, e msg.Errno) {
+				if e == msg.ErrStale {
+					stale++
+				}
+			})
+		}
+		cl.RunFor(time.Second)
+		cl.IsolateClient(0)
+		for _, p := range []string{"/a", "/b"} {
+			cl.Clients[0].Lookup(p, func(_ msg.Attr, e msg.Errno) {
+				if e == msg.ErrStale {
+					stale++
+				}
+			})
+		}
+		cl.RunFor(3 * opts.Core.Tau)
+		if stale != 4 || expired != 1 {
+			t.Fatalf("%d operations ended with %d expiries, want the 2 reads and 2 lookups in flight at one",
+				stale, expired)
+		}
+		h.Sum(sum[:0])
+		return sum
+	}
+	if d1, d2 := cancelled(), cancelled(); d1 != d2 {
+		t.Fatalf("non-deterministic cancellation: trace digests %x vs %x", d1[:8], d2[:8])
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -15,12 +17,11 @@ import (
 //   - reply == nil: the Call was cancelled by CancelAll.
 type ReplyCallback func(reply *msg.Reply)
 
+// pendingCall is what the channel keeps of a call in its table.
 type pendingCall struct {
-	req   msg.Request
-	tC1   sim.Time // local time of the FIRST send attempt
-	cb    ReplyCallback
-	retry sim.Retry[*pendingCall]
-	tries int
+	req msg.Request
+	tC1 sim.Time // local time of the FIRST send attempt
+	cb  ReplyCallback
 }
 
 // Channel is the client's reliable-request layer over the connection-less
@@ -49,15 +50,12 @@ type Channel struct {
 	self    msg.NodeID
 	server  msg.NodeID   // current target
 	targets []msg.NodeID // full replica set; rotation cycles this
-	cfg     Config
 	clock   sim.Clock
 	send    func(to msg.NodeID, m msg.Message)
 	lease   *LeaseClient // may be nil (baselines without lease semantics)
 
-	epoch   msg.Epoch
-	nextReq msg.ReqID
-	pending map[msg.ReqID]*pendingCall
-	retry   *sim.Retries[*pendingCall]
+	epoch msg.Epoch
+	calls *Calls[pendingCall]
 
 	sent    *stats.Counter // first-attempt sends
 	retries *stats.Counter
@@ -83,18 +81,16 @@ func NewChannel(self, server msg.NodeID, cfg Config, clock sim.Clock,
 		self:    self,
 		server:  server,
 		targets: []msg.NodeID{server},
-		cfg:     cfg,
 		clock:   clock,
 		send:    send,
 		lease:   lease,
-		pending: make(map[msg.ReqID]*pendingCall),
 		sent:    env.counter("chan.sent"),
 		retries: env.counter("chan.retries"),
 		acks:    env.counter("chan.acks"),
 		nacksC:  env.counter("chan.nacks"),
 		redirs:  env.counter("chan.redirects"),
 	}
-	c.retry = sim.NewRetries(clock, cfg.RetryInterval, c.retransmit)
+	c.calls = NewCalls(0, clock, cfg.RetryInterval, c.transmit)
 	return c
 }
 
@@ -105,27 +101,18 @@ func (c *Channel) SetTargets(ts []msg.NodeID) {
 	if len(ts) == 0 {
 		return
 	}
-	c.targets = append([]msg.NodeID(nil), ts...)
-	for _, id := range c.targets {
-		if id == c.server {
-			return
-		}
+	c.targets = slices.Clone(ts)
+	if !slices.Contains(c.targets, c.server) {
+		c.server = c.targets[0]
 	}
-	c.server = c.targets[0]
 }
 
-// rotate advances to the next replica in the target set.
+// rotate advances to the next replica in the target set (to the first,
+// if the current target is not in it).
 func (c *Channel) rotate() {
-	if len(c.targets) < 2 {
-		return
+	if len(c.targets) > 1 {
+		c.server = c.targets[(slices.Index(c.targets, c.server)+1)%len(c.targets)]
 	}
-	for i, id := range c.targets {
-		if id == c.server {
-			c.server = c.targets[(i+1)%len(c.targets)]
-			return
-		}
-	}
-	c.server = c.targets[0]
 }
 
 // Epoch returns the channel's current registration epoch.
@@ -138,72 +125,65 @@ func (c *Channel) SetEpoch(e msg.Epoch) { c.epoch = e }
 func (c *Channel) Server() msg.NodeID { return c.server }
 
 // Pending returns the number of in-flight requests.
-func (c *Channel) Pending() int { return len(c.pending) }
+func (c *Channel) Pending() int { return c.calls.Len() }
 
 // Call sends req and invokes cb with the eventual reply. The request's
 // header is filled in by the channel. Retries continue indefinitely — an
 // isolated client keeps trying — until a reply arrives or CancelAll runs;
 // the lease machine, not the channel, decides when to give up.
 func (c *Channel) Call(req msg.Request, cb ReplyCallback) msg.ReqID {
-	c.nextReq++
-	id := c.nextReq
+	p := c.calls.Add(pendingCall{req: req, tC1: c.clock.Now(), cb: cb})
 	h := req.Hdr()
 	h.Client = c.self
-	h.Req = id
+	h.Req = p.ID
 	h.Epoch = c.epoch
-	p := &pendingCall{req: req, tC1: c.clock.Now(), cb: cb}
-	c.pending[id] = p
 	c.sent.Inc()
-	c.send(c.server, req)
-	c.retry.Add(&p.retry, p)
-	return id
+	c.calls.Send(p)
+	return p.ID
 }
 
-// retransmit resends a call its interval has passed without an answer.
-func (c *Channel) retransmit(p *pendingCall) {
-	p.tries++
-	c.retries.Inc()
-	if p.tries%redirectTries == 0 {
-		c.rotate() // the target may be dead; try a peer replica
+// transmit sends a call to the current target; a retransmission, every
+// few of which rotate the target, is counted as one.
+func (c *Channel) transmit(p *Call[pendingCall], retry bool) bool {
+	if retry {
+		c.retries.Inc()
+		if p.Tries%redirectTries == 0 {
+			c.rotate() // the target may be dead; try a peer replica
+		}
 	}
-	c.send(c.server, p.req)
-	c.retry.Add(&p.retry, p)
+	c.send(c.server, p.Val.req)
+	return true
 }
 
 // HandleReply dispatches a server Reply to its pending call. Duplicate or
 // unknown replies are dropped (the at-most-once IDs make this safe).
 func (c *Channel) HandleReply(r *msg.Reply) {
-	p, ok := c.pending[r.Req]
-	if !ok {
-		return
-	}
 	if r.Status == msg.NACK && r.Err == msg.ErrNotActive {
 		// A passive replica redirected us. This is neither a renewal nor a
 		// lease NACK — the authority never saw the request — so bypass the
 		// lease machine entirely: keep the call pending, rotate, resend.
-		c.redirs.Inc()
-		c.rotate()
-		c.send(c.server, p.req)
-		c.retry.Add(&p.retry, p)
-		return
-	}
-	delete(c.pending, r.Req)
-	c.retry.Remove(&p.retry)
-	if _, info := r.Body.(msg.ReplicaInfoRes); info {
-		// Operator role query: answered by ANY replica, so its ACK proves
-		// nothing about the authority hearing from us — lease-neutral.
-		if p.cb != nil {
-			p.cb(r)
+		if p := c.calls.Find(r.Req); p != nil {
+			c.redirs.Inc()
+			c.rotate()
+			c.calls.Send(p)
 		}
 		return
 	}
-	switch r.Status {
-	case msg.ACK:
+	call := c.calls.Take(r.Req)
+	if call == nil {
+		return
+	}
+	p := &call.Val
+	switch _, info := r.Body.(msg.ReplicaInfoRes); {
+	case info:
+		// Operator role query: answered by ANY replica, so its ACK proves
+		// nothing about the authority hearing from us — lease-neutral.
+	case r.Status == msg.ACK:
 		c.acks.Inc()
 		if c.lease != nil {
 			c.lease.Renewed(p.tC1)
 		}
-	case msg.NACK:
+	case r.Status == msg.NACK:
 		c.nacksC.Inc()
 		if c.lease != nil && p.req.Hdr().Epoch == c.epoch {
 			c.lease.NACKed()
@@ -214,26 +194,16 @@ func (c *Channel) HandleReply(r *msg.Reply) {
 	}
 }
 
-// CancelAll aborts every pending call (their callbacks receive nil). The
-// owner calls this when the lease expires: outstanding operations are
-// dead, and recovery starts from a clean channel. Cancellation callbacks
-// can issue new calls (recovery begins immediately); those survive —
-// only calls pending at entry (and anything cancelled transitively) are
-// aborted, via snapshots rather than iteration over a mutating map.
+// CancelAll aborts every pending call, in the order they were issued
+// (their callbacks receive nil). The owner calls this when the lease
+// expires: outstanding operations are dead, and recovery starts from a
+// clean channel. Cancellation callbacks can issue new calls (recovery
+// begins immediately); those survive — only calls pending at entry are
+// aborted (Calls.Cancel).
 func (c *Channel) CancelAll() {
-	victims := make([]msg.ReqID, 0, len(c.pending))
-	for id := range c.pending {
-		victims = append(victims, id)
-	}
-	for _, id := range victims {
-		p, ok := c.pending[id]
-		if !ok {
-			continue
+	c.calls.Cancel(func(p *Call[pendingCall]) {
+		if p.Val.cb != nil {
+			p.Val.cb(nil)
 		}
-		delete(c.pending, id)
-		c.retry.Remove(&p.retry)
-		if p.cb != nil {
-			p.cb(nil)
-		}
-	}
+	})
 }

@@ -138,7 +138,7 @@ func (s *Server) stealAndFence(client msg.NodeID, fence bool) {
 // none wanted). It returns how many disks it asked.
 func (s *Server) fence(target msg.NodeID, below msg.Epoch, answered func(msg.Message, msg.Errno)) int {
 	for _, d := range s.cfg.FenceDisks {
-		s.sanSend(d, func(req msg.ReqID) msg.Message {
+		s.sanSend(d, func(req msg.ReqID, _ msg.Epoch) msg.Message {
 			return &msg.FenceSet{Admin: s.id, Req: req, Authority: s.authority, Target: target, Below: below}
 		}, answered)
 	}

@@ -1,52 +1,17 @@
 package server
 
 import (
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
-// sanCall is one server-initiated SAN request (fence administration, or
-// function-ship disk I/O). The SAN is a datagram fabric too, so these
-// retry until answered.
-type sanCall struct {
-	id    msg.ReqID
-	disk  msg.NodeID
-	build func(req msg.ReqID) msg.Message
-	cb    func(reply msg.Message, errno msg.Errno)
-	retry sim.Retry[*sanCall]
-}
-
-// sanSend issues a SAN request. cb may be nil (fire-and-forget fences).
-func (s *Server) sanSend(d msg.NodeID, build func(req msg.ReqID) msg.Message,
+// sanSend issues a SAN request of the server's own — a fence, or
+// function-ship disk I/O — stamped with epoch 0 (DESIGN §25) and retried
+// until answered. cb may be nil (fire-and-forget fences).
+func (s *Server) sanSend(d msg.NodeID, build func(req msg.ReqID, _ msg.Epoch) msg.Message,
 	cb func(reply msg.Message, errno msg.Errno)) {
-	s.nextSANReq++
-	call := &sanCall{id: s.nextSANReq, disk: d, build: build, cb: cb}
-	s.sanPending[call.id] = call
-	s.transmitSAN(call)
-}
-
-// transmitSAN sends call and queues its retransmission; it is also the
-// retransmission, when the interval passes without an answer.
-func (s *Server) transmitSAN(call *sanCall) {
-	if s.stopped {
-		return
-	}
-	s.san(call.disk, call.build(call.id))
-	s.sanRetry.Add(&call.retry, call)
-}
-
-// handleSANReply completes a pending SAN call.
-func (s *Server) handleSANReply(req msg.ReqID, reply msg.Message, errno msg.Errno) {
-	call, ok := s.sanPending[req]
-	if !ok {
-		return
-	}
-	delete(s.sanPending, req)
-	s.sanRetry.Remove(&call.retry)
-	if call.cb != nil {
-		call.cb(reply, errno)
-	}
+	s.sanCalls.Send(s.sanCalls.Add(core.SANCall{Disk: d, Build: build, Done: cb}))
 }
 
 // funcRead serves file data through the server (function-ship baseline).
@@ -77,7 +42,7 @@ func (s *Server) funcRead(client msg.NodeID, id msg.ReqID, m *msg.FuncRead) {
 		return
 	}
 	ref := in.Map.At(idx)
-	s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
+	s.sanSend(ref.Disk, func(req msg.ReqID, _ msg.Epoch) msg.Message {
 		return &msg.DiskRead{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num}
 	}, func(reply msg.Message, errno msg.Errno) {
 		if errno != msg.OK {
@@ -120,7 +85,7 @@ func (s *Server) funcWrite(client msg.NodeID, id msg.ReqID, m *msg.FuncWrite) {
 	write := func() {
 		ref := in.Map.At(idx)
 		s.dataBytes.Add(uint64(len(data)))
-		s.sanSend(ref.Disk, func(req msg.ReqID) msg.Message {
+		s.sanSend(ref.Disk, func(req msg.ReqID, _ msg.Epoch) msg.Message {
 			return &msg.DiskWrite{Client: s.id, Authority: s.authority, Req: req, Block: ref.Num, Data: data}
 		}, func(reply msg.Message, errno msg.Errno) {
 			if errno != msg.OK {

@@ -116,7 +116,6 @@ type Server struct {
 	cfg       Config
 	clock     sim.Clock
 	ctrl      Sender
-	san       Sender
 
 	store  *meta.Store
 	locks  *lock.Table
@@ -139,18 +138,14 @@ type Server struct {
 	// nextHandle numbers the handles Open returns; the server keeps no
 	// table of them.
 	nextHandle msg.Handle
-	// The retransmission queues of demands, SAN requests and handoffs.
+	// The retransmission queues of demands and handoffs; the SAN calls.
 	demandRetry  *sim.Retries[*pendingDemand]
-	sanRetry     *sim.Retries[*sanCall]
+	sanCalls     *core.Calls[core.SANCall]
 	handoffRetry *sim.Retries[*pendingHandoff]
 	// rejoining is the client whose Rejoin is being handled, if any.
 	rejoining msg.NodeID
 	// learning is the round learnFloor has out, which Rejoins wait on.
 	learning *floorRound
-
-	// Server-side SAN requests (fencing, function-ship I/O).
-	sanPending map[msg.ReqID]*sanCall
-	nextSANReq msg.ReqID
 
 	// Outbound cross-shard handoffs awaiting the destination's answer
 	// (shard.go), keyed by durable handoff ID.
@@ -212,17 +207,15 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	}
 	prefix := "server."
 	s := &Server{
-		id:         id,
-		authority:  id,
-		cfg:        cfg,
-		clock:      clock,
-		ctrl:       ctrl,
-		san:        san,
-		store:      meta.NewStore(meta.NewAllocator(cfg.Disks)),
-		rcache:     core.NewReplyCache(replyCacheKeep, reg, prefix),
-		peers:      make(map[msg.NodeID]*peer),
-		sanPending: make(map[msg.ReqID]*sanCall),
-		handoffs:   make(map[uint64]*pendingHandoff),
+		id:        id,
+		authority: id,
+		cfg:       cfg,
+		clock:     clock,
+		ctrl:      ctrl,
+		store:     meta.NewStore(meta.NewAllocator(cfg.Disks)),
+		rcache:    core.NewReplyCache(replyCacheKeep, reg, prefix),
+		peers:     make(map[msg.NodeID]*peer),
+		handoffs:  make(map[uint64]*pendingHandoff),
 
 		reg:           reg,
 		transactions:  reg.Counter(prefix + "transactions"),
@@ -263,7 +256,7 @@ func New(id msg.NodeID, cfg Config, clock sim.Clock, ctrl, san Sender,
 	}
 	s.grantsDirs = cfg.Policy.CachesNames()
 	s.demandRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.retransmitDemand)
-	s.sanRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitSAN)
+	s.sanCalls = core.NewSANCalls(0, clock, cfg.Core.RetryInterval, san, func() bool { return !s.stopped })
 	s.handoffRetry = sim.NewRetries(clock, cfg.Core.RetryInterval, s.transmitHandoff)
 	s.locks = lock.NewTable(demanderFunc(s.sendDemand))
 	s.auth = core.NewAuthority(cfg.Core, clock, authorityActions{s},
@@ -439,9 +432,7 @@ func (s *Server) DeliverSAN(env msg.Envelope) {
 	if s.stopped {
 		return
 	}
-	if req, errno, ok := msg.SANReplyReq(env.Payload); ok {
-		s.handleSANReply(req, env.Payload, errno)
-	}
+	core.Answer(s.sanCalls, env.Payload)
 }
 
 // send wraps the control-network sender with accounting. It commits the
