@@ -14,10 +14,12 @@ import (
 // fenceRig is one server, client 10 and two in-memory disks on a SAN
 // with a fixed latency. sanSent counts what the server sends on the SAN.
 type fenceRig struct {
-	sched   *sim.Scheduler
-	s       *Server
-	disks   map[msg.NodeID]*disk.Disk
-	acks    []msg.RejoinRes
+	sched *sim.Scheduler
+	s     *Server
+	disks map[msg.NodeID]*disk.Disk
+	acks  []msg.RejoinRes
+	// acked is the client each of acks went to.
+	acked   []msg.NodeID
 	sanSent int
 	// answer is what a disk said to the client's last request.
 	answer msg.Errno
@@ -34,9 +36,10 @@ func newFenceRig(t *testing.T, store *meta.Store, disks map[msg.NodeID]*disk.Dis
 		caps[id] = 64
 	}
 	ctrl := func(to msg.NodeID, m msg.Message) {
-		if rep, ok := m.(*msg.Reply); ok && to == rigClient {
+		if rep, ok := m.(*msg.Reply); ok {
 			if res, ok := rep.Body.(msg.RejoinRes); ok {
 				r.acks = append(r.acks, res)
+				r.acked = append(r.acked, to)
 			}
 		}
 	}
@@ -148,4 +151,47 @@ func TestForgetfulServerMintsAboveItsFences(t *testing.T) {
 	if errno := r.write(r.acks[0].Epoch); errno != msg.OK {
 		t.Fatalf("the rejoined client's write: %v", errno)
 	}
+}
+
+// TestParkedRejoinsAreAnsweredInClientOrder: a forgetful server parks
+// every Rejoin that arrives before the disks have told it their fences'
+// floor, and answers them once the last disk has. Each answer mints an
+// epoch and sends a reply, so the order is behaviour: a run replayed from
+// its seed must mint the same epoch for the same client. The parked
+// Rejoins are answered in ascending client ID, whatever order they came
+// in, on every run.
+func TestParkedRejoinsAreAnsweredInClientOrder(t *testing.T) {
+	clients := []msg.NodeID{13, 10, 15, 11, 14, 12}
+	for run := 0; run < 20; run++ {
+		var r *fenceRig
+		r = newFenceRig(t, nil, newDisks(&r))
+		if len(r.s.cfg.FenceDisks) < 2 {
+			t.Fatalf("%d fence disks, want at least 2", len(r.s.cfg.FenceDisks))
+		}
+		for _, id := range clients {
+			r.s.Deliver(msg.Envelope{From: id, To: 1,
+				Payload: &msg.Rejoin{ReqHeader: msg.ReqHeader{Client: id, Req: 1}}})
+		}
+		if len(r.acks) != 0 {
+			t.Fatalf("run %d: %d Rejoins answered before the disks were", run, len(r.acks))
+		}
+		r.sched.RunFor(time.Millisecond)
+		if len(r.acks) != len(clients) {
+			t.Fatalf("run %d: %d Rejoins answered, want %d", run, len(r.acks), len(clients))
+		}
+		for i := 1; i < len(r.acks); i++ {
+			if r.acked[i] <= r.acked[i-1] || r.acks[i].Epoch <= r.acks[i-1].Epoch {
+				t.Fatalf("run %d: answered %v with epochs %v, want ascending client IDs minting ascending epochs",
+					run, r.acked, epochsOf(r.acks))
+			}
+		}
+	}
+}
+
+func epochsOf(acks []msg.RejoinRes) []msg.Epoch {
+	var es []msg.Epoch
+	for _, a := range acks {
+		es = append(es, a.Epoch)
+	}
+	return es
 }
