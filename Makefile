@@ -71,7 +71,10 @@ lint:
 # connection buffer, double-Put panics with the first Put's stack and an
 # Envelope.Release past its borrow panics: dynamic cross-validation of
 # bufown's three rules, which the static pass proves per path, and of
-# the derived table of frames that alias nothing. Last, ten seconds each
+# the derived table of frames that alias nothing. The same build poisons
+# what the cache and the tables of retransmitted requests park for
+# reuse — a page header, an object record, a call entry — so that a
+# holder that kept one past its removal panics on its next use. Last, ten seconds each
 # of fuzzing the wire decoder and the codec's frame parser (frames cut at
 # chosen read boundaries, straddling reads and outgrowing the buffer),
 # both seeded from every type's golden frame: the one piece of the tree

@@ -27,6 +27,10 @@
 //	    (Disk).mediaFailed) must emit a trace event lexically before
 //	    every reply send and every non-empty return: the event is part
 //	    of the error path's contract, not decoration
+//	T3  configured cancellation functions ((Channel).CancelAll,
+//	    (Client).cancelCalls) must emit a trace event in every
+//	    callback they hand to a Cancel call, so that each request
+//	    given up unanswered shows on the bus (trace.EvCancel)
 package traceexhaustive
 
 import (
@@ -62,6 +66,14 @@ var emitFuncs = map[string]bool{
 	"disk.Disk.mediaFailed": true,
 }
 
+// cancelFuncs names, like emitFuncs, the functions that give up
+// requests unanswered: each callback they hand to a Cancel call must
+// emit.
+var cancelFuncs = map[string]bool{
+	"core.Channel.CancelAll":    true,
+	"client.Client.cancelCalls": true,
+}
+
 func run(pass *analysis.Pass) error {
 	base := analysis.PkgBase(pass.Pkg.Path())
 	if enumPkgs[base] {
@@ -69,6 +81,20 @@ func run(pass *analysis.Pass) error {
 	}
 	checkEmitBeforeError(pass, base)
 	return nil
+}
+
+// isEmit reports whether call calls a trace emit (a method or function
+// named emit, trace or Emit).
+func isEmit(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil {
+		return false
+	}
+	switch fn.Name() {
+	case "emit", "trace", "Emit":
+		return true
+	}
+	return false
 }
 
 // --- T1: enum mapping exhaustiveness ---------------------------------------
@@ -191,10 +217,12 @@ func checkEmitBeforeError(pass *analysis.Pass, base string) {
 				continue
 			}
 			key := base + "." + recvNamed.Obj().Name() + "." + fd.Name.Name
-			if !emitFuncs[key] {
-				continue
+			if emitFuncs[key] {
+				checkFuncEmits(pass, fd, key)
 			}
-			checkFuncEmits(pass, fd, key)
+			if cancelFuncs[key] {
+				checkCancelEmits(pass, fd, key)
+			}
 		}
 	}
 }
@@ -211,13 +239,10 @@ func checkFuncEmits(pass *analysis.Pass, fd *ast.FuncDecl, key string) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := analysis.Callee(pass.TypesInfo, n); fn != nil {
-				switch fn.Name() {
-				case "emit", "trace", "Emit":
-					emits = append(emits, n.Pos())
-				case "send", "Send":
-					exits = append(exits, errExit{n.Pos(), "reply send"})
-				}
+			if isEmit(pass, n) {
+				emits = append(emits, n.Pos())
+			} else if fn := analysis.Callee(pass.TypesInfo, n); fn != nil && (fn.Name() == "send" || fn.Name() == "Send") {
+				exits = append(exits, errExit{n.Pos(), "reply send"})
 			}
 		case *ast.ReturnStmt:
 			if len(n.Results) > 0 {
@@ -240,4 +265,39 @@ func checkFuncEmits(pass *analysis.Pass, fd *ast.FuncDecl, key string) {
 				exit.what, key)
 		}
 	}
+}
+
+// --- T3: every cancellation is traced ----------------------------------------
+
+// checkCancelEmits verifies that every function literal fd hands to a
+// call of a method named Cancel emits a trace event.
+func checkCancelEmits(pass *analysis.Pass, fd *ast.FuncDecl, key string) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn := analysis.Callee(pass.TypesInfo, call); fn == nil || fn.Name() != "Cancel" {
+			return true
+		}
+		for _, arg := range call.Args {
+			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			emits := false
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok && isEmit(pass, c) {
+					emits = true
+				}
+				return !emits
+			})
+			if !emits {
+				pass.Reportf(lit.Pos(),
+					"cancellation callback in %s without a trace emit: every request given up unanswered must show on the trace bus (trace.EvCancel)",
+					key)
+			}
+		}
+		return true
+	})
 }

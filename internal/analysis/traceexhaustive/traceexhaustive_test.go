@@ -8,5 +8,5 @@ import (
 )
 
 func TestTraceExhaustive(t *testing.T) {
-	analysistest.Run(t, traceexhaustive.Analyzer, "trace", "server", "disk")
+	analysistest.Run(t, traceexhaustive.Analyzer, "trace", "server", "disk", "core")
 }

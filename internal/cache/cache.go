@@ -69,6 +69,18 @@ type Page struct {
 func (p *Page) Bytes() []byte { return p.blk.data }
 
 // Object is the cached state for one file.
+//
+// The record is recycled like a page header: Drop (and InvalidateAll,
+// through it) empties it and parks it on the Cache, and the next Ensure
+// of any file takes it back. A *Object is valid until the next Drop or
+// InvalidateAll; outside this package no type, field or package variable
+// holds one and no function literal captures one
+// (TestNoPageOutlivesItsLookup). A record whose page table grew past
+// maxParkedEntries is not parked, nor is one beyond maxSpareObjects:
+// clear keeps a map's storage, and a dropped large file must not pin it.
+// Under -tags tankdebug a parked record is poisoned: its Attr's Ino and
+// Size read 0xDB…, and Page, Evicted, DirtyCount and filing a page in it
+// panic.
 type Object struct {
 	Attr msg.Attr
 	// Map is the cached block map, as runs (valid while a data lock is
@@ -85,25 +97,51 @@ type Object struct {
 	HaveMap  bool
 	// evicted records that eviction has taken one of the object's pages
 	// since the object entered the cache.
-	evicted   bool
+	evicted bool
+	// big records that pages held more than maxParkedEntries at some
+	// point: the record is not parked. (dirtyKeys holds a subset of
+	// pages' keys, so it never grows past pages.)
+	big bool
+	// parked marks a parked record under tankdebug.
+	parked    bool
 	pages     map[uint64]*Page // index in file → page
 	dirtyKeys map[uint64]bool
 }
 
-func newObject() *Object {
-	return &Object{pages: make(map[uint64]*Page), dirtyKeys: make(map[uint64]bool)}
-}
+// maxParkedEntries bounds the page table of a record Drop parks, and
+// maxSpareObjects the number of records a Cache keeps parked.
+const (
+	maxParkedEntries = 64
+	maxSpareObjects  = 64
+)
 
 // Page returns the cached page at file-block index idx, or nil.
-func (o *Object) Page(idx uint64) *Page { return o.pages[idx] }
+func (o *Object) Page(idx uint64) *Page {
+	o.mustBeLive()
+	return o.pages[idx]
+}
 
 // Evicted reports whether eviction has taken one of the object's pages
 // since it entered the cache: the file does not fit beside what else the
 // cache holds. The record goes with the object, at Drop or InvalidateAll.
-func (o *Object) Evicted() bool { return o.evicted }
+func (o *Object) Evicted() bool {
+	o.mustBeLive()
+	return o.evicted
+}
 
 // DirtyCount returns the number of dirty pages.
-func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
+func (o *Object) DirtyCount() int {
+	o.mustBeLive()
+	return len(o.dirtyKeys)
+}
+
+// mustBeLive panics, under tankdebug, if o is parked: its holder kept it
+// past a Drop.
+func (o *Object) mustBeLive() {
+	if bufpool.Debug && o.parked {
+		panic("cache: a dropped object record was used")
+	}
+}
 
 // Cache is one protocol instance's object table over its machine's page
 // store, which every lease authority's instance shares (Sibling). The
@@ -116,6 +154,8 @@ func (o *Object) DirtyCount() int { return len(o.dirtyKeys) }
 // would lose acknowledged writes) and live off the ring entirely.
 type Cache struct {
 	objects map[msg.ObjectID]*Object
+	// spare holds the records Drop parked, for Ensure.
+	spare []*Object
 	*store
 }
 
@@ -239,8 +279,9 @@ func (s *store) release(p *Page) {
 	s.sparePages = p
 }
 
-// poisonPage is what a parked header's Ver and index read under
-// tankdebug: the bytes bufpool poisons a released buffer with.
+// poisonPage is what a parked header's Ver and index, and a parked
+// record's Attr.Ino and Attr.Size, read under tankdebug: the bytes
+// bufpool poisons a released buffer with.
 const poisonPage = 0xDBDB_DBDB_DBDB_DBDB
 
 // newPage files a fresh header for block idx of o, from the free list
@@ -253,7 +294,11 @@ func (s *store) newPage(o *Object, idx uint64, blk *block) *Page {
 		s.sparePages = p.next
 	}
 	*p = Page{blk: blk, obj: o, idx: idx}
+	o.mustBeLive()
 	o.pages[idx] = p
+	if len(o.pages) > maxParkedEntries {
+		o.big = true
+	}
 	s.resident++
 	return p
 }
@@ -284,11 +329,17 @@ func (s *store) evictIfNeeded() {
 // Object returns the instance's cached object, or nil.
 func (c *Cache) Object(ino msg.ObjectID) *Object { return c.objects[ino] }
 
-// Ensure returns the object's cache entry, creating it if absent.
+// Ensure returns the object's cache entry, creating it if absent: a
+// parked record if the Cache has one.
 func (c *Cache) Ensure(ino msg.ObjectID) *Object {
 	o := c.objects[ino]
 	if o == nil {
-		o = newObject()
+		if n := len(c.spare); n > 0 {
+			o, c.spare = c.spare[n-1], c.spare[:n-1]
+			*o = Object{pages: o.pages, dirtyKeys: o.dirtyKeys}
+		} else {
+			o = &Object{pages: make(map[uint64]*Page), dirtyKeys: make(map[uint64]bool)}
+		}
 		c.objects[ino] = o
 	}
 	return o
@@ -514,6 +565,16 @@ func (c *Cache) Drop(ino msg.ObjectID) {
 	}
 	delete(c.objects, ino)
 	c.invals.Inc()
+	if o.big || len(c.spare) == maxSpareObjects {
+		return
+	}
+	clear(o.pages)
+	clear(o.dirtyKeys)
+	*o = Object{pages: o.pages, dirtyKeys: o.dirtyKeys}
+	if bufpool.Debug {
+		o.Attr.Ino, o.Attr.Size, o.parked = poisonPage, poisonPage, true
+	}
+	c.spare = append(c.spare, o)
 }
 
 // InvalidateAll drops the instance's objects (lease expiry), leaving other

@@ -286,3 +286,96 @@ func TestRemovedPageHeaderIsReused(t *testing.T) {
 		t.Fatalf("refill: page %p %+v, want header %p reused", q, *q, p)
 	}
 }
+
+// TestDroppedObjectRecordIsReused: Drop parks the object's record and
+// the next Ensure, of any file, takes it back as a zero record with
+// empty page tables, whatever the one dropped held. Under tankdebug the
+// parked record reads poison until then, and using it panics. A record
+// whose page table outgrew maxParkedEntries is not parked.
+func TestDroppedObjectRecordIsReused(t *testing.T) {
+	c := New(nil, "")
+	c.Fill(1, 0, []byte("a"), 1)
+	c.Write(1, 1, []byte("b"), 2)
+	o := c.Object(1)
+	o.Attr, o.HaveAttr = msg.Attr{Ino: 1, Size: 8192, Version: 3}, true
+	o.Map, o.HaveMap, o.Fetched = msg.Extents{{Disk: 1000, Start: 7, Len: 2}}, true, 1
+	o.evicted = true
+	c.Drop(1)
+	if bufpool.Debug {
+		if o.Attr.Ino != poisonPage || o.Attr.Size != poisonPage || !o.parked {
+			t.Errorf("parked record not poisoned: %+v", o.Attr)
+		}
+		for name, use := range map[string]func(){
+			"Page": func() { o.Page(0) }, "Evicted": func() { o.Evicted() }, "DirtyCount": func() { o.DirtyCount() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s of a parked record did not panic", name)
+					}
+				}()
+				use()
+			}()
+		}
+	}
+	q := c.Ensure(2)
+	if q != o {
+		t.Fatalf("Ensure made record %p, want the parked %p", q, o)
+	}
+	if q.HaveAttr || q.HaveMap || q.Fetched != 0 || q.Evicted() || q.Attr != (msg.Attr{}) || q.Map.Len() != 0 ||
+		len(q.pages) != 0 || len(q.dirtyKeys) != 0 || q.DirtyCount() != 0 {
+		t.Fatalf("the reused record is not zero: %+v", *q)
+	}
+	if c.Object(1) != nil || c.ResidentPages() != 0 || c.TotalDirty() != 0 {
+		t.Fatal("the dropped object left something behind")
+	}
+
+	for idx := uint64(0); idx <= maxParkedEntries; idx++ {
+		c.Fill(2, idx, []byte{byte(idx)}, 1)
+	}
+	c.DropPagesFrom(2, 1) // the table keeps its size once it has grown
+	c.Drop(2)
+	if c.Ensure(3) == o {
+		t.Fatal("a record whose page table grew past the bound was parked")
+	}
+	for ino := msg.ObjectID(10); ino < 10+2*maxSpareObjects; ino++ {
+		c.Ensure(ino)
+	}
+	c.InvalidateAll()
+	if len(c.spare) != maxSpareObjects {
+		t.Fatalf("%d records parked, want the bound %d", len(c.spare), maxSpareObjects)
+	}
+}
+
+// raceOn is set in a build with the race detector (race_on_test.go).
+var raceOn bool
+
+// TestHandoffCycleAllocs pins what a lock handoff does to the cache of
+// the client that gives the file up and takes it back: Drop, Ensure,
+// Fill, Write and MarkClean allocate nothing once a record and a page
+// header are parked.
+func TestHandoffCycleAllocs(t *testing.T) {
+	if bufpool.Debug {
+		t.Skip("tankdebug hooks allocate by design")
+	}
+	if raceOn {
+		t.Skip("the count is not repeatable under the race detector")
+	}
+	c := New(nil, "")
+	data := make([]byte, 4096)
+	ino := msg.ObjectID(1)
+	cycle := func() {
+		c.Drop(ino)
+		ino++
+		c.Ensure(ino).HaveAttr = true
+		data[0]++
+		c.Fill(ino, 0, data, 1)
+		data[0]++
+		c.Write(ino, 0, data, 2)
+		c.MarkClean(ino, 0)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Errorf("Drop/Ensure/Fill/Write/MarkClean: %v allocs, want 0", got)
+	}
+}

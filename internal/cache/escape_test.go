@@ -11,45 +11,59 @@ import (
 
 const cachePath = "repro/internal/cache"
 
-// isPage reports whether t is *cache.Page.
-func isPage(t types.Type) bool {
+// isCacheType reports whether t is a pointer to the package-cache type
+// named name.
+func isCacheType(t types.Type, name string) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	n, ok := p.Elem().(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == cachePath && n.Obj().Name() == "Page"
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == cachePath && n.Obj().Name() == name
 }
+
+// isPage reports whether t is *cache.Page, isObject whether it is
+// *cache.Object.
+func isPage(t types.Type) bool   { return isCacheType(t, "Page") }
+func isObject(t types.Type) bool { return isCacheType(t, "Object") }
 
 // holdsPage reports whether a value of type t can hold a *Page: t is
 // one, or is built of one without naming another type (a named type is
 // checked where it is declared).
-func holdsPage(t types.Type) bool {
-	if isPage(t) {
+func holdsPage(t types.Type) bool { return holds(t, isPage, true) }
+
+// holdsObject is holdsPage for *Object, except that a function type
+// holds nothing: a record may be passed down a call, not kept.
+func holdsObject(t types.Type) bool { return holds(t, isObject, false) }
+
+// holds reports whether a value of type t can hold a value that is
+// accepts, looking into signatures if sigs is set.
+func holds(t types.Type, is func(types.Type) bool, sigs bool) bool {
+	if is(t) {
 		return true
 	}
 	switch u := t.(type) {
 	case *types.Pointer:
-		return holdsPage(u.Elem())
+		return holds(u.Elem(), is, sigs)
 	case *types.Slice:
-		return holdsPage(u.Elem())
+		return holds(u.Elem(), is, sigs)
 	case *types.Array:
-		return holdsPage(u.Elem())
+		return holds(u.Elem(), is, sigs)
 	case *types.Map:
-		return holdsPage(u.Key()) || holdsPage(u.Elem())
+		return holds(u.Key(), is, sigs) || holds(u.Elem(), is, sigs)
 	case *types.Chan:
-		return holdsPage(u.Elem())
+		return holds(u.Elem(), is, sigs)
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if holdsPage(u.Field(i).Type()) {
+			if holds(u.Field(i).Type(), is, sigs) {
 				return true
 			}
 		}
 	case *types.Signature:
-		return holdsPage(u.Params()) || holdsPage(u.Results())
+		return sigs && (holds(u.Params(), is, sigs) || holds(u.Results(), is, sigs))
 	case *types.Tuple:
 		for i := 0; i < u.Len(); i++ {
-			if holdsPage(u.At(i).Type()) {
+			if holds(u.At(i).Type(), is, sigs) {
 				return true
 			}
 		}
@@ -58,11 +72,14 @@ func holdsPage(t types.Type) bool {
 }
 
 // removes names the Cache methods that can take a page away, and so
-// recycle its header.
-var removes = map[string]bool{
-	"Fill": true, "FillPrefetched": true, "Write": true, "MarkClean": true,
-	"DropPagesFrom": true, "Drop": true, "InvalidateAll": true,
-}
+// recycle its header; drops those that can take an object record away.
+var (
+	removes = map[string]bool{
+		"Fill": true, "FillPrefetched": true, "Write": true, "MarkClean": true,
+		"DropPagesFrom": true, "Drop": true, "InvalidateAll": true,
+	}
+	drops = map[string]bool{"Drop": true, "InvalidateAll": true}
+)
 
 // cacheFunc returns the package-cache function or method call calls, or
 // nil.
@@ -122,12 +139,19 @@ func allowedUse(info *types.Info, parent ast.Node, id *ast.Ident) bool {
 //
 // Calls that remove pages further down the stack are not followed; the
 // holders make none between the lookup and their last use.
+//
+// An object record is recycled at Drop as a header is at removal (Object's
+// doc), so a *Object is held to the same rules but two: it may be passed
+// down a call, as a local's value is, and a signature may name it. No
+// type, field or package variable holds one, no function literal captures
+// one, and none is used after a direct Drop or InvalidateAll in the
+// function that holds it.
 func TestNoPageOutlivesItsLookup(t *testing.T) {
 	pkgs, fset, err := driver.Load("../..", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uses := 0
+	uses, objUses := 0, 0
 	for _, p := range pkgs {
 		if p.PkgPath == cachePath {
 			continue
@@ -139,9 +163,15 @@ func TestNoPageOutlivesItsLookup(t *testing.T) {
 				if holdsPage(o.Type().Underlying()) {
 					t.Errorf("%v: type %s holds a *cache.Page", fset.Position(id.Pos()), o.Name())
 				}
+				if holdsObject(o.Type().Underlying()) {
+					t.Errorf("%v: type %s holds a *cache.Object", fset.Position(id.Pos()), o.Name())
+				}
 			case *types.Var:
 				if (o.IsField() || o.Parent() == p.Types.Scope()) && holdsPage(o.Type()) {
 					t.Errorf("%v: %s holds a *cache.Page", fset.Position(id.Pos()), o.Name())
+				}
+				if (o.IsField() || o.Parent() == p.Types.Scope()) && holdsObject(o.Type()) {
+					t.Errorf("%v: %s holds a *cache.Object", fset.Position(id.Pos()), o.Name())
 				}
 			case *types.Func:
 				if holdsPage(o.Type()) {
@@ -154,8 +184,8 @@ func TestNoPageOutlivesItsLookup(t *testing.T) {
 			v   *types.Var
 			pos token.Pos
 		}
-		var used []use
-		removals := map[ast.Node][]token.Pos{}
+		var used, objUsed []use
+		removals, dropped := map[ast.Node][]token.Pos{}, map[ast.Node][]token.Pos{}
 		for _, f := range p.Files {
 			var stack []ast.Node
 			fnOf := func() ast.Node {
@@ -182,8 +212,19 @@ func TestNoPageOutlivesItsLookup(t *testing.T) {
 					if fn := cacheFunc(info, n); fn != nil && removes[fn.Name()] {
 						removals[fnOf()] = append(removals[fnOf()], n.Pos())
 					}
+					if fn := cacheFunc(info, n); fn != nil && drops[fn.Name()] {
+						dropped[fnOf()] = append(dropped[fnOf()], n.Pos())
+					}
 				case *ast.Ident:
 					v, ok := info.Uses[n].(*types.Var)
+					if ok && !v.IsField() && isObject(v.Type()) {
+						objUses++
+						fn := fnOf()
+						if v.Pos() < fn.Pos() || v.Pos() > fn.End() {
+							t.Errorf("%v: a function literal captures *cache.Object %s", fset.Position(n.Pos()), n.Name)
+						}
+						objUsed = append(objUsed, use{fn, v, n.Pos()})
+					}
 					if !ok || v.IsField() || !isPage(v.Type()) {
 						break
 					}
@@ -208,9 +249,18 @@ func TestNoPageOutlivesItsLookup(t *testing.T) {
 				}
 			}
 		}
+		for _, u := range objUsed {
+			for _, r := range dropped[u.fn] {
+				if u.v.Pos() < r && r < u.pos {
+					t.Errorf("%v: *cache.Object %s used after the cache call at %v, which can park it",
+						fset.Position(u.pos), u.v.Name(), fset.Position(r))
+				}
+			}
+		}
 	}
-	if uses == 0 {
-		t.Fatal("found no use of a *cache.Page outside the package: the check is vacuous")
+	if uses == 0 || objUses == 0 {
+		t.Fatalf("found %d uses of a *cache.Page and %d of a *cache.Object outside the package: the check is vacuous",
+			uses, objUses)
 	}
-	t.Logf("%d uses of a *cache.Page outside the package checked", uses)
+	t.Logf("%d uses of a *cache.Page and %d of a *cache.Object outside the package checked", uses, objUses)
 }

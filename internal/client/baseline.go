@@ -269,11 +269,10 @@ func (s shipped) read(c *Client, ino msg.ObjectID, idx uint64, cb DataCallback) 
 			return
 		}
 		c.obj(ino).base = c.clock.Now()
-		o := c.cache.Ensure(ino)
-		if o.HaveAttr && o.Attr.Version != attr.Version {
+		if o := c.cache.Object(ino); o != nil && o.HaveAttr && o.Attr.Version != attr.Version {
 			c.cache.Drop(ino) // file changed: invalidate pages
-			o = c.cache.Ensure(ino)
 		}
+		o := c.cache.Ensure(ino)
 		o.Attr = attr
 		o.HaveAttr = true
 		fetch()

@@ -358,11 +358,11 @@ func (c *Client) DeliverSAN(env msg.Envelope) {
 	// pool never gets it back (the garbage collector does). A plain slice
 	// rather than a release closure: flushing allocates nothing per page
 	// beyond the message itself.
-	p, errno := core.Answer(c.sanCalls, env.Payload)
-	if p != nil && p.Val.Buf != nil && p.Tries == 0 {
+	p, errno, ok := core.Answer(c.sanCalls, env.Payload)
+	if ok && p.Val.Buf != nil && p.Tries == 0 {
 		bufpool.Put(p.Val.Buf)
 	}
-	if p != nil && errno == msg.ErrFenced {
+	if ok && errno == msg.ErrFenced {
 		// Discovering the fence is how a fenced client learns anything at
 		// all (§2.1); the lease hears of it once the caller has.
 		c.fencedIO.Inc()
@@ -402,12 +402,14 @@ func (c *Client) sanCall(d msg.NodeID, build func(req msg.ReqID, epoch msg.Epoch
 }
 
 // cancelCalls cancels every control call in flight, then every SAN call
-// (with msg.ErrStale), each in the order they were issued. It never
-// recycles a payload buffer: a cancelled request's send (or a duplicate in
-// a disk's service queue) may still alias it. The buffers are garbage.
+// (with msg.ErrStale), each in the order they were issued, and traces
+// each (EvCancel). It never recycles a payload buffer: a cancelled
+// request's send (or a duplicate in a disk's service queue) may still
+// alias it. The buffers are garbage.
 func (c *Client) cancelCalls() {
 	c.chn.CancelAll()
-	c.sanCalls.Cancel(func(p *core.Call[core.SANCall]) {
+	c.sanCalls.Cancel(func(p core.Call[core.SANCall]) {
+		c.emit(trace.Event{Type: trace.EvCancel, Req: p.ID, Peer: p.Val.Disk, Note: "san"})
 		if p.Val.Done != nil {
 			p.Val.Done(nil, msg.ErrStale)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -584,31 +585,40 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("non-deterministic: msgs %d vs %d, events %d vs %d", s1, s2, f1, f2)
 	}
 
-	// The cancel path replays as well: client 0 loses the SAN with two
-	// block reads in flight and then the control network with two lookups
-	// in flight, and its lease expires with all four. Two runs trace the
-	// same events in the same order.
+	// The cancel path replays as well: client 0 loses the SAN with reads
+	// of two files in flight and then the control network with two lookups
+	// in flight, and its lease expires with all four. Each table cancels
+	// in the order it issued, so each traces its cancellations in
+	// ascending request ID. Two runs trace the same events in the same
+	// order.
 	cancelled := func() (sum [sha256.Size]byte) {
 		h := sha256.New()
 		opts := DefaultOptions()
 		expired := 0
+		cancels := map[string][]msg.ReqID{} // by table: "" control, "san"
 		opts.Tracer = trace.New(trace.NewJSONL(h), trace.SinkFunc(func(e trace.Event) {
-			if e.Type == trace.EvExpire && e.Node == ClientID(0) {
+			switch {
+			case e.Node != ClientID(0):
+			case e.Type == trace.EvExpire:
 				expired++
+			case e.Type == trace.EvCancel:
+				cancels[e.Note] = append(cancels[e.Note], e.Req)
 			}
 		}))
 		cl := New(opts)
 		cl.Start()
-		hw, _ := cl.MustOpen(1, "/g", true, true)
-		for b := uint64(0); b < 2; b++ {
-			cl.Write(1, hw, b, block('G'))
+		var hrs []msg.Handle
+		for _, p := range []string{"/g", "/h"} {
+			hw, _ := cl.MustOpen(1, p, true, true)
+			cl.Write(1, hw, 0, block('G'))
+			hr, _ := cl.MustOpen(0, p, false, false)
+			hrs = append(hrs, hr)
 		}
 		cl.Sync(1)
-		hr, _ := cl.MustOpen(0, "/g", false, false)
 		stale := 0
 		cl.SAN.Isolate(ClientID(0))
-		for b := uint64(0); b < 2; b++ {
-			cl.Clients[0].Read(hr, b, func(_ []byte, e msg.Errno) {
+		for _, hr := range hrs {
+			cl.Clients[0].Read(hr, 0, func(_ []byte, e msg.Errno) {
 				if e == msg.ErrStale {
 					stale++
 				}
@@ -627,6 +637,12 @@ func TestDeterministicRuns(t *testing.T) {
 		if stale != 4 || expired != 1 {
 			t.Fatalf("%d operations ended with %d expiries, want the 2 reads and 2 lookups in flight at one",
 				stale, expired)
+		}
+		for _, table := range []string{"", "san"} {
+			ids := cancels[table]
+			if len(ids) < 2 || !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+				t.Fatalf("table %q traced cancellations of %v, want at least 2 in ascending request ID", table, ids)
+			}
 		}
 		h.Sum(sum[:0])
 		return sum

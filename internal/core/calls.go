@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/bufpool"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -13,16 +14,31 @@ import (
 // calls. It mints their IDs above a base and holds them in the order they
 // were issued, which is ascending ID: a reply finds its request by binary
 // search, and Cancel walks them in that order, as a replayed run must.
+//
+// An entry given up (Take, Cancel) is zeroed, so that it keeps no
+// callback or buffer alive, and parked; the next Add takes it back. What
+// the owner reads of a request given up is the copy Take returns. Under
+// -tags tankdebug a parked entry is poisoned: its ID reads 0xDB… and
+// sending it panics.
 type Calls[T any] struct {
 	last  msg.ReqID
 	held  []*Call[T]
+	spare []*Call[T] // parked entries, at most maxSpareCalls
 	queue *sim.Retries[*Call[T]]
 	// send transmits c (retry: a retransmission) and reports whether it
 	// did; one it did not, its node being down, is not queued again.
 	send func(c *Call[T], retry bool) bool
 }
 
-// Call is one request in a Calls table; Val is what its owner keeps.
+// maxSpareCalls bounds a table's parked entries: a burst of requests in
+// flight leaves no more than this many behind it.
+const maxSpareCalls = 64
+
+// poisonCall is a parked entry's ID under tankdebug.
+const poisonCall msg.ReqID = 0xDBDB_DBDB_DBDB_DBDB
+
+// Call is one request in a Calls table; Val is what its owner keeps. A
+// *Call is valid while the request is held: Take and Cancel park it.
 type Call[T any] struct {
 	ID    msg.ReqID
 	Tries int // retransmissions so far
@@ -42,10 +58,17 @@ func NewCalls[T any](base msg.ReqID, clock sim.Clock, every sim.Duration,
 	return t
 }
 
-// Add holds v under the next ID and returns its entry, not yet sent.
+// Add holds v under the next ID and returns its entry, not yet sent: a
+// parked one if the table has one.
 func (t *Calls[T]) Add(v T) *Call[T] {
 	t.last++
-	c := &Call[T]{ID: t.last, Val: v}
+	var c *Call[T]
+	if n := len(t.spare); n > 0 {
+		c, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else {
+		c = new(Call[T])
+	}
+	c.ID, c.Tries, c.Val = t.last, 0, v
 	t.held = append(t.held, c)
 	return c
 }
@@ -55,12 +78,16 @@ func (t *Calls[T]) Add(v T) *Call[T] {
 func (t *Calls[T]) Send(c *Call[T]) { t.transmit(c, false) }
 
 func (t *Calls[T]) transmit(c *Call[T], retry bool) {
+	if bufpool.Debug && c.ID == poisonCall {
+		panic("core: a parked call was sent")
+	}
 	if t.send(c, retry) {
 		t.queue.Add(&c.retry, c)
 	}
 }
 
-// Find returns the entry of request id, nil if it is not held.
+// Find returns the entry of request id, nil if it is not held. The entry
+// is valid until the request is given up.
 func (t *Calls[T]) Find(id msg.ReqID) *Call[T] {
 	if i, ok := t.index(id); ok {
 		return t.held[i]
@@ -68,16 +95,30 @@ func (t *Calls[T]) Find(id msg.ReqID) *Call[T] {
 	return nil
 }
 
-// Take is Find, and gives the request up.
-func (t *Calls[T]) Take(id msg.ReqID) *Call[T] {
+// Take gives up request id and returns a copy of its entry: its ID,
+// Tries and Val (ok false: not held). The entry itself is parked.
+func (t *Calls[T]) Take(id msg.ReqID) (c Call[T], ok bool) {
 	i, ok := t.index(id)
 	if !ok {
-		return nil
+		return c, false
 	}
-	c := t.held[i]
+	e := t.held[i]
 	t.held = slices.Delete(t.held, i, i+1)
-	t.queue.Remove(&c.retry)
-	return c
+	t.queue.Remove(&e.retry)
+	c.ID, c.Tries, c.Val = e.ID, e.Tries, e.Val
+	t.park(e)
+	return c, true
+}
+
+// park zeroes e, which no longer holds a request, and keeps it for Add.
+func (t *Calls[T]) park(e *Call[T]) {
+	*e = Call[T]{}
+	if bufpool.Debug {
+		e.ID, e.Tries = poisonCall, -1
+	}
+	if len(t.spare) < maxSpareCalls {
+		t.spare = append(t.spare, e)
+	}
 }
 
 func (t *Calls[T]) index(id msg.ReqID) (int, bool) {
@@ -88,13 +129,14 @@ func (t *Calls[T]) index(id msg.ReqID) (int, bool) {
 func (t *Calls[T]) Len() int { return len(t.held) }
 
 // Cancel gives up every request held at entry, in the order they were
-// issued, and hands each to cancelled. A request issued from cancelled
-// survives; one it takes is not handed over again.
-func (t *Calls[T]) Cancel(cancelled func(*Call[T])) {
-	for _, c := range slices.Clone(t.held) {
-		if t.Take(c.ID) != nil {
-			cancelled(c)
-		}
+// issued, and hands cancelled a copy of each. A request issued from
+// cancelled survives (its ID is above every one held at entry); one it
+// takes is not handed over again.
+func (t *Calls[T]) Cancel(cancelled func(Call[T])) {
+	last := t.last
+	for len(t.held) > 0 && t.held[0].ID <= last {
+		c, _ := t.Take(t.held[0].ID)
+		cancelled(c)
 	}
 }
 
@@ -125,12 +167,12 @@ func NewSANCalls(base msg.ReqID, clock sim.Clock, every sim.Duration,
 }
 
 // Answer gives up the SAN call a disk's reply m answers, hands m to its
-// Done and returns it with m's errno (nil: none held; no ID is 0).
-func Answer(t *Calls[SANCall], m msg.Message) (*Call[SANCall], msg.Errno) {
+// Done and returns a copy of its entry with m's errno (ok false: none
+// held; no ID is 0).
+func Answer(t *Calls[SANCall], m msg.Message) (c Call[SANCall], errno msg.Errno, ok bool) {
 	req, errno, _ := msg.SANReplyReq(m)
-	c := t.Take(req)
-	if c != nil && c.Val.Done != nil {
+	if c, ok = t.Take(req); ok && c.Val.Done != nil {
 		c.Val.Done(m, errno)
 	}
-	return c, errno
+	return c, errno, ok
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // ReplyCallback receives the terminal outcome of a Call. Exactly one of
@@ -53,6 +54,7 @@ type Channel struct {
 	clock   sim.Clock
 	send    func(to msg.NodeID, m msg.Message)
 	lease   *LeaseClient // may be nil (baselines without lease semantics)
+	env     Env
 
 	epoch msg.Epoch
 	calls *Calls[pendingCall]
@@ -84,6 +86,7 @@ func NewChannel(self, server msg.NodeID, cfg Config, clock sim.Clock,
 		clock:   clock,
 		send:    send,
 		lease:   lease,
+		env:     env,
 		sent:    env.counter("chan.sent"),
 		retries: env.counter("chan.retries"),
 		acks:    env.counter("chan.acks"),
@@ -169,8 +172,8 @@ func (c *Channel) HandleReply(r *msg.Reply) {
 		}
 		return
 	}
-	call := c.calls.Take(r.Req)
-	if call == nil {
+	call, ok := c.calls.Take(r.Req)
+	if !ok {
 		return
 	}
 	p := &call.Val
@@ -195,13 +198,14 @@ func (c *Channel) HandleReply(r *msg.Reply) {
 }
 
 // CancelAll aborts every pending call, in the order they were issued
-// (their callbacks receive nil). The owner calls this when the lease
-// expires: outstanding operations are dead, and recovery starts from a
-// clean channel. Cancellation callbacks can issue new calls (recovery
-// begins immediately); those survive — only calls pending at entry are
-// aborted (Calls.Cancel).
+// (their callbacks receive nil), and traces each (EvCancel). The owner
+// calls this when the lease expires: outstanding operations are dead,
+// and recovery starts from a clean channel. Cancellation callbacks can
+// issue new calls (recovery begins immediately); those survive — only
+// calls pending at entry are aborted (Calls.Cancel).
 func (c *Channel) CancelAll() {
-	c.calls.Cancel(func(p *Call[pendingCall]) {
+	c.calls.Cancel(func(p Call[pendingCall]) {
+		c.env.emit(c.clock, trace.Event{Type: trace.EvCancel, Req: p.ID, Peer: c.server})
 		if p.Val.cb != nil {
 			p.Val.cb(nil)
 		}

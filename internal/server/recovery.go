@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -164,7 +166,10 @@ func (s *Server) mustLearnFloor() {
 // learnFloor raises the epoch counter past the highest fence each disk
 // holds under this authority, which a fence that raises nothing gets as
 // its answer (FenceRes.Top). The first Rejoin asks, from the server's own
-// task; every Rejoin waits until all disks have answered.
+// task; every Rejoin waits until all disks have answered, and then they
+// are answered in ascending client ID: each mints an epoch and sends a
+// reply, so a replayed run must take them in an order of its own, never
+// the map's.
 func (s *Server) learnFloor(r *floorRound) {
 	r.left = s.fence(msg.None, 0, func(reply msg.Message, _ msg.Errno) {
 		if res, ok := reply.(*msg.FenceRes); ok {
@@ -172,8 +177,13 @@ func (s *Server) learnFloor(r *floorRound) {
 		}
 		if r.left--; r.left == 0 && s.learning == r {
 			s.learning = nil
-			for client, id := range r.parked {
-				s.handleRejoin(client, id)
+			clients := make([]msg.NodeID, 0, len(r.parked))
+			for client := range r.parked {
+				clients = append(clients, client)
+			}
+			slices.Sort(clients)
+			for _, client := range clients {
+				s.handleRejoin(client, r.parked[client])
 			}
 		}
 	})

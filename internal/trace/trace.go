@@ -140,6 +140,12 @@ const (
 	// §6 grace-period recovery window, and "grace-end" marks the same
 	// node leaving that window.
 	EvReplicaTakeover
+	// EvCancel: a node gave up request Req unanswered, its callback told
+	// the request is dead (a client's lease expired). Peer is whom it was
+	// sent to: the server for a control call, the disk for a SAN call
+	// (Note "san"). A node cancels its requests in the order it issued
+	// them, so within one table Req ascends.
+	EvCancel
 )
 
 var typeNames = [...]string{
@@ -174,6 +180,7 @@ var typeNames = [...]string{
 	EvReplicaLeaseGranted: "replica-lease-granted",
 	EvReplicaStepdown:     "replica-stepdown",
 	EvReplicaTakeover:     "replica-takeover",
+	EvCancel:              "cancel",
 }
 
 func (t Type) String() string {
@@ -232,6 +239,8 @@ type Event struct {
 	Ino msg.ObjectID `json:"ino,omitempty"`
 	// Block is the disk block, for EvDisk media events.
 	Block uint64 `json:"block,omitempty"`
+	// Req is the request, for EvCancel.
+	Req msg.ReqID `json:"req,omitempty"`
 	// From and To are phase names for EvPhase.
 	From string `json:"from,omitempty"`
 	To   string `json:"to,omitempty"`
@@ -253,6 +262,9 @@ func (e Event) String() string {
 	}
 	if e.Ino != 0 {
 		s += fmt.Sprintf(" %v", e.Ino)
+	}
+	if e.Req != 0 {
+		s += fmt.Sprintf(" req=%d", e.Req)
 	}
 	if e.Type == EvDisk && e.Block != 0 {
 		s += fmt.Sprintf(" block=%d", e.Block)
